@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test test-short bench bench-json bench-sweep examples paper verify-paper trace-demo sweep-demo metrics-demo faults-demo prof-demo crit-demo scale-demo fork-demo tlc-demo clean
+.PHONY: all test test-short bench bench-json bench-sweep bench-scale examples paper verify-paper trace-demo sweep-demo metrics-demo faults-demo prof-demo crit-demo scale-demo fork-demo tlc-demo clean
 
 all: test
 
@@ -47,6 +47,12 @@ bench-sweep:
 	$(GO) run ./cmd/benchjson -in bench_sweep_raw.txt \
 		-baseline bench_sweep_baseline.json -out BENCH_sweep.json \
 		-note "Checkpoint/fork sweep planner (make bench-sweep): the same 12-variant fault-grid sweep flat vs forked, byte-identical output. The baseline records the flat path, so vs_baseline ns_speedup for BenchmarkSweep/forked is the fork wall-clock speedup (target >= 2x); BenchmarkSweep/flat is a ~1.0 sanity check."
+
+# The repository benchmark's headline: the scale1024 workload (LU and FFT
+# at 1024 nodes under every protocol), end-to-end metrics only. The last
+# output line is the result JSON; alloc_mb_per_iter is the number to watch.
+bench-scale:
+	bash bench/run.sh --workload scale1024 --trace 0
 
 # Run all three examples.
 examples:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"dsmsim/internal/sim"
@@ -62,5 +63,50 @@ func TestAccessNoFaultZeroAlloc(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBarrierEpisodeAllocLinear pins the host cost of a steady-state
+// barrier episode under hlrc to O(nodes) bytes. Every node dirties its own
+// block each episode, so every release ships nodes-1 non-empty intervals;
+// copying them (or the arrival clocks) per receiver makes an episode
+// O(nodes²): 16x the bytes at 4x the nodes instead of 4x.
+func TestBarrierEpisodeAllocLinear(t *testing.T) {
+	run := func(nodes, episodes int) uint64 {
+		var base int
+		app := &testApp{
+			name:  "barrierprobe",
+			heap:  nodes * 1024,
+			setup: func(h *Heap) { base = h.AllocPage(nodes * 1024) },
+			run: func(c *Ctx) {
+				for e := 0; e < episodes; e++ {
+					c.WriteI64(base+c.ID()*1024, int64(e))
+					c.Barrier()
+				}
+			},
+			verify: func(h *Heap) error { return nil },
+		}
+		m, err := NewMachine(Config{Nodes: nodes, BlockSize: 1024, Protocol: HLRC, Limit: 100 * sim.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.Run(app); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// Machine build and warm-up cancel in the difference of two run lengths.
+	perEpisode := func(nodes int) float64 {
+		const short, long = 8, 40
+		run(nodes, short) // fill the pools both measured runs draw from
+		return float64(run(nodes, long)-run(nodes, short)) / (long - short)
+	}
+	small, large := perEpisode(64), perEpisode(256)
+	t.Logf("bytes per barrier episode: %.0f at 64 nodes, %.0f at 256 nodes (%.1fx)", small, large, large/small)
+	if large > 6*small {
+		t.Errorf("a barrier episode costs %.0f bytes at 256 nodes, %.1fx the %.0f at 64 nodes; linear is 4x", large, large/small, small)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
+	"dsmsim/internal/sim"
 )
 
 // testProtocols is the paper's protocol matrix plus the tlc lease
@@ -20,10 +21,55 @@ var forkApps = []struct {
 	name     string
 	barriers int
 }{
-	{"fft", 7},            // six-step body: initial barrier + 6 phase barriers
-	{"lu", 24},            // 3 barriers per elimination step, nb = 8
-	{"ocean-rowwise", 16}, // 2 colors x 8 iterations
+	{"fft", 7},                   // six-step body: initial barrier + 6 phase barriers
+	{"lu", 24},                   // 3 barriers per elimination step, nb = 8
+	{"ocean-rowwise", 16},        // 2 colors x 8 iterations
+	{"lockstep", lockStepPhases}, // test-only, below: the one that takes locks
 }
+
+// newForkApp builds the named forkApps entry.
+func newForkApp(t *testing.T, name string) core.App {
+	if name == "lockstep" {
+		return &lockStep{}
+	}
+	entry, err := apps.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entry.New(apps.Small)
+}
+
+// lockStep is a resumable app that takes locks between its barriers. The
+// registered resumable apps synchronize with barriers only, so without it
+// no forked run would reach the lock-grant path: a last releaser shipping
+// write notices by reference into a restored log, against restored clocks.
+type lockStep struct{ base int }
+
+const lockStepPhases, lockStepCounters = 6, 3
+
+func (a *lockStep) Info() core.AppInfo { return core.AppInfo{Name: "lockstep", HeapBytes: 8192} }
+func (a *lockStep) Setup(h *core.Heap) { a.base = h.AllocPage(lockStepCounters * 1024) }
+func (a *lockStep) Run(c *core.Ctx)    { a.RunFrom(c, 0) }
+
+// RunFrom implements core.ResumableApp: one barrier per phase, and before
+// it two increments of lock-protected counters, one counter per block.
+func (a *lockStep) RunFrom(c *core.Ctx, epoch int) {
+	for ph := epoch; ph < lockStepPhases; ph++ {
+		for k := 0; k < 2; k++ {
+			l := (c.ID() + ph + k) % lockStepCounters
+			c.Lock(l)
+			c.WriteI64(a.base+l*1024, c.ReadI64(a.base+l*1024)+1)
+			c.Unlock(l)
+		}
+		// Unlock does not wait for the release to reach the lock's home,
+		// and a cut needs an empty event queue: let it land first.
+		c.Compute(100 * sim.Microsecond)
+		c.Barrier()
+	}
+}
+
+// Verify is never reached: the fork tests compare digests and traces.
+func (a *lockStep) Verify(h *core.Heap) error { return nil }
 
 // TestForkDigestEquivalence is the state-equivalence oracle for the
 // checkpoint machinery: for every application x protocol and every barrier
@@ -42,11 +88,7 @@ func TestForkDigestEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				entry, err := apps.Get(ap.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				app := entry.New(apps.Small)
+				app := newForkApp(t, ap.name)
 				var chain *core.Checkpoint
 				for e := 1; e <= ap.barriers; e++ {
 					fresh, err := m.RunToBarrier(ctx, app, e)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 )
 
@@ -42,9 +41,10 @@ func firstDiff(a, b []byte) (int, string, string) {
 	return len(al), "(end)", "(end)"
 }
 
-// TestForkTraceByteIdentical cuts fft and lu at every barrier epoch under
-// every protocol and checks that the prefix run's trace stream plus the
-// forked run's suffix stream reproduce the flat run's trace: the line
+// TestForkTraceByteIdentical cuts fft, lu and the lock-taking lockstep app
+// (checkpoint_test.go) at every barrier epoch under every protocol and
+// checks that the prefix run's trace stream plus the forked run's suffix
+// stream reproduce the flat run's trace: the line
 // format byte-for-byte by concatenation, the Chrome JSON format
 // record-for-record (each stream is its own JSON array, so the arrays are
 // compared element-wise after dropping track metadata). The critical-path
@@ -52,7 +52,7 @@ func firstDiff(a, b []byte) (int, string, string) {
 // flat and forked runs from the full recovered path — must match too.
 func TestForkTraceByteIdentical(t *testing.T) {
 	for _, ap := range forkApps {
-		if ap.name != "fft" && ap.name != "lu" {
+		if ap.name == "ocean-rowwise" {
 			continue
 		}
 		for _, protocol := range core.Protocols {
@@ -60,11 +60,7 @@ func TestForkTraceByteIdentical(t *testing.T) {
 			t.Run(ap.name+"/"+protocol, func(t *testing.T) {
 				t.Parallel()
 				ctx := context.Background()
-				entry, err := apps.Get(ap.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				app := entry.New(apps.Small)
+				app := newForkApp(t, ap.name)
 				cfg := core.Config{Nodes: 8, BlockSize: 1024, Protocol: protocol, CritPath: true}
 
 				var flatLine, flatJSON bytes.Buffer

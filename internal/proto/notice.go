@@ -55,19 +55,14 @@ func (l *Log) Between(node int, after, upTo int32) []Interval {
 	return l.byNode[node][after:upTo]
 }
 
-// NoticesBetween counts the notices in (after, upTo] for wire sizing.
-func (l *Log) NoticesBetween(node int, after, upTo int32) int {
-	n := 0
-	for _, iv := range l.Between(node, after, upTo) {
-		n += len(iv.Notices)
-	}
-	return n
-}
-
-// Reset clears all published intervals (parallel-phase boundary).
-func (l *Log) Reset() {
-	for i := range l.byNode {
-		l.byNode[i] = nil
+// Each calls fn with every node's intervals in (from[node], to[node]],
+// node ascending, skipping nodes with none: everything a node whose clock
+// is from must be told to reach to. fn must not retain or modify the slice.
+func (l *Log) Each(from, to VC, fn func([]Interval)) {
+	for node := range l.byNode {
+		if ivs := l.Between(node, from[node], to[node]); len(ivs) > 0 {
+			fn(ivs)
+		}
 	}
 }
 

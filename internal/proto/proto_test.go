@@ -83,13 +83,13 @@ func TestLogPublishBetween(t *testing.T) {
 	if l.Between(0, 0, 99) == nil || len(l.Between(0, 0, 99)) != 2 {
 		t.Fatal("upTo beyond latest must clamp")
 	}
-	if l.NoticesBetween(0, 0, 2) != 3 {
-		t.Fatalf("NoticesBetween = %d, want 3", l.NoticesBetween(0, 0, 2))
+	l.Publish(1, nil)
+	var got []Interval
+	l.Each(VC{1, 0}, VC{2, 1}, func(ivs []Interval) { got = append(got, ivs...) })
+	if len(got) != 2 || got[0].Node != 0 || got[0].Index != 2 || got[1].Node != 1 || got[1].Index != 1 {
+		t.Fatalf("Each((1,0),(2,1)) = %+v", got)
 	}
-	l.Reset()
-	if l.Latest(0) != 0 {
-		t.Fatal("Reset failed")
-	}
+	l.Each(VC{2, 1}, VC{2, 1}, func(ivs []Interval) { t.Fatalf("Each over an empty range called fn with %+v", ivs) })
 }
 
 func TestHomesStaticAssignment(t *testing.T) {

@@ -34,8 +34,18 @@ func TestLogBetweenPartitions(t *testing.T) {
 			}
 			idx++
 		}
-		return l.NoticesBetween(0, 0, int32(n)) ==
-			l.NoticesBetween(0, 0, m)+l.NoticesBetween(0, m, int32(n))
+		// Each over a clock range visits exactly Between's intervals.
+		var each []Interval
+		l.Each(VC{m}, VC{int32(n)}, func(ivs []Interval) { each = append(each, ivs...) })
+		if len(each) != len(b) {
+			return false
+		}
+		for i := range b {
+			if each[i].Index != b[i].Index {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package proto holds the machinery shared by all three coherence
-// protocols: vector clocks and intervals (the LRC timestamp scheme of §2.2
+// Package proto holds the machinery shared by every registered coherence
+// protocol: vector clocks and intervals (the LRC timestamp scheme of §2.2
 // and §2.3), write notices, the block-home map with first-touch migration
 // (§2), and the Protocol interface the core runtime drives.
 package proto

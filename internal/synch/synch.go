@@ -35,25 +35,74 @@ const (
 //	kLockRelease:  A = lock, B = releaser's logical timestamp (carrier only)
 //	kLockGrantReq: A = lock, B = acquirer, Payload = acquirer's proto.VC
 //	kLockGrant:    A = lock, B = last release's logical timestamp (carrier
-//	               only), Payload = *grant or nil (direct grant, no notices)
-//	kBarArrive:    B = arriver's logical timestamp (carrier only),
-//	               Payload = arriver's proto.VC (nil under SC)
+//	               only), Payload = *notices or nil (direct grant, no notices)
+//	kBarArrive:    B = arriver's logical timestamp (carrier only); the
+//	               arriver's clock travels in Sync.barVCs (see Barrier)
 //	kBarRelease:   B = max arrival timestamp (carrier only),
-//	               Payload = *barRelease or nil (SC: no notices to carry)
+//	               Payload = *notices or nil (SC: no notices to carry)
 //
 // A nil proto.VC boxes into Payload without allocating, so SC — where
 // synchronization carries no consistency payload — stays allocation-free.
 // Under a proto.TimestampCarrier protocol (tlc) the B fields above carry
 // a scalar logical timestamp, 8 extra bytes per message; for every other
 // protocol they stay zero and the wire sizes are unchanged.
-type grant struct {
-	ivs    []proto.Interval
-	fromVC proto.VC
+
+// notices is the consistency payload of a lock grant or barrier release:
+// the intervals of the shared log in (from, to], carried by reference. The
+// log is append-only and to was copied off a live clock at send time, so
+// every interval in range is already published and immutable — the receiver
+// walks exactly the entries the sender counted, however much later it
+// handles the message. from is the receiver's own clock: the clone its
+// acquire carried, or its barrier arrival buffer, which it cannot refill
+// before it has handled this release.
+type notices struct {
+	from, to proto.VC
+	count    int // write notices in range, counted once at send time
+	// shared, non-nil on barrier releases, is the episode's one list of
+	// the non-empty intervals in (min arrival clock, to], node then index
+	// ascending. All N releases point at it and each receiver filters it
+	// by from, instead of probing the log once per node. It only saves
+	// work: the log walk yields the same notices in the same order.
+	shared []proto.Interval
 }
 
-type barRelease struct {
-	ivs    []proto.Interval
-	merged proto.VC
+// each calls fn with the intervals in (from, to] as contiguous runs, node
+// ascending and index ascending within a node.
+func (d *notices) each(log *proto.Log, fn func([]proto.Interval)) {
+	if d.shared == nil {
+		log.Each(d.from, d.to, fn)
+		return
+	}
+	run := 0 // start of the current run of intervals from has not seen
+	for k, iv := range d.shared {
+		if iv.Index <= d.from[iv.Node] {
+			if run < k {
+				fn(d.shared[run:k])
+			}
+			run = k + 1
+		}
+	}
+	if run < len(d.shared) {
+		fn(d.shared[run:])
+	}
+}
+
+// tally sets count from the intervals in range.
+func (d *notices) tally(log *proto.Log) {
+	d.count = 0
+	d.each(log, func(ivs []proto.Interval) {
+		for _, iv := range ivs {
+			d.count += len(iv.Notices)
+		}
+	})
+}
+
+// total is the notice count of a possibly absent payload.
+func (d *notices) total() int64 {
+	if d == nil {
+		return 0
+	}
+	return int64(d.count)
 }
 
 type waiter struct {
@@ -80,7 +129,11 @@ type Sync struct {
 
 	locks map[int]*lockState
 
-	// Barrier state (master is node 0).
+	// Barrier state (master is node 0). barVCs[i] is node i's arrival
+	// clock, a buffer allocated once and refilled by every Barrier call:
+	// node i cannot re-enter the barrier before it has handled the release
+	// whose payload reads barVCs[i], and the master reads the table only
+	// once all nodes have arrived.
 	barCount int
 	barVCs   []proto.VC
 	// barMaxTS is the running maximum of the arrival timestamps of the
@@ -130,12 +183,9 @@ func (s *Sync) lockHome(lock int) int { return lock % s.env.Nodes() }
 
 func (s *Sync) vcBytes() int { return s.env.Nodes() * s.env.Model.VCEntryBytes }
 
-func (s *Sync) noticeCount(ivs []proto.Interval) int {
-	n := 0
-	for _, iv := range ivs {
-		n += len(iv.Notices)
-	}
-	return n
+// noticeBytes is the wire size of a clock plus count write notices.
+func (s *Sync) noticeBytes(count int) int {
+	return s.vcBytes() + count*s.env.Model.WriteNoticeBytes
 }
 
 // Acquire obtains the lock for node. Proc context; blocks until granted.
@@ -190,16 +240,19 @@ func (s *Sync) closeInterval(node int) {
 func (s *Sync) Barrier(node int) {
 	s.env.Stats[node].BarrierEntries++
 	s.closeInterval(node)
-	var vc proto.VC
 	bytes := 8
 	if s.proto.UsesIntervals() {
-		vc = s.env.VCs[node].Clone()
+		n := s.env.Nodes()
+		if s.barVCs == nil {
+			s.barVCs = make([]proto.VC, n)
+		}
+		if s.barVCs[node] == nil {
+			s.barVCs[node] = proto.NewVC(n)
+		}
+		copy(s.barVCs[node], s.env.VCs[node])
 		bytes += s.vcBytes()
 	}
-	m := &network.Msg{
-		Dst: 0, Kind: kBarArrive, Block: -1,
-		Payload: vc, Bytes: bytes,
-	}
+	m := &network.Msg{Dst: 0, Kind: kBarArrive, Block: -1, Bytes: bytes}
 	if s.ts != nil {
 		m.B = s.ts.ReleaseTS(node)
 		m.Bytes += 8
@@ -211,21 +264,13 @@ func (s *Sync) Barrier(node int) {
 // ServiceCost returns the processor occupancy for servicing m.
 func (s *Sync) ServiceCost(m *network.Msg) sim.Time {
 	model := s.env.Model
+	d, _ := m.Payload.(*notices) // grants and barrier releases only
+	apply := sim.Time(d.total()) * model.NoticeApply
 	switch m.Kind {
-	case kLockGrant:
-		if g, ok := m.Payload.(*grant); ok {
-			return model.LockHandling + sim.Time(s.noticeCount(g.ivs))*model.NoticeApply
-		}
-		return model.LockHandling
-	case kBarRelease:
-		if b, ok := m.Payload.(*barRelease); ok {
-			return model.BarrierHandling + sim.Time(s.noticeCount(b.ivs))*model.NoticeApply
-		}
-		return model.BarrierHandling
-	case kBarArrive:
-		return model.BarrierHandling
+	case kBarArrive, kBarRelease:
+		return model.BarrierHandling + apply
 	default:
-		return model.LockHandling
+		return model.LockHandling + apply
 	}
 }
 
@@ -319,52 +364,41 @@ func (s *Sync) grantFrom(home int, st *lockState, lock, acquirer int, acqVC prot
 }
 
 func (s *Sync) handleGrantReq(m *network.Msg) {
-	toVC := m.Payload.(proto.VC)
-	r := m.Dst // the last releaser computes the notices
-	myVC := s.env.VCs[r]
-	var ivs []proto.Interval
-	for j := 0; j < s.env.Nodes(); j++ {
-		ivs = append(ivs, s.env.Log.Between(j, toVC[j], myVC[j])...)
-	}
+	r := m.Dst // the last releaser knows which notices the acquirer lacks
+	d := &notices{from: m.Payload.(proto.VC), to: s.env.VCs[r].Clone()}
+	d.tally(s.env.Log)
 	s.env.Send(r, &network.Msg{
 		Dst: int(m.B), Kind: kLockGrant, Block: -1,
-		A:       m.A,
-		Payload: &grant{ivs: ivs, fromVC: myVC.Clone()},
-		Bytes:   8 + s.vcBytes() + s.noticeCount(ivs)*s.env.Model.WriteNoticeBytes,
+		A: m.A, Payload: d, Bytes: 8 + s.noticeBytes(d.count),
 	})
 }
 
 func (s *Sync) handleGrant(m *network.Msg) {
-	g, _ := m.Payload.(*grant)
-	node := m.Dst
+	d, _ := m.Payload.(*notices)
 	if tr := s.env.Tracer; tr != nil {
-		notices := 0
-		if g != nil {
-			notices = s.noticeCount(g.ivs)
-		}
-		tr.Instant(node, trace.CatSynch, "grant",
-			trace.A("lock", m.A), trace.A("notices", int64(notices)))
+		tr.Instant(m.Dst, trace.CatSynch, "grant",
+			trace.A("lock", m.A), trace.A("notices", d.total()))
 	}
-	if s.proto.UsesIntervals() && g != nil {
-		s.proto.ApplyNotices(node, g.ivs)
-		s.env.Stats[node].WriteNoticesRecv += int64(s.noticeCount(g.ivs))
-		if g.fromVC != nil {
-			s.env.VCs[node].Merge(g.fromVC)
-		}
+	s.completeAcquire(m.Dst, d, m.B)
+}
+
+// completeAcquire finishes node's lock acquire or barrier wait: it applies
+// the write notices d ships (nil when the message carried none), advances
+// node's clocks and wakes it.
+func (s *Sync) completeAcquire(node int, d *notices, ts int64) {
+	if d != nil {
+		d.each(s.env.Log, func(ivs []proto.Interval) { s.proto.ApplyNotices(node, ivs) })
+		s.env.Stats[node].WriteNoticesRecv += int64(d.count)
+		s.env.VCs[node].Merge(d.to)
 	}
 	if s.ts != nil {
-		s.ts.AcquireTS(node, m.B)
+		s.ts.AcquireTS(node, ts)
 	}
 	s.proto.OnAcquireComplete(node)
 	s.env.Procs[node].Unblock()
 }
 
 func (s *Sync) handleBarArrive(m *network.Msg) {
-	if s.barVCs == nil {
-		s.barVCs = make([]proto.VC, s.env.Nodes())
-	}
-	vc, _ := m.Payload.(proto.VC)
-	s.barVCs[m.Src] = vc
 	if s.ts != nil && m.B > s.barMaxTS {
 		s.barMaxTS = m.B
 	}
@@ -388,32 +422,18 @@ func (s *Sync) Epoch() int { return s.epoch }
 // it, consuming the same event sequence numbers.
 func (s *Sync) ReleaseBarrier() { s.releaseBarrier() }
 
-// releaseBarrier merges the arrival clocks and releases every node. Called
-// with barCount == Nodes and barVCs fully populated.
+// releaseBarrier releases every node. Called with barCount == Nodes and,
+// under an interval protocol, barVCs fully populated.
 func (s *Sync) releaseBarrier() {
-	n := s.env.Nodes()
-	uses := s.proto.UsesIntervals()
-	var merged proto.VC
-	if uses {
-		merged = proto.NewVC(n)
-		for _, vc := range s.barVCs {
-			merged.Merge(vc)
-		}
+	var rel []notices
+	if s.proto.UsesIntervals() {
+		rel = s.barrierNotices()
 	}
-	for i := 0; i < n; i++ {
-		bytes := 8
-		var payload *barRelease
-		if uses {
-			var ivs []proto.Interval
-			for j := 0; j < n; j++ {
-				ivs = append(ivs, s.env.Log.Between(j, s.barVCs[i][j], merged[j])...)
-			}
-			bytes += s.vcBytes() + s.noticeCount(ivs)*s.env.Model.WriteNoticeBytes
-			payload = &barRelease{ivs: ivs, merged: merged}
-		}
-		msg := network.Msg{Dst: i, Kind: kBarRelease, Block: -1, Bytes: bytes}
-		if payload != nil {
-			msg.Payload = payload
+	for i := 0; i < s.env.Nodes(); i++ {
+		msg := network.Msg{Dst: i, Kind: kBarRelease, Block: -1, Bytes: 8}
+		if rel != nil {
+			msg.Payload = &rel[i]
+			msg.Bytes += s.noticeBytes(rel[i].count)
 		}
 		if s.ts != nil {
 			msg.B = s.barMaxTS
@@ -422,8 +442,35 @@ func (s *Sync) releaseBarrier() {
 		s.env.Send(0, &msg)
 	}
 	s.barCount = 0
-	s.barVCs = nil
 	s.barMaxTS = 0
+}
+
+// barrierNotices merges the arrival clocks and builds the episode's N
+// release payloads around one shared interval list.
+func (s *Sync) barrierNotices() []notices {
+	merged, floor := s.barVCs[0].Clone(), s.barVCs[0].Clone()
+	for _, vc := range s.barVCs[1:] {
+		merged.Merge(vc)
+		for j, v := range vc {
+			if v < floor[j] {
+				floor[j] = v
+			}
+		}
+	}
+	shared := make([]proto.Interval, 0, len(s.barVCs)) // typically one interval per node
+	s.env.Log.Each(floor, merged, func(ivs []proto.Interval) {
+		for _, iv := range ivs {
+			if len(iv.Notices) > 0 {
+				shared = append(shared, iv)
+			}
+		}
+	})
+	rel := make([]notices, len(s.barVCs))
+	for i := range rel {
+		rel[i] = notices{from: s.barVCs[i], to: merged, shared: shared}
+		rel[i].tally(s.env.Log)
+	}
+	return rel
 }
 
 // State is a deep snapshot of the synchronization layer at a barrier cut:
@@ -514,24 +561,9 @@ func (st *State) AddToDigest(d *proto.Digest) {
 }
 
 func (s *Sync) handleBarRelease(m *network.Msg) {
-	b, _ := m.Payload.(*barRelease)
-	node := m.Dst
+	d, _ := m.Payload.(*notices)
 	if tr := s.env.Tracer; tr != nil {
-		notices := 0
-		if b != nil {
-			notices = s.noticeCount(b.ivs)
-		}
-		tr.Instant(node, trace.CatSynch, "bar-release",
-			trace.A("notices", int64(notices)))
+		tr.Instant(m.Dst, trace.CatSynch, "bar-release", trace.A("notices", d.total()))
 	}
-	if s.proto.UsesIntervals() && b != nil {
-		s.proto.ApplyNotices(node, b.ivs)
-		s.env.Stats[node].WriteNoticesRecv += int64(s.noticeCount(b.ivs))
-		s.env.VCs[node].Merge(b.merged)
-	}
-	if s.ts != nil {
-		s.ts.AcquireTS(node, m.B)
-	}
-	s.proto.OnAcquireComplete(node)
-	s.env.Procs[node].Unblock()
+	s.completeAcquire(m.Dst, d, m.B)
 }

@@ -2,9 +2,11 @@ package synch_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dsmsim/internal/core"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -152,5 +154,125 @@ func TestLockStallAccounting(t *testing.T) {
 	}
 	if res.Total.LockAcquires != 2 {
 		t.Fatalf("lock acquires = %d", res.Total.LockAcquires)
+	}
+}
+
+// noticeOracle wraps a real interval protocol and checks, at every
+// completed acquire, that the write notices the synchronization layer
+// applied are exactly the log's intervals between the node's clock before
+// the acquire and after it — what materialising
+// append(Log.Between(j, before[j], after[j])...) would have handed over —
+// and that WriteNoticesRecv advanced by their notice count.
+type noticeOracle struct {
+	proto.Protocol
+	env    *proto.Env
+	before []proto.VC         // each node's clock at its last completed acquire
+	recv   []int64            // ... and its WriteNoticesRecv then
+	got    [][]proto.Interval // non-empty intervals applied since
+}
+
+var oracleFailures []string
+
+func registerOracle(inner string) string {
+	reg, _ := proto.Lookup(inner)
+	name := inner + "+oracle"
+	proto.Register(name, proto.Meta{Title: "test oracle over " + inner, Order: 1000, NeedsClocks: true},
+		func(env *proto.Env) proto.Iface {
+			o := &noticeOracle{Protocol: reg.New(env), env: env}
+			for range env.VCs {
+				o.before = append(o.before, proto.NewVC(len(env.VCs)))
+			}
+			o.recv = make([]int64, len(env.VCs))
+			o.got = make([][]proto.Interval, len(env.VCs))
+			return o
+		})
+	return name
+}
+
+var oracleProtocols = []string{registerOracle(core.SWLRC), registerOracle(core.HLRC)}
+
+func (o *noticeOracle) ApplyNotices(node int, ivs []proto.Interval) {
+	for _, iv := range ivs {
+		if len(iv.Notices) > 0 {
+			o.got[node] = append(o.got[node], iv)
+		}
+	}
+	o.Protocol.ApplyNotices(node, ivs)
+}
+
+func (o *noticeOracle) OnAcquireComplete(node int) {
+	before, after := o.before[node], o.env.VCs[node]
+	before[node] = after[node] // a node's own intervals are never shipped to it
+	var want []proto.Interval
+	count := int64(0)
+	for j := range after {
+		for _, iv := range o.env.Log.Between(j, before[j], after[j]) {
+			if len(iv.Notices) > 0 {
+				want = append(want, iv)
+				count += int64(len(iv.Notices))
+			}
+		}
+	}
+	got := o.got[node]
+	if len(got) != len(want) {
+		oracleFailures = append(oracleFailures,
+			fmt.Sprintf("node %d: %d non-empty intervals applied, log has %d in (%v, %v]", node, len(got), len(want), before, after))
+	} else {
+		for k := range want {
+			if got[k].Node != want[k].Node || got[k].Index != want[k].Index {
+				oracleFailures = append(oracleFailures, fmt.Sprintf("node %d: interval %d applied is (%d,%d), log order has (%d,%d)",
+					node, k, got[k].Node, got[k].Index, want[k].Node, want[k].Index))
+				break
+			}
+		}
+	}
+	if d := o.env.Stats[node].WriteNoticesRecv - o.recv[node]; d != count {
+		oracleFailures = append(oracleFailures, fmt.Sprintf("node %d: WriteNoticesRecv advanced by %d, log has %d notices", node, d, count))
+	}
+	copy(before, after)
+	o.recv[node] = o.env.Stats[node].WriteNoticesRecv
+	o.got[node] = o.got[node][:0]
+	o.Protocol.OnAcquireComplete(node)
+}
+
+// TestAppliedNoticesMatchLog runs randomised lock/barrier schedules through
+// the real grant and barrier-release handlers under both interval
+// protocols: nodes take random locks between barriers (so clocks differ
+// per node and component), write or don't (empty intervals), and some
+// publish several intervals per phase while others publish only the
+// barrier's.
+func TestAppliedNoticesMatchLog(t *testing.T) {
+	for _, p := range oracleProtocols {
+		for _, nodes := range []int{3, 8, 13} {
+			oracleFailures = nil
+			grants := 0
+			res := run(t, nodes, p, func(c *core.Ctx) {
+				rng := rand.New(rand.NewSource(int64(100*nodes + c.ID())))
+				for phase := 0; phase < 6; phase++ {
+					for k := rng.Intn(4); k > 0; k-- {
+						c.Compute(sim.Time(rng.Intn(200)) * sim.Microsecond)
+						l := rng.Intn(3)
+						c.Lock(l)
+						if rng.Intn(3) > 0 {
+							c.WriteI64(1024*rng.Intn(16)+8*c.ID(), int64(phase))
+						}
+						c.Unlock(l)
+					}
+					if rng.Intn(2) == 0 {
+						c.WriteI64(1024*(16+rng.Intn(16))+8*c.ID(), int64(phase))
+					}
+					c.Barrier()
+				}
+			})
+			for _, n := range res.PerNode {
+				grants += int(n.LockAcquires)
+			}
+			if grants == 0 || res.Total.WriteNoticesRecv == 0 {
+				t.Fatalf("%s/%d: schedule exercised %d lock grants and %d notices", p, nodes, grants, res.Total.WriteNoticesRecv)
+			}
+			for _, f := range oracleFailures {
+				t.Errorf("%s/%d nodes: %s", p, nodes, f)
+			}
+		}
 	}
 }

@@ -68,15 +68,15 @@ func TestVerifiedSweep256(t *testing.T) {
 	}
 }
 
-// TestVerified1024 runs FFT and LU at the new 1024-node bound under all
-// three protocols, verified. This is the acceptance bar for lifting
+// TestVerified1024 runs FFT and LU at the 1024-node bound under every
+// registered protocol, verified. This is the acceptance bar for lifting
 // ErrBadNodes from 64 to 1024.
 func TestVerified1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node verified runs skipped in -short mode")
 	}
 	for _, app := range []string{"fft", "lu"} {
-		for _, proto := range dsmsim.Protocols {
+		for _, proto := range dsmsim.AllProtocols() {
 			app, proto := app, proto
 			t.Run(fmt.Sprintf("%s/%s", app, proto), func(t *testing.T) {
 				t.Parallel()
@@ -93,16 +93,16 @@ func TestVerified1024(t *testing.T) {
 	}
 }
 
-// TestScaleFootprint256 pins the memory contract of the sparse directory:
-// protocol metadata at 256 nodes must stay proportional to touched blocks
-// plus a per-node term, never O(nodes x blocks). A dense per-node home
-// cache or dense per-block sharer vectors would blow these ceilings by an
-// order of magnitude.
+// TestScaleFootprint256 pins the memory contract of the sparse directory
+// for every registered protocol: metadata at 256 nodes must stay
+// proportional to touched blocks plus a per-node term, never
+// O(nodes x blocks). A dense per-node home cache or dense per-block sharer
+// vectors would blow these ceilings by an order of magnitude.
 func TestScaleFootprint256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node footprint check skipped in -short mode")
 	}
-	for _, proto := range dsmsim.Protocols {
+	for _, proto := range dsmsim.AllProtocols() {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			cfg := dsmsim.Config{Nodes: 256, BlockSize: 4096, Protocol: proto}
@@ -127,5 +127,36 @@ func TestScaleFootprint256(t *testing.T) {
 				t.Errorf("run allocated %d bytes total, ceiling %d", delta, 1<<30)
 			}
 		})
+	}
+}
+
+// TestScaleFootprint1024 pins the lazy protocols' host-memory contract at
+// the node bound: LU at 1024 nodes / 4 KB blocks under swlrc and hlrc may
+// allocate at most 4x what sc does for the same run. Synchronization ships
+// write notices by reference into the shared interval log; a per-receiver
+// copy of them at every 1024-way barrier puts the ratio near 70x.
+func TestScaleFootprint1024(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-node footprint check skipped in -short mode")
+	}
+	allocated := func(proto string) uint64 {
+		cfg := dsmsim.Config{Nodes: 1024, BlockSize: 4096, Protocol: proto}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := dsmsim.StartApp(context.Background(), cfg, "lu", dsmsim.Small)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(dsmsim.SC) // warm the space and message pools every run shares
+	base := allocated(dsmsim.SC)
+	for _, proto := range []string{dsmsim.SWLRC, dsmsim.HLRC} {
+		got := allocated(proto)
+		t.Logf("%s allocated %d bytes, %.2fx sc's %d", proto, got, float64(got)/float64(base), base)
+		if got > 4*base {
+			t.Errorf("%s allocated more than 4x what sc did", proto)
+		}
 	}
 }
