@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all test test-short bench bench-json bench-sweep bench-scale examples paper verify-paper trace-demo sweep-demo metrics-demo faults-demo prof-demo crit-demo scale-demo fork-demo tlc-demo clean
+.PHONY: all test test-short bench bench-json bench-sweep bench-one examples paper verify-paper trace-demo sweep-demo metrics-demo faults-demo prof-demo crit-demo scale-demo fork-demo tlc-demo clean
 
 all: test
 
 # Full test suite: protocol semantics, application verification across the
 # whole protocol × granularity matrix, property tests.
 test:
+	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt -l lists:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 
@@ -48,11 +49,13 @@ bench-sweep:
 		-baseline bench_sweep_baseline.json -out BENCH_sweep.json \
 		-note "Checkpoint/fork sweep planner (make bench-sweep): the same 12-variant fault-grid sweep flat vs forked, byte-identical output. The baseline records the flat path, so vs_baseline ns_speedup for BenchmarkSweep/forked is the fork wall-clock speedup (target >= 2x); BenchmarkSweep/flat is a ~1.0 sanity check."
 
-# The repository benchmark's headline: the scale1024 workload (LU and FFT
-# at 1024 nodes under every protocol), end-to-end metrics only. The last
-# output line is the result JSON; alloc_mb_per_iter is the number to watch.
-bench-scale:
-	bash bench/run.sh --workload scale1024 --trace 0
+# One workload of the repository benchmark, end-to-end metrics only, run
+# the way the driver runs it: `make bench-one W=fine64`. W is any name (or
+# comma-separated names) from BENCHMARK.json; the default is the 1024-node
+# workload. The last output line is the result JSON.
+W ?= scale1024
+bench-one:
+	bash bench/run.sh --workload $(W) --trace 0
 
 # Run all three examples.
 examples:

@@ -46,7 +46,7 @@ func TestAccessNoFaultZeroAlloc(t *testing.T) {
 				}
 				m, err := NewMachine(Config{
 					Nodes: 1, BlockSize: 1024, Protocol: proto,
-					Limit: 100 * sim.Second,
+					Limit:        100 * sim.Second,
 					ShareProfile: obs.prof, CritPath: obs.critpath,
 				})
 				if err != nil {

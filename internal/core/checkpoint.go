@@ -282,7 +282,7 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 			return nil, fmt.Errorf("core: checkpoint at epoch %d, node %d: %w", epoch, i, err)
 		}
 		cp.eps = append(cp.eps, eps)
-		n := r.nodes[i]
+		n := &r.nodes[i]
 		cp.stolen = append(cp.stolen, n.stolen)
 		cp.barStart = append(cp.barStart, n.barStart)
 		cp.barFlush0 = append(cp.barFlush0, n.barFlush0)
@@ -336,7 +336,7 @@ func (r *run) restore(cp *Checkpoint) error {
 		r.env.Spaces[i].Restore(cp.spaces[i])
 		*r.env.Stats[i] = cp.stats[i]
 		if len(r.env.VCs) > 0 {
-			r.env.VCs[i] = cp.vcs[i].Clone()
+			copy(r.env.VCs[i], cp.vcs[i])
 		}
 		r.net.Endpoint(i).RestoreState(cp.eps[i])
 	}

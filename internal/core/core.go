@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"dsmsim/internal/critpath"
@@ -79,6 +80,16 @@ var Granularities = []int{64, 256, 1024, 4096}
 // so the bound is a sanity limit on simulation cost, not a structural
 // one.
 const MaxNodes = 1024
+
+// nodeNames are the proc names "node0".."node1023", formatted once for
+// every run instead of once per proc per run.
+var nodeNames = func() []string {
+	names := make([]string, MaxNodes)
+	for i := range names {
+		names[i] = "node" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // Config selects one point of the paper's evaluation space.
 type Config struct {
@@ -353,7 +364,7 @@ type run struct {
 	crit     *critpath.Tracker
 	phases   *metrics.PhaseAccountant
 	sampler  *metrics.Sampler
-	nodes    []*Node
+	nodes    []Node
 
 	// captureEpoch, when positive, cuts the run at that barrier epoch: the
 	// barrier hook captures a checkpoint into cp (or capErr) and stops the
@@ -456,12 +467,18 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 		// are never allocated.
 		env.Log = proto.NewLog(cfg.Nodes)
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		env.Spaces = append(env.Spaces, mem.NewSpace(r.heapSize, cfg.BlockSize))
-		env.Stats = append(env.Stats, &stats.Node{})
-		if reg.Meta.NeedsClocks {
-			env.VCs = append(env.VCs, proto.NewVC(cfg.Nodes))
-		}
+	// Per-node state comes out of one slab per kind, not one object per
+	// node: construction cost is what a 1024-node run pays before its
+	// first event. Pointers into the slabs keep every use unchanged.
+	env.Spaces = make([]*mem.Space, cfg.Nodes)
+	env.Stats = make([]*stats.Node, cfg.Nodes)
+	statSlab := make([]stats.Node, cfg.Nodes)
+	for i := range statSlab {
+		env.Spaces[i] = mem.NewSpace(r.heapSize, cfg.BlockSize)
+		env.Stats[i] = &statSlab[i]
+	}
+	if reg.Meta.NeedsClocks {
+		env.VCs = proto.NewVCs(cfg.Nodes)
 	}
 
 	r.p = reg.New(env)
@@ -566,14 +583,17 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 		}
 	}
 
-	r.nodes = make([]*Node, cfg.Nodes)
+	r.nodes = make([]Node, cfg.Nodes)
 	dilation := r.info.PollDilation
 	if cfg.Notify != network.Polling || cfg.Sequential {
 		dilation = 0
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		n := &Node{
+	cost, handler := m.serviceCost(r.sy, r.p), m.handler(r.sy, r.p)
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		*n = Node{
 			id:       i,
+			ctx:      Ctx{n: n},
 			machine:  m,
 			engine:   engine,
 			model:    r.model,
@@ -593,17 +613,18 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 		if r.inj.Straggling() {
 			n.faults = r.inj // only stragglers dilate Compute; wire faults stay in the network
 		}
-		r.nodes[i] = n
-		n.ep.Bind(n, m.serviceCost(r.sy, r.p), m.handler(r.sy, r.p))
+		n.ep.Bind(n, cost, handler)
 	}
 	if ct := r.crit; ct != nil {
 		ct.Runtime = func(i int) bool { return r.nodes[i].inRuntime }
 	}
+	engine.ReserveProcs(cfg.Nodes)
+	env.Procs = make([]*sim.Proc, cfg.Nodes)
 	if cp == nil {
-		for i := 0; i < cfg.Nodes; i++ {
-			n := r.nodes[i]
-			n.proc = engine.NewProc(fmt.Sprintf("node%d", i), 0, func(pr *sim.Proc) {
-				app.Run(&Ctx{n: n})
+		for i := range r.nodes {
+			n := &r.nodes[i]
+			n.proc = engine.NewProc(nodeNames[i], 0, func(pr *sim.Proc) {
+				app.Run(&n.ctx)
 				n.finishAt = engine.Now()
 				if ct := r.crit; ct != nil {
 					ct.Finish(n.id, n.finishAt)
@@ -615,12 +636,12 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 				n.stats.Stolen -= n.stolen
 				n.stolen = 0
 			})
-			env.Procs = append(env.Procs, n.proc)
+			env.Procs[i] = n.proc
 		}
 	} else {
 		rapp := app.(ResumableApp)
-		for i := 0; i < cfg.Nodes; i++ {
-			n := r.nodes[i]
+		for i := range r.nodes {
+			n := &r.nodes[i]
 			// The node is mid-barrier: its goroutine stack cannot be restored,
 			// so it is reborn parked in Block("barrier") with a continuation
 			// body that books the stall Ctx.Barrier would have booked and
@@ -629,10 +650,10 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 			n.stolen = cp.stolen[i]
 			n.barStart = cp.barStart[i]
 			n.barFlush0 = cp.barFlush0[i]
-			n.proc = engine.NewProcBlocked(fmt.Sprintf("node%d", i), "barrier", -1, func(pr *sim.Proc) {
+			n.proc = engine.NewProcBlocked(nodeNames[i], "barrier", -1, func(pr *sim.Proc) {
 				n.inRuntime = false
 				n.barrierResumed()
-				rapp.RunFrom(&Ctx{n: n}, cp.epoch)
+				rapp.RunFrom(&n.ctx, cp.epoch)
 				n.finishAt = engine.Now()
 				if ct := r.crit; ct != nil {
 					ct.Finish(n.id, n.finishAt)
@@ -640,7 +661,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 				n.stats.Stolen -= n.stolen
 				n.stolen = 0
 			})
-			env.Procs = append(env.Procs, n.proc)
+			env.Procs[i] = n.proc
 		}
 	}
 	if ct := r.crit; tr != nil || ct != nil {

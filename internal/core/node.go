@@ -26,6 +26,7 @@ type Node struct {
 	stats   *stats.Node
 	ep      *network.Endpoint
 	proc    *sim.Proc
+	ctx     Ctx // the application's handle on this node, passed to its body
 
 	protocol proto.Protocol
 	sync     *synch.Sync

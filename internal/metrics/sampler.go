@@ -146,15 +146,15 @@ func (s *Sampler) Series() *Series { return &s.series }
 // fresh sampler so its series continues seamlessly — same boundaries, same
 // deltas — as if the prefix had been simulated in place.
 type SamplerState struct {
-	prev    stats.Snapshot
+	prev                                                                   stats.Snapshot
 	prevMsg, prevByt, prevRtx, prevTmo, prevDrp, prevDup, prevTru, prevFls int64
-	samples []Sample
+	samples                                                                []Sample
 }
 
 // CaptureState snapshots the sampler.
 func (s *Sampler) CaptureState() *SamplerState {
 	return &SamplerState{
-		prev: s.prev,
+		prev:    s.prev,
 		prevMsg: s.prevMsg, prevByt: s.prevByt, prevRtx: s.prevRtx,
 		prevTmo: s.prevTmo, prevDrp: s.prevDrp, prevDup: s.prevDup,
 		prevTru: s.prevTru, prevFls: s.prevFls,

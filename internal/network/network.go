@@ -84,6 +84,14 @@ type Msg struct {
 // collector.
 func (m *Msg) Retain() { m.retained = true }
 
+// SetCritContext parks a critical-path event context on a retained message
+// whose handling is deferred to a later event; CritContext reads it back.
+// The slot is the delivering transit's record, dead once service started.
+func (m *Msg) SetCritContext(rec int32) { m.crit = rec }
+
+// CritContext returns the context parked by SetCritContext.
+func (m *Msg) CritContext() int32 { return m.crit }
+
 // TakeData transfers ownership of the message's data buffer to the caller:
 // the message forgets the buffer, so recycling the message will not recycle
 // the buffer out from under the new owner. Callers forwarding the buffer in
@@ -226,9 +234,11 @@ func (n *Network) SetScale(s *critpath.Scale) { n.scale = s }
 // New creates a network of n endpoints. Handlers are attached later with
 // Bind, before any traffic flows.
 func New(engine *sim.Engine, model *timing.Model, notify Notify, n int) *Network {
-	nw := &Network{engine: engine, model: model, notify: notify}
-	for i := 0; i < n; i++ {
-		nw.eps = append(nw.eps, &Endpoint{id: i, net: nw})
+	nw := &Network{engine: engine, model: model, notify: notify, eps: make([]*Endpoint, n)}
+	slab := make([]Endpoint, n)
+	for i := range slab {
+		slab[i] = Endpoint{id: i, net: nw}
+		nw.eps[i] = &slab[i]
 	}
 	return nw
 }

@@ -20,8 +20,8 @@ import "math/bits"
 // is an empty set ready for use. Copyset is not safe for concurrent
 // mutation, matching the single-threaded event loop it serves.
 type Copyset struct {
-	inline uint64                // members in [0, 64)
-	pages  []*[pageWords]uint64  // members ≥ 64; page p covers [p·pageBits, (p+1)·pageBits)
+	inline uint64               // members in [0, 64)
+	pages  []*[pageWords]uint64 // members ≥ 64; page p covers [p·pageBits, (p+1)·pageBits)
 }
 
 const (

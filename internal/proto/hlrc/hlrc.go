@@ -83,6 +83,8 @@ type Protocol struct {
 	flushWaiting  []bool // per node: proc is blocked in PreRelease
 	installing    map[int][]*network.Msg
 	installSet    map[int]bool
+	// redispatch re-runs handleFetch on a request queued behind an install.
+	redispatch func(*network.Msg)
 
 	// Free lists: twin buffers and diff carriers recycle across the run.
 	// blockScratch is PreRelease's sort scratch (never live across a yield);
@@ -140,6 +142,7 @@ func New(env *proto.Env) *Protocol {
 		p.written = append(p.written, make(map[int]int32))
 		p.seq = append(p.seq, make(map[int]int32))
 	}
+	p.redispatch = env.Redispatcher(p.handleFetch)
 	return p
 }
 
@@ -518,21 +521,7 @@ func (p *Protocol) handleFetchData(m *network.Msg) {
 		waiting := p.installing[b]
 		delete(p.installing, b)
 		for _, wm := range waiting {
-			wm := wm
-			// Continuation of this handler: re-enter its event context so
-			// the re-dispatched fetch chains from the install that enabled it.
-			var cur int32
-			if ct := p.env.Crit; ct != nil {
-				cur = ct.Context()
-			}
-			p.env.Engine.After(0, func() {
-				if ct := p.env.Crit; ct != nil {
-					ct.SetContext(cur)
-					defer ct.ClearContext()
-				}
-				p.handleFetch(wm)
-				p.env.Net.Release(wm)
-			})
+			p.redispatch(wm)
 		}
 	} else {
 		sp.SetTag(b, mem.ReadOnly)

@@ -20,7 +20,7 @@ type Homes struct {
 	nodes      int
 	numBlocks  int
 	firstTouch bool
-	claimed    Copyset        // blocks claimed since BeginFirstTouch
+	claimed    Copyset          // blocks claimed since BeginFirstTouch
 	moved      Table[movedHome] // overlay for claimed blocks whose home ≠ static
 }
 

@@ -81,6 +81,34 @@ func (e *Env) Send(src int, m *network.Msg) {
 	e.Net.Endpoint(src).Send(m)
 }
 
+// Redispatcher returns the function a protocol uses to re-run handle on
+// requests it retained and queued behind a transaction or an install, once
+// that finishes. Each call defers one message to a fresh event at the
+// current instant, so queued requests resolve in queue order after the
+// finishing handler returns. The deferred handle is a continuation of that
+// handler: it re-enters the handler's critical-path event context, carried
+// on the retained message, so the request's resolution chains from the
+// service that enabled it. Afterwards the message is released under the
+// usual retention contract (handle may queue it again). Build it once per
+// protocol instance; deferring then allocates nothing.
+func (e *Env) Redispatcher(handle func(*network.Msg)) func(*network.Msg) {
+	run := func(arg any) {
+		m := arg.(*network.Msg)
+		if ct := e.Crit; ct != nil {
+			ct.SetContext(m.CritContext())
+			defer ct.ClearContext()
+		}
+		handle(m)
+		e.Net.Release(m)
+	}
+	return func(m *network.Msg) {
+		if ct := e.Crit; ct != nil {
+			m.SetCritContext(ct.Context())
+		}
+		e.Engine.AfterArg(0, run, m)
+	}
+}
+
 // SeedHomes copies the master image into each block's static home. Every
 // tag — including the static home's own — starts NoAccess, so the first
 // touch anywhere (even at the static home) faults and performs the

@@ -76,6 +76,8 @@ type Protocol struct {
 	dir proto.Table[dirEntry]
 
 	txns map[int]*txn
+	// redispatch re-runs handleReq on a request drained from a wait queue.
+	redispatch func(*network.Msg)
 
 	pending []pendingFault // per node: the single outstanding fault
 
@@ -95,12 +97,14 @@ type dirEntry struct {
 func New(env *proto.Env) *Protocol {
 	nb := env.Homes.NumBlocks()
 	n := env.Nodes()
-	return &Protocol{
+	p := &Protocol{
 		env:     env,
 		dir:     proto.NewTable(nb, func(e *dirEntry) { e.owner = -1 }),
 		txns:    make(map[int]*txn),
 		pending: make([]pendingFault, n),
 	}
+	p.redispatch = env.Redispatcher(func(m *network.Msg) { p.handleReq(m.Dst, m) })
+	return p
 }
 
 // Name implements proto.Protocol.
@@ -363,22 +367,7 @@ func (p *Protocol) drain(b int) {
 	}
 	delete(p.txns, b)
 	for _, m := range t.waitq {
-		m := m
-		// The re-dispatch is a continuation of the handler that finished
-		// the transaction: re-enter its event context so the queued
-		// request's resolution chains from the service that enabled it.
-		var cur int32
-		if ct := p.env.Crit; ct != nil {
-			cur = ct.Context()
-		}
-		p.env.Engine.After(0, func() {
-			if ct := p.env.Crit; ct != nil {
-				ct.SetContext(cur)
-				defer ct.ClearContext()
-			}
-			p.handleReq(m.Dst, m)
-			p.env.Net.Release(m)
-		})
+		p.redispatch(m)
 	}
 }
 

@@ -62,6 +62,8 @@ type Protocol struct {
 
 	installing map[int][]*network.Msg
 	installSet map[int]bool
+	// redispatch re-runs Handle on a request queued behind an install.
+	redispatch func(*network.Msg)
 }
 
 // swDir is the global per-block directory entry.
@@ -93,6 +95,7 @@ func New(env *proto.Env) *Protocol {
 	for i := 0; i < n; i++ {
 		p.nodes[i] = proto.NewTable(nb, func(e *swNode) { e.lastKnown = -1 })
 	}
+	p.redispatch = env.Redispatcher(p.Handle)
 	return p
 }
 
@@ -447,21 +450,7 @@ func (p *Protocol) handleOwnData(m *network.Msg) {
 	delete(p.installing, b)
 	p.env.Procs[node].Unblock()
 	for _, wm := range waiting {
-		wm := wm
-		// Continuation of this handler: re-enter its event context so the
-		// re-dispatched request chains from the install that enabled it.
-		var cur int32
-		if ct := p.env.Crit; ct != nil {
-			cur = ct.Context()
-		}
-		p.env.Engine.After(0, func() {
-			if ct := p.env.Crit; ct != nil {
-				ct.SetContext(cur)
-				defer ct.ClearContext()
-			}
-			p.Handle(wm)
-			p.env.Net.Release(wm)
-		})
+		p.redispatch(wm)
 	}
 }
 

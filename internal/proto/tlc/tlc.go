@@ -109,8 +109,10 @@ type Protocol struct {
 	leased  []proto.Copyset // per node: blocks held under a read lease
 	pending []pendingFault  // per node: the single outstanding fault
 
-	txns    map[int]*txn
-	scratch []int // expiry sweep scratch (no Copyset mutation mid-ForEach)
+	txns map[int]*txn
+	// redispatch re-runs handleReq on a request drained from a wait queue.
+	redispatch func(*network.Msg)
+	scratch    []int // expiry sweep scratch (no Copyset mutation mid-ForEach)
 }
 
 // tlcDir is the per-block directory state at the home. owner == -1 means
@@ -145,6 +147,7 @@ func New(env *proto.Env) *Protocol {
 	for i := 0; i < n; i++ {
 		p.nodes[i] = proto.NewTable(nb, func(e *tlcView) {})
 	}
+	p.redispatch = env.Redispatcher(func(m *network.Msg) { p.handleReq(m.Dst, m) })
 	return p
 }
 
@@ -462,22 +465,7 @@ func (p *Protocol) drain(b int) {
 	}
 	delete(p.txns, b)
 	for _, m := range t.waitq {
-		m := m
-		// The re-dispatch is a continuation of the handler that finished
-		// the transaction: re-enter its event context so the queued
-		// request's resolution chains from the service that enabled it.
-		var cur int32
-		if ct := p.env.Crit; ct != nil {
-			cur = ct.Context()
-		}
-		p.env.Engine.After(0, func() {
-			if ct := p.env.Crit; ct != nil {
-				ct.SetContext(cur)
-				defer ct.ClearContext()
-			}
-			p.handleReq(m.Dst, m)
-			p.env.Net.Release(m)
-		})
+		p.redispatch(m)
 	}
 }
 

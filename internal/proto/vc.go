@@ -12,6 +12,17 @@ type VC []int32
 // starts at 1, so 0 means "nothing seen yet".
 func NewVC(n int) VC { return make(VC, n) }
 
+// NewVCs returns n zeroed n-entry vector clocks, one per node, cut from a
+// single allocation.
+func NewVCs(n int) []VC {
+	slab := make(VC, n*n)
+	vcs := make([]VC, n)
+	for i := range vcs {
+		vcs[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	return vcs
+}
+
 // Clone returns an independent copy.
 func (v VC) Clone() VC { return append(VC(nil), v...) }
 

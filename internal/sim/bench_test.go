@@ -41,3 +41,14 @@ func BenchmarkProcSleep(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkProcSwitch measures the proc handoff: one Block/Unblock round
+// trip between two procs is two resume events and four coroutine switches
+// (engine → proc → engine, twice) — what every fault, lock acquire and
+// barrier pays per blocking event.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	if err := pingPong(b.N).Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -1,10 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine models a cluster of nodes with virtual time. Simulated
-// processors are represented as Procs: goroutines that run application or
+// processors are represented as Procs: coroutines that run application or
 // protocol code and explicitly yield to the engine whenever virtual time
 // must pass (Sleep) or an external completion is awaited (Block/Unblock).
-// Exactly one goroutine — either the engine itself or a single Proc — runs
+// Exactly one of them — either the engine itself or a single Proc — runs
 // at any moment, so execution is fully deterministic: events fire in
 // (time, sequence) order and identical inputs produce identical schedules.
 package sim
@@ -117,7 +117,8 @@ type Engine struct {
 	seq    uint64
 	events []event // value-typed 4-ary min-heap ordered by event.before
 	procs  []*Proc
-	limit  Time // 0 means no limit
+	slab   []Proc // backing store for procs, sized by ReserveProcs
+	limit  Time   // 0 means no limit
 	hooks  Hooks
 
 	// interrupt, when set, is polled every interruptStride dispatched
@@ -135,9 +136,6 @@ type Engine struct {
 	sampleEvery Time
 	nextSample  Time
 
-	// yield is signalled by a Proc when it hands control back to the engine.
-	yield chan struct{}
-
 	running   bool
 	stopped   bool
 	procPanic *procPanic
@@ -151,7 +149,7 @@ const interruptStride = 256
 
 // NewEngine returns an engine with virtual time 0 and no events.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -301,8 +299,8 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run processes events until the queue is empty and every Proc has finished.
 // It returns a *DeadlockError if the queue drains while procs are blocked,
-// or a limit error if SetLimit was exceeded. On return all Proc goroutines
-// have exited.
+// or a limit error if SetLimit was exceeded. On return — by any path,
+// including a proc's panic — every Proc coroutine has exited.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -372,18 +370,13 @@ func (e *Engine) blockedProcs() []BlockedProc {
 	return out
 }
 
-// killAll force-terminates every unfinished proc goroutine.
+// killAll unwinds every proc still parked in a yield. Procs never resumed
+// hold no coroutine; they are only marked done.
 func (e *Engine) killAll() {
 	for _, p := range e.procs {
-		if p.done || !p.started {
-			continue
+		if p.stop != nil {
+			p.stop() // no-op once the body has returned
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.yield
-	}
-	// Procs never started don't hold goroutines yet; mark them done.
-	for _, p := range e.procs {
 		p.done = true
 	}
 }

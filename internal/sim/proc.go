@@ -2,15 +2,17 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
+	"slices"
 	"strconv"
 )
 
-// procKilled is the panic value used to unwind a Proc goroutine when the
+// procKilled is the panic value used to unwind a Proc's coroutine when the
 // engine shuts down before the proc finished.
 type procKilled struct{}
 
-// procPanic carries an application panic from a proc goroutine to the
+// procPanic carries an application panic from a proc's coroutine to the
 // engine goroutine.
 type procPanic struct {
 	proc  string
@@ -23,25 +25,29 @@ func (p *procPanic) String() string {
 }
 
 // Proc is a simulated thread of control (one per simulated processor).
-// Its body runs in a dedicated goroutine, but only while it holds the
-// engine's baton: every Sleep or Block hands control back to the engine.
+// Its body runs as a coroutine of the engine (iter.Pull): the engine's
+// resume event switches directly to it, and every Sleep or Block switches
+// directly back. No scheduler queue is involved in either direction, and
+// exactly one side runs at any moment — the execution baton.
 //
 // All Proc methods except Unblock must be called from inside the proc's own
 // body. Unblock must be called from engine context (an event callback or
 // another proc holding the baton).
 type Proc struct {
-	e      *Engine
-	name   string
-	body   func(*Proc)
-	resume chan struct{}
+	e    *Engine
+	name string
+	body func(*Proc)
 
-	// resumeFn is the one closure every Sleep/Unblock schedules, built once
-	// at NewProc so waking the proc never allocates.
-	resumeFn func()
+	// next switches to the coroutine until it yields or its body returns;
+	// stop makes a parked yield return false, which unwinds the body with
+	// procKilled. Both are nil until the first resume creates the
+	// coroutine, so a proc that never runs holds no goroutine. yield is the
+	// body's side of the switch.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
-	started bool
 	done    bool
-	killed  bool
 	blocked bool
 
 	// reason (+ optional reasonID, -1 if unset) says why the proc is
@@ -51,61 +57,77 @@ type Proc struct {
 	reasonID int
 }
 
+// ReserveProcs sizes the engine for n more procs: the next n NewProc or
+// NewProcBlocked calls take their Proc from one slab instead of allocating
+// each. Purely a host-cost hint; procs beyond the reservation still work.
+func (e *Engine) ReserveProcs(n int) {
+	e.slab = make([]Proc, 0, n)
+	e.procs = slices.Grow(e.procs, n)
+}
+
+func (e *Engine) newProc(name string, body func(*Proc)) *Proc {
+	if len(e.slab) == cap(e.slab) {
+		e.slab = make([]Proc, 0, 1) // nothing reserved: one Proc at a time
+	}
+	e.slab = append(e.slab, Proc{e: e, name: name, body: body, reasonID: -1})
+	p := &e.slab[len(e.slab)-1]
+	e.procs = append(e.procs, p)
+	return p
+}
+
 // NewProc registers a proc whose body starts running at time start.
 // The body receives the proc itself so it can Sleep and Block.
 func (e *Engine) NewProc(name string, start Time, body func(*Proc)) *Proc {
-	p := &Proc{e: e, name: name, body: body, resume: make(chan struct{}), reasonID: -1}
-	p.resumeFn = func() {
-		p.resume <- struct{}{}
-		<-e.yield
-	}
-	e.procs = append(e.procs, p)
-	e.Schedule(start, func() { e.startProc(p) })
+	p := e.newProc(name, body)
+	e.ScheduleArg(start, resumeProc, p)
 	return p
 }
 
 // NewProcBlocked registers a proc that is born parked in Block(reason) with
 // the given reason id (-1 for none), as if it had run up to that Block call
-// already. No start event is scheduled: the proc's goroutine is spawned
-// lazily by the first Unblock-driven resume, at which point body runs from
-// the top — the caller arranges for body to be the continuation of the
-// blocked call. Used to restore proc state from a checkpoint, where the
-// original goroutine stacks cannot be captured.
+// already. No start event is scheduled: the first Unblock-driven resume
+// creates the coroutine, at which point body runs from the top — the caller
+// arranges for body to be the continuation of the blocked call. Used to
+// restore proc state from a checkpoint, where the original stacks cannot be
+// captured.
 func (e *Engine) NewProcBlocked(name, reason string, id int, body func(*Proc)) *Proc {
-	p := &Proc{e: e, name: name, body: body, resume: make(chan struct{}), reasonID: id}
+	p := e.newProc(name, body)
 	p.blocked = true
 	p.reason = reason
-	p.resumeFn = func() {
-		if !p.started {
-			e.startProc(p)
-			return
-		}
-		p.resume <- struct{}{}
-		<-e.yield
-	}
-	e.procs = append(e.procs, p)
+	p.reasonID = id
 	return p
 }
 
-func (e *Engine) startProc(p *Proc) {
-	p.started = true
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					// Hand application bugs to the engine goroutine, which
-					// re-panics them with the original stack attached.
-					p.e.procPanic = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
-				}
+// resumeProc is the event callback behind every proc start, Sleep wake-up
+// and Unblock: it switches to the proc's coroutine, creating it on the
+// first resume, and returns when the proc next yields or its body ends. A
+// package-level function scheduled with the proc as argument, so waking a
+// proc never allocates.
+func resumeProc(arg any) {
+	p := arg.(*Proc)
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
+	}
+	// A runtime.Goexit inside the body (t.FailNow) resurfaces here, on the
+	// goroutine that called Run.
+	p.next()
+}
+
+// run is the coroutine: the proc's body, holding the yield that hands the
+// baton back to the engine.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		p.done = true
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				// Hand application bugs to the engine, which re-panics them
+				// with the body's own stack attached.
+				p.e.procPanic = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
 			}
-			p.done = true
-			p.e.yield <- struct{}{}
-		}()
-		p.body(p)
+		}
 	}()
-	p.resume <- struct{}{}
-	<-e.yield
+	p.body(p)
 }
 
 // Name returns the proc's name.
@@ -119,9 +141,7 @@ func (p *Proc) Engine() *Engine { return p.e }
 
 // yieldToEngine parks the proc until the engine resumes it.
 func (p *Proc) yieldToEngine() {
-	p.e.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -136,7 +156,7 @@ func (p *Proc) Sleep(d Time) {
 		at += d
 	}
 	// Fast path: if nothing else is due before (or at) the wake-up time,
-	// skipping the schedule/dispatch round trip — two channel handoffs and
+	// skipping the schedule/dispatch round trip — two coroutine switches and
 	// a heap push/pop — cannot change what runs when: advance the clock in
 	// place and keep going. Events scheduled strictly later keep their
 	// relative order because their sequence numbers are untouched.
@@ -160,7 +180,7 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 slow:
-	e.Schedule(at, p.resumeFn)
+	e.ScheduleArg(at, resumeProc, p)
 	p.yieldToEngine()
 }
 
@@ -217,5 +237,5 @@ func (p *Proc) Unblock() {
 	if p.e.hooks.ProcUnblock != nil {
 		p.e.hooks.ProcUnblock(p)
 	}
-	p.e.Schedule(p.e.now, p.resumeFn)
+	p.e.ScheduleArg(p.e.now, resumeProc, p)
 }

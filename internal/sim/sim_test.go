@@ -150,19 +150,30 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// kaboom is a named frame for TestProcPanicPropagates to find in the stack.
+//
+//go:noinline
+func kaboom() { panic("kaboom") }
+
+// TestProcPanicPropagates checks what Run re-panics with when a body
+// panics: the proc's name, the panic value, and the body's own stack (the
+// engine's stack at that moment would only show the resume).
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEngine()
 	e.NewProc("bomb", 0, func(p *Proc) {
 		p.Sleep(5)
-		panic("kaboom")
+		kaboom()
 	})
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("expected panic to propagate to Run")
 		}
-		if !strings.Contains(fmt.Sprint(r), "kaboom") {
-			t.Fatalf("panic = %v, want to contain kaboom", r)
+		report := fmt.Sprint(r)
+		for _, want := range []string{"proc bomb panicked", "kaboom", "sim.kaboom(", "TestProcPanicPropagates.func1"} {
+			if !strings.Contains(report, want) {
+				t.Errorf("panic report lacks %q:\n%s", want, report)
+			}
 		}
 	}()
 	_ = e.Run()
