@@ -1,6 +1,9 @@
 package apps
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"dsmsim/internal/core"
@@ -37,6 +40,10 @@ func TestGoldenLUCounts(t *testing.T) {
 		{"dc", 256, 160, 0, 856, 27802530},
 		{"dc", 1024, 74, 26, 534, 26931727},
 		{"dc", 4096, 68, 34, 492, 46355851},
+		{"tlc", 64, 640, 0, 2848, 64404180},
+		{"tlc", 256, 160, 0, 856, 29125935},
+		{"tlc", 1024, 78, 26, 474, 26928392},
+		{"tlc", 4096, 76, 38, 424, 46701264},
 	}
 	for _, g := range golden {
 		m, err := core.NewMachine(core.Config{
@@ -55,6 +62,68 @@ func TestGoldenLUCounts(t *testing.T) {
 				g.proto, g.block,
 				res.Total.ReadFaults, g.reads, res.Total.WriteFaults, g.writes,
 				res.NetMsgs, g.msgs, int64(res.Time), g.timeNs)
+		}
+	}
+}
+
+// TestGoldenTraceDigests anchors the line traces of two small apps — the
+// barrier-phased water-nsquared and the lock-taking raytrace task queue, 8
+// nodes — under every registered protocol at a fine and a page granularity,
+// with every observer on, to SHA-256 constants. The other trace oracles
+// are relative (fork vs flat, parallel 1 vs 8); this one compares a change
+// against the commit the constants were recorded at, so a refactor that is
+// meant to leave the bytes alone can show that it did. A change that is
+// meant to move them regenerates the table (the failure message prints the
+// new digest).
+func TestGoldenTraceDigests(t *testing.T) {
+	golden := map[string]string{
+		"water-nsquared/sc/64":      "4cfc8be1dc41171948831ce0d3c6895b7d5370771ea41fb1a4874ddf72db6a49",
+		"water-nsquared/sc/4096":    "8fb46643c2441307079b4a6dab0cb1eefb25f81125594bbb3a7a861c0ab5989d",
+		"water-nsquared/dc/64":      "7901f940dbb044c9a9aa9c3a86bc64e39c7cadb9b6562ad27f0577d52d6cf891",
+		"water-nsquared/dc/4096":    "8cc048b539ce6aee29a202bd116cedd8f976b502c05250121b6e48919b2a84e2",
+		"water-nsquared/swlrc/64":   "e4628bf6a831d2835c5babd607aebe837017a67c96511c32b32e28919ee69515",
+		"water-nsquared/swlrc/4096": "0dde1be58baedbb4590d8c4dc09c4f96cf96b6a7de339d16cb835af1feb62d2b",
+		"water-nsquared/hlrc/64":    "36a6d31f7f2179c4d029a422880d48f4717fde604463d4c84f5b5eeb49a3bb1a",
+		"water-nsquared/hlrc/4096":  "84a658d0d6340c894e17fa87d475c4dec37c5255ad8ea41b143e14a37e699b08",
+		"water-nsquared/tlc/64":     "d6ff721f62fbbbd671678ff9c1c5337e5ad5f4ed7808e97e675f798d248b5c50",
+		"water-nsquared/tlc/4096":   "306b21fa2cee7bbe4774e6b5bc81ac29d0db6c5e0b21e90b480d86f572e5df8c",
+		"raytrace/sc/64":            "b750e6cc520af4b007bcaa20dc53dfabe9e42601839ab240ebd74ae09868f5db",
+		"raytrace/sc/4096":          "2c8e88a604d346ab0a94fa3dee5496a7e01c9c7fc29477fe49d9c974f972ca88",
+		"raytrace/dc/64":            "566e6de933107b8e20279bb37f76e04b07af437e26341201a382d62cd91b3b04",
+		"raytrace/dc/4096":          "587132be348a215f6cef1f35e4908fc31964cb672e1ff3c8d77cfd482c7a8310",
+		"raytrace/swlrc/64":         "8363236ceee66dc2a800df1c944ca3074276e2e7661df6cc703fb8dfaaa0d57c",
+		"raytrace/swlrc/4096":       "2de0b704d437d2d001af4337f971e001b58f3f4949aa52a61b0a1a7a07cfe1f1",
+		"raytrace/hlrc/64":          "d11dad0ed1cb676bd20ee1b43f4a92c90552185b6b13ceb692095d4c9b22ce22",
+		"raytrace/hlrc/4096":        "f1b8c9d0c6bffd37124ed66b05b6c2bcdc9a930ccae1fd314c4196bfd7fadb49",
+		"raytrace/tlc/64":           "fc04fb23b07f3fc33155aed1fa25cd3044f07ecdd7d26bfec5d0d6ed7dbb1e5c",
+		"raytrace/tlc/4096":         "bdc6e76217016419025bc587fdc918fd32eba7ae2e888d5a3fa5f14ea996e1fe",
+	}
+	for _, app := range []string{"water-nsquared", "raytrace"} {
+		entry, err := Get(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range core.ProtocolNames() {
+			for _, block := range []int{64, 4096} {
+				name := fmt.Sprintf("%s/%s/%d", app, p, block)
+				var line bytes.Buffer
+				m, err := core.NewMachine(core.Config{
+					Nodes: 8, BlockSize: block, Protocol: p, Limit: 2000 * sim.Second,
+					Trace: &line, ShareProfile: true, CritPath: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.RunVerified(entry.New(Small)); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got := fmt.Sprintf("%x", sha256.Sum256(line.Bytes()))
+				if want, ok := golden[name]; !ok {
+					t.Errorf("%s: no recorded digest; this run's is %s", name, got)
+				} else if got != want {
+					t.Errorf("%s: line trace drifted: sha256 %s, recorded %s", name, got, want)
+				}
+			}
 		}
 	}
 }

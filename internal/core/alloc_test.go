@@ -14,7 +14,7 @@ import (
 // The matrix covers both observers: the sharing profiler and the
 // critical-path profiler, each off (nil hook fields) and on.
 func TestAccessNoFaultZeroAlloc(t *testing.T) {
-	for _, proto := range []string{SC, SWLRC, HLRC} {
+	for _, proto := range ProtocolNames() {
 		for _, obs := range []struct {
 			name           string
 			prof, critpath bool

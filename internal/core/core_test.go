@@ -25,9 +25,8 @@ func (a *testApp) Verify(h *Heap) error { return a.verify(h) }
 
 func allConfigs(nodes int) []Config {
 	var out []Config
-	// The paper's three protocols plus the DC extension: semantic tests
-	// must hold for all four.
-	for _, p := range append(append([]string{}, Protocols...), DC) {
+	// Semantic tests must hold for every registered protocol.
+	for _, p := range ProtocolNames() {
 		for _, g := range Granularities {
 			out = append(out, Config{Nodes: nodes, BlockSize: g, Protocol: p, Limit: 100 * sim.Second})
 		}

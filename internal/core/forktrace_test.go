@@ -55,7 +55,7 @@ func TestForkTraceByteIdentical(t *testing.T) {
 		if ap.name == "ocean-rowwise" {
 			continue
 		}
-		for _, protocol := range core.Protocols {
+		for _, protocol := range core.ProtocolNames() {
 			ap, protocol := ap, protocol
 			t.Run(ap.name+"/"+protocol, func(t *testing.T) {
 				t.Parallel()

@@ -325,3 +325,45 @@ func (a *finalizeApp) Run(c *core.Ctx) {
 	// No final barrier for node 1's write: Finalize must pick it up.
 }
 func (a *finalizeApp) Verify(h *core.Heap) error { return nil }
+
+// TestDiffQueuedBehindInstallIsApplied: a diff that reaches a first-touch
+// home before the home's own claim grant has arrived is parked behind the
+// install and must afterwards be served as a diff — applied and
+// acknowledged — not as whatever request kind the queue happens to be
+// drained through. Node 2 reads block 0 while it is unclaimed, node 1
+// claims it by first store (the 4 KB grant is ~860 µs in flight), and node
+// 2 writes its read-only copy and releases inside that window, for every
+// offset of the window.
+func TestDiffQueuedBehindInstallIsApplied(t *testing.T) {
+	for y := 100; y <= 760; y += 20 {
+		y := y
+		t.Run(fmt.Sprintf("y=%dus", y), func(t *testing.T) {
+			run(t, 3, 4096, func(c *core.Ctx) {
+				switch c.ID() {
+				case 1:
+					c.Compute(sim.Millisecond)
+					c.Lock(1)
+					c.WriteI64(8, 11) // first store: claims the home
+					c.Unlock(1)
+				case 2:
+					_ = c.ReadI64(0) // copy from the static home, unclaimed
+					c.Lock(2)
+					c.Compute(sim.Time(y) * sim.Microsecond)
+					c.WriteI64(16, 22) // twin; the diff goes to node 1
+					c.Unlock(2)
+				}
+				c.Barrier()
+				if c.ID() == 0 {
+					c.Lock(1)
+					c.Lock(2)
+					if a, b := c.ReadI64(8), c.ReadI64(16); a != 11 || b != 22 {
+						panic(fmt.Sprintf("read (%d, %d), want (11, 22): queued diff lost", a, b))
+					}
+					c.Unlock(2)
+					c.Unlock(1)
+				}
+				c.Barrier()
+			})
+		})
+	}
+}
