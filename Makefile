@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test test-short bench bench-json bench-sweep bench-one examples paper verify-paper trace-demo sweep-demo metrics-demo faults-demo prof-demo crit-demo scale-demo fork-demo tlc-demo clean
+.PHONY: all test test-short bench bench-one examples paper verify-paper trace-demo sweep-demo metrics-demo faults-demo prof-demo crit-demo scale-demo fork-demo tlc-demo clean
 
 all: test
 
@@ -21,33 +21,6 @@ test-short:
 # reduced problem sizes.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
-
-# Hot-path benchmark record: run the tracked microbenchmarks (single-run
-# matrix, Fig 1 workload, raw engine dispatch) with -benchmem and emit
-# BENCH_hotpath.json — current numbers joined with the checked-in
-# pre-optimization baseline (bench_baseline.json) and improvement ratios.
-# BENCHTIME trades precision for speed (CI smoke-tests with 1x).
-BENCHTIME ?= 1x
-bench-json:
-	{ $(GO) test -run '^$$' -bench 'SingleRun|Fig1$$|BenchmarkSweep/' -benchmem \
-		-benchtime=$(BENCHTIME) . ; \
-	  $(GO) test -run '^$$' -bench 'EngineDispatch|ProcSleep' -benchmem \
-		-benchtime=100000x ./internal/sim ; } | tee bench_raw.txt
-	$(GO) run ./cmd/benchjson -in bench_raw.txt \
-		-baseline bench_baseline.json -out BENCH_hotpath.json
-
-# Checkpoint/fork sweep benchmark record: the same 12-variant fault-grid
-# sweep flat and forked (byte-identical output; only wall clock differs),
-# emitted as BENCH_sweep.json. The checked-in bench_sweep_baseline.json
-# records the flat path's numbers, so vs_baseline.ns_speedup for
-# BenchmarkSweep/forked IS the fork speedup (target: >= 2x).
-SWEEPTIME ?= 3x
-bench-sweep:
-	$(GO) test -run '^$$' -bench 'BenchmarkSweep/' -benchmem \
-		-benchtime=$(SWEEPTIME) . | tee bench_sweep_raw.txt
-	$(GO) run ./cmd/benchjson -in bench_sweep_raw.txt \
-		-baseline bench_sweep_baseline.json -out BENCH_sweep.json \
-		-note "Checkpoint/fork sweep planner (make bench-sweep): the same 12-variant fault-grid sweep flat vs forked, byte-identical output. The baseline records the flat path, so vs_baseline ns_speedup for BenchmarkSweep/forked is the fork wall-clock speedup (target >= 2x); BenchmarkSweep/flat is a ~1.0 sanity check."
 
 # One workload of the repository benchmark, end-to-end metrics only, run
 # the way the driver runs it: `make bench-one W=fine64`. W is any name (or
@@ -175,4 +148,4 @@ clean:
 	rm -f results.csv trace.json sweep_p1.txt sweep_pN.txt sweep_p1.csv sweep_pN.csv \
 		metrics_demo.csv metrics_demo.json prof_p1.csv prof_p8.csv \
 		crit_p1.csv crit_p8.csv \
-		fork_flat.csv fork_forked.csv bench_sweep_raw.txt
+		fork_flat.csv fork_forked.csv

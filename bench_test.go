@@ -10,7 +10,6 @@
 package dsmsim_test
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -172,64 +171,6 @@ func BenchmarkAblationNotify(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleRun measures one deterministic simulation of the Figure 1
-// workload (LU at the Small size) per protocol × granularity point — the
-// wall-clock ns, B and allocs the simulator itself spends on a single run.
-// This is the inner loop every sweep multiplies, so `make bench-json`
-// tracks it (with BenchmarkFig1 and BenchmarkEngineDispatch) against the
-// recorded baseline in BENCH_hotpath.json.
-func BenchmarkSingleRun(b *testing.B) {
-	size := apps.SizeClass(apps.Small)
-	if *paperSize {
-		size = apps.Paper
-	}
-	for _, protoName := range dsmsim.Protocols {
-		for _, g := range dsmsim.Granularities {
-			b.Run(fmt.Sprintf("%s/%d", protoName, g), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					m, err := dsmsim.NewMachine(dsmsim.Config{
-						Nodes: *benchNodes, BlockSize: g, Protocol: protoName,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					app, err := dsmsim.NewApp("lu", size)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := m.Run(app); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-	// Scaling points past the old 64-node ceiling: FFT and LU at page
-	// granularity on 256 and 1024 nodes. These track the cost of the
-	// sparse directory tables and compact copysets at large node counts —
-	// the regime where dense per-node metadata used to dominate.
-	for _, nodes := range []int{256, 1024} {
-		for _, appName := range []string{"fft", "lu"} {
-			for _, protoName := range dsmsim.Protocols {
-				b.Run(fmt.Sprintf("scale/%s/%s/%dn", appName, protoName, nodes), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						app, err := dsmsim.NewApp(appName, size)
-						if err != nil {
-							b.Fatal(err)
-						}
-						cfg := dsmsim.Config{Nodes: nodes, BlockSize: 4096, Protocol: protoName}
-						if _, err := dsmsim.Start(context.Background(), cfg, app); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkEngineOverhead measures the raw simulator event throughput —
 // the substrate's wall-clock cost per simulated coherence event.
 func BenchmarkEngineOverhead(b *testing.B) {
@@ -317,51 +258,4 @@ func BenchmarkBarrierEpisode(b *testing.B) {
 			c.Barrier()
 		}
 	})
-}
-
-// BenchmarkSweep measures the checkpoint/fork sweep planner on a
-// fault-grid sweep whose twelve variants share one warmup prefix (gated
-// plans arm at barrier 14 of Ocean's 16 — a fault-sensitivity study of
-// the final iteration across eleven seeds): "flat" simulates every run's
-// warmup from scratch, "forked" simulates the prefix once and forks the
-// checkpoint per variant. Output is byte-identical between the two modes
-// (TestSweepForkByteIdentical); only wall clock differs — BENCH_sweep.json
-// records the ratio. Verification is off so the ratio measures simulation
-// work, not the (identical) result checking.
-func BenchmarkSweep(b *testing.B) {
-	grid := []dsmsim.FaultVariant{{Name: "none"}}
-	for i := 1; i <= 11; i++ {
-		grid = append(grid, dsmsim.FaultVariant{
-			Name: fmt.Sprintf("s%d", i),
-			Plan: dsmsim.NewFaultPlan(dsmsim.Drop(0.02), dsmsim.FaultSeed(uint64(i)),
-				dsmsim.StartAtBarrier(14)),
-		})
-	}
-	spec := dsmsim.SweepSpec{
-		Apps: []string{"ocean-rowwise"}, Protocols: []string{dsmsim.HLRC},
-		Granularities: []int{4096}, Nodes: *benchNodes, SkipBaselines: true,
-	}
-	for _, mode := range []struct {
-		name string
-		fork bool
-	}{{"flat", false}, {"forked", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Serial workers: the ratio then reflects simulation work
-				// saved, not scheduling luck.
-				opts := []dsmsim.Option{dsmsim.WithFaultGrid(grid...),
-					dsmsim.WithParallelism(1), dsmsim.WithVerify(false)}
-				if mode.fork {
-					opts = append(opts, dsmsim.WithFork())
-				}
-				res, err := dsmsim.Sweep(context.Background(), spec, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mode.fork && res.Fork.ForkedRuns != len(grid) {
-					b.Fatalf("forked runs = %d, want %d", res.Fork.ForkedRuns, len(grid))
-				}
-			}
-		})
-	}
 }

@@ -39,8 +39,6 @@
 package dsmsim
 
 import (
-	"context"
-
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/critpath"
@@ -193,22 +191,4 @@ func NewApp(name string, size apps.SizeClass) (App, error) {
 		return nil, err
 	}
 	return e.New(size), nil
-}
-
-// RunApp runs a bundled application under cfg with verification.
-//
-// Deprecated: use StartApp with WithVerify(), which also accepts faults,
-// tracing and cancellation. RunApp(cfg, name, size) is exactly
-// StartApp(context.Background(), cfg, name, size, WithVerify()).
-func RunApp(cfg Config, name string, size apps.SizeClass) (*Result, error) {
-	return StartApp(context.Background(), cfg, name, size, WithVerify())
-}
-
-// Run runs a custom App under cfg with verification.
-//
-// Deprecated: use Start with WithVerify(), which also accepts faults,
-// tracing and cancellation. Run(cfg, app) is exactly
-// Start(context.Background(), cfg, app, WithVerify()).
-func Run(cfg Config, app App) (*Result, error) {
-	return Start(context.Background(), cfg, app, WithVerify())
 }

@@ -247,11 +247,7 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 	if n := r.engine.PendingEvents(); n != 0 {
 		return nil, fmt.Errorf("core: checkpoint at epoch %d: %d events still in flight", epoch, n)
 	}
-	ck, ok := r.p.(proto.Checkpointer)
-	if !ok {
-		return nil, fmt.Errorf("%w: protocol %s has no state capture", ErrNotResumable, r.cfg.Protocol)
-	}
-	ps, err := ck.CaptureState()
+	ps, err := r.p.CaptureState()
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint at epoch %d: %w", epoch, err)
 	}
@@ -287,10 +283,7 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 		cp.barStart = append(cp.barStart, n.barStart)
 		cp.barFlush0 = append(cp.barFlush0, n.barFlush0)
 	}
-	cp.writers = make([]proto.Copyset, len(r.writers))
-	for i := range r.writers {
-		cp.writers[i] = r.writers[i].Clone()
-	}
+	cp.writers = proto.CloneSets(r.writers)
 	if r.sampler != nil {
 		cp.sampler = r.sampler.CaptureState()
 	}
@@ -328,7 +321,7 @@ func (r *run) restore(cp *Checkpoint) error {
 	if r.env.Log != nil {
 		r.env.Log.RestoreFrom(cp.log)
 	}
-	if err := r.p.(proto.Checkpointer).RestoreState(cp.protoState); err != nil {
+	if err := r.p.RestoreState(cp.protoState); err != nil {
 		return err
 	}
 	r.sy.RestoreState(cp.sy)

@@ -790,9 +790,7 @@ func (r *run) finish(runErr error) (*Result, error) {
 			res.MultiWriterBlocks++
 		}
 	}
-	if mr, ok := r.p.(proto.MemReporter); ok {
-		res.ProtoStaticBytes, res.ProtoPeakBytes = mr.MemFootprint()
-	}
+	res.ProtoStaticBytes, res.ProtoPeakBytes = r.p.MemFootprint()
 	// Everything the caller gets back was copied out of the spaces above;
 	// recycle their slabs for the next run.
 	for _, sp := range r.env.Spaces {

@@ -160,6 +160,15 @@ func (s *Copyset) Clone() Copyset {
 	return c
 }
 
+// CloneSets deep-copies a per-node slice of sets.
+func CloneSets(sets []Copyset) []Copyset {
+	c := make([]Copyset, len(sets))
+	for i := range sets {
+		c[i] = sets[i].Clone()
+	}
+	return c
+}
+
 // MemBytes reports the heap footprint of the set's spill structures
 // (the inline word is counted by the embedding struct).
 func (s *Copyset) MemBytes() int64 {

@@ -77,14 +77,12 @@ func (v VC) AddToDigest(d *Digest) {
 func (h *Homes) AddToDigest(d *Digest) {
 	d.Bool(h.firstTouch)
 	h.claimed.AddToDigest(d)
-	for b := 0; b < h.numBlocks; b++ {
-		m := h.moved.Peek(b)
-		if m == nil || m.home < 0 {
-			continue
+	for b, m := range h.moved.All() {
+		if m.home >= 0 {
+			d.Int(b)
+			d.I64(int64(m.home))
+			m.known.AddToDigest(d)
 		}
-		d.Int(b)
-		d.I64(int64(m.home))
-		m.known.AddToDigest(d)
 	}
 }
 

@@ -58,33 +58,16 @@ type diffMsg struct {
 	buf     []byte // arena backing diff's run data, reused across diffs
 }
 
-type pendingFault struct {
-	block      int
-	write      bool
-	becameHome bool
-}
-
 // Protocol is the HLRC implementation.
 type Protocol struct {
-	env *proto.Env
-
-	twins        []map[int][]byte      // per node: block → twin (persists while streaming)
-	written      []map[int]int32       // per node: home blocks written this interval → seq
-	seq          []map[int]int32       // per node: per-block diff sequence counter
-	earlyNotices [][]proto.WriteNotice // per node: notices owed from early flushes
-
-	// twinBytes tracks current and peak twin storage across all nodes,
-	// the protocol's dominant dynamic memory cost (§7's unexamined
-	// memory-utilization dimension).
-	twinBytes     int64
-	twinBytesPeak int64
-	pending       []pendingFault
-	flushAcks     []int  // per node: outstanding diff acks during a release
-	flushWaiting  []bool // per node: proc is blocked in PreRelease
-	installing    map[int][]*network.Msg
-	installSet    map[int]bool
-	// redispatch re-runs handleFetch on a request queued behind an install.
-	redispatch func(*network.Msg)
+	env          *proto.Env
+	state        // everything a checkpoint captures (state.go)
+	pending      *proto.Pending
+	flushAcks    []int  // per node: outstanding diff acks during a release
+	flushWaiting []bool // per node: proc is blocked in PreRelease
+	// installs holds the blocks whose first-touch home grant is still in
+	// flight to the new home; fetches and diffs for them wait there.
+	installs *proto.Txns[struct{}]
 
 	// Free lists: twin buffers and diff carriers recycle across the run.
 	// blockScratch is PreRelease's sort scratch (never live across a yield);
@@ -129,28 +112,23 @@ func New(env *proto.Env) *Protocol {
 	n := env.Nodes()
 	p := &Protocol{
 		env:          env,
-		pending:      make([]pendingFault, n),
+		pending:      proto.NewPending(env, "target", "hlrc read fetch block", "hlrc write fetch block"),
 		flushAcks:    make([]int, n),
 		flushWaiting: make([]bool, n),
-		installing:   make(map[int][]*network.Msg),
-		installSet:   make(map[int]bool),
+		outScratch:   make([][]*diffMsg, n),
+		state:        state{earlyNotices: make([][]proto.WriteNotice, n)},
 	}
-	p.earlyNotices = make([][]proto.WriteNotice, n)
-	p.outScratch = make([][]*diffMsg, n)
 	for i := 0; i < n; i++ {
 		p.twins = append(p.twins, make(map[int][]byte))
 		p.written = append(p.written, make(map[int]int32))
 		p.seq = append(p.seq, make(map[int]int32))
 	}
-	p.redispatch = env.Redispatcher(p.handleFetch)
+	p.installs = proto.NewTxns[struct{}](env, p.Handle)
 	return p
 }
 
 // Name implements proto.Protocol.
 func (p *Protocol) Name() string { return "hlrc" }
-
-// UsesIntervals implements proto.Protocol.
-func (p *Protocol) UsesIntervals() bool { return true }
 
 // OnAcquireComplete implements proto.Protocol: all acquire-time work
 // happens through the write-notice mechanism (ApplyNotices).
@@ -177,11 +155,8 @@ func (p *Protocol) Fault(node, block int, write bool) {
 			// First store to this block anywhere: claim the home (§2:
 			// a "touch" is a store for HLRC). The directory round trip
 			// to the static home is modeled as a sleep; the claim
-			// itself is atomic in the sequential engine. A claim is a
-			// mapping fault, not a coherence miss — undo the count.
-			homes.Claim(block, node)
-			p.env.Stats[node].HomeMigrations++
-			p.env.Stats[node].WriteFaults--
+			// itself is atomic in the sequential engine.
+			p.env.ClaimHome(block, node, true)
 			p.env.Procs[node].Sleep(model.RoundTrip(8))
 			p.markHomeWrite(node, block)
 			return
@@ -192,32 +167,18 @@ func (p *Protocol) Fault(node, block int, write bool) {
 
 	// No valid copy (or a write fault on an invalid block): fetch from the
 	// home; for writes on unclaimed blocks the fetch claims the home.
-	p.pending[node] = pendingFault{block: block, write: write}
 	target := homes.Static(block)
 	if homes.Claimed(block) {
 		target = homes.Home(block)
 	}
-	if tr := p.env.Tracer; tr != nil {
-		tr.Instant(node, trace.CatProto, "fetch",
-			trace.A("block", int64(block)), trace.A("write", trace.Bool(write)),
-			trace.A("target", int64(target)))
-	}
-	p.env.Send(node, &network.Msg{
+	p.pending.Request(node, write, &network.Msg{
 		Dst: target, Kind: kFetch, Block: block,
 		A: int64(node), Flag: write, Bytes: 8,
 	})
-	reason := "hlrc read fetch block"
-	if write {
-		reason = "hlrc write fetch block"
-	}
-	p.env.Procs[node].BlockID(reason, block)
-
-	pf := p.pending[node]
-	if write && !pf.becameHome {
-		p.makeTwin(node, block)
-	}
-	if write && pf.becameHome {
+	if write && p.pending.At(node).BecameHome {
 		p.markHomeWrite(node, block)
+	} else if write {
+		p.makeTwin(node, block)
 	}
 }
 
@@ -443,50 +404,27 @@ func (p *Protocol) handleFetch(m *network.Msg) {
 	requester := int(m.A)
 	homes := p.env.Homes
 
-	if p.installSet[b] {
-		m.Retain() // survives the handler; re-dispatched after install
-		p.installing[b] = append(p.installing[b], m)
+	if p.installs.Get(b) != nil {
+		p.installs.Park(m)
 		return
 	}
 	if !homes.Claimed(b) {
 		if here != homes.Static(b) {
 			panic(fmt.Sprintf("hlrc: unclaimed block %d fetch at non-static node %d", b, here))
 		}
-		sp := p.env.Spaces[here]
-		data := p.env.Net.AllocData(sp.BlockSize())
-		copy(data, sp.BlockData(b))
+		grant := network.Msg{Dst: requester, Kind: kFetchData, Block: b, A: -1, Bytes: 8}
 		if m.Flag {
-			// First touch by store: a mapping fault, not a coherence
-			// miss — undo the count.
-			homes.Claim(b, requester)
-			p.env.Stats[requester].HomeMigrations++
-			p.env.Stats[requester].WriteFaults--
-			p.installSet[b] = true
-			p.env.Send(here, &network.Msg{
-				Dst: requester, Kind: kFetchData, Block: b,
-				Data: data, DataPooled: true, A: int64(requester), Flag: true,
-				Bytes: len(data) + 8,
-			})
-			return
+			// First touch by store: the requester becomes home.
+			p.env.ClaimHome(b, requester, true)
+			p.installs.Begin(b, struct{}{})
+			grant.A, grant.Flag = int64(requester), true
 		}
-		p.env.Send(here, &network.Msg{
-			Dst: requester, Kind: kFetchData, Block: b,
-			Data: data, DataPooled: true, A: -1,
-			Bytes: len(data) + 8,
-		})
+		p.env.SendBlock(here, &grant)
 		return
 	}
 	home := homes.Home(b)
 	if here != home {
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("home", int64(home)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{Dst: home, Kind: kFetch, Block: b, A: m.A, Flag: m.Flag, Bytes: m.Bytes})
+		p.env.Forward(here, home, "home", m)
 		return
 	}
 	// Downgrade-on-serve: once a reader holds a copy, a later write by
@@ -497,62 +435,34 @@ func (p *Protocol) handleFetch(m *network.Msg) {
 	if sp.Tag(b) == mem.ReadWrite {
 		sp.SetTag(b, mem.ReadOnly)
 	}
-	data := p.env.Net.AllocData(sp.BlockSize())
-	copy(data, sp.BlockData(b))
-	p.env.Send(here, &network.Msg{
-		Dst: requester, Kind: kFetchData, Block: b,
-		Data: data, DataPooled: true, A: int64(home),
-		Bytes: len(data) + 8,
-	})
+	p.env.SendBlock(here, &network.Msg{Dst: requester, Kind: kFetchData, Block: b, A: int64(home), Bytes: 8})
 }
 
 func (p *Protocol) handleFetchData(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
 	sp := p.env.Spaces[node]
-	copy(sp.BlockData(b), m.Data)
-	if o := p.env.Prof; o != nil {
-		o.Filled(node, b)
-	}
+	p.env.Install(m)
 	if m.Flag {
 		sp.SetTag(b, mem.ReadWrite)
-		p.pending[node].becameHome = true
-		delete(p.installSet, b)
-		waiting := p.installing[b]
-		delete(p.installing, b)
-		for _, wm := range waiting {
-			p.redispatch(wm)
-		}
+		p.pending.At(node).BecameHome = true
+		p.installs.End(b)
 	} else {
 		sp.SetTag(b, mem.ReadOnly)
 	}
-	if p.pending[node].block != b {
-		panic(fmt.Sprintf("hlrc: node %d got data for block %d, pending %d", node, b, p.pending[node].block))
-	}
-	p.env.Procs[node].Unblock()
+	p.pending.Done(node, b)
 }
 
 func (p *Protocol) handleDiff(m *network.Msg) {
 	here := m.Dst
 	b := m.Block
 	dm := m.Payload.(*diffMsg)
-	homes := p.env.Homes
-	if p.installSet[b] {
-		m.Retain() // survives the handler; re-dispatched after install
-		p.installing[b] = append(p.installing[b], m)
+	if p.installs.Get(b) != nil {
+		p.installs.Park(m)
 		return
 	}
-	home := homes.Home(b)
-	if here != home {
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("home", int64(home)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{Dst: home, Kind: kDiff, Block: b, Payload: dm, Bytes: m.Bytes})
+	if home := p.env.Homes.Home(b); here != home {
+		p.env.Forward(here, home, "home", m)
 		return
 	}
 	dm.diff.Apply(p.env.Spaces[here].BlockData(b))
@@ -582,29 +492,17 @@ func (p *Protocol) handleDiffAck(m *network.Msg) {
 // directly (the run is over; no cost modeled).
 func (p *Protocol) Finalize() {
 	for node := range p.twins {
-		sp := p.env.Spaces[node]
-		blocks := make([]int, 0, len(p.twins[node]))
-		for b := range p.twins[node] {
-			blocks = append(blocks, b)
-		}
-		sort.Ints(blocks)
-		for _, b := range blocks {
-			d := mem.MakeDiff(p.twins[node][b], sp.BlockData(b))
-			home := p.env.Homes.Home(b)
-			d.Apply(p.env.Spaces[home].BlockData(b))
+		// Nodes in order (later diffs of a block win, as releases would
+		// have it); a node's blocks in any order — they do not overlap.
+		for b, twin := range p.twins[node] {
+			mem.MakeDiff(twin, p.env.Spaces[node].BlockData(b)).Apply(p.env.HomeImage(b))
 		}
 		clear(p.twins[node])
 	}
 }
 
 // Collect implements proto.Protocol.
-func (p *Protocol) Collect(b int) []byte {
-	homes := p.env.Homes
-	if !homes.Claimed(b) {
-		return p.env.Spaces[homes.Static(b)].BlockData(b)
-	}
-	return p.env.Spaces[homes.Home(b)].BlockData(b)
-}
+func (p *Protocol) Collect(b int) []byte { return p.env.HomeImage(b) }
 
 // MemFootprint implements proto.MemReporter: fixed metadata (the sparse
 // home map — claim bitmap plus migrated-block overlay) and the peak twin

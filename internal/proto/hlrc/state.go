@@ -2,130 +2,91 @@ package hlrc
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"dsmsim/internal/proto"
 )
 
-// state is the deep snapshot of the HLRC protocol at a quiescent cut:
-// every node's live twins (streaming writers keep a refreshed twin across
-// barriers), the per-block diff sequence counters, the home-write sets,
-// early-flush notices still owed, the twin-storage accounting and the
-// pending-fault records. A release in progress (outstanding diff acks) or
-// an in-flight install holds live messages and cannot be captured; at a
-// barrier cut neither exists. The pooled free lists are deliberately not
-// captured: a fork starts with empty pools, which is invisible — twins
-// are fully overwritten on creation and DiffInto output is content-
-// deterministic regardless of buffer reuse.
+// state is the protocol's checkpointable state: every node's live twins
+// (streaming writers keep a refreshed twin across barriers), the per-block
+// diff sequence counters, the home-write sets, early-flush notices still
+// owed and the twin-storage accounting. A release in progress (outstanding
+// diff acks) or an in-flight install holds live messages and cannot be
+// captured; at a barrier cut neither exists. The pooled free lists are
+// deliberately not captured: a fork starts with empty pools, which is
+// invisible — twins are fully overwritten on creation and DiffInto output
+// is content-deterministic regardless of buffer reuse.
 type state struct {
-	twins         []map[int][]byte
-	written       []map[int]int32
-	seq           []map[int]int32
-	earlyNotices  [][]proto.WriteNotice
+	twins        []map[int][]byte      // per node: block → twin (persists while streaming)
+	written      []map[int]int32       // per node: home blocks written this interval → seq
+	seq          []map[int]int32       // per node: per-block diff sequence counter
+	earlyNotices [][]proto.WriteNotice // per node: notices owed from early flushes
+
+	// twinBytes tracks current and peak twin storage across all nodes,
+	// the protocol's dominant dynamic memory cost (§7's unexamined
+	// memory-utilization dimension).
 	twinBytes     int64
 	twinBytesPeak int64
-	pending       []pendingFault
 }
 
-func cloneTwins(src map[int][]byte) map[int][]byte {
-	dst := make(map[int][]byte, len(src))
-	for b, t := range src {
-		dst[b] = append([]byte(nil), t...)
+// clone returns a deep copy.
+func (st *state) clone() *state {
+	c := *st
+	c.twins = make([]map[int][]byte, len(st.twins))
+	c.written = make([]map[int]int32, len(st.twins))
+	c.seq = make([]map[int]int32, len(st.twins))
+	c.earlyNotices = make([][]proto.WriteNotice, len(st.twins))
+	for i := range st.twins {
+		c.twins[i] = make(map[int][]byte, len(st.twins[i]))
+		for b, t := range st.twins[i] {
+			c.twins[i][b] = slices.Clone(t)
+		}
+		c.written[i] = maps.Clone(st.written[i])
+		c.seq[i] = maps.Clone(st.seq[i])
+		c.earlyNotices[i] = slices.Clone(st.earlyNotices[i])
 	}
-	return dst
-}
-
-func cloneI32(src map[int]int32) map[int]int32 {
-	dst := make(map[int]int32, len(src))
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
+	return &c
 }
 
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
-	if len(p.installing) != 0 || len(p.installSet) != 0 {
-		return nil, fmt.Errorf("hlrc: %d installs in flight", len(p.installSet))
+	if n := p.installs.Len(); n != 0 {
+		return nil, fmt.Errorf("hlrc: %d installs in flight", n)
 	}
 	for node, n := range p.flushAcks {
 		if n != 0 || p.flushWaiting[node] {
 			return nil, fmt.Errorf("hlrc: node %d mid-flush (%d acks outstanding)", node, n)
 		}
 	}
-	n := len(p.twins)
-	st := &state{
-		twins:         make([]map[int][]byte, n),
-		written:       make([]map[int]int32, n),
-		seq:           make([]map[int]int32, n),
-		earlyNotices:  make([][]proto.WriteNotice, n),
-		twinBytes:     p.twinBytes,
-		twinBytesPeak: p.twinBytesPeak,
-		pending:       append([]pendingFault(nil), p.pending...),
-	}
-	for i := 0; i < n; i++ {
-		st.twins[i] = cloneTwins(p.twins[i])
-		st.written[i] = cloneI32(p.written[i])
-		st.seq[i] = cloneI32(p.seq[i])
-		st.earlyNotices[i] = append([]proto.WriteNotice(nil), p.earlyNotices[i]...)
-	}
-	return st, nil
+	return p.state.clone(), nil
 }
 
 // RestoreState implements proto.Checkpointer. The snapshot is re-cloned,
 // so one capture can seed any number of forks.
 func (p *Protocol) RestoreState(s any) error {
 	st, ok := s.(*state)
-	if !ok {
-		return fmt.Errorf("hlrc: RestoreState of %T", s)
+	if !ok || len(st.twins) != len(p.twins) {
+		return fmt.Errorf("hlrc: RestoreState of %T onto %d nodes", s, len(p.twins))
 	}
-	if len(st.twins) != len(p.twins) {
-		return fmt.Errorf("hlrc: snapshot for %d nodes, protocol has %d", len(st.twins), len(p.twins))
-	}
-	for i := range p.twins {
-		p.twins[i] = cloneTwins(st.twins[i])
-		p.written[i] = cloneI32(st.written[i])
-		p.seq[i] = cloneI32(st.seq[i])
-		p.earlyNotices[i] = append([]proto.WriteNotice(nil), st.earlyNotices[i]...)
-	}
-	p.twinBytes = st.twinBytes
-	p.twinBytesPeak = st.twinBytesPeak
-	p.pending = append(p.pending[:0], st.pending...)
+	p.state = *st.clone()
 	return nil
 }
 
 // AddToDigest implements proto.Digestable. Map walks are over sorted keys
 // so equal states digest equal.
 func (st *state) AddToDigest(d *proto.Digest) {
-	var keys []int
 	for i := range st.twins {
 		d.Int(i)
-		keys = keys[:0]
-		for b := range st.twins[i] {
-			keys = append(keys, b)
-		}
-		sort.Ints(keys)
-		for _, b := range keys {
+		for _, b := range slices.Sorted(maps.Keys(st.twins[i])) {
 			d.Int(b)
 			d.Bytes(st.twins[i][b])
 		}
-		keys = keys[:0]
-		for b := range st.written[i] {
-			keys = append(keys, b)
-		}
-		sort.Ints(keys)
-		for _, b := range keys {
-			d.Int(b)
-			d.I64(int64(st.written[i][b]))
-		}
-		keys = keys[:0]
-		for b := range st.seq[i] {
-			keys = append(keys, b)
-		}
-		sort.Ints(keys)
-		for _, b := range keys {
-			d.Int(b)
-			d.I64(int64(st.seq[i][b]))
+		for _, m := range []map[int]int32{st.written[i], st.seq[i]} {
+			for _, b := range slices.Sorted(maps.Keys(m)) {
+				d.Int(b)
+				d.I64(int64(m[b]))
+			}
 		}
 		for _, wn := range st.earlyNotices[i] {
 			d.I64(int64(wn.Block))
@@ -134,9 +95,4 @@ func (st *state) AddToDigest(d *proto.Digest) {
 	}
 	d.I64(st.twinBytes)
 	d.I64(st.twinBytesPeak)
-	for _, pf := range st.pending {
-		d.Int(pf.block)
-		d.Bool(pf.write)
-		d.Bool(pf.becameHome)
-	}
 }

@@ -145,14 +145,8 @@ func (h *Homes) RestoreFrom(src *Homes) {
 // sets).
 func (h *Homes) MemBytes() int64 {
 	b := h.claimed.MemBytes() + h.moved.MemBytes(16)
-	for blk := 0; blk < h.numBlocks; blk += shardSize {
-		for i := blk; i < blk+shardSize && i < h.numBlocks; i++ {
-			if m := h.moved.Peek(i); m != nil {
-				b += m.known.MemBytes()
-			} else {
-				break // whole shard absent
-			}
-		}
+	for _, m := range h.moved.All() {
+		b += m.known.MemBytes()
 	}
 	return b
 }

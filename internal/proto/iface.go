@@ -46,16 +46,16 @@ type Env struct {
 	Tracer *trace.Tracer
 
 	// Prof is the sharing-pattern profiler's protocol-path observer, nil
-	// when profiling is off. Protocols report the events only they can
-	// see — full-block installs and diff applications — behind a nil
-	// check, like Tracer; the core feeds the access/fault/tag side.
+	// when profiling is off. It hears the events only the protocol path
+	// can see — full-block installs (Install) and diff applications —
+	// behind a nil check, like Tracer; the core feeds the
+	// access/fault/tag side.
 	Prof SharingObserver
 
 	// Crit is the critical-path tracker, nil when the profiler is off.
-	// Protocols mark the one event only they can see — a request
-	// re-forwarded by a stale home or non-owner — by calling
-	// Crit.MarkForward immediately before the forwarding Send, behind a
-	// nil check like Tracer.
+	// The one event only the protocol path can see — a request
+	// re-forwarded by a stale home or non-owner — is marked by Forward,
+	// immediately before the forwarding Send.
 	Crit *critpath.Tracker
 }
 
@@ -79,34 +79,6 @@ func (e *Env) Nodes() int { return len(e.Spaces) }
 func (e *Env) Send(src int, m *network.Msg) {
 	m.Src = src
 	e.Net.Endpoint(src).Send(m)
-}
-
-// Redispatcher returns the function a protocol uses to re-run handle on
-// requests it retained and queued behind a transaction or an install, once
-// that finishes. Each call defers one message to a fresh event at the
-// current instant, so queued requests resolve in queue order after the
-// finishing handler returns. The deferred handle is a continuation of that
-// handler: it re-enters the handler's critical-path event context, carried
-// on the retained message, so the request's resolution chains from the
-// service that enabled it. Afterwards the message is released under the
-// usual retention contract (handle may queue it again). Build it once per
-// protocol instance; deferring then allocates nothing.
-func (e *Env) Redispatcher(handle func(*network.Msg)) func(*network.Msg) {
-	run := func(arg any) {
-		m := arg.(*network.Msg)
-		if ct := e.Crit; ct != nil {
-			ct.SetContext(m.CritContext())
-			defer ct.ClearContext()
-		}
-		handle(m)
-		e.Net.Release(m)
-	}
-	return func(m *network.Msg) {
-		if ct := e.Crit; ct != nil {
-			m.SetCritContext(ct.Context())
-		}
-		e.Engine.AfterArg(0, run, m)
-	}
 }
 
 // SeedHomes copies the master image into each block's static home. Every
@@ -162,10 +134,6 @@ type Protocol interface {
 	// consistency variant applies its buffered invalidations here.
 	OnAcquireComplete(node int)
 
-	// UsesIntervals reports whether the protocol exchanges vector clocks
-	// and write notices at synchronization (false for SC).
-	UsesIntervals() bool
-
 	// Finalize runs after the parallel phase in engine context; it must
 	// make every block's authoritative content available via Collect
 	// (e.g. HLRC flushes outstanding diffs home instantly — the run is
@@ -174,6 +142,9 @@ type Protocol interface {
 
 	// Collect returns block b's authoritative bytes after Finalize.
 	Collect(b int) []byte
+
+	Checkpointer
+	MemReporter
 }
 
 // TimestampCarrier is implemented by protocols whose consistency rides on
@@ -194,10 +165,12 @@ type TimestampCarrier interface {
 	AcquireTS(node int, ts int64)
 }
 
-// Checkpointer is implemented by protocols whose complete mutable state
-// can be captured at a quiescent cut (every proc blocked in a barrier, no
-// message in flight) and restored onto a freshly constructed instance of
-// the same protocol under an identically shaped Env. CaptureState fails
+// Checkpointer is the part of Protocol that captures the protocol's
+// complete mutable state at a quiescent cut (every proc blocked in a
+// barrier, no message in flight) and restores it onto a freshly
+// constructed instance of the same protocol under an identically shaped
+// Env. Every protocol must provide it: forked sweeps depend on it, and a
+// protocol without it would silently run flat. CaptureState fails
 // if the protocol is mid-transaction — an in-flight fault, a pending
 // install — since such state references live messages no fork could
 // share; the sweep planner then falls back to flat execution.
@@ -210,7 +183,7 @@ type Checkpointer interface {
 	RestoreState(state any) error
 }
 
-// MemReporter is implemented by protocols that can report their memory
+// MemReporter is the part of Protocol that reports the protocol's memory
 // footprint: the fixed per-block/per-node metadata and the peak dynamic
 // allocation (twins under HLRC). The paper's §7 lists memory utilization
 // as unexamined future work; the harness's "memory" experiment covers it.

@@ -31,8 +31,9 @@ type Meta struct {
 	Paper bool
 	// NeedsClocks marks protocols that exchange vector clocks and write
 	// notices through the interval log at synchronization (the LRC
-	// family). The core allocates Env.Log and Env.VCs only for these;
-	// it must match the protocol's UsesIntervals.
+	// family). The core allocates Env.Log and Env.VCs only for these,
+	// and the synchronization layer ships clocks and notices exactly
+	// when the log exists.
 	NeedsClocks bool
 }
 

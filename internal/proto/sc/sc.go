@@ -49,42 +49,24 @@ const (
 
 // txn is an in-flight home-side transaction for one block. install marks a
 // first-touch claim whose data grant is still in flight to the new home;
-// requests forwarded there meanwhile wait in waitq.
+// requests forwarded there meanwhile wait on the transaction.
 type txn struct {
 	write     bool
 	requester int
 	acksLeft  int
 	install   bool
-	waitq     []*network.Msg
-}
-
-type pendingFault struct {
-	block int
-	write bool
 }
 
 // Protocol is the SC implementation.
 type Protocol struct {
-	env *proto.Env
-
-	// Directory, indexed by block. owner == -1 means the home copy is
-	// valid and sharers lists the remote read-only copies; otherwise the
-	// single read-write copy is at owner. Entries materialise per shard
-	// on first touch, so directory memory tracks the touched span of the
-	// heap, not heap size (or node count — nodes that learned a migrated
-	// home are recorded sparsely in proto.Homes).
-	dir proto.Table[dirEntry]
-
-	txns map[int]*txn
-	// redispatch re-runs handleReq on a request drained from a wait queue.
-	redispatch func(*network.Msg)
-
-	pending []pendingFault // per node: the single outstanding fault
+	env     *proto.Env
+	state   // everything a checkpoint captures (state.go)
+	txns    *proto.Txns[txn]
+	pending *proto.Pending // per node: the single outstanding fault
 
 	// Delayed-consistency mode (see delayed.go): invalidations are acked
 	// immediately and buffered per node until its next acquire.
-	delayed      bool
-	pendingInval []proto.Copyset // per node: blocks with a deferred invalidation
+	delayed bool
 }
 
 // dirEntry is the per-block directory state at the home.
@@ -95,15 +77,12 @@ type dirEntry struct {
 
 // New creates the SC protocol over env.
 func New(env *proto.Env) *Protocol {
-	nb := env.Homes.NumBlocks()
-	n := env.Nodes()
 	p := &Protocol{
 		env:     env,
-		dir:     proto.NewTable(nb, func(e *dirEntry) { e.owner = -1 }),
-		txns:    make(map[int]*txn),
-		pending: make([]pendingFault, n),
+		state:   state{dir: proto.NewTable(env.Homes.NumBlocks(), func(e *dirEntry) { e.owner = -1 })},
+		pending: proto.NewPending(env, "home", "sc read fault block", "sc write fault block"),
 	}
-	p.redispatch = env.Redispatcher(func(m *network.Msg) { p.handleReq(m.Dst, m) })
+	p.txns = proto.NewTxns[txn](env, p.Handle)
 	return p
 }
 
@@ -115,9 +94,6 @@ func (p *Protocol) Name() string {
 	return "sc"
 }
 
-// UsesIntervals implements proto.Protocol: SC exchanges no write notices.
-func (p *Protocol) UsesIntervals() bool { return false }
-
 // PreRelease implements proto.Protocol: nothing to flush under SC.
 func (p *Protocol) PreRelease(node int) []proto.WriteNotice { return nil }
 
@@ -126,26 +102,14 @@ func (p *Protocol) ApplyNotices(node int, ivs []proto.Interval) {}
 
 // Fault implements proto.Protocol. Proc context; blocks until resolved.
 func (p *Protocol) Fault(node, block int, write bool) {
-	p.pending[node] = pendingFault{block: block, write: write}
 	kind := kReadReq
 	if write {
 		kind = kWriteReq
 	}
-	home := p.env.Homes.CachedHome(node, block)
-	if tr := p.env.Tracer; tr != nil {
-		tr.Instant(node, trace.CatProto, "fetch",
-			trace.A("block", int64(block)), trace.A("write", trace.Bool(write)),
-			trace.A("home", int64(home)))
-	}
-	p.env.Send(node, &network.Msg{
-		Dst: home, Kind: kind, Block: block,
+	p.pending.Request(node, write, &network.Msg{
+		Dst: p.env.Homes.CachedHome(node, block), Kind: kind, Block: block,
 		A: int64(node), Bytes: 8,
 	})
-	reason := "sc read fault block"
-	if write {
-		reason = "sc write fault block"
-	}
-	p.env.Procs[node].BlockID(reason, block)
 }
 
 // ServiceCost implements proto.Protocol.
@@ -164,7 +128,7 @@ func (p *Protocol) ServiceCost(m *network.Msg) sim.Time {
 func (p *Protocol) Handle(m *network.Msg) {
 	switch m.Kind {
 	case kReadReq, kWriteReq:
-		p.handleReq(m.Dst, m)
+		p.handleReq(m)
 	case kData:
 		p.handleData(m, false)
 	case kDataEx:
@@ -184,8 +148,8 @@ func (p *Protocol) Handle(m *network.Msg) {
 
 // handleReq runs at the node a request arrived at: the home, the static
 // home (directory), or a stale cached home.
-func (p *Protocol) handleReq(here int, m *network.Msg) {
-	b := m.Block
+func (p *Protocol) handleReq(m *network.Msg) {
+	here, b := m.Dst, m.Block
 	homes := p.env.Homes
 	requester := int(m.A)
 	if !homes.Claimed(b) {
@@ -193,54 +157,31 @@ func (p *Protocol) handleReq(here int, m *network.Msg) {
 			panic(fmt.Sprintf("sc: unclaimed block %d request at non-static node %d", b, here))
 		}
 		// First touch: the requester becomes home (§2). Ship the seeded
-		// copy; the new home installs it and serves itself. This is a
-		// mapping fault, not a coherence miss: the paper's fault tables
-		// exclude it (LU's write faults are zero), so undo the count.
-		homes.Claim(b, requester)
-		p.env.Stats[requester].HomeMigrations++
-		if m.Kind == kWriteReq {
-			p.env.Stats[requester].WriteFaults--
-		} else {
-			p.env.Stats[requester].ReadFaults--
-		}
+		// copy; the new home installs it and serves itself.
+		p.env.ClaimHome(b, requester, m.Kind == kWriteReq)
 		p.dir.At(b).owner = int16(requester)
 		if requester == here {
-			p.installHome(here, b)
+			// The static home claiming its own block: the seed data is
+			// already in place.
+			p.env.Spaces[here].SetTag(b, mem.ReadWrite)
+			p.pending.Done(here, b)
 			return
 		}
 		// Requests forwarded to the new home before its data arrives
 		// must wait for the installation.
-		p.txns[b] = &txn{install: true, requester: requester}
-		sp := p.env.Spaces[here]
-		data := p.env.Net.AllocData(sp.BlockSize())
-		copy(data, sp.BlockData(b))
-		sp.SetTag(b, mem.NoAccess)
-		p.env.Send(here, &network.Msg{
-			Dst: requester, Kind: kDataEx, Block: b,
-			Data: data, DataPooled: true, A: int64(requester),
-			Bytes: len(data) + 8,
-		})
+		p.txns.Begin(b, txn{install: true, requester: requester})
+		p.env.Spaces[here].SetTag(b, mem.NoAccess)
+		p.env.SendBlock(here, &network.Msg{Dst: requester, Kind: kDataEx, Block: b, A: int64(requester), Bytes: 8})
 		return
 	}
 	home := homes.Home(b)
 	if here != home {
 		// Stale cache or directory lookup: forward to the real home.
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("home", int64(home)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{
-			Dst: home, Kind: m.Kind, Block: b, A: m.A, Bytes: m.Bytes,
-		})
+		p.env.Forward(here, home, "home", m)
 		return
 	}
-	if t := p.txns[b]; t != nil {
-		m.Retain() // survives the handler; drain re-dispatches and releases
-		t.waitq = append(t.waitq, m)
+	if p.txns.Get(b) != nil {
+		p.txns.Park(m)
 		return
 	}
 	p.startTxn(home, b, m)
@@ -256,8 +197,7 @@ func (p *Protocol) startTxn(home, b int, m *network.Msg) {
 	if owner >= 0 && owner != home {
 		// Remote exclusive copy: write it back (and invalidate for a
 		// write request) before serving.
-		t := &txn{write: write, requester: requester, acksLeft: 1}
-		p.txns[b] = t
+		p.txns.Begin(b, txn{write: write, requester: requester, acksLeft: 1})
 		p.env.Send(home, &network.Msg{
 			Dst: owner, Kind: kWBReq, Block: b,
 			Flag: write, Bytes: 8,
@@ -289,21 +229,15 @@ func (p *Protocol) grantRead(home, b, requester int) {
 			sp.SetTag(b, mem.ReadOnly)
 		}
 		p.complete(home, b, false)
-		p.drain(b)
+		p.txns.End(b)
 		return
 	}
 	p.dir.At(b).sharers.Add(requester)
 	if sp.Tag(b) == mem.ReadWrite {
 		sp.SetTag(b, mem.ReadOnly)
 	}
-	data := p.env.Net.AllocData(sp.BlockSize())
-	copy(data, sp.BlockData(b))
-	p.env.Send(home, &network.Msg{
-		Dst: requester, Kind: kData, Block: b,
-		Data: data, DataPooled: true, A: int64(home),
-		Bytes: len(data) + 8,
-	})
-	p.drain(b)
+	p.env.SendBlock(home, &network.Msg{Dst: requester, Kind: kData, Block: b, A: int64(home), Bytes: 8})
+	p.txns.End(b)
 }
 
 // finishWrite invalidates the remaining sharers and then grants RW.
@@ -316,8 +250,7 @@ func (p *Protocol) finishWrite(home, b, requester int, t *txn) {
 	}
 	if others > 0 {
 		if t == nil {
-			t = &txn{write: true, requester: requester}
-			p.txns[b] = t
+			t = p.txns.Begin(b, txn{write: true, requester: requester})
 		}
 		t.acksLeft = 0
 		e.sharers.ForEach(func(s int) {
@@ -342,48 +275,25 @@ func (p *Protocol) grantWrite(home, b, requester int) {
 	if requester == home {
 		sp.SetTag(b, mem.ReadWrite)
 		p.complete(home, b, true)
-		p.drain(b)
+		p.txns.End(b)
 		return
 	}
 	sp.SetTag(b, mem.NoAccess)
-	var data []byte
-	if !wasSharer {
-		data = p.env.Net.AllocData(sp.BlockSize())
-		copy(data, sp.BlockData(b))
+	grant := network.Msg{Dst: requester, Kind: kDataEx, Block: b, A: int64(home), Bytes: 8}
+	if wasSharer {
+		p.env.Send(home, &grant) // an upgrade: the requester's bytes are current
+	} else {
+		p.env.SendBlock(home, &grant)
 	}
-	p.env.Send(home, &network.Msg{
-		Dst: requester, Kind: kDataEx, Block: b,
-		Data: data, DataPooled: data != nil, A: int64(home),
-		Bytes: len(data) + 8,
-	})
-	p.drain(b)
-}
-
-// drain re-dispatches requests queued behind a finished transaction.
-func (p *Protocol) drain(b int) {
-	t := p.txns[b]
-	if t == nil {
-		return
-	}
-	delete(p.txns, b)
-	for _, m := range t.waitq {
-		p.redispatch(m)
-	}
+	p.txns.End(b)
 }
 
 // handleData installs a granted copy at the requester and resumes it.
 func (p *Protocol) handleData(m *network.Msg, exclusive bool) {
-	node := m.Dst
-	sp := p.env.Spaces[node]
-	if m.Data != nil {
-		copy(sp.BlockData(m.Block), m.Data)
-		if o := p.env.Prof; o != nil {
-			o.Filled(node, m.Block)
-		}
-	}
-	p.complete(node, m.Block, exclusive)
-	if t := p.txns[m.Block]; t != nil && t.install {
-		p.drain(m.Block) // installation finished: serve waiting requests
+	p.env.Install(m)
+	p.complete(m.Dst, m.Block, exclusive)
+	if t := p.txns.Get(m.Block); t != nil && t.install {
+		p.txns.End(m.Block) // installation finished: serve waiting requests
 	}
 }
 
@@ -396,25 +306,11 @@ func (p *Protocol) complete(node, b int, exclusive bool) {
 	} else if sp.Tag(b) == mem.NoAccess {
 		sp.SetTag(b, mem.ReadOnly)
 	}
-	pf := p.pending[node]
-	if pf.block != b {
-		panic(fmt.Sprintf("sc: node %d completed block %d but pending fault is %d", node, b, pf.block))
-	}
 	if p.delayed {
 		p.pendingInval[node].Remove(b)
 	}
 	p.env.Homes.Learn(node, b)
-	p.env.Procs[node].Unblock()
-}
-
-// installHome makes node the first-touch home of block b using its static
-// seed data already present locally (node == static home case).
-func (p *Protocol) installHome(node, b int) {
-	p.env.Spaces[node].SetTag(b, mem.ReadWrite)
-	if p.pending[node].block != b {
-		panic("sc: installHome without matching pending fault")
-	}
-	p.env.Procs[node].Unblock()
+	p.pending.Done(node, b)
 }
 
 func (p *Protocol) handleInval(m *network.Msg) {
@@ -435,7 +331,7 @@ func (p *Protocol) handleInval(m *network.Msg) {
 func (p *Protocol) handleInvalAck(m *network.Msg) {
 	b := m.Block
 	home := m.Dst
-	t := p.txns[b]
+	t := p.txns.Get(b)
 	if t == nil {
 		panic(fmt.Sprintf("sc: stray inval ack for block %d", b))
 	}
@@ -449,33 +345,24 @@ func (p *Protocol) handleInvalAck(m *network.Msg) {
 func (p *Protocol) handleWBReq(m *network.Msg) {
 	node := m.Dst
 	sp := p.env.Spaces[node]
-	data := p.env.Net.AllocData(sp.BlockSize())
-	copy(data, sp.BlockData(m.Block))
 	if m.Flag {
 		sp.SetTag(m.Block, mem.NoAccess)
 		p.env.Stats[node].Invalidations++
 	} else {
 		sp.SetTag(m.Block, mem.ReadOnly)
 	}
-	home := p.env.Homes.Home(m.Block)
-	p.env.Send(node, &network.Msg{
-		Dst: home, Kind: kWBData, Block: m.Block,
-		Data: data, DataPooled: true, Bytes: len(data) + 8,
-	})
+	p.env.SendBlock(node, &network.Msg{Dst: p.env.Homes.Home(m.Block), Kind: kWBData, Block: m.Block, Bytes: 8})
 }
 
 func (p *Protocol) handleWBData(m *network.Msg) {
 	b := m.Block
 	home := m.Dst
-	t := p.txns[b]
+	t := p.txns.Get(b)
 	if t == nil {
 		panic(fmt.Sprintf("sc: stray write-back for block %d", b))
 	}
 	sp := p.env.Spaces[home]
-	copy(sp.BlockData(b), m.Data)
-	if o := p.env.Prof; o != nil {
-		o.Filled(home, b) // the write-back makes the home copy current
-	}
+	p.env.Install(m) // the write-back makes the home copy current
 	e := p.dir.At(b)
 	old := int(e.owner)
 	e.owner = -1
@@ -494,30 +381,13 @@ func (p *Protocol) handleWBData(m *network.Msg) {
 // Finalize implements proto.Protocol: pull every dirty exclusive copy back
 // to the home image so Collect sees final data. Engine context, zero cost.
 func (p *Protocol) Finalize() {
-	for b := 0; b < p.env.Homes.NumBlocks(); b++ {
-		e := p.dir.Peek(b)
-		if e == nil {
-			continue // untouched block: no exclusive copy anywhere
-		}
-		o := int(e.owner)
-		if !p.env.Homes.Claimed(b) {
-			continue
-		}
-		home := p.env.Homes.Home(b)
-		if o >= 0 && o != home {
-			copy(p.env.Spaces[home].BlockData(b), p.env.Spaces[o].BlockData(b))
-		}
+	for b, e := range p.dir.All() {
+		p.env.PullBack(b, int(e.owner))
 	}
 }
 
 // Collect implements proto.Protocol.
-func (p *Protocol) Collect(b int) []byte {
-	homes := p.env.Homes
-	if !homes.Claimed(b) {
-		return p.env.Spaces[homes.Static(b)].BlockData(b)
-	}
-	return p.env.Spaces[homes.Home(b)].BlockData(b)
-}
+func (p *Protocol) Collect(b int) []byte { return p.env.HomeImage(b) }
 
 // MemFootprint implements proto.MemReporter: the sharded directory
 // (owner + sharer copyset per touched block — shards materialise on
@@ -527,10 +397,8 @@ func (p *Protocol) Collect(b int) []byte {
 // per-release.
 func (p *Protocol) MemFootprint() (int64, int64) {
 	static := p.dir.MemBytes(int64(unsafe.Sizeof(dirEntry{})))
-	for b := 0; b < p.env.Homes.NumBlocks(); b++ {
-		if e := p.dir.Peek(b); e != nil {
-			static += e.sharers.MemBytes()
-		}
+	for _, e := range p.dir.All() {
+		static += e.sharers.MemBytes()
 	}
 	static += p.env.Homes.MemBytes()
 	for i := range p.pendingInval {

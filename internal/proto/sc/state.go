@@ -6,74 +6,60 @@ import (
 	"dsmsim/internal/proto"
 )
 
-// state is the deep snapshot of the SC (or DC) protocol at a quiescent
-// cut: the sharded directory with its sharer copysets, the per-node
-// pending-fault records, and the delayed-invalidation buffers when the
-// delayed variant is running. Transactions cannot be captured — they hold
-// retained messages — so CaptureState requires the txn map to be empty,
-// which it is whenever every proc is blocked in a barrier.
+// state is the checkpointable state of the SC (or DC) protocol: the
+// sharded directory with its sharer copysets, and the
+// delayed-invalidation buffers when the delayed variant is running.
+// Transactions cannot be captured — they hold retained messages — so
+// CaptureState requires that none is in flight, which holds whenever every
+// proc is blocked in a barrier.
 type state struct {
-	nb           int
-	dir          proto.Table[dirEntry]
-	pending      []pendingFault
-	pendingInval []proto.Copyset
+	// Directory, indexed by block. owner == -1 means the home copy is
+	// valid and sharers lists the remote read-only copies; otherwise the
+	// single read-write copy is at owner. Entries materialise per shard
+	// on first touch, so directory memory tracks the touched span of the
+	// heap, not heap size (or node count — nodes that learned a migrated
+	// home are recorded sparsely in proto.Homes).
+	dir proto.Table[dirEntry]
+
+	pendingInval []proto.Copyset // dc only, per node: blocks with a deferred invalidation
 }
 
-func cloneDir(t *proto.Table[dirEntry]) proto.Table[dirEntry] {
-	return t.Clone(func(e *dirEntry) { e.sharers = e.sharers.Clone() })
+// clone returns a deep copy.
+func (st *state) clone() *state {
+	c := &state{dir: st.dir.Clone(func(e *dirEntry) { e.sharers = e.sharers.Clone() })}
+	if st.pendingInval != nil {
+		c.pendingInval = proto.CloneSets(st.pendingInval)
+	}
+	return c
 }
 
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
-	if len(p.txns) != 0 {
-		return nil, fmt.Errorf("sc: %d directory transactions in flight", len(p.txns))
+	if n := p.txns.Len(); n != 0 {
+		return nil, fmt.Errorf("sc: %d directory transactions in flight", n)
 	}
-	st := &state{
-		nb:      p.env.Homes.NumBlocks(),
-		dir:     cloneDir(&p.dir),
-		pending: append([]pendingFault(nil), p.pending...),
-	}
-	if p.delayed {
-		st.pendingInval = make([]proto.Copyset, len(p.pendingInval))
-		for i := range p.pendingInval {
-			st.pendingInval[i] = p.pendingInval[i].Clone()
-		}
-	}
-	return st, nil
+	return p.state.clone(), nil
 }
 
 // RestoreState implements proto.Checkpointer. The snapshot is re-cloned,
 // so one capture can seed any number of forks.
 func (p *Protocol) RestoreState(s any) error {
 	st, ok := s.(*state)
-	if !ok {
-		return fmt.Errorf("sc: RestoreState of %T", s)
+	if !ok || p.delayed != (st.pendingInval != nil) {
+		return fmt.Errorf("sc: RestoreState of %T onto %s", s, p.Name())
 	}
-	if p.delayed != (st.pendingInval != nil) {
-		return fmt.Errorf("sc: snapshot variant mismatch (delayed=%v)", p.delayed)
-	}
-	p.dir = cloneDir(&st.dir)
-	p.pending = append(p.pending[:0], st.pending...)
-	for i := range st.pendingInval {
-		p.pendingInval[i] = st.pendingInval[i].Clone()
-	}
+	p.state = *st.clone()
 	return nil
 }
 
 // AddToDigest implements proto.Digestable.
 func (st *state) AddToDigest(d *proto.Digest) {
-	for b := 0; b < st.nb; b++ {
-		e := st.dir.Peek(b)
-		if e == nil || (e.owner < 0 && e.sharers.Empty()) {
-			continue
+	for b, e := range st.dir.All() {
+		if e.owner >= 0 || !e.sharers.Empty() {
+			d.Int(b)
+			d.I64(int64(e.owner))
+			e.sharers.AddToDigest(d)
 		}
-		d.Int(b)
-		d.I64(int64(e.owner))
-		e.sharers.AddToDigest(d)
-	}
-	for _, pf := range st.pending {
-		d.Int(pf.block)
-		d.Bool(pf.write)
 	}
 	for i := range st.pendingInval {
 		st.pendingInval[i].AddToDigest(d)

@@ -1,5 +1,7 @@
 package proto
 
+import "iter"
+
 // shardSize is the number of block entries per directory shard. 256
 // entries keeps a shard a few KB for typical entry types — small enough
 // that a run touching a handful of blocks stays cheap, large enough
@@ -52,6 +54,22 @@ func (t *Table[T]) Peek(b int) *T {
 	return &t.shards[s][b%shardSize]
 }
 
+// All walks the materialised entries in ascending block order. Entries of
+// a materialised shard that were never written are included, in their
+// default state; callers that fingerprint state skip those, so that which
+// shards happen to be materialised does not show.
+func (t *Table[T]) All() iter.Seq2[int, *T] {
+	return func(yield func(int, *T) bool) {
+		for s, shard := range t.shards {
+			for i := range shard {
+				if !yield(s*shardSize+i, &shard[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // Clone returns a deep copy of the table. Materialised shards are
 // duplicated entry by entry; fix, if non-nil, is then applied to each
 // copied entry to deep-copy any spill structures it embeds (a Copyset,
@@ -70,6 +88,16 @@ func (t *Table[T]) Clone(fix func(*T)) Table[T] {
 			}
 		}
 		c.shards[s] = dup
+	}
+	return c
+}
+
+// CloneTables deep-copies a per-node slice of tables whose entries hold no
+// spill structures of their own.
+func CloneTables[T any](ts []Table[T]) []Table[T] {
+	c := make([]Table[T], len(ts))
+	for i := range ts {
+		c[i] = ts[i].Clone(nil)
 	}
 	return c
 }

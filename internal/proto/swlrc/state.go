@@ -6,86 +6,64 @@ import (
 	"dsmsim/internal/proto"
 )
 
-// state is the deep snapshot of the SW-LRC protocol at a quiescent cut:
-// the global owner/version directory, every node's causality table
-// (local version, owner hint, causal floor), the per-interval write sets
-// and the pending-fault records. In-flight installs hold retained
-// messages and cannot be captured; at a barrier cut both install maps
-// are empty.
+// state is the protocol's checkpointable state: the global owner/version
+// directory, every node's causality table (local version, owner hint,
+// causal floor) and the per-interval write sets. In-flight installs hold
+// retained messages and cannot be captured; at a barrier cut there are
+// none.
 type state struct {
-	nb      int
-	dir     proto.Table[swDir]
-	nodes   []proto.Table[swNode]
-	written []proto.Copyset
-	pending []pendingFault
+	dir     proto.Table[swDir]    // per block: single-writer owner + version
+	nodes   []proto.Table[swNode] // per node: local copy / causality state
+	written []proto.Copyset       // per node: blocks written this interval
+}
+
+// clone returns a deep copy.
+func (st *state) clone() *state {
+	return &state{
+		dir:     st.dir.Clone(nil),
+		nodes:   proto.CloneTables(st.nodes),
+		written: proto.CloneSets(st.written),
+	}
 }
 
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
-	if len(p.installing) != 0 || len(p.installSet) != 0 {
-		return nil, fmt.Errorf("swlrc: %d installs in flight", len(p.installSet))
+	if n := p.installs.Len(); n != 0 {
+		return nil, fmt.Errorf("swlrc: %d installs in flight", n)
 	}
-	st := &state{
-		nb:      p.env.Homes.NumBlocks(),
-		dir:     p.dir.Clone(nil),
-		nodes:   make([]proto.Table[swNode], len(p.nodes)),
-		written: make([]proto.Copyset, len(p.written)),
-		pending: append([]pendingFault(nil), p.pending...),
-	}
-	for i := range p.nodes {
-		st.nodes[i] = p.nodes[i].Clone(nil)
-		st.written[i] = p.written[i].Clone()
-	}
-	return st, nil
+	return p.state.clone(), nil
 }
 
 // RestoreState implements proto.Checkpointer. The snapshot is re-cloned,
 // so one capture can seed any number of forks.
 func (p *Protocol) RestoreState(s any) error {
 	st, ok := s.(*state)
-	if !ok {
-		return fmt.Errorf("swlrc: RestoreState of %T", s)
+	if !ok || len(st.nodes) != len(p.nodes) {
+		return fmt.Errorf("swlrc: RestoreState of %T onto %d nodes", s, len(p.nodes))
 	}
-	if len(st.nodes) != len(p.nodes) {
-		return fmt.Errorf("swlrc: snapshot for %d nodes, protocol has %d", len(st.nodes), len(p.nodes))
-	}
-	p.dir = st.dir.Clone(nil)
-	for i := range p.nodes {
-		p.nodes[i] = st.nodes[i].Clone(nil)
-		p.written[i] = st.written[i].Clone()
-	}
-	p.pending = append(p.pending[:0], st.pending...)
+	p.state = *st.clone()
 	return nil
 }
 
 // AddToDigest implements proto.Digestable.
 func (st *state) AddToDigest(d *proto.Digest) {
-	for b := 0; b < st.nb; b++ {
-		e := st.dir.Peek(b)
-		if e == nil || (e.owner < 0 && e.version == 0) {
-			continue
+	for b, e := range st.dir.All() {
+		if e.owner >= 0 || e.version != 0 {
+			d.Int(b)
+			d.I64(int64(e.owner))
+			d.I64(int64(e.version))
 		}
-		d.Int(b)
-		d.I64(int64(e.owner))
-		d.I64(int64(e.version))
 	}
 	for i := range st.nodes {
-		for b := 0; b < st.nb; b++ {
-			v := st.nodes[i].Peek(b)
-			if v == nil || (v.localVer == 0 && v.lastKnown < 0 && v.required == 0) {
-				continue
+		for b, v := range st.nodes[i].All() {
+			if v.localVer != 0 || v.lastKnown >= 0 || v.required != 0 {
+				d.Int(i)
+				d.Int(b)
+				d.I64(int64(v.localVer))
+				d.I64(int64(v.lastKnown))
+				d.I64(int64(v.required))
 			}
-			d.Int(i)
-			d.Int(b)
-			d.I64(int64(v.localVer))
-			d.I64(int64(v.lastKnown))
-			d.I64(int64(v.required))
 		}
 		st.written[i].AddToDigest(d)
-	}
-	for _, pf := range st.pending {
-		d.Int(pf.block)
-		d.Bool(pf.write)
-		d.Bool(pf.becameHome)
 	}
 }

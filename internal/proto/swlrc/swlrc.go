@@ -41,29 +41,17 @@ const (
 //	kOwn:      A = requesting node, B = version of requester's copy (-1 none)
 //	kOwnData:  Data = block contents, A = version
 
-type pendingFault struct {
-	block      int
-	write      bool
-	becameHome bool
-}
-
 // Protocol is the SW-LRC implementation. Both the global directory and
 // the per-node causality tables are sparse sharded tables: state
 // materialises per 256-block shard on first touch, so memory scales
 // with each node's touched working set instead of nodes × heap blocks.
 type Protocol struct {
-	env *proto.Env
-
-	dir   proto.Table[swDir]    // per block: single-writer owner + version
-	nodes []proto.Table[swNode] // per node: local copy / causality state
-
-	written []proto.Copyset // per node: blocks written this interval
-	pending []pendingFault
-
-	installing map[int][]*network.Msg
-	installSet map[int]bool
-	// redispatch re-runs Handle on a request queued behind an install.
-	redispatch func(*network.Msg)
+	env     *proto.Env
+	state   // everything a checkpoint captures (state.go)
+	pending *proto.Pending
+	// installs holds the blocks whose ownership grant is still in flight
+	// to the new owner; requests for them wait there.
+	installs *proto.Txns[struct{}]
 }
 
 // swDir is the global per-block directory entry.
@@ -84,18 +72,18 @@ func New(env *proto.Env) *Protocol {
 	nb := env.Homes.NumBlocks()
 	n := env.Nodes()
 	p := &Protocol{
-		env:        env,
-		dir:        proto.NewTable(nb, func(e *swDir) { e.owner = -1 }),
-		nodes:      make([]proto.Table[swNode], n),
-		written:    make([]proto.Copyset, n),
-		pending:    make([]pendingFault, n),
-		installing: make(map[int][]*network.Msg),
-		installSet: make(map[int]bool),
+		env: env,
+		state: state{
+			dir:     proto.NewTable(nb, func(e *swDir) { e.owner = -1 }),
+			nodes:   make([]proto.Table[swNode], n),
+			written: make([]proto.Copyset, n),
+		},
+		pending: proto.NewPending(env, "target", "swlrc read fault block", "swlrc write fault block"),
 	}
 	for i := 0; i < n; i++ {
 		p.nodes[i] = proto.NewTable(nb, func(e *swNode) { e.lastKnown = -1 })
 	}
-	p.redispatch = env.Redispatcher(p.Handle)
+	p.installs = proto.NewTxns[struct{}](env, p.Handle)
 	return p
 }
 
@@ -105,9 +93,6 @@ func (p *Protocol) at(node, b int) *swNode { return p.nodes[node].At(b) }
 
 // Name implements proto.Protocol.
 func (p *Protocol) Name() string { return "swlrc" }
-
-// UsesIntervals implements proto.Protocol.
-func (p *Protocol) UsesIntervals() bool { return true }
 
 // OnAcquireComplete implements proto.Protocol: all acquire-time work
 // happens through the write-notice mechanism (ApplyNotices).
@@ -124,38 +109,19 @@ func (p *Protocol) Fault(node, block int, write bool) {
 		return
 	}
 
-	p.pending[node] = pendingFault{block: block, write: write}
-	var target int
-	var kind int
-	var aux int64
-	switch {
-	case write:
-		kind = kOwn
-		have := int64(-1)
-		if sp.Tag(block) != mem.NoAccess {
-			have = int64(p.at(node, block).localVer)
-		}
-		aux = have
-		target = p.ownTarget(node, block)
-	default:
-		kind = kRead
-		aux = int64(p.at(node, block).required)
-		target = p.readTarget(node, block)
-	}
-	if tr := p.env.Tracer; tr != nil {
-		tr.Instant(node, trace.CatProto, "fetch",
-			trace.A("block", int64(block)), trace.A("write", trace.Bool(write)),
-			trace.A("target", int64(target)))
-	}
-	p.env.Send(node, &network.Msg{
-		Dst: target, Kind: kind, Block: block, A: int64(node), B: aux, Bytes: 12,
-	})
-	reason := "swlrc read fault block"
+	req := network.Msg{Kind: kRead, Block: block, A: int64(node), Bytes: 12}
 	if write {
-		reason = "swlrc write fault block"
+		req.Kind = kOwn
+		req.B = -1
+		if sp.Tag(block) != mem.NoAccess {
+			req.B = int64(p.at(node, block).localVer)
+		}
+		req.Dst = p.ownTarget(node, block)
+	} else {
+		req.B = int64(p.at(node, block).required)
+		req.Dst = p.readTarget(node, block)
 	}
-	p.env.Procs[node].BlockID(reason, block)
-
+	p.pending.Request(node, write, &req)
 	if write {
 		p.written[node].Add(block)
 	}
@@ -263,14 +229,11 @@ func (p *Protocol) Handle(m *network.Msg) {
 // A claim is a mapping fault, not a coherence miss: undo the fault count.
 func (p *Protocol) claim(here int, m *network.Msg, requester int) {
 	b := m.Block
-	if _, migrated := p.env.Homes.Claim(b, requester); migrated {
-		p.env.Stats[requester].HomeMigrations++
+	if here != p.env.Homes.Static(b) {
+		panic(fmt.Sprintf("swlrc: unclaimed block %d requested at non-static node %d", b, here))
 	}
-	if m.Kind == kOwn && p.pending[requester].write {
-		p.env.Stats[requester].WriteFaults--
-	} else {
-		p.env.Stats[requester].ReadFaults--
-	}
+	write := m.Kind == kOwn
+	p.env.ClaimHome(b, requester, write)
 	d := p.dir.At(b)
 	d.owner = int16(requester)
 	d.version = 1
@@ -279,23 +242,17 @@ func (p *Protocol) claim(here int, m *network.Msg, requester int) {
 		// Self-claim: the seeded bytes are already in place.
 		sp.SetTag(b, mem.NoAccess)
 		p.at(here, b).localVer = 1
-		if p.pending[here].write {
+		if write {
 			sp.SetTag(b, mem.ReadWrite)
 		} else {
 			sp.SetTag(b, mem.ReadOnly)
 		}
-		p.pending[here].becameHome = true
-		p.env.Procs[here].Unblock()
+		p.pending.Done(here, b)
 		return
 	}
-	data := p.env.Net.AllocData(sp.BlockSize())
-	copy(data, sp.BlockData(b))
 	sp.SetTag(b, mem.NoAccess)
-	p.installSet[b] = true
-	p.env.Send(here, &network.Msg{
-		Dst: requester, Kind: kOwnData, Block: b,
-		Data: data, DataPooled: true, A: 1, Bytes: len(data) + 12,
-	})
+	p.installs.Begin(b, struct{}{})
+	p.env.SendBlock(here, &network.Msg{Dst: requester, Kind: kOwnData, Block: b, A: 1, Bytes: 12})
 }
 
 func (p *Protocol) handleRead(m *network.Msg) {
@@ -303,16 +260,12 @@ func (p *Protocol) handleRead(m *network.Msg) {
 	b := m.Block
 	requester := int(m.A)
 	minVer := int32(m.B)
-	if p.installSet[b] {
-		m.Retain() // survives the handler; re-dispatched after install
-		p.installing[b] = append(p.installing[b], m)
+	if p.installs.Get(b) != nil {
+		p.installs.Park(m)
 		return
 	}
 	d := p.dir.At(b)
 	if d.owner < 0 {
-		if here != p.env.Homes.Static(b) {
-			panic(fmt.Sprintf("swlrc: unclaimed block %d read at non-static node %d", b, here))
-		}
 		p.claim(here, m, requester) // a load is a touch for SW-LRC
 		return
 	}
@@ -330,72 +283,41 @@ func (p *Protocol) handleRead(m *network.Msg) {
 		if isOwner && sp.Tag(b) == mem.ReadWrite {
 			sp.SetTag(b, mem.ReadOnly)
 		}
-		data := p.env.Net.AllocData(sp.BlockSize())
-		copy(data, sp.BlockData(b))
-		p.env.Send(here, &network.Msg{
-			Dst: requester, Kind: kReadData, Block: b,
-			Data: data, DataPooled: true, A: int64(ver), B: int64(here),
-			Bytes: len(data) + 12,
+		p.env.SendBlock(here, &network.Msg{
+			Dst: requester, Kind: kReadData, Block: b, A: int64(ver), B: int64(here), Bytes: 12,
 		})
 		return
 	}
 	// Too stale (or no copy): forward to the current owner.
-	p.env.Stats[here].Forwards++
-	if tr := p.env.Tracer; tr != nil {
-		tr.Instant(here, trace.CatProto, "forward",
-			trace.A("block", int64(b)), trace.A("owner", int64(d.owner)))
-	}
-	if ct := p.env.Crit; ct != nil {
-		ct.MarkForward()
-	}
-	p.env.Send(here, &network.Msg{Dst: int(d.owner), Kind: kRead, Block: b, A: m.A, B: m.B, Bytes: m.Bytes})
+	p.env.Forward(here, int(d.owner), "owner", m)
 }
 
 func (p *Protocol) handleReadData(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
-	sp := p.env.Spaces[node]
-	copy(sp.BlockData(b), m.Data)
-	if o := p.env.Prof; o != nil {
-		o.Filled(node, b)
-	}
-	sp.SetTag(b, mem.ReadOnly)
+	p.env.Install(m)
+	p.env.Spaces[node].SetTag(b, mem.ReadOnly)
 	v := p.at(node, b)
 	v.localVer = int32(m.A)
 	v.lastKnown = int32(m.B)
-	if p.pending[node].block != b {
-		panic(fmt.Sprintf("swlrc: node %d got read data for block %d, pending %d", node, b, p.pending[node].block))
-	}
-	p.env.Procs[node].Unblock()
+	p.pending.Done(node, b)
 }
 
 func (p *Protocol) handleOwn(m *network.Msg) {
 	here := m.Dst
 	b := m.Block
 	requester := int(m.A)
-	if p.installSet[b] {
-		m.Retain() // survives the handler; re-dispatched after install
-		p.installing[b] = append(p.installing[b], m)
+	if p.installs.Get(b) != nil {
+		p.installs.Park(m)
 		return
 	}
 	d := p.dir.At(b)
 	if d.owner < 0 {
-		if here != p.env.Homes.Static(b) {
-			panic(fmt.Sprintf("swlrc: unclaimed block %d own-req at non-static node %d", b, here))
-		}
 		p.claim(here, m, requester)
 		return
 	}
 	if int(d.owner) != here {
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("owner", int64(d.owner)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{Dst: int(d.owner), Kind: kOwn, Block: b, A: m.A, B: m.B, Bytes: m.Bytes})
+		p.env.Forward(here, int(d.owner), "owner", m)
 		return
 	}
 	// Migrate ownership: bump the version, keep a read-only copy.
@@ -409,30 +331,19 @@ func (p *Protocol) handleOwn(m *network.Msg) {
 	// written[here] keeps b if we wrote it this interval: our release must
 	// still notice those writes even though ownership moved on.
 	d.owner = int16(requester)
-	p.installSet[b] = true
+	p.installs.Begin(b, struct{}{})
 	// Always ship the data: block versions advance only at interval
 	// closes, so version equality does NOT imply the requester's copy is
 	// current (the owner may hold unpublished writes).
-	data := p.env.Net.AllocData(sp.BlockSize())
-	copy(data, sp.BlockData(b))
-	p.env.Send(here, &network.Msg{
-		Dst: requester, Kind: kOwnData, Block: b,
-		Data: data, DataPooled: true, A: int64(d.version),
-		Bytes: len(data) + 12,
-	})
+	p.env.SendBlock(here, &network.Msg{Dst: requester, Kind: kOwnData, Block: b, A: int64(d.version), Bytes: 12})
 }
 
 func (p *Protocol) handleOwnData(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
 	sp := p.env.Spaces[node]
-	if m.Data != nil {
-		copy(sp.BlockData(b), m.Data)
-		if o := p.env.Prof; o != nil {
-			o.Filled(node, b)
-		}
-	}
-	if p.pending[node].write {
+	p.env.Install(m)
+	if p.pending.At(node).Write {
 		sp.SetTag(b, mem.ReadWrite)
 	} else {
 		// A read-touch claim: the new owner holds the block read-only so
@@ -442,16 +353,8 @@ func (p *Protocol) handleOwnData(m *network.Msg) {
 	v := p.at(node, b)
 	v.localVer = int32(m.A)
 	v.lastKnown = int32(node)
-	if p.pending[node].block != b {
-		panic(fmt.Sprintf("swlrc: node %d got ownership of block %d, pending %d", node, b, p.pending[node].block))
-	}
-	delete(p.installSet, b)
-	waiting := p.installing[b]
-	delete(p.installing, b)
-	p.env.Procs[node].Unblock()
-	for _, wm := range waiting {
-		p.redispatch(wm)
-	}
+	p.pending.Done(node, b)
+	p.installs.End(b)
 }
 
 // Finalize implements proto.Protocol: the owner copies are authoritative;

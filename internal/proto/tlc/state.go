@@ -6,88 +6,67 @@ import (
 	"dsmsim/internal/proto"
 )
 
-// state is the deep snapshot of the TLC protocol at a quiescent cut: the
-// global owner/timestamp directory, every node's lease table and leased
-// set, the per-node logical clocks and the pending-fault records.
-// In-flight transactions hold retained messages and cannot be captured;
-// at a barrier cut the transaction map is empty.
+// state is the protocol's checkpointable state: the global
+// owner/timestamp directory, every node's lease table and leased set, and
+// the per-node logical clocks. In-flight transactions hold retained
+// messages and cannot be captured; at a barrier cut there are none.
 type state struct {
-	nb      int
-	dir     proto.Table[tlcDir]
-	nodes   []proto.Table[tlcView]
-	pts     []int64
-	leased  []proto.Copyset
-	pending []pendingFault
+	dir   proto.Table[tlcDir]    // per block: exclusive owner + wts/rts
+	nodes []proto.Table[tlcView] // per node: timestamps of the local copy
+
+	pts    []int64         // per node: logical timestamp
+	leased []proto.Copyset // per node: blocks held under a read lease
+}
+
+// clone returns a deep copy.
+func (st *state) clone() *state {
+	return &state{
+		dir:    st.dir.Clone(nil),
+		nodes:  proto.CloneTables(st.nodes),
+		pts:    append([]int64(nil), st.pts...),
+		leased: proto.CloneSets(st.leased),
+	}
 }
 
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
-	if len(p.txns) != 0 {
-		return nil, fmt.Errorf("tlc: %d transactions in flight", len(p.txns))
+	if n := p.txns.Len(); n != 0 {
+		return nil, fmt.Errorf("tlc: %d transactions in flight", n)
 	}
-	st := &state{
-		nb:      p.env.Homes.NumBlocks(),
-		dir:     p.dir.Clone(nil),
-		nodes:   make([]proto.Table[tlcView], len(p.nodes)),
-		pts:     append([]int64(nil), p.pts...),
-		leased:  make([]proto.Copyset, len(p.leased)),
-		pending: append([]pendingFault(nil), p.pending...),
-	}
-	for i := range p.nodes {
-		st.nodes[i] = p.nodes[i].Clone(nil)
-		st.leased[i] = p.leased[i].Clone()
-	}
-	return st, nil
+	return p.state.clone(), nil
 }
 
 // RestoreState implements proto.Checkpointer. The snapshot is re-cloned,
 // so one capture can seed any number of forks.
 func (p *Protocol) RestoreState(s any) error {
 	st, ok := s.(*state)
-	if !ok {
-		return fmt.Errorf("tlc: RestoreState of %T", s)
+	if !ok || len(st.nodes) != len(p.nodes) {
+		return fmt.Errorf("tlc: RestoreState of %T onto %d nodes", s, len(p.nodes))
 	}
-	if len(st.nodes) != len(p.nodes) {
-		return fmt.Errorf("tlc: snapshot for %d nodes, protocol has %d", len(st.nodes), len(p.nodes))
-	}
-	p.dir = st.dir.Clone(nil)
-	for i := range p.nodes {
-		p.nodes[i] = st.nodes[i].Clone(nil)
-		p.leased[i] = st.leased[i].Clone()
-	}
-	p.pts = append(p.pts[:0], st.pts...)
-	p.pending = append(p.pending[:0], st.pending...)
+	p.state = *st.clone()
 	return nil
 }
 
 // AddToDigest implements proto.Digestable.
 func (st *state) AddToDigest(d *proto.Digest) {
-	for b := 0; b < st.nb; b++ {
-		e := st.dir.Peek(b)
-		if e == nil || (e.owner < 0 && e.wts == 0 && e.rts == 0) {
-			continue
+	for b, e := range st.dir.All() {
+		if e.owner >= 0 || e.wts != 0 || e.rts != 0 {
+			d.Int(b)
+			d.I64(int64(e.owner))
+			d.I64(e.wts)
+			d.I64(e.rts)
 		}
-		d.Int(b)
-		d.I64(int64(e.owner))
-		d.I64(e.wts)
-		d.I64(e.rts)
 	}
 	for i := range st.nodes {
-		for b := 0; b < st.nb; b++ {
-			v := st.nodes[i].Peek(b)
-			if v == nil || (v.wts == 0 && v.rts == 0) {
-				continue
+		for b, v := range st.nodes[i].All() {
+			if v.wts != 0 || v.rts != 0 {
+				d.Int(i)
+				d.Int(b)
+				d.I64(v.wts)
+				d.I64(v.rts)
 			}
-			d.Int(i)
-			d.Int(b)
-			d.I64(v.wts)
-			d.I64(v.rts)
 		}
 		d.I64(st.pts[i])
 		st.leased[i].AddToDigest(d)
-	}
-	for _, pf := range st.pending {
-		d.Int(pf.block)
-		d.Bool(pf.write)
 	}
 }

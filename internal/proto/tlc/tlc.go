@@ -79,19 +79,13 @@ func unpackReq(a int64) (requester int, held int64) { return int(a & 0xffff), a 
 // txn is an in-flight home-side transaction for one block: a write-back
 // in progress, or a first-touch claim whose exclusive grant is still in
 // flight to the new home (install). Requests for the block meanwhile wait
-// in waitq.
+// on the transaction.
 type txn struct {
 	install   bool
 	write     bool
 	requester int
 	reqPts    int64
 	held      int64
-	waitq     []*network.Msg
-}
-
-type pendingFault struct {
-	block int
-	write bool
 }
 
 // Protocol is the TLC implementation. The directory and the per-node
@@ -100,19 +94,11 @@ type pendingFault struct {
 // fixed-size — two timestamps and an owner — independent of how many
 // nodes share the block, which is the point of leases over copysets.
 type Protocol struct {
-	env *proto.Env
-
-	dir   proto.Table[tlcDir]    // per block: exclusive owner + wts/rts
-	nodes []proto.Table[tlcView] // per node: timestamps of the local copy
-
-	pts     []int64         // per node: logical timestamp
-	leased  []proto.Copyset // per node: blocks held under a read lease
-	pending []pendingFault  // per node: the single outstanding fault
-
-	txns map[int]*txn
-	// redispatch re-runs handleReq on a request drained from a wait queue.
-	redispatch func(*network.Msg)
-	scratch    []int // expiry sweep scratch (no Copyset mutation mid-ForEach)
+	env     *proto.Env
+	state   // everything a checkpoint captures (state.go)
+	txns    *proto.Txns[txn]
+	pending *proto.Pending // per node: the single outstanding fault
+	scratch []int          // expiry sweep scratch (no Copyset mutation mid-ForEach)
 }
 
 // tlcDir is the per-block directory state at the home. owner == -1 means
@@ -136,18 +122,19 @@ func New(env *proto.Env) *Protocol {
 	nb := env.Homes.NumBlocks()
 	n := env.Nodes()
 	p := &Protocol{
-		env:     env,
-		dir:     proto.NewTable(nb, func(e *tlcDir) { e.owner = -1 }),
-		nodes:   make([]proto.Table[tlcView], n),
-		pts:     make([]int64, n),
-		leased:  make([]proto.Copyset, n),
-		pending: make([]pendingFault, n),
-		txns:    make(map[int]*txn),
+		env: env,
+		state: state{
+			dir:    proto.NewTable(nb, func(e *tlcDir) { e.owner = -1 }),
+			nodes:  make([]proto.Table[tlcView], n),
+			pts:    make([]int64, n),
+			leased: make([]proto.Copyset, n),
+		},
+		pending: proto.NewPending(env, "home", "tlc read fault block", "tlc write fault block"),
 	}
 	for i := 0; i < n; i++ {
-		p.nodes[i] = proto.NewTable(nb, func(e *tlcView) {})
+		p.nodes[i] = proto.NewTable[tlcView](nb, nil)
 	}
-	p.redispatch = env.Redispatcher(func(m *network.Msg) { p.handleReq(m.Dst, m) })
+	p.txns = proto.NewTxns[txn](env, p.Handle)
 	return p
 }
 
@@ -157,10 +144,6 @@ func (p *Protocol) view(node, b int) *tlcView { return p.nodes[node].At(b) }
 
 // Name implements proto.Protocol.
 func (p *Protocol) Name() string { return "tlc" }
-
-// UsesIntervals implements proto.Protocol: TLC exchanges scalar
-// timestamps, not vector clocks and write notices.
-func (p *Protocol) UsesIntervals() bool { return false }
 
 // PreRelease implements proto.Protocol: nothing to flush — the single
 // writable copy is authoritative and the release only publishes a clock.
@@ -215,7 +198,6 @@ func (p *Protocol) advance(node int, ts int64) {
 
 // Fault implements proto.Protocol. Proc context; blocks until resolved.
 func (p *Protocol) Fault(node, block int, write bool) {
-	p.pending[node] = pendingFault{block: block, write: write}
 	kind := kRead
 	if write {
 		kind = kWrite
@@ -227,21 +209,10 @@ func (p *Protocol) Fault(node, block int, write bool) {
 	if v := p.nodes[node].Peek(block); v != nil {
 		held = v.wts
 	}
-	home := p.env.Homes.CachedHome(node, block)
-	if tr := p.env.Tracer; tr != nil {
-		tr.Instant(node, trace.CatProto, "fetch",
-			trace.A("block", int64(block)), trace.A("write", trace.Bool(write)),
-			trace.A("home", int64(home)))
-	}
-	p.env.Send(node, &network.Msg{
-		Dst: home, Kind: kind, Block: block,
+	p.pending.Request(node, write, &network.Msg{
+		Dst: p.env.Homes.CachedHome(node, block), Kind: kind, Block: block,
 		A: packReq(node, held), B: p.pts[node], Bytes: 24,
 	})
-	reason := "tlc read fault block"
-	if write {
-		reason = "tlc write fault block"
-	}
-	p.env.Procs[node].BlockID(reason, block)
 }
 
 // ServiceCost implements proto.Protocol.
@@ -260,7 +231,7 @@ func (p *Protocol) ServiceCost(m *network.Msg) sim.Time {
 func (p *Protocol) Handle(m *network.Msg) {
 	switch m.Kind {
 	case kRead, kWrite:
-		p.handleReq(m.Dst, m)
+		p.handleReq(m)
 	case kGrantS, kLeaseExt:
 		p.handleGrantS(m)
 	case kGrantX:
@@ -276,8 +247,8 @@ func (p *Protocol) Handle(m *network.Msg) {
 
 // handleReq runs at the node a request arrived at: the home, the static
 // home (directory), or a stale cached home.
-func (p *Protocol) handleReq(here int, m *network.Msg) {
-	b := m.Block
+func (p *Protocol) handleReq(m *network.Msg) {
+	here, b := m.Dst, m.Block
 	homes := p.env.Homes
 	requester, held := unpackReq(m.A)
 	if !homes.Claimed(b) {
@@ -290,22 +261,11 @@ func (p *Protocol) handleReq(here int, m *network.Msg) {
 	home := homes.Home(b)
 	if here != home {
 		// Stale cache or directory lookup: forward to the real home.
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("home", int64(home)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{
-			Dst: home, Kind: m.Kind, Block: b, A: m.A, B: m.B, Bytes: m.Bytes,
-		})
+		p.env.Forward(here, home, "home", m)
 		return
 	}
-	if t := p.txns[b]; t != nil {
-		m.Retain() // survives the handler; drain re-dispatches and releases
-		t.waitq = append(t.waitq, m)
+	if p.txns.Get(b) != nil {
+		p.txns.Park(m)
 		return
 	}
 	p.startTxn(home, b, m, requester, held)
@@ -317,14 +277,7 @@ func (p *Protocol) handleReq(here int, m *network.Msg) {
 // a mapping fault, not a coherence miss: undo the fault count.
 func (p *Protocol) claim(here int, m *network.Msg, requester int) {
 	b := m.Block
-	if _, migrated := p.env.Homes.Claim(b, requester); migrated {
-		p.env.Stats[requester].HomeMigrations++
-	}
-	if m.Kind == kWrite {
-		p.env.Stats[requester].WriteFaults--
-	} else {
-		p.env.Stats[requester].ReadFaults--
-	}
+	p.env.ClaimHome(b, requester, m.Kind == kWrite)
 	d := p.dir.At(b)
 	d.owner = int16(requester)
 	d.wts, d.rts = 1, 1
@@ -335,23 +288,14 @@ func (p *Protocol) claim(here int, m *network.Msg, requester int) {
 		v := p.view(here, b)
 		v.wts, v.rts = 1, 1
 		p.advance(here, 1)
-		if p.pending[here].block != b {
-			panic("tlc: self-claim without matching pending fault")
-		}
-		p.env.Procs[here].Unblock()
+		p.pending.Done(here, b)
 		return
 	}
 	// Requests forwarded to the new home before its data arrives must
 	// wait for the installation.
-	p.txns[b] = &txn{install: true, requester: requester}
-	data := p.env.Net.AllocData(sp.BlockSize())
-	copy(data, sp.BlockData(b))
+	p.txns.Begin(b, txn{install: true, requester: requester})
 	sp.SetTag(b, mem.NoAccess)
-	p.env.Send(here, &network.Msg{
-		Dst: requester, Kind: kGrantX, Block: b,
-		Data: data, DataPooled: true, A: 1, B: 1,
-		Bytes: len(data) + 24,
-	})
+	p.env.SendBlock(here, &network.Msg{Dst: requester, Kind: kGrantX, Block: b, A: 1, B: 1, Bytes: 24})
 }
 
 // startTxn begins serving a read or write request at the home.
@@ -364,7 +308,7 @@ func (p *Protocol) startTxn(home, b int, m *network.Msg, requester int, held int
 		// downgrades to a lease — no invalidation, even for a write: the
 		// grant's wts will land past rts, so the retained copy is merely
 		// a lease like any other and dies at the owner's next clock jump.
-		p.txns[b] = &txn{write: write, requester: requester, reqPts: m.B, held: held}
+		p.txns.Begin(b, txn{write: write, requester: requester, reqPts: m.B, held: held})
 		p.env.Send(home, &network.Msg{
 			Dst: owner, Kind: kWBReq, Block: b, A: d.rts, Bytes: 16,
 		})
@@ -397,11 +341,11 @@ func (p *Protocol) grantRead(home, b, requester int, reqPts, held int64) {
 			sp.SetTag(b, mem.ReadOnly)
 		}
 		p.complete(home, b)
-		p.drain(b)
+		p.txns.End(b)
 		return
 	}
 	// Extend the lease so the fresh grant outlives the reader's clock.
-	if end := max64(d.wts, reqPts) + leaseSpan; end > d.rts {
+	if end := max(d.wts, reqPts) + leaseSpan; end > d.rts {
 		d.rts = end
 	}
 	if held == d.wts && held != 0 {
@@ -410,17 +354,11 @@ func (p *Protocol) grantRead(home, b, requester int, reqPts, held int64) {
 			Dst: requester, Kind: kLeaseExt, Block: b,
 			A: d.wts, B: d.rts, Bytes: 24,
 		})
-		p.drain(b)
+		p.txns.End(b)
 		return
 	}
-	data := p.env.Net.AllocData(sp.BlockSize())
-	copy(data, sp.BlockData(b))
-	p.env.Send(home, &network.Msg{
-		Dst: requester, Kind: kGrantS, Block: b,
-		Data: data, DataPooled: true, A: d.wts, B: d.rts,
-		Bytes: len(data) + 24,
-	})
-	p.drain(b)
+	p.env.SendBlock(home, &network.Msg{Dst: requester, Kind: kGrantS, Block: b, A: d.wts, B: d.rts, Bytes: 24})
+	p.txns.End(b)
 }
 
 // grantWrite serves a write request from a valid home copy (owner < 0):
@@ -430,7 +368,7 @@ func (p *Protocol) grantRead(home, b, requester int, reqPts, held int64) {
 func (p *Protocol) grantWrite(home, b, requester int, reqPts, held int64) {
 	d := p.dir.At(b)
 	preWts := d.wts
-	wtsNew := max64(max64(d.wts, d.rts), reqPts) + 1
+	wtsNew := max(d.wts, d.rts, reqPts) + 1
 	d.wts, d.rts = wtsNew, wtsNew
 	d.owner = int16(requester)
 	sp := p.env.Spaces[home]
@@ -440,33 +378,17 @@ func (p *Protocol) grantWrite(home, b, requester int, reqPts, held int64) {
 		v.wts, v.rts = wtsNew, wtsNew
 		p.advance(home, wtsNew)
 		p.complete(home, b)
-		p.drain(b)
+		p.txns.End(b)
 		return
 	}
 	sp.SetTag(b, mem.NoAccess)
-	var data []byte
-	if held != preWts || held == 0 {
-		data = p.env.Net.AllocData(sp.BlockSize())
-		copy(data, sp.BlockData(b))
+	grant := network.Msg{Dst: requester, Kind: kGrantX, Block: b, A: wtsNew, B: wtsNew, Bytes: 24}
+	if held == preWts && held != 0 {
+		p.env.Send(home, &grant) // an upgrade: the requester's bytes are current
+	} else {
+		p.env.SendBlock(home, &grant)
 	}
-	p.env.Send(home, &network.Msg{
-		Dst: requester, Kind: kGrantX, Block: b,
-		Data: data, DataPooled: data != nil, A: wtsNew, B: wtsNew,
-		Bytes: len(data) + 24,
-	})
-	p.drain(b)
-}
-
-// drain re-dispatches requests queued behind a finished transaction.
-func (p *Protocol) drain(b int) {
-	t := p.txns[b]
-	if t == nil {
-		return
-	}
-	delete(p.txns, b)
-	for _, m := range t.waitq {
-		p.redispatch(m)
-	}
+	p.txns.End(b)
 }
 
 // handleGrantS installs a read lease at the requester: fresh data under
@@ -474,16 +396,11 @@ func (p *Protocol) drain(b int) {
 func (p *Protocol) handleGrantS(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
-	sp := p.env.Spaces[node]
-	if m.Data != nil {
-		copy(sp.BlockData(b), m.Data)
-		if o := p.env.Prof; o != nil {
-			o.Filled(node, b)
-		}
-	} else {
+	p.env.Install(m)
+	if m.Data == nil {
 		p.env.Stats[node].LeaseRenewals++
 	}
-	sp.SetTag(b, mem.ReadOnly)
+	p.env.Spaces[node].SetTag(b, mem.ReadOnly)
 	v := p.view(node, b)
 	v.wts, v.rts = m.A, m.B
 	p.leased[node].Add(b)
@@ -494,14 +411,8 @@ func (p *Protocol) handleGrantS(m *network.Msg) {
 func (p *Protocol) handleGrantX(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
-	sp := p.env.Spaces[node]
-	if m.Data != nil {
-		copy(sp.BlockData(b), m.Data)
-		if o := p.env.Prof; o != nil {
-			o.Filled(node, b)
-		}
-	}
-	sp.SetTag(b, mem.ReadWrite)
+	p.env.Install(m)
+	p.env.Spaces[node].SetTag(b, mem.ReadWrite)
 	v := p.view(node, b)
 	v.wts, v.rts = m.A, m.B
 	p.leased[node].Remove(b) // a leased reader upgrading sheds the lease
@@ -510,19 +421,16 @@ func (p *Protocol) handleGrantX(m *network.Msg) {
 	// live-lease invariant rts >= pts.
 	p.advance(node, m.A)
 	p.complete(node, b)
-	if t := p.txns[b]; t != nil && t.install {
-		p.drain(b) // installation finished: serve waiting requests
+	if t := p.txns.Get(b); t != nil && t.install {
+		p.txns.End(b) // installation finished: serve waiting requests
 	}
 }
 
 // complete finishes node's outstanding fault on block b. The node has
 // just heard from b's true home, so it learns the home mapping.
 func (p *Protocol) complete(node, b int) {
-	if p.pending[node].block != b {
-		panic(fmt.Sprintf("tlc: node %d completed block %d but pending fault is %d", node, b, p.pending[node].block))
-	}
 	p.env.Homes.Learn(node, b)
-	p.env.Procs[node].Unblock()
+	p.pending.Done(node, b)
 }
 
 // handleWBReq runs at the exclusive owner: ship the dirty bytes home and
@@ -534,8 +442,6 @@ func (p *Protocol) handleWBReq(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
 	sp := p.env.Spaces[node]
-	data := p.env.Net.AllocData(sp.BlockSize())
-	copy(data, sp.BlockData(b))
 	v := p.view(node, b)
 	if m.A >= p.pts[node] {
 		sp.SetTag(b, mem.ReadOnly)
@@ -547,11 +453,7 @@ func (p *Protocol) handleWBReq(m *network.Msg) {
 		st.LeaseExpiries++
 		st.Invalidations++
 	}
-	home := p.env.Homes.Home(b)
-	p.env.Send(node, &network.Msg{
-		Dst: home, Kind: kWBData, Block: b,
-		Data: data, DataPooled: true, A: v.wts, Bytes: len(data) + 24,
-	})
+	p.env.SendBlock(node, &network.Msg{Dst: p.env.Homes.Home(b), Kind: kWBData, Block: b, A: v.wts, Bytes: 24})
 }
 
 // handleWBData installs the written-back bytes at the home and resumes
@@ -559,18 +461,14 @@ func (p *Protocol) handleWBReq(m *network.Msg) {
 func (p *Protocol) handleWBData(m *network.Msg) {
 	b := m.Block
 	home := m.Dst
-	t := p.txns[b]
+	t := p.txns.Get(b)
 	if t == nil {
 		panic(fmt.Sprintf("tlc: stray write-back for block %d", b))
 	}
-	sp := p.env.Spaces[home]
-	copy(sp.BlockData(b), m.Data)
-	if o := p.env.Prof; o != nil {
-		o.Filled(home, b) // the write-back makes the home copy current
-	}
+	p.env.Install(m) // the write-back makes the home copy current
 	d := p.dir.At(b)
 	d.owner = -1
-	sp.SetTag(b, mem.ReadOnly)
+	p.env.Spaces[home].SetTag(b, mem.ReadOnly)
 	p.view(home, b).wts = d.wts
 	if t.write {
 		p.grantWrite(home, b, t.requester, t.reqPts, t.held)
@@ -583,27 +481,13 @@ func (p *Protocol) handleWBData(m *network.Msg) {
 // back to the home image so Collect sees final data. Engine context, zero
 // cost.
 func (p *Protocol) Finalize() {
-	for b := 0; b < p.env.Homes.NumBlocks(); b++ {
-		e := p.dir.Peek(b)
-		if e == nil || !p.env.Homes.Claimed(b) {
-			continue
-		}
-		o := int(e.owner)
-		home := p.env.Homes.Home(b)
-		if o >= 0 && o != home {
-			copy(p.env.Spaces[home].BlockData(b), p.env.Spaces[o].BlockData(b))
-		}
+	for b, e := range p.dir.All() {
+		p.env.PullBack(b, int(e.owner))
 	}
 }
 
 // Collect implements proto.Protocol.
-func (p *Protocol) Collect(b int) []byte {
-	homes := p.env.Homes
-	if !homes.Claimed(b) {
-		return p.env.Spaces[homes.Static(b)].BlockData(b)
-	}
-	return p.env.Spaces[homes.Home(b)].BlockData(b)
-}
+func (p *Protocol) Collect(b int) []byte { return p.env.HomeImage(b) }
 
 // MemFootprint implements proto.MemReporter: the sharded timestamp
 // directory (fixed-size per block — no sharer copysets to spill), each
@@ -618,11 +502,4 @@ func (p *Protocol) MemFootprint() (int64, int64) {
 	static += 8 * int64(len(p.pts))
 	static += p.env.Homes.MemBytes()
 	return static, 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkEngineDispatch measures the raw schedule + dispatch cycle: one
 // event scheduling its successor, with a fan of outstanding events so the
-// heap has realistic depth. `make bench-json` tracks it against the
-// recorded baseline in BENCH_hotpath.json.
+// heap has realistic depth. The repository benchmark's sim.dispatch_ns probe
+// (bench/) is the tracked counterpart.
 func BenchmarkEngineDispatch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

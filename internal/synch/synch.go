@@ -193,7 +193,7 @@ func (s *Sync) Acquire(node, lock int) {
 	s.env.Stats[node].LockAcquires++
 	var vc proto.VC
 	bytes := 8
-	if s.proto.UsesIntervals() {
+	if s.env.Log != nil {
 		vc = s.env.VCs[node].Clone()
 		bytes += s.vcBytes()
 	}
@@ -223,7 +223,7 @@ func (s *Sync) Release(node, lock int) {
 // a new interval (no-op under SC).
 func (s *Sync) closeInterval(node int) {
 	notices := s.proto.PreRelease(node)
-	if !s.proto.UsesIntervals() {
+	if s.env.Log == nil {
 		return
 	}
 	idx := s.env.Log.Publish(node, notices)
@@ -241,7 +241,7 @@ func (s *Sync) Barrier(node int) {
 	s.env.Stats[node].BarrierEntries++
 	s.closeInterval(node)
 	bytes := 8
-	if s.proto.UsesIntervals() {
+	if s.env.Log != nil {
 		n := s.env.Nodes()
 		if s.barVCs == nil {
 			s.barVCs = make([]proto.VC, n)
@@ -344,7 +344,7 @@ func (s *Sync) handleRelease(m *network.Msg) {
 // the releaser is needed (the measurable lock-latency edge tlc has over
 // the vector-clock protocols).
 func (s *Sync) grantFrom(home int, st *lockState, lock, acquirer int, acqVC proto.VC) {
-	if !s.proto.UsesIntervals() || st.lastReleaser < 0 {
+	if s.env.Log == nil || st.lastReleaser < 0 {
 		m := &network.Msg{
 			Dst: acquirer, Kind: kLockGrant, Block: -1,
 			A: int64(lock), Bytes: 8,
@@ -426,7 +426,7 @@ func (s *Sync) ReleaseBarrier() { s.releaseBarrier() }
 // under an interval protocol, barVCs fully populated.
 func (s *Sync) releaseBarrier() {
 	var rel []notices
-	if s.proto.UsesIntervals() {
+	if s.env.Log != nil {
 		rel = s.barrierNotices()
 	}
 	for i := 0; i < s.env.Nodes(); i++ {

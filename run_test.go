@@ -14,24 +14,6 @@ func smallCfg() dsmsim.Config {
 	return dsmsim.Config{Nodes: 4, BlockSize: 64, Protocol: dsmsim.HLRC}
 }
 
-// TestStartMatchesDeprecatedWrappers: the consolidated entrypoint and the
-// legacy helpers are the same run.
-func TestStartMatchesDeprecatedWrappers(t *testing.T) {
-	viaStart, err := dsmsim.StartApp(context.Background(), smallCfg(), "lu", dsmsim.Small,
-		dsmsim.WithVerify())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRunApp, err := dsmsim.RunApp(smallCfg(), "lu", dsmsim.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaStart.Time != viaRunApp.Time || viaStart.NetMsgs != viaRunApp.NetMsgs {
-		t.Fatalf("Start (T=%v msgs=%d) diverged from RunApp (T=%v msgs=%d)",
-			viaStart.Time, viaStart.NetMsgs, viaRunApp.Time, viaRunApp.NetMsgs)
-	}
-}
-
 // TestStartOptionsApply: WithFaults degrades the run (reliability traffic
 // appears, time grows), WithTrace captures the wire events, and the same
 // plan replays bit-identically.
@@ -81,7 +63,7 @@ func TestStartTypedErrors(t *testing.T) {
 	}
 	cfg := smallCfg()
 	cfg.Protocol = "tso"
-	if _, err := dsmsim.Run(cfg, nil); !errors.Is(err, dsmsim.ErrUnknownProtocol) {
+	if _, err := dsmsim.Start(context.Background(), cfg, nil, dsmsim.WithVerify()); !errors.Is(err, dsmsim.ErrUnknownProtocol) {
 		t.Fatalf("err = %v, want ErrUnknownProtocol", err)
 	}
 	bad := dsmsim.NewFaultPlan(dsmsim.Drop(1.5))
