@@ -1,0 +1,77 @@
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+)
+
+// wantFlags is dsmbench's flag inventory: every name with its default.
+// A flag added, dropped, renamed or re-defaulted fails here first; the
+// README flag tables are checked against the same FlagSet.
+var wantFlags = []string{
+	"cpuprofile=", "crit=false", "crit-csv=", "csv=", "exp=all",
+	"fault-seed=", "faults=", "fork=false", "fork-warmup=0", "latency=false",
+	"list=false", "memprofile=", "metrics-addr=", "metrics-linger=0s",
+	"nodes=16", "parallel=0", "prof=false", "prof-csv=", "progress=true",
+	"protocol=", "sample-csv=", "sample-every=0s", "size=small",
+	"straggler=", "verify=false", "whatif=",
+}
+
+func TestFlagInventory(t *testing.T) {
+	fs, _ := newCommand(io.Discard, io.Discard)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+	if fmt.Sprint(got) != fmt.Sprint(wantFlags) {
+		t.Fatalf("flag inventory changed:\n got %q\nwant %q", got, wantFlags)
+	}
+}
+
+func digest(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b))[:16] }
+
+// TestGoldenTable3 pins everything one small dsmbench invocation writes —
+// the rendered table, the progress stream and all four CSV files — to
+// SHA-256 digests recorded at commit 8395aed, at -parallel 1 and 8.
+func TestGoldenTable3(t *testing.T) {
+	want := map[string]string{
+		"stdout":     "880c03ec9aee238e",
+		"stderr":     "63a6e407b0d25c28",
+		"runs.csv":   "d4a67faf65b9e1a5",
+		"prof.csv":   "02000b2f4b67e264",
+		"crit.csv":   "dd9541d5e987f475",
+		"sample.csv": "eeae116b8634d1ae",
+	}
+	for _, parallel := range []int{1, 8} {
+		dir := t.TempDir()
+		file := func(name string) string { return filepath.Join(dir, name) }
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-exp", "table3", "-size", "small", "-nodes", "4",
+			"-parallel", strconv.Itoa(parallel),
+			"-csv", file("runs.csv"), "-prof-csv", file("prof.csv"), "-crit-csv", file("crit.csv"),
+			"-sample-every", "200us", "-sample-csv", file("sample.csv")}, &stdout, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{"stdout": digest(stdout.Bytes()), "stderr": digest(stderr.Bytes())}
+		for name := range want {
+			if filepath.Ext(name) == ".csv" {
+				data, err := os.ReadFile(file(name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[name] = digest(data)
+			}
+		}
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("-parallel %d: %s digest %s, want %s", parallel, name, got[name], w)
+			}
+		}
+	}
+}

@@ -32,101 +32,129 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if err == flag.ErrHelp {
+			os.Exit(2)
+		}
+		fatal(err)
+	}
+}
+
+// stdout and stderr are the streams the command writes to.
+var stdout, stderr io.Writer = os.Stdout, os.Stderr
+
+// run is main with its streams and arguments injected.
+func run(args []string, out, errw io.Writer) error {
+	fs, body := newCommand(out, errw)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return body()
+}
+
+// newCommand registers the flags on a fresh FlagSet and returns it with
+// the command body to call after parsing.
+func newCommand(out, errw io.Writer) (*flag.FlagSet, func() error) {
+	stdout, stderr = out, errw
+	fs := flag.NewFlagSet("dsmrun", flag.ContinueOnError)
+	fs.SetOutput(errw)
 	var (
-		app      = flag.String("app", "lu", "application(s), comma-separated or 'all': "+strings.Join(dsmsim.AppNames(), ", "))
-		protocol = flag.String("protocol", "hlrc", "coherence protocol(s), comma-separated or 'all': "+strings.Join(dsmsim.AllProtocols(), ", "))
-		block    = flag.String("block", "4096", "coherence granularity list in bytes (64, 256, 1024, 4096) or 'all'")
-		notify   = flag.String("notify", "polling", "message notification(s): polling, interrupt, or both comma-separated")
-		nodes    = flag.Int("nodes", 16, "cluster size")
-		size     = flag.String("size", "small", "problem size: small or paper")
-		verify   = flag.Bool("verify", true, "check numeric results against the sequential reference")
-		parallel = flag.Int("parallel", 0, "max simulation runs in flight for sweeps (0 = one per CPU)")
-		static   = flag.Bool("static-homes", false, "disable first-touch home migration (ablation; single runs only)")
-		trace    = flag.String("trace", "", "write a deterministic line-format event trace (single runs only)")
-		traceJS  = flag.String("trace-json", "", "write a Chrome trace-event JSON file (single runs only)")
-		csvPath  = flag.String("csv", "", "append one machine-readable record per run to this file")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		app      = fs.String("app", "lu", "application(s), comma-separated or 'all': "+strings.Join(dsmsim.AppNames(), ", "))
+		protocol = fs.String("protocol", "hlrc", "coherence protocol(s), comma-separated or 'all': "+strings.Join(dsmsim.AllProtocols(), ", "))
+		block    = fs.String("block", "4096", "coherence granularity list in bytes (64, 256, 1024, 4096) or 'all'")
+		notify   = fs.String("notify", "polling", "message notification(s): polling, interrupt, or both comma-separated")
+		nodes    = fs.Int("nodes", 16, "cluster size")
+		size     = fs.String("size", "small", "problem size: small or paper")
+		verify   = fs.Bool("verify", true, "check numeric results against the sequential reference")
+		parallel = fs.Int("parallel", 0, "max simulation runs in flight for sweeps (0 = one per CPU)")
+		static   = fs.Bool("static-homes", false, "disable first-touch home migration (ablation; single runs only)")
+		trace    = fs.String("trace", "", "write a deterministic line-format event trace (single runs only)")
+		traceJS  = fs.String("trace-json", "", "write a Chrome trace-event JSON file (single runs only)")
+		csvPath  = fs.String("csv", "", "append one machine-readable record per run to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 
-		prof    = flag.Bool("prof", false, "attach the sharing-pattern profiler (per-region taxonomy and true/false-sharing attribution)")
-		profCSV = flag.String("prof-csv", "", "write sharing profiles as CSV to this file (implies -prof; appends for sweeps)")
-		profTop = flag.Int("prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
+		prof    = fs.Bool("prof", false, "attach the sharing-pattern profiler (per-region taxonomy and true/false-sharing attribution)")
+		profCSV = fs.String("prof-csv", "", "write sharing profiles as CSV to this file (implies -prof; appends for sweeps)")
+		profTop = fs.Int("prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
 
-		crit    = flag.Bool("crit", false, "attach the critical-path profiler (exact longest dependency chain, attributed per component/node/region)")
-		critCSV = flag.String("crit-csv", "", "write critical-path component rows as CSV to this file (implies -crit; appends for sweeps)")
-		critTop = flag.Int("crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
-		whatIf  = flag.String("whatif", "", "what-if analysis: rescale one cost class (compute, msg, svc, lock, barrier) and re-simulate, e.g. 'lock=0.5'; single runs print predicted vs measured speedup")
+		crit    = fs.Bool("crit", false, "attach the critical-path profiler (exact longest dependency chain, attributed per component/node/region)")
+		critCSV = fs.String("crit-csv", "", "write critical-path component rows as CSV to this file (implies -crit; appends for sweeps)")
+		critTop = fs.Int("crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
+		whatIf  = fs.String("whatif", "", "what-if analysis: rescale one cost class (compute, msg, svc, lock, barrier) and re-simulate, e.g. 'lock=0.5'; single runs print predicted vs measured speedup")
 
-		sampleEvery = flag.Duration("sample-every", 0, "virtual-time metrics sampling interval (e.g. 100us; 0 = off)")
-		sampleCSV   = flag.String("sample-csv", "", "write the sampler time-series as CSV to this file (needs -sample-every)")
-		sampleJSON  = flag.String("sample-json", "", "write Chrome-trace counter tracks to this file (single runs only; needs -sample-every)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live sweep metrics over HTTP on this address (sweeps only)")
+		sampleEvery = fs.Duration("sample-every", 0, "virtual-time metrics sampling interval (e.g. 100us; 0 = off)")
+		sampleCSV   = fs.String("sample-csv", "", "write the sampler time-series as CSV to this file (needs -sample-every)")
+		sampleJSON  = fs.String("sample-json", "", "write Chrome-trace counter tracks to this file (single runs only; needs -sample-every)")
+		metricsAddr = fs.String("metrics-addr", "", "serve live sweep metrics over HTTP on this address (sweeps only)")
 
-		faultSpec = flag.String("faults", "", "deterministic fault plan: drop=P,dup=P,jitter=DUR,partition=A-B@FROM:TO,linkdrop=A-B:P,rto=DUR,seed=N,start=K")
-		faultSeed = flag.Uint64("fault-seed", 0, "override the fault plan's PRNG seed (0 keeps the plan's seed)")
-		straggler = flag.String("straggler", "", "straggler node(s): NODExFACTOR[@FROM:TO], comma-separated (e.g. '3x2.5' or '0x4@10ms:20ms')")
+		faultSpec = fs.String("faults", "", "deterministic fault plan: drop=P,dup=P,jitter=DUR,partition=A-B@FROM:TO,linkdrop=A-B:P,rto=DUR,seed=N,start=K")
+		faultSeed = fs.Uint64("fault-seed", 0, "override the fault plan's PRNG seed (0 keeps the plan's seed)")
+		straggler = fs.String("straggler", "", "straggler node(s): NODExFACTOR[@FROM:TO], comma-separated (e.g. '3x2.5' or '0x4@10ms:20ms')")
 
-		faultGrid  = flag.String("fault-grid", "", "semicolon-separated fault variants NAME[:SPEC] (SPEC as in -faults; empty = healthy); every configuration runs once per variant")
-		fork       = flag.Bool("fork", false, "share warmup prefixes across -fault-grid variants: simulate each group's pre-fault prefix once and fork it per variant (output stays byte-identical)")
-		forkWarmup = flag.Int("fork-warmup", 0, "gate every fault plan on barrier K (adds start=K to -faults and each -fault-grid variant)")
+		faultGrid  = fs.String("fault-grid", "", "semicolon-separated fault variants NAME[:SPEC] (SPEC as in -faults; empty = healthy); every configuration runs once per variant")
+		fork       = fs.Bool("fork", false, "share warmup prefixes across -fault-grid variants: simulate each group's pre-fault prefix once and fork it per variant (output stays byte-identical)")
+		forkWarmup = fs.Int("fork-warmup", 0, "gate every fault plan on barrier K (adds start=K to -faults and each -fault-grid variant)")
 	)
-	flag.Parse()
-	defer profiling.Start(*cpuProf, *memProf)()
+	return fs, func() error {
+		defer profiling.Start(*cpuProf, *memProf)()
 
-	sz := dsmsim.Small
-	if *size == "paper" {
-		sz = dsmsim.Paper
-	}
-
-	spec := dsmsim.SweepSpec{
-		Apps:          splitList(*app, dsmsim.AppNames()),
-		Protocols:     splitList(*protocol, dsmsim.AllProtocols()),
-		Granularities: intList(*block, dsmsim.Granularities),
-		Notify:        notifyList(*notify),
-		Nodes:         *nodes,
-		Size:          sz,
-	}
-	points := len(spec.Apps) * len(spec.Protocols) * len(spec.Granularities) * len(spec.Notify)
-	plan := faultPlan(*faultSpec, *faultSeed, *straggler)
-	if *forkWarmup > 0 && plan != nil {
-		plan.Add(dsmsim.StartAtBarrier(*forkWarmup))
-	}
-	grid := parseGrid(*faultGrid, *forkWarmup)
-	if *fork && len(grid) == 0 {
-		fatal(fmt.Errorf("-fork needs a -fault-grid to share warmup prefixes across"))
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	if *profCSV != "" {
-		*prof = true
-	}
-	if *critCSV != "" {
-		*crit = true
-	}
-	var scale *dsmsim.CritScale
-	if *whatIf != "" {
-		var err error
-		if scale, err = dsmsim.ParseWhatIf(*whatIf); err != nil {
-			fatal(err)
+		sz := dsmsim.Small
+		if *size == "paper" {
+			sz = dsmsim.Paper
 		}
-	}
-	if points == 1 && len(grid) == 0 {
-		if *metricsAddr != "" {
-			fatal(fmt.Errorf("-metrics-addr applies to sweeps only (1 configuration selected)"))
+
+		spec := dsmsim.SweepSpec{
+			Apps:          splitList(*app, dsmsim.AppNames()),
+			Protocols:     splitList(*protocol, dsmsim.AllProtocols()),
+			Granularities: intList(*block, dsmsim.Granularities),
+			Notify:        notifyList(*notify),
+			Nodes:         *nodes,
+			Size:          sz,
 		}
-		runOne(ctx, spec, plan, *verify, *static, *trace, *traceJS,
-			dsmsim.Time(*sampleEvery), *sampleCSV, *sampleJSON, *prof, *profCSV, *profTop,
-			*crit, *critCSV, *critTop, scale)
-		return
+		points := len(spec.Apps) * len(spec.Protocols) * len(spec.Granularities) * len(spec.Notify)
+		plan := faultPlan(*faultSpec, *faultSeed, *straggler)
+		if *forkWarmup > 0 && plan != nil {
+			plan.Add(dsmsim.StartAtBarrier(*forkWarmup))
+		}
+		grid := parseGrid(*faultGrid, *forkWarmup)
+		if *fork && len(grid) == 0 {
+			fatal(fmt.Errorf("-fork needs a -fault-grid to share warmup prefixes across"))
+		}
+
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+
+		if *profCSV != "" {
+			*prof = true
+		}
+		if *critCSV != "" {
+			*crit = true
+		}
+		var scale *dsmsim.CritScale
+		if *whatIf != "" {
+			var err error
+			if scale, err = dsmsim.ParseWhatIf(*whatIf); err != nil {
+				fatal(err)
+			}
+		}
+		if points == 1 && len(grid) == 0 {
+			if *metricsAddr != "" {
+				fatal(fmt.Errorf("-metrics-addr applies to sweeps only (1 configuration selected)"))
+			}
+			runOne(ctx, spec, plan, *verify, *static, *trace, *traceJS,
+				dsmsim.Time(*sampleEvery), *sampleCSV, *sampleJSON, *prof, *profCSV, *profTop,
+				*crit, *critCSV, *critTop, scale)
+			return nil
+		}
+		if *static || *trace != "" || *traceJS != "" || *sampleJSON != "" {
+			fatal(fmt.Errorf("-static-homes/-trace/-trace-json/-sample-json apply to single runs only (%d configurations selected)", points))
+		}
+		runSweep(ctx, spec, plan, grid, *fork, *verify, *parallel, *csvPath,
+			dsmsim.Time(*sampleEvery), *sampleCSV, *metricsAddr, *prof, *profCSV,
+			*crit, *critCSV, scale)
+		return nil
 	}
-	if *static || *trace != "" || *traceJS != "" || *sampleJSON != "" {
-		fatal(fmt.Errorf("-static-homes/-trace/-trace-json/-sample-json apply to single runs only (%d configurations selected)", points))
-	}
-	runSweep(ctx, spec, plan, grid, *fork, *verify, *parallel, *csvPath,
-		dsmsim.Time(*sampleEvery), *sampleCSV, *metricsAddr, *prof, *profCSV,
-		*crit, *critCSV, scale)
 }
 
 // parseGrid parses the -fault-grid syntax: semicolon-separated
@@ -188,7 +216,7 @@ func runSweep(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan
 	crit bool, critCSV string, whatIf *dsmsim.CritScale) {
 	opts := []dsmsim.Option{
 		dsmsim.WithParallelism(parallel),
-		dsmsim.WithProgress(os.Stderr),
+		dsmsim.WithProgress(stderr),
 		dsmsim.WithVerify(verify),
 	}
 	if len(grid) > 0 {
@@ -254,7 +282,7 @@ func runSweep(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan
 			fatal(err)
 		}
 		defer stop()
-		fmt.Fprintf(os.Stderr, "serving live metrics on http://%s/metrics\n", addr)
+		fmt.Fprintf(stderr, "serving live metrics on http://%s/metrics\n", addr)
 		opts = append(opts, dsmsim.WithMetrics(reg))
 	}
 	start := time.Now()
@@ -264,20 +292,20 @@ func runSweep(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan
 	}
 	wall := time.Since(start)
 	if len(grid) > 0 {
-		fmt.Printf("%-18s %-6s %6s %-9s %-10s %14s %8s\n", "app", "proto", "block", "notify", "fault", "time", "speedup")
+		fmt.Fprintf(stdout, "%-18s %-6s %6s %-9s %-10s %14s %8s\n", "app", "proto", "block", "notify", "fault", "time", "speedup")
 	} else {
-		fmt.Printf("%-18s %-6s %6s %-9s %14s %8s\n", "app", "proto", "block", "notify", "time", "speedup")
+		fmt.Fprintf(stdout, "%-18s %-6s %6s %-9s %14s %8s\n", "app", "proto", "block", "notify", "time", "speedup")
 	}
 	for _, run := range res.Runs {
 		if run.Point.Sequential {
 			continue
 		}
 		if len(grid) > 0 {
-			fmt.Printf("%-18s %-6s %5dB %-9s %-10s %14v %8.2f\n",
+			fmt.Fprintf(stdout, "%-18s %-6s %5dB %-9s %-10s %14v %8.2f\n",
 				run.Point.App, run.Point.Protocol, run.Point.Block, run.Point.Notify,
 				run.Point.Fault, run.Result.Time, res.Speedup(run))
 		} else {
-			fmt.Printf("%-18s %-6s %5dB %-9s %14v %8.2f\n",
+			fmt.Fprintf(stdout, "%-18s %-6s %5dB %-9s %14v %8.2f\n",
 				run.Point.App, run.Point.Protocol, run.Point.Block, run.Point.Notify,
 				run.Result.Time, res.Speedup(run))
 		}
@@ -292,11 +320,11 @@ func runSweep(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan
 // re-simulation the forks avoided.
 func printForkSummary(fs dsmsim.ForkStats, wall time.Duration) {
 	if fs.ForkedRuns == 0 {
-		fmt.Printf("fork: no runs forked (grid not forkable: ungated plans, non-barrier apps, or <2 forkable variants)\n")
+		fmt.Fprintf(stdout, "fork: no runs forked (grid not forkable: ungated plans, non-barrier apps, or <2 forkable variants)\n")
 		return
 	}
 	flat := wall + fs.SavedWall
-	fmt.Printf("fork: %d warmup prefixes served %d forked runs; wall %v vs ~%v flat (est. %.2fx speedup)\n",
+	fmt.Fprintf(stdout, "fork: %d warmup prefixes served %d forked runs; wall %v vs ~%v flat (est. %.2fx speedup)\n",
 		fs.Prefixes, fs.ForkedRuns, wall.Round(time.Millisecond), flat.Round(time.Millisecond),
 		float64(flat)/float64(wall))
 }
@@ -363,43 +391,43 @@ func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, 
 		fatal(err)
 	}
 
-	fmt.Printf("%s  protocol=%s  block=%dB  notify=%s  nodes=%d\n",
+	fmt.Fprintf(stdout, "%s  protocol=%s  block=%dB  notify=%s  nodes=%d\n",
 		res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
-	fmt.Printf("  parallel time   %12v\n", res.Time)
-	fmt.Printf("  sequential time %12v\n", seq.Time)
-	fmt.Printf("  speedup         %12.2f\n", float64(seq.Time)/float64(res.Time))
-	fmt.Printf("  read faults     %12d\n", res.Total.ReadFaults)
-	fmt.Printf("  write faults    %12d\n", res.Total.WriteFaults)
-	fmt.Printf("  invalidations   %12d\n", res.Total.Invalidations)
-	fmt.Printf("  twins/diffs     %6d / %d applied %d\n", res.Total.TwinsCreated, res.Total.DiffsCreated, res.Total.DiffsApplied)
-	fmt.Printf("  write notices   %12d\n", res.Total.WriteNoticesSent)
-	fmt.Printf("  lock acquires   %12d\n", res.Total.LockAcquires)
-	fmt.Printf("  barriers/node   %12d\n", res.Total.BarrierEntries/int64(res.Nodes))
-	fmt.Printf("  messages        %12d  (%.2f MB)\n", res.NetMsgs, float64(res.NetBytes)/1e6)
+	fmt.Fprintf(stdout, "  parallel time   %12v\n", res.Time)
+	fmt.Fprintf(stdout, "  sequential time %12v\n", seq.Time)
+	fmt.Fprintf(stdout, "  speedup         %12.2f\n", float64(seq.Time)/float64(res.Time))
+	fmt.Fprintf(stdout, "  read faults     %12d\n", res.Total.ReadFaults)
+	fmt.Fprintf(stdout, "  write faults    %12d\n", res.Total.WriteFaults)
+	fmt.Fprintf(stdout, "  invalidations   %12d\n", res.Total.Invalidations)
+	fmt.Fprintf(stdout, "  twins/diffs     %6d / %d applied %d\n", res.Total.TwinsCreated, res.Total.DiffsCreated, res.Total.DiffsApplied)
+	fmt.Fprintf(stdout, "  write notices   %12d\n", res.Total.WriteNoticesSent)
+	fmt.Fprintf(stdout, "  lock acquires   %12d\n", res.Total.LockAcquires)
+	fmt.Fprintf(stdout, "  barriers/node   %12d\n", res.Total.BarrierEntries/int64(res.Nodes))
+	fmt.Fprintf(stdout, "  messages        %12d  (%.2f MB)\n", res.NetMsgs, float64(res.NetBytes)/1e6)
 	if plan != nil {
-		fmt.Printf("  reliability     retx=%d timeouts=%d wire-drops=%d dups=%d acks=%d\n",
+		fmt.Fprintf(stdout, "  reliability     retx=%d timeouts=%d wire-drops=%d dups=%d acks=%d\n",
 			res.Retransmits, res.Timeouts, res.WireDrops, res.Duplicates, res.AcksSent)
 		if res.RetransmitLatency.Count > 0 {
-			fmt.Printf("    retransmit   %s\n", res.RetransmitLatency.Summary())
+			fmt.Fprintf(stdout, "    retransmit   %s\n", res.RetransmitLatency.Summary())
 		}
 	}
-	fmt.Printf("  blocks written  %12d  (multi-writer: %d)\n", res.BlocksWritten, res.MultiWriterBlocks)
-	fmt.Printf("  time breakdown (sums over %d nodes):\n", res.Nodes)
-	fmt.Printf("    compute  %v  read-stall %v  write-stall %v\n",
+	fmt.Fprintf(stdout, "  blocks written  %12d  (multi-writer: %d)\n", res.BlocksWritten, res.MultiWriterBlocks)
+	fmt.Fprintf(stdout, "  time breakdown (sums over %d nodes):\n", res.Nodes)
+	fmt.Fprintf(stdout, "    compute  %v  read-stall %v  write-stall %v\n",
 		res.Total.Compute, res.Total.ReadStall, res.Total.WriteStall)
-	fmt.Printf("    lock     %v  barrier    %v  flush       %v  stolen %v\n",
+	fmt.Fprintf(stdout, "    lock     %v  barrier    %v  flush       %v  stolen %v\n",
 		res.Total.LockStall, res.Total.BarrierStall, res.Total.FlushTime, res.Total.Stolen)
-	fmt.Printf("  latency distributions:\n")
-	fmt.Printf("    read fault   %s\n", res.Total.ReadFaultTime.Summary())
-	fmt.Printf("    write fault  %s\n", res.Total.WriteFaultTime.Summary())
-	fmt.Printf("    message      %s\n", res.MsgLatency.Summary())
-	fmt.Printf("    lock wait    %s\n", res.Total.LockWait.Summary())
-	fmt.Printf("    barrier wait %s\n", res.Total.BarrierWait.Summary())
+	fmt.Fprintf(stdout, "  latency distributions:\n")
+	fmt.Fprintf(stdout, "    read fault   %s\n", res.Total.ReadFaultTime.Summary())
+	fmt.Fprintf(stdout, "    write fault  %s\n", res.Total.WriteFaultTime.Summary())
+	fmt.Fprintf(stdout, "    message      %s\n", res.MsgLatency.Summary())
+	fmt.Fprintf(stdout, "    lock wait    %s\n", res.Total.LockWait.Summary())
+	fmt.Fprintf(stdout, "    barrier wait %s\n", res.Total.BarrierWait.Summary())
 	printPhases(res)
 	if res.Sharing != nil {
 		var rep strings.Builder
 		res.Sharing.WriteText(&rep, profTop)
-		fmt.Print("  " + strings.ReplaceAll(strings.TrimSuffix(rep.String(), "\n"), "\n", "\n  ") + "\n")
+		fmt.Fprint(stdout, "  "+strings.ReplaceAll(strings.TrimSuffix(rep.String(), "\n"), "\n", "\n  ")+"\n")
 		if profCSV != "" {
 			f, err := os.Create(profCSV)
 			if err != nil {
@@ -417,7 +445,7 @@ func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, 
 	if res.CritPath != nil {
 		var rep strings.Builder
 		res.CritPath.WriteText(&rep, critTop)
-		fmt.Print("  " + strings.ReplaceAll(strings.TrimSuffix(rep.String(), "\n"), "\n", "\n  ") + "\n")
+		fmt.Fprint(stdout, "  "+strings.ReplaceAll(strings.TrimSuffix(rep.String(), "\n"), "\n", "\n  ")+"\n")
 		if critCSV != "" {
 			f, err := os.Create(critCSV)
 			if err != nil {
@@ -445,10 +473,10 @@ func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, 
 			fatal(err)
 		}
 		pred := res.CritPath.Predict(whatIf)
-		fmt.Printf("  what-if %s:\n", whatIf)
-		fmt.Printf("    baseline        %14v\n", res.Time)
-		fmt.Printf("    path-predicted  %14v  (%.3fx speedup)\n", pred, ratio(res.Time, pred))
-		fmt.Printf("    re-simulated    %14v  (%.3fx speedup)\n", wres.Time, ratio(res.Time, wres.Time))
+		fmt.Fprintf(stdout, "  what-if %s:\n", whatIf)
+		fmt.Fprintf(stdout, "    baseline        %14v\n", res.Time)
+		fmt.Fprintf(stdout, "    path-predicted  %14v  (%.3fx speedup)\n", pred, ratio(res.Time, pred))
+		fmt.Fprintf(stdout, "    re-simulated    %14v  (%.3fx speedup)\n", wres.Time, ratio(res.Time, wres.Time))
 	}
 
 	if sampleCSV != "" {
@@ -479,12 +507,12 @@ func printPhases(res *dsmsim.Result) {
 		return
 	}
 	const maxRows = 12
-	fmt.Printf("  phase breakdown (%d phases at barrier epochs; sums over %d nodes):\n",
+	fmt.Fprintf(stdout, "  phase breakdown (%d phases at barrier epochs; sums over %d nodes):\n",
 		len(res.Phases), res.Nodes)
-	fmt.Printf("    %-7s %14s %14s %14s %14s %14s\n",
+	fmt.Fprintf(stdout, "    %-7s %14s %14s %14s %14s %14s\n",
 		"phase", "span", "compute", "data", "sync", "proto")
 	row := func(label string, span, compute, data, sync, proto dsmsim.Time) {
-		fmt.Printf("    %-7s %14v %14v %14v %14v %14v\n", label, span, compute, data, sync, proto)
+		fmt.Fprintf(stdout, "    %-7s %14v %14v %14v %14v %14v\n", label, span, compute, data, sync, proto)
 	}
 	shown := res.Phases
 	var rest []dsmsim.Phase
@@ -514,7 +542,7 @@ func printPhases(res *dsmsim.Result) {
 		row(fmt.Sprintf("%d-%d", rest[0].Index, rest[len(rest)-1].Index), s, c, d, y, p)
 	}
 	row("total", span, compute, data, sync, proto)
-	fmt.Printf("    idle (after last barrier) %v;  total+idle = %v = %d nodes x %v\n",
+	fmt.Fprintf(stdout, "    idle (after last barrier) %v;  total+idle = %v = %d nodes x %v\n",
 		res.Total.Idle, span+res.Total.Idle, res.Nodes, res.Time)
 }
 
