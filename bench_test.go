@@ -28,7 +28,8 @@ var (
 )
 
 func benchOpts() harness.Options {
-	opts := harness.Options{Size: apps.Small, Nodes: *benchNodes, Out: io.Discard}
+	opts := harness.Options{Nodes: *benchNodes, Out: io.Discard}
+	opts.Size = apps.Small
 	if *paperSize {
 		opts.Size = apps.Paper
 	}
@@ -46,7 +47,10 @@ func benchExperiment(b *testing.B, name string) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		r := harness.New(benchOpts())
+		r, err := harness.New(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := e.Run(r); err != nil {
 			b.Fatal(err)
 		}

@@ -8,8 +8,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
+
+	"dsmsim/internal/cliflags"
 )
 
 // wantFlags is dsmbench's flag inventory: every name with its default.
@@ -30,6 +34,50 @@ func TestFlagInventory(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 	if fmt.Sprint(got) != fmt.Sprint(wantFlags) {
 		t.Fatalf("flag inventory changed:\n got %q\nwant %q", got, wantFlags)
+	}
+}
+
+// readmeFlags returns the "name=default" rows of the README flag table
+// under the given "### " heading.
+func readmeFlags(t *testing.T, heading string) []string {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "### "+heading+"\n")
+	if !ok {
+		t.Fatalf("README.md has no %q section", heading)
+	}
+	section, _, _ = strings.Cut(section, "\n##")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 3 && strings.HasPrefix(cells[1], " `-") {
+			rows = append(rows, strings.Trim(cells[1], " `-")+"="+strings.Trim(cells[2], " `"))
+		}
+	}
+	return rows
+}
+
+// TestREADMEFlagTables: the README's shared table plus this CLI's own are
+// exactly the flag inventory, and the shared table is exactly what
+// cliflags registers.
+func TestREADMEFlagTables(t *testing.T) {
+	shared := readmeFlags(t, "Flags shared by dsmrun and dsmbench")
+	var registered []string
+	sfs := flag.NewFlagSet("shared", flag.ContinueOnError)
+	cliflags.Register(sfs)
+	sfs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name+"="+f.DefValue) })
+	sort.Strings(shared)
+	sort.Strings(registered)
+	if fmt.Sprint(shared) != fmt.Sprint(registered) {
+		t.Errorf("README shared-flag table:\n got %q\nwant %q", shared, registered)
+	}
+	all := append(shared, readmeFlags(t, "dsmbench only")...)
+	want := append([]string(nil), wantFlags...)
+	sort.Strings(all)
+	sort.Strings(want)
+	if fmt.Sprint(all) != fmt.Sprint(want) {
+		t.Errorf("README shared + dsmbench-only tables:\n got %q\nwant %q", all, want)
 	}
 }
 

@@ -8,9 +8,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dsmsim/internal/cliflags"
 )
 
 // wantFlags is dsmrun's flag inventory: every name with its default. A
@@ -32,6 +35,50 @@ func TestFlagInventory(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 	if fmt.Sprint(got) != fmt.Sprint(wantFlags) {
 		t.Fatalf("flag inventory changed:\n got %q\nwant %q", got, wantFlags)
+	}
+}
+
+// readmeFlags returns the "name=default" rows of the README flag table
+// under the given "### " heading.
+func readmeFlags(t *testing.T, heading string) []string {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "### "+heading+"\n")
+	if !ok {
+		t.Fatalf("README.md has no %q section", heading)
+	}
+	section, _, _ = strings.Cut(section, "\n##")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 3 && strings.HasPrefix(cells[1], " `-") {
+			rows = append(rows, strings.Trim(cells[1], " `-")+"="+strings.Trim(cells[2], " `"))
+		}
+	}
+	return rows
+}
+
+// TestREADMEFlagTables: the README's shared table plus this CLI's own are
+// exactly the flag inventory, and the shared table is exactly what
+// cliflags registers.
+func TestREADMEFlagTables(t *testing.T) {
+	shared := readmeFlags(t, "Flags shared by dsmrun and dsmbench")
+	var registered []string
+	sfs := flag.NewFlagSet("shared", flag.ContinueOnError)
+	cliflags.Register(sfs)
+	sfs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name+"="+f.DefValue) })
+	sort.Strings(shared)
+	sort.Strings(registered)
+	if fmt.Sprint(shared) != fmt.Sprint(registered) {
+		t.Errorf("README shared-flag table:\n got %q\nwant %q", shared, registered)
+	}
+	all := append(shared, readmeFlags(t, "dsmrun only")...)
+	want := append([]string(nil), wantFlags...)
+	sort.Strings(all)
+	sort.Strings(want)
+	if fmt.Sprint(all) != fmt.Sprint(want) {
+		t.Errorf("README shared + dsmrun-only tables:\n got %q\nwant %q", all, want)
 	}
 }
 
@@ -114,5 +161,39 @@ func TestGolden(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSingleRunCSV: one selected configuration writes its record through
+// the sweep's sink — header plus one row, no second header on a re-run,
+// and the same row the sweep writes for that configuration. (At 8395aed
+// the single-run path never saw -csv and wrote no file.)
+func TestSingleRunCSV(t *testing.T) {
+	dir := t.TempDir()
+	one, swept := filepath.Join(dir, "one.csv"), filepath.Join(dir, "sweep.csv")
+	lines := func(path string) []string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	}
+	for i := 1; i <= 2; i++ {
+		if err := run([]string{"-app", "lu", "-nodes", "4", "-csv", one}, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		got := lines(one)
+		if len(got) != 1+i || !strings.HasPrefix(got[0], "app,protocol,") || !strings.HasPrefix(got[i], "lu,hlrc,4096,polling,4,") {
+			t.Fatalf("after run %d: want header + %d record(s), got:\n%s", i, i, strings.Join(got, "\n"))
+		}
+		if i == 2 && got[1] != got[2] {
+			t.Fatalf("identical runs wrote different records:\n%s\n%s", got[1], got[2])
+		}
+	}
+	if err := run([]string{"-app", "lu", "-protocol", "sc,hlrc", "-nodes", "4", "-csv", swept}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if s, o := lines(swept), lines(one); s[0] != o[0] || s[2] != o[1] {
+		t.Fatalf("single-run CSV differs from the sweep's:\n%s\n%s\nvs\n%s\n%s", o[0], o[1], s[0], s[2])
 	}
 }

@@ -141,7 +141,7 @@ func TestParseScale(t *testing.T) {
 	if s, err := ParseScale("compute=2"); err != nil || s.PPM != 2000000 {
 		t.Fatalf("compute=2: %v, %+v", err, s)
 	}
-	for _, bad := range []string{"", "lock", "frobnicate=1", "lock=-1", "lock=101", "lock=x"} {
+	for _, bad := range []string{"", "lock", "frobnicate=1", "lock=-1", "lock=101", "lock=x", "lock=NaN"} {
 		if _, err := ParseScale(bad); err == nil {
 			t.Errorf("ParseScale(%q) accepted", bad)
 		}

@@ -96,7 +96,7 @@ func ParseScale(spec string) (*Scale, error) {
 		return nil, fmt.Errorf("critpath: unknown what-if component %q (want compute, msg, svc, lock or barrier)", name)
 	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-	if err != nil || f < 0 || f > 100 {
+	if err != nil || !(f >= 0 && f <= 100) { // also rejects NaN
 		return nil, fmt.Errorf("critpath: bad what-if factor %q (want a number in [0, 100])", val)
 	}
 	return &Scale{Class: cl, PPM: int64(f*1e6 + 0.5)}, nil

@@ -12,6 +12,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -145,11 +146,11 @@ func (p *Plan) ValidateFor(nodes int) error {
 	for _, r := range p.rules {
 		switch r.kind {
 		case kindDrop, kindDuplicate:
-			if r.p < 0 || r.p >= 1 {
+			if !(r.p >= 0 && r.p < 1) { // also rejects NaN
 				return fmt.Errorf("%w: %v", ErrBadProbability, r.p)
 			}
 		case kindDropLink:
-			if r.p < 0 || r.p >= 1 {
+			if !(r.p >= 0 && r.p < 1) { // also rejects NaN
 				return fmt.Errorf("%w: %v", ErrBadProbability, r.p)
 			}
 			if err := checkNode(r.a); err != nil {
@@ -180,7 +181,7 @@ func (p *Plan) ValidateFor(nodes int) error {
 			if err := checkNode(r.a); err != nil {
 				return err
 			}
-			if r.factor < 1 {
+			if !(r.factor >= 1) || math.IsInf(r.factor, 1) { // also rejects NaN
 				return fmt.Errorf("%w: %v", ErrBadFactor, r.factor)
 			}
 			if r.from < 0 || (r.to != 0 && r.to <= r.from) {

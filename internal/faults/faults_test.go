@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"dsmsim/internal/sim"
@@ -28,6 +29,9 @@ func TestValidate(t *testing.T) {
 		{"unbounded partition", NewPlan(Partition(0, 1, 10, 0)), ErrBadWindow},
 		{"good straggler", NewPlan(Straggler(2, 2.0, 0, 0)), nil},
 		{"weak straggler", NewPlan(Straggler(2, 0.5, 0, 0)), ErrBadFactor},
+		{"NaN straggler", NewPlan(Straggler(2, math.NaN(), 0, 0)), ErrBadFactor},
+		{"infinite straggler", NewPlan(Straggler(2, math.Inf(1), 0, 0)), ErrBadFactor},
+		{"NaN drop", NewPlan(Drop(math.NaN())), ErrBadProbability},
 		{"inverted straggler", NewPlan(Straggler(2, 2.0, 20, 10)), ErrBadWindow},
 		{"good linkdrop", NewPlan(DropLink(0, 3, 0.2)), nil},
 		{"linkdrop bad p", NewPlan(DropLink(0, 3, 1.5)), ErrBadProbability},
@@ -240,6 +244,7 @@ func TestParse(t *testing.T) {
 		"drop",            // no value
 		"drop=x",          // bad float
 		"drop=1.5",        // out of range — Validate runs
+		"drop=NaN",        // not a probability at all
 		"nonsense=1",      // unknown clause
 		"partition=0-1",   // missing window
 		"partition=0@1:2", // bad pair

@@ -1,0 +1,71 @@
+package faults
+
+import "testing"
+
+// checkCompiled exercises a validated plan the way a run does: compiling
+// and drawing never panics, jitter stays inside its bound and dilation is
+// a slowdown (overlapping windows multiply, so it may grow without bound,
+// but never below 1 and never NaN).
+func checkCompiled(t *testing.T, p *Plan) {
+	const nodes = 64
+	if p.ValidateFor(nodes) != nil {
+		return
+	}
+	in := p.Compile(nodes)
+	in.Activate()
+	for i := 0; i < 4; i++ {
+		in.DropDraw(i, (i+1)%nodes)
+		in.DupDraw()
+		in.Cut(i, (i+1)%nodes, 1000)
+		if j := in.JitterDraw(); j < 0 || j > in.MaxJitter() {
+			t.Fatalf("jitter draw %v outside [0, %v]", j, in.MaxJitter())
+		}
+		if d := in.Dilation(i, 1000); !(d >= 1) {
+			t.Fatalf("dilation %v is not a slowdown", d)
+		}
+	}
+}
+
+// FuzzParse: a -faults string either fails to parse or yields a plan that
+// validates again and runs. Seeds are the specs the Makefile, the CI table
+// and the tests use, plus the malformed ones the unit tests list.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"", "drop=0.01,seed=1", "drop=0.02,seed=3", "drop=0.03,seed=5", "jitter=30us,dup=0.01,seed=11",
+		"drop=0.01, dup=0.005, jitter=5us, seed=42, partition=0-2@1ms:2ms, linkdrop=1-3:0.2, rto=500us",
+		"start=6", "jitter=1500", "drop", "drop=x", "drop=1.5", "drop=NaN", "nonsense=1",
+		"partition=0-1", "partition=0@1:2", "linkdrop=0-1", "jitter=zzz", "jitter=9223372036854775807",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Parse(%q) returned a plan that does not re-validate: %v", spec, err)
+		}
+		checkCompiled(t, p)
+	})
+}
+
+// FuzzParseStragglers: a -straggler string either fails to parse or yields
+// rules that validate to an error or to a plan that runs.
+func FuzzParseStragglers(f *testing.F) {
+	for _, s := range []string{
+		"", "3x2.5", "0x4@10ms:20ms", "3x2.0@1ms:2ms, 1x1.5", "3x2.0@0:10ms,5x1.5",
+		"3", "x2", "ax2", "3xz", "3x2@oops", "3xNaN", "3xInf", "3x0.5", "-1x2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseStragglers(spec)
+		if err != nil {
+			return
+		}
+		if p := NewPlan(rules...); p.Validate() == nil {
+			checkCompiled(t, p)
+		}
+	})
+}

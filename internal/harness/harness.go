@@ -21,81 +21,25 @@ import (
 	"dsmsim"
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
-	"dsmsim/internal/critpath"
-	"dsmsim/internal/faults"
-	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/sweep"
 )
 
-// Options configures a Runner.
+// Options configures a Runner: the sweep engine's settings — problem
+// size, verification, workers, the per-run core.Config template, the
+// progress and CSV writers, the fault grid — plus the three of its own.
+// The engine's settings apply to the matrix runs; the extension
+// experiments (degradation, sharing, critpath, …) build their own
+// out-of-matrix configurations and always attach the observer they
+// report on. Under a FaultGrid the tables render the FIRST variant's
+// runs while every variant reaches the progress and CSV streams.
 type Options struct {
-	// Size selects problem scale (apps.Paper reproduces Table 1's sizes).
-	Size apps.SizeClass
+	sweep.Options
 	// Nodes is the cluster size (the paper uses 16).
 	Nodes int
-	// Verify re-checks every run's numeric result against the sequential
-	// reference (slower; always on for Small).
-	Verify bool
 	// Out receives the rendered tables.
 	Out io.Writer
-	// Progress, if non-nil, receives one line per completed run.
-	Progress io.Writer
-	// CSV, if non-nil, receives one machine-readable record per completed
-	// run for plotting and downstream analysis. The header is written
-	// exactly once and suppressed automatically when the writer is an
-	// append-mode file that already holds records.
-	CSV io.Writer
-	// Histograms adds a latency-distribution progress line (fault service
-	// time, message latency, lock wait) after each completed run.
-	Histograms bool
-	// Limit bounds each run's virtual time (0 = a generous default).
-	Limit sim.Time
-	// Parallel bounds the worker pool used by Prefetch; <= 0 means one
-	// worker per available CPU. Rendered output is byte-identical at
-	// every setting.
-	Parallel int
-	// SampleEvery attaches the virtual-time metrics sampler to every run
-	// (strictly observational; tables and CSV records are unchanged).
-	SampleEvery sim.Time
-	// SampleCSV, if non-nil, receives each run's sampler time-series as CSV
-	// rows in canonical sweep order. Requires SampleEvery.
-	SampleCSV io.Writer
-	// ShareProfile attaches the sharing-pattern profiler to every matrix
-	// run (strictly observational; tables and CSV records are unchanged).
-	// The sharing experiment profiles its own runs regardless.
-	ShareProfile bool
-	// ProfCSV, if non-nil, receives each run's sharing profile as CSV rows
-	// in canonical sweep order. Requires ShareProfile.
-	ProfCSV io.Writer
-	// CritPath attaches the critical-path profiler to every matrix run
-	// (strictly observational; tables and CSV records are unchanged). The
-	// critpath experiment profiles its own runs regardless.
-	CritPath bool
-	// CritCSV, if non-nil, receives each run's critical-path component row
-	// in canonical sweep order. Requires CritPath.
-	CritCSV io.Writer
-	// WhatIf rescales one machine cost class on every non-sequential
-	// matrix run (a what-if counterfactual; tables then show the rescaled
-	// machine).
-	WhatIf *critpath.Scale
-	// Metrics, if non-nil, receives live sweep progress for the HTTP
-	// exporter and switches progress lines to the enriched format.
-	Metrics *metrics.Registry
-	// Faults applies a deterministic fault plan to every non-sequential
-	// matrix run (the degradation experiment additionally sweeps its own
-	// loss rates regardless of this plan).
-	Faults *faults.Plan
-	// FaultGrid expands every matrix point into one run per named fault
-	// variant. Tables render the FIRST variant's runs; all variants reach
-	// the progress and CSV streams (tagged with the variant name). With a
-	// grid attached, Faults is ignored for matrix runs.
-	FaultGrid []sweep.FaultVariant
-	// Fork shares warmup prefixes across FaultGrid variants: each group's
-	// pre-fault prefix is simulated once and forked per variant. Output
-	// stays byte-identical to flat execution.
-	Fork bool
 	// Protocols overrides the protocol set the matrix experiments sweep
 	// and render. Nil keeps the paper's three-protocol reproduction
 	// matrix (core.Protocols); any registered name is accepted — see
@@ -119,36 +63,16 @@ type Runner struct {
 }
 
 // New creates a Runner.
-func New(opts Options) *Runner {
+func New(opts Options) (*Runner, error) {
 	if opts.Nodes == 0 {
 		opts.Nodes = 16
 	}
-	if opts.Limit == 0 {
-		opts.Limit = 100000 * sim.Second
+	eng, err := sweep.New(opts.Options)
+	if err != nil {
+		return nil, err
 	}
-	eng := sweep.New(sweep.Options{
-		Size:        opts.Size,
-		Workers:     opts.Parallel,
-		Verify:      opts.Verify,
-		Limit:       opts.Limit,
-		Progress:    opts.Progress,
-		CSV:         opts.CSV,
-		Histograms:  opts.Histograms,
-		SampleEvery: opts.SampleEvery,
-		SampleCSV:   opts.SampleCSV,
-		Metrics:     opts.Metrics,
-		Faults:      opts.Faults,
-		FaultGrid:   opts.FaultGrid,
-		Fork:        opts.Fork,
-
-		ShareProfile: opts.ShareProfile,
-		ProfCSV:      opts.ProfCSV,
-
-		CritPath: opts.CritPath,
-		CritCSV:  opts.CritCSV,
-		WhatIf:   opts.WhatIf,
-	})
-	return &Runner{opts: opts, eng: eng}
+	opts.Options = eng.Options()
+	return &Runner{opts: opts, eng: eng}, nil
 }
 
 // key builds the sweep key for one configuration at this runner's scale.
@@ -209,20 +133,11 @@ func (r *Runner) Speedup(app, proto string, block int, notify network.Notify) (f
 // software access checks) under the runner's verify policy, through the
 // public Start entrypoint. These runs are not memoized.
 func (r *Runner) runConfig(cfg core.Config, entry apps.Entry) (*core.Result, error) {
-	app := entry.New(r.opts.Size)
-	var opts []dsmsim.Option
-	if r.opts.Verify || r.opts.Size == apps.Small {
-		opts = append(opts, dsmsim.WithVerify())
-	}
-	return dsmsim.Start(context.Background(), cfg, app, opts...)
+	return dsmsim.Start(context.Background(), cfg, entry.New(r.opts.Size), dsmsim.WithVerify(r.opts.Verify))
 }
 
 // progress emits one custom progress line through the serializing sink.
-func (r *Runner) progress(format string, args ...any) {
-	if r.opts.Progress != nil {
-		r.eng.Sink().Logf(format, args...)
-	}
-}
+func (r *Runner) progress(format string, args ...any) { r.eng.Sink().Logf(format, args...) }
 
 func (r *Runner) printf(format string, args ...any) {
 	fmt.Fprintf(r.opts.Out, format, args...)

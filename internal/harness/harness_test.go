@@ -5,18 +5,30 @@ import (
 	"context"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/network"
+	"dsmsim/internal/sweep"
 )
+
+// mustNew builds a runner from options the test knows to be valid.
+func mustNew(t testing.TB, o Options) *Runner {
+	t.Helper()
+	r, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func testRunner(t *testing.T) (*Runner, *bytes.Buffer) {
 	t.Helper()
 	var out bytes.Buffer
-	return New(Options{Size: apps.Small, Nodes: 4, Out: &out}), &out
+	return mustNew(t, Options{Options: sweep.Options{Size: apps.Small}, Nodes: 4, Out: &out}), &out
 }
 
 func TestHarmonicMean(t *testing.T) {
@@ -242,7 +254,7 @@ func TestFig1Table2Table15Small(t *testing.T) {
 func TestPrefetchParallelDeterminism(t *testing.T) {
 	render := func(parallel int) (table, progress, csv string) {
 		var tb, pb, cb bytes.Buffer
-		r := New(Options{Size: apps.Small, Nodes: 4, Out: &tb, Progress: &pb, CSV: &cb, Parallel: parallel})
+		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, CSV: &cb, Workers: parallel}, Nodes: 4, Out: &tb})
 		e, err := Get("table3") // lu fault table: 3 protocols × 4 granularities
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +289,7 @@ func TestPrefetchParallelDeterminism(t *testing.T) {
 // add no new run lines for matrix experiments.
 func TestPointsForCoversExperiments(t *testing.T) {
 	var pb bytes.Buffer
-	r := New(Options{Size: apps.Small, Nodes: 4, Out: io.Discard, Progress: &pb, Parallel: 4})
+	r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, Workers: 4}, Nodes: 4, Out: io.Discard})
 	for _, name := range []string{"table1", "table15", "fig2"} {
 		e, err := Get(name)
 		if err != nil {
@@ -299,8 +311,8 @@ func TestPointsForCoversExperiments(t *testing.T) {
 }
 
 func TestLabelPaperVsSmall(t *testing.T) {
-	small := New(Options{Size: apps.Small, Nodes: 4, Out: io.Discard})
-	paper := New(Options{Size: apps.Paper, Nodes: 4, Out: io.Discard})
+	small := mustNew(t, Options{Options: sweep.Options{Size: apps.Small}, Nodes: 4, Out: io.Discard})
+	paper := mustNew(t, Options{Options: sweep.Options{Size: apps.Paper}, Nodes: 4, Out: io.Discard})
 	if small.label("lu") == paper.label("lu") {
 		t.Fatal("labels must differ by size class")
 	}
@@ -311,7 +323,7 @@ func TestLabelPaperVsSmall(t *testing.T) {
 
 func TestCSVOutput(t *testing.T) {
 	var csv bytes.Buffer
-	r := New(Options{Size: apps.Small, Nodes: 4, Out: io.Discard, CSV: &csv})
+	r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, CSV: &csv}, Nodes: 4, Out: io.Discard})
 	if _, err := r.Result("lu", "hlrc", 4096, network.Polling); err != nil {
 		t.Fatal(err)
 	}
@@ -328,5 +340,60 @@ func TestCSVOutput(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "lu,hlrc,4096,polling,4,") {
 		t.Fatalf("bad record: %s", lines[1])
+	}
+}
+
+// fill sets every exported field under v to a non-zero value.
+func fill(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(v.Field(i))
+			}
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fill(v.Index(0))
+	case reflect.Interface: // every interface-typed setting is an io.Writer
+		v.Set(reflect.ValueOf(&bytes.Buffer{}))
+	default:
+		panic("fill: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestNoSettingDroppedOnTheWayDown sets every exported field of Options
+// and checks each arrives: the embedded engine settings in the options the
+// engine runs under, the runner's own three in the runner. Shadowing is
+// how an embedded setting would get lost — callers writing the outer field,
+// the engine reading the inner — so the closing loop refuses a field named
+// like one of sweep.Options'.
+func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
+	var o Options
+	fill(reflect.ValueOf(&o).Elem())
+	r := mustNew(t, o)
+	want := o
+	want.Config.Trace, want.Config.TraceJSON = nil, nil // per-run writers: cleared by sweep.New
+	if got := r.eng.Options(); !reflect.DeepEqual(got, want.Options) {
+		t.Fatalf("engine options:\n got %+v\nwant %+v", got, want.Options)
+	}
+	if !reflect.DeepEqual(r.opts, want) {
+		t.Fatalf("runner options:\n got %+v\nwant %+v", r.opts, want)
+	}
+	typ := reflect.TypeOf(o)
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !f.Anonymous {
+			if _, shadows := reflect.TypeOf(o.Options).FieldByName(f.Name); shadows {
+				t.Errorf("harness.Options.%s shadows sweep.Options.%s", f.Name, f.Name)
+			}
+		}
 	}
 }

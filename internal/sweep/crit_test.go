@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/apps"
+	"dsmsim/internal/core"
 	"dsmsim/internal/critpath"
 )
 
@@ -17,9 +18,9 @@ func runCritSweep(t *testing.T, workers int, fork bool) (csv, crits string, eng 
 	t.Helper()
 	var cb, xb bytes.Buffer
 	grid := testGrid()
-	eng = New(Options{
+	eng = mustNew(t, Options{
 		Size: apps.Small, Workers: workers, CSV: &cb,
-		CritPath: true, CritCSV: &xb,
+		Config: core.Config{CritPath: true}, CritCSV: &xb,
 		FaultGrid: grid, Fork: fork,
 	})
 	if _, err := eng.Run(context.Background(), gridSpec(grid).Points()); err != nil {

@@ -24,7 +24,7 @@ type FaultVariant struct {
 // when the point carries a Fault name, the sweep-wide plan otherwise.
 func (e *Engine) planFor(k Key) (*faults.Plan, error) {
 	if k.Fault == "" || k.Sequential {
-		return e.opts.Faults, nil
+		return e.opts.Config.Faults, nil
 	}
 	for _, v := range e.opts.FaultGrid {
 		if v.Name == k.Fault {
@@ -42,7 +42,7 @@ func (e *Engine) planFor(k Key) (*faults.Plan, error) {
 // is off or cannot help: fewer than two forkable variants, an engine-wide
 // sharing profiler (checkpoints don't carry it), or no gated plan at all.
 func (e *Engine) forkEpoch() int {
-	if !e.opts.Fork || len(e.opts.FaultGrid) < 2 || e.opts.ShareProfile {
+	if !e.opts.Fork || len(e.opts.FaultGrid) < 2 || e.opts.Config.ShareProfile {
 		return 0
 	}
 	epoch, forkable := 0, 0
@@ -92,7 +92,7 @@ type cpKey struct {
 // byte-identical to the flat run of the same configuration — that is the
 // checkpoint machinery's contract, enforced by the core equivalence tests
 // and the golden sweep tests.
-func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app core.App, epoch int, verify bool) (*core.Result, error) {
+func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app core.App, epoch int) (*core.Result, error) {
 	prefix := k
 	prefix.Fault = ""
 	cp, err := e.cps.Do(cpKey{Key: prefix, Epoch: epoch}, func() (*core.Checkpoint, error) {
@@ -122,7 +122,7 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 		return nil, err
 	}
 	e.cps.addFork(cpKey{Key: prefix, Epoch: epoch})
-	if verify {
+	if e.opts.Verify {
 		if err := app.Verify(res.Heap); err != nil {
 			return nil, fmt.Errorf("sweep: %s verify: %w", k, err)
 		}

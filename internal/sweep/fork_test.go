@@ -52,9 +52,9 @@ func runGridSweep(t *testing.T, workers int, fork bool) (progress, csv, samples 
 	t.Helper()
 	var pb, cb, sb bytes.Buffer
 	grid := testGrid()
-	eng = New(Options{
+	eng = mustNew(t, Options{
 		Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb,
-		SampleEvery: 200 * sim.Microsecond, SampleCSV: &sb,
+		Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb,
 		FaultGrid: grid, Fork: fork,
 	})
 	res, err := eng.Run(context.Background(), gridSpec(grid).Points())
@@ -122,7 +122,7 @@ func TestForkFallbackAppTooShort(t *testing.T) {
 	}
 	run := func(fork bool) (string, *Engine) {
 		var cb bytes.Buffer
-		e := New(Options{Size: apps.Small, Workers: 4, CSV: &cb, FaultGrid: grid, Fork: fork})
+		e := mustNew(t, Options{Size: apps.Small, Workers: 4, CSV: &cb, FaultGrid: grid, Fork: fork})
 		if _, err := e.Run(context.Background(), spec.Points()); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestForkEligibility(t *testing.T) {
 	gated := faults.NewPlan(faults.Drop(0.01), faults.StartAtBarrier(4))
 	ungated := faults.NewPlan(faults.Drop(0.01))
 	newEng := func(grid []FaultVariant, fork bool, prof bool) *Engine {
-		return New(Options{Size: apps.Small, FaultGrid: grid, Fork: fork, ShareProfile: prof})
+		return mustNew(t, Options{Size: apps.Small, FaultGrid: grid, Fork: fork, Config: core.Config{ShareProfile: prof}})
 	}
 
 	if e := newEng(testGrid(), true, false); e.forkEpoch() != 4 {

@@ -22,10 +22,7 @@ import (
 // to serial.
 type Sink struct {
 	progress   io.Writer
-	csv        *csvSink
-	samples    *sampleSink
-	profs      *profSink
-	crits      *critSink
+	tables     []*csvTable
 	histograms bool
 
 	// faultCol adds the fault-variant column to every CSV schema and a
@@ -53,17 +50,18 @@ type Sink struct {
 func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.Writer, enriched, faultCol bool) *Sink {
 	s := &Sink{progress: progress, histograms: histograms, enriched: enriched,
 		faultCol: faultCol, ch: make(chan func(), 64), done: make(chan struct{})}
-	if csv != nil {
-		s.csv = &csvSink{w: csv, fault: faultCol}
-	}
-	if samples != nil {
-		s.samples = &sampleSink{w: samples, fault: faultCol}
-	}
-	if profs != nil {
-		s.profs = &profSink{w: profs, fault: faultCol}
-	}
-	if crits != nil {
-		s.crits = &critSink{w: crits, fault: faultCol}
+	for _, t := range []*csvTable{
+		runTable(csv, faultCol),
+		keyedTable(samples, faultCol, metrics.SeriesHeader,
+			func(r *core.Result) *metrics.Series { return r.Samples }, (*metrics.Series).AppendRows),
+		keyedTable(profs, faultCol, shareprof.CSVHeader,
+			func(r *core.Result) *shareprof.Report { return r.Sharing }, (*shareprof.Report).AppendRows),
+		keyedTable(crits, faultCol, critpath.CSVHeader,
+			func(r *core.Result) *critpath.Report { return r.CritPath }, (*critpath.Report).AppendRow),
+	} {
+		if t.w != nil {
+			s.tables = append(s.tables, t)
+		}
 	}
 	go func() {
 		defer close(s.done)
@@ -107,17 +105,10 @@ func (s *Sink) Emit(k Key, res *core.Result) {
 				}
 			}
 		}
-		if s.csv != nil && !k.Sequential {
-			s.csv.Write(k, res)
-		}
-		if s.samples != nil && !k.Sequential && res.Samples != nil {
-			s.samples.Write(k, res)
-		}
-		if s.profs != nil && !k.Sequential && res.Sharing != nil {
-			s.profs.Write(k, res)
-		}
-		if s.crits != nil && !k.Sequential && res.CritPath != nil {
-			s.crits.Write(k, res)
+		if !k.Sequential {
+			for _, t := range s.tables {
+				t.Write(k, res)
+			}
 		}
 	})
 }
@@ -180,84 +171,77 @@ func FaultHist(res *core.Result) stats.Histogram {
 // csvHeader is the machine-readable schema, one record per run.
 const csvHeader = "app,protocol,block,notify,nodes,time_ns,read_faults,write_faults,invalidations,twins,diffs,write_notices,lock_acquires,barrier_entries,net_msgs,net_bytes,fault_p50_ns,fault_p90_ns,fault_p99_ns,msg_p50_ns,msg_p90_ns,msg_p99_ns,lock_p50_ns,lock_p90_ns,lock_p99_ns,retransmits,wire_drops,dup_frames,retx_p50_ns,retx_p99_ns"
 
-// csvSink writes CSV records with the header emitted exactly once, even
-// under concurrent use, and is append-aware: when the underlying writer is
-// a file that already holds records (dsmbench opens its -csv file in
-// append mode), the header is suppressed automatically — callers no longer
-// pre-inspect the file or manage a has-header flag.
-type csvSink struct {
+// csvTable is the one CSV output type: a header written exactly once, even
+// under concurrent use, and suppressed when the underlying writer is a file
+// that already holds records (the CLIs open their CSV files in append
+// mode), then whatever rows the table's schema renders for each run. Rows
+// reach it in canonical sweep order through the Sink goroutine, so every
+// file is byte-identical at any parallelism.
+type csvTable struct {
 	mu     sync.Mutex
 	w      io.Writer
-	header bool // header decision made
-	fault  bool // append the fault-variant column
+	header string
+	// rows renders one run's newline-terminated rows; nil when the run
+	// carries none of this table's data (an observer that was off).
+	rows    func(k Key, res *core.Result) []byte
+	started bool // header decision made
 }
 
-// Write appends one record, emitting the header first if this sink has not
-// decided the header question yet.
-func (c *csvSink) Write(k Key, res *core.Result) {
+// Write appends one run's rows, deciding the header question first.
+func (c *csvTable) Write(k Key, res *core.Result) {
+	rows := c.rows(k, res)
+	if rows == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.header {
-		c.header = true
+	if !c.started {
+		c.started = true
 		if !hasExistingData(c.w) {
-			h := csvHeader
-			if c.fault {
-				h += ",fault"
-			}
-			fmt.Fprintln(c.w, h)
+			fmt.Fprintln(c.w, c.header)
 		}
 	}
-	t := res.Total
-	fault := FaultHist(res)
-	row := fmt.Sprintf("%s,%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
-		res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes, int64(res.Time),
-		t.ReadFaults, t.WriteFaults, t.Invalidations, t.TwinsCreated, t.DiffsCreated,
-		t.WriteNoticesSent, t.LockAcquires, t.BarrierEntries, res.NetMsgs, res.NetBytes,
-		fault.P50(), fault.P90(), fault.P99(),
-		res.MsgLatency.P50(), res.MsgLatency.P90(), res.MsgLatency.P99(),
-		t.LockWait.P50(), t.LockWait.P90(), t.LockWait.P99(),
-		res.Retransmits, res.WireDrops, res.Duplicates,
-		res.RetransmitLatency.P50(), res.RetransmitLatency.P99())
-	if c.fault {
-		row += "," + k.Fault
+	c.w.Write(rows)
+}
+
+// runTable is the one-record-per-run schema (csvHeader), with the fault
+// variant as a trailing column on fault-grid sweeps.
+func runTable(w io.Writer, fault bool) *csvTable {
+	header := csvHeader
+	if fault {
+		header += ",fault"
 	}
-	fmt.Fprintln(c.w, row)
-}
-
-// sampleSink writes each run's sampler time-series as CSV rows prefixed
-// with the run-key columns. Same header discipline as csvSink: written
-// once, suppressed on an append-mode file with existing records. Rows
-// reach it in canonical sweep order through the Sink goroutine, so the
-// file is byte-identical at any parallelism.
-type sampleSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	header bool
-	fault  bool
-}
-
-// Write appends one run's series.
-func (c *sampleSink) Write(k Key, res *core.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.header {
-		c.header = true
-		if !hasExistingData(c.w) {
-			fmt.Fprintln(c.w, keyHeader(c.fault)+metrics.SeriesHeader)
+	return &csvTable{w: w, header: header, rows: func(k Key, res *core.Result) []byte {
+		t := res.Total
+		fh := FaultHist(res)
+		row := fmt.Appendf(nil, "%s,%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
+			res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes, int64(res.Time),
+			t.ReadFaults, t.WriteFaults, t.Invalidations, t.TwinsCreated, t.DiffsCreated,
+			t.WriteNoticesSent, t.LockAcquires, t.BarrierEntries, res.NetMsgs, res.NetBytes,
+			fh.P50(), fh.P90(), fh.P99(),
+			res.MsgLatency.P50(), res.MsgLatency.P90(), res.MsgLatency.P99(),
+			t.LockWait.P50(), t.LockWait.P90(), t.LockWait.P99(),
+			res.Retransmits, res.WireDrops, res.Duplicates,
+			res.RetransmitLatency.P50(), res.RetransmitLatency.P99())
+		if fault {
+			row = append(append(row, ','), k.Fault...)
 		}
-	}
-	c.w.Write(res.Samples.AppendRows(nil, keyPrefix(k, res, c.fault)))
+		return append(row, '\n')
+	}}
 }
 
-// profSink writes each run's sharing profile as CSV rows (one per region
-// plus a total) prefixed with the run-key columns. Same header discipline
-// as csvSink, same ordered delivery through the Sink goroutine, so the
-// file is byte-identical at any parallelism.
-type profSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	header bool
-	fault  bool
+// keyedTable is the schema of an observer's output: the run-key columns,
+// then header; one run's rows are whatever rows renders from the part of
+// the result get selects, and nothing when the observer was off.
+func keyedTable[T any](w io.Writer, fault bool, header string,
+	get func(*core.Result) *T, rows func(*T, []byte, string) []byte) *csvTable {
+	return &csvTable{w: w, header: keyHeader(fault) + header, rows: func(k Key, res *core.Result) []byte {
+		v := get(res)
+		if v == nil {
+			return nil
+		}
+		return rows(v, nil, keyPrefix(k, res, fault))
+	}}
 }
 
 // keyHeader is the run-key column prefix of the sample and profile
@@ -275,43 +259,6 @@ func keyPrefix(k Key, res *core.Result, fault bool) string {
 		return fmt.Sprintf("%s,%s,%d,%s,%d,%s,", res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes, k.Fault)
 	}
 	return fmt.Sprintf("%s,%s,%d,%s,%d,", res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
-}
-
-// Write appends one run's sharing profile.
-func (c *profSink) Write(k Key, res *core.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.header {
-		c.header = true
-		if !hasExistingData(c.w) {
-			fmt.Fprintln(c.w, keyHeader(c.fault)+shareprof.CSVHeader)
-		}
-	}
-	c.w.Write(res.Sharing.AppendRows(nil, keyPrefix(k, res, c.fault)))
-}
-
-// critSink writes each run's critical-path component row prefixed with
-// the run-key columns. Same header discipline as csvSink, same ordered
-// delivery through the Sink goroutine, so the file is byte-identical at
-// any parallelism.
-type critSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	header bool
-	fault  bool
-}
-
-// Write appends one run's critical-path row.
-func (c *critSink) Write(k Key, res *core.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.header {
-		c.header = true
-		if !hasExistingData(c.w) {
-			fmt.Fprintln(c.w, keyHeader(c.fault)+critpath.CSVHeader)
-		}
-	}
-	c.w.Write(res.CritPath.AppendRow(nil, keyPrefix(k, res, c.fault)))
 }
 
 // hasExistingData reports whether w is a seekable file that already holds

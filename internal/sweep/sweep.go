@@ -26,7 +26,6 @@ import (
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
-	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
@@ -132,71 +131,56 @@ func Dedupe(keys []Key) []Key {
 	return out
 }
 
-// Options configures an Engine.
+// Options configures an Engine. It is the one struct every layer above
+// core spells run settings in: harness.Options embeds it and the public
+// dsmsim.Option functions write into it directly.
 type Options struct {
+	// Config is the template every run's core.Config starts from: Limit
+	// (0 = a generous default), SampleEvery, ShareProfile, CritPath,
+	// WhatIf and Faults mean here what they mean there and apply to every
+	// non-sequential run of the sweep (Limit and SampleEvery to baselines
+	// too). The engine fills Nodes, BlockSize, Protocol, Notify and
+	// Sequential per Key. Each run compiles its own injector from the
+	// plan's seed, so runs stay independent. Trace and TraceJSON are
+	// per-run writers parallel runs would interleave on: New clears them.
+	Config core.Config
 	// Size selects the problem scale for every run.
 	Size apps.SizeClass
 	// Workers bounds host parallelism; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Verify re-checks every run's numeric result against the sequential
-	// reference. Always on at Small size.
+	// reference. Always on at Small size (New sets it).
 	Verify bool
-	// Limit bounds each run's virtual time (0 = a generous default).
-	Limit sim.Time
 	// Progress, if non-nil, receives one line per completed run.
 	Progress io.Writer
-	// CSV, if non-nil, receives one machine-readable record per completed
-	// run. Header handling is automatic (written once, suppressed when the
-	// writer is an append-mode file with existing content).
-	CSV io.Writer
 	// Histograms adds a latency-distribution line after each run record.
 	Histograms bool
-	// SampleEvery attaches the virtual-time metrics sampler to every run
-	// (strictly observational; results are unchanged).
-	SampleEvery sim.Time
+	// CSV, if non-nil, receives one machine-readable record per completed
+	// run. Like the three writers below it is fed in canonical sweep
+	// order — byte-identical at any parallelism — with the header written
+	// once and suppressed when the writer is an append-mode file with
+	// existing content.
+	CSV io.Writer
 	// SampleCSV, if non-nil, receives each run's sampler series as CSV
-	// rows prefixed with the run-key columns, in canonical sweep order —
-	// like every other sink output, byte-identical at any parallelism.
-	// Requires SampleEvery.
+	// rows prefixed with the run-key columns. Needs Config.SampleEvery.
 	SampleCSV io.Writer
-	// ShareProfile attaches the sharing-pattern profiler to every
-	// non-sequential run: Result.Sharing carries the per-region taxonomy
-	// and true/false-sharing attribution. Observational — every other
-	// output stays byte-identical.
-	ShareProfile bool
-	// ProfCSV, if non-nil, receives each run's sharing profile as CSV
-	// rows (one per region plus a total) prefixed with the run-key
-	// columns, in canonical sweep order — byte-identical at any
-	// parallelism. Requires ShareProfile.
+	// ProfCSV, if non-nil, receives each run's sharing profile (one row
+	// per region plus a total) prefixed with the run-key columns, and
+	// switches Config.ShareProfile on.
 	ProfCSV io.Writer
-	// CritPath attaches the critical-path profiler to every
-	// non-sequential run: Result.CritPath carries the exact critical
-	// path's component/node/region breakdown. Observational — every
-	// other output stays byte-identical.
-	CritPath bool
-	// CritCSV, if non-nil, receives each run's critical-path row
-	// prefixed with the run-key columns, in canonical sweep order —
-	// byte-identical at any parallelism. Requires CritPath.
+	// CritCSV, if non-nil, receives each run's critical-path component
+	// row prefixed with the run-key columns, and switches Config.CritPath
+	// on.
 	CritCSV io.Writer
-	// WhatIf, when non-nil, re-simulates every non-sequential run with
-	// one cost class rescaled (the causal what-if experiment). Unlike
-	// CritPath this changes results — route the output to a separate
-	// file when comparing against a baseline sweep.
-	WhatIf *critpath.Scale
 	// Metrics, if non-nil, receives live progress (point started/done,
 	// wall-clock runtimes) for the HTTP exporter, and switches the
 	// progress lines to the enriched format with a completion counter.
 	// Wall-clock data never reaches the deterministic outputs.
 	Metrics *metrics.Registry
-	// Faults applies a deterministic fault plan to every non-sequential
-	// run of the sweep. Each run compiles its own injector from the plan's
-	// seed, so runs stay independent and the sweep remains byte-identical
-	// at any parallelism.
-	Faults *faults.Plan
 	// FaultGrid holds the named fault variants grid points select with
 	// Key.Fault. When a point carries a Fault name, its variant's plan
-	// replaces Faults for that run. With a grid attached, the CSV, sample
-	// and profile sinks gain a fault column.
+	// replaces Config.Faults for that run. With a grid attached, the CSV,
+	// sample and profile sinks gain a fault column.
 	FaultGrid []FaultVariant
 	// Fork shares warmup prefixes across fault-grid points: each group of
 	// points differing only in Fault runs its pre-fault prefix once (to a
@@ -217,13 +201,34 @@ type Engine struct {
 	sink *Sink
 }
 
-// New builds an Engine from opts.
-func New(opts Options) *Engine {
+// New builds an Engine from opts. It is the one place the rules between
+// settings live: a profile writer switches its profiler on, a sample
+// writer without a sampling interval is an error, and fault-grid variants
+// need distinct, non-empty names (points select them by name).
+func New(opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Limit == 0 {
-		opts.Limit = 100000 * sim.Second
+	opts.Verify = opts.Verify || opts.Size == apps.Small
+	cfg := &opts.Config
+	if cfg.Limit == 0 {
+		cfg.Limit = 100000 * sim.Second
+	}
+	cfg.Trace, cfg.TraceJSON = nil, nil
+	cfg.ShareProfile = cfg.ShareProfile || opts.ProfCSV != nil
+	cfg.CritPath = cfg.CritPath || opts.CritCSV != nil
+	if opts.SampleCSV != nil && cfg.SampleEvery <= 0 {
+		return nil, errors.New("sweep: a sample CSV writer needs a sampling interval (SampleEvery)")
+	}
+	seen := map[string]bool{}
+	for _, v := range opts.FaultGrid {
+		if v.Name == "" {
+			return nil, errors.New("sweep: fault-grid variant with empty name")
+		}
+		if seen[v.Name] {
+			return nil, fmt.Errorf("sweep: duplicate fault-grid variant %q", v.Name)
+		}
+		seen[v.Name] = true
 	}
 	return &Engine{
 		opts: opts,
@@ -232,15 +237,15 @@ func New(opts Options) *Engine {
 		sink: NewSink(opts.Progress, opts.CSV, opts.Histograms,
 			opts.SampleCSV, opts.ProfCSV, opts.CritCSV, opts.Metrics != nil,
 			len(opts.FaultGrid) > 0),
-	}
+	}, nil
 }
+
+// Options returns the settings the engine runs under, defaults applied.
+func (e *Engine) Options() Options { return e.opts }
 
 // Sink exposes the serializing output sink (experiment code routes its own
 // progress lines through it so they cannot interleave with run records).
 func (e *Engine) Sink() *Sink { return e.sink }
-
-// Workers returns the configured worker-pool size.
-func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Flush blocks until all output enqueued so far is written.
 func (e *Engine) Flush() { e.sink.Flush() }
@@ -388,6 +393,20 @@ feed:
 	return results, firstErr
 }
 
+// config fills the template with one point's coordinates. Sequential
+// baselines (whose Key leaves the coordinates zero) run at the page size
+// and keep a nil fault plan: Validate checks plan rules against the node
+// count, and core ignores the observers there.
+func (e *Engine) config(k Key, plan *faults.Plan) core.Config {
+	cfg := e.opts.Config
+	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential, cfg.Faults =
+		k.Nodes, k.Block, k.Protocol, k.Notify, k.Sequential, plan
+	if k.Sequential {
+		cfg.BlockSize, cfg.Faults = 4096, nil
+	}
+	return cfg
+}
+
 // compute executes one run, through a shared-prefix fork when the point is
 // eligible and through the ordinary flat path otherwise.
 func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
@@ -399,24 +418,10 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{Limit: e.opts.Limit, SampleEvery: e.opts.SampleEvery}
-	if k.Sequential {
-		cfg.Sequential = true
-		cfg.BlockSize = 4096
-	} else {
-		cfg.Nodes = k.Nodes
-		cfg.BlockSize = k.Block
-		cfg.Protocol = k.Protocol
-		cfg.Notify = k.Notify
-		cfg.Faults = plan
-		cfg.ShareProfile = e.opts.ShareProfile
-		cfg.CritPath = e.opts.CritPath
-		cfg.WhatIf = e.opts.WhatIf
-	}
+	cfg := e.config(k, plan)
 	app := entry.New(e.opts.Size)
-	verify := e.opts.Verify || e.opts.Size == apps.Small
 	if epoch := e.forkEpoch(); epoch > 0 && e.forkable(k, app, plan, epoch) {
-		res, err := e.computeForked(ctx, k, cfg, app, epoch, verify)
+		res, err := e.computeForked(ctx, k, cfg, app, epoch)
 		if err == nil || ctx.Err() != nil {
 			return res, err
 		}
@@ -429,7 +434,7 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if verify {
+	if e.opts.Verify {
 		return m.RunVerifiedContext(ctx, app)
 	}
 	return m.RunContext(ctx, app)

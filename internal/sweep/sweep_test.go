@@ -14,6 +14,7 @@ import (
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/faults"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
@@ -65,7 +66,7 @@ func TestDedupe(t *testing.T) {
 func runSweep(t *testing.T, workers int) (progress, csv string, results []*core.Result) {
 	t.Helper()
 	var pb, cb bytes.Buffer
-	e := New(Options{Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb, Histograms: true})
+	e := mustNew(t, Options{Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb, Histograms: true})
 	res, err := e.Run(context.Background(), testSpec().Points())
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +78,16 @@ func runSweep(t *testing.T, workers int) (progress, csv string, results []*core.
 // TestParallelByteIdenticalToSerial is the core determinism guarantee: a
 // sweep at 8 workers produces byte-identical progress and CSV output, and
 // identical per-run statistics, to the same sweep at 1 worker.
+// mustNew builds an engine from options the test knows to be valid.
+func mustNew(t testing.TB, o Options) *Engine {
+	t.Helper()
+	e, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestParallelByteIdenticalToSerial(t *testing.T) {
 	p1, c1, r1 := runSweep(t, 1)
 	p8, c8, r8 := runSweep(t, 8)
@@ -109,8 +120,8 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 	run := func(workers int) (progress, samples string, reg *metrics.Registry) {
 		var pb, sb bytes.Buffer
 		reg = metrics.NewRegistry()
-		e := New(Options{Size: apps.Small, Workers: workers, Progress: &pb,
-			SampleEvery: 200 * sim.Microsecond, SampleCSV: &sb, Metrics: reg})
+		e := mustNew(t, Options{Size: apps.Small, Workers: workers, Progress: &pb,
+			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb, Metrics: reg})
 		if _, err := e.Run(context.Background(), testSpec().Points()); err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +159,7 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 
 func TestRunOneMemoized(t *testing.T) {
 	var pb bytes.Buffer
-	e := New(Options{Size: apps.Small, Workers: 2, Progress: &pb})
+	e := mustNew(t, Options{Size: apps.Small, Workers: 2, Progress: &pb})
 	k := Key{App: "lu", Protocol: core.SC, Block: 1024, Notify: network.Polling, Nodes: 4}
 	a, err := e.RunOne(context.Background(), k)
 	if err != nil {
@@ -169,7 +180,7 @@ func TestRunOneMemoized(t *testing.T) {
 
 func TestSweepThenCachedRunsStaySilent(t *testing.T) {
 	var pb bytes.Buffer
-	e := New(Options{Size: apps.Small, Workers: 4, Progress: &pb})
+	e := mustNew(t, Options{Size: apps.Small, Workers: 4, Progress: &pb})
 	pts := testSpec().Points()
 	if _, err := e.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
@@ -237,7 +248,7 @@ func TestMemoErrorNotCached(t *testing.T) {
 }
 
 func TestSweepCancellation(t *testing.T) {
-	e := New(Options{Size: apps.Small, Workers: 2})
+	e := mustNew(t, Options{Size: apps.Small, Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.Run(ctx, testSpec().Points())
@@ -247,7 +258,7 @@ func TestSweepCancellation(t *testing.T) {
 }
 
 func TestSweepUnknownAppFailsFast(t *testing.T) {
-	e := New(Options{Size: apps.Small, Workers: 4})
+	e := mustNew(t, Options{Size: apps.Small, Workers: 4})
 	pts := []Key{Seq("nonesuch"), Seq("lu")}
 	if _, err := e.Run(context.Background(), pts); err == nil {
 		t.Fatal("unknown app accepted")
@@ -256,7 +267,7 @@ func TestSweepUnknownAppFailsFast(t *testing.T) {
 
 func TestCSVSinkHeaderOnceConcurrent(t *testing.T) {
 	var buf bytes.Buffer
-	c := &csvSink{w: &safeWriter{w: &buf}}
+	c := runTable(&safeWriter{w: &buf}, false)
 	res := &core.Result{App: "lu", Protocol: "sc", BlockSize: 64, Nodes: 4}
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -295,7 +306,7 @@ func TestCSVSinkAppendAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	(&csvSink{w: f}).Write(Key{}, res)
+	runTable(f, false).Write(Key{}, res)
 	f.Close()
 
 	// Second invocation, same append-mode pattern: no second header.
@@ -303,7 +314,7 @@ func TestCSVSinkAppendAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	(&csvSink{w: f}).Write(Key{}, res)
+	runTable(f, false).Write(Key{}, res)
 	f.Close()
 
 	data, err := os.ReadFile(path)
@@ -362,5 +373,62 @@ func TestKeyString(t *testing.T) {
 	k := Key{App: "lu", Protocol: "sc", Block: 64, Notify: network.Polling, Nodes: 16}
 	if got := k.String(); got != fmt.Sprintf("lu/sc/64/%s/16p", network.Polling) {
 		t.Fatalf("key = %q", got)
+	}
+}
+
+// fill sets every exported field under v to a non-zero value.
+func fill(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(v.Field(i))
+			}
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fill(v.Index(0))
+	case reflect.Interface: // every interface-typed setting is an io.Writer
+		v.Set(reflect.ValueOf(&bytes.Buffer{}))
+	default:
+		panic("fill: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestNoSettingDroppedOnTheWayDown sets every exported field of Options —
+// the core.Config template included — and checks each one arrives, first
+// in the options the engine runs under and then in the core.Config it
+// builds for a point. A field added to either struct is covered with no
+// edit here; the only differences allowed are the ones listed.
+func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
+	var o Options
+	fill(reflect.ValueOf(&o).Elem())
+	e := mustNew(t, o)
+	defer e.sink.Close()
+	want := o
+	want.Config.Trace, want.Config.TraceJSON = nil, nil // per-run writers: cleared by New
+	if got := e.Options(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine options:\n got %+v\nwant %+v", got, want)
+	}
+
+	k := Key{App: "lu", Protocol: core.HLRC, Block: 256, Notify: network.Interrupt, Nodes: 4}
+	plan := faults.NewPlan(faults.Drop(0.5))
+	cfg := want.Config
+	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential, cfg.Faults = 4, 256, core.HLRC, network.Interrupt, false, plan
+	if got := e.config(k, plan); !reflect.DeepEqual(got, cfg) {
+		t.Fatalf("config for %v:\n got %+v\nwant %+v", k, got, cfg)
+	}
+	seq := want.Config
+	seq.Nodes, seq.BlockSize, seq.Protocol, seq.Notify, seq.Sequential, seq.Faults = 0, 4096, "", 0, true, nil
+	if got := e.config(Seq("lu"), plan); !reflect.DeepEqual(got, seq) {
+		t.Fatalf("config for the baseline:\n got %+v\nwant %+v", got, seq)
 	}
 }

@@ -3,7 +3,6 @@ package dsmsim
 import (
 	"io"
 
-	"dsmsim/internal/critpath"
 	"dsmsim/internal/sweep"
 )
 
@@ -11,63 +10,23 @@ import (
 // the healthy-machine member of the grid.
 type FaultVariant = sweep.FaultVariant
 
-// options collects everything the functional options can configure. Start
-// and Sweep share one option vocabulary: the settings that describe a run
-// (verification, fault plan, virtual-time limit, sampling, tracing) mean
-// the same thing in both, and the rest apply to whichever call understands
-// them and are ignored by the other.
-type options struct {
-	// Shared between Start and Sweep.
-	verify       *bool
-	faults       *FaultPlan
-	limit        Time
-	sampleEvery  Time
-	shareProfile bool
-	critPath     bool
-	whatIf       *critpath.Scale
-	// Single-run only: per-run event trace writers. Ignored by Sweep,
-	// where parallel runs would interleave on one writer.
-	trace     io.Writer
-	traceJSON io.Writer
-	// Sweep only.
-	faultGrid  []FaultVariant
-	fork       bool
-	workers    int
-	progress   io.Writer
-	csv        io.Writer
-	histograms bool
-	sampleCSV  io.Writer
-	profCSV    io.Writer
-	critCSV    io.Writer
-	metrics    *Metrics
-}
-
-// Option customizes a Start or Sweep call. All options are functional:
-// pass any number to either entrypoint. Options that only apply to one of
-// the two calls (tracing is per-run, parallelism is per-sweep) are
-// silently ignored by the other.
-type Option func(*options)
-
-// collect folds opts into one options struct.
-func collect(opts []Option) options {
-	var c options
-	for _, opt := range opts {
-		opt(&c)
-	}
-	return c
-}
+// Option customizes a Start or Sweep call by writing one setting into the
+// sweep engine's options struct — the single declaration of every run
+// setting, whose Config field is the core.Config a run is built from.
+// Start and Sweep share the vocabulary: the settings that describe a run
+// (verification, fault plan, virtual-time limit, sampling, profilers)
+// mean the same thing in both, and options that only apply to one of the
+// two calls (tracing is per-run, parallelism is per-sweep) are silently
+// ignored by the other.
+type Option func(*sweep.Options)
 
 // WithVerify enables result verification against the sequential
 // reference. WithVerify() (no argument) turns verification on;
-// WithVerify(false) forces it off. Without this option, Start runs
-// unverified and Sweep verifies at Small size only (verification is slow
-// at Paper size).
+// WithVerify(false) spells out the default: Start runs unverified and
+// Sweep verifies at Small size only (verification is slow at Paper size).
 func WithVerify(v ...bool) Option {
-	on := true
-	if len(v) > 0 {
-		on = v[0]
-	}
-	return func(c *options) { c.verify = &on }
+	on := len(v) == 0 || v[0]
+	return func(o *sweep.Options) { o.Verify = on }
 }
 
 // WithFaults applies a deterministic fault plan — seeded link drops,
@@ -77,7 +36,7 @@ func WithVerify(v ...bool) Option {
 // Straggler, …) or from a flag string with ParseFaults. A nil or inactive
 // plan leaves the machine byte-identical to the fault-free one; the same
 // plan (same FaultSeed) reproduces a run bit-for-bit.
-func WithFaults(p *FaultPlan) Option { return func(c *options) { c.faults = p } }
+func WithFaults(p *FaultPlan) Option { return func(o *sweep.Options) { o.Config.Faults = p } }
 
 // WithFaultGrid expands every matrix point of the sweep into one run per
 // named fault variant (fault-sensitivity studies: the same configuration
@@ -87,7 +46,7 @@ func WithFaults(p *FaultPlan) Option { return func(c *options) { c.faults = p } 
 // fault column, progress lines a f=<name> tag, and WithFaults is ignored
 // for grid points. Sweep only.
 func WithFaultGrid(variants ...FaultVariant) Option {
-	return func(c *options) { c.faultGrid = variants }
+	return func(o *sweep.Options) { o.FaultGrid = variants }
 }
 
 // WithFork shares warmup prefixes across WithFaultGrid points: each group
@@ -99,18 +58,18 @@ func WithFaultGrid(variants ...FaultVariant) Option {
 // cannot honor (non-barrier-structured app, ungated plan, sharing
 // profiler attached) silently run flat. Sweep only; requires
 // WithFaultGrid with at least two forkable variants to have any effect.
-func WithFork() Option { return func(c *options) { c.fork = true } }
+func WithFork() Option { return func(o *sweep.Options) { o.Fork = true } }
 
 // WithLimit bounds each run's virtual time (0 keeps the generous
 // default).
-func WithLimit(t Time) Option { return func(c *options) { c.limit = t } }
+func WithLimit(t Time) Option { return func(o *sweep.Options) { o.Config.Limit = t } }
 
 // WithSampleEvery attaches the virtual-time metrics sampler,
 // snapshotting per-interval deltas of the node counters. Sampling is
 // strictly observational: results, progress lines and CSV records are
 // unchanged. Each run's series is available as Result.Samples.
 func WithSampleEvery(every Time) Option {
-	return func(c *options) { c.sampleEvery = every }
+	return func(o *sweep.Options) { o.Config.SampleEvery = every }
 }
 
 // WithShareProfile attaches the sharing-pattern profiler to the run
@@ -121,13 +80,13 @@ func WithSampleEvery(every Time) Option {
 // upgrade, aggregated over the application's named heap regions into
 // Result.Sharing. Profiling is strictly observational: virtual time and
 // every other Result field are byte-identical to an unprofiled run.
-func WithShareProfile() Option { return func(c *options) { c.shareProfile = true } }
+func WithShareProfile() Option { return func(o *sweep.Options) { o.Config.ShareProfile = true } }
 
 // WithProfCSV streams every run's sharing profile to w as CSV rows (one
 // per region plus a total) prefixed with the run-key columns, in
 // canonical sweep order — byte-identical at any parallelism. Sweep only;
-// requires WithShareProfile.
-func WithProfCSV(w io.Writer) Option { return func(c *options) { c.profCSV = w } }
+// switches the sharing profiler on (WithShareProfile is implied).
+func WithProfCSV(w io.Writer) Option { return func(o *sweep.Options) { o.ProfCSV = w } }
 
 // WithCritPath attaches the critical-path profiler to the run (Start) or
 // to every non-sequential run of the sweep: the exact longest dependency
@@ -138,12 +97,13 @@ func WithProfCSV(w io.Writer) Option { return func(c *options) { c.profCSV = w }
 // node and per heap region, into Result.CritPath. Profiling is strictly
 // observational: virtual time and every other Result field are
 // byte-identical to an unprofiled run.
-func WithCritPath() Option { return func(c *options) { c.critPath = true } }
+func WithCritPath() Option { return func(o *sweep.Options) { o.Config.CritPath = true } }
 
 // WithCritCSV streams every run's critical-path component row to w,
 // prefixed with the run-key columns, in canonical sweep order —
-// byte-identical at any parallelism. Sweep only; requires WithCritPath.
-func WithCritCSV(w io.Writer) Option { return func(c *options) { c.critCSV = w } }
+// byte-identical at any parallelism. Sweep only; switches the
+// critical-path profiler on (WithCritPath is implied).
+func WithCritCSV(w io.Writer) Option { return func(o *sweep.Options) { o.CritCSV = w } }
 
 // WithWhatIf rescales one cost class of the machine — compute, message
 // wire latency, message service occupancy, lock traffic, barrier traffic
@@ -154,46 +114,46 @@ func WithCritCSV(w io.Writer) Option { return func(c *options) { c.critCSV = w }
 // the full dependency structure delivers. Build scales with ParseWhatIf
 // ("lock=0.5", "msg=0"). Applies to Start and to every non-sequential
 // run of the sweep.
-func WithWhatIf(s *CritScale) Option { return func(c *options) { c.whatIf = s } }
+func WithWhatIf(s *CritScale) Option { return func(o *sweep.Options) { o.Config.WhatIf = s } }
 
 // WithTrace streams the run's deterministic line-format event log to w:
 // every fault, synchronization operation, message send/service — and,
 // under a fault plan, every wire drop, duplicate and retransmission —
 // with virtual timestamps. Start only; ignored by Sweep.
-func WithTrace(w io.Writer) Option { return func(c *options) { c.trace = w } }
+func WithTrace(w io.Writer) Option { return func(o *sweep.Options) { o.Config.Trace = w } }
 
 // WithTraceJSON streams the same events as a Chrome trace-event JSON
 // array (load in Perfetto or chrome://tracing). Start only; ignored by
 // Sweep.
-func WithTraceJSON(w io.Writer) Option { return func(c *options) { c.traceJSON = w } }
+func WithTraceJSON(w io.Writer) Option { return func(o *sweep.Options) { o.Config.TraceJSON = w } }
 
 // WithParallelism bounds the sweep worker pool. n <= 0 (and the default)
 // means one worker per available CPU (GOMAXPROCS); 1 recovers fully
 // serial execution. Output is byte-identical at every setting.
-func WithParallelism(n int) Option { return func(c *options) { c.workers = n } }
+func WithParallelism(n int) Option { return func(o *sweep.Options) { o.Workers = n } }
 
 // WithProgress streams one line per completed run to w, in canonical
 // sweep order regardless of completion order.
-func WithProgress(w io.Writer) Option { return func(c *options) { c.progress = w } }
+func WithProgress(w io.Writer) Option { return func(o *sweep.Options) { o.Progress = w } }
 
 // WithCSV streams one machine-readable record per completed run to w. The
 // header is written exactly once, and suppressed automatically when w is
 // an append-mode file that already holds records.
-func WithCSV(w io.Writer) Option { return func(c *options) { c.csv = w } }
+func WithCSV(w io.Writer) Option { return func(o *sweep.Options) { o.CSV = w } }
 
 // WithHistograms adds a latency-distribution summary line (fault service
 // time, message latency, lock wait) after each run's progress line.
-func WithHistograms() Option { return func(c *options) { c.histograms = true } }
+func WithHistograms() Option { return func(o *sweep.Options) { o.Histograms = true } }
 
 // WithSampleCSV streams every run's sampler time-series to w as CSV rows
 // prefixed with the run-key columns, in canonical sweep order — like all
 // sweep output, byte-identical at any parallelism. Requires
-// WithSampleEvery.
-func WithSampleCSV(w io.Writer) Option { return func(c *options) { c.sampleCSV = w } }
+// WithSampleEvery: without an interval Sweep returns an error.
+func WithSampleCSV(w io.Writer) Option { return func(o *sweep.Options) { o.SampleCSV = w } }
 
 // WithMetrics attaches a live metrics registry: the sweep reports point
 // lifecycle and wall-clock runtimes to m (servable over HTTP with
 // Metrics.Serve), and progress lines switch to an enriched format with a
 // completion counter and per-run fault/traffic fields. Wall-clock data
 // stays on the live surface only; deterministic outputs are unaffected.
-func WithMetrics(m *Metrics) Option { return func(c *options) { c.metrics = m } }
+func WithMetrics(m *Metrics) Option { return func(o *sweep.Options) { o.Metrics = m } }

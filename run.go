@@ -1,6 +1,10 @@
 package dsmsim
 
-import "context"
+import (
+	"context"
+
+	"dsmsim/internal/sweep"
+)
 
 // Start is the single entrypoint for individual runs: it validates cfg,
 // applies the functional options, builds the machine and executes app to
@@ -15,39 +19,19 @@ import "context"
 // By default the run is unverified; WithVerify() re-checks the final
 // shared image against the sequential reference. Options mirror Config
 // where they overlap (WithFaults, WithLimit, WithSampleEvery, WithTrace,
-// WithTraceJSON) and take precedence over the corresponding Config
-// fields when both are set.
+// WithTraceJSON, the profilers) and write into the same struct: they are
+// applied on top of cfg, in order, so an option overrides the Config
+// field it names.
 func Start(ctx context.Context, cfg Config, app App, opts ...Option) (*Result, error) {
-	c := collect(opts)
-	if c.faults != nil {
-		cfg.Faults = c.faults
+	o := sweep.Options{Config: cfg}
+	for _, opt := range opts {
+		opt(&o)
 	}
-	if c.limit > 0 {
-		cfg.Limit = c.limit
-	}
-	if c.sampleEvery > 0 {
-		cfg.SampleEvery = c.sampleEvery
-	}
-	if c.trace != nil {
-		cfg.Trace = c.trace
-	}
-	if c.traceJSON != nil {
-		cfg.TraceJSON = c.traceJSON
-	}
-	if c.shareProfile {
-		cfg.ShareProfile = true
-	}
-	if c.critPath {
-		cfg.CritPath = true
-	}
-	if c.whatIf != nil {
-		cfg.WhatIf = c.whatIf
-	}
-	m, err := NewMachine(cfg)
+	m, err := NewMachine(o.Config)
 	if err != nil {
 		return nil, err
 	}
-	if c.verify != nil && *c.verify {
+	if o.Verify {
 		return m.RunVerifiedContext(ctx, app)
 	}
 	return m.RunContext(ctx, app)

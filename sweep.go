@@ -112,7 +112,10 @@ func (r *SweepResult) GetFault(app, protocol string, block int, notify Notify, f
 //	    Nodes: 16,
 //	}, dsmsim.WithProgress(os.Stderr))
 func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, error) {
-	c := collect(opts)
+	o := sweep.Options{Size: spec.Size}
+	for _, opt := range opts {
+		opt(&o)
+	}
 	if len(spec.Apps) == 0 {
 		spec.Apps = AppNames()
 	}
@@ -128,46 +131,14 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 	if spec.Nodes == 0 {
 		spec.Nodes = 16
 	}
-	verify := spec.Size == Small
-	if c.verify != nil {
-		verify = *c.verify
-	}
 	var faultNames []string
-	if len(c.faultGrid) > 0 {
-		seen := map[string]bool{}
-		for _, v := range c.faultGrid {
-			if v.Name == "" {
-				return nil, fmt.Errorf("dsmsim: sweep: fault-grid variant with empty name")
-			}
-			if seen[v.Name] {
-				return nil, fmt.Errorf("dsmsim: sweep: duplicate fault-grid variant %q", v.Name)
-			}
-			seen[v.Name] = true
-			faultNames = append(faultNames, v.Name)
-		}
+	for _, v := range o.FaultGrid {
+		faultNames = append(faultNames, v.Name)
 	}
-	eng := sweep.New(sweep.Options{
-		Size:        spec.Size,
-		Workers:     c.workers,
-		Verify:      verify,
-		Limit:       c.limit,
-		Progress:    c.progress,
-		CSV:         c.csv,
-		Histograms:  c.histograms,
-		SampleEvery: c.sampleEvery,
-		SampleCSV:   c.sampleCSV,
-		Metrics:     c.metrics,
-		Faults:      c.faults,
-		FaultGrid:   c.faultGrid,
-		Fork:        c.fork,
-
-		ShareProfile: c.shareProfile,
-		ProfCSV:      c.profCSV,
-
-		CritPath: c.critPath,
-		CritCSV:  c.critCSV,
-		WhatIf:   c.whatIf,
-	})
+	eng, err := sweep.New(o)
+	if err != nil {
+		return nil, fmt.Errorf("dsmsim: %w", err)
+	}
 	points := sweep.Dedupe(sweep.Spec{
 		Apps:          spec.Apps,
 		Protocols:     spec.Protocols,
