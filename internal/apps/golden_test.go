@@ -66,10 +66,11 @@ func TestGoldenLUCounts(t *testing.T) {
 	}
 }
 
-// TestGoldenTraceDigests anchors the line traces of two small apps — the
+// TestGoldenTraceDigests anchors the line and JSON traces of two small apps — the
 // barrier-phased water-nsquared and the lock-taking raytrace task queue, 8
 // nodes — under every registered protocol at a fine and a page granularity,
-// with every observer on, to SHA-256 constants. The other trace oracles
+// with every observer on (so the JSON carries the crit lanes), to SHA-256
+// constants. The other trace oracles
 // are relative (fork vs flat, parallel 1 vs 8); this one compares a change
 // against the commit the constants were recorded at, so a refactor that is
 // meant to leave the bytes alone can show that it did. A change that is
@@ -98,6 +99,28 @@ func TestGoldenTraceDigests(t *testing.T) {
 		"raytrace/tlc/64":           "fc04fb23b07f3fc33155aed1fa25cd3044f07ecdd7d26bfec5d0d6ed7dbb1e5c",
 		"raytrace/tlc/4096":         "bdc6e76217016419025bc587fdc918fd32eba7ae2e888d5a3fa5f14ea996e1fe",
 	}
+	goldenJSON := map[string]string{
+		"water-nsquared/sc/64":      "4eade9e3a53a6a1d4d9c9cf54253bb9c4529a0655afd59834334e9a3f2714f1b",
+		"water-nsquared/sc/4096":    "cfe68a5e8b769570ac21fab3bcee59c248ee2b8df2e92b4b70877d96b7ee3237",
+		"water-nsquared/dc/64":      "9a6713b7d3d25f2755163e70daca636ad037d21d71658a8c2f90a2ec08531dcd",
+		"water-nsquared/dc/4096":    "70e85972df3720143af2f77501a675a589dd18d24d1a8965327130180d5e2afb",
+		"water-nsquared/swlrc/64":   "903da6bc1e32309b93c7f5dbcfe484d2fbc162f3735e2bc170bcac1cc9d1aeb3",
+		"water-nsquared/swlrc/4096": "c4914fb4770850e1509607eb58ce67c87c85c4661b1b52884ceaea6b742a15c8",
+		"water-nsquared/hlrc/64":    "b22751deaa5dde0d3a0e2ab8962b9b7f5cfb9c8104ab68c6502c72f00cc64885",
+		"water-nsquared/hlrc/4096":  "76db65a533589f4b41d54afb1cec87e7440ea97321346bb8539ff618eb0bfc86",
+		"water-nsquared/tlc/64":     "3cffe0aca6967309e947f279216dd535a3208bb92fd06178933bbbc5a252a1f9",
+		"water-nsquared/tlc/4096":   "cb6205bf83afe5c57af647d291048e23932a20e912f794849164991c8f6b0315",
+		"raytrace/sc/64":            "7411ca1aa9d1b28dfb1e4f8f83133fc0155fc89b5cafeaa84f0d1e5637e1313a",
+		"raytrace/sc/4096":          "a2aec5de51e557088b93b26f2e00e2b678d5236503a7902a39f4e5b14c5a17d1",
+		"raytrace/dc/64":            "f04a9b94eac749219032e0eca161f1ba1a2b3cc4ccf90397813969c8fcdbdca2",
+		"raytrace/dc/4096":          "e8062aab555942ecf65c8eaa6f67b07a0e7ad38f67f79a626d0802b54bff455f",
+		"raytrace/swlrc/64":         "103aea46943b30ab6b5c9d7bfebc8561877a8c6db25abf210e6afe6da96533b0",
+		"raytrace/swlrc/4096":       "1baadc3019ae0f867a3c5ec1c4916728b315f28c25c7fd7c478b5d7aee320f85",
+		"raytrace/hlrc/64":          "12552343fc00fc990dd301db75dce3c5063a08823e6f0f0139a9f5d5d8fb5948",
+		"raytrace/hlrc/4096":        "11b495315c5bd5935f50a514b1c9ca4caaf70e51ccfafa41ccf3ec995a8f802f",
+		"raytrace/tlc/64":           "706cf24317fbad0927b3d09af3201ea965bc0e39b9222d54080a0a05d8498f6c",
+		"raytrace/tlc/4096":         "53c4f151b376ac283f01d9d47dcf52c61484ee04056293efb84d5dada96cb8fe",
+	}
 	for _, app := range []string{"water-nsquared", "raytrace"} {
 		entry, err := Get(app)
 		if err != nil {
@@ -106,10 +129,10 @@ func TestGoldenTraceDigests(t *testing.T) {
 		for _, p := range core.ProtocolNames() {
 			for _, block := range []int{64, 4096} {
 				name := fmt.Sprintf("%s/%s/%d", app, p, block)
-				var line bytes.Buffer
+				var line, js bytes.Buffer
 				m, err := core.NewMachine(core.Config{
 					Nodes: 8, BlockSize: block, Protocol: p, Limit: 2000 * sim.Second,
-					Trace: &line, ShareProfile: true, CritPath: true,
+					Trace: &line, TraceJSON: &js, ShareProfile: true, CritPath: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -117,11 +140,17 @@ func TestGoldenTraceDigests(t *testing.T) {
 				if _, err := m.RunVerified(entry.New(Small)); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				got := fmt.Sprintf("%x", sha256.Sum256(line.Bytes()))
-				if want, ok := golden[name]; !ok {
-					t.Errorf("%s: no recorded digest; this run's is %s", name, got)
-				} else if got != want {
-					t.Errorf("%s: line trace drifted: sha256 %s, recorded %s", name, got, want)
+				for _, f := range []struct {
+					format string
+					golden map[string]string
+					out    []byte
+				}{{"line", golden, line.Bytes()}, {"JSON", goldenJSON, js.Bytes()}} {
+					got := fmt.Sprintf("%x", sha256.Sum256(f.out))
+					if want, ok := f.golden[name]; !ok {
+						t.Errorf("%s: no recorded %s digest; this run's is %s", name, f.format, got)
+					} else if got != want {
+						t.Errorf("%s: %s trace drifted: sha256 %s, recorded %s", name, f.format, got, want)
+					}
 				}
 			}
 		}
