@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -48,5 +49,54 @@ func TestPerNodeAllocCeiling1024(t *testing.T) {
 	t.Logf("%.1f mallocs per node", perNode)
 	if perNode > ceiling {
 		t.Errorf("one LU run at %d nodes under sc cost %.1f mallocs per node, ceiling %.1f", nodes, perNode, ceiling)
+	}
+}
+
+// TestObserverAllocCeiling pins the contract that an observer's per-event
+// path allocates nothing: a whole LU run at 16 nodes under hlrc with 256 B
+// blocks may cost at most 1.25x the mallocs of the same run with observers
+// off, with either trace sink or with the critical-path profiler on.
+// Measured 1.01x (line), 1.02x (JSON) and 1.08x (critpath): the Tracer, its
+// bufio.Writer and encode buffer, and the profiler's record chunks and
+// report. One allocation per traced event would be 13x — the run's trace
+// has 12,304 events, and observers off it costs 1,035 mallocs.
+func TestObserverAllocCeiling(t *testing.T) {
+	entry, err := apps.Get("lu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallocs := func(cfg core.Config) float64 {
+		cfg.Nodes, cfg.BlockSize, cfg.Protocol = 16, 256, core.HLRC
+		m, err := core.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() uint64 {
+			app := entry.New(apps.Small)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := m.Run(app); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		run() // warm the space pool every run shares
+		return float64(run())
+	}
+	off := mallocs(core.Config{})
+	for _, obs := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"Trace", core.Config{Trace: io.Discard}},
+		{"TraceJSON", core.Config{TraceJSON: io.Discard}},
+		{"CritPath", core.Config{CritPath: true}},
+	} {
+		on := mallocs(obs.cfg)
+		t.Logf("%s: %.0f mallocs, %.3fx the %.0f with observers off", obs.name, on, on/off, off)
+		if on > 1.25*off {
+			t.Errorf("%s on costs %.0f mallocs, %.2fx the %.0f with observers off; ceiling 1.25x", obs.name, on, on/off, off)
+		}
 	}
 }

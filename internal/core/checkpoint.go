@@ -216,7 +216,9 @@ func (r *run) runToCapture(k int) (*Checkpoint, error) {
 	for _, sp := range r.env.Spaces {
 		sp.Release() // the checkpoint deep-copied them
 	}
-	r.tr.Flush() // nil-safe; completes the prefix's trace stream at the cut
+	if err := r.tr.Flush(); err != nil { // nil-safe; completes the prefix's trace stream at the cut
+		return nil, fmt.Errorf("core: trace: %w", err)
+	}
 	return r.cp, nil
 }
 

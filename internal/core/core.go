@@ -531,7 +531,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 			i := i
 			sp.OnTag = func(b int, old, new mem.Access) {
 				if tr != nil {
-					tr.InstantMsg(i, trace.CatMem, "tag", old.String()+"->"+new.String(),
+					tr.InstantMsg(i, trace.CatMem, "tag", tagArrows[old][new],
 						trace.A("block", int64(b)))
 				}
 				if prof != nil {
@@ -665,29 +665,23 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 		}
 	}
 	if ct := r.crit; tr != nil || ct != nil {
-		procIdx := make(map[*sim.Proc]int, cfg.Nodes)
-		for i, pr := range env.Procs {
-			procIdx[pr] = i
-		}
+		// The engine's only procs are the nodes', created above in node
+		// order: a proc's index is its node id.
 		hooks := sim.Hooks{
-			ProcBlock: func(pr *sim.Proc, reason string) {
-				if i, ok := procIdx[pr]; ok {
-					if tr != nil {
-						tr.InstantMsg(i, trace.CatSim, "block", reason)
-					}
-					if ct != nil {
-						ct.Block(i, engine.Now())
-					}
+			ProcBlock: func(pr *sim.Proc, reason string, id int) {
+				if tr != nil {
+					tr.InstantMsgID(pr.Index(), trace.CatSim, "block", reason, id)
+				}
+				if ct != nil {
+					ct.Block(pr.Index(), engine.Now())
 				}
 			},
 			ProcUnblock: func(pr *sim.Proc) {
-				if i, ok := procIdx[pr]; ok {
-					if tr != nil {
-						tr.Instant(i, trace.CatSim, "unblock")
-					}
-					if ct != nil {
-						ct.Unblock(i, engine.Now())
-					}
+				if tr != nil {
+					tr.Instant(pr.Index(), trace.CatSim, "unblock")
+				}
+				if ct != nil {
+					ct.Unblock(pr.Index(), engine.Now())
 				}
 			},
 		}
@@ -724,12 +718,16 @@ func (r *run) finish(runErr error) (*Result, error) {
 				Cat: trace.CatCrit, Name: s.Comp.String(), Span: true, Args: args})
 		}
 	}
-	r.tr.Flush() // nil-safe; flush even when the run aborted so the partial trace is inspectable
+	traceErr := r.tr.Flush() // nil-safe; flush even when the run aborted so the partial trace is inspectable
 	if runErr != nil {
 		if ctxErr := r.ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
 		return nil, fmt.Errorf("core: %s/%s/%d: %w", r.info.Name, cfg.Protocol, cfg.BlockSize, runErr)
+	}
+	if traceErr != nil {
+		// No Result beside a silently truncated trace file.
+		return nil, fmt.Errorf("core: trace: %w", traceErr)
 	}
 
 	r.p.Finalize()
@@ -851,3 +849,13 @@ func preclaim(env *proto.Env) {
 }
 
 func roundUp(n, to int) int { return (n + to - 1) / to * to }
+
+// tagArrows[old][new] is the trace detail of a tag transition, "old->new".
+var tagArrows = func() (t [mem.ReadWrite + 1][mem.ReadWrite + 1]string) {
+	for old := range t {
+		for new := range t[old] {
+			t[old][new] = mem.Access(old).String() + "->" + mem.Access(new).String()
+		}
+	}
+	return t
+}()

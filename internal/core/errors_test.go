@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"io"
 	"testing"
 
 	"dsmsim/internal/faults"
+	"dsmsim/internal/sim"
 )
 
 // TestTypedValidationErrors: NewMachine reports each misconfiguration with
@@ -68,6 +72,90 @@ func TestValidConfigsStillAccepted(t *testing.T) {
 	} {
 		if _, err := NewMachine(cfg); err != nil {
 			t.Errorf("NewMachine(%+v): %v", cfg, err)
+		}
+	}
+}
+
+// fullDisk accepts room bytes and fails every write after them.
+type fullDisk struct {
+	room int
+	got  bytes.Buffer
+}
+
+var errDiskFull = errors.New("no space left on device")
+
+func (w *fullDisk) Write(p []byte) (int, error) {
+	n := min(len(p), w.room-w.got.Len())
+	w.got.Write(p[:n])
+	if n < len(p) {
+		return n, errDiskFull
+	}
+	return n, nil
+}
+
+// TestTraceWriteErrorFailsRun: a trace sink that stops accepting bytes —
+// at once, or after the tracer's buffer has already been written through a
+// few times — fails the run and the checkpoint cut with the writer's error
+// instead of returning a Result beside a truncated file. A run that
+// aborted reports its own error and still flushes what it traced.
+func TestTraceWriteErrorFailsRun(t *testing.T) {
+	app := func() App {
+		var base int
+		return &testApp{
+			name: "tracefail", heap: 32 * 1024,
+			setup: func(h *Heap) { base = h.AllocI64s(64) },
+			run: func(c *Ctx) {
+				for i := 0; i < 20; i++ {
+					c.WriteI64(base+8*c.ID(), int64(i))
+					c.Barrier()
+				}
+			},
+			verify: func(h *Heap) error { return nil },
+		}
+	}
+	for _, sink := range []struct {
+		name string
+		set  func(*Config, io.Writer)
+	}{
+		{"Trace", func(c *Config, w io.Writer) { c.Trace = w }},
+		{"TraceJSON", func(c *Config, w io.Writer) { c.TraceJSON = w }},
+	} {
+		machine := func(w io.Writer, limit sim.Time) *Machine {
+			cfg := Config{Nodes: 2, BlockSize: 256, Protocol: HLRC, Limit: limit}
+			sink.set(&cfg, w)
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		var whole bytes.Buffer
+		if _, err := machine(&whole, 10*sim.Second).Run(app()); err != nil {
+			t.Fatalf("%s: healthy writer: %v", sink.name, err)
+		}
+		for _, room := range []int{0, 10000, whole.Len() - 1} {
+			disk := &fullDisk{room: room}
+			if res, err := machine(disk, 10*sim.Second).Run(app()); !errors.Is(err, errDiskFull) || res != nil {
+				t.Errorf("%s, room for %d of %d bytes: Run returned (result %t, %v), want the writer's error alone", sink.name, room, whole.Len(), res != nil, err)
+			}
+			if !bytes.Equal(disk.got.Bytes(), whole.Bytes()[:room]) {
+				t.Errorf("%s, room for %d bytes: the bytes accepted are not a prefix of the whole trace", sink.name, room)
+			}
+		}
+		if cp, err := machine(&fullDisk{}, 10*sim.Second).RunToBarrier(context.Background(), app(), 3); !errors.Is(err, errDiskFull) || cp != nil {
+			t.Errorf("%s: RunToBarrier returned (checkpoint %t, %v), want the writer's error alone", sink.name, cp != nil, err)
+		}
+
+		const short = 300 * sim.Microsecond // the run needs longer: it aborts
+		var partial bytes.Buffer
+		if _, err := machine(&partial, short).Run(app()); err == nil {
+			t.Fatalf("%s: run past its limit succeeded", sink.name)
+		}
+		if partial.Len() == 0 || partial.Len() >= whole.Len() {
+			t.Errorf("%s: aborted run flushed %d bytes of a %d-byte trace", sink.name, partial.Len(), whole.Len())
+		}
+		if _, err := machine(&fullDisk{}, short).Run(app()); err == nil || errors.Is(err, errDiskFull) {
+			t.Errorf("%s: aborted run with a failing trace writer returned %v, want the run's own error", sink.name, err)
 		}
 	}
 }

@@ -120,7 +120,11 @@ type record struct {
 // Tracker accumulates dependency records for one run. It is
 // single-threaded, like the engine that drives it.
 type Tracker struct {
-	recs []record
+	// Records live in fixed-size chunks, id-1 = chunk*chunkLen + offset:
+	// a run makes hundreds of thousands, and a chunk list grows without
+	// ever copying a record.
+	chunks []*[chunkLen]record
+	n      int32 // records made; also the id of the latest
 
 	procLast []int32    // per node: last record on the proc's chain
 	mark     []sim.Time // per node: start of the open proc segment
@@ -152,9 +156,23 @@ func New(nodes int) *Tracker {
 	}
 }
 
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
+)
+
+// rec returns the record with the given id (never 0).
+func (t *Tracker) rec(id int32) *record {
+	return &t.chunks[(id-1)>>chunkShift][(id-1)&(chunkLen-1)]
+}
+
 func (t *Tracker) add(r record) int32 {
-	t.recs = append(t.recs, r)
-	id := int32(len(t.recs))
+	if int(t.n>>chunkShift) == len(t.chunks) {
+		t.chunks = append(t.chunks, new([chunkLen]record))
+	}
+	t.n++
+	id := t.n
+	*t.rec(id) = r
 	if r.end >= t.maxEnd {
 		t.maxEnd = r.end
 		t.final = id
@@ -214,10 +232,10 @@ func (t *Tracker) Xmit(src, dst, kind, block int, now, arrive, wire sim.Time) in
 // record covering notify delay and holdoff, if any).
 func (t *Tracker) SvcStart(node, kind, block int, xmit int32, arrived, now, cost sim.Time) {
 	pred := xmit
-	if b := t.lastSvc[node]; b != 0 && t.recs[b-1].end == now && now > arrived {
+	if b := t.lastSvc[node]; b != 0 && t.rec(b).end == now && now > arrived {
 		pred = b
-	} else if xmit != 0 && now > t.recs[xmit-1].end {
-		pred = t.add(record{start: t.recs[xmit-1].end, end: now, pred: xmit,
+	} else if xmit != 0 && now > t.rec(xmit).end {
+		pred = t.add(record{start: t.rec(xmit).end, end: now, pred: xmit,
 			node: int32(node), block: int32(block), comp: Overhead})
 	}
 	t.svcRec[node] = t.add(record{start: now, end: now + cost, scalable: cost,
@@ -333,10 +351,10 @@ func (t *Tracker) ArqAck(dst int, now, arrive sim.Time) int32 {
 // service queue at now: the buffering wait (caused by the loss of an
 // earlier frame) chains from the frame's own arrival.
 func (t *Tracker) ArqRelease(rec int32, dst, block int, now sim.Time) int32 {
-	if rec == 0 || t.recs[rec-1].end >= now {
+	if rec == 0 || t.rec(rec).end >= now {
 		return rec
 	}
-	return t.add(record{start: t.recs[rec-1].end, end: now, pred: rec,
+	return t.add(record{start: t.rec(rec).end, end: now, pred: rec,
 		node: int32(dst), block: int32(block), comp: Retransmit})
 }
 
@@ -362,7 +380,8 @@ func (t *Tracker) ClearContext() { t.cur = 0 }
 // recovered path — and therefore its report and CSV output — is
 // byte-identical to a flat run of the same configuration.
 type State struct {
-	recs     []record
+	chunks   []*[chunkLen]record
+	n        int32
 	procLast []int32
 	mark     []sim.Time
 	lastSvc  []int32
@@ -372,10 +391,20 @@ type State struct {
 	maxEnd   sim.Time
 }
 
+func cloneChunks(chunks []*[chunkLen]record) []*[chunkLen]record {
+	out := make([]*[chunkLen]record, len(chunks))
+	for i, c := range chunks {
+		cc := *c
+		out[i] = &cc
+	}
+	return out
+}
+
 // CaptureState snapshots the tracker.
 func (t *Tracker) CaptureState() *State {
 	return &State{
-		recs:     append([]record(nil), t.recs...),
+		chunks:   cloneChunks(t.chunks),
+		n:        t.n,
 		procLast: append([]int32(nil), t.procLast...),
 		mark:     append([]sim.Time(nil), t.mark...),
 		lastSvc:  append([]int32(nil), t.lastSvc...),
@@ -392,7 +421,7 @@ func (t *Tracker) CaptureState() *State {
 // chain from the captured barrier-arrive service record, exactly as the
 // flat run's release does.
 func (t *Tracker) RestoreState(st *State) {
-	t.recs = append(t.recs[:0], st.recs...)
+	t.chunks, t.n = cloneChunks(st.chunks), st.n
 	copy(t.procLast, st.procLast)
 	copy(t.mark, st.mark)
 	copy(t.lastSvc, st.lastSvc)

@@ -1,8 +1,11 @@
 package critpath
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
@@ -256,13 +259,13 @@ func TestArqRecordsEndAtFireTime(t *testing.T) {
 	a := tr.ArqAck(0, 40, 55)
 	rel := tr.ArqRelease(f, 1, 4, 70)
 	tr.ClearContext()
-	if tr.recs[f-1].end != 40 || tr.recs[tm-1].end != 200 || tr.recs[a-1].end != 55 {
-		t.Fatalf("record ends: frame %v timer %v ack %v", tr.recs[f-1].end, tr.recs[tm-1].end, tr.recs[a-1].end)
+	if tr.rec(f).end != 40 || tr.rec(tm).end != 200 || tr.rec(a).end != 55 {
+		t.Fatalf("record ends: frame %v timer %v ack %v", tr.rec(f).end, tr.rec(tm).end, tr.rec(a).end)
 	}
 	if rel == f {
 		t.Fatal("reorder release after the arrival must add a wait record")
 	}
-	if r := tr.recs[rel-1]; r.start != 40 || r.end != 70 || r.comp != Retransmit {
+	if r := tr.rec(rel); r.start != 40 || r.end != 70 || r.comp != Retransmit {
 		t.Fatalf("release record = %+v", r)
 	}
 	// Release at (or before) the arrival instant is the identity.
@@ -312,5 +315,69 @@ func TestWriteTextDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "msg-wire") {
 		t.Fatalf("report text missing components:\n%s", a.String())
+	}
+}
+
+// longChain records n back-to-back 10 ns compute segments on node 0.
+func longChain(n int) *Tracker {
+	t := New(1)
+	for i := 0; i < n; i++ {
+		t.seg(0, sim.Time(10*(i+1)), Compute, 0)
+	}
+	return t
+}
+
+// TestRecordStoreSpansChunks: ids keep addressing the right record across
+// chunk boundaries — in the walk back, and through a capture and restore
+// that must leave snapshot and original independent.
+func TestRecordStoreSpansChunks(t *testing.T) {
+	const n = 2*chunkLen + 5
+	tr := longChain(n)
+	rep := tr.Report(nil, 0)
+	if rep.Total != 10*n || rep.Events != n || rep.Recorded != n {
+		t.Fatalf("report = Total %v Events %d Recorded %d, want %d/%d/%d", rep.Total, rep.Events, rep.Recorded, 10*n, n, n)
+	}
+	for _, id := range []int32{1, chunkLen, chunkLen + 1, 2 * chunkLen, n} {
+		if r := tr.rec(id); r.end != sim.Time(10*id) || r.pred != id-1 {
+			t.Fatalf("record %d = %+v", id, *r)
+		}
+	}
+	want := tr.PathSpans()
+	st := tr.CaptureState()
+	tr.rec(chunkLen + 1).end = -1 // the snapshot must not alias the tracker's chunks
+	fresh := New(1)
+	fresh.RestoreState(st)
+	fresh.rec(2).end = -1 // nor the restored tracker the snapshot's
+	second := New(1)
+	second.RestoreState(st)
+	if got := second.PathSpans(); !slices.Equal(got, want) {
+		t.Fatalf("path after capture and restore differs: %d spans, want %d", len(got), len(want))
+	}
+	second.seg(0, 10*(n+1), Compute, 0)
+	if got := second.Report(nil, 0); got.Total != 10*(n+1) || got.Recorded != n+1 {
+		t.Fatalf("restored tracker continued to Total %v Recorded %d", got.Total, got.Recorded)
+	}
+}
+
+// TestRecordStoreGrowthNeverCopies: ten times the records cost ten times
+// the bytes. A store that grows by doubling append re-copies everything it
+// holds at each step, and allocates 2.5-3x what it ends up holding.
+func TestRecordStoreGrowthNeverCopies(t *testing.T) {
+	bytes := func(n int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		longChain(n)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const n = 5 * chunkLen
+	small, large := bytes(n), bytes(10*n)
+	t.Logf("%d records: %.0f bytes; %d records: %.0f bytes (%.1fx)", n, small, 10*n, large, large/small)
+	if large > 12*small {
+		t.Errorf("10x the records cost %.1fx the bytes, ceiling 12x", large/small)
+	}
+	var r record
+	if perRecord := large / (10 * n); perRecord > 1.1*float64(unsafe.Sizeof(r)) {
+		t.Errorf("%.1f bytes allocated per %d-byte record: growth is copying", perRecord, unsafe.Sizeof(r))
 	}
 }

@@ -53,14 +53,14 @@ type Report struct {
 // the latest end. regions and blockSize map block-carrying records to
 // named heap allocations (both may be zero for synthetic trackers).
 func (t *Tracker) Report(regions []mem.Region, blockSize int) *Report {
-	rep := &Report{Recorded: len(t.recs)}
+	rep := &Report{Recorded: int(t.n)}
 	rep.Nodes = make([]NodeTime, len(t.procLast))
 	for i := range rep.Nodes {
 		rep.Nodes[i].Node = i
 	}
 	blocks := make(map[int32]*RegionTime)
 	for id := t.final; id != 0; {
-		r := &t.recs[id-1]
+		r := t.rec(id)
 		span := r.end - r.start
 		rep.Total += span
 		rep.Events++
@@ -141,7 +141,7 @@ type Span struct {
 func (t *Tracker) PathSpans() []Span {
 	var out []Span
 	for id := t.final; id != 0; {
-		r := &t.recs[id-1]
+		r := t.rec(id)
 		out = append(out, Span{Start: r.start, End: r.end,
 			Node: int(r.node), Block: int(r.block), Comp: r.comp})
 		id = r.pred

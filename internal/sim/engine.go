@@ -100,9 +100,11 @@ func (e *DeadlockError) Error() string {
 // path, so the instrumented engine is indistinguishable from the bare one
 // when no hooks are attached.
 type Hooks struct {
-	// ProcBlock fires when a proc parks in Block, with the reason that
-	// would appear in a deadlock report.
-	ProcBlock func(p *Proc, reason string)
+	// ProcBlock fires when a proc parks in Block or BlockID, with the
+	// reason and id (-1 for none) as the caller passed them — unjoined, so
+	// an attached hook costs no allocation. A deadlock report would show
+	// them as Proc.Reason does: "reason", or "reason id".
+	ProcBlock func(p *Proc, reason string, id int)
 	// ProcUnblock fires when Unblock schedules a parked proc to resume.
 	ProcUnblock func(p *Proc)
 	// Dispatch fires before each event callback runs, with the event's

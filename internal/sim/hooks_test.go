@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // TestHooksObserveSchedulingWithoutPerturbing: the three hooks fire at the
 // right moments, and attaching them changes neither the event order nor
@@ -17,8 +21,10 @@ func TestHooksObserveSchedulingWithoutPerturbing(t *testing.T) {
 		var r run
 		if withHooks {
 			e.SetHooks(Hooks{
-				Dispatch:    func(at Time, queued int) { r.dispatches++ },
-				ProcBlock:   func(p *Proc, reason string) { r.blocks = append(r.blocks, p.Name()+":"+reason) },
+				Dispatch: func(at Time, queued int) { r.dispatches++ },
+				ProcBlock: func(p *Proc, reason string, id int) {
+					r.blocks = append(r.blocks, fmt.Sprintf("%s:%s:%d", p.Name(), reason, id))
+				},
 				ProcUnblock: func(p *Proc) { r.unblocks++ },
 			})
 		}
@@ -26,8 +32,11 @@ func TestHooksObserveSchedulingWithoutPerturbing(t *testing.T) {
 		waiter = e.NewProc("waiter", 0, func(p *Proc) {
 			p.Block("waiting for poke")
 			p.Sleep(10)
+			p.BlockID("waiting for block", 7)
 		})
 		e.NewProc("poker", 0, func(p *Proc) {
+			p.Sleep(100)
+			e.Schedule(e.Now(), func() { waiter.Unblock() })
 			p.Sleep(100)
 			e.Schedule(e.Now(), func() { waiter.Unblock() })
 			p.Sleep(1)
@@ -46,11 +55,12 @@ func TestHooksObserveSchedulingWithoutPerturbing(t *testing.T) {
 	if hooked.dispatches == 0 {
 		t.Fatal("Dispatch hook never fired")
 	}
-	if len(hooked.blocks) != 1 || hooked.blocks[0] != "waiter:waiting for poke" {
-		t.Fatalf("ProcBlock observations = %v", hooked.blocks)
+	// The hook sees reason and id as passed, not joined as Reason() would.
+	if want := []string{"waiter:waiting for poke:-1", "waiter:waiting for block:7"}; !slices.Equal(hooked.blocks, want) {
+		t.Fatalf("ProcBlock observations = %q, want %q", hooked.blocks, want)
 	}
-	if hooked.unblocks != 1 {
-		t.Fatalf("ProcUnblock fired %d times, want 1", hooked.unblocks)
+	if hooked.unblocks != 2 {
+		t.Fatalf("ProcUnblock fired %d times, want 2", hooked.unblocks)
 	}
 	if bare.dispatches != 0 || bare.blocks != nil || bare.unblocks != 0 {
 		t.Fatal("hooks fired without being attached")

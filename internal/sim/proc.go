@@ -34,9 +34,10 @@ func (p *procPanic) String() string {
 // body. Unblock must be called from engine context (an event callback or
 // another proc holding the baton).
 type Proc struct {
-	e    *Engine
-	name string
-	body func(*Proc)
+	e     *Engine
+	name  string
+	index int
+	body  func(*Proc)
 
 	// next switches to the coroutine until it yields or its body returns;
 	// stop makes a parked yield return false, which unwinds the body with
@@ -52,7 +53,7 @@ type Proc struct {
 
 	// reason (+ optional reasonID, -1 if unset) says why the proc is
 	// blocked. Kept unformatted: Reason() joins them only when a deadlock
-	// report or observability hook actually reads the string.
+	// report actually reads the string.
 	reason   string
 	reasonID int
 }
@@ -69,7 +70,7 @@ func (e *Engine) newProc(name string, body func(*Proc)) *Proc {
 	if len(e.slab) == cap(e.slab) {
 		e.slab = make([]Proc, 0, 1) // nothing reserved: one Proc at a time
 	}
-	e.slab = append(e.slab, Proc{e: e, name: name, body: body, reasonID: -1})
+	e.slab = append(e.slab, Proc{e: e, name: name, index: len(e.procs), body: body, reasonID: -1})
 	p := &e.slab[len(e.slab)-1]
 	e.procs = append(e.procs, p)
 	return p
@@ -132,6 +133,10 @@ func (p *Proc) run(yield func(struct{}) bool) {
 
 // Name returns the proc's name.
 func (p *Proc) Name() string { return p.name }
+
+// Index returns the proc's position among its engine's procs, in creation
+// order from 0.
+func (p *Proc) Index() int { return p.index }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
@@ -205,7 +210,7 @@ func (p *Proc) block(reason string, id int) {
 	p.reason = reason
 	p.reasonID = id
 	if p.e.hooks.ProcBlock != nil {
-		p.e.hooks.ProcBlock(p, p.Reason())
+		p.e.hooks.ProcBlock(p, reason, id)
 	}
 	p.yieldToEngine()
 }

@@ -20,13 +20,20 @@
 // It is also zero-cost when disabled: every instrumentation site holds a
 // *Tracer that is nil when tracing is off and guards its emit (and the
 // construction of the event's arguments) behind a single nil check.
+//
+// Enabled, an event costs no allocation: each sink encodes it by appending
+// into one buffer the Tracer owns and hands that to its bufio.Writer in one
+// Write. That holds only while nothing reachable from an Event outlives
+// Emit — a single retained string (a map key, say) makes escape analysis
+// treat the whole Event as leaking, and every call site's variadic []Arg
+// moves from its stack to the heap.
 package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
+	"unicode/utf8"
 
 	"dsmsim/internal/sim"
 )
@@ -85,19 +92,21 @@ type Tracer struct {
 	line *bufio.Writer
 	json *bufio.Writer
 
+	// buf holds the one record being encoded; both sinks reuse it.
+	buf []byte
+
 	jsonRecords int
-	named       map[trackKey]bool
+	// named has, per node, one bit per category track (1<<catTID) whose
+	// metadata the JSON sink has written, and processNamed for the node's.
+	named map[int]uint16
 }
 
-type trackKey struct {
-	node int
-	cat  string
-}
+const processNamed = 1 << 15
 
 // New creates a tracer reading virtual time from eng. Attach at least one
 // sink with SetLine or SetJSON, and call Flush when the run ends.
 func New(eng *sim.Engine) *Tracer {
-	return &Tracer{eng: eng, named: make(map[trackKey]bool)}
+	return &Tracer{eng: eng}
 }
 
 // SetLine directs the deterministic line format to w.
@@ -105,14 +114,17 @@ func (t *Tracer) SetLine(w io.Writer) { t.line = bufio.NewWriter(w) }
 
 // SetJSON directs Chrome trace-event JSON to w. The JSON array is
 // terminated by Flush.
-func (t *Tracer) SetJSON(w io.Writer) { t.json = bufio.NewWriter(w) }
+func (t *Tracer) SetJSON(w io.Writer) {
+	t.json = bufio.NewWriter(w)
+	t.named = make(map[int]uint16)
+}
 
 // Instant emits a zero-duration event at the current virtual time.
 func (t *Tracer) Instant(node int, cat, name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.Emit(Event{Time: t.eng.Now(), Node: node, Cat: cat, Name: name, Args: args})
+	t.emit(&Event{Time: t.eng.Now(), Node: node, Cat: cat, Name: name, Args: args}, -1)
 }
 
 // InstantMsg is Instant with a free-form string detail.
@@ -120,7 +132,17 @@ func (t *Tracer) InstantMsg(node int, cat, name, msg string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.Emit(Event{Time: t.eng.Now(), Node: node, Cat: cat, Name: name, Str: msg, Args: args})
+	t.emit(&Event{Time: t.eng.Now(), Node: node, Cat: cat, Name: name, Str: msg, Args: args}, -1)
+}
+
+// InstantMsgID is InstantMsg for details of the form "msg N" (a blocking
+// reason and its block number or lock id): the encoders join the two, so
+// the caller never builds the string. A negative id renders msg alone.
+func (t *Tracer) InstantMsgID(node int, cat, name, msg string, id int) {
+	if t == nil {
+		return
+	}
+	t.emit(&Event{Time: t.eng.Now(), Node: node, Cat: cat, Name: name, Str: msg}, id)
 }
 
 // Span emits a duration event covering [start, now]. Call it when the
@@ -131,7 +153,7 @@ func (t *Tracer) Span(node int, cat, name string, start sim.Time, args ...Arg) {
 		return
 	}
 	now := t.eng.Now()
-	t.Emit(Event{Time: start, Dur: now - start, Node: node, Cat: cat, Name: name, Span: true, Args: args})
+	t.emit(&Event{Time: start, Dur: now - start, Node: node, Cat: cat, Name: name, Span: true, Args: args}, -1)
 }
 
 // Emit writes one event to every attached sink.
@@ -139,11 +161,17 @@ func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
 	}
+	t.emit(&e, -1)
+}
+
+// emit encodes e for each sink; id >= 0 is joined to e.Str (InstantMsgID).
+func (t *Tracer) emit(e *Event, id int) {
 	if t.line != nil {
-		t.writeLine(e)
+		t.buf = appendLine(t.buf[:0], e, id)
+		t.line.Write(t.buf)
 	}
 	if t.json != nil {
-		t.writeJSON(e)
+		t.writeJSON(e, id)
 	}
 }
 
@@ -172,29 +200,72 @@ func (t *Tracer) Flush() error {
 	return firstErr
 }
 
-// nodeName renders a node id for the line format.
-func nodeName(node int) string {
+// appendNodeName renders a node id as "engine" or "node<id>".
+func appendNodeName(b []byte, node int) []byte {
 	if node == EngineNode {
-		return "engine"
+		return append(b, "engine"...)
 	}
-	return "node" + strconv.Itoa(node)
+	return strconv.AppendInt(append(b, "node"...), int64(node), 10)
 }
 
-// writeLine renders one event in the deterministic line format:
+// appendPad appends n spaces (none for n <= 0).
+func appendPad(b []byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// appendQuote appends strconv.Quote(s). Printable ASCII without a quote
+// or a backslash — every string the simulator emits — quotes to itself and
+// skips strconv.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendMsg appends the quoted detail: strconv.Quote(s), or
+// strconv.Quote(s+" "+id) when id is non-negative — the id, all ASCII,
+// quotes to itself whatever s ends in.
+func appendMsg(b []byte, s string, id int) []byte {
+	b = appendQuote(b, s)
+	if id >= 0 {
+		b = strconv.AppendInt(append(b[:len(b)-1], ' '), int64(id), 10)
+		b = append(b, '"')
+	}
+	return b
+}
+
+// appendLine renders one event in the deterministic line format, laid out
+// as fmt's "%12d %-5s %-7s %s" would:
 //
 //	<ns:12> <cat:5> <node:7> <name> [dur=<ns>] [k=v ...] [msg="..."]
-func (t *Tracer) writeLine(e Event) {
-	fmt.Fprintf(t.line, "%12d %-5s %-7s %s", int64(e.Time), e.Cat, nodeName(e.Node), e.Name)
+func appendLine(b []byte, e *Event, id int) []byte {
+	var num [20]byte
+	ts := strconv.AppendInt(num[:0], int64(e.Time), 10)
+	b = append(appendPad(b, 12-len(ts)), ts...)
+	b = append(append(b, ' '), e.Cat...)
+	b = appendPad(b, 5-utf8.RuneCountInString(e.Cat))
+	b = append(b, ' ')
+	n := len(b)
+	b = appendNodeName(b, e.Node)
+	b = appendPad(b, 7-(len(b)-n))
+	b = append(append(b, ' '), e.Name...)
 	if e.Span {
-		fmt.Fprintf(t.line, " dur=%d", int64(e.Dur))
+		b = strconv.AppendInt(append(b, " dur="...), int64(e.Dur), 10)
 	}
 	for _, a := range e.Args {
-		fmt.Fprintf(t.line, " %s=%d", a.Key, a.Val)
+		b = append(append(append(b, ' '), a.Key...), '=')
+		b = strconv.AppendInt(b, a.Val, 10)
 	}
 	if e.Str != "" {
-		fmt.Fprintf(t.line, " msg=%s", strconv.Quote(e.Str))
+		b = appendMsg(append(b, " msg="...), e.Str, id)
 	}
-	t.line.WriteByte('\n')
+	return append(b, '\n')
 }
 
 // catTID maps a category to a stable thread id inside a node's process, so
@@ -228,48 +299,57 @@ func jsonPID(node int) int {
 	return node
 }
 
-// record writes one raw JSON object into the top-level array.
-func (t *Tracer) record(s string) {
+// record writes t.buf, one raw JSON object, into the top-level array.
+func (t *Tracer) record() {
 	if t.jsonRecords == 0 {
 		t.json.WriteString("[\n")
 	} else {
 		t.json.WriteString(",\n")
 	}
-	t.json.WriteString(s)
+	t.json.Write(t.buf)
 	t.jsonRecords++
+}
+
+// metadata starts a Chrome metadata record for pid in t.buf.
+func (t *Tracer) metadata(name string, pid int) []byte {
+	b := append(append(t.buf[:0], `{"ph":"M","name":"`...), name...)
+	return strconv.AppendInt(append(b, `","pid":`...), int64(pid), 10)
 }
 
 // ensureTrack emits process/thread metadata the first time a (node,
 // category) track appears, so Perfetto shows "node3" processes with
-// "proto", "net", ... tracks instead of bare numbers.
+// "proto", "net", ... tracks instead of bare numbers. Categories outside
+// the Cat* set share tid 9, named after the first of them a node emits.
 func (t *Tracer) ensureTrack(node int, cat string) {
-	k := trackKey{node: node, cat: cat}
-	if t.named[k] {
+	seen, tid := t.named[node], catTID(cat)
+	if seen&(1<<tid) != 0 {
 		return
 	}
-	t.named[k] = true
+	t.named[node] = seen | 1<<tid | processNamed
 	pid := jsonPID(node)
-	if !t.named[trackKey{node: node, cat: ""}] {
-		t.named[trackKey{node: node, cat: ""}] = true
-		t.record(fmt.Sprintf(`{"ph":"M","name":"process_name","pid":%d,"args":{"name":%s}}`,
-			pid, strconv.Quote(nodeName(node))))
-		t.record(fmt.Sprintf(`{"ph":"M","name":"process_sort_index","pid":%d,"args":{"sort_index":%d}}`,
-			pid, pid))
+	if seen&processNamed == 0 {
+		b := append(t.metadata("process_name", pid), `,"args":{"name":"`...)
+		t.buf = append(appendNodeName(b, node), `"}}`...)
+		t.record()
+		b = append(t.metadata("process_sort_index", pid), `,"args":{"sort_index":`...)
+		t.buf = append(strconv.AppendInt(b, int64(pid), 10), `}}`...)
+		t.record()
 	}
-	t.record(fmt.Sprintf(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
-		pid, catTID(cat), strconv.Quote(cat)))
+	b := append(t.metadata("thread_name", pid), `,"tid":`...)
+	b = append(strconv.AppendInt(b, int64(tid), 10), `,"args":{"name":`...)
+	t.buf = append(appendQuote(b, cat), `}}`...)
+	t.record()
 }
 
 // writeJSON renders one event as a Chrome trace-event object. Timestamps
 // are microseconds (the format's unit); virtual nanoseconds keep three
 // decimal places so nothing is lost.
-func (t *Tracer) writeJSON(e Event) {
+func (t *Tracer) writeJSON(e *Event, id int) {
 	t.ensureTrack(e.Node, e.Cat)
-	var b []byte
-	b = append(b, `{"name":`...)
-	b = strconv.AppendQuote(b, e.Name)
+	b := append(t.buf[:0], `{"name":`...)
+	b = appendQuote(b, e.Name)
 	b = append(b, `,"cat":`...)
-	b = strconv.AppendQuote(b, e.Cat)
+	b = appendQuote(b, e.Cat)
 	if e.Span {
 		b = append(b, `,"ph":"X","dur":`...)
 		b = appendMicros(b, e.Dur)
@@ -284,27 +364,19 @@ func (t *Tracer) writeJSON(e Event) {
 	b = strconv.AppendInt(b, int64(catTID(e.Cat)), 10)
 	if len(e.Args) > 0 || e.Str != "" {
 		b = append(b, `,"args":{`...)
-		first := true
 		for _, a := range e.Args {
-			if !first {
-				b = append(b, ',')
-			}
-			first = false
-			b = strconv.AppendQuote(b, a.Key)
-			b = append(b, ':')
-			b = strconv.AppendInt(b, a.Val, 10)
+			b = append(appendQuote(b, a.Key), ':')
+			b = append(strconv.AppendInt(b, a.Val, 10), ',')
 		}
 		if e.Str != "" {
-			if !first {
-				b = append(b, ',')
-			}
-			b = append(b, `"msg":`...)
-			b = strconv.AppendQuote(b, e.Str)
+			b = appendMsg(append(b, `"msg":`...), e.Str, id)
+		} else {
+			b = b[:len(b)-1] // the last arg's comma
 		}
 		b = append(b, '}')
 	}
-	b = append(b, '}')
-	t.record(string(b))
+	t.buf = append(b, '}')
+	t.record()
 }
 
 // appendMicros renders a virtual-nanosecond time as decimal microseconds

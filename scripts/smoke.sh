@@ -163,11 +163,13 @@ tlc() {
 	dsmbench -exp fourway -nodes 4 -size small -progress=false
 }
 
-# Ten seconds of fuzzing per parser of a flag string.
+# Ten seconds of fuzzing per parser of a flag string, and of the trace line
+# encoder against its fmt oracle.
 fuzz() {
 	local t
 	for t in "FuzzParse ./internal/faults" "FuzzParseStragglers ./internal/faults" \
-		"FuzzParseScale ./internal/critpath" "FuzzGrid ./internal/cliflags"; do
+		"FuzzParseScale ./internal/critpath" "FuzzGrid ./internal/cliflags" \
+		"FuzzLineEncoder ./internal/trace"; do
 		set -- $t
 		$GO test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
 	done
