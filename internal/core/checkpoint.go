@@ -213,9 +213,8 @@ func (r *run) runToCapture(k int) (*Checkpoint, error) {
 		}
 		return nil, fmt.Errorf("core: %s finished before barrier epoch %d", r.info.Name, k)
 	}
-	for _, sp := range r.env.Spaces {
-		sp.Release() // the checkpoint deep-copied them
-	}
+	// The checkpoint deep-copied the spaces.
+	r.releaseSpaces()
 	if err := r.tr.Flush(); err != nil { // nil-safe; completes the prefix's trace stream at the cut
 		return nil, fmt.Errorf("core: trace: %w", err)
 	}
@@ -358,11 +357,7 @@ func (cp *Checkpoint) Digest() uint64 {
 	d.I64(int64(cp.now))
 	d.U64(cp.seq)
 	for i := range cp.spaces {
-		sp := &cp.spaces[i]
-		d.Bytes(sp.Data)
-		for _, t := range sp.Tags {
-			d.Int(int(t))
-		}
+		cp.spaces[i].AddToDigest(d)
 		digestStats(d, &cp.stats[i])
 		if i < len(cp.vcs) {
 			cp.vcs[i].AddToDigest(d)

@@ -399,8 +399,10 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 	}
 
 	r.heapSize = roundUp(r.info.HeapBytes, max(cfg.BlockSize, 4096))
-	r.master = make([]byte, r.heapSize)
-	r.heap = &Heap{alloc: mem.NewAllocator(r.heapSize), master: r.master}
+	// The master image and its page map share one allocation.
+	image := make([]byte, r.heapSize+mem.NumPages(r.heapSize))
+	r.master = image[:r.heapSize:r.heapSize]
+	r.heap = &Heap{alloc: mem.NewAllocator(r.heapSize), master: r.master, touched: image[r.heapSize:]}
 	// Setup is the untimed sequential pre-parallel phase; it is a pure
 	// function of the app instance, so re-running it under a restore
 	// rebuilds the identical master image and heap layout the checkpointed
@@ -453,12 +455,13 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 			ErrUnknownProtocol, cfg.Protocol, strings.Join(proto.Names(), ", "))
 	}
 	env := &proto.Env{
-		Engine: engine,
-		Model:  r.model,
-		Net:    net,
-		Homes:  proto.NewHomes(cfg.Nodes, r.heapSize/cfg.BlockSize),
-		Master: r.master,
-		Tracer: tr,
+		Engine:      engine,
+		Model:       r.model,
+		Net:         net,
+		Homes:       proto.NewHomes(cfg.Nodes, r.heapSize/cfg.BlockSize),
+		Master:      r.master,
+		MasterPages: r.heap.touched,
+		Tracer:      tr,
 	}
 	r.env = env
 	if reg.Meta.NeedsClocks {
@@ -731,8 +734,15 @@ func (r *run) finish(runErr error) (*Result, error) {
 	}
 
 	r.p.Finalize()
+	// Write the authoritative copies back into the master image. Outside
+	// the union of the dirty maps every copy and the master itself are
+	// still zero, so only blocks inside it are collected.
+	pages := r.heap.touched
+	for _, sp := range r.env.Spaces {
+		pages.Merge(sp.Dirty())
+	}
 	bs := cfg.BlockSize
-	for b := 0; b < r.heapSize/bs; b++ {
+	for b := range pages.Blocks(bs, r.heapSize) {
 		copy(r.master[b*bs:(b+1)*bs], r.p.Collect(b))
 	}
 
@@ -744,6 +754,7 @@ func (r *run) finish(runErr error) (*Result, error) {
 		Nodes:     cfg.Nodes,
 		Time:      r.engine.Now(),
 		Heap:      r.heap,
+		PerNode:   make([]stats.Node, 0, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		// Close each node's final phase at the moment its body returned,
@@ -789,12 +800,23 @@ func (r *run) finish(runErr error) (*Result, error) {
 		}
 	}
 	res.ProtoStaticBytes, res.ProtoPeakBytes = r.p.MemFootprint()
-	// Everything the caller gets back was copied out of the spaces above;
-	// recycle their slabs for the next run.
+	// Everything the caller gets back was copied out of the spaces above.
+	r.releaseSpaces()
+	return res, nil
+}
+
+// releaseHook, when non-nil, sees every space just before it is recycled.
+// Tests set it to check the dirty-map invariant on real runs.
+var releaseHook func(*mem.Space)
+
+// releaseSpaces recycles the spaces' slabs for the next run.
+func (r *run) releaseSpaces() {
 	for _, sp := range r.env.Spaces {
+		if releaseHook != nil {
+			releaseHook(sp)
+		}
 		sp.Release()
 	}
-	return res, nil
 }
 
 // RunVerified runs the app and then checks its result.
@@ -838,13 +860,17 @@ func (m *Machine) handler(sy *synch.Sync, p proto.Protocol) network.Handler {
 
 // preclaim hands every block to node 0 read-write: the sequential baseline
 // has no access-control activity at all. Tags never drop, so the protocol's
-// own per-block tables are never consulted.
+// own per-block tables are never consulted. Like SeedHomes it copies only
+// the master pages Setup touched.
 func preclaim(env *proto.Env) {
-	bs := env.Spaces[0].BlockSize()
-	for b := 0; b < env.Spaces[0].NumBlocks(); b++ {
+	sp := env.Spaces[0]
+	for b := 0; b < sp.NumBlocks(); b++ {
 		env.Homes.Claim(b, 0)
-		copy(env.Spaces[0].BlockData(b), env.Master[b*bs:(b+1)*bs])
-		env.Spaces[0].SetTag(b, mem.ReadWrite)
+		sp.SetTag(b, mem.ReadWrite)
+	}
+	bs := sp.BlockSize()
+	for b := range env.MasterPages.Blocks(bs, len(env.Master)) {
+		copy(sp.BlockData(b), env.Master[b*bs:(b+1)*bs])
 	}
 }
 

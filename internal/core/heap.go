@@ -8,9 +8,15 @@ import (
 // Heap is the master image of the shared address space. Applications lay
 // out and initialize their shared data here during Setup (the untimed
 // sequential pre-parallel phase) and read final results here in Verify.
+//
+// touched marks every master page Bytes has handed out — the only route to
+// the image's bytes — so a page not marked is still all-zero: seeding
+// copies marked pages only, and the final write-back merges the spaces'
+// dirty maps into it to find the pages worth collecting.
 type Heap struct {
-	alloc  *mem.Allocator
-	master []byte
+	alloc   *mem.Allocator
+	master  []byte
+	touched mem.PageMap
 }
 
 // Alloc reserves n bytes aligned to align (power of two) and returns the
@@ -43,7 +49,10 @@ func (h *Heap) AllocPage(n int) int { return h.alloc.Alloc(n, 4096) }
 func (h *Heap) Used() int { return h.alloc.Used() }
 
 // Bytes returns the master bytes [addr, addr+n).
-func (h *Heap) Bytes(addr, n int) []byte { return h.master[addr : addr+n : addr+n] }
+func (h *Heap) Bytes(addr, n int) []byte {
+	h.touched.Mark(addr, n)
+	return h.master[addr : addr+n : addr+n]
+}
 
 // F64s views count float64s at addr in the master image.
 func (h *Heap) F64s(addr, count int) []float64 { return view.F64s(h.Bytes(addr, count*8)) }

@@ -75,7 +75,7 @@ func TestBlockDataAliasesBacking(t *testing.T) {
 		t.Fatalf("len = %d", len(bd))
 	}
 	bd[0] = 0xAB
-	if s.Data()[128] != 0xAB {
+	if s.Bytes(128, 1)[0] != 0xAB {
 		t.Fatal("BlockData does not alias backing store")
 	}
 	if &s.Bytes(128, 8)[0] != &bd[0] {

@@ -9,6 +9,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -47,11 +48,26 @@ func (a Access) Allows(write bool) bool {
 
 // Space is one node's local copy of the shared address space, divided into
 // fixed-size coherence blocks, each with an access tag.
+//
+// A space also keeps a sticky dirty map over its data, one byte per 4 KB
+// page: a page is marked the first time a tag on it changes or one of its
+// blocks is handed out by BlockData. Those are the only routes to a space's
+// bytes — application accesses through Bytes are tag-guarded, so a tag
+// transition always comes first — which gives the invariant everything
+// that walks a space relies on: a page not marked dirty is all-zero with
+// every tag NoAccess. Release, State, Restore and the run's final
+// write-back visit dirty pages only.
 type Space struct {
 	blockSize  int
 	blockShift uint
-	data       []byte
-	tags       []Access
+	// A block no wider than a page lies on page b>>narrow (wide is 0);
+	// a wider one spans the 1<<wide pages from b<<wide.
+	narrow, wide uint8
+
+	slab  []byte // data followed by dirty: one allocation
+	data  []byte
+	tags  []Access
+	dirty PageMap
 
 	// ver counts effective tag transitions. The access fast path in core
 	// caches a validated block range keyed on this counter: any tag change
@@ -75,49 +91,55 @@ func NewSpace(size, blockSize int) *Space {
 	if size <= 0 || size%blockSize != 0 {
 		panic(fmt.Sprintf("mem: size %d is not a positive multiple of block size %d", size, blockSize))
 	}
-	shift := uint(0)
-	for 1<<shift != blockSize {
-		shift++
-	}
 	nblocks := size / blockSize
-	if v := spacePool.Get(); v != nil {
-		s := v.(*Space)
-		s.blockSize = blockSize
-		s.blockShift = shift
-		if cap(s.data) >= size {
-			s.data = s.data[:size]
-		} else {
-			s.data = make([]byte, size)
-		}
-		if cap(s.tags) >= nblocks {
-			s.tags = s.tags[:nblocks]
-		} else {
-			s.tags = make([]Access, nblocks)
-		}
-		return s
+	s, _ := spacePool.Get().(*Space)
+	if s == nil {
+		s = new(Space)
 	}
-	return &Space{
-		blockSize:  blockSize,
-		blockShift: shift,
-		data:       make([]byte, size),
-		tags:       make([]Access, nblocks),
+	shift := bits.TrailingZeros(uint(blockSize))
+	s.blockSize = blockSize
+	s.blockShift = uint(shift)
+	s.narrow, s.wide = uint8(max(pageShift-shift, 0)), uint8(max(shift-pageShift, 0))
+	// A recycled slab is all-zero over its whole capacity (see Release), so
+	// data and dirty can be laid out afresh for this size.
+	need := size + NumPages(size)
+	if cap(s.slab) < need {
+		s.slab = make([]byte, need)
 	}
+	s.data = s.slab[:size:size]
+	s.dirty = PageMap(s.slab[size:need:need])
+	if cap(s.tags) < nblocks {
+		s.tags = make([]Access, nblocks)
+	}
+	s.tags = s.tags[:nblocks]
+	return s
 }
 
 // spacePool recycles Space slabs across machine runs: a parameter sweep
-// allocates (and zeroes) each node's multi-megabyte heap copy once instead
-// of once per run. Spaces are zeroed on Release, so a pooled Space is
-// indistinguishable from a fresh one.
+// allocates each node's multi-megabyte heap copy once instead of once per
+// run. A pooled Space is indistinguishable from a fresh one — its slab and
+// tags are all-zero over their whole capacity, whatever size and block
+// size it is next handed out at — and Release keeps that at the cost of
+// the pages the run dirtied, not of the heap it reserved.
 var spacePool sync.Pool
 
 // Release zeroes the space and returns its slabs to the pool for the next
 // run. The caller must not touch the space afterwards.
 func (s *Space) Release() {
-	clear(s.data)
-	clear(s.tags)
+	s.zero()
 	s.ver = 0
 	s.OnTag = nil
 	spacePool.Put(s)
+}
+
+// zero returns the space to the all-clean state: data and tags of every
+// dirty page cleared, then the map itself. Clean pages are zero already.
+func (s *Space) zero() {
+	for lo, hi := range s.dirty.Runs(len(s.data)) {
+		clear(s.data[lo:hi])
+		clear(s.tags[lo>>s.blockShift : hi>>s.blockShift])
+	}
+	clear(s.dirty)
 }
 
 // Size returns the space size in bytes.
@@ -149,60 +171,160 @@ func (s *Space) Tag(b int) Access { return s.tags[b] }
 
 // SetTag sets block b's access tag.
 func (s *Space) SetTag(b int, a Access) {
-	if s.tags[b] != a {
+	if old := s.tags[b]; old != a {
 		s.ver++
-		if s.OnTag != nil {
-			s.OnTag(b, s.tags[b], a)
+		if s.wide != 0 || s.OnTag != nil {
+			s.setTagSlow(b, a)
+		} else if old == NoAccess {
+			// The common case costs one store over the tag's own, and
+			// only on the way out of NoAccess: a tag that is anything
+			// else sits on a page already marked.
+			s.markNarrow(b)
 		}
 	}
 	s.tags[b] = a
 }
+
+// setTagSlow is SetTag's transition path for a block that spans several
+// pages or a space with an observer. Kept out of line so that the common
+// case does not spill SetTag's arguments around two calls.
+//
+//go:noinline
+func (s *Space) setTagSlow(b int, a Access) {
+	s.mark(b)
+	if s.OnTag != nil {
+		s.OnTag(b, s.tags[b], a)
+	}
+}
+
+// mark marks the pages of block b dirty: every page it spans, so the pages
+// of a wide block are always dirty or clean together and a run of dirty
+// pages begins and ends on block boundaries.
+func (s *Space) mark(b int) {
+	if s.wide == 0 {
+		s.markNarrow(b)
+		return
+	}
+	n := 1 << s.wide
+	for p := b * n; p < (b+1)*n; p++ {
+		s.dirty[p] = 1
+	}
+}
+
+// markNarrow marks the one page of a block no wider than a page.
+func (s *Space) markNarrow(b int) { s.dirty[b>>(s.narrow&63)] = 1 }
 
 // Ver returns the tag-transition counter. It changes whenever any block's
 // effective tag changes, so an unchanged Ver means every previously
 // validated block range is still valid.
 func (s *Space) Ver() uint32 { return s.ver }
 
-// Data returns the backing byte slice. Mutations bypass access control; the
-// caller (the protocol layer) is responsible for tag discipline.
-func (s *Space) Data() []byte { return s.data }
+// Dirty returns the space's dirty-page map. Read-only: marking is the
+// space's own business.
+func (s *Space) Dirty() PageMap { return s.dirty }
 
-// BlockData returns block b's bytes as a sub-slice of the backing store.
+// BlockData returns block b's bytes as a sub-slice of the backing store,
+// and marks its pages dirty. Mutations bypass access control; the caller
+// (the protocol layer) is responsible for tag discipline.
 func (s *Space) BlockData(b int) []byte {
+	s.mark(b)
 	lo := b << s.blockShift
 	return s.data[lo : lo+s.blockSize : lo+s.blockSize]
 }
 
-// Bytes returns the byte range [addr, addr+n) as a sub-slice.
+// Bytes returns the byte range [addr, addr+n) as a sub-slice. It is the
+// application access path and marks nothing: the core hands the range out
+// only after every block in it passed its tag check, and a block's tag
+// cannot have left NoAccess without marking its page.
 func (s *Space) Bytes(addr, n int) []byte { return s.data[addr : addr+n : addr+n] }
 
-// SpaceState is a deep snapshot of one node's space: the local heap copy,
-// every block's access tag, and the tag-version counter (restored so the
+// SpaceState is a deep snapshot of one node's space: its dirty map, the
+// data and tags of the dirty pages (everything else is zero and NoAccess by
+// the space's invariant), and the tag-version counter (restored so the
 // core's validated-span cache keys stay coherent across a fork).
 type SpaceState struct {
-	Data []byte
-	Tags []Access
-	Ver  uint32
+	size       int
+	blockShift uint
+	// buf is the dirty map followed by the data of each run of dirty
+	// pages, ascending; tags holds the same runs' tags.
+	buf  []byte
+	tags []Access
+	ver  uint32
 }
 
-// State captures a deep copy of the space contents and tags.
+func (st *SpaceState) pages() PageMap { return PageMap(st.buf[:NumPages(st.size)]) }
+
+// State captures a deep copy of the space's dirty pages and their tags.
 func (s *Space) State() SpaceState {
-	return SpaceState{
-		Data: append([]byte(nil), s.data...),
-		Tags: append([]Access(nil), s.tags...),
-		Ver:  s.ver,
+	n := 0
+	for lo, hi := range s.dirty.Runs(len(s.data)) {
+		n += hi - lo
 	}
+	st := SpaceState{
+		size:       len(s.data),
+		blockShift: s.blockShift,
+		buf:        make([]byte, len(s.dirty)+n),
+		tags:       make([]Access, n>>s.blockShift),
+		ver:        s.ver,
+	}
+	at, bt := copy(st.buf, s.dirty), 0
+	for lo, hi := range s.dirty.Runs(len(s.data)) {
+		at += copy(st.buf[at:], s.data[lo:hi])
+		bt += copy(st.tags[bt:], s.tags[lo>>s.blockShift:hi>>s.blockShift])
+	}
+	return st
 }
 
 // Restore overwrites the space from a snapshot taken on an identically
-// sized space. Tags are written directly — no OnTag callbacks fire, since
-// restoring is not a coherence transition.
+// sized space, adopting the snapshot's dirty map. Tags are written
+// directly — no OnTag callbacks fire, since restoring is not a coherence
+// transition.
 func (s *Space) Restore(st SpaceState) {
-	if len(st.Data) != len(s.data) || len(st.Tags) != len(s.tags) {
-		panic(fmt.Sprintf("mem: Restore of mismatched space (%d/%d bytes, %d/%d blocks)",
-			len(st.Data), len(s.data), len(st.Tags), len(s.tags)))
+	if st.size != len(s.data) || st.blockShift != s.blockShift {
+		panic(fmt.Sprintf("mem: Restore of mismatched space (%d/%d bytes, %d/%d B blocks)",
+			st.size, len(s.data), 1<<st.blockShift, s.blockSize))
 	}
-	copy(s.data, st.Data)
-	copy(s.tags, st.Tags)
-	s.ver = st.Ver
+	s.zero()
+	copy(s.dirty, st.pages())
+	at, bt := len(s.dirty), 0
+	for lo, hi := range s.dirty.Runs(len(s.data)) {
+		at += copy(s.data[lo:hi], st.buf[at:])
+		bt += copy(s.tags[lo>>s.blockShift:hi>>s.blockShift], st.tags[bt:])
+	}
+	s.ver = st.ver
+}
+
+// Hasher is the accumulator SpaceState.AddToDigest feeds; proto.Digest
+// implements it. Zeros(n) must equal Bytes of n zero bytes, and Int must
+// fold its value as intBytes bytes, so that Int(0) equals Zeros(intBytes).
+type Hasher interface {
+	Bytes(p []byte)
+	Zeros(n int)
+	Int(v int)
+}
+
+const intBytes = 8
+
+// AddToDigest folds the snapshot's logical contents into d — every data
+// byte in address order, then every tag — exactly as a full copy of the
+// space would, so a dirty page that is still all-zero digests like a clean
+// one and the result does not depend on which pages happen to be marked.
+func (st *SpaceState) AddToDigest(d Hasher) {
+	pages := st.pages()
+	at, end := len(pages), 0
+	for lo, hi := range pages.Runs(st.size) {
+		d.Zeros(lo - end)
+		d.Bytes(st.buf[at : at+hi-lo])
+		at, end = at+hi-lo, hi
+	}
+	d.Zeros(st.size - end)
+	bt, end := 0, 0
+	for lo, hi := range pages.Runs(st.size) {
+		d.Zeros(intBytes * (lo>>st.blockShift - end))
+		for _, t := range st.tags[bt : bt+(hi-lo)>>st.blockShift] {
+			d.Int(int(t))
+		}
+		bt, end = bt+(hi-lo)>>st.blockShift, hi>>st.blockShift
+	}
+	d.Zeros(intBytes * (st.size>>st.blockShift - end))
 }

@@ -37,8 +37,11 @@ type Env struct {
 	VCs []VC
 
 	// Master is the authoritative pre-parallel image of the shared heap,
-	// used to seed the static homes at the parallel-phase boundary.
-	Master []byte
+	// used to seed the static homes at the parallel-phase boundary, and
+	// MasterPages marks the pages of it that Setup touched: every other
+	// page is still zero, like the spaces it would be copied into.
+	Master      []byte
+	MasterPages mem.PageMap
 
 	// Tracer is the structured event tracer, nil when tracing is off.
 	// Protocols guard every emit (and its argument construction) behind
@@ -87,11 +90,12 @@ func (e *Env) Send(src int, m *network.Msg) {
 // first-touch home claim. Called at the parallel-phase boundary, after
 // Homes.BeginFirstTouch.
 func (e *Env) SeedHomes() {
-	// Tags start NoAccess everywhere: spaces come out of NewSpace zeroed
-	// (fresh or recycled), and SeedHomes runs before any protocol activity,
-	// so only the home copies' data needs seeding.
+	// Spaces come out of NewSpace zeroed with every tag NoAccess (fresh or
+	// recycled), and SeedHomes runs before any protocol activity, so only
+	// the home copies' data needs seeding — and of that only the pages
+	// Setup touched, the rest of the master being zero as well.
 	bs := e.Spaces[0].BlockSize()
-	for b := 0; b < e.Spaces[0].NumBlocks(); b++ {
+	for b := range e.MasterPages.Blocks(bs, len(e.Master)) {
 		s := e.Homes.Static(b)
 		copy(e.Spaces[s].BlockData(b), e.Master[b*bs:(b+1)*bs])
 	}
