@@ -2,39 +2,60 @@ package sim
 
 import "testing"
 
-// The hot-path contract: once an engine's event heap has grown to its
-// working size, scheduling and dispatching events allocates nothing, and a
-// lone proc's Sleep is a pure clock advance. These tests pin that with
-// testing.AllocsPerRun so a regression fails loudly instead of showing up
-// as a benchmark drift.
+// The hot-path contract: once an engine's two queues have grown to their
+// working size, scheduling and dispatching events allocates nothing —
+// for a later instant (the heap) or the current one (the now-lane), from
+// outside Run or from a callback, with a func(any) and a pointer or with a
+// plain func() riding through callFunc — and a lone proc's Sleep is a pure
+// clock advance. These tests pin that with testing.AllocsPerRun so a
+// regression fails loudly instead of showing up as a benchmark drift.
 
 func TestScheduleDispatchZeroAlloc(t *testing.T) {
 	e := NewEngine()
-	fn := func() {}
+	chain := 0 // at-now events still to be scheduled from inside callbacks
+	var fn func()
+	fn = func() {
+		if chain > 0 {
+			chain--
+			e.Schedule(e.Now(), fn)
+		}
+	}
 	drive := func() {
 		base := e.Now()
+		chain = 64
 		for i := 0; i < 64; i++ {
-			e.Schedule(base+Time(i), fn)
+			e.Schedule(base+Time(i), fn) // the heap
+			e.Schedule(base, fn)         // the lane
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	drive() // grow the heap to steady state
+	drive() // grow both queues to steady state
 	if avg := testing.AllocsPerRun(100, drive); avg != 0 {
-		t.Fatalf("Schedule+dispatch allocated %.1f per 64-event round, want 0", avg)
+		t.Fatalf("Schedule+dispatch allocated %.1f per 192-event round, want 0", avg)
+	}
+	if chain != 0 {
+		t.Fatalf("%d of the callbacks' own at-now events never ran", chain)
 	}
 }
 
 func TestScheduleArgZeroAlloc(t *testing.T) {
 	e := NewEngine()
-	var sink int
-	afn := func(arg any) { sink += *arg.(*int) }
-	arg := new(int)
+	var afn func(arg any)
+	afn = func(arg any) {
+		if chain := arg.(*int); *chain > 0 {
+			*chain--
+			e.ScheduleArg(e.Now(), afn, arg)
+		}
+	}
+	chain := new(int)
 	drive := func() {
 		base := e.Now()
+		*chain = 64
 		for i := 0; i < 64; i++ {
-			e.ScheduleArg(base+Time(i), afn, arg)
+			e.ScheduleArg(base+Time(i), afn, chain)
+			e.ScheduleArg(base, afn, chain)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -42,9 +63,11 @@ func TestScheduleArgZeroAlloc(t *testing.T) {
 	}
 	drive()
 	if avg := testing.AllocsPerRun(100, drive); avg != 0 {
-		t.Fatalf("ScheduleArg+dispatch allocated %.1f per 64-event round, want 0", avg)
+		t.Fatalf("ScheduleArg+dispatch allocated %.1f per 192-event round, want 0", avg)
 	}
-	_ = sink
+	if *chain != 0 {
+		t.Fatalf("%d of the callbacks' own at-now events never ran", *chain)
+	}
 }
 
 func TestProcSleepSteadyStateZeroAlloc(t *testing.T) {

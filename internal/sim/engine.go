@@ -49,15 +49,15 @@ func (t Time) String() string {
 	return string(b)
 }
 
-// event is a scheduled callback: either a plain closure fn, or a
-// package-level function afn applied to arg. The two-form split lets hot
-// callers (message delivery, proc resumption) schedule with a preallocated
-// function value and a pointer argument — boxing a pointer into any does
-// not allocate, so such Schedule calls are alloc-free.
+// event is a scheduled callback: a function applied to one argument. Hot
+// callers (message delivery, proc resumption) pass a package-level function
+// and a pointer — boxing a pointer into any does not allocate — and a plain
+// closure rides as the argument of callFunc, so there is one form to carry,
+// sift and dispatch. Events in the now-lane leave at and seq unset: their
+// position in the lane is their order.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
 	afn func(any)
 	arg any
 }
@@ -69,6 +69,10 @@ func (ev *event) before(o *event) bool {
 	}
 	return ev.seq < o.seq
 }
+
+// callFunc is the afn behind Schedule: the closure is the argument. A func
+// value is pointer-shaped, so it boxes without allocating.
+func callFunc(arg any) { arg.(func())() }
 
 // BlockedProc names one stuck proc in a deadlock report.
 type BlockedProc struct {
@@ -108,20 +112,34 @@ type Hooks struct {
 	// ProcUnblock fires when Unblock schedules a parked proc to resume.
 	ProcUnblock func(p *Proc)
 	// Dispatch fires before each event callback runs, with the event's
-	// time and the number of events still queued (very high volume).
+	// time and the number of events still queued, in the heap and the
+	// now-lane together (very high volume).
 	Dispatch func(at Time, queued int)
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events []event // value-typed 4-ary min-heap ordered by event.before
-	procs  []*Proc
-	slab   []Proc // backing store for procs, sized by ReserveProcs
-	limit  Time   // 0 means no limit
-	hooks  Hooks
+	now Time
+	seq uint64
+
+	// The queue is two lanes. events, a value-typed 4-ary min-heap ordered
+	// by event.before, holds the future: everything scheduled for an instant
+	// later than the one current at the time of the call. lane, a FIFO
+	// consumed from laneHead and reset when it drains, holds the rest:
+	// everything scheduled for the current instant (or, clamped, an earlier
+	// one). A heap event due at an instant was scheduled before that instant
+	// became current, so it carries a smaller seq than anything the lane
+	// holds: "the heap's events due now, then the lane front to back" is
+	// (time, seq) order, and the clock moves only once the lane is empty.
+	events   []event
+	lane     []event
+	laneHead int
+
+	procs []*Proc
+	slab  []Proc // backing store for procs, sized by ReserveProcs
+	limit Time   // 0 means no limit
+	hooks Hooks
 
 	// interrupt, when set, is polled every interruptStride dispatched
 	// events; a non-nil return aborts Run with that error. Used for
@@ -163,9 +181,10 @@ func (e *Engine) Now() Time { return e.now }
 // sort exactly as it would have in the original run.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// PendingEvents returns the number of events still queued. A checkpoint cut
-// is only valid when this is zero: all procs blocked, nothing in flight.
-func (e *Engine) PendingEvents() int { return len(e.events) }
+// PendingEvents returns the number of events still queued, in the heap and
+// the now-lane together. A checkpoint cut is only valid when this is zero:
+// all procs blocked, nothing in flight.
+func (e *Engine) PendingEvents() int { return len(e.events) + len(e.lane) - e.laneHead }
 
 // RestoreClock sets the clock and event sequence counter on an engine that
 // has not yet run, so a forked run continues the original (time, seq)
@@ -218,26 +237,23 @@ func (e *Engine) SetSampler(every Time, fn func(boundary Time)) {
 // Schedule registers fn to run at virtual time at. If at is in the past it
 // runs at the current time (after already-queued events for that time).
 // Schedule may be called from event callbacks and from Proc context.
-// The events slice is reused across the run, so steady-state Schedule
-// performs no allocation; fn itself still allocates if it is a capturing
-// closure — hot paths should pass a preallocated func or use ScheduleArg.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.push(event{at: at, seq: e.seq, fn: fn})
-}
+// Both queues are reused across the run, so steady-state Schedule performs
+// no allocation; fn itself still allocates if it is a capturing closure —
+// hot paths should pass a preallocated func or use ScheduleArg.
+func (e *Engine) Schedule(at Time, fn func()) { e.ScheduleArg(at, callFunc, fn) }
 
 // ScheduleArg registers fn(arg) to run at virtual time at. With fn a
 // package-level function and arg a pointer, the call is alloc-free, unlike
-// Schedule with a capturing closure.
+// Schedule with a capturing closure. An event for the current instant (or
+// an earlier one) never enters the heap: it joins the now-lane, behind
+// whatever is already due at this instant.
 func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) {
-	if at < e.now {
-		at = e.now
-	}
 	e.seq++
-	e.push(event{at: at, seq: e.seq, afn: fn, arg: arg})
+	if at <= e.now {
+		e.lane = append(e.lane, event{afn: fn, arg: arg})
+		return
+	}
+	e.push(at, fn, arg)
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -246,63 +262,76 @@ func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 // AfterArg schedules fn(arg) to run d after the current virtual time.
 func (e *Engine) AfterArg(d Time, fn func(any), arg any) { e.ScheduleArg(e.now+d, fn, arg) }
 
-// push appends ev and restores the heap invariant (4-ary: children of i
-// are 4i+1..4i+4). A 4-ary layout halves tree depth versus binary, cutting
-// the cache misses per push/pop on the large queues protocol storms build.
-func (e *Engine) push(ev event) {
-	h := append(e.events, ev)
+// push adds an event carrying the newest seq to the heap (4-ary: children
+// of i are 4i+1..4i+4; half the depth of a binary heap, so fewer cache
+// misses per push/pop on the large queues protocol storms build). The new
+// event sifts up as a hole — parents move down one at a time and the event
+// is written once, where it lands. Its seq is larger than every queued one,
+// so it passes a parent only on a strictly earlier time.
+func (e *Engine) push(at Time, fn func(any), arg any) {
+	h := append(e.events, event{})
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h[i].before(&h[parent]) {
+		if at >= h[parent].at {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = event{at: at, seq: e.seq, afn: fn, arg: arg}
 	e.events = h
 }
 
-// pop removes and returns the earliest event.
-func (e *Engine) pop() event {
+// pop removes the earliest event into *top. The last event sifts down from
+// the root as a hole: the earliest child moves up one level at a time and
+// the last event is written once, where it lands.
+func (e *Engine) pop(top *event) {
 	h := e.events
-	top := h[0]
+	*top = h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop fn/arg references so completed events can be GC'd
+	last := h[n]
+	h[n].arg = nil // drop the reference so a completed event's argument can be GC'd
 	h = h[:n]
 	e.events = h
-	// Sift down.
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
-		min := i
 		first := 4*i + 1
-		last := first + 4
-		if last > n {
-			last = n
+		if first >= n {
+			break
 		}
-		for c := first; c < last; c++ {
+		end := first + 4
+		if end > n {
+			end = n
+		}
+		min := first
+		for c := first + 1; c < end; c++ {
 			if h[c].before(&h[min]) {
 				min = c
 			}
 		}
-		if min == i {
+		if !h[min].before(&last) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
+		h[i] = h[min]
 		i = min
 	}
-	return top
+	h[i] = last
 }
 
-// Stop makes Run return after the current event completes. Pending events
-// are discarded. Alive procs are killed.
+// Stop makes Run return after the current event completes. Pending events,
+// in the heap and in the now-lane, are discarded. Alive procs are killed.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run processes events until the queue is empty and every Proc has finished.
 // It returns a *DeadlockError if the queue drains while procs are blocked,
 // or a limit error if SetLimit was exceeded. On return — by any path,
-// including a proc's panic — every Proc coroutine has exited.
+// including a proc's panic — every Proc coroutine has exited and both
+// queues are empty: events a Stop, an error or a panic left undispatched
+// are dropped with the references they carry.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -311,10 +340,15 @@ func (e *Engine) Run() error {
 	defer func() {
 		e.running = false
 		e.killAll()
+		e.discardEvents()
 	}()
 
+	var ev event
 	for !e.stopped {
-		if len(e.events) == 0 {
+		// The heap goes first while it holds an event due at this instant;
+		// then the lane, which must drain before the clock may move.
+		fromHeap := len(e.events) > 0 && (len(e.lane) == 0 || e.events[0].at <= e.now)
+		if !fromHeap && len(e.lane) == 0 {
 			if blocked := e.blockedProcs(); len(blocked) > 0 {
 				return &DeadlockError{Procs: blocked}
 			}
@@ -328,36 +362,50 @@ func (e *Engine) Run() error {
 				}
 			}
 		}
-		ev := e.pop()
-		if e.limit > 0 && ev.at > e.limit {
-			return fmt.Errorf("sim: virtual time limit %v exceeded (event at %v)", e.limit, ev.at)
-		}
-		if e.sampler != nil {
-			// Fire every sample boundary the clock is about to cross.
-			// Boundaries are strictly after the previous event's time (all
-			// earlier ones already fired), so advancing now to each keeps
-			// the clock monotonic and lets the sampler read a consistent
-			// Now() without perturbing when ev itself runs.
-			for e.nextSample <= ev.at {
-				e.now = e.nextSample
-				e.sampler(e.nextSample)
-				e.nextSample += e.sampleEvery
+		if fromHeap {
+			e.pop(&ev)
+			if e.limit > 0 && ev.at > e.limit {
+				return fmt.Errorf("sim: virtual time limit %v exceeded (event at %v)", e.limit, ev.at)
+			}
+			if e.sampler != nil {
+				// Fire every sample boundary the clock is about to cross.
+				// Boundaries are strictly after the previous event's time (all
+				// earlier ones already fired), so advancing now to each keeps
+				// the clock monotonic and lets the sampler read a consistent
+				// Now() without perturbing when ev itself runs.
+				for e.nextSample <= ev.at {
+					e.now = e.nextSample
+					e.sampler(e.nextSample)
+					e.nextSample += e.sampleEvery
+				}
+			}
+			e.now = ev.at
+		} else {
+			// Time does not advance: the limit held and every boundary up
+			// to now fired when the clock got here.
+			front := &e.lane[e.laneHead]
+			ev.afn, ev.arg = front.afn, front.arg
+			front.arg = nil
+			if e.laneHead++; e.laneHead == len(e.lane) {
+				e.lane, e.laneHead = e.lane[:0], 0
 			}
 		}
-		e.now = ev.at
 		if e.hooks.Dispatch != nil {
-			e.hooks.Dispatch(ev.at, len(e.events))
+			e.hooks.Dispatch(e.now, e.PendingEvents())
 		}
-		if ev.fn != nil {
-			ev.fn()
-		} else {
-			ev.afn(ev.arg)
-		}
+		ev.afn(ev.arg)
 		if e.procPanic != nil {
 			panic(e.procPanic.String())
 		}
 	}
 	return nil
+}
+
+// discardEvents empties both queues, dropping what their events reference.
+func (e *Engine) discardEvents() {
+	clear(e.events)
+	clear(e.lane)
+	e.events, e.lane, e.laneHead = e.events[:0], e.lane[:0], 0
 }
 
 // blockedProcs collects every alive proc for a deadlock report. Formatting

@@ -66,3 +66,37 @@ func TestHooksObserveSchedulingWithoutPerturbing(t *testing.T) {
 		t.Fatal("hooks fired without being attached")
 	}
 }
+
+// TestInterruptPolledEveryStride: the interrupt function is polled once per
+// interruptStride dispatches, whichever queue they come from — a chain that
+// never leaves the current instant is as interruptible as one that does.
+func TestInterruptPolledEveryStride(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		step func(i int) Time
+	}{
+		{"lane only", func(int) Time { return 0 }},
+		{"heap only", func(int) Time { return 1 }},
+		{"two in three at now", func(i int) Time { return Time(i % 3 / 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const events = 4*interruptStride + 10
+			e := NewEngine()
+			polls, ran := 0, 0
+			e.SetInterrupt(func() error { polls++; return nil })
+			var next func()
+			next = func() {
+				if ran++; ran < events {
+					e.After(tc.step(ran), next)
+				}
+			}
+			e.Schedule(0, next)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if ran != events || polls != events/interruptStride {
+				t.Fatalf("%d polls over %d dispatches, want %d over %d", polls, ran, events/interruptStride, events)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -147,6 +148,43 @@ func TestStop(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("n = %d, want 3 (Stop should halt promptly)", n)
+	}
+}
+
+// TestStopMidLane: a Stop from an event of the current instant leaves the
+// rest of that instant undispatched, exactly as a Stop from a timed event
+// leaves the later ones, and Run returns with nothing queued either way.
+func TestStopMidLane(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   func(i int) Time
+	}{
+		{"lane", func(int) Time { return 0 }},
+		{"heap", func(i int) Time { return Time(10 * (i + 1)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			var ran []int
+			for i := 0; i < 4; i++ {
+				e.Schedule(tc.at(i), func() {
+					ran = append(ran, i)
+					if i == 1 {
+						e.Stop()
+						e.Schedule(e.Now(), func() { ran = append(ran, -1) })
+						e.After(5, func() { ran = append(ran, -2) })
+					}
+				})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := []int{0, 1}; !slices.Equal(ran, want) {
+				t.Fatalf("ran %v, want %v: Stop must halt after the current event", ran, want)
+			}
+			if n := e.PendingEvents(); n != 0 {
+				t.Fatalf("%d events still queued after Run: Stop discards them", n)
+			}
+		})
 	}
 }
 
