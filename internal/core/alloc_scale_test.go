@@ -11,13 +11,15 @@ import (
 
 // TestPerNodeAllocCeiling1024 pins the host objects one node costs: the
 // mallocs of a whole LU run at 1024 nodes under sc (machine build, 1024
-// coroutines, the run, teardown), divided by the node count. Measured 19.5:
+// coroutines, the run, teardown), divided by the node count. Measured 18.0:
 // 12 for the proc's coroutine (iter.Pull's state and closures, see
 // sim.TestProcCreationAllocCeiling), 1 for its body, and the rest split
 // over the space's slabs, first-use message and buffer pool misses, the
-// endpoint's queue and FIFO table and a fresh g. Everything else per-node
-// in buildRun comes out of slabs; a `&T{}` creeping back into the node
-// loop adds a whole object per node and breaks the 10 % slack.
+// endpoint's queue and a fresh g. Everything else per-node comes out of
+// slabs — buildRun's, and the network's one link table, whose FIFO clamps
+// are pages cut from a few chunks, not an object per endpoint; a `&T{}`
+// creeping back into the node loop adds a whole object per node and
+// breaks the slack.
 //
 // The guard lives here rather than beside the other allocation tests in
 // alloc_test.go (package core) because apps imports core.
@@ -25,7 +27,7 @@ func TestPerNodeAllocCeiling1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node run skipped in -short mode")
 	}
-	const nodes, ceiling = 1024, 21.5
+	const nodes, ceiling = 1024, 20.5
 	entry, err := apps.Get("lu")
 	if err != nil {
 		t.Fatal(err)

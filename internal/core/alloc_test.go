@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dsmsim/internal/sim"
@@ -108,5 +109,56 @@ func TestBarrierEpisodeAllocLinear(t *testing.T) {
 	t.Logf("bytes per barrier episode: %.0f at 64 nodes, %.0f at 256 nodes (%.1fx)", small, large, large/small)
 	if large > 6*small {
 		t.Errorf("a barrier episode costs %.0f bytes at 256 nodes, %.1fx the %.0f at 64 nodes; linear is 4x", large, large/small, small)
+	}
+}
+
+// TestRunBytesLinearInNodes pins the host cost of a whole run to O(nodes)
+// bytes outside the spaces: a barrier-only hlrc run at 1024 nodes may
+// allocate at most 2.25x what the same run at 512 nodes does (measured
+// 1.99x: 6.9 MB over 3.4 MB). Everything a run holds per node or per link
+// in use — clocks, the FIFO clamps, stats, procs — doubles with the node
+// count; a table of nodes² entries quadruples. The smallest such table, a
+// dense int32 vector clock per node (4 MB over 1 MB), would read 2.45x;
+// the three the run once had (clocks, arrival copies, a clamp row per
+// endpoint) read 2.98x.
+func TestRunBytesLinearInNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-node runs skipped in -short mode")
+	}
+	run := func(nodes int) uint64 {
+		app := &testApp{
+			name:  "barrierprobe",
+			heap:  4096,
+			setup: func(h *Heap) {},
+			run: func(c *Ctx) {
+				for e := 0; e < 4; e++ {
+					c.Barrier()
+				}
+			},
+			verify: func(h *Heap) error { return nil },
+		}
+		m, err := NewMachine(Config{Nodes: nodes, BlockSize: 4096, Protocol: HLRC, Limit: 100 * sim.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.Run(app); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// The spaces come back out of the pool the run before filled, as long
+	// as no collection empties it in between.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	outsideSpaces := func(nodes int) float64 {
+		run(nodes)
+		return float64(run(nodes))
+	}
+	half, full := outsideSpaces(512), outsideSpaces(1024)
+	t.Logf("bytes per run: %.0f at 512 nodes, %.0f at 1024 nodes (%.2fx)", half, full, full/half)
+	if full > 2.25*half {
+		t.Errorf("a barrier-only run costs %.0f bytes at 1024 nodes, %.2fx the %.0f at 512 nodes; linear is 2x", full, full/half, half)
 	}
 }

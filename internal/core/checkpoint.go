@@ -46,8 +46,9 @@ type Checkpoint struct {
 
 	spaces     []mem.SpaceState
 	stats      []stats.Node
-	vcs        []proto.VC
+	clocks     *proto.ClockState
 	eps        []network.EndpointState
+	links      *network.LinkState
 	homes      *proto.Homes
 	log        *proto.Log
 	protoState any
@@ -261,19 +262,18 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 		homes:      r.env.Homes.Clone(),
 		protoState: ps,
 		sy:         r.sy.CaptureState(),
+		links:      r.net.CaptureLinks(),
 		phases:     r.phases.CaptureState(),
 	}
 	if r.env.Log != nil {
 		// Log and VCs exist only for the clock-carrying protocols (see
-		// proto.Meta.NeedsClocks); cp.log nil and cp.vcs empty otherwise.
+		// proto.Meta.NeedsClocks); cp.log and cp.clocks are nil otherwise.
 		cp.log = r.env.Log.Clone()
+		cp.clocks = proto.CaptureClocks(r.env.VCs)
 	}
 	for i := 0; i < r.cfg.Nodes; i++ {
 		cp.spaces = append(cp.spaces, r.env.Spaces[i].State())
 		cp.stats = append(cp.stats, *r.env.Stats[i])
-		if len(r.env.VCs) > 0 {
-			cp.vcs = append(cp.vcs, r.env.VCs[i].Clone())
-		}
 		eps, err := r.net.Endpoint(i).CaptureState()
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint at epoch %d, node %d: %w", epoch, i, err)
@@ -321,17 +321,16 @@ func (r *run) restore(cp *Checkpoint) error {
 	r.env.Homes.RestoreFrom(cp.homes)
 	if r.env.Log != nil {
 		r.env.Log.RestoreFrom(cp.log)
+		proto.RestoreClocks(r.env.VCs, cp.clocks)
 	}
 	if err := r.p.RestoreState(cp.protoState); err != nil {
 		return err
 	}
 	r.sy.RestoreState(cp.sy)
+	r.net.RestoreLinks(cp.links)
 	for i := 0; i < r.cfg.Nodes; i++ {
 		r.env.Spaces[i].Restore(cp.spaces[i])
 		*r.env.Stats[i] = cp.stats[i]
-		if len(r.env.VCs) > 0 {
-			copy(r.env.VCs[i], cp.vcs[i])
-		}
 		r.net.Endpoint(i).RestoreState(cp.eps[i])
 	}
 	for b := range r.writers {
@@ -359,16 +358,10 @@ func (cp *Checkpoint) Digest() uint64 {
 	for i := range cp.spaces {
 		cp.spaces[i].AddToDigest(d)
 		digestStats(d, &cp.stats[i])
-		if i < len(cp.vcs) {
-			cp.vcs[i].AddToDigest(d)
-		}
 		ep := &cp.eps[i]
 		d.I64(int64(ep.BusyUntil))
 		d.I64(int64(ep.HoldoffUntil))
 		d.I64(int64(ep.SvcAt))
-		for _, t := range ep.LastArrival {
-			d.I64(int64(t))
-		}
 		d.I64(ep.Stats.MsgsSent)
 		d.I64(ep.Stats.BytesSent)
 		d.I64(ep.Stats.Retransmits)
@@ -377,9 +370,17 @@ func (cp *Checkpoint) Digest() uint64 {
 		d.I64(int64(cp.barStart[i]))
 		d.I64(int64(cp.barFlush0[i]))
 	}
+	cp.links.Each(func(src, first int, at []sim.Time) {
+		d.Int(src)
+		d.Int(first)
+		for _, t := range at {
+			d.I64(int64(t))
+		}
+	})
 	cp.homes.AddToDigest(d)
 	if cp.log != nil {
 		cp.log.AddToDigest(d)
+		cp.clocks.AddToDigest(d)
 	}
 	cp.sy.AddToDigest(d)
 	if dg, ok := cp.protoState.(proto.Digestable); ok {

@@ -244,7 +244,8 @@ type Result struct {
 
 	// Time is the parallel-phase execution time.
 	Time sim.Time
-	// PerNode are the per-node statistics; Total their sum.
+	// PerNode are the per-node statistics — the slab the run itself
+	// counted into, handed over — and Total their sum.
 	PerNode []stats.Node
 	Total   stats.Node
 	// NetMsgs and NetBytes are whole-machine traffic totals; MsgLatency
@@ -365,6 +366,8 @@ type run struct {
 	phases   *metrics.PhaseAccountant
 	sampler  *metrics.Sampler
 	nodes    []Node
+	// statSlab backs env.Stats; finish hands it out as Result.PerNode.
+	statSlab []stats.Node
 
 	// captureEpoch, when positive, cuts the run at that barrier epoch: the
 	// barrier hook captures a checkpoint into cp (or capErr) and stops the
@@ -465,9 +468,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 	}
 	r.env = env
 	if reg.Meta.NeedsClocks {
-		// Only the LRC family exchanges vector clocks and write notices;
-		// for the others the n-entry-per-node clocks (n² at 1024 nodes)
-		// are never allocated.
+		// Only the LRC family exchanges vector clocks and write notices.
 		env.Log = proto.NewLog(cfg.Nodes)
 	}
 	// Per-node state comes out of one slab per kind, not one object per
@@ -475,13 +476,13 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 	// first event. Pointers into the slabs keep every use unchanged.
 	env.Spaces = make([]*mem.Space, cfg.Nodes)
 	env.Stats = make([]*stats.Node, cfg.Nodes)
-	statSlab := make([]stats.Node, cfg.Nodes)
-	for i := range statSlab {
+	r.statSlab = make([]stats.Node, cfg.Nodes)
+	for i := range r.statSlab {
 		env.Spaces[i] = mem.NewSpace(r.heapSize, cfg.BlockSize)
-		env.Stats[i] = &statSlab[i]
+		env.Stats[i] = &r.statSlab[i]
 	}
 	if reg.Meta.NeedsClocks {
-		env.VCs = proto.NewVCs(cfg.Nodes)
+		env.VCs = proto.NewClocks(cfg.Nodes)
 	}
 
 	r.p = reg.New(env)
@@ -754,7 +755,7 @@ func (r *run) finish(runErr error) (*Result, error) {
 		Nodes:     cfg.Nodes,
 		Time:      r.engine.Now(),
 		Heap:      r.heap,
-		PerNode:   make([]stats.Node, 0, cfg.Nodes),
+		PerNode:   r.statSlab, // the run is over: nothing writes a node's stats again
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		// Close each node's final phase at the moment its body returned,
@@ -776,7 +777,6 @@ func (r *run) finish(runErr error) (*Result, error) {
 		res.CritPath = r.crit.Report(r.heap.alloc.Regions(), cfg.BlockSize)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		res.PerNode = append(res.PerNode, *r.env.Stats[i])
 		res.Total.Add(r.env.Stats[i])
 		s := r.net.Endpoint(i).Stats
 		res.NetMsgs += s.MsgsSent

@@ -170,13 +170,8 @@ type Endpoint struct {
 	svcPending   bool
 	svcAt        sim.Time // service start of the in-flight message
 
-	// lastArrival enforces FIFO delivery per destination, as on Myrinet's
-	// source-routed cut-through fabric: a later (smaller) message never
-	// overtakes an earlier (larger) one on the same src→dst pair.
-	lastArrival []sim.Time
-
 	// ARQ per-link state (fault path only; see arq.go). tx is indexed by
-	// destination, rx by source; both allocate lazily like lastArrival.
+	// destination, rx by source; both allocate at the first faulty send.
 	tx []linkTx
 	rx []linkRx
 
@@ -189,6 +184,7 @@ type Network struct {
 	model  *timing.Model
 	notify Notify
 	eps    []*Endpoint
+	links  linkTable // per-link FIFO clamps of the fast path
 
 	// Free lists for messages and data buffers. Single-threaded like the
 	// engine, so plain slices suffice.
@@ -234,7 +230,7 @@ func (n *Network) SetScale(s *critpath.Scale) { n.scale = s }
 // New creates a network of n endpoints. Handlers are attached later with
 // Bind, before any traffic flows.
 func New(engine *sim.Engine, model *timing.Model, notify Notify, n int) *Network {
-	nw := &Network{engine: engine, model: model, notify: notify, eps: make([]*Endpoint, n)}
+	nw := &Network{engine: engine, model: model, notify: notify, eps: make([]*Endpoint, n), links: linkTable{nodes: n}}
 	slab := make([]Endpoint, n)
 	for i := range slab {
 		slab[i] = Endpoint{id: i, net: nw}
@@ -356,14 +352,12 @@ func (ep *Endpoint) Send(m *Msg) {
 			wire = sc.Wire(m.Kind, wire)
 		}
 	}
-	if ep.lastArrival == nil {
-		ep.lastArrival = make([]sim.Time, len(net.eps))
-	}
 	at := net.engine.Now() + model.SendOverhead + wire
-	if at < ep.lastArrival[m.Dst] {
-		at = ep.lastArrival[m.Dst] // FIFO per src→dst pair
+	last := net.links.slot(ep.id, m.Dst)
+	if at < *last {
+		at = *last // FIFO per src→dst pair
 	}
-	ep.lastArrival[m.Dst] = at
+	*last = at
 	pm := net.getMsg()
 	*pm = *m
 	pm.net = net
@@ -534,14 +528,13 @@ func (ep *Endpoint) QueueLen() int { return len(ep.queue) - ep.qhead }
 // EndpointState is the checkpointable state of one endpoint at a quiescent
 // cut: no message queued or in service, no ARQ state (the cut is taken in a
 // fault-free prefix). What remains is pure timing memory — when the NI
-// processor frees up, the open holdoff window, the FIFO arrival clamps —
-// plus the traffic counters (Histograms are value arrays, so the struct
-// copy is deep).
+// processor frees up, the open holdoff window — plus the traffic counters
+// (Histograms are value arrays, so the struct copy is deep). The FIFO
+// arrival clamps are the network's (CaptureLinks).
 type EndpointState struct {
 	BusyUntil    sim.Time
 	HoldoffUntil sim.Time
 	SvcAt        sim.Time
-	LastArrival  []sim.Time
 	Stats        Stats
 }
 
@@ -556,16 +549,12 @@ func (ep *Endpoint) CaptureState() (EndpointState, error) {
 	if ep.tx != nil || ep.rx != nil {
 		return EndpointState{}, fmt.Errorf("network: endpoint %d has live ARQ state", ep.id)
 	}
-	st := EndpointState{
+	return EndpointState{
 		BusyUntil:    ep.busyUntil,
 		HoldoffUntil: ep.holdoffUntil,
 		SvcAt:        ep.svcAt,
 		Stats:        ep.Stats,
-	}
-	if ep.lastArrival != nil {
-		st.LastArrival = append([]sim.Time(nil), ep.lastArrival...)
-	}
-	return st, nil
+	}, nil
 }
 
 // RestoreState applies a captured snapshot to a freshly built endpoint.
@@ -574,7 +563,4 @@ func (ep *Endpoint) RestoreState(st EndpointState) {
 	ep.holdoffUntil = st.HoldoffUntil
 	ep.svcAt = st.SvcAt
 	ep.Stats = st.Stats
-	if st.LastArrival != nil {
-		ep.lastArrival = append([]sim.Time(nil), st.LastArrival...)
-	}
 }

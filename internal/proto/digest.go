@@ -85,6 +85,17 @@ func (v VC) AddToDigest(d *Digest) {
 	}
 }
 
+// AddToDigest folds the snapshot into d: the shared base once, then each
+// node's own entry and, where it has one, its private vector.
+func (st *ClockState) AddToDigest(d *Digest) {
+	st.base.AddToDigest(d)
+	for i, own := range st.own {
+		d.I64(int64(own))
+		d.Bool(st.priv[i] != nil)
+		st.priv[i].AddToDigest(d)
+	}
+}
+
 // AddToDigest folds the home map — claims, migrations, learned sets —
 // into d.
 func (h *Homes) AddToDigest(d *Digest) {

@@ -34,7 +34,7 @@ type Env struct {
 	// Log is the global interval-publication log and VCs the per-node
 	// vector clocks (unused by SC).
 	Log *Log
-	VCs []VC
+	VCs []Clock
 
 	// Master is the authoritative pre-parallel image of the shared heap,
 	// used to seed the static homes at the parallel-phase boundary, and

@@ -20,14 +20,15 @@ func materialise(log *proto.Log, from, to proto.VC) []proto.Interval {
 	return ivs
 }
 
-// checkAgainstOracle asserts d ships what the materialised slice shipped:
-// the same non-empty intervals in the same order (an interval without
-// notices has nothing to apply), the same notice count, the same wire size.
-func checkAgainstOracle(t *testing.T, s *Sync, d *notices, what string) {
+// checkAgainstOracle asserts d ships what the materialised slice over the
+// oracle's dense clocks (from, to] shipped: the same non-empty intervals in
+// the same order (an interval without notices has nothing to apply), the
+// same notice count, the same wire size.
+func checkAgainstOracle(t *testing.T, s *Sync, d *notices, from, to proto.VC, what string) {
 	t.Helper()
 	var want []proto.Interval
 	wantCount := 0
-	for _, iv := range materialise(s.env.Log, d.from, d.to) {
+	for _, iv := range materialise(s.env.Log, from, to) {
 		if len(iv.Notices) > 0 {
 			want = append(want, iv)
 			wantCount += len(iv.Notices)
@@ -59,17 +60,30 @@ func checkAgainstOracle(t *testing.T, s *Sync, d *notices, what string) {
 		t.Fatalf("%s: count %d, oracle %d", what, d.count, wantCount)
 	}
 	m := s.env.Model
-	wantBytes := len(d.from)*m.VCEntryBytes + wantCount*m.WriteNoticeBytes
+	wantBytes := len(from)*m.VCEntryBytes + wantCount*m.WriteNoticeBytes
 	if got := s.noticeBytes(d.count); got != wantBytes {
 		t.Fatalf("%s: wire bytes %d, oracle %d", what, got, wantBytes)
 	}
 }
 
-// TestNoticesMatchMaterialisedOracle drives the by-reference payload over
-// randomised histories: every node publishes zero, one or several intervals
-// per phase (some empty), nodes exchange lock grants between barriers so
-// their clocks differ per component, and every lock grant and every
-// receiver of every barrier release is checked against the oracle.
+// sameClock asserts the clock reads, entry by entry, what the oracle's dense
+// vector holds.
+func sameClock(t *testing.T, c *proto.Clock, want proto.VC, what string) {
+	t.Helper()
+	for j, w := range want {
+		if got := c.Get(j); got != w {
+			t.Fatalf("%s: entry %d is %d, oracle has %d (oracle clock %v)", what, j, got, w, want)
+		}
+	}
+}
+
+// TestNoticesMatchMaterialisedOracle drives the by-reference payload and the
+// base-relative clocks over randomised histories: every node publishes zero,
+// one or several intervals per phase (some empty), nodes exchange lock
+// grants between barriers so their clocks differ per component, and every
+// lock grant and every receiver of every barrier release is checked against
+// an oracle that keeps one dense, privately owned VC per node and
+// materialises each shipment from the log.
 func TestNoticesMatchMaterialisedOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -78,72 +92,55 @@ func TestNoticesMatchMaterialisedOracle(t *testing.T) {
 			Spaces: make([]*mem.Space, n), // only its length (the node count) is read
 			Model:  &timing.Model{VCEntryBytes: 4, WriteNoticeBytes: 8 + rng.Intn(8)},
 			Log:    proto.NewLog(n),
+			VCs:    proto.NewClocks(n),
 		}
-		for i := 0; i < n; i++ {
-			env.VCs = append(env.VCs, proto.NewVC(n))
+		oracle := make([]proto.VC, n)
+		for i := range oracle {
+			oracle[i] = proto.NewVC(n)
 		}
 		s := New(env)
-		s.barVCs = make([]proto.VC, n)
 		publish := func(node int) {
 			var ns []proto.WriteNotice
 			for k := rng.Intn(4); k > 0; k-- { // 0 notices: an empty interval
 				ns = append(ns, proto.WriteNotice{Block: int32(rng.Intn(64)), Seq: int32(k)})
 			}
-			env.VCs[node][node] = env.Log.Publish(node, ns)
+			idx := env.Log.Publish(node, ns)
+			env.VCs[node].Tick(idx)
+			oracle[node][node] = idx
 		}
 		for phase := 0; phase < 6; phase++ {
 			for ops := rng.Intn(3 * n); ops > 0; ops-- {
 				// A release by r followed by a grant from r to a, as
-				// handleGrantReq builds it.
+				// Acquire and handleGrantReq build it.
 				r, a := rng.Intn(n), rng.Intn(n)
 				publish(r)
 				if a == r {
 					continue
 				}
-				d := &notices{from: env.VCs[a].Clone(), to: env.VCs[r].Clone()}
+				d := &notices{from: env.VCs[a].Dense(), to: env.VCs[r].Dense()}
 				d.tally(env.Log)
-				checkAgainstOracle(t, s, d, "grant")
+				checkAgainstOracle(t, s, d, oracle[a], oracle[r], "grant")
 				env.VCs[a].Merge(d.to)
+				oracle[a].Merge(oracle[r])
+				sameClock(t, &env.VCs[a], oracle[a], "after grant")
 			}
+			merged := proto.NewVC(n)
 			for i := 0; i < n; i++ {
 				publish(i) // Barrier closes the arriver's interval first
-				s.barVCs[i] = env.VCs[i].Clone()
+				merged.Merge(oracle[i])
 			}
 			rel := s.barrierNotices()
 			for i := range rel {
 				if rel[i].shared == nil {
 					t.Fatal("barrier release without the shared interval list")
 				}
-				checkAgainstOracle(t, s, &rel[i], "barrier")
-				for j := range rel {
-					if !rel[i].to.Dominates(s.barVCs[j]) {
-						t.Fatalf("merged clock %v does not dominate arrival %v", rel[i].to, s.barVCs[j])
-					}
-				}
+				checkAgainstOracle(t, s, &rel[i], oracle[i], merged, "barrier")
 			}
 			for i := 0; i < n; i++ {
-				env.VCs[i].Merge(rel[i].to)
+				env.VCs[i].Rebase(rel[i].to)
+				oracle[i].Merge(merged)
+				sameClock(t, &env.VCs[i], oracle[i], "after barrier")
 			}
 		}
-	}
-}
-
-// TestStateDeepCopiesArrivalClocks: the arrival-clock buffers are reused
-// across barrier episodes, so a snapshot — and every manager restored from
-// it — must own its copies. A fork refilling its buffers at its next
-// barrier must not write into the snapshot or a sibling fork.
-func TestStateDeepCopiesArrivalClocks(t *testing.T) {
-	env := &proto.Env{Spaces: make([]*mem.Space, 2)}
-	live := New(env)
-	live.barVCs = []proto.VC{{1, 0}, {0, 1}}
-	live.barCount = 2
-	snap := live.CaptureState()
-	a, b := New(env), New(env)
-	a.RestoreState(snap)
-	b.RestoreState(snap)
-	live.barVCs[0][0], a.barVCs[0][0] = 7, 8
-	if snap.barVCs[0][0] != 1 || b.barVCs[0][0] != 1 || a.barVCs[0][0] != 8 {
-		t.Fatalf("arrival clocks alias: live %v snapshot %v fork a %v fork b %v",
-			live.barVCs[0], snap.barVCs[0], a.barVCs[0], b.barVCs[0])
 	}
 }

@@ -37,7 +37,8 @@ const (
 //	kLockGrant:    A = lock, B = last release's logical timestamp (carrier
 //	               only), Payload = *notices or nil (direct grant, no notices)
 //	kBarArrive:    B = arriver's logical timestamp (carrier only); the
-//	               arriver's clock travels in Sync.barVCs (see Barrier)
+//	               arriver's clock is charged on the wire and read in place
+//	               (see Barrier)
 //	kBarRelease:   B = max arrival timestamp (carrier only),
 //	               Payload = *notices or nil (SC: no notices to carry)
 //
@@ -52,30 +53,34 @@ const (
 // log is append-only and to was copied off a live clock at send time, so
 // every interval in range is already published and immutable — the receiver
 // walks exactly the entries the sender counted, however much later it
-// handles the message. from is the receiver's own clock: the clone its
-// acquire carried, or its barrier arrival buffer, which it cannot refill
+// handles the message. The lower bound is the receiver's own clock: on a
+// grant from, the copy its acquire carried; on a barrier release at, the
+// live clock itself, which a node blocked in the barrier cannot change
 // before it has handled this release.
 type notices struct {
 	from, to proto.VC
 	count    int // write notices in range, counted once at send time
-	// shared, non-nil on barrier releases, is the episode's one list of
-	// the non-empty intervals in (min arrival clock, to], node then index
-	// ascending. All N releases point at it and each receiver filters it
-	// by from, instead of probing the log once per node. It only saves
-	// work: the log walk yields the same notices in the same order.
+	// at and shared are set on barrier releases. shared is the episode's
+	// one list of the non-empty intervals in (previous release's clock, to],
+	// node then index ascending. No arriver's clock is below the previous
+	// release's, so the list holds everything any of them lacks; all N
+	// releases point at it and each receiver filters it by at, instead of
+	// probing the log once per node. It only saves work: the log walk
+	// yields the same notices in the same order.
+	at     *proto.Clock
 	shared []proto.Interval
 }
 
 // each calls fn with the intervals in (from, to] as contiguous runs, node
 // ascending and index ascending within a node.
 func (d *notices) each(log *proto.Log, fn func([]proto.Interval)) {
-	if d.shared == nil {
+	if d.at == nil {
 		log.Each(d.from, d.to, fn)
 		return
 	}
-	run := 0 // start of the current run of intervals from has not seen
-	for k, iv := range d.shared {
-		if iv.Index <= d.from[iv.Node] {
+	run := 0 // start of the current run of intervals at has not seen
+	for k := range d.shared {
+		if d.at.Seen(&d.shared[k]) {
 			if run < k {
 				fn(d.shared[run:k])
 			}
@@ -129,13 +134,8 @@ type Sync struct {
 
 	locks map[int]*lockState
 
-	// Barrier state (master is node 0). barVCs[i] is node i's arrival
-	// clock, a buffer allocated once and refilled by every Barrier call:
-	// node i cannot re-enter the barrier before it has handled the release
-	// whose payload reads barVCs[i], and the master reads the table only
-	// once all nodes have arrived.
+	// Barrier state (master is node 0).
 	barCount int
-	barVCs   []proto.VC
 	// barMaxTS is the running maximum of the arrival timestamps of the
 	// barrier in progress (carrier protocols only).
 	barMaxTS int64
@@ -194,7 +194,7 @@ func (s *Sync) Acquire(node, lock int) {
 	var vc proto.VC
 	bytes := 8
 	if s.env.Log != nil {
-		vc = s.env.VCs[node].Clone()
+		vc = s.env.VCs[node].Dense()
 		bytes += s.vcBytes()
 	}
 	s.env.Send(node, &network.Msg{
@@ -227,7 +227,7 @@ func (s *Sync) closeInterval(node int) {
 		return
 	}
 	idx := s.env.Log.Publish(node, notices)
-	s.env.VCs[node][node] = idx
+	s.env.VCs[node].Tick(idx)
 	s.env.Stats[node].WriteNoticesSent += int64(len(notices))
 	if tr := s.env.Tracer; tr != nil {
 		tr.Instant(node, trace.CatSynch, "interval",
@@ -236,20 +236,15 @@ func (s *Sync) closeInterval(node int) {
 }
 
 // Barrier enters the global barrier. Proc context; blocks until all nodes
-// arrive and the master releases.
+// arrive and the master releases. The arrival is charged the node's clock
+// on the wire but carries no copy of it: only the node's own handlers
+// write env.VCs[node], and until the release none of them does, so the
+// master reads the clock where it lives.
 func (s *Sync) Barrier(node int) {
 	s.env.Stats[node].BarrierEntries++
 	s.closeInterval(node)
 	bytes := 8
 	if s.env.Log != nil {
-		n := s.env.Nodes()
-		if s.barVCs == nil {
-			s.barVCs = make([]proto.VC, n)
-		}
-		if s.barVCs[node] == nil {
-			s.barVCs[node] = proto.NewVC(n)
-		}
-		copy(s.barVCs[node], s.env.VCs[node])
 		bytes += s.vcBytes()
 	}
 	m := &network.Msg{Dst: 0, Kind: kBarArrive, Block: -1, Bytes: bytes}
@@ -365,7 +360,7 @@ func (s *Sync) grantFrom(home int, st *lockState, lock, acquirer int, acqVC prot
 
 func (s *Sync) handleGrantReq(m *network.Msg) {
 	r := m.Dst // the last releaser knows which notices the acquirer lacks
-	d := &notices{from: m.Payload.(proto.VC), to: s.env.VCs[r].Clone()}
+	d := &notices{from: m.Payload.(proto.VC), to: s.env.VCs[r].Dense()}
 	d.tally(s.env.Log)
 	s.env.Send(r, &network.Msg{
 		Dst: int(m.B), Kind: kLockGrant, Block: -1,
@@ -389,7 +384,11 @@ func (s *Sync) completeAcquire(node int, d *notices, ts int64) {
 	if d != nil {
 		d.each(s.env.Log, func(ivs []proto.Interval) { s.proto.ApplyNotices(node, ivs) })
 		s.env.Stats[node].WriteNoticesRecv += int64(d.count)
-		s.env.VCs[node].Merge(d.to)
+		if c := &s.env.VCs[node]; d.at != nil {
+			c.Rebase(d.to) // a barrier's merged clock dominates every arriver's
+		} else {
+			c.Merge(d.to)
+		}
 	}
 	if s.ts != nil {
 		s.ts.AcquireTS(node, ts)
@@ -422,8 +421,8 @@ func (s *Sync) Epoch() int { return s.epoch }
 // it, consuming the same event sequence numbers.
 func (s *Sync) ReleaseBarrier() { s.releaseBarrier() }
 
-// releaseBarrier releases every node. Called with barCount == Nodes and,
-// under an interval protocol, barVCs fully populated.
+// releaseBarrier releases every node. Called with barCount == Nodes: every
+// node is blocked in the barrier and has handled the previous release.
 func (s *Sync) releaseBarrier() {
 	var rel []notices
 	if s.env.Log != nil {
@@ -445,29 +444,22 @@ func (s *Sync) releaseBarrier() {
 	s.barMaxTS = 0
 }
 
-// barrierNotices merges the arrival clocks and builds the episode's N
+// barrierNotices merges the arrivers' clocks and builds the episode's N
 // release payloads around one shared interval list.
 func (s *Sync) barrierNotices() []notices {
-	merged, floor := s.barVCs[0].Clone(), s.barVCs[0].Clone()
-	for _, vc := range s.barVCs[1:] {
-		merged.Merge(vc)
-		for j, v := range vc {
-			if v < floor[j] {
-				floor[j] = v
-			}
-		}
-	}
-	shared := make([]proto.Interval, 0, len(s.barVCs)) // typically one interval per node
-	s.env.Log.Each(floor, merged, func(ivs []proto.Interval) {
+	clocks := s.env.VCs
+	base, merged := proto.MergeClocks(clocks)
+	shared := make([]proto.Interval, 0, len(clocks)) // typically one interval per node
+	s.env.Log.Each(base, merged, func(ivs []proto.Interval) {
 		for _, iv := range ivs {
 			if len(iv.Notices) > 0 {
 				shared = append(shared, iv)
 			}
 		}
 	})
-	rel := make([]notices, len(s.barVCs))
+	rel := make([]notices, len(clocks))
 	for i := range rel {
-		rel[i] = notices{from: s.barVCs[i], to: merged, shared: shared}
+		rel[i] = notices{at: &clocks[i], to: merged, shared: shared}
 		rel[i].tally(s.env.Log)
 	}
 	return rel
@@ -475,13 +467,14 @@ func (s *Sync) barrierNotices() []notices {
 
 // State is a deep snapshot of the synchronization layer at a barrier cut:
 // the lock table (held/holder/last-releaser plus queued waiters and their
-// clocks), the fully populated barrier-arrival state, and the epoch
-// counter. Opaque outside this package; reusable across any number of
-// forks.
+// clocks), the all-arrived barrier state, and the epoch counter. The
+// arrivers' clocks are the nodes' own (env.VCs), which the run snapshots
+// with proto.CaptureClocks — base included, so a fork's first release cuts
+// its interval list from the previous release's clock like any other.
+// Opaque outside this package; reusable across any number of forks.
 type State struct {
 	locks    map[int]*lockState
 	barCount int
-	barVCs   []proto.VC
 	barMaxTS int64
 	epoch    int
 }
@@ -500,19 +493,12 @@ func cloneLocks(src map[int]*lockState) map[int]*lockState {
 
 // CaptureState snapshots the manager.
 func (s *Sync) CaptureState() *State {
-	st := &State{
+	return &State{
 		locks:    cloneLocks(s.locks),
 		barCount: s.barCount,
 		barMaxTS: s.barMaxTS,
 		epoch:    s.epoch,
 	}
-	if s.barVCs != nil {
-		st.barVCs = make([]proto.VC, len(s.barVCs))
-		for i, vc := range s.barVCs {
-			st.barVCs[i] = vc.Clone()
-		}
-	}
-	return st
 }
 
 // RestoreState applies a snapshot to a freshly built manager (re-cloned,
@@ -523,13 +509,6 @@ func (s *Sync) RestoreState(st *State) {
 	s.barCount = st.barCount
 	s.barMaxTS = st.barMaxTS
 	s.epoch = st.epoch
-	s.barVCs = nil
-	if st.barVCs != nil {
-		s.barVCs = make([]proto.VC, len(st.barVCs))
-		for i, vc := range st.barVCs {
-			s.barVCs[i] = vc.Clone()
-		}
-	}
 }
 
 // AddToDigest folds the snapshot into d (sorted lock ids, so equal states
@@ -555,9 +534,6 @@ func (st *State) AddToDigest(d *proto.Digest) {
 	d.Int(st.barCount)
 	d.I64(st.barMaxTS)
 	d.Int(st.epoch)
-	for _, vc := range st.barVCs {
-		vc.AddToDigest(d)
-	}
 }
 
 func (s *Sync) handleBarRelease(m *network.Msg) {

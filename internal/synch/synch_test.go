@@ -1,6 +1,7 @@
 package synch_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -201,7 +202,7 @@ func (o *noticeOracle) ApplyNotices(node int, ivs []proto.Interval) {
 }
 
 func (o *noticeOracle) OnAcquireComplete(node int) {
-	before, after := o.before[node], o.env.VCs[node]
+	before, after := o.before[node], o.env.VCs[node].Dense()
 	before[node] = after[node] // a node's own intervals are never shipped to it
 	var want []proto.Interval
 	count := int64(0)
@@ -273,6 +274,115 @@ func TestAppliedNoticesMatchLog(t *testing.T) {
 			for _, f := range oracleFailures {
 				t.Errorf("%s/%d nodes: %s", p, nodes, f)
 			}
+		}
+	}
+}
+
+// lockStep is the lock-taking resumable program of core's fork tests (their
+// "lockstep" app): one barrier per phase and before it two increments of
+// lock-protected counters, one counter per block, so that at every cut some
+// nodes hold a private clock and the last releasers differ per lock.
+type lockStep struct{ base int }
+
+const lockStepPhases, lockStepCounters = 6, 3
+
+func (a *lockStep) Info() core.AppInfo        { return core.AppInfo{Name: "lockstep", HeapBytes: 8192} }
+func (a *lockStep) Setup(h *core.Heap)        { a.base = h.AllocPage(lockStepCounters * 1024) }
+func (a *lockStep) Run(c *core.Ctx)           { a.RunFrom(c, 0) }
+func (a *lockStep) Verify(h *core.Heap) error { return nil }
+
+func (a *lockStep) RunFrom(c *core.Ctx, epoch int) {
+	for ph := epoch; ph < lockStepPhases; ph++ {
+		for k := 0; k < 2; k++ {
+			l := (c.ID() + ph + k) % lockStepCounters
+			c.Lock(l)
+			c.WriteI64(a.base+l*1024, c.ReadI64(a.base+l*1024)+1)
+			c.Unlock(l)
+		}
+		// A cut needs an empty event queue: let the release reach the
+		// lock's home first.
+		c.Compute(100 * sim.Microsecond)
+		c.Barrier()
+	}
+}
+
+// noticeRecorder wraps a real interval protocol and keeps, per node and in
+// order, every non-empty interval the synchronization layer applied in the
+// run built last.
+type noticeRecorder struct{ proto.Protocol }
+
+var recorded [][]proto.Interval
+
+func registerRecorder(inner string) string {
+	reg, _ := proto.Lookup(inner)
+	name := inner + "+recorder"
+	proto.Register(name, proto.Meta{Title: "test recorder over " + inner, Order: 1001, NeedsClocks: true},
+		func(env *proto.Env) proto.Iface {
+			recorded = make([][]proto.Interval, env.Nodes())
+			return noticeRecorder{reg.New(env)}
+		})
+	return name
+}
+
+var recorderProtocols = []string{registerRecorder(core.SWLRC), registerRecorder(core.HLRC)}
+
+func (r noticeRecorder) ApplyNotices(node int, ivs []proto.Interval) {
+	for _, iv := range ivs {
+		if len(iv.Notices) > 0 {
+			recorded[node] = append(recorded[node], iv)
+		}
+	}
+	r.Protocol.ApplyNotices(node, ivs)
+}
+
+// TestForkAfterLockTrafficAppliesSameNotices cuts the lockstep app at every
+// barrier, where lock grants have left the nodes' clocks in different forms
+// over the shared base, and runs the next episode twice: on from the cut in
+// a fresh run, and in a fork restored from the checkpoint. Every node must
+// apply the same notices — the same log entries in the same order — both
+// ways. A restore that lost the base would hand the fork's first release
+// the whole log to filter; one that lost a private vector would re-apply
+// what a grant had already delivered.
+func TestForkAfterLockTrafficAppliesSameNotices(t *testing.T) {
+	ctx := context.Background()
+	for _, p := range recorderProtocols {
+		m, err := core.NewMachine(core.Config{Nodes: 8, BlockSize: 1024, Protocol: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		app := &lockStep{}
+		applied := 0
+		for cut := 1; cut < lockStepPhases; cut++ {
+			cp, err := m.RunToBarrier(ctx, app, cut)
+			if err != nil {
+				t.Fatalf("%s: RunToBarrier(%d): %v", p, cut, err)
+			}
+			prefix := recorded
+			if _, err := m.RunToBarrier(ctx, app, cut+1); err != nil {
+				t.Fatalf("%s: RunToBarrier(%d): %v", p, cut+1, err)
+			}
+			fresh := recorded
+			if _, err := m.RunToBarrierFrom(ctx, cp, app, cut+1); err != nil {
+				t.Fatalf("%s: RunToBarrierFrom(%d -> %d): %v", p, cut, cut+1, err)
+			}
+			fork := recorded
+			for node := range fresh {
+				want := fresh[node][len(prefix[node]):] // what the episode after the cut applied
+				got := fork[node]
+				applied += len(want)
+				if len(got) != len(want) {
+					t.Fatalf("%s, cut %d, node %d: fork applied %d intervals, fresh run %d", p, cut, node, len(got), len(want))
+				}
+				for k := range want {
+					if got[k].Node != want[k].Node || got[k].Index != want[k].Index ||
+						fmt.Sprint(got[k].Notices) != fmt.Sprint(want[k].Notices) {
+						t.Fatalf("%s, cut %d, node %d: interval %d applied is %+v, fresh run applied %+v", p, cut, node, k, got[k], want[k])
+					}
+				}
+			}
+		}
+		if applied == 0 {
+			t.Fatalf("%s: no episode after a cut applied a notice", p)
 		}
 	}
 }

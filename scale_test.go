@@ -132,9 +132,12 @@ func TestScaleFootprint256(t *testing.T) {
 
 // TestScaleFootprint1024 pins the lazy protocols' host-memory contract at
 // the node bound: LU at 1024 nodes / 4 KB blocks under swlrc and hlrc may
-// allocate at most 4x what sc does for the same run. Synchronization ships
-// write notices by reference into the shared interval log; a per-receiver
-// copy of them at every 1024-way barrier puts the ratio near 70x.
+// allocate at most 2x what sc does for the same run (measured 1.60x and
+// 1.21x). Synchronization ships write notices by reference into the shared
+// interval log, and a node's vector clock is its own entry over the last
+// barrier's shared one: a per-receiver copy of the notices at every
+// 1024-way barrier puts the ratio near 70x; a dense clock per node and a
+// copy of it per arrival add 8 MB, 0.7x of what the sc run allocates.
 func TestScaleFootprint1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node footprint check skipped in -short mode")
@@ -155,8 +158,8 @@ func TestScaleFootprint1024(t *testing.T) {
 	for _, proto := range []string{dsmsim.SWLRC, dsmsim.HLRC} {
 		got := allocated(proto)
 		t.Logf("%s allocated %d bytes, %.2fx sc's %d", proto, got, float64(got)/float64(base), base)
-		if got > 4*base {
-			t.Errorf("%s allocated more than 4x what sc did", proto)
+		if got > 2*base {
+			t.Errorf("%s allocated more than 2x what sc did", proto)
 		}
 	}
 }
