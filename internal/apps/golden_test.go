@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/core"
+	"dsmsim/internal/faults"
 	"dsmsim/internal/sim"
 )
 
@@ -98,6 +99,28 @@ func TestGoldenTraceDigests(t *testing.T) {
 		"raytrace/hlrc/4096":        "f1b8c9d0c6bffd37124ed66b05b6c2bcdc9a930ccae1fd314c4196bfd7fadb49",
 		"raytrace/tlc/64":           "fc04fb23b07f3fc33155aed1fa25cd3044f07ecdd7d26bfec5d0d6ed7dbb1e5c",
 		"raytrace/tlc/4096":         "bdc6e76217016419025bc587fdc918fd32eba7ae2e888d5a3fa5f14ea996e1fe",
+
+		// Under goldenFaultPlans, recorded at commit 8654624.
+		"water-nsquared/sc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":    "a75201c8353201d33659176cf949a862a79b2b7351df0bbd0416110f718caa88",
+		"water-nsquared/sc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":    "e5afd876bc3caa1f286af6d357503c40ae444ffd85c6da3226365f7d37d2406e",
+		"water-nsquared/dc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":    "61e47ea72e965af25fa06d5211ee2d7fe202b0852a09aef45fe326f83e21ca40",
+		"water-nsquared/dc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":    "537c1bd6888957580ca4005faf6832f5346bf8bede1630d5b800a098e7383f78",
+		"water-nsquared/swlrc/64/drop=0.01,dup=0.005,jitter=20us,seed=3": "9d9dbeb57b231127329df0982bd4133828c5477ab13de08610c4dabd4acbd615",
+		"water-nsquared/swlrc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7": "a7aae8dc3eb4e49003a015fb5091fa7fe57b563a6964f0b13ce559e578d03eae",
+		"water-nsquared/hlrc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":  "57a2b1bc2cc69cb3ee90a54753bf2fde24cc7d2c8a1bb9e2b5279c0f95870da6",
+		"water-nsquared/hlrc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":  "3edff9ad7193557959cfa6f1996de2d3e3c78e7eebd05fd48bdafd82cc9e83d5",
+		"water-nsquared/tlc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":   "2e810245a8256db475109cca623fbec07247d368ec67aa20a6c0fc62f1030831",
+		"water-nsquared/tlc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":   "0049d9debcf63452ec0ba579db5c6c5b52c0419c0924dd6efdb508dfe24ae712",
+		"raytrace/sc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":          "63e1187985e5a71f7bf854410e4902c372488531fa7c135d8f6ce239d68c18cc",
+		"raytrace/sc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":          "8e39d0ab9185e79b347dab3f0d7eb3cb1daee7f45b57726aaa7c388e8fc3004f",
+		"raytrace/dc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":          "3e2b59799e76e2dae52808ef1d6b5990840295d74fac623239385c3e7203e0bb",
+		"raytrace/dc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":          "9839bdbf3c386b845f5d14c4e63142bdf8393305b81e8a7e552bc72c2d13f47e",
+		"raytrace/swlrc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":       "a18368a165c604bc2d74d4cba3c0a5decb8f6501d7f4e10b87dde13a7aadf727",
+		"raytrace/swlrc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":       "f2a1a13931fb3efc73dd51bc27ff0f533f4fbde1f8bbf5b8bd0f0ebf8aba1624",
+		"raytrace/hlrc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":        "1f4057c397e2610390cf04b69c52a6aa42a4196cbd1307f345eab69c567fa19a",
+		"raytrace/hlrc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":        "58cfb0be786839ee4cf0712be8f89aafc75778349679edc16a3c463149a67176",
+		"raytrace/tlc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":         "82c5f5cee2ea55032c088cf5cadd7ab616264f66b59fc4ffaa3b4abb675fdee7",
+		"raytrace/tlc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":         "cd058a6d703cf9f38132cbebfaf2769ebbf887eee50c8f48344796b64a496baa",
 	}
 	goldenJSON := map[string]string{
 		"water-nsquared/sc/64":      "4eade9e3a53a6a1d4d9c9cf54253bb9c4529a0655afd59834334e9a3f2714f1b",
@@ -120,6 +143,40 @@ func TestGoldenTraceDigests(t *testing.T) {
 		"raytrace/hlrc/4096":        "11b495315c5bd5935f50a514b1c9ca4caaf70e51ccfafa41ccf3ec995a8f802f",
 		"raytrace/tlc/64":           "706cf24317fbad0927b3d09af3201ea965bc0e39b9222d54080a0a05d8498f6c",
 		"raytrace/tlc/4096":         "53c4f151b376ac283f01d9d47dcf52c61484ee04056293efb84d5dada96cb8fe",
+
+		// Under goldenFaultPlans, recorded at commit 8654624.
+		"water-nsquared/sc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":    "36bfef1460519a6ae342cdcaf131c4807b7e9cca09820764069c49e95cd0508c",
+		"water-nsquared/sc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":    "96aa6581df51a8bfb457ac0291bb8163a3b77b5b058e84c4434f18abcc7f3e78",
+		"water-nsquared/dc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":    "2be1bccc5b8768819b566decf006e164599f15fc60be3b613ed3c7e52eb279ed",
+		"water-nsquared/dc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":    "538e24d992cd26930caa4002c3d8333fded93526a35477cf20770fa77936bad2",
+		"water-nsquared/swlrc/64/drop=0.01,dup=0.005,jitter=20us,seed=3": "53757a04a5a44dea6cf0373b16e52064af88eccb982e0911ab2404f4a6ff221a",
+		"water-nsquared/swlrc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7": "5f11b487af1c2d136d3b3105a01b9c665f7ef3874c83f3074ae24187e29424a6",
+		"water-nsquared/hlrc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":  "8e6a8102deed5a6ec5bb33068312552f8c902e47e47bb0bc1441721e0df121d7",
+		"water-nsquared/hlrc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":  "b1013c00c22393b02d272ce185e8eacc1876215f4730ce8f49c6e53ad3c53bf4",
+		"water-nsquared/tlc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":   "be870fa854d5fdc4c887ae6b17349d773b5e88cecb2a7c3c6f075701a41f65f1",
+		"water-nsquared/tlc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":   "36d63cd37fd71f07569744f92cb84295b1ad7f040becbb796593a9de3ad0f867",
+		"raytrace/sc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":          "d783a3e041247f6644fe71a3e855cf845dcfe7cc1a110a529782758daecebeed",
+		"raytrace/sc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":          "cbe333d68fa3432bcf5952ac361e7dd4b82c0343fab40cc86695c2bd8aa0f5e2",
+		"raytrace/dc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":          "957df35bf792016a3320603090a66f3d5d92ef70edfbb80b50e36c4955f50ae1",
+		"raytrace/dc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":          "6fd1597e7ab0ada863933beaeb2a1b2be3760f67da370783da63f394e7f04e5f",
+		"raytrace/swlrc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":       "38a164deecda196a0237bc5c6cbae06ec724889df21b77f50274eaec218fec46",
+		"raytrace/swlrc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":       "c4715a7bdef0c1f96bf6d0dc588f9cc6271af42880e4e34c4261494bfcd4aeb7",
+		"raytrace/hlrc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":        "60d517f293de786de64a6eee6c27378f6f49cec690aaf5ec620a36ff73967d8b",
+		"raytrace/hlrc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":        "03f3991bb24716a69fb27955813df976d79f3460f39c455939164573c40381da",
+		"raytrace/tlc/64/drop=0.01,dup=0.005,jitter=20us,seed=3":         "58f14b4d4199c10cadb7e331fcd49e27f1eb7d800b8106ea3f03d08cd9a3cece",
+		"raytrace/tlc/64/drop=0.05,partition=1-2@1ms:6ms,seed=7":         "4684888f2116019bd9ca0198c4050dc8bcd6dae824e20c7a195614575c8ddd48",
+	}
+	// Fault-free at both granularities, and at 64 B under two wire-active plans
+	// (loss + duplication + jitter; heavier loss across a transient partition):
+	// the ARQ layer's frames, acks, retransmissions and stale timers are all in
+	// these bytes.
+	type cfg struct {
+		block int
+		plan  string
+	}
+	cfgs := []cfg{{64, ""}, {4096, ""}}
+	for _, plan := range goldenFaultPlans {
+		cfgs = append(cfgs, cfg{64, plan})
 	}
 	for _, app := range []string{"water-nsquared", "raytrace"} {
 		entry, err := Get(app)
@@ -127,12 +184,20 @@ func TestGoldenTraceDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range core.ProtocolNames() {
-			for _, block := range []int{64, 4096} {
-				name := fmt.Sprintf("%s/%s/%d", app, p, block)
+			for _, c := range cfgs {
+				name := fmt.Sprintf("%s/%s/%d", app, p, c.block)
+				var plan *faults.Plan
+				if c.plan != "" {
+					name += "/" + c.plan
+					if plan, err = faults.Parse(c.plan); err != nil {
+						t.Fatal(err)
+					}
+				}
 				var line, js bytes.Buffer
 				m, err := core.NewMachine(core.Config{
-					Nodes: 8, BlockSize: block, Protocol: p, Limit: 2000 * sim.Second,
+					Nodes: 8, BlockSize: c.block, Protocol: p, Limit: 2000 * sim.Second,
 					Trace: &line, TraceJSON: &js, ShareProfile: true, CritPath: true,
+					Faults: plan,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -155,4 +220,12 @@ func TestGoldenTraceDigests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenFaultPlans are the two wire-active plans of TestGoldenTraceDigests'
+// faulted rows (recorded at commit 8654624, before the ARQ layer pooled its
+// frames and its timers left the event heap).
+var goldenFaultPlans = []string{
+	"drop=0.01,dup=0.005,jitter=20us,seed=3",
+	"drop=0.05,partition=1-2@1ms:6ms,seed=7",
 }

@@ -7,6 +7,8 @@ import (
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/faults"
+	"dsmsim/internal/sim"
 )
 
 // TestPerNodeAllocCeiling1024 pins the host objects one node costs: the
@@ -99,6 +101,50 @@ func TestObserverAllocCeiling(t *testing.T) {
 		t.Logf("%s: %.0f mallocs, %.3fx the %.0f with observers off", obs.name, on, on/off, off)
 		if on > 1.25*off {
 			t.Errorf("%s on costs %.0f mallocs, %.2fx the %.0f with observers off; ceiling 1.25x", obs.name, on, on/off, off)
+		}
+	}
+}
+
+// TestFaultedRunAllocCeiling pins the contract that the reliable path costs
+// no garbage: a whole 16-node run at 64 B under the lossy benchmark's plan
+// (1 % drop, 0.5 % duplicate, 20 µs jitter), where every one of its ten to
+// thirty thousand messages takes the ARQ layer, may malloc at most 400
+// objects more than the same run fault-free — the endpoints' per-link
+// tables, the frame slabs, the timeout lane and the deeper pools. Measured
+// +12 to +114; with a heap frame per send it was +12,893 to +29,250.
+func TestFaultedRunAllocCeiling(t *testing.T) {
+	plan := faults.NewPlan(faults.Drop(0.01), faults.Duplicate(0.005),
+		faults.Jitter(20*sim.Microsecond), faults.Seed(1))
+	for _, app := range []string{"ocean-rowwise", "lu"} {
+		entry, err := apps.Get(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, proto := range []string{core.SC, core.HLRC} {
+			mallocs := func(plan *faults.Plan) int64 {
+				m, err := core.NewMachine(core.Config{Nodes: 16, BlockSize: 64, Protocol: proto, Faults: plan})
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := func() int64 {
+					a := entry.New(apps.Small)
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					if _, err := m.Run(a); err != nil {
+						t.Fatal(err)
+					}
+					runtime.ReadMemStats(&after)
+					return int64(after.Mallocs - before.Mallocs)
+				}
+				run() // warm the space pool every run shares
+				return run()
+			}
+			clean, faulted := mallocs(nil), mallocs(plan)
+			t.Logf("%s/%s/64: %d mallocs fault-free, %+d under the plan", app, proto, clean, faulted-clean)
+			if faulted > clean+400 {
+				t.Errorf("%s/%s/64: %d mallocs under the fault plan, %d fault-free: %+d, ceiling +400",
+					app, proto, faulted, clean, faulted-clean)
+			}
 		}
 	}
 }

@@ -210,7 +210,7 @@ func (r *run) runToCapture(k int) (*Checkpoint, error) {
 			if ctxErr := r.ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
-			return nil, fmt.Errorf("core: %s/%s/%d: %w", r.info.Name, r.cfg.Protocol, r.cfg.BlockSize, runErr)
+			return nil, r.runError(runErr)
 		}
 		return nil, fmt.Errorf("core: %s finished before barrier epoch %d", r.info.Name, k)
 	}

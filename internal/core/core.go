@@ -707,6 +707,32 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 
 // finish drains the completed simulation into a Result — the tail of every
 // Run variant once the engine loop returns.
+// runError wraps what Engine.Run returned with the configuration it ran. A
+// run that hit the virtual time limit on the ARQ path also says which links
+// it was still retransmitting into — a partition that never heals, a drop
+// rate the backoff cannot beat — so the report names the wire, not only the
+// procs waiting behind it.
+func (r *run) runError(runErr error) error {
+	var links strings.Builder
+	var limit *sim.LimitError
+	if errors.As(runErr, &limit) {
+		const show = 8
+		unacked := r.net.UnackedLinks()
+		for i, l := range unacked[:min(len(unacked), show)] {
+			sep := "; "
+			if i == 0 {
+				sep = "; unacked links: "
+			}
+			fmt.Fprintf(&links, "%s%d→%d: %d frames, oldest sent at %v, %d attempts",
+				sep, l.Src, l.Dst, l.Frames, l.OldestSent, l.Attempts)
+		}
+		if more := len(unacked) - show; more > 0 {
+			fmt.Fprintf(&links, "; and %d more", more)
+		}
+	}
+	return fmt.Errorf("core: %s/%s/%d: %w%s", r.info.Name, r.cfg.Protocol, r.cfg.BlockSize, runErr, links.String())
+}
+
 func (r *run) finish(runErr error) (*Result, error) {
 	cfg := &r.cfg
 	if r.crit != nil && r.tr != nil && runErr == nil {
@@ -727,7 +753,7 @@ func (r *run) finish(runErr error) (*Result, error) {
 		if ctxErr := r.ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
 		}
-		return nil, fmt.Errorf("core: %s/%s/%d: %w", r.info.Name, cfg.Protocol, cfg.BlockSize, runErr)
+		return nil, r.runError(runErr)
 	}
 	if traceErr != nil {
 		// No Result beside a silently truncated trace file.

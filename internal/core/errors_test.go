@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
+	"time"
 
 	"dsmsim/internal/faults"
 	"dsmsim/internal/sim"
@@ -156,6 +158,49 @@ func TestTraceWriteErrorFailsRun(t *testing.T) {
 		}
 		if _, err := machine(&fullDisk{}, short).Run(app()); err == nil || errors.Is(err, errDiskFull) {
 			t.Errorf("%s: aborted run with a failing trace writer returned %v, want the run's own error", sink.name, err)
+		}
+	}
+}
+
+// TestUnrecoverableNetworkIsTypedError: a partition that outlasts the
+// virtual time limit does not hang and does not end in a bare string. The
+// run returns — in well under a second of host time, since backed-off
+// timers are all that is left to dispatch — an error that wraps
+// *sim.LimitError with every stuck proc and its block reason, and that
+// names the links still holding unacknowledged frames.
+func TestUnrecoverableNetworkIsTypedError(t *testing.T) {
+	app, _ := faultTestApp(2, 5)
+	m, err := NewMachine(Config{
+		Nodes: 2, BlockSize: 64, Protocol: SC, Limit: sim.Second,
+		Faults: faults.NewPlan(faults.Partition(0, 1, 0, 100*sim.Second)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := m.Run(app)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the run took %v of host time to reach its limit", took)
+	}
+	var limit *sim.LimitError
+	if res != nil || !errors.As(err, &limit) {
+		t.Fatalf("Run = (result %t, %v), want an error wrapping *sim.LimitError", res != nil, err)
+	}
+	if limit.Limit != sim.Second || limit.At <= limit.Limit {
+		t.Errorf("LimitError{Limit: %v, At: %v}, want the configured 1s and an event past it", limit.Limit, limit.At)
+	}
+	if len(limit.Procs) != 2 {
+		t.Fatalf("LimitError names %d procs, want both nodes: %+v", len(limit.Procs), limit.Procs)
+	}
+	for i, p := range limit.Procs {
+		if p.Name != nodeNames[i] || p.Reason == "" {
+			t.Errorf("proc %d reported as %+v, want %s with its block reason", i, p, nodeNames[i])
+		}
+	}
+	text := err.Error()
+	for _, want := range []string{"faultprobe/sc/64", "virtual time limit 1.000s exceeded", "unacked links: 0→1: ", " frames, oldest sent at ", " attempts"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("error text lacks %q:\n%s", want, text)
 		}
 	}
 }

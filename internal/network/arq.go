@@ -50,7 +50,7 @@ func (n *Network) SetFaults(inj *faults.Injector) {
 		n.pendingFaults = inj
 		return
 	}
-	n.faults = inj
+	n.goLive(inj)
 }
 
 // ActivateFaults switches a pending StartAtBarrier injector onto the wire.
@@ -59,32 +59,73 @@ func (n *Network) SetFaults(inj *faults.Injector) {
 // are no-ops. Every message sent from this instant on takes the ARQ path.
 func (n *Network) ActivateFaults() {
 	if n.pendingFaults != nil {
-		n.faults = n.pendingFaults
+		n.goLive(n.pendingFaults)
 		n.pendingFaults = nil
 	}
 }
 
+// goLive puts inj on the wire and computes the terms of the retransmission
+// deadline that are fixed for a plan: the wire time of an ack (a bare
+// header) and the allowance past the nominal ack arrival.
+func (n *Network) goLive(inj *faults.Injector) {
+	n.faults = inj
+	n.ackWire = n.model.OneWayLatency(n.model.MsgHeader)
+	n.rtoPad = 2*inj.MaxJitter() + rtoSlack
+}
+
 // frame is one sender-side unacknowledged message: the master copy plus the
-// retransmission state. Frames are heap-allocated per send (the fault path
-// trades the zero-alloc discipline for simplicity) and become garbage once
-// acknowledged; the pending timeout event holds the only remaining
-// reference and ignores acked frames.
+// retransmission state. Frames come from the network's free list (getFrame).
+//
+// Lifetime: a frame has exactly one timer pending from its first transmit
+// until a timer expires on it acked — transmit arms one, a live expiry
+// consumes it and the retransmission arms the next. The ack takes the frame
+// off its link's queue and recycles the master copy; the stale expiry that
+// follows holds the last reference and returns the frame to the free list.
 type frame struct {
-	m        *Msg // master copy; owns its (pooled) data buffer until acked
+	m        *Msg // master copy; owns its (pooled) data buffer; nil once acked
 	net      *Network
+	next     *frame // behind it on the link's unacked queue; on the free list
 	seq      uint64
 	src, dst int
+	wire     sim.Time // one-way latency of the frame, before any what-if scaling
 	sent     sim.Time // first-transmission time
 	rto      sim.Time // current timeout; doubles per expiry
 	rtoCap   sim.Time
 	attempts int
-	acked    bool
+	timerRec int32 // critical-path record of the pending timer (profiler only)
+}
+
+// frameSlab is how many frames the free list grows by: about as many as a
+// 16-node run under 1 % loss has pending at any moment.
+const frameSlab = 32
+
+// getFrame pops a free frame, refilling the list from a fresh slab when it
+// is dry.
+func (n *Network) getFrame() *frame {
+	if n.frameFree == nil {
+		slab := make([]frame, frameSlab)
+		for i := range slab[:frameSlab-1] {
+			slab[i].next = &slab[i+1]
+		}
+		n.frameFree = &slab[0]
+	}
+	f := n.frameFree
+	n.frameFree = f.next
+	return f
+}
+
+// putFrame returns a frame nothing references any more to the free list.
+func (n *Network) putFrame(f *frame) {
+	*f = frame{next: n.frameFree}
+	n.frameFree = f
 }
 
 // linkTx is the sender side of one directed link.
 type linkTx struct {
 	nextSeq uint64
-	unacked []*frame // in sequence order
+	// The unacknowledged frames, oldest first, linked through frame.next:
+	// sequence order is append order, and a cumulative ack retires a prefix.
+	head, tail *frame
 	// lastNominal is the jitter-free arrival time of the link's most recent
 	// transmission: the wire is FIFO, so a frame cannot overtake its
 	// predecessor (the ARQ mirror of the fast path's lastArrival clamp —
@@ -94,10 +135,25 @@ type linkTx struct {
 }
 
 // linkRx is the receiver side of one directed link: the next sequence
-// number to deliver and the out-of-order arrivals waiting for it.
+// number to deliver, and how many arrivals ahead of it wait for the gap to
+// fill. Those wait in the network's one parked list, not in a buffer per
+// link: a handful are parked at any moment, so a link's first loss costs no
+// allocation and an in-order arrival on a link with none parked looks at
+// nothing.
 type linkRx struct {
 	expect uint64
-	buf    map[uint64]*Msg
+	parked int
+}
+
+// findParked returns the position in n.parked of the frame src sent to dst
+// with sequence number seq, or -1.
+func (n *Network) findParked(src, dst int, seq uint64) int {
+	for i, m := range n.parked {
+		if m.linkSeq == seq && m.Src == src && m.Dst == dst {
+			return i
+		}
+	}
+	return -1
 }
 
 // sendReliable is the ARQ counterpart of the Send fast path: register the
@@ -121,20 +177,25 @@ func (ep *Endpoint) sendReliable(m *Msg) {
 		ep.tx = make([]linkTx, len(net.eps))
 	}
 	tx := &ep.tx[m.Dst]
+	model := net.model
+	wire := model.OneWayLatency(pm.Bytes + model.MsgHeader)
 	rto := net.faults.BaseRTO()
 	if rto == 0 {
-		model := net.model
-		rto = model.SendOverhead +
-			model.OneWayLatency(pm.Bytes+model.MsgHeader) + // frame out
-			model.OneWayLatency(model.MsgHeader) + // ack back
-			2*net.faults.MaxJitter() + rtoSlack
+		// Send overhead, the frame out, the ack back, and the allowance.
+		rto = model.SendOverhead + wire + net.ackWire + net.rtoPad
 	}
-	f := &frame{
+	f := net.getFrame()
+	*f = frame{
 		m: pm, net: net, seq: tx.nextSeq, src: ep.id, dst: m.Dst,
-		sent: pm.sent, rto: rto, rtoCap: rtoBackoffCap * rto,
+		wire: wire, sent: pm.sent, rto: rto, rtoCap: rtoBackoffCap * rto,
 	}
 	tx.nextSeq++
-	tx.unacked = append(tx.unacked, f)
+	if tx.head == nil {
+		tx.head = f
+	} else {
+		tx.tail.next = f
+	}
+	tx.tail = f
 	ep.transmit(f)
 }
 
@@ -156,7 +217,7 @@ func (ep *Endpoint) transmit(f *frame) {
 	model := net.model
 	now := eng.Now()
 	f.attempts++
-	wire := model.OneWayLatency(f.m.Bytes + model.MsgHeader)
+	wire := f.wire
 	if sc := net.scale; sc != nil {
 		wire = sc.Wire(f.m.Kind, wire)
 	}
@@ -206,16 +267,16 @@ func (ep *Endpoint) transmit(f *frame) {
 			eng.ScheduleArg(at, deliverFrame, cm)
 		}
 	}
-	deadline := base + model.OneWayLatency(model.MsgHeader) + 2*inj.MaxJitter() + rtoSlack
+	deadline := base + net.ackWire + net.rtoPad
 	if t := now + f.rto; t > deadline {
 		deadline = t // exponential backoff dominates once timeouts begin
 	}
 	if ct != nil {
-		rec := ct.ArqTimer(critPred, f.src, now, deadline)
-		eng.ScheduleArg(deadline, frameTimeoutCrit, &timerEv{f: f, rec: rec})
-	} else {
-		eng.ScheduleArg(deadline, frameTimeout, f)
+		f.timerRec = ct.ArqTimer(critPred, f.src, now, deadline)
 	}
+	// Deadlines rise nearly monotonically and most expire on an acked frame:
+	// they wait in the engine's timeout lane, not in its heap.
+	eng.ScheduleTimeout(deadline, frameTimeout, f)
 }
 
 // wireCopy clones the master message for one wire transmission. Each copy
@@ -263,7 +324,7 @@ func deliverFrame1(m *Msg) {
 		dst.rx = make([]linkRx, len(net.eps))
 	}
 	rx := &dst.rx[src]
-	if m.linkSeq < rx.expect || rx.buf[m.linkSeq] != nil {
+	if m.linkSeq < rx.expect || rx.parked > 0 && net.findParked(src, dst.id, m.linkSeq) >= 0 {
 		dst.Stats.Duplicates++
 		if tr := net.tracer; tr != nil {
 			tr.Instant(dst.id, trace.CatNet, "dup",
@@ -273,35 +334,48 @@ func deliverFrame1(m *Msg) {
 		dst.sendAck(src, rx.expect)
 		return
 	}
-	if rx.buf == nil {
-		rx.buf = make(map[uint64]*Msg)
-	}
-	rx.buf[m.linkSeq] = m
-	for {
-		mm := rx.buf[rx.expect]
-		if mm == nil {
-			break
-		}
-		delete(rx.buf, rx.expect)
+	if m.linkSeq != rx.expect {
+		// Ahead of a gap: park it until the missing frames arrive.
+		rx.parked++
+		net.parked = append(net.parked, m)
+	} else {
+		// In order — the common case never looks at the parked list.
 		rx.expect++
-		// From here the message follows the normal arrival path: the link
-		// layer has established exactly-once in-order delivery, so the
-		// service queue sees the same FIFO stream a healthy link produces.
-		mm.linkSeq = 0
-		mm.arrived = net.engine.Now()
-		if ct := net.crit; ct != nil {
-			mm.crit = ct.ArqRelease(mm.crit, dst.id, mm.Block, mm.arrived)
+		dst.accept(m)
+		for rx.parked > 0 {
+			i := net.findParked(src, dst.id, rx.expect)
+			if i < 0 {
+				break
+			}
+			mm, last := net.parked[i], len(net.parked)-1
+			net.parked[i], net.parked[last] = net.parked[last], nil
+			net.parked = net.parked[:last]
+			rx.parked--
+			rx.expect++
+			dst.accept(mm)
 		}
-		dst.Stats.MsgsReceived++
-		if tr := net.tracer; tr != nil {
-			tr.Instant(dst.id, trace.CatNet, "recv",
-				trace.A("src", int64(mm.Src)), trace.A("kind", int64(mm.Kind)),
-				trace.A("block", int64(mm.Block)))
-		}
-		dst.queue = append(dst.queue, mm)
 	}
 	dst.trySvc()
 	dst.sendAck(src, rx.expect)
+}
+
+// accept hands a frame the link layer has sequenced to the normal arrival
+// path: exactly-once in-order delivery is established, so the service queue
+// sees the same FIFO stream a healthy link produces.
+func (ep *Endpoint) accept(m *Msg) {
+	net := ep.net
+	m.linkSeq = 0
+	m.arrived = net.engine.Now()
+	if ct := net.crit; ct != nil {
+		m.crit = ct.ArqRelease(m.crit, ep.id, m.Block, m.arrived)
+	}
+	ep.Stats.MsgsReceived++
+	if tr := net.tracer; tr != nil {
+		tr.Instant(ep.id, trace.CatNet, "recv",
+			trace.A("src", int64(m.Src)), trace.A("kind", int64(m.Kind)),
+			trace.A("block", int64(m.Block)))
+	}
+	ep.queue = append(ep.queue, m)
 }
 
 // sendAck transmits a cumulative acknowledgement ("next sequence number I
@@ -321,7 +395,7 @@ func (ep *Endpoint) sendAck(to int, expect uint64) {
 	am := net.getMsg()
 	*am = Msg{Src: ep.id, Dst: to, linkSeq: expect}
 	am.net = net
-	at := now + net.model.OneWayLatency(net.model.MsgHeader) + inj.JitterDraw()
+	at := now + net.ackWire + inj.JitterDraw()
 	if ct := net.crit; ct != nil {
 		am.crit = ct.ArqAck(to, now, at)
 	}
@@ -343,46 +417,41 @@ func deliverAck(arg any) {
 	}
 	tx := &snd.tx[from]
 	now := net.engine.Now()
-	for len(tx.unacked) > 0 && tx.unacked[0].seq < ack {
-		f := tx.unacked[0]
-		tx.unacked[0] = nil
-		tx.unacked = tx.unacked[1:]
-		f.acked = true
+	for f := tx.head; f != nil && f.seq < ack; f = tx.head {
+		tx.head = f.next
 		if f.attempts > 1 {
 			snd.Stats.RetransmitLatency.ObserveTime(now - f.sent)
 		}
 		net.Recycle(f.m)
+		f.m = nil
 	}
 }
 
-// frameTimeout fires when a frame's retransmission timer expires. Acked
-// frames ignore it (the engine has no event cancellation — the stale event
-// is the cheap alternative); live frames double their timeout, bounded by
-// rtoCap, and go back on the wire.
-func frameTimeout(arg any) { arg.(*frame).timeout() }
-
-// timerEv pairs a timer expiry with its dependency record, so a
-// retransmission chains from the specific timer that provoked it. Only
-// allocated with the critical-path profiler on (the ARQ path allocates
-// per send anyway).
-type timerEv struct {
-	f   *frame
-	rec int32
-}
-
-func frameTimeoutCrit(arg any) {
-	te := arg.(*timerEv)
-	ct := te.f.net.crit
-	ct.SetContext(te.rec)
-	te.f.timeout()
-	ct.ClearContext()
+// frameTimeout fires when a frame's retransmission timer expires. On an
+// acked frame it has nothing to retransmit, but it is still an event — the
+// engine has no cancellation, and removing it would move the clock, the
+// sampler's boundaries and the profiler's records — and it is the frame's
+// last reference: the frame goes back to the free list. A live frame doubles
+// its timeout, bounded by rtoCap, and goes back on the wire, which arms the
+// next timer. With the critical-path profiler on, the retransmission chains
+// from the record of the timer that provoked it.
+func frameTimeout(arg any) {
+	f := arg.(*frame)
+	if ct := f.net.crit; ct != nil {
+		ct.SetContext(f.timerRec)
+		f.timeout()
+		ct.ClearContext()
+		return
+	}
+	f.timeout()
 }
 
 func (f *frame) timeout() {
-	if f.acked {
+	net := f.net
+	if f.m == nil { // acked
+		net.putFrame(f)
 		return
 	}
-	net := f.net
 	ep := net.eps[f.src]
 	ep.Stats.Timeouts++
 	ep.Stats.Retransmits++
@@ -395,4 +464,34 @@ func (f *frame) timeout() {
 		f.rto = f.rtoCap
 	}
 	ep.transmit(f)
+}
+
+// UnackedLink describes one directed link that still holds frames the
+// receiver has not acknowledged.
+type UnackedLink struct {
+	Src, Dst   int
+	Frames     int      // frames sent and not yet acked
+	OldestSent sim.Time // first transmission of the oldest of them
+	Attempts   int      // transmissions of the oldest so far
+}
+
+// UnackedLinks lists the links with unacknowledged frames, ordered by source
+// then destination: what a run that ran out of virtual time was still
+// retransmitting into. Empty on the fast path.
+func (n *Network) UnackedLinks() []UnackedLink {
+	var out []UnackedLink
+	for _, ep := range n.eps {
+		for dst := range ep.tx {
+			head := ep.tx[dst].head
+			if head == nil {
+				continue
+			}
+			l := UnackedLink{Src: ep.id, Dst: dst, OldestSent: head.sent, Attempts: head.attempts}
+			for f := head; f != nil; f = f.next {
+				l.Frames++
+			}
+			out = append(out, l)
+		}
+	}
+	return out
 }

@@ -307,3 +307,95 @@ func TestFaultDeterminism(t *testing.T) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 }
+
+// arqDriver sends one message every gap from inside Run, round-robin over the
+// directed links, alternating header-only messages and 4 KB pooled payloads:
+// the traffic of TestARQSteadyStateZeroAlloc.
+type arqDriver struct {
+	eng       *sim.Engine
+	nw        *Network
+	gap       sim.Time
+	next      int // messages sent so far, over all bursts
+	left      int // messages still to send in this burst
+	delivered int
+}
+
+func (d *arqDriver) burst(t *testing.T, sends int, gap sim.Time) {
+	d.left, d.gap = sends, gap
+	d.eng.ScheduleArg(d.eng.Now(), arqDriverSend, d)
+	want := d.delivered + sends
+	if err := d.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if d.delivered != want {
+		t.Fatalf("%d of %d messages delivered", d.delivered-(want-sends), sends)
+	}
+}
+
+func arqDriverSend(arg any) {
+	d := arg.(*arqDriver)
+	if d.left == 0 {
+		return
+	}
+	d.left--
+	k, n := d.next, d.nw.Size()
+	d.next++
+	src := k % n
+	m := Msg{Src: src, Dst: (src + 1 + k/n%(n-1)) % n, Kind: k, Block: -1}
+	if k%2 == 1 {
+		m.Data, m.DataPooled, m.Bytes = d.nw.AllocData(4096), true, 4096
+	}
+	d.nw.Endpoint(src).Send(&m)
+	d.eng.ScheduleArg(d.eng.Now()+d.gap, arqDriverSend, d)
+}
+
+// freeFrames walks the frame free list.
+func (n *Network) freeFrames() int {
+	k := 0
+	for f := n.frameFree; f != nil; f = f.next {
+		k++
+	}
+	return k
+}
+
+// TestARQSteadyStateZeroAlloc: once the pools, the queues and the links'
+// reorder buffers have grown to their working size, the reliable path
+// allocates nothing — not per send, not per ack, not per timer, not per
+// retransmission — and every frame is back on the free list when the last
+// stale timer has fired.
+func TestARQSteadyStateZeroAlloc(t *testing.T) {
+	const nodes, sends = 16, 1000
+	eng := sim.NewEngine()
+	nw := New(eng, timing.Default(), Polling, nodes)
+	d := &arqDriver{eng: eng, nw: nw}
+	for i := 0; i < nodes; i++ {
+		nw.Endpoint(i).Bind(&testHost{},
+			func(*Msg) sim.Time { return 0 },
+			func(*Msg) { d.delivered++ })
+	}
+	plan := faults.NewPlan(faults.Drop(0.01), faults.Duplicate(0.005), faults.Jitter(20*sim.Microsecond), faults.Seed(5))
+	nw.SetFaults(plan.Compile(nodes))
+
+	// The warm-up burst is longer and twice as dense as the measured one, so
+	// that every pool and queue has seen more in flight than it will again.
+	const gap = 2 * sim.Microsecond
+	d.burst(t, 4*sends, gap/2)
+	free := nw.freeFrames()
+	if free == 0 || free%frameSlab != 0 {
+		t.Fatalf("%d frames free after the warm-up burst, want whole slabs of %d", free, frameSlab)
+	}
+	if avg := testing.AllocsPerRun(1, func() { d.burst(t, sends, gap) }); avg != 0 {
+		t.Fatalf("%d sends on the ARQ path allocated %.0f objects, want 0", sends, avg)
+	}
+	if got := nw.freeFrames(); got != free {
+		t.Fatalf("%d frames free after the run, %d before: the free list leaked or grew", got, free)
+	}
+	var retx, dups int64
+	for i := 0; i < nodes; i++ {
+		retx += nw.Endpoint(i).Stats.Retransmits
+		dups += nw.Endpoint(i).Stats.Duplicates
+	}
+	if retx == 0 || dups == 0 {
+		t.Fatalf("the plan never bit: %d retransmissions, %d duplicates", retx, dups)
+	}
+}

@@ -171,7 +171,8 @@ type Endpoint struct {
 	svcAt        sim.Time // service start of the in-flight message
 
 	// ARQ per-link state (fault path only; see arq.go). tx is indexed by
-	// destination, rx by source; both allocate at the first faulty send.
+	// destination, rx by source; both allocate at the first faulty send or
+	// arrival.
 	tx []linkTx
 	rx []linkRx
 
@@ -186,10 +187,16 @@ type Network struct {
 	eps    []*Endpoint
 	links  linkTable // per-link FIFO clamps of the fast path
 
-	// Free lists for messages and data buffers. Single-threaded like the
-	// engine, so plain slices suffice.
-	msgFree []*Msg
-	bufFree [][]byte
+	// Free lists for messages, data buffers and ARQ frames (intrusive through
+	// frame.next; see arq.go). Single-threaded like the engine, so plain
+	// slices and a plain list suffice.
+	msgFree   []*Msg
+	bufFree   [][]byte
+	frameFree *frame
+
+	// parked holds the ARQ arrivals of every link that are ahead of a gap
+	// in their link's sequence, in no particular order (see linkRx).
+	parked []*Msg
 
 	// tracer, when non-nil, receives one structured event per message
 	// send, delivery and service, with virtual timestamps. Deterministic
@@ -203,6 +210,8 @@ type Network struct {
 	// the Send fast path stays a single nil check.
 	faults        *faults.Injector
 	pendingFaults *faults.Injector
+	ackWire       sim.Time // one-way latency of an ack; set when faults go live
+	rtoPad        sim.Time // 2×MaxJitter + rtoSlack, likewise
 
 	// crit, when non-nil, is the critical-path tracker: every committed
 	// transit, service occupancy and ARQ event records its dependency

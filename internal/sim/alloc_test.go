@@ -2,11 +2,11 @@ package sim
 
 import "testing"
 
-// The hot-path contract: once an engine's two queues have grown to their
-// working size, scheduling and dispatching events allocates nothing —
-// for a later instant (the heap) or the current one (the now-lane), from
-// outside Run or from a callback, with a func(any) and a pointer or with a
-// plain func() riding through callFunc — and a lone proc's Sleep is a pure
+// The hot-path contract: once an engine's queues have grown to their working
+// size, scheduling and dispatching events allocates nothing — for a later
+// instant (the heap, or the timeout lane) or the current one (the now-lane),
+// from outside Run or from a callback, with a func(any) and a pointer or with
+// a plain func() riding through callFunc — and a lone proc's Sleep is a pure
 // clock advance. These tests pin that with testing.AllocsPerRun so a
 // regression fails loudly instead of showing up as a benchmark drift.
 
@@ -56,14 +56,18 @@ func TestScheduleArgZeroAlloc(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			e.ScheduleArg(base+Time(i), afn, chain)
 			e.ScheduleArg(base, afn, chain)
+			// The timeout lane: mostly rising deadlines, every fourth one
+			// behind its predecessors, and one due at once.
+			e.ScheduleTimeout(base+Time(100+i-5*(i%4/3)), afn, chain)
 		}
+		e.ScheduleTimeout(base, afn, chain)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	drive()
 	if avg := testing.AllocsPerRun(100, drive); avg != 0 {
-		t.Fatalf("ScheduleArg+dispatch allocated %.1f per 192-event round, want 0", avg)
+		t.Fatalf("ScheduleArg+ScheduleTimeout+dispatch allocated %.1f per 257-event round, want 0", avg)
 	}
 	if *chain != 0 {
 		t.Fatalf("%d of the callbacks' own at-now events never ran", *chain)

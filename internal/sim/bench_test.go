@@ -13,7 +13,10 @@ import (
 // protocols generate: func(any) + pointer events, one in three scheduled
 // for the instant that is already current (an Unblock, a service start on
 // an idle endpoint), at the depths measured at 16 nodes, under ARQ timers
-// and at 1024 nodes.
+// and at 1024 nodes. "timeouts" is the queue under a fault plan: one event in
+// five is a retransmission timer, armed through ScheduleTimeout for ten times
+// as far out as the rest, so about 45 of the 64 outstanding events are timers
+// waiting in the timeout lane and the heap holds the other 20.
 func BenchmarkEngineDispatch(b *testing.B) {
 	b.Run("future/depth=64", func(b *testing.B) {
 		b.ReportAllocs()
@@ -48,6 +51,17 @@ func BenchmarkEngineDispatch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("timeouts/depth=64", func(b *testing.B) {
+		b.ReportAllocs()
+		m := &dispatchMix{e: NewEngine(), left: b.N}
+		for i := 0; i < 64 && m.left > 0; i++ {
+			m.left--
+			m.e.ScheduleArg(Time(i%13+1), mixTimeout, m)
+		}
+		if err := m.e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // dispatchMix is the state of one "mix" run: left events still to schedule.
@@ -74,6 +88,24 @@ func mixTimed(arg any) {
 }
 
 func mixNow(any) {}
+
+// mixTimeout keeps the standing population constant by scheduling its own
+// successor: four times out of five an ordinary event a few ns out, the fifth
+// time a timeout ten times as far.
+func mixTimeout(arg any) {
+	m := arg.(*dispatchMix)
+	if m.left == 0 {
+		return
+	}
+	m.left--
+	m.timed++
+	d := Time(m.timed%13 + 1)
+	if m.timed%5 == 0 {
+		m.e.ScheduleTimeout(m.e.Now()+10*d, mixTimeout, m)
+	} else {
+		m.e.ScheduleArg(m.e.Now()+d, mixTimeout, m)
+	}
+}
 
 // BenchmarkProcSleep measures the proc sleep path: virtual-time advance for
 // a lone runnable proc, the common case in Ctx.Compute.

@@ -98,6 +98,21 @@ func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock, %d procs blocked: %v", len(descs), descs)
 }
 
+// LimitError reports that the next event was due after the SetLimit bound:
+// the run was still making events — a retransmission timer backing off
+// against a link that never heals, a protocol livelock — but not finishing.
+type LimitError struct {
+	Limit Time // the bound
+	At    Time // when the event that crossed it was due
+	// Procs lists every proc still alive, with its block reason ("" for one
+	// that was merely asleep).
+	Procs []BlockedProc
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("sim: virtual time limit %v exceeded (event at %v)", e.Limit, e.At)
+}
+
 // Hooks are optional observability callbacks fired by the engine. They are
 // purely observational — a hook must not schedule events, advance time, or
 // touch procs — and each unset hook costs exactly one nil check on its
@@ -112,8 +127,8 @@ type Hooks struct {
 	// ProcUnblock fires when Unblock schedules a parked proc to resume.
 	ProcUnblock func(p *Proc)
 	// Dispatch fires before each event callback runs, with the event's
-	// time and the number of events still queued, in the heap and the
-	// now-lane together (very high volume).
+	// time and the number of events still queued, in the heap, the timeout
+	// lane and the now-lane together (very high volume).
 	Dispatch func(at Time, queued int)
 }
 
@@ -123,18 +138,25 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// The queue is two lanes. events, a value-typed 4-ary min-heap ordered
-	// by event.before, holds the future: everything scheduled for an instant
-	// later than the one current at the time of the call. lane, a FIFO
-	// consumed from laneHead and reset when it drains, holds the rest:
-	// everything scheduled for the current instant (or, clamped, an earlier
-	// one). A heap event due at an instant was scheduled before that instant
-	// became current, so it carries a smaller seq than anything the lane
-	// holds: "the heap's events due now, then the lane front to back" is
-	// (time, seq) order, and the clock moves only once the lane is empty.
-	events   []event
-	lane     []event
-	laneHead int
+	// The queue is three places, one order. events, a value-typed 4-ary
+	// min-heap ordered by event.before, holds the future: everything
+	// scheduled for an instant later than the one current at the time of the
+	// call. timeouts holds the part of the future that arrives nearly sorted
+	// (ScheduleTimeout): a slice kept in (time, seq) order by insertion from
+	// the back, consumed from timeoutHead and reset when it drains; the
+	// earlier of its front and the heap's top, by event.before, is the
+	// earliest future event. lane, a FIFO consumed from laneHead and reset
+	// when it drains, holds the rest: everything scheduled for the current
+	// instant (or, clamped, an earlier one). A future event due at an instant
+	// was scheduled before that instant became current, so it carries a
+	// smaller seq than anything the lane holds: "the future events due now,
+	// then the lane front to back" is (time, seq) order, and the clock moves
+	// only once the lane is empty.
+	events      []event
+	timeouts    []event
+	timeoutHead int
+	lane        []event
+	laneHead    int
 
 	procs []*Proc
 	slab  []Proc // backing store for procs, sized by ReserveProcs
@@ -181,10 +203,12 @@ func (e *Engine) Now() Time { return e.now }
 // sort exactly as it would have in the original run.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// PendingEvents returns the number of events still queued, in the heap and
-// the now-lane together. A checkpoint cut is only valid when this is zero:
-// all procs blocked, nothing in flight.
-func (e *Engine) PendingEvents() int { return len(e.events) + len(e.lane) - e.laneHead }
+// PendingEvents returns the number of events still queued, in the heap, the
+// timeout lane and the now-lane together. A checkpoint cut is only valid
+// when this is zero: all procs blocked, nothing in flight.
+func (e *Engine) PendingEvents() int {
+	return len(e.events) + len(e.timeouts) - e.timeoutHead + len(e.lane) - e.laneHead
+}
 
 // RestoreClock sets the clock and event sequence counter on an engine that
 // has not yet run, so a forked run continues the original (time, seq)
@@ -256,6 +280,39 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) {
 	e.push(at, fn, arg)
 }
 
+// ScheduleTimeout is ScheduleArg for events whose deadlines are armed in
+// nearly increasing order and mostly expire with nothing left to do — a
+// link layer's retransmission timers. The contract is the same (the event
+// consumes a seq, fires in (time, seq) order among all events, and one due
+// now or earlier joins the now-lane), but a future event stays out of the
+// heap: it is inserted from the back into the sorted timeout lane and leaves
+// from the front, O(1) each way while deadlines keep rising, so a standing
+// population of timers does not deepen every other event's sift.
+func (e *Engine) ScheduleTimeout(at Time, fn func(any), arg any) {
+	e.seq++
+	if at <= e.now {
+		e.lane = append(e.lane, event{afn: fn, arg: arg})
+		return
+	}
+	l := e.timeouts
+	if h := e.timeoutHead; len(l) == cap(l) && h > 0 && h >= len(l)/2 {
+		// Full, and at least half of it consumed: slide the live part to the
+		// front instead of growing.
+		n := copy(l, l[h:])
+		clear(l[n:])
+		l, e.timeoutHead = l[:n], 0
+	}
+	l = append(l, event{})
+	// The new event carries the newest seq: it belongs behind every entry due
+	// at the same instant or earlier.
+	i := len(l) - 1
+	for ; i > e.timeoutHead && l[i-1].at > at; i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = event{at: at, seq: e.seq, afn: fn, arg: arg}
+	e.timeouts = l
+}
+
 // After schedules fn to run d after the current virtual time.
 func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 
@@ -322,15 +379,25 @@ func (e *Engine) pop(top *event) {
 	h[i] = last
 }
 
+// popTimeout removes the timeout lane's front into *top.
+func (e *Engine) popTimeout(top *event) {
+	front := &e.timeouts[e.timeoutHead]
+	*top = *front
+	front.arg = nil
+	if e.timeoutHead++; e.timeoutHead == len(e.timeouts) {
+		e.timeouts, e.timeoutHead = e.timeouts[:0], 0
+	}
+}
+
 // Stop makes Run return after the current event completes. Pending events,
-// in the heap and in the now-lane, are discarded. Alive procs are killed.
+// wherever they are queued, are discarded. Alive procs are killed.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run processes events until the queue is empty and every Proc has finished.
 // It returns a *DeadlockError if the queue drains while procs are blocked,
-// or a limit error if SetLimit was exceeded. On return — by any path,
-// including a proc's panic — every Proc coroutine has exited and both
-// queues are empty: events a Stop, an error or a panic left undispatched
+// or a *LimitError if SetLimit was exceeded. On return — by any path,
+// including a proc's panic — every Proc coroutine has exited and the
+// queue is empty: events a Stop, an error or a panic left undispatched
 // are dropped with the references they carry.
 func (e *Engine) Run() error {
 	if e.running {
@@ -345,10 +412,21 @@ func (e *Engine) Run() error {
 
 	var ev event
 	for !e.stopped {
-		// The heap goes first while it holds an event due at this instant;
-		// then the lane, which must drain before the clock may move.
-		fromHeap := len(e.events) > 0 && (len(e.lane) == 0 || e.events[0].at <= e.now)
-		if !fromHeap && len(e.lane) == 0 {
+		// The earliest future event — the heap's top or the timeout lane's
+		// front — goes first while it is due at this instant; then the
+		// now-lane, which must drain before the clock may move.
+		var next *event
+		if len(e.events) > 0 {
+			next = &e.events[0]
+		}
+		fromTimeouts := false
+		if len(e.timeouts) > 0 {
+			if t := &e.timeouts[e.timeoutHead]; next == nil || t.before(next) {
+				next, fromTimeouts = t, true
+			}
+		}
+		fromFuture := next != nil && (len(e.lane) == 0 || next.at <= e.now)
+		if !fromFuture && len(e.lane) == 0 {
 			if blocked := e.blockedProcs(); len(blocked) > 0 {
 				return &DeadlockError{Procs: blocked}
 			}
@@ -362,10 +440,14 @@ func (e *Engine) Run() error {
 				}
 			}
 		}
-		if fromHeap {
-			e.pop(&ev)
+		if fromFuture {
+			if fromTimeouts {
+				e.popTimeout(&ev)
+			} else {
+				e.pop(&ev)
+			}
 			if e.limit > 0 && ev.at > e.limit {
-				return fmt.Errorf("sim: virtual time limit %v exceeded (event at %v)", e.limit, ev.at)
+				return &LimitError{Limit: e.limit, At: ev.at, Procs: e.blockedProcs()}
 			}
 			if e.sampler != nil {
 				// Fire every sample boundary the clock is about to cross.
@@ -401,15 +483,17 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// discardEvents empties both queues, dropping what their events reference.
+// discardEvents empties the queue, dropping what its events reference.
 func (e *Engine) discardEvents() {
 	clear(e.events)
+	clear(e.timeouts)
 	clear(e.lane)
 	e.events, e.lane, e.laneHead = e.events[:0], e.lane[:0], 0
+	e.timeouts, e.timeoutHead = e.timeouts[:0], 0
 }
 
-// blockedProcs collects every alive proc for a deadlock report. Formatting
-// and ordering happen lazily in DeadlockError.Error.
+// blockedProcs collects every alive proc for a deadlock or limit report.
+// Formatting and ordering happen lazily in DeadlockError.Error.
 func (e *Engine) blockedProcs() []BlockedProc {
 	var out []BlockedProc
 	for _, p := range e.procs {

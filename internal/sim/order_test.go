@@ -76,6 +76,7 @@ type orderRun struct {
 	log    []string
 
 	finished, inPlace, yielded int // bodies that returned; Sleeps by path
+	timeouts                   int // ScheduleTimeout calls for a later instant
 }
 
 func (r *orderRun) failf(format string, args ...any) {
@@ -116,9 +117,11 @@ func (r *orderRun) when() Time {
 	}
 }
 
-// scheduleCallback schedules a fresh callback through one of the four
+// scheduleCallback schedules a fresh callback through one of the five
 // scheduling calls.
-func (r *orderRun) scheduleCallback() {
+func (r *orderRun) scheduleCallback() { r.schedule(r.when(), r.rng.Intn(5)) }
+
+func (r *orderRun) schedule(at Time, call int) {
 	if r.budget--; r.budget < 0 {
 		return
 	}
@@ -128,18 +131,47 @@ func (r *orderRun) scheduleCallback() {
 		r.dispatched(id)
 		r.act(nil)
 	}
-	at := r.when()
-	switch r.rng.Intn(4) {
+	switch call {
 	case 0:
 		r.e.Schedule(at, fn)
 	case 1:
 		r.e.ScheduleArg(at, callFunc, fn)
 	case 2:
 		r.e.After(at-r.e.Now(), fn)
-	default:
+	case 3:
 		r.e.AfterArg(at-r.e.Now(), callFunc, fn)
+	default:
+		r.e.ScheduleTimeout(at, callFunc, fn)
+		if at > r.e.Now() {
+			r.timeouts++
+		}
 	}
 	r.o.schedule(at, id)
+}
+
+// armTimeouts arms a burst of timeouts in one of the orders the timeout lane
+// has to sort: deadlines that mostly rise (what a link layer produces),
+// deadlines that fall, or a far deadline followed by many near ones.
+func (r *orderRun) armTimeouts() {
+	now := r.e.Now()
+	base := now + Time(r.rng.Intn(10))
+	shape := r.rng.Intn(3)
+	for i, n := 0, 2+r.rng.Intn(6); i < n; i++ {
+		at := base
+		switch shape {
+		case 0:
+			at += Time(2*i - r.rng.Intn(3))
+		case 1:
+			at += Time(2 * (n - i))
+		default:
+			if i == 0 {
+				at += 25
+			} else {
+				at = now + Time(r.rng.Intn(6))
+			}
+		}
+		r.schedule(at, 4)
+	}
 }
 
 func (r *orderRun) unblockOne() {
@@ -158,8 +190,14 @@ func (r *orderRun) unblockOne() {
 func (r *orderRun) act(p *Proc) {
 	for n := r.rng.Intn(4); n > 0 && r.failed == ""; n-- {
 		switch k := r.rng.Intn(10); {
-		case k < 4:
+		case k < 3:
 			r.scheduleCallback()
+		case k == 3:
+			if r.rng.Intn(2) == 0 {
+				r.armTimeouts()
+			} else {
+				r.scheduleCallback()
+			}
 		case k < 7:
 			r.unblockOne()
 		case k == 7 && r.rng.Intn(40) == 0:
@@ -204,8 +242,9 @@ func (r *orderRun) body(p *Proc) {
 }
 
 // TestOrderMatchesSortOracle: whatever a program does — schedule for now, the
-// past or the future, from callbacks and from procs, through all four
-// scheduling calls; Sleep(0) and Sleep(d) on either path; Unblock chains;
+// past or the future, from callbacks and from procs, through all five
+// scheduling calls, timeouts armed in rising, falling and far-then-near
+// order; Sleep(0) and Sleep(d) on either path; Unblock chains;
 // Stop; under a sampler, a limit, a Dispatch hook, a restored clock — the
 // engine dispatches exactly what a stable sort by (time, seq) would, and ends
 // on the same clock and sequence number with nothing left queued.
@@ -216,7 +255,7 @@ func TestOrderMatchesSortOracle(t *testing.T) {
 	}
 	// What the seeds got to, so a generator that stops reaching a path fails
 	// the test instead of passing it vacuously.
-	var inPlace, yielded, stops, deadlocks, limits int
+	var inPlace, yielded, timeouts, stops, deadlocks, limits int
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		e := NewEngine()
@@ -292,8 +331,11 @@ func TestOrderMatchesSortOracle(t *testing.T) {
 			}
 		default: // the limit
 			limits++
-			if o.sort(); o.limit == 0 || len(o.q) == 0 || o.q[0].at <= o.limit {
-				t.Fatalf("seed %d: Run = %v, oracle limit %v queue %v", seed, err, o.limit, o.q)
+			var limit *LimitError
+			if o.sort(); !errors.As(err, &limit) || limit.Limit != o.limit || len(o.q) == 0 || o.q[0].at <= o.limit ||
+				limit.At != o.q[0].at || len(limit.Procs) != nprocs-r.finished {
+				t.Fatalf("seed %d: Run = %#v, oracle limit %v queue %v, %d of %d procs finished",
+					seed, err, o.limit, o.q, r.finished, nprocs)
 			}
 		}
 		if e.Now() != o.now || e.Seq() != o.seq {
@@ -307,9 +349,10 @@ func TestOrderMatchesSortOracle(t *testing.T) {
 		}
 		inPlace += r.inPlace
 		yielded += r.yielded
+		timeouts += r.timeouts
 	}
-	if inPlace == 0 || yielded == 0 || stops == 0 || deadlocks == 0 || limits == 0 {
-		t.Fatalf("generator lost a path: %d in-place and %d yielding Sleeps, %d stops, %d deadlocks, %d limit errors",
-			inPlace, yielded, stops, deadlocks, limits)
+	if inPlace == 0 || yielded == 0 || timeouts == 0 || stops == 0 || deadlocks == 0 || limits == 0 {
+		t.Fatalf("generator lost a path: %d in-place and %d yielding Sleeps, %d timeouts, %d stops, %d deadlocks, %d limit errors",
+			inPlace, yielded, timeouts, stops, deadlocks, limits)
 	}
 }

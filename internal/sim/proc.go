@@ -60,8 +60,8 @@ type Proc struct {
 
 // ReserveProcs sizes the engine for n more procs: the next n NewProc or
 // NewProcBlocked calls take their Proc from one slab instead of allocating
-// each, and both event queues come out of one allocation sized for what n
-// procs keep in flight — the lane holds n start events or a barrier's n
+// each, and the heap and the now-lane come out of one allocation sized for
+// what n procs keep in flight — the lane holds n start events or a barrier's n
 // wake-ups, the heap about two events per proc. Purely a host-cost hint;
 // procs and events beyond the reservation still work.
 func (e *Engine) ReserveProcs(n int) {
@@ -173,13 +173,15 @@ func (p *Proc) Sleep(d Time) {
 	// place and keep going. Events scheduled strictly later keep their
 	// relative order because their sequence numbers are untouched.
 	// Conditions that force the slow path: an event due at or before `at`
-	// (it must run first) — the heap's earliest, or anything at all in the
-	// now-lane, which must drain before the clock moves — a Dispatch hook (it
-	// observes every dispatch), a pending Stop or time limit (Run's loop must
-	// see this wake-up), an interrupt poll falling due (the poll happens in
-	// Run's loop), or a sample boundary inside (now, at] (boundaries fire in
-	// Run's loop, so the wake-up must travel through it).
-	if (len(e.events) == 0 || at < e.events[0].at) && len(e.lane) == 0 &&
+	// (it must run first) — the heap's earliest, the timeout lane's front, or
+	// anything at all in the now-lane, which must drain before the clock
+	// moves — a Dispatch hook (it observes every dispatch), a pending Stop or
+	// time limit (Run's loop must see this wake-up), an interrupt poll falling
+	// due (the poll happens in Run's loop), or a sample boundary inside
+	// (now, at] (boundaries fire in Run's loop, so the wake-up must travel
+	// through it).
+	if (len(e.events) == 0 || at < e.events[0].at) &&
+		(len(e.timeouts) == 0 || at < e.timeouts[e.timeoutHead].at) && len(e.lane) == 0 &&
 		e.hooks.Dispatch == nil && !e.stopped &&
 		(e.limit == 0 || at <= e.limit) &&
 		(e.sampler == nil || at < e.nextSample) {

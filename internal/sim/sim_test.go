@@ -153,25 +153,29 @@ func TestStop(t *testing.T) {
 
 // TestStopMidLane: a Stop from an event of the current instant leaves the
 // rest of that instant undispatched, exactly as a Stop from a timed event
-// leaves the later ones, and Run returns with nothing queued either way.
+// leaves the later ones — in the heap or in the timeout lane — and Run
+// returns with nothing queued either way.
 func TestStopMidLane(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		at   func(i int) Time
+		name     string
+		at       func(i int) Time
+		schedule func(e *Engine, at Time, fn func())
 	}{
-		{"lane", func(int) Time { return 0 }},
-		{"heap", func(i int) Time { return Time(10 * (i + 1)) }},
+		{"lane", func(int) Time { return 0 }, (*Engine).Schedule},
+		{"heap", func(i int) Time { return Time(10 * (i + 1)) }, (*Engine).Schedule},
+		{"timeouts", func(i int) Time { return Time(10 * (i + 1)) },
+			func(e *Engine, at Time, fn func()) { e.ScheduleTimeout(at, callFunc, fn) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
 			var ran []int
 			for i := 0; i < 4; i++ {
-				e.Schedule(tc.at(i), func() {
+				tc.schedule(e, tc.at(i), func() {
 					ran = append(ran, i)
 					if i == 1 {
 						e.Stop()
-						e.Schedule(e.Now(), func() { ran = append(ran, -1) })
-						e.After(5, func() { ran = append(ran, -2) })
+						tc.schedule(e, e.Now(), func() { ran = append(ran, -1) })
+						tc.schedule(e, e.Now()+5, func() { ran = append(ran, -2) })
 					}
 				})
 			}
