@@ -17,8 +17,9 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# One iteration of every table/figure benchmark plus the ablations, at the
-# reduced problem sizes.
+# One iteration of every benchmark at the reduced problem sizes: each
+# experiment (BenchmarkExperiment/table1 ... /critpath; one alone is
+# `go test -bench='Experiment/fig1$' -benchtime=1x .`) plus the ablations.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 

@@ -1,12 +1,13 @@
 // Benchmarks regenerating every table and figure of the paper, plus
 // ablations of the simulator's design choices (DESIGN.md §6).
 //
-// Each benchmark runs the corresponding harness experiment end to end.
-// By default the reduced problem sizes are used so `go test -bench=.`
-// finishes quickly; pass -dsm.paper to sweep the paper's Table 1 sizes
-// (minutes, and prints the full tables):
+// BenchmarkExperiment runs each harness experiment end to end as a
+// sub-benchmark named after it (dsmbench -list). By default the reduced
+// problem sizes are used so `go test -bench=.` finishes quickly; pass
+// -dsm.paper to sweep the paper's Table 1 sizes (minutes; -dsm.show prints
+// the tables):
 //
-//	go test -bench=Fig1 -benchtime=1x -dsm.paper
+//	go test -bench='Experiment/fig1$' -benchtime=1x -dsm.paper
 package dsmsim_test
 
 import (
@@ -39,43 +40,24 @@ func benchOpts() harness.Options {
 	return opts
 }
 
-// benchExperiment runs one named experiment per iteration.
-func benchExperiment(b *testing.B, name string) {
-	b.Helper()
-	e, err := harness.Get(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		r, err := harness.New(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(r); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiment regenerates every harness experiment, one
+// sub-benchmark per registry entry: a fresh runner and one render per
+// iteration.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range harness.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := harness.New(benchOpts())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Run(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTable1(b *testing.B)  { benchExperiment(b, "table1") }
-func BenchmarkFig1(b *testing.B)    { benchExperiment(b, "fig1") }
-func BenchmarkTable2(b *testing.B)  { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B)  { benchExperiment(b, "table3") }
-func BenchmarkTable4(b *testing.B)  { benchExperiment(b, "table4") }
-func BenchmarkTable5(b *testing.B)  { benchExperiment(b, "table5") }
-func BenchmarkTable6(b *testing.B)  { benchExperiment(b, "table6") }
-func BenchmarkTable7(b *testing.B)  { benchExperiment(b, "table7") }
-func BenchmarkTable8(b *testing.B)  { benchExperiment(b, "table8") }
-func BenchmarkTable9(b *testing.B)  { benchExperiment(b, "table9") }
-func BenchmarkTable10(b *testing.B) { benchExperiment(b, "table10") }
-func BenchmarkTable11(b *testing.B) { benchExperiment(b, "table11") }
-func BenchmarkTable12(b *testing.B) { benchExperiment(b, "table12") }
-func BenchmarkTable13(b *testing.B) { benchExperiment(b, "table13") }
-func BenchmarkTable14(b *testing.B) { benchExperiment(b, "table14") }
-func BenchmarkTable15(b *testing.B) { benchExperiment(b, "table15") }
-func BenchmarkTable16(b *testing.B) { benchExperiment(b, "table16") }
-func BenchmarkTable17(b *testing.B) { benchExperiment(b, "table17") }
-func BenchmarkFig2(b *testing.B)    { benchExperiment(b, "fig2") }
 
 // BenchmarkProtocolGranularity reports simulated speedup for each point of
 // the evaluation space on one representative regular (LU) and one

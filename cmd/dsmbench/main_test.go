@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/cliflags"
+	"dsmsim/internal/harness"
 )
 
 // wantFlags is dsmbench's flag inventory: every name with its default.
@@ -78,6 +79,38 @@ func TestREADMEFlagTables(t *testing.T) {
 	sort.Strings(want)
 	if fmt.Sprint(all) != fmt.Sprint(want) {
 		t.Errorf("README shared + dsmbench-only tables:\n got %q\nwant %q", all, want)
+	}
+}
+
+// TestDocsNameEveryExperiment keeps the prose in step with the registry:
+// README.md shows what -list prints verbatim, DESIGN.md's per-experiment
+// index names every entry (as `-exp NAME` or `NAME`), and EXPERIMENTS.md
+// has a bullet for every experiment that is not one of the paper's tables
+// or figures, which it discusses under their own headings.
+func TestDocsNameEveryExperiment(t *testing.T) {
+	doc := func(name string) string {
+		data, err := os.ReadFile("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	var list bytes.Buffer
+	if err := run([]string{"-list"}, &list, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(doc("README.md"), "$ go run ./cmd/dsmbench -list\n"+list.String()+"```") {
+		t.Errorf("README.md does not show the current `dsmbench -list` output:\n%s", list.String())
+	}
+	design, experiments := doc("DESIGN.md"), doc("EXPERIMENTS.md")
+	for _, e := range harness.Experiments() {
+		if !strings.Contains(design, "-exp "+e.Name+"`") && !strings.Contains(design, "`"+e.Name+"`") {
+			t.Errorf("DESIGN.md's per-experiment index does not name %q", e.Name)
+		}
+		paper := strings.HasPrefix(e.Name, "table") || strings.HasPrefix(e.Name, "fig")
+		if !paper && !strings.Contains(experiments, "* **"+e.Name+"**") {
+			t.Errorf("EXPERIMENTS.md has no bullet for %q", e.Name)
+		}
 	}
 }
 

@@ -97,13 +97,14 @@ func ParseStragglers(spec string) ([]FaultRule, error) { return faults.ParseStra
 // wraps one of these, so callers branch with errors.Is instead of
 // string-matching.
 var (
-	// ErrBadNodes reports a node count outside [1, 64].
+	// ErrBadNodes reports a node count outside [1, 1024] (core.MaxNodes).
 	ErrBadNodes = core.ErrBadNodes
 	// ErrBadBlockSize reports a block size that is not a positive power of two.
 	ErrBadBlockSize = core.ErrBadBlockSize
 	// ErrNoProtocol reports a non-sequential config with no protocol named.
 	ErrNoProtocol = core.ErrNoProtocol
-	// ErrUnknownProtocol reports a protocol name outside SC/SWLRC/HLRC/DC.
+	// ErrUnknownProtocol reports a protocol name the registry does not hold
+	// (AllProtocols lists what it does).
 	ErrUnknownProtocol = core.ErrUnknownProtocol
 	// ErrBadFaultPlan wraps a fault-plan rule that fails validation; the
 	// cause (one of the Err* below) is also matchable.

@@ -205,16 +205,17 @@ func (s *Shared) Close() error {
 	return errors.Join(errs...)
 }
 
-// PrintForkSummary reports what prefix sharing bought a sweep: estimated
+// PrintForkSummary reports what prefix sharing bought a sweep — estimated
 // flat wall time is the measured one plus the warmup re-simulation the
-// forks avoided.
+// forks avoided — and how many grid points it did not serve.
 func PrintForkSummary(w io.Writer, fs sweep.ForkStats, wall time.Duration) {
+	flatRuns := fmt.Sprintf("%d points ran flat, %d failed forks re-ran flat", fs.FlatRuns, fs.FailedForks)
 	if fs.ForkedRuns == 0 {
-		fmt.Fprintf(w, "fork: no runs forked (grid not forkable: ungated plans, non-barrier apps, or <2 forkable variants)\n")
+		fmt.Fprintf(w, "fork: no runs forked (grid not forkable: ungated plans, non-barrier apps, or <2 forkable variants); %s\n", flatRuns)
 		return
 	}
 	flat := wall + fs.SavedWall
-	fmt.Fprintf(w, "fork: %d warmup prefixes served %d forked runs; wall %v vs ~%v flat (est. %.2fx speedup)\n",
-		fs.Prefixes, fs.ForkedRuns, wall.Round(time.Millisecond), flat.Round(time.Millisecond),
+	fmt.Fprintf(w, "fork: %d warmup prefixes served %d forked runs, %s; wall %v vs ~%v flat (est. %.2fx speedup)\n",
+		fs.Prefixes, fs.ForkedRuns, flatRuns, wall.Round(time.Millisecond), flat.Round(time.Millisecond),
 		float64(flat)/float64(wall))
 }

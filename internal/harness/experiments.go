@@ -1,13 +1,339 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/critpath"
+	"dsmsim/internal/faults"
+	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
+	"dsmsim/internal/stats"
+	"dsmsim/internal/sweep"
 )
+
+// matrix is one cut of the evaluation cross product: every listed
+// application under every protocol × block size, at one notification mode.
+// An experiment is declared as the cuts it reads; its prefetch set and its
+// renderer's loops both come from them (declare), so the two cannot
+// disagree.
+type matrix struct {
+	apps []string
+	// protos nil means the runner's set: Options.Protocols when given,
+	// the paper's three otherwise.
+	protos []string
+	// blocks empty leaves only the baselines.
+	blocks []int
+	notify network.Notify
+	// baselines adds each application's sequential run, the numerator of
+	// its speedups.
+	baselines bool
+}
+
+// protocols resolves the cut's protocol set under o.
+func (m matrix) protocols(o Options) []string {
+	if m.protos != nil {
+		return m.protos
+	}
+	return o.protocols()
+}
+
+// points expands the cut at o's scale in canonical sweep order, each
+// application's baseline first — the order prefetch emission follows.
+func (m matrix) points(o Options) []sweep.Key {
+	s := sweep.Spec{
+		Apps: m.apps, Protocols: m.protocols(o), Granularities: m.blocks,
+		Notifies: []network.Notify{m.notify}, Nodes: cmp.Or(o.Nodes, 16), Baselines: m.baselines,
+	}
+	for _, v := range o.FaultGrid {
+		s.Faults = append(s.Faults, v.Name)
+	}
+	return s.Points()
+}
+
+// declare builds one registry entry: cuts is both what Points prefetches
+// and all that run is given to iterate. An experiment without cuts is built
+// from out-of-matrix configurations only and has nothing to prefetch.
+func declare(name, desc string, run func(*Runner, []matrix) error, cuts ...matrix) Experiment {
+	e := Experiment{Name: name, Desc: desc, Run: func(r *Runner) error { return run(r, cuts) }}
+	if len(cuts) > 0 {
+		e.Points = func(o Options) []sweep.Key {
+			var pts []sweep.Key
+			for _, m := range cuts {
+				pts = append(pts, m.points(o)...)
+			}
+			return pts
+		}
+	}
+	return e
+}
+
+// faultTableApps orders the paper's Tables 3–14, one application each.
+var faultTableApps = []string{
+	"lu", "ocean-rowwise", "ocean-original", "fft", "water-nsquared", "volrend-rowwise",
+	"volrend-original", "water-spatial", "raytrace", "barnes-spatial", "barnes-original", "barnes-partree",
+}
+
+// Experiments lists every experiment: the paper's tables and figures in
+// paper order, then the dimensions its §7 lists as unexamined (memory
+// utilization, larger clusters, all-software access control, other
+// consistency models and block sizes) and this repository's own profiles.
+func Experiments() []Experiment {
+	names, grans := apps.Names(), core.Granularities
+	paper := matrix{apps: names, blocks: grans, baselines: true}
+	one := func(app string) matrix { return matrix{apps: []string{app}, blocks: grans} }
+	speedupsOf := func(list, protos []string) matrix {
+		return matrix{apps: list, protos: protos, blocks: grans, baselines: true}
+	}
+
+	exps := []Experiment{
+		declare("table1", "Benchmarks, problem sizes, sequential execution times",
+			(*Runner).table1, matrix{apps: apps.Originals(), baselines: true}),
+		declare("fig1", "Speedups: 12 apps × 3 protocols × 4 granularities (polling)",
+			speedups{title: "Figure 1: Speedups on {nodes} nodes (polling)"}.render, paper),
+		// Table 2 classifies from the paper's page-granularity HLRC run
+		// (sharing patterns are properties of the program, not the
+		// protocol) whatever protocol set the runner sweeps.
+		declare("table2", "Classification of sharing patterns and synchronization granularity",
+			(*Runner).table2, paper, matrix{apps: names, protos: []string{core.HLRC}, blocks: []int{4096}}),
+	}
+	faultCounts := counters{
+		title:    "Fault counts for {app} (totals over {nodes} nodes)",
+		kindHead: "Fault", kindMajor: true,
+		kinds: []counterKind{
+			{"read", func(res *core.Result) string { return strconv.FormatInt(res.Total.ReadFaults, 10) }},
+			{"write", func(res *core.Result) string { return strconv.FormatInt(res.Total.WriteFaults, 10) }},
+		},
+	}
+	kb := func(bytes int64) string { return strconv.FormatFloat(float64(bytes)/1024, 'f', 1, 64) }
+	for i, app := range faultTableApps {
+		exps = append(exps, declare(fmt.Sprintf("table%d", 3+i), "Read/write fault counts for "+app,
+			faultCounts.render, one(app)))
+	}
+	return append(exps,
+		// The paper's fragmentation analysis: HLRC at 4 KB moves far more
+		// data than SC at 64 B, and SW-LRC roughly doubles HLRC.
+		declare("table15", "Barnes-Original data traffic by protocol and granularity",
+			counters{
+				title: "Table 15: {app} data traffic (MB total)",
+				kinds: []counterKind{{cell: func(res *core.Result) string {
+					return strconv.FormatFloat(float64(res.NetBytes)/1e6, 'f', 2, 64)
+				}}},
+			}.render, one("barnes-original")),
+		declare("table16", "HM of relative efficiency, original applications",
+			efficiency{title: "Table 16: HM of relative efficiency (original implementations)"}.render,
+			speedupsOf(apps.Originals(), nil)),
+		declare("table17", "HM of relative efficiency, best version per combination",
+			efficiency{title: "Table 17: HM of relative efficiency (best version per combination)", versions: true}.render,
+			paper),
+		declare("fig2", "Speedups of LU and Water-Nsquared with the interrupt mechanism",
+			speedups{title: "Figure 2: Speedups with the interrupt mechanism"}.render,
+			matrix{apps: []string{"lu", "water-nsquared"}, blocks: grans, notify: network.Interrupt, baselines: true}),
+
+		// A representative multiple-writer application: finer blocks mean
+		// more per-block state, and HLRC additionally twins.
+		declare("memory", "Protocol memory utilization by granularity (§7 future work)",
+			counters{
+				title:    "Protocol memory utilization for {app} (KB)",
+				kindHead: "Kind",
+				kinds: []counterKind{
+					{"static", func(res *core.Result) string { return kb(res.ProtoStaticBytes) }},
+					{"peak-dyn", func(res *core.Result) string { return kb(res.ProtoPeakBytes) }},
+				},
+			}.render, matrix{apps: []string{"water-spatial"}, protos: core.Protocols, blocks: grans}),
+		// Only the baselines of these two are matrix runs; the per-size and
+		// instrumented machines are custom and stay serial.
+		declare("scaling", "Speedup vs cluster size, 1-32 nodes (§7: the hoped-for 32-node runs)",
+			(*Runner).scaling, matrix{apps: []string{"lu", "water-nsquared"}, baselines: true}),
+		declare("software", "All-software access control: instrumented check cost (§7 future work)",
+			(*Runner).software, matrix{apps: []string{"ocean-rowwise"}, baselines: true}),
+		// The applications most exposed to SC's false-sharing ping-pong
+		// (§5.4's "interrupts approximate delayed consistency", made explicit).
+		declare("delayed", "Delayed consistency vs SC across granularities (§7 future work)",
+			speedups{title: "Delayed consistency vs SC (speedups, polling)"}.render,
+			speedupsOf([]string{"ocean-rowwise", "volrend-original"}, []string{core.SC, core.DC})),
+		// One false-sharing-bound barrier application and one lock-bound
+		// one, the two regimes where the families differ most, under the
+		// registry's whole catalog: a newly registered family joins without
+		// touching the harness. The trailing column shows what tlc pays
+		// instead of invalidation fan-out.
+		declare("fourway", "Four protocol families side by side: SC/DC invalidation, SW-LRC, HLRC, TLC leases",
+			speedups{title: "Four protocol families (speedups, polling)", tailHead: "lease traffic", tail: leaseTraffic}.render,
+			speedupsOf([]string{"ocean-rowwise", "water-nsquared"}, core.ProtocolNames())),
+		// For a coarse-grain application prefetching keeps helping; for a
+		// fine-grain multiple-writer one, fragmentation and false sharing
+		// keep growing.
+		declare("bigblocks", "Granularities beyond 4096 bytes (§7: not studied in the paper)",
+			speedups{title: "Block sizes beyond 4096 bytes (speedups)"}.render,
+			matrix{apps: []string{"lu", "water-spatial"}, protos: []string{core.SC, core.HLRC},
+				blocks: []int{4096, 8192, 16384}, baselines: true}),
+		declare("breakdown", "Execution-time breakdown per application at the paper's two headline points",
+			(*Runner).breakdown,
+			matrix{apps: names, protos: []string{core.SC}, blocks: []int{64}},
+			matrix{apps: names, protos: []string{core.HLRC}, blocks: []int{4096}}),
+		declare("phases", "Phase-resolved cost breakdown at barrier epochs (Figure 2 style)",
+			(*Runner).phases,
+			matrix{apps: []string{"ocean-rowwise", "barnes-original"}, protos: []string{core.SC, core.HLRC}, blocks: []int{64, 4096}}),
+		// Every run of the last three carries its own fault plan or
+		// profiler: custom machines outside the memoized matrix.
+		declare("degradation", "Completion time vs link loss rate per protocol (unreliable network)",
+			(*Runner).degradation),
+		declare("sharing", "False-sharing fraction vs coherence granularity (sharing-pattern profiler)",
+			(*Runner).sharing),
+		declare("critpath", "Critical-path composition by protocol and granularity (what limits each point)",
+			(*Runner).critPath),
+	)
+}
+
+// heading prints an experiment's title line; {app} is the cut's first
+// application, {nodes} the cluster size.
+func (r *Runner) heading(title string, m matrix) {
+	r.printf("%s\n", strings.NewReplacer("{app}", m.apps[0], "{nodes}", strconv.Itoa(r.opts.Nodes)).Replace(title))
+}
+
+// blockLabel is a block size as the column headings spell it.
+func blockLabel(g int) string {
+	if g < 1024 {
+		return fmt.Sprintf("%dB", g)
+	}
+	return fmt.Sprintf("%dKB", g/1024)
+}
+
+// speedups renders a cut as one row per application × protocol and one
+// speedup per block size (Figures 1 and 2 and the tables shaped like them).
+type speedups struct {
+	title string
+	// tail, when set, adds a trailing column under tailHead, computed
+	// from each row's run at the cut's last block size.
+	tailHead string
+	tail     func(*core.Result) string
+}
+
+func (s speedups) render(r *Runner, cuts []matrix) error {
+	m := cuts[0]
+	last := m.blocks[len(m.blocks)-1]
+	r.heading(s.title, m)
+	r.printf("%-18s %-6s", "Application", "Proto")
+	for _, g := range m.blocks {
+		r.printf(" %8s", blockLabel(g))
+	}
+	if s.tail != nil {
+		r.printf("   %s %s", blockLabel(last), s.tailHead)
+	}
+	r.printf("\n")
+	for _, app := range m.apps {
+		for _, p := range m.protocols(r.opts) {
+			r.printf("%-18s %-6s", app, p)
+			for _, g := range m.blocks {
+				sp, err := r.Speedup(app, p, g, m.notify)
+				if err != nil {
+					return err
+				}
+				r.printf(" %8.2f", sp)
+			}
+			if s.tail != nil {
+				res, err := r.Result(app, p, last, m.notify)
+				if err != nil {
+					return err
+				}
+				r.printf("%s", s.tail(res))
+			}
+			r.printf("\n")
+		}
+	}
+	return nil
+}
+
+// leaseTraffic is fourway's trailing column: lease renewals, self-expiries
+// and clock jumps, blank for the protocols that keep no leases.
+func leaseTraffic(res *core.Result) string {
+	t := res.Total
+	if t.LeaseRenewals+t.LeaseExpiries+t.TimestampJumps == 0 {
+		return ""
+	}
+	return fmt.Sprintf("   renew=%d expire=%d jumps=%d", t.LeaseRenewals, t.LeaseExpiries, t.TimestampJumps)
+}
+
+// counters renders one application's counters as a row per protocol and
+// kind and one cell per block size (the paper's Tables 3–15 and the memory
+// table).
+type counters struct {
+	title string
+	// kindHead heads the column naming the kinds; empty for a single
+	// unnamed kind, which gets no column.
+	kindHead string
+	kinds    []counterKind
+	// kindMajor groups the rows by kind, its column first, rather than
+	// by protocol.
+	kindMajor bool
+}
+
+// counterKind is one row per protocol: its name and what it reads off a run.
+type counterKind struct {
+	name string
+	cell func(*core.Result) string
+}
+
+func (c counters) render(r *Runner, cuts []matrix) error {
+	m := cuts[0]
+	width := 6
+	for _, k := range c.kinds {
+		width = max(width, len(k.name))
+	}
+	label := func(proto, kind string) {
+		switch {
+		case c.kindHead == "":
+			r.printf("%-6s", proto)
+		case c.kindMajor:
+			r.printf("%-*s %-6s", width, kind, proto)
+		default:
+			r.printf("%-6s %-*s", proto, width, kind)
+		}
+	}
+	row := func(proto string, kind counterKind) error {
+		label(proto, kind.name)
+		for _, g := range m.blocks {
+			res, err := r.Result(m.apps[0], proto, g, m.notify)
+			if err != nil {
+				return err
+			}
+			r.printf(" %10s", kind.cell(res))
+		}
+		r.printf("\n")
+		return nil
+	}
+	r.heading(c.title, m)
+	label("Proto", c.kindHead)
+	for _, g := range m.blocks {
+		r.printf(" %10s", blockLabel(g))
+	}
+	r.printf("\n")
+	// Rows nest the way their label columns read.
+	protos := m.protocols(r.opts)
+	if c.kindMajor {
+		for _, k := range c.kinds {
+			for _, p := range protos {
+				if err := row(p, k); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	for _, p := range protos {
+		for _, k := range c.kinds {
+			if err := row(p, k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // sizeLabel describes the problem size used (Table 1's sizes at Paper
 // scale; the reduced test sizes otherwise).
@@ -37,12 +363,12 @@ func (r *Runner) label(app string) string {
 	return l[1]
 }
 
-// Table1 prints problem sizes and sequential execution times for the eight
+// table1 prints problem sizes and sequential execution times for the eight
 // base benchmarks.
-func (r *Runner) Table1() error {
+func (r *Runner) table1(cuts []matrix) error {
 	r.printf("Table 1: Benchmarks, problem sizes, and sequential execution times\n")
 	r.printf("%-18s %-32s %s\n", "Benchmark", "Problem Size", "Sequential Time")
-	for _, app := range apps.Originals() {
+	for _, app := range cuts[0].apps {
 		t, err := r.Sequential(app)
 		if err != nil {
 			return err
@@ -52,36 +378,15 @@ func (r *Runner) Table1() error {
 	return nil
 }
 
-// Fig1 prints the speedups of all twelve applications for every protocol ×
-// granularity combination under polling.
-func (r *Runner) Fig1() error {
-	r.printf("Figure 1: Speedups on %d nodes (polling)\n", r.opts.Nodes)
-	r.printf("%-18s %-6s %8s %8s %8s %8s\n", "Application", "Proto", "64B", "256B", "1KB", "4KB")
-	for _, e := range apps.All() {
-		for _, p := range r.opts.protocols() {
-			r.printf("%-18s %-6s", e.Name, p)
-			for _, g := range core.Granularities {
-				s, err := r.Speedup(e.Name, p, g, network.Polling)
-				if err != nil {
-					return err
-				}
-				r.printf(" %8.2f", s)
-			}
-			r.printf("\n")
-		}
-	}
-	return nil
-}
-
-// Table2 prints the sharing-pattern and synchronization classification.
-func (r *Runner) Table2() error {
+// table2 prints the sharing-pattern and synchronization classification,
+// read off the second cut's run, beside the best speedup in the first.
+func (r *Runner) table2(cuts []matrix) error {
+	m, class := cuts[0], cuts[1]
 	r.printf("Table 2: Classification of sharing patterns and synchronization granularity\n")
 	r.printf("%-18s %-8s %12s %10s %9s %10s %10s\n",
 		"Application", "Writers", "CompPerSync", "Barriers", "Locks", "BestSpeed", "Best@")
-	for _, e := range apps.All() {
-		// Classify from the paper's page-granularity HLRC run (sharing
-		// patterns are properties of the program, not the protocol).
-		res, err := r.Result(e.Name, core.HLRC, 4096, network.Polling)
+	for _, app := range m.apps {
+		res, err := r.Result(app, class.protos[0], class.blocks[0], class.notify)
 		if err != nil {
 			return err
 		}
@@ -96,9 +401,9 @@ func (r *Runner) Table2() error {
 			comp = per.String()
 		}
 		best, bestAt := 0.0, ""
-		for _, p := range r.opts.protocols() {
-			for _, g := range core.Granularities {
-				s, err := r.Speedup(e.Name, p, g, network.Polling)
+		for _, p := range m.protocols(r.opts) {
+			for _, g := range m.blocks {
+				s, err := r.Speedup(app, p, g, m.notify)
 				if err != nil {
 					return err
 				}
@@ -108,177 +413,340 @@ func (r *Runner) Table2() error {
 			}
 		}
 		r.printf("%-18s %-8s %12s %10d %9d %10.2f %10s\n",
-			e.Name, writers, comp,
+			app, writers, comp,
 			res.Total.BarrierEntries/int64(r.opts.Nodes),
 			res.Total.LockAcquires, best, bestAt)
 	}
 	return nil
 }
 
-// FaultTable prints per-protocol, per-granularity read and write fault
-// counts for one application (the paper's Tables 3–14).
-func (r *Runner) FaultTable(app string) error {
-	r.printf("Fault counts for %s (totals over %d nodes)\n", app, r.opts.Nodes)
-	r.printf("%-6s %-6s %10s %10s %10s %10s\n", "Fault", "Proto", "64B", "256B", "1KB", "4KB")
-	for _, kind := range []string{"read", "write"} {
-		for _, p := range r.opts.protocols() {
-			r.printf("%-6s %-6s", kind, p)
-			for _, g := range core.Granularities {
-				res, err := r.Result(app, p, g, network.Polling)
+// efficiency renders the HM-of-relative-efficiency statistics of Tables 16
+// and 17. A row is one application — with versions set, one benchmark taken
+// at the best of its versions for each protocol and block size — and its
+// relative efficiency at a point is its speedup there over its best
+// anywhere in the cut.
+type efficiency struct {
+	title    string
+	versions bool
+}
+
+func (e efficiency) render(r *Runner, cuts []matrix) error {
+	m := cuts[0]
+	protos := m.protocols(r.opts)
+	type point struct {
+		row, proto string
+		block      int
+	}
+	var rows []string
+	sp, best := map[point]float64{}, map[string]float64{}
+	for _, app := range m.apps {
+		row := app
+		if e.versions {
+			entry, err := apps.Get(app)
+			if err != nil {
+				return err
+			}
+			row = entry.BaseName
+		}
+		if _, seen := best[row]; !seen {
+			rows = append(rows, row)
+		}
+		for _, p := range protos {
+			for _, g := range m.blocks {
+				s, err := r.Speedup(app, p, g, m.notify)
 				if err != nil {
 					return err
 				}
-				v := res.Total.ReadFaults
-				if kind == "write" {
-					v = res.Total.WriteFaults
-				}
-				r.printf(" %10d", v)
+				sp[point{row, p, g}] = max(sp[point{row, p, g}], s)
+				best[row] = max(best[row], s)
 			}
-			r.printf("\n")
+		}
+	}
+	// hm is the harmonic mean over rows of each row's best relative
+	// efficiency among the given points.
+	hm := func(protos []string, blocks []int) float64 {
+		var res []float64
+		for _, row := range rows {
+			b := 0.0
+			for _, p := range protos {
+				for _, g := range blocks {
+					b = max(b, sp[point{row, p, g}]/best[row])
+				}
+			}
+			res = append(res, b)
+		}
+		return harmonicMean(res)
+	}
+
+	r.printf("%s\n", e.title)
+	r.printf("%-8s", "Proto")
+	for _, g := range m.blocks {
+		r.printf(" %8s", blockLabel(g))
+	}
+	r.printf(" %8s\n", "g_best")
+	for _, p := range protos {
+		r.printf("%-8s", p)
+		for _, g := range m.blocks {
+			r.printf(" %8.3f", hm([]string{p}, []int{g}))
+		}
+		// g_best: best granularity per row for this protocol.
+		r.printf(" %8.3f\n", hm([]string{p}, m.blocks))
+	}
+	// p_best: best protocol per row for each granularity.
+	r.printf("%-8s", "p_best")
+	for _, g := range m.blocks {
+		r.printf(" %8.3f", hm(protos, []int{g}))
+	}
+	r.printf(" %8.3f\n", 1.0)
+	return nil
+}
+
+// eachConfig calls fn with the memoized run of every application of the
+// cuts under each cut's protocols × block sizes, application-major, and the
+// configuration's "proto-block" label.
+func (r *Runner) eachConfig(cuts []matrix, fn func(app, config string, res *core.Result)) error {
+	for _, app := range cuts[0].apps {
+		for _, m := range cuts {
+			for _, p := range m.protocols(r.opts) {
+				for _, g := range m.blocks {
+					res, err := r.Result(app, p, g, m.notify)
+					if err != nil {
+						return err
+					}
+					fn(app, fmt.Sprintf("%s-%d", p, g), res)
+				}
+			}
 		}
 	}
 	return nil
 }
 
-// Table15 prints Barnes-Original's data traffic across protocols and
-// granularities (the paper's fragmentation analysis: HLRC at 4 KB moves
-// far more data than SC at 64 B, and SW-LRC roughly doubles HLRC).
-func (r *Runner) Table15() error {
-	const app = "barnes-original"
-	r.printf("Table 15: %s data traffic (MB total)\n", app)
-	r.printf("%-6s %10s %10s %10s %10s\n", "Proto", "64B", "256B", "1KB", "4KB")
-	for _, p := range r.opts.protocols() {
-		r.printf("%-6s", p)
-		for _, g := range core.Granularities {
-			res, err := r.Result(app, p, g, network.Polling)
+// breakdown prints each application's execution-time components — the
+// per-category analysis style of §5.2 — under the paper's two headline
+// configurations, SC-64 and HLRC-4096. Percentages are of summed node
+// time; "proto" is read/write fault stall plus flush, "sync" is lock plus
+// barrier stall.
+func (r *Runner) breakdown(cuts []matrix) error {
+	r.printf("Execution-time breakdown (%% of summed node time)\n")
+	r.printf("%-18s %-10s %8s %8s %8s %8s\n", "Application", "Config", "compute", "proto", "sync", "stolen")
+	return r.eachConfig(cuts, func(app, config string, res *core.Result) {
+		tot := res.Total
+		sum := tot.Compute + tot.ReadStall + tot.WriteStall + tot.LockStall + tot.BarrierStall + tot.FlushTime
+		if sum == 0 {
+			return
+		}
+		pct := func(x sim.Time) float64 { return 100 * float64(x) / float64(sum) }
+		r.printf("%-18s %-10s %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n", app, config,
+			pct(tot.Compute), pct(tot.ReadStall+tot.WriteStall+tot.FlushTime),
+			pct(tot.LockStall+tot.BarrierStall), pct(tot.Stolen))
+	})
+}
+
+// phases renders the phase-resolved cost breakdown: the run cut at its
+// barrier epochs, each phase's summed node time split into the paper's
+// Figure-2 categories (compute / data wait / synchronization / protocol
+// overhead). Long runs are capped at a handful of leading phases with the
+// remainder aggregated, since barrier-per-iteration applications produce
+// hundreds of near-identical phases.
+func (r *Runner) phases(cuts []matrix) error {
+	const maxRows = 6
+	r.printf("Phase-resolved breakdown at barrier epochs (%% of phase node time)\n")
+	r.printf("%-18s %-10s %-8s %10s %8s %8s %8s %8s\n",
+		"Application", "Config", "Phase", "span", "compute", "data", "sync", "proto")
+	return r.eachConfig(cuts, func(app, config string, res *core.Result) {
+		row := func(label string, span sim.Time, d stats.Snapshot) {
+			if span == 0 {
+				return
+			}
+			pct := func(x sim.Time) float64 { return 100 * float64(x) / float64(span) }
+			r.printf("%-18s %-10s %-8s %10v %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
+				app, config, label, span,
+				pct(d.Compute), pct(d.ReadStall+d.WriteStall),
+				pct(d.LockStall+d.BarrierStall), pct(d.FlushTime+d.Stolen))
+		}
+		shown := res.Phases
+		var rest []metrics.Phase
+		if len(shown) > maxRows {
+			shown, rest = shown[:maxRows], shown[maxRows:]
+		}
+		for _, ph := range shown {
+			row(fmt.Sprintf("%d", ph.Index), ph.Span, ph.Delta)
+		}
+		if len(rest) > 0 {
+			var span sim.Time
+			var sum stats.Snapshot
+			for _, ph := range rest {
+				span += ph.Span
+				ph.Delta.AddTo(&sum)
+			}
+			row(fmt.Sprintf("%d-%d", rest[0].Index, rest[len(rest)-1].Index), span, sum)
+		}
+	})
+}
+
+// scaling prints speedups at page granularity across cluster sizes for one
+// regular and one irregular application.
+func (r *Runner) scaling(cuts []matrix) error {
+	sizes := []int{1, 2, 4, 8, 16, 32}
+	r.printf("Speedup vs cluster size (HLRC, 4096B)\n")
+	r.printf("%-18s", "Application")
+	for _, n := range sizes {
+		r.printf(" %6dp", n)
+	}
+	r.printf("\n")
+	for _, app := range cuts[0].apps {
+		seq, err := r.Sequential(app)
+		if err != nil {
+			return err
+		}
+		r.printf("%-18s", app)
+		for _, n := range sizes {
+			res, err := r.runConfig(app, core.Config{Nodes: n, BlockSize: 4096, Protocol: core.HLRC})
 			if err != nil {
 				return err
 			}
-			r.printf(" %10.2f", float64(res.NetBytes)/1e6)
+			r.progress("run  %-18s hlrc  4096B %2d nodes T=%v", app, n, res.Time)
+			r.printf(" %7.2f", float64(seq)/float64(res.Time))
 		}
 		r.printf("\n")
 	}
 	return nil
 }
 
-// reTable computes the HM-of-relative-efficiency table over the given
-// speedup function (Tables 16 and 17 share this shape).
-func (r *Runner) reTable(title string, speedup func(app, proto string, g int) (float64, error), appsList []string) error {
-	// Collect all speedups.
-	sp := map[string]map[string]map[int]float64{}
-	for _, app := range appsList {
-		sp[app] = map[string]map[int]float64{}
-		for _, p := range r.opts.protocols() {
-			sp[app][p] = map[int]float64{}
-			for _, g := range core.Granularities {
-				s, err := speedup(app, p, g)
-				if err != nil {
-					return err
-				}
-				sp[app][p][g] = s
-			}
-		}
+// software compares the hardware access-control baseline against
+// all-software instrumentation at three per-check costs, on the
+// fine-grain-friendly SC-64 configuration where checks are most frequent.
+func (r *Runner) software(cuts []matrix) error {
+	app := cuts[0].apps[0]
+	seq, err := r.Sequential(app)
+	if err != nil {
+		return err
 	}
-	maxOf := func(app string) float64 {
-		best := 0.0
-		for _, p := range r.opts.protocols() {
-			for _, g := range core.Granularities {
-				if sp[app][p][g] > best {
-					best = sp[app][p][g]
-				}
-			}
+	r.heading("All-software access control, {app} under SC (speedup on {nodes} nodes)", cuts[0])
+	r.printf("%-22s %8s %8s\n", "Check cost", "64B", "4096B")
+	for _, check := range []sim.Time{0, 100, 500} {
+		label := "hardware (T0)"
+		if check > 0 {
+			label = check.String() + "/check"
 		}
-		return best
+		r.printf("%-22s", label)
+		for _, g := range []int{64, 4096} {
+			res, err := r.runConfig(app, core.Config{BlockSize: g, Protocol: core.SC, SoftwareAccessCheck: check})
+			if err != nil {
+				return err
+			}
+			r.printf(" %8.2f", float64(seq)/float64(res.Time))
+		}
+		r.printf("\n")
 	}
-	re := func(app, p string, g int) float64 { return sp[app][p][g] / maxOf(app) }
-
-	r.printf("%s\n", title)
-	r.printf("%-8s %8s %8s %8s %8s %8s\n", "Proto", "64B", "256B", "1KB", "4KB", "g_best")
-	for _, p := range r.opts.protocols() {
-		r.printf("%-8s", p)
-		for _, g := range core.Granularities {
-			var res []float64
-			for _, app := range appsList {
-				res = append(res, re(app, p, g))
-			}
-			r.printf(" %8.3f", harmonicMean(res))
-		}
-		// g_best: best granularity per application for this protocol.
-		var best []float64
-		for _, app := range appsList {
-			b := 0.0
-			for _, g := range core.Granularities {
-				if re(app, p, g) > b {
-					b = re(app, p, g)
-				}
-			}
-			best = append(best, b)
-		}
-		r.printf(" %8.3f\n", harmonicMean(best))
-	}
-	// p_best row: best protocol per application for each granularity.
-	r.printf("%-8s", "p_best")
-	for _, g := range core.Granularities {
-		var best []float64
-		for _, app := range appsList {
-			b := 0.0
-			for _, p := range r.opts.protocols() {
-				if re(app, p, g) > b {
-					b = re(app, p, g)
-				}
-			}
-			best = append(best, b)
-		}
-		r.printf(" %8.3f", harmonicMean(best))
-	}
-	r.printf(" %8.3f\n", 1.0)
 	return nil
 }
 
-// Table16 uses only the original implementation of each application.
-func (r *Runner) Table16() error {
-	return r.reTable(
-		"Table 16: HM of relative efficiency (original implementations)",
-		func(app, p string, g int) (float64, error) { return r.Speedup(app, p, g, network.Polling) },
-		apps.Originals())
-}
-
-// Table17 picks, per (protocol, granularity), the best version of each
-// benchmark.
-func (r *Runner) Table17() error {
-	return r.reTable(
-		"Table 17: HM of relative efficiency (best version per combination)",
-		func(base, p string, g int) (float64, error) {
-			best := 0.0
-			for _, v := range apps.Versions(base) {
-				s, err := r.Speedup(v, p, g, network.Polling)
-				if err != nil {
-					return 0, err
-				}
-				if s > best {
-					best = s
+// sharing runs the sharing-pattern profiler across the paper's four
+// granularities and reports, per application, what fraction of sharing
+// misses is false sharing — the mechanism behind §5.2's restructuring
+// results, measured directly. Volrend-Original's column-interleaved image
+// suffers heavy false sharing that its row-wise restructuring removes;
+// LU's dense blocked matrix stays true-sharing-dominated until blocks
+// outgrow its tiles. Profiling is observational, so every run's clock and
+// statistics match the unprofiled matrix runs bit for bit.
+func (r *Runner) sharing([]matrix) error {
+	r.printf("False sharing vs coherence granularity (HLRC, %d nodes; %% of sharing misses)\n", r.opts.Nodes)
+	r.printf("%-18s %8s %8s %8s %8s   %s\n", "Application", "64B", "256B", "1KB", "4KB", "hottest region at 4KB")
+	for _, app := range []string{"volrend-original", "volrend-rowwise", "lu", "ocean-original"} {
+		r.printf("%-18s", app)
+		var hot string
+		for _, g := range core.Granularities {
+			res, err := r.runConfig(app, core.Config{BlockSize: g, Protocol: core.HLRC, ShareProfile: true})
+			if err != nil {
+				return err
+			}
+			sh := res.Sharing
+			r.progress("run  %-18s hlrc  %4dB prof T=%v false=%.3f",
+				app, g, res.Time, sh.FalseSharingFraction())
+			r.printf(" %7.1f%%", 100*sh.FalseSharingFraction())
+			if g == 4096 {
+				if top := sh.Top(1); len(top) > 0 {
+					hot = fmt.Sprintf("%s (%s, %d faults)", top[0].Name, top[0].TopClass(), top[0].Faults())
 				}
 			}
-			return best, nil
-		},
-		apps.Bases())
+		}
+		r.printf("   %s\n", hot)
+	}
+	return nil
 }
 
-// Fig2 prints LU and Water-Nsquared speedups under the interrupt mechanism.
-func (r *Runner) Fig2() error {
-	r.printf("Figure 2: Speedups with the interrupt mechanism\n")
-	r.printf("%-18s %-6s %8s %8s %8s %8s\n", "Application", "Proto", "64B", "256B", "1KB", "4KB")
-	for _, app := range []string{"lu", "water-nsquared"} {
-		for _, p := range r.opts.protocols() {
-			r.printf("%-18s %-6s", app, p)
-			for _, g := range core.Granularities {
-				s, err := r.Speedup(app, p, g, network.Interrupt)
-				if err != nil {
-					return err
-				}
-				r.printf(" %8.2f", s)
+// critPath recovers the exact critical path of every protocol ×
+// granularity point for one application and prints its component
+// composition — the direct answer to "what limits this configuration".
+// At fine grain SC's path is dominated by message wire and service time
+// (the invalidation ping-pong of §5.2); at page grain the relaxed
+// protocols shift the path toward barrier waiting and handler occupancy.
+// Profiling is observational, so every run's clock matches the
+// unprofiled matrix bit for bit.
+func (r *Runner) critPath([]matrix) error {
+	const app = "ocean-rowwise"
+	r.printf("Critical-path composition, %s on %d nodes (%% of path length)\n", app, r.opts.Nodes)
+	if s := r.opts.Config.WhatIf; s != nil {
+		r.printf("(what-if machine: %v)\n", s)
+	}
+	r.printf("%-6s %6s %14s %8s %8s %8s %8s %8s %8s\n",
+		"Proto", "Block", "path", "compute", "ovhd", "wire", "svc", "lock", "barrier")
+	for _, p := range core.Protocols {
+		for _, g := range core.Granularities {
+			res, err := r.runConfig(app, core.Config{
+				BlockSize: g, Protocol: p, CritPath: true, WhatIf: r.opts.Config.WhatIf,
+			})
+			if err != nil {
+				return err
 			}
-			r.printf("\n")
+			cp := res.CritPath
+			r.progress("run  %-18s %-5s %4dB crit T=%v events=%d", app, p, g, res.Time, cp.Events)
+			pct := func(c critpath.Component) float64 { return 100 * cp.Frac(c) }
+			r.printf("%-6s %5dB %14v %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
+				p, g, cp.Total,
+				pct(critpath.Compute)+pct(critpath.Straggler),
+				pct(critpath.Overhead),
+				pct(critpath.MsgWire)+pct(critpath.Forward),
+				pct(critpath.MsgService),
+				pct(critpath.LockWait), pct(critpath.BarrierWait))
+		}
+	}
+	return nil
+}
+
+// degradation sweeps link loss rate × protocol on one application and
+// reports completion time, slowdown relative to the lossless wire, and the
+// reliability-layer work (retransmissions, wire drops, acks) each protocol
+// pays. Every faulty run still verifies under the runner's verify policy —
+// the ack/retransmission layer hides the loss from the coherence
+// protocols; only the clock shows it. All plans share fault seed 1, so the
+// table is deterministic and byte-identical across hosts and runs.
+func (r *Runner) degradation([]matrix) error {
+	const app, block = "lu", 4096
+	r.printf("Degradation under link loss: %s, %s, %dB blocks, %d nodes\n",
+		app, "all protocols", block, r.opts.Nodes)
+	r.printf("%-6s %7s %14s %9s %9s %9s %8s\n",
+		"Proto", "loss", "time", "slowdown", "retx", "drops", "acks")
+	for _, p := range core.Protocols {
+		var lossless sim.Time
+		for _, rate := range []float64{0, 0.001, 0.01, 0.05} {
+			cfg := core.Config{BlockSize: block, Protocol: p}
+			if rate > 0 {
+				cfg.Faults = faults.NewPlan(faults.Drop(rate), faults.Seed(1))
+			}
+			res, err := r.runConfig(app, cfg)
+			if err != nil {
+				return err
+			}
+			if rate == 0 {
+				lossless = res.Time
+			}
+			r.progress("run  %-18s %-5s %4dB loss=%.3f T=%v retx=%d",
+				app, p, block, rate, res.Time, res.Retransmits)
+			r.printf("%-6s %7.3f %14v %8.3fx %9d %9d %8d\n",
+				p, rate, res.Time, float64(res.Time)/float64(lossless),
+				res.Retransmits, res.WireDrops, res.AcksSent)
 		}
 	}
 	return nil

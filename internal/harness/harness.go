@@ -129,10 +129,21 @@ func (r *Runner) Speedup(app, proto string, block int, notify network.Notify) (f
 	return float64(seq) / float64(res.Time), nil
 }
 
-// runConfig executes an out-of-matrix configuration (custom node counts,
-// software access checks) under the runner's verify policy, through the
-// public Start entrypoint. These runs are not memoized.
-func (r *Runner) runConfig(cfg core.Config, entry apps.Entry) (*core.Result, error) {
+// runConfig executes an out-of-matrix configuration of app (custom node
+// counts, software access checks, a run's own fault plan or profiler): cfg
+// says what differs from the runner's scale — zero Nodes means the
+// runner's, Limit is always the runner's — and runs under the runner's
+// verify policy through the public Start entrypoint. These runs are not
+// memoized, and the engine's Config template does not apply to them.
+func (r *Runner) runConfig(app string, cfg core.Config) (*core.Result, error) {
+	entry, err := apps.Get(app)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Nodes == 0 {
+		cfg.Nodes = r.opts.Nodes
+	}
+	cfg.Limit = r.opts.Config.Limit
 	return dsmsim.Start(context.Background(), cfg, entry.New(r.opts.Size), dsmsim.WithVerify(r.opts.Verify))
 }
 
@@ -158,99 +169,11 @@ type Experiment struct {
 	Desc string
 	// Points lists the matrix runs the experiment will consume, for
 	// parallel prefetch; nil for experiments built from out-of-matrix
-	// configurations (custom node counts, software access checks).
+	// configurations alone (a run's own fault plan or profiler).
 	Points func(o Options) []sweep.Key
 	// Run renders the experiment (drawing on prefetched runs when the
 	// caller prefetched; computing serially otherwise).
 	Run func(r *Runner) error
-}
-
-// matrix builds keys for apps × protos × grans × notifies at o's scale,
-// optionally preceded by each app's sequential baseline — the canonical
-// order prefetch emission follows.
-func (o Options) matrix(appNames, protos []string, grans []int, notifies []network.Notify, baselines bool) []sweep.Key {
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = 16
-	}
-	var faultNames []string
-	for _, v := range o.FaultGrid {
-		faultNames = append(faultNames, v.Name)
-	}
-	s := sweep.Spec{
-		Apps: appNames, Protocols: protos, Granularities: grans,
-		Notifies: notifies, Nodes: nodes, Baselines: baselines,
-		Faults: faultNames,
-	}
-	return s.Points()
-}
-
-var polling = []network.Notify{network.Polling}
-
-// Experiments lists every experiment in paper order.
-func Experiments() []Experiment {
-	exps := []Experiment{
-		{"table1", "Benchmarks, problem sizes, sequential execution times",
-			func(o Options) []sweep.Key {
-				var pts []sweep.Key
-				for _, app := range apps.Originals() {
-					pts = append(pts, sweep.Seq(app))
-				}
-				return pts
-			},
-			(*Runner).Table1},
-		{"fig1", "Speedups: 12 apps × 3 protocols × 4 granularities (polling)",
-			func(o Options) []sweep.Key {
-				return o.matrix(apps.Names(), o.protocols(), core.Granularities, polling, true)
-			},
-			(*Runner).Fig1},
-		{"table2", "Classification of sharing patterns and synchronization granularity",
-			func(o Options) []sweep.Key {
-				return o.matrix(apps.Names(), o.protocols(), core.Granularities, polling, true)
-			},
-			(*Runner).Table2},
-	}
-	faultApps := []struct{ exp, app string }{
-		{"table3", "lu"}, {"table4", "ocean-rowwise"}, {"table5", "ocean-original"},
-		{"table6", "fft"}, {"table7", "water-nsquared"}, {"table8", "volrend-rowwise"},
-		{"table9", "volrend-original"}, {"table10", "water-spatial"}, {"table11", "raytrace"},
-		{"table12", "barnes-spatial"}, {"table13", "barnes-original"}, {"table14", "barnes-partree"},
-	}
-	for _, fa := range faultApps {
-		fa := fa
-		exps = append(exps, Experiment{
-			fa.exp, fmt.Sprintf("Read/write fault counts for %s", fa.app),
-			func(o Options) []sweep.Key {
-				return o.matrix([]string{fa.app}, o.protocols(), core.Granularities, polling, false)
-			},
-			func(r *Runner) error { return r.FaultTable(fa.app) },
-		})
-	}
-	exps = append(exps,
-		Experiment{"table15", "Barnes-Original data traffic by protocol and granularity",
-			func(o Options) []sweep.Key {
-				return o.matrix([]string{"barnes-original"}, o.protocols(), core.Granularities, polling, false)
-			},
-			(*Runner).Table15},
-		Experiment{"table16", "HM of relative efficiency, original applications",
-			func(o Options) []sweep.Key {
-				return o.matrix(apps.Originals(), o.protocols(), core.Granularities, polling, true)
-			},
-			(*Runner).Table16},
-		Experiment{"table17", "HM of relative efficiency, best version per combination",
-			func(o Options) []sweep.Key {
-				return o.matrix(apps.Names(), o.protocols(), core.Granularities, polling, true)
-			},
-			(*Runner).Table17},
-		Experiment{"fig2", "Speedups of LU and Water-Nsquared with the interrupt mechanism",
-			func(o Options) []sweep.Key {
-				return o.matrix([]string{"lu", "water-nsquared"}, o.protocols(), core.Granularities,
-					[]network.Notify{network.Interrupt}, true)
-			},
-			(*Runner).Fig2},
-	)
-	exps = append(exps, extensions...)
-	return exps
 }
 
 // Get returns the named experiment.

@@ -31,6 +31,20 @@ func testRunner(t *testing.T) (*Runner, *bytes.Buffer) {
 	return mustNew(t, Options{Options: sweep.Options{Size: apps.Small}, Nodes: 4, Out: &out}), &out
 }
 
+// mustRender runs the named experiments on r, in order.
+func mustRender(t *testing.T, r *Runner, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		e, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(r); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestHarmonicMean(t *testing.T) {
 	if hm := harmonicMean([]float64{1, 1, 1}); hm != 1 {
 		t.Fatalf("hm = %v", hm)
@@ -109,9 +123,7 @@ func TestExperimentRegistry(t *testing.T) {
 
 func TestTable1Small(t *testing.T) {
 	r, out := testRunner(t)
-	if err := r.Table1(); err != nil {
-		t.Fatal(err)
-	}
+	mustRender(t, r, "table1")
 	s := out.String()
 	for _, app := range apps.Originals() {
 		if !strings.Contains(s, app) {
@@ -122,9 +134,7 @@ func TestTable1Small(t *testing.T) {
 
 func TestFaultTableSmall(t *testing.T) {
 	r, out := testRunner(t)
-	if err := r.FaultTable("lu"); err != nil {
-		t.Fatal(err)
-	}
+	mustRender(t, r, "table3")
 	if !strings.Contains(out.String(), "read") || !strings.Contains(out.String(), "write") {
 		t.Fatalf("fault table malformed:\n%s", out.String())
 	}
@@ -132,9 +142,7 @@ func TestFaultTableSmall(t *testing.T) {
 
 func TestFig2Small(t *testing.T) {
 	r, out := testRunner(t)
-	if err := r.Fig2(); err != nil {
-		t.Fatal(err)
-	}
+	mustRender(t, r, "fig2")
 	if !strings.Contains(out.String(), "interrupt") {
 		t.Fatalf("fig2 malformed:\n%s", out.String())
 	}
@@ -147,12 +155,7 @@ func TestTables16And17Small(t *testing.T) {
 		t.Skip("full cross product")
 	}
 	r, out := testRunner(t)
-	if err := r.Table16(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Table17(); err != nil {
-		t.Fatal(err)
-	}
+	mustRender(t, r, "table16", "table17")
 	s := out.String()
 	if !strings.Contains(s, "Table 16") || !strings.Contains(s, "Table 17") || !strings.Contains(s, "p_best") {
 		t.Fatalf("tables malformed:\n%s", s)
@@ -170,15 +173,7 @@ func TestExtensionExperimentsSmall(t *testing.T) {
 		t.Skip("extension sweep")
 	}
 	r, out := testRunner(t)
-	for _, name := range []string{"memory", "scaling", "software", "delayed", "fourway", "bigblocks", "breakdown"} {
-		e, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(r); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
+	mustRender(t, r, "memory", "scaling", "software", "delayed", "fourway", "bigblocks", "breakdown")
 	s := out.String()
 	for _, want := range []string{"memory utilization", "cluster size", "All-software", "Four protocol families", "tlc"} {
 		if !strings.Contains(s, want) {
@@ -188,14 +183,12 @@ func TestExtensionExperimentsSmall(t *testing.T) {
 }
 
 func TestDegradationTableSmall(t *testing.T) {
-	render := func() string {
+	table := func() string {
 		r, out := testRunner(t)
-		if err := r.DegradationTable(); err != nil {
-			t.Fatal(err)
-		}
+		mustRender(t, r, "degradation")
 		return out.String()
 	}
-	s := render()
+	s := table()
 	for _, want := range []string{"Degradation under link loss", "sc", "swlrc", "hlrc", "0.050"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in:\n%s", want, s)
@@ -217,7 +210,7 @@ func TestDegradationTableSmall(t *testing.T) {
 	if !sawRetx {
 		t.Fatalf("no lossy row reports retransmissions:\n%s", s)
 	}
-	if again := render(); again != s {
+	if again := table(); again != s {
 		t.Fatal("degradation table not deterministic across runners")
 	}
 }
@@ -227,15 +220,7 @@ func TestFig1Table2Table15Small(t *testing.T) {
 		t.Skip("full cross product")
 	}
 	r, out := testRunner(t)
-	if err := r.Fig1(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Table2(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Table15(); err != nil {
-		t.Fatal(err)
-	}
+	mustRender(t, r, "fig1", "table2", "table15")
 	s := out.String()
 	for _, want := range []string{"Figure 1", "Table 2", "Table 15", "barnes-original", "multiple"} {
 		if !strings.Contains(s, want) {
@@ -285,27 +270,37 @@ func TestPrefetchParallelDeterminism(t *testing.T) {
 }
 
 // TestPointsForCoversExperiments checks that every experiment's declared
-// point set actually satisfies its Run: after a prefetch, rendering must
-// add no new run lines for matrix experiments.
+// point set satisfies its Run, under the paper's protocol set and under an
+// override: after the prefetch, rendering must compute no matrix run (each
+// writes a CSV record) and no baseline (a "seq" progress line). The
+// out-of-matrix runs some tables add write neither.
 func TestPointsForCoversExperiments(t *testing.T) {
-	var pb bytes.Buffer
-	r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, Workers: 4}, Nodes: 4, Out: io.Discard})
-	for _, name := range []string{"table1", "table15", "fig2"} {
-		e, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
-			t.Fatal(err)
-		}
-		r.Flush()
-		before := pb.String()
-		if err := e.Run(r); err != nil {
-			t.Fatal(err)
-		}
-		r.Flush()
-		if after := pb.String(); after != before {
-			t.Fatalf("%s ran uncovered points after prefetch:\n%s", name, after[len(before):])
+	for _, protos := range [][]string{nil, {"sc"}} {
+		var pb, cb bytes.Buffer
+		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, CSV: &cb, Workers: 4},
+			Nodes: 4, Out: io.Discard, Protocols: protos})
+		for _, e := range Experiments() {
+			if e.Points == nil {
+				continue
+			}
+			if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
+				t.Fatal(err)
+			}
+			r.Flush()
+			runs, progress := cb.Len(), pb.Len()
+			if err := e.Run(r); err != nil {
+				t.Fatal(err)
+			}
+			r.Flush()
+			uncovered := cb.String()[runs:]
+			for _, line := range strings.SplitAfter(pb.String()[progress:], "\n") {
+				if strings.HasPrefix(line, "seq ") {
+					uncovered += line
+				}
+			}
+			if uncovered != "" {
+				t.Errorf("protocols %v: %s ran points its declaration does not name:\n%s", protos, e.Name, uncovered)
+			}
 		}
 	}
 }

@@ -139,6 +139,9 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 type cpMemo struct {
 	mu sync.Mutex
 	m  map[cpKey]*cpEntry
+	// Grid points computed flat while Options.Fork was on: flat ones were
+	// never eligible, failed ones tried the fork path first.
+	flat, failed int
 }
 
 type cpEntry struct {
@@ -192,21 +195,39 @@ func (m *cpMemo) addFork(k cpKey) {
 	m.mu.Unlock()
 }
 
+// addFlat records that one grid point ran flat with forking on, after a
+// failed fork attempt or without one.
+func (m *cpMemo) addFlat(failed bool) {
+	m.mu.Lock()
+	if failed {
+		m.failed++
+	} else {
+		m.flat++
+	}
+	m.mu.Unlock()
+}
+
 // ForkStats summarizes what prefix sharing bought one engine: how many
 // distinct warmup prefixes were simulated, how many runs forked from them,
 // and an estimate of the warmup re-simulation wall time avoided (each run
-// beyond a prefix's first would have re-simulated that prefix flat).
+// beyond a prefix's first would have re-simulated that prefix flat). The
+// other two count the grid points Options.Fork did not serve: FlatRuns
+// were not eligible (non-resumable app, ungated plan, a grid that cannot
+// fork at all), FailedForks tried — the app finished before the cut, events
+// were in flight at the barrier — and were re-run flat.
 type ForkStats struct {
-	Prefixes   int
-	ForkedRuns int
-	SavedWall  time.Duration
+	Prefixes    int
+	ForkedRuns  int
+	SavedWall   time.Duration
+	FlatRuns    int
+	FailedForks int
 }
 
 // ForkStats reports the engine's prefix-sharing counters so far.
 func (e *Engine) ForkStats() ForkStats {
 	e.cps.mu.Lock()
 	defer e.cps.mu.Unlock()
-	var s ForkStats
+	s := ForkStats{FlatRuns: e.cps.flat, FailedForks: e.cps.failed}
 	for _, ent := range e.cps.m {
 		s.Prefixes++
 		s.ForkedRuns += ent.forks

@@ -104,8 +104,9 @@ func TestForkedSweepByteIdenticalToFlat(t *testing.T) {
 }
 
 // TestForkFallbackAppTooShort: when the grid's cut epoch lies beyond an
-// app's last barrier, that app's points must silently fall back to flat
-// runs (and stay byte-identical) while longer apps still fork.
+// app's last barrier, that app's points must fall back to flat runs (and
+// stay byte-identical) while longer apps still fork, and ForkStats must
+// say so.
 func TestForkFallbackAppTooShort(t *testing.T) {
 	grid := []FaultVariant{
 		{Name: "none"},
@@ -136,6 +137,40 @@ func TestForkFallbackAppTooShort(t *testing.T) {
 	}
 	if len(eng.cps.m) != 1 {
 		t.Fatalf("prefix checkpoints = %d, want exactly 1 (ocean forks, fft falls back)", len(eng.cps.m))
+	}
+	fs := eng.ForkStats()
+	fs.SavedWall = 0
+	if want := (ForkStats{Prefixes: 1, ForkedRuns: 2, FailedForks: 2}); fs != want {
+		t.Fatalf("fork stats = %+v, want %+v (both fft points tried the cut and re-ran flat)", fs, want)
+	}
+}
+
+// TestForkStatsCountFlatRuns: a forked grid over one resumable and one
+// non-resumable app reports the latter's points as flat rather than
+// leaving them out of the summary, and a grid that cannot fork at all
+// reports every point.
+func TestForkStatsCountFlatRuns(t *testing.T) {
+	spec := gridSpec(testGrid())
+	spec.Apps = []string{"ocean-rowwise", "water-nsquared"} // water-nsquared has no RunFrom
+	spec.Protocols, spec.Granularities = []string{core.SC}, []int{4096}
+	stats := func(grid []FaultVariant) ForkStats {
+		e := mustNew(t, Options{Size: apps.Small, Workers: 4, FaultGrid: grid, Fork: true})
+		if _, err := e.Run(context.Background(), spec.Points()); err != nil {
+			t.Fatal(err)
+		}
+		fs := e.ForkStats()
+		fs.SavedWall = 0
+		return fs
+	}
+	if got, want := stats(testGrid()), (ForkStats{Prefixes: 1, ForkedRuns: 3, FlatRuns: 3}); got != want {
+		t.Errorf("fork stats = %+v, want %+v (water-nsquared's three variants flat)", got, want)
+	}
+	ungated := testGrid()
+	for i := range ungated {
+		ungated[i].Plan = faults.NewPlan(faults.Drop(0.01), faults.Seed(uint64(i+1)))
+	}
+	if got, want := stats(ungated), (ForkStats{FlatRuns: 6}); got != want {
+		t.Errorf("ungated grid: fork stats = %+v, want %+v", got, want)
 	}
 }
 

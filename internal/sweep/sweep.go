@@ -187,7 +187,7 @@ type Options struct {
 	// checkpoint at the grid's earliest start barrier) and forks per
 	// variant. Output is byte-identical to flat execution; points the
 	// checkpointer cannot honor (non-resumable app, ungated plan, sharing
-	// profiler attached) silently fall back to flat runs.
+	// profiler attached) fall back to flat runs, which ForkStats counts.
 	Fork bool
 }
 
@@ -429,6 +429,9 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 		// app finished before the cut, events in flight at the barrier,
 		// ...): rerun flat. The flat path is the correctness baseline, so
 		// a genuine simulation error reproduces there.
+		e.cps.addFlat(true)
+	} else if e.opts.Fork && k.Fault != "" && !k.Sequential {
+		e.cps.addFlat(false)
 	}
 	m, err := core.NewMachine(cfg)
 	if err != nil {

@@ -56,8 +56,9 @@ func WithFaultGrid(variants ...FaultVariant) Option {
 // forks the checkpoint per variant. All output stays byte-identical to
 // flat execution at any parallelism; points the checkpoint machinery
 // cannot honor (non-barrier-structured app, ungated plan, sharing
-// profiler attached) silently run flat. Sweep only; requires
-// WithFaultGrid with at least two forkable variants to have any effect.
+// profiler attached) run flat and are counted in SweepResult.Fork. Sweep
+// only; requires WithFaultGrid with at least two forkable variants to have
+// any effect.
 func WithFork() Option { return func(o *sweep.Options) { o.Fork = true } }
 
 // WithLimit bounds each run's virtual time (0 keeps the generous

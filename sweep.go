@@ -42,8 +42,9 @@ type SweepRun struct {
 }
 
 // ForkStats summarizes what WithFork bought a sweep: distinct warmup
-// prefixes simulated, runs forked from them, and an estimate of the
-// warmup re-simulation wall time avoided.
+// prefixes simulated, runs forked from them, an estimate of the warmup
+// re-simulation wall time avoided, and the grid points it did not serve —
+// FlatRuns were not eligible, FailedForks were tried and re-run flat.
 type ForkStats = sweep.ForkStats
 
 // SweepResult is the outcome of a sweep, in canonical sweep order
@@ -52,7 +53,8 @@ type SweepResult struct {
 	Runs []SweepRun
 
 	// Fork holds the prefix-sharing counters when WithFork was in effect
-	// (zero otherwise — including when forking was on but never engaged).
+	// (zero otherwise; a grid that forking never engaged on counts all its
+	// points in FlatRuns).
 	Fork ForkStats
 
 	baselines map[string]Time
