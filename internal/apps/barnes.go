@@ -149,7 +149,7 @@ func (a *Barnes) Setup(h *core.Heap) {
 		p[5] = 0.05 * (hashNoise(56, i) - 0.5)
 		p[9] = 1.0 / float64(a.n)
 	}
-	a.ref = a.sequential(ps)
+	a.ref = sharedRef(refKey{a.mode.name(), [2]int{a.n, a.steps}}, func() []float64 { return a.sequential(ps) })
 }
 
 // octant returns the child octant of (x,y,z) in the cell centered at

@@ -68,7 +68,7 @@ func (a *FFT) Setup(h *core.Heap) {
 		s[2*i] = hashNoise(7, i) - 0.5
 		s[2*i+1] = hashNoise(13, i) - 0.5
 	}
-	a.ref = a.sequentialRef(s)
+	a.ref = sharedRef(refKey{"fft", [2]int{a.n}}, func() []float64 { return a.sequentialRef(s) })
 }
 
 // rowFFT performs an in-place iterative radix-2 FFT of m complex points.

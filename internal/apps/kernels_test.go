@@ -1,11 +1,15 @@
 package apps
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dsmsim/internal/core"
 )
 
 // TestRowFFTMatchesDFT: the radix-2 kernel against a naive O(n²) DFT.
@@ -205,5 +209,43 @@ func TestBarnesModeNames(t *testing.T) {
 		BarnesPartree.name() != "barnes-partree" ||
 		BarnesSpatial.name() != "barnes-spatial" {
 		t.Fatal("mode names wrong")
+	}
+}
+
+// TestOceanSetupImage anchors the master image Ocean.Setup builds, in both
+// layouts, to SHA-256 constants recorded at commit 0b38231, where Setup
+// stored one cell at a time through addr; it now fills a contiguous row
+// segment per view. Every cell is also read back through addr, the mapping
+// the kernel uses, so the segments and the cells cannot disagree silently.
+func TestOceanSetupImage(t *testing.T) {
+	golden := map[string]string{
+		"ocean-original": "1b40660e7ae5e41edaf02d1fc92f91c62f70690bab4a8605f2007966e02260d6",
+		"ocean-rowwise":  "22116927bc43575e25ac9523758c3dfd87548353c32804cd185f3612558f91ef",
+	}
+	for _, name := range []string{"ocean-original", "ocean-rowwise"} {
+		entry, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := entry.New(Small).(*Ocean)
+		m, err := core.NewMachine(core.Config{Sequential: true, BlockSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(setupOnly{a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := res.Heap
+		for i := 0; i < a.n; i++ {
+			for j := 0; j < a.n; j++ {
+				if got, want := h.F64s(a.addr(i, j), 1)[0], a.initVal(i, j); got != want {
+					t.Fatalf("%s: cell (%d,%d) = %v after Setup, want %v", name, i, j, got, want)
+				}
+			}
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(h.Bytes(0, h.Used()))); got != golden[name] {
+			t.Errorf("%s: image after Setup has sha256 %s, recorded %s", name, got, golden[name])
+		}
 	}
 }

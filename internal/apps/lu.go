@@ -111,7 +111,7 @@ func (a *LU) Setup(h *core.Heap) {
 			}
 		}
 	}
-	a.ref = a.sequential()
+	a.ref = sharedRef(refKey{"lu", [2]int{a.n, a.bsz}}, a.sequential)
 }
 
 func (a *LU) elem(i, j int) float64 {

@@ -134,12 +134,12 @@ func (a *Ocean) Setup(h *core.Heap) {
 	}
 	// Initialize: boundary is a fixed potential, interior a deterministic
 	// field.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			h.F64s(a.addr(i, j), 1)[0] = a.initVal(i, j)
+	a.eachSegment(h, func(i, c0 int, seg []float64) {
+		for j := range seg {
+			seg[j] = a.initVal(i, c0+j)
 		}
-	}
-	a.ref = a.sequential()
+	})
+	a.ref = sharedRef(refKey{a.Info().Name, [2]int{a.n, a.iters}}, a.sequential)
 }
 
 // blockRows returns the grid row range [r0, r1) stored in proc-row pi's
@@ -189,6 +189,25 @@ func (a *Ocean) addr(i, j int) int {
 	c0, c1 := a.blockCols(pj)
 	w := c1 - c0
 	return a.subOff[pi*a.pc+pj] + ((i-r0)*w+(j-c0))*8
+}
+
+// eachSegment calls f, in row order, with every maximal run of cells of one
+// grid row that is contiguous in the master image: the whole row when
+// rowwise, one subgrid's width otherwise. seg[j] is cell (i, c0+j). One
+// view per segment marks the heap's page map once, not once per cell.
+func (a *Ocean) eachSegment(h *core.Heap, f func(i, c0 int, seg []float64)) {
+	n := a.n
+	for i := 0; i < n; i++ {
+		for c0 := 0; c0 < n; {
+			c1 := n
+			if !a.rowwise {
+				_, pj := a.ownerRC(i, c0)
+				_, c1 = a.blockCols(pj)
+			}
+			f(i, c0, h.F64s(a.addr(i, c0), c1-c0))
+			c0 = c1
+		}
+	}
 }
 
 func (a *Ocean) initVal(i, j int) float64 {
@@ -330,15 +349,13 @@ func (a *Ocean) sequential() []float64 {
 // Verify implements core.App: red-black sweeps are order-independent within
 // a color, so the result must match the reference exactly.
 func (a *Ocean) Verify(h *core.Heap) error {
-	n := a.n
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			got := h.F64s(a.addr(i, j), 1)[0]
-			want := a.ref[i*n+j]
-			if got != want {
-				return fmt.Errorf("ocean: cell (%d,%d) = %v, want %v", i, j, got, want)
+	var err error
+	a.eachSegment(h, func(i, c0 int, seg []float64) {
+		for j, got := range seg {
+			if want := a.ref[i*a.n+c0+j]; got != want && err == nil {
+				err = fmt.Errorf("ocean: cell (%d,%d) = %v, want %v", i, c0+j, got, want)
 			}
 		}
-	}
-	return nil
+	})
+	return err
 }

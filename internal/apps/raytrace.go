@@ -87,7 +87,7 @@ func (a *Raytrace) Setup(h *core.Heap) {
 		}
 		a.tq.masterFill(h, q, tasks)
 	}
-	a.ref = a.renderSeq(s)
+	a.ref = sharedRef(refKey{"raytrace", [2]int{a.w, a.ns}}, func() []int32 { return a.renderSeq(s) })
 }
 
 // trace intersects a ray with every sphere and shades the closest hit with

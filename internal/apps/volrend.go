@@ -94,7 +94,7 @@ func (a *Volrend) Setup(h *core.Heap) {
 	h.Label("image")
 	a.image = h.AllocPage(v * v * 4)
 	a.tq = newTaskQueues(h, 16, a.numTasks(), 100)
-	a.ref = a.renderSeq(vol, a.frames-1)
+	a.ref = sharedRef(refKey{a.Info().Name, [2]int{a.v, a.frames}}, func() []int32 { return a.renderSeq(vol, a.frames-1) })
 }
 
 // numTasks returns the task count for the active task shape.

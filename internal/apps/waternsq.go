@@ -77,7 +77,7 @@ func (a *WaterNsq) Setup(h *core.Heap) {
 		m[i*molF64s+4] = 0.01 * (hashNoise(15, i) - 0.5)
 		m[i*molF64s+5] = 0.01 * (hashNoise(16, i) - 0.5)
 	}
-	a.ref = a.sequential(m)
+	a.ref = sharedRef(refKey{"water-nsquared", [2]int{a.n, a.steps}}, func() []float64 { return a.sequential(m) })
 }
 
 // pairForce computes the force contribution of molecule j on i given their

@@ -113,7 +113,7 @@ func (a *WaterSpatial) Setup(h *core.Heap) {
 		nx[i] = hd[c]
 		hd[c] = int64(i)
 	}
-	a.ref = a.sequential(m, nx, hd)
+	a.ref = sharedRef(refKey{"water-spatial", [2]int{a.n, a.steps}}, func() []float64 { return a.sequential(m, nx, hd) })
 }
 
 // procBox returns the factorization of p into a 3-D processor grid.

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
+	"dsmsim/internal/race"
 	"dsmsim/internal/sim"
 )
 
@@ -73,6 +77,11 @@ func TestAccessNoFaultZeroAlloc(t *testing.T) {
 // copying them (or the arrival clocks) per receiver makes an episode
 // O(nodes²): 16x the bytes at 4x the nodes instead of 4x.
 func TestBarrierEpisodeAllocLinear(t *testing.T) {
+	if race.Enabled {
+		// Failed one run in three there before it was skipped: the two
+		// run lengths no longer draw the same spaces from the pool.
+		t.Skip("under the race detector a sync.Pool drops a quarter of its Puts")
+	}
 	run := func(nodes, episodes int) uint64 {
 		var base int
 		app := &testApp{
@@ -160,5 +169,106 @@ func TestRunBytesLinearInNodes(t *testing.T) {
 	t.Logf("bytes per run: %.0f at 512 nodes, %.0f at 1024 nodes (%.2fx)", half, full, full/half)
 	if full > 2.25*half {
 		t.Errorf("a barrier-only run costs %.0f bytes at 1024 nodes, %.2fx the %.0f at 512 nodes; linear is 2x", full, full/half, half)
+	}
+}
+
+// TestFailedRunsReturnTheirSlabs pins that every exit of a run gives back
+// what it drew from the pools, not only the one that produces a Result: a
+// run that hits the virtual-time limit, one cancelled from the host, and a
+// prefix run that ends before its cut each leave four 4 MB spaces and a 4 MB
+// master image behind, and the next run must find them in the pools. Eight
+// failures of each kind may allocate less than one slab per failure
+// (measured ≈ 80 KB: engine, network, procs, stats); dropping the slabs to
+// the GC instead read 19.8 MB per failure.
+func TestFailedRunsReturnTheirSlabs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("under the race detector a sync.Pool drops a quarter of its Puts")
+	}
+	const heap, nodes, failures = 4 << 20, 4, 8
+	cfg := Config{Nodes: nodes, BlockSize: 4096, Protocol: HLRC, Limit: 100 * sim.Second}
+	var cancel context.CancelFunc
+	newApp := func(rounds, cancelAt int) *testApp {
+		var base int
+		return &testApp{
+			name:  "failprobe",
+			heap:  heap - 64*4096,
+			setup: func(h *Heap) { base = h.AllocPage(nodes * 4096) },
+			run: func(c *Ctx) {
+				for e := 0; e < rounds; e++ {
+					if e == cancelAt && c.ID() == 0 {
+						cancel()
+					}
+					c.WriteI64(base+c.ID()*4096, int64(e))
+					c.Compute(10 * sim.Microsecond)
+					c.Barrier()
+				}
+			},
+			verify: func(h *Heap) error { return nil },
+		}
+	}
+	kinds := []struct {
+		name string
+		fail func() error
+	}{
+		{"limit", func() error {
+			cfg := cfg
+			cfg.Limit = 200 * sim.Microsecond
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = m.Run(newApp(1000, -1))
+			var limit *sim.LimitError
+			if !errors.As(err, &limit) {
+				t.Fatalf("err = %v, want a *sim.LimitError", err)
+			}
+			return err
+		}},
+		{"cancelled", func() error {
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ctx context.Context
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			_, err = m.RunContext(ctx, newApp(1_000_000, 3))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			return err
+		}},
+		{"too short to fork", func() error {
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = m.RunToBarrier(context.Background(), newApp(2, -1), 5)
+			if err == nil || !strings.Contains(err.Error(), "finished before barrier epoch") {
+				t.Fatalf("err = %v, want the run to finish before its cut", err)
+			}
+			return err
+		}},
+	}
+	// The slabs come back out of the pools the failure before filled, as
+	// long as no collection empties them in between and the test stays on
+	// one P (a sync.Pool keeps its newest item where only that P looks).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	slab := float64(heap + heap/4096)
+	for _, k := range kinds {
+		k.fail() // fill the pools the measured failures draw from
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < failures; i++ {
+			k.fail()
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / failures
+		t.Logf("%s: %.0f bytes per failed run (one slab is %.0f)", k.name, per, slab)
+		if per >= slab {
+			t.Errorf("%s: a failed run allocates %.0f bytes, %.1f slabs of %.0f: its spaces or its image did not go back to their pools",
+				k.name, per, per/slab, slab)
+		}
 	}
 }

@@ -141,11 +141,11 @@ func (m *Machine) RunToBarrier(ctx context.Context, app App, k int) (*Checkpoint
 	if k <= 0 {
 		return nil, fmt.Errorf("core: RunToBarrier epoch %d (want >= 1)", k)
 	}
-	r, err := m.buildRun(ctx, app, nil)
-	if err != nil {
+	if err := checkpointable(&m.cfg); err != nil {
 		return nil, err
 	}
-	if err := checkpointable(&r.cfg); err != nil {
+	r, err := m.buildRun(ctx, app, nil)
+	if err != nil {
 		return nil, err
 	}
 	r.captureEpoch = k
@@ -199,9 +199,12 @@ func (r *run) releaseFromCut() {
 	}
 }
 
-// runToCapture drives the engine until the capture hook cuts the run.
+// runToCapture drives the engine until the capture hook cuts the run. The
+// checkpoint deep-copies the spaces and nobody ever sees a prefix run's
+// master image, so both go back to their pools however the run ends.
 func (r *run) runToCapture(k int) (*Checkpoint, error) {
 	runErr := r.engine.Run()
+	defer r.release(false)
 	if r.capErr != nil {
 		return nil, r.capErr
 	}
@@ -214,8 +217,6 @@ func (r *run) runToCapture(k int) (*Checkpoint, error) {
 		}
 		return nil, fmt.Errorf("core: %s finished before barrier epoch %d", r.info.Name, k)
 	}
-	// The checkpoint deep-copied the spaces.
-	r.releaseSpaces()
 	if err := r.tr.Flush(); err != nil { // nil-safe; completes the prefix's trace stream at the cut
 		return nil, fmt.Errorf("core: trace: %w", err)
 	}

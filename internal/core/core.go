@@ -300,7 +300,9 @@ type Result struct {
 	CritPath *critpath.Report
 
 	// Heap exposes the final shared image (gathered from the
-	// authoritative copies) for verification and inspection.
+	// authoritative copies) for verification and inspection. Nil in the
+	// results of a sweep, which verifies each run itself and recycles the
+	// image (see ReleaseImage).
 	Heap *Heap
 }
 
@@ -382,7 +384,7 @@ type run struct {
 // the checkpoint instead of initialized, the clock continues the original
 // (time, seq) stream, and each node is reborn parked inside the barrier the
 // cut suppressed — the caller replays the release with sy.ReleaseBarrier.
-func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, error) {
+func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -402,10 +404,13 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 	}
 
 	r.heapSize = roundUp(r.info.HeapBytes, max(cfg.BlockSize, 4096))
-	// The master image and its page map share one allocation.
-	image := make([]byte, r.heapSize+mem.NumPages(r.heapSize))
-	r.master = image[:r.heapSize:r.heapSize]
-	r.heap = &Heap{alloc: mem.NewAllocator(r.heapSize), master: r.master, touched: image[r.heapSize:]}
+	r.heap = newHeap(r.heapSize)
+	r.master = r.heap.master
+	defer func() {
+		if err != nil {
+			r.release(false)
+		}
+	}()
 	// Setup is the untimed sequential pre-parallel phase; it is a pure
 	// function of the app instance, so re-running it under a restore
 	// rebuilds the identical master image and heap layout the checkpointed
@@ -705,8 +710,6 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 	return r, nil
 }
 
-// finish drains the completed simulation into a Result — the tail of every
-// Run variant once the engine loop returns.
 // runError wraps what Engine.Run returned with the configuration it ran. A
 // run that hit the virtual time limit on the ARQ path also says which links
 // it was still retransmitting into — a partition that never heals, a drop
@@ -733,7 +736,12 @@ func (r *run) runError(runErr error) error {
 	return fmt.Errorf("core: %s/%s/%d: %w%s", r.info.Name, r.cfg.Protocol, r.cfg.BlockSize, runErr, links.String())
 }
 
-func (r *run) finish(runErr error) (*Result, error) {
+// finish drains the completed simulation into a Result — the tail of every
+// Run variant once the engine loop returns. Engine.Run has unwound every
+// proc by then, so whichever way finish leaves, nothing touches the spaces
+// again; the master image goes back too unless a Result carries it out.
+func (r *run) finish(runErr error) (res *Result, err error) {
+	defer func() { r.release(res != nil) }()
 	cfg := &r.cfg
 	if r.crit != nil && r.tr != nil && runErr == nil {
 		// Paint the recovered critical path into the trace as a per-node
@@ -773,7 +781,7 @@ func (r *run) finish(runErr error) (*Result, error) {
 		copy(r.master[b*bs:(b+1)*bs], r.p.Collect(b))
 	}
 
-	res := &Result{
+	res = &Result{
 		App:       r.info.Name,
 		Protocol:  cfg.Protocol,
 		BlockSize: cfg.BlockSize,
@@ -826,8 +834,6 @@ func (r *run) finish(runErr error) (*Result, error) {
 		}
 	}
 	res.ProtoStaticBytes, res.ProtoPeakBytes = r.p.MemFootprint()
-	// Everything the caller gets back was copied out of the spaces above.
-	r.releaseSpaces()
 	return res, nil
 }
 
@@ -835,13 +841,21 @@ func (r *run) finish(runErr error) (*Result, error) {
 // Tests set it to check the dirty-map invariant on real runs.
 var releaseHook func(*mem.Space)
 
-// releaseSpaces recycles the spaces' slabs for the next run.
-func (r *run) releaseSpaces() {
-	for _, sp := range r.env.Spaces {
-		if releaseHook != nil {
-			releaseHook(sp)
+// release gives back what the run drew from the pools: the spaces' slabs
+// and, unless it leaves with the Result, the master image. Every exit of a
+// run comes through here once, after the engine has stopped — finish,
+// runToCapture, and a buildRun that fails halfway.
+func (r *run) release(imageLeaves bool) {
+	if r.env != nil {
+		for _, sp := range r.env.Spaces {
+			if releaseHook != nil {
+				releaseHook(sp)
+			}
+			sp.Release()
 		}
-		sp.Release()
+	}
+	if !imageLeaves {
+		r.heap.release()
 	}
 }
 

@@ -3,8 +3,11 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -12,6 +15,7 @@ import (
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/mem"
+	"dsmsim/internal/race"
 	"dsmsim/internal/sim"
 )
 
@@ -47,23 +51,42 @@ func cleanPagesAreZero(sp *mem.Space) error {
 // to a space's bytes that bypasses the map shows here as a named page, not
 // as a wrong number three runs later out of the pool.
 //
+// The master image is recycled on the same terms (core.Heap's page map, the
+// spaces' merged into it by the final write-back), so a second hook checks
+// every image about to be pooled — the verified one of each run here, and
+// the one each prefix run of the fork chain never shows anybody — for a
+// non-zero byte anywhere in its bytes or its map.
+//
 // Every registered protocol x {64, 4096, 8192} B x every registered app runs
 // with a fault plan and every observer on; then every app as a Sequential
 // baseline, and every resumable app x protocol across a fork chain whose
 // last leg runs under a start-gated fault plan.
 func TestCleanPagesZeroAtRelease(t *testing.T) {
 	var mu sync.Mutex
-	spaces, failures := 0, 0
-	defer core.SetReleaseHook(func(sp *mem.Space) {
-		err := cleanPagesAreZero(sp)
-		mu.Lock()
-		defer mu.Unlock()
-		spaces++
+	spaces, images, failures := 0, 0, 0
+	report := func(err error) {
 		if err != nil {
 			if failures++; failures <= 5 {
 				t.Error(err)
 			}
 		}
+	}
+	defer core.SetReleaseHook(func(sp *mem.Space) {
+		err := cleanPagesAreZero(sp)
+		mu.Lock()
+		defer mu.Unlock()
+		spaces++
+		report(err)
+	})()
+	defer core.SetImageReleaseHook(func(image []byte) {
+		var err error
+		if i := bytes.IndexFunc(image, func(r rune) bool { return r != 0 }); i >= 0 {
+			err = fmt.Errorf("pooled image of %d bytes holds %#x at byte %d (page %d)", len(image), image[i], i, i/mem.PageSize)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		images++
+		report(err)
 	})()
 
 	lossy, err := faults.Parse("drop=0.01,dup=0.005,jitter=20us,seed=3")
@@ -86,9 +109,11 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.RunVerified(app); err != nil {
+		res, err := m.RunVerified(app)
+		if err != nil {
 			t.Fatal(err)
 		}
+		core.ReleaseImage(res)
 	}
 	for _, entry := range apps.All() {
 		for _, bs := range blocks {
@@ -129,17 +154,20 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 					if cp, err = prefix.RunToBarrierFrom(ctx, cp, app, 2); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := faulty.RunFromCheckpoint(ctx, cp, app); err != nil {
+					res, err := faulty.RunFromCheckpoint(ctx, cp, app)
+					if err != nil {
 						t.Fatal(err)
 					}
+					core.ReleaseImage(res)
 				}
 			})
 		}
 	}
-	if spaces == 0 {
-		t.Fatal("the release hook never ran")
+	if spaces == 0 || images == 0 {
+		t.Fatalf("the release hooks saw %d spaces and %d images", spaces, images)
 	}
-	t.Logf("%d spaces checked at release", spaces)
+	hits, misses := core.ImagePoolStats()
+	t.Logf("%d spaces and %d images checked at release; image pool so far: %d hits, %d misses", spaces, images, hits, misses)
 }
 
 // TestRunDirtyFootprint pins the traffic assumption the dirty map's saving
@@ -197,5 +225,73 @@ func TestRunDirtyFootprint(t *testing.T) {
 		if pages == 0 || share > ceiling {
 			t.Errorf("%s: %.1f %% of pages dirty at release, ceiling %.0f %%", protocol, 100*share, 100*ceiling)
 		}
+	}
+}
+
+// TestRecycledImageRunsLikeFresh runs lu on an image the runtime has just
+// zeroed, gives it back, runs barnes-original (a 16x larger image, which
+// lu's cannot serve, with particles and a cell pool the run scribbles over)
+// and gives that back, then runs lu again out of the pool: the second lu
+// must draw barnes's image, cut down to its own size, and produce the first
+// one's final image, line trace and counters byte for byte. With the fork chain of TestCleanPagesZeroAtRelease and the
+// commit-anchored constants of apps.TestGoldenTraceDigests, whose runs now
+// also hand their images on, this is what says a pooled image is
+// indistinguishable from a fresh one.
+func TestRecycledImageRunsLikeFresh(t *testing.T) {
+	if race.Enabled {
+		t.Skip("under the race detector a sync.Pool drops a quarter of its Puts")
+	}
+	// Two collections empty every sync.Pool, so the first run must allocate;
+	// none may run after that, or the second lu would too. One P, because a
+	// sync.Pool keeps its newest item where only the P that put it looks.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	type outcome struct {
+		image, trace [sha256.Size]byte
+		time         sim.Time
+		msgs, bytes  int64
+		hit          bool
+	}
+	run := func(name string) outcome {
+		entry, err := apps.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var line bytes.Buffer
+		m, err := core.NewMachine(core.Config{Nodes: 4, BlockSize: 1024, Protocol: core.HLRC, Trace: &line})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits0, _ := core.ImagePoolStats()
+		app := entry.New(apps.Small)
+		res, err := m.RunVerified(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, _ := core.ImagePoolStats()
+		out := outcome{
+			image: sha256.Sum256(res.Heap.Bytes(0, res.Heap.Used())),
+			trace: sha256.Sum256(line.Bytes()),
+			time:  res.Time, msgs: res.NetMsgs, bytes: res.NetBytes,
+			hit: hits > hits0,
+		}
+		core.ReleaseImage(res)
+		if res.Heap != nil {
+			t.Fatal("ReleaseImage left Result.Heap set")
+		}
+		return out
+	}
+	fresh := run("lu")
+	run("barnes-original")
+	recycled := run("lu")
+	if fresh.hit || !recycled.hit {
+		t.Fatalf("image pool hit on the first lu: %v, on the second: %v; want a fresh image, then a recycled one", fresh.hit, recycled.hit)
+	}
+	recycled.hit = false
+	if recycled != fresh {
+		t.Errorf("lu on a recycled image differs from lu on a fresh one:\nfresh    %+v\nrecycled %+v", fresh, recycled)
 	}
 }

@@ -122,12 +122,7 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 		return nil, err
 	}
 	e.cps.addFork(cpKey{Key: prefix, Epoch: epoch})
-	if e.opts.Verify {
-		if err := app.Verify(res.Heap); err != nil {
-			return nil, fmt.Errorf("sweep: %s verify: %w", k, err)
-		}
-	}
-	return res, nil
+	return e.checked(k, app, res)
 }
 
 // cpMemo is the checkpoint analog of Memo: a single-flight cache of shared

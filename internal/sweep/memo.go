@@ -11,7 +11,9 @@ import (
 // several workers (or several experiments) want the same configuration at
 // once, exactly one computes it and the rest wait for that computation.
 //
-// Only successful results are retained. A failed computation is forgotten,
+// Only successful results are retained, and without their master images
+// (Engine.checked gives each back once verified): what the memo holds for
+// the engine's lifetime is statistics. A failed computation is forgotten,
 // and waiters that had joined it retry with their own compute function — a
 // leader cancelled by its sweep's context cannot poison a follower from a
 // different sweep whose context is still live.

@@ -437,8 +437,23 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.opts.Verify {
-		return m.RunVerifiedContext(ctx, app)
+	res, err := m.RunContext(ctx, app)
+	if err != nil {
+		return nil, err
 	}
-	return m.RunContext(ctx, app)
+	return e.checked(k, app, res)
+}
+
+// checked is the tail of both compute paths: verify the final image when
+// the sweep verifies, then give the image back for the next run to draw.
+// What the memo retains and Run returns therefore carries no Heap — a
+// sweep's live heap does not grow by one image per finished run.
+func (e *Engine) checked(k Key, app core.App, res *core.Result) (*core.Result, error) {
+	defer core.ReleaseImage(res)
+	if e.opts.Verify {
+		if err := app.Verify(res.Heap); err != nil {
+			return nil, fmt.Errorf("sweep: %s verify: %w", k, err)
+		}
+	}
+	return res, nil
 }

@@ -35,7 +35,10 @@ type SweepSpec struct {
 	SkipBaselines bool
 }
 
-// SweepRun pairs one point with its result.
+// SweepRun pairs one point with its result. The result carries the run's
+// statistics and no Heap: a sweep verifies each run itself (WithVerify) and
+// recycles the run's master image, so holding a large sweep's results does
+// not hold its images.
 type SweepRun struct {
 	Point  SweepPoint
 	Result *Result

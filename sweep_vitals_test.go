@@ -1,0 +1,118 @@
+package dsmsim_test
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"dsmsim"
+	"dsmsim/internal/apps"
+	"dsmsim/internal/core"
+	"dsmsim/internal/race"
+)
+
+// TestSweepHoldsNoImages pins what a sweep's results retain: verification
+// happens inside the sweep and each run's master image goes back to the
+// pool after it, so Runs[i].Result.Heap is nil and holding the result of a
+// grid four times larger costs the extra runs' statistics, not their
+// images. barnes-original's image is 2.6 MB and what a 4-node run leaves in
+// its Result measures 23 KB; the ceiling per extra run is a tenth of the
+// image.
+func TestSweepHoldsNoImages(t *testing.T) {
+	const app = "barnes-original"
+	sweep := func(blocks []int) *dsmsim.SweepResult {
+		res, err := dsmsim.Sweep(context.Background(), dsmsim.SweepSpec{
+			Apps: []string{app}, Protocols: dsmsim.AllProtocols(), Granularities: blocks,
+			Nodes: 4, SkipBaselines: true,
+		}, dsmsim.WithVerify(), dsmsim.WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range res.Runs {
+			if run.Result.Heap != nil {
+				t.Fatalf("%s: a sweep result carries its master image", run.Point)
+			}
+		}
+		return res
+	}
+	// Two collections: the first only moves the image pools to their victim
+	// caches.
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	sweep([]int{4096}) // the shared reference and every lazily built table exist
+	small := sweep([]int{4096})
+	before := live()
+	large := sweep([]int{64, 256, 1024, 4096})
+	after := live()
+	extra := len(large.Runs) - len(small.Runs)
+	if extra != 3*len(small.Runs) {
+		t.Fatalf("grids of %d and %d runs, want 1:4", len(small.Runs), len(large.Runs))
+	}
+	a, err := dsmsim.NewApp(app, dsmsim.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := a.Info().HeapBytes
+	perRun := (int64(after) - int64(before)) / int64(extra)
+	t.Logf("holding %d more runs costs %d bytes each; one image is %d", extra, perRun, image)
+	if perRun > int64(image)/10 {
+		t.Errorf("each held run retains %d bytes, more than a tenth of its %d-byte master image", perRun, image)
+	}
+	runtime.KeepAlive(small)
+	runtime.KeepAlive(large)
+}
+
+// TestSweepgridPoolAndMemoVitals runs the plan of the benchmark's sweepgrid
+// workload — two resumable apps × every protocol × {256, 4096} B × 12 fault
+// variants, forked, two workers: 240 runs and 20 prefix runs — and holds the
+// two counters the saving rests on to a floor. After a first sweep the 260
+// Setups of a second may compute no sequential reference, and at least 85 %
+// of its 260 master images must come out of the pool (measured 98–99.6 %: a sync.Pool
+// keeps its newest item where only the P that put it looks, and the GC
+// empties what two collections found idle).
+func TestSweepgridPoolAndMemoVitals(t *testing.T) {
+	grid := []dsmsim.FaultVariant{{Name: "none"}}
+	for i := uint64(1); i <= 11; i++ {
+		grid = append(grid, dsmsim.FaultVariant{
+			Name: fmt.Sprintf("s%d", i),
+			Plan: dsmsim.NewFaultPlan(dsmsim.Drop(0.02), dsmsim.FaultSeed(i), dsmsim.StartAtBarrier(12)),
+		})
+	}
+	spec := dsmsim.SweepSpec{
+		Apps: []string{"ocean-rowwise", "lu"}, Protocols: dsmsim.AllProtocols(), Granularities: []int{256, 4096},
+		Nodes: 16, SkipBaselines: true,
+	}
+	sweep := func() {
+		res, err := dsmsim.Sweep(context.Background(), spec, dsmsim.WithFaultGrid(grid...),
+			dsmsim.WithParallelism(2), dsmsim.WithVerify(), dsmsim.WithFork())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Runs) != 240 || res.Fork.ForkedRuns != 240 || res.Fork.Prefixes != 20 {
+			t.Fatalf("%d runs, %d forked from %d prefixes; want 240, 240 and 20", len(res.Runs), res.Fork.ForkedRuns, res.Fork.Prefixes)
+		}
+	}
+	sweep() // an iteration of the benchmark is not the process's first
+	computed0, shared0 := apps.RefStats()
+	hits0, misses0 := core.ImagePoolStats()
+	sweep()
+	computed, shared := apps.RefStats()
+	hits, misses := core.ImagePoolStats()
+	computed, shared, hits, misses = computed-computed0, shared-shared0, hits-hits0, misses-misses0
+	t.Logf("references: %d computed, %d shared; images: %d recycled, %d allocated", computed, shared, hits, misses)
+	if computed != 0 || shared != 260 {
+		t.Errorf("260 Setups computed %d references and shared %d; want 0 and 260", computed, shared)
+	}
+	if race.Enabled {
+		return // a sync.Pool drops a quarter of its Puts under the race detector
+	}
+	if hits+misses != 260 || hits < 221 {
+		t.Errorf("%d of %d master images came out of the pool; want at least 221 of 260", hits, hits+misses)
+	}
+}
