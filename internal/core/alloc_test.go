@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"dsmsim/internal/race"
+	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
 )
 
@@ -77,11 +77,10 @@ func TestAccessNoFaultZeroAlloc(t *testing.T) {
 // copying them (or the arrival clocks) per receiver makes an episode
 // O(nodes²): 16x the bytes at 4x the nodes instead of 4x.
 func TestBarrierEpisodeAllocLinear(t *testing.T) {
-	if race.Enabled {
-		// Failed one run in three there before it was skipped: the two
-		// run lengths no longer draw the same spaces from the pool.
-		t.Skip("under the race detector a sync.Pool drops a quarter of its Puts")
-	}
+	// Every measured run draws the slabs the run before gave back, whatever
+	// the runtime would have kept of them: a slab allocated in the short run
+	// and not in the long one is larger than the episodes in between.
+	defer mem.StackSlabs(nil)()
 	run := func(nodes, episodes int) uint64 {
 		var base int
 		app := &testApp{
@@ -111,8 +110,8 @@ func TestBarrierEpisodeAllocLinear(t *testing.T) {
 	// Machine build and warm-up cancel in the difference of two run lengths.
 	perEpisode := func(nodes int) float64 {
 		const short, long = 8, 40
-		run(nodes, short) // fill the pools both measured runs draw from
-		return float64(run(nodes, long)-run(nodes, short)) / (long - short)
+		run(nodes, short) // fill the pool both measured runs draw from
+		return (float64(run(nodes, long)) - float64(run(nodes, short))) / (long - short)
 	}
 	small, large := perEpisode(64), perEpisode(256)
 	t.Logf("bytes per barrier episode: %.0f at 64 nodes, %.0f at 256 nodes (%.1fx)", small, large, large/small)
@@ -173,17 +172,15 @@ func TestRunBytesLinearInNodes(t *testing.T) {
 }
 
 // TestFailedRunsReturnTheirSlabs pins that every exit of a run gives back
-// what it drew from the pools, not only the one that produces a Result: a
+// what it drew from the pool, not only the one that produces a Result: a
 // run that hits the virtual-time limit, one cancelled from the host, and a
 // prefix run that ends before its cut each leave four 4 MB spaces and a 4 MB
-// master image behind, and the next run must find them in the pools. Eight
+// master image behind, and the next run must find them in the pool. Eight
 // failures of each kind may allocate less than one slab per failure
 // (measured ≈ 80 KB: engine, network, procs, stats); dropping the slabs to
 // the GC instead read 19.8 MB per failure.
 func TestFailedRunsReturnTheirSlabs(t *testing.T) {
-	if race.Enabled {
-		t.Skip("under the race detector a sync.Pool drops a quarter of its Puts")
-	}
+	defer mem.StackSlabs(nil)()
 	const heap, nodes, failures = 4 << 20, 4, 8
 	cfg := Config{Nodes: nodes, BlockSize: 4096, Protocol: HLRC, Limit: 100 * sim.Second}
 	var cancel context.CancelFunc
@@ -250,14 +247,9 @@ func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 			return err
 		}},
 	}
-	// The slabs come back out of the pools the failure before filled, as
-	// long as no collection empties them in between and the test stays on
-	// one P (a sync.Pool keeps its newest item where only that P looks).
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	slab := float64(heap + heap/4096)
 	for _, k := range kinds {
-		k.fail() // fill the pools the measured failures draw from
+		k.fail() // fill the pool the measured failures draw from
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < failures; i++ {

@@ -6,8 +6,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -15,7 +13,6 @@ import (
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/mem"
-	"dsmsim/internal/race"
 	"dsmsim/internal/sim"
 )
 
@@ -51,11 +48,12 @@ func cleanPagesAreZero(sp *mem.Space) error {
 // to a space's bytes that bypasses the map shows here as a named page, not
 // as a wrong number three runs later out of the pool.
 //
-// The master image is recycled on the same terms (core.Heap's page map, the
-// spaces' merged into it by the final write-back), so a second hook checks
-// every image about to be pooled — the verified one of each run here, and
-// the one each prefix run of the fork chain never shows anybody — for a
-// non-zero byte anywhere in its bytes or its map.
+// What Release leaves has to be zero too, and the master image is recycled
+// on the same terms (core.Heap's page map, the spaces' merged into it by the
+// final write-back), so a second check sees every slab as it is pooled —
+// each space's, the verified image of each run here, and the one each prefix
+// run of the fork chain never shows anybody — and looks for a non-zero byte
+// anywhere in its bytes or its map.
 //
 // Every registered protocol x {64, 4096, 8192} B x every registered app runs
 // with a fault plan and every observer on; then every app as a Sequential
@@ -63,7 +61,7 @@ func cleanPagesAreZero(sp *mem.Space) error {
 // last leg runs under a start-gated fault plan.
 func TestCleanPagesZeroAtRelease(t *testing.T) {
 	var mu sync.Mutex
-	spaces, images, failures := 0, 0, 0
+	spaces, slabs, failures := 0, 0, 0
 	report := func(err error) {
 		if err != nil {
 			if failures++; failures <= 5 {
@@ -78,14 +76,14 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 		spaces++
 		report(err)
 	})()
-	defer core.SetImageReleaseHook(func(image []byte) {
+	defer mem.StackSlabs(func(whole []byte) {
 		var err error
-		if i := bytes.IndexFunc(image, func(r rune) bool { return r != 0 }); i >= 0 {
-			err = fmt.Errorf("pooled image of %d bytes holds %#x at byte %d (page %d)", len(image), image[i], i, i/mem.PageSize)
+		if i := bytes.IndexFunc(whole, func(r rune) bool { return r != 0 }); i >= 0 {
+			err = fmt.Errorf("pooled slab of %d bytes holds %#x at byte %d (page %d)", len(whole), whole[i], i, i/mem.PageSize)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		images++
+		slabs++
 		report(err)
 	})()
 
@@ -163,11 +161,10 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 			})
 		}
 	}
-	if spaces == 0 || images == 0 {
-		t.Fatalf("the release hooks saw %d spaces and %d images", spaces, images)
+	if spaces == 0 || slabs <= spaces {
+		t.Fatalf("the release checks saw %d spaces and %d slabs; want every space's slab and the images", spaces, slabs)
 	}
-	hits, misses := core.ImagePoolStats()
-	t.Logf("%d spaces and %d images checked at release; image pool so far: %d hits, %d misses", spaces, images, hits, misses)
+	t.Logf("%d spaces checked before release, %d slabs (theirs and %d master images) after", spaces, slabs, slabs-spaces)
 }
 
 // TestRunDirtyFootprint pins the traffic assumption the dirty map's saving
@@ -228,32 +225,24 @@ func TestRunDirtyFootprint(t *testing.T) {
 	}
 }
 
-// TestRecycledImageRunsLikeFresh runs lu on an image the runtime has just
-// zeroed, gives it back, runs barnes-original (a 16x larger image, which
+// TestRecycledImageRunsLikeFresh runs lu on slabs the runtime has just
+// zeroed, gives them back, runs barnes-original (a 16x larger image, which
 // lu's cannot serve, with particles and a cell pool the run scribbles over)
-// and gives that back, then runs lu again out of the pool: the second lu
-// must draw barnes's image, cut down to its own size, and produce the first
-// one's final image, line trace and counters byte for byte. With the fork chain of TestCleanPagesZeroAtRelease and the
-// commit-anchored constants of apps.TestGoldenTraceDigests, whose runs now
-// also hand their images on, this is what says a pooled image is
-// indistinguishable from a fresh one.
+// and gives that back, then runs lu again out of the pools: the second lu
+// must draw barnes's slabs, cut down to its own size, and produce the first
+// one's final image, line trace and counters byte for byte. With the fork
+// chain of TestCleanPagesZeroAtRelease and the commit-anchored constants of
+// apps.TestGoldenTraceDigests, whose runs also hand their images on, this is
+// what says a pooled image is indistinguishable from a fresh one.
 func TestRecycledImageRunsLikeFresh(t *testing.T) {
-	if race.Enabled {
-		t.Skip("under the race detector a sync.Pool drops a quarter of its Puts")
-	}
-	// Two collections empty every sync.Pool, so the first run must allocate;
-	// none may run after that, or the second lu would too. One P, because a
-	// sync.Pool keeps its newest item where only the P that put it looks.
-	runtime.GC()
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer mem.StackSlabs(nil)() // starts empty: the first run must allocate
 
+	const nodes = 4
 	type outcome struct {
-		image, trace [sha256.Size]byte
-		time         sim.Time
-		msgs, bytes  int64
-		hit          bool
+		image, trace   [sha256.Size]byte
+		time           sim.Time
+		msgs, bytes    int64
+		spaces, master mem.PoolCounts
 	}
 	run := func(name string) outcome {
 		entry, err := apps.Get(name)
@@ -261,22 +250,23 @@ func TestRecycledImageRunsLikeFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		var line bytes.Buffer
-		m, err := core.NewMachine(core.Config{Nodes: 4, BlockSize: 1024, Protocol: core.HLRC, Trace: &line})
+		m, err := core.NewMachine(core.Config{Nodes: nodes, BlockSize: 1024, Protocol: core.HLRC, Trace: &line})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits0, _ := core.ImagePoolStats()
+		spaces0, master0 := mem.SlabStats()
 		app := entry.New(apps.Small)
 		res, err := m.RunVerified(app)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits, _ := core.ImagePoolStats()
+		spaces, master := mem.SlabStats()
 		out := outcome{
 			image: sha256.Sum256(res.Heap.Bytes(0, res.Heap.Used())),
 			trace: sha256.Sum256(line.Bytes()),
 			time:  res.Time, msgs: res.NetMsgs, bytes: res.NetBytes,
-			hit: hits > hits0,
+			spaces: mem.PoolCounts{Hits: spaces.Hits - spaces0.Hits, Misses: spaces.Misses - spaces0.Misses},
+			master: mem.PoolCounts{Hits: master.Hits - master0.Hits, Misses: master.Misses - master0.Misses},
 		}
 		core.ReleaseImage(res)
 		if res.Heap != nil {
@@ -287,11 +277,14 @@ func TestRecycledImageRunsLikeFresh(t *testing.T) {
 	fresh := run("lu")
 	run("barnes-original")
 	recycled := run("lu")
-	if fresh.hit || !recycled.hit {
-		t.Fatalf("image pool hit on the first lu: %v, on the second: %v; want a fresh image, then a recycled one", fresh.hit, recycled.hit)
+	allocated, drawn := mem.PoolCounts{Misses: nodes}, mem.PoolCounts{Hits: nodes}
+	if fresh.spaces != allocated || fresh.master != (mem.PoolCounts{Misses: 1}) ||
+		recycled.spaces != drawn || recycled.master != (mem.PoolCounts{Hits: 1}) {
+		t.Fatalf("the first lu's spaces and image (hits, misses): %v and %v, the second's %v and %v; want every slab allocated, then every slab recycled",
+			fresh.spaces, fresh.master, recycled.spaces, recycled.master)
 	}
-	recycled.hit = false
+	recycled.spaces, recycled.master = fresh.spaces, fresh.master
 	if recycled != fresh {
-		t.Errorf("lu on a recycled image differs from lu on a fresh one:\nfresh    %+v\nrecycled %+v", fresh, recycled)
+		t.Errorf("lu on recycled slabs differs from lu on fresh ones:\nfresh    %+v\nrecycled %+v", fresh, recycled)
 	}
 }

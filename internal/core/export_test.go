@@ -8,11 +8,3 @@ func SetReleaseHook(fn func(*mem.Space)) (restore func()) {
 	releaseHook = fn
 	return func() { releaseHook = nil }
 }
-
-// SetImageReleaseHook installs fn as the hook that sees every master image
-// (bytes followed by page map) just before it is pooled, and returns the
-// function that removes it again.
-func SetImageReleaseHook(fn func(image []byte)) (restore func()) {
-	imageReleaseHook = fn
-	return func() { imageReleaseHook = nil }
-}

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"dsmsim/internal/mem"
 	"dsmsim/internal/view"
 )
@@ -20,71 +17,23 @@ type Heap struct {
 	alloc   *mem.Allocator
 	master  []byte
 	touched mem.PageMap
-	img     *image // what master and touched are cut from; nil once released
+	slab    *mem.Slab // what master and touched are; nil once released
 }
-
-// image is one pooled allocation, cut afresh by each run that draws it into
-// a master image followed by its page map.
-type image struct{ buf []byte }
-
-// imagePool recycles master images across runs exactly as mem's spacePool
-// recycles the spaces' slabs: a pooled image is all-zero over its whole
-// length, so it can be cut to any heap size that fits and the run starts as
-// on a fresh allocation; giving it back costs the pages the run marked, not
-// the heap it reserved.
-//
-// One pool for every size, and an image too small for the request is
-// dropped: the images in circulation converge on the largest heap among the
-// applications being run, one per worker, and a small heap cut from a large
-// image costs nothing because nothing is cleared by size. Measured on 120
-// interleaved runs of all twelve applications from a cold pool, 2–4 images
-// allocated; a pool per exact size allocated 16–18 (one per size and
-// worker), and both recycle 98–99 % on a matrix that repeats. The GC
-// empties a pool nobody draws from, so nothing here needs a bound.
-var (
-	imagePool              sync.Pool
-	imageHits, imageMisses atomic.Int64
-)
 
 // newHeap returns an empty heap of size bytes over an all-zero image.
 func newHeap(size int) *Heap {
-	n := size + mem.NumPages(size)
-	img, _ := imagePool.Get().(*image)
-	if img != nil && len(img.buf) >= n {
-		imageHits.Add(1)
-	} else {
-		imageMisses.Add(1)
-		img = &image{buf: make([]byte, n)}
-	}
-	return &Heap{
-		alloc:   mem.NewAllocator(size),
-		master:  img.buf[:size:size],
-		touched: mem.PageMap(img.buf[size:n:n]),
-		img:     img,
-	}
+	slab := mem.NewImage(size)
+	return &Heap{alloc: mem.NewAllocator(size), master: slab.Data, touched: slab.Pages, slab: slab}
 }
 
-// imageReleaseHook, when non-nil, sees every image, whole, just before it is
-// pooled. Tests set it to check the all-zero invariant on real runs.
-var imageReleaseHook func(image []byte)
-
-// release zeroes the image — the marked pages, then the map; unmarked pages
-// are zero already — and pools it. The heap is empty afterwards: a stale
-// use indexes a nil slice instead of reading another run's image.
+// release gives the image back to the pool, which clears the pages touched
+// marks. The heap is empty afterwards: a stale use indexes a nil slice
+// instead of reading another run's image.
 func (h *Heap) release() {
-	img := h.img
-	if img == nil {
-		return
+	if h.slab != nil {
+		h.slab.Release()
+		h.slab, h.master, h.touched = nil, nil, nil
 	}
-	for lo, hi := range h.touched.Runs(len(h.master)) {
-		clear(h.master[lo:hi])
-	}
-	clear(h.touched)
-	if imageReleaseHook != nil {
-		imageReleaseHook(img.buf)
-	}
-	h.img, h.master, h.touched = nil, nil, nil
-	imagePool.Put(img)
 }
 
 // ReleaseImage gives res's master image back for the next run to draw and
@@ -96,12 +45,6 @@ func ReleaseImage(res *Result) {
 		res.Heap = nil
 		h.release()
 	}
-}
-
-// ImagePoolStats reports how many runs of this process drew a recycled
-// master image and how many had to allocate one.
-func ImagePoolStats() (hits, misses int64) {
-	return imageHits.Load(), imageMisses.Load()
 }
 
 // Alloc reserves n bytes aligned to align (power of two) and returns the

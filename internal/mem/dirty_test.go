@@ -17,8 +17,8 @@ var blockSizes = []int{64, 256, 1024, 4096, 8192}
 // current geometry exposes, since the next NewSpace may lay it out larger.
 func assertFresh(t *testing.T, s *Space, when string) {
 	t.Helper()
-	if i := bytes.IndexFunc(s.slab[:cap(s.slab)], func(r rune) bool { return r != 0 }); i >= 0 {
-		t.Fatalf("%s: slab byte %d of %d is non-zero (size %d, block %d)", when, i, cap(s.slab), s.Size(), s.blockSize)
+	if i := bytes.IndexFunc(s.slab.buf, func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Fatalf("%s: slab byte %d of %d is non-zero (size %d, block %d)", when, i, len(s.slab.buf), s.Size(), s.blockSize)
 	}
 	if i := slices.IndexFunc(s.tags[:cap(s.tags)], func(a Access) bool { return a != NoAccess }); i >= 0 {
 		t.Fatalf("%s: tag %d of %d is %v (size %d, block %d)", when, i, cap(s.tags), s.tags[:cap(s.tags)][i], s.Size(), s.blockSize)
@@ -45,6 +45,7 @@ func scribble(s *Space) {
 // one a map indexed by the current geometry would get wrong: the big
 // space's last page lies beyond everything the small one can see.
 func TestPoolRoundTripAcrossGeometries(t *testing.T) {
+	defer StackSlabs(nil)() // every NewSpace after the first draws the slab just released
 	const big, small = 40 * 8192, 3 * 8192
 	for _, bs := range blockSizes {
 		for _, other := range blockSizes {

@@ -64,7 +64,7 @@ type Space struct {
 	// a wider one spans the 1<<wide pages from b<<wide.
 	narrow, wide uint8
 
-	slab  []byte // data followed by dirty: one allocation
+	slab  *Slab // data and dirty: one pooled allocation
 	data  []byte
 	tags  []Access
 	dirty PageMap
@@ -100,14 +100,10 @@ func NewSpace(size, blockSize int) *Space {
 	s.blockSize = blockSize
 	s.blockShift = uint(shift)
 	s.narrow, s.wide = uint8(max(pageShift-shift, 0)), uint8(max(shift-pageShift, 0))
-	// A recycled slab is all-zero over its whole capacity (see Release), so
-	// data and dirty can be laid out afresh for this size.
-	need := size + NumPages(size)
-	if cap(s.slab) < need {
-		s.slab = make([]byte, need)
-	}
-	s.data = s.slab[:size:size]
-	s.dirty = PageMap(s.slab[size:need:need])
+	s.slab = spaceSlabs.get(size)
+	s.data, s.dirty = s.slab.Data, s.slab.Pages
+	// Recycled tags are all-zero over their whole capacity (see Release), so
+	// they can be cut afresh for this geometry.
 	if cap(s.tags) < nblocks {
 		s.tags = make([]Access, nblocks)
 	}
@@ -115,31 +111,37 @@ func NewSpace(size, blockSize int) *Space {
 	return s
 }
 
-// spacePool recycles Space slabs across machine runs: a parameter sweep
-// allocates each node's multi-megabyte heap copy once instead of once per
-// run. A pooled Space is indistinguishable from a fresh one — its slab and
-// tags are all-zero over their whole capacity, whatever size and block
-// size it is next handed out at — and Release keeps that at the cost of
-// the pages the run dirtied, not of the heap it reserved.
+// spacePool recycles the Space structs and their tags across machine runs;
+// the bytes come from spaceSlabs. A pooled Space is indistinguishable
+// from a fresh one — its tags are all-zero over their whole capacity,
+// whatever size and block size it is next handed out at — and Release keeps
+// that at the cost of the pages the run dirtied, not of the heap it reserved.
 var spacePool sync.Pool
 
-// Release zeroes the space and returns its slabs to the pool for the next
-// run. The caller must not touch the space afterwards.
+// Release zeroes the space and returns its slab and itself to their pools
+// for the next run. The caller must not touch the space afterwards.
 func (s *Space) Release() {
-	s.zero()
+	s.zeroTags()
+	s.slab.Release()
+	s.slab, s.data, s.dirty = nil, nil, nil
 	s.ver = 0
 	s.OnTag = nil
 	spacePool.Put(s)
 }
 
-// zero returns the space to the all-clean state: data and tags of every
-// dirty page cleared, then the map itself. Clean pages are zero already.
-func (s *Space) zero() {
+// zeroTags clears the tags of every dirty page. Clean pages' are NoAccess
+// already.
+func (s *Space) zeroTags() {
 	for lo, hi := range s.dirty.Runs(len(s.data)) {
-		clear(s.data[lo:hi])
 		clear(s.tags[lo>>s.blockShift : hi>>s.blockShift])
 	}
-	clear(s.dirty)
+}
+
+// zero returns the space to the all-clean state: tags and data of every
+// dirty page cleared, then the map itself.
+func (s *Space) zero() {
+	s.zeroTags()
+	s.slab.zero()
 }
 
 // Size returns the space size in bytes.

@@ -8,8 +8,7 @@ import (
 
 	"dsmsim"
 	"dsmsim/internal/apps"
-	"dsmsim/internal/core"
-	"dsmsim/internal/race"
+	"dsmsim/internal/mem"
 )
 
 // TestSweepHoldsNoImages pins what a sweep's results retain: verification
@@ -36,8 +35,8 @@ func TestSweepHoldsNoImages(t *testing.T) {
 		}
 		return res
 	}
-	// Two collections: the first only moves the image pools to their victim
-	// caches.
+	// Two collections: the first only moves the slab pool to its victim
+	// cache.
 	live := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -71,12 +70,16 @@ func TestSweepHoldsNoImages(t *testing.T) {
 // TestSweepgridPoolAndMemoVitals runs the plan of the benchmark's sweepgrid
 // workload — two resumable apps × every protocol × {256, 4096} B × 12 fault
 // variants, forked, two workers: 240 runs and 20 prefix runs — and holds the
-// two counters the saving rests on to a floor. After a first sweep the 260
-// Setups of a second may compute no sequential reference, and at least 85 %
-// of its 260 master images must come out of the pool (measured 98–99.6 %: a sync.Pool
-// keeps its newest item where only the P that put it looks, and the GC
-// empties what two collections found idle).
+// counters the saving rests on to a floor. After a first sweep the 260
+// Setups of a second may compute no sequential reference, and at least 98 %
+// of its 260 master images and of its 260 × 16 spaces' slabs must come out
+// of their pools (measured: all of them; the slack is for a worker that
+// draws one of ocean's slabs for lu). The slabs wait on stacks here, so the
+// floor holds the pools' policy — one pool for every size, every exit of a
+// run giving back — and not a sync.Pool's retention, which read 98–99.6 % of
+// the images on the same plan.
 func TestSweepgridPoolAndMemoVitals(t *testing.T) {
+	defer mem.StackSlabs(nil)()
 	grid := []dsmsim.FaultVariant{{Name: "none"}}
 	for i := uint64(1); i <= 11; i++ {
 		grid = append(grid, dsmsim.FaultVariant{
@@ -100,19 +103,24 @@ func TestSweepgridPoolAndMemoVitals(t *testing.T) {
 	}
 	sweep() // an iteration of the benchmark is not the process's first
 	computed0, shared0 := apps.RefStats()
-	hits0, misses0 := core.ImagePoolStats()
+	spaces0, images0 := mem.SlabStats()
 	sweep()
 	computed, shared := apps.RefStats()
-	hits, misses := core.ImagePoolStats()
-	computed, shared, hits, misses = computed-computed0, shared-shared0, hits-hits0, misses-misses0
-	t.Logf("references: %d computed, %d shared; images: %d recycled, %d allocated", computed, shared, hits, misses)
+	spaces, images := mem.SlabStats()
+	computed, shared = computed-computed0, shared-shared0
+	t.Logf("references: %d computed, %d shared", computed, shared)
 	if computed != 0 || shared != 260 {
 		t.Errorf("260 Setups computed %d references and shared %d; want 0 and 260", computed, shared)
 	}
-	if race.Enabled {
-		return // a sync.Pool drops a quarter of its Puts under the race detector
-	}
-	if hits+misses != 260 || hits < 221 {
-		t.Errorf("%d of %d master images came out of the pool; want at least 221 of 260", hits, hits+misses)
+	for _, pool := range []struct {
+		name          string
+		before, after mem.PoolCounts
+		draws         int64
+	}{{"master images", images0, images, 260}, {"spaces' slabs", spaces0, spaces, 260 * 16}} {
+		hits, misses := pool.after.Hits-pool.before.Hits, pool.after.Misses-pool.before.Misses
+		t.Logf("%s: %d recycled, %d allocated", pool.name, hits, misses)
+		if hits+misses != pool.draws || hits < pool.draws*98/100 {
+			t.Errorf("%d of %d %s came out of the pool; want at least %d of %d", hits, hits+misses, pool.name, pool.draws*98/100, pool.draws)
+		}
 	}
 }
