@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test test-short bench bench-one examples paper verify-paper demos clean
+.PHONY: all test test-short bench bench-one examples verify-paper demos clean
 
 all: test
 
@@ -37,13 +37,9 @@ examples:
 	$(GO) run ./examples/stencil
 	$(GO) run ./examples/protocols lu
 
-# Regenerate every paper table and figure at the paper's problem sizes
-# (tens of minutes; writes results_paper.txt and results.csv).
-paper:
-	$(GO) run ./cmd/dsmbench -exp all -size paper -nodes 16 \
-		-csv results.csv > results_paper.txt
-
-# Paper-scale sweep with per-run result verification (slower).
+# Regenerate every paper table and figure at the paper's problem sizes,
+# verifying every run's numeric result (tens of minutes; writes
+# results_paper.txt and results.csv).
 verify-paper:
 	$(GO) run ./cmd/dsmbench -exp all -size paper -nodes 16 -verify \
 		-csv results.csv > results_paper.txt

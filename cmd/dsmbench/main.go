@@ -109,7 +109,6 @@ func (c *cli) run() (err error) {
 	if err != nil {
 		return err
 	}
-	defer r.Flush()
 
 	// Fan the selected experiments' runs out over the worker pool; Ctrl-C
 	// cancels the in-flight simulations between virtual-time steps.

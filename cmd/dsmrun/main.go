@@ -292,9 +292,7 @@ func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options
 		if err != nil {
 			return err
 		}
-		sink := sweep.NewSink(nil, w, false, nil, nil, nil, false, false)
-		sink.Emit(sweep.Key{App: spec.Apps[0]}, res)
-		sink.Close()
+		sweep.NewSink(nil, w, false, nil, nil, nil, false, false).Emit(sweep.Key{App: spec.Apps[0]}, res)
 	}
 	// A flag names its file only with its observer on (Apply, the check
 	// above), so the report each bound method belongs to is non-nil.

@@ -47,6 +47,7 @@ import (
 	"dsmsim/internal/shareprof"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
+	"dsmsim/internal/sweep"
 )
 
 // Re-exported core types: see the core package for full documentation.
@@ -88,10 +89,11 @@ type (
 	// Series is a run's sampler time-series (Result.Samples), exportable
 	// as CSV or a Chrome-trace counter track.
 	Series = metrics.Series
-	// Metrics is the live sweep-progress registry: attach one with
-	// WithMetrics, serve it with Metrics.Serve (Prometheus text at
-	// /metrics, expvar at /debug/vars, a JSON progress doc at /progress).
-	Metrics = metrics.Registry
+	// Metrics is the live sweep registry: attach one with WithMetrics and
+	// serve it with Metrics.Serve, which exposes one endpoint, Prometheus
+	// text at /metrics. Each point is counted once, however many times a
+	// sweep looks it up; repeat lookups count as memo hits.
+	Metrics = sweep.Registry
 	// SharingReport is the sharing-pattern profiler's per-run report
 	// (Result.Sharing under WithShareProfile): per-region taxonomy
 	// classification and true/false-sharing fault attribution,
@@ -123,7 +125,7 @@ type (
 func ParseWhatIf(spec string) (*CritScale, error) { return critpath.ParseScale(spec) }
 
 // NewMetrics creates a live metrics registry for WithMetrics.
-func NewMetrics() *Metrics { return metrics.NewRegistry() }
+func NewMetrics() *Metrics { return sweep.NewRegistry() }
 
 // Protocol names. DC (delayed consistency) and TLC (timestamp lease
 // coherence) are this library's extensions beyond the paper's three

@@ -18,7 +18,6 @@ import (
 	"dsmsim/internal/apps"
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
-	"dsmsim/internal/metrics"
 	"dsmsim/internal/profiling"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/sweep"
@@ -170,7 +169,7 @@ func (s *Shared) OpenSinks(o *sweep.Options, stderr io.Writer) error {
 		*f.w = w
 	}
 	if s.MetricsAddr != "" {
-		reg := metrics.NewRegistry()
+		reg := sweep.NewRegistry()
 		addr, stop, err := reg.Serve(s.MetricsAddr)
 		if err != nil {
 			return err

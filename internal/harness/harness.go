@@ -6,8 +6,8 @@
 //
 // All runs go through the sweep engine (internal/sweep): results are
 // memoized so experiments share them (the fault tables reuse Figure 1's
-// runs, for example), progress and CSV output is serialized through one
-// goroutine, and Prefetch fans an experiment's whole point set out over a
+// runs, for example), progress and CSV output is written under one lock in
+// canonical order, and Prefetch fans an experiment's whole point set out over a
 // worker pool before the table renders — with output identical, byte for
 // byte, to fully serial execution.
 package harness
@@ -112,10 +112,6 @@ func (r *Runner) Prefetch(ctx context.Context, keys []sweep.Key) error {
 	return err
 }
 
-// Flush blocks until all progress/CSV output enqueued so far is written.
-// Call before inspecting the Progress or CSV writers.
-func (r *Runner) Flush() { r.eng.Flush() }
-
 // Speedup returns T_seq / T_par for one configuration.
 func (r *Runner) Speedup(app, proto string, block int, notify network.Notify) (float64, error) {
 	seq, err := r.Sequential(app)
@@ -147,7 +143,7 @@ func (r *Runner) runConfig(app string, cfg core.Config) (*core.Result, error) {
 	return dsmsim.Start(context.Background(), cfg, entry.New(r.opts.Size), dsmsim.WithVerify(r.opts.Verify))
 }
 
-// progress emits one custom progress line through the serializing sink.
+// progress emits one custom progress line through the engine's sink.
 func (r *Runner) progress(format string, args ...any) { r.eng.Sink().Logf(format, args...) }
 
 func (r *Runner) printf(format string, args ...any) {

@@ -250,7 +250,6 @@ func TestPrefetchParallelDeterminism(t *testing.T) {
 		if err := e.Run(r); err != nil {
 			t.Fatal(err)
 		}
-		r.Flush()
 		return tb.String(), pb.String(), cb.String()
 	}
 	t1, p1, c1 := render(1)
@@ -266,6 +265,46 @@ func TestPrefetchParallelDeterminism(t *testing.T) {
 	}
 	if t1 == "" || p1 == "" || c1 == "" {
 		t.Fatal("missing output")
+	}
+}
+
+// TestMemoHitIsNotANewPoint: rendering a prefetched table looks each of its
+// points up again, and every such lookup is served by the memo. /metrics
+// must still count each point once and list each series once (Prometheus
+// rejects a repeated sample), while the memo-hit counter counts the
+// lookups.
+func TestMemoHitIsNotANewPoint(t *testing.T) {
+	reg := sweep.NewRegistry()
+	r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Workers: 2, Metrics: reg}, Nodes: 4, Out: io.Discard})
+	e, err := Get("table3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(r); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	reg.WritePrometheus(&text)
+	for _, want := range []string{"dsmsim_sweep_points_total 12\n", "dsmsim_sweep_points_completed 12\n",
+		"dsmsim_sweep_memo_hits_total 24\n"} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimRight(text.String(), "\n"), "\n") {
+		if series, _, _ := strings.Cut(line, " "); !strings.HasPrefix(line, "#") {
+			if seen[series] {
+				t.Errorf("series %s repeats", series)
+			}
+			seen[series] = true
+		}
+	}
+	if t.Failed() {
+		t.Logf("/metrics:\n%s", text.String())
 	}
 }
 
@@ -286,12 +325,10 @@ func TestPointsForCoversExperiments(t *testing.T) {
 			if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
 				t.Fatal(err)
 			}
-			r.Flush()
 			runs, progress := cb.Len(), pb.Len()
 			if err := e.Run(r); err != nil {
 				t.Fatal(err)
 			}
-			r.Flush()
 			uncovered := cb.String()[runs:]
 			for _, line := range strings.SplitAfter(pb.String()[progress:], "\n") {
 				if strings.HasPrefix(line, "seq ") {
@@ -325,7 +362,6 @@ func TestCSVOutput(t *testing.T) {
 	if _, err := r.Result("lu", "sc", 64, network.Polling); err != nil {
 		t.Fatal(err)
 	}
-	r.Flush()
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("csv lines = %d, want header + 2 records:\n%s", len(lines), csv.String())

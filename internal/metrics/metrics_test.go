@@ -2,14 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
-	"time"
 
-	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
 )
 
@@ -148,116 +143,5 @@ func TestPhaseAccountantDropsEmptyTail(t *testing.T) {
 	a.Cut(0, 50, n) // finish cut with nothing since the barrier
 	if ph := a.Phases(); len(ph) != 1 {
 		t.Fatalf("%d phases, want empty tail dropped", len(ph))
-	}
-}
-
-func TestRegistryPrometheusAndProgress(t *testing.T) {
-	r := NewRegistry()
-	r.AddTotal(4)
-	r.PointStarted("lu/sc/64/polling/4p")
-	r.PointDone(PointResult{Key: "lu/sc/64/polling/4p", Wall: 50 * time.Millisecond,
-		Virtual: sim.Time(2 * sim.Second), ReadFaults: 10, WriteFaults: 5, NetBytes: 1 << 20,
-		Profiled: true, TrueSharing: 7, FalseSharing: 3, FalseFraction: 0.3})
-	r.PointStarted("lu/seq")
-	r.PointDone(PointResult{Key: "lu/seq", Wall: time.Millisecond, Virtual: sim.Second, Memoized: true})
-
-	var buf strings.Builder
-	r.WritePrometheus(&buf)
-	text := buf.String()
-	for _, want := range []string{
-		"dsmsim_sweep_points_total 4",
-		"dsmsim_sweep_points_completed 2",
-		"dsmsim_sweep_points_running 0",
-		"dsmsim_sweep_memo_hits_total 1",
-		"dsmsim_sweep_eta_seconds",
-		`dsmsim_point_wall_seconds{point="lu/sc/64/polling/4p"} 0.050`,
-		`dsmsim_point_read_faults{point="lu/sc/64/polling/4p"} 10`,
-		`dsmsim_point_true_sharing_faults{point="lu/sc/64/polling/4p"} 7`,
-		`dsmsim_point_false_sharing_faults{point="lu/sc/64/polling/4p"} 3`,
-		`dsmsim_point_false_sharing_fraction{point="lu/sc/64/polling/4p"} 0.300`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Prometheus text missing %q:\n%s", want, text)
-		}
-	}
-	// Basic exposition-format sanity: every non-comment line is "name{...} value".
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if parts := strings.Fields(line); len(parts) != 2 {
-			t.Errorf("malformed metric line %q", line)
-		}
-	}
-
-	p := r.Snapshot()
-	if p.Completed != 2 || p.Total != 4 || p.MemoHits != 1 || len(p.Points) != 2 {
-		t.Errorf("progress doc wrong: %+v", p)
-	}
-	if p.ETASeconds <= 0 {
-		t.Errorf("no ETA with 2 of 4 points done: %+v", p)
-	}
-}
-
-func TestRegistryServe(t *testing.T) {
-	r := NewRegistry()
-	r.AddTotal(1)
-	r.PointDone(PointResult{Key: "fft/hlrc/1024/polling/8p", Wall: time.Millisecond, Virtual: sim.Second})
-	addr, stop, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		return string(b)
-	}
-	if body := get("/metrics"); !strings.Contains(body, "dsmsim_sweep_points_completed 1") {
-		t.Errorf("/metrics missing completion count:\n%s", body)
-	}
-	var prog Progress
-	if err := json.Unmarshal([]byte(get("/progress")), &prog); err != nil {
-		t.Fatalf("/progress does not parse: %v", err)
-	}
-	if prog.Completed != 1 || prog.Points[0].Key != "fft/hlrc/1024/polling/8p" {
-		t.Errorf("/progress wrong: %+v", prog)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars does not parse: %v", err)
-	}
-	if _, ok := vars["dsmsim"]; !ok {
-		t.Error("/debug/vars missing the dsmsim progress var")
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	r.AddTotal(64)
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		w := w
-		go func() {
-			for i := 0; i < 8; i++ {
-				key := fmt.Sprintf("app%d/sc/64/polling/4p", w*8+i)
-				r.PointStarted(key)
-				r.PointDone(PointResult{Key: key, Wall: time.Microsecond, Virtual: 1})
-			}
-			done <- struct{}{}
-		}()
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	if p := r.Snapshot(); p.Completed != 64 || p.Running != 0 {
-		t.Errorf("after 64 concurrent points: %+v", p)
 	}
 }

@@ -1,16 +1,15 @@
-// Package metrics is the simulator's observability layer above the raw
-// counters of internal/stats: a virtual-time sampler turning per-node
-// totals into deterministic time-series, a phase accountant cutting those
-// totals at barrier epochs into the paper's Figure-2 execution-time
-// breakdown, and a live registry exporting sweep progress over HTTP while
-// a long evaluation runs.
+// Package metrics is the simulator's per-run observability layer above the
+// raw counters of internal/stats: a virtual-time sampler turning per-node
+// totals into deterministic time-series, and a phase accountant cutting
+// those totals at barrier epochs into the paper's Figure-2 execution-time
+// breakdown. (The live view of a whole sweep, served at /metrics, is
+// sweep.Registry.)
 //
-// Everything in this package is strictly observational, like
-// internal/trace: the sampler is driven by sim.Engine.SetSampler (which
-// fires between event dispatches, never from the event queue), the phase
-// accountant is pure bookkeeping in proc context, and the registry only
-// ever reads completed results. Enabling any of them leaves virtual time,
-// every counter, and all existing output byte-identical (tested).
+// Both are strictly observational, like internal/trace: the sampler is
+// driven by sim.Engine.SetSampler (which fires between event dispatches,
+// never from the event queue), and the phase accountant is pure
+// bookkeeping in proc context. Enabling either leaves virtual time, every
+// counter, and all existing output byte-identical (tested).
 package metrics
 
 import (

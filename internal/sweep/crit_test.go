@@ -26,7 +26,6 @@ func runCritSweep(t *testing.T, workers int, fork bool) (csv, crits string, eng 
 	if _, err := eng.Run(context.Background(), gridSpec(grid).Points()); err != nil {
 		t.Fatal(err)
 	}
-	eng.sink.Close()
 	return cb.String(), xb.String(), eng
 }
 

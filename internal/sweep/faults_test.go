@@ -38,7 +38,6 @@ func TestFaultSweepParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.sink.Close()
 		return pb.String(), cb.String(), res
 	}
 	p1, c1, r1 := run(1)
@@ -76,7 +75,6 @@ func TestFaultSweepSkipsSequentialBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.sink.Close()
 	if res[0].Retransmits != 0 || res[0].WireDrops != 0 {
 		t.Fatalf("sequential baseline saw faults: %+v", res[0].Retransmits)
 	}

@@ -1,11 +1,10 @@
 package sweep
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
 	"context"
+	"fmt"
+	"sync/atomic"
+	"time"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
@@ -86,6 +85,13 @@ type cpKey struct {
 	Epoch int
 }
 
+// warmup is one shared warmup prefix, as the engine's prefix memo holds it.
+type warmup struct {
+	cp    *core.Checkpoint
+	wall  time.Duration // host time the leader spent simulating the prefix
+	forks atomic.Int64  // runs served from this checkpoint
+}
+
 // computeForked runs one grid point through the shared-prefix path: obtain
 // (or join the single computation of) the group's fault-free prefix
 // checkpoint, then fork it under the point's own fault plan. The result is
@@ -95,7 +101,8 @@ type cpKey struct {
 func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app core.App, epoch int) (*core.Result, error) {
 	prefix := k
 	prefix.Fault = ""
-	cp, err := e.cps.Do(cpKey{Key: prefix, Epoch: epoch}, func() (*core.Checkpoint, error) {
+	w, err, _ := e.cps.Do(cpKey{Key: prefix, Epoch: epoch}, func() (*warmup, error) {
+		start := time.Now()
 		pcfg := cfg
 		pcfg.Faults = nil
 		m, err := core.NewMachine(pcfg)
@@ -108,7 +115,11 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 		}
 		// A fresh app instance: Setup mutates the app, and the prefix can
 		// run concurrently with flat-path runs holding the caller's.
-		return m.RunToBarrier(ctx, entry.New(e.opts.Size), epoch)
+		cp, err := m.RunToBarrier(ctx, entry.New(e.opts.Size), epoch)
+		if err != nil {
+			return nil, err
+		}
+		return &warmup{cp: cp, wall: time.Since(start)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -117,89 +128,12 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.RunFromCheckpoint(ctx, cp, app)
+	res, err := m.RunFromCheckpoint(ctx, w.cp, app)
 	if err != nil {
 		return nil, err
 	}
-	e.cps.addFork(cpKey{Key: prefix, Epoch: epoch})
+	w.forks.Add(1)
 	return e.checked(k, app, res)
-}
-
-// cpMemo is the checkpoint analog of Memo: a single-flight cache of shared
-// warmup prefixes keyed by (prefix point, cut epoch). Checkpoints are
-// retained for the engine's lifetime, like results — a later sweep over the
-// same grid reuses them. Failure handling matches Memo: a failed leader's
-// entry is forgotten and waiting followers retry with their own computation,
-// so one cancelled sweep cannot poison another's prefixes.
-type cpMemo struct {
-	mu sync.Mutex
-	m  map[cpKey]*cpEntry
-	// Grid points computed flat while Options.Fork was on: flat ones were
-	// never eligible, failed ones tried the fork path first.
-	flat, failed int
-}
-
-type cpEntry struct {
-	done chan struct{}
-	cp   *core.Checkpoint
-	err  error
-
-	wall  time.Duration // host time the leader spent simulating the prefix
-	forks int           // runs served from this checkpoint (guarded by cpMemo.mu)
-}
-
-// Do returns the memoized checkpoint for k, computing it with compute if
-// needed.
-func (m *cpMemo) Do(k cpKey, compute func() (*core.Checkpoint, error)) (*core.Checkpoint, error) {
-	for {
-		m.mu.Lock()
-		if m.m == nil {
-			m.m = map[cpKey]*cpEntry{}
-		}
-		if e, ok := m.m[k]; ok {
-			m.mu.Unlock()
-			<-e.done
-			if e.err == nil {
-				return e.cp, nil
-			}
-			continue // leader failed; its entry is gone — retry ourselves
-		}
-		e := &cpEntry{done: make(chan struct{})}
-		m.m[k] = e
-		m.mu.Unlock()
-
-		start := time.Now()
-		e.cp, e.err = compute()
-		e.wall = time.Since(start)
-		if e.err != nil {
-			m.mu.Lock()
-			delete(m.m, k)
-			m.mu.Unlock()
-		}
-		close(e.done)
-		return e.cp, e.err
-	}
-}
-
-// addFork records that one run was served from checkpoint k.
-func (m *cpMemo) addFork(k cpKey) {
-	m.mu.Lock()
-	if e, ok := m.m[k]; ok {
-		e.forks++
-	}
-	m.mu.Unlock()
-}
-
-// addFlat records that one grid point ran flat with forking on, after a
-// failed fork attempt or without one.
-func (m *cpMemo) addFlat(failed bool) {
-	m.mu.Lock()
-	if failed {
-		m.failed++
-	} else {
-		m.flat++
-	}
-	m.mu.Unlock()
 }
 
 // ForkStats summarizes what prefix sharing bought one engine: how many
@@ -220,15 +154,14 @@ type ForkStats struct {
 
 // ForkStats reports the engine's prefix-sharing counters so far.
 func (e *Engine) ForkStats() ForkStats {
-	e.cps.mu.Lock()
-	defer e.cps.mu.Unlock()
-	s := ForkStats{FlatRuns: e.cps.flat, FailedForks: e.cps.failed}
-	for _, ent := range e.cps.m {
+	s := ForkStats{FlatRuns: int(e.flatRuns.Load()), FailedForks: int(e.failedForks.Load())}
+	e.cps.each(func(w *warmup) {
+		forks := int(w.forks.Load())
 		s.Prefixes++
-		s.ForkedRuns += ent.forks
-		if ent.forks > 1 {
-			s.SavedWall += ent.wall * time.Duration(ent.forks-1)
+		s.ForkedRuns += forks
+		if forks > 1 {
+			s.SavedWall += w.wall * time.Duration(forks-1)
 		}
-	}
+	})
 	return s
 }

@@ -61,7 +61,6 @@ func runGridSweep(t *testing.T, workers int, fork bool) (progress, csv, samples 
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.sink.Close()
 	return pb.String(), cb.String(), sb.String(), res, eng
 }
 
@@ -127,7 +126,6 @@ func TestForkFallbackAppTooShort(t *testing.T) {
 		if _, err := e.Run(context.Background(), spec.Points()); err != nil {
 			t.Fatal(err)
 		}
-		e.sink.Close()
 		return cb.String(), e
 	}
 	flat, _ := run(false)

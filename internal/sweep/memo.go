@@ -6,69 +6,90 @@ import (
 	"dsmsim/internal/core"
 )
 
-// Memo is a concurrency-safe, single-flight cache of simulation results
-// keyed by run configuration. It replaces the old serial Runner.cache: when
-// several workers (or several experiments) want the same configuration at
-// once, exactly one computes it and the rest wait for that computation.
+// Memo is a concurrency-safe, single-flight cache: when several workers (or
+// several experiments) want the same key at once, exactly one computes it
+// and the rest wait for that computation. An Engine keeps two for its
+// lifetime — run results keyed by Key, and shared warmup prefixes keyed by
+// (prefix point, cut epoch) — so a later sweep over the same points reuses
+// both.
 //
-// Only successful results are retained, and without their master images
-// (Engine.checked gives each back once verified): what the memo holds for
-// the engine's lifetime is statistics. A failed computation is forgotten,
-// and waiters that had joined it retry with their own compute function — a
-// leader cancelled by its sweep's context cannot poison a follower from a
-// different sweep whose context is still live.
-type Memo struct {
+// Only successes are retained, and results without their master images
+// (Engine.checked gives each back once verified): what the memo holds is
+// statistics. A failed computation is forgotten, and waiters that had joined
+// it retry with their own compute function — a leader cancelled by its
+// sweep's context cannot poison a follower from a different sweep whose
+// context is still live. The zero value is an empty memo.
+type Memo[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[Key]*memoEntry
+	m  map[K]*call[V]
 }
 
-type memoEntry struct {
-	done chan struct{} // closed when res/err are set
-	res  *core.Result
+// call is one computation; done is closed once v and err are set.
+type call[V any] struct {
+	done chan struct{}
+	v    V
 	err  error
 }
 
-// NewMemo returns an empty memo.
-func NewMemo() *Memo { return &Memo{m: map[Key]*memoEntry{}} }
+// NewMemo returns an empty memo of run results.
+func NewMemo() *Memo[Key, *core.Result] { return &Memo[Key, *core.Result]{} }
 
-// Do returns the memoized result for k, computing it with compute if
-// needed. fresh reports whether this call performed the computation (as
-// opposed to hitting the cache or joining another caller's in-flight
-// computation) — emission of progress/CSV records keys off it so each run
-// is reported exactly once.
-func (m *Memo) Do(k Key, compute func() (*core.Result, error)) (res *core.Result, err error, fresh bool) {
+// Do returns the memoized value for k, computing it with compute if needed.
+// fresh reports whether this call performed the computation (as opposed to
+// hitting the cache or joining another caller's in-flight computation) —
+// emission of progress/CSV records keys off it so each run is reported
+// exactly once.
+func (m *Memo[K, V]) Do(k K, compute func() (V, error)) (v V, err error, fresh bool) {
 	for {
 		m.mu.Lock()
-		if e, ok := m.m[k]; ok {
+		if m.m == nil {
+			m.m = map[K]*call[V]{}
+		}
+		if c, ok := m.m[k]; ok {
 			m.mu.Unlock()
-			<-e.done
-			if e.err == nil {
-				return e.res, nil, false
+			<-c.done
+			if c.err == nil {
+				return c.v, nil, false
 			}
 			// The leader failed (typically: its sweep was cancelled) and
 			// forgot its entry. Retry with our own compute — if this
 			// caller's context is also dead, its compute fails fast.
 			continue
 		}
-		e := &memoEntry{done: make(chan struct{})}
-		m.m[k] = e
+		c := &call[V]{done: make(chan struct{})}
+		m.m[k] = c
 		m.mu.Unlock()
 
-		e.res, e.err = compute()
-		if e.err != nil {
+		c.v, c.err = compute()
+		if c.err != nil {
 			// Forget failures so a cancelled or aborted run can be retried.
 			m.mu.Lock()
 			delete(m.m, k)
 			m.mu.Unlock()
 		}
-		close(e.done)
-		return e.res, e.err, true
+		close(c.done)
+		return c.v, c.err, true
 	}
 }
 
-// Len returns the number of cached results.
-func (m *Memo) Len() int {
+// Len returns the number of cached and in-flight entries.
+func (m *Memo[K, V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.m)
+}
+
+// each calls fn on every value computed so far, in no particular order.
+// A failed entry leaves the map before its done channel closes, so every
+// finished entry still present succeeded.
+func (m *Memo[K, V]) each(fn func(V)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, c := range m.m {
+		select {
+		case <-c.done:
+			fn(c.v)
+		default:
+		}
+	}
 }

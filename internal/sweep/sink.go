@@ -13,22 +13,18 @@ import (
 	"dsmsim/internal/stats"
 )
 
-// Sink serializes all human- and machine-readable per-run output — progress
-// lines, latency summaries, CSV records — through one goroutine, so that
+// Sink writes all human- and machine-readable per-run output — progress
+// lines, latency summaries, CSV records — under one mutex, so that
 // concurrent runs never interleave partial lines and the writers themselves
 // need no locking. Emission order is whatever order Emit/Logf are called
 // in; the sweep scheduler calls them in canonical sweep order regardless of
 // run completion order, which is what makes parallel output byte-identical
-// to serial.
+// to serial. Every call has written its bytes by the time it returns.
 type Sink struct {
+	mu         sync.Mutex
 	progress   io.Writer
 	tables     []*csvTable
 	histograms bool
-
-	// faultCol adds the fault-variant column to every CSV schema and a
-	// variant tag to progress lines. On only for fault-grid sweeps, so
-	// grid-free output stays byte-identical to what it always was.
-	faultCol bool
 
 	// enriched switches progress lines to the metrics format: a
 	// completion counter prefix and per-run fault/traffic fields. The
@@ -36,20 +32,16 @@ type Sink struct {
 	// enriched output is as parallelism-independent as the legacy format.
 	enriched bool
 	emitted  int
-
-	mu     sync.Mutex // guards ch against Emit/Close races
-	ch     chan func()
-	done   chan struct{}
-	closed bool
 }
 
 // NewSink builds a sink. progress, csv, samples, profs and crits may be
 // nil; histograms adds a latency-distribution line after each run record;
 // enriched selects the counter-prefixed progress format (the live-metrics
-// mode); faultCol adds the fault-variant column (fault-grid sweeps).
+// mode); faultCol adds the fault-variant column to every CSV schema
+// (fault-grid sweeps; progress lines tag a point's variant whenever it has
+// one).
 func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.Writer, enriched, faultCol bool) *Sink {
-	s := &Sink{progress: progress, histograms: histograms, enriched: enriched,
-		faultCol: faultCol, ch: make(chan func(), 64), done: make(chan struct{})}
+	s := &Sink{progress: progress, histograms: histograms, enriched: enriched}
 	for _, t := range []*csvTable{
 		runTable(csv, faultCol),
 		keyedTable(samples, faultCol, metrics.SeriesHeader,
@@ -63,12 +55,6 @@ func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.
 			s.tables = append(s.tables, t)
 		}
 	}
-	go func() {
-		defer close(s.done)
-		for fn := range s.ch {
-			fn()
-		}
-	}()
 	return s
 }
 
@@ -76,88 +62,57 @@ func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.
 // summary, and the CSV record. Sequential-baseline runs get a progress line
 // only (they are not part of the paper's evaluation matrix).
 func (s *Sink) Emit(k Key, res *core.Result) {
-	s.enqueue(func() {
-		if s.progress != nil {
-			prefix := ""
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.progress != nil {
+		prefix := ""
+		if s.enriched {
+			s.emitted++
+			prefix = fmt.Sprintf("[%4d] ", s.emitted)
+		}
+		if k.Sequential {
+			fmt.Fprintf(s.progress, "%sseq  %-18s T=%v\n", prefix, k.App, res.Time)
+		} else {
+			tag := ""
+			if k.Fault != "" {
+				tag = " f=" + k.Fault
+			}
 			if s.enriched {
-				s.emitted++
-				prefix = fmt.Sprintf("[%4d] ", s.emitted)
-			}
-			if k.Sequential {
-				fmt.Fprintf(s.progress, "%sseq  %-18s T=%v\n", prefix, k.App, res.Time)
+				fmt.Fprintf(s.progress, "%srun  %-18s %-5s %4dB %-9s T=%v rf=%d wf=%d msgs=%d%s\n",
+					prefix, k.App, k.Protocol, k.Block, k.Notify, res.Time,
+					res.Total.ReadFaults, res.Total.WriteFaults, res.NetMsgs, tag)
 			} else {
-				tag := ""
-				if k.Fault != "" {
-					tag = " f=" + k.Fault
-				}
-				if s.enriched {
-					fmt.Fprintf(s.progress, "%srun  %-18s %-5s %4dB %-9s T=%v rf=%d wf=%d msgs=%d%s\n",
-						prefix, k.App, k.Protocol, k.Block, k.Notify, res.Time,
-						res.Total.ReadFaults, res.Total.WriteFaults, res.NetMsgs, tag)
-				} else {
-					fmt.Fprintf(s.progress, "run  %-18s %-5s %4dB %-9s T=%v%s\n",
-						k.App, k.Protocol, k.Block, k.Notify, res.Time, tag)
-				}
-				if s.histograms {
-					fault := FaultHist(res)
-					fmt.Fprintf(s.progress, "lat  %-18s fault[%s] msg[%s] lock[%s]\n",
-						k.App, fault.Summary(), res.MsgLatency.Summary(), res.Total.LockWait.Summary())
-				}
+				fmt.Fprintf(s.progress, "run  %-18s %-5s %4dB %-9s T=%v%s\n",
+					k.App, k.Protocol, k.Block, k.Notify, res.Time, tag)
+			}
+			if s.histograms {
+				fault := FaultHist(res)
+				fmt.Fprintf(s.progress, "lat  %-18s fault[%s] msg[%s] lock[%s]\n",
+					k.App, fault.Summary(), res.MsgLatency.Summary(), res.Total.LockWait.Summary())
 			}
 		}
-		if !k.Sequential {
-			for _, t := range s.tables {
-				t.Write(k, res)
-			}
+	}
+	if !k.Sequential {
+		for _, t := range s.tables {
+			t.Write(k, res)
 		}
-	})
+	}
 }
 
-// Logf writes one formatted progress line through the serializing
-// goroutine (for experiment-specific lines outside the standard matrix).
+// Logf writes one formatted progress line under the sink's lock (for
+// experiment-specific lines outside the standard matrix).
 func (s *Sink) Logf(format string, args ...any) {
 	if s.progress == nil {
 		return
 	}
-	s.enqueue(func() { fmt.Fprintf(s.progress, format+"\n", args...) })
-}
-
-func (s *Sink) enqueue(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		fn() // late emission after Close: degrade to synchronous
-		return
-	}
-	s.ch <- fn
+	fmt.Fprintf(s.progress, format+"\n", args...)
 }
 
-// Flush blocks until every record enqueued so far has been written.
-func (s *Sink) Flush() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	ack := make(chan struct{})
-	s.ch <- func() { close(ack) }
-	s.mu.Unlock()
-	<-ack
-}
-
-// Close flushes and stops the sink goroutine. Subsequent emissions are
-// written synchronously.
-func (s *Sink) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	close(s.ch)
-	s.mu.Unlock()
-	<-s.done
-}
+// Close does nothing: every record is written by the time Emit or Logf
+// returns. It stays for callers that still close their sinks.
+func (s *Sink) Close() {}
 
 // FaultHist merges a run's read- and write-fault service-time
 // distributions (the combined histogram the progress lines summarize).
@@ -171,14 +126,13 @@ func FaultHist(res *core.Result) stats.Histogram {
 // csvHeader is the machine-readable schema, one record per run.
 const csvHeader = "app,protocol,block,notify,nodes,time_ns,read_faults,write_faults,invalidations,twins,diffs,write_notices,lock_acquires,barrier_entries,net_msgs,net_bytes,fault_p50_ns,fault_p90_ns,fault_p99_ns,msg_p50_ns,msg_p90_ns,msg_p99_ns,lock_p50_ns,lock_p90_ns,lock_p99_ns,retransmits,wire_drops,dup_frames,retx_p50_ns,retx_p99_ns"
 
-// csvTable is the one CSV output type: a header written exactly once, even
-// under concurrent use, and suppressed when the underlying writer is a file
-// that already holds records (the CLIs open their CSV files in append
-// mode), then whatever rows the table's schema renders for each run. Rows
-// reach it in canonical sweep order through the Sink goroutine, so every
-// file is byte-identical at any parallelism.
+// csvTable is the one CSV output type: a header written exactly once, and
+// suppressed when the underlying writer is a file that already holds
+// records (the CLIs open their CSV files in append mode), then whatever
+// rows the table's schema renders for each run. Rows reach it in canonical
+// sweep order under the Sink's lock, so every file is byte-identical at any
+// parallelism.
 type csvTable struct {
-	mu     sync.Mutex
 	w      io.Writer
 	header string
 	// rows renders one run's newline-terminated rows; nil when the run
@@ -187,14 +141,13 @@ type csvTable struct {
 	started bool // header decision made
 }
 
-// Write appends one run's rows, deciding the header question first.
+// Write appends one run's rows, deciding the header question first. The
+// caller holds the Sink's lock.
 func (c *csvTable) Write(k Key, res *core.Result) {
 	rows := c.rows(k, res)
 	if rows == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.started {
 		c.started = true
 		if !hasExistingData(c.w) {

@@ -9,10 +9,11 @@
 //
 //   - a single-flight Memo so each configuration runs exactly once no
 //     matter how many experiments or workers want it;
-//   - a Sink that serializes progress/CSV output through one goroutine;
+//   - a Sink that writes progress/CSV output under one lock;
 //   - ordered release — completed runs are emitted in canonical sweep
 //     order regardless of completion order, so the output of a parallel
-//     sweep is byte-identical to a serial one.
+//     sweep is byte-identical to a serial one;
+//   - a Registry, the live wall-clock view of a sweep served at /metrics.
 package sweep
 
 import (
@@ -22,12 +23,12 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
-	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
 )
@@ -172,11 +173,11 @@ type Options struct {
 	// row prefixed with the run-key columns, and switches Config.CritPath
 	// on.
 	CritCSV io.Writer
-	// Metrics, if non-nil, receives live progress (point started/done,
-	// wall-clock runtimes) for the HTTP exporter, and switches the
+	// Metrics, if non-nil, records every point once — its wall-clock
+	// runtime and result — for the /metrics exporter, and switches the
 	// progress lines to the enriched format with a completion counter.
 	// Wall-clock data never reaches the deterministic outputs.
-	Metrics *metrics.Registry
+	Metrics *Registry
 	// FaultGrid holds the named fault variants grid points select with
 	// Key.Fault. When a point carries a Fault name, its variant's plan
 	// replaces Config.Faults for that run. With a grid attached, the CSV,
@@ -196,9 +197,12 @@ type Options struct {
 // experiments) never repeats a run and never interleaves output.
 type Engine struct {
 	opts Options
-	memo *Memo
-	cps  *cpMemo
+	memo Memo[Key, *core.Result]
+	cps  Memo[cpKey, *warmup] // shared warmup prefixes
 	sink *Sink
+	// Grid points computed flat while Options.Fork was on: flatRuns were
+	// never eligible, failedForks tried the fork path first.
+	flatRuns, failedForks atomic.Int64
 }
 
 // New builds an Engine from opts. It is the one place the rules between
@@ -232,8 +236,6 @@ func New(opts Options) (*Engine, error) {
 	}
 	return &Engine{
 		opts: opts,
-		memo: NewMemo(),
-		cps:  &cpMemo{},
 		sink: NewSink(opts.Progress, opts.CSV, opts.Histograms,
 			opts.SampleCSV, opts.ProfCSV, opts.CritCSV, opts.Metrics != nil,
 			len(opts.FaultGrid) > 0),
@@ -243,44 +245,25 @@ func New(opts Options) (*Engine, error) {
 // Options returns the settings the engine runs under, defaults applied.
 func (e *Engine) Options() Options { return e.opts }
 
-// Sink exposes the serializing output sink (experiment code routes its own
-// progress lines through it so they cannot interleave with run records).
+// Sink exposes the output sink (experiment code routes its own progress
+// lines through it so they cannot interleave with run records).
 func (e *Engine) Sink() *Sink { return e.sink }
 
-// Flush blocks until all output enqueued so far is written.
-func (e *Engine) Flush() { e.sink.Flush() }
-
 // runKey is the memoized run step shared by RunOne and Run's workers: it
-// computes (or waits for) the key's result, reporting the point's lifetime
-// and wall-clock runtime to the live metrics registry when one is attached.
+// computes (or waits for) the key's result, and reports the lookup to the
+// live metrics registry when one is attached.
 func (e *Engine) runKey(ctx context.Context, k Key) (*core.Result, error, bool) {
 	reg := e.opts.Metrics
 	var began time.Time
 	if reg != nil {
-		reg.PointStarted(k.String())
+		reg.started(k)
 		began = time.Now()
 	}
 	res, err, fresh := e.memo.Do(k, func() (*core.Result, error) { return e.compute(ctx, k) })
 	if reg != nil {
-		pr := metrics.PointResult{Key: k.String(), Wall: time.Since(began), Memoized: !fresh}
-		if res != nil {
-			pr.Virtual = res.Time
-			pr.ReadFaults = res.Total.ReadFaults
-			pr.WriteFaults = res.Total.WriteFaults
-			pr.NetMsgs = res.NetMsgs
-			pr.NetBytes = res.NetBytes
-			if sh := res.Sharing; sh != nil {
-				pr.Profiled = true
-				pr.TrueSharing = sh.Total.TrueFaults
-				pr.FalseSharing = sh.Total.FalseFaults
-				pr.FalseFraction = sh.FalseSharingFraction()
-			}
-			pr.Crit = res.CritPath
-		}
-		reg.PointDone(pr)
+		reg.finished(k, time.Since(began), res, fresh)
 		if e.opts.Fork {
-			fs := e.ForkStats()
-			reg.SetForkStats(fs.Prefixes, fs.ForkedRuns, fs.SavedWall)
+			reg.setFork(e.ForkStats())
 		}
 	}
 	return res, err, fresh
@@ -289,9 +272,6 @@ func (e *Engine) runKey(ctx context.Context, k Key) (*core.Result, error, bool) 
 // RunOne returns the (memoized) result for one key, emitting its progress
 // line and CSV record if this call computed it.
 func (e *Engine) RunOne(ctx context.Context, k Key) (*core.Result, error) {
-	if reg := e.opts.Metrics; reg != nil {
-		reg.AddTotal(1)
-	}
 	res, err, fresh := e.runKey(ctx, k)
 	if err != nil {
 		return nil, err
@@ -314,7 +294,7 @@ func (e *Engine) Run(ctx context.Context, keys []Key) ([]*core.Result, error) {
 	defer cancel()
 
 	if reg := e.opts.Metrics; reg != nil {
-		reg.AddTotal(len(keys))
+		reg.expect(keys...)
 	}
 	n := len(keys)
 	results := make([]*core.Result, n)
@@ -364,7 +344,6 @@ feed:
 	}
 	close(idx)
 	wg.Wait()
-	e.sink.Flush()
 
 	// First error in canonical order, preferring a root cause over the
 	// context errors that cascade from cancelling the rest of the sweep.
@@ -429,9 +408,9 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 		// app finished before the cut, events in flight at the barrier,
 		// ...): rerun flat. The flat path is the correctness baseline, so
 		// a genuine simulation error reproduces there.
-		e.cps.addFlat(true)
+		e.failedForks.Add(1)
 	} else if e.opts.Fork && k.Fault != "" && !k.Sequential {
-		e.cps.addFlat(false)
+		e.flatRuns.Add(1)
 	}
 	m, err := core.NewMachine(cfg)
 	if err != nil {

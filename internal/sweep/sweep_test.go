@@ -15,7 +15,6 @@ import (
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
-	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
 )
@@ -71,7 +70,6 @@ func runSweep(t *testing.T, workers int) (progress, csv string, results []*core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.sink.Close()
 	return pb.String(), cb.String(), res
 }
 
@@ -115,17 +113,16 @@ func TestParallelByteIdenticalToSerial(t *testing.T) {
 // TestSamplerCSVParallelDeterminism extends the byte-identity guarantee to
 // the metrics surfaces: with sampling and a live registry attached, the
 // sampler CSV and the enriched progress lines from an 8-worker sweep are
-// byte-identical to a 1-worker sweep, and the registry agrees on the counts.
+// byte-identical to a 1-worker sweep, and /metrics agrees on the counts.
 func TestSamplerCSVParallelDeterminism(t *testing.T) {
-	run := func(workers int) (progress, samples string, reg *metrics.Registry) {
+	run := func(workers int) (progress, samples string, reg *Registry) {
 		var pb, sb bytes.Buffer
-		reg = metrics.NewRegistry()
+		reg = NewRegistry()
 		e := mustNew(t, Options{Size: apps.Small, Workers: workers, Progress: &pb,
 			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb, Metrics: reg})
 		if _, err := e.Run(context.Background(), testSpec().Points()); err != nil {
 			t.Fatal(err)
 		}
-		e.sink.Close()
 		return pb.String(), sb.String(), reg
 	}
 	p1, s1, _ := run(1)
@@ -151,9 +148,13 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 	if !strings.Contains(p1, "[   1] ") || !strings.Contains(p1, "rf=") {
 		t.Fatalf("progress not in enriched format:\n%s", p1)
 	}
-	snap := reg.Snapshot()
-	if snap.Total != 10 || snap.Completed != 10 || snap.Running != 0 {
-		t.Fatalf("registry after sweep: %+v", snap)
+	var text strings.Builder
+	reg.WritePrometheus(&text)
+	for _, want := range []string{"dsmsim_sweep_points_total 10\n", "dsmsim_sweep_points_completed 10\n",
+		"dsmsim_sweep_points_running 0\n"} {
+		if !strings.Contains(text.String(), want) {
+			t.Fatalf("/metrics after sweep lacks %q:\n%s", want, text.String())
+		}
 	}
 }
 
@@ -172,7 +173,6 @@ func TestRunOneMemoized(t *testing.T) {
 	if a != b {
 		t.Fatal("second RunOne did not hit the memo")
 	}
-	e.Flush()
 	if n := bytes.Count(pb.Bytes(), []byte("run  ")); n != 1 {
 		t.Fatalf("progress lines = %d, want 1 (cache hits stay silent)", n)
 	}
@@ -185,13 +185,11 @@ func TestSweepThenCachedRunsStaySilent(t *testing.T) {
 	if _, err := e.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	e.Flush()
 	before := pb.String()
 	// A second sweep over the same points is all cache hits: no new output.
 	if _, err := e.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	e.Flush()
 	if pb.String() != before {
 		t.Fatalf("cached sweep re-emitted output:\n%s", pb.String()[len(before):])
 	}
@@ -265,16 +263,18 @@ func TestSweepUnknownAppFailsFast(t *testing.T) {
 	}
 }
 
+// TestCSVSinkHeaderOnceConcurrent: runs emitted from many goroutines at
+// once get one header between them; the sink's lock serializes the table.
 func TestCSVSinkHeaderOnceConcurrent(t *testing.T) {
 	var buf bytes.Buffer
-	c := runTable(&safeWriter{w: &buf}, false)
+	s := NewSink(nil, &buf, false, nil, nil, nil, false, false)
 	res := &core.Result{App: "lu", Protocol: "sc", BlockSize: 64, Nodes: 4}
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Write(Key{}, res)
+			s.Emit(Key{}, res)
 		}()
 	}
 	wg.Wait()
@@ -284,17 +284,6 @@ func TestCSVSinkHeaderOnceConcurrent(t *testing.T) {
 	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 17 {
 		t.Fatalf("lines = %d, want 17 (header + 16 records)", n)
 	}
-}
-
-type safeWriter struct {
-	mu sync.Mutex
-	w  *bytes.Buffer
-}
-
-func (s *safeWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
 }
 
 func TestCSVSinkAppendAware(t *testing.T) {
@@ -344,7 +333,6 @@ func TestSinkSerializesLogf(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s.Close()
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
 	if len(lines) != 400 {
 		t.Fatalf("lines = %d, want 400", len(lines))
@@ -360,7 +348,7 @@ func TestSinkEmitAfterClose(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSink(&buf, nil, false, nil, nil, nil, false, false)
 	s.Close()
-	s.Logf("late") // must not panic; degrades to synchronous
+	s.Logf("late") // Close releases nothing: the sink stays usable
 	if !bytes.Contains(buf.Bytes(), []byte("late")) {
 		t.Fatal("late emission lost")
 	}
@@ -412,7 +400,6 @@ func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
 	var o Options
 	fill(reflect.ValueOf(&o).Elem())
 	e := mustNew(t, o)
-	defer e.sink.Close()
 	want := o
 	want.Config.Trace, want.Config.TraceJSON = nil, nil // per-run writers: cleared by New
 	if got := e.Options(); !reflect.DeepEqual(got, want) {

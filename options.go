@@ -152,8 +152,9 @@ func WithHistograms() Option { return func(o *sweep.Options) { o.Histograms = tr
 // WithSampleEvery: without an interval Sweep returns an error.
 func WithSampleCSV(w io.Writer) Option { return func(o *sweep.Options) { o.SampleCSV = w } }
 
-// WithMetrics attaches a live metrics registry: the sweep reports point
-// lifecycle and wall-clock runtimes to m (servable over HTTP with
+// WithMetrics attaches a live metrics registry: the sweep records each
+// point once in m — its wall-clock runtime and result — and counts repeat
+// lookups as memo hits (Prometheus text at /metrics, served with
 // Metrics.Serve), and progress lines switch to an enriched format with a
 // completion counter and per-run fault/traffic fields. Wall-clock data
 // stays on the live surface only; deterministic outputs are unaffected.

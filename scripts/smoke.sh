@@ -56,25 +56,32 @@ trace() {
 
 # The virtual-time sampler on one Ocean-Rowwise run (phase breakdown on
 # stdout, series as CSV, Chrome-trace counter tracks), its CSV across
-# parallelism, and the live Prometheus endpoint of a running sweep.
+# parallelism, and the live Prometheus endpoint of a finished sweep.
 metrics() {
+	unit -race ./internal/sweep ./internal/metrics
 	dsmrun -app ocean-rowwise -protocol hlrc -block 4096 -nodes 4 -sample-every 100us \
 		-sample-csv metrics_demo.csv -sample-json metrics_demo.json
 	ok "wrote metrics_demo.csv and metrics_demo.json — open the JSON at https://ui.perfetto.dev"
 	pcmp -sample-csv -- dsmbench "${table3[@]}" -sample-every 200us
 	$GO build -o "$tmp/dsmbench" ./cmd/dsmbench # a binary of our own, so the kill below reaches it
-	"$tmp/dsmbench" -exp fig1 -size small -nodes 4 -metrics-addr 127.0.0.1:9101 -metrics-linger 60s >/dev/null 2>&1 &
-	local pid=$! i
-	for i in $(seq 1 100); do
-		curl -sf http://127.0.0.1:9101/metrics -o "$tmp/metrics.txt" && break
+	# Scrape in the -metrics-linger window, once fig1's table is on stdout
+	# (water-spatial is its last row): by then every point has finished and
+	# the render has looked each one up again through the memo.
+	"$tmp/dsmbench" -exp fig1 -size small -nodes 4 -metrics-addr 127.0.0.1:9101 -metrics-linger 60s >"$tmp/fig1.txt" 2>/dev/null &
+	local pid=$! i total
+	for i in $(seq 1 300); do
+		grep -q '^water-spatial  *hlrc ' "$tmp/fig1.txt" && break
 		sleep 0.2
 	done
+	curl -sf http://127.0.0.1:9101/metrics -o "$tmp/metrics.txt" || true
 	kill $pid 2>/dev/null || true
-	grep -q '^dsmsim_sweep_points_total [0-9]' "$tmp/metrics.txt"
-	grep -q '^dsmsim_sweep_points_completed [0-9]' "$tmp/metrics.txt"
+	total=$(awk '$1 == "dsmsim_sweep_points_total" {print $2}' "$tmp/metrics.txt")
+	test -n "$total" && grep -qx "dsmsim_sweep_points_completed $total" "$tmp/metrics.txt"
 	# Exposition format: every non-comment line is "name[{labels}] value".
 	if grep -vE '^(#|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9.eE+-]+$)' "$tmp/metrics.txt" | grep .; then exit 1; fi
-	ok "live /metrics endpoint serves valid Prometheus text"
+	# Each series once: Prometheus rejects a repeated sample.
+	if grep -v '^#' "$tmp/metrics.txt" | cut -d' ' -f1 | sort | uniq -d | grep .; then exit 1; fi
+	ok "live /metrics endpoint serves valid Prometheus text, $total points each once"
 }
 
 # Deterministic fault injection: a verified LU run at 1% loss, the
