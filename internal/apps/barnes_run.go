@@ -24,76 +24,84 @@ func (a *Barnes) Run(c *core.Ctx) {
 	rc := c.Protocol() != core.SC
 	t := &treeCtx{c: c, a: a, rc: rc}
 
-	for step := 0; step < a.steps; step++ {
-		// Phase 1: reset the tree (proc 0 clears the root and, for the
-		// spatial version, rebuilds the two-level skeleton).
-		t.next = skelCells + me*poolSize
-		t.poolEnd = t.next + poolSize
-		if me == 0 {
-			a.resetTree(c)
-		}
-		c.Barrier()
-
-		// Phase 2: build the tree.
-		switch a.mode {
-		case BarnesOriginal:
-			a.buildOriginal(c, t, p, me)
-		case BarnesPartree:
-			a.buildPartree(c, t, p, me)
-		case BarnesSpatial:
-			a.buildSpatial(c, t, p, me)
-		}
-		c.Barrier()
-
-		// Phase 3: centers of mass.
-		if a.mode == BarnesSpatial {
-			// Each processor summarizes its owned depth-2 subtrees, then
-			// proc 0 combines the skeleton's top levels.
-			for _, sk := range a.mySkeleton(p, me) {
-				a.comPass(c, sk.cell)
-			}
-			c.Compute(200 * sim.Microsecond)
-			c.Barrier()
+	// Each step resets the tree, builds it, computes centers of mass and
+	// then forces. Partree's build spans two epochs (its barrier inside
+	// carries the private tree) and spatial's centers of mass take two
+	// phases, so both have five epochs a step where the original has four.
+	per := 4
+	if a.mode != BarnesOriginal {
+		per = 5
+	}
+	c.Phases(per*a.steps, func(e int) {
+		switch e % per {
+		case 0:
+			// Reset: proc 0 clears the root and, for the spatial version,
+			// rebuilds the two-level skeleton.
 			if me == 0 {
+				a.resetTree(c)
+			}
+		case 1:
+			// Build the tree.
+			t.next = skelCells + me*poolSize
+			t.poolEnd = t.next + poolSize
+			switch a.mode {
+			case BarnesOriginal:
+				a.buildOriginal(c, t, p, me)
+			case BarnesPartree:
+				a.buildPartree(c, t, p, me)
+			case BarnesSpatial:
+				a.buildSpatial(c, t, p, me)
+			}
+		case per - 1:
+			// Forces and integration for my particles. Particle records
+			// straddle block boundaries (80-byte records), and neighbouring
+			// particles belong to other writers, so updates go through
+			// per-element writes — as the real programs' stores do — rather
+			// than a multi-block span that would need simultaneous ownership
+			// of contended blocks.
+			inter := 0
+			for _, i := range a.myParticles(c, p, me) {
+				ax, ay, az, n := a.force(c, i)
+				inter += n
+				base := a.pAddr(i)
+				old := c.F64sR(base, 6)
+				vx := old[3] + barDt*ax
+				vy := old[4] + barDt*ay
+				vz := old[5] + barDt*az
+				px := clampBox(old[0] + barDt*vx)
+				py := clampBox(old[1] + barDt*vy)
+				pz := clampBox(old[2] + barDt*vz)
+				c.WriteF64(base+6*8, ax)
+				c.WriteF64(base+7*8, ay)
+				c.WriteF64(base+8*8, az)
+				c.WriteF64(base+3*8, vx)
+				c.WriteF64(base+4*8, vy)
+				c.WriteF64(base+5*8, vz)
+				c.WriteF64(base+0*8, px)
+				c.WriteF64(base+1*8, py)
+				c.WriteF64(base+2*8, pz)
+			}
+			c.Compute(sim.Time(inter) * a.perInter)
+		default:
+			// Centers of mass. The spatial version first summarizes each
+			// processor's owned depth-2 subtrees, then proc 0 combines the
+			// skeleton's top levels.
+			switch {
+			case a.mode != BarnesSpatial:
+				if me == 0 {
+					a.comPass(c, 0)
+					c.Compute(sim.Time(a.n) * 300)
+				}
+			case e%per == 2:
+				for _, sk := range a.mySkeleton(p, me) {
+					a.comPass(c, sk.cell)
+				}
+				c.Compute(200 * sim.Microsecond)
+			case me == 0:
 				a.comSkeletonTop(c)
 			}
-		} else if me == 0 {
-			a.comPass(c, 0)
-			c.Compute(sim.Time(a.n) * 300)
 		}
-		c.Barrier()
-
-		// Phase 4: forces and integration for my particles. Particle
-		// records straddle block boundaries (80-byte records), and
-		// neighbouring particles belong to other writers, so updates go
-		// through per-element writes — as the real programs' stores do —
-		// rather than a multi-block span that would need simultaneous
-		// ownership of contended blocks.
-		inter := 0
-		for _, i := range a.myParticles(c, p, me) {
-			ax, ay, az, n := a.force(c, i)
-			inter += n
-			base := a.pAddr(i)
-			old := c.F64sR(base, 6)
-			vx := old[3] + barDt*ax
-			vy := old[4] + barDt*ay
-			vz := old[5] + barDt*az
-			px := clampBox(old[0] + barDt*vx)
-			py := clampBox(old[1] + barDt*vy)
-			pz := clampBox(old[2] + barDt*vz)
-			c.WriteF64(base+6*8, ax)
-			c.WriteF64(base+7*8, ay)
-			c.WriteF64(base+8*8, az)
-			c.WriteF64(base+3*8, vx)
-			c.WriteF64(base+4*8, vy)
-			c.WriteF64(base+5*8, vz)
-			c.WriteF64(base+0*8, px)
-			c.WriteF64(base+1*8, py)
-			c.WriteF64(base+2*8, pz)
-		}
-		c.Compute(sim.Time(inter) * a.perInter)
-		c.Barrier()
-	}
+	})
 }
 
 func clampBox(x float64) float64 {

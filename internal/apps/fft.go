@@ -101,72 +101,68 @@ func rowFFT(row []float64, m int) {
 	}
 }
 
-// Run implements core.App.
-func (a *FFT) Run(c *core.Ctx) { a.RunFrom(c, 0) }
-
-// RunFrom implements core.ResumableApp: the six-step body is strictly
-// barrier-delimited (7 barriers), so resuming is the stepper's skip count.
-func (a *FFT) RunFrom(c *core.Ctx, epoch int) {
+// Run implements core.App: an empty first phase (the initial barrier),
+// then one phase per step of the six.
+func (a *FFT) Run(c *core.Ctx) {
 	m, p, me := a.m, c.NP(), c.ID()
 	lo, hi := partition(m, p, me)
 	rows := hi - lo
-	st := newStepper(c, epoch)
 	flops := func(f int) { c.Compute(sim.Time(f) * a.perFlop) }
 
 	transpose := func(from, to int) {
-		st.step(func() {
-			// Build my rows [lo,hi) of `to` by reading columns of `from`:
-			// for each source row sc, elements [lo,hi) are one contiguous
-			// subrow — the n/p × n/p submatrix read the paper describes.
-			// Source blocks are read-only during a transpose, so the input
-			// span stays content-valid across output write faults.
-			for q := 0; q < p; q++ {
-				qlo, qhi := partition(m, p, q)
-				for sc := qlo; sc < qhi; sc++ {
-					in := c.F64sR(from+(sc*m+lo)*16, rows*2)
-					for r := 0; r < rows; r++ {
-						addr := to + ((lo+r)*m+sc)*16
-						c.WriteF64(addr, in[2*r])
-						c.WriteF64(addr+8, in[2*r+1])
-					}
+		// Build my rows [lo,hi) of `to` by reading columns of `from`:
+		// for each source row sc, elements [lo,hi) are one contiguous
+		// subrow — the n/p × n/p submatrix read the paper describes.
+		// Source blocks are read-only during a transpose, so the input
+		// span stays content-valid across output write faults.
+		for q := 0; q < p; q++ {
+			qlo, qhi := partition(m, p, q)
+			for sc := qlo; sc < qhi; sc++ {
+				in := c.F64sR(from+(sc*m+lo)*16, rows*2)
+				for r := 0; r < rows; r++ {
+					addr := to + ((lo+r)*m+sc)*16
+					c.WriteF64(addr, in[2*r])
+					c.WriteF64(addr+8, in[2*r+1])
 				}
-				flops((qhi - qlo) * rows)
 			}
-		})
-		st.barrier()
+			flops((qhi - qlo) * rows)
+		}
 	}
 
 	fftRows := func(at int) {
-		st.step(func() {
-			for r := lo; r < hi; r++ {
-				row := c.F64sW(at+r*m*16, m*2)
-				rowFFT(row, m)
-				flops(5 * m * ilog2(m))
-			}
-		})
-		st.barrier()
+		for r := lo; r < hi; r++ {
+			row := c.F64sW(at+r*m*16, m*2)
+			rowFFT(row, m)
+			flops(5 * m * ilog2(m))
+		}
 	}
 
-	st.barrier()
-	transpose(a.src, a.dst) // step 1
-	fftRows(a.dst)          // step 2
-	st.step(func() {
-		// Step 3: twiddle multiply on my rows of dst.
-		for r := lo; r < hi; r++ {
-			row := c.F64sW(a.dst+r*m*16, m*2)
-			for col := 0; col < m; col++ {
-				ang := -2 * math.Pi * float64(r) * float64(col) / float64(a.n)
-				wr, wi := math.Cos(ang), math.Sin(ang)
-				xr, xi := row[2*col], row[2*col+1]
-				row[2*col], row[2*col+1] = xr*wr-xi*wi, xr*wi+xi*wr
+	c.Phases(7, func(e int) {
+		switch e {
+		case 1:
+			transpose(a.src, a.dst)
+		case 2:
+			fftRows(a.dst)
+		case 3:
+			// Twiddle multiply on my rows of dst.
+			for r := lo; r < hi; r++ {
+				row := c.F64sW(a.dst+r*m*16, m*2)
+				for col := 0; col < m; col++ {
+					ang := -2 * math.Pi * float64(r) * float64(col) / float64(a.n)
+					wr, wi := math.Cos(ang), math.Sin(ang)
+					xr, xi := row[2*col], row[2*col+1]
+					row[2*col], row[2*col+1] = xr*wr-xi*wi, xr*wi+xi*wr
+				}
+				flops(6 * m)
 			}
-			flops(6 * m)
+		case 4:
+			transpose(a.dst, a.src)
+		case 5:
+			fftRows(a.src)
+		case 6:
+			transpose(a.src, a.dst)
 		}
 	})
-	st.barrier()
-	transpose(a.dst, a.src) // step 4
-	fftRows(a.src)          // step 5
-	transpose(a.src, a.dst) // step 6
 }
 
 func ilog2(n int) int {

@@ -176,28 +176,24 @@ func bmodInterior(blk, l, u []float64, b int) {
 	}
 }
 
-// Run implements core.App.
-func (a *LU) Run(c *core.Ctx) { a.RunFrom(c, 0) }
-
-// RunFrom implements core.ResumableApp: three barriers per elimination
-// step, so epoch e resumes inside step e/3 at phase e%3.
-func (a *LU) RunFrom(c *core.Ctx, epoch int) {
+// Run implements core.App: three phases per elimination step k, at epochs
+// 3k, 3k+1 and 3k+2.
+func (a *LU) Run(c *core.Ctx) {
 	nb, b, p, me := a.nb, a.bsz, c.NP(), c.ID()
 	bb := b * b
-	st := newStepper(c, epoch)
 	flops := func(f int) { c.Compute(sim.Time(f) * a.perFlop) }
 
-	for k := 0; k < nb; k++ {
+	c.Phases(3*nb, func(e int) {
+		k := e / 3
 		kk := a.blockAddr[k*nb+k]
-		st.step(func() {
+		switch e % 3 {
+		case 0:
 			if a.owner(k, k, p) == me {
 				d := c.F64sW(kk, bb)
 				factorDiag(d, b)
 				flops(2 * b * b * b / 3)
 			}
-		})
-		st.barrier()
-		st.step(func() {
+		case 1:
 			// Perimeter blocks in column k and row k. The write span must be
 			// acquired LAST: any earlier fault (the diag read) yields virtual
 			// time, during which a false-sharing writer — possible once a
@@ -220,9 +216,7 @@ func (a *LU) RunFrom(c *core.Ctx, epoch int) {
 					flops(b * b * b)
 				}
 			}
-		})
-		st.barrier()
-		st.step(func() {
+		case 2:
 			// Interior updates.
 			for i := k + 1; i < nb; i++ {
 				for j := k + 1; j < nb; j++ {
@@ -237,9 +231,8 @@ func (a *LU) RunFrom(c *core.Ctx, epoch int) {
 					flops(2 * b * b * b)
 				}
 			}
-		})
-		st.barrier()
-	}
+		}
+	})
 }
 
 // sequential computes the reference factorization on a private copy.

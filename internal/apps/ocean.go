@@ -218,15 +218,10 @@ func (a *Ocean) initVal(i, j int) float64 {
 	return hashNoise(3, i*n+j)
 }
 
-// Run implements core.App: iters red-black sweeps with a barrier after each
-// color, each node updating its own partition.
-func (a *Ocean) Run(c *core.Ctx) { a.RunFrom(c, 0) }
-
-// RunFrom implements core.ResumableApp: one barrier per color sweep, so
-// epoch e resumes at iteration e/2, color e%2.
-func (a *Ocean) RunFrom(c *core.Ctx, epoch int) {
+// Run implements core.App: iters red-black sweeps, one phase per color, each
+// node updating its own partition.
+func (a *Ocean) Run(c *core.Ctx) {
 	n, p, me := a.n, c.NP(), c.ID()
-	st := newStepper(c, epoch)
 
 	// The runtime partition is always row-contiguous over interior rows
 	// for rowwise; for original, partition the layout subblocks among the
@@ -248,13 +243,7 @@ func (a *Ocean) RunFrom(c *core.Ctx, epoch int) {
 		}
 	}
 
-	for it := 0; it < a.iters; it++ {
-		for color := 0; color < 2; color++ {
-			color := color
-			st.step(func() { a.sweep(c, mine, color) })
-			st.barrier()
-		}
-	}
+	c.Phases(2*a.iters, func(e int) { a.sweep(c, mine, e%2) })
 }
 
 // span is one rectangle of grid cells a node owns at run time.

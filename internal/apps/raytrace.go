@@ -182,29 +182,31 @@ func (a *Raytrace) pixelRay(x, y int) (dx, dy, dz float64) {
 	return fx / l, fy / l, 1 / l
 }
 
-// Run implements core.App.
+// Run implements core.App: one phase, rendering tiles until every queue is
+// empty.
 func (a *Raytrace) Run(c *core.Ctx) {
 	me := c.ID()
 	tw := a.w / 4
-	for {
-		task, ok := a.tq.pop(c, me%16)
-		if !ok {
-			break
-		}
-		tx, ty := int(task)%tw, int(task)/tw
-		s := c.F64sR(a.spheres, a.ns*sphF64s)
-		tests := 0
-		for y := ty * 4; y < ty*4+4; y++ {
-			for x := tx * 4; x < tx*4+4; x++ {
-				dx, dy, dz := a.pixelRay(x, y)
-				r, g, b, t := trace(s, a.ns, 0, 0, 0, dx, dy, dz, 1)
-				tests += t
-				c.WriteI32(a.image+(y*a.w+x)*4, packColor(r, g, b))
+	c.Phases(1, func(int) {
+		for {
+			task, ok := a.tq.pop(c, me%16)
+			if !ok {
+				break
 			}
+			tx, ty := int(task)%tw, int(task)/tw
+			s := c.F64sR(a.spheres, a.ns*sphF64s)
+			tests := 0
+			for y := ty * 4; y < ty*4+4; y++ {
+				for x := tx * 4; x < tx*4+4; x++ {
+					dx, dy, dz := a.pixelRay(x, y)
+					r, g, b, t := trace(s, a.ns, 0, 0, 0, dx, dy, dz, 1)
+					tests += t
+					c.WriteI32(a.image+(y*a.w+x)*4, packColor(r, g, b))
+				}
+			}
+			c.Compute(sim.Time(tests) * a.perTest)
 		}
-		c.Compute(sim.Time(tests) * a.perTest)
-	}
-	c.Barrier()
+	})
 }
 
 // renderSeq renders the whole image sequentially.

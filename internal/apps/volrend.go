@@ -135,51 +135,54 @@ func castRay(col []byte, frame int) (int32, int) {
 	return int32(acc), samples
 }
 
-// Run implements core.App.
+// Run implements core.App: four phases per frame, the last of them empty
+// (the frame boundary).
 func (a *Volrend) Run(c *core.Ctx) {
 	v, p, me := a.v, c.NP(), c.ID()
-	for frame := 0; frame < a.frames; frame++ {
-		// Refill my share of the 16 layout queues. Tasks are dealt
-		// round-robin, so spatially adjacent tiles belong to different
-		// processors — the write-write false sharing on the image plane
-		// that §5.2 attributes to Volrend's small square tiles (it is
-		// not eliminated even at 64-byte blocks).
-		for q := me; q < 16; q += p {
-			var tasks []int64
-			for t := q; t < a.numTasks(); t += 16 {
-				tasks = append(tasks, int64(t))
-			}
-			a.tq.fill(c, q, tasks)
-		}
-		c.Barrier()
-		// Render: pop tasks (stealing when idle), write shared image.
-		for {
-			task, ok := a.tq.pop(c, me%16)
-			if !ok {
-				break
-			}
-			x0, y0, x1, y1 := a.taskPixels(task)
-			samples := 0
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					// The volume is read-only: span per ray column.
-					col := c.BytesR(a.volume+(x*v+y)*v, v)
-					pix, s := castRay(col, frame)
-					samples += s
-					c.WriteI32(a.image+(y*v+x)*4, pix)
+	c.Phases(4*a.frames, func(e int) {
+		frame := e / 4
+		switch e % 4 {
+		case 0:
+			// Refill my share of the 16 layout queues. Tasks are dealt
+			// round-robin, so spatially adjacent tiles belong to different
+			// processors — the write-write false sharing on the image plane
+			// that §5.2 attributes to Volrend's small square tiles (it is
+			// not eliminated even at 64-byte blocks).
+			for q := me; q < 16; q += p {
+				var tasks []int64
+				for t := q; t < a.numTasks(); t += 16 {
+					tasks = append(tasks, int64(t))
 				}
+				a.tq.fill(c, q, tasks)
 			}
-			c.Compute(sim.Time(samples) * a.perSample)
+		case 1:
+			// Render: pop tasks (stealing when idle), write shared image.
+			for {
+				task, ok := a.tq.pop(c, me%16)
+				if !ok {
+					break
+				}
+				x0, y0, x1, y1 := a.taskPixels(task)
+				samples := 0
+				for y := y0; y < y1; y++ {
+					for x := x0; x < x1; x++ {
+						// The volume is read-only: span per ray column.
+						col := c.BytesR(a.volume+(x*v+y)*v, v)
+						pix, s := castRay(col, frame)
+						samples += s
+						c.WriteI32(a.image+(y*v+x)*4, pix)
+					}
+				}
+				c.Compute(sim.Time(samples) * a.perSample)
+			}
+		case 2:
+			// Frame analysis: a small reduction under a lock, as in the
+			// application's per-frame bookkeeping.
+			c.Lock(99)
+			c.Compute(20 * sim.Microsecond)
+			c.Unlock(99)
 		}
-		c.Barrier()
-		// Frame analysis: a small reduction under a lock, as in the
-		// application's per-frame bookkeeping.
-		c.Lock(99)
-		c.Compute(20 * sim.Microsecond)
-		c.Unlock(99)
-		c.Barrier()
-		c.Barrier() // frame boundary
-	}
+	})
 }
 
 // renderSeq renders the given frame sequentially.

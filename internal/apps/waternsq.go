@@ -95,101 +95,94 @@ func (a *WaterNsq) pairForce(pi, pj []float64) (fx, fy, fz float64, interacted b
 	return f * dx, f * dy, f * dz, true
 }
 
-// Run implements core.App.
+// Run implements core.App: four phases per time step.
 func (a *WaterNsq) Run(c *core.Ctx) {
 	n, p, me := a.n, c.NP(), c.ID()
 	lo, hi := partition(n, p, me)
 	half := n / 2
 
-	for step := 0; step < a.steps; step++ {
-		// Phase 1: predict positions of my molecules (local writes).
-		mine := c.F64sW(a.mols+lo*molF64s*8, (hi-lo)*molF64s)
-		for i := 0; i < hi-lo; i++ {
-			m := mine[i*molF64s:]
-			m[0] += a.dt * m[3]
-			m[1] += a.dt * m[4]
-			m[2] += a.dt * m[5]
-			m[6], m[7], m[8] = 0, 0, 0
-		}
-		c.Compute(sim.Time(hi-lo) * 2 * sim.Microsecond)
-		c.Barrier()
-
-		// Phase 2: pairwise forces. Each processor handles pairs (i, j)
-		// with i in its partition and j in the following n/2 molecules,
-		// accumulating into a private buffer, then merges the partial
-		// forces into each partition under that partition's lock.
-		partial := make(map[int][3]float64)
-		pairs := 0
-		for i := lo; i < hi; i++ {
-			pi := c.F64sR(a.mols+i*molF64s*8, 6)
-			pix, piy, piz := pi[0], pi[1], pi[2]
-			for d := 1; d <= half; d++ {
-				j := (i + d) % n
-				pj := c.F64sR(a.mols+j*molF64s*8, 3)
-				fx, fy, fz, ok := a.pairForce([]float64{pix, piy, piz}, pj)
-				pairs++
-				if !ok {
+	c.Phases(4*a.steps, func(e int) {
+		switch e % 4 {
+		case 0:
+			// Predict positions of my molecules (local writes).
+			mine := c.F64sW(a.mols+lo*molF64s*8, (hi-lo)*molF64s)
+			for i := 0; i < hi-lo; i++ {
+				m := mine[i*molF64s:]
+				m[0] += a.dt * m[3]
+				m[1] += a.dt * m[4]
+				m[2] += a.dt * m[5]
+				m[6], m[7], m[8] = 0, 0, 0
+			}
+			c.Compute(sim.Time(hi-lo) * 2 * sim.Microsecond)
+		case 1:
+			// Pairwise forces. Each processor handles pairs (i, j) with i
+			// in its partition and j in the following n/2 molecules,
+			// accumulating into a private buffer, then merges the partial
+			// forces into each partition under that partition's lock.
+			partial := make(map[int][3]float64)
+			pairs := 0
+			for i := lo; i < hi; i++ {
+				pi := c.F64sR(a.mols+i*molF64s*8, 6)
+				pix, piy, piz := pi[0], pi[1], pi[2]
+				for d := 1; d <= half; d++ {
+					j := (i + d) % n
+					pj := c.F64sR(a.mols+j*molF64s*8, 3)
+					fx, fy, fz, ok := a.pairForce([]float64{pix, piy, piz}, pj)
+					pairs++
+					if !ok {
+						continue
+					}
+					fi := partial[i]
+					partial[i] = [3]float64{fi[0] + fx, fi[1] + fy, fi[2] + fz}
+					fj := partial[j]
+					partial[j] = [3]float64{fj[0] - fx, fj[1] - fy, fj[2] - fz}
+				}
+			}
+			c.Compute(sim.Time(pairs) * a.perPair)
+			// Merge partials partition by partition, with the owner's lock —
+			// the migratory update phase the paper highlights.
+			for q := 0; q < p; q++ {
+				qlo, qhi := partition(n, p, q)
+				// Deterministic order over the buffered updates.
+				var touched []int
+				for i := range partial {
+					if i >= qlo && i < qhi {
+						touched = append(touched, i)
+					}
+				}
+				if len(touched) == 0 {
 					continue
 				}
-				fi := partial[i]
-				partial[i] = [3]float64{fi[0] + fx, fi[1] + fy, fi[2] + fz}
-				fj := partial[j]
-				partial[j] = [3]float64{fj[0] - fx, fj[1] - fy, fj[2] - fz}
-			}
-		}
-		c.Compute(sim.Time(pairs) * a.perPair)
-		// Merge partials partition by partition, with the owner's lock —
-		// the migratory update phase the paper highlights.
-		for q := 0; q < p; q++ {
-			qlo, qhi := partition(n, p, q)
-			// Deterministic order over the buffered updates.
-			var touched []int
-			for i := range partial {
-				if i >= qlo && i < qhi {
-					touched = append(touched, i)
+				sort.Ints(touched)
+				c.Lock(q)
+				for _, i := range touched {
+					f := c.F64sW(a.mols+(i*molF64s+6)*8, 3)
+					d := partial[i]
+					f[0] += d[0]
+					f[1] += d[1]
+					f[2] += d[2]
 				}
+				c.Unlock(q)
 			}
-			if len(touched) == 0 {
-				continue
+		case 2:
+			// Integrate my molecules from the accumulated forces.
+			mine := c.F64sW(a.mols+lo*molF64s*8, (hi-lo)*molF64s)
+			for i := 0; i < hi-lo; i++ {
+				m := mine[i*molF64s:]
+				m[3] += a.dt * m[6]
+				m[4] += a.dt * m[7]
+				m[5] += a.dt * m[8]
+				m[0] += a.dt * m[3]
+				m[1] += a.dt * m[4]
+				m[2] += a.dt * m[5]
 			}
-			sort.Ints(touched)
-			c.Lock(q)
-			for _, i := range touched {
-				f := c.F64sW(a.mols+(i*molF64s+6)*8, 3)
-				d := partial[i]
-				f[0] += d[0]
-				f[1] += d[1]
-				f[2] += d[2]
-			}
-			c.Unlock(q)
+			c.Compute(sim.Time(hi-lo) * 3 * sim.Microsecond)
+		case 3:
+			// The per-step global energy sum of the paper's Water: its
+			// computation, then the step barrier.
+			c.Compute(sim.Time(hi-lo) * 200)
 		}
-		c.Barrier()
-
-		// Phase 3: integrate my molecules from the accumulated forces.
-		mine = c.F64sW(a.mols+lo*molF64s*8, (hi-lo)*molF64s)
-		for i := 0; i < hi-lo; i++ {
-			m := mine[i*molF64s:]
-			m[3] += a.dt * m[6]
-			m[4] += a.dt * m[7]
-			m[5] += a.dt * m[8]
-			m[0] += a.dt * m[3]
-			m[1] += a.dt * m[4]
-			m[2] += a.dt * m[5]
-		}
-		c.Compute(sim.Time(hi-lo) * 3 * sim.Microsecond)
-		c.Barrier()
-
-		// Phase 4: global energy-style reduction under a lock (the
-		// paper's Water has per-step global sums), then a step barrier.
-		sum := 0.0
-		for i := 0; i < hi-lo; i++ {
-			m := mine[i*molF64s:]
-			sum += m[3]*m[3] + m[4]*m[4] + m[5]*m[5]
-		}
-		_ = sum
-		c.Compute(sim.Time(hi-lo) * 200)
-		c.Barrier()
-	}
+	})
 }
 
 // sequential runs the same phases on one processor over a private copy.

@@ -203,102 +203,105 @@ func (a *WaterSpatial) Run(c *core.Ctx) {
 		return out
 	}
 
-	for step := 0; step < a.steps; step++ {
-		// Phase 1: predict positions of molecules in my cells; zero
-		// forces.
-		nmine := 0
-		for _, cl := range cells {
-			for _, i := range listOf(cl) {
-				m := c.F64sW(a.mols+int(i)*molF64s*8, molF64s)
-				m[0] += a.dt * m[3]
-				m[1] += a.dt * m[4]
-				m[2] += a.dt * m[5]
-				m[6], m[7], m[8] = 0, 0, 0
-				nmine++
+	// Four epochs per time step: predict, forces, and integrate-then-relink,
+	// whose barrier between the two carries the moves and is no cut point.
+	c.Phases(4*a.steps, func(e int) {
+		switch e % 4 {
+		case 0:
+			// Predict positions of molecules in my cells; zero forces.
+			nmine := 0
+			for _, cl := range cells {
+				for _, i := range listOf(cl) {
+					m := c.F64sW(a.mols+int(i)*molF64s*8, molF64s)
+					m[0] += a.dt * m[3]
+					m[1] += a.dt * m[4]
+					m[2] += a.dt * m[5]
+					m[6], m[7], m[8] = 0, 0, 0
+					nmine++
+				}
 			}
-		}
-		c.Compute(sim.Time(nmine) * 2 * sim.Microsecond)
-		c.Barrier()
-
-		// Phase 2: forces — full neighbour sums for my molecules, reading
-		// neighbouring cells (remote at partition faces).
-		pairs := 0
-		for _, cl := range cells {
-			neigh := a.neighborCells(cl)
-			for _, i := range listOf(cl) {
-				mi := c.F64sR(a.mols+int(i)*molF64s*8, 3)
-				xi, yi, zi := mi[0], mi[1], mi[2]
-				var fx, fy, fz float64
-				for _, ncl := range neigh {
-					for _, j := range listOf(ncl) {
-						if j == i {
-							continue
+			c.Compute(sim.Time(nmine) * 2 * sim.Microsecond)
+		case 1:
+			// Forces — full neighbour sums for my molecules, reading
+			// neighbouring cells (remote at partition faces).
+			pairs := 0
+			for _, cl := range cells {
+				neigh := a.neighborCells(cl)
+				for _, i := range listOf(cl) {
+					mi := c.F64sR(a.mols+int(i)*molF64s*8, 3)
+					xi, yi, zi := mi[0], mi[1], mi[2]
+					var fx, fy, fz float64
+					for _, ncl := range neigh {
+						for _, j := range listOf(ncl) {
+							if j == i {
+								continue
+							}
+							mj := c.F64sR(a.mols+int(j)*molF64s*8, 3)
+							dfx, dfy, dfz, ok := pairForceSpatial(xi, yi, zi, mj[0], mj[1], mj[2])
+							pairs++
+							if !ok {
+								continue
+							}
+							fx += dfx
+							fy += dfy
+							fz += dfz
 						}
-						mj := c.F64sR(a.mols+int(j)*molF64s*8, 3)
-						dfx, dfy, dfz, ok := pairForceSpatial(xi, yi, zi, mj[0], mj[1], mj[2])
-						pairs++
-						if !ok {
-							continue
-						}
-						fx += dfx
-						fy += dfy
-						fz += dfz
 					}
-				}
-				f := c.F64sW(a.mols+(int(i)*molF64s+6)*8, 3)
-				f[0], f[1], f[2] = fx, fy, fz
-			}
-		}
-		c.Compute(sim.Time(pairs) * a.perPair)
-		c.Barrier()
-
-		// Phase 3: integrate my molecules and note which must change
-		// cells. Relinking is deferred to phase 4 so no list changes
-		// while any processor is still iterating it (and no molecule is
-		// integrated twice after moving into a not-yet-visited cell).
-		type move struct{ i, from, to int }
-		var moves []move
-		for _, cl := range cells {
-			for _, i := range listOf(cl) {
-				ii := int(i)
-				m := c.F64sW(a.mols+ii*molF64s*8, molF64s)
-				m[3] += a.dt * m[6]
-				m[4] += a.dt * m[7]
-				m[5] += a.dt * m[8]
-				nxp := m[0] + a.dt*m[3]
-				nyp := m[1] + a.dt*m[4]
-				nzp := m[2] + a.dt*m[5]
-				// Reflect at the box walls.
-				lim := float64(a.side)
-				if nxp < 0 || nxp >= lim {
-					m[3] = -m[3]
-					nxp = m[0]
-				}
-				if nyp < 0 || nyp >= lim {
-					m[4] = -m[4]
-					nyp = m[1]
-				}
-				if nzp < 0 || nzp >= lim {
-					m[5] = -m[5]
-					nzp = m[2]
-				}
-				m[0], m[1], m[2] = nxp, nyp, nzp
-				if newCell := a.cellOf(nxp, nyp, nzp); newCell != cl {
-					moves = append(moves, move{ii, cl, newCell})
+					f := c.F64sW(a.mols+(int(i)*molF64s+6)*8, 3)
+					f[0], f[1], f[2] = fx, fy, fz
 				}
 			}
-		}
-		c.Compute(sim.Time(nmine) * 3 * sim.Microsecond)
-		c.Barrier()
+			c.Compute(sim.Time(pairs) * a.perPair)
+		case 2:
+			// Integrate my molecules and note which must change cells.
+			// Relinking waits for the barrier so no list changes while any
+			// processor is still iterating it (and no molecule is
+			// integrated twice after moving into a not-yet-visited cell).
+			type move struct{ i, from, to int }
+			var moves []move
+			nmine := 0
+			for _, cl := range cells {
+				for _, i := range listOf(cl) {
+					ii := int(i)
+					m := c.F64sW(a.mols+ii*molF64s*8, molF64s)
+					m[3] += a.dt * m[6]
+					m[4] += a.dt * m[7]
+					m[5] += a.dt * m[8]
+					nxp := m[0] + a.dt*m[3]
+					nyp := m[1] + a.dt*m[4]
+					nzp := m[2] + a.dt*m[5]
+					// Reflect at the box walls.
+					lim := float64(a.side)
+					if nxp < 0 || nxp >= lim {
+						m[3] = -m[3]
+						nxp = m[0]
+					}
+					if nyp < 0 || nyp >= lim {
+						m[4] = -m[4]
+						nyp = m[1]
+					}
+					if nzp < 0 || nzp >= lim {
+						m[5] = -m[5]
+						nzp = m[2]
+					}
+					m[0], m[1], m[2] = nxp, nyp, nzp
+					if newCell := a.cellOf(nxp, nyp, nzp); newCell != cl {
+						moves = append(moves, move{ii, cl, newCell})
+					}
+					nmine++
+				}
+			}
+			c.Compute(sim.Time(nmine) * 3 * sim.Microsecond)
+			c.Barrier()
 
-		// Phase 4: relink movers under per-cell locks (the
-		// multiple-writer phase crossing partition boundaries).
-		for _, mv := range moves {
-			a.relink(c, mv.i, mv.from, mv.to, lockBase)
+			// Relink movers under per-cell locks (the multiple-writer
+			// phase crossing partition boundaries).
+			for _, mv := range moves {
+				a.relink(c, mv.i, mv.from, mv.to, lockBase)
+			}
+			c.Compute(sim.Time(len(moves)) * 5 * sim.Microsecond)
 		}
-		c.Compute(sim.Time(len(moves)) * 5 * sim.Microsecond)
-		c.Barrier()
-	}
+	})
 }
 
 // relink moves molecule i from cell old to cell new under both cells'

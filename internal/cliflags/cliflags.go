@@ -210,7 +210,7 @@ func (s *Shared) Close() error {
 func PrintForkSummary(w io.Writer, fs sweep.ForkStats, wall time.Duration) {
 	flatRuns := fmt.Sprintf("%d points ran flat, %d failed forks re-ran flat", fs.FlatRuns, fs.FailedForks)
 	if fs.ForkedRuns == 0 {
-		fmt.Fprintf(w, "fork: no runs forked (grid not forkable: ungated plans, non-barrier apps, or <2 forkable variants); %s\n", flatRuns)
+		fmt.Fprintf(w, "fork: no runs forked (grid not forkable: ungated plans, refused cuts, or <2 forkable variants); %s\n", flatRuns)
 		return
 	}
 	flat := wall + fs.SavedWall

@@ -15,20 +15,10 @@ import (
 	"dsmsim/internal/synch"
 )
 
-// ResumableApp is an App whose parallel body can be re-entered mid-run.
-// RunFrom behaves exactly like Run with the first epoch barrier-delimited
-// phases skipped: the calling node acts as if it had just returned from its
-// epoch-th Ctx.Barrier call (all earlier work is present in the restored
-// shared state). RunFrom(c, 0) must be identical to Run(c). Apps with
-// barrier-only synchronization implement this mechanically; apps whose
-// structure is not barrier-delimited simply don't, and stay fork-ineligible.
-type ResumableApp interface {
-	App
-	RunFrom(c *Ctx, epoch int)
-}
-
-// ErrNotResumable reports a checkpoint/fork request the configuration cannot
-// honor; test with errors.Is.
+// ErrNotResumable reports a checkpoint/fork request that cannot be honored:
+// a configuration a checkpoint does not carry, a cut with work still in
+// flight or inside a phase, a run that ends before its cut, or an app that
+// does not resume from its epoch (see App). Test with errors.Is.
 var ErrNotResumable = errors.New("core: run cannot be checkpointed/forked")
 
 // Checkpoint is a complete, self-contained deep snapshot of a run cut at a
@@ -158,7 +148,7 @@ func (m *Machine) RunToBarrier(ctx context.Context, app App, k int) (*Checkpoint
 // fault plan must be start-gated (start=K, K >= cp.Epoch()) so the forked
 // run is byte-identical to a flat run of the same config. The app instance
 // must be equivalent to the one cp was captured from (same constructor
-// arguments) and implement ResumableApp.
+// arguments) and resume through Ctx.Phases.
 func (m *Machine) RunFromCheckpoint(ctx context.Context, cp *Checkpoint, app App) (*Result, error) {
 	r, err := m.buildRun(ctx, app, cp)
 	if err != nil {
@@ -205,8 +195,8 @@ func (r *run) releaseFromCut() {
 func (r *run) runToCapture(k int) (*Checkpoint, error) {
 	runErr := r.engine.Run()
 	defer r.release(false)
-	if r.capErr != nil {
-		return nil, r.capErr
+	if r.err != nil {
+		return nil, r.err
 	}
 	if r.cp == nil {
 		if runErr != nil {
@@ -215,7 +205,7 @@ func (r *run) runToCapture(k int) (*Checkpoint, error) {
 			}
 			return nil, r.runError(runErr)
 		}
-		return nil, fmt.Errorf("core: %s finished before barrier epoch %d", r.info.Name, k)
+		return nil, fmt.Errorf("%w: %s finished before barrier epoch %d", ErrNotResumable, r.info.Name, k)
 	}
 	if err := r.tr.Flush(); err != nil { // nil-safe; completes the prefix's trace stream at the cut
 		return nil, fmt.Errorf("core: trace: %w", err)
@@ -236,7 +226,7 @@ func (r *run) barrierHook(epoch int) bool {
 		r.inj.Activate()
 	}
 	if epoch == r.captureEpoch {
-		r.cp, r.capErr = r.capture(epoch)
+		r.cp, r.err = r.capture(epoch)
 		r.engine.Stop()
 		return true
 	}
@@ -244,15 +234,21 @@ func (r *run) barrierHook(epoch int) bool {
 }
 
 // capture deep-snapshots every layer at the barrier cut. Engine context,
-// with the release suppressed: all procs blocked in the barrier, the event
-// queue empty, every endpoint idle.
+// with the release suppressed: all procs blocked in the barrier. A cut with
+// events in flight (an Unlock's release, under sc, dc and tlc) or inside a
+// phase is refused, not drained.
 func (r *run) capture(epoch int) (*Checkpoint, error) {
 	if n := r.engine.PendingEvents(); n != 0 {
-		return nil, fmt.Errorf("core: checkpoint at epoch %d: %d events still in flight", epoch, n)
+		return nil, fmt.Errorf("%w: checkpoint at epoch %d: %d events still in flight", ErrNotResumable, epoch, n)
+	}
+	for i := range r.nodes {
+		if r.nodes[i].inPhase {
+			return nil, fmt.Errorf("%w: checkpoint at epoch %d: node %d is in a barrier inside a phase", ErrNotResumable, epoch, i)
+		}
 	}
 	ps, err := r.p.CaptureState()
 	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint at epoch %d: %w", epoch, err)
+		return nil, fmt.Errorf("%w: checkpoint at epoch %d: %w", ErrNotResumable, epoch, err)
 	}
 	cp := &Checkpoint{
 		app:        r.info.Name,
@@ -277,7 +273,7 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 		cp.stats = append(cp.stats, *r.env.Stats[i])
 		eps, err := r.net.Endpoint(i).CaptureState()
 		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint at epoch %d, node %d: %w", epoch, i, err)
+			return nil, fmt.Errorf("%w: checkpoint at epoch %d, node %d: %w", ErrNotResumable, epoch, i, err)
 		}
 		cp.eps = append(cp.eps, eps)
 		n := &r.nodes[i]

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
 
 	"dsmsim/internal/apps"
@@ -15,16 +17,59 @@ import (
 // every registered protocol family, not just the reproduction set.
 var testProtocols = append(append([]string(nil), core.Protocols...), core.TLC)
 
-// forkApps lists the resumable applications with their Small-size barrier
-// counts; the equivalence chain below walks every epoch of each.
-var forkApps = []struct {
+// forkApp is one application the fork tests cut at every barrier epoch.
+type forkApp struct {
 	name     string
-	barriers int
-}{
-	{"fft", 7},                   // six-step body: initial barrier + 6 phase barriers
-	{"lu", 24},                   // 3 barriers per elimination step, nb = 8
-	{"ocean-rowwise", 16},        // 2 colors x 8 iterations
-	{"lockstep", lockStepPhases}, // test-only, below: the one that takes locks
+	barriers int // at Small size
+	// refused lists, per protocol ("" for all of them), the epochs whose cut
+	// is refused at the fork tests' 8 nodes and 1024 B blocks: a barrier a
+	// phase calls itself, or one entered right after an Unlock whose
+	// release is still in flight.
+	refused map[string][]int
+}
+
+// inFlight is the refusal pattern of an Unlock right before a barrier:
+// only the protocols whose release travels as a message of its own (sc,
+// its delayed-invalidation sibling dc, tlc) can leave it in flight.
+func inFlight(epochs ...int) map[string][]int {
+	return map[string][]int{core.SC: epochs, core.DC: epochs, core.TLC: epochs}
+}
+
+// forkApps lists every registered application, in registry order, and the
+// test-only lockstep app below; TestForkAppsCoverRegistry keeps the list
+// whole.
+var forkApps = []forkApp{
+	{name: "barnes-original", barriers: 8, refused: map[string][]int{core.SC: {6}}},
+	// The build's barrier carries each node's private tree into the merge.
+	{name: "barnes-partree", barriers: 10, refused: map[string][]int{
+		"": {2, 7}, core.SC: {8}, core.DC: {3, 8}, core.TLC: {8}}},
+	{name: "barnes-spatial", barriers: 10},
+	{name: "fft", barriers: 7},
+	{name: "lu", barriers: 24},
+	{name: "ocean-original", barriers: 16},
+	{name: "ocean-rowwise", barriers: 16},
+	{name: "raytrace", barriers: 1, refused: inFlight(1)},
+	{name: "volrend-original", barriers: 8, refused: inFlight(2, 3, 6, 7)},
+	{name: "volrend-rowwise", barriers: 8, refused: inFlight(2, 3, 6, 7)},
+	{name: "water-nsquared", barriers: 8},
+	// The integrate phase's barrier carries its moves into the relink.
+	{name: "water-spatial", barriers: 8, refused: map[string][]int{"": {3, 7}}},
+	{name: "lockstep", barriers: lockStepPhases},
+}
+
+// cut checks one cut's outcome against the table: nil where the epoch is
+// not refused, a typed refusal where it is. It reports whether the cut was
+// taken.
+func (a forkApp) cut(t *testing.T, protocol string, e int, err error) bool {
+	t.Helper()
+	refused := slices.Contains(a.refused[""], e) || slices.Contains(a.refused[protocol], e)
+	switch {
+	case refused && !errors.Is(err, core.ErrNotResumable):
+		t.Fatalf("epoch %d: got %v, want the cut refused with ErrNotResumable", e, err)
+	case !refused && err != nil:
+		t.Fatalf("epoch %d: %v", e, err)
+	}
+	return !refused
 }
 
 // newForkApp builds the named forkApps entry.
@@ -39,24 +84,50 @@ func newForkApp(t *testing.T, name string) core.App {
 	return entry.New(apps.Small)
 }
 
-// lockStep is a resumable app that takes locks between its barriers. The
-// registered resumable apps synchronize with barriers only, so without it
-// no forked run would reach the lock-grant path: a last releaser shipping
-// write notices by reference into a restored log, against restored clocks.
+// TestForkAppsCoverRegistry: every registered application is in forkApps,
+// with its barrier count, so a new one is cut at every epoch too.
+func TestForkAppsCoverRegistry(t *testing.T) {
+	var names []string
+	for _, ap := range forkApps[:len(forkApps)-1] {
+		names = append(names, ap.name)
+	}
+	if want := apps.Names(); !slices.Equal(names, want) {
+		t.Fatalf("forkApps lists %v, the registry %v", names, want)
+	}
+	for _, ap := range forkApps[:len(forkApps)-1] {
+		m, err := core.NewMachine(core.Config{Nodes: 8, BlockSize: 1024, Protocol: core.HLRC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(newForkApp(t, ap.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(res.Total.BarrierEntries) / 8; got != ap.barriers {
+			t.Errorf("%s: %d barriers, forkApps says %d", ap.name, got, ap.barriers)
+		}
+		core.ReleaseImage(res)
+	}
+}
+
+// lockStep is an app that takes locks between its barriers, each phase
+// with a short Compute after its last Unlock so that every epoch can be
+// cut under every protocol: the lock-grant path of a forked run — a last
+// releaser shipping write notices by reference into a restored log,
+// against restored clocks — at every epoch.
 type lockStep struct{ base int }
 
 const lockStepPhases, lockStepCounters = 6, 3
 
 func (a *lockStep) Info() core.AppInfo { return core.AppInfo{Name: "lockstep", HeapBytes: 8192} }
 func (a *lockStep) Setup(h *core.Heap) { a.base = h.AllocPage(lockStepCounters * 1024) }
-func (a *lockStep) Run(c *core.Ctx)    { a.RunFrom(c, 0) }
 
-// RunFrom implements core.ResumableApp: one barrier per phase, and before
-// it two increments of lock-protected counters, one counter per block.
-func (a *lockStep) RunFrom(c *core.Ctx, epoch int) {
-	for ph := epoch; ph < lockStepPhases; ph++ {
+// Run is one phase per epoch: two increments of lock-protected counters,
+// one counter per block.
+func (a *lockStep) Run(c *core.Ctx) {
+	c.Phases(lockStepPhases, func(e int) {
 		for k := 0; k < 2; k++ {
-			l := (c.ID() + ph + k) % lockStepCounters
+			l := (c.ID() + e + k) % lockStepCounters
 			c.Lock(l)
 			c.WriteI64(a.base+l*1024, c.ReadI64(a.base+l*1024)+1)
 			c.Unlock(l)
@@ -64,8 +135,7 @@ func (a *lockStep) RunFrom(c *core.Ctx, epoch int) {
 		// Unlock does not wait for the release to reach the lock's home,
 		// and a cut needs an empty event queue: let it land first.
 		c.Compute(100 * sim.Microsecond)
-		c.Barrier()
-	}
+	})
 }
 
 // Verify is never reached: the fork tests compare digests and traces.
@@ -73,10 +143,11 @@ func (a *lockStep) Verify(h *core.Heap) error { return nil }
 
 // TestForkDigestEquivalence is the state-equivalence oracle for the
 // checkpoint machinery: for every application x protocol and every barrier
-// epoch e >= 2, forking at epoch e-1 and continuing to e must reach a machine
-// state whose digest equals a fresh run cut at e. Any drift anywhere — clock,
-// sequence numbers, spaces, protocol metadata, endpoint state, statistics —
-// changes the digest.
+// epoch e >= 2, forking at the last epoch before e whose cut was taken and
+// continuing to e must reach a machine state whose digest equals a fresh run
+// cut at e. Any drift anywhere — clock, sequence numbers, spaces, protocol
+// metadata, endpoint state, statistics — changes the digest. A refused
+// epoch must be refused both ways.
 func TestForkDigestEquivalence(t *testing.T) {
 	for _, ap := range forkApps {
 		for _, protocol := range testProtocols {
@@ -92,25 +163,79 @@ func TestForkDigestEquivalence(t *testing.T) {
 				var chain *core.Checkpoint
 				for e := 1; e <= ap.barriers; e++ {
 					fresh, err := m.RunToBarrier(ctx, app, e)
-					if err != nil {
-						t.Fatalf("RunToBarrier(%d): %v", e, err)
-					}
+					taken := ap.cut(t, protocol, e, err)
 					if chain != nil {
 						chained, err := m.RunToBarrierFrom(ctx, chain, app, e)
-						if err != nil {
-							t.Fatalf("RunToBarrierFrom(%d -> %d): %v", chain.Epoch(), e, err)
-						}
-						if fd, cd := fresh.Digest(), chained.Digest(); fd != cd {
-							t.Fatalf("epoch %d: fork(%d)+continue digest %#x != fresh digest %#x",
-								e, chain.Epoch(), cd, fd)
+						if ap.cut(t, protocol, e, err) {
+							if fd, cd := fresh.Digest(), chained.Digest(); fd != cd {
+								t.Fatalf("epoch %d: fork(%d)+continue digest %#x != fresh digest %#x",
+									e, chain.Epoch(), cd, fd)
+							}
 						}
 					}
-					chain = fresh
+					if taken {
+						chain = fresh
+					}
 				}
 			})
 		}
 	}
 }
+
+// TestResumeRefusesAppIgnoringItsEpoch: an app that does not run its body
+// through Ctx.Phases cuts like any other, but cannot resume — its Run would
+// replay from time zero over the restored state. Whether it reaches a
+// barrier first or returns first, the resumed run ends in ErrNotResumable,
+// not in a panic, a deadlock or a wrong result.
+func TestResumeRefusesAppIgnoringItsEpoch(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func(c *core.Ctx)
+	}{
+		{"barrier", func(c *core.Ctx) {
+			for e := 0; e < 4; e++ {
+				c.Compute(10 * sim.Microsecond)
+				c.Barrier()
+			}
+		}},
+		{"return", func(c *core.Ctx) {
+			if c.Now() > 0 {
+				return // resumed: nothing left from time zero's point of view
+			}
+			for e := 0; e < 4; e++ {
+				c.Compute(10 * sim.Microsecond)
+				c.Barrier()
+			}
+		}},
+	} {
+		for _, protocol := range testProtocols {
+			m, err := core.NewMachine(core.Config{Nodes: 4, BlockSize: 1024, Protocol: protocol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := &plainApp{run: tc.run}
+			cp, err := m.RunToBarrier(ctx, app, 2)
+			if err != nil {
+				t.Fatalf("%s/%s: RunToBarrier: %v", tc.name, protocol, err)
+			}
+			if _, err := m.RunFromCheckpoint(ctx, cp, app); !errors.Is(err, core.ErrNotResumable) {
+				t.Errorf("%s/%s: RunFromCheckpoint: %v, want ErrNotResumable", tc.name, protocol, err)
+			}
+			if _, err := m.RunToBarrierFrom(ctx, cp, app, 3); !errors.Is(err, core.ErrNotResumable) {
+				t.Errorf("%s/%s: RunToBarrierFrom: %v, want ErrNotResumable", tc.name, protocol, err)
+			}
+		}
+	}
+}
+
+// plainApp runs a body that calls Barrier itself.
+type plainApp struct{ run func(c *core.Ctx) }
+
+func (a *plainApp) Info() core.AppInfo        { return core.AppInfo{Name: "plain", HeapBytes: 4096} }
+func (a *plainApp) Setup(h *core.Heap)        {}
+func (a *plainApp) Run(c *core.Ctx)           { a.run(c) }
+func (a *plainApp) Verify(h *core.Heap) error { return nil }
 
 // TestForkResultMatchesFlat forks a run at a mid-run barrier and compares
 // every deterministic Result field against the flat run — the
@@ -236,27 +361,10 @@ func TestForkGatingRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fm.RunFromCheckpoint(ctx, cp, app); !errorsIsNotResumable(err) {
+		if _, err := fm.RunFromCheckpoint(ctx, cp, app); !errors.Is(err, core.ErrNotResumable) {
 			t.Errorf("fork under %q: got %v, want ErrNotResumable", spec, err)
 		}
 	}
-}
-
-func errorsIsNotResumable(err error) bool {
-	for ; err != nil; err = unwrap(err) {
-		if err == core.ErrNotResumable {
-			return true
-		}
-	}
-	return false
-}
-
-func unwrap(err error) error {
-	u, ok := err.(interface{ Unwrap() error })
-	if !ok {
-		return nil
-	}
-	return u.Unwrap()
 }
 
 // compareResults asserts every deterministic Result field matches between a

@@ -227,6 +227,10 @@ type AppInfo struct {
 // App is a workload: Setup lays out and initializes the shared heap in the
 // master image (the sequential pre-parallel phase, not timed), Run is the
 // parallel body executed by every node, and Verify checks the final image.
+// A Run written as Ctx.Phases, with only pure set-up before it, resumes from
+// a checkpoint: a restored node runs it again and Phases starts at the
+// checkpoint's epoch. One that reaches a Barrier or returns first is
+// refused with ErrNotResumable.
 type App interface {
 	Info() AppInfo
 	Setup(h *Heap)
@@ -372,11 +376,12 @@ type run struct {
 	statSlab []stats.Node
 
 	// captureEpoch, when positive, cuts the run at that barrier epoch: the
-	// barrier hook captures a checkpoint into cp (or capErr) and stops the
-	// engine instead of releasing the barrier.
+	// barrier hook captures a checkpoint into cp (or a refusal into err)
+	// and stops the engine instead of releasing the barrier. A refused
+	// resume (Node.refuse) lands in err too.
 	captureEpoch int
 	cp           *Checkpoint
-	capErr       error
+	err          error
 }
 
 // buildRun constructs the whole simulation for one run. With cp nil this is
@@ -393,9 +398,6 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	if cp != nil {
 		if err := cp.compatible(cfg, r.info.Name); err != nil {
 			return nil, err
-		}
-		if _, ok := app.(ResumableApp); !ok {
-			return nil, fmt.Errorf("core: %s does not implement ResumableApp", r.info.Name)
 		}
 	}
 	r.model = cfg.Model
@@ -603,7 +605,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		*n = Node{
 			id:       i,
 			ctx:      Ctx{n: n},
-			machine:  m,
+			run:      r,
 			engine:   engine,
 			model:    r.model,
 			space:    env.Spaces[i],
@@ -629,49 +631,40 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	}
 	engine.ReserveProcs(cfg.Nodes)
 	env.Procs = make([]*sim.Proc, cfg.Nodes)
-	if cp == nil {
-		for i := range r.nodes {
-			n := &r.nodes[i]
-			n.proc = engine.NewProc(nodeNames[i], 0, func(pr *sim.Proc) {
-				app.Run(&n.ctx)
-				n.finishAt = engine.Now()
-				if ct := r.crit; ct != nil {
-					ct.Finish(n.id, n.finishAt)
-				}
-				// Service time stolen from computation extends the *next*
-				// Compute call; what was charged after the last one never
-				// lengthened anything, so give it back — the breakdown
-				// components must describe time that actually passed.
-				n.stats.Stolen -= n.stolen
-				n.stolen = 0
-			})
-			env.Procs[i] = n.proc
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		body := func(*sim.Proc) {
+			if n.resuming { // reborn inside the barrier the cut suppressed
+				n.inRuntime = false
+				n.barrierResumed()
+			}
+			app.Run(&n.ctx)
+			if n.resuming {
+				n.refuse("returned")
+			}
+			n.finishAt = engine.Now()
+			if ct := r.crit; ct != nil {
+				ct.Finish(n.id, n.finishAt)
+			}
+			// Service time stolen from computation extends the *next*
+			// Compute call; what was charged after the last one never
+			// lengthened anything, so give it back — the breakdown
+			// components must describe time that actually passed.
+			n.stats.Stolen -= n.stolen
+			n.stolen = 0
 		}
-	} else {
-		rapp := app.(ResumableApp)
-		for i := range r.nodes {
-			n := &r.nodes[i]
-			// The node is mid-barrier: its goroutine stack cannot be restored,
-			// so it is reborn parked in Block("barrier") with a continuation
-			// body that books the stall Ctx.Barrier would have booked and
-			// re-enters the application after its cp.epoch-th barrier.
-			n.inRuntime = true
+		if cp == nil {
+			n.proc = engine.NewProc(nodeNames[i], 0, body)
+		} else {
+			// A goroutine stack cannot be restored: the node is reborn parked
+			// in the cut barrier and runs its body from the top once woken.
+			n.inRuntime, n.resuming = true, true
 			n.stolen = cp.stolen[i]
 			n.barStart = cp.barStart[i]
 			n.barFlush0 = cp.barFlush0[i]
-			n.proc = engine.NewProcBlocked(nodeNames[i], "barrier", -1, func(pr *sim.Proc) {
-				n.inRuntime = false
-				n.barrierResumed()
-				rapp.RunFrom(&n.ctx, cp.epoch)
-				n.finishAt = engine.Now()
-				if ct := r.crit; ct != nil {
-					ct.Finish(n.id, n.finishAt)
-				}
-				n.stats.Stolen -= n.stolen
-				n.stolen = 0
-			})
-			env.Procs[i] = n.proc
+			n.proc = engine.NewProcBlocked(nodeNames[i], "barrier", -1, body)
 		}
+		env.Procs[i] = n.proc
 	}
 	if ct := r.crit; tr != nil || ct != nil {
 		// The engine's only procs are the nodes', created above in node
@@ -743,6 +736,9 @@ func (r *run) runError(runErr error) error {
 func (r *run) finish(runErr error) (res *Result, err error) {
 	defer func() { r.release(res != nil) }()
 	cfg := &r.cfg
+	if runErr == nil {
+		runErr = r.err
+	}
 	if r.crit != nil && r.tr != nil && runErr == nil {
 		// Paint the recovered critical path into the trace as a per-node
 		// "crit" lane before flushing, so the Perfetto view shows the

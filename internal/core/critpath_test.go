@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -204,14 +205,14 @@ func TestCritPathForkRequiresMatchingProfiler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mustMachine(t, profiled).RunFromCheckpoint(ctx, cpPlain, app); !errorsIsNotResumable(err) {
+	if _, err := mustMachine(t, profiled).RunFromCheckpoint(ctx, cpPlain, app); !errors.Is(err, core.ErrNotResumable) {
 		t.Errorf("plain checkpoint into profiled run: got %v, want ErrNotResumable", err)
 	}
 	cpProf, err := mustMachine(t, profiled).RunToBarrier(ctx, app, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mustMachine(t, plain).RunFromCheckpoint(ctx, cpProf, app); !errorsIsNotResumable(err) {
+	if _, err := mustMachine(t, plain).RunFromCheckpoint(ctx, cpProf, app); !errors.Is(err, core.ErrNotResumable) {
 		t.Errorf("profiled checkpoint into plain run: got %v, want ErrNotResumable", err)
 	}
 }

@@ -26,13 +26,13 @@ type Ctx struct {
 func (c *Ctx) ID() int { return c.n.id }
 
 // NP returns the number of nodes.
-func (c *Ctx) NP() int { return c.n.machine.cfg.Nodes }
+func (c *Ctx) NP() int { return c.n.run.cfg.Nodes }
 
 // Protocol returns the running protocol's name. Applications that need
 // extra synchronization to be release-consistent (§5.2: Barnes) use this to
 // select their SC or RC variant, exactly as the paper ran different
 // binaries per protocol.
-func (c *Ctx) Protocol() string { return c.n.machine.cfg.Protocol }
+func (c *Ctx) Protocol() string { return c.n.run.cfg.Protocol }
 
 // Now returns the current virtual time.
 func (c *Ctx) Now() sim.Time { return c.n.engine.Now() }
@@ -102,7 +102,7 @@ func (c *Ctx) access(addr, size int, write bool) []byte {
 		return nil
 	}
 	first, last := sp.BlocksIn(addr, size)
-	if n.machine.cfg.SoftwareAccessCheck > 0 {
+	if n.run.cfg.SoftwareAccessCheck > 0 {
 		n.checkDebt += int64(last - first + 1)
 	}
 	// Fast path: the previous fault-free pass validated [vFirst, vLast]
@@ -231,10 +231,28 @@ func (c *Ctx) Unlock(id int) {
 	}
 }
 
+// Phases runs phase(e) and then Barrier for each epoch e from the node's
+// start epoch up to n: 0 for a fresh node, the checkpoint's epoch for a
+// restored one. A phase that calls Barrier itself spans those epochs too,
+// and such a barrier is no cut point: the phase's private state crosses it.
+func (c *Ctx) Phases(n int, phase func(e int)) {
+	nd := c.n
+	nd.resuming = false
+	for e := nd.phases.Epoch(nd.id); e < n; e = nd.phases.Epoch(nd.id) {
+		nd.inPhase = true
+		phase(e)
+		nd.inPhase = false
+		c.Barrier()
+	}
+}
+
 // Barrier blocks until every node has entered it. It is both a release and
 // an acquire.
 func (c *Ctx) Barrier() {
 	n := c.n
+	if n.resuming {
+		n.refuse("entered a barrier")
+	}
 	n.settleChecks()
 	// Entry time and already-booked flush time live on the Node (not in
 	// locals) so a checkpoint cut inside the barrier can capture them; the

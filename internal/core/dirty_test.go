@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -27,10 +29,8 @@ func cleanPagesAreZero(sp *mem.Space) error {
 		}
 		lo := p * mem.PageSize
 		hi := min(lo+mem.PageSize, sp.Size())
-		for i, v := range sp.Bytes(lo, hi-lo) {
-			if v != 0 {
-				return fmt.Errorf("%d B blocks: clean page %d holds %#x at byte %d", bs, p, v, lo+i)
-			}
+		if i := firstNonZero(sp.Bytes(lo, hi-lo)); i >= 0 {
+			return fmt.Errorf("%d B blocks: clean page %d holds %#x at byte %d", bs, p, sp.Bytes(lo+i, 1)[0], lo+i)
 		}
 		for b := lo / bs; b <= (hi-1)/bs; b++ {
 			if sp.Tag(b) != mem.NoAccess {
@@ -39,6 +39,20 @@ func cleanPagesAreZero(sp *mem.Space) error {
 		}
 	}
 	return nil
+}
+
+var zeroPage [mem.PageSize]byte
+
+// firstNonZero returns the index of the first non-zero byte of b, or -1. It
+// compares a page at a time: the fork chains below pool a slab at every cut.
+func firstNonZero(b []byte) int {
+	for off := 0; off < len(b); off += len(zeroPage) {
+		chunk := b[off:min(off+len(zeroPage), len(b))]
+		if !bytes.Equal(chunk, zeroPage[:len(chunk)]) {
+			return off + slices.IndexFunc(chunk, func(v byte) bool { return v != 0 })
+		}
+	}
+	return -1
 }
 
 // TestCleanPagesZeroAtRelease runs the simulator's whole surface with a
@@ -57,8 +71,9 @@ func cleanPagesAreZero(sp *mem.Space) error {
 //
 // Every registered protocol x {64, 4096, 8192} B x every registered app runs
 // with a fault plan and every observer on; then every app as a Sequential
-// baseline, and every resumable app x protocol across a fork chain whose
-// last leg runs under a start-gated fault plan.
+// baseline, and every forkApps entry x protocol across a fork chain cut at
+// every epoch (a refused cut skipped), plus one leg from an early cut to the
+// end under a start-gated fault plan.
 func TestCleanPagesZeroAtRelease(t *testing.T) {
 	var mu sync.Mutex
 	spaces, slabs, failures := 0, 0, 0
@@ -78,7 +93,7 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 	})()
 	defer mem.StackSlabs(func(whole []byte) {
 		var err error
-		if i := bytes.IndexFunc(whole, func(r rune) bool { return r != 0 }); i >= 0 {
+		if i := firstNonZero(whole); i >= 0 {
 			err = fmt.Errorf("pooled slab of %d bytes holds %#x at byte %d (page %d)", len(whole), whole[i], i, i/mem.PageSize)
 		}
 		mu.Lock()
@@ -144,15 +159,32 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					// Cut at every epoch, each leg forked from the last cut
+					// taken; the plan arms at barrier 2, so the faulty leg
+					// forks from the last cut taken by then.
 					app := newForkApp(t, ap.name)
-					cp, err := prefix.RunToBarrier(ctx, app, 1)
-					if err != nil {
-						t.Fatal(err)
+					var cp, early *core.Checkpoint
+					for e := 1; e <= ap.barriers; e++ {
+						var next *core.Checkpoint
+						if cp == nil {
+							next, err = prefix.RunToBarrier(ctx, app, e)
+						} else {
+							next, err = prefix.RunToBarrierFrom(ctx, cp, app, e)
+						}
+						if errors.Is(err, core.ErrNotResumable) {
+							continue
+						}
+						if err != nil {
+							t.Fatalf("%s: epoch %d: %v", protocol, e, err)
+						}
+						if cp = next; e <= gated.StartBarrier() {
+							early = cp
+						}
 					}
-					if cp, err = prefix.RunToBarrierFrom(ctx, cp, app, 2); err != nil {
-						t.Fatal(err)
+					if early == nil {
+						continue
 					}
-					res, err := faulty.RunFromCheckpoint(ctx, cp, app)
+					res, err := faulty.RunFromCheckpoint(ctx, early, app)
 					if err != nil {
 						t.Fatal(err)
 					}

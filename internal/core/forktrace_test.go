@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dsmsim/internal/core"
@@ -41,18 +42,21 @@ func firstDiff(a, b []byte) (int, string, string) {
 	return len(al), "(end)", "(end)"
 }
 
-// TestForkTraceByteIdentical cuts fft, lu and the lock-taking lockstep app
-// (checkpoint_test.go) at every barrier epoch under every protocol and
-// checks that the prefix run's trace stream plus the forked run's suffix
-// stream reproduce the flat run's trace: the line
-// format byte-for-byte by concatenation, the Chrome JSON format
-// record-for-record (each stream is its own JSON array, so the arrays are
-// compared element-wise after dropping track metadata). The critical-path
-// profiler rides along, so its "crit" lanes — emitted at the end of the
-// flat and forked runs from the full recovered path — must match too.
+// TestForkTraceByteIdentical cuts every forkApps entry (checkpoint_test.go)
+// at every barrier epoch under every protocol and checks that the prefix
+// run's trace stream plus the forked run's suffix stream reproduce the flat
+// run's trace: the line format byte-for-byte by concatenation, the Chrome
+// JSON format record-for-record (each stream is its own JSON array, so the
+// arrays are compared element-wise after dropping track metadata). The
+// critical-path profiler rides along, so its "crit" lanes — emitted at the
+// end of the flat and forked runs from the full recovered path — must match
+// too. The epochs forkApps lists as refused must be refused. Under -short,
+// as in the race-detector run, barnes, ocean and volrend — four fifths of
+// this test's cost there — are left to TestForkDigestEquivalence.
 func TestForkTraceByteIdentical(t *testing.T) {
 	for _, ap := range forkApps {
-		if ap.name == "ocean-rowwise" {
+		base, _, _ := strings.Cut(ap.name, "-")
+		if testing.Short() && (base == "barnes" || base == "ocean" || base == "volrend") {
 			continue
 		}
 		for _, protocol := range core.ProtocolNames() {
@@ -84,8 +88,8 @@ func TestForkTraceByteIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					cp, err := pm.RunToBarrier(ctx, app, e)
-					if err != nil {
-						t.Fatalf("RunToBarrier(%d): %v", e, err)
+					if !ap.cut(t, protocol, e, err) {
+						continue
 					}
 					var sufLine, sufJSON bytes.Buffer
 					scfg := cfg

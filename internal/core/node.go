@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/mem"
@@ -18,15 +20,15 @@ import (
 // Node is one simulated processor: an application proc plus the DSM runtime
 // state the protocol and notification model need.
 type Node struct {
-	id      int
-	machine *Machine
-	engine  *sim.Engine
-	model   *timing.Model
-	space   *mem.Space
-	stats   *stats.Node
-	ep      *network.Endpoint
-	proc    *sim.Proc
-	ctx     Ctx // the application's handle on this node, passed to its body
+	id     int
+	run    *run
+	engine *sim.Engine
+	model  *timing.Model
+	space  *mem.Space
+	stats  *stats.Node
+	ep     *network.Endpoint
+	proc   *sim.Proc
+	ctx    Ctx // the application's handle on this node, passed to its body
 
 	protocol proto.Protocol
 	sync     *synch.Sync
@@ -74,8 +76,10 @@ type Node struct {
 
 	// inRuntime is true while the app thread is blocked inside the DSM
 	// runtime (fault, lock, barrier, flush); message service is then
-	// immediate instead of waiting for a poll or interrupt.
-	inRuntime bool
+	// immediate instead of waiting for a poll or interrupt. resuming is set
+	// on a node restored from a checkpoint until Ctx.Phases takes up its
+	// epoch, inPhase while a phase body runs.
+	inRuntime, resuming, inPhase bool
 
 	// stolen accumulates protocol service time charged to the current
 	// computation; Compute extends itself by this amount.
@@ -106,7 +110,7 @@ func (n *Node) settleChecks() {
 	if n.checkDebt == 0 {
 		return
 	}
-	cost := sim.Time(n.checkDebt) * n.machine.cfg.SoftwareAccessCheck
+	cost := sim.Time(n.checkDebt) * n.run.cfg.SoftwareAccessCheck
 	n.checkDebt = 0
 	n.stats.Compute += cost
 	start := n.engine.Now()
@@ -114,6 +118,15 @@ func (n *Node) settleChecks() {
 	if ct := n.crit; ct != nil {
 		ct.CheckSeg(n.id, start, n.engine.Now())
 	}
+}
+
+// refuse ends a resumed run whose app did not start from its epoch; proc
+// context. The engine stops once this node parks.
+func (n *Node) refuse(what string) {
+	n.run.err = fmt.Errorf("%w: %s: node %d %s before Ctx.Phases took up its start epoch %d",
+		ErrNotResumable, n.run.info.Name, n.id, what, n.phases.Epoch(n.id))
+	n.engine.Stop()
+	n.proc.Block("refused")
 }
 
 // Computing implements network.Host.

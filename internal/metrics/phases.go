@@ -76,6 +76,10 @@ func (a *PhaseAccountant) Cut(node int, at sim.Time, n *stats.Node) {
 	a.prevAt[node] = at
 }
 
+// Epoch returns the number of cuts made for node: while its body runs, the
+// barriers it has returned from.
+func (a *PhaseAccountant) Epoch(node int) int { return a.epoch[node] }
+
 // PhaseState is a deep snapshot of a phase accountant mid-run. A forked
 // run restores it onto a fresh accountant so the per-epoch breakdown
 // continues exactly where the prefix's accounting left off.

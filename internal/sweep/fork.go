@@ -66,13 +66,10 @@ func (e *Engine) forkEpoch() int {
 }
 
 // forkable reports whether one point can take the fork path at the given
-// cut epoch. Sequential baselines, non-resumable apps and points whose plan
-// is not gated at or after the cut always run flat.
-func (e *Engine) forkable(k Key, app core.App, plan *faults.Plan, epoch int) bool {
+// cut epoch. Sequential baselines and points whose plan is not gated at or
+// after the cut always run flat.
+func forkable(k Key, plan *faults.Plan, epoch int) bool {
 	if k.Sequential || k.Fault == "" {
-		return false
-	}
-	if _, ok := app.(core.ResumableApp); !ok {
 		return false
 	}
 	return plan == nil || plan.StartBarrier() >= epoch
@@ -133,17 +130,22 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 		return nil, err
 	}
 	w.forks.Add(1)
+	if forkedHook != nil {
+		forkedHook(res)
+	}
 	return e.checked(k, app, res)
 }
+
+// forkedHook, when non-nil, sees every forked result before it is checked.
+var forkedHook func(*core.Result)
 
 // ForkStats summarizes what prefix sharing bought one engine: how many
 // distinct warmup prefixes were simulated, how many runs forked from them,
 // and an estimate of the warmup re-simulation wall time avoided (each run
 // beyond a prefix's first would have re-simulated that prefix flat). The
 // other two count the grid points Options.Fork did not serve: FlatRuns
-// were not eligible (non-resumable app, ungated plan, a grid that cannot
-// fork at all), FailedForks tried — the app finished before the cut, events
-// were in flight at the barrier — and were re-run flat.
+// were not eligible (an ungated plan, a grid that cannot fork at all),
+// FailedForks had their cut refused (core.ErrNotResumable) and re-ran flat.
 type ForkStats struct {
 	Prefixes    int
 	ForkedRuns  int

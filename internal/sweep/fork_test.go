@@ -29,7 +29,7 @@ func testGrid() []FaultVariant {
 	}
 }
 
-// gridSpec crosses two resumable apps with two protocols, two granularities
+// gridSpec crosses two apps with two protocols, two granularities
 // and the fault grid: 8 prefix groups of 3 points each, plus baselines.
 func gridSpec(grid []FaultVariant) Spec {
 	var names []string
@@ -143,13 +143,12 @@ func TestForkFallbackAppTooShort(t *testing.T) {
 	}
 }
 
-// TestForkStatsCountFlatRuns: a forked grid over one resumable and one
-// non-resumable app reports the latter's points as flat rather than
-// leaving them out of the summary, and a grid that cannot fork at all
-// reports every point.
+// TestForkStatsCountFlatRuns: a forked grid over two apps, one of them
+// taking locks, forks every point, and a grid that cannot fork at all
+// reports every point as flat rather than leaving it out of the summary.
 func TestForkStatsCountFlatRuns(t *testing.T) {
 	spec := gridSpec(testGrid())
-	spec.Apps = []string{"ocean-rowwise", "water-nsquared"} // water-nsquared has no RunFrom
+	spec.Apps = []string{"ocean-rowwise", "water-nsquared"}
 	spec.Protocols, spec.Granularities = []string{core.SC}, []int{4096}
 	stats := func(grid []FaultVariant) ForkStats {
 		e := mustNew(t, Options{Size: apps.Small, Workers: 4, FaultGrid: grid, Fork: true})
@@ -160,8 +159,8 @@ func TestForkStatsCountFlatRuns(t *testing.T) {
 		fs.SavedWall = 0
 		return fs
 	}
-	if got, want := stats(testGrid()), (ForkStats{Prefixes: 1, ForkedRuns: 3, FlatRuns: 3}); got != want {
-		t.Errorf("fork stats = %+v, want %+v (water-nsquared's three variants flat)", got, want)
+	if got, want := stats(testGrid()), (ForkStats{Prefixes: 2, ForkedRuns: 6}); got != want {
+		t.Errorf("fork stats = %+v, want %+v (every point forked)", got, want)
 	}
 	ungated := testGrid()
 	for i := range ungated {
@@ -196,34 +195,40 @@ func TestForkEligibility(t *testing.T) {
 		t.Fatal("all-ungated grid but forkEpoch > 0")
 	}
 
-	e := newEng(testGrid(), true, false)
-	resumable := mustApp(t, "ocean-rowwise")
-	plain := mustApp(t, "water-nsquared") // no RunFrom: not resumable
 	k := Key{App: "ocean-rowwise", Protocol: "sc", Block: 1024, Notify: network.Polling, Nodes: 4, Fault: "lossy"}
-	if !e.forkable(k, resumable, gated, 4) {
-		t.Fatal("resumable gated point not forkable")
+	if !forkable(k, gated, 4) {
+		t.Fatal("gated point not forkable")
 	}
-	if e.forkable(k, plain, gated, 4) {
-		t.Fatal("non-resumable app reported forkable")
+	if forkable(k, gated, 5) {
+		t.Fatal("plan armed before the cut reported forkable")
 	}
-	if e.forkable(k, resumable, ungated, 4) {
+	if forkable(k, ungated, 4) {
 		t.Fatal("ungated plan reported forkable")
 	}
-	if !e.forkable(k, resumable, nil, 4) {
+	if !forkable(k, nil, 4) {
 		t.Fatal("healthy variant (nil plan) not forkable")
 	}
-	if e.forkable(Seq("ocean-rowwise"), resumable, nil, 4) {
+	if forkable(Seq("ocean-rowwise"), nil, 4) {
 		t.Fatal("sequential baseline reported forkable")
 	}
 }
 
-func mustApp(t *testing.T, name string) core.App {
-	t.Helper()
-	entry, err := apps.Get(name)
-	if err != nil {
-		t.Fatal(err)
+// TestForkedVerifyFailureFailsSweep: a forked result that fails Verify is a
+// fork-correctness bug, not a refusal. The sweep must fail with the verify
+// error instead of re-running the point flat and counting a failed fork.
+func TestForkedVerifyFailureFailsSweep(t *testing.T) {
+	forkedHook = func(res *core.Result) { clear(res.Heap.Bytes(0, res.Heap.Used())) }
+	defer func() { forkedHook = nil }()
+	spec := gridSpec(testGrid())
+	spec.Apps, spec.Baselines = []string{"ocean-rowwise"}, false
+	e := mustNew(t, Options{Size: apps.Small, Workers: 1, FaultGrid: testGrid(), Fork: true})
+	_, err := e.Run(context.Background(), spec.Points())
+	if err == nil || !strings.Contains(err.Error(), "verify") {
+		t.Fatalf("sweep with a broken fork returned %v, want its verify error", err)
 	}
-	return entry.New(apps.Small)
+	if fs := e.ForkStats(); fs.FailedForks != 0 {
+		t.Fatalf("fork stats = %+v: the broken fork was counted as refused", fs)
+	}
 }
 
 // TestSpecPointsFaultGridOrder: fault variants expand innermost, keeping a

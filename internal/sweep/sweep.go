@@ -187,8 +187,9 @@ type Options struct {
 	// points differing only in Fault runs its pre-fault prefix once (to a
 	// checkpoint at the grid's earliest start barrier) and forks per
 	// variant. Output is byte-identical to flat execution; points the
-	// checkpointer cannot honor (non-resumable app, ungated plan, sharing
-	// profiler attached) fall back to flat runs, which ForkStats counts.
+	// checkpointer cannot honor (an ungated plan, a sharing profiler
+	// attached) run flat, and points whose cut it refuses re-run flat, both
+	// counted in ForkStats. Any other fork error fails the sweep.
 	Fork bool
 }
 
@@ -201,7 +202,7 @@ type Engine struct {
 	cps  Memo[cpKey, *warmup] // shared warmup prefixes
 	sink *Sink
 	// Grid points computed flat while Options.Fork was on: flatRuns were
-	// never eligible, failedForks tried the fork path first.
+	// never eligible, failedForks had their cut refused first.
 	flatRuns, failedForks atomic.Int64
 }
 
@@ -399,15 +400,13 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	}
 	cfg := e.config(k, plan)
 	app := entry.New(e.opts.Size)
-	if epoch := e.forkEpoch(); epoch > 0 && e.forkable(k, app, plan, epoch) {
+	if epoch := e.forkEpoch(); epoch > 0 && forkable(k, plan, epoch) {
 		res, err := e.computeForked(ctx, k, cfg, app, epoch)
-		if err == nil || ctx.Err() != nil {
+		if !errors.Is(err, core.ErrNotResumable) {
 			return res, err
 		}
-		// The fork path failed for a reason other than cancellation (the
-		// app finished before the cut, events in flight at the barrier,
-		// ...): rerun flat. The flat path is the correctness baseline, so
-		// a genuine simulation error reproduces there.
+		// Only a refused cut reruns flat; any other error, a forked result
+		// that fails Verify among them, fails the sweep.
 		e.failedForks.Add(1)
 	} else if e.opts.Fork && k.Fault != "" && !k.Sequential {
 		e.flatRuns.Add(1)

@@ -278,7 +278,7 @@ func TestAppliedNoticesMatchLog(t *testing.T) {
 	}
 }
 
-// lockStep is the lock-taking resumable program of core's fork tests (their
+// lockStep is the lock-taking program of core's fork tests (their
 // "lockstep" app): one barrier per phase and before it two increments of
 // lock-protected counters, one counter per block, so that at every cut some
 // nodes hold a private clock and the last releasers differ per lock.
@@ -288,13 +288,12 @@ const lockStepPhases, lockStepCounters = 6, 3
 
 func (a *lockStep) Info() core.AppInfo        { return core.AppInfo{Name: "lockstep", HeapBytes: 8192} }
 func (a *lockStep) Setup(h *core.Heap)        { a.base = h.AllocPage(lockStepCounters * 1024) }
-func (a *lockStep) Run(c *core.Ctx)           { a.RunFrom(c, 0) }
 func (a *lockStep) Verify(h *core.Heap) error { return nil }
 
-func (a *lockStep) RunFrom(c *core.Ctx, epoch int) {
-	for ph := epoch; ph < lockStepPhases; ph++ {
+func (a *lockStep) Run(c *core.Ctx) {
+	c.Phases(lockStepPhases, func(e int) {
 		for k := 0; k < 2; k++ {
-			l := (c.ID() + ph + k) % lockStepCounters
+			l := (c.ID() + e + k) % lockStepCounters
 			c.Lock(l)
 			c.WriteI64(a.base+l*1024, c.ReadI64(a.base+l*1024)+1)
 			c.Unlock(l)
@@ -302,8 +301,7 @@ func (a *lockStep) RunFrom(c *core.Ctx, epoch int) {
 		// A cut needs an empty event queue: let the release reach the
 		// lock's home first.
 		c.Compute(100 * sim.Microsecond)
-		c.Barrier()
-	}
+	})
 }
 
 // noticeRecorder wraps a real interval protocol and keeps, per node and in

@@ -54,11 +54,13 @@ func WithFaultGrid(variants ...FaultVariant) Option {
 // prefix once — to a checkpoint at the grid's earliest start barrier
 // (plans gated with start=K are dormant before their K-th barrier) — and
 // forks the checkpoint per variant. All output stays byte-identical to
-// flat execution at any parallelism; points the checkpoint machinery
-// cannot honor (non-barrier-structured app, ungated plan, sharing
-// profiler attached) run flat and are counted in SweepResult.Fork. Sweep
-// only; requires WithFaultGrid with at least two forkable variants to have
-// any effect.
+// flat execution at any parallelism. Points of an ungated plan, or of a
+// sweep with the sharing profiler attached, run flat; points whose cut the
+// checkpoint machinery refuses (inside a phase, a release in flight, the
+// run over first) re-run flat; both are counted in SweepResult.Fork, and
+// any other fork error fails the sweep.
+// Sweep only; requires WithFaultGrid with at least two forkable variants to
+// have any effect.
 func WithFork() Option { return func(o *sweep.Options) { o.Fork = true } }
 
 // WithLimit bounds each run's virtual time (0 keeps the generous

@@ -138,23 +138,25 @@ scale() {
 	ok "verified runs at 256 and 1024 nodes completed"
 }
 
-# Checkpoint/fork warmup sharing: one fault-grid sweep (three variants per
-# configuration, plans gated on barrier 6) flat and forked — the forked run
-# prints its speedup summary — with CSV and sample CSV byte-identical.
+# Checkpoint/fork warmup sharing: one fault-grid sweep over every app (three
+# variants per configuration, plans gated on barrier 6) flat and forked —
+# the forked run prints its speedup summary, and no point may run flat —
+# with CSV and sample CSV byte-identical.
 fork() {
-	unit -race -run 'Fork|Checkpoint|Memo' ./internal/core ./internal/sweep .
+	unit -race -run 'Fork|Checkpoint|Memo|Resume' ./internal/core ./internal/sweep .
 	unit -run TestAccessNoFaultZeroAlloc ./internal/core
 	local v
 	for v in "flat" "fork1 -fork -parallel 1" "fork8 -fork -parallel 8"; do
 		set -- $v
-		dsmrun -app ocean-rowwise,fft -protocol sc,hlrc -block 1024,4096 -nodes 4 -size small \
+		dsmrun -app all -protocol sc,hlrc -block 1024,4096 -nodes 4 -size small \
 			-fault-grid "$grid" -fork-warmup 6 -sample-every 200us "${@:2}" \
 			-csv "$tmp/$1.csv" -sample-csv "$tmp/$1.samples" >"$tmp/$1.out" 2>/dev/null
 		cmp "$tmp/flat.csv" "$tmp/$1.csv"
 		cmp "$tmp/flat.samples" "$tmp/$1.samples"
 	done
 	tail -1 "$tmp/fork1.out"
-	ok "forked sweep CSV + sample CSV byte-identical to flat at -parallel 1 and 8"
+	grep -q ' 0 points ran flat' "$tmp/fork1.out" && grep -q ' 0 points ran flat' "$tmp/fork8.out"
+	ok "forked sweep over every app: no point ran flat; CSV + sample CSV byte-identical to flat at -parallel 1 and 8"
 }
 
 # The timestamp-lease protocol: a verified lock-heavy run under tlc, every

@@ -47,7 +47,8 @@ type SweepRun struct {
 // ForkStats summarizes what WithFork bought a sweep: distinct warmup
 // prefixes simulated, runs forked from them, an estimate of the warmup
 // re-simulation wall time avoided, and the grid points it did not serve —
-// FlatRuns were not eligible, FailedForks were tried and re-run flat.
+// FlatRuns were not eligible (an ungated plan, a grid that cannot fork),
+// FailedForks had their cut refused and were re-run flat.
 type ForkStats = sweep.ForkStats
 
 // SweepResult is the outcome of a sweep, in canonical sweep order

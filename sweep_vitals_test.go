@@ -68,7 +68,7 @@ func TestSweepHoldsNoImages(t *testing.T) {
 }
 
 // TestSweepgridPoolAndMemoVitals runs the plan of the benchmark's sweepgrid
-// workload — two resumable apps × every protocol × {256, 4096} B × 12 fault
+// workload — two apps × every protocol × {256, 4096} B × 12 fault
 // variants, forked, two workers: 240 runs and 20 prefix runs — and holds the
 // counters the saving rests on to a floor. After a first sweep the 260
 // Setups of a second may compute no sequential reference, and at least 98 %
