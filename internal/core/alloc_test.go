@@ -172,17 +172,22 @@ func TestRunBytesLinearInNodes(t *testing.T) {
 }
 
 // TestFailedRunsReturnTheirSlabs pins that every exit of a run gives back
-// what it drew from the pool, not only the one that produces a Result: a
+// what it drew from the pools, not only the one that produces a Result: a
 // run that hits the virtual-time limit, one cancelled from the host, and a
 // prefix run that ends before its cut each leave four 4 MB spaces and a 4 MB
-// master image behind, and the next run must find them in the pool. Eight
-// failures of each kind may allocate less than one slab per failure
-// (measured ≈ 80 KB: engine, network, procs, stats); dropping the slabs to
-// the GC instead read 19.8 MB per failure.
+// master image behind — and, with the profilers on, the sharing profiler's
+// tables and the critical-path record chunks — and the next run must find
+// them in the pools. Each kind runs with observers off and again with the
+// profilers on: both for the limit and the cancel, the critical path alone
+// for the prefix run, because a sharing profile cannot be checkpointed. Once
+// warm, eight failures of each kind may draw nothing that is not pooled, and
+// allocate less than one slab per failure (measured ≈ 80 KB: engine,
+// network, procs, stats); dropping the slabs to the GC instead read 19.8 MB
+// per failure.
 func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 	defer mem.StackSlabs(nil)()
 	const heap, nodes, failures = 4 << 20, 4, 8
-	cfg := Config{Nodes: nodes, BlockSize: 4096, Protocol: HLRC, Limit: 100 * sim.Second}
+	base := Config{Nodes: nodes, BlockSize: 4096, Protocol: HLRC, Limit: 100 * sim.Second}
 	var cancel context.CancelFunc
 	newApp := func(rounds, cancelAt int) *testApp {
 		var base int
@@ -203,64 +208,70 @@ func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 			verify: func(h *Heap) error { return nil },
 		}
 	}
+	machine := func(cfg Config) *Machine {
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	kinds := []struct {
-		name string
-		fail func() error
+		name    string
+		sharing bool // profiled round: the sharing profiler beside the critical path
+		fail    func(cfg Config)
 	}{
-		{"limit", func() error {
-			cfg := cfg
+		{"limit", true, func(cfg Config) {
 			cfg.Limit = 200 * sim.Microsecond
-			m, err := NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = m.Run(newApp(1000, -1))
+			_, err := machine(cfg).Run(newApp(1000, -1))
 			var limit *sim.LimitError
 			if !errors.As(err, &limit) {
 				t.Fatalf("err = %v, want a *sim.LimitError", err)
 			}
-			return err
 		}},
-		{"cancelled", func() error {
-			m, err := NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		{"cancelled", true, func(cfg Config) {
 			var ctx context.Context
 			ctx, cancel = context.WithCancel(context.Background())
 			defer cancel()
-			_, err = m.RunContext(ctx, newApp(1_000_000, 3))
+			_, err := machine(cfg).RunContext(ctx, newApp(1_000_000, 3))
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			return err
 		}},
-		{"too short to fork", func() error {
-			m, err := NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = m.RunToBarrier(context.Background(), newApp(2, -1), 5)
+		{"too short to fork", false, func(cfg Config) {
+			_, err := machine(cfg).RunToBarrier(context.Background(), newApp(2, -1), 5)
 			if err == nil || !strings.Contains(err.Error(), "finished before barrier epoch") {
 				t.Fatalf("err = %v, want the run to finish before its cut", err)
 			}
-			return err
 		}},
 	}
 	slab := float64(heap + heap/4096)
 	for _, k := range kinds {
-		k.fail() // fill the pool the measured failures draw from
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < failures; i++ {
-			k.fail()
-		}
-		runtime.ReadMemStats(&after)
-		per := float64(after.TotalAlloc-before.TotalAlloc) / failures
-		t.Logf("%s: %.0f bytes per failed run (one slab is %.0f)", k.name, per, slab)
-		if per >= slab {
-			t.Errorf("%s: a failed run allocates %.0f bytes, %.1f slabs of %.0f: its spaces or its image did not go back to their pools",
-				k.name, per, per/slab, slab)
+		profiled := base
+		profiled.CritPath, profiled.ShareProfile = true, k.sharing
+		for _, cfg := range []Config{base, profiled} {
+			name := k.name
+			if cfg.CritPath {
+				name += ", profiled"
+			}
+			k.fail(cfg) // fill the pools the measured failures draw from
+			drawn0 := mem.PoolTotals()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < failures; i++ {
+				k.fail(cfg)
+			}
+			runtime.ReadMemStats(&after)
+			drawn := mem.PoolTotals()
+			per := float64(after.TotalAlloc-before.TotalAlloc) / failures
+			t.Logf("%s: %.0f bytes per failed run (one slab is %.0f), %d draws from the pools",
+				name, per, slab, drawn.Hits-drawn0.Hits)
+			if misses := drawn.Misses - drawn0.Misses; misses != 0 {
+				t.Errorf("%s: %d draws from the pools allocated: an earlier failure did not give back what it drew", name, misses)
+			}
+			if per >= slab {
+				t.Errorf("%s: a failed run allocates %.0f bytes, %.1f slabs of %.0f: its spaces or its image did not go back to their pools",
+					name, per, per/slab, slab)
+			}
 		}
 	}
 }

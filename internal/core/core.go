@@ -743,10 +743,12 @@ func (r *run) finish(runErr error) (res *Result, err error) {
 		// Paint the recovered critical path into the trace as a per-node
 		// "crit" lane before flushing, so the Perfetto view shows the
 		// exact chain the completion time followed.
-		for _, s := range r.crit.PathSpans() {
-			var args []trace.Arg
+		for s := range r.crit.Path() {
+			var arg [1]trace.Arg // the tracer keeps no Arg, so this stays on the stack
+			args := arg[:0]
 			if s.Block >= 0 {
-				args = append(args, trace.A("block", int64(s.Block)))
+				arg[0] = trace.A("block", int64(s.Block))
+				args = arg[:]
 			}
 			r.tr.Emit(trace.Event{Time: s.Start, Dur: s.End - s.Start, Node: s.Node,
 				Cat: trace.CatCrit, Name: s.Comp.String(), Span: true, Args: args})
@@ -837,9 +839,10 @@ func (r *run) finish(runErr error) (res *Result, err error) {
 // Tests set it to check the dirty-map invariant on real runs.
 var releaseHook func(*mem.Space)
 
-// release gives back what the run drew from the pools: the spaces' slabs
-// and, unless it leaves with the Result, the master image. Every exit of a
-// run comes through here once, after the engine has stopped — finish,
+// release gives back what the run drew from the pools: the spaces' slabs,
+// the profilers' tables and record chunks and, unless it leaves with the
+// Result, the master image. Every exit of a run comes through here once,
+// after the engine has stopped and any reports are made — finish,
 // runToCapture, and a buildRun that fails halfway.
 func (r *run) release(imageLeaves bool) {
 	if r.env != nil {
@@ -849,6 +852,12 @@ func (r *run) release(imageLeaves bool) {
 			}
 			sp.Release()
 		}
+	}
+	if r.prof != nil {
+		r.prof.Release()
+	}
+	if r.crit != nil {
+		r.crit.Release()
 	}
 	if !imageLeaves {
 		r.heap.release()

@@ -7,14 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/mem"
+	"dsmsim/internal/shareprof"
 	"dsmsim/internal/sim"
 )
 
@@ -64,10 +67,10 @@ func firstNonZero(b []byte) int {
 //
 // What Release leaves has to be zero too, and the master image is recycled
 // on the same terms (core.Heap's page map, the spaces' merged into it by the
-// final write-back), so a second check sees every slab as it is pooled —
-// each space's, the verified image of each run here, and the one each prefix
-// run of the fork chain never shows anybody — and looks for a non-zero byte
-// anywhere in its bytes or its map.
+// final write-back), so a second check sees every buffer as it is pooled —
+// each space's slab, the verified image of each run here, the one each prefix
+// run of the fork chain never shows anybody, and the profilers' tables and
+// record chunks — and looks for a non-zero byte anywhere in it.
 //
 // Every registered protocol x {64, 4096, 8192} B x every registered app runs
 // with a fault plan and every observer on; then every app as a Sequential
@@ -76,7 +79,7 @@ func firstNonZero(b []byte) int {
 // end under a start-gated fault plan.
 func TestCleanPagesZeroAtRelease(t *testing.T) {
 	var mu sync.Mutex
-	spaces, slabs, failures := 0, 0, 0
+	spaces, buffers, failures := 0, 0, 0
 	report := func(err error) {
 		if err != nil {
 			if failures++; failures <= 5 {
@@ -94,11 +97,11 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 	defer mem.StackSlabs(func(whole []byte) {
 		var err error
 		if i := firstNonZero(whole); i >= 0 {
-			err = fmt.Errorf("pooled slab of %d bytes holds %#x at byte %d (page %d)", len(whole), whole[i], i, i/mem.PageSize)
+			err = fmt.Errorf("pooled buffer of %d bytes holds %#x at byte %d (page %d)", len(whole), whole[i], i, i/mem.PageSize)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		slabs++
+		buffers++
 		report(err)
 	})()
 
@@ -193,10 +196,10 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 			})
 		}
 	}
-	if spaces == 0 || slabs <= spaces {
-		t.Fatalf("the release checks saw %d spaces and %d slabs; want every space's slab and the images", spaces, slabs)
+	if spaces == 0 || buffers <= spaces {
+		t.Fatalf("the release checks saw %d spaces and %d pooled buffers; want every space's slab and more", spaces, buffers)
 	}
-	t.Logf("%d spaces checked before release, %d slabs (theirs and %d master images) after", spaces, slabs, slabs-spaces)
+	t.Logf("%d spaces checked before release, %d buffers after: their slabs and %d master images, observer tables and record chunks", spaces, buffers, buffers-spaces)
 }
 
 // TestRunDirtyFootprint pins the traffic assumption the dirty map's saving
@@ -318,5 +321,77 @@ func TestRecycledImageRunsLikeFresh(t *testing.T) {
 	recycled.spaces, recycled.master = fresh.spaces, fresh.master
 	if recycled != fresh {
 		t.Errorf("lu on recycled slabs differs from lu on fresh ones:\nfresh    %+v\nrecycled %+v", fresh, recycled)
+	}
+}
+
+// TestRecycledObserverStateRunsLikeFresh is TestRecycledImageRunsLikeFresh for
+// the observers. lu runs at 16 nodes and 256 B, where its path fills two
+// record chunks, with the sharing profiler, the critical-path profiler and a
+// line trace on, from a cold pool; barnes-original, whose heap
+// and path need longer tables and more record chunks, gives back what it drew;
+// then lu runs again and must draw every table and chunk it uses from the
+// pools, cut down from barnes's, and produce the first lu's sharing profile,
+// critical path and trace byte for byte. Every buffer that arrives at a pool,
+// the slabs' and the observers', must be all-zero.
+func TestRecycledObserverStateRunsLikeFresh(t *testing.T) {
+	var dirty []string
+	defer mem.StackSlabs(func(whole []byte) {
+		if i := firstNonZero(whole); i >= 0 {
+			dirty = append(dirty, fmt.Sprintf("a pooled buffer of %d bytes holds %#x at byte %d", len(whole), whole[i], i))
+		}
+	})() // starts empty: the first run must allocate
+
+	type outcome struct {
+		sharing *shareprof.Report
+		crit    *critpath.Report
+		trace   [sha256.Size]byte
+		drawn   mem.PoolCounts // from the observers' pools
+	}
+	minus := func(a, b mem.PoolCounts) mem.PoolCounts {
+		return mem.PoolCounts{Hits: a.Hits - b.Hits, Misses: a.Misses - b.Misses}
+	}
+	observers := func() mem.PoolCounts { // every pool's counts but the slabs'
+		spaces, images := mem.SlabStats()
+		return minus(minus(mem.PoolTotals(), spaces), images)
+	}
+	run := func(name string) outcome {
+		entry, err := apps.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var line bytes.Buffer
+		m, err := core.NewMachine(core.Config{Nodes: 16, BlockSize: 256, Protocol: core.HLRC,
+			Trace: &line, ShareProfile: true, CritPath: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn0 := observers()
+		res, err := m.RunVerified(entry.New(apps.Small))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn := minus(observers(), drawn0)
+		core.ReleaseImage(res)
+		return outcome{res.Sharing, res.CritPath, sha256.Sum256(line.Bytes()), drawn}
+	}
+	fresh := run("lu")
+	run("barnes-original")
+	recycled := run("lu")
+	t.Logf("lu drew %d observer tables and chunks", fresh.drawn.Misses)
+	if fresh.drawn.Hits != 0 || fresh.drawn.Misses == 0 || recycled.drawn != (mem.PoolCounts{Hits: fresh.drawn.Misses}) {
+		t.Fatalf("the first lu's observer draws (hits, misses): %v, the second's %v; want every table and chunk allocated, then every one recycled",
+			fresh.drawn, recycled.drawn)
+	}
+	if !reflect.DeepEqual(recycled.sharing, fresh.sharing) {
+		t.Errorf("lu's sharing profile on recycled tables differs:\nfresh    %+v\nrecycled %+v", fresh.sharing, recycled.sharing)
+	}
+	if !reflect.DeepEqual(recycled.crit, fresh.crit) {
+		t.Errorf("lu's critical path on recycled chunks differs:\nfresh    %+v\nrecycled %+v", fresh.crit, recycled.crit)
+	}
+	if recycled.trace != fresh.trace {
+		t.Errorf("lu's trace on recycled observer state differs: sha256 %x, fresh %x", recycled.trace, fresh.trace)
+	}
+	for _, d := range dirty[:min(len(dirty), 5)] {
+		t.Error(d)
 	}
 }

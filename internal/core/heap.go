@@ -17,7 +17,7 @@ type Heap struct {
 	alloc   *mem.Allocator
 	master  []byte
 	touched mem.PageMap
-	slab    *mem.Slab // what master and touched are; nil once released
+	slab    mem.Slab // what master and touched are; empty once released
 }
 
 // newHeap returns an empty heap of size bytes over an all-zero image.
@@ -30,10 +30,8 @@ func newHeap(size int) *Heap {
 // marks. The heap is empty afterwards: a stale use indexes a nil slice
 // instead of reading another run's image.
 func (h *Heap) release() {
-	if h.slab != nil {
-		h.slab.Release()
-		h.slab, h.master, h.touched = nil, nil, nil
-	}
+	h.slab.Release()
+	h.master, h.touched = nil, nil
 }
 
 // ReleaseImage gives res's master image back for the next run to draw and

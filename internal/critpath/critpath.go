@@ -19,10 +19,14 @@
 // observational: it never schedules events or advances virtual time, and
 // every instrumentation site holds a *Tracker that is nil when the
 // profiler is off, guarded by a single branch, so the profiler-off path
-// stays zero-alloc and runs byte-identical.
+// stays zero-alloc and runs byte-identical. With it on, the records live in
+// chunks drawn from a pool (mem.Pool) that Release gives back when the run
+// ends, and the path is walked in place (Path), so a warm run pays in bytes
+// only for its report.
 package critpath
 
 import (
+	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
 )
 
@@ -122,7 +126,8 @@ type record struct {
 type Tracker struct {
 	// Records live in fixed-size chunks, id-1 = chunk*chunkLen + offset:
 	// a run makes hundreds of thousands, and a chunk list grows without
-	// ever copying a record.
+	// ever copying a record. The chunks come from a pool and go back to it
+	// at Release.
 	chunks []*[chunkLen]record
 	n      int32 // records made; also the id of the latest
 
@@ -166,9 +171,15 @@ func (t *Tracker) rec(id int32) *record {
 	return &t.chunks[(id-1)>>chunkShift][(id-1)&(chunkLen-1)]
 }
 
+// chunkPool is where record chunks wait between runs.
+var chunkPool = mem.NewPool[record]()
+
+// newChunk draws an all-zero record chunk from the pool.
+func newChunk() *[chunkLen]record { return (*[chunkLen]record)(chunkPool.Get(chunkLen)) }
+
 func (t *Tracker) add(r record) int32 {
 	if int(t.n>>chunkShift) == len(t.chunks) {
-		t.chunks = append(t.chunks, new([chunkLen]record))
+		t.chunks = append(t.chunks, newChunk())
 	}
 	t.n++
 	id := t.n
@@ -391,19 +402,16 @@ type State struct {
 	maxEnd   sim.Time
 }
 
-func cloneChunks(chunks []*[chunkLen]record) []*[chunkLen]record {
-	out := make([]*[chunkLen]record, len(chunks))
-	for i, c := range chunks {
-		cc := *c
-		out[i] = &cc
-	}
-	return out
-}
-
-// CaptureState snapshots the tracker.
+// CaptureState snapshots the tracker. The snapshot's chunks are its own, not
+// the pool's: a checkpoint is never released.
 func (t *Tracker) CaptureState() *State {
+	chunks := make([]*[chunkLen]record, len(t.chunks))
+	for i, c := range t.chunks {
+		cc := *c
+		chunks[i] = &cc
+	}
 	return &State{
-		chunks:   cloneChunks(t.chunks),
+		chunks:   chunks,
 		n:        t.n,
 		procLast: append([]int32(nil), t.procLast...),
 		mark:     append([]sim.Time(nil), t.mark...),
@@ -421,7 +429,11 @@ func (t *Tracker) CaptureState() *State {
 // chain from the captured barrier-arrive service record, exactly as the
 // flat run's release does.
 func (t *Tracker) RestoreState(st *State) {
-	t.chunks, t.n = cloneChunks(st.chunks), st.n
+	t.chunks, t.n = make([]*[chunkLen]record, len(st.chunks)), st.n
+	for i, c := range st.chunks {
+		t.chunks[i] = newChunk()
+		*t.chunks[i] = *c
+	}
 	copy(t.procLast, st.procLast)
 	copy(t.mark, st.mark)
 	copy(t.lastSvc, st.lastSvc)
@@ -429,4 +441,15 @@ func (t *Tracker) RestoreState(st *State) {
 	t.cur = st.cur
 	t.final = st.final
 	t.maxEnd = st.maxEnd
+}
+
+// Release clears the records and gives their chunks back to the pool, once
+// the run's Report has been made and its path painted. The tracker holds no
+// records afterwards.
+func (t *Tracker) Release() {
+	for i, c := range t.chunks {
+		clear(c[:min(chunkLen, int(t.n)-i*chunkLen)])
+		chunkPool.Put(c[:])
+	}
+	t.chunks, t.n, t.final, t.maxEnd = nil, 0, 0, 0
 }

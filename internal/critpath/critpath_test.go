@@ -1,6 +1,7 @@
 package critpath
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -53,7 +54,7 @@ func TestSyntheticChainReport(t *testing.T) {
 
 func TestPathSpansContiguous(t *testing.T) {
 	tr := chainTracker()
-	spans := tr.PathSpans()
+	spans := slices.Collect(tr.Path())
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
@@ -70,6 +71,31 @@ func TestPathSpansContiguous(t *testing.T) {
 	}
 	if spans[1].Comp != MsgWire || spans[1].Block != 5 {
 		t.Fatalf("wire span = %+v", spans[1])
+	}
+}
+
+// TestPathLeavesTrackerIntact: Path turns the chain's links around while it
+// walks it, and every way out of the loop turns them back.
+func TestPathLeavesTrackerIntact(t *testing.T) {
+	tr := longChain(2*chunkLen + 5)
+	want, rep := slices.Collect(tr.Path()), tr.Report(nil, 0)
+	if len(want) != 2*chunkLen+5 || want[0].Start != 0 {
+		t.Fatalf("path of %d spans from %v, want %d from 0", len(want), want[0].Start, 2*chunkLen+5)
+	}
+	for _, stop := range []int{0, 1, chunkLen, len(want) - 1, len(want)} {
+		seen := 0
+		for range tr.Path() {
+			if seen == stop {
+				break
+			}
+			seen++
+		}
+		if got := slices.Collect(tr.Path()); !slices.Equal(got, want) {
+			t.Fatalf("after a walk stopped at span %d the path differs", stop)
+		}
+		if got := tr.Report(nil, 0); !reflect.DeepEqual(got, rep) {
+			t.Fatalf("after a walk stopped at span %d the report differs:\n%+v\nwant %+v", stop, got, rep)
+		}
 	}
 }
 
@@ -342,7 +368,7 @@ func TestRecordStoreSpansChunks(t *testing.T) {
 			t.Fatalf("record %d = %+v", id, *r)
 		}
 	}
-	want := tr.PathSpans()
+	want := slices.Collect(tr.Path())
 	st := tr.CaptureState()
 	tr.rec(chunkLen + 1).end = -1 // the snapshot must not alias the tracker's chunks
 	fresh := New(1)
@@ -350,7 +376,7 @@ func TestRecordStoreSpansChunks(t *testing.T) {
 	fresh.rec(2).end = -1 // nor the restored tracker the snapshot's
 	second := New(1)
 	second.RestoreState(st)
-	if got := second.PathSpans(); !slices.Equal(got, want) {
+	if got := slices.Collect(second.Path()); !slices.Equal(got, want) {
 		t.Fatalf("path after capture and restore differs: %d spans, want %d", len(got), len(want))
 	}
 	second.seg(0, 10*(n+1), Compute, 0)
@@ -363,6 +389,8 @@ func TestRecordStoreSpansChunks(t *testing.T) {
 // the bytes. A store that grows by doubling append re-copies everything it
 // holds at each step, and allocates 2.5-3x what it ends up holding.
 func TestRecordStoreGrowthNeverCopies(t *testing.T) {
+	// longChain releases nothing, so every chunk is allocated, not drawn.
+	defer mem.StackSlabs(nil)()
 	bytes := func(n int) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -3,6 +3,7 @@ package critpath
 import (
 	"fmt"
 	"io"
+	"iter"
 	"sort"
 	"strconv"
 
@@ -136,20 +137,26 @@ type Span struct {
 	Comp       Component
 }
 
-// PathSpans returns the critical path's records in time order (t=0 to
-// the final event), for trace emission.
-func (t *Tracker) PathSpans() []Span {
-	var out []Span
-	for id := t.final; id != 0; {
-		r := t.rec(id)
-		out = append(out, Span{Start: r.start, End: r.end,
-			Node: int(r.node), Block: int(r.block), Comp: r.comp})
-		id = r.pred
+// Path yields the critical path's records in time order (t=0 to the final
+// event), for trace emission. The chain is linked backwards, so Path turns
+// its links around in place to walk it forwards, and turns each one back as
+// it passes: nothing is allocated per record, and the tracker is as it was
+// when Path returns, however early the loop stops.
+func (t *Tracker) Path() iter.Seq[Span] {
+	return func(yield func(Span) bool) {
+		root := int32(0)
+		for id := t.final; id != 0; {
+			r := t.rec(id)
+			id, r.pred, root = r.pred, root, id
+		}
+		more := true
+		for id, pred := root, int32(0); id != 0; {
+			r := t.rec(id)
+			id, r.pred, pred = r.pred, pred, id
+			more = more && yield(Span{Start: r.start, End: r.end,
+				Node: int(r.node), Block: int(r.block), Comp: r.comp})
+		}
 	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
 }
 
 // TopNodes returns the top-n nodes by path time (ties: lower id). n <= 0

@@ -17,8 +17,9 @@ var blockSizes = []int{64, 256, 1024, 4096, 8192}
 // current geometry exposes, since the next NewSpace may lay it out larger.
 func assertFresh(t *testing.T, s *Space, when string) {
 	t.Helper()
-	if i := bytes.IndexFunc(s.slab.buf, func(r rune) bool { return r != 0 }); i >= 0 {
-		t.Fatalf("%s: slab byte %d of %d is non-zero (size %d, block %d)", when, i, len(s.slab.buf), s.Size(), s.blockSize)
+	whole := s.slab.buf[:cap(s.slab.buf)]
+	if i := bytes.IndexFunc(whole, func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Fatalf("%s: slab byte %d of %d is non-zero (size %d, block %d)", when, i, len(whole), s.Size(), s.blockSize)
 	}
 	if i := slices.IndexFunc(s.tags[:cap(s.tags)], func(a Access) bool { return a != NoAccess }); i >= 0 {
 		t.Fatalf("%s: tag %d of %d is %v (size %d, block %d)", when, i, cap(s.tags), s.tags[:cap(s.tags)][i], s.Size(), s.blockSize)

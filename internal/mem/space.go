@@ -64,7 +64,7 @@ type Space struct {
 	// a wider one spans the 1<<wide pages from b<<wide.
 	narrow, wide uint8
 
-	slab  *Slab // data and dirty: one pooled allocation
+	slab  Slab // data and dirty: one pooled buffer
 	data  []byte
 	tags  []Access
 	dirty PageMap
@@ -100,7 +100,7 @@ func NewSpace(size, blockSize int) *Space {
 	s.blockSize = blockSize
 	s.blockShift = uint(shift)
 	s.narrow, s.wide = uint8(max(pageShift-shift, 0)), uint8(max(shift-pageShift, 0))
-	s.slab = spaceSlabs.get(size)
+	s.slab = newSlab(spaceSlabs, size)
 	s.data, s.dirty = s.slab.Data, s.slab.Pages
 	// Recycled tags are all-zero over their whole capacity (see Release), so
 	// they can be cut afresh for this geometry.
@@ -123,7 +123,7 @@ var spacePool sync.Pool
 func (s *Space) Release() {
 	s.zeroTags()
 	s.slab.Release()
-	s.slab, s.data, s.dirty = nil, nil, nil
+	s.data, s.dirty = nil, nil
 	s.ver = 0
 	s.OnTag = nil
 	spacePool.Put(s)

@@ -9,9 +9,10 @@
 // The profiler is strictly observational and fully deterministic: it is
 // fed by the core runtime (access completions, fault entries, tag
 // transitions) and by the protocols (block fills, diff applications),
-// never schedules events, never advances virtual time, and allocates all
-// of its state up front. A run with the profiler attached is
-// byte-identical to the same run without it, except for Result.Sharing.
+// never schedules events, never advances virtual time, and draws all of
+// its state up front from a pool (mem.Pool), which Release gives it back to.
+// A run with the profiler attached is byte-identical to the same run without
+// it, except for Result.Sharing.
 //
 // Attribution model. Each block is divided into up to 64 sectors (8-byte
 // minimum, so a 64B block has 8 sectors and a 4KB block has 64). For
@@ -110,14 +111,42 @@ func New(nodes, heapSize, blockSize int) *Profiler {
 		blockShift: uint(bits.TrailingZeros(uint(blockSize))),
 		sectShift:  uint(bits.TrailingZeros(uint(blockSize / sectors))),
 		sectors:    sectors,
-		stale:      make([]uint64, blocks*nodes),
-		touch:      make([]uint64, blocks*nodes),
-		pending:    make([]int32, blocks*nodes),
-		touched:    make([]proto.Copyset, blocks),
-		cls:        make([]classifier, blocks),
-		c:          make([]blockCounters, blocks),
+		stale:      words.Get(blocks * nodes),
+		touch:      words.Get(blocks * nodes),
+		pending:    counts.Get(blocks * nodes),
+		touched:    sets.Get(blocks),
+		cls:        classifiers.Get(blocks),
+		c:          counters.Get(blocks),
 	}
 	return p
+}
+
+// The tables' pools, one per element type: stale and touch share one.
+var (
+	words       = mem.NewPool[uint64]()
+	counts      = mem.NewPool[int32]()
+	sets        = mem.NewPool[proto.Copyset]()
+	classifiers = mem.NewPool[classifier]()
+	counters    = mem.NewPool[blockCounters]()
+)
+
+// Release clears the tables and gives them back to their pools, once the
+// run's Report has been made. The profiler is empty afterwards: a stale use
+// indexes a nil slice instead of another run's tables.
+func (p *Profiler) Release() {
+	clear(p.stale)
+	clear(p.touch)
+	clear(p.pending)
+	clear(p.touched)
+	clear(p.cls)
+	clear(p.c)
+	words.Put(p.stale)
+	words.Put(p.touch)
+	counts.Put(p.pending)
+	sets.Put(p.touched)
+	classifiers.Put(p.cls)
+	counters.Put(p.c)
+	*p = Profiler{}
 }
 
 // SectorSize returns the attribution granularity in bytes.
