@@ -74,30 +74,6 @@ func Originals() []string {
 	}
 }
 
-// Versions returns all registered names sharing a benchmark's base name.
-func Versions(base string) []string {
-	var out []string
-	for _, e := range registry {
-		if e.BaseName == base {
-			out = append(out, e.Name)
-		}
-	}
-	return out
-}
-
-// Bases returns the distinct base benchmark names, in registry order.
-func Bases() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range registry {
-		if !seen[e.BaseName] {
-			seen[e.BaseName] = true
-			out = append(out, e.BaseName)
-		}
-	}
-	return out
-}
-
 // partition returns the contiguous range [lo, hi) of n items owned by
 // processor i of p.
 func partition(n, p, i int) (lo, hi int) {

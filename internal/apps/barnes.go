@@ -125,7 +125,6 @@ func (a *Barnes) poolCells() int {
 // Cell field addresses.
 func (a *Barnes) childAddr(cell, oct int) int { return a.cells + cell*cellBytes + oct*8 }
 func (a *Barnes) massAddr(cell int) int       { return a.cells + cell*cellBytes + 64 }
-func (a *Barnes) comAddr(cell int) int        { return a.cells + cell*cellBytes + 72 }
 func (a *Barnes) pAddr(p int) int             { return a.parts + p*partF64s*8 }
 
 // Setup implements core.App.

@@ -320,7 +320,6 @@ func TestTracingDoesNotPerturbTiming(t *testing.T) {
 				if traced {
 					cfg.Trace = &line
 					cfg.TraceJSON = &json
-					cfg.TraceDispatch = true
 				}
 				m, err := NewMachine(cfg)
 				if err != nil {

@@ -355,14 +355,7 @@ func (cp *Checkpoint) Digest() uint64 {
 	for i := range cp.spaces {
 		cp.spaces[i].AddToDigest(d)
 		digestStats(d, &cp.stats[i])
-		ep := &cp.eps[i]
-		d.I64(int64(ep.BusyUntil))
-		d.I64(int64(ep.HoldoffUntil))
-		d.I64(int64(ep.SvcAt))
-		d.I64(ep.Stats.MsgsSent)
-		d.I64(ep.Stats.BytesSent)
-		d.I64(ep.Stats.Retransmits)
-		d.I64(ep.Stats.WireDrops)
+		digestEndpoint(d, &cp.eps[i])
 		d.I64(int64(cp.stolen[i]))
 		d.I64(int64(cp.barStart[i]))
 		d.I64(int64(cp.barFlush0[i]))
@@ -387,6 +380,23 @@ func (cp *Checkpoint) Digest() uint64 {
 		cp.writers[i].AddToDigest(d)
 	}
 	return d.Sum()
+}
+
+// digestEndpoint folds an endpoint's timing memory, its traffic counters and
+// its latency-distribution totals into d — everything Restore copies back.
+func digestEndpoint(d *proto.Digest, ep *network.EndpointState) {
+	t := &ep.Stats.Traffic
+	for _, v := range [...]int64{
+		int64(ep.BusyUntil), int64(ep.HoldoffUntil), int64(ep.SvcAt),
+		t.MsgsSent, t.BytesSent, t.Retransmits, t.Timeouts, t.WireDrops,
+		t.Duplicates, t.AcksSent,
+	} {
+		d.I64(v)
+	}
+	for _, h := range [...]*stats.Histogram{&ep.Stats.Latency, &ep.Stats.RetransmitLatency} {
+		d.I64(h.Count)
+		d.I64(h.Sum)
+	}
 }
 
 // digestStats folds a node's counters, time components and latency-

@@ -81,6 +81,10 @@ var Granularities = []int{64, 256, 1024, 4096}
 // one.
 const MaxNodes = 1024
 
+// model is the cost model of every run: the paper's calibrated testbed
+// (§3). Runs share it and only read it.
+var model = timing.Default()
+
 // nodeNames are the proc names "node0".."node1023", formatted once for
 // every run instead of once per proc per run.
 var nodeNames = func() []string {
@@ -101,8 +105,6 @@ type Config struct {
 	Protocol string
 	// Notify selects polling or interrupts (§5.4).
 	Notify network.Notify
-	// Model overrides the timing model; nil means timing.Default().
-	Model *timing.Model
 	// Sequential runs the uninstrumented one-node baseline used as the
 	// numerator of speedups: all blocks pre-claimed by node 0, no polling
 	// dilation, no faults.
@@ -127,9 +129,6 @@ type Config struct {
 	// trace-event JSON array (load in Perfetto or chrome://tracing; one
 	// process per node, one thread lane per event category).
 	TraceJSON io.Writer
-	// TraceDispatch additionally logs every engine event dispatch — very
-	// verbose; useful when debugging the simulation core itself.
-	TraceDispatch bool
 	// SampleEvery, when positive, attaches the virtual-time metrics
 	// sampler: every SampleEvery of virtual time the run snapshots all
 	// per-node stats deltas into Result.Samples. Strictly observational —
@@ -355,7 +354,6 @@ type run struct {
 	cfg      Config
 	app      App
 	info     AppInfo
-	model    *timing.Model
 	heap     *Heap
 	master   []byte
 	heapSize int
@@ -400,11 +398,6 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 			return nil, err
 		}
 	}
-	r.model = cfg.Model
-	if r.model == nil {
-		r.model = timing.Default()
-	}
-
 	r.heapSize = roundUp(r.info.HeapBytes, max(cfg.BlockSize, 4096))
 	r.heap = newHeap(r.heapSize)
 	r.master = r.heap.master
@@ -434,7 +427,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		// results bit-identical to context.Background().
 		engine.SetInterrupt(func() error { return ctx.Err() })
 	}
-	net := network.New(engine, r.model, cfg.Notify, cfg.Nodes)
+	net := network.New(engine, model, cfg.Notify, cfg.Nodes)
 	r.net = net
 	// Compile the fault plan into this run's injector: each run owns its
 	// PRNG, so identical configs replay bit-for-bit and concurrent runs on
@@ -466,7 +459,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	}
 	env := &proto.Env{
 		Engine:      engine,
-		Model:       r.model,
+		Model:       model,
 		Net:         net,
 		Homes:       proto.NewHomes(cfg.Nodes, r.heapSize/cfg.BlockSize),
 		Master:      r.master,
@@ -557,27 +550,8 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	r.phases = metrics.NewPhaseAccountant(cfg.Nodes)
 	if cfg.SampleEvery > 0 {
 		r.sampler = metrics.NewSampler(cfg.SampleEvery, env.Stats, metrics.Probes{
-			Net: func() (int64, int64) {
-				var msgs, bytes int64
-				for i := 0; i < cfg.Nodes; i++ {
-					s := &net.Endpoint(i).Stats
-					msgs += s.MsgsSent
-					bytes += s.BytesSent
-				}
-				return msgs, bytes
-			},
+			Traffic:   net.Traffic,
 			LockQueue: r.sy.QueuedWaiters,
-			Retrans: func() (int64, int64, int64, int64) {
-				var rtx, tmo, drp, dup int64
-				for i := 0; i < cfg.Nodes; i++ {
-					s := &net.Endpoint(i).Stats
-					rtx += s.Retransmits
-					tmo += s.Timeouts
-					drp += s.WireDrops
-					dup += s.Duplicates
-				}
-				return rtx, tmo, drp, dup
-			},
 			Sharing: func() (int64, int64) {
 				if prof == nil {
 					return 0, 0
@@ -607,7 +581,6 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 			ctx:      Ctx{n: n},
 			run:      r,
 			engine:   engine,
-			model:    r.model,
 			space:    env.Spaces[i],
 			stats:    env.Stats[i],
 			ep:       net.Endpoint(i),
@@ -669,7 +642,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	if ct := r.crit; tr != nil || ct != nil {
 		// The engine's only procs are the nodes', created above in node
 		// order: a proc's index is its node id.
-		hooks := sim.Hooks{
+		engine.SetHooks(sim.Hooks{
 			ProcBlock: func(pr *sim.Proc, reason string, id int) {
 				if tr != nil {
 					tr.InstantMsgID(pr.Index(), trace.CatSim, "block", reason, id)
@@ -686,14 +659,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 					ct.Unblock(pr.Index(), engine.Now())
 				}
 			},
-		}
-		if cfg.TraceDispatch && tr != nil {
-			hooks.Dispatch = func(at sim.Time, queued int) {
-				tr.Instant(trace.EngineNode, trace.CatSim, "dispatch",
-					trace.A("queued", int64(queued)))
-			}
-		}
-		engine.SetHooks(hooks)
+		})
 	}
 	if r.inj != nil && r.inj.StartBarrier() > 0 && !r.inj.Started() {
 		// The plan arms only when its start barrier completes; the hook
@@ -810,17 +776,14 @@ func (r *run) finish(runErr error) (res *Result, err error) {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		res.Total.Add(r.env.Stats[i])
-		s := r.net.Endpoint(i).Stats
-		res.NetMsgs += s.MsgsSent
-		res.NetBytes += s.BytesSent
+		s := &r.net.Endpoint(i).Stats
 		res.MsgLatency.Merge(&s.Latency)
-		res.Retransmits += s.Retransmits
-		res.Timeouts += s.Timeouts
-		res.WireDrops += s.WireDrops
-		res.Duplicates += s.Duplicates
-		res.AcksSent += s.AcksSent
 		res.RetransmitLatency.Merge(&s.RetransmitLatency)
 	}
+	t := r.net.Traffic()
+	res.NetMsgs, res.NetBytes = t.MsgsSent, t.BytesSent
+	res.Retransmits, res.Timeouts, res.WireDrops = t.Retransmits, t.Timeouts, t.WireDrops
+	res.Duplicates, res.AcksSent = t.Duplicates, t.AcksSent
 	for i := range r.writers {
 		switch r.writers[i].Count() {
 		case 0:

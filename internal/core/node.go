@@ -13,7 +13,6 @@ import (
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
 	"dsmsim/internal/synch"
-	"dsmsim/internal/timing"
 	"dsmsim/internal/trace"
 )
 
@@ -23,7 +22,6 @@ type Node struct {
 	id     int
 	run    *run
 	engine *sim.Engine
-	model  *timing.Model
 	space  *mem.Space
 	stats  *stats.Node
 	ep     *network.Endpoint
@@ -153,7 +151,7 @@ func (n *Node) fault(block int, write bool) {
 	}
 	start := n.engine.Now()
 	n.inRuntime = true
-	n.proc.Sleep(n.model.FaultDelivery)
+	n.proc.Sleep(model.FaultDelivery)
 	n.protocol.Fault(n.id, block, write)
 	n.inRuntime = false
 	if n.holdBoost == 0 {
@@ -161,7 +159,7 @@ func (n *Node) fault(block int, write bool) {
 	} else {
 		// Contended multi-block access: widen the window exponentially
 		// (capped at 2 ms) so the whole span survives one clean pass.
-		d := n.model.PollDelay << min(n.holdBoost, 10)
+		d := model.PollDelay << min(n.holdBoost, 10)
 		if limit := 2 * sim.Millisecond; d > limit {
 			d = limit
 		}

@@ -107,9 +107,6 @@ func (s *Scale) String() string {
 	return fmt.Sprintf("%s=%s", s.Class, strconv.FormatFloat(float64(s.PPM)/1e6, 'g', -1, 64))
 }
 
-// Factor returns the multiplier as a float (for display only).
-func (s *Scale) Factor() float64 { return float64(s.PPM) / 1e6 }
-
 func (s *Scale) scale(d sim.Time) sim.Time {
 	return sim.Time(int64(d) * s.PPM / 1e6)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsmsim/internal/network"
 	"dsmsim/internal/stats"
 )
 
@@ -12,7 +13,7 @@ func TestSamplerDeltasAndFinish(t *testing.T) {
 	nodes := []*stats.Node{{}, {}}
 	var msgs int64
 	s := NewSampler(100, nodes, Probes{
-		Net:       func() (int64, int64) { return msgs, msgs * 10 },
+		Traffic:   func() network.Traffic { return network.Traffic{MsgsSent: msgs, BytesSent: msgs * 10} },
 		LockQueue: func() int64 { return 3 },
 	})
 	nodes[0].ReadFaults = 5

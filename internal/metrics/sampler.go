@@ -1,9 +1,10 @@
 // Package metrics is the simulator's per-run observability layer above the
-// raw counters of internal/stats: a virtual-time sampler turning per-node
-// totals into deterministic time-series, and a phase accountant cutting
-// those totals at barrier epochs into the paper's Figure-2 execution-time
-// breakdown. (The live view of a whole sweep, served at /metrics, is
-// sweep.Registry.)
+// raw counters of internal/stats and internal/network: a virtual-time
+// sampler turning per-node totals and the machine's summed traffic
+// (network.Traffic) into deterministic time-series, and a phase accountant
+// cutting the per-node totals at barrier epochs into the paper's Figure-2
+// execution-time breakdown. (The live view of a whole sweep, served at
+// /metrics, is sweep.Registry.)
 //
 // Both are strictly observational, like internal/trace: the sampler is
 // driven by sim.Engine.SetSampler (which fires between event dispatches,
@@ -16,22 +17,22 @@ import (
 	"io"
 	"strconv"
 
+	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
 	"dsmsim/internal/trace"
 )
 
 // Probes are the machine-wide gauges the sampler reads at each boundary,
-// beyond the per-node stats it snapshots itself. Both must be pure reads.
+// beyond the per-node stats it snapshots itself. Each must be a pure read;
+// a nil probe leaves its columns at 0.
 type Probes struct {
-	// Net returns cumulative whole-machine traffic (messages, bytes).
-	Net func() (msgs, bytes int64)
+	// Traffic returns the cumulative whole-machine message counters
+	// (network.Network.Traffic); the reliability ones stay 0 on runs
+	// without a wire-active fault plan.
+	Traffic func() network.Traffic
 	// LockQueue returns how many nodes are queued behind held locks now.
 	LockQueue func() int64
-	// Retrans returns cumulative link-layer reliability traffic
-	// (retransmitted frames, timer expirations, wire drops, duplicate
-	// frames discarded by dedup); nil on fault-free runs.
-	Retrans func() (retransmits, timeouts, drops, dups int64)
 	// Sharing returns the sharing-pattern profiler's cumulative true-
 	// and false-sharing fault totals; nil (or zero) when profiling is
 	// off, so the columns render as 0 and unprofiled series keep the
@@ -73,12 +74,7 @@ type Sampler struct {
 	nodes   []*stats.Node
 	probes  Probes
 	prev    stats.Snapshot
-	prevMsg int64
-	prevByt int64
-	prevRtx int64
-	prevTmo int64
-	prevDrp int64
-	prevDup int64
+	prevNet network.Traffic
 	prevTru int64
 	prevFls int64
 	series  Series
@@ -113,19 +109,15 @@ func (s *Sampler) cut(at sim.Time) {
 		n.Snap().AddTo(&cur)
 	}
 	sm := Sample{At: at, Delta: cur.Sub(s.prev)}
-	if s.probes.Net != nil {
-		m, b := s.probes.Net()
-		sm.NetMsgs, sm.NetBytes = m-s.prevMsg, b-s.prevByt
-		s.prevMsg, s.prevByt = m, b
+	if s.probes.Traffic != nil {
+		t, p := s.probes.Traffic(), &s.prevNet
+		sm.NetMsgs, sm.NetBytes = t.MsgsSent-p.MsgsSent, t.BytesSent-p.BytesSent
+		sm.Retransmits, sm.Timeouts = t.Retransmits-p.Retransmits, t.Timeouts-p.Timeouts
+		sm.WireDrops, sm.Duplicates = t.WireDrops-p.WireDrops, t.Duplicates-p.Duplicates
+		s.prevNet = t
 	}
 	if s.probes.LockQueue != nil {
 		sm.LockQueue = s.probes.LockQueue()
-	}
-	if s.probes.Retrans != nil {
-		r, t, d, u := s.probes.Retrans()
-		sm.Retransmits, sm.Timeouts = r-s.prevRtx, t-s.prevTmo
-		sm.WireDrops, sm.Duplicates = d-s.prevDrp, u-s.prevDup
-		s.prevRtx, s.prevTmo, s.prevDrp, s.prevDup = r, t, d, u
 	}
 	if s.probes.Sharing != nil {
 		t, f := s.probes.Sharing()
@@ -145,18 +137,16 @@ func (s *Sampler) Series() *Series { return &s.series }
 // fresh sampler so its series continues seamlessly — same boundaries, same
 // deltas — as if the prefix had been simulated in place.
 type SamplerState struct {
-	prev                                                                   stats.Snapshot
-	prevMsg, prevByt, prevRtx, prevTmo, prevDrp, prevDup, prevTru, prevFls int64
-	samples                                                                []Sample
+	prev             stats.Snapshot
+	prevNet          network.Traffic
+	prevTru, prevFls int64
+	samples          []Sample
 }
 
 // CaptureState snapshots the sampler.
 func (s *Sampler) CaptureState() *SamplerState {
 	return &SamplerState{
-		prev:    s.prev,
-		prevMsg: s.prevMsg, prevByt: s.prevByt, prevRtx: s.prevRtx,
-		prevTmo: s.prevTmo, prevDrp: s.prevDrp, prevDup: s.prevDup,
-		prevTru: s.prevTru, prevFls: s.prevFls,
+		prev: s.prev, prevNet: s.prevNet, prevTru: s.prevTru, prevFls: s.prevFls,
 		samples: append([]Sample(nil), s.series.Samples...),
 	}
 }
@@ -164,9 +154,7 @@ func (s *Sampler) CaptureState() *SamplerState {
 // RestoreState applies a snapshot to a fresh sampler with the same
 // interval and node count (re-copied, so the snapshot stays pristine).
 func (s *Sampler) RestoreState(st *SamplerState) {
-	s.prev = st.prev
-	s.prevMsg, s.prevByt, s.prevRtx, s.prevTmo = st.prevMsg, st.prevByt, st.prevRtx, st.prevTmo
-	s.prevDrp, s.prevDup, s.prevTru, s.prevFls = st.prevDrp, st.prevDup, st.prevTru, st.prevFls
+	s.prev, s.prevNet, s.prevTru, s.prevFls = st.prev, st.prevNet, st.prevTru, st.prevFls
 	s.series.Samples = append(s.series.Samples[:0], st.samples...)
 }
 

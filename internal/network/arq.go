@@ -369,7 +369,6 @@ func (ep *Endpoint) accept(m *Msg) {
 	if ct := net.crit; ct != nil {
 		m.crit = ct.ArqRelease(m.crit, ep.id, m.Block, m.arrived)
 	}
-	ep.Stats.MsgsReceived++
 	if tr := net.tracer; tr != nil {
 		tr.Instant(ep.id, trace.CatNet, "recv",
 			trace.A("src", int64(m.Src)), trace.A("kind", int64(m.Kind)),

@@ -59,7 +59,7 @@ func TestLosslessARQDeliversOnTime(t *testing.T) {
 		t.Fatalf("delivered at %v, want %v", (*got)[0].at, want)
 	}
 	s := nw.Endpoint(1).Stats
-	if s.MsgsReceived != 1 || s.AcksSent != 1 || s.Duplicates != 0 {
+	if s.AcksSent != 1 || s.Duplicates != 0 {
 		t.Fatalf("receiver stats %+v", s)
 	}
 	if s0 := nw.Endpoint(0).Stats; s0.Retransmits != 0 || s0.WireDrops != 0 {
@@ -127,9 +127,6 @@ func TestDropRecoversByRetransmission(t *testing.T) {
 	}
 	if s.RetransmitLatency.Count == 0 {
 		t.Fatal("no retransmit-latency samples despite retransmissions")
-	}
-	if nw.Endpoint(1).Stats.MsgsReceived != n {
-		t.Fatalf("MsgsReceived = %d, want %d", nw.Endpoint(1).Stats.MsgsReceived, n)
 	}
 }
 
@@ -390,12 +387,7 @@ func TestARQSteadyStateZeroAlloc(t *testing.T) {
 	if got := nw.freeFrames(); got != free {
 		t.Fatalf("%d frames free after the run, %d before: the free list leaked or grew", got, free)
 	}
-	var retx, dups int64
-	for i := 0; i < nodes; i++ {
-		retx += nw.Endpoint(i).Stats.Retransmits
-		dups += nw.Endpoint(i).Stats.Duplicates
-	}
-	if retx == 0 || dups == 0 {
-		t.Fatalf("the plan never bit: %d retransmissions, %d duplicates", retx, dups)
+	if tot := nw.Traffic(); tot.Retransmits == 0 || tot.Duplicates == 0 {
+		t.Fatalf("the plan never bit: %d retransmissions, %d duplicates", tot.Retransmits, tot.Duplicates)
 	}
 }

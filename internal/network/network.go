@@ -60,7 +60,7 @@ type Msg struct {
 
 	A, B    int64  // small protocol-defined scalars (node ids, versions)
 	Flag    bool   // protocol-defined boolean
-	Data    []byte // block contents / raw bytes; see AllocData and TakeData
+	Data    []byte // block contents / raw bytes; see AllocData
 	Payload any    // protocol-defined structured body
 
 	// Bytes is the payload wire size, excluding the fixed header.
@@ -92,17 +92,6 @@ func (m *Msg) SetCritContext(rec int32) { m.crit = rec }
 // CritContext returns the context parked by SetCritContext.
 func (m *Msg) CritContext() int32 { return m.crit }
 
-// TakeData transfers ownership of the message's data buffer to the caller:
-// the message forgets the buffer, so recycling the message will not recycle
-// the buffer out from under the new owner. Callers forwarding the buffer in
-// another pooled message should copy DataPooled before taking.
-func (m *Msg) TakeData() []byte {
-	d := m.Data
-	m.Data = nil
-	m.DataPooled = false
-	return d
-}
-
 // Host is the node-side view the endpoint needs for cycle stealing.
 type Host interface {
 	// Computing reports whether the application thread is executing user
@@ -121,18 +110,11 @@ type Handler func(m *Msg)
 // CostFunc returns the processor occupancy needed to service a message.
 type CostFunc func(m *Msg) sim.Time
 
-// Stats accumulates per-endpoint traffic counters.
-type Stats struct {
-	MsgsSent     int64
-	BytesSent    int64 // payload + header, i.e. wire bytes
-	MsgsReceived int64
-	ServiceTime  sim.Time // total processor time spent in handlers
-	NotifyWait   sim.Time // total arrival→service-start delay
-
-	// Latency is the distribution of end-to-end message latency at this
-	// receiving endpoint: send call → service start, so it includes wire
-	// time, FIFO queueing, notification wait and holdoff.
-	Latency stats.Histogram
+// Traffic is an endpoint's message counters — or, from Network.Traffic,
+// every endpoint's summed.
+type Traffic struct {
+	MsgsSent  int64
+	BytesSent int64 // payload + header, i.e. wire bytes
 
 	// Link-layer reliability counters, nonzero only on the ARQ path (a
 	// wire-active fault plan). Sender side: Retransmits data frames resent
@@ -145,6 +127,16 @@ type Stats struct {
 	WireDrops   int64
 	Duplicates  int64
 	AcksSent    int64
+}
+
+// Stats accumulates per-endpoint traffic counters and distributions.
+type Stats struct {
+	Traffic
+
+	// Latency is the distribution of end-to-end message latency at this
+	// receiving endpoint: send call → service start, so it includes wire
+	// time, FIFO queueing, notification wait and holdoff.
+	Latency stats.Histogram
 
 	// RetransmitLatency is the first-send→ack latency distribution of
 	// frames that needed at least one retransmission — the price of each
@@ -257,6 +249,23 @@ func (n *Network) Endpoint(id int) *Endpoint { return n.eps[id] }
 // Size returns the number of endpoints.
 func (n *Network) Size() int { return len(n.eps) }
 
+// Traffic returns every endpoint's counters summed: the one place the
+// machine-wide totals are added up.
+func (n *Network) Traffic() Traffic {
+	var t Traffic
+	for _, ep := range n.eps {
+		s := &ep.Stats.Traffic
+		t.MsgsSent += s.MsgsSent
+		t.BytesSent += s.BytesSent
+		t.Retransmits += s.Retransmits
+		t.Timeouts += s.Timeouts
+		t.WireDrops += s.WireDrops
+		t.Duplicates += s.Duplicates
+		t.AcksSent += s.AcksSent
+	}
+	return t
+}
+
 // AllocData returns a size-byte buffer from the network's pool (contents
 // undefined — callers overwrite it). Attach it to an outgoing message's
 // Data with DataPooled set and it returns to the pool when the message is
@@ -270,14 +279,6 @@ func (n *Network) AllocData(size int) []byte {
 		}
 	}
 	return make([]byte, size)
-}
-
-// PutData returns a buffer obtained from AllocData (directly or via
-// TakeData on a DataPooled message) to the pool.
-func (n *Network) PutData(d []byte) {
-	if cap(d) > 0 {
-		n.bufFree = append(n.bufFree, d)
-	}
 }
 
 // Recycle returns a retained message — and its pooled data buffer, if any —
@@ -386,7 +387,6 @@ func deliverMsg(arg any) {
 	net := m.net
 	dst := net.eps[m.Dst]
 	m.arrived = net.engine.Now()
-	dst.Stats.MsgsReceived++
 	if tr := net.tracer; tr != nil {
 		tr.Instant(dst.id, trace.CatNet, "recv",
 			trace.A("src", int64(m.Src)), trace.A("kind", int64(m.Kind)),
@@ -422,10 +422,6 @@ func (ep *Endpoint) HoldoffFor(d sim.Time) {
 		ep.holdoffUntil = t
 	}
 }
-
-// Poke re-evaluates service scheduling; the core calls it when the
-// application transitions between computing and blocked-in-runtime.
-func (ep *Endpoint) Poke() { ep.trySvc() }
 
 // trySvc schedules service of the head-of-queue message if none is
 // pending. Service happens in two stages: a start event (which re-checks
@@ -488,9 +484,7 @@ func svcStart(arg any) {
 	ep.svcAt = eng.Now()
 	done := ep.svcAt + cost
 	ep.busyUntil = done
-	ep.Stats.NotifyWait += ep.svcAt - m.arrived
 	ep.Stats.Latency.ObserveTime(ep.svcAt - m.sent)
-	ep.Stats.ServiceTime += cost
 	if ep.host.Computing() {
 		ep.host.Steal(cost)
 	}

@@ -164,7 +164,7 @@ func TestHoldoffIgnoredUnderPolling(t *testing.T) {
 }
 
 func TestTrafficStats(t *testing.T) {
-	eng, nw, _, _ := setup(t, Polling, 2)
+	eng, nw, _, got := setup(t, Polling, 2)
 	model := timing.Default()
 	eng.Schedule(0, func() {
 		nw.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Kind: 1, Block: -1, Bytes: 100})
@@ -180,8 +180,11 @@ func TestTrafficStats(t *testing.T) {
 	if want := int64(150 + 2*model.MsgHeader); s.BytesSent != want {
 		t.Fatalf("BytesSent = %d, want %d", s.BytesSent, want)
 	}
-	if nw.Endpoint(1).Stats.MsgsReceived != 2 {
-		t.Fatal("receiver stats missing")
+	if len(*got) != 2 {
+		t.Fatalf("receiver handled %d messages, want 2", len(*got))
+	}
+	if tot := nw.Traffic(); tot != s.Traffic {
+		t.Fatalf("Network.Traffic() = %+v, want the one sender's %+v", tot, s.Traffic)
 	}
 }
 

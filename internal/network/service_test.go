@@ -43,10 +43,11 @@ func TestServiceWaitsForBusyEndpoint(t *testing.T) {
 	model := timing.Default()
 	nw := New(eng, model, Polling, 3)
 	var order []int
+	var done []sim.Time
 	cost := 200 * sim.Microsecond
 	nw.Endpoint(2).Bind(&testHost{},
 		func(m *Msg) sim.Time { return cost },
-		func(m *Msg) { order = append(order, m.Kind) })
+		func(m *Msg) { order, done = append(order, m.Kind), append(done, eng.Now()) })
 	for _, i := range []int{0, 1} {
 		nw.Endpoint(i).Bind(&testHost{}, func(m *Msg) sim.Time { return 0 }, func(m *Msg) {})
 	}
@@ -62,27 +63,38 @@ func TestServiceWaitsForBusyEndpoint(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("service order = %v", order)
 	}
-	s := nw.Endpoint(2).Stats
-	if s.ServiceTime != 2*(cost+model.HandlerCost) {
-		t.Fatalf("service time = %v, want %v", s.ServiceTime, 2*(cost+model.HandlerCost))
+	// The second message arrived mid-service: it starts when the first
+	// completes, and occupies the endpoint for its own full service time.
+	if gap := done[1] - done[0]; gap != cost+model.HandlerCost {
+		t.Fatalf("second service completed %v after the first, want %v", gap, cost+model.HandlerCost)
 	}
 }
 
-// TestNotifyWaitAccounted: the arrival→service gap is recorded.
+// TestNotifyWaitAccounted: a computing receiver starts service one
+// interrupt delivery later than an idle one, and the end-to-end latency
+// histogram records the difference.
 func TestNotifyWaitAccounted(t *testing.T) {
-	eng := sim.NewEngine()
 	model := timing.Default()
-	nw := New(eng, model, Interrupt, 2)
-	host := &testHost{computing: true}
-	nw.Endpoint(1).Bind(host, func(m *Msg) sim.Time { return 0 }, func(m *Msg) {})
-	nw.Endpoint(0).Bind(&testHost{}, func(m *Msg) sim.Time { return 0 }, func(m *Msg) {})
-	eng.Schedule(0, func() {
-		nw.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Kind: 1, Block: -1})
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	serve := func(computing bool) (handled sim.Time, latency int64) {
+		eng := sim.NewEngine()
+		nw := New(eng, model, Interrupt, 2)
+		nw.Endpoint(1).Bind(&testHost{computing: computing}, func(m *Msg) sim.Time { return 0 },
+			func(m *Msg) { handled = eng.Now() })
+		nw.Endpoint(0).Bind(&testHost{}, func(m *Msg) sim.Time { return 0 }, func(m *Msg) {})
+		eng.Schedule(0, func() {
+			nw.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Kind: 1, Block: -1})
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return handled, nw.Endpoint(1).Stats.Latency.Sum
 	}
-	if got := nw.Endpoint(1).Stats.NotifyWait; got != model.InterruptDelivery {
+	idleAt, idleLat := serve(false)
+	busyAt, busyLat := serve(true)
+	if got := busyAt - idleAt; got != model.InterruptDelivery {
 		t.Fatalf("notify wait = %v, want %v", got, model.InterruptDelivery)
+	}
+	if got := sim.Time(busyLat - idleLat); got != model.InterruptDelivery {
+		t.Fatalf("latency histogram grew by %v, want %v", got, model.InterruptDelivery)
 	}
 }

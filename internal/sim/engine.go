@@ -126,10 +126,6 @@ type Hooks struct {
 	ProcBlock func(p *Proc, reason string, id int)
 	// ProcUnblock fires when Unblock schedules a parked proc to resume.
 	ProcUnblock func(p *Proc)
-	// Dispatch fires before each event callback runs, with the event's
-	// time and the number of events still queued, in the heap, the timeout
-	// lane and the now-lane together (very high volume).
-	Dispatch func(at Time, queued int)
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -471,9 +467,6 @@ func (e *Engine) Run() error {
 			if e.laneHead++; e.laneHead == len(e.lane) {
 				e.lane, e.laneHead = e.lane[:0], 0
 			}
-		}
-		if e.hooks.Dispatch != nil {
-			e.hooks.Dispatch(e.now, e.PendingEvents())
 		}
 		ev.afn(ev.arg)
 		if e.procPanic != nil {

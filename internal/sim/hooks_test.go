@@ -6,22 +6,20 @@ import (
 	"testing"
 )
 
-// TestHooksObserveSchedulingWithoutPerturbing: the three hooks fire at the
+// TestHooksObserveSchedulingWithoutPerturbing: both hooks fire at the
 // right moments, and attaching them changes neither the event order nor
 // the final virtual time.
 func TestHooksObserveSchedulingWithoutPerturbing(t *testing.T) {
 	type run struct {
-		finish     Time
-		dispatches int
-		blocks     []string
-		unblocks   int
+		finish   Time
+		blocks   []string
+		unblocks int
 	}
 	exec := func(withHooks bool) run {
 		e := NewEngine()
 		var r run
 		if withHooks {
 			e.SetHooks(Hooks{
-				Dispatch: func(at Time, queued int) { r.dispatches++ },
 				ProcBlock: func(p *Proc, reason string, id int) {
 					r.blocks = append(r.blocks, fmt.Sprintf("%s:%s:%d", p.Name(), reason, id))
 				},
@@ -52,9 +50,6 @@ func TestHooksObserveSchedulingWithoutPerturbing(t *testing.T) {
 	if bare.finish != hooked.finish {
 		t.Fatalf("hooks perturbed the run: %v vs %v", bare.finish, hooked.finish)
 	}
-	if hooked.dispatches == 0 {
-		t.Fatal("Dispatch hook never fired")
-	}
 	// The hook sees reason and id as passed, not joined as Reason() would.
 	if want := []string{"waiter:waiting for poke:-1", "waiter:waiting for block:7"}; !slices.Equal(hooked.blocks, want) {
 		t.Fatalf("ProcBlock observations = %q, want %q", hooked.blocks, want)
@@ -62,7 +57,7 @@ func TestHooksObserveSchedulingWithoutPerturbing(t *testing.T) {
 	if hooked.unblocks != 2 {
 		t.Fatalf("ProcUnblock fired %d times, want 2", hooked.unblocks)
 	}
-	if bare.dispatches != 0 || bare.blocks != nil || bare.unblocks != 0 {
+	if bare.blocks != nil || bare.unblocks != 0 {
 		t.Fatal("hooks fired without being attached")
 	}
 }

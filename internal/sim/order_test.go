@@ -20,7 +20,7 @@ type oracle struct {
 	q                 []oracleEvent
 	every, nextSample Time // every == 0: no sampler
 	samples           []Time
-	hooked, stopped   bool
+	stopped           bool
 }
 
 type oracleEvent struct {
@@ -58,7 +58,7 @@ func (o *oracle) pop() oracleEvent {
 // resuming it there.
 func (o *oracle) sleepsInPlace(at Time) bool {
 	o.sort()
-	return (len(o.q) == 0 || at < o.q[0].at) && !o.hooked && !o.stopped &&
+	return (len(o.q) == 0 || at < o.q[0].at) && !o.stopped &&
 		(o.limit == 0 || at <= o.limit) && (o.every == 0 || at < o.nextSample)
 }
 
@@ -245,7 +245,7 @@ func (r *orderRun) body(p *Proc) {
 // past or the future, from callbacks and from procs, through all five
 // scheduling calls, timeouts armed in rising, falling and far-then-near
 // order; Sleep(0) and Sleep(d) on either path; Unblock chains;
-// Stop; under a sampler, a limit, a Dispatch hook, a restored clock — the
+// Stop; under a sampler, a limit, proc hooks, a restored clock — the
 // engine dispatches exactly what a stable sort by (time, seq) would, and ends
 // on the same clock and sequence number with nothing left queued.
 func TestOrderMatchesSortOracle(t *testing.T) {
@@ -280,13 +280,13 @@ func TestOrderMatchesSortOracle(t *testing.T) {
 				sampled = append(sampled, b)
 			})
 		}
-		if o.hooked = rng.Intn(4) == 0; o.hooked {
-			e.SetHooks(Hooks{Dispatch: func(at Time, queued int) {
-				// The oracle has not popped this one yet.
-				if at != e.Now() || queued != len(o.q)-1 {
-					r.failf("Dispatch hook (%v, %d) at %v with the oracle holding %d", at, queued, e.Now(), len(o.q))
-				}
-			}})
+		if rng.Intn(4) == 0 {
+			// Proc hooks observe procs, not the queue: attached, they leave the
+			// order and Sleep's fast path alone.
+			e.SetHooks(Hooks{
+				ProcBlock:   func(*Proc, string, int) {},
+				ProcUnblock: func(*Proc) {},
+			})
 		}
 		nprocs := 1 + rng.Intn(5)
 		if rng.Intn(2) == 0 {

@@ -175,14 +175,13 @@ func (p *Proc) Sleep(d Time) {
 	// Conditions that force the slow path: an event due at or before `at`
 	// (it must run first) — the heap's earliest, the timeout lane's front, or
 	// anything at all in the now-lane, which must drain before the clock
-	// moves — a Dispatch hook (it observes every dispatch), a pending Stop or
-	// time limit (Run's loop must see this wake-up), an interrupt poll falling
-	// due (the poll happens in Run's loop), or a sample boundary inside
-	// (now, at] (boundaries fire in Run's loop, so the wake-up must travel
-	// through it).
+	// moves — a pending Stop or time limit (Run's loop must see this
+	// wake-up), an interrupt poll falling due (the poll happens in Run's
+	// loop), or a sample boundary inside (now, at] (boundaries fire in Run's
+	// loop, so the wake-up must travel through it).
 	if (len(e.events) == 0 || at < e.events[0].at) &&
 		(len(e.timeouts) == 0 || at < e.timeouts[e.timeoutHead].at) && len(e.lane) == 0 &&
-		e.hooks.Dispatch == nil && !e.stopped &&
+		!e.stopped &&
 		(e.limit == 0 || at <= e.limit) &&
 		(e.sampler == nil || at < e.nextSample) {
 		if e.interrupt != nil {

@@ -34,8 +34,8 @@ func NewCounterWriter(w io.Writer) *CounterWriter {
 	return &CounterWriter{w: bufio.NewWriter(w)}
 }
 
-// counterPID keeps counter tracks in their own Perfetto process, away from
-// the per-node pids and the engine pseudo-node.
+// counterPID keeps counter tracks in their own Perfetto process, above
+// every node's pid.
 const counterPID = 1<<20 + 1
 
 func (c *CounterWriter) record(b []byte) {

@@ -15,10 +15,7 @@ import (
 // encoder replaced, kept as the oracle. id >= 0 is joined to the detail the
 // way sim.Proc.Reason joins a blocking reason and its id.
 func fmtLine(e Event, id int) string {
-	node := "engine"
-	if e.Node != EngineNode {
-		node = "node" + strconv.Itoa(e.Node)
-	}
+	node := "node" + strconv.Itoa(e.Node)
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%12d %-5s %-7s %s", int64(e.Time), e.Cat, node, e.Name)
 	if e.Span {
@@ -50,7 +47,7 @@ var encodeCases = []encodeCase{
 	{Event{}, -1},
 	{Event{Time: 1500, Node: 2, Cat: CatNet, Name: "send", Args: []Arg{{"dst", 1}, {"bytes", 64}}}, -1},
 	{Event{Time: 1500, Dur: 1000, Node: 1, Cat: CatMem, Name: "fault", Span: true, Args: []Arg{{"block", 7}}}, -1},
-	{Event{Time: -1, Dur: -5, Node: EngineNode, Cat: CatSim, Name: "dispatch", Span: true}, -1},
+	{Event{Time: -1, Dur: -5, Node: -1, Cat: CatSim, Name: "dispatch", Span: true}, -1},
 	{Event{Time: 999999999999, Node: 999, Cat: CatProto, Name: "w12"}, -1},
 	{Event{Time: 1000000000000, Node: 1000, Cat: CatSynch, Name: "w13"}, -1},
 	{Event{Time: math.MaxInt64, Node: math.MaxInt64, Cat: "category", Name: "wide"}, -1},
@@ -113,7 +110,7 @@ func randomCase(r *rand.Rand) encodeCase {
 	}
 	c := encodeCase{id: int(pick(-1, -1, -100, 0, 9, 99, 100, 12345))}
 	c.e = Event{Time: sim.Time(num()), Dur: sim.Time(num()), Cat: str(8), Name: str(10), Span: r.Intn(2) == 0}
-	c.e.Node = int(pick(EngineNode, 0, 7, 99, 999, 1000, 123456, -2, num()))
+	c.e.Node = int(pick(-1, 0, 7, 99, 999, 1000, 123456, -2, num()))
 	if r.Intn(2) == 0 {
 		c.e.Str = str(12)
 	}

@@ -41,16 +41,13 @@ import (
 // Event categories, one per instrumented subsystem. Each maps to a named
 // track in the Perfetto view of the trace.
 const (
-	CatSim   = "sim"   // engine: proc block/unblock, event dispatch
+	CatSim   = "sim"   // engine: proc block/unblock
 	CatNet   = "net"   // network: send, deliver, service spans
 	CatMem   = "mem"   // memory: access-fault spans, tag transitions
 	CatProto = "proto" // protocol: fetch, twin/diff, inval, forwarding
 	CatSynch = "synch" // synchronization: lock/barrier waits, intervals
 	CatCrit  = "crit"  // critical path: per-node lanes of the recovered chain
 )
-
-// EngineNode marks events emitted by the engine itself rather than a node.
-const EngineNode = -1
 
 // Arg is one integer event argument. Args are deliberately scalar so the
 // line format stays deterministic and allocation stays bounded.
@@ -75,7 +72,7 @@ func Bool(b bool) int64 {
 type Event struct {
 	Time sim.Time // start time (virtual ns)
 	Dur  sim.Time // span length; 0 for instants
-	Node int      // emitting node id, or EngineNode
+	Node int      // emitting node id
 	Cat  string   // one of the Cat* constants
 	Name string   // event name, e.g. "fault", "send", "diff"
 	Str  string   // optional free-form detail, rendered as msg="..."
@@ -200,11 +197,8 @@ func (t *Tracer) Flush() error {
 	return firstErr
 }
 
-// appendNodeName renders a node id as "engine" or "node<id>".
+// appendNodeName renders a node id as "node<id>".
 func appendNodeName(b []byte, node int) []byte {
-	if node == EngineNode {
-		return append(b, "engine"...)
-	}
 	return strconv.AppendInt(append(b, "node"...), int64(node), 10)
 }
 
@@ -290,15 +284,6 @@ func catTID(cat string) int {
 	}
 }
 
-// jsonPID maps a node to a Chrome process id (pids must be non-negative,
-// so the engine pseudo-node gets a distinct high pid).
-func jsonPID(node int) int {
-	if node == EngineNode {
-		return 1 << 20
-	}
-	return node
-}
-
 // record writes t.buf, one raw JSON object, into the top-level array.
 func (t *Tracer) record() {
 	if t.jsonRecords == 0 {
@@ -326,7 +311,7 @@ func (t *Tracer) ensureTrack(node int, cat string) {
 		return
 	}
 	t.named[node] = seen | 1<<tid | processNamed
-	pid := jsonPID(node)
+	pid := node // one Chrome process per node
 	if seen&processNamed == 0 {
 		b := append(t.metadata("process_name", pid), `,"args":{"name":"`...)
 		t.buf = append(appendNodeName(b, node), `"}}`...)
@@ -359,7 +344,7 @@ func (t *Tracer) writeJSON(e *Event, id int) {
 	b = append(b, `,"ts":`...)
 	b = appendMicros(b, e.Time)
 	b = append(b, `,"pid":`...)
-	b = strconv.AppendInt(b, int64(jsonPID(e.Node)), 10)
+	b = strconv.AppendInt(b, int64(e.Node), 10)
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(catTID(e.Cat)), 10)
 	if len(e.Args) > 0 || e.Str != "" {

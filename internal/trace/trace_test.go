@@ -30,7 +30,7 @@ func TestLineFormatDeterministic(t *testing.T) {
 		})
 		eng.Schedule(2500, func() {
 			tr.Span(1, CatMem, "fault", 1500, A("block", 7))
-			tr.InstantMsg(EngineNode, CatSim, "note", "hello \"world\"")
+			tr.InstantMsg(3, CatSim, "note", "hello \"world\"")
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestLineFormatDeterministic(t *testing.T) {
 	for _, want := range []string{
 		"1500 net   node2   send dst=1 bytes=64",
 		"1500 mem   node1   fault dur=1000 block=7",
-		`2500 sim   engine  note msg="hello \"world\""`,
+		`2500 sim   node3   note msg="hello \"world\""`,
 	} {
 		if !strings.Contains(a, want) {
 			t.Errorf("line trace missing %q:\n%s", want, a)

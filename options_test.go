@@ -99,8 +99,7 @@ func TestEveryOptionFieldHasAWith(t *testing.T) {
 		"Config.Nodes": true, "Config.BlockSize": true, "Config.Protocol": true,
 		"Config.Notify": true, "Config.Sequential": true,
 		// Config-only knobs of single runs, deliberately without an option.
-		"Config.Model": true, "Config.StaticHomes": true,
-		"Config.SoftwareAccessCheck": true, "Config.TraceDispatch": true,
+		"Config.StaticHomes": true, "Config.SoftwareAccessCheck": true,
 	}
 	var walk func(v reflect.Value, path string)
 	walk = func(v reflect.Value, path string) {
