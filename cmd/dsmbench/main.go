@@ -28,8 +28,8 @@ import (
 	"time"
 
 	"dsmsim/internal/cliflags"
-	"dsmsim/internal/core"
 	"dsmsim/internal/harness"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sweep"
 )
 
@@ -73,7 +73,7 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.SetOutput(stderr)
 	c := &cli{shared: cliflags.Register(fs), stdout: stdout, stderr: stderr}
 	fs.StringVar(&c.exp, "exp", "all", "experiment name (see -list) or 'all'")
-	fs.StringVar(&c.protocol, "protocol", "", "override the matrix experiments' protocol set, comma-separated or 'all' (default: the paper's "+strings.Join(core.Protocols, ", ")+"; registered: "+strings.Join(core.ProtocolNames(), ", ")+")")
+	fs.StringVar(&c.protocol, "protocol", "", "override the matrix experiments' protocol set, comma-separated or 'all' (default: the paper's "+strings.Join(proto.PaperNames(), ", ")+"; registered: "+strings.Join(proto.Names(), ", ")+")")
 	fs.StringVar(&c.faultSeed, "fault-seed", "", "fault plan PRNG seed(s), comma-separated; two or more expand the matrix into a per-seed fault grid (tables render the first seed) that -fork can share warmup prefixes across")
 	fs.BoolVar(&c.verify, "verify", false, "verify every run's numeric result (slow at paper size)")
 	fs.BoolVar(&c.progress, "progress", true, "print one line per completed run to stderr")
@@ -199,15 +199,15 @@ func protocolList(s string) ([]string, error) {
 		return nil, nil
 	}
 	if s == "all" {
-		return core.ProtocolNames(), nil
+		return proto.Names(), nil
 	}
 	var out []string
 	for _, p := range strings.Split(s, ",") {
 		if p = strings.TrimSpace(p); p == "" {
 			continue
 		}
-		if core.ProtocolTitle(p) == "" {
-			return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p, strings.Join(core.ProtocolNames(), ", "))
+		if _, ok := proto.Lookup(p); !ok {
+			return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p, strings.Join(proto.Names(), ", "))
 		}
 		out = append(out, p)
 	}

@@ -44,6 +44,7 @@ import (
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/shareprof"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
@@ -167,15 +168,20 @@ const (
 // Protocols lists the paper's three protocol names in the paper's order;
 // extensions (DC, TLC) are selectable but excluded so reproduction
 // sweeps stay faithful to the paper's matrix.
-var Protocols = core.Protocols
+var Protocols = proto.PaperNames()
 
 // AllProtocols returns every registered protocol name in registry order
 // — the catalog behind the CLIs' "all" selector.
-func AllProtocols() []string { return core.ProtocolNames() }
+func AllProtocols() []string { return proto.Names() }
 
 // ProtocolTitle returns a protocol's registered one-line description, or
 // "" for an unknown name.
-func ProtocolTitle(name string) string { return core.ProtocolTitle(name) }
+func ProtocolTitle(name string) string {
+	if reg, ok := proto.Lookup(name); ok {
+		return reg.Meta.Title
+	}
+	return ""
+}
 
 // Granularities lists the paper's coherence block sizes.
 var Granularities = core.Granularities

@@ -6,6 +6,7 @@ import (
 
 	"dsmsim/internal/core"
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -17,7 +18,7 @@ func runMatrix(t *testing.T, name string, nodes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range core.Protocols {
+	for _, p := range proto.PaperNames() {
 		for _, g := range core.Granularities {
 			p, g := p, g
 			t.Run(fmt.Sprintf("%s-%d", p, g), func(t *testing.T) {
@@ -64,7 +65,7 @@ func TestFFTMatrix(t *testing.T) { runMatrix(t, "fft", 4) }
 // single writer per block, so write faults are only first-touch claims and
 // read faults dominate.
 func TestLUNoWriteFaultsSteadyState(t *testing.T) {
-	for _, p := range core.Protocols {
+	for _, p := range proto.PaperNames() {
 		res := runOnce(t, "lu", p, 1024, 4)
 		// Write faults should be at most ~one per block (first touch /
 		// one per interval at worst), far below read faults.

@@ -6,6 +6,7 @@ import (
 
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -50,7 +51,7 @@ func TestAllAppsVerifyUnderLoss(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			for _, p := range core.Protocols {
+			for _, p := range proto.PaperNames() {
 				for _, g := range []int{64, 4096} {
 					res := runLossy(t, name, p, g, 4, lossyPlan(1))
 					if res.WireDrops == 0 {

@@ -8,6 +8,7 @@ import (
 
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -183,7 +184,7 @@ func TestGoldenTraceDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range core.ProtocolNames() {
+		for _, p := range proto.Names() {
 			for _, c := range cfgs {
 				name := fmt.Sprintf("%s/%s/%d", app, p, c.block)
 				var plan *faults.Plan

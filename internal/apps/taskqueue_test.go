@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/core"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -56,7 +57,7 @@ func (a *tqApp) Verify(h *core.Heap) error {
 }
 
 func TestTaskQueueExactlyOnceWithStealing(t *testing.T) {
-	for _, p := range core.Protocols {
+	for _, p := range proto.PaperNames() {
 		p := p
 		t.Run(p, func(t *testing.T) {
 			app := &tqApp{total: 300}

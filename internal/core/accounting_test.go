@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -38,7 +39,7 @@ func TestTimeBreakdownCoversRuntime(t *testing.T) {
 		},
 		verify: func(h *Heap) error { return nil },
 	}
-	for _, p := range Protocols {
+	for _, p := range proto.PaperNames() {
 		m, err := NewMachine(Config{Nodes: nodes, BlockSize: 256, Protocol: p, Limit: 100 * sim.Second})
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +163,7 @@ func TestStaticHomesAblation(t *testing.T) {
 		},
 		verify: func(h *Heap) error { return nil },
 	}
-	for _, p := range Protocols {
+	for _, p := range proto.PaperNames() {
 		m, err := NewMachine(Config{Nodes: 4, BlockSize: 256, Protocol: p,
 			StaticHomes: true, Limit: 100 * sim.Second})
 		if err != nil {
@@ -239,7 +240,7 @@ func TestMemFootprintReported(t *testing.T) {
 		},
 		verify: func(h *Heap) error { return nil },
 	}
-	for _, p := range Protocols {
+	for _, p := range proto.PaperNames() {
 		m, err := NewMachine(Config{Nodes: 2, BlockSize: 64, Protocol: p, Limit: 100 * sim.Second})
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +281,7 @@ func traceTestApp() App {
 // byte-identical traces, and the trace contains fault, lock, barrier, send
 // and serve events.
 func TestTraceDeterministic(t *testing.T) {
-	for _, p := range append(append([]string{}, Protocols...), DC) {
+	for _, p := range append(append([]string{}, proto.PaperNames()...), DC) {
 		p := p
 		t.Run(p, func(t *testing.T) {
 			run := func() string {
@@ -311,7 +312,7 @@ func TestTraceDeterministic(t *testing.T) {
 // TestTracingDoesNotPerturbTiming: enabling both trace sinks must leave the
 // simulated execution identical — same finish time, same fault counts.
 func TestTracingDoesNotPerturbTiming(t *testing.T) {
-	for _, p := range Protocols {
+	for _, p := range proto.PaperNames() {
 		p := p
 		t.Run(p, func(t *testing.T) {
 			run := func(traced bool) *Result {

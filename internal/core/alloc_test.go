@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/mem"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -19,7 +20,7 @@ import (
 // The matrix covers both observers: the sharing profiler and the
 // critical-path profiler, each off (nil hook fields) and on.
 func TestAccessNoFaultZeroAlloc(t *testing.T) {
-	for _, proto := range ProtocolNames() {
+	for _, proto := range proto.Names() {
 		for _, obs := range []struct {
 			name           string
 			prof, critpath bool

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/mem"
@@ -29,7 +30,7 @@ var ErrNotResumable = errors.New("core: run cannot be checkpointed/forked")
 // prefix once and fork it per grid point.
 type Checkpoint struct {
 	app   string
-	sig   runSig
+	cfg   Config // the capturing run's, as pinned
 	epoch int
 	now   sim.Time
 	seq   uint64
@@ -64,60 +65,34 @@ func (cp *Checkpoint) Epoch() int { return cp.epoch }
 // Now returns the virtual time of the cut.
 func (cp *Checkpoint) Now() sim.Time { return cp.now }
 
-// runSig pins the configuration dimensions a checkpoint bakes in. A fork
-// must match all of them; only the fault plan (and the virtual-time limit)
-// may differ between the capturing run and its forks.
-type runSig struct {
-	Nodes               int
-	BlockSize           int
-	Protocol            string
-	Notify              network.Notify
-	StaticHomes         bool
-	SoftwareAccessCheck sim.Time
-	SampleEvery         sim.Time
+// pinned is cfg as a checkpoint bakes it in: every field but those a fork
+// may change — the fault plan (which restore requires to be start-gated at
+// or after the cut), the virtual-time limit and the trace writers. The
+// prefix flushes its trace at the cut and each fork writes its own suffix,
+// so prefix and suffix concatenated are the flat run's trace.
+func pinned(cfg Config) Config {
+	cfg.Faults, cfg.Limit, cfg.Trace, cfg.TraceJSON = nil, 0, nil, nil
+	return cfg
 }
 
-func sigOf(cfg *Config) runSig {
-	return runSig{
-		Nodes:               cfg.Nodes,
-		BlockSize:           cfg.BlockSize,
-		Protocol:            cfg.Protocol,
-		Notify:              cfg.Notify,
-		StaticHomes:         cfg.StaticHomes,
-		SoftwareAccessCheck: cfg.SoftwareAccessCheck,
-		SampleEvery:         cfg.SampleEvery,
-	}
-}
-
-// checkpointable rejects configurations whose side state a checkpoint does
-// not carry (sharing profiles) or that never reach a global barrier
-// (sequential baselines). Tracing is fork-compatible: the prefix run
-// flushes its trace at the cut and each fork writes its own suffix stream,
-// so concatenating prefix and suffix reproduces the flat run's trace.
-func checkpointable(cfg *Config) error {
-	switch {
-	case cfg.Sequential:
-		return fmt.Errorf("%w: sequential baseline", ErrNotResumable)
-	case cfg.ShareProfile:
-		return fmt.Errorf("%w: sharing profiler attached", ErrNotResumable)
-	}
-	return nil
-}
-
-// compatible checks that cfg can resume this checkpoint.
+// compatible checks that cfg can resume this checkpoint: the same app, and
+// a pinned config equal to the checkpoint's field by field, pointers (the
+// what-if scaling) compared by the values they point to. A Config field
+// added later is pinned without an edit here.
 func (cp *Checkpoint) compatible(cfg *Config, appName string) error {
-	if err := checkpointable(cfg); err != nil {
-		return err
-	}
 	if appName != cp.app {
 		return fmt.Errorf("%w: checkpoint is of %q, run is of %q", ErrNotResumable, cp.app, appName)
 	}
-	if sig := sigOf(cfg); sig != cp.sig {
-		return fmt.Errorf("%w: config %+v differs from checkpoint %+v", ErrNotResumable, sig, cp.sig)
-	}
-	if (cp.crit != nil) != cfg.CritPath {
-		return fmt.Errorf("%w: critical-path profiling differs (checkpoint %v, run %v)",
-			ErrNotResumable, cp.crit != nil, cfg.CritPath)
+	fork := pinned(*cfg)
+	want, got := reflect.ValueOf(&cp.cfg).Elem(), reflect.ValueOf(&fork).Elem()
+	for i := range want.NumField() {
+		w, g := want.Field(i), got.Field(i)
+		if w.Kind() == reflect.Pointer && !w.IsNil() && !g.IsNil() {
+			w, g = w.Elem(), g.Elem()
+		}
+		if !w.Equal(g) {
+			return fmt.Errorf("%w: %s is %v, the checkpoint's %v", ErrNotResumable, want.Type().Field(i).Name, g, w)
+		}
 	}
 	return nil
 }
@@ -126,13 +101,15 @@ func (cp *Checkpoint) compatible(cfg *Config, appName string) error {
 // barrier) completes and captures a checkpoint at that instant instead of
 // releasing it. The machine's fault plan, if any, must not have started by
 // epoch k — the canonical use runs the prefix entirely fault-free, making
-// the checkpoint valid for any start-gated fault variant.
+// the checkpoint valid for any start-gated fault variant. A sequential
+// baseline never reaches a global barrier, and a checkpoint does not carry
+// the sharing profiler's state: both are refused.
 func (m *Machine) RunToBarrier(ctx context.Context, app App, k int) (*Checkpoint, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: RunToBarrier epoch %d (want >= 1)", k)
 	}
-	if err := checkpointable(&m.cfg); err != nil {
-		return nil, err
+	if m.cfg.Sequential || m.cfg.ShareProfile {
+		return nil, fmt.Errorf("%w: sequential baseline or sharing profiler", ErrNotResumable)
 	}
 	r, err := m.buildRun(ctx, app, nil)
 	if err != nil {
@@ -144,9 +121,10 @@ func (m *Machine) RunToBarrier(ctx context.Context, app App, k int) (*Checkpoint
 }
 
 // RunFromCheckpoint resumes a run from cp under this machine's config. The
-// config must match cp on every dimension but the fault plan and limit; a
-// fault plan must be start-gated (start=K, K >= cp.Epoch()) so the forked
-// run is byte-identical to a flat run of the same config. The app instance
+// config must match cp on every field but the fault plan, the limit and the
+// trace writers; a fault plan must be start-gated (start=K, K >= cp.Epoch())
+// so the forked run is byte-identical to a flat run of the same config, and
+// a what-if scaling must equal the checkpoint's by value. The app instance
 // must be equivalent to the one cp was captured from (same constructor
 // arguments) and resume through Ctx.Phases.
 func (m *Machine) RunFromCheckpoint(ctx context.Context, cp *Checkpoint, app App) (*Result, error) {
@@ -252,7 +230,7 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 	}
 	cp := &Checkpoint{
 		app:        r.info.Name,
-		sig:        sigOf(&r.cfg),
+		cfg:        pinned(r.cfg),
 		epoch:      epoch,
 		now:        r.engine.Now(),
 		seq:        r.engine.Seq(),
@@ -346,7 +324,11 @@ func (r *run) restore(cp *Checkpoint) error {
 // Digest folds every simulation-visible field of the checkpoint into one
 // FNV-1a value. Two checkpoints of equivalent machine states — however they
 // were reached — digest equal; the state-equivalence tests use this as the
-// fork-correctness oracle.
+// fork-correctness oracle. The phase accountant's state is in (its epochs
+// decide where Ctx.Phases resumes), and so is the fault injector's cursor.
+// The sampler's and the critical-path tracker's states are left out: they
+// feed only Result.Samples and Result.CritPath, and the fork tests compare
+// those results with the flat run's directly.
 func (cp *Checkpoint) Digest() uint64 {
 	d := proto.NewDigest()
 	d.Int(cp.epoch)
@@ -379,6 +361,10 @@ func (cp *Checkpoint) Digest() uint64 {
 	for i := range cp.writers {
 		cp.writers[i].AddToDigest(d)
 	}
+	cp.phases.AddToDigest(d)
+	if cp.injCursor != nil {
+		d.U64(*cp.injCursor)
+	}
 	return d.Sum()
 }
 
@@ -403,18 +389,7 @@ func digestEndpoint(d *proto.Digest, ep *network.EndpointState) {
 // distribution totals into d.
 func digestStats(d *proto.Digest, n *stats.Node) {
 	s := n.Snap()
-	for _, v := range [...]int64{
-		s.ReadFaults, s.WriteFaults, s.Invalidations, s.TwinsCreated,
-		s.DiffsCreated, s.DiffsApplied, s.DiffPayloadBytes,
-		s.WriteNoticesSent, s.WriteNoticesRecv, s.HomeMigrations,
-		s.Forwards, s.LeaseRenewals, s.LeaseExpiries, s.TimestampJumps,
-		s.LockAcquires, s.BarrierEntries,
-		int64(s.Compute), int64(s.ReadStall), int64(s.WriteStall),
-		int64(s.LockStall), int64(s.BarrierStall), int64(s.FlushTime),
-		int64(s.Stolen),
-	} {
-		d.I64(v)
-	}
+	s.AddToDigest(d)
 	for _, h := range [...]*stats.Histogram{
 		&n.ReadFaultTime, &n.WriteFaultTime, &n.LockWait, &n.BarrierWait,
 	} {

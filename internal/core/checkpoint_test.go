@@ -3,19 +3,23 @@ package core_test
 import (
 	"context"
 	"errors"
+	"io"
+	"reflect"
 	"slices"
 	"testing"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
 // testProtocols is the paper's protocol matrix plus the tlc lease
 // extension: the checkpoint and critical-path invariants must hold for
 // every registered protocol family, not just the reproduction set.
-var testProtocols = append(append([]string(nil), core.Protocols...), core.TLC)
+var testProtocols = append(append([]string(nil), proto.PaperNames()...), core.TLC)
 
 // forkApp is one application the fork tests cut at every barrier epoch.
 type forkApp struct {
@@ -364,6 +368,89 @@ func TestForkGatingRejected(t *testing.T) {
 		if _, err := fm.RunFromCheckpoint(ctx, cp, app); !errors.Is(err, core.ErrNotResumable) {
 			t.Errorf("fork under %q: got %v, want ErrNotResumable", spec, err)
 		}
+	}
+}
+
+// TestForkPinsEveryConfigField: a checkpoint pins the whole Config except
+// what a fork may change. For each exported field, a machine that differs
+// from the capturing one in that field alone is refused with
+// ErrNotResumable, unless the field is on the fork-variable list: then the
+// fork runs and matches the flat run of its own config. The fields are
+// walked by reflection, so a new one is covered without editing the test.
+// The what-if scaling is pinned by value, not by pointer.
+func TestForkPinsEveryConfigField(t *testing.T) {
+	ctx := context.Background()
+	app := newForkApp(t, "ocean-rowwise")
+	base := core.Config{Nodes: 4, BlockSize: 1024, Protocol: core.SC}
+	cp, err := mustMachine(t, base).RunToBarrier(ctx, app, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := func(cfg core.Config, cp *core.Checkpoint) {
+		t.Helper()
+		flat, err := mustMachine(t, cfg).RunContext(ctx, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked, err := mustMachine(t, cfg).RunFromCheckpoint(ctx, cp, app)
+		if err != nil {
+			t.Fatalf("fork under %+v: %v", cfg, err)
+		}
+		compareResults(t, flat, forked)
+	}
+	variable := map[string]any{
+		"Faults":    faults.NewPlan(faults.Drop(0.02), faults.Seed(9), faults.StartAtBarrier(6)),
+		"Limit":     1000 * sim.Second,
+		"Trace":     io.Writer(io.Discard),
+		"TraceJSON": io.Writer(io.Discard),
+	}
+	typ := reflect.TypeOf(base)
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		cfg := base
+		v := reflect.ValueOf(&cfg).Elem().Field(i)
+		if val, ok := variable[f.Name]; ok {
+			delete(variable, f.Name)
+			v.Set(reflect.ValueOf(val))
+			forks(cfg, cp)
+			continue
+		}
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64: // still a valid node count, block size, notify
+			v.SetInt(max(2*v.Int(), 1))
+		case reflect.String: // the protocol
+			v.SetString(core.HLRC)
+		case reflect.Pointer:
+			v.Set(reflect.New(f.Type.Elem()))
+		default:
+			t.Fatalf("Config.%s: no differing value for a %s field; teach the test one", f.Name, v.Kind())
+		}
+		if _, err := mustMachine(t, cfg).RunFromCheckpoint(ctx, cp, app); !errors.Is(err, core.ErrNotResumable) {
+			t.Errorf("Config.%s differs from the checkpoint's: got %v, want ErrNotResumable", f.Name, err)
+		}
+	}
+	for name := range variable {
+		t.Errorf("fork-variable field %s is not a Config field", name)
+	}
+
+	half, err := critpath.ParseScale("msg=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled := base
+	scaled.WhatIf = half
+	cpHalf, err := mustMachine(t, scaled).RunToBarrier(ctx, app, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := *half
+	scaled.WhatIf = &same
+	forks(scaled, cpHalf)
+	scaled.WhatIf = &critpath.Scale{Class: half.Class, PPM: half.PPM / 2}
+	if _, err := mustMachine(t, scaled).RunFromCheckpoint(ctx, cpHalf, app); !errors.Is(err, core.ErrNotResumable) {
+		t.Errorf("fork under another what-if scaling: got %v, want ErrNotResumable", err)
 	}
 }
 

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,9 +28,9 @@ import (
 	"dsmsim/internal/trace"
 
 	// Protocol packages self-register with the proto registry from init;
-	// these imports are what put them in the catalog. Everything below —
-	// Protocols, ProtocolNames, Validate, construction — derives the
-	// protocol set from that registry, never from a hardcoded list.
+	// these imports are what put them in the catalog. Validate and
+	// construction derive the protocol set from that registry, never from a
+	// hardcoded list.
 	_ "dsmsim/internal/proto/hlrc"
 	_ "dsmsim/internal/proto/sc"
 	_ "dsmsim/internal/proto/swlrc"
@@ -37,7 +38,7 @@ import (
 )
 
 // Well-known protocol names accepted by Config.Protocol; the
-// authoritative catalog is the proto registry (see ProtocolNames).
+// authoritative catalog is the proto registry (see proto.Names).
 const (
 	SC    = "sc"
 	SWLRC = "swlrc"
@@ -53,24 +54,6 @@ const (
 	// fan-out at all.
 	TLC = "tlc"
 )
-
-// Protocols lists the paper's three protocol names, in the paper's order
-// (extensions like DC and TLC are selectable but not part of the paper's
-// matrix). Sourced from the registry's Paper-flagged registrations.
-var Protocols = proto.PaperNames()
-
-// ProtocolNames lists every registered protocol in registry order —
-// the full catalog behind the CLIs' "all" selector and help strings.
-func ProtocolNames() []string { return proto.Names() }
-
-// ProtocolTitle returns the registered one-line description of a
-// protocol, or "" for an unknown name.
-func ProtocolTitle(name string) string {
-	if reg, ok := proto.Lookup(name); ok {
-		return reg.Meta.Title
-	}
-	return ""
-}
 
 // Granularities lists the paper's coherence block sizes.
 var Granularities = []int{64, 256, 1024, 4096}
@@ -107,7 +90,8 @@ type Config struct {
 	Notify network.Notify
 	// Sequential runs the uninstrumented one-node baseline used as the
 	// numerator of speedups: all blocks pre-claimed by node 0, no polling
-	// dilation, no faults.
+	// dilation, no faults. Validate clears the settings a baseline ignores
+	// (Faults, ShareProfile, CritPath, WhatIf).
 	Sequential bool
 	// StaticHomes disables first-touch home migration (§2): blocks stay
 	// at their round-robin static homes. An ablation knob for the
@@ -184,10 +168,13 @@ var (
 	ErrBadFaultPlan = errors.New("core: invalid fault plan")
 )
 
-// Validate checks the configuration.
+// Validate checks the configuration and normalizes a Sequential baseline:
+// one node and the SC protocol unless set, and neither a fault plan, the
+// profilers nor a what-if scaling, which it ignores.
 func (c *Config) Validate() error {
-	if c.Sequential && c.Nodes == 0 {
-		c.Nodes = 1
+	if c.Sequential {
+		c.Nodes = cmp.Or(c.Nodes, 1)
+		c.Faults, c.ShareProfile, c.CritPath, c.WhatIf = nil, false, false, nil
 	}
 	if c.Nodes <= 0 || c.Nodes > MaxNodes {
 		return fmt.Errorf("%w: %d", ErrBadNodes, c.Nodes)
@@ -347,29 +334,36 @@ func (m *Machine) RunContext(ctx context.Context, app App) (*Result, error) {
 
 // run is one in-flight simulation: everything RunContext wires up before
 // the engine loop starts, kept together so checkpoint capture and restore
-// can reach every layer of it.
+// can reach every layer of it, and so every node reads the run-wide state
+// through its one pointer here. An observer that is off is nil.
 type run struct {
-	m        *Machine
 	ctx      context.Context
 	cfg      Config
-	app      App
 	info     AppInfo
 	heap     *Heap
-	master   []byte
 	heapSize int
 	engine   *sim.Engine
 	net      *network.Network
 	inj      *faults.Injector
+	// straggle is inj when its plan has straggler windows, which dilate
+	// Compute; wire faults never reach a node, the network's ARQ absorbs
+	// them. dilation is the polling slowdown of computation (AppInfo).
+	straggle *faults.Injector
+	dilation float64
 	tr       *trace.Tracer
 	env      *proto.Env
 	p        proto.Protocol
 	sy       *synch.Sync
-	writers  []proto.Copyset
-	prof     *shareprof.Profiler
-	crit     *critpath.Tracker
-	phases   *metrics.PhaseAccountant
-	sampler  *metrics.Sampler
-	nodes    []Node
+	// writers is the per-block set of nodes that write-faulted on it
+	// (Table 2's writer classification).
+	writers []proto.Copyset
+	prof    *shareprof.Profiler
+	crit    *critpath.Tracker
+	// phases receives a per-node cut at every barrier return (and one
+	// final cut when a body finishes), building Result.Phases.
+	phases  *metrics.PhaseAccountant
+	sampler *metrics.Sampler
+	nodes   []Node
 	// statSlab backs env.Stats; finish hands it out as Result.PerNode.
 	statSlab []stats.Node
 
@@ -391,7 +385,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r := &run{m: m, ctx: ctx, cfg: m.cfg, app: app, info: app.Info()}
+	r := &run{ctx: ctx, cfg: m.cfg, info: app.Info()}
 	cfg := &r.cfg
 	if cp != nil {
 		if err := cp.compatible(cfg, r.info.Name); err != nil {
@@ -400,7 +394,6 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	}
 	r.heapSize = roundUp(r.info.HeapBytes, max(cfg.BlockSize, 4096))
 	r.heap = newHeap(r.heapSize)
-	r.master = r.heap.master
 	defer func() {
 		if err != nil {
 			r.release(false)
@@ -431,11 +424,13 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	r.net = net
 	// Compile the fault plan into this run's injector: each run owns its
 	// PRNG, so identical configs replay bit-for-bit and concurrent runs on
-	// one Machine never share fault state. Sequential baselines measure the
-	// healthy machine and ignore the plan.
-	if cfg.Faults != nil && !cfg.Sequential {
+	// one Machine never share fault state.
+	if cfg.Faults != nil {
 		r.inj = cfg.Faults.Compile(cfg.Nodes)
 		net.SetFaults(r.inj) // no-op unless the plan has wire-active rules
+		if r.inj.Straggling() {
+			r.straggle = r.inj
+		}
 	}
 	if cfg.Trace != nil || cfg.TraceJSON != nil {
 		// tr stays nil when tracing is off: every emit site costs one branch.
@@ -450,26 +445,20 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	}
 	tr := r.tr
 
-	reg, ok := proto.Lookup(cfg.Protocol)
-	if !ok {
-		// Validate catches this in every public path; machines are only
-		// built from validated configs.
-		return nil, fmt.Errorf("%w: %q (registered: %s)",
-			ErrUnknownProtocol, cfg.Protocol, strings.Join(proto.Names(), ", "))
-	}
+	reg, _ := proto.Lookup(cfg.Protocol) // a Machine's config is validated
 	env := &proto.Env{
 		Engine:      engine,
 		Model:       model,
 		Net:         net,
 		Homes:       proto.NewHomes(cfg.Nodes, r.heapSize/cfg.BlockSize),
-		Master:      r.master,
+		Master:      r.heap.master,
 		MasterPages: r.heap.touched,
 		Tracer:      tr,
 	}
 	r.env = env
 	if reg.Meta.NeedsClocks {
 		// Only the LRC family exchanges vector clocks and write notices.
-		env.Log = proto.NewLog(cfg.Nodes)
+		env.Log, env.VCs = proto.NewLog(cfg.Nodes), proto.NewClocks(cfg.Nodes)
 	}
 	// Per-node state comes out of one slab per kind, not one object per
 	// node: construction cost is what a 1024-node run pays before its
@@ -481,18 +470,13 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		env.Spaces[i] = mem.NewSpace(r.heapSize, cfg.BlockSize)
 		env.Stats[i] = &r.statSlab[i]
 	}
-	if reg.Meta.NeedsClocks {
-		env.VCs = proto.NewClocks(cfg.Nodes)
-	}
 
 	r.p = reg.New(env)
 	r.sy = synch.New(env)
 	r.sy.SetProtocol(r.p)
 
-	// writers tracks, per block, the set of nodes that write-faulted on it
-	// during this run (Table 2's writer classification). Run-local so that
-	// concurrent runs on one Machine never share state. Copysets stay
-	// inline-word cheap at ≤64 nodes and spill to paged bitmaps above.
+	// Copysets stay inline-word cheap at ≤64 nodes and spill to paged
+	// bitmaps above.
 	r.writers = make([]proto.Copyset, r.heapSize/cfg.BlockSize)
 	if cp == nil {
 		if !cfg.StaticHomes {
@@ -505,9 +489,8 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	}
 	// The sharing-pattern profiler is pure bookkeeping fed from the access
 	// and protocol paths; like the tracer it is wired after seeding and
-	// preclaim so only parallel-phase activity is profiled. Sequential
-	// baselines have nothing to profile.
-	if cfg.ShareProfile && !cfg.Sequential {
+	// preclaim so only parallel-phase activity is profiled.
+	if cfg.ShareProfile {
 		r.prof = shareprof.New(cfg.Nodes, r.heapSize, cfg.BlockSize)
 		env.Prof = r.prof
 	}
@@ -515,17 +498,13 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	// The critical-path tracker is likewise wired after seeding and
 	// preclaim, so only parallel-phase causality is recorded; its chains
 	// root at the parallel phase's t=0 on every node.
-	if cfg.CritPath && !cfg.Sequential {
+	if cfg.CritPath {
 		r.crit = critpath.New(cfg.Nodes)
 		net.SetCrit(r.crit)
 		env.Crit = r.crit
 	}
-	whatif := cfg.WhatIf
-	if cfg.Sequential {
-		whatif = nil
-	}
-	if whatif != nil {
-		net.SetScale(whatif)
+	if cfg.WhatIf != nil {
+		net.SetScale(cfg.WhatIf)
 	}
 	if tr != nil || prof != nil {
 		// Wire the tag-transition observer only now, so the untimed heap
@@ -568,44 +547,32 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		}
 	}
 
+	if cfg.Notify == network.Polling && !cfg.Sequential {
+		r.dilation = r.info.PollDilation
+	}
+	// Every endpoint dispatches service by kind class: synchronization
+	// below proto.ProtoKindBase, the coherence protocol above.
+	sy, p := r.sy, r.p
+	cost := func(msg *network.Msg) sim.Time {
+		if msg.Kind < proto.ProtoKindBase {
+			return sy.ServiceCost(msg)
+		}
+		return p.ServiceCost(msg)
+	}
+	handler := func(msg *network.Msg) {
+		if msg.Kind < proto.ProtoKindBase {
+			sy.Handle(msg)
+			return
+		}
+		p.Handle(msg)
+	}
 	r.nodes = make([]Node, cfg.Nodes)
-	dilation := r.info.PollDilation
-	if cfg.Notify != network.Polling || cfg.Sequential {
-		dilation = 0
-	}
-	cost, handler := m.serviceCost(r.sy, r.p), m.handler(r.sy, r.p)
-	for i := range r.nodes {
-		n := &r.nodes[i]
-		*n = Node{
-			id:       i,
-			ctx:      Ctx{n: n},
-			run:      r,
-			engine:   engine,
-			space:    env.Spaces[i],
-			stats:    env.Stats[i],
-			ep:       net.Endpoint(i),
-			protocol: r.p,
-			sync:     r.sy,
-			dilation: dilation,
-			tracer:   tr,
-			writers:  r.writers,
-			phases:   r.phases,
-			prof:     prof,
-			crit:     r.crit,
-			scale:    whatif,
-		}
-		if r.inj.Straggling() {
-			n.faults = r.inj // only stragglers dilate Compute; wire faults stay in the network
-		}
-		n.ep.Bind(n, cost, handler)
-	}
-	if ct := r.crit; ct != nil {
-		ct.Runtime = func(i int) bool { return r.nodes[i].inRuntime }
-	}
 	engine.ReserveProcs(cfg.Nodes)
 	env.Procs = make([]*sim.Proc, cfg.Nodes)
 	for i := range r.nodes {
 		n := &r.nodes[i]
+		*n = Node{id: i, ctx: Ctx{n: n}, run: r, space: env.Spaces[i], stats: env.Stats[i], ep: net.Endpoint(i)}
+		n.ep.Bind(n, cost, handler)
 		body := func(*sim.Proc) {
 			if n.resuming { // reborn inside the barrier the cut suppressed
 				n.inRuntime = false
@@ -638,6 +605,9 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 			n.proc = engine.NewProcBlocked(nodeNames[i], "barrier", -1, body)
 		}
 		env.Procs[i] = n.proc
+	}
+	if ct := r.crit; ct != nil {
+		ct.Runtime = func(i int) bool { return r.nodes[i].inRuntime }
 	}
 	if ct := r.crit; tr != nil || ct != nil {
 		// The engine's only procs are the nodes', created above in node
@@ -742,7 +712,7 @@ func (r *run) finish(runErr error) (res *Result, err error) {
 	}
 	bs := cfg.BlockSize
 	for b := range pages.Blocks(bs, r.heapSize) {
-		copy(r.master[b*bs:(b+1)*bs], r.p.Collect(b))
+		copy(r.heap.master[b*bs:(b+1)*bs], r.p.Collect(b))
 	}
 
 	res = &Result{
@@ -843,27 +813,6 @@ func (m *Machine) RunVerifiedContext(ctx context.Context, app App) (*Result, err
 		return nil, fmt.Errorf("core: %s verify: %w", app.Info().Name, err)
 	}
 	return res, nil
-}
-
-// serviceCost dispatches message service-cost queries by kind class.
-func (m *Machine) serviceCost(sy *synch.Sync, p proto.Protocol) network.CostFunc {
-	return func(msg *network.Msg) sim.Time {
-		if msg.Kind < proto.ProtoKindBase {
-			return sy.ServiceCost(msg)
-		}
-		return p.ServiceCost(msg)
-	}
-}
-
-// handler dispatches message handling by kind class.
-func (m *Machine) handler(sy *synch.Sync, p proto.Protocol) network.Handler {
-	return func(msg *network.Msg) {
-		if msg.Kind < proto.ProtoKindBase {
-			sy.Handle(msg)
-			return
-		}
-		p.Handle(msg)
-	}
 }
 
 // preclaim hands every block to node 0 read-write: the sequential baseline

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -26,7 +27,7 @@ func (a *testApp) Verify(h *Heap) error { return a.verify(h) }
 func allConfigs(nodes int) []Config {
 	var out []Config
 	// Semantic tests must hold for every registered protocol.
-	for _, p := range ProtocolNames() {
+	for _, p := range proto.Names() {
 		for _, g := range Granularities {
 			out = append(out, Config{Nodes: nodes, BlockSize: g, Protocol: p, Limit: 100 * sim.Second})
 		}
@@ -219,7 +220,7 @@ func TestSingleWriterStreamFaults(t *testing.T) {
 			verify: func(h *Heap) error { return nil },
 		}
 	}
-	for _, p := range Protocols {
+	for _, p := range proto.PaperNames() {
 		var prevReads int64 = -1
 		for _, g := range Granularities {
 			m, err := NewMachine(Config{Nodes: nodes, BlockSize: g, Protocol: p, Limit: 100 * sim.Second})
@@ -430,7 +431,7 @@ func TestInterruptNotify(t *testing.T) {
 			return nil
 		},
 	}
-	for _, p := range Protocols {
+	for _, p := range proto.PaperNames() {
 		m, err := NewMachine(Config{Nodes: nodes, BlockSize: 1024, Protocol: p,
 			Notify: network.Interrupt, Limit: 100 * sim.Second})
 		if err != nil {

@@ -35,7 +35,7 @@ func (c *Ctx) NP() int { return c.n.run.cfg.Nodes }
 func (c *Ctx) Protocol() string { return c.n.run.cfg.Protocol }
 
 // Now returns the current virtual time.
-func (c *Ctx) Now() sim.Time { return c.n.engine.Now() }
+func (c *Ctx) Now() sim.Time { return c.n.run.engine.Now() }
 
 // BlockSize returns the coherence granularity in bytes. Applications use
 // it to chunk writable spans at block boundaries: a write span covering
@@ -51,39 +51,39 @@ func (c *Ctx) Compute(d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	n := c.n
-	if s := n.scale; s != nil {
+	n, r := c.n, c.n.run
+	if s := r.cfg.WhatIf; s != nil {
 		// What-if re-simulation: rescale the requested work before the
 		// dilations that multiply onto it.
 		if d = s.ComputeCost(d); d <= 0 {
 			return
 		}
 	}
-	if n.dilation > 0 {
-		d += sim.Time(float64(d) * n.dilation)
+	if r.dilation > 0 {
+		d += sim.Time(float64(d) * r.dilation)
 	}
 	total := d
-	if n.faults != nil {
+	if r.straggle != nil {
 		// A straggler window dilates this node's computation: the whole
 		// Compute call is scaled by the factor in force when it starts,
 		// modeling a slowed clock rather than re-slicing mid-call.
-		if f := n.faults.Dilation(n.id, n.engine.Now()); f > 1 {
+		if f := r.straggle.Dilation(n.id, r.engine.Now()); f > 1 {
 			total = sim.Time(float64(d) * f)
 		}
 	}
 	n.stats.Compute += total
-	start := n.engine.Now()
+	start := r.engine.Now()
 	target := start + total
 	for {
-		n.proc.Sleep(target - n.engine.Now())
+		n.proc.Sleep(target - r.engine.Now())
 		if n.stolen == 0 {
 			break
 		}
 		target += n.stolen
 		n.stolen = 0
 	}
-	if ct := n.crit; ct != nil {
-		ct.ComputeSeg(n.id, start, d, total, n.engine.Now())
+	if ct := r.crit; ct != nil {
+		ct.ComputeSeg(n.id, start, d, total, r.engine.Now())
 	}
 }
 
@@ -95,14 +95,14 @@ func (c *Ctx) Compute(d sim.Time) {
 // is simultaneously accessible when it is returned.
 func (c *Ctx) access(addr, size int, write bool) []byte {
 	n := c.n
-	sp := n.space
+	sp, r := n.space, n.run
 	if size == 0 {
 		// Empty spans arise when a node's partition of the data is empty
 		// (more nodes than rows); they touch no block and cost nothing.
 		return nil
 	}
 	first, last := sp.BlocksIn(addr, size)
-	if n.run.cfg.SoftwareAccessCheck > 0 {
+	if r.cfg.SoftwareAccessCheck > 0 {
 		n.checkDebt += int64(last - first + 1)
 	}
 	// Fast path: the previous fault-free pass validated [vFirst, vLast]
@@ -112,12 +112,12 @@ func (c *Ctx) access(addr, size int, write bool) []byte {
 	// every clean pass clears it.
 	if n.vOK && sp.Ver() == n.vVer && first >= n.vFirst && last <= n.vLast &&
 		(n.vWrite || !write) {
-		if pr := n.prof; pr != nil {
+		if pr := r.prof; pr != nil {
 			pr.Access(n.id, addr, size, write)
 		}
 		return sp.Bytes(addr, size)
 	}
-	if n.prof != nil {
+	if r.prof != nil {
 		// Remember the span so any fault below can be attributed to the
 		// exact bytes that missed (Node.fault reads it back).
 		n.profAddr, n.profSize = addr, size
@@ -134,7 +134,7 @@ func (c *Ctx) access(addr, size int, write bool) []byte {
 			n.holdBoost = 0
 			n.vFirst, n.vLast, n.vWrite = first, last, write
 			n.vVer, n.vOK = sp.Ver(), true
-			if pr := n.prof; pr != nil {
+			if pr := r.prof; pr != nil {
 				// Record only completed passes: a write publishes its
 				// sectors as stale everywhere else exactly once, after
 				// the access is actually permitted.
@@ -200,33 +200,33 @@ func (c *Ctx) Lock(id int) {
 	if id < 0 {
 		panic(fmt.Sprintf("core: bad lock id %d", id))
 	}
-	n := c.n
+	n, r := c.n, c.n.run
 	n.settleChecks()
-	start := n.engine.Now()
+	start := r.engine.Now()
 	n.inRuntime = true
-	n.sync.Acquire(n.id, id)
+	r.sy.Acquire(n.id, id)
 	n.inRuntime = false
-	elapsed := n.engine.Now() - start
+	elapsed := r.engine.Now() - start
 	n.stats.LockStall += elapsed
 	n.stats.LockWait.ObserveTime(elapsed)
-	if tr := n.tracer; tr != nil {
+	if tr := r.tr; tr != nil {
 		tr.Span(n.id, trace.CatSynch, "lock", start, trace.A("id", int64(id)))
 	}
 }
 
 // Unlock releases the lock: a release operation (HLRC flushes diffs here).
 func (c *Ctx) Unlock(id int) {
-	n := c.n
-	start := n.engine.Now()
+	n, r := c.n, c.n.run
+	start := r.engine.Now()
 	// HLRC's release-time diff flush runs inside this call and charges
 	// FlushTime itself; subtract its delta so the flush is not counted
 	// twice and the breakdown components stay disjoint.
 	flush0 := n.stats.FlushTime
 	n.inRuntime = true
-	n.sync.Release(n.id, id)
+	r.sy.Release(n.id, id)
 	n.inRuntime = false
-	n.stats.LockStall += n.engine.Now() - start - (n.stats.FlushTime - flush0)
-	if tr := n.tracer; tr != nil {
+	n.stats.LockStall += r.engine.Now() - start - (n.stats.FlushTime - flush0)
+	if tr := r.tr; tr != nil {
 		tr.Span(n.id, trace.CatSynch, "release", start, trace.A("id", int64(id)))
 	}
 }
@@ -236,9 +236,9 @@ func (c *Ctx) Unlock(id int) {
 // restored one. A phase that calls Barrier itself spans those epochs too,
 // and such a barrier is no cut point: the phase's private state crosses it.
 func (c *Ctx) Phases(n int, phase func(e int)) {
-	nd := c.n
+	nd, ph := c.n, c.n.run.phases
 	nd.resuming = false
-	for e := nd.phases.Epoch(nd.id); e < n; e = nd.phases.Epoch(nd.id) {
+	for e := ph.Epoch(nd.id); e < n; e = ph.Epoch(nd.id) {
 		nd.inPhase = true
 		phase(e)
 		nd.inPhase = false
@@ -257,10 +257,10 @@ func (c *Ctx) Barrier() {
 	// Entry time and already-booked flush time live on the Node (not in
 	// locals) so a checkpoint cut inside the barrier can capture them; the
 	// forked continuation then books the identical stall on resume.
-	n.barStart = n.engine.Now()
+	n.barStart = n.run.engine.Now()
 	n.barFlush0 = n.stats.FlushTime // see Unlock: the entry-side flush charges itself
 	n.inRuntime = true
-	n.sync.Barrier(n.id)
+	n.run.sy.Barrier(n.id)
 	n.inRuntime = false
 	n.barrierResumed()
 }
@@ -270,13 +270,14 @@ func (c *Ctx) Barrier() {
 // with the checkpoint-restore continuation (which resumes a node exactly
 // here, so a forked run's trace shows the cut barrier like a flat one).
 func (n *Node) barrierResumed() {
-	elapsed := n.engine.Now() - n.barStart
+	r := n.run
+	elapsed := r.engine.Now() - n.barStart
 	n.stats.BarrierStall += elapsed - (n.stats.FlushTime - n.barFlush0)
 	n.stats.BarrierWait.ObserveTime(elapsed)
 	// A barrier return ends this node's current phase: cut the epoch with
 	// the just-booked stall included. Pure bookkeeping, cannot yield.
-	n.phases.Cut(n.id, n.engine.Now(), n.stats)
-	if tr := n.tracer; tr != nil {
+	r.phases.Cut(n.id, r.engine.Now(), n.stats)
+	if tr := r.tr; tr != nil {
 		tr.Span(n.id, trace.CatSynch, "barrier", n.barStart)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/mem"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/shareprof"
 	"dsmsim/internal/sim"
 )
@@ -134,7 +135,7 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 	for _, entry := range apps.All() {
 		for _, bs := range blocks {
 			t.Run(fmt.Sprintf("%s/%d", entry.Name, bs), func(t *testing.T) {
-				for _, protocol := range core.ProtocolNames() {
+				for _, protocol := range proto.Names() {
 					run(t, core.Config{
 						Nodes: nodes, BlockSize: bs, Protocol: protocol, Faults: lossy,
 						Trace: io.Discard, TraceJSON: io.Discard, SampleEvery: sim.Millisecond,
@@ -148,7 +149,7 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 	for _, ap := range forkApps {
 		for _, bs := range blocks {
 			t.Run(fmt.Sprintf("fork/%s/%d", ap.name, bs), func(t *testing.T) {
-				for _, protocol := range core.ProtocolNames() {
+				for _, protocol := range proto.Names() {
 					cfg := core.Config{
 						Nodes: nodes, BlockSize: bs, Protocol: protocol,
 						Trace: io.Discard, SampleEvery: sim.Millisecond, CritPath: true,
@@ -231,7 +232,7 @@ func TestRunDirtyFootprint(t *testing.T) {
 			}
 		}
 	})()
-	for _, protocol := range core.ProtocolNames() {
+	for _, protocol := range proto.Names() {
 		dirty, pages = 0, 0
 		for _, name := range []string{"barnes-original", "lu"} {
 			entry, err := apps.Get(name)

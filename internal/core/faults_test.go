@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/faults"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -77,7 +78,7 @@ func runFaulty(t *testing.T, proto string, block int, plan *faults.Plan) *Result
 // to the last counter — the fault machinery may not perturb anything until
 // a rule can actually fire.
 func TestInactiveFaultPlanByteIdentical(t *testing.T) {
-	for _, proto := range Protocols {
+	for _, proto := range proto.PaperNames() {
 		t.Run(proto, func(t *testing.T) {
 			base := keyOf(runFaulty(t, proto, 64, nil))
 			for name, plan := range map[string]*faults.Plan{
@@ -101,7 +102,7 @@ func TestInactiveFaultPlanByteIdentical(t *testing.T) {
 // still completes and verifies, produces reliability traffic, and replays
 // bit-identically from the same seed.
 func TestDropCompletesVerifiesAndIsSeedStable(t *testing.T) {
-	for _, proto := range Protocols {
+	for _, proto := range proto.PaperNames() {
 		t.Run(proto, func(t *testing.T) {
 			plan := func(seed uint64) *faults.Plan {
 				return faults.NewPlan(faults.Drop(0.05), faults.Seed(seed))
@@ -133,7 +134,7 @@ func TestDuplicatesAndJitterVerify(t *testing.T) {
 		faults.Duplicate(0.05),
 		faults.Jitter(30*sim.Microsecond),
 		faults.Seed(5))
-	for _, proto := range Protocols {
+	for _, proto := range proto.PaperNames() {
 		res := runFaulty(t, proto, 64, plan)
 		if res.Duplicates == 0 {
 			t.Errorf("%s: no duplicates discarded", proto)
@@ -205,7 +206,7 @@ func TestCombinedFaultsAcrossGranularities(t *testing.T) {
 		faults.Jitter(10*sim.Microsecond),
 		faults.Straggler(1, 1.5, 0, 0),
 		faults.Seed(13))
-	for _, proto := range Protocols {
+	for _, proto := range proto.PaperNames() {
 		for _, block := range []int{64, 4096} {
 			runFaulty(t, proto, block, plan) // RunVerified fails the test on error
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/core"
+	"dsmsim/internal/proto"
 )
 
 // jsonRecords parses a Chrome trace JSON array and returns its event
@@ -59,7 +60,7 @@ func TestForkTraceByteIdentical(t *testing.T) {
 		if testing.Short() && (base == "barnes" || base == "ocean" || base == "volrend") {
 			continue
 		}
-		for _, protocol := range core.ProtocolNames() {
+		for _, protocol := range proto.Names() {
 			ap, protocol := ap, protocol
 			t.Run(ap.name+"/"+protocol, func(t *testing.T) {
 				t.Parallel()

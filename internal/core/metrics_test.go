@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
 )
@@ -50,7 +51,7 @@ func componentSum(ns *stats.Node) sim.Time {
 // inherits: if any simulator code path let time pass without attributing
 // it to a component, the paper's Figure-2 percentages would silently lie.
 func TestBreakdownSumsExactly(t *testing.T) {
-	for _, p := range append(append([]string{}, Protocols...), DC) {
+	for _, p := range append(append([]string{}, proto.PaperNames()...), DC) {
 		for _, bs := range Granularities {
 			m, err := NewMachine(Config{Nodes: 4, BlockSize: bs, Protocol: p,
 				Limit: 100 * sim.Second})
@@ -78,7 +79,7 @@ func TestBreakdownSumsExactly(t *testing.T) {
 // app's barrier structure (8 barriers; the app ends at its last barrier,
 // so the empty tail phase is dropped).
 func TestPhaseBreakdown(t *testing.T) {
-	for _, p := range Protocols {
+	for _, p := range proto.PaperNames() {
 		m, err := NewMachine(Config{Nodes: 4, BlockSize: 256, Protocol: p,
 			Limit: 100 * sim.Second})
 		if err != nil {
@@ -120,7 +121,7 @@ func TestPhaseBreakdown(t *testing.T) {
 // byte-identical event trace (the strongest available fingerprint of the
 // run's internal schedule).
 func TestSamplingDoesNotPerturb(t *testing.T) {
-	for _, p := range Protocols {
+	for _, p := range proto.PaperNames() {
 		p := p
 		t.Run(p, func(t *testing.T) {
 			run := func(every sim.Time) (*Result, string) {

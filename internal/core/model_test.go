@@ -10,6 +10,7 @@ import (
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/sweep"
 	"dsmsim/internal/timing"
@@ -38,7 +39,7 @@ func TestSharedModelNeverWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := sweep.Spec{
-		Apps: []string{"fft"}, Protocols: core.ProtocolNames(), Granularities: []int{1024},
+		Apps: []string{"fft"}, Protocols: proto.Names(), Granularities: []int{1024},
 		Notifies: []network.Notify{network.Polling, network.Interrupt}, Nodes: 4,
 		Faults: []string{"none", "jittery"},
 	}

@@ -3,52 +3,31 @@ package core
 import (
 	"fmt"
 
-	"dsmsim/internal/critpath"
-	"dsmsim/internal/faults"
 	"dsmsim/internal/mem"
-	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
-	"dsmsim/internal/proto"
-	"dsmsim/internal/shareprof"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
-	"dsmsim/internal/synch"
 	"dsmsim/internal/trace"
 )
 
 // Node is one simulated processor: an application proc plus the DSM runtime
-// state the protocol and notification model need.
+// state the protocol and notification model need. Everything the nodes of
+// a run share — engine, protocol, synchronization, observers, settings — is
+// read through run; a Node holds only what is its own.
 type Node struct {
-	id     int
-	run    *run
-	engine *sim.Engine
-	space  *mem.Space
-	stats  *stats.Node
-	ep     *network.Endpoint
-	proc   *sim.Proc
-	ctx    Ctx // the application's handle on this node, passed to its body
+	id    int
+	run   *run
+	space *mem.Space
+	stats *stats.Node
+	ep    *network.Endpoint
+	proc  *sim.Proc
+	ctx   Ctx // the application's handle on this node, passed to its body
 
-	protocol proto.Protocol
-	sync     *synch.Sync
-	tracer   *trace.Tracer // nil when tracing is off
-
-	// prof is the sharing-pattern profiler, nil when profiling is off;
-	// every hook on the access hot path hides behind that nil check so
-	// the off configuration stays zero-alloc and branch-cheap. profAddr
-	// and profSize remember the access span currently being validated,
-	// so a fault can be attributed to the exact bytes that missed.
-	prof               *shareprof.Profiler
+	// profAddr and profSize remember the access span currently being
+	// validated while the sharing profiler is on, so a fault can be
+	// attributed to the exact bytes that missed.
 	profAddr, profSize int
 
-	// crit is the critical-path tracker, nil when the profiler is off;
-	// like prof, every hook hides behind the nil check. scale is the
-	// what-if cost rescaling, nil outside -whatif re-simulations.
-	crit  *critpath.Tracker
-	scale *critpath.Scale
-
-	// phases receives a per-node cut at every barrier return (and one
-	// final cut when the body finishes), building Result.Phases.
-	phases *metrics.PhaseAccountant
 	// finishAt is when the node's body returned; the gap to the run's end
 	// becomes stats.Idle.
 	finishAt sim.Time
@@ -60,17 +39,6 @@ type Node struct {
 	// it entered in the original run.
 	barStart  sim.Time
 	barFlush0 sim.Time
-
-	// writers is the run-local per-block writer set shared by all nodes
-	// of one run (Table 2's classification); Machine itself stays stateless.
-	writers []proto.Copyset
-
-	dilation float64
-
-	// faults is the run's injector, set only when the plan has straggler
-	// windows: Compute consults Dilation per call. Wire faults never reach
-	// the node — the network's ARQ layer absorbs them.
-	faults *faults.Injector
 
 	// inRuntime is true while the app thread is blocked inside the DSM
 	// runtime (fault, lock, barrier, flush); message service is then
@@ -108,22 +76,24 @@ func (n *Node) settleChecks() {
 	if n.checkDebt == 0 {
 		return
 	}
-	cost := sim.Time(n.checkDebt) * n.run.cfg.SoftwareAccessCheck
+	r := n.run
+	cost := sim.Time(n.checkDebt) * r.cfg.SoftwareAccessCheck
 	n.checkDebt = 0
 	n.stats.Compute += cost
-	start := n.engine.Now()
+	start := r.engine.Now()
 	n.proc.Sleep(cost)
-	if ct := n.crit; ct != nil {
-		ct.CheckSeg(n.id, start, n.engine.Now())
+	if ct := r.crit; ct != nil {
+		ct.CheckSeg(n.id, start, r.engine.Now())
 	}
 }
 
 // refuse ends a resumed run whose app did not start from its epoch; proc
 // context. The engine stops once this node parks.
 func (n *Node) refuse(what string) {
-	n.run.err = fmt.Errorf("%w: %s: node %d %s before Ctx.Phases took up its start epoch %d",
-		ErrNotResumable, n.run.info.Name, n.id, what, n.phases.Epoch(n.id))
-	n.engine.Stop()
+	r := n.run
+	r.err = fmt.Errorf("%w: %s: node %d %s before Ctx.Phases took up its start epoch %d",
+		ErrNotResumable, r.info.Name, n.id, what, r.phases.Epoch(n.id))
+	r.engine.Stop()
 	n.proc.Block("refused")
 }
 
@@ -138,21 +108,22 @@ func (n *Node) Steal(cost sim.Time) {
 
 // fault resolves an access violation; proc context.
 func (n *Node) fault(block int, write bool) {
-	if pr := n.prof; pr != nil {
+	r := n.run
+	if pr := r.prof; pr != nil {
 		// Attribute before the protocol resolves the fault: resolution
 		// installs a fresh copy and would erase the staleness evidence.
 		pr.Fault(n.id, block, n.profAddr, n.profSize, write)
 	}
 	if write {
 		n.stats.WriteFaults++
-		n.writers[block].Add(n.id)
+		r.writers[block].Add(n.id)
 	} else {
 		n.stats.ReadFaults++
 	}
-	start := n.engine.Now()
+	start := r.engine.Now()
 	n.inRuntime = true
 	n.proc.Sleep(model.FaultDelivery)
-	n.protocol.Fault(n.id, block, write)
+	r.p.Fault(n.id, block, write)
 	n.inRuntime = false
 	if n.holdBoost == 0 {
 		n.ep.Holdoff()
@@ -165,7 +136,7 @@ func (n *Node) fault(block int, write bool) {
 		}
 		n.ep.HoldoffFor(d)
 	}
-	elapsed := n.engine.Now() - start
+	elapsed := r.engine.Now() - start
 	if write {
 		n.stats.WriteStall += elapsed
 		n.stats.WriteFaultTime.ObserveTime(elapsed)
@@ -173,13 +144,13 @@ func (n *Node) fault(block int, write bool) {
 		n.stats.ReadStall += elapsed
 		n.stats.ReadFaultTime.ObserveTime(elapsed)
 	}
-	if ct := n.crit; ct != nil {
+	if ct := r.crit; ct != nil {
 		// The fault's proc-side time that did not pass blocked (delivery
 		// sleep, post-wake tag rescans) books as runtime overhead; blocked
 		// intervals already live on the message chain that ended them.
-		ct.CheckSeg(n.id, start, n.engine.Now())
+		ct.CheckSeg(n.id, start, r.engine.Now())
 	}
-	if tr := n.tracer; tr != nil {
+	if tr := r.tr; tr != nil {
 		tr.Span(n.id, trace.CatMem, "fault", start,
 			trace.A("block", int64(block)), trace.A("write", trace.Bool(write)))
 	}

@@ -12,6 +12,7 @@ import (
 	"dsmsim/internal/faults"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
 	"dsmsim/internal/sweep"
@@ -145,7 +146,7 @@ func Experiments() []Experiment {
 					{"static", func(res *core.Result) string { return kb(res.ProtoStaticBytes) }},
 					{"peak-dyn", func(res *core.Result) string { return kb(res.ProtoPeakBytes) }},
 				},
-			}.render, matrix{apps: []string{"water-spatial"}, protos: core.Protocols, blocks: grans}),
+			}.render, matrix{apps: []string{"water-spatial"}, protos: proto.PaperNames(), blocks: grans}),
 		// Only the baselines of these two are matrix runs; the per-size and
 		// instrumented machines are custom and stay serial.
 		declare("scaling", "Speedup vs cluster size, 1-32 nodes (§7: the hoped-for 32-node runs)",
@@ -164,7 +165,7 @@ func Experiments() []Experiment {
 		// instead of invalidation fan-out.
 		declare("fourway", "Four protocol families side by side: SC/DC invalidation, SW-LRC, HLRC, TLC leases",
 			speedups{title: "Four protocol families (speedups, polling)", tailHead: "lease traffic", tail: leaseTraffic}.render,
-			speedupsOf([]string{"ocean-rowwise", "water-nsquared"}, core.ProtocolNames())),
+			speedupsOf([]string{"ocean-rowwise", "water-nsquared"}, proto.Names())),
 		// For a coarse-grain application prefetching keeps helping; for a
 		// fine-grain multiple-writer one, fragmentation and false sharing
 		// keep growing.
@@ -692,7 +693,7 @@ func (r *Runner) critPath([]matrix) error {
 	}
 	r.printf("%-6s %6s %14s %8s %8s %8s %8s %8s %8s\n",
 		"Proto", "Block", "path", "compute", "ovhd", "wire", "svc", "lock", "barrier")
-	for _, p := range core.Protocols {
+	for _, p := range proto.PaperNames() {
 		for _, g := range core.Granularities {
 			res, err := r.runConfig(app, core.Config{
 				BlockSize: g, Protocol: p, CritPath: true, WhatIf: r.opts.Config.WhatIf,
@@ -728,7 +729,7 @@ func (r *Runner) degradation([]matrix) error {
 		app, "all protocols", block, r.opts.Nodes)
 	r.printf("%-6s %7s %14s %9s %9s %9s %8s\n",
 		"Proto", "loss", "time", "slowdown", "retx", "drops", "acks")
-	for _, p := range core.Protocols {
+	for _, p := range proto.PaperNames() {
 		var lossless sim.Time
 		for _, rate := range []float64{0, 0.001, 0.01, 0.05} {
 			cfg := core.Config{BlockSize: block, Protocol: p}

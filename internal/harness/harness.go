@@ -22,6 +22,7 @@ import (
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/sweep"
 )
@@ -42,8 +43,8 @@ type Options struct {
 	Out io.Writer
 	// Protocols overrides the protocol set the matrix experiments sweep
 	// and render. Nil keeps the paper's three-protocol reproduction
-	// matrix (core.Protocols); any registered name is accepted — see
-	// core.ProtocolNames for the registry's catalog.
+	// matrix (proto.PaperNames); any registered name is accepted — see
+	// proto.Names for the registry's catalog.
 	Protocols []string
 }
 
@@ -53,7 +54,7 @@ func (o Options) protocols() []string {
 	if len(o.Protocols) > 0 {
 		return o.Protocols
 	}
-	return core.Protocols
+	return proto.PaperNames()
 }
 
 // Runner executes and caches simulation runs via the sweep engine.

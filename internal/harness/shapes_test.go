@@ -6,6 +6,7 @@ import (
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
@@ -142,7 +143,7 @@ func TestShapeLUPrefetching(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mid-size sweep")
 	}
-	for _, p := range core.Protocols {
+	for _, p := range proto.PaperNames() {
 		t64 := runApp(t, apps.NewLU(256, 16), p, 64, 8, network.Polling)
 		t1k := runApp(t, apps.NewLU(256, 16), p, 1024, 8, network.Polling)
 		if t1k.Time > t64.Time {

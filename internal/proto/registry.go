@@ -26,7 +26,7 @@ type Meta struct {
 	// come first, in the paper's order.
 	Order int
 	// Paper marks the protocols of the paper's evaluation matrix
-	// (SC, SW-LRC, HLRC); PaperNames and core.Protocols list exactly
+	// (SC, SW-LRC, HLRC); PaperNames and dsmsim.Protocols list exactly
 	// these, so extensions never leak into the reproduction tables.
 	Paper bool
 	// NeedsClocks marks protocols that exchange vector clocks and write

@@ -10,6 +10,7 @@ import (
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 )
 
 // faultSpec is a lossy slice of the matrix: both granularity extremes under
@@ -17,7 +18,7 @@ import (
 func faultSpec() Spec {
 	return Spec{
 		Apps:          []string{"lu"},
-		Protocols:     core.Protocols,
+		Protocols:     proto.PaperNames(),
 		Granularities: []int{64, 4096},
 		Notifies:      []network.Notify{network.Polling},
 		Nodes:         4,

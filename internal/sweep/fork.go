@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -82,11 +83,15 @@ type cpKey struct {
 	Epoch int
 }
 
-// warmup is one shared warmup prefix, as the engine's prefix memo holds it.
+// warmup is one shared warmup prefix, as the engine's prefix memo holds it:
+// a checkpoint, or the refusal of its cut (core.ErrNotResumable), which is
+// retained so the group's other variants fall back to flat without
+// simulating the prefix again.
 type warmup struct {
-	cp    *core.Checkpoint
-	wall  time.Duration // host time the leader spent simulating the prefix
-	forks atomic.Int64  // runs served from this checkpoint
+	cp      *core.Checkpoint
+	refusal error
+	wall    time.Duration // host time the leader spent simulating the prefix
+	forks   atomic.Int64  // runs served from this checkpoint
 }
 
 // computeForked runs one grid point through the shared-prefix path: obtain
@@ -110,16 +115,25 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 		if err != nil {
 			return nil, err
 		}
+		if prefixHook != nil {
+			prefixHook()
+		}
 		// A fresh app instance: Setup mutates the app, and the prefix can
 		// run concurrently with flat-path runs holding the caller's.
 		cp, err := m.RunToBarrier(ctx, entry.New(e.opts.Size), epoch)
+		if errors.Is(err, core.ErrNotResumable) {
+			return &warmup{refusal: err}, nil
+		}
 		if err != nil {
-			return nil, err
+			return nil, err // forgotten: a cancelled prefix is retried
 		}
 		return &warmup{cp: cp, wall: time.Since(start)}, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if w.refusal != nil {
+		return nil, w.refusal
 	}
 	m, err := core.NewMachine(cfg)
 	if err != nil {
@@ -136,8 +150,12 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 	return e.checked(k, app, res)
 }
 
-// forkedHook, when non-nil, sees every forked result before it is checked.
-var forkedHook func(*core.Result)
+// forkedHook, when non-nil, sees every forked result before it is checked,
+// and prefixHook every prefix simulation as it starts.
+var (
+	forkedHook func(*core.Result)
+	prefixHook func()
+)
 
 // ForkStats summarizes what prefix sharing bought one engine: how many
 // distinct warmup prefixes were simulated, how many runs forked from them,
@@ -158,6 +176,9 @@ type ForkStats struct {
 func (e *Engine) ForkStats() ForkStats {
 	s := ForkStats{FlatRuns: int(e.flatRuns.Load()), FailedForks: int(e.failedForks.Load())}
 	e.cps.each(func(w *warmup) {
+		if w.refusal != nil {
+			return
+		}
 		forks := int(w.forks.Load())
 		s.Prefixes++
 		s.ForkedRuns += forks

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,13 +134,47 @@ func TestForkFallbackAppTooShort(t *testing.T) {
 	if flat != forked {
 		t.Fatalf("CSV diverged:\n-- flat --\n%s\n-- forked --\n%s", flat, forked)
 	}
-	if len(eng.cps.m) != 1 {
-		t.Fatalf("prefix checkpoints = %d, want exactly 1 (ocean forks, fft falls back)", len(eng.cps.m))
+	if len(eng.cps.m) != 2 {
+		t.Fatalf("prefix entries = %d, want 2 (ocean's checkpoint, fft's retained refusal)", len(eng.cps.m))
 	}
 	fs := eng.ForkStats()
 	fs.SavedWall = 0
 	if want := (ForkStats{Prefixes: 1, ForkedRuns: 2, FailedForks: 2}); fs != want {
 		t.Fatalf("fork stats = %+v, want %+v (both fft points tried the cut and re-ran flat)", fs, want)
+	}
+}
+
+// TestRefusedPrefixSimulatedOnce: a three-variant group whose cut is refused
+// (fft ends before barrier 10) simulates its prefix once, not once per
+// variant, whether the variants arrive one after another or join the
+// leader's computation; each variant still counts as a failed fork.
+func TestRefusedPrefixSimulatedOnce(t *testing.T) {
+	grid := []FaultVariant{
+		{Name: "none"},
+		{Name: "lossy", Plan: faults.NewPlan(faults.Drop(0.02), faults.Seed(3), faults.StartAtBarrier(10))},
+		{Name: "jittery", Plan: faults.NewPlan(faults.Jitter(20*sim.Microsecond), faults.Seed(4), faults.StartAtBarrier(12))},
+	}
+	spec := Spec{
+		Apps: []string{"fft"}, Protocols: []string{core.SC}, Granularities: []int{4096},
+		Notifies: []network.Notify{network.Polling}, Nodes: 4, Faults: []string{"none", "lossy", "jittery"},
+	}
+	var prefixes atomic.Int64
+	prefixHook = func() { prefixes.Add(1) }
+	defer func() { prefixHook = nil }()
+	for _, workers := range []int{1, 3} {
+		prefixes.Store(0)
+		e := mustNew(t, Options{Size: apps.Small, Workers: workers, FaultGrid: grid, Fork: true})
+		if _, err := e.Run(context.Background(), spec.Points()); err != nil {
+			t.Fatal(err)
+		}
+		if n := prefixes.Load(); n != 1 {
+			t.Errorf("workers=%d: the refused prefix was simulated %d times, want once", workers, n)
+		}
+		fs := e.ForkStats()
+		fs.SavedWall = 0
+		if want := (ForkStats{FailedForks: 3}); fs != want {
+			t.Errorf("workers=%d: fork stats = %+v, want %+v", workers, fs, want)
+		}
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // statistics. A failed computation is forgotten, and waiters that had joined
 // it retry with their own compute function — a leader cancelled by its
 // sweep's context cannot poison a follower from a different sweep whose
-// context is still live. The zero value is an empty memo.
+// context is still live. An outcome that is deterministic but no result —
+// a refused prefix cut — is therefore returned as a value, not an error,
+// when it must be kept (see warmup). The zero value is an empty memo.
 type Memo[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*call[V]

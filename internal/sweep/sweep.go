@@ -374,15 +374,14 @@ feed:
 }
 
 // config fills the template with one point's coordinates. Sequential
-// baselines (whose Key leaves the coordinates zero) run at the page size
-// and keep a nil fault plan: Validate checks plan rules against the node
-// count, and core ignores the observers there.
+// baselines (whose Key leaves the coordinates zero) run at the page size;
+// Validate clears the plan and the observers they ignore.
 func (e *Engine) config(k Key, plan *faults.Plan) core.Config {
 	cfg := e.opts.Config
 	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential, cfg.Faults =
 		k.Nodes, k.Block, k.Protocol, k.Notify, k.Sequential, plan
 	if k.Sequential {
-		cfg.BlockSize, cfg.Faults = 4096, nil
+		cfg.BlockSize = 4096
 	}
 	return cfg
 }

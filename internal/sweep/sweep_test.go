@@ -414,8 +414,11 @@ func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
 		t.Fatalf("config for %v:\n got %+v\nwant %+v", k, got, cfg)
 	}
 	seq := want.Config
-	seq.Nodes, seq.BlockSize, seq.Protocol, seq.Notify, seq.Sequential, seq.Faults = 0, 4096, "", 0, true, nil
+	seq.Nodes, seq.BlockSize, seq.Protocol, seq.Notify, seq.Sequential, seq.Faults = 0, 4096, "", 0, true, plan
 	if got := e.config(Seq("lu"), plan); !reflect.DeepEqual(got, seq) {
 		t.Fatalf("config for the baseline:\n got %+v\nwant %+v", got, seq)
+	}
+	if _, err := core.NewMachine(seq); err != nil {
+		t.Fatalf("the baseline's config does not validate: %v", err)
 	}
 }

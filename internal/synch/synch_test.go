@@ -38,7 +38,7 @@ func run(t *testing.T, nodes int, protocol string, script func(c *core.Ctx)) *co
 // TestMutualExclusion: overlapping critical sections must never be
 // observed, under every protocol.
 func TestMutualExclusion(t *testing.T) {
-	for _, p := range core.Protocols {
+	for _, p := range proto.PaperNames() {
 		p := p
 		t.Run(p, func(t *testing.T) {
 			inside := 0

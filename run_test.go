@@ -77,6 +77,28 @@ func TestStartTypedErrors(t *testing.T) {
 	}
 }
 
+// TestSequentialIgnoresFaultPlan: a sequential baseline ignores the fault
+// plan and the profilers, so a plan naming node 3 validates on its one
+// node, and the run is the healthy, unobserved one.
+func TestSequentialIgnoresFaultPlan(t *testing.T) {
+	ctx := context.Background()
+	cfg := dsmsim.Config{Sequential: true, BlockSize: 4096}
+	healthy, err := dsmsim.StartApp(ctx, cfg, "lu", dsmsim.Small, dsmsim.WithVerify())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := dsmsim.NewFaultPlan(dsmsim.Partition(0, 3, 0, dsmsim.Millisecond), dsmsim.Straggler(3, 4, 0, dsmsim.Second))
+	cfg.CritPath, cfg.ShareProfile = true, true
+	res, err := dsmsim.StartApp(ctx, cfg, "lu", dsmsim.Small, dsmsim.WithVerify(), dsmsim.WithFaults(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Time != healthy.Time || res.CritPath != nil || res.Sharing != nil {
+		t.Fatalf("baseline under a plan and profilers: time %v (healthy %v), crit %v, sharing %v",
+			res.Time, healthy.Time, res.CritPath != nil, res.Sharing != nil)
+	}
+}
+
 // TestParseFaults: the CLI fault syntax round-trips into a usable plan.
 func TestParseFaults(t *testing.T) {
 	plan, err := dsmsim.ParseFaults("drop=0.01,jitter=5us,seed=7")
