@@ -17,9 +17,9 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# One iteration of every benchmark at the reduced problem sizes: each
-# experiment (BenchmarkExperiment/table1 ... /critpath; one alone is
-# `go test -bench='Experiment/fig1$' -benchtime=1x .`) plus the ablations.
+# One iteration of every experiment at the reduced problem sizes
+# (BenchmarkExperiment/table1 ... /critpath; one alone is
+# `go test -bench='Experiment/fig1$' -benchtime=1x .`).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
@@ -56,4 +56,4 @@ demos:
 	@bash scripts/smoke.sh list
 
 clean:
-	rm -f results.csv trace.json metrics_demo.csv metrics_demo.json
+	rm -f results.csv trace.json metrics_demo.csv metrics_demo.jsonl

@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -63,7 +64,7 @@ type cli struct {
 	staticHomes    bool
 	trace          string
 	traceJSON      string
-	sampleJSON     string
+	record         string
 	profTop        int
 	critTop        int
 	faultSeed      uint64
@@ -85,7 +86,7 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.BoolVar(&c.staticHomes, "static-homes", false, "disable first-touch home migration (ablation; single runs only)")
 	fs.StringVar(&c.trace, "trace", "", "write a deterministic line-format event trace (single runs only)")
 	fs.StringVar(&c.traceJSON, "trace-json", "", "write a Chrome trace-event JSON file (single runs only)")
-	fs.StringVar(&c.sampleJSON, "sample-json", "", "write Chrome-trace counter tracks to this file (single runs only; needs -sample-every)")
+	fs.StringVar(&c.record, "record", "", "append each run's JSON record (the point and its full result; a sweep's baselines too) to this file, one line per run")
 	fs.IntVar(&c.profTop, "prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
 	fs.IntVar(&c.critTop, "crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
 	fs.Uint64Var(&c.faultSeed, "fault-seed", 0, "override the fault plan's PRNG seed (0 keeps the plan's seed)")
@@ -133,8 +134,8 @@ func (c *cli) run() (err error) {
 		}
 		return c.runOne(ctx, spec, o)
 	}
-	if c.staticHomes || c.trace != "" || c.traceJSON != "" || c.sampleJSON != "" {
-		return fmt.Errorf("-static-homes/-trace/-trace-json/-sample-json apply to single runs only (%d configurations selected)", points)
+	if c.staticHomes || c.trace != "" || c.traceJSON != "" {
+		return fmt.Errorf("-static-homes/-trace/-trace-json apply to single runs only (%d configurations selected)", points)
 	}
 	return c.runSweep(ctx, spec, o)
 }
@@ -143,6 +144,10 @@ func (c *cli) run() (err error) {
 // speedup row per configuration.
 func (c *cli) runSweep(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options) error {
 	if err := c.shared.OpenSinks(&o, c.stderr); err != nil {
+		return err
+	}
+	var err error
+	if o.Record, err = c.shared.Append(c.record); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -175,8 +180,8 @@ func (c *cli) runSweep(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Optio
 // written fresh, without the run-key columns a sweep prefixes.
 func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options) error {
 	s, out := c.shared, c.stdout
-	if (s.SampleCSV != "" || c.sampleJSON != "") && s.SampleEvery <= 0 {
-		return errors.New("-sample-csv/-sample-json need -sample-every")
+	if s.SampleCSV != "" && s.SampleEvery <= 0 {
+		return errors.New("-sample-csv needs -sample-every")
 	}
 	cfg := o.Config
 	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify = spec.Nodes, spec.Granularities[0], spec.Protocols[0], spec.Notify[0]
@@ -285,25 +290,30 @@ func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options
 		fmt.Fprintf(out, "    re-simulated    %14v  (%.3fx speedup)\n", wres.Time, ratio(res.Time, wres.Time))
 	}
 
-	if s.CSV != "" {
-		// The one record goes through the sink a sweep's records take:
-		// same schema, header only into an empty file.
-		w, err := s.Append(s.CSV)
-		if err != nil {
-			return err
-		}
-		sweep.NewSink(nil, w, false, nil, nil, nil, false, false).Emit(sweep.Key{App: spec.Apps[0]}, res)
+	// The run's CSV row and record go through the sink a sweep's take:
+	// same schema and point, header only into an empty file.
+	var sinks sweep.Options
+	if sinks.CSV, err = s.Append(s.CSV); err == nil {
+		sinks.Record, err = s.Append(c.record)
+	}
+	if err != nil {
+		return err
+	}
+	point := sweep.Key{App: spec.Apps[0], Protocol: cfg.Protocol, Block: cfg.BlockSize, Notify: cfg.Notify, Nodes: cfg.Nodes}
+	if err := sweep.SinkFor(sinks).Emit(point, res); err != nil {
+		return err
 	}
 	// A flag names its file only with its observer on (Apply, the check
 	// above), so the report each bound method belongs to is non-nil.
 	files := []struct {
 		path  string
 		write func(io.Writer) error
-	}{{s.ProfCSV, res.Sharing.WriteCSV}, {s.CritCSV, res.CritPath.WriteCSV},
-		{s.SampleCSV, res.Samples.WriteCSV}, {c.sampleJSON, res.Samples.WriteCounterJSON}}
+	}{{s.ProfCSV, res.Sharing.WriteCSV}, {s.CritCSV, res.CritPath.WriteCSV}, {s.SampleCSV, res.Samples.WriteCSV}}
 	for _, f := range files {
 		if f.path != "" {
-			if err := writeFile(f.path, f.write); err != nil {
+			var b bytes.Buffer
+			f.write(&b) // a Buffer never fails a write
+			if err := os.WriteFile(f.path, b.Bytes(), 0o666); err != nil {
 				return err
 			}
 		}
@@ -364,20 +374,6 @@ func printPhases(out io.Writer, res *dsmsim.Result) {
 	row("total", span, compute, data, sync, proto)
 	fmt.Fprintf(out, "    idle (after last barrier) %v;  total+idle = %v = %d nodes x %v\n",
 		res.Total.Idle, span+res.Total.Idle, res.Nodes, res.Time)
-}
-
-// writeFile creates path and streams write's output into it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := errors.Join(write(w), w.Flush()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // splitList parses a comma-separated selector; "all" (or "*") yields all.

@@ -24,7 +24,7 @@ var wantFlags = []string{
 	"crit-top=5", "csv=", "fault-grid=", "fault-seed=0", "faults=",
 	"fork=false", "fork-warmup=0", "memprofile=", "metrics-addr=", "nodes=16",
 	"notify=polling", "parallel=0", "prof=false", "prof-csv=", "prof-top=10",
-	"protocol=hlrc", "sample-csv=", "sample-every=0s", "sample-json=",
+	"protocol=hlrc", "record=", "sample-csv=", "sample-every=0s",
 	"size=small", "static-homes=false", "straggler=", "trace=", "trace-json=",
 	"verify=true", "whatif=",
 }
@@ -164,13 +164,15 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestSingleRunCSV: one selected configuration writes its record through
-// the sweep's sink — header plus one row, no second header on a re-run,
-// and the same row the sweep writes for that configuration. (At 8395aed
-// the single-run path never saw -csv and wrote no file.)
+// TestSingleRunCSV: one selected configuration writes its CSV row and its
+// record through the sweep's sink — header plus one row, no second header
+// on a re-run, and the same row and record line the sweep writes for that
+// configuration. (At 8395aed the single-run path never saw -csv and wrote
+// no file.)
 func TestSingleRunCSV(t *testing.T) {
 	dir := t.TempDir()
 	one, swept := filepath.Join(dir, "one.csv"), filepath.Join(dir, "sweep.csv")
+	oneRec, sweptRec := filepath.Join(dir, "one.jsonl"), filepath.Join(dir, "sweep.jsonl")
 	lines := func(path string) []string {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -179,7 +181,7 @@ func TestSingleRunCSV(t *testing.T) {
 		return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	}
 	for i := 1; i <= 2; i++ {
-		if err := run([]string{"-app", "lu", "-nodes", "4", "-csv", one}, io.Discard, io.Discard); err != nil {
+		if err := run([]string{"-app", "lu", "-nodes", "4", "-csv", one, "-record", oneRec}, io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		got := lines(one)
@@ -190,10 +192,14 @@ func TestSingleRunCSV(t *testing.T) {
 			t.Fatalf("identical runs wrote different records:\n%s\n%s", got[1], got[2])
 		}
 	}
-	if err := run([]string{"-app", "lu", "-protocol", "sc,hlrc", "-nodes", "4", "-csv", swept}, io.Discard, io.Discard); err != nil {
+	if err := run([]string{"-app", "lu", "-protocol", "sc,hlrc", "-nodes", "4", "-csv", swept, "-record", sweptRec}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if s, o := lines(swept), lines(one); s[0] != o[0] || s[2] != o[1] {
 		t.Fatalf("single-run CSV differs from the sweep's:\n%s\n%s\nvs\n%s\n%s", o[0], o[1], s[0], s[2])
+	}
+	// The sweep's records are the baseline, sc, then hlrc.
+	if s, o := lines(sweptRec), lines(oneRec); len(s) != 3 || len(o) != 2 || o[0] != o[1] || s[2] != o[0] {
+		t.Fatalf("single-run record differs from the sweep's (%d and %d lines)", len(o), len(s))
 	}
 }

@@ -87,8 +87,8 @@ type (
 	Phase = metrics.Phase
 	// Sample is one interval of the virtual-time metrics sampler's series.
 	Sample = metrics.Sample
-	// Series is a run's sampler time-series (Result.Samples), exportable
-	// as CSV or a Chrome-trace counter track.
+	// Series is a run's sampler time-series (Result.Samples), exported as
+	// CSV (WithSampleCSV) and whole in the run record (WithRecord).
 	Series = metrics.Series
 	// Metrics is the live sweep registry: attach one with WithMetrics and
 	// serve it with Metrics.Serve, which exposes one endpoint, Prometheus

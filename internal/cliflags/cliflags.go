@@ -159,14 +159,10 @@ func (s *Shared) OpenSinks(o *sweep.Options, stderr io.Writer) error {
 		path string
 		w    *io.Writer
 	}{{s.CSV, &o.CSV}, {s.ProfCSV, &o.ProfCSV}, {s.CritCSV, &o.CritCSV}, {s.SampleCSV, &o.SampleCSV}} {
-		if f.path == "" {
-			continue
-		}
-		w, err := s.Append(f.path)
-		if err != nil {
+		var err error
+		if *f.w, err = s.Append(f.path); err != nil {
 			return err
 		}
-		*f.w = w
 	}
 	if s.MetricsAddr != "" {
 		reg := sweep.NewRegistry()
@@ -183,8 +179,12 @@ func (s *Shared) OpenSinks(o *sweep.Options, stderr io.Writer) error {
 
 // Append opens path for appending, so records from successive invocations
 // accumulate; the CSV sink writes its header only into an empty file. The
-// file stays open until Close.
+// file stays open until Close. An empty path (a flag left unset) opens
+// nothing and returns a nil writer.
 func (s *Shared) Append(path string) (io.Writer, error) {
+	if path == "" {
+		return nil, nil
+	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err

@@ -292,8 +292,8 @@ type Result struct {
 	// Heap exposes the final shared image (gathered from the
 	// authoritative copies) for verification and inspection. Nil in the
 	// results of a sweep, which verifies each run itself and recycles the
-	// image (see ReleaseImage).
-	Heap *Heap
+	// image (see ReleaseImage). It is no part of the run's JSON record.
+	Heap *Heap `json:"-"`
 }
 
 // Machine is a configured simulated cluster, reusable for multiple runs.

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -83,32 +82,6 @@ func TestSeriesCSVDeterministic(t *testing.T) {
 	for _, r := range strings.Split(strings.TrimRight(rows, "\n"), "\n") {
 		if !strings.HasPrefix(r, "lu,sc,64,polling,2,") {
 			t.Fatalf("row missing prefix: %q", r)
-		}
-	}
-}
-
-func TestSeriesCounterJSONValid(t *testing.T) {
-	s := &Series{Every: 100, Nodes: 2, Samples: []Sample{
-		{At: 100, Delta: stats.Snapshot{ReadFaults: 2, LockStall: 40}},
-		{At: 200, Delta: stats.Snapshot{DiffPayloadBytes: 512}, LockQueue: 2},
-	}}
-	var buf strings.Builder
-	if err := s.WriteCounterJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal([]byte(buf.String()), &events); err != nil {
-		t.Fatalf("counter JSON does not parse: %v\n%s", err, buf.String())
-	}
-	names := map[string]int{}
-	for _, ev := range events {
-		if ph, _ := ev["ph"].(string); ph == "C" {
-			names[ev["name"].(string)]++
-		}
-	}
-	for _, want := range []string{"faults/s", "stall fraction", "diff bytes/s", "lock queue"} {
-		if names[want] != 2 {
-			t.Errorf("counter %q has %d events, want 2", want, names[want])
 		}
 	}
 }

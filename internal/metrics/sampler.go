@@ -20,7 +20,6 @@ import (
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
-	"dsmsim/internal/trace"
 )
 
 // Probes are the machine-wide gauges the sampler reads at each boundary,
@@ -52,7 +51,7 @@ type Sample struct {
 	// Retransmits, Timeouts, WireDrops and Duplicates are the interval's
 	// link-layer reliability deltas; zero except under a wire-active
 	// fault plan. (The CSV schema carries retransmits and wire_drops;
-	// all four feed the Chrome counter track.)
+	// the run record carries all four.)
 	Retransmits int64
 	Timeouts    int64
 	WireDrops   int64
@@ -158,8 +157,8 @@ func (s *Sampler) RestoreState(st *SamplerState) {
 	s.series.Samples = append(s.series.Samples[:0], st.samples...)
 }
 
-// Series is a completed sampler time-series, exportable as CSV or as
-// Chrome-trace counter tracks.
+// Series is a completed sampler time-series, exported as CSV rows and
+// whole in the run record.
 type Series struct {
 	Every   sim.Time // the sampling interval (the last sample may be shorter)
 	Nodes   int
@@ -238,46 +237,4 @@ func appendRate(b []byte, num, den float64) []byte {
 		v = num / den
 	}
 	return strconv.AppendFloat(b, v, 'f', 3, 64)
-}
-
-// WriteCounterJSON writes the series as a standalone Chrome trace-event
-// file of counter tracks — load it in Perfetto next to a Config.TraceJSON
-// trace of the same run and the tracks line up on the same time axis.
-func (s *Series) WriteCounterJSON(w io.Writer) error {
-	cw := trace.NewCounterWriter(w)
-	prevAt := sim.Time(0)
-	for _, sm := range s.Samples {
-		iv := sm.At - prevAt
-		prevAt = sm.At
-		secs := float64(iv) / float64(sim.Second)
-		nodeSecs := float64(int64(iv) * int64(s.Nodes))
-		d := &sm.Delta
-		cw.Counter("faults/s", sm.At,
-			trace.CounterVal{Key: "read", Val: rate(float64(d.ReadFaults), secs)},
-			trace.CounterVal{Key: "write", Val: rate(float64(d.WriteFaults), secs)})
-		cw.Counter("stall fraction", sm.At,
-			trace.CounterVal{Key: "data", Val: rate(float64(d.ReadStall+d.WriteStall), nodeSecs)},
-			trace.CounterVal{Key: "sync", Val: rate(float64(d.LockStall+d.BarrierStall), nodeSecs)},
-			trace.CounterVal{Key: "proto", Val: rate(float64(d.FlushTime+d.Stolen), nodeSecs)})
-		cw.Counter("diff bytes/s", sm.At,
-			trace.CounterVal{Key: "bytes", Val: rate(float64(d.DiffPayloadBytes), secs)})
-		cw.Counter("lock queue", sm.At,
-			trace.CounterVal{Key: "waiters", Val: float64(sm.LockQueue)})
-		cw.Counter("retransmissions/s", sm.At,
-			trace.CounterVal{Key: "retx", Val: rate(float64(sm.Retransmits), secs)},
-			trace.CounterVal{Key: "timeouts", Val: rate(float64(sm.Timeouts), secs)},
-			trace.CounterVal{Key: "drops", Val: rate(float64(sm.WireDrops), secs)},
-			trace.CounterVal{Key: "dups", Val: rate(float64(sm.Duplicates), secs)})
-		cw.Counter("sharing faults/s", sm.At,
-			trace.CounterVal{Key: "true", Val: rate(float64(sm.TrueSharing), secs)},
-			trace.CounterVal{Key: "false", Val: rate(float64(sm.FalseSharing), secs)})
-	}
-	return cw.Flush()
-}
-
-func rate(num, den float64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return num / den
 }

@@ -9,7 +9,8 @@
 //
 //   - a single-flight Memo so each configuration runs exactly once no
 //     matter how many experiments or workers want it;
-//   - a Sink that writes progress/CSV output under one lock;
+//   - a Sink that writes progress lines, CSV tables and run records under
+//     one lock;
 //   - ordered release — completed runs are emitted in canonical sweep
 //     order regardless of completion order, so the output of a parallel
 //     sweep is byte-identical to a serial one;
@@ -154,10 +155,11 @@ type Options struct {
 	Verify bool
 	// Progress, if non-nil, receives one line per completed run.
 	Progress io.Writer
-	// Histograms adds a latency-distribution line after each run record.
+	// Histograms adds a latency-distribution line after each run's
+	// progress line.
 	Histograms bool
-	// CSV, if non-nil, receives one machine-readable record per completed
-	// run. Like the three writers below it is fed in canonical sweep
+	// CSV, if non-nil, receives one machine-readable row per completed
+	// run. Like the four writers below it is fed in canonical sweep
 	// order — byte-identical at any parallelism — with the header written
 	// once and suppressed when the writer is an append-mode file with
 	// existing content.
@@ -173,10 +175,12 @@ type Options struct {
 	// row prefixed with the run-key columns, and switches Config.CritPath
 	// on.
 	CritCSV io.Writer
+	// Record, if non-nil, receives every emitted run's Record — baselines
+	// included — as one JSON line, in canonical sweep order like the CSVs.
+	Record io.Writer
 	// Metrics, if non-nil, records every point once — its wall-clock
-	// runtime and result — for the /metrics exporter, and switches the
-	// progress lines to the enriched format with a completion counter.
-	// Wall-clock data never reaches the deterministic outputs.
+	// runtime and result — for the /metrics exporter. Wall-clock data
+	// never reaches the deterministic outputs.
 	Metrics *Registry
 	// FaultGrid holds the named fault variants grid points select with
 	// Key.Fault. When a point carries a Fault name, its variant's plan
@@ -237,9 +241,7 @@ func New(opts Options) (*Engine, error) {
 	}
 	return &Engine{
 		opts: opts,
-		sink: NewSink(opts.Progress, opts.CSV, opts.Histograms,
-			opts.SampleCSV, opts.ProfCSV, opts.CritCSV, opts.Metrics != nil,
-			len(opts.FaultGrid) > 0),
+		sink: SinkFor(opts),
 	}, nil
 }
 
@@ -271,14 +273,16 @@ func (e *Engine) runKey(ctx context.Context, k Key) (*core.Result, error, bool) 
 }
 
 // RunOne returns the (memoized) result for one key, emitting its progress
-// line and CSV record if this call computed it.
+// line and records if this call computed it. A failed write fails it.
 func (e *Engine) RunOne(ctx context.Context, k Key) (*core.Result, error) {
 	res, err, fresh := e.runKey(ctx, k)
 	if err != nil {
 		return nil, err
 	}
 	if fresh {
-		e.sink.Emit(k, res)
+		if err := e.sink.Emit(k, res); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
@@ -287,9 +291,9 @@ func (e *Engine) RunOne(ctx context.Context, k Key) (*core.Result, error) {
 // with keys. Progress/CSV emission happens in the order of keys regardless
 // of completion order, and only for keys whose computation this sweep
 // performed (cache hits stay silent, exactly like the serial path). On
-// error the remaining runs are cancelled and the first error in canonical
-// order is returned; results computed before the failure are still
-// returned and cached.
+// error — a run's, or a write of its output — the remaining runs are
+// cancelled and the first error in canonical order is returned; results
+// computed before the failure are still returned and cached.
 func (e *Engine) Run(ctx context.Context, keys []Key) ([]*core.Result, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -313,7 +317,10 @@ func (e *Engine) Run(ctx context.Context, keys []Key) ([]*core.Result, error) {
 		results[i], errs[i], done[i], emitted[i] = res, err, true, fresh
 		for next < n && done[next] {
 			if errs[next] == nil && emitted[next] {
-				e.sink.Emit(keys[next], results[next])
+				// A lost write is the point's error: its output is incomplete.
+				if errs[next] = e.sink.Emit(keys[next], results[next]); errs[next] != nil {
+					cancel()
+				}
 			}
 			next++
 		}

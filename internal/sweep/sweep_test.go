@@ -112,26 +112,34 @@ func TestParallelByteIdenticalToSerial(t *testing.T) {
 
 // TestSamplerCSVParallelDeterminism extends the byte-identity guarantee to
 // the metrics surfaces: with sampling and a live registry attached, the
-// sampler CSV and the enriched progress lines from an 8-worker sweep are
-// byte-identical to a 1-worker sweep, and /metrics agrees on the counts.
+// sampler CSV, the progress lines and the run records from an 8-worker
+// sweep are byte-identical to a 1-worker sweep, and /metrics agrees on the
+// counts.
 func TestSamplerCSVParallelDeterminism(t *testing.T) {
-	run := func(workers int) (progress, samples string, reg *Registry) {
-		var pb, sb bytes.Buffer
+	run := func(workers int) (progress, samples, records string, reg *Registry) {
+		var pb, sb, rb bytes.Buffer
 		reg = NewRegistry()
 		e := mustNew(t, Options{Size: apps.Small, Workers: workers, Progress: &pb,
-			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb, Metrics: reg})
+			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb, Record: &rb, Metrics: reg})
 		if _, err := e.Run(context.Background(), testSpec().Points()); err != nil {
 			t.Fatal(err)
 		}
-		return pb.String(), sb.String(), reg
+		return pb.String(), sb.String(), rb.String(), reg
 	}
-	p1, s1, _ := run(1)
-	p8, s8, reg := run(8)
+	p1, s1, r1, _ := run(1)
+	p8, s8, r8, reg := run(8)
 	if s1 != s8 {
 		t.Fatalf("sampler CSV diverged between 1 and 8 workers:\n-- serial --\n%s\n-- parallel --\n%s", s1, s8)
 	}
 	if p1 != p8 {
-		t.Fatalf("enriched progress diverged:\n-- serial --\n%s\n-- parallel --\n%s", p1, p8)
+		t.Fatalf("progress diverged:\n-- serial --\n%s\n-- parallel --\n%s", p1, p8)
+	}
+	if r1 != r8 {
+		t.Fatal("run records diverged between 1 and 8 workers")
+	}
+	// One record per point, baselines included.
+	if n := strings.Count(r1, "\n"); n != len(testSpec().Points()) {
+		t.Fatalf("%d record lines, want %d", n, len(testSpec().Points()))
 	}
 	if s1 == "" {
 		t.Fatal("no sampler CSV produced")
@@ -143,10 +151,6 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 	// 8 matrix points (baselines emit no samples), several rows each.
 	if len(lines) < 9 {
 		t.Fatalf("only %d sample CSV lines", len(lines))
-	}
-	// Enriched lines carry the emission counter and fault fields.
-	if !strings.Contains(p1, "[   1] ") || !strings.Contains(p1, "rf=") {
-		t.Fatalf("progress not in enriched format:\n%s", p1)
 	}
 	var text strings.Builder
 	reg.WritePrometheus(&text)
@@ -295,7 +299,7 @@ func TestCSVSinkAppendAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runTable(f, false).Write(Key{}, res)
+	NewSink(nil, f, false, nil, nil, nil, false, false).Emit(Key{}, res)
 	f.Close()
 
 	// Second invocation, same append-mode pattern: no second header.
@@ -303,7 +307,7 @@ func TestCSVSinkAppendAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runTable(f, false).Write(Key{}, res)
+	NewSink(nil, f, false, nil, nil, nil, false, false).Emit(Key{}, res)
 	f.Close()
 
 	data, err := os.ReadFile(path)

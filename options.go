@@ -154,10 +154,18 @@ func WithHistograms() Option { return func(o *sweep.Options) { o.Histograms = tr
 // WithSampleEvery: without an interval Sweep returns an error.
 func WithSampleCSV(w io.Writer) Option { return func(o *sweep.Options) { o.SampleCSV = w } }
 
+// WithRecord streams every run's record to w as one JSON line: the point
+// and its whole Result — per-node statistics, histograms, phases, samples,
+// sharing profile, critical path, reliability counters — with sequential
+// baselines included, in canonical sweep order and byte-identical at any
+// parallelism. Every CSV and progress line is a projection of it. The
+// line's "v" field is the schema version, bumped when a field changes
+// meaning. Sweep only.
+func WithRecord(w io.Writer) Option { return func(o *sweep.Options) { o.Record = w } }
+
 // WithMetrics attaches a live metrics registry: the sweep records each
 // point once in m — its wall-clock runtime and result — and counts repeat
 // lookups as memo hits (Prometheus text at /metrics, served with
-// Metrics.Serve), and progress lines switch to an enriched format with a
-// completion counter and per-run fault/traffic fields. Wall-clock data
-// stays on the live surface only; deterministic outputs are unaffected.
+// Metrics.Serve). Wall-clock data stays on the live surface only;
+// deterministic outputs are unaffected.
 func WithMetrics(m *Metrics) Option { return func(o *sweep.Options) { o.Metrics = m } }

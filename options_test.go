@@ -89,7 +89,7 @@ func TestEveryOptionFieldHasAWith(t *testing.T) {
 		dsmsim.WithShareProfile(), dsmsim.WithProfCSV(&w), dsmsim.WithCritPath(), dsmsim.WithCritCSV(&w),
 		dsmsim.WithWhatIf(scale), dsmsim.WithTrace(&w), dsmsim.WithTraceJSON(&w),
 		dsmsim.WithParallelism(3), dsmsim.WithProgress(&w), dsmsim.WithCSV(&w), dsmsim.WithHistograms(),
-		dsmsim.WithSampleCSV(&w), dsmsim.WithMetrics(dsmsim.NewMetrics()),
+		dsmsim.WithSampleCSV(&w), dsmsim.WithRecord(&w), dsmsim.WithMetrics(dsmsim.NewMetrics()),
 	} {
 		opt(&o)
 	}

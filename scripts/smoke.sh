@@ -55,14 +55,19 @@ trace() {
 }
 
 # The virtual-time sampler on one Ocean-Rowwise run (phase breakdown on
-# stdout, series as CSV, Chrome-trace counter tracks), its CSV across
-# parallelism, and the live Prometheus endpoint of a finished sweep.
+# stdout, series as CSV, the run record as one JSON line), the CSV and the
+# records of a sweep across parallelism, and the live Prometheus endpoint
+# of a finished sweep.
 metrics() {
 	unit -race ./internal/sweep ./internal/metrics
+	local jsonl='import json,sys; [json.loads(l) for l in open(sys.argv[1])]'
+	rm -f metrics_demo.jsonl
 	dsmrun -app ocean-rowwise -protocol hlrc -block 4096 -nodes 4 -sample-every 100us \
-		-sample-csv metrics_demo.csv -sample-json metrics_demo.json
-	ok "wrote metrics_demo.csv and metrics_demo.json — open the JSON at https://ui.perfetto.dev"
-	pcmp -sample-csv -- dsmbench "${table3[@]}" -sample-every 200us
+		-sample-csv metrics_demo.csv -record metrics_demo.jsonl
+	python3 -c "$jsonl" metrics_demo.jsonl
+	ok "wrote metrics_demo.csv and metrics_demo.jsonl (the run's full result as one JSON line)"
+	pcmp -sample-csv -record -- dsmrun -app lu,fft -protocol sc,hlrc -block 256,4096 -nodes 4 -sample-every 200us
+	python3 -c "$jsonl" "$tmp/p1-record"
 	$GO build -o "$tmp/dsmbench" ./cmd/dsmbench # a binary of our own, so the kill below reaches it
 	# Scrape in the -metrics-linger window, once fig1's table is on stdout
 	# (water-spatial is its last row): by then every point has finished and
