@@ -57,9 +57,12 @@ func (a *LU) Info() core.AppInfo {
 	}
 }
 
-// owner returns the processor owning block (I,J) under the 2-D scatter
-// decomposition, for p processors.
-func (a *LU) owner(I, J, p int) int {
+// grid is the 2-D scatter decomposition of p processors over the blocks:
+// pr processor rows, pr the largest divisor of p not above ⌈√p⌉, by pc
+// columns. Derived once per run, not once per ownership test.
+type grid struct{ pr, pc int }
+
+func newGrid(p int) grid {
 	pr := 1
 	for pr*pr < p {
 		pr++
@@ -67,9 +70,11 @@ func (a *LU) owner(I, J, p int) int {
 	for p%pr != 0 {
 		pr--
 	}
-	pc := p / pr
-	return (I%pr)*pc + J%pc
+	return grid{pr, p / pr}
 }
+
+// owner returns the processor owning block (I,J).
+func (g grid) owner(I, J int) int { return (I%g.pr)*g.pc + J%g.pc }
 
 // Setup implements core.App: allocate blocks owner-contiguously and fill
 // the matrix with a well-conditioned deterministic pattern.
@@ -81,11 +86,12 @@ func (a *LU) Setup(h *core.Heap) {
 	// depend on the run's node count, so lay out for the paper's 16
 	// processors; owners at run time recompute with the actual NP.
 	const layoutP = 16
+	layout := newGrid(layoutP)
 	for pid := 0; pid < layoutP; pid++ {
 		var mine []int
 		for I := 0; I < nb; I++ {
 			for J := 0; J < nb; J++ {
-				if a.owner(I, J, layoutP) == pid {
+				if layout.owner(I, J) == pid {
 					mine = append(mine, I*nb+J)
 				}
 			}
@@ -179,7 +185,7 @@ func bmodInterior(blk, l, u []float64, b int) {
 // Run implements core.App: three phases per elimination step k, at epochs
 // 3k, 3k+1 and 3k+2.
 func (a *LU) Run(c *core.Ctx) {
-	nb, b, p, me := a.nb, a.bsz, c.NP(), c.ID()
+	nb, b, g, me := a.nb, a.bsz, newGrid(c.NP()), c.ID()
 	bb := b * b
 	flops := func(f int) { c.Compute(sim.Time(f) * a.perFlop) }
 
@@ -188,7 +194,7 @@ func (a *LU) Run(c *core.Ctx) {
 		kk := a.blockAddr[k*nb+k]
 		switch e % 3 {
 		case 0:
-			if a.owner(k, k, p) == me {
+			if g.owner(k, k) == me {
 				d := c.F64sW(kk, bb)
 				factorDiag(d, b)
 				flops(2 * b * b * b / 3)
@@ -203,13 +209,13 @@ func (a *LU) Run(c *core.Ctx) {
 			// stable between barriers.
 			diag := c.F64sR(kk, bb)
 			for i := k + 1; i < nb; i++ {
-				if a.owner(i, k, p) == me {
+				if g.owner(i, k) == me {
 					diag = c.F64sR(kk, bb) // re-span after potential fault
 					blk := c.F64sW(a.blockAddr[i*nb+k], bb)
 					bdivLower(blk, diag, b)
 					flops(b * b * b)
 				}
-				if a.owner(k, i, p) == me {
+				if g.owner(k, i) == me {
 					diag = c.F64sR(kk, bb)
 					blk := c.F64sW(a.blockAddr[k*nb+i], bb)
 					bmodRight(blk, diag, b)
@@ -220,7 +226,7 @@ func (a *LU) Run(c *core.Ctx) {
 			// Interior updates.
 			for i := k + 1; i < nb; i++ {
 				for j := k + 1; j < nb; j++ {
-					if a.owner(i, j, p) != me {
+					if g.owner(i, j) != me {
 						continue
 					}
 					blk := c.F64sW(a.blockAddr[i*nb+j], bb)

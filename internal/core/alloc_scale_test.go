@@ -14,15 +14,15 @@ import (
 
 // TestPerNodeAllocCeiling1024 pins the host objects one node costs: the
 // mallocs of a whole LU run at 1024 nodes under sc (machine build, 1024
-// coroutines, the run, teardown), divided by the node count. Measured 18.0:
-// 12 for the proc's coroutine (iter.Pull's state and closures, see
-// sim.TestProcCreationAllocCeiling), 1 for its body, and the rest split
-// over the space's slabs, first-use message and buffer pool misses, the
-// endpoint's queue and a fresh g. Everything else per-node comes out of
-// slabs — buildRun's, and the network's one link table, whose FIFO clamps
-// are pages cut from a few chunks, not an object per endpoint; a `&T{}`
-// creeping back into the node loop adds a whole object per node and
-// breaks the slack.
+// coroutines, the run, teardown), divided by the node count. Measured 14.9
+// (17.9 while each run grew its own message and buffer free lists; 19.3
+// under -race): 12 for the proc's coroutine (iter.Pull's state and
+// closures, see sim.TestProcCreationAllocCeiling), 1 for its body, and the
+// rest split over the endpoint's queue and a fresh g. Everything else
+// per-node comes out of slabs the run before gave back — the spaces', the
+// endpoints', and the network's one link table, whose FIFO clamps are pages
+// cut from a few chunks, not an object per endpoint; a `&T{}` creeping back
+// into the node loop adds a whole object per node.
 //
 // The guard lives here rather than beside the other allocation tests in
 // alloc_test.go (package core) because apps imports core.

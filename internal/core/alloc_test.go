@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"dsmsim/internal/mem"
@@ -124,7 +125,7 @@ func TestBarrierEpisodeAllocLinear(t *testing.T) {
 // TestRunBytesLinearInNodes pins the host cost of a whole run to O(nodes)
 // bytes outside the spaces: a barrier-only hlrc run at 1024 nodes may
 // allocate at most 2.25x what the same run at 512 nodes does (measured
-// 1.99x: 6.9 MB over 3.4 MB). Everything a run holds per node or per link
+// 1.96x: 4.2 MB over 2.15 MB, the network drawn from the run before). Everything a run holds per node or per link
 // in use — clocks, the FIFO clamps, stats, procs — doubles with the node
 // count; a table of nodes² entries quadruples. The smallest such table, a
 // dense int32 vector clock per node (4 MB over 1 MB), would read 2.45x;
@@ -178,13 +179,14 @@ func TestRunBytesLinearInNodes(t *testing.T) {
 // prefix run that ends before its cut each leave four 4 MB spaces and a 4 MB
 // master image behind — and, with the profilers on, the sharing profiler's
 // tables and the critical-path record chunks — and the next run must find
-// them in the pools. Each kind runs with observers off and again with the
+// them in the pools, with the network's endpoints, link pages and free lists
+// and the writer sets. Each kind runs with observers off and again with the
 // profilers on: both for the limit and the cancel, the critical path alone
 // for the prefix run, because a sharing profile cannot be checkpointed. Once
 // warm, eight failures of each kind may draw nothing that is not pooled, and
-// allocate less than one slab per failure (measured ≈ 80 KB: engine,
-// network, procs, stats); dropping the slabs to the GC instead read 19.8 MB
-// per failure.
+// allocate less than one slab per failure (measured 22–29 KB: engine, procs,
+// stats; ≈ 80 KB while each run built its network); dropping the slabs to
+// the GC instead read 19.8 MB per failure.
 func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 	defer mem.StackSlabs(nil)()
 	const heap, nodes, failures = 4 << 20, 4, 8
@@ -273,6 +275,82 @@ func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 				t.Errorf("%s: a failed run allocates %.0f bytes, %.1f slabs of %.0f: its spaces or its image did not go back to their pools",
 					name, per, per/slab, slab)
 			}
+		}
+	}
+}
+
+// TestSecondRoundDrawsItsNetwork1024 pins that a 1024-node run builds its
+// network and writer sets out of what the runs before it gave back: with one
+// run and with eight in flight at once, a second round of the same hlrc runs
+// draws every endpoint slab, free-list bundle, link directory and chunk and
+// writer-set table — and every space and image — with no pool miss. Each run
+// holds all it drew at a rendezvous after its last barrier, so a round leaves
+// as many of everything on the stacks as the next can draw at once. The
+// writers spill (1024 nodes, 16 writing each 64 B block), and their spill
+// pages go with the sets.
+func TestSecondRoundDrawsItsNetwork1024(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-node runs skipped in -short mode")
+	}
+	defer mem.StackSlabs(nil)()
+	const nodes, block = 1024, 64
+	m, err := NewMachine(Config{Nodes: nodes, BlockSize: block, Protocol: HLRC, Limit: 100 * sim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minus := func(a, b mem.PoolCounts) mem.PoolCounts {
+		return mem.PoolCounts{Hits: a.Hits - b.Hits, Misses: a.Misses - b.Misses}
+	}
+	notSlabs := func() mem.PoolCounts { // every pool's counts but the slabs'
+		spaces, images := mem.SlabStats()
+		return minus(minus(mem.PoolTotals(), spaces), images)
+	}
+	for _, workers := range []int{1, 8} {
+		round := func() (all, net mem.PoolCounts) {
+			all0, net0 := mem.PoolTotals(), notSlabs()
+			var held, done sync.WaitGroup
+			held.Add(workers)
+			done.Add(workers)
+			for range workers {
+				go func() {
+					defer done.Done()
+					app := &testApp{
+						name:  "pooledprobe",
+						heap:  4096,
+						setup: func(h *Heap) { h.AllocPage(4096) },
+						run: func(c *Ctx) {
+							c.WriteI64(c.ID()%(4096/block)*block, int64(c.ID()))
+							c.Barrier()
+							c.Barrier()
+							if c.ID() == 0 {
+								held.Done()
+								held.Wait()
+							}
+						},
+						verify: func(h *Heap) error { return nil },
+					}
+					res, err := m.Run(app)
+					if err != nil {
+						t.Error(err)
+						held.Done()
+						return
+					}
+					ReleaseImage(res)
+				}()
+			}
+			done.Wait()
+			return minus(mem.PoolTotals(), all0), minus(notSlabs(), net0)
+		}
+		round()
+		all, net := round()
+		t.Logf("%d in flight: the second round drew %d buffers from the pools, %d of them the networks' and writer sets'",
+			workers, all.Hits, net.Hits)
+		if all.Misses != 0 {
+			t.Errorf("%d in flight: the second round allocated %d of the %d buffers it drew", workers, all.Misses, all.Hits+all.Misses)
+		}
+		if per := net.Hits / int64(workers); net.Hits%int64(workers) != 0 || per < 5 {
+			t.Errorf("%d in flight: the runs drew %d network and writer buffers, want at least 5 each (endpoints, free lists, link directory and chunk, writers)",
+				workers, net.Hits)
 		}
 	}
 }

@@ -476,8 +476,8 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 	r.sy.SetProtocol(r.p)
 
 	// Copysets stay inline-word cheap at ≤64 nodes and spill to paged
-	// bitmaps above.
-	r.writers = make([]proto.Copyset, r.heapSize/cfg.BlockSize)
+	// bitmaps above; release drops the spill pages with the sets.
+	r.writers = writerSets.Get(r.heapSize / cfg.BlockSize)
 	if cp == nil {
 		if !cfg.StaticHomes {
 			env.Homes.BeginFirstTouch()
@@ -755,13 +755,11 @@ func (r *run) finish(runErr error) (res *Result, err error) {
 	res.Retransmits, res.Timeouts, res.WireDrops = t.Retransmits, t.Timeouts, t.WireDrops
 	res.Duplicates, res.AcksSent = t.Duplicates, t.AcksSent
 	for i := range r.writers {
-		switch r.writers[i].Count() {
-		case 0:
-		case 1:
+		if c := r.writers[i].Count(); c > 0 {
 			res.BlocksWritten++
-		default:
-			res.BlocksWritten++
-			res.MultiWriterBlocks++
+			if c > 1 {
+				res.MultiWriterBlocks++
+			}
 		}
 	}
 	res.ProtoStaticBytes, res.ProtoPeakBytes = r.p.MemFootprint()
@@ -772,11 +770,14 @@ func (r *run) finish(runErr error) (res *Result, err error) {
 // Tests set it to check the dirty-map invariant on real runs.
 var releaseHook func(*mem.Space)
 
+// writerSets is where the runs' per-block writer sets wait between runs.
+var writerSets = mem.NewPool[proto.Copyset]()
+
 // release gives back what the run drew from the pools: the spaces' slabs,
-// the profilers' tables and record chunks and, unless it leaves with the
-// Result, the master image. Every exit of a run comes through here once,
-// after the engine has stopped and any reports are made — finish,
-// runToCapture, and a buildRun that fails halfway.
+// the writer sets, the network, the profilers' tables and record chunks
+// and, unless it leaves with the Result, the master image. Every exit of a
+// run comes through here once, after the engine has stopped and any reports
+// are made — finish, runToCapture, and a buildRun that fails halfway.
 func (r *run) release(imageLeaves bool) {
 	if r.env != nil {
 		for _, sp := range r.env.Spaces {
@@ -786,6 +787,9 @@ func (r *run) release(imageLeaves bool) {
 			sp.Release()
 		}
 	}
+	clear(r.writers)
+	writerSets.Put(r.writers)
+	r.net.Close()
 	if r.prof != nil {
 		r.prof.Release()
 	}

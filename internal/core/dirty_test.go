@@ -70,8 +70,9 @@ func firstNonZero(b []byte) int {
 // on the same terms (core.Heap's page map, the spaces' merged into it by the
 // final write-back), so a second check sees every buffer as it is pooled —
 // each space's slab, the verified image of each run here, the one each prefix
-// run of the fork chain never shows anybody, and the profilers' tables and
-// record chunks — and looks for a non-zero byte anywhere in it.
+// run of the fork chain never shows anybody, the profilers' tables and record
+// chunks, the writer sets, and the network's endpoints and link pages — and
+// looks for a non-zero byte anywhere in it.
 //
 // Every registered protocol x {64, 4096, 8192} B x every registered app runs
 // with a fault plan and every observer on; then every app as a Sequential
@@ -200,7 +201,7 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 	if spaces == 0 || buffers <= spaces {
 		t.Fatalf("the release checks saw %d spaces and %d pooled buffers; want every space's slab and more", spaces, buffers)
 	}
-	t.Logf("%d spaces checked before release, %d buffers after: their slabs and %d master images, observer tables and record chunks", spaces, buffers, buffers-spaces)
+	t.Logf("%d spaces checked before release, %d buffers after: their slabs and %d master images, observer tables, record chunks, writer sets, endpoints and link pages", spaces, buffers, buffers-spaces)
 }
 
 // TestRunDirtyFootprint pins the traffic assumption the dirty map's saving
@@ -332,8 +333,9 @@ func TestRecycledImageRunsLikeFresh(t *testing.T) {
 // and path need longer tables and more record chunks, gives back what it drew;
 // then lu runs again and must draw every table and chunk it uses from the
 // pools, cut down from barnes's, and produce the first lu's sharing profile,
-// critical path and trace byte for byte. Every buffer that arrives at a pool,
-// the slabs' and the observers', must be all-zero.
+// critical path and trace byte for byte. The network's and the writer sets'
+// buffers are counted with the observers' and held to the same. Every buffer
+// that arrives at a pool, the slabs' and the others', must be all-zero.
 func TestRecycledObserverStateRunsLikeFresh(t *testing.T) {
 	var dirty []string
 	defer mem.StackSlabs(func(whole []byte) {
@@ -351,7 +353,7 @@ func TestRecycledObserverStateRunsLikeFresh(t *testing.T) {
 	minus := func(a, b mem.PoolCounts) mem.PoolCounts {
 		return mem.PoolCounts{Hits: a.Hits - b.Hits, Misses: a.Misses - b.Misses}
 	}
-	observers := func() mem.PoolCounts { // every pool's counts but the slabs'
+	observers := func() mem.PoolCounts { // every pool's counts but the slabs': the observers', the network's, the writer sets'
 		spaces, images := mem.SlabStats()
 		return minus(minus(mem.PoolTotals(), spaces), images)
 	}
@@ -378,7 +380,7 @@ func TestRecycledObserverStateRunsLikeFresh(t *testing.T) {
 	fresh := run("lu")
 	run("barnes-original")
 	recycled := run("lu")
-	t.Logf("lu drew %d observer tables and chunks", fresh.drawn.Misses)
+	t.Logf("lu drew %d observer tables and chunks, network and writer buffers", fresh.drawn.Misses)
 	if fresh.drawn.Hits != 0 || fresh.drawn.Misses == 0 || recycled.drawn != (mem.PoolCounts{Hits: fresh.drawn.Misses}) {
 		t.Fatalf("the first lu's observer draws (hits, misses): %v, the second's %v; want every table and chunk allocated, then every one recycled",
 			fresh.drawn, recycled.drawn)

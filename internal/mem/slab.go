@@ -18,8 +18,9 @@ type Slab struct {
 }
 
 // Pool recycles buffers of E across machine runs: a parameter sweep allocates
-// each node's multi-megabyte heap copy, each run's master image and each
-// observer's tables once instead of once per run. A pooled buffer is
+// each node's multi-megabyte heap copy, each run's master image, each
+// observer's tables and each network's endpoints and link pages once instead
+// of once per run. A pooled buffer is
 // indistinguishable from a fresh one — all-zero over its whole length,
 // whatever length it is next cut to — and whoever gives one back keeps that
 // at the cost of what it wrote, not of what it drew.
@@ -51,8 +52,8 @@ type store interface {
 	Put(any)
 }
 
-// pools is every Pool made, for StackSlabs and PoolTotals. It is filled by
-// package initialization only.
+// pools is every Pool and Kept made, for StackSlabs and PoolTotals. It is
+// filled by package initialization only.
 var pools []interface {
 	stack(check func(whole []byte)) (restore func())
 	Counts() PoolCounts
@@ -97,6 +98,59 @@ func (p *Pool[E]) Put(buf []E) {
 	p.store.Put(b)
 }
 
+// Kept recycles whole values across machine runs with their contents: free
+// lists one run fills and the next draws from, whose entries are garbage by
+// contract, so clearing them would only throw the saving away. Get hands back
+// a value some holder Put, or the zero value when none waits. A Kept is a
+// pool like any other to StackSlabs and PoolTotals, except that StackSlabs'
+// check never sees its values: they are not zero, by design.
+type Kept[T any] struct {
+	store        store
+	hits, misses atomic.Int64
+	boxes        sync.Pool // the empty *T a value waits in, as in Pool
+}
+
+// NewKept returns an empty pool of whole values. Call it from a package-level
+// variable declaration.
+func NewKept[T any]() *Kept[T] {
+	p := &Kept[T]{store: new(sync.Pool)}
+	pools = append(pools, p)
+	return p
+}
+
+// Get returns a value some holder gave back, or the zero value.
+func (p *Kept[T]) Get() (v T) {
+	b, _ := p.store.Get().(*T)
+	if b == nil {
+		p.misses.Add(1)
+		return v
+	}
+	p.hits.Add(1)
+	v, *b = *b, v
+	p.boxes.Put(b)
+	return v
+}
+
+// Put pools v for the next Get. The holder must not touch what v refers to
+// afterwards.
+func (p *Kept[T]) Put(v T) {
+	b, _ := p.boxes.Get().(*T)
+	if b == nil {
+		b = new(T)
+	}
+	*b = v
+	p.store.Put(b)
+}
+
+// Counts reports the pool's draws so far.
+func (p *Kept[T]) Counts() PoolCounts { return PoolCounts{p.hits.Load(), p.misses.Load()} }
+
+func (p *Kept[T]) stack(func(whole []byte)) (restore func()) {
+	st := p.store
+	p.store = new(stack)
+	return func() { p.store = st }
+}
+
 // PoolCounts is how many draws from a pool were served by a recycled buffer
 // and how many had to allocate one, over the life of the process.
 type PoolCounts struct{ Hits, Misses int64 }
@@ -104,8 +158,8 @@ type PoolCounts struct{ Hits, Misses int64 }
 // Counts reports the pool's draws so far.
 func (p *Pool[E]) Counts() PoolCounts { return PoolCounts{p.hits.Load(), p.misses.Load()} }
 
-// PoolTotals sums the counts of every pool: the slabs' and the observers'
-// tables.
+// PoolTotals sums the counts of every pool: the slabs', the observers'
+// tables, and the networks' endpoints, link pages and free lists.
 func PoolTotals() (c PoolCounts) {
 	for _, p := range pools {
 		pc := p.Counts()
@@ -163,9 +217,10 @@ func SlabStats() (spaces, images PoolCounts) {
 }
 
 // StackSlabs is for tests: until restore is called, the buffers released to
-// every pool — the slabs and the observers' tables — wait on plain stacks
-// instead of in sync.Pools, and check, when non-nil, sees every one, whole and
-// as bytes, as it arrives there. A test that counts hits then pins which
+// every pool — the slabs, the observers' tables, the networks' endpoints,
+// link pages and free lists — wait on plain stacks instead of in sync.Pools,
+// and check, when non-nil, sees every one but a Kept value, whole and as
+// bytes, as it arrives there. A test that counts hits then pins which
 // buffer a run may reuse — the capacity rule, every exit releasing — and not
 // what the runtime chooses to retain: a sync.Pool is emptied by the GC, keeps
 // its newest item where only one P looks, and under the race detector drops a

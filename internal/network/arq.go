@@ -102,22 +102,22 @@ const frameSlab = 32
 // getFrame pops a free frame, refilling the list from a fresh slab when it
 // is dry.
 func (n *Network) getFrame() *frame {
-	if n.frameFree == nil {
+	if n.free.frames == nil {
 		slab := make([]frame, frameSlab)
 		for i := range slab[:frameSlab-1] {
 			slab[i].next = &slab[i+1]
 		}
-		n.frameFree = &slab[0]
+		n.free.frames = &slab[0]
 	}
-	f := n.frameFree
-	n.frameFree = f.next
+	f := n.free.frames
+	n.free.frames = f.next
 	return f
 }
 
 // putFrame returns a frame nothing references any more to the free list.
 func (n *Network) putFrame(f *frame) {
-	*f = frame{next: n.frameFree}
-	n.frameFree = f
+	*f = frame{next: n.free.frames}
+	n.free.frames = f
 }
 
 // linkTx is the sender side of one directed link.
@@ -318,7 +318,7 @@ func deliverFrame(arg any) {
 
 func deliverFrame1(m *Msg) {
 	net := m.net
-	dst := net.eps[m.Dst]
+	dst := &net.eps[m.Dst]
 	src := m.Src
 	if dst.rx == nil {
 		dst.rx = make([]linkRx, len(net.eps))
@@ -408,7 +408,7 @@ func (ep *Endpoint) sendAck(to int, expect uint64) {
 func deliverAck(arg any) {
 	m := arg.(*Msg)
 	net := m.net
-	snd := net.eps[m.Dst]
+	snd := &net.eps[m.Dst]
 	from, ack := m.Src, m.linkSeq
 	net.Recycle(m)
 	if snd.tx == nil {
@@ -451,7 +451,7 @@ func (f *frame) timeout() {
 		net.putFrame(f)
 		return
 	}
-	ep := net.eps[f.src]
+	ep := &net.eps[f.src]
 	ep.Stats.Timeouts++
 	ep.Stats.Retransmits++
 	if tr := net.tracer; tr != nil {
@@ -479,7 +479,8 @@ type UnackedLink struct {
 // retransmitting into. Empty on the fast path.
 func (n *Network) UnackedLinks() []UnackedLink {
 	var out []UnackedLink
-	for _, ep := range n.eps {
+	for i := range n.eps {
+		ep := &n.eps[i]
 		for dst := range ep.tx {
 			head := ep.tx[dst].head
 			if head == nil {

@@ -349,7 +349,7 @@ func arqDriverSend(arg any) {
 // freeFrames walks the frame free list.
 func (n *Network) freeFrames() int {
 	k := 0
-	for f := n.frameFree; f != nil; f = f.next {
+	for f := n.free.frames; f != nil; f = f.next {
 		k++
 	}
 	return k

@@ -1,6 +1,9 @@
 package network
 
-import "dsmsim/internal/sim"
+import (
+	"dsmsim/internal/mem"
+	"dsmsim/internal/sim"
+)
 
 // linkTable enforces FIFO delivery per directed link, as on Myrinet's
 // source-routed cut-through fabric: a later (smaller) message never
@@ -15,8 +18,13 @@ import "dsmsim/internal/sim"
 // thus takes its whole table — the bytes one dense row per endpoint would —
 // as one object, and a 1024-node run that only meets at barriers takes one
 // chunk, a sixteenth of the dense table.
+//
+// A network's table (pooled) draws its directory and chunks from linkDirs
+// and linkChunks and gives them back, cleared over what it used, at Close; a
+// snapshot's allocates them, because a checkpoint outlives its run.
 type linkTable struct {
 	nodes      int      // endpoints; set by New, everything below at the first send
+	pooled     bool     // set by New: draw from and release to the pools
 	pageLen    int      // links per page: min(linkPage, nodes)
 	perSrc     int      // directory entries per source
 	chunkPages int      // pages per chunk
@@ -28,13 +36,53 @@ type linkTable struct {
 
 const linkPage = 64 // destinations per page
 
+var (
+	linkDirs   = mem.NewPool[uint32]()
+	linkChunks = mem.NewPool[sim.Time]()
+)
+
 // alloc makes the directory.
 func (t *linkTable) alloc() {
 	t.pageLen = min(linkPage, t.nodes)
 	t.perSrc = (t.nodes + linkPage - 1) / linkPage
 	t.chunkPages = min(t.nodes+t.perSrc, t.nodes*t.perSrc)
-	t.dir = make([]uint32, t.nodes*t.perSrc)
+	if t.pooled {
+		t.dir = linkDirs.Get(t.nodes * t.perSrc)
+	} else {
+		t.dir = make([]uint32, t.nodes*t.perSrc)
+	}
 	t.chunks = t.one[:0]
+}
+
+// newChunk appends an all-zero chunk of chunkPages pages.
+func (t *linkTable) newChunk() {
+	n := t.chunkPages * t.pageLen
+	if t.pooled {
+		t.chunks = append(t.chunks, linkChunks.Get(n))
+	} else {
+		t.chunks = append(t.chunks, make([]sim.Time, n))
+	}
+	t.used = 0
+}
+
+// release clears what a pooled table used — the directory, every chunk but
+// the newest whole, the newest over the pages cut from it — and gives it back
+// to the pools. The table is empty afterwards, as before its first send.
+func (t *linkTable) release() {
+	if !t.pooled || t.dir == nil {
+		return
+	}
+	clear(t.dir)
+	linkDirs.Put(t.dir)
+	last := len(t.chunks) - 1
+	for i, c := range t.chunks {
+		if i == last {
+			c = c[:t.used*t.pageLen]
+		}
+		clear(c)
+		linkChunks.Put(c)
+	}
+	*t = linkTable{nodes: t.nodes, pooled: true}
 }
 
 // page returns the clamps of the links from src to the destinations of
@@ -55,8 +103,7 @@ func (t *linkTable) slot(src, dst int) *sim.Time {
 	e := &t.dir[src*t.perSrc+dst/linkPage]
 	if *e == 0 {
 		if len(t.chunks) == 0 || t.used == t.chunkPages {
-			t.chunks = append(t.chunks, make([]sim.Time, t.chunkPages*t.pageLen))
-			t.used = 0
+			t.newChunk()
 		}
 		*e = 1 + uint32(len(t.chunks)-1)<<16 + uint32(t.used)
 		t.used++
@@ -69,18 +116,20 @@ func (t *linkTable) slot(src, dst int) *sim.Time {
 // restores.
 type LinkState struct{ t linkTable }
 
-// copyFrom makes t an independent copy of src.
+// copyFrom makes t an independent copy of src, drawing from the pools if t
+// is pooled.
 func (t *linkTable) copyFrom(src *linkTable) {
-	*t = linkTable{nodes: src.nodes}
+	*t = linkTable{nodes: src.nodes, pooled: t.pooled}
 	if src.dir == nil {
 		return
 	}
 	t.alloc()
 	copy(t.dir, src.dir)
-	t.used = src.used
 	for _, c := range src.chunks {
-		t.chunks = append(t.chunks, append([]sim.Time(nil), c...))
+		t.newChunk()
+		copy(t.chunks[len(t.chunks)-1], c)
 	}
+	t.used = src.used
 }
 
 // CaptureLinks snapshots the per-link FIFO clamps.
@@ -91,7 +140,8 @@ func (n *Network) CaptureLinks() *LinkState {
 }
 
 // RestoreLinks applies a snapshot to a freshly built network of the same
-// size, re-cloned so the snapshot stays pristine.
+// size, re-cloned into pages drawn from the pools so the snapshot stays
+// pristine.
 func (n *Network) RestoreLinks(st *LinkState) { n.links.copyFrom(&st.t) }
 
 // Each calls fn with every materialised page in (source, first destination)

@@ -9,11 +9,13 @@
 // notification mechanism (backedge polling or a Solaris-signal interrupt)
 // and the service time is stolen from the application thread.
 //
-// Messages and their data buffers are pooled per network: Send copies the
+// Messages and their data buffers are recycled across runs: Send copies the
 // caller's Msg (typically a stack-allocated literal) into a free-listed
-// message, and the message returns to the pool after its handler runs
+// message, and the message returns to the free list after its handler runs
 // unless the handler called Retain. Steady-state traffic therefore costs
-// zero allocations.
+// zero allocations. Close hands the free lists whole to the next network,
+// and gives the endpoint slab and the link table's pages back to their
+// pools, so a run after the first builds its network out of the last one's.
 package network
 
 import (
@@ -21,6 +23,7 @@ import (
 
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
+	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
 	"dsmsim/internal/timing"
@@ -176,15 +179,9 @@ type Network struct {
 	engine *sim.Engine
 	model  *timing.Model
 	notify Notify
-	eps    []*Endpoint
-	links  linkTable // per-link FIFO clamps of the fast path
-
-	// Free lists for messages, data buffers and ARQ frames (intrusive through
-	// frame.next; see arq.go). Single-threaded like the engine, so plain
-	// slices and a plain list suffice.
-	msgFree   []*Msg
-	bufFree   [][]byte
-	frameFree *frame
+	eps    []Endpoint // drawn from endpointSlabs
+	links  linkTable  // per-link FIFO clamps of the fast path
+	free   freeLists
 
 	// parked holds the ARQ arrivals of every link that are ahead of a gap
 	// in their link's sequence, in no particular order (see linkRx).
@@ -228,23 +225,74 @@ func (n *Network) SetCrit(t *critpath.Tracker) { n.crit = t }
 // wire transit and message service (nil disables).
 func (n *Network) SetScale(s *critpath.Scale) { n.scale = s }
 
+// freeLists are a network's free messages, data buffers and ARQ frames
+// (intrusive through frame.next; see arq.go). Single-threaded like the
+// engine, so plain slices and a plain list suffice.
+type freeLists struct {
+	msgs   []*Msg
+	bufs   [][]byte
+	frames *frame
+}
+
+// What a network draws for its run and Close gives back: the endpoint slab,
+// all-zero like every mem.Pool buffer, and the free lists, whole.
+var (
+	endpointSlabs = mem.NewPool[Endpoint]()
+	freeBundles   = mem.NewKept[freeLists]()
+)
+
 // New creates a network of n endpoints. Handlers are attached later with
 // Bind, before any traffic flows.
 func New(engine *sim.Engine, model *timing.Model, notify Notify, n int) *Network {
-	nw := &Network{engine: engine, model: model, notify: notify, eps: make([]*Endpoint, n), links: linkTable{nodes: n}}
-	slab := make([]Endpoint, n)
-	for i := range slab {
-		slab[i] = Endpoint{id: i, net: nw}
-		nw.eps[i] = &slab[i]
+	nw := &Network{engine: engine, model: model, notify: notify, eps: endpointSlabs.Get(n),
+		links: linkTable{nodes: n, pooled: true}, free: freeBundles.Get()}
+	for i := range nw.eps {
+		nw.eps[i].id, nw.eps[i].net = i, nw
 	}
 	return nw
+}
+
+// closeHook, when non-nil, sees every data buffer Close hands on, whole.
+var closeHook func(buf []byte)
+
+// SetCloseHook is for tests: until restore is called, fn sees every data
+// buffer a closing network hands to the next one, over its whole capacity,
+// and may write it — poisoning what AllocData will hand out as "contents
+// undefined". Set it before any run starts and restore it after every run
+// ended.
+func SetCloseHook(fn func(buf []byte)) (restore func()) {
+	old := closeHook
+	closeHook = fn
+	return func() { closeHook = old }
+}
+
+// Close gives back what the network drew: the endpoint slab and the link
+// table's pages, cleared, to their pools, and the free lists whole, for the
+// next network to draw. Call it once the engine has stopped and every
+// counter the run reports has been read. The network is empty afterwards,
+// and closing it again, or a nil one, does nothing: a stale use indexes a
+// nil slice instead of another run's endpoints.
+func (n *Network) Close() {
+	if n == nil || n.eps == nil {
+		return
+	}
+	clear(n.eps)
+	endpointSlabs.Put(n.eps)
+	n.links.release()
+	if closeHook != nil {
+		for _, b := range n.free.bufs {
+			closeHook(b[:cap(b)])
+		}
+	}
+	freeBundles.Put(n.free)
+	*n = Network{}
 }
 
 // Notify returns the configured notification mechanism.
 func (n *Network) Notify() Notify { return n.notify }
 
 // Endpoint returns node id's endpoint.
-func (n *Network) Endpoint(id int) *Endpoint { return n.eps[id] }
+func (n *Network) Endpoint(id int) *Endpoint { return &n.eps[id] }
 
 // Size returns the number of endpoints.
 func (n *Network) Size() int { return len(n.eps) }
@@ -253,8 +301,8 @@ func (n *Network) Size() int { return len(n.eps) }
 // machine-wide totals are added up.
 func (n *Network) Traffic() Traffic {
 	var t Traffic
-	for _, ep := range n.eps {
-		s := &ep.Stats.Traffic
+	for i := range n.eps {
+		s := &n.eps[i].Stats.Traffic
 		t.MsgsSent += s.MsgsSent
 		t.BytesSent += s.BytesSent
 		t.Retransmits += s.Retransmits
@@ -266,14 +314,18 @@ func (n *Network) Traffic() Traffic {
 	return t
 }
 
-// AllocData returns a size-byte buffer from the network's pool (contents
-// undefined — callers overwrite it). Attach it to an outgoing message's
-// Data with DataPooled set and it returns to the pool when the message is
+// AllocData returns a size-byte buffer from the network's free list. Its
+// contents are undefined: whatever an earlier message of this run or of an
+// earlier run (Close hands the free lists on) left there. Every caller
+// therefore overwrites all size bytes before anything reads them — today
+// proto.Env.SendBlock, sendReliable and wireCopy, each with one copy of the
+// whole length. Attach the buffer to an outgoing message's Data with
+// DataPooled set and it returns to the free list when the message is
 // recycled.
 func (n *Network) AllocData(size int) []byte {
-	if k := len(n.bufFree); k > 0 {
-		d := n.bufFree[k-1]
-		n.bufFree = n.bufFree[:k-1]
+	if k := len(n.free.bufs); k > 0 {
+		d := n.free.bufs[k-1]
+		n.free.bufs = n.free.bufs[:k-1]
 		if cap(d) >= size {
 			return d[:size]
 		}
@@ -285,10 +337,10 @@ func (n *Network) AllocData(size int) []byte {
 // to the free lists. The caller must not touch the message afterwards.
 func (n *Network) Recycle(m *Msg) {
 	if m.DataPooled && m.Data != nil {
-		n.bufFree = append(n.bufFree, m.Data)
+		n.free.bufs = append(n.free.bufs, m.Data)
 	}
 	*m = Msg{}
-	n.msgFree = append(n.msgFree, m)
+	n.free.msgs = append(n.free.msgs, m)
 }
 
 // Release recycles a message after hand-dispatching its handler outside
@@ -299,9 +351,9 @@ func (n *Network) Release(m *Msg) { n.release(m) }
 
 // getMsg pops a pooled message, or allocates when the pool is dry.
 func (n *Network) getMsg() *Msg {
-	if k := len(n.msgFree); k > 0 {
-		m := n.msgFree[k-1]
-		n.msgFree = n.msgFree[:k-1]
+	if k := len(n.free.msgs); k > 0 {
+		m := n.free.msgs[k-1]
+		n.free.msgs = n.free.msgs[:k-1]
 		return m
 	}
 	return new(Msg)
@@ -385,7 +437,7 @@ func (ep *Endpoint) Send(m *Msg) {
 func deliverMsg(arg any) {
 	m := arg.(*Msg)
 	net := m.net
-	dst := net.eps[m.Dst]
+	dst := &net.eps[m.Dst]
 	m.arrived = net.engine.Now()
 	if tr := net.tracer; tr != nil {
 		tr.Instant(dst.id, trace.CatNet, "recv",

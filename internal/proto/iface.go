@@ -129,7 +129,9 @@ type Protocol interface {
 	// ApplyNotices processes incoming write notices at an acquire or
 	// barrier release: it invalidates the node's stale copies. It runs in
 	// engine context while the node is blocked in the runtime; the caller
-	// charges the per-notice cost through the message service cost.
+	// charges the per-notice cost through the message service cost. It must
+	// not keep ivs past its return (copying an Interval out is fine): a
+	// barrier's slice is rebuilt in place at the next episode.
 	ApplyNotices(node int, ivs []Interval)
 
 	// OnAcquireComplete runs in engine context whenever node completes an

@@ -144,6 +144,13 @@ type Sync struct {
 	// every node has arrived at the first barrier).
 	epoch int
 
+	// rel and shared are the barrier releases' payloads and their one
+	// interval list, rebuilt in place at every episode: every node handles
+	// release k before it can arrive at k+1, and no ApplyNotices keeps its
+	// intervals, so nothing points into them by then.
+	rel    []notices
+	shared []proto.Interval
+
 	// OnBarrierFull, when set, fires in engine context the instant the
 	// last node arrives at a barrier — after the epoch counter advances,
 	// before any release message is sent. This is the simulator's one
@@ -445,11 +452,11 @@ func (s *Sync) releaseBarrier() {
 }
 
 // barrierNotices merges the arrivers' clocks and builds the episode's N
-// release payloads around one shared interval list.
+// release payloads around one shared interval list, in s.rel and s.shared.
 func (s *Sync) barrierNotices() []notices {
 	clocks := s.env.VCs
 	base, merged := proto.MergeClocks(clocks)
-	shared := make([]proto.Interval, 0, len(clocks)) // typically one interval per node
+	shared := s.shared[:0] // typically one interval per node
 	s.env.Log.Each(base, merged, func(ivs []proto.Interval) {
 		for _, iv := range ivs {
 			if len(iv.Notices) > 0 {
@@ -457,12 +464,15 @@ func (s *Sync) barrierNotices() []notices {
 			}
 		}
 	})
-	rel := make([]notices, len(clocks))
-	for i := range rel {
-		rel[i] = notices{at: &clocks[i], to: merged, shared: shared}
-		rel[i].tally(s.env.Log)
+	s.shared = shared
+	if len(s.rel) != len(clocks) {
+		s.rel = make([]notices, len(clocks))
 	}
-	return rel
+	for i := range s.rel {
+		s.rel[i] = notices{at: &clocks[i], to: merged, shared: shared}
+		s.rel[i].tally(s.env.Log)
+	}
+	return s.rel
 }
 
 // State is a deep snapshot of the synchronization layer at a barrier cut:

@@ -3,9 +3,10 @@
 
 usage: scripts/check_mallocs.py RESULT.json WORKLOAD METRIC [METRIC...]
 
-RESULT.json holds the last stdout line of `bench/run.sh --workload WORKLOAD`.
-Each METRIC (mallocs_per_iter, alloc_mb_per_iter: both are means over the
-run's iterations and repeat to within 0.8 %) may exceed the newest reading
+RESULT.json holds the last stdout line of `bench/run.sh --workload WORKLOAD
+--seconds 10`. Each METRIC (mallocs_per_iter, alloc_mb_per_iter: both are
+means over the run's iterations and, over ten seconds, repeat to within
+0.8 %) may exceed the newest reading
 BENCH_history.json has for that workload (the `change` side of a paired entry
 or of a single reading) by no more than the metric's bound in BENCHMARK.json.
 Run from the repo root.
