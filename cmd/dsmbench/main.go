@@ -12,7 +12,11 @@
 // all" reuses the Figure 1 sweep for the fault tables and the Tables
 // 16/17 statistics, and the tables render from completed runs. Output —
 // tables, progress lines, CSV records — is byte-identical at every
-// -parallel setting, including fully serial -parallel=1.
+// -parallel setting, including fully serial -parallel=1. Under -fault-grid
+// every matrix point runs once per variant and the tables render the first
+// variant's runs:
+//
+//	dsmbench -exp fig1 -fault-grid 's1:drop=0.02,seed=1,start=6;s2:drop=0.02,seed=2,start=6' -fork
 package main
 
 import (
@@ -23,14 +27,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
 	"dsmsim/internal/cliflags"
 	"dsmsim/internal/harness"
 	"dsmsim/internal/proto"
-	"dsmsim/internal/sweep"
 )
 
 func main() {
@@ -57,7 +59,6 @@ type cli struct {
 	shared         *cliflags.Shared
 	exp            string
 	protocol       string
-	faultSeed      string
 	verify         bool
 	progress       bool
 	latency        bool
@@ -74,7 +75,6 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	c := &cli{shared: cliflags.Register(fs), stdout: stdout, stderr: stderr}
 	fs.StringVar(&c.exp, "exp", "all", "experiment name (see -list) or 'all'")
 	fs.StringVar(&c.protocol, "protocol", "", "override the matrix experiments' protocol set, comma-separated or 'all' (default: the paper's "+strings.Join(proto.PaperNames(), ", ")+"; registered: "+strings.Join(proto.Names(), ", ")+")")
-	fs.StringVar(&c.faultSeed, "fault-seed", "", "fault plan PRNG seed(s), comma-separated; two or more expand the matrix into a per-seed fault grid (tables render the first seed) that -fork can share warmup prefixes across")
 	fs.BoolVar(&c.verify, "verify", false, "verify every run's numeric result (slow at paper size)")
 	fs.BoolVar(&c.progress, "progress", true, "print one line per completed run to stderr")
 	fs.BoolVar(&c.latency, "latency", false, "print latency-distribution summaries with progress lines")
@@ -156,38 +156,6 @@ func (c *cli) options() (harness.Options, error) {
 	if err := s.Apply(&opts.Options); err != nil {
 		return opts, err
 	}
-	seeds, err := seedList(c.faultSeed)
-	if err != nil {
-		return opts, err
-	}
-	if len(seeds) > 1 {
-		// Two or more seeds expand the matrix into a fault grid: one run
-		// per seed of the same plan, forkable across the shared warmup.
-		if s.Faults == "" {
-			return opts, errors.New("-fault-seed with multiple seeds needs -faults")
-		}
-		for _, seed := range seeds {
-			plan, err := s.Plan(seed)
-			if err != nil {
-				return opts, err
-			}
-			opts.FaultGrid = append(opts.FaultGrid, sweep.FaultVariant{Name: fmt.Sprintf("s%d", seed), Plan: plan})
-		}
-	} else {
-		var seed uint64 // 0 keeps the plan's own
-		if len(seeds) == 1 {
-			seed = seeds[0]
-		}
-		if opts.Config.Faults, err = s.Plan(seed); err != nil {
-			return opts, err
-		}
-	}
-	if s.Fork && len(opts.FaultGrid) < 2 {
-		return opts, errors.New("-fork needs -fault-seed with at least two seeds to build a fault grid")
-	}
-	if s.Fork && opts.FaultGrid[0].Plan.StartBarrier() <= 0 {
-		return opts, errors.New("-fork needs a gated plan: set -fork-warmup K or a start=K clause in -faults")
-	}
 	return opts, s.OpenSinks(&opts.Options, c.stderr)
 }
 
@@ -210,22 +178,6 @@ func protocolList(s string) ([]string, error) {
 			return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p, strings.Join(proto.Names(), ", "))
 		}
 		out = append(out, p)
-	}
-	return out, nil
-}
-
-// seedList parses the comma-separated -fault-seed value.
-func seedList(s string) ([]uint64, error) {
-	var out []uint64
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(p, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -fault-seed %q: %w", p, err)
-		}
-		out = append(out, v)
 	}
 	return out, nil
 }

@@ -22,11 +22,11 @@ import (
 // README flag tables are checked against the same FlagSet.
 var wantFlags = []string{
 	"cpuprofile=", "crit=false", "crit-csv=", "csv=", "exp=all",
-	"fault-seed=", "faults=", "fork=false", "fork-warmup=0", "latency=false",
+	"fault-grid=", "faults=", "fork=false", "latency=false",
 	"list=false", "memprofile=", "metrics-addr=", "metrics-linger=0s",
 	"nodes=16", "parallel=0", "prof=false", "prof-csv=", "progress=true",
 	"protocol=", "sample-csv=", "sample-every=0s", "size=small",
-	"straggler=", "verify=false", "whatif=",
+	"verify=false", "whatif=",
 }
 
 func TestFlagInventory(t *testing.T) {
@@ -154,5 +154,25 @@ func TestGoldenTable3(t *testing.T) {
 				t.Errorf("-parallel %d: %s digest %s, want %s", parallel, name, got[name], w)
 			}
 		}
+	}
+}
+
+// TestForkHealthyFirstGrid: -fork takes any -fault-grid, one whose first
+// variant is the healthy machine included. Nothing in this grid is gated,
+// so its healthy and ungated points run flat and the fork summary counts
+// them; the tables render the first variant's runs.
+func TestForkHealthyFirstGrid(t *testing.T) {
+	var stdout bytes.Buffer
+	err := run([]string{"-exp", "table3", "-size", "small", "-nodes", "4", "-progress=false",
+		"-fork", "-fault-grid", "none;ungated:drop=0.01,seed=1"}, &stdout, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), "fork: no runs forked") || !strings.Contains(stdout.String(), "; 24 points ran flat, 0 failed forks") {
+		t.Fatalf("fork summary does not count the 2 x 12 flat points:\n%s", stdout.Bytes())
+	}
+	err = run([]string{"-exp", "table3", "-fork", "-faults", "drop=0.01,start=2"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-fork needs a -fault-grid") {
+		t.Fatalf("-fork without a grid: err = %v", err)
 	}
 }

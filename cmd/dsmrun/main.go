@@ -17,7 +17,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -67,8 +66,6 @@ type cli struct {
 	record         string
 	profTop        int
 	critTop        int
-	faultSeed      uint64
-	faultGrid      string
 	stdout, stderr io.Writer
 }
 
@@ -89,8 +86,6 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.StringVar(&c.record, "record", "", "append each run's JSON record (the point and its full result; a sweep's baselines too) to this file, one line per run")
 	fs.IntVar(&c.profTop, "prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
 	fs.IntVar(&c.critTop, "crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
-	fs.Uint64Var(&c.faultSeed, "fault-seed", 0, "override the fault plan's PRNG seed (0 keeps the plan's seed)")
-	fs.StringVar(&c.faultGrid, "fault-grid", "", "semicolon-separated fault variants NAME[:SPEC] (SPEC as in -faults; empty = healthy); every configuration runs once per variant, and -fork shares their warmup prefixes")
 	return fs, c.run
 }
 
@@ -100,15 +95,6 @@ func (c *cli) run() (err error) {
 	o := sweep.Options{Verify: c.verify, Progress: c.stderr}
 	if err := s.Apply(&o); err != nil {
 		return err
-	}
-	if o.Config.Faults, err = s.Plan(c.faultSeed); err != nil {
-		return err
-	}
-	if o.FaultGrid, err = s.Grid(c.faultGrid); err != nil {
-		return err
-	}
-	if s.Fork && len(o.FaultGrid) == 0 {
-		return errors.New("-fork needs a -fault-grid to share warmup prefixes across")
 	}
 	spec := dsmsim.SweepSpec{
 		Apps:      splitList(c.app, dsmsim.AppNames()),
@@ -122,20 +108,40 @@ func (c *cli) run() (err error) {
 	if spec.Notify, err = notifyList(c.notify); err != nil {
 		return err
 	}
+	// An empty list would fall back to the sweep's default, so a selector
+	// that names nothing is refused instead.
+	for _, sel := range []struct {
+		flag, value string
+		n           int
+	}{{"app", c.app, len(spec.Apps)}, {"protocol", c.protocol, len(spec.Protocols)},
+		{"block", c.block, len(spec.Granularities)}, {"notify", c.notify, len(spec.Notify)}} {
+		if sel.n == 0 {
+			return fmt.Errorf("-%s %q selects nothing", sel.flag, sel.value)
+		}
+	}
 	points := len(spec.Apps) * len(spec.Protocols) * len(spec.Granularities) * len(spec.Notify)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	defer func() { err = errors.Join(err, s.Close()) }()
 
-	if points == 1 && len(o.FaultGrid) == 0 {
-		if s.MetricsAddr != "" {
-			return errors.New("-metrics-addr applies to sweeps only (1 configuration selected)")
-		}
-		return c.runOne(ctx, spec, o)
+	single := points == 1 && len(o.FaultGrid) == 0
+	if single && s.MetricsAddr != "" {
+		return errors.New("-metrics-addr applies to sweeps only (1 configuration selected)")
 	}
-	if c.staticHomes || c.trace != "" || c.traceJSON != "" {
+	if !single && (c.staticHomes || c.trace != "" || c.traceJSON != "") {
 		return fmt.Errorf("-static-homes/-trace/-trace-json apply to single runs only (%d configurations selected)", points)
+	}
+	// A single run's files are the ones a one-point sweep writes, through
+	// the same sink.
+	if err := s.OpenSinks(&o, c.stderr); err != nil {
+		return err
+	}
+	if o.Record, err = s.Append(c.record); err != nil {
+		return err
+	}
+	if single {
+		return c.runOne(ctx, spec, o)
 	}
 	return c.runSweep(ctx, spec, o)
 }
@@ -143,13 +149,6 @@ func (c *cli) run() (err error) {
 // runSweep fans the cross product out over the worker pool and prints one
 // speedup row per configuration.
 func (c *cli) runSweep(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options) error {
-	if err := c.shared.OpenSinks(&o, c.stderr); err != nil {
-		return err
-	}
-	var err error
-	if o.Record, err = c.shared.Append(c.record); err != nil {
-		return err
-	}
 	start := time.Now()
 	// One option carrying the whole struct: every setting is already in o.
 	res, err := dsmsim.Sweep(ctx, spec, func(so *sweep.Options) { *so = o })
@@ -175,14 +174,10 @@ func (c *cli) runSweep(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Optio
 	return nil
 }
 
-// runOne executes a single configuration with the full statistics dump.
-// Its -prof-csv, -crit-csv and -sample-csv files hold that one run alone:
-// written fresh, without the run-key columns a sweep prefixes.
+// runOne executes a single configuration with the full statistics dump and
+// emits it to o's files as the point of a one-point sweep.
 func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options) error {
-	s, out := c.shared, c.stdout
-	if s.SampleCSV != "" && s.SampleEvery <= 0 {
-		return errors.New("-sample-csv needs -sample-every")
-	}
+	out := c.stdout
 	cfg := o.Config
 	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify = spec.Nodes, spec.Granularities[0], spec.Protocols[0], spec.Notify[0]
 	cfg.StaticHomes = c.staticHomes
@@ -290,35 +285,9 @@ func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options
 		fmt.Fprintf(out, "    re-simulated    %14v  (%.3fx speedup)\n", wres.Time, ratio(res.Time, wres.Time))
 	}
 
-	// The run's CSV row and record go through the sink a sweep's take:
-	// same schema and point, header only into an empty file.
-	var sinks sweep.Options
-	if sinks.CSV, err = s.Append(s.CSV); err == nil {
-		sinks.Record, err = s.Append(c.record)
-	}
-	if err != nil {
-		return err
-	}
+	o.Progress = nil // the statistics above stand in for the progress line
 	point := sweep.Key{App: spec.Apps[0], Protocol: cfg.Protocol, Block: cfg.BlockSize, Notify: cfg.Notify, Nodes: cfg.Nodes}
-	if err := sweep.SinkFor(sinks).Emit(point, res); err != nil {
-		return err
-	}
-	// A flag names its file only with its observer on (Apply, the check
-	// above), so the report each bound method belongs to is non-nil.
-	files := []struct {
-		path  string
-		write func(io.Writer) error
-	}{{s.ProfCSV, res.Sharing.WriteCSV}, {s.CritCSV, res.CritPath.WriteCSV}, {s.SampleCSV, res.Samples.WriteCSV}}
-	for _, f := range files {
-		if f.path != "" {
-			var b bytes.Buffer
-			f.write(&b) // a Buffer never fails a write
-			if err := os.WriteFile(f.path, b.Bytes(), 0o666); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return sweep.SinkFor(o).Emit(point, res)
 }
 
 // ratio guards the x/y speedup display against a zero counterfactual.

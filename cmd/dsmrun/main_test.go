@@ -21,11 +21,11 @@ import (
 // README flag tables are checked against the same FlagSet.
 var wantFlags = []string{
 	"app=lu", "block=4096", "cpuprofile=", "crit=false", "crit-csv=",
-	"crit-top=5", "csv=", "fault-grid=", "fault-seed=0", "faults=",
-	"fork=false", "fork-warmup=0", "memprofile=", "metrics-addr=", "nodes=16",
+	"crit-top=5", "csv=", "fault-grid=", "faults=",
+	"fork=false", "memprofile=", "metrics-addr=", "nodes=16",
 	"notify=polling", "parallel=0", "prof=false", "prof-csv=", "prof-top=10",
 	"protocol=hlrc", "record=", "sample-csv=", "sample-every=0s",
-	"size=small", "static-homes=false", "straggler=", "trace=", "trace-json=",
+	"size=small", "static-homes=false", "trace=", "trace-json=",
 	"verify=true", "whatif=",
 }
 
@@ -96,13 +96,15 @@ func dropForkLine(b []byte) []byte {
 	return out
 }
 
-const grid = "none;lossy:drop=0.03,seed=5;jittery:jitter=30us,dup=0.01,seed=11"
+const grid = "none;lossy:drop=0.03,seed=5,start=6;jittery:jitter=30us,dup=0.01,seed=11,start=6"
 
 // TestGolden pins what dsmrun writes — stdout, the progress stream and
 // every CSV file — to SHA-256 digests recorded at commit 8395aed: one
 // single-configuration run under a fault plan with both profilers, one
 // forked fault-grid sweep and one profiled sweep, the sweeps at
-// -parallel 1 and 8. An argument ending in ".csv" names an output file.
+// -parallel 1 and 8. The single run's three observer files were
+// re-recorded when they moved onto the sweep's sink and gained its key
+// columns. An argument ending in ".csv" names an output file.
 func TestGolden(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -114,10 +116,10 @@ func TestGolden(t *testing.T) {
 			strings.Fields("-app lu -protocol hlrc -block 4096 -nodes 4 -faults drop=0.02,seed=3 -crit -prof " +
 				"-prof-csv prof.csv -crit-csv crit.csv -sample-every 200us -sample-csv sample.csv"),
 			[]int{0},
-			map[string]string{"stdout": "3e65c4b764424885", "stderr": "e3b0c44298fc1c14", "prof.csv": "40ad697048e700b3", "crit.csv": "4a3d0be68f76eaa3", "sample.csv": "36142ff87526a1ef"}},
+			map[string]string{"stdout": "3e65c4b764424885", "stderr": "e3b0c44298fc1c14", "prof.csv": "56349065cde9e72a", "crit.csv": "d0e3b91e2b61593b", "sample.csv": "b7b0134d8072952d"}},
 		{"forkgrid",
 			append(strings.Fields("-app ocean-rowwise,fft -protocol sc,hlrc -block 1024,4096 -nodes 4 -size small "+
-				"-fork -fork-warmup 6 -csv runs.csv -crit-csv crit.csv -sample-every 200us -sample-csv sample.csv"),
+				"-fork -csv runs.csv -crit-csv crit.csv -sample-every 200us -sample-csv sample.csv"),
 				"-fault-grid", grid),
 			[]int{1, 8},
 			map[string]string{"stdout": "72f29a06d1900298", "stderr": "fbf06ae267370bd7", "runs.csv": "dcebc669e682b645", "crit.csv": "d77f55dcb8dedf45", "sample.csv": "6df11c2404dc67ff"}},
@@ -164,27 +166,32 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestSingleRunCSV: one selected configuration writes its CSV row and its
-// record through the sweep's sink — header plus one row, no second header
-// on a re-run, and the same row and record line the sweep writes for that
+// TestSingleRunCSV: one selected configuration writes every file through
+// the sweep's sink — header plus its rows, no second header on a re-run,
+// and the same rows and record line the sweep writes for that
 // configuration. (At 8395aed the single-run path never saw -csv and wrote
 // no file.)
 func TestSingleRunCSV(t *testing.T) {
 	dir := t.TempDir()
-	one, swept := filepath.Join(dir, "one.csv"), filepath.Join(dir, "sweep.csv")
-	oneRec, sweptRec := filepath.Join(dir, "one.jsonl"), filepath.Join(dir, "sweep.jsonl")
-	lines := func(path string) []string {
-		data, err := os.ReadFile(path)
+	args := func(name string, sel ...string) []string {
+		a := append([]string{"-app", "lu", "-nodes", "4", "-sample-every", "200us"}, sel...)
+		for _, f := range []string{"csv", "prof-csv", "crit-csv", "sample-csv", "record"} {
+			a = append(a, "-"+f, filepath.Join(dir, name+"."+f))
+		}
+		return a
+	}
+	lines := func(name, f string) []string {
+		data, err := os.ReadFile(filepath.Join(dir, name+"."+f))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	}
 	for i := 1; i <= 2; i++ {
-		if err := run([]string{"-app", "lu", "-nodes", "4", "-csv", one, "-record", oneRec}, io.Discard, io.Discard); err != nil {
+		if err := run(args("one"), io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		got := lines(one)
+		got := lines("one", "csv")
 		if len(got) != 1+i || !strings.HasPrefix(got[0], "app,protocol,") || !strings.HasPrefix(got[i], "lu,hlrc,4096,polling,4,") {
 			t.Fatalf("after run %d: want header + %d record(s), got:\n%s", i, i, strings.Join(got, "\n"))
 		}
@@ -192,14 +199,81 @@ func TestSingleRunCSV(t *testing.T) {
 			t.Fatalf("identical runs wrote different records:\n%s\n%s", got[1], got[2])
 		}
 	}
-	if err := run([]string{"-app", "lu", "-protocol", "sc,hlrc", "-nodes", "4", "-csv", swept, "-record", sweptRec}, io.Discard, io.Discard); err != nil {
+	if err := run(args("sweep", "-protocol", "sc,hlrc"), io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if s, o := lines(swept), lines(one); s[0] != o[0] || s[2] != o[1] {
+	if s, o := lines("sweep", "csv"), lines("one", "csv"); s[0] != o[0] || s[2] != o[1] {
 		t.Fatalf("single-run CSV differs from the sweep's:\n%s\n%s\nvs\n%s\n%s", o[0], o[1], s[0], s[2])
 	}
 	// The sweep's records are the baseline, sc, then hlrc.
-	if s, o := lines(sweptRec), lines(oneRec); len(s) != 3 || len(o) != 2 || o[0] != o[1] || s[2] != o[0] {
+	if s, o := lines("sweep", "record"), lines("one", "record"); len(s) != 3 || len(o) != 2 || o[0] != o[1] || s[2] != o[0] {
 		t.Fatalf("single-run record differs from the sweep's (%d and %d lines)", len(o), len(s))
+	}
+	// Each observer file holds the sweep's header, then the sweep's hlrc
+	// rows once per run.
+	for _, f := range []string{"prof-csv", "crit-csv", "sample-csv"} {
+		swept := lines("sweep", f)
+		var rows []string
+		for _, l := range swept[1:] {
+			if strings.HasPrefix(l, "lu,hlrc,4096,polling,4,") {
+				rows = append(rows, l)
+			}
+		}
+		want := append(append([]string{swept[0]}, rows...), rows...)
+		if got := lines("one", f); len(rows) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("-%s of two single runs:\n%s\nwant the sweep's header and hlrc rows twice:\n%s",
+				f, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// TestRefusedSelections: a selector that names nothing, or a fault plan
+// given both as -faults and as -fault-grid, is an error naming the flag —
+// not a sweep over some default.
+func TestRefusedSelections(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-app= -protocol sc -block 4096 -nodes 2", "-app"},
+		{"-protocol , -nodes 2", "-protocol"},
+		{"-block= -nodes 2", "-block"},
+		{"-notify= -nodes 2", "-notify"},
+		{"-faults drop=0.01 -fault-grid a:drop=0.02 -nodes 2", "-fault-grid"},
+		{"-fork -faults drop=0.01,start=2 -nodes 2", "-fork needs a -fault-grid"},
+	} {
+		var stdout bytes.Buffer
+		err := run(strings.Fields(c.args), &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("dsmrun %s: err = %v, want one naming %s", c.args, err, c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("dsmrun %s ran:\n%s", c.args, stdout.Bytes())
+		}
+	}
+}
+
+// TestGridStraggler: a -fault-grid variant takes straggler clauses like
+// -faults does — the variant whose node 0 computes 4x slower takes longer
+// than the same variant without it.
+func TestGridStraggler(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "runs.csv")
+	args := []string{"-app", "lu", "-protocol", "hlrc", "-nodes", "4", "-csv", csv,
+		"-fault-grid", "plain:drop=0.01,seed=1;slow:drop=0.01,seed=1,straggler=0x4"}
+	if err := run(args, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := map[string]int64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		cols := strings.Split(line, ",")
+		ns, err := strconv.ParseInt(cols[5], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times[cols[len(cols)-1]] = ns
+	}
+	if len(times) != 2 || times["slow"] <= times["plain"] {
+		t.Fatalf("time_ns by variant %v: want slow > plain", times)
 	}
 }

@@ -98,7 +98,8 @@ type (
 	// SharingReport is the sharing-pattern profiler's per-run report
 	// (Result.Sharing under WithShareProfile): per-region taxonomy
 	// classification and true/false-sharing fault attribution,
-	// renderable as text (WriteText) or CSV (WriteCSV).
+	// renderable as text (WriteText); a sweep writes its CSV rows to
+	// WithProfCSV's writer.
 	SharingReport = shareprof.Report
 	// SharingRegion is one named heap region's row of a SharingReport.
 	SharingRegion = shareprof.RegionStats
@@ -109,7 +110,7 @@ type (
 	// (Result.CritPath under WithCritPath): the exact longest dependency
 	// chain's component composition, top nodes and top heap regions, and
 	// the what-if speedup predictor (Predict), renderable as text
-	// (WriteText) or CSV (WriteCSV).
+	// (WriteText); a sweep writes its CSV row to WithCritCSV's writer.
 	CritReport = critpath.Report
 	// CritComponent labels one class of critical-path time (compute,
 	// msg-wire, lock-wait, …); CritReport.Components indexes by it.

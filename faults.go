@@ -83,14 +83,12 @@ func RetransmitTimeout(d Time) FaultRule { return faults.RTO(d) }
 func StartAtBarrier(k int) FaultRule { return faults.StartAtBarrier(k) }
 
 // ParseFaults builds a plan from the CLI flag syntax shared by dsmrun and
-// dsmbench: comma-separated `drop=P`, `dup=P`, `jitter=DUR`, `rto=DUR`,
-// `seed=N`, `partition=A-B@FROM:TO`, `linkdrop=A-B:P` (durations are Go
-// durations like 50us, or bare nanosecond integers).
+// dsmbench (-faults, and each -fault-grid variant): comma-separated
+// `drop=P`, `dup=P`, `jitter=DUR`, `rto=DUR`, `seed=N`, `start=K`,
+// `partition=A-B@FROM:TO`, `linkdrop=A-B:P` and any number of
+// `straggler=NODExFACTOR[@FROM:TO]` (durations are Go durations like 50us,
+// or bare nanosecond integers), e.g. "drop=0.01,straggler=2x3@0:50ms".
 func ParseFaults(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
-
-// ParseStragglers parses the CLI straggler syntax: comma-separated
-// `NODExFACTOR[@FROM:TO]`, e.g. "3x2.5" or "0x4@10ms:20ms".
-func ParseStragglers(spec string) ([]FaultRule, error) { return faults.ParseStragglers(spec) }
 
 // Typed configuration errors, re-exported from the machine core: every
 // rejection from NewMachine (and therefore Start, Run, RunApp, Sweep)

@@ -2,8 +2,10 @@
 // and turns their parsed values into the sweep engine's options: problem
 // size and parallelism, the observers, the what-if scale, the fault plan
 // and grid, the append-mode CSV files and the live-metrics server. Each
-// CLI registers only what is its own next to it (-verify, -protocol and
-// -fault-seed differ in type or default between the two and stay local).
+// CLI registers only what is its own next to it (-verify and -protocol
+// differ in type or default between the two and stay local). A fault plan
+// has one spelling, faults.Parse's clause language, in -faults and in each
+// -fault-grid variant.
 package cliflags
 
 import (
@@ -39,9 +41,8 @@ type Shared struct {
 	SampleCSV   string
 	MetricsAddr string
 	Faults      string
-	Straggler   string
+	FaultGrid   string
 	Fork        bool
-	ForkWarmup  int
 	CPUProfile  string
 	MemProfile  string
 
@@ -63,10 +64,9 @@ func Register(fs *flag.FlagSet) *Shared {
 	fs.DurationVar(&s.SampleEvery, "sample-every", 0, "virtual-time metrics sampling interval (e.g. 100us; 0 = off)")
 	fs.StringVar(&s.SampleCSV, "sample-csv", "", "append every run's sampler time-series as CSV to this file (needs -sample-every)")
 	fs.StringVar(&s.MetricsAddr, "metrics-addr", "", "serve live sweep metrics over HTTP on this address")
-	fs.StringVar(&s.Faults, "faults", "", "deterministic fault plan: drop=P,dup=P,jitter=DUR,partition=A-B@FROM:TO,linkdrop=A-B:P,rto=DUR,seed=N,start=K")
-	fs.StringVar(&s.Straggler, "straggler", "", "straggler node(s): NODExFACTOR[@FROM:TO], comma-separated (e.g. '3x2.5' or '0x4@10ms:20ms')")
+	fs.StringVar(&s.Faults, "faults", "", "deterministic fault plan: drop=P,dup=P,jitter=DUR,partition=A-B@FROM:TO,linkdrop=A-B:P,rto=DUR,seed=N,start=K,straggler=NODExFACTOR[@FROM:TO]")
+	fs.StringVar(&s.FaultGrid, "fault-grid", "", "semicolon-separated fault variants NAME[:SPEC] (SPEC as in -faults; empty = healthy); every configuration runs once per variant, and -fork shares their warmup prefixes")
 	fs.BoolVar(&s.Fork, "fork", false, "share warmup prefixes across the fault grid: simulate each group's pre-fault prefix once and fork it per variant (output stays byte-identical)")
-	fs.IntVar(&s.ForkWarmup, "fork-warmup", 0, "gate every fault plan on barrier K (adds start=K)")
 	fs.StringVar(&s.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&s.MemProfile, "memprofile", "", "write an allocation profile to this file at exit")
 	return s
@@ -77,9 +77,10 @@ func Register(fs *flag.FlagSet) *Shared {
 func (s *Shared) StartProfile() func() { return profiling.Start(s.CPUProfile, s.MemProfile) }
 
 // Apply writes the settings that describe a run into o: size, workers,
-// observers (a -x-csv file implies -x), sampling interval, what-if scale
-// and fork. The fault plan and grid depend on each CLI's -fault-seed and
-// come from Plan and Grid; the output files from OpenSinks.
+// observers (a -x-csv file implies -x), sampling interval, what-if scale,
+// the fault plan or grid, and fork. It refuses -faults beside -fault-grid,
+// -fork without a grid and -sample-csv without -sample-every. The output
+// files come from OpenSinks.
 func (s *Shared) Apply(o *sweep.Options) (err error) {
 	o.Size = apps.Small
 	if s.Size == "paper" {
@@ -91,48 +92,34 @@ func (s *Shared) Apply(o *sweep.Options) (err error) {
 	o.Config.CritPath = s.Crit || s.CritCSV != ""
 	o.Config.SampleEvery = sim.Time(s.SampleEvery)
 	if s.WhatIf != "" {
-		o.Config.WhatIf, err = critpath.ParseScale(s.WhatIf)
-	}
-	return err
-}
-
-// Plan assembles the fault plan -faults, -straggler and -fork-warmup
-// describe, under the given PRNG seed (0 keeps the plan's own). It is nil
-// when neither flag nor seed asks for one.
-func (s *Shared) Plan(seed uint64) (*faults.Plan, error) {
-	if s.Faults == "" && s.Straggler == "" && seed == 0 {
-		return nil, nil
-	}
-	return s.buildPlan(s.Faults, s.Straggler, seed)
-}
-
-// buildPlan is the one fault-plan builder: clauses, then straggler
-// windows, then the seed override, then the -fork-warmup gate.
-func (s *Shared) buildPlan(spec, straggler string, seed uint64) (*faults.Plan, error) {
-	plan, err := faults.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	if straggler != "" {
-		rules, err := faults.ParseStragglers(straggler)
-		if err != nil {
-			return nil, err
+		if o.Config.WhatIf, err = critpath.ParseScale(s.WhatIf); err != nil {
+			return err
 		}
-		plan.Add(rules...)
 	}
-	if seed != 0 {
-		plan.Add(faults.Seed(seed))
+	switch {
+	case s.Faults != "" && s.FaultGrid != "":
+		return errors.New("-faults and -fault-grid exclude each other: give every variant its own plan")
+	case s.Faults != "":
+		o.Config.Faults, err = faults.Parse(s.Faults)
+	case s.FaultGrid != "":
+		o.FaultGrid, err = parseGrid(s.FaultGrid)
 	}
-	if s.ForkWarmup > 0 {
-		plan.Add(faults.StartAtBarrier(s.ForkWarmup))
+	if err != nil {
+		return err
 	}
-	return plan, nil
+	if s.Fork && len(o.FaultGrid) == 0 {
+		return errors.New("-fork needs a -fault-grid to share warmup prefixes across")
+	}
+	if s.SampleCSV != "" && s.SampleEvery <= 0 {
+		return errors.New("-sample-csv needs -sample-every")
+	}
+	return nil
 }
 
-// Grid parses dsmrun's -fault-grid syntax: semicolon-separated NAME[:SPEC]
+// parseGrid parses the -fault-grid syntax: semicolon-separated NAME[:SPEC]
 // variants, SPEC in the -faults clause language; a variant without a SPEC
-// is the healthy machine. -fork-warmup gates every variant that has one.
-func (s *Shared) Grid(spec string) ([]sweep.FaultVariant, error) {
+// is the healthy machine.
+func parseGrid(spec string) ([]sweep.FaultVariant, error) {
 	var grid []sweep.FaultVariant
 	for _, part := range strings.Split(spec, ";") {
 		if part = strings.TrimSpace(part); part == "" {
@@ -142,7 +129,7 @@ func (s *Shared) Grid(spec string) ([]sweep.FaultVariant, error) {
 		v := sweep.FaultVariant{Name: strings.TrimSpace(name)}
 		if clauses != "" {
 			var err error
-			if v.Plan, err = s.buildPlan(clauses, "", 0); err != nil {
+			if v.Plan, err = faults.Parse(clauses); err != nil {
 				return nil, fmt.Errorf("-fault-grid variant %q: %w", v.Name, err)
 			}
 		}

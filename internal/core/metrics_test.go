@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsmsim/internal/metrics"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
@@ -201,11 +202,8 @@ func TestSamplerSeries(t *testing.T) {
 		t.Errorf("telescoped traffic %d/%d, want %d/%d", msgs, bytes, res.NetMsgs, res.NetBytes)
 	}
 
-	var csv strings.Builder
-	if err := res.Samples.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(csv.String(), "\n"), "\n")
+	csv := res.Samples.AppendRows([]byte(metrics.SeriesHeader+"\n"), "")
+	lines := strings.Split(strings.TrimRight(string(csv), "\n"), "\n")
 	if len(lines) != len(sm)+1 {
 		t.Errorf("CSV has %d lines, want header + %d rows", len(lines), len(sm))
 	}

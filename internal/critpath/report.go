@@ -248,11 +248,3 @@ func (r *Report) AppendRow(b []byte, prefix string) []byte {
 	}
 	return append(b, '\n')
 }
-
-// WriteCSV writes the header and the report's row.
-func (r *Report) WriteCSV(w io.Writer) error {
-	b := append([]byte(CSVHeader), '\n')
-	b = r.AppendRow(b, "")
-	_, err := w.Write(b)
-	return err
-}

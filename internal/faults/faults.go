@@ -428,6 +428,9 @@ func (in *Injector) Straggling() bool { return in != nil && len(in.strag) > 0 }
 //	start=K             arm the plan only after global barrier K completes
 //	partition=A-B@F:T   cut link A↔B during virtual window [F, T)
 //	linkdrop=A-B:P      drop probability override for the directed link A→B
+//	straggler=NxX[@F:T] node N computes X times slower during [F, T), to the
+//	                    end of the run without a window or with T empty or 0;
+//	                    repeatable (overlapping windows multiply)
 //
 // Durations use Go syntax ("5us", "2ms"). An empty spec yields an empty
 // (inactive) plan.
@@ -506,46 +509,32 @@ func Parse(spec string) (*Plan, error) {
 				return nil, fmt.Errorf("faults: bad probability %q: %v", prob, err)
 			}
 			p.Add(DropLink(a, b, f))
+		case "straggler":
+			body, win, hasWin := strings.Cut(val, "@")
+			nodeS, facS, ok := strings.Cut(body, "x")
+			if !ok {
+				return nil, fmt.Errorf("faults: straggler %q needs NODExFACTOR[@FROM:TO]", val)
+			}
+			node, err := strconv.Atoi(nodeS)
+			if err != nil {
+				return nil, fmt.Errorf("faults: bad straggler node %q: %v", nodeS, err)
+			}
+			factor, err := strconv.ParseFloat(facS, 64)
+			if err != nil {
+				return nil, fmt.Errorf("faults: bad straggler factor %q: %v", facS, err)
+			}
+			var from, to sim.Time
+			if hasWin {
+				if from, to, err = parseWindow(win); err != nil {
+					return nil, err
+				}
+			}
+			p.Add(Straggler(node, factor, from, to))
 		default:
 			return nil, fmt.Errorf("faults: unknown clause %q", key)
 		}
 	}
 	return p, p.Validate()
-}
-
-// ParseStragglers parses a comma-separated straggler spec of clauses
-// "NODExFACTOR" or "NODExFACTOR@FROM:TO" (e.g. "3x2.0@0:10ms,5x1.5") and
-// returns the corresponding rules.
-func ParseStragglers(spec string) ([]Rule, error) {
-	var rules []Rule
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		body, win, hasWin := strings.Cut(item, "@")
-		nodeS, facS, ok := strings.Cut(body, "x")
-		if !ok {
-			return nil, fmt.Errorf("faults: straggler %q needs NODExFACTOR[@FROM:TO]", item)
-		}
-		node, err := strconv.Atoi(nodeS)
-		if err != nil {
-			return nil, fmt.Errorf("faults: bad straggler node %q: %v", nodeS, err)
-		}
-		factor, err := strconv.ParseFloat(facS, 64)
-		if err != nil {
-			return nil, fmt.Errorf("faults: bad straggler factor %q: %v", facS, err)
-		}
-		var from, to sim.Time
-		if hasWin {
-			from, to, err = parseWindow(win)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rules = append(rules, Straggler(node, factor, from, to))
-	}
-	return rules, nil
 }
 
 func parsePair(s, sep string) (int, int, error) {

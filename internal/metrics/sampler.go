@@ -14,7 +14,6 @@
 package metrics
 
 import (
-	"io"
 	"strconv"
 
 	"dsmsim/internal/network"
@@ -165,21 +164,13 @@ type Series struct {
 	Samples []Sample
 }
 
-// SeriesHeader is the CSV header WriteCSV emits (without a trailing
+// SeriesHeader is the schema of the sampler's CSV rows (without a trailing
 // newline). Sweep sinks prefix it with the run-key columns.
 const SeriesHeader = "t_ns,read_faults,write_faults,invalidations,diffs_created,diff_bytes," +
 	"write_notices,lock_acquires,barrier_entries,net_msgs,net_bytes," +
 	"compute_ns,read_stall_ns,write_stall_ns,lock_stall_ns,barrier_stall_ns," +
 	"flush_ns,stolen_ns,lock_queue,fault_rate_hz,stall_frac,diff_bytes_per_s," +
 	"retransmits,wire_drops,true_sharing,false_sharing"
-
-// WriteCSV writes the header and one row per sample.
-func (s *Series) WriteCSV(w io.Writer) error {
-	b := append([]byte(SeriesHeader), '\n')
-	b = s.AppendRows(b, "")
-	_, err := w.Write(b)
-	return err
-}
 
 // AppendRows appends one CSV row per sample to b, each prefixed with
 // prefix (pass "app,proto,..." including the trailing comma, or ""). All

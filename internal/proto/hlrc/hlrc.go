@@ -28,7 +28,7 @@ func init() {
 	proto.Register("hlrc", proto.Meta{
 		Title: "home-based lazy release consistency: twins and diffs flushed to homes (§2.3)",
 		Order: 40, Paper: true, NeedsClocks: true,
-	}, func(env *proto.Env) proto.Iface { return New(env) })
+	}, func(env *proto.Env) proto.Protocol { return New(env) })
 }
 
 // Message kinds.

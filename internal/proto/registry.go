@@ -5,10 +5,6 @@ import (
 	"sort"
 )
 
-// Iface is the name the registry API uses for the protocol interface: a
-// registered factory produces an Iface over an Env.
-type Iface = Protocol
-
 // Meta is the registry's per-protocol metadata: everything the rest of
 // the system needs to know about a protocol without constructing it.
 // The protocol set, its presentation order, the CLI help strings and the
@@ -40,7 +36,7 @@ type Meta struct {
 // Registration pairs a protocol's metadata with its factory.
 type Registration struct {
 	Meta Meta
-	New  func(*Env) Iface
+	New  func(*Env) Protocol
 }
 
 var (
@@ -52,7 +48,7 @@ var (
 // init; the core triggers those inits with blank imports. Registering a
 // duplicate name, an empty name or a nil factory panics: these are
 // programming errors, caught by the registry unit suite.
-func Register(name string, meta Meta, factory func(*Env) Iface) {
+func Register(name string, meta Meta, factory func(*Env) Protocol) {
 	if name == "" {
 		panic("proto: Register with empty protocol name")
 	}

@@ -98,7 +98,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 // TestRegisterValidation: duplicate names, empty names and nil factories
 // are programming errors and panic at init time.
 func TestRegisterValidation(t *testing.T) {
-	fake := func(*proto.Env) proto.Iface { return nil }
+	fake := func(*proto.Env) proto.Protocol { return nil }
 	proto.Register("test-dup-zz", proto.Meta{Title: "synthetic", Order: 9000}, fake)
 	mustPanic(t, "duplicate registration", func() {
 		proto.Register("test-dup-zz", proto.Meta{Title: "synthetic", Order: 9001}, fake)
@@ -114,7 +114,7 @@ func TestRegisterValidation(t *testing.T) {
 // TestRegisterOrderInsertion: a late registration with a mid-range order
 // lands between its neighbours, not at the end.
 func TestRegisterOrderInsertion(t *testing.T) {
-	fake := func(*proto.Env) proto.Iface { return nil }
+	fake := func(*proto.Env) proto.Protocol { return nil }
 	proto.Register("test-order-b", proto.Meta{Title: "synthetic", Order: 9100}, fake)
 	proto.Register("test-order-a", proto.Meta{Title: "synthetic", Order: 9100}, fake)
 	proto.Register("test-order-0", proto.Meta{Title: "synthetic", Order: 9050}, fake)

@@ -21,11 +21,11 @@ func init() {
 	proto.Register("sc", proto.Meta{
 		Title: "sequential consistency: Stache directory, eager invalidation (§2.1)",
 		Order: 10, Paper: true,
-	}, func(env *proto.Env) proto.Iface { return New(env) })
+	}, func(env *proto.Env) proto.Protocol { return New(env) })
 	proto.Register("dc", proto.Meta{
 		Title: "delayed consistency: SC with invalidations buffered until the next acquire (§7)",
 		Order: 20,
-	}, func(env *proto.Env) proto.Iface { return NewDelayed(env) })
+	}, func(env *proto.Env) proto.Protocol { return NewDelayed(env) })
 }
 
 // Message kinds.

@@ -23,7 +23,7 @@ func init() {
 	proto.Register("swlrc", proto.Meta{
 		Title: "single-writer lazy release consistency: migrating ownership, versioned reads (§2.2)",
 		Order: 30, Paper: true, NeedsClocks: true,
-	}, func(env *proto.Env) proto.Iface { return New(env) })
+	}, func(env *proto.Env) proto.Protocol { return New(env) })
 }
 
 // Message kinds.

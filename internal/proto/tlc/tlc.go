@@ -40,7 +40,7 @@ func init() {
 	proto.Register("tlc", proto.Meta{
 		Title: "timestamp lease coherence: per-block write/lease timestamps, no invalidation fan-out (Tardis-style)",
 		Order: 50,
-	}, func(env *proto.Env) proto.Iface { return New(env) })
+	}, func(env *proto.Env) proto.Protocol { return New(env) })
 }
 
 // Message kinds.

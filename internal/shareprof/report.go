@@ -235,11 +235,3 @@ func appendRegionRow(b []byte, prefix string, rg *RegionStats) []byte {
 	}
 	return append(b, '\n')
 }
-
-// WriteCSV writes the header and the report's rows.
-func (r *Report) WriteCSV(w io.Writer) error {
-	b := append([]byte(CSVHeader), '\n')
-	b = r.AppendRows(b, "")
-	_, err := w.Write(b)
-	return err
-}

@@ -178,7 +178,7 @@ func registerOracle(inner string) string {
 	reg, _ := proto.Lookup(inner)
 	name := inner + "+oracle"
 	proto.Register(name, proto.Meta{Title: "test oracle over " + inner, Order: 1000, NeedsClocks: true},
-		func(env *proto.Env) proto.Iface {
+		func(env *proto.Env) proto.Protocol {
 			o := &noticeOracle{Protocol: reg.New(env), env: env}
 			for range env.VCs {
 				o.before = append(o.before, proto.NewVC(len(env.VCs)))
@@ -315,7 +315,7 @@ func registerRecorder(inner string) string {
 	reg, _ := proto.Lookup(inner)
 	name := inner + "+recorder"
 	proto.Register(name, proto.Meta{Title: "test recorder over " + inner, Order: 1001, NeedsClocks: true},
-		func(env *proto.Env) proto.Iface {
+		func(env *proto.Env) proto.Protocol {
 			recorded = make([][]proto.Interval, env.Nodes())
 			return noticeRecorder{reg.New(env)}
 		})

@@ -99,20 +99,16 @@ func TestSequentialIgnoresFaultPlan(t *testing.T) {
 	}
 }
 
-// TestParseFaults: the CLI fault syntax round-trips into a usable plan.
+// TestParseFaults: the CLI fault syntax, a straggler clause included,
+// round-trips into a usable plan.
 func TestParseFaults(t *testing.T) {
-	plan, err := dsmsim.ParseFaults("drop=0.01,jitter=5us,seed=7")
+	plan, err := dsmsim.ParseFaults("drop=0.01,jitter=5us,seed=7,straggler=2x3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rules, err := dsmsim.ParseStragglers("2x3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.Add(rules...)
 	res, err := dsmsim.StartApp(context.Background(), smallCfg(), "lu", dsmsim.Small,
 		dsmsim.WithVerify(), dsmsim.WithFaults(plan))
 	if err != nil {
