@@ -7,6 +7,7 @@ import (
 	"reflect"
 
 	"dsmsim/internal/critpath"
+	"dsmsim/internal/digest"
 	"dsmsim/internal/mem"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
@@ -28,9 +29,15 @@ var ErrNotResumable = errors.New("core: run cannot be checkpointed/forked")
 // nothing in flight. One checkpoint can seed any number of forked runs
 // (every restore re-clones), which is what lets a sweep run a shared warmup
 // prefix once and fork it per grid point.
+//
+// Digest walks every field; those tagged `digest:"-"` are left out: the app
+// name and config are checked by compatible, and the sampler's and the
+// critical-path tracker's states feed only Result.Samples and
+// Result.CritPath, which the fork tests compare with the flat run's
+// directly.
 type Checkpoint struct {
-	app   string
-	cfg   Config // the capturing run's, as pinned
+	app   string `digest:"-"`
+	cfg   Config `digest:"-"` // the capturing run's, as pinned
 	epoch int
 	now   sim.Time
 	seq   uint64
@@ -46,8 +53,8 @@ type Checkpoint struct {
 	sy         *synch.State
 	writers    []proto.Copyset
 	phases     *metrics.PhaseState
-	sampler    *metrics.SamplerState
-	crit       *critpath.State
+	sampler    *metrics.SamplerState `digest:"-"`
+	crit       *critpath.State       `digest:"-"`
 
 	stolen    []sim.Time
 	barStart  []sim.Time
@@ -293,9 +300,11 @@ func (r *run) restore(cp *Checkpoint) error {
 			r.inj.Activate()
 		}
 	}
-	r.env.Homes.RestoreFrom(cp.homes)
+	// The Env's Homes and Log are wired into every protocol: overwrite
+	// them in place.
+	*r.env.Homes = *cp.homes.Clone()
 	if r.env.Log != nil {
-		r.env.Log.RestoreFrom(cp.log)
+		*r.env.Log = *cp.log.Clone()
 		proto.RestoreClocks(r.env.VCs, cp.clocks)
 	}
 	if err := r.p.RestoreState(cp.protoState); err != nil {
@@ -322,78 +331,7 @@ func (r *run) restore(cp *Checkpoint) error {
 }
 
 // Digest folds every simulation-visible field of the checkpoint into one
-// FNV-1a value. Two checkpoints of equivalent machine states — however they
-// were reached — digest equal; the state-equivalence tests use this as the
-// fork-correctness oracle. The phase accountant's state is in (its epochs
-// decide where Ctx.Phases resumes), and so is the fault injector's cursor.
-// The sampler's and the critical-path tracker's states are left out: they
-// feed only Result.Samples and Result.CritPath, and the fork tests compare
-// those results with the flat run's directly.
-func (cp *Checkpoint) Digest() uint64 {
-	d := proto.NewDigest()
-	d.Int(cp.epoch)
-	d.I64(int64(cp.now))
-	d.U64(cp.seq)
-	for i := range cp.spaces {
-		cp.spaces[i].AddToDigest(d)
-		digestStats(d, &cp.stats[i])
-		digestEndpoint(d, &cp.eps[i])
-		d.I64(int64(cp.stolen[i]))
-		d.I64(int64(cp.barStart[i]))
-		d.I64(int64(cp.barFlush0[i]))
-	}
-	cp.links.Each(func(src, first int, at []sim.Time) {
-		d.Int(src)
-		d.Int(first)
-		for _, t := range at {
-			d.I64(int64(t))
-		}
-	})
-	cp.homes.AddToDigest(d)
-	if cp.log != nil {
-		cp.log.AddToDigest(d)
-		cp.clocks.AddToDigest(d)
-	}
-	cp.sy.AddToDigest(d)
-	if dg, ok := cp.protoState.(proto.Digestable); ok {
-		dg.AddToDigest(d)
-	}
-	for i := range cp.writers {
-		cp.writers[i].AddToDigest(d)
-	}
-	cp.phases.AddToDigest(d)
-	if cp.injCursor != nil {
-		d.U64(*cp.injCursor)
-	}
-	return d.Sum()
-}
-
-// digestEndpoint folds an endpoint's timing memory, its traffic counters and
-// its latency-distribution totals into d — everything Restore copies back.
-func digestEndpoint(d *proto.Digest, ep *network.EndpointState) {
-	t := &ep.Stats.Traffic
-	for _, v := range [...]int64{
-		int64(ep.BusyUntil), int64(ep.HoldoffUntil), int64(ep.SvcAt),
-		t.MsgsSent, t.BytesSent, t.Retransmits, t.Timeouts, t.WireDrops,
-		t.Duplicates, t.AcksSent,
-	} {
-		d.I64(v)
-	}
-	for _, h := range [...]*stats.Histogram{&ep.Stats.Latency, &ep.Stats.RetransmitLatency} {
-		d.I64(h.Count)
-		d.I64(h.Sum)
-	}
-}
-
-// digestStats folds a node's counters, time components and latency-
-// distribution totals into d.
-func digestStats(d *proto.Digest, n *stats.Node) {
-	s := n.Snap()
-	s.AddToDigest(d)
-	for _, h := range [...]*stats.Histogram{
-		&n.ReadFaultTime, &n.WriteFaultTime, &n.LockWait, &n.BarrierWait,
-	} {
-		d.I64(h.Count)
-		d.I64(h.Sum)
-	}
-}
+// FNV-1a value (digest.Of). Two checkpoints of equivalent machine states —
+// however they were reached — digest equal; the state-equivalence tests use
+// this as the fork-correctness oracle.
+func (cp *Checkpoint) Digest() uint64 { return digest.Of(cp) }

@@ -16,10 +16,10 @@ import (
 	"dsmsim/internal/sim"
 )
 
-// testProtocols is the paper's protocol matrix plus the tlc lease
-// extension: the checkpoint and critical-path invariants must hold for
-// every registered protocol family, not just the reproduction set.
-var testProtocols = append(append([]string(nil), proto.PaperNames()...), core.TLC)
+// testProtocols is every registered protocol: the checkpoint and
+// critical-path invariants must hold for every registered protocol family,
+// not just the reproduction set.
+var testProtocols = proto.Names()
 
 // forkApp is one application the fork tests cut at every barrier epoch.
 type forkApp struct {

@@ -8,86 +8,104 @@ import (
 	"unsafe"
 
 	"dsmsim/internal/faults"
+	"dsmsim/internal/mem"
+	"dsmsim/internal/network"
+	"dsmsim/internal/proto"
 )
 
-// TestDigestCoversEndpointState: restore copies every field of a captured
-// network.EndpointState, the phase accountant's state and the fault
-// injector's cursor back, so the fork oracle must see every one of them.
-// Each integer field — the endpoint's timing memory, every traffic counter
-// and both latency histograms' Count and Sum; each node's epoch, last cut and
-// stats at it, and every phase so far; the cursor — is perturbed alone, and
-// the digest has to move each time.
+// TestDigestCoversEndpointState: restore copies every field of a checkpoint
+// back, so the fork oracle must see every one of them. Under every
+// registered protocol, each integer and bool reachable from a checkpoint —
+// endpoints, statistics and their histograms, the phase accountant, homes,
+// log, clocks, locks, the protocol's own state, the injector's cursor,
+// unexported fields included — is perturbed alone, and the digest has to
+// move each time. Only fields tagged `digest:"-"` are left alone, and the
+// insides of a space and of the link table, whose own tests pin their
+// digests (mem.TestStateRestoreMatchesFullCopy,
+// network.TestLinkStateRoundTrip).
 func TestDigestCoversEndpointState(t *testing.T) {
+	// minPerturbed is below the count of every protocol: a walk that stops
+	// reaching part of the checkpoint fails here.
+	const minPerturbed = 2500
+	opaque := map[reflect.Type]bool{reflect.TypeFor[mem.SpaceState](): true, reflect.TypeFor[network.LinkState](): true}
 	plan := faults.NewPlan(faults.Drop(0.01), faults.Seed(7), faults.StartAtBarrier(3))
-	m, err := NewMachine(Config{Nodes: 4, BlockSize: 1024, Protocol: HLRC, Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := m.RunToBarrier(context.Background(), acctApp(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cp.Digest()
-	fields := 0
-	var walk func(v reflect.Value, path string)
-	walk = func(v reflect.Value, path string) {
-		if !v.CanSet() && v.CanAddr() {
-			// An unexported field of a snapshot type: restore copies it all
-			// the same.
-			v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
-		}
-		perturbed := func() {
-			fields++
-			if cp.Digest() == base {
-				t.Errorf("%s: perturbed, digest unchanged", path)
+	for _, protocol := range proto.Names() {
+		t.Run(protocol, func(t *testing.T) {
+			t.Parallel()
+			m, err := NewMachine(Config{Nodes: 4, BlockSize: 1024, Protocol: protocol, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		switch v.Kind() {
-		case reflect.Pointer:
-			walk(v.Elem(), path)
-		case reflect.Slice:
-			for i := 0; i < v.Len(); i++ {
-				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			cp, err := m.RunToBarrier(context.Background(), acctApp(), 2)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			base := cp.Digest()
+			perturbed, unmoved := 0, 0
+			// walk perturbs every integer and bool under v; commit writes v
+			// back where it is a copy (a map value).
+			var walk func(v reflect.Value, path string, commit func())
+			walk = func(v reflect.Value, path string, commit func()) {
+				if !v.CanSet() && v.CanAddr() {
+					// An unexported field of a snapshot type: restore copies
+					// it all the same.
+					v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+				}
+				if opaque[v.Type()] {
+					return
+				}
+				set := func(x reflect.Value) {
+					if !v.CanSet() {
+						t.Fatalf("%s: cannot perturb", path)
+					}
+					old := reflect.ValueOf(v.Interface())
+					v.Set(x)
+					commit()
+					perturbed++
+					if cp.Digest() == base {
+						unmoved++
+						t.Errorf("%s: perturbed, digest unchanged", path)
+					}
+					v.Set(old)
+					commit()
+				}
+				switch v.Kind() {
+				case reflect.Pointer, reflect.Interface:
+					if !v.IsNil() {
+						walk(v.Elem(), path, commit)
+					}
+				case reflect.Slice, reflect.Array:
+					for i := 0; i < v.Len(); i++ {
+						walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i), commit)
+					}
+				case reflect.Map:
+					for _, k := range v.MapKeys() {
+						e := reflect.New(v.Type().Elem()).Elem()
+						e.Set(v.MapIndex(k))
+						walk(e, fmt.Sprintf("%s[%v]", path, k), func() { v.SetMapIndex(k, e); commit() })
+					}
+				case reflect.Struct:
+					for i := 0; i < v.NumField(); i++ {
+						if f := v.Type().Field(i); f.Tag.Get("digest") != "-" {
+							walk(v.Field(i), path+"."+f.Name, commit)
+						}
+					}
+				case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+					set(reflect.ValueOf(v.Int() + 1).Convert(v.Type()))
+				case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+					set(reflect.ValueOf(v.Uint() + 1).Convert(v.Type()))
+				case reflect.Bool:
+					set(reflect.ValueOf(!v.Bool()).Convert(v.Type()))
+				}
 			}
-		case reflect.Int, reflect.Int64:
-			old := v.Int()
-			v.SetInt(old + 1)
-			perturbed()
-			v.SetInt(old)
-		case reflect.Uint64:
-			old := v.Uint()
-			v.SetUint(old + 1)
-			perturbed()
-			v.SetUint(old)
-		}
-	}
-	for _, target := range []struct {
-		name string
-		v    any
-		// want counts the fields the walk must reach: a field it stops
-		// reaching, or a new one, fails here.
-		want int
-	}{
-		// BusyUntil, HoldoffUntil, SvcAt; the seven traffic counters; Count
-		// and Sum of both histograms.
-		{"EndpointState", &cp.eps[1], 3 + 7 + 2*2},
-		// Per node the epoch, the last cut's time and its 23 stats; the
-		// second barrier is cut before it releases, so one phase is closed:
-		// Index, End, Span and 23 stats.
-		{"PhaseState", cp.phases, 4*(2+23) + (3 + 23)},
-		{"injector cursor", cp.injCursor, 1},
-	} {
-		fields = 0
-		walk(reflect.ValueOf(target.v).Elem(), target.name)
-		if fields != target.want {
-			t.Errorf("%s: perturbed %d fields, want %d", target.name, fields, target.want)
-		}
-	}
-	if cp.Digest() != base {
-		t.Fatal("digest did not return to its value once every field was restored")
+			walk(reflect.ValueOf(cp).Elem(), "cp", func() {})
+			t.Logf("%d integers and bools perturbed, %d left the digest unmoved", perturbed, unmoved)
+			if perturbed < minPerturbed {
+				t.Errorf("perturbed %d integers and bools, want at least %d", perturbed, minPerturbed)
+			}
+			if cp.Digest() != base {
+				t.Fatal("digest did not return to its value once every field was restored")
+			}
+		})
 	}
 }

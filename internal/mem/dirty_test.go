@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"dsmsim/internal/digest"
 )
 
 // blockSizes covers both sides of the page size: blocks that share a page
@@ -123,27 +125,6 @@ func TestPageMapRunsAndBlocks(t *testing.T) {
 	}
 }
 
-// byteHasher is the reference Hasher: every byte folded one at a time,
-// zeros included, so it checks the Zeros/Int contract rather than using it.
-type byteHasher struct{ h uint64 }
-
-func (d *byteHasher) mix(b byte) { d.h = (d.h ^ uint64(b)) * 1099511628211 }
-func (d *byteHasher) Bytes(p []byte) {
-	for _, b := range p {
-		d.mix(b)
-	}
-}
-func (d *byteHasher) Zeros(n int) {
-	for ; n > 0; n-- {
-		d.mix(0)
-	}
-}
-func (d *byteHasher) Int(v int) {
-	for i := 0; i < intBytes; i++ {
-		d.mix(byte(v >> (8 * i)))
-	}
-}
-
 // fullCopy is the snapshot State used to take — every byte and every tag —
 // kept as the oracle for the packed one.
 type fullCopy struct {
@@ -156,13 +137,16 @@ func copyOf(s *Space) fullCopy {
 	return fullCopy{append([]byte(nil), s.data...), append([]Access(nil), s.tags...), s.ver}
 }
 
+// digest folds every byte of the copy one at a time, zeros included, so it
+// checks Fold's use of Zeros rather than sharing it.
 func (f fullCopy) digest() uint64 {
-	var d byteHasher
+	d := digest.New()
 	d.Bytes(f.data)
 	for _, t := range f.tags {
 		d.Int(int(t))
 	}
-	return d.h
+	d.U64(uint64(f.ver))
+	return d.Sum()
 }
 
 func (f fullCopy) diff(s *Space) error {
@@ -230,10 +214,8 @@ func TestStateRestoreMatchesFullCopy(t *testing.T) {
 		want := copyOf(s)
 		st := s.State()
 
-		var d byteHasher
-		st.AddToDigest(&d)
-		if d.h != want.digest() {
-			t.Fatalf("seed %d (%d B / %d): digest %#x, full copy %#x", seed, size, bs, d.h, want.digest())
+		if d := digest.Of(&st); d != want.digest() {
+			t.Fatalf("seed %d (%d B / %d): digest %#x, full copy %#x", seed, size, bs, d, want.digest())
 		}
 
 		mutate(rng, s, 1+rng.Intn(40)) // the snapshot must not alias s
@@ -268,11 +250,8 @@ func TestDigestIgnoresDirtyZeroPages(t *testing.T) {
 		if len(sb.buf) <= len(sa.buf) {
 			t.Fatalf("block %d: hand-outs marked nothing (%d vs %d snapshot bytes)", bs, len(sb.buf), len(sa.buf))
 		}
-		var da, db byteHasher
-		sa.AddToDigest(&da)
-		sb.AddToDigest(&db)
-		if da.h != db.h {
-			t.Errorf("block %d: digest %#x with dirty zero pages, %#x without", bs, db.h, da.h)
+		if da, db := digest.Of(&sa), digest.Of(&sb); da != db {
+			t.Errorf("block %d: digest %#x with dirty zero pages, %#x without", bs, db, da)
 		}
 		a.Release()
 		b.Release()

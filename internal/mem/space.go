@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+
+	"dsmsim/internal/digest"
 )
 
 // Access is a block's access tag, mirroring the Typhoon-0 states.
@@ -296,22 +298,14 @@ func (s *Space) Restore(st SpaceState) {
 	s.ver = st.ver
 }
 
-// Hasher is the accumulator SpaceState.AddToDigest feeds; proto.Digest
-// implements it. Zeros(n) must equal Bytes of n zero bytes, and Int must
-// fold its value as intBytes bytes, so that Int(0) equals Zeros(intBytes).
-type Hasher interface {
-	Bytes(p []byte)
-	Zeros(n int)
-	Int(v int)
-}
-
 const intBytes = 8
 
-// AddToDigest folds the snapshot's logical contents into d — every data
-// byte in address order, then every tag — exactly as a full copy of the
-// space would, so a dirty page that is still all-zero digests like a clean
-// one and the result does not depend on which pages happen to be marked.
-func (st *SpaceState) AddToDigest(d Hasher) {
+// Fold implements digest.Folder: the snapshot's logical contents — every
+// data byte in address order, then every tag (intBytes bytes each), then
+// the tag-transition counter — exactly as a full copy of the space would,
+// so a dirty page that is still all-zero digests like a clean one and the
+// result does not depend on which pages happen to be marked.
+func (st *SpaceState) Fold(d *digest.Digest) {
 	pages := st.pages()
 	at, end := len(pages), 0
 	for lo, hi := range pages.Runs(st.size) {
@@ -329,4 +323,5 @@ func (st *SpaceState) AddToDigest(d Hasher) {
 		bt, end = bt+(hi-lo)>>st.blockShift, hi>>st.blockShift
 	}
 	d.Zeros(intBytes * (st.size>>st.blockShift - end))
+	d.U64(uint64(st.ver))
 }

@@ -109,23 +109,6 @@ func (a *PhaseAccountant) RestoreState(st *PhaseState) {
 	a.phases = append(a.phases[:0], st.phases...)
 }
 
-// AddToDigest folds everything RestoreState copies back into d: each
-// node's epoch, last cut time and stats at that cut, then every phase.
-func (st *PhaseState) AddToDigest(d stats.Hasher) {
-	for i := range st.epoch {
-		d.I64(int64(st.epoch[i]))
-		d.I64(int64(st.prevAt[i]))
-		st.prev[i].AddToDigest(d)
-	}
-	for i := range st.phases {
-		ph := &st.phases[i]
-		d.I64(int64(ph.Index))
-		d.I64(int64(ph.End))
-		d.I64(int64(ph.Span))
-		ph.Delta.AddToDigest(d)
-	}
-}
-
 // Phases returns the completed epochs. A trailing empty phase (every node
 // finished exactly at its last barrier) is dropped.
 func (a *PhaseAccountant) Phases() []Phase {

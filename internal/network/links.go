@@ -1,6 +1,7 @@
 package network
 
 import (
+	"dsmsim/internal/digest"
 	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
 )
@@ -144,16 +145,20 @@ func (n *Network) CaptureLinks() *LinkState {
 // pristine.
 func (n *Network) RestoreLinks(st *LinkState) { n.links.copyFrom(&st.t) }
 
-// Each calls fn with every materialised page in (source, first destination)
-// order; at[k] is the clamp of link src→first+k. Two tables that clamp
-// every link alike and materialised the same pages yield the same sequence,
-// whatever order the pages were first touched in.
-func (st *LinkState) Each(fn func(src, first int, at []sim.Time)) {
+// Fold implements digest.Folder: every materialised page in (source, first
+// destination) order, each link's clamp. Two tables that clamp every link
+// alike and materialised the same pages digest alike, whatever order the
+// pages were first touched in.
+func (st *LinkState) Fold(d *digest.Digest) {
 	t := &st.t
 	for i, e := range t.dir {
 		if pg := t.page(e); pg != nil {
 			src, first := i/t.perSrc, i%t.perSrc*linkPage
-			fn(src, first, pg[:min(t.pageLen, t.nodes-first)])
+			d.Int(src)
+			d.Int(first)
+			for _, at := range pg[:min(t.pageLen, t.nodes-first)] {
+				d.I64(int64(at))
+			}
 		}
 	}
 }

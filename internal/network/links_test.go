@@ -1,10 +1,10 @@
 package network
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
+	"dsmsim/internal/digest"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/timing"
 )
@@ -170,12 +170,7 @@ func TestLinkStateRoundTrip(t *testing.T) {
 	if got := first.nw.links.pages(); got == 0 || got >= total/4 {
 		t.Fatalf("%d of %d pages materialised at the cut, want a partly filled table", got, total)
 	}
-	summary := func() string {
-		var s string
-		st.Each(func(src, first int, at []sim.Time) { s += fmt.Sprint(src, first, at) })
-		return s
-	}
-	before := summary()
+	before := digest.Of(st)
 	for fork := 0; fork < 2; fork++ {
 		ln := newLinkNet(n)
 		ln.nw.RestoreLinks(st)
@@ -187,7 +182,7 @@ func TestLinkStateRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if summary() != before {
+	if digest.Of(st) != before {
 		t.Fatal("running a restored network changed the snapshot")
 	}
 	if empty := newLinkNet(n).nw.CaptureLinks(); empty.t.dir != nil {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"dsmsim/internal/digest"
 )
 
 // clockRun is one randomised program over a set of Clocks with the oracle
@@ -120,8 +122,7 @@ func (r *clockRun) barrier(traffic bool) {
 // the snapshot or the live set.
 func (r *clockRun) snapshot() {
 	st := CaptureClocks(r.cs)
-	sum := NewDigest()
-	st.AddToDigest(sum)
+	sum := digest.Of(st)
 	for round := 0; round < 2; round++ {
 		fork := NewClocks(len(r.cs))
 		RestoreClocks(fork, st)
@@ -136,9 +137,7 @@ func (r *clockRun) snapshot() {
 			fork[i].Merge(other) // scribble over the fork
 		}
 	}
-	again := NewDigest()
-	st.AddToDigest(again)
-	if sum.Sum() != again.Sum() {
+	if digest.Of(st) != sum {
 		r.failf("writing a restored clock changed the snapshot")
 	}
 	for i := range r.cs {

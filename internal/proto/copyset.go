@@ -1,6 +1,10 @@
 package proto
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"dsmsim/internal/digest"
+)
 
 // Copyset is a set of small non-negative integers — node ids in sharer
 // and writer sets, block ids in delayed-invalidation buffers. It is
@@ -158,6 +162,13 @@ func (s *Copyset) Clone() Copyset {
 		}
 	}
 	return c
+}
+
+// Fold implements digest.Folder: the members, ascending, so a set digests
+// the same whatever spill pages it happens to hold.
+func (s *Copyset) Fold(d *digest.Digest) {
+	d.Int(s.Count())
+	s.ForEach(func(v int) { d.Int(v) })
 }
 
 // CloneSets deep-copies a per-node slice of sets.

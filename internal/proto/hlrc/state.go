@@ -72,27 +72,3 @@ func (p *Protocol) RestoreState(s any) error {
 	p.state = *st.clone()
 	return nil
 }
-
-// AddToDigest implements proto.Digestable. Map walks are over sorted keys
-// so equal states digest equal.
-func (st *state) AddToDigest(d *proto.Digest) {
-	for i := range st.twins {
-		d.Int(i)
-		for _, b := range slices.Sorted(maps.Keys(st.twins[i])) {
-			d.Int(b)
-			d.Bytes(st.twins[i][b])
-		}
-		for _, m := range []map[int]int32{st.written[i], st.seq[i]} {
-			for _, b := range slices.Sorted(maps.Keys(m)) {
-				d.Int(b)
-				d.I64(int64(m[b]))
-			}
-		}
-		for _, wn := range st.earlyNotices[i] {
-			d.I64(int64(wn.Block))
-			d.I64(int64(wn.Seq))
-		}
-	}
-	d.I64(st.twinBytes)
-	d.I64(st.twinBytesPeak)
-}

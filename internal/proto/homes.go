@@ -129,17 +129,6 @@ func (h *Homes) Clone() *Homes {
 	}
 }
 
-// RestoreFrom overwrites this home map in place from a snapshot produced
-// by Clone (itself re-cloned so the snapshot stays pristine). Core uses it
-// because the Env's Homes pointer is already wired into every protocol.
-func (h *Homes) RestoreFrom(src *Homes) {
-	h.nodes = src.nodes
-	h.numBlocks = src.numBlocks
-	h.firstTouch = src.firstTouch
-	h.claimed = src.claimed.Clone()
-	h.moved = src.moved.Clone(func(m *movedHome) { m.known = m.known.Clone() })
-}
-
 // MemBytes reports the heap footprint of the home map: the claim
 // bitmap plus the migrated-block overlay (entries and their learned
 // sets).

@@ -80,9 +80,3 @@ func (l *Log) Clone() *Log {
 	}
 	return c
 }
-
-// RestoreFrom overwrites this log in place from a snapshot produced by
-// Clone, re-cloning so the snapshot stays pristine for further forks.
-func (l *Log) RestoreFrom(src *Log) {
-	l.byNode = src.Clone().byNode
-}

@@ -3,8 +3,6 @@ package proto
 import (
 	"testing"
 	"testing/quick"
-
-	"dsmsim/internal/mem"
 )
 
 func TestVCMergeDominates(t *testing.T) {
@@ -125,28 +123,5 @@ func TestHomesFirstTouch(t *testing.T) {
 	}
 	if h.ClaimToStatic(3) != 2 {
 		t.Fatal("ClaimToStatic must not steal a claimed block")
-	}
-}
-
-// TestDigestZerosEqualsZeroBytes: Zeros(n) is n zero bytes folded one by
-// one, from any starting state, and Int(0) is eight of them — the contract
-// mem.SpaceState.AddToDigest relies on to skip a space's untouched pages.
-func TestDigestZerosEqualsZeroBytes(t *testing.T) {
-	var _ mem.Hasher = NewDigest()
-	for _, n := range []int{0, 1, 7, 8, 63, 4096, 4097, 1 << 20} {
-		fast, slow := NewDigest(), NewDigest()
-		fast.Bytes([]byte("prefix"))
-		slow.Bytes([]byte("prefix"))
-		fast.Zeros(n)
-		slow.Bytes(make([]byte, n))
-		if fast.Sum() != slow.Sum() {
-			t.Errorf("Zeros(%d) = %#x, want %#x", n, fast.Sum(), slow.Sum())
-		}
-	}
-	a, b := NewDigest(), NewDigest()
-	a.Int(0)
-	b.Zeros(8)
-	if a.Sum() != b.Sum() {
-		t.Errorf("Int(0) = %#x, Zeros(8) = %#x", a.Sum(), b.Sum())
 	}
 }

@@ -51,17 +51,3 @@ func (p *Protocol) RestoreState(s any) error {
 	p.state = *st.clone()
 	return nil
 }
-
-// AddToDigest implements proto.Digestable.
-func (st *state) AddToDigest(d *proto.Digest) {
-	for b, e := range st.dir.All() {
-		if e.owner >= 0 || !e.sharers.Empty() {
-			d.Int(b)
-			d.I64(int64(e.owner))
-			e.sharers.AddToDigest(d)
-		}
-	}
-	for i := range st.pendingInval {
-		st.pendingInval[i].AddToDigest(d)
-	}
-}

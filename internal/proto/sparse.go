@@ -1,6 +1,10 @@
 package proto
 
-import "iter"
+import (
+	"iter"
+
+	"dsmsim/internal/digest"
+)
 
 // shardSize is the number of block entries per directory shard. 256
 // entries keeps a shard a few KB for typical entry types — small enough
@@ -56,8 +60,7 @@ func (t *Table[T]) Peek(b int) *T {
 
 // All walks the materialised entries in ascending block order. Entries of
 // a materialised shard that were never written are included, in their
-// default state; callers that fingerprint state skip those, so that which
-// shards happen to be materialised does not show.
+// default state (Fold skips those).
 func (t *Table[T]) All() iter.Seq2[int, *T] {
 	return func(yield func(int, *T) bool) {
 		for s, shard := range t.shards {
@@ -66,6 +69,23 @@ func (t *Table[T]) All() iter.Seq2[int, *T] {
 					return
 				}
 			}
+		}
+	}
+}
+
+// Fold implements digest.Folder: the block and digest of every entry that
+// differs from the default state, ascending, so which shards happen to be
+// materialised does not show.
+func (t *Table[T]) Fold(d *digest.Digest) {
+	var def T
+	if t.init != nil {
+		t.init(&def)
+	}
+	dflt := digest.Of(&def)
+	for b, e := range t.All() {
+		if h := digest.Of(e); h != dflt {
+			d.Int(b)
+			d.U64(h)
 		}
 	}
 }

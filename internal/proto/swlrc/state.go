@@ -44,26 +44,3 @@ func (p *Protocol) RestoreState(s any) error {
 	p.state = *st.clone()
 	return nil
 }
-
-// AddToDigest implements proto.Digestable.
-func (st *state) AddToDigest(d *proto.Digest) {
-	for b, e := range st.dir.All() {
-		if e.owner >= 0 || e.version != 0 {
-			d.Int(b)
-			d.I64(int64(e.owner))
-			d.I64(int64(e.version))
-		}
-	}
-	for i := range st.nodes {
-		for b, v := range st.nodes[i].All() {
-			if v.localVer != 0 || v.lastKnown >= 0 || v.required != 0 {
-				d.Int(i)
-				d.Int(b)
-				d.I64(int64(v.localVer))
-				d.I64(int64(v.lastKnown))
-				d.I64(int64(v.required))
-			}
-		}
-		st.written[i].AddToDigest(d)
-	}
-}

@@ -46,27 +46,3 @@ func (p *Protocol) RestoreState(s any) error {
 	p.state = *st.clone()
 	return nil
 }
-
-// AddToDigest implements proto.Digestable.
-func (st *state) AddToDigest(d *proto.Digest) {
-	for b, e := range st.dir.All() {
-		if e.owner >= 0 || e.wts != 0 || e.rts != 0 {
-			d.Int(b)
-			d.I64(int64(e.owner))
-			d.I64(e.wts)
-			d.I64(e.rts)
-		}
-	}
-	for i := range st.nodes {
-		for b, v := range st.nodes[i].All() {
-			if v.wts != 0 || v.rts != 0 {
-				d.Int(i)
-				d.Int(b)
-				d.I64(v.wts)
-				d.I64(v.rts)
-			}
-		}
-		d.I64(st.pts[i])
-		st.leased[i].AddToDigest(d)
-	}
-}

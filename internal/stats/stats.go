@@ -174,25 +174,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	}
 }
 
-// Hasher is the accumulator AddToDigest feeds; proto.Digest implements it.
-type Hasher interface{ I64(v int64) }
-
-// AddToDigest folds every field of s into d, in declaration order.
-func (s *Snapshot) AddToDigest(d Hasher) {
-	for _, v := range [...]int64{
-		s.ReadFaults, s.WriteFaults, s.Invalidations, s.TwinsCreated,
-		s.DiffsCreated, s.DiffsApplied, s.DiffPayloadBytes,
-		s.WriteNoticesSent, s.WriteNoticesRecv, s.HomeMigrations,
-		s.Forwards, s.LeaseRenewals, s.LeaseExpiries, s.TimestampJumps,
-		s.LockAcquires, s.BarrierEntries,
-		int64(s.Compute), int64(s.ReadStall), int64(s.WriteStall),
-		int64(s.LockStall), int64(s.BarrierStall), int64(s.FlushTime),
-		int64(s.Stolen),
-	} {
-		d.I64(v)
-	}
-}
-
 // AddTo accumulates s into dst field-wise.
 func (s Snapshot) AddTo(dst *Snapshot) {
 	dst.ReadFaults += s.ReadFaults

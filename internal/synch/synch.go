@@ -11,7 +11,6 @@ package synch
 
 import (
 	"fmt"
-	"sort"
 
 	"dsmsim/internal/network"
 	"dsmsim/internal/proto"
@@ -519,31 +518,6 @@ func (s *Sync) RestoreState(st *State) {
 	s.barCount = st.barCount
 	s.barMaxTS = st.barMaxTS
 	s.epoch = st.epoch
-}
-
-// AddToDigest folds the snapshot into d (sorted lock ids, so equal states
-// digest equal).
-func (st *State) AddToDigest(d *proto.Digest) {
-	ids := make([]int, 0, len(st.locks))
-	for id := range st.locks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		l := st.locks[id]
-		d.Int(id)
-		d.Bool(l.held)
-		d.Int(l.holder)
-		d.Int(l.lastReleaser)
-		d.I64(l.lastTS)
-		for _, w := range l.queue {
-			d.Int(w.node)
-			w.vc.AddToDigest(d)
-		}
-	}
-	d.Int(st.barCount)
-	d.I64(st.barMaxTS)
-	d.Int(st.epoch)
 }
 
 func (s *Sync) handleBarRelease(m *network.Msg) {
