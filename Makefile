@@ -41,8 +41,7 @@ examples:
 # verifying every run's numeric result (tens of minutes; writes
 # results_paper.txt and results.csv).
 verify-paper:
-	$(GO) run ./cmd/dsmbench -exp all -size paper -nodes 16 -verify \
-		-csv results.csv > results_paper.txt
+	$(GO) run ./cmd/dsmrun -exp all -size paper -nodes 16 -csv results.csv > results_paper.txt
 
 # Demos and end-to-end smoke checks: `make sweep-demo`, `trace-demo`,
 # `metrics-demo`, `faults-demo`, `prof-demo`, `crit-demo`, `scale-demo`,

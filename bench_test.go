@@ -3,7 +3,7 @@
 // benchmark in bench/.
 //
 // BenchmarkExperiment runs each harness experiment end to end as a
-// sub-benchmark named after it (dsmbench -list). By default the reduced
+// sub-benchmark named after it (dsmrun -list). By default the reduced
 // problem sizes are used so `go test -bench=.` finishes quickly; pass
 // -dsm.paper to sweep the paper's Table 1 sizes (minutes; -dsm.show prints
 // the tables):

@@ -1,5 +1,6 @@
 // Command dsmrun executes (application, protocol, granularity,
-// notification) configurations through the public dsmsim API.
+// notification) configurations through the public dsmsim API, and
+// regenerates the paper's tables and figures.
 //
 // With a single configuration it prints the execution time, the speedup
 // against the sequential baseline, and the full statistics breakdown:
@@ -11,6 +12,18 @@
 // configuration, with output byte-identical at every -parallel setting:
 //
 //	dsmrun -app lu,fft -protocol all -block 64,4096 -parallel 8
+//
+// -exp runs one of the harness's named experiments (or "all", in order)
+// instead of the cross product: its runs are prefetched over the same
+// worker pool and memoized, so "-exp all" reuses the Figure 1 sweep for the
+// fault tables and the Tables 16/17 statistics, and its tables render from
+// completed runs. -protocol, when given, overrides the paper's protocol set.
+// Under -fault-grid every matrix point runs once per variant and the tables
+// render the first variant's runs:
+//
+//	dsmrun -list                                  # name every experiment
+//	dsmrun -exp all -size paper -record runs.jsonl
+//	dsmrun -exp fig1 -fault-grid 's1:drop=0.02,seed=1,start=6;s2:drop=0.02,seed=2,start=6' -fork
 //
 // Ctrl-C cancels in-flight simulations between virtual-time steps.
 package main
@@ -29,7 +42,9 @@ import (
 	"time"
 
 	"dsmsim"
-	"dsmsim/internal/cliflags"
+	"dsmsim/internal/harness"
+	"dsmsim/internal/profiling"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sweep"
 )
 
@@ -52,54 +67,47 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return body()
 }
 
-// cli holds dsmrun's own flags next to the ones it shares with dsmbench.
-type cli struct {
-	shared         *cliflags.Shared
-	app            string
-	protocol       string
-	block          string
-	notify         string
-	verify         bool
-	staticHomes    bool
-	trace          string
-	traceJSON      string
-	record         string
-	profTop        int
-	critTop        int
-	stdout, stderr io.Writer
-}
-
-// newCommand registers the flags on a fresh FlagSet and returns it with
-// the command body to call after parsing.
-func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
-	fs := flag.NewFlagSet("dsmrun", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	c := &cli{shared: cliflags.Register(fs), stdout: stdout, stderr: stderr}
-	fs.StringVar(&c.app, "app", "lu", "application(s), comma-separated or 'all': "+strings.Join(dsmsim.AppNames(), ", "))
-	fs.StringVar(&c.protocol, "protocol", "hlrc", "coherence protocol(s), comma-separated or 'all': "+strings.Join(dsmsim.AllProtocols(), ", "))
-	fs.StringVar(&c.block, "block", "4096", "coherence granularity list in bytes (64, 256, 1024, 4096) or 'all'")
-	fs.StringVar(&c.notify, "notify", "polling", "message notification(s): polling, interrupt, or both comma-separated")
-	fs.BoolVar(&c.verify, "verify", true, "check numeric results against the sequential reference")
-	fs.BoolVar(&c.staticHomes, "static-homes", false, "disable first-touch home migration (ablation; single runs only)")
-	fs.StringVar(&c.trace, "trace", "", "write a deterministic line-format event trace (single runs only)")
-	fs.StringVar(&c.traceJSON, "trace-json", "", "write a Chrome trace-event JSON file (single runs only)")
-	fs.StringVar(&c.record, "record", "", "append each run's JSON record (the point and its full result; a sweep's baselines too) to this file, one line per run")
-	fs.IntVar(&c.profTop, "prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
-	fs.IntVar(&c.critTop, "crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
-	return fs, c.run
-}
-
 func (c *cli) run() (err error) {
-	s := c.shared
-	defer s.StartProfile()()
-	o := sweep.Options{Verify: c.verify, Progress: c.stderr}
-	if err := s.Apply(&o); err != nil {
+	defer profiling.Start(c.cpuProfile, c.memProfile)()
+	if c.list {
+		for _, e := range harness.Experiments() {
+			fmt.Fprintf(c.stdout, "%-10s %s\n", e.Name, e.Desc)
+		}
+		return nil
+	}
+	set := map[string]bool{}
+	c.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// named lists the flags among names given on the command line.
+	named := func(names ...string) string {
+		var given []string
+		for _, n := range names {
+			if set[n] {
+				given = append(given, "-"+n)
+			}
+		}
+		return strings.Join(given, "/")
+	}
+
+	o := sweep.Options{Progress: c.stderr}
+	if err := c.apply(&o); err != nil {
 		return err
+	}
+	if set["metrics-linger"] && c.metricsAddr == "" {
+		return errors.New("-metrics-linger needs -metrics-addr")
+	}
+	var exps []harness.Experiment
+	if c.exp != "" {
+		if f := named("app", "block", "notify"); f != "" {
+			return fmt.Errorf("-exp and %s exclude each other: an experiment selects its own configurations", f)
+		}
+		if exps, err = experiments(c.exp); err != nil {
+			return err
+		}
 	}
 	spec := dsmsim.SweepSpec{
 		Apps:      splitList(c.app, dsmsim.AppNames()),
 		Protocols: splitList(c.protocol, dsmsim.AllProtocols()),
-		Nodes:     s.Nodes,
+		Nodes:     c.nodes,
 		Size:      o.Size,
 	}
 	if spec.Granularities, err = intList(c.block, dsmsim.Granularities); err != nil {
@@ -119,31 +127,90 @@ func (c *cli) run() (err error) {
 			return fmt.Errorf("-%s %q selects nothing", sel.flag, sel.value)
 		}
 	}
+	for _, p := range spec.Protocols {
+		if _, ok := proto.Lookup(p); !ok {
+			return fmt.Errorf("unknown protocol %q (registered: %s)", p, strings.Join(proto.Names(), ", "))
+		}
+	}
+
 	points := len(spec.Apps) * len(spec.Protocols) * len(spec.Granularities) * len(spec.Notify)
+	single := c.exp == "" && points == 1 && len(o.FaultGrid) == 0
+	if f := named("metrics-addr", "metrics-linger", "latency"); single && f != "" {
+		return fmt.Errorf("only a sweep takes %s (1 configuration selected)", f)
+	}
+	if f := named("static-homes", "trace", "trace-json", "prof-top", "crit-top"); !single && f != "" {
+		selected := fmt.Sprintf("%d configurations selected", points)
+		if c.exp != "" {
+			selected = "-exp " + c.exp + " selected"
+		}
+		return fmt.Errorf("only a single run takes %s (%s)", f, selected)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	defer func() { err = errors.Join(err, s.Close()) }()
-
-	single := points == 1 && len(o.FaultGrid) == 0
-	if single && s.MetricsAddr != "" {
-		return errors.New("-metrics-addr applies to sweeps only (1 configuration selected)")
-	}
-	if !single && (c.staticHomes || c.trace != "" || c.traceJSON != "") {
-		return fmt.Errorf("-static-homes/-trace/-trace-json apply to single runs only (%d configurations selected)", points)
-	}
+	defer func() { err = errors.Join(err, c.close()) }()
 	// A single run's files are the ones a one-point sweep writes, through
 	// the same sink.
-	if err := s.OpenSinks(&o, c.stderr); err != nil {
+	if err := c.openSinks(&o); err != nil {
 		return err
 	}
-	if o.Record, err = s.Append(c.record); err != nil {
-		return err
-	}
-	if single {
+	switch {
+	case single:
 		return c.runOne(ctx, spec, o)
+	case c.exp != "":
+		protocols := spec.Protocols
+		if !set["protocol"] {
+			protocols = nil // the paper's set
+		}
+		err = c.runExp(ctx, o, exps, protocols)
+	default:
+		err = c.runSweep(ctx, spec, o)
 	}
-	return c.runSweep(ctx, spec, o)
+	// Hold the metrics endpoint open for interval-based scrapers that would
+	// otherwise miss a short sweep entirely. Ctrl-C ends the linger early.
+	if err == nil && c.metricsLinger > 0 {
+		select {
+		case <-time.After(c.metricsLinger):
+		case <-ctx.Done():
+		}
+	}
+	return err
+}
+
+// experiments resolves -exp: one experiment by name, or all of them in
+// order.
+func experiments(name string) ([]harness.Experiment, error) {
+	if name == "all" {
+		return harness.Experiments(), nil
+	}
+	e, err := harness.Get(name)
+	return []harness.Experiment{e}, err
+}
+
+// runExp fans the experiments' runs out over the worker pool, then renders
+// each experiment's tables from the memoized runs, a blank line before
+// each.
+func (c *cli) runExp(ctx context.Context, o sweep.Options, exps []harness.Experiment, protocols []string) error {
+	opts := harness.Options{Options: o, Nodes: c.nodes, Out: c.stdout, Protocols: protocols}
+	r, err := harness.New(opts)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	if err := r.Prefetch(ctx, harness.PointsFor(opts, exps)); err != nil {
+		return err
+	}
+	for _, e := range exps {
+		fmt.Fprintln(c.stdout)
+		if err := e.Run(r); err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+	}
+	if o.Fork {
+		fmt.Fprintln(c.stdout)
+		printForkSummary(c.stdout, r.ForkStats(), time.Since(start))
+	}
+	return nil
 }
 
 // runSweep fans the cross product out over the worker pool and prints one
@@ -169,7 +236,7 @@ func (c *cli) runSweep(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Optio
 		}
 	}
 	if o.Fork {
-		cliflags.PrintForkSummary(out, res.Fork, wall)
+		printForkSummary(out, res.Fork, wall)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -13,41 +14,53 @@ import (
 	"strings"
 	"testing"
 
-	"dsmsim/internal/cliflags"
+	"dsmsim/internal/harness"
+	"dsmsim/internal/sweep"
 )
 
 // wantFlags is dsmrun's flag inventory: every name with its default. A
 // flag added, dropped, renamed or re-defaulted fails here first; the
-// README flag tables are checked against the same FlagSet.
+// README flag table is checked against the same FlagSet.
 var wantFlags = []string{
 	"app=lu", "block=4096", "cpuprofile=", "crit=false", "crit-csv=",
-	"crit-top=5", "csv=", "fault-grid=", "faults=",
-	"fork=false", "memprofile=", "metrics-addr=", "nodes=16",
+	"crit-top=5", "csv=", "exp=", "fault-grid=", "faults=",
+	"fork=false", "latency=false", "list=false", "memprofile=",
+	"metrics-addr=", "metrics-linger=0s", "nodes=16",
 	"notify=polling", "parallel=0", "prof=false", "prof-csv=", "prof-top=10",
 	"protocol=hlrc", "record=", "sample-csv=", "sample-every=0s",
 	"size=small", "static-homes=false", "trace=", "trace-json=",
 	"verify=true", "whatif=",
 }
 
-func TestFlagInventory(t *testing.T) {
+// flagInventory lists the FlagSet's "name=default" pairs in name order.
+func flagInventory() []string {
 	fs, _ := newCommand(io.Discard, io.Discard)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
-	if fmt.Sprint(got) != fmt.Sprint(wantFlags) {
+	return got
+}
+
+func TestFlagInventory(t *testing.T) {
+	if got := flagInventory(); fmt.Sprint(got) != fmt.Sprint(wantFlags) {
 		t.Fatalf("flag inventory changed:\n got %q\nwant %q", got, wantFlags)
 	}
 }
 
-// readmeFlags returns the "name=default" rows of the README flag table
-// under the given "### " heading.
-func readmeFlags(t *testing.T, heading string) []string {
-	data, err := os.ReadFile("../../README.md")
+// doc reads one of the repository's top-level documents.
+func doc(t *testing.T, name string) string {
+	data, err := os.ReadFile("../../" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, ok := strings.Cut(string(data), "### "+heading+"\n")
+	return string(data)
+}
+
+// TestREADMEFlagTables: the README's "dsmrun flags" table is exactly the
+// FlagSet, name and default.
+func TestREADMEFlagTables(t *testing.T) {
+	_, section, ok := strings.Cut(doc(t, "README.md"), "### dsmrun flags\n")
 	if !ok {
-		t.Fatalf("README.md has no %q section", heading)
+		t.Fatal(`README.md has no "dsmrun flags" section`)
 	}
 	section, _, _ = strings.Cut(section, "\n##")
 	var rows []string
@@ -56,29 +69,36 @@ func readmeFlags(t *testing.T, heading string) []string {
 			rows = append(rows, strings.Trim(cells[1], " `-")+"="+strings.Trim(cells[2], " `"))
 		}
 	}
-	return rows
+	want := flagInventory()
+	sort.Strings(rows)
+	sort.Strings(want)
+	if fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Errorf("README flag table:\n got %q\nwant %q", rows, want)
+	}
 }
 
-// TestREADMEFlagTables: the README's shared table plus this CLI's own are
-// exactly the flag inventory, and the shared table is exactly what
-// cliflags registers.
-func TestREADMEFlagTables(t *testing.T) {
-	shared := readmeFlags(t, "Flags shared by dsmrun and dsmbench")
-	var registered []string
-	sfs := flag.NewFlagSet("shared", flag.ContinueOnError)
-	cliflags.Register(sfs)
-	sfs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name+"="+f.DefValue) })
-	sort.Strings(shared)
-	sort.Strings(registered)
-	if fmt.Sprint(shared) != fmt.Sprint(registered) {
-		t.Errorf("README shared-flag table:\n got %q\nwant %q", shared, registered)
+// TestDocsNameEveryExperiment keeps the prose in step with the registry:
+// README.md shows what -list prints verbatim, DESIGN.md's per-experiment
+// index names every entry (as `-exp NAME` or `NAME`), and EXPERIMENTS.md
+// has a bullet for every experiment that is not one of the paper's tables
+// or figures, which it discusses under their own headings.
+func TestDocsNameEveryExperiment(t *testing.T) {
+	var list bytes.Buffer
+	if err := run([]string{"-list"}, &list, io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	all := append(shared, readmeFlags(t, "dsmrun only")...)
-	want := append([]string(nil), wantFlags...)
-	sort.Strings(all)
-	sort.Strings(want)
-	if fmt.Sprint(all) != fmt.Sprint(want) {
-		t.Errorf("README shared + dsmrun-only tables:\n got %q\nwant %q", all, want)
+	if !strings.Contains(doc(t, "README.md"), "$ go run ./cmd/dsmrun -list\n"+list.String()+"```") {
+		t.Errorf("README.md does not show the current `dsmrun -list` output:\n%s", list.String())
+	}
+	design, experiments := doc(t, "DESIGN.md"), doc(t, "EXPERIMENTS.md")
+	for _, e := range harness.Experiments() {
+		if !strings.Contains(design, "-exp "+e.Name+"`") && !strings.Contains(design, "`"+e.Name+"`") {
+			t.Errorf("DESIGN.md's per-experiment index does not name %q", e.Name)
+		}
+		paper := strings.HasPrefix(e.Name, "table") || strings.HasPrefix(e.Name, "fig")
+		if !paper && !strings.Contains(experiments, "* **"+e.Name+"**") {
+			t.Errorf("EXPERIMENTS.md has no bullet for %q", e.Name)
+		}
 	}
 }
 
@@ -166,6 +186,99 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestGoldenTable3 pins everything one small experiment writes — the
+// rendered table, the progress stream and all four CSV files — to SHA-256
+// digests recorded at commit 8395aed, at -parallel 1 and 8. Its run
+// record must be byte-identical at both settings and hold one line per
+// CSV row plus one per sequential baseline (table3 needs none).
+func TestGoldenTable3(t *testing.T) {
+	want := map[string]string{
+		"stdout":     "880c03ec9aee238e",
+		"stderr":     "63a6e407b0d25c28",
+		"runs.csv":   "d4a67faf65b9e1a5",
+		"prof.csv":   "02000b2f4b67e264",
+		"crit.csv":   "dd9541d5e987f475",
+		"sample.csv": "eeae116b8634d1ae",
+	}
+	var records [][]byte
+	for _, parallel := range []int{1, 8} {
+		dir := t.TempDir()
+		file := func(name string) string { return filepath.Join(dir, name) }
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-exp", "table3", "-size", "small", "-nodes", "4",
+			"-parallel", strconv.Itoa(parallel),
+			"-csv", file("runs.csv"), "-prof-csv", file("prof.csv"), "-crit-csv", file("crit.csv"),
+			"-sample-every", "200us", "-sample-csv", file("sample.csv"), "-record", file("runs.jsonl")}, &stdout, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{"stdout": digest(stdout.Bytes()), "stderr": digest(stderr.Bytes())}
+		for name := range want {
+			if filepath.Ext(name) == ".csv" {
+				data, err := os.ReadFile(file(name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[name] = digest(data)
+			}
+		}
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("-parallel %d: %s digest %s, want %s", parallel, name, got[name], w)
+			}
+		}
+		csv, err := os.ReadFile(file("runs.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		record, err := os.ReadFile(file("runs.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, record)
+		var runs, baselines int
+		for _, line := range strings.Split(strings.TrimSpace(string(record)), "\n") {
+			var r sweep.Record
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatalf("-parallel %d: record line %q: %v", parallel, line, err)
+			}
+			if r.Point.Sequential {
+				baselines++
+			} else {
+				runs++
+			}
+		}
+		rows, seqs := strings.Count(string(csv), "\n")-1, strings.Count("\n"+stderr.String(), "\nseq ")
+		if runs != rows || baselines != seqs {
+			t.Errorf("-parallel %d: record holds %d runs and %d baselines, want %d (one per CSV row) and %d (one per seq progress line)",
+				parallel, runs, baselines, rows, seqs)
+		}
+	}
+	if !bytes.Equal(records[0], records[1]) {
+		t.Error("-record differs between -parallel 1 and 8")
+	}
+}
+
+// TestForkHealthyFirstGrid: -fork takes any -fault-grid, one whose first
+// variant is the healthy machine included. Nothing in this grid is gated,
+// so its healthy and ungated points run flat and the fork summary counts
+// them; the tables render the first variant's runs.
+func TestForkHealthyFirstGrid(t *testing.T) {
+	var stdout bytes.Buffer
+	err := run([]string{"-exp", "table3", "-size", "small", "-nodes", "4",
+		"-fork", "-fault-grid", "none;ungated:drop=0.01,seed=1"}, &stdout, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), "fork: no runs forked") || !strings.Contains(stdout.String(), "; 24 points ran flat, 0 failed forks") {
+		t.Fatalf("fork summary does not count the 2 x 12 flat points:\n%s", stdout.Bytes())
+	}
+	err = run([]string{"-exp", "table3", "-fork", "-faults", "drop=0.01,start=2"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-fork needs a -fault-grid") {
+		t.Fatalf("-fork without a grid: err = %v", err)
+	}
+}
+
 // TestSingleRunCSV: one selected configuration writes every file through
 // the sweep's sink — header plus its rows, no second header on a re-run,
 // and the same rows and record line the sweep writes for that
@@ -227,9 +340,10 @@ func TestSingleRunCSV(t *testing.T) {
 	}
 }
 
-// TestRefusedSelections: a selector that names nothing, or a fault plan
-// given both as -faults and as -fault-grid, is an error naming the flag —
-// not a sweep over some default.
+// TestRefusedSelections: a selector that names nothing, a fault plan
+// given both as -faults and as -fault-grid, a selector beside -exp, or a
+// flag that the selected kind of run would ignore is an error naming the
+// flags involved — not a sweep over some default.
 func TestRefusedSelections(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-app= -protocol sc -block 4096 -nodes 2", "-app"},
@@ -238,6 +352,14 @@ func TestRefusedSelections(t *testing.T) {
 		{"-notify= -nodes 2", "-notify"},
 		{"-faults drop=0.01 -fault-grid a:drop=0.02 -nodes 2", "-fault-grid"},
 		{"-fork -faults drop=0.01,start=2 -nodes 2", "-fork needs a -fault-grid"},
+		{"-exp table3 -app lu -nodes 2", "-exp and -app"},
+		{"-exp table3 -block 64 -nodes 2", "-exp and -block"},
+		{"-exp table3 -notify interrupt -nodes 2", "-exp and -notify"},
+		{"-prof-top 3 -protocol sc,hlrc -nodes 2", "-prof-top"},
+		{"-crit-top 3 -exp table3 -nodes 2", "-crit-top (-exp table3"},
+		{"-metrics-linger 1s -protocol sc,hlrc -nodes 2", "-metrics-linger needs -metrics-addr"},
+		{"-latency -nodes 2", "only a sweep takes -latency"},
+		{"-exp table3 -protocol nope -nodes 2", "unknown protocol \"nope\""},
 	} {
 		var stdout bytes.Buffer
 		err := run(strings.Fields(c.args), &stdout, io.Discard)

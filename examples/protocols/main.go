@@ -76,5 +76,5 @@ func main() {
 	fmt.Printf("\nsimulated %d runs in %v wall-clock (%.1f runs/sec)\n",
 		runs, elapsed.Round(time.Millisecond), float64(runs)/elapsed.Seconds())
 	fmt.Println("\n(Small problem sizes: absolute speedups are modest; run")
-	fmt.Println(" cmd/dsmbench -size paper for the paper-scale sweep.)")
+	fmt.Println(" cmd/dsmrun -exp fig1 -size paper for the paper-scale sweep.)")
 }

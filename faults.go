@@ -82,10 +82,10 @@ func RetransmitTimeout(d Time) FaultRule { return faults.RTO(d) }
 // (see WithFork). Parse syntax: `start=K`.
 func StartAtBarrier(k int) FaultRule { return faults.StartAtBarrier(k) }
 
-// ParseFaults builds a plan from the CLI flag syntax shared by dsmrun and
-// dsmbench (-faults, and each -fault-grid variant): comma-separated
-// `drop=P`, `dup=P`, `jitter=DUR`, `rto=DUR`, `seed=N`, `start=K`,
-// `partition=A-B@FROM:TO`, `linkdrop=A-B:P` and any number of
+// ParseFaults builds a plan from dsmrun's flag syntax (-faults, and each
+// -fault-grid variant): comma-separated `drop=P`, `dup=P`, `jitter=DUR`,
+// `rto=DUR`, `seed=N`, `start=K`, `partition=A-B@FROM:TO`,
+// `linkdrop=A-B:P` and any number of
 // `straggler=NODExFACTOR[@FROM:TO]` (durations are Go durations like 50us,
 // or bare nanosecond integers), e.g. "drop=0.01,straggler=2x3@0:50ms".
 func ParseFaults(spec string) (*FaultPlan, error) { return faults.Parse(spec) }

@@ -28,7 +28,7 @@ var goldenExperiments = map[string]string{
 	"degradation": "b3ee326ab72df085", "sharing": "d85f65b38fb0558e", "critpath": "abd123eaad8e1d44",
 }
 
-// TestGoldenExperiments renders every experiment the way dsmbench does —
+// TestGoldenExperiments renders every experiment the way dsmrun -exp does —
 // prefetch its declared points, then Run — on one runner per worker count,
 // and compares each table's bytes with the recorded digest.
 func TestGoldenExperiments(t *testing.T) {

@@ -233,7 +233,7 @@ func TestFig1Table2Table15Small(t *testing.T) {
 	}
 }
 
-// TestPrefetchParallelDeterminism checks the dsmbench pipeline end to end:
+// TestPrefetchParallelDeterminism checks the dsmrun -exp pipeline end to end:
 // prefetching an experiment's points at 8 workers and rendering must
 // produce byte-identical table, progress and CSV output to 1 worker.
 func TestPrefetchParallelDeterminism(t *testing.T) {

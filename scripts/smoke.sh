@@ -15,7 +15,6 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 dsmrun() { $GO run ./cmd/dsmrun "$@"; }
-dsmbench() { $GO run ./cmd/dsmbench "$@"; }
 unit() { [ -z "$tests" ] || $GO test "$@"; }
 ok() { echo "ok: $*"; }
 
@@ -44,7 +43,7 @@ grid='none;lossy:drop=0.03,seed=5,start=6;jittery:jitter=30us,dup=0.01,seed=11,s
 # The parallel sweep engine, under the race detector.
 sweep() {
 	unit -race ./internal/sweep ./internal/harness .
-	pcmp -csv -- $GO run -race ./cmd/dsmbench "${table3[@]}"
+	pcmp -csv -record -- $GO run -race ./cmd/dsmrun "${table3[@]}"
 }
 
 # A sample execution trace from the quickstart example.
@@ -68,11 +67,11 @@ metrics() {
 	ok "wrote metrics_demo.csv and metrics_demo.jsonl (the run's full result as one JSON line)"
 	pcmp -sample-csv -record -- dsmrun -app lu,fft -protocol sc,hlrc -block 256,4096 -nodes 4 -sample-every 200us
 	python3 -c "$jsonl" "$tmp/p1-record"
-	$GO build -o "$tmp/dsmbench" ./cmd/dsmbench # a binary of our own, so the kill below reaches it
+	$GO build -o "$tmp/dsmrun" ./cmd/dsmrun # a binary of our own, so the kill below reaches it
 	# Scrape in the -metrics-linger window, once fig1's table is on stdout
 	# (water-spatial is its last row): by then every point has finished and
 	# the render has looked each one up again through the memo.
-	"$tmp/dsmbench" -exp fig1 -size small -nodes 4 -metrics-addr 127.0.0.1:9101 -metrics-linger 60s >"$tmp/fig1.txt" 2>/dev/null &
+	"$tmp/dsmrun" -exp fig1 -size small -nodes 4 -metrics-addr 127.0.0.1:9101 -metrics-linger 60s >"$tmp/fig1.txt" 2>/dev/null &
 	local pid=$! i total
 	for i in $(seq 1 300); do
 		grep -q '^water-spatial  *hlrc ' "$tmp/fig1.txt" && break
@@ -94,7 +93,7 @@ metrics() {
 faults() {
 	unit -race ./internal/faults ./internal/network ./internal/sweep .
 	dsmrun -app lu -protocol sc -block 4096 -nodes 4 -faults 'drop=0.01,seed=1'
-	dsmbench -exp degradation -nodes 4 -size small -progress=false
+	dsmrun -exp degradation -nodes 4 -size small 2>"$tmp/degradation.err"
 	local a
 	for a in a b; do dsmrun "${lu_hlrc[@]}" -nodes 4 -faults 'drop=0.02,seed=3' >"$tmp/lossy_$a"; done
 	cmp "$tmp/lossy_a" "$tmp/lossy_b"
@@ -108,8 +107,8 @@ faults() {
 prof() {
 	unit -race ./internal/shareprof ./internal/sweep .
 	dsmrun -app volrend-original -protocol hlrc -block 4096 -nodes 16 -prof
-	dsmbench -exp sharing -nodes 16 -size small -progress=false
-	pcmp -prof-csv -- dsmbench -exp table9 -size small -nodes 4
+	dsmrun -exp sharing -nodes 16 -size small 2>"$tmp/sharing.err"
+	pcmp -prof-csv -- dsmrun -exp table9 -size small -nodes 4
 	head -1 "$tmp/p1-prof-csv" | grep -q '^app,protocol,block,notify,nodes,region,'
 	grep -q ',(total),' "$tmp/p1-prof-csv"
 }
@@ -128,9 +127,9 @@ crit() {
 	ok "critical path $path equals completion time $total"
 	dsmrun "${lu_hlrc[@]}" -nodes 8 -whatif msg=0.5 | tee "$tmp/whatif.txt"
 	grep -q path-predicted "$tmp/whatif.txt" && grep -q re-simulated "$tmp/whatif.txt"
-	pcmp -crit-csv -- dsmbench "${table3[@]}"
+	pcmp -crit-csv -- dsmrun "${table3[@]}"
 	head -1 "$tmp/p1-crit-csv" | grep -q '^app,protocol,block,notify,nodes,crit_total_ns,'
-	dsmbench -exp critpath -nodes 16 -size small -progress=false
+	dsmrun -exp critpath -nodes 16 -size small 2>"$tmp/critpath.err"
 }
 
 # Past the old 64-node ceiling: a verified FFT + LU sweep at 256 nodes under
@@ -177,7 +176,7 @@ tlc() {
 	local p
 	for p in sc dc swlrc hlrc tlc; do grep -q " $p " "$tmp/all.txt"; done
 	ok "all registered protocols ran and verified"
-	dsmbench -exp fourway -nodes 4 -size small -progress=false
+	dsmrun -exp fourway -nodes 4 -size small 2>"$tmp/fourway.err"
 }
 
 # Ten seconds of fuzzing per parser of a flag string, and of the trace line
@@ -185,7 +184,7 @@ tlc() {
 fuzz() {
 	local t
 	for t in "FuzzParse ./internal/faults" "FuzzParseStragglers ./internal/faults" \
-		"FuzzParseScale ./internal/critpath" "FuzzGrid ./internal/cliflags" \
+		"FuzzParseScale ./internal/critpath" "FuzzGrid ./cmd/dsmrun" \
 		"FuzzLineEncoder ./internal/trace"; do
 		set -- $t
 		$GO test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
