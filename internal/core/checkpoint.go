@@ -27,7 +27,7 @@ var ErrNotResumable = errors.New("core: run cannot be checkpointed/forked")
 // barrier epoch: the quiescent instant when the last node has arrived and
 // no release has been sent — every proc blocked, the event queue empty,
 // nothing in flight. One checkpoint can seed any number of forked runs
-// (every restore re-clones), which is what lets a sweep run a shared warmup
+// (every restore copies), which is what lets a sweep run a shared warmup
 // prefix once and fork it per grid point.
 //
 // Digest walks every field; those tagged `digest:"-"` are left out: the app
@@ -44,7 +44,7 @@ type Checkpoint struct {
 
 	spaces     []mem.SpaceState
 	stats      []stats.Node
-	clocks     *proto.ClockState
+	clocks     []proto.Clock
 	eps        []network.EndpointState
 	links      *network.LinkState
 	homes      *proto.Homes
@@ -241,7 +241,7 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 		epoch:      epoch,
 		now:        r.engine.Now(),
 		seq:        r.engine.Seq(),
-		homes:      r.env.Homes.Clone(),
+		homes:      digest.Clone(r.env.Homes),
 		protoState: ps,
 		sy:         r.sy.CaptureState(),
 		links:      r.net.CaptureLinks(),
@@ -250,8 +250,8 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 	if r.env.Log != nil {
 		// Log and VCs exist only for the clock-carrying protocols (see
 		// proto.Meta.NeedsClocks); cp.log and cp.clocks are nil otherwise.
-		cp.log = r.env.Log.Clone()
-		cp.clocks = proto.CaptureClocks(r.env.VCs)
+		cp.log = digest.Clone(r.env.Log)
+		digest.Copy(&cp.clocks, &r.env.VCs)
 	}
 	for i := 0; i < r.cfg.Nodes; i++ {
 		cp.spaces = append(cp.spaces, r.env.Spaces[i].State())
@@ -266,7 +266,7 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 		cp.barStart = append(cp.barStart, n.barStart)
 		cp.barFlush0 = append(cp.barFlush0, n.barFlush0)
 	}
-	cp.writers = proto.CloneSets(r.writers)
+	digest.Copy(&cp.writers, &r.writers)
 	if r.sampler != nil {
 		cp.sampler = r.sampler.CaptureState()
 	}
@@ -281,7 +281,7 @@ func (r *run) capture(epoch int) (*Checkpoint, error) {
 }
 
 // restore applies cp onto the freshly built (but not yet run) simulation.
-// Everything is re-cloned out of the checkpoint, so cp remains valid for
+// Everything is copied out of the checkpoint, so cp remains valid for
 // further forks.
 func (r *run) restore(cp *Checkpoint) error {
 	if r.inj != nil {
@@ -300,12 +300,13 @@ func (r *run) restore(cp *Checkpoint) error {
 			r.inj.Activate()
 		}
 	}
-	// The Env's Homes and Log are wired into every protocol: overwrite
-	// them in place.
-	*r.env.Homes = *cp.homes.Clone()
+	// The Env's Homes and Log are wired into every protocol, and the
+	// writer sets are pooled: overwrite them in place.
+	digest.Copy(r.env.Homes, cp.homes)
+	digest.Copy(&r.writers, &cp.writers)
 	if r.env.Log != nil {
-		*r.env.Log = *cp.log.Clone()
-		proto.RestoreClocks(r.env.VCs, cp.clocks)
+		digest.Copy(r.env.Log, cp.log)
+		digest.Copy(&r.env.VCs, &cp.clocks)
 	}
 	if err := r.p.RestoreState(cp.protoState); err != nil {
 		return err
@@ -316,9 +317,6 @@ func (r *run) restore(cp *Checkpoint) error {
 		r.env.Spaces[i].Restore(cp.spaces[i])
 		*r.env.Stats[i] = cp.stats[i]
 		r.net.Endpoint(i).RestoreState(cp.eps[i])
-	}
-	for b := range r.writers {
-		r.writers[b] = cp.writers[b].Clone()
 	}
 	if r.sampler != nil {
 		r.sampler.RestoreState(cp.sampler)

@@ -12,7 +12,8 @@ import (
 
 // acctApp is a workload that exercises every time component: computation,
 // read and write faults, contended locks, barriers, and (under HLRC)
-// release-time diff flushes.
+// release-time diff flushes. It runs through Ctx.Phases, so it resumes
+// from a checkpoint: four rounds of a locked write phase and a read phase.
 func acctApp() App {
 	var base int
 	return &testApp{
@@ -20,21 +21,22 @@ func acctApp() App {
 		setup: func(h *Heap) { base = h.AllocF64s(2048) },
 		run: func(c *Ctx) {
 			me := c.ID()
-			for r := 0; r < 4; r++ {
+			c.Phases(8, func(e int) {
+				if e%2 == 1 {
+					s := 0.0
+					for _, v := range c.F64sR(base, 2048) {
+						s += v
+					}
+					_ = s
+					return
+				}
 				c.Lock(me % 2)
 				for i := me; i < 2048; i += c.NP() {
-					c.WriteF64(base+i*8, float64(r))
+					c.WriteF64(base+i*8, float64(e/2))
 				}
 				c.Unlock(me % 2)
 				c.Compute(300 * sim.Microsecond)
-				c.Barrier()
-				s := 0.0
-				for _, v := range c.F64sR(base, 2048) {
-					s += v
-				}
-				_ = s
-				c.Barrier()
-			}
+			})
 		},
 		verify: func(h *Heap) error { return nil },
 	}

@@ -26,6 +26,7 @@
 package critpath
 
 import (
+	"dsmsim/internal/digest"
 	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
 )
@@ -124,26 +125,8 @@ type record struct {
 // Tracker accumulates dependency records for one run. It is
 // single-threaded, like the engine that drives it.
 type Tracker struct {
-	// Records live in fixed-size chunks, id-1 = chunk*chunkLen + offset:
-	// a run makes hundreds of thousands, and a chunk list grows without
-	// ever copying a record. The chunks come from a pool and go back to it
-	// at Release.
-	chunks []*[chunkLen]record
-	n      int32 // records made; also the id of the latest
-
-	procLast []int32    // per node: last record on the proc's chain
-	mark     []sim.Time // per node: start of the open proc segment
-	lastSvc  []int32    // per node: last completed service record
-	svcRec   []int32    // per node: in-flight service record
-
-	// cur is the record of the in-flight event context — the service
-	// whose handler is running, the delivered ARQ frame, the fired
-	// retransmit timer — or 0 in proc context.
-	cur     int32
+	State
 	forward bool // the next transmit is a forwarding hop
-
-	final  int32 // record with the latest end (ties: latest id)
-	maxEnd sim.Time
 
 	// Runtime reports whether node i is currently inside DSM-runtime
 	// code (fault handling, lock/barrier entry); open proc segments
@@ -153,12 +136,12 @@ type Tracker struct {
 
 // New creates a tracker for a machine of the given node count.
 func New(nodes int) *Tracker {
-	return &Tracker{
+	return &Tracker{State: State{
 		procLast: make([]int32, nodes),
 		mark:     make([]sim.Time, nodes),
 		lastSvc:  make([]int32, nodes),
 		svcRec:   make([]int32, nodes),
-	}
+	}}
 }
 
 const (
@@ -385,62 +368,51 @@ func (t *Tracker) ClearContext() { t.cur = 0 }
 
 // --- checkpoint/fork ------------------------------------------------------
 
-// State is a deep snapshot of a tracker cut at a quiescent barrier
-// instant (inside the barrier-full handler, with the release
-// suppressed). A forked run restores it onto a fresh tracker so its
-// recovered path — and therefore its report and CSV output — is
-// byte-identical to a flat run of the same configuration.
+// State is what a tracker has recovered of the path so far, which a
+// checkpoint snapshots at a quiescent barrier instant (inside the
+// barrier-full handler, with the release suppressed). A forked run
+// restores it onto a fresh tracker so its recovered path — and therefore
+// its report and CSV output — is byte-identical to a flat run of the same
+// configuration.
 type State struct {
-	chunks   []*[chunkLen]record
-	n        int32
-	procLast []int32
-	mark     []sim.Time
-	lastSvc  []int32
-	svcRec   []int32
-	cur      int32
-	final    int32
-	maxEnd   sim.Time
+	// Records live in fixed-size chunks, id-1 = chunk*chunkLen + offset:
+	// a run makes hundreds of thousands, and a chunk list grows without
+	// ever copying a record. The chunks come from a pool and go back to it
+	// at Release.
+	chunks []*[chunkLen]record
+	n      int32 // records made; also the id of the latest
+
+	procLast []int32    // per node: last record on the proc's chain
+	mark     []sim.Time // per node: start of the open proc segment
+	lastSvc  []int32    // per node: last completed service record
+	svcRec   []int32    // per node: in-flight service record
+
+	// cur is the record of the in-flight event context — the service
+	// whose handler is running, the delivered ARQ frame, the fired
+	// retransmit timer — or 0 in proc context.
+	cur int32
+
+	final  int32 // record with the latest end (ties: latest id)
+	maxEnd sim.Time
 }
 
 // CaptureState snapshots the tracker. The snapshot's chunks are its own, not
 // the pool's: a checkpoint is never released.
-func (t *Tracker) CaptureState() *State {
-	chunks := make([]*[chunkLen]record, len(t.chunks))
-	for i, c := range t.chunks {
-		cc := *c
-		chunks[i] = &cc
-	}
-	return &State{
-		chunks:   chunks,
-		n:        t.n,
-		procLast: append([]int32(nil), t.procLast...),
-		mark:     append([]sim.Time(nil), t.mark...),
-		lastSvc:  append([]int32(nil), t.lastSvc...),
-		svcRec:   append([]int32(nil), t.svcRec...),
-		cur:      t.cur,
-		final:    t.final,
-		maxEnd:   t.maxEnd,
-	}
-}
+func (t *Tracker) CaptureState() *State { return digest.Clone(&t.State) }
 
 // RestoreState applies a snapshot to a fresh tracker of the same node
-// count (re-copied, so the snapshot stays pristine for further forks).
-// cur is restored too: the barrier release the resuming run replays must
-// chain from the captured barrier-arrive service record, exactly as the
-// flat run's release does.
+// count, drawing the chunks from the pool Release returns them to. cur is
+// restored too: the barrier release the resuming run replays must chain
+// from the captured barrier-arrive service record, as the flat run's does.
 func (t *Tracker) RestoreState(st *State) {
-	t.chunks, t.n = make([]*[chunkLen]record, len(st.chunks)), st.n
-	for i, c := range st.chunks {
-		t.chunks[i] = newChunk()
-		*t.chunks[i] = *c
+	rest := *st
+	rest.chunks = nil
+	digest.Copy(&t.State, &rest)
+	for _, c := range st.chunks {
+		nc := newChunk()
+		*nc = *c
+		t.chunks = append(t.chunks, nc)
 	}
-	copy(t.procLast, st.procLast)
-	copy(t.mark, st.mark)
-	copy(t.lastSvc, st.lastSvc)
-	copy(t.svcRec, st.svcRec)
-	t.cur = st.cur
-	t.final = st.final
-	t.maxEnd = st.maxEnd
 }
 
 // Release clears the records and gives their chunks back to the pool, once

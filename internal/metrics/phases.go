@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"dsmsim/internal/digest"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
 )
@@ -42,7 +43,13 @@ func (p *Phase) Overhead() sim.Time { return p.Delta.FlushTime + p.Delta.Stolen 
 // and aggregates the deltas into per-epoch Phases. Cut is called from proc
 // context (pure bookkeeping — it cannot yield, schedule, or advance time),
 // once per node per barrier, plus once per node when its body finishes.
-type PhaseAccountant struct {
+type PhaseAccountant struct{ PhaseState }
+
+// PhaseState is all of a phase accountant's state, which a checkpoint
+// snapshots mid-run. A forked run restores it onto a fresh accountant so
+// the per-epoch breakdown continues exactly where the prefix's accounting
+// left off.
+type PhaseState struct {
 	prevAt []sim.Time
 	prev   []stats.Snapshot
 	epoch  []int
@@ -51,11 +58,11 @@ type PhaseAccountant struct {
 
 // NewPhaseAccountant creates an accountant for the given node count.
 func NewPhaseAccountant(nodes int) *PhaseAccountant {
-	return &PhaseAccountant{
+	return &PhaseAccountant{PhaseState{
 		prevAt: make([]sim.Time, nodes),
 		prev:   make([]stats.Snapshot, nodes),
 		epoch:  make([]int, nodes),
-	}
+	}}
 }
 
 // Cut ends node's current phase at time at, reading its stats from n.
@@ -80,34 +87,12 @@ func (a *PhaseAccountant) Cut(node int, at sim.Time, n *stats.Node) {
 // barriers it has returned from.
 func (a *PhaseAccountant) Epoch(node int) int { return a.epoch[node] }
 
-// PhaseState is a deep snapshot of a phase accountant mid-run. A forked
-// run restores it onto a fresh accountant so the per-epoch breakdown
-// continues exactly where the prefix's accounting left off.
-type PhaseState struct {
-	prevAt []sim.Time
-	prev   []stats.Snapshot
-	epoch  []int
-	phases []Phase
-}
-
 // CaptureState snapshots the accountant.
-func (a *PhaseAccountant) CaptureState() *PhaseState {
-	return &PhaseState{
-		prevAt: append([]sim.Time(nil), a.prevAt...),
-		prev:   append([]stats.Snapshot(nil), a.prev...),
-		epoch:  append([]int(nil), a.epoch...),
-		phases: append([]Phase(nil), a.phases...),
-	}
-}
+func (a *PhaseAccountant) CaptureState() *PhaseState { return digest.Clone(&a.PhaseState) }
 
 // RestoreState applies a snapshot to a fresh accountant with the same node
-// count (re-copied, so the snapshot stays pristine).
-func (a *PhaseAccountant) RestoreState(st *PhaseState) {
-	copy(a.prevAt, st.prevAt)
-	copy(a.prev, st.prev)
-	copy(a.epoch, st.epoch)
-	a.phases = append(a.phases[:0], st.phases...)
-}
+// count (copied, so the snapshot stays pristine).
+func (a *PhaseAccountant) RestoreState(st *PhaseState) { digest.Copy(&a.PhaseState, st) }
 
 // Phases returns the completed epochs. A trailing empty phase (every node
 // finished exactly at its last barrier) is dropped.

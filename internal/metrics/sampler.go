@@ -16,6 +16,7 @@ package metrics
 import (
 	"strconv"
 
+	"dsmsim/internal/digest"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
@@ -68,23 +69,31 @@ type Sample struct {
 // partial interval after the run (boundaries past the last event never
 // fire inside the engine).
 type Sampler struct {
-	every   sim.Time
-	nodes   []*stats.Node
-	probes  Probes
-	prev    stats.Snapshot
-	prevNet network.Traffic
-	prevTru int64
-	prevFls int64
-	series  Series
+	every  sim.Time
+	nodes  []*stats.Node
+	probes Probes
+	SamplerState
+}
+
+// SamplerState is what a sampler has accumulated mid-run: the previous
+// boundary's cumulative snapshots (everything in stats.Snapshot is a
+// value) and the series recorded so far. A forked run restores it onto a
+// fresh sampler so its series continues seamlessly — same boundaries,
+// same deltas — as if the prefix had been simulated in place.
+type SamplerState struct {
+	prev             stats.Snapshot
+	prevNet          network.Traffic
+	prevTru, prevFls int64
+	series           Series
 }
 
 // NewSampler creates a sampler over the given per-node stats.
 func NewSampler(every sim.Time, nodes []*stats.Node, probes Probes) *Sampler {
 	return &Sampler{
-		every:  every,
-		nodes:  nodes,
-		probes: probes,
-		series: Series{Every: every, Nodes: len(nodes)},
+		every:        every,
+		nodes:        nodes,
+		probes:       probes,
+		SamplerState: SamplerState{series: Series{Every: every, Nodes: len(nodes)}},
 	}
 }
 
@@ -129,32 +138,12 @@ func (s *Sampler) cut(at sim.Time) {
 // Series returns the accumulated time-series.
 func (s *Sampler) Series() *Series { return &s.series }
 
-// SamplerState is a deep snapshot of a sampler mid-run: the previous
-// boundary's cumulative snapshots (everything in stats.Snapshot is a
-// value) and the samples recorded so far. A forked run restores it onto a
-// fresh sampler so its series continues seamlessly — same boundaries, same
-// deltas — as if the prefix had been simulated in place.
-type SamplerState struct {
-	prev             stats.Snapshot
-	prevNet          network.Traffic
-	prevTru, prevFls int64
-	samples          []Sample
-}
-
 // CaptureState snapshots the sampler.
-func (s *Sampler) CaptureState() *SamplerState {
-	return &SamplerState{
-		prev: s.prev, prevNet: s.prevNet, prevTru: s.prevTru, prevFls: s.prevFls,
-		samples: append([]Sample(nil), s.series.Samples...),
-	}
-}
+func (s *Sampler) CaptureState() *SamplerState { return digest.Clone(&s.SamplerState) }
 
 // RestoreState applies a snapshot to a fresh sampler with the same
-// interval and node count (re-copied, so the snapshot stays pristine).
-func (s *Sampler) RestoreState(st *SamplerState) {
-	s.prev, s.prevNet, s.prevTru, s.prevFls = st.prev, st.prevNet, st.prevTru, st.prevFls
-	s.series.Samples = append(s.series.Samples[:0], st.samples...)
-}
+// interval and node count (copied, so the snapshot stays pristine).
+func (s *Sampler) RestoreState(st *SamplerState) { digest.Copy(&s.SamplerState, st) }
 
 // Series is a completed sampler time-series, exported as CSV rows and
 // whole in the run record.

@@ -158,12 +158,9 @@ type Endpoint struct {
 
 	// queue[qhead:] holds the messages awaiting service; popping advances
 	// qhead so the backing array is reused instead of reallocated.
-	queue        []*Msg
-	qhead        int
-	busyUntil    sim.Time
-	holdoffUntil sim.Time
-	svcPending   bool
-	svcAt        sim.Time // service start of the in-flight message
+	queue      []*Msg
+	qhead      int
+	svcPending bool
 
 	// ARQ per-link state (fault path only; see arq.go). tx is indexed by
 	// destination, rx by source; both allocate at the first faulty send or
@@ -171,7 +168,7 @@ type Endpoint struct {
 	tx []linkTx
 	rx []linkRx
 
-	Stats Stats
+	EndpointState
 }
 
 // Network connects n endpoints through the latency model.
@@ -587,9 +584,9 @@ func (ep *Endpoint) QueueLen() int { return len(ep.queue) - ep.qhead }
 // (Histograms are value arrays, so the struct copy is deep). The FIFO
 // arrival clamps are the network's (CaptureLinks).
 type EndpointState struct {
-	BusyUntil    sim.Time
-	HoldoffUntil sim.Time
-	SvcAt        sim.Time
+	busyUntil    sim.Time
+	holdoffUntil sim.Time
+	svcAt        sim.Time // service start of the in-flight message
 	Stats        Stats
 }
 
@@ -604,18 +601,8 @@ func (ep *Endpoint) CaptureState() (EndpointState, error) {
 	if ep.tx != nil || ep.rx != nil {
 		return EndpointState{}, fmt.Errorf("network: endpoint %d has live ARQ state", ep.id)
 	}
-	return EndpointState{
-		BusyUntil:    ep.busyUntil,
-		HoldoffUntil: ep.holdoffUntil,
-		SvcAt:        ep.svcAt,
-		Stats:        ep.Stats,
-	}, nil
+	return ep.EndpointState, nil
 }
 
 // RestoreState applies a captured snapshot to a freshly built endpoint.
-func (ep *Endpoint) RestoreState(st EndpointState) {
-	ep.busyUntil = st.BusyUntil
-	ep.holdoffUntil = st.HoldoffUntil
-	ep.svcAt = st.SvcAt
-	ep.Stats = st.Stats
-}
+func (ep *Endpoint) RestoreState(st EndpointState) { ep.EndpointState = st }

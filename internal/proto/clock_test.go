@@ -117,15 +117,16 @@ func (r *clockRun) barrier(traffic bool) {
 	}
 }
 
-// snapshot round-trips the clocks through CaptureClocks at a full barrier:
-// the restored set must read like the oracle, and writing it must not reach
-// the snapshot or the live set.
+// snapshot round-trips the clocks through digest.Copy at a full barrier, as
+// a checkpoint does: the restored set must read like the oracle, and writing
+// it must not reach the snapshot or the live set.
 func (r *clockRun) snapshot() {
-	st := CaptureClocks(r.cs)
-	sum := digest.Of(st)
+	var st []Clock
+	digest.Copy(&st, &r.cs)
+	sum := digest.Of(&st)
 	for round := 0; round < 2; round++ {
 		fork := NewClocks(len(r.cs))
-		RestoreClocks(fork, st)
+		digest.Copy(&fork, &st)
 		for i := range fork {
 			if got := fork[i].Dense(); fmt.Sprint(got) != fmt.Sprint(r.dense[i]) {
 				r.failf("restore %d, node %d: %v, oracle %v", round, i, got, r.dense[i])
@@ -137,7 +138,7 @@ func (r *clockRun) snapshot() {
 			fork[i].Merge(other) // scribble over the fork
 		}
 	}
-	if digest.Of(st) != sum {
+	if digest.Of(&st) != sum {
 		r.failf("writing a restored clock changed the snapshot")
 	}
 	for i := range r.cs {

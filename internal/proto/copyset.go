@@ -148,36 +148,11 @@ func forWord(w uint64, base int, fn func(v int)) {
 	}
 }
 
-// Clone returns a deep copy of the set: spill pages are duplicated, so
-// mutations of either copy never alias the other. Used by checkpointing.
-func (s *Copyset) Clone() Copyset {
-	c := Copyset{inline: s.inline}
-	if len(s.pages) > 0 {
-		c.pages = make([]*[pageWords]uint64, len(s.pages))
-		for i, pg := range s.pages {
-			if pg != nil {
-				dup := *pg
-				c.pages[i] = &dup
-			}
-		}
-	}
-	return c
-}
-
 // Fold implements digest.Folder: the members, ascending, so a set digests
 // the same whatever spill pages it happens to hold.
 func (s *Copyset) Fold(d *digest.Digest) {
 	d.Int(s.Count())
 	s.ForEach(func(v int) { d.Int(v) })
-}
-
-// CloneSets deep-copies a per-node slice of sets.
-func CloneSets(sets []Copyset) []Copyset {
-	c := make([]Copyset, len(sets))
-	for i := range sets {
-		c[i] = sets[i].Clone()
-	}
-	return c
 }
 
 // MemBytes reports the heap footprint of the set's spill structures

@@ -2,9 +2,8 @@ package hlrc
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
+	"dsmsim/internal/digest"
 	"dsmsim/internal/proto"
 )
 
@@ -30,25 +29,6 @@ type state struct {
 	twinBytesPeak int64
 }
 
-// clone returns a deep copy.
-func (st *state) clone() *state {
-	c := *st
-	c.twins = make([]map[int][]byte, len(st.twins))
-	c.written = make([]map[int]int32, len(st.twins))
-	c.seq = make([]map[int]int32, len(st.twins))
-	c.earlyNotices = make([][]proto.WriteNotice, len(st.twins))
-	for i := range st.twins {
-		c.twins[i] = make(map[int][]byte, len(st.twins[i]))
-		for b, t := range st.twins[i] {
-			c.twins[i][b] = slices.Clone(t)
-		}
-		c.written[i] = maps.Clone(st.written[i])
-		c.seq[i] = maps.Clone(st.seq[i])
-		c.earlyNotices[i] = slices.Clone(st.earlyNotices[i])
-	}
-	return &c
-}
-
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
 	if n := p.installs.Len(); n != 0 {
@@ -59,16 +39,15 @@ func (p *Protocol) CaptureState() (any, error) {
 			return nil, fmt.Errorf("hlrc: node %d mid-flush (%d acks outstanding)", node, n)
 		}
 	}
-	return p.state.clone(), nil
+	return digest.Clone(&p.state), nil
 }
 
-// RestoreState implements proto.Checkpointer. The snapshot is re-cloned,
-// so one capture can seed any number of forks.
+// RestoreState implements proto.Checkpointer.
 func (p *Protocol) RestoreState(s any) error {
 	st, ok := s.(*state)
 	if !ok || len(st.twins) != len(p.twins) {
 		return fmt.Errorf("hlrc: RestoreState of %T onto %d nodes", s, len(p.twins))
 	}
-	p.state = *st.clone()
+	digest.Copy(&p.state, st)
 	return nil
 }

@@ -116,19 +116,6 @@ func (h *Homes) Learn(node, b int) {
 	}
 }
 
-// Clone returns a deep copy of the home map: the claim bitmap, the
-// migrated-block overlay and every per-block learned set are duplicated,
-// so forked runs migrate and learn independently.
-func (h *Homes) Clone() *Homes {
-	return &Homes{
-		nodes:      h.nodes,
-		numBlocks:  h.numBlocks,
-		firstTouch: h.firstTouch,
-		claimed:    h.claimed.Clone(),
-		moved:      h.moved.Clone(func(m *movedHome) { m.known = m.known.Clone() }),
-	}
-}
-
 // MemBytes reports the heap footprint of the home map: the claim
 // bitmap plus the migrated-block overlay (entries and their learned
 // sets).

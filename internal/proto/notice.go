@@ -12,11 +12,12 @@ type WriteNotice struct {
 }
 
 // Interval is the set of write notices one node published when it closed
-// one interval (at a release or barrier).
+// one interval (at a release or barrier). Notices is immutable once
+// published, so a checkpoint's copy of the log shares it.
 type Interval struct {
 	Node    int32
-	Index   int32 // 1-based interval number
-	Notices []WriteNotice
+	Index   int32         // 1-based interval number
+	Notices []WriteNotice `digest:"shared"`
 }
 
 // Log is the global, append-only publication log of intervals, indexed by
@@ -64,19 +65,4 @@ func (l *Log) Each(from, to VC, fn func([]Interval)) {
 			fn(ivs)
 		}
 	}
-}
-
-// Clone returns a copy safe for independent continuation: each per-node
-// interval slice gets fresh backing (a fork appending interval k+1 must
-// not write into an array the snapshot or a sibling fork also references).
-// The Interval values themselves are copied, but their Notices slices are
-// shared — intervals are immutable once published.
-func (l *Log) Clone() *Log {
-	c := &Log{byNode: make([][]Interval, len(l.byNode))}
-	for i, ivs := range l.byNode {
-		if len(ivs) > 0 {
-			c.byNode[i] = append([]Interval(nil), ivs...)
-		}
-	}
-	return c
 }

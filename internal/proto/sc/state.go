@@ -3,6 +3,7 @@ package sc
 import (
 	"fmt"
 
+	"dsmsim/internal/digest"
 	"dsmsim/internal/proto"
 )
 
@@ -24,30 +25,20 @@ type state struct {
 	pendingInval []proto.Copyset // dc only, per node: blocks with a deferred invalidation
 }
 
-// clone returns a deep copy.
-func (st *state) clone() *state {
-	c := &state{dir: st.dir.Clone(func(e *dirEntry) { e.sharers = e.sharers.Clone() })}
-	if st.pendingInval != nil {
-		c.pendingInval = proto.CloneSets(st.pendingInval)
-	}
-	return c
-}
-
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
 	if n := p.txns.Len(); n != 0 {
 		return nil, fmt.Errorf("sc: %d directory transactions in flight", n)
 	}
-	return p.state.clone(), nil
+	return digest.Clone(&p.state), nil
 }
 
-// RestoreState implements proto.Checkpointer. The snapshot is re-cloned,
-// so one capture can seed any number of forks.
+// RestoreState implements proto.Checkpointer.
 func (p *Protocol) RestoreState(s any) error {
 	st, ok := s.(*state)
 	if !ok || p.delayed != (st.pendingInval != nil) {
 		return fmt.Errorf("sc: RestoreState of %T onto %s", s, p.Name())
 	}
-	p.state = *st.clone()
+	digest.Copy(&p.state, st)
 	return nil
 }

@@ -90,38 +90,6 @@ func (t *Table[T]) Fold(d *digest.Digest) {
 	}
 }
 
-// Clone returns a deep copy of the table. Materialised shards are
-// duplicated entry by entry; fix, if non-nil, is then applied to each
-// copied entry to deep-copy any spill structures it embeds (a Copyset,
-// a slice) so no heap state is aliased between the copies.
-func (t *Table[T]) Clone(fix func(*T)) Table[T] {
-	c := Table[T]{shards: make([][]T, len(t.shards)), init: t.init}
-	for s, shard := range t.shards {
-		if shard == nil {
-			continue
-		}
-		dup := make([]T, shardSize)
-		copy(dup, shard)
-		if fix != nil {
-			for i := range dup {
-				fix(&dup[i])
-			}
-		}
-		c.shards[s] = dup
-	}
-	return c
-}
-
-// CloneTables deep-copies a per-node slice of tables whose entries hold no
-// spill structures of their own.
-func CloneTables[T any](ts []Table[T]) []Table[T] {
-	c := make([]Table[T], len(ts))
-	for i := range ts {
-		c[i] = ts[i].Clone(nil)
-	}
-	return c
-}
-
 // Allocated returns the number of materialised shards.
 func (t *Table[T]) Allocated() int {
 	n := 0

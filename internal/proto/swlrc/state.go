@@ -3,6 +3,7 @@ package swlrc
 import (
 	"fmt"
 
+	"dsmsim/internal/digest"
 	"dsmsim/internal/proto"
 )
 
@@ -17,30 +18,20 @@ type state struct {
 	written []proto.Copyset       // per node: blocks written this interval
 }
 
-// clone returns a deep copy.
-func (st *state) clone() *state {
-	return &state{
-		dir:     st.dir.Clone(nil),
-		nodes:   proto.CloneTables(st.nodes),
-		written: proto.CloneSets(st.written),
-	}
-}
-
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
 	if n := p.installs.Len(); n != 0 {
 		return nil, fmt.Errorf("swlrc: %d installs in flight", n)
 	}
-	return p.state.clone(), nil
+	return digest.Clone(&p.state), nil
 }
 
-// RestoreState implements proto.Checkpointer. The snapshot is re-cloned,
-// so one capture can seed any number of forks.
+// RestoreState implements proto.Checkpointer.
 func (p *Protocol) RestoreState(s any) error {
 	st, ok := s.(*state)
 	if !ok || len(st.nodes) != len(p.nodes) {
 		return fmt.Errorf("swlrc: RestoreState of %T onto %d nodes", s, len(p.nodes))
 	}
-	p.state = *st.clone()
+	digest.Copy(&p.state, st)
 	return nil
 }

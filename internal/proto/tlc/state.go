@@ -3,6 +3,7 @@ package tlc
 import (
 	"fmt"
 
+	"dsmsim/internal/digest"
 	"dsmsim/internal/proto"
 )
 
@@ -18,31 +19,20 @@ type state struct {
 	leased []proto.Copyset // per node: blocks held under a read lease
 }
 
-// clone returns a deep copy.
-func (st *state) clone() *state {
-	return &state{
-		dir:    st.dir.Clone(nil),
-		nodes:  proto.CloneTables(st.nodes),
-		pts:    append([]int64(nil), st.pts...),
-		leased: proto.CloneSets(st.leased),
-	}
-}
-
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
 	if n := p.txns.Len(); n != 0 {
 		return nil, fmt.Errorf("tlc: %d transactions in flight", n)
 	}
-	return p.state.clone(), nil
+	return digest.Clone(&p.state), nil
 }
 
-// RestoreState implements proto.Checkpointer. The snapshot is re-cloned,
-// so one capture can seed any number of forks.
+// RestoreState implements proto.Checkpointer.
 func (p *Protocol) RestoreState(s any) error {
 	st, ok := s.(*state)
 	if !ok || len(st.nodes) != len(p.nodes) {
 		return fmt.Errorf("tlc: RestoreState of %T onto %d nodes", s, len(p.nodes))
 	}
-	p.state = *st.clone()
+	digest.Copy(&p.state, st)
 	return nil
 }

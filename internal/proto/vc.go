@@ -52,9 +52,9 @@ func (v VC) Dominates(other VC) bool {
 type Clock struct {
 	node int32
 	own  int32
-	base VC
+	base VC `digest:"shared"`
 	priv VC // view into buf while active
-	buf  VC
+	buf  VC `digest:"-"` // priv's storage, not state
 }
 
 // NewClocks returns one clock per node, all zero, over one shared base.
@@ -156,35 +156,4 @@ func MergeClocks(cs []Clock) (base, merged VC) {
 		}
 	}
 	return base, merged
-}
-
-// ClockState is a snapshot of a run's clocks: the shared base by reference
-// (it is immutable) and a copy of each node's own entry and private vector.
-type ClockState struct {
-	base VC
-	own  []int32
-	priv []VC // nil entries for shared-form clocks
-}
-
-// CaptureClocks snapshots cs, which must all be on one base.
-func CaptureClocks(cs []Clock) *ClockState {
-	st := &ClockState{base: cs[0].base, own: make([]int32, len(cs)), priv: make([]VC, len(cs))}
-	for i := range cs {
-		st.own[i] = cs[i].own
-		if cs[i].priv != nil {
-			st.priv[i] = cs[i].priv.Clone()
-		}
-	}
-	return st
-}
-
-// RestoreClocks overwrites cs from a snapshot, which stays pristine.
-func RestoreClocks(cs []Clock, st *ClockState) {
-	for i := range cs {
-		c := &cs[i]
-		c.base, c.own, c.priv = st.base, st.own[i], nil
-		if st.priv[i] != nil {
-			c.setPriv(st.priv[i])
-		}
-	}
 }

@@ -12,6 +12,7 @@ package synch
 import (
 	"fmt"
 
+	"dsmsim/internal/digest"
 	"dsmsim/internal/network"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
@@ -131,17 +132,7 @@ type Sync struct {
 	// it, so other protocols' runs are byte-identical to before.
 	ts proto.TimestampCarrier
 
-	locks map[int]*lockState
-
-	// Barrier state (master is node 0).
-	barCount int
-	// barMaxTS is the running maximum of the arrival timestamps of the
-	// barrier in progress (carrier protocols only).
-	barMaxTS int64
-
-	// epoch counts completed global barriers (1-based: it becomes 1 when
-	// every node has arrived at the first barrier).
-	epoch int
+	State // the locks and the barrier, as a checkpoint captures them
 
 	// rel and shared are the barrier releases' payloads and their one
 	// interval list, rebuilt in place at every episode: every node handles
@@ -163,7 +154,7 @@ type Sync struct {
 // New creates the manager. The protocol must be set with SetProtocol before
 // the first synchronization operation.
 func New(env *proto.Env) *Sync {
-	return &Sync{env: env, locks: make(map[int]*lockState)}
+	return &Sync{env: env, State: State{locks: make(map[int]*lockState)}}
 }
 
 // SetProtocol attaches the coherence protocol whose hooks the manager calls.
@@ -474,51 +465,34 @@ func (s *Sync) barrierNotices() []notices {
 	return s.rel
 }
 
-// State is a deep snapshot of the synchronization layer at a barrier cut:
-// the lock table (held/holder/last-releaser plus queued waiters and their
-// clocks), the all-arrived barrier state, and the epoch counter. The
-// arrivers' clocks are the nodes' own (env.VCs), which the run snapshots
-// with proto.CaptureClocks — base included, so a fork's first release cuts
-// its interval list from the previous release's clock like any other.
-// Opaque outside this package; reusable across any number of forks.
+// State is the synchronization layer's checkpointable state: the lock
+// table (held/holder/last-releaser plus queued waiters and their clocks),
+// the all-arrived barrier state, and the epoch counter. The arrivers'
+// clocks are the nodes' own (env.VCs), which the run snapshots too — base
+// included, so a fork's first release cuts its interval list from the
+// previous release's clock like any other. Opaque
+// outside this package; reusable across any number of forks.
 type State struct {
-	locks    map[int]*lockState
-	barCount int
-	barMaxTS int64
-	epoch    int
-}
+	locks map[int]*lockState
 
-func cloneLocks(src map[int]*lockState) map[int]*lockState {
-	dst := make(map[int]*lockState, len(src))
-	for id, st := range src {
-		cp := &lockState{held: st.held, holder: st.holder, lastReleaser: st.lastReleaser, lastTS: st.lastTS}
-		for _, w := range st.queue {
-			cp.queue = append(cp.queue, waiter{node: w.node, vc: w.vc.Clone()})
-		}
-		dst[id] = cp
-	}
-	return dst
+	// Barrier state (master is node 0).
+	barCount int
+	// barMaxTS is the running maximum of the arrival timestamps of the
+	// barrier in progress (carrier protocols only).
+	barMaxTS int64
+
+	// epoch counts completed global barriers (1-based: it becomes 1 when
+	// every node has arrived at the first barrier).
+	epoch int
 }
 
 // CaptureState snapshots the manager.
-func (s *Sync) CaptureState() *State {
-	return &State{
-		locks:    cloneLocks(s.locks),
-		barCount: s.barCount,
-		barMaxTS: s.barMaxTS,
-		epoch:    s.epoch,
-	}
-}
+func (s *Sync) CaptureState() *State { return digest.Clone(&s.State) }
 
-// RestoreState applies a snapshot to a freshly built manager (re-cloned,
-// so the snapshot stays pristine). Follow with ReleaseBarrier to replay
-// the release the cut suppressed.
-func (s *Sync) RestoreState(st *State) {
-	s.locks = cloneLocks(st.locks)
-	s.barCount = st.barCount
-	s.barMaxTS = st.barMaxTS
-	s.epoch = st.epoch
-}
+// RestoreState applies a snapshot to a freshly built manager (copied, so
+// the snapshot stays pristine). Follow with ReleaseBarrier to replay the
+// release the cut suppressed.
+func (s *Sync) RestoreState(st *State) { digest.Copy(&s.State, st) }
 
 func (s *Sync) handleBarRelease(m *network.Msg) {
 	d, _ := m.Payload.(*notices)

@@ -148,7 +148,8 @@ scale() {
 # with the printed table (all but the fork: line), CSV and sample CSV
 # byte-identical.
 fork() {
-	unit -race -run 'Fork|Checkpoint|Memo|Resume|Refused|Digest' ./internal/core ./internal/sweep ./internal/digest .
+	unit -race -run 'Fork|Checkpoint|Memo|Resume|Refused|Digest' ./internal/core ./internal/sweep .
+	unit -race ./internal/digest
 	unit -run TestAccessNoFaultZeroAlloc ./internal/core
 	local v
 	for v in "flat" "fork1 -fork -parallel 1" "fork8 -fork -parallel 8"; do
