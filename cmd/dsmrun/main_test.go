@@ -340,6 +340,77 @@ func TestSingleRunCSV(t *testing.T) {
 	}
 }
 
+// TestEveryExpRunLeavesARecord: under -exp all, every run and seq progress
+// line has its record line, in the same order and for the same point, and
+// the record file is byte-identical at -parallel 1 and 8.
+func TestEveryExpRunLeavesARecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment, twice")
+	}
+	var records [][]byte
+	for _, parallel := range []string{"1", "8"} {
+		path := filepath.Join(t.TempDir(), "runs.jsonl")
+		var stderr bytes.Buffer
+		if err := run([]string{"-exp", "all", "-size", "small", "-nodes", "4", "-parallel", parallel, "-record", path},
+			io.Discard, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, data)
+		var progress []string
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if strings.HasPrefix(line, "run ") || strings.HasPrefix(line, "seq ") {
+				progress = append(progress, line)
+			}
+		}
+		lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+		if len(lines) != len(progress) {
+			t.Fatalf("-parallel %s: %d record lines for %d progress lines", parallel, len(lines), len(progress))
+		}
+		for i, line := range lines {
+			var r sweep.Record
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatal(err)
+			}
+			k := r.Point
+			want := fmt.Sprintf("seq  %-18s T=%v", k.App, r.Result.Time)
+			if !k.Sequential {
+				want = fmt.Sprintf("run  %-18s %-5s %4dB %-9s T=%v", k.App, k.Protocol, k.Block, k.Notify, r.Result.Time)
+			}
+			if !strings.HasPrefix(progress[i], want) {
+				t.Fatalf("-parallel %s: record %d is %s, progress line %q", parallel, i, k, progress[i])
+			}
+		}
+	}
+	if !bytes.Equal(records[0], records[1]) {
+		t.Error("-record differs between -parallel 1 and 8")
+	}
+}
+
+// TestExpRunSettings: the command line's run settings reach every
+// experiment's runs. A node-indexed plan on scaling's 1-node machine fails
+// naming the point; degradation's own plans override the command line's.
+func TestExpRunSettings(t *testing.T) {
+	exp := func(args ...string) (string, error) {
+		var stdout bytes.Buffer
+		err := run(append([]string{"-size", "small", "-nodes", "4"}, args...), &stdout, io.Discard)
+		return stdout.String(), err
+	}
+	if _, err := exp("-exp", "scaling", "-faults", "straggler=9x2"); err == nil || !strings.Contains(err.Error(), "/hlrc/4096/polling/1p: ") {
+		t.Errorf("-exp scaling -faults straggler=9x2: err = %v, want one naming a 1-node point", err)
+	}
+	plain, err := exp("-exp", "degradation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lossy, err := exp("-exp", "degradation", "-faults", "drop=0.05,seed=2"); err != nil || lossy != plain {
+		t.Errorf("-exp degradation -faults drop=0.05,seed=2 (%v):\n%s\nwant the plain table:\n%s", err, lossy, plain)
+	}
+}
+
 // TestRefusedSelections: a selector that names nothing, a fault plan
 // given both as -faults and as -fault-grid, a selector beside -exp, or a
 // flag that the selected kind of run would ignore is an error naming the

@@ -9,7 +9,6 @@ import (
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/critpath"
-	"dsmsim/internal/faults"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
 	"dsmsim/internal/proto"
@@ -19,10 +18,10 @@ import (
 )
 
 // matrix is one cut of the evaluation cross product: every listed
-// application under every protocol × block size, at one notification mode.
-// An experiment is declared as the cuts it reads; its prefetch set and its
-// renderer's loops both come from them (declare), so the two cannot
-// disagree.
+// application under every cluster size × protocol × block size, at one
+// notification mode and with one set of run settings. An experiment is
+// declared as the cuts it reads; its prefetch set and its renderer's loops
+// both come from them (declare), so the two cannot disagree.
 type matrix struct {
 	apps []string
 	// protos nil means the runner's set: Options.Protocols when given,
@@ -31,9 +30,13 @@ type matrix struct {
 	// blocks empty leaves only the baselines.
 	blocks []int
 	notify network.Notify
+	// nodes nil means the runner's cluster size.
+	nodes []int
 	// baselines adds each application's sequential run, the numerator of
 	// its speedups.
 	baselines bool
+	// settings are what every point of the cut carries beyond its coordinates.
+	settings sweep.Settings
 }
 
 // protocols resolves the cut's protocol set under o.
@@ -41,37 +44,62 @@ func (m matrix) protocols(o Options) []string {
 	if m.protos != nil {
 		return m.protos
 	}
-	return o.protocols()
+	if len(o.Protocols) > 0 {
+		return o.Protocols
+	}
+	return proto.PaperNames()
+}
+
+// key is the point the cut holds for one application, protocol and block
+// size at the runner's cluster size: under a fault grid, the first
+// variant's (the one tables render) unless the cut has a plan of its own.
+func (m matrix) key(o Options, app, p string, g int) sweep.Key {
+	k := sweep.Key{App: app, Protocol: p, Block: g, Notify: m.notify, Nodes: cmp.Or(o.Nodes, 16),
+		Settings: m.settings}
+	if len(o.FaultGrid) > 0 && m.settings.Faults == "" {
+		k.Fault = o.FaultGrid[0].Name
+	}
+	return k
 }
 
 // points expands the cut at o's scale in canonical sweep order, each
 // application's baseline first — the order prefetch emission follows.
 func (m matrix) points(o Options) []sweep.Key {
-	s := sweep.Spec{
-		Apps: m.apps, Protocols: m.protocols(o), Granularities: m.blocks,
-		Notifies: []network.Notify{m.notify}, Nodes: cmp.Or(o.Nodes, 16), Baselines: m.baselines,
+	nodes := m.nodes
+	if nodes == nil {
+		nodes = []int{cmp.Or(o.Nodes, 16)}
 	}
-	for _, v := range o.FaultGrid {
-		s.Faults = append(s.Faults, v.Name)
+	var variants []string // none for a cut with a plan of its own
+	if m.settings.Faults == "" {
+		for _, v := range o.FaultGrid {
+			variants = append(variants, v.Name)
+		}
 	}
-	return s.Points()
+	var pts []sweep.Key
+	for _, n := range nodes {
+		s := sweep.Spec{Apps: m.apps, Protocols: m.protocols(o), Granularities: m.blocks,
+			Notifies: []network.Notify{m.notify}, Nodes: n, Baselines: m.baselines, Faults: variants}
+		for _, k := range s.Points() {
+			if !k.Sequential {
+				k.Settings = m.settings
+			}
+			pts = append(pts, k)
+		}
+	}
+	return pts
 }
 
 // declare builds one registry entry: cuts is both what Points prefetches
-// and all that run is given to iterate. An experiment without cuts is built
-// from out-of-matrix configurations only and has nothing to prefetch.
+// and all that run is given to iterate.
 func declare(name, desc string, run func(*Runner, []matrix) error, cuts ...matrix) Experiment {
-	e := Experiment{Name: name, Desc: desc, Run: func(r *Runner) error { return run(r, cuts) }}
-	if len(cuts) > 0 {
-		e.Points = func(o Options) []sweep.Key {
+	return Experiment{Name: name, Desc: desc, Run: func(r *Runner) error { return run(r, cuts) },
+		Points: func(o Options) []sweep.Key {
 			var pts []sweep.Key
 			for _, m := range cuts {
 				pts = append(pts, m.points(o)...)
 			}
 			return pts
-		}
-	}
-	return e
+		}}
 }
 
 // faultTableApps orders the paper's Tables 3–14, one application each.
@@ -90,6 +118,12 @@ func Experiments() []Experiment {
 	one := func(app string) matrix { return matrix{apps: []string{app}, blocks: grans} }
 	speedupsOf := func(list, protos []string) matrix {
 		return matrix{apps: list, protos: protos, blocks: grans, baselines: true}
+	}
+	// software's cut at one per-access check cost: SC on the
+	// fine-grain-friendly configuration where checks are most frequent.
+	checked := func(cost sim.Time) matrix {
+		return matrix{apps: []string{"ocean-rowwise"}, protos: []string{core.SC}, blocks: []int{64, 4096},
+			baselines: true, settings: sweep.Settings{SoftwareAccessCheck: cost}}
 	}
 
 	exps := []Experiment{
@@ -110,6 +144,18 @@ func Experiments() []Experiment {
 			{"read", func(res *core.Result) string { return strconv.FormatInt(res.Total.ReadFaults, 10) }},
 			{"write", func(res *core.Result) string { return strconv.FormatInt(res.Total.WriteFaults, 10) }},
 		},
+	}
+	// degradation's cuts, one per loss rate. All plans share fault seed 1;
+	// the lossless one sets nothing else, so it runs the healthy machine
+	// whatever plan the command line gives.
+	var lossy []matrix
+	for _, rate := range lossRates {
+		plan := "seed=1"
+		if rate > 0 {
+			plan = fmt.Sprintf("drop=%g,%s", rate, plan)
+		}
+		lossy = append(lossy, matrix{apps: []string{"lu"}, protos: proto.PaperNames(), blocks: []int{4096},
+			settings: sweep.Settings{Faults: plan}})
 	}
 	kb := func(bytes int64) string { return strconv.FormatFloat(float64(bytes)/1024, 'f', 1, 64) }
 	for i, app := range faultTableApps {
@@ -147,12 +193,11 @@ func Experiments() []Experiment {
 					{"peak-dyn", func(res *core.Result) string { return kb(res.ProtoPeakBytes) }},
 				},
 			}.render, matrix{apps: []string{"water-spatial"}, protos: proto.PaperNames(), blocks: grans}),
-		// Only the baselines of these two are matrix runs; the per-size and
-		// instrumented machines are custom and stay serial.
 		declare("scaling", "Speedup vs cluster size, 1-32 nodes (§7: the hoped-for 32-node runs)",
-			(*Runner).scaling, matrix{apps: []string{"lu", "water-nsquared"}, baselines: true}),
+			(*Runner).scaling, matrix{apps: []string{"lu", "water-nsquared"}, protos: []string{core.HLRC},
+				blocks: []int{4096}, nodes: []int{1, 2, 4, 8, 16, 32}, baselines: true}),
 		declare("software", "All-software access control: instrumented check cost (§7 future work)",
-			(*Runner).software, matrix{apps: []string{"ocean-rowwise"}, baselines: true}),
+			(*Runner).software, checked(0), checked(100), checked(500)),
 		// The applications most exposed to SC's false-sharing ping-pong
 		// (§5.4's "interrupts approximate delayed consistency", made explicit).
 		declare("delayed", "Delayed consistency vs SC across granularities (§7 future work)",
@@ -181,15 +226,20 @@ func Experiments() []Experiment {
 			(*Runner).phases,
 			matrix{apps: []string{"ocean-rowwise", "barnes-original"}, protos: []string{core.SC, core.HLRC}, blocks: []int{64, 4096}}),
 		// Every run of the last three carries its own fault plan or
-		// profiler: custom machines outside the memoized matrix.
+		// profiler, whatever the template's; none of them has a CSV row.
 		declare("degradation", "Completion time vs link loss rate per protocol (unreliable network)",
-			(*Runner).degradation),
+			(*Runner).degradation, lossy...),
 		declare("sharing", "False-sharing fraction vs coherence granularity (sharing-pattern profiler)",
-			(*Runner).sharing),
+			(*Runner).sharing, matrix{apps: []string{"volrend-original", "volrend-rowwise", "lu", "ocean-original"},
+				protos: []string{core.HLRC}, blocks: grans, settings: sweep.Settings{ShareProfile: true}}),
 		declare("critpath", "Critical-path composition by protocol and granularity (what limits each point)",
-			(*Runner).critPath),
+			(*Runner).critPath, matrix{apps: []string{"ocean-rowwise"}, protos: proto.PaperNames(), blocks: grans,
+				settings: sweep.Settings{CritPath: true}}),
 	)
 }
+
+// lossRates are degradation's link loss rates, one cut each.
+var lossRates = []float64{0, 0.001, 0.01, 0.05}
 
 // heading prints an experiment's title line; {app} is the cut's first
 // application, {nodes} the cluster size.
@@ -231,14 +281,14 @@ func (s speedups) render(r *Runner, cuts []matrix) error {
 		for _, p := range m.protocols(r.opts) {
 			r.printf("%-18s %-6s", app, p)
 			for _, g := range m.blocks {
-				sp, err := r.Speedup(app, p, g, m.notify)
+				sp, err := r.Speedup(m.key(r.opts, app, p, g))
 				if err != nil {
 					return err
 				}
 				r.printf(" %8.2f", sp)
 			}
 			if s.tail != nil {
-				res, err := r.Result(app, p, last, m.notify)
+				res, err := r.Result(m.key(r.opts, app, p, last))
 				if err != nil {
 					return err
 				}
@@ -299,7 +349,7 @@ func (c counters) render(r *Runner, cuts []matrix) error {
 	row := func(proto string, kind counterKind) error {
 		label(proto, kind.name)
 		for _, g := range m.blocks {
-			res, err := r.Result(m.apps[0], proto, g, m.notify)
+			res, err := r.Result(m.key(r.opts, m.apps[0], proto, g))
 			if err != nil {
 				return err
 			}
@@ -370,11 +420,11 @@ func (r *Runner) table1(cuts []matrix) error {
 	r.printf("Table 1: Benchmarks, problem sizes, and sequential execution times\n")
 	r.printf("%-18s %-32s %s\n", "Benchmark", "Problem Size", "Sequential Time")
 	for _, app := range cuts[0].apps {
-		t, err := r.Sequential(app)
+		seq, err := r.Result(sweep.Seq(app))
 		if err != nil {
 			return err
 		}
-		r.printf("%-18s %-32s %10.3fs\n", app, r.label(app), float64(t)/float64(sim.Second))
+		r.printf("%-18s %-32s %10.3fs\n", app, r.label(app), float64(seq.Time)/float64(sim.Second))
 	}
 	return nil
 }
@@ -387,7 +437,7 @@ func (r *Runner) table2(cuts []matrix) error {
 	r.printf("%-18s %-8s %12s %10s %9s %10s %10s\n",
 		"Application", "Writers", "CompPerSync", "Barriers", "Locks", "BestSpeed", "Best@")
 	for _, app := range m.apps {
-		res, err := r.Result(app, class.protos[0], class.blocks[0], class.notify)
+		res, err := r.Result(class.key(r.opts, app, class.protos[0], class.blocks[0]))
 		if err != nil {
 			return err
 		}
@@ -404,7 +454,7 @@ func (r *Runner) table2(cuts []matrix) error {
 		best, bestAt := 0.0, ""
 		for _, p := range m.protocols(r.opts) {
 			for _, g := range m.blocks {
-				s, err := r.Speedup(app, p, g, m.notify)
+				s, err := r.Speedup(m.key(r.opts, app, p, g))
 				if err != nil {
 					return err
 				}
@@ -454,7 +504,7 @@ func (e efficiency) render(r *Runner, cuts []matrix) error {
 		}
 		for _, p := range protos {
 			for _, g := range m.blocks {
-				s, err := r.Speedup(app, p, g, m.notify)
+				s, err := r.Speedup(m.key(r.opts, app, p, g))
 				if err != nil {
 					return err
 				}
@@ -510,7 +560,7 @@ func (r *Runner) eachConfig(cuts []matrix, fn func(app, config string, res *core
 		for _, m := range cuts {
 			for _, p := range m.protocols(r.opts) {
 				for _, g := range m.blocks {
-					res, err := r.Result(app, p, g, m.notify)
+					res, err := r.Result(m.key(r.opts, app, p, g))
 					if err != nil {
 						return err
 					}
@@ -588,26 +638,23 @@ func (r *Runner) phases(cuts []matrix) error {
 // scaling prints speedups at page granularity across cluster sizes for one
 // regular and one irregular application.
 func (r *Runner) scaling(cuts []matrix) error {
-	sizes := []int{1, 2, 4, 8, 16, 32}
+	m := cuts[0]
 	r.printf("Speedup vs cluster size (HLRC, 4096B)\n")
 	r.printf("%-18s", "Application")
-	for _, n := range sizes {
+	for _, n := range m.nodes {
 		r.printf(" %6dp", n)
 	}
 	r.printf("\n")
-	for _, app := range cuts[0].apps {
-		seq, err := r.Sequential(app)
-		if err != nil {
-			return err
-		}
+	for _, app := range m.apps {
 		r.printf("%-18s", app)
-		for _, n := range sizes {
-			res, err := r.runConfig(app, core.Config{Nodes: n, BlockSize: 4096, Protocol: core.HLRC})
+		for _, n := range m.nodes {
+			k := m.key(r.opts, app, m.protos[0], m.blocks[0])
+			k.Nodes = n
+			s, err := r.Speedup(k)
 			if err != nil {
 				return err
 			}
-			r.progress("run  %-18s hlrc  4096B %2d nodes T=%v", app, n, res.Time)
-			r.printf(" %7.2f", float64(seq)/float64(res.Time))
+			r.printf(" %7.2f", s)
 		}
 		r.printf("\n")
 	}
@@ -615,28 +662,22 @@ func (r *Runner) scaling(cuts []matrix) error {
 }
 
 // software compares the hardware access-control baseline against
-// all-software instrumentation at three per-check costs, on the
-// fine-grain-friendly SC-64 configuration where checks are most frequent.
+// all-software instrumentation at each cut's per-check cost.
 func (r *Runner) software(cuts []matrix) error {
-	app := cuts[0].apps[0]
-	seq, err := r.Sequential(app)
-	if err != nil {
-		return err
-	}
 	r.heading("All-software access control, {app} under SC (speedup on {nodes} nodes)", cuts[0])
 	r.printf("%-22s %8s %8s\n", "Check cost", "64B", "4096B")
-	for _, check := range []sim.Time{0, 100, 500} {
+	for _, m := range cuts {
 		label := "hardware (T0)"
-		if check > 0 {
+		if check := m.settings.SoftwareAccessCheck; check > 0 {
 			label = check.String() + "/check"
 		}
 		r.printf("%-22s", label)
-		for _, g := range []int{64, 4096} {
-			res, err := r.runConfig(app, core.Config{BlockSize: g, Protocol: core.SC, SoftwareAccessCheck: check})
+		for _, g := range m.blocks {
+			s, err := r.Speedup(m.key(r.opts, m.apps[0], m.protos[0], g))
 			if err != nil {
 				return err
 			}
-			r.printf(" %8.2f", float64(seq)/float64(res.Time))
+			r.printf(" %8.2f", s)
 		}
 		r.printf("\n")
 	}
@@ -651,20 +692,19 @@ func (r *Runner) software(cuts []matrix) error {
 // LU's dense blocked matrix stays true-sharing-dominated until blocks
 // outgrow its tiles. Profiling is observational, so every run's clock and
 // statistics match the unprofiled matrix runs bit for bit.
-func (r *Runner) sharing([]matrix) error {
+func (r *Runner) sharing(cuts []matrix) error {
+	m := cuts[0]
 	r.printf("False sharing vs coherence granularity (HLRC, %d nodes; %% of sharing misses)\n", r.opts.Nodes)
 	r.printf("%-18s %8s %8s %8s %8s   %s\n", "Application", "64B", "256B", "1KB", "4KB", "hottest region at 4KB")
-	for _, app := range []string{"volrend-original", "volrend-rowwise", "lu", "ocean-original"} {
+	for _, app := range m.apps {
 		r.printf("%-18s", app)
 		var hot string
-		for _, g := range core.Granularities {
-			res, err := r.runConfig(app, core.Config{BlockSize: g, Protocol: core.HLRC, ShareProfile: true})
+		for _, g := range m.blocks {
+			res, err := r.Result(m.key(r.opts, app, m.protos[0], g))
 			if err != nil {
 				return err
 			}
 			sh := res.Sharing
-			r.progress("run  %-18s hlrc  %4dB prof T=%v false=%.3f",
-				app, g, res.Time, sh.FalseSharingFraction())
 			r.printf(" %7.1f%%", 100*sh.FalseSharingFraction())
 			if g == 4096 {
 				if top := sh.Top(1); len(top) > 0 {
@@ -685,24 +725,21 @@ func (r *Runner) sharing([]matrix) error {
 // protocols shift the path toward barrier waiting and handler occupancy.
 // Profiling is observational, so every run's clock matches the
 // unprofiled matrix bit for bit.
-func (r *Runner) critPath([]matrix) error {
-	const app = "ocean-rowwise"
-	r.printf("Critical-path composition, %s on %d nodes (%% of path length)\n", app, r.opts.Nodes)
+func (r *Runner) critPath(cuts []matrix) error {
+	m := cuts[0]
+	r.printf("Critical-path composition, %s on %d nodes (%% of path length)\n", m.apps[0], r.opts.Nodes)
 	if s := r.opts.Config.WhatIf; s != nil {
 		r.printf("(what-if machine: %v)\n", s)
 	}
 	r.printf("%-6s %6s %14s %8s %8s %8s %8s %8s %8s\n",
 		"Proto", "Block", "path", "compute", "ovhd", "wire", "svc", "lock", "barrier")
-	for _, p := range proto.PaperNames() {
-		for _, g := range core.Granularities {
-			res, err := r.runConfig(app, core.Config{
-				BlockSize: g, Protocol: p, CritPath: true, WhatIf: r.opts.Config.WhatIf,
-			})
+	for _, p := range m.protos {
+		for _, g := range m.blocks {
+			res, err := r.Result(m.key(r.opts, m.apps[0], p, g))
 			if err != nil {
 				return err
 			}
 			cp := res.CritPath
-			r.progress("run  %-18s %-5s %4dB crit T=%v events=%d", app, p, g, res.Time, cp.Events)
 			pct := func(c critpath.Component) float64 { return 100 * cp.Frac(c) }
 			r.printf("%-6s %5dB %14v %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
 				p, g, cp.Total,
@@ -716,37 +753,32 @@ func (r *Runner) critPath([]matrix) error {
 	return nil
 }
 
-// degradation sweeps link loss rate × protocol on one application and
-// reports completion time, slowdown relative to the lossless wire, and the
-// reliability-layer work (retransmissions, wire drops, acks) each protocol
-// pays. Every faulty run still verifies under the runner's verify policy —
-// the ack/retransmission layer hides the loss from the coherence
-// protocols; only the clock shows it. All plans share fault seed 1, so the
-// table is deterministic and byte-identical across hosts and runs.
-func (r *Runner) degradation([]matrix) error {
-	const app, block = "lu", 4096
+// degradation sweeps link loss rate (one cut per lossRates entry) ×
+// protocol on one application and reports completion time, slowdown
+// relative to the lossless wire, and the reliability-layer work
+// (retransmissions, wire drops, acks) each protocol pays. Every faulty run
+// still verifies under the runner's verify policy — the ack/retransmission
+// layer hides the loss from the coherence protocols; only the clock shows
+// it. The plans are seeded, so the table is deterministic.
+func (r *Runner) degradation(cuts []matrix) error {
+	m := cuts[0]
+	app, block := m.apps[0], m.blocks[0]
 	r.printf("Degradation under link loss: %s, %s, %dB blocks, %d nodes\n",
 		app, "all protocols", block, r.opts.Nodes)
 	r.printf("%-6s %7s %14s %9s %9s %9s %8s\n",
 		"Proto", "loss", "time", "slowdown", "retx", "drops", "acks")
-	for _, p := range proto.PaperNames() {
+	for _, p := range m.protos {
 		var lossless sim.Time
-		for _, rate := range []float64{0, 0.001, 0.01, 0.05} {
-			cfg := core.Config{BlockSize: block, Protocol: p}
-			if rate > 0 {
-				cfg.Faults = faults.NewPlan(faults.Drop(rate), faults.Seed(1))
-			}
-			res, err := r.runConfig(app, cfg)
+		for i, c := range cuts {
+			res, err := r.Result(c.key(r.opts, app, p, block))
 			if err != nil {
 				return err
 			}
-			if rate == 0 {
+			if i == 0 {
 				lossless = res.Time
 			}
-			r.progress("run  %-18s %-5s %4dB loss=%.3f T=%v retx=%d",
-				app, p, block, rate, res.Time, res.Retransmits)
 			r.printf("%-6s %7.3f %14v %8.3fx %9d %9d %8d\n",
-				p, rate, res.Time, float64(res.Time)/float64(lossless),
+				p, lossRates[i], res.Time, float64(res.Time)/float64(lossless),
 				res.Retransmits, res.WireDrops, res.AcksSent)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/apps"
-	"dsmsim/internal/network"
+	"dsmsim/internal/faults"
 	"dsmsim/internal/sweep"
 )
 
@@ -57,11 +57,11 @@ func TestHarmonicMean(t *testing.T) {
 
 func TestSequentialCached(t *testing.T) {
 	r, _ := testRunner(t)
-	a, err := r.Sequential("lu")
+	a, err := r.Result(sweep.Seq("lu"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Sequential("lu")
+	b, err := r.Result(sweep.Seq("lu"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestSequentialCached(t *testing.T) {
 
 func TestResultCached(t *testing.T) {
 	r, _ := testRunner(t)
-	a, err := r.Result("lu", "sc", 1024, network.Polling)
+	a, err := r.Result(sweep.Key{App: "lu", Protocol: "sc", Block: 1024, Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Result("lu", "sc", 1024, network.Polling)
+	b, err := r.Result(sweep.Key{App: "lu", Protocol: "sc", Block: 1024, Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestResultCached(t *testing.T) {
 
 func TestSpeedupPositive(t *testing.T) {
 	r, _ := testRunner(t)
-	s, err := r.Speedup("lu", "hlrc", 4096, network.Polling)
+	s, err := r.Speedup(sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +215,41 @@ func TestDegradationTableSmall(t *testing.T) {
 	}
 }
 
+// TestOwnPlanTakesNoGridVariant: degradation's cuts carry plans of their
+// own, so under a fault grid they expand to one point each, untagged, and
+// the table is the one rendered without a grid.
+func TestOwnPlanTakesNoGridVariant(t *testing.T) {
+	render := func(grid []sweep.FaultVariant) (string, []sweep.Key) {
+		var out bytes.Buffer
+		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, FaultGrid: grid}, Nodes: 4, Out: &out})
+		e, err := Get("degradation")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := PointsFor(r.opts, []Experiment{e})
+		if err := r.Prefetch(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(r); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), pts
+	}
+	plain, _ := render(nil)
+	got, pts := render([]sweep.FaultVariant{{Name: "a", Plan: faults.NewPlan(faults.Drop(0.05), faults.Seed(2))}, {Name: "b"}})
+	if got != plain {
+		t.Errorf("degradation under a fault grid:\n%s\nwant:\n%s", got, plain)
+	}
+	for _, k := range pts {
+		if k.Fault != "" || k.Faults == "" {
+			t.Errorf("degradation point %s: want its own plan and no grid variant", k)
+		}
+	}
+	if len(pts) != 12 {
+		t.Errorf("%d degradation points under a two-variant grid, want 12", len(pts))
+	}
+}
+
 func TestFig1Table2Table15Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full cross product")
@@ -310,32 +345,22 @@ func TestMemoHitIsNotANewPoint(t *testing.T) {
 
 // TestPointsForCoversExperiments checks that every experiment's declared
 // point set satisfies its Run, under the paper's protocol set and under an
-// override: after the prefetch, rendering must compute no matrix run (each
-// writes a CSV record) and no baseline (a "seq" progress line). The
-// out-of-matrix runs some tables add write neither.
+// override: after the prefetch, rendering must compute no run, for every
+// run it computes writes a progress line.
 func TestPointsForCoversExperiments(t *testing.T) {
 	for _, protos := range [][]string{nil, {"sc"}} {
-		var pb, cb bytes.Buffer
-		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, CSV: &cb, Workers: 4},
+		var pb bytes.Buffer
+		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, Workers: 4},
 			Nodes: 4, Out: io.Discard, Protocols: protos})
 		for _, e := range Experiments() {
-			if e.Points == nil {
-				continue
-			}
 			if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
 				t.Fatal(err)
 			}
-			runs, progress := cb.Len(), pb.Len()
+			progress := pb.Len()
 			if err := e.Run(r); err != nil {
 				t.Fatal(err)
 			}
-			uncovered := cb.String()[runs:]
-			for _, line := range strings.SplitAfter(pb.String()[progress:], "\n") {
-				if strings.HasPrefix(line, "seq ") {
-					uncovered += line
-				}
-			}
-			if uncovered != "" {
+			if uncovered := pb.String()[progress:]; uncovered != "" {
 				t.Errorf("protocols %v: %s ran points its declaration does not name:\n%s", protos, e.Name, uncovered)
 			}
 		}
@@ -356,10 +381,10 @@ func TestLabelPaperVsSmall(t *testing.T) {
 func TestCSVOutput(t *testing.T) {
 	var csv bytes.Buffer
 	r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, CSV: &csv}, Nodes: 4, Out: io.Discard})
-	if _, err := r.Result("lu", "hlrc", 4096, network.Polling); err != nil {
+	if _, err := r.Result(sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Result("lu", "sc", 64, network.Polling); err != nil {
+	if _, err := r.Result(sweep.Key{App: "lu", Protocol: "sc", Block: 64, Nodes: 4}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")

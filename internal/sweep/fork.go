@@ -20,18 +20,22 @@ type FaultVariant struct {
 	Plan *faults.Plan
 }
 
-// planFor resolves the fault plan one point runs under: its grid variant
-// when the point carries a Fault name, the sweep-wide plan otherwise.
+// planFor resolves the fault plan one point runs under: its own plan when
+// it carries one, its grid variant when it carries a Fault name, the
+// sweep-wide plan otherwise.
 func (e *Engine) planFor(k Key) (*faults.Plan, error) {
-	if k.Fault == "" || k.Sequential {
+	switch {
+	case k.Sequential || k.Faults == "" && k.Fault == "":
 		return e.opts.Config.Faults, nil
+	case k.Faults != "":
+		return faults.Parse(k.Faults)
 	}
 	for _, v := range e.opts.FaultGrid {
 		if v.Name == k.Fault {
 			return v.Plan, nil
 		}
 	}
-	return nil, fmt.Errorf("sweep: %s: no fault variant %q in the grid", k, k.Fault)
+	return nil, fmt.Errorf("sweep: no fault variant %q in the grid", k.Fault)
 }
 
 // forkEpoch decides whether prefix sharing is on and, if so, the barrier
@@ -67,10 +71,11 @@ func (e *Engine) forkEpoch() int {
 }
 
 // forkable reports whether one point can take the fork path at the given
-// cut epoch. Sequential baselines and points whose plan is not gated at or
+// cut epoch. Sequential baselines, points with a sharing profiler of their
+// own (checkpoints don't carry it) and points whose plan is not gated at or
 // after the cut always run flat.
 func forkable(k Key, plan *faults.Plan, epoch int) bool {
-	if k.Sequential || k.Fault == "" {
+	if k.Sequential || k.Fault == "" || k.ShareProfile {
 		return false
 	}
 	return plan == nil || plan.StartBarrier() >= epoch
@@ -147,7 +152,7 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 	if forkedHook != nil {
 		forkedHook(res)
 	}
-	return e.checked(k, app, res)
+	return e.checked(app, res)
 }
 
 // forkedHook, when non-nil, sees every forked result before it is checked,

@@ -185,24 +185,39 @@ func TestForkStatsCountFlatRuns(t *testing.T) {
 	spec := gridSpec(testGrid())
 	spec.Apps = []string{"ocean-rowwise", "water-nsquared"}
 	spec.Protocols, spec.Granularities = []string{core.SC}, []int{4096}
-	stats := func(grid []FaultVariant) ForkStats {
+	stats := func(grid []FaultVariant, pts []Key) ForkStats {
 		e := mustNew(t, Options{Size: apps.Small, Workers: 4, FaultGrid: grid, Fork: true})
-		if _, err := e.Run(context.Background(), spec.Points()); err != nil {
+		res, err := e.Run(context.Background(), pts)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for i, k := range pts {
+			if (res[i].Sharing != nil) != k.ShareProfile {
+				t.Errorf("%s: sharing profile %v", k, res[i].Sharing != nil)
+			}
 		}
 		fs := e.ForkStats()
 		fs.SavedWall = 0
 		return fs
 	}
-	if got, want := stats(testGrid()), (ForkStats{Prefixes: 2, ForkedRuns: 6}); got != want {
+	if got, want := stats(testGrid(), spec.Points()), (ForkStats{Prefixes: 2, ForkedRuns: 6}); got != want {
 		t.Errorf("fork stats = %+v, want %+v (every point forked)", got, want)
 	}
 	ungated := testGrid()
 	for i := range ungated {
 		ungated[i].Plan = faults.NewPlan(faults.Drop(0.01), faults.Seed(uint64(i+1)))
 	}
-	if got, want := stats(ungated), (ForkStats{FlatRuns: 6}); got != want {
+	if got, want := stats(ungated, spec.Points()), (ForkStats{FlatRuns: 6}); got != want {
 		t.Errorf("ungated grid: fork stats = %+v, want %+v", got, want)
+	}
+	// Checkpoints do not carry the sharing profiler: a point that attaches
+	// it runs flat.
+	profiled := spec.Points()
+	for i := range profiled {
+		profiled[i].ShareProfile = !profiled[i].Sequential
+	}
+	if got, want := stats(testGrid(), profiled), (ForkStats{FlatRuns: 6}); got != want {
+		t.Errorf("profiled points: fork stats = %+v, want %+v", got, want)
 	}
 }
 

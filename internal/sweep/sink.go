@@ -35,24 +35,23 @@ type Record struct {
 // Sink writes every per-run output — progress lines, CSV tables, record
 // lines — under one mutex, so that concurrent runs never interleave partial
 // lines and the writers themselves need no locking. Emission order is
-// whatever order Emit/Logf are called in; the sweep scheduler calls them in
+// whatever order Emit is called in; the sweep scheduler calls it in
 // canonical sweep order regardless of run completion order, which is what
 // makes parallel output byte-identical to serial. Every call has written
 // its bytes by the time it returns.
 type Sink struct {
-	mu       sync.Mutex
-	progress io.Writer // Logf's destination
-	outputs  []*projection
-	err      error // the first write that failed
+	mu      sync.Mutex
+	outputs []*projection
+	err     error // the first write that failed
 }
 
 // projection is one output of a sink: the bytes render draws from a
 // record, written to w; render returns nil when the record has none of
 // this output's data. A projection with a header is a CSV table: the
 // header goes before its first row unless w is a file that already holds
-// data (the CLIs open their files in append mode), and a Sequential
-// baseline, which is not part of the paper's evaluation matrix, has no
-// rows in it.
+// data (the CLIs open their files in append mode), and neither a
+// Sequential baseline nor a point with Settings, which are not part of the
+// paper's evaluation matrix, has rows in it.
 type projection struct {
 	w       io.Writer
 	header  string
@@ -75,7 +74,7 @@ func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.
 }
 
 func newSink(o Options, fault bool) *Sink {
-	s := &Sink{progress: o.Progress}
+	s := &Sink{}
 	for _, p := range []*projection{
 		{w: o.Progress, render: progressLines(o.Histograms)},
 		runTable(o.CSV, fault),
@@ -103,7 +102,7 @@ func (s *Sink) Emit(k Key, res *core.Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range s.outputs {
-		if k.Sequential && p.header != "" {
+		if (k.Sequential || k.Settings != Settings{}) && p.header != "" {
 			continue
 		}
 		b := p.render(r)
@@ -121,18 +120,6 @@ func (s *Sink) Emit(k Key, res *core.Result) error {
 	return s.err
 }
 
-// Logf writes one formatted progress line under the sink's lock (for
-// experiment-specific lines outside the standard matrix). A failed write
-// surfaces from the next Emit.
-func (s *Sink) Logf(format string, args ...any) {
-	if s.progress == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.write(s.progress, fmt.Appendf(nil, format+"\n", args...))
-}
-
 // write hands b to w and keeps the first error. The caller holds the lock.
 func (s *Sink) write(w io.Writer, b []byte) {
 	if _, err := w.Write(b); err != nil && s.err == nil {
@@ -140,13 +127,14 @@ func (s *Sink) write(w io.Writer, b []byte) {
 	}
 }
 
-// Close does nothing: every record is written by the time Emit or Logf
-// returns. It stays for callers that still close their sinks.
+// Close does nothing (Emit has written everything when it returns); it
+// stays for callers that still close their sinks.
 func (s *Sink) Close() {}
 
 // progressLines renders a run's progress line — a Sequential baseline's
-// time, or a matrix point's coordinates and time, tagged with its fault
-// variant when it has one — plus, with histograms, its latency summary.
+// time, or a point's coordinates and time, tagged with its fault variant
+// and its settings when it has them — plus, with histograms, its latency
+// summary.
 func progressLines(histograms bool) func(Record) []byte {
 	return func(r Record) []byte {
 		k, res := r.Point, r.Result
@@ -156,6 +144,9 @@ func progressLines(histograms bool) func(Record) []byte {
 		tag := ""
 		if k.Fault != "" {
 			tag = " f=" + k.Fault
+		}
+		for _, p := range k.parts() {
+			tag += " " + p
 		}
 		b := fmt.Appendf(nil, "run  %-18s %-5s %4dB %-9s T=%v%s\n",
 			k.App, k.Protocol, k.Block, k.Notify, res.Time, tag)

@@ -18,6 +18,7 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -35,8 +36,8 @@ import (
 )
 
 // Key identifies one run configuration: one point of the evaluation
-// cross-product, or an app's sequential baseline. It is the memoization
-// key, so two Keys are the same run iff they are ==.
+// cross-product with its Settings, or an app's sequential baseline. It is
+// the memoization key, so two Keys are the same run iff they are ==.
 type Key struct {
 	// App names a bundled application.
 	App string
@@ -54,6 +55,39 @@ type Key struct {
 	// only in Fault share their entire pre-fault warmup, which is what the
 	// fork planner exploits.
 	Fault string
+	Settings
+}
+
+// Settings are the run settings a point may carry beyond its coordinates,
+// each overriding the engine's Config template for that point alone when
+// set. Such a point is named by its String and progress line and recorded
+// but, like a sequential baseline, has no CSV row. A zero field is left
+// out of the record, so a matrix point's record line does not change.
+type Settings struct {
+	// SoftwareAccessCheck is the per-access cost of an all-software system.
+	SoftwareAccessCheck sim.Time `json:",omitempty"`
+	// ShareProfile and CritPath attach the sharing-pattern and the
+	// critical-path profiler.
+	ShareProfile bool `json:",omitempty"`
+	CritPath     bool `json:",omitempty"`
+	// Faults is the point's own fault plan in the faults.Parse grammar. It
+	// replaces both the template's plan and the point's grid variant.
+	Faults string `json:",omitempty"`
+}
+
+// parts spells the settings that are set, one word each.
+func (s Settings) parts() []string {
+	var p []string
+	for _, w := range []struct {
+		set  bool
+		word string
+	}{{s.SoftwareAccessCheck != 0, "check=" + s.SoftwareAccessCheck.String()},
+		{s.ShareProfile, "prof"}, {s.CritPath, "crit"}, {s.Faults != "", "faults=" + s.Faults}} {
+		if w.set {
+			p = append(p, w.word)
+		}
+	}
+	return p
 }
 
 // Seq returns the sequential-baseline key for app.
@@ -66,6 +100,9 @@ func (k Key) String() string {
 	s := fmt.Sprintf("%s/%s/%d/%s/%dp", k.App, k.Protocol, k.Block, k.Notify, k.Nodes)
 	if k.Fault != "" {
 		s += "/" + k.Fault
+	}
+	for _, p := range k.parts() {
+		s += "/" + p
 	}
 	return s
 }
@@ -95,6 +132,10 @@ type Spec struct {
 // each list in the order given. This order defines the deterministic
 // output order of a parallel sweep.
 func (s Spec) Points() []Key {
+	faults := s.Faults
+	if len(faults) == 0 {
+		faults = []string{""}
+	}
 	var pts []Key
 	for _, app := range s.Apps {
 		if s.Baselines {
@@ -103,14 +144,8 @@ func (s Spec) Points() []Key {
 		for _, p := range s.Protocols {
 			for _, g := range s.Granularities {
 				for _, n := range s.Notifies {
-					k := Key{App: app, Protocol: p, Block: g, Notify: n, Nodes: s.Nodes}
-					if len(s.Faults) == 0 {
-						pts = append(pts, k)
-						continue
-					}
-					for _, f := range s.Faults {
-						k.Fault = f
-						pts = append(pts, k)
+					for _, f := range faults {
+						pts = append(pts, Key{App: app, Protocol: p, Block: g, Notify: n, Nodes: s.Nodes, Fault: f})
 					}
 				}
 			}
@@ -248,13 +283,9 @@ func New(opts Options) (*Engine, error) {
 // Options returns the settings the engine runs under, defaults applied.
 func (e *Engine) Options() Options { return e.opts }
 
-// Sink exposes the output sink (experiment code routes its own progress
-// lines through it so they cannot interleave with run records).
-func (e *Engine) Sink() *Sink { return e.sink }
-
-// runKey is the memoized run step shared by RunOne and Run's workers: it
-// computes (or waits for) the key's result, and reports the lookup to the
-// live metrics registry when one is attached.
+// runKey is the memoized run step of Run's workers: it computes (or
+// waits for) the key's result, names the key in its error, and reports
+// the lookup to the live metrics registry when one is attached.
 func (e *Engine) runKey(ctx context.Context, k Key) (*core.Result, error, bool) {
 	reg := e.opts.Metrics
 	var began time.Time
@@ -263,6 +294,9 @@ func (e *Engine) runKey(ctx context.Context, k Key) (*core.Result, error, bool) 
 		began = time.Now()
 	}
 	res, err, fresh := e.memo.Do(k, func() (*core.Result, error) { return e.compute(ctx, k) })
+	if err != nil {
+		err = fmt.Errorf("%s: %w", k, err)
+	}
 	if reg != nil {
 		reg.finished(k, time.Since(began), res, fresh)
 		if e.opts.Fork {
@@ -272,19 +306,11 @@ func (e *Engine) runKey(ctx context.Context, k Key) (*core.Result, error, bool) 
 	return res, err, fresh
 }
 
-// RunOne returns the (memoized) result for one key, emitting its progress
-// line and records if this call computed it. A failed write fails it.
+// RunOne is Run of one key: the (memoized) result, its progress line and
+// records emitted if this call computed it. A failed write fails it.
 func (e *Engine) RunOne(ctx context.Context, k Key) (*core.Result, error) {
-	res, err, fresh := e.runKey(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	if fresh {
-		if err := e.sink.Emit(k, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	res, err := e.Run(ctx, []Key{k})
+	return res[0], err
 }
 
 // Run executes every key over the worker pool and returns results aligned
@@ -380,13 +406,16 @@ feed:
 	return results, firstErr
 }
 
-// config fills the template with one point's coordinates. Sequential
-// baselines (whose Key leaves the coordinates zero) run at the page size;
-// Validate clears the plan and the observers they ignore.
+// config fills the template with one point's coordinates and settings.
+// Sequential baselines (whose Key leaves the coordinates zero) run at the
+// page size; Validate clears the plan and the observers they ignore.
 func (e *Engine) config(k Key, plan *faults.Plan) core.Config {
 	cfg := e.opts.Config
 	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential, cfg.Faults =
 		k.Nodes, k.Block, k.Protocol, k.Notify, k.Sequential, plan
+	cfg.SoftwareAccessCheck = cmp.Or(k.SoftwareAccessCheck, cfg.SoftwareAccessCheck)
+	cfg.ShareProfile = cfg.ShareProfile || k.ShareProfile
+	cfg.CritPath = cfg.CritPath || k.CritPath
 	if k.Sequential {
 		cfg.BlockSize = 4096
 	}
@@ -425,18 +454,18 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.checked(k, app, res)
+	return e.checked(app, res)
 }
 
 // checked is the tail of both compute paths: verify the final image when
 // the sweep verifies, then give the image back for the next run to draw.
 // What the memo retains and Run returns therefore carries no Heap — a
 // sweep's live heap does not grow by one image per finished run.
-func (e *Engine) checked(k Key, app core.App, res *core.Result) (*core.Result, error) {
+func (e *Engine) checked(app core.App, res *core.Result) (*core.Result, error) {
 	defer core.ReleaseImage(res)
 	if e.opts.Verify {
 		if err := app.Verify(res.Heap); err != nil {
-			return nil, fmt.Errorf("sweep: %s verify: %w", k, err)
+			return nil, fmt.Errorf("verify: %w", err)
 		}
 	}
 	return res, nil

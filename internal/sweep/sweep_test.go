@@ -322,29 +322,35 @@ func TestCSVSinkAppendAware(t *testing.T) {
 	}
 }
 
-func TestSinkSerializesLogf(t *testing.T) {
+// TestSinkSerializesEmit: Emit from eight goroutines at once writes every
+// point's progress line whole.
+func TestSinkSerializesEmit(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSink(&buf, nil, false, nil, nil, nil, false, false)
+	res := &core.Result{Time: sim.Millisecond}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				s.Logf("worker %d line %d", i, j)
+				s.Emit(Key{App: fmt.Sprintf("w%d", i), Protocol: core.SC, Block: j, Nodes: 4}, res)
 			}
 		}()
 	}
 	wg.Wait()
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 400 {
-		t.Fatalf("lines = %d, want 400", len(lines))
-	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	seen := map[string]bool{}
 	for _, l := range lines {
-		if !bytes.HasPrefix(l, []byte("worker ")) {
-			t.Fatalf("interleaved line: %q", l)
+		var app, proto, notify string
+		var block int
+		if _, err := fmt.Sscanf(l, "run  %s %s %dB %s T=1.000ms", &app, &proto, &block, &notify); err != nil || seen[app+"/"+fmt.Sprint(block)] {
+			t.Fatalf("interleaved or repeated line %q (%v)", l, err)
 		}
+		seen[app+"/"+fmt.Sprint(block)] = true
+	}
+	if len(seen) != 400 {
+		t.Fatalf("%d distinct lines, want 400", len(seen))
 	}
 }
 
@@ -352,9 +358,9 @@ func TestSinkEmitAfterClose(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSink(&buf, nil, false, nil, nil, nil, false, false)
 	s.Close()
-	s.Logf("late") // Close releases nothing: the sink stays usable
-	if !bytes.Contains(buf.Bytes(), []byte("late")) {
-		t.Fatal("late emission lost")
+	// Close releases nothing: the sink stays usable.
+	if err := s.Emit(Seq("lu"), &core.Result{Time: sim.Millisecond}); err != nil || buf.String() != "seq  lu                 T=1.000ms\n" {
+		t.Fatalf("Emit after Close wrote %q, %v", buf.String(), err)
 	}
 }
 
@@ -365,6 +371,55 @@ func TestKeyString(t *testing.T) {
 	k := Key{App: "lu", Protocol: "sc", Block: 64, Notify: network.Polling, Nodes: 16}
 	if got := k.String(); got != fmt.Sprintf("lu/sc/64/%s/16p", network.Polling) {
 		t.Fatalf("key = %q", got)
+	}
+	k.Settings = Settings{SoftwareAccessCheck: 100, ShareProfile: true, CritPath: true, Faults: "drop=0.01,seed=1"}
+	if got := k.String(); got != "lu/sc/64/polling/16p/check=100ns/prof/crit/faults=drop=0.01,seed=1" {
+		t.Fatalf("key with settings = %q", got)
+	}
+}
+
+// TestSettingsOverrideTemplate: a point's settings reach its run over an
+// empty template, name it in its progress line and its record, and keep
+// it out of the CSV table.
+func TestSettingsOverrideTemplate(t *testing.T) {
+	var progress, csv, record bytes.Buffer
+	e := mustNew(t, Options{Size: apps.Small, Progress: &progress, CSV: &csv, Record: &record})
+	plain := Key{App: "lu", Protocol: core.HLRC, Block: 4096, Nodes: 4}
+	k := plain
+	k.Settings = Settings{SoftwareAccessCheck: 100, ShareProfile: true, CritPath: true, Faults: "drop=0.01,seed=1"}
+	res, err := e.Run(context.Background(), []Key{plain, k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[1]; got.Sharing == nil || got.CritPath == nil || got.Retransmits == 0 || got.Time <= res[0].Time {
+		t.Errorf("settings did not reach the run: sharing %v, crit %v, retransmits %d, time %v vs %v",
+			got.Sharing != nil, got.CritPath != nil, got.Retransmits, got.Time, res[0].Time)
+	}
+	if lines := strings.Count(csv.String(), "\n"); lines != 2 {
+		t.Errorf("CSV holds %d lines, want the header and the plain point's row:\n%s", lines, csv.String())
+	}
+	if want := fmt.Sprintf(" T=%v check=100ns prof crit faults=drop=0.01,seed=1\n", res[1].Time); !strings.HasSuffix(progress.String(), want) {
+		t.Errorf("progress ends %q, want %q", progress.String(), want)
+	}
+	recs := strings.Split(strings.TrimSuffix(record.String(), "\n"), "\n")
+	if len(recs) != 2 || strings.Contains(recs[0], "SoftwareAccessCheck") ||
+		!strings.Contains(recs[1], `"SoftwareAccessCheck":100,"ShareProfile":true,"CritPath":true,"Faults":"drop=0.01,seed=1"`) {
+		t.Errorf("records:\n%s", record.String())
+	}
+}
+
+// TestComputeErrorNamesPoint: a run's error names its point and keeps its
+// type.
+func TestComputeErrorNamesPoint(t *testing.T) {
+	plan, err := faults.Parse("straggler=9x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustNew(t, Options{Size: apps.Small, Config: core.Config{Faults: plan}})
+	k := Key{App: "lu", Protocol: core.HLRC, Block: 4096, Nodes: 4}
+	_, err = e.Run(context.Background(), []Key{k})
+	if !errors.Is(err, core.ErrBadFaultPlan) || !strings.HasPrefix(err.Error(), k.String()+": ") {
+		t.Fatalf("err = %v, want a bad fault plan named %s", err, k)
 	}
 }
 

@@ -89,11 +89,13 @@ metrics() {
 }
 
 # Deterministic fault injection: a verified LU run at 1% loss, the
-# degradation table, and a seeded lossy run replayed byte for byte.
+# degradation table (its runs and records across parallelism), and a
+# seeded lossy run replayed byte for byte.
 faults() {
 	unit -race ./internal/faults ./internal/network ./internal/sweep .
 	dsmrun -app lu -protocol sc -block 4096 -nodes 4 -faults 'drop=0.01,seed=1'
-	dsmrun -exp degradation -nodes 4 -size small 2>"$tmp/degradation.err"
+	pcmp -csv -record -- dsmrun -exp degradation -nodes 4 -size small
+	cat "$tmp/p1.out"
 	local a
 	for a in a b; do dsmrun "${lu_hlrc[@]}" -nodes 4 -faults 'drop=0.02,seed=3' >"$tmp/lossy_$a"; done
 	cmp "$tmp/lossy_a" "$tmp/lossy_b"
@@ -103,11 +105,13 @@ faults() {
 
 # The sharing-pattern profiler: Volrend-Original's per-region report (the
 # image plane shows the paper's false sharing), false sharing vs
-# granularity for both task shapes, and the profile CSV across parallelism.
+# granularity for both task shapes (its runs and records across
+# parallelism), and the profile CSV across parallelism.
 prof() {
 	unit -race ./internal/shareprof ./internal/sweep .
 	dsmrun -app volrend-original -protocol hlrc -block 4096 -nodes 16 -prof
-	dsmrun -exp sharing -nodes 16 -size small 2>"$tmp/sharing.err"
+	pcmp -csv -record -- dsmrun -exp sharing -nodes 16 -size small
+	cat "$tmp/p1.out"
 	pcmp -prof-csv -- dsmrun -exp table9 -size small -nodes 4
 	head -1 "$tmp/p1-prof-csv" | grep -q '^app,protocol,block,notify,nodes,region,'
 	grep -q ',(total),' "$tmp/p1-prof-csv"

@@ -8,7 +8,7 @@ import (
 )
 
 // SweepPoint identifies one run of a sweep: one point of the evaluation
-// cross-product, or an application's sequential baseline.
+// cross-product (its Settings zero in a Sweep), or a sequential baseline.
 type SweepPoint = sweep.Key
 
 // SweepSpec describes a cross-product of runs: every listed application
