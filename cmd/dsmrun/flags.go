@@ -40,9 +40,9 @@ type cli struct {
 	faults      string
 	faultGrid   string
 	fork        bool
+	staticHomes bool
 
 	// Single runs only.
-	staticHomes      bool
 	trace, traceJSON string
 	profTop, critTop int
 
@@ -77,14 +77,14 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.BoolVar(&c.verify, "verify", true, "check numeric results against the sequential reference (always on at -size small)")
 	fs.BoolVar(&c.prof, "prof", false, "attach the sharing-pattern profiler (per-region taxonomy and true/false-sharing attribution)")
 	fs.BoolVar(&c.crit, "crit", false, "attach the critical-path profiler (exact longest dependency chain, attributed per component/node/region)")
-	fs.StringVar(&c.whatIf, "whatif", "", "rescale one cost class (compute, msg, svc, lock, barrier) on every run, e.g. 'lock=0.5'")
+	fs.StringVar(&c.whatIf, "whatif", "", "rescale one cost class (compute, msg, svc, lock, barrier) on every run, e.g. 'lock=0.5'; a single run adds the rescaled twin beside the point instead")
 	fs.DurationVar(&c.sampleEvery, "sample-every", 0, "virtual-time metrics sampling interval (e.g. 100us; 0 = off)")
 	fs.StringVar(&c.faults, "faults", "", "deterministic fault plan: drop=P,dup=P,jitter=DUR,partition=A-B@FROM:TO,linkdrop=A-B:P,rto=DUR,seed=N,start=K,straggler=NODExFACTOR[@FROM:TO]")
 	fs.StringVar(&c.faultGrid, "fault-grid", "", "semicolon-separated fault variants NAME[:SPEC] (SPEC as in -faults; empty = healthy); every configuration runs once per variant, and -fork shares their warmup prefixes")
 	fs.BoolVar(&c.fork, "fork", false, "share warmup prefixes across the fault grid: simulate each group's pre-fault prefix once and fork it per variant (output stays byte-identical)")
-	fs.BoolVar(&c.staticHomes, "static-homes", false, "disable first-touch home migration (ablation; single runs only)")
-	fs.StringVar(&c.trace, "trace", "", "write a deterministic line-format event trace (single runs only)")
-	fs.StringVar(&c.traceJSON, "trace-json", "", "write a Chrome trace-event JSON file (single runs only)")
+	fs.BoolVar(&c.staticHomes, "static-homes", false, "disable first-touch home migration on every run (ablation)")
+	fs.StringVar(&c.trace, "trace", "", "write the point's deterministic line-format event trace, not its baseline's or -whatif twin's (single runs only)")
+	fs.StringVar(&c.traceJSON, "trace-json", "", "write the point's Chrome trace-event JSON file, not its baseline's or -whatif twin's (single runs only)")
 	fs.IntVar(&c.profTop, "prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
 	fs.IntVar(&c.critTop, "crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
 	fs.BoolVar(&c.latency, "latency", false, "print a latency-distribution summary under each sweep progress line")
@@ -102,9 +102,9 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 
 // apply writes the settings that describe a run into o: size, workers,
 // verification, observers (a -x-csv file implies -x), sampling interval,
-// what-if scale, the fault plan or grid, and fork. It refuses -faults
-// beside -fault-grid, -fork without a grid and -sample-csv without
-// -sample-every. The output files come from openSinks.
+// what-if scale, static homes, the fault plan or grid, and fork. It
+// refuses -faults beside -fault-grid, -fork without a grid and -sample-csv
+// without -sample-every. The output files come from openSinks.
 func (c *cli) apply(o *sweep.Options) (err error) {
 	o.Size = apps.Small
 	if c.size == "paper" {
@@ -117,6 +117,7 @@ func (c *cli) apply(o *sweep.Options) (err error) {
 	o.Config.ShareProfile = c.prof || c.profCSV != ""
 	o.Config.CritPath = c.crit || c.critCSV != ""
 	o.Config.SampleEvery = sim.Time(c.sampleEvery)
+	o.Config.StaticHomes = c.staticHomes
 	if c.whatIf != "" {
 		if o.Config.WhatIf, err = critpath.ParseScale(c.whatIf); err != nil {
 			return err
@@ -165,18 +166,28 @@ func parseGrid(spec string) ([]sweep.FaultVariant, error) {
 }
 
 // openSinks opens the -csv, -prof-csv, -crit-csv, -sample-csv and -record
-// files for appending as o's writers and starts the -metrics-addr server
-// as o's registry, announcing its address on stderr. close releases them
-// all.
+// files for appending as o's writers and the -trace and -trace-json files
+// afresh as its template's, and starts the -metrics-addr server as o's
+// registry, announcing its address on stderr. close releases them all.
 func (c *cli) openSinks(o *sweep.Options) error {
 	for _, f := range []struct {
 		path string
 		w    *io.Writer
-	}{{c.csv, &o.CSV}, {c.profCSV, &o.ProfCSV}, {c.critCSV, &o.CritCSV}, {c.sampleCSV, &o.SampleCSV}, {c.record, &o.Record}} {
-		var err error
-		if *f.w, err = c.appendTo(f.path); err != nil {
+		mode int
+	}{{c.csv, &o.CSV, os.O_APPEND}, {c.profCSV, &o.ProfCSV, os.O_APPEND}, {c.critCSV, &o.CritCSV, os.O_APPEND},
+		{c.sampleCSV, &o.SampleCSV, os.O_APPEND}, {c.record, &o.Record, os.O_APPEND},
+		{c.trace, &o.Config.Trace, os.O_TRUNC}, {c.traceJSON, &o.Config.TraceJSON, os.O_TRUNC}} {
+		if f.path == "" {
+			continue
+		}
+		// Appended files accumulate records across invocations (the CSV sink
+		// writes its header only into an empty file); a trace starts afresh.
+		file, err := os.OpenFile(f.path, f.mode|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
 			return err
 		}
+		c.closers = append(c.closers, file.Close)
+		*f.w = file
 	}
 	if c.metricsAddr != "" {
 		reg := sweep.NewRegistry()
@@ -191,23 +202,7 @@ func (c *cli) openSinks(o *sweep.Options) error {
 	return nil
 }
 
-// appendTo opens path for appending, so records from successive
-// invocations accumulate; the CSV sink writes its header only into an
-// empty file. The file stays open until close. An empty path (a flag left
-// unset) opens nothing and returns a nil writer.
-func (c *cli) appendTo(path string) (io.Writer, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	c.closers = append(c.closers, f.Close)
-	return f, nil
-}
-
-// close closes every file appendTo opened and stops the metrics server,
+// close closes every file openSinks opened and stops the metrics server,
 // returning what the closes reported.
 func (c *cli) close() error {
 	var errs []error

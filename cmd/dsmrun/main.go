@@ -2,8 +2,9 @@
 // notification) configurations through the public dsmsim API, and
 // regenerates the paper's tables and figures.
 //
-// With a single configuration it prints the execution time, the speedup
-// against the sequential baseline, and the full statistics breakdown:
+// A single configuration runs as a one-point sweep — its sequential
+// baseline, the point and, under -whatif, the point's rescaled twin — and
+// prints the execution time, the speedup and the full statistics breakdown:
 //
 //	dsmrun -app lu -protocol hlrc -block 4096 -notify polling -nodes 16 -size paper
 //
@@ -29,7 +30,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -43,6 +43,7 @@ import (
 
 	"dsmsim"
 	"dsmsim/internal/harness"
+	"dsmsim/internal/metrics"
 	"dsmsim/internal/profiling"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sweep"
@@ -135,10 +136,10 @@ func (c *cli) run() (err error) {
 
 	points := len(spec.Apps) * len(spec.Protocols) * len(spec.Granularities) * len(spec.Notify)
 	single := c.exp == "" && points == 1 && len(o.FaultGrid) == 0
-	if f := named("metrics-addr", "metrics-linger", "latency"); single && f != "" {
+	if f := named("latency"); single && f != "" {
 		return fmt.Errorf("only a sweep takes %s (1 configuration selected)", f)
 	}
-	if f := named("static-homes", "trace", "trace-json", "prof-top", "crit-top"); !single && f != "" {
+	if f := named("trace", "trace-json", "prof-top", "crit-top"); !single && f != "" {
 		selected := fmt.Sprintf("%d configurations selected", points)
 		if c.exp != "" {
 			selected = "-exp " + c.exp + " selected"
@@ -149,14 +150,12 @@ func (c *cli) run() (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	defer func() { err = errors.Join(err, c.close()) }()
-	// A single run's files are the ones a one-point sweep writes, through
-	// the same sink.
 	if err := c.openSinks(&o); err != nil {
 		return err
 	}
 	switch {
 	case single:
-		return c.runOne(ctx, spec, o)
+		err = c.runOne(ctx, spec, o)
 	case c.exp != "":
 		protocols := spec.Protocols
 		if !set["protocol"] {
@@ -241,54 +240,33 @@ func (c *cli) runSweep(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Optio
 	return nil
 }
 
-// runOne executes a single configuration with the full statistics dump and
-// emits it to o's files as the point of a one-point sweep.
+// runOne runs a single configuration as a one-point sweep — its sequential
+// baseline, the point and, under -whatif, the point's rescaled twin — and
+// prints the point's full statistics dump.
 func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options) error {
-	out := c.stdout
-	cfg := o.Config
-	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify = spec.Nodes, spec.Granularities[0], spec.Protocols[0], spec.Notify[0]
-	cfg.StaticHomes = c.staticHomes
-	// A what-if runs the baseline first — with the critical-path profiler,
-	// whose report predicts the speedup — and the rescaled machine after.
-	whatIf := cfg.WhatIf
-	cfg.WhatIf = nil
-	cfg.CritPath = cfg.CritPath || whatIf != nil
-
-	opts := []dsmsim.Option{dsmsim.WithVerify(c.verify)}
-	var traces []func() error
-	for _, t := range []struct {
-		path string
-		with func(io.Writer) dsmsim.Option
-	}{{c.trace, dsmsim.WithTrace}, {c.traceJSON, dsmsim.WithTraceJSON}} {
-		if t.path == "" {
-			continue
-		}
-		f, err := os.Create(t.path)
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		traces = append(traces, w.Flush, f.Close)
-		opts = append(opts, t.with(w))
+	o.Progress = nil // the statistics below stand in for the progress line
+	// The what-if scale moves from the template onto the twin; the point
+	// keeps the critical-path profiler, whose report predicts the twin.
+	whatIf := o.Config.WhatIf
+	o.Config.WhatIf = nil
+	o.Config.CritPath = o.Config.CritPath || whatIf != nil
+	point := sweep.Key{App: spec.Apps[0], Protocol: spec.Protocols[0], Block: spec.Granularities[0],
+		Notify: spec.Notify[0], Nodes: spec.Nodes}
+	keys := []sweep.Key{sweep.Seq(point.App), point}
+	if whatIf != nil {
+		twin := point
+		twin.WhatIf = whatIf.String()
+		keys = append(keys, twin)
 	}
-	workload, err := dsmsim.NewApp(spec.Apps[0], spec.Size)
+	e, err := sweep.New(o)
 	if err != nil {
 		return err
 	}
-	res, err := dsmsim.Start(ctx, cfg, workload, opts...)
-	for _, done := range traces {
-		err = errors.Join(err, done())
-	}
+	runs, err := e.Run(ctx, keys)
 	if err != nil {
 		return err
 	}
-
-	// Sequential baseline for the speedup.
-	seqApp, _ := dsmsim.NewApp(spec.Apps[0], spec.Size)
-	seq, err := dsmsim.Start(ctx, dsmsim.Config{Sequential: true, BlockSize: 4096}, seqApp)
-	if err != nil {
-		return err
-	}
+	out, seq, res := c.stdout, runs[0], runs[1]
 
 	fmt.Fprintf(out, "%s  protocol=%s  block=%dB  notify=%s  nodes=%d\n",
 		res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
@@ -303,7 +281,7 @@ func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options
 	fmt.Fprintf(out, "  lock acquires   %12d\n", res.Total.LockAcquires)
 	fmt.Fprintf(out, "  barriers/node   %12d\n", res.Total.BarrierEntries/int64(res.Nodes))
 	fmt.Fprintf(out, "  messages        %12d  (%.2f MB)\n", res.NetMsgs, float64(res.NetBytes)/1e6)
-	if cfg.Faults != nil {
+	if o.Config.Faults != nil {
 		fmt.Fprintf(out, "  reliability     retx=%d timeouts=%d wire-drops=%d dups=%d acks=%d\n",
 			res.Retransmits, res.Timeouts, res.WireDrops, res.Duplicates, res.AcksSent)
 		if res.RetransmitLatency.Count > 0 {
@@ -335,26 +313,13 @@ func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options
 		indent(res.CritPath.WriteText, c.critTop)
 	}
 	if whatIf != nil {
-		wiApp, err := dsmsim.NewApp(spec.Apps[0], spec.Size)
-		if err != nil {
-			return err
-		}
-		wcfg := cfg
-		wcfg.WhatIf, wcfg.ShareProfile, wcfg.CritPath = whatIf, false, false
-		wres, err := dsmsim.Start(ctx, wcfg, wiApp, dsmsim.WithVerify(c.verify))
-		if err != nil {
-			return err
-		}
-		pred := res.CritPath.Predict(whatIf)
+		pred, twin := res.CritPath.Predict(whatIf), runs[2]
 		fmt.Fprintf(out, "  what-if %s:\n", whatIf)
 		fmt.Fprintf(out, "    baseline        %14v\n", res.Time)
 		fmt.Fprintf(out, "    path-predicted  %14v  (%.3fx speedup)\n", pred, ratio(res.Time, pred))
-		fmt.Fprintf(out, "    re-simulated    %14v  (%.3fx speedup)\n", wres.Time, ratio(res.Time, wres.Time))
+		fmt.Fprintf(out, "    re-simulated    %14v  (%.3fx speedup)\n", twin.Time, ratio(res.Time, twin.Time))
 	}
-
-	o.Progress = nil // the statistics above stand in for the progress line
-	point := sweep.Key{App: spec.Apps[0], Protocol: cfg.Protocol, Block: cfg.BlockSize, Notify: cfg.Notify, Nodes: cfg.Nodes}
-	return sweep.SinkFor(o).Emit(point, res)
+	return nil
 }
 
 // ratio guards the x/y speedup display against a zero counterfactual.
@@ -372,44 +337,18 @@ func printPhases(out io.Writer, res *dsmsim.Result) {
 	if len(res.Phases) == 0 {
 		return
 	}
-	const maxRows = 12
 	fmt.Fprintf(out, "  phase breakdown (%d phases at barrier epochs; sums over %d nodes):\n",
 		len(res.Phases), res.Nodes)
 	fmt.Fprintf(out, "    %-7s %14s %14s %14s %14s %14s\n",
 		"phase", "span", "compute", "data", "sync", "proto")
-	row := func(label string, span, compute, data, sync, proto dsmsim.Time) {
-		fmt.Fprintf(out, "    %-7s %14v %14v %14v %14v %14v\n", label, span, compute, data, sync, proto)
+	total := metrics.FoldPhases(res.Phases, 0)[0]
+	total.Label = "total"
+	for _, row := range append(metrics.FoldPhases(res.Phases, 12), total) {
+		fmt.Fprintf(out, "    %-7s %14v %14v %14v %14v %14v\n",
+			row.Label, row.Span, row.Delta.Compute, row.DataWait(), row.SyncWait(), row.Overhead())
 	}
-	shown := res.Phases
-	var rest []dsmsim.Phase
-	if len(shown) > maxRows {
-		shown, rest = shown[:maxRows], shown[maxRows:]
-	}
-	var span, compute, data, sync, proto dsmsim.Time
-	add := func(ph dsmsim.Phase) (s, c, d, y, p dsmsim.Time) {
-		s, c, d, y, p = ph.Span, ph.Delta.Compute, ph.DataWait(), ph.SyncWait(), ph.Overhead()
-		span += s
-		compute += c
-		data += d
-		sync += y
-		proto += p
-		return
-	}
-	for _, ph := range shown {
-		s, c, d, y, p := add(ph)
-		row(fmt.Sprintf("%d", ph.Index), s, c, d, y, p)
-	}
-	if len(rest) > 0 {
-		var s, c, d, y, p dsmsim.Time
-		for _, ph := range rest {
-			rs, rc, rd, ry, rp := add(ph)
-			s, c, d, y, p = s+rs, c+rc, d+rd, y+ry, p+rp
-		}
-		row(fmt.Sprintf("%d-%d", rest[0].Index, rest[len(rest)-1].Index), s, c, d, y, p)
-	}
-	row("total", span, compute, data, sync, proto)
 	fmt.Fprintf(out, "    idle (after last barrier) %v;  total+idle = %v = %d nodes x %v\n",
-		res.Total.Idle, span+res.Total.Idle, res.Nodes, res.Time)
+		res.Total.Idle, total.Span+res.Total.Idle, res.Nodes, res.Time)
 }
 
 // splitList parses a comma-separated selector; "all" (or "*") yields all.

@@ -281,9 +281,9 @@ func TestForkHealthyFirstGrid(t *testing.T) {
 
 // TestSingleRunCSV: one selected configuration writes every file through
 // the sweep's sink — header plus its rows, no second header on a re-run,
-// and the same rows and record line the sweep writes for that
-// configuration. (At 8395aed the single-run path never saw -csv and wrote
-// no file.)
+// and the same rows and record lines (its baseline's and its own) the
+// sweep writes for that configuration. (At 8395aed the single-run path
+// never saw -csv and wrote no file.)
 func TestSingleRunCSV(t *testing.T) {
 	dir := t.TempDir()
 	args := func(name string, sel ...string) []string {
@@ -318,8 +318,10 @@ func TestSingleRunCSV(t *testing.T) {
 	if s, o := lines("sweep", "csv"), lines("one", "csv"); s[0] != o[0] || s[2] != o[1] {
 		t.Fatalf("single-run CSV differs from the sweep's:\n%s\n%s\nvs\n%s\n%s", o[0], o[1], s[0], s[2])
 	}
-	// The sweep's records are the baseline, sc, then hlrc.
-	if s, o := lines("sweep", "record"), lines("one", "record"); len(s) != 3 || len(o) != 2 || o[0] != o[1] || s[2] != o[0] {
+	// The sweep's records are the baseline, sc, then hlrc; each single run's
+	// the baseline, then hlrc.
+	if s, o := lines("sweep", "record"), lines("one", "record"); len(s) != 3 || len(o) != 4 ||
+		o[0] != o[2] || o[1] != o[3] || s[0] != o[0] || s[2] != o[1] {
 		t.Fatalf("single-run record differs from the sweep's (%d and %d lines)", len(o), len(s))
 	}
 	// Each observer file holds the sweep's header, then the sweep's hlrc
@@ -468,5 +470,114 @@ func TestGridStraggler(t *testing.T) {
 	}
 	if len(times) != 2 || times["slow"] <= times["plain"] {
 		t.Fatalf("time_ns by variant %v: want slow > plain", times)
+	}
+}
+
+// TestSingleRunLimit: a single run takes the sweep's virtual-time limit. At
+// 9d29dfc this partition ran to 200000s and exited 0, while the same
+// flags over two apps failed on the limit.
+func TestSingleRunLimit(t *testing.T) {
+	err := run(strings.Fields("-app lu -protocol hlrc -nodes 4 -faults partition=0-1@0:200000s"), io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "virtual time limit 100000.000s exceeded") || !strings.Contains(err.Error(), "1→0") {
+		t.Fatalf("err = %v, want the sweep's limit naming the unacked link 1→0", err)
+	}
+}
+
+// TestWhatIfRecord: every run a single -whatif makes leaves a record line —
+// the baseline, the point, then the rescaled twin carrying its setting —
+// byte-identical at -parallel 1 and 8. At 9d29dfc the three runs left
+// one line.
+func TestWhatIfRecord(t *testing.T) {
+	var records [][]byte
+	for _, parallel := range []string{"1", "8"} {
+		path := filepath.Join(t.TempDir(), "runs.jsonl")
+		args := []string{"-app", "lu", "-nodes", "4", "-whatif", "msg=0.5", "-parallel", parallel, "-record", path}
+		if err := run(args, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, data)
+		var points []sweep.Key
+		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			var r sweep.Record
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatal(err)
+			}
+			points = append(points, r.Point)
+		}
+		point := sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4}
+		twin := point
+		twin.WhatIf = "msg=0.5"
+		if want := []sweep.Key{sweep.Seq("lu"), point, twin}; fmt.Sprint(points) != fmt.Sprint(want) {
+			t.Fatalf("-parallel %s: record lines for %v, want %v", parallel, points, want)
+		}
+		if !strings.Contains(string(data), `"WhatIf":"msg=0.5"`) {
+			t.Fatalf("-parallel %s: the twin's record line does not carry its setting", parallel)
+		}
+	}
+	if !bytes.Equal(records[0], records[1]) {
+		t.Error("-record differs between -parallel 1 and 8")
+	}
+}
+
+// TestStaticHomesSweep: -static-homes describes every run of a sweep, so
+// no point's record shows a home migration (plain lu migrates 16 homes).
+func TestStaticHomesSweep(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := run(strings.Fields("-app lu -protocol sc,hlrc -nodes 4 -static-homes -record "+path), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points int
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var r sweep.Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatal(err)
+		}
+		if !r.Point.Sequential {
+			points++
+		}
+		if m := r.Result.Total.HomeMigrations; m != 0 {
+			t.Errorf("%s: %d home migrations under -static-homes", r.Point, m)
+		}
+	}
+	if points != 2 {
+		t.Fatalf("%d point record lines, want 2", points)
+	}
+}
+
+// TestSingleRunTraceDigests pins the bytes of a single run's -trace and
+// -trace-json, alone and beside -whatif (whose baseline and twin are never
+// traced), to SHA-256 digests recorded at 9d29dfc, before single runs
+// went through the sweep engine.
+func TestSingleRunTraceDigests(t *testing.T) {
+	for _, c := range []struct {
+		extra      []string
+		line, json string
+	}{
+		{nil, "b189119705967935", "edf91e8c1d9dd416"},
+		{[]string{"-whatif", "msg=0.5"}, "a1b0ebfed47f5019", "1e7d94698bb1c804"},
+	} {
+		dir := t.TempDir()
+		line, js := filepath.Join(dir, "trace.txt"), filepath.Join(dir, "trace.json")
+		args := append(strings.Fields("-app lu -protocol hlrc -block 4096 -nodes 4 -trace "+line+" -trace-json "+js), c.extra...)
+		if err := run(args, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct{ path, want string }{{line, c.line}, {js, c.json}} {
+			data, err := os.ReadFile(f.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(data); got != f.want {
+				t.Errorf("%v: %s digest %s, want %s", c.extra, filepath.Base(f.path), got, f.want)
+			}
+		}
 	}
 }

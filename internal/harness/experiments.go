@@ -13,7 +13,6 @@ import (
 	"dsmsim/internal/network"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
-	"dsmsim/internal/stats"
 	"dsmsim/internal/sweep"
 )
 
@@ -605,32 +604,14 @@ func (r *Runner) phases(cuts []matrix) error {
 	r.printf("%-18s %-10s %-8s %10s %8s %8s %8s %8s\n",
 		"Application", "Config", "Phase", "span", "compute", "data", "sync", "proto")
 	return r.eachConfig(cuts, func(app, config string, res *core.Result) {
-		row := func(label string, span sim.Time, d stats.Snapshot) {
-			if span == 0 {
-				return
+		for _, row := range metrics.FoldPhases(res.Phases, maxRows) {
+			if row.Span == 0 {
+				continue
 			}
-			pct := func(x sim.Time) float64 { return 100 * float64(x) / float64(span) }
+			pct := func(x sim.Time) float64 { return 100 * float64(x) / float64(row.Span) }
 			r.printf("%-18s %-10s %-8s %10v %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
-				app, config, label, span,
-				pct(d.Compute), pct(d.ReadStall+d.WriteStall),
-				pct(d.LockStall+d.BarrierStall), pct(d.FlushTime+d.Stolen))
-		}
-		shown := res.Phases
-		var rest []metrics.Phase
-		if len(shown) > maxRows {
-			shown, rest = shown[:maxRows], shown[maxRows:]
-		}
-		for _, ph := range shown {
-			row(fmt.Sprintf("%d", ph.Index), ph.Span, ph.Delta)
-		}
-		if len(rest) > 0 {
-			var span sim.Time
-			var sum stats.Snapshot
-			for _, ph := range rest {
-				span += ph.Span
-				ph.Delta.AddTo(&sum)
-			}
-			row(fmt.Sprintf("%d-%d", rest[0].Index, rest[len(rest)-1].Index), span, sum)
+				app, config, row.Label, row.Span,
+				pct(row.Delta.Compute), pct(row.DataWait()), pct(row.SyncWait()), pct(row.Overhead()))
 		}
 	})
 }

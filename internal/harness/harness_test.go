@@ -437,7 +437,6 @@ func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
 	fill(reflect.ValueOf(&o).Elem())
 	r := mustNew(t, o)
 	want := o
-	want.Config.Trace, want.Config.TraceJSON = nil, nil // per-run writers: cleared by sweep.New
 	if got := r.eng.Options(); !reflect.DeepEqual(got, want.Options) {
 		t.Fatalf("engine options:\n got %+v\nwant %+v", got, want.Options)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/network"
+	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
 )
 
@@ -111,5 +112,29 @@ func TestPhaseAccountantDropsEmptyTail(t *testing.T) {
 	a.Cut(0, 50, n) // finish cut with nothing since the barrier
 	if ph := a.Phases(); len(ph) != 1 {
 		t.Fatalf("%d phases, want empty tail dropped", len(ph))
+	}
+}
+
+// TestFoldPhases: the first n phases stay rows of their own, the rest sum
+// into one row labelled with their index range, and n = 0 folds the run.
+func TestFoldPhases(t *testing.T) {
+	var phases []Phase
+	for i := 0; i < 5; i++ {
+		phases = append(phases, Phase{Index: i, End: sim.Time(10 * (i + 1)), Span: sim.Time(i + 1),
+			Delta: stats.Snapshot{Compute: sim.Time(i), ReadStall: 1, BarrierStall: 2, Stolen: 3}})
+	}
+	rows := FoldPhases(phases, 3)
+	if len(rows) != 4 || rows[0].Label != "0" || rows[2].Label != "2" || rows[2].Phase != phases[2] {
+		t.Fatalf("rows %+v", rows)
+	}
+	if rest := rows[3]; rest.Label != "3-4" || rest.Index != 3 || rest.End != 50 || rest.Span != 9 ||
+		rest.Delta.Compute != 7 || rest.DataWait() != 2 || rest.SyncWait() != 4 || rest.Overhead() != 6 {
+		t.Fatalf("folded row %+v", rest)
+	}
+	if all := FoldPhases(phases, 0); len(all) != 1 || all[0].Label != "0-4" || all[0].Span != 15 {
+		t.Fatalf("whole run %+v", all)
+	}
+	if rows := FoldPhases(phases, 5); len(rows) != 5 || rows[4].Label != "4" {
+		t.Fatalf("uncapped rows %+v", rows)
 	}
 }

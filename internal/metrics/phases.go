@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"fmt"
+	"strconv"
+
 	"dsmsim/internal/digest"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/stats"
@@ -38,6 +41,33 @@ func (p *Phase) SyncWait() sim.Time { return p.Delta.LockStall + p.Delta.Barrier
 // Overhead is protocol work off the fault path: release-time diff flushes
 // and service time stolen from computation.
 func (p *Phase) Overhead() sim.Time { return p.Delta.FlushTime + p.Delta.Stolen }
+
+// PhaseRow is one line of a phase table: a phase labelled with its index,
+// or the sum of a run of phases labelled with their index range.
+type PhaseRow struct {
+	Label string
+	Phase
+}
+
+// FoldPhases returns the rows of a phase table capped at n single phases:
+// the first n phases, then, when more remain, one row summing the rest,
+// labelled "first-last". FoldPhases(phases, 0)[0] is the whole run.
+func FoldPhases(phases []Phase, n int) []PhaseRow {
+	n = min(n, len(phases))
+	rows := make([]PhaseRow, n, n+1)
+	for i, ph := range phases[:n] {
+		rows[i] = PhaseRow{strconv.Itoa(ph.Index), ph}
+	}
+	if rest := phases[n:]; len(rest) > 0 {
+		sum := PhaseRow{fmt.Sprintf("%d-%d", rest[0].Index, rest[len(rest)-1].Index), Phase{Index: rest[0].Index}}
+		for _, ph := range rest {
+			sum.End, sum.Span = ph.End, sum.Span+ph.Span
+			ph.Delta.AddTo(&sum.Delta)
+		}
+		rows = append(rows, sum)
+	}
+	return rows
+}
 
 // PhaseAccountant cuts each node's running stats at its barrier returns
 // and aggregates the deltas into per-epoch Phases. Cut is called from proc

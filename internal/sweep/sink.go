@@ -59,13 +59,8 @@ type projection struct {
 	started bool
 }
 
-// SinkFor builds the sink of an engine running under o: its progress,
-// CSV and record writers, with a fault column in every CSV schema when o
-// has a fault grid.
-func SinkFor(o Options) *Sink { return newSink(o, len(o.FaultGrid) > 0) }
-
-// NewSink is SinkFor with the writers spelled positionally, as the
-// benchmark probes call it: a nil writer leaves its output out, and
+// NewSink is an engine's sink with the writers spelled positionally, as
+// the benchmark probes call it: a nil writer leaves its output out, and
 // faultCol adds the fault column. The seventh argument is ignored
 // (it selected the enriched progress format, which is gone).
 func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.Writer, _, faultCol bool) *Sink {
@@ -73,6 +68,8 @@ func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.
 		SampleCSV: samples, ProfCSV: profs, CritCSV: crits}, faultCol)
 }
 
+// newSink builds the sink of an engine running under o, with a fault
+// column in every CSV schema when fault is set.
 func newSink(o Options, fault bool) *Sink {
 	s := &Sink{}
 	for _, p := range []*projection{

@@ -30,7 +30,7 @@ import (
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
-	"dsmsim/internal/faults"
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
 )
@@ -73,6 +73,9 @@ type Settings struct {
 	// Faults is the point's own fault plan in the faults.Parse grammar. It
 	// replaces both the template's plan and the point's grid variant.
 	Faults string `json:",omitempty"`
+	// WhatIf is the point's own cost-class rescaling in the
+	// critpath.ParseScale grammar ("msg=0.5"). It replaces the template's.
+	WhatIf string `json:",omitempty"`
 }
 
 // parts spells the settings that are set, one word each.
@@ -82,7 +85,8 @@ func (s Settings) parts() []string {
 		set  bool
 		word string
 	}{{s.SoftwareAccessCheck != 0, "check=" + s.SoftwareAccessCheck.String()},
-		{s.ShareProfile, "prof"}, {s.CritPath, "crit"}, {s.Faults != "", "faults=" + s.Faults}} {
+		{s.ShareProfile, "prof"}, {s.CritPath, "crit"}, {s.Faults != "", "faults=" + s.Faults},
+		{s.WhatIf != "", "whatif=" + s.WhatIf}} {
 		if w.set {
 			p = append(p, w.word)
 		}
@@ -258,7 +262,6 @@ func New(opts Options) (*Engine, error) {
 	if cfg.Limit == 0 {
 		cfg.Limit = 100000 * sim.Second
 	}
-	cfg.Trace, cfg.TraceJSON = nil, nil
 	cfg.ShareProfile = cfg.ShareProfile || opts.ProfCSV != nil
 	cfg.CritPath = cfg.CritPath || opts.CritCSV != nil
 	if opts.SampleCSV != nil && cfg.SampleEvery <= 0 {
@@ -276,7 +279,7 @@ func New(opts Options) (*Engine, error) {
 	}
 	return &Engine{
 		opts: opts,
-		sink: SinkFor(opts),
+		sink: newSink(opts, len(opts.FaultGrid) > 0),
 	}, nil
 }
 
@@ -319,8 +322,12 @@ func (e *Engine) RunOne(ctx context.Context, k Key) (*core.Result, error) {
 // performed (cache hits stay silent, exactly like the serial path). On
 // error — a run's, or a write of its output — the remaining runs are
 // cancelled and the first error in canonical order is returned; results
-// computed before the failure are still returned and cached.
+// computed before the failure are still returned and cached. A Run that
+// would trace two runs (traced) fails before it starts any.
 func (e *Engine) Run(ctx context.Context, keys []Key) ([]*core.Result, error) {
+	if err := e.oneTraced(keys); err != nil {
+		return make([]*core.Result, len(keys)), err
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -406,20 +413,51 @@ feed:
 	return results, firstErr
 }
 
-// config fills the template with one point's coordinates and settings.
-// Sequential baselines (whose Key leaves the coordinates zero) run at the
-// page size; Validate clears the plan and the observers they ignore.
-func (e *Engine) config(k Key, plan *faults.Plan) core.Config {
-	cfg := e.opts.Config
-	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential, cfg.Faults =
-		k.Nodes, k.Block, k.Protocol, k.Notify, k.Sequential, plan
+// traced reports whether k's run writes the template's trace: neither a
+// baseline nor a point with settings of its own.
+func traced(k Key) bool { return !k.Sequential && k.Settings == Settings{} }
+
+// oneTraced refuses a Run that would trace two distinct runs into the
+// template's trace writers.
+func (e *Engine) oneTraced(keys []Key) error {
+	var first *Key
+	for i, k := range keys {
+		switch {
+		case e.opts.Config.Trace == nil && e.opts.Config.TraceJSON == nil, !traced(k):
+		case first == nil:
+			first = &keys[i]
+		case *first != k:
+			return fmt.Errorf("sweep: a trace writer traces one run, and this sweep would trace %s and %s", first, k)
+		}
+	}
+	return nil
+}
+
+// config fills the template with one point's coordinates, its fault plan
+// (planFor) and its settings. Sequential baselines (whose Key leaves the
+// coordinates zero) run at the page size; Validate clears the plan and the
+// observers they ignore. Only a traced point keeps the trace writers.
+func (e *Engine) config(k Key) (cfg core.Config, err error) {
+	cfg = e.opts.Config
+	if cfg.Faults, err = e.planFor(k); err != nil {
+		return cfg, err
+	}
+	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential = k.Nodes, k.Block, k.Protocol, k.Notify, k.Sequential
 	cfg.SoftwareAccessCheck = cmp.Or(k.SoftwareAccessCheck, cfg.SoftwareAccessCheck)
 	cfg.ShareProfile = cfg.ShareProfile || k.ShareProfile
 	cfg.CritPath = cfg.CritPath || k.CritPath
+	if k.WhatIf != "" {
+		if cfg.WhatIf, err = critpath.ParseScale(k.WhatIf); err != nil {
+			return cfg, err
+		}
+	}
+	if !traced(k) {
+		cfg.Trace, cfg.TraceJSON = nil, nil
+	}
 	if k.Sequential {
 		cfg.BlockSize = 4096
 	}
-	return cfg
+	return cfg, nil
 }
 
 // compute executes one run, through a shared-prefix fork when the point is
@@ -429,13 +467,12 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := e.planFor(k)
+	cfg, err := e.config(k)
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.config(k, plan)
 	app := entry.New(e.opts.Size)
-	if epoch := e.forkEpoch(); epoch > 0 && forkable(k, plan, epoch) {
+	if epoch := e.forkEpoch(); epoch > 0 && forkable(k, cfg.Faults, epoch) {
 		res, err := e.computeForked(ctx, k, cfg, app, epoch)
 		if !errors.Is(err, core.ErrNotResumable) {
 			return res, err

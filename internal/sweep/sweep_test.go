@@ -14,6 +14,7 @@ import (
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
@@ -372,8 +373,8 @@ func TestKeyString(t *testing.T) {
 	if got := k.String(); got != fmt.Sprintf("lu/sc/64/%s/16p", network.Polling) {
 		t.Fatalf("key = %q", got)
 	}
-	k.Settings = Settings{SoftwareAccessCheck: 100, ShareProfile: true, CritPath: true, Faults: "drop=0.01,seed=1"}
-	if got := k.String(); got != "lu/sc/64/polling/16p/check=100ns/prof/crit/faults=drop=0.01,seed=1" {
+	k.Settings = Settings{SoftwareAccessCheck: 100, ShareProfile: true, CritPath: true, Faults: "drop=0.01,seed=1", WhatIf: "msg=0.5"}
+	if got := k.String(); got != "lu/sc/64/polling/16p/check=100ns/prof/crit/faults=drop=0.01,seed=1/whatif=msg=0.5" {
 		t.Fatalf("key with settings = %q", got)
 	}
 }
@@ -405,6 +406,76 @@ func TestSettingsOverrideTemplate(t *testing.T) {
 	if len(recs) != 2 || strings.Contains(recs[0], "SoftwareAccessCheck") ||
 		!strings.Contains(recs[1], `"SoftwareAccessCheck":100,"ShareProfile":true,"CritPath":true,"Faults":"drop=0.01,seed=1"`) {
 		t.Errorf("records:\n%s", record.String())
+	}
+}
+
+// TestWhatIfSetting: a point's WhatIf rescales its run as the template's
+// scale would, and a spec outside the critpath.ParseScale grammar fails
+// naming the point.
+func TestWhatIfSetting(t *testing.T) {
+	ctx := context.Background()
+	scale, err := critpath.ParseScale("msg=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := Key{App: "lu", Protocol: core.HLRC, Block: 4096, Nodes: 4}
+	twin := plain
+	twin.WhatIf = "msg=0.5"
+	res, err := mustNew(t, Options{Size: apps.Small}).Run(ctx, []Key{plain, twin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	template, err := mustNew(t, Options{Size: apps.Small, Config: core.Config{WhatIf: scale}}).RunOne(ctx, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[1].Time != template.Time || res[1].Time >= res[0].Time {
+		t.Errorf("twin %v, template-scaled %v, plain %v: want the first two equal and below the third",
+			res[1].Time, template.Time, res[0].Time)
+	}
+	bad := plain
+	bad.WhatIf = "msg"
+	if _, err := mustNew(t, Options{Size: apps.Small}).RunOne(ctx, bad); err == nil || !strings.HasPrefix(err.Error(), bad.String()+": ") {
+		t.Errorf("err = %v, want a bad what-if spec named %s", err, bad)
+	}
+}
+
+// TestTraceOneRun: the template's trace writers trace the one point given
+// as the template describes it — the bytes a plain run of it writes — and
+// neither its baseline nor a point with settings; a Run that would trace
+// two points fails naming both before it runs any.
+func TestTraceOneRun(t *testing.T) {
+	ctx := context.Background()
+	plain := Key{App: "lu", Protocol: core.HLRC, Block: 4096, Nodes: 4}
+	crit := plain
+	crit.CritPath = true
+	var line, js bytes.Buffer
+	e := mustNew(t, Options{Size: apps.Small, Config: core.Config{Trace: &line, TraceJSON: &js}})
+	if _, err := e.Run(ctx, []Key{Seq("lu"), plain, crit, plain}); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	m, err := core.NewMachine(core.Config{Nodes: 4, BlockSize: 4096, Protocol: core.HLRC, Trace: &want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := apps.Get("lu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunContext(ctx, entry.New(apps.Small)); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 || line.String() != want.String() || js.Len() == 0 {
+		t.Errorf("line trace of %d bytes, want the plain run's %d; JSON trace of %d bytes", line.Len(), want.Len(), js.Len())
+	}
+
+	other := plain
+	other.Protocol = core.SC
+	var buf bytes.Buffer
+	_, err = mustNew(t, Options{Size: apps.Small, Config: core.Config{Trace: &buf}}).Run(ctx, []Key{Seq("lu"), plain, other})
+	if err == nil || !strings.Contains(err.Error(), plain.String()+" and "+other.String()) || buf.Len() != 0 {
+		t.Errorf("err = %v with %d bytes traced, want a refusal naming %s and %s", err, buf.Len(), plain, other)
 	}
 }
 
@@ -460,22 +531,21 @@ func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
 	fill(reflect.ValueOf(&o).Elem())
 	e := mustNew(t, o)
 	want := o
-	want.Config.Trace, want.Config.TraceJSON = nil, nil // per-run writers: cleared by New
 	if got := e.Options(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("engine options:\n got %+v\nwant %+v", got, want)
 	}
 
 	k := Key{App: "lu", Protocol: core.HLRC, Block: 256, Notify: network.Interrupt, Nodes: 4}
-	plan := faults.NewPlan(faults.Drop(0.5))
 	cfg := want.Config
-	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential, cfg.Faults = 4, 256, core.HLRC, network.Interrupt, false, plan
-	if got := e.config(k, plan); !reflect.DeepEqual(got, cfg) {
-		t.Fatalf("config for %v:\n got %+v\nwant %+v", k, got, cfg)
+	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential = 4, 256, core.HLRC, network.Interrupt, false
+	if got, err := e.config(k); err != nil || !reflect.DeepEqual(got, cfg) {
+		t.Fatalf("config for %v (%v):\n got %+v\nwant %+v", k, err, got, cfg)
 	}
 	seq := want.Config
-	seq.Nodes, seq.BlockSize, seq.Protocol, seq.Notify, seq.Sequential, seq.Faults = 0, 4096, "", 0, true, plan
-	if got := e.config(Seq("lu"), plan); !reflect.DeepEqual(got, seq) {
-		t.Fatalf("config for the baseline:\n got %+v\nwant %+v", got, seq)
+	seq.Nodes, seq.BlockSize, seq.Protocol, seq.Notify, seq.Sequential = 0, 4096, "", 0, true
+	seq.Trace, seq.TraceJSON = nil, nil // a baseline is never traced
+	if got, err := e.config(Seq("lu")); err != nil || !reflect.DeepEqual(got, seq) {
+		t.Fatalf("config for the baseline (%v):\n got %+v\nwant %+v", err, got, seq)
 	}
 	if _, err := core.NewMachine(seq); err != nil {
 		t.Fatalf("the baseline's config does not validate: %v", err)

@@ -15,9 +15,9 @@ type FaultVariant = sweep.FaultVariant
 // setting, whose Config field is the core.Config a run is built from.
 // Start and Sweep share the vocabulary: the settings that describe a run
 // (verification, fault plan, virtual-time limit, sampling, profilers)
-// mean the same thing in both, and options that only apply to one of the
-// two calls (tracing is per-run, parallelism is per-sweep) are silently
-// ignored by the other.
+// mean the same thing in both. An option marked "Sweep only" is an error
+// from Start, and the trace writers trace one run: a Sweep given them
+// traces its one point (never a baseline) and fails over more than one.
 type Option func(*sweep.Options)
 
 // WithVerify enables result verification against the sequential
@@ -122,36 +122,38 @@ func WithWhatIf(s *CritScale) Option { return func(o *sweep.Options) { o.Config.
 // WithTrace streams the run's deterministic line-format event log to w:
 // every fault, synchronization operation, message send/service — and,
 // under a fault plan, every wire drop, duplicate and retransmission —
-// with virtual timestamps. Start only; ignored by Sweep.
+// with virtual timestamps. Traces the one run of Start, or the one point
+// of a Sweep; a Sweep of more than one point fails with it.
 func WithTrace(w io.Writer) Option { return func(o *sweep.Options) { o.Config.Trace = w } }
 
 // WithTraceJSON streams the same events as a Chrome trace-event JSON
-// array (load in Perfetto or chrome://tracing). Start only; ignored by
-// Sweep.
+// array (load in Perfetto or chrome://tracing). One run, as WithTrace.
 func WithTraceJSON(w io.Writer) Option { return func(o *sweep.Options) { o.Config.TraceJSON = w } }
 
 // WithParallelism bounds the sweep worker pool. n <= 0 (and the default)
 // means one worker per available CPU (GOMAXPROCS); 1 recovers fully
-// serial execution. Output is byte-identical at every setting.
+// serial execution. Output is byte-identical at every setting. Sweep
+// only.
 func WithParallelism(n int) Option { return func(o *sweep.Options) { o.Workers = n } }
 
 // WithProgress streams one line per completed run to w, in canonical
-// sweep order regardless of completion order.
+// sweep order regardless of completion order. Sweep only.
 func WithProgress(w io.Writer) Option { return func(o *sweep.Options) { o.Progress = w } }
 
 // WithCSV streams one machine-readable record per completed run to w. The
 // header is written exactly once, and suppressed automatically when w is
-// an append-mode file that already holds records.
+// an append-mode file that already holds records. Sweep only.
 func WithCSV(w io.Writer) Option { return func(o *sweep.Options) { o.CSV = w } }
 
 // WithHistograms adds a latency-distribution summary line (fault service
-// time, message latency, lock wait) after each run's progress line.
+// time, message latency, lock wait) after each run's progress line. Sweep
+// only.
 func WithHistograms() Option { return func(o *sweep.Options) { o.Histograms = true } }
 
 // WithSampleCSV streams every run's sampler time-series to w as CSV rows
 // prefixed with the run-key columns, in canonical sweep order — like all
 // sweep output, byte-identical at any parallelism. Requires
-// WithSampleEvery: without an interval Sweep returns an error.
+// WithSampleEvery: without an interval Sweep returns an error. Sweep only.
 func WithSampleCSV(w io.Writer) Option { return func(o *sweep.Options) { o.SampleCSV = w } }
 
 // WithRecord streams every run's record to w as one JSON line: the point
@@ -167,5 +169,5 @@ func WithRecord(w io.Writer) Option { return func(o *sweep.Options) { o.Record =
 // point once in m — its wall-clock runtime and result — and counts repeat
 // lookups as memo hits (Prometheus text at /metrics, served with
 // Metrics.Serve). Wall-clock data stays on the live surface only;
-// deterministic outputs are unaffected.
+// deterministic outputs are unaffected. Sweep only.
 func WithMetrics(m *Metrics) Option { return func(o *sweep.Options) { o.Metrics = m } }

@@ -115,3 +115,55 @@ func TestEveryOptionFieldHasAWith(t *testing.T) {
 	}
 	walk(reflect.ValueOf(o), "")
 }
+
+// TestStartRefusesSweepOnlyOptions: each of the eleven options only a
+// sweep can use is an error from Start naming it, where Start used to run
+// without it.
+func TestStartRefusesSweepOnlyOptions(t *testing.T) {
+	var w bytes.Buffer
+	for _, c := range []struct {
+		name string
+		opt  dsmsim.Option
+	}{
+		{"WithParallelism", dsmsim.WithParallelism(2)}, {"WithProgress", dsmsim.WithProgress(&w)},
+		{"WithCSV", dsmsim.WithCSV(&w)}, {"WithHistograms", dsmsim.WithHistograms()},
+		{"WithSampleCSV", dsmsim.WithSampleCSV(&w)}, {"WithProfCSV", dsmsim.WithProfCSV(&w)},
+		{"WithCritCSV", dsmsim.WithCritCSV(&w)}, {"WithRecord", dsmsim.WithRecord(&w)},
+		{"WithMetrics", dsmsim.WithMetrics(dsmsim.NewMetrics())},
+		{"WithFaultGrid", dsmsim.WithFaultGrid(dsmsim.FaultVariant{Name: "none"})}, {"WithFork", dsmsim.WithFork()},
+	} {
+		_, err := dsmsim.StartApp(context.Background(), smallCfg(), "lu", dsmsim.Small, c.opt)
+		if err == nil || !strings.HasSuffix(err.Error(), "sweep-only option: "+c.name) {
+			t.Errorf("Start with %s: err = %v, want a refusal naming it", c.name, err)
+		}
+	}
+	if w.Len() != 0 {
+		t.Errorf("a refused Start wrote %q", w.String())
+	}
+}
+
+// TestSweepTracesItsOnePoint: a Sweep's trace writer receives the bytes
+// Start writes for the same point, and nothing of the baseline; over two
+// points the Sweep fails naming both instead of ignoring the writer.
+func TestSweepTracesItsOnePoint(t *testing.T) {
+	ctx := context.Background()
+	spec := oneRun
+	spec.SkipBaselines = false
+	var swept, started bytes.Buffer
+	if _, err := dsmsim.Sweep(ctx, spec, dsmsim.WithTrace(&swept)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := dsmsim.Config{Nodes: 4, BlockSize: 1024, Protocol: dsmsim.SC}
+	if _, err := dsmsim.StartApp(ctx, cfg, "lu", dsmsim.Small, dsmsim.WithTrace(&started)); err != nil {
+		t.Fatal(err)
+	}
+	if started.Len() == 0 || swept.String() != started.String() {
+		t.Errorf("Sweep traced %d bytes, want Start's %d", swept.Len(), started.Len())
+	}
+	spec.Protocols = []string{dsmsim.SC, dsmsim.HLRC}
+	swept.Reset()
+	_, err := dsmsim.Sweep(ctx, spec, dsmsim.WithTraceJSON(&swept))
+	if err == nil || !strings.Contains(err.Error(), "lu/sc/1024/polling/4p and lu/hlrc/1024/polling/4p") || swept.Len() != 0 {
+		t.Errorf("two-point Sweep with a trace writer: err = %v, %d bytes traced", err, swept.Len())
+	}
+}

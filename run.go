@@ -2,14 +2,15 @@ package dsmsim
 
 import (
 	"context"
+	"fmt"
+	"strings"
 
 	"dsmsim/internal/sweep"
 )
 
 // Start is the single entrypoint for individual runs: it validates cfg,
 // applies the functional options, builds the machine and executes app to
-// completion (or ctx cancellation), consolidating what used to take four
-// calls (Run, RunApp, Machine.RunContext, Machine.RunVerifiedContext):
+// completion (or ctx cancellation):
 //
 //	res, err := dsmsim.Start(ctx, cfg, app,
 //	    dsmsim.WithVerify(),
@@ -21,11 +22,26 @@ import (
 // where they overlap (WithFaults, WithLimit, WithSampleEvery, WithTrace,
 // WithTraceJSON, the profilers) and write into the same struct: they are
 // applied on top of cfg, in order, so an option overrides the Config
-// field it names.
+// field it names. An option only a sweep can use is an error naming it.
 func Start(ctx context.Context, cfg Config, app App, opts ...Option) (*Result, error) {
 	o := sweep.Options{Config: cfg}
 	for _, opt := range opts {
 		opt(&o)
+	}
+	var sweepOnly []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"WithParallelism", o.Workers != 0}, {"WithProgress", o.Progress != nil}, {"WithCSV", o.CSV != nil},
+		{"WithHistograms", o.Histograms}, {"WithSampleCSV", o.SampleCSV != nil}, {"WithProfCSV", o.ProfCSV != nil},
+		{"WithCritCSV", o.CritCSV != nil}, {"WithRecord", o.Record != nil}, {"WithMetrics", o.Metrics != nil},
+		{"WithFaultGrid", o.FaultGrid != nil}, {"WithFork", o.Fork}} {
+		if f.set {
+			sweepOnly = append(sweepOnly, f.name)
+		}
+	}
+	if sweepOnly != nil {
+		return nil, fmt.Errorf("dsmsim: Start takes no sweep-only option: %s", strings.Join(sweepOnly, ", "))
 	}
 	m, err := NewMachine(o.Config)
 	if err != nil {

@@ -46,10 +46,13 @@ sweep() {
 	pcmp -csv -record -- $GO run -race ./cmd/dsmrun "${table3[@]}"
 }
 
-# A sample execution trace from the quickstart example.
+# A sample execution trace from the quickstart example, and the JSON trace
+# of one dsmrun point (its baseline is never traced).
 trace() {
 	$GO run ./examples/quickstart -trace-json trace.json
 	python3 -c "import json; json.load(open('trace.json'))"
+	dsmrun -app lu -nodes 4 -trace-json "$tmp/lu.json" >/dev/null
+	python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$tmp/lu.json"
 	ok "wrote trace.json — open it at https://ui.perfetto.dev"
 }
 
@@ -118,8 +121,9 @@ prof() {
 }
 
 # The critical-path profiler: the recovered path equals completion time, a
-# what-if prints the path's prediction next to the re-simulated truth, the
-# crit CSV across parallelism, and the path-composition table.
+# what-if prints the path's prediction next to the re-simulated truth and
+# records its three runs (baseline, point, twin), the crit CSV across
+# parallelism, and the path-composition table.
 crit() {
 	unit -race ./internal/critpath
 	unit -race -run 'Crit|WhatIf|ForkTrace' ./internal/core ./internal/sweep
@@ -129,8 +133,9 @@ crit() {
 	path=$(awk '/critical path:/ {print $3}' "$tmp/crit.txt")
 	test -n "$total" && test "$total" = "$path"
 	ok "critical path $path equals completion time $total"
-	dsmrun "${lu_hlrc[@]}" -nodes 8 -whatif msg=0.5 | tee "$tmp/whatif.txt"
+	dsmrun "${lu_hlrc[@]}" -nodes 8 -whatif msg=0.5 -record "$tmp/whatif.jsonl" | tee "$tmp/whatif.txt"
 	grep -q path-predicted "$tmp/whatif.txt" && grep -q re-simulated "$tmp/whatif.txt"
+	python3 -c "import json,sys; assert len([json.loads(l) for l in open(sys.argv[1])]) == 3" "$tmp/whatif.jsonl"
 	pcmp -crit-csv -- dsmrun "${table3[@]}"
 	head -1 "$tmp/p1-crit-csv" | grep -q '^app,protocol,block,notify,nodes,crit_total_ns,'
 	dsmrun -exp critpath -nodes 16 -size small 2>"$tmp/critpath.err"
