@@ -13,6 +13,7 @@ import (
 	"dsmsim/internal/network"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
+	"dsmsim/internal/synch"
 )
 
 // TestGoldenLUCounts freezes the exact, deterministic behaviour of a small
@@ -94,7 +95,10 @@ func TestGoldenTraceDigests(t *testing.T) {
 // under the first fault plan — whole blocks on the fast path, and the ARQ
 // layer's snapshots and wire copies — keep their recorded digests, run one
 // at a time and eight at once: every caller overwrites a buffer before
-// anything reads it.
+// anything reads it. Every lock grant payload is poisoned as it returns to
+// its free list too: under the plan's drops and duplicates the ARQ layer
+// retransmits grants, and no copy of one reads a payload after its grant
+// was applied.
 func TestPoisonedBuffersLeaveTracesAlone(t *testing.T) {
 	var poisoned atomic.Int64
 	defer network.SetCloseHook(func(buf []byte) {
@@ -103,6 +107,8 @@ func TestPoisonedBuffersLeaveTracesAlone(t *testing.T) {
 			buf[k] = 0xA5
 		}
 	})()
+	grants, restore := synch.PoisonGrants()
+	defer restore()
 	var cases []traceCase
 	for _, c := range goldenTraceCases(t) {
 		if c.block == 4096 && c.plan == "" || c.plan == goldenFaultPlans[0] {
@@ -127,9 +133,9 @@ func TestPoisonedBuffersLeaveTracesAlone(t *testing.T) {
 		close(next)
 		wg.Wait()
 	}
-	t.Logf("%d rows twice, %d data buffers poisoned", len(cases), poisoned.Load())
-	if poisoned.Load() == 0 {
-		t.Fatal("no network handed on a data buffer: the poison reached nothing")
+	t.Logf("%d rows twice, %d data buffers and %d grant payloads poisoned", len(cases), poisoned.Load(), grants())
+	if poisoned.Load() == 0 || grants() == 0 {
+		t.Fatal("no network handed on a data buffer, or no grant payload was recycled: the poison reached nothing")
 	}
 }
 

@@ -53,9 +53,10 @@ func (n Notify) String() string {
 //
 // Small protocol bodies travel in the inline A/B/Flag fields and block
 // contents in Data — none of which allocate. Payload remains for the rare
-// structured bodies (vector clocks, write intervals, diffs); boxing those
-// into any is the only per-message allocation left, on paths that allocate
-// the body anyway.
+// structured bodies (a grant's or barrier release's write notices, a
+// diff). Each is a pointer to a carrier its sender recycles, which boxes
+// into any without allocating; vector clocks are not sent at all, the
+// handler reads them in place.
 type Msg struct {
 	Src, Dst int
 	Kind     int // protocol-defined discriminator

@@ -70,13 +70,15 @@ type Protocol struct {
 	installs *proto.Txns[struct{}]
 
 	// Free lists: twin buffers and diff carriers recycle across the run.
-	// blockScratch is PreRelease's sort scratch (never live across a yield);
-	// outScratch is its send list, per node because it stays live across the
-	// diff-cost Sleep and the flush Block, where other procs may release.
-	twinFree     [][]byte
-	diffFree     []*diffMsg
-	blockScratch []int
-	outScratch   [][]*diffMsg
+	// blockScratch is PreRelease's sort scratch (never live across a
+	// yield); outScratch is its send list and noticeScratch the notices it
+	// returns, per node because both stay live across the diff-cost Sleep
+	// and the flush Block, where other procs may release.
+	twinFree      [][]byte
+	diffFree      []*diffMsg
+	blockScratch  []int
+	outScratch    [][]*diffMsg
+	noticeScratch [][]proto.WriteNotice
 }
 
 // getDiff pops a pooled diff carrier (or allocates one).
@@ -111,12 +113,13 @@ func (p *Protocol) putTwin(t []byte) { p.twinFree = append(p.twinFree, t) }
 func New(env *proto.Env) *Protocol {
 	n := env.Nodes()
 	p := &Protocol{
-		env:          env,
-		pending:      proto.NewPending(env, "target", "hlrc read fetch block", "hlrc write fetch block"),
-		flushAcks:    make([]int, n),
-		flushWaiting: make([]bool, n),
-		outScratch:   make([][]*diffMsg, n),
-		state:        state{earlyNotices: make([][]proto.WriteNotice, n)},
+		env:           env,
+		pending:       proto.NewPending(env, "target", "hlrc read fetch block", "hlrc write fetch block"),
+		flushAcks:     make([]int, n),
+		flushWaiting:  make([]bool, n),
+		outScratch:    make([][]*diffMsg, n),
+		noticeScratch: make([][]proto.WriteNotice, n),
+		state:         state{earlyNotices: make([][]proto.WriteNotice, n)},
 	}
 	for i := 0; i < n; i++ {
 		p.twins = append(p.twins, make(map[int][]byte))
@@ -221,14 +224,14 @@ func (p *Protocol) makeTwin(node, block int) {
 // faults once per block, not once per interval (this is what keeps HLRC's
 // write-fault counts in Tables 8–12 an order of magnitude below SC's).
 // A block with an empty diff is idle: drop its twin and re-protect it.
-// Proc context.
+// The notices are valid until node's next PreRelease. Proc context.
 func (p *Protocol) PreRelease(node int) []proto.WriteNotice {
 	sp := p.env.Spaces[node]
 	model := p.env.Model
 	start := p.env.Engine.Now()
 
-	notices := p.earlyNotices[node]
-	p.earlyNotices[node] = nil
+	notices := append(p.noticeScratch[node][:0], p.earlyNotices[node]...)
+	p.earlyNotices[node] = p.earlyNotices[node][:0]
 	var diffCost sim.Time
 	out := p.outScratch[node][:0]
 
@@ -267,7 +270,7 @@ func (p *Protocol) PreRelease(node int) []proto.WriteNotice {
 		out = append(out, dm)
 	}
 	// Home blocks written this interval (tracked by their faults).
-	hblocks := blocks[len(blocks):]
+	hblocks := blocks[:0] // the dirty blocks are done with
 	for b := range p.written[node] {
 		hblocks = append(hblocks, b)
 	}
@@ -276,7 +279,8 @@ func (p *Protocol) PreRelease(node int) []proto.WriteNotice {
 		notices = append(notices, proto.WriteNotice{Block: int32(b), Seq: p.written[node][b]})
 	}
 	clear(p.written[node])
-	p.blockScratch = blocks[:0]
+	p.blockScratch = hblocks[:0]
+	p.noticeScratch[node] = notices
 
 	if diffCost > 0 {
 		p.env.Procs[node].Sleep(diffCost)

@@ -123,7 +123,9 @@ type Protocol interface {
 	// PreRelease runs in proc context immediately before node releases a
 	// lock or enters a barrier. HLRC flushes diffs here. It returns the
 	// notices describing the blocks node wrote this interval; the caller
-	// publishes them as one interval (nil under SC).
+	// publishes a copy of them as one interval (nil under SC). The slice
+	// may be the protocol's scratch: it need stay valid only until node's
+	// next PreRelease.
 	PreRelease(node int) []WriteNotice
 
 	// ApplyNotices processes incoming write notices at an acquire or

@@ -1,8 +1,11 @@
 package proto
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"dsmsim/internal/digest"
 )
 
 func TestVCMergeDominates(t *testing.T) {
@@ -90,6 +93,71 @@ func TestLogPublishBetween(t *testing.T) {
 		t.Fatalf("Each((1,0),(2,1)) = %+v", got)
 	}
 	l.Each(VC{2, 1}, VC{2, 1}, func(ivs []Interval) { t.Fatalf("Each over an empty range called fn with %+v", ivs) })
+}
+
+// TestLogCloneNeverSharesAChunk: Publish copies notices into a chunk it
+// cuts many intervals from, and a checkpoint's digest.Clone of the log
+// shares the intervals published so far. Publishing into the clone and
+// then into its source, each from one reused buffer, must leave every
+// interval either log holds as it was published, and each log's digest
+// equal to that of a log that published the same history into fresh
+// storage.
+func TestLogCloneNeverSharesAChunk(t *testing.T) {
+	type pub struct {
+		node   int
+		blocks []int32
+	}
+	var buf []WriteNotice // the caller's scratch, reused by every Publish
+	publish := func(l *Log, ps ...pub) {
+		for _, p := range ps {
+			buf = buf[:0]
+			for _, b := range p.blocks {
+				buf = append(buf, WriteNotice{Block: b, Seq: b + 1})
+			}
+			l.Publish(p.node, buf)
+		}
+	}
+	// fresh replays a history into a log with nothing recycled: the oracle.
+	fresh := func(ps ...pub) *Log {
+		l := NewLog(2)
+		for _, p := range ps {
+			var ns []WriteNotice
+			for _, b := range p.blocks {
+				ns = append(ns, WriteNotice{Block: b, Seq: b + 1})
+			}
+			l.Publish(p.node, ns)
+		}
+		return l
+	}
+	same := func(what string, got, want *Log) {
+		t.Helper()
+		if fmt.Sprint(got.byNode) != fmt.Sprint(want.byNode) {
+			t.Fatalf("%s holds %v, want %v", what, got.byNode, want.byNode)
+		}
+		if digest.Of(got) != digest.Of(want) {
+			t.Fatalf("%s: digest differs from the oracle's", what)
+		}
+	}
+	prefix := []pub{{0, []int32{1}}, {1, []int32{2, 3}}, {0, nil}, {1, []int32{4}}}
+	src := NewLog(2)
+	publish(src, prefix...)
+	clone := digest.Clone(src)
+	same("clone", clone, fresh(prefix...))
+
+	forClone := []pub{{0, []int32{9}}, {1, []int32{10, 11}}}
+	forSrc := []pub{{0, []int32{7, 8}}, {1, []int32{12}}, {0, []int32{13, 14, 15}}}
+	publish(clone, forClone...)
+	publish(src, forSrc...)
+	same("clone after both published", clone, fresh(append(prefix[:len(prefix):len(prefix)], forClone...)...))
+	same("source after both published", src, fresh(append(prefix[:len(prefix):len(prefix)], forSrc...)...))
+
+	// Past a chunk's end: the source starts a new chunk, the clone's
+	// intervals stay where they were.
+	big := pub{1, make([]int32, 2*noticeChunk)}
+	publish(src, big)
+	publish(clone, big)
+	same("clone after a new chunk", clone, fresh(append(append(prefix[:len(prefix):len(prefix)], forClone...), big)...))
+	same("source after a new chunk", src, fresh(append(append(prefix[:len(prefix):len(prefix)], forSrc...), big)...))
 }
 
 func TestHomesStaticAssignment(t *testing.T) {

@@ -52,6 +52,9 @@ type Protocol struct {
 	// installs holds the blocks whose ownership grant is still in flight
 	// to the new owner; requests for them wait there.
 	installs *proto.Txns[struct{}]
+	// notices is PreRelease's result, reused: PreRelease never yields,
+	// and its caller publishes a copy before the node's proc can yield.
+	notices []proto.WriteNotice
 }
 
 // swDir is the global per-block directory entry.
@@ -152,9 +155,10 @@ func (p *Protocol) readTarget(node, block int) int {
 // their notices; nothing is flushed (the single writable copy is already
 // authoritative). A block whose ownership migrated away mid-interval is
 // still noticed — the migration bump already covers its writes, which
-// travelled with the data to the new owner.
+// travelled with the data to the new owner. The notices are valid until
+// the next PreRelease.
 func (p *Protocol) PreRelease(node int) []proto.WriteNotice {
-	var notices []proto.WriteNotice
+	notices := p.notices[:0]
 	// Copyset iteration is ascending block order; the simulator must not
 	// be order-sensitive, so no explicit sort is needed.
 	p.written[node].ForEach(func(b int) {
@@ -166,6 +170,7 @@ func (p *Protocol) PreRelease(node int) []proto.WriteNotice {
 		notices = append(notices, proto.WriteNotice{Block: int32(b), Version: d.version})
 	})
 	p.written[node].Clear()
+	p.notices = notices
 	return notices
 }
 

@@ -98,8 +98,12 @@ func (c *Clock) Tick(idx int32) { c.own = idx }
 func (c *Clock) Private() bool { return c.priv != nil }
 
 // Dense returns the clock as a fresh VC.
-func (c *Clock) Dense() VC {
-	v := c.view().Clone()
+func (c *Clock) Dense() VC { return c.DenseInto(nil) }
+
+// DenseInto writes the clock into buf's storage, growing it only when it
+// is too short, and returns the result.
+func (c *Clock) DenseInto(buf VC) VC {
+	v := append(buf[:0], c.view()...)
 	v[c.node] = c.own
 	return v
 }

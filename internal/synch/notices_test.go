@@ -117,7 +117,7 @@ func TestNoticesMatchMaterialisedOracle(t *testing.T) {
 				if a == r {
 					continue
 				}
-				d := &notices{from: env.VCs[a].Dense(), to: env.VCs[r].Dense()}
+				d := &notices{at: &env.VCs[a], to: env.VCs[r].Dense()}
 				d.tally(env.Log)
 				checkAgainstOracle(t, s, d, oracle[a], oracle[r], "grant")
 				env.VCs[a].Merge(d.to)

@@ -11,6 +11,8 @@ package synch
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"dsmsim/internal/digest"
 	"dsmsim/internal/network"
@@ -31,51 +33,60 @@ const (
 
 // Wire encoding on network.Msg's inline fields:
 //
-//	kLockAcquire:  A = lock, Payload = acquirer's proto.VC (nil under SC)
+//	kLockAcquire:  A = lock; the acquirer's clock is charged on the wire
+//	               (not under SC) and read in place (see Acquire)
 //	kLockRelease:  A = lock, B = releaser's logical timestamp (carrier only)
-//	kLockGrantReq: A = lock, B = acquirer, Payload = acquirer's proto.VC
+//	kLockGrantReq: A = lock, B = acquirer; the acquirer's clock is charged
+//	               on the wire and read in place
 //	kLockGrant:    A = lock, B = last release's logical timestamp (carrier
-//	               only), Payload = *notices or nil (direct grant, no notices)
+//	               only), Payload = *notices from the free list, or nil
+//	               (direct grant, no notices)
 //	kBarArrive:    B = arriver's logical timestamp (carrier only); the
 //	               arriver's clock is charged on the wire and read in place
 //	               (see Barrier)
 //	kBarRelease:   B = max arrival timestamp (carrier only),
 //	               Payload = *notices or nil (SC: no notices to carry)
 //
-// A nil proto.VC boxes into Payload without allocating, so SC — where
-// synchronization carries no consistency payload — stays allocation-free.
+// No clock is copied onto the wire: a clock charged on a message is one
+// its owner cannot change before the message has been handled, so the
+// handler reads it where it lives.
 // Under a proto.TimestampCarrier protocol (tlc) the B fields above carry
 // a scalar logical timestamp, 8 extra bytes per message; for every other
 // protocol they stay zero and the wire sizes are unchanged.
 
 // notices is the consistency payload of a lock grant or barrier release:
-// the intervals of the shared log in (from, to], carried by reference. The
+// the intervals of the shared log in (at, to], carried by reference. The
 // log is append-only and to was copied off a live clock at send time, so
 // every interval in range is already published and immutable — the receiver
 // walks exactly the entries the sender counted, however much later it
-// handles the message. The lower bound is the receiver's own clock: on a
-// grant from, the copy its acquire carried; on a barrier release at, the
-// live clock itself, which a node blocked in the barrier cannot change
-// before it has handled this release.
+// handles the message. The lower bound at is the receiver's live clock,
+// read in place: a node blocked in an acquire or a barrier cannot change
+// it before it has handled this message.
 type notices struct {
-	from, to proto.VC
-	count    int // write notices in range, counted once at send time
-	// at and shared are set on barrier releases. shared is the episode's
-	// one list of the non-empty intervals in (previous release's clock, to],
-	// node then index ascending. No arriver's clock is below the previous
-	// release's, so the list holds everything any of them lacks; all N
-	// releases point at it and each receiver filters it by at, instead of
-	// probing the log once per node. It only saves work: the log walk
-	// yields the same notices in the same order.
-	at     *proto.Clock
-	shared []proto.Interval
+	at    *proto.Clock
+	to    proto.VC
+	count int // write notices in range, counted once at send time
+	// barrier marks a barrier release: the receiver rebases its clock on
+	// to instead of merging it. shared is then the episode's one list of
+	// the non-empty intervals in (previous release's clock, to], node then
+	// index ascending. No arriver's clock is below the previous release's,
+	// so the list holds everything any of them lacks; all N releases point
+	// at it and each receiver filters it by at, instead of probing the log
+	// once per node. It only saves work: the log walk yields the same
+	// notices in the same order.
+	barrier bool
+	shared  []proto.Interval
 }
 
-// each calls fn with the intervals in (from, to] as contiguous runs, node
+// each calls fn with the intervals in (at, to] as contiguous runs, node
 // ascending and index ascending within a node.
 func (d *notices) each(log *proto.Log, fn func([]proto.Interval)) {
-	if d.at == nil {
-		log.Each(d.from, d.to, fn)
+	if !d.barrier {
+		for node, upTo := range d.to {
+			if ivs := log.Between(node, d.at.Get(node), upTo); len(ivs) > 0 {
+				fn(ivs)
+			}
+		}
 		return
 	}
 	run := 0 // start of the current run of intervals at has not seen
@@ -110,17 +121,12 @@ func (d *notices) total() int64 {
 	return int64(d.count)
 }
 
-type waiter struct {
-	node int
-	vc   proto.VC
-}
-
 type lockState struct {
 	held         bool
 	holder       int
 	lastReleaser int
 	lastTS       int64 // logical timestamp of the last release (carrier protocols)
-	queue        []waiter
+	queue        []int // nodes waiting, in arrival order
 }
 
 // Sync is the synchronization manager for one machine run.
@@ -140,6 +146,11 @@ type Sync struct {
 	// intervals, so nothing points into them by then.
 	rel    []notices
 	shared []proto.Interval
+	// grants is the free list of lock grant payloads. A payload goes back
+	// at its receiver's completeAcquire: the ARQ layer delivers a message
+	// once, and a wire copy still holding the pointer is discarded as a
+	// duplicate without being read.
+	grants []*notices
 
 	// OnBarrierFull, when set, fires in engine context the instant the
 	// last node arrives at a barrier — after the epoch counter advances,
@@ -186,17 +197,19 @@ func (s *Sync) noticeBytes(count int) int {
 }
 
 // Acquire obtains the lock for node. Proc context; blocks until granted.
+// The request is charged the node's clock on the wire but carries no copy
+// of it: only the node's own interval close and completed acquires write
+// env.VCs[node], and neither can happen before the grant, so the last
+// releaser reads the clock where it lives.
 func (s *Sync) Acquire(node, lock int) {
 	s.env.Stats[node].LockAcquires++
-	var vc proto.VC
 	bytes := 8
 	if s.env.Log != nil {
-		vc = s.env.VCs[node].Dense()
 		bytes += s.vcBytes()
 	}
 	s.env.Send(node, &network.Msg{
 		Dst: s.lockHome(lock), Kind: kLockAcquire, Block: -1,
-		A: int64(lock), Payload: vc, Bytes: bytes,
+		A: int64(lock), Bytes: bytes,
 	})
 	s.env.Procs[node].BlockID("lock acquire", lock)
 }
@@ -297,15 +310,14 @@ func (s *Sync) lock(id int) *lockState {
 
 func (s *Sync) handleAcquire(m *network.Msg) {
 	lock := int(m.A)
-	vc, _ := m.Payload.(proto.VC)
 	st := s.lock(lock)
 	if st.held {
-		st.queue = append(st.queue, waiter{node: m.Src, vc: vc})
+		st.queue = append(st.queue, m.Src)
 		return
 	}
 	st.held = true
 	st.holder = m.Src
-	s.grantFrom(m.Dst, st, lock, m.Src, vc)
+	s.grantFrom(m.Dst, st, lock, m.Src)
 }
 
 func (s *Sync) handleRelease(m *network.Msg) {
@@ -322,10 +334,11 @@ func (s *Sync) handleRelease(m *network.Msg) {
 		st.held = false
 		return
 	}
-	w := st.queue[0]
-	st.queue = st.queue[1:]
-	st.holder = w.node
-	s.grantFrom(m.Dst, st, lock, w.node, w.vc)
+	st.holder = st.queue[0]
+	// Pop by copy so the queue's array is reused: re-slicing would leak its
+	// front and make every refill reallocate.
+	st.queue = st.queue[:copy(st.queue, st.queue[1:])]
+	s.grantFrom(m.Dst, st, lock, st.holder)
 }
 
 // grantFrom routes the grant for lock to acquirer: directly from the home
@@ -335,7 +348,7 @@ func (s *Sync) handleRelease(m *network.Msg) {
 // scalar release timestamp lives at the lock's home, so no third hop to
 // the releaser is needed (the measurable lock-latency edge tlc has over
 // the vector-clock protocols).
-func (s *Sync) grantFrom(home int, st *lockState, lock, acquirer int, acqVC proto.VC) {
+func (s *Sync) grantFrom(home int, st *lockState, lock, acquirer int) {
 	if s.env.Log == nil || st.lastReleaser < 0 {
 		m := &network.Msg{
 			Dst: acquirer, Kind: kLockGrant, Block: -1,
@@ -350,19 +363,61 @@ func (s *Sync) grantFrom(home int, st *lockState, lock, acquirer int, acqVC prot
 	}
 	s.env.Send(home, &network.Msg{
 		Dst: st.lastReleaser, Kind: kLockGrantReq, Block: -1,
-		A: int64(lock), B: int64(acquirer), Payload: acqVC,
+		A: int64(lock), B: int64(acquirer),
 		Bytes: 8 + s.vcBytes(),
 	})
 }
 
+// handleGrantReq runs at the last releaser, which knows which notices the
+// acquirer lacks: those between the acquirer's clock, read in place (see
+// Acquire), and its own, copied into a recycled payload.
 func (s *Sync) handleGrantReq(m *network.Msg) {
-	r := m.Dst // the last releaser knows which notices the acquirer lacks
-	d := &notices{from: m.Payload.(proto.VC), to: s.env.VCs[r].Dense()}
+	r := m.Dst
+	d := s.getGrant()
+	*d = notices{at: &s.env.VCs[int(m.B)], to: s.env.VCs[r].DenseInto(d.to)}
 	d.tally(s.env.Log)
 	s.env.Send(r, &network.Msg{
 		Dst: int(m.B), Kind: kLockGrant, Block: -1,
 		A: m.A, Payload: d, Bytes: 8 + s.noticeBytes(d.count),
 	})
+}
+
+// getGrant pops a grant payload off the free list (or allocates one); the
+// caller overwrites every field, keeping only to's storage.
+func (s *Sync) getGrant() *notices {
+	if k := len(s.grants); k > 0 {
+		d := s.grants[k-1]
+		s.grants = s.grants[:k-1]
+		return d
+	}
+	return &notices{}
+}
+
+// putGrant returns an applied grant payload to the free list.
+func (s *Sync) putGrant(d *notices) {
+	if poisoned := grantPoison; poisoned != nil {
+		poisoned.Add(1)
+		for i := range d.to {
+			d.to[i] = math.MaxInt32
+		}
+		d.at, d.count, d.shared = nil, -1<<30, nil
+	}
+	s.grants = append(s.grants, d)
+}
+
+// grantPoison, when non-nil, counts the grant payloads putGrant poisons.
+var grantPoison *atomic.Int64
+
+// PoisonGrants is for tests: until restore is called, every lock grant
+// payload is overwritten with garbage as it returns to its free list — a
+// nil lower bound, an upper bound past every interval, a negative count,
+// no shared list — and poisoned counts them. A run whose bytes stay
+// the same reads no payload after its grant was applied. Call it before
+// any run starts and restore after every run ended.
+func PoisonGrants() (poisoned func() int64, restore func()) {
+	old, n := grantPoison, new(atomic.Int64)
+	grantPoison = n
+	return n.Load, func() { grantPoison = old }
 }
 
 func (s *Sync) handleGrant(m *network.Msg) {
@@ -381,10 +436,11 @@ func (s *Sync) completeAcquire(node int, d *notices, ts int64) {
 	if d != nil {
 		d.each(s.env.Log, func(ivs []proto.Interval) { s.proto.ApplyNotices(node, ivs) })
 		s.env.Stats[node].WriteNoticesRecv += int64(d.count)
-		if c := &s.env.VCs[node]; d.at != nil {
+		if c := &s.env.VCs[node]; d.barrier {
 			c.Rebase(d.to) // a barrier's merged clock dominates every arriver's
 		} else {
 			c.Merge(d.to)
+			s.putGrant(d)
 		}
 	}
 	if s.ts != nil {
@@ -459,14 +515,14 @@ func (s *Sync) barrierNotices() []notices {
 		s.rel = make([]notices, len(clocks))
 	}
 	for i := range s.rel {
-		s.rel[i] = notices{at: &clocks[i], to: merged, shared: shared}
+		s.rel[i] = notices{at: &clocks[i], to: merged, barrier: true, shared: shared}
 		s.rel[i].tally(s.env.Log)
 	}
 	return s.rel
 }
 
 // State is the synchronization layer's checkpointable state: the lock
-// table (held/holder/last-releaser plus queued waiters and their clocks),
+// table (held/holder/last-releaser plus the queued waiters),
 // the all-arrived barrier state, and the epoch counter. The arrivers'
 // clocks are the nodes' own (env.VCs), which the run snapshots too — base
 // included, so a fork's first release cuts its interval list from the

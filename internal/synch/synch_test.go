@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dsmsim/internal/core"
+	"dsmsim/internal/mem"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
@@ -381,6 +384,50 @@ func TestForkAfterLockTrafficAppliesSameNotices(t *testing.T) {
 		}
 		if applied == 0 {
 			t.Fatalf("%s: no episode after a cut applied a notice", p)
+		}
+	}
+}
+
+// TestLockHandoffAllocSlope pins the host cost of a steady-state lock
+// handoff, interval close included, to no allocation: four nodes pass one
+// lock around, each writing its own block inside, so every release under
+// an interval protocol publishes a notice and every grant carries the
+// releaser's clock and notices. The mallocs of a short and a long run
+// differ by what the extra acquires cost; machine build and warm-up
+// cancel.
+func TestLockHandoffAllocSlope(t *testing.T) {
+	defer mem.StackSlabs(nil)()
+	const nodes = 4
+	pingPong := func(p string, rounds int) uint64 {
+		app := &scriptApp{script: func(c *core.Ctx) {
+			for i := 0; i < rounds; i++ {
+				c.Lock(0)
+				c.WriteI64(1024*c.ID(), int64(i))
+				c.Unlock(0)
+			}
+		}}
+		m, err := core.NewMachine(core.Config{Nodes: nodes, BlockSize: 1024, Protocol: p, Limit: 60 * sim.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.Run(app); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, p := range proto.Names() {
+		if slices.Contains(oracleProtocols, p) || slices.Contains(recorderProtocols, p) {
+			continue // test doubles, which record what they see
+		}
+		const short, long = 20, 220
+		pingPong(p, short) // fill the pools both measured runs draw from
+		perAcquire := (float64(pingPong(p, long)) - float64(pingPong(p, short))) / (nodes * (long - short))
+		t.Logf("%s: %.2f mallocs per acquire", p, perAcquire)
+		if perAcquire >= 0.1 {
+			t.Errorf("%s: a lock handoff allocates %.2f objects, want none", p, perAcquire)
 		}
 	}
 }
