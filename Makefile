@@ -39,9 +39,12 @@ examples:
 
 # Regenerate every paper table and figure at the paper's problem sizes,
 # verifying every run's numeric result (tens of minutes; writes
-# results_paper.txt and results.csv).
+# results_paper.txt, the run record results.jsonl and its run table
+# results.csv).
 verify-paper:
-	$(GO) run ./cmd/dsmrun -exp all -size paper -nodes 16 -csv results.csv > results_paper.txt
+	rm -f results.jsonl
+	$(GO) run ./cmd/dsmrun -exp all -size paper -nodes 16 -record results.jsonl > results_paper.txt
+	$(GO) run ./cmd/dsmrun -project run results.jsonl > results.csv
 
 # Demos and end-to-end smoke checks: `make sweep-demo`, `trace-demo`,
 # `metrics-demo`, `faults-demo`, `prof-demo`, `crit-demo`, `scale-demo`,
@@ -55,4 +58,4 @@ demos:
 	@bash scripts/smoke.sh list
 
 clean:
-	rm -f results.csv trace.json metrics_demo.csv metrics_demo.jsonl
+	rm -f results.csv results.jsonl trace.json metrics_demo.csv metrics_demo.jsonl

@@ -24,9 +24,10 @@ import (
 type cli struct {
 	fs *flag.FlagSet
 
-	// What runs: a selector cross product, or the harness's experiments.
+	// What runs: a selector cross product, the harness's experiments, or
+	// nothing (-project writes a table of a record file).
 	app, protocol, block, notify string
-	exp                          string
+	exp, project                 string
 	list                         bool
 
 	// How every run is built and checked.
@@ -52,8 +53,7 @@ type cli struct {
 	metricsLinger time.Duration
 
 	// Output files and host profiles.
-	csv, profCSV, critCSV, sampleCSV, record string
-	cpuProfile, memProfile                   string
+	record, cpuProfile, memProfile string
 
 	closers        []func() error
 	stdout, stderr io.Writer
@@ -90,21 +90,17 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.BoolVar(&c.latency, "latency", false, "print a latency-distribution summary under each sweep progress line")
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live sweep metrics over HTTP on this address")
 	fs.DurationVar(&c.metricsLinger, "metrics-linger", 0, "keep serving -metrics-addr this long after the sweep (for scrapers)")
-	fs.StringVar(&c.csv, "csv", "", "append one machine-readable record per run to this file")
-	fs.StringVar(&c.profCSV, "prof-csv", "", "append every run's sharing profile as CSV to this file (implies -prof)")
-	fs.StringVar(&c.critCSV, "crit-csv", "", "append every run's critical-path component row as CSV to this file (implies -crit)")
-	fs.StringVar(&c.sampleCSV, "sample-csv", "", "append every run's sampler time-series as CSV to this file (needs -sample-every)")
 	fs.StringVar(&c.record, "record", "", "append each run's JSON record (the point and its full result; a sweep's baselines too) to this file, one line per run")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
+	fs.StringVar(&c.project, "project", "", "write one CSV table (run, prof, crit or sample) of the -record file given as the one argument to stdout, instead of running")
 	return fs, c.run
 }
 
 // apply writes the settings that describe a run into o: size, workers,
-// verification, observers (a -x-csv file implies -x), sampling interval,
-// what-if scale, static homes, the fault plan or grid, and fork. It
-// refuses -faults beside -fault-grid, -fork without a grid and -sample-csv
-// without -sample-every. The output files come from openSinks.
+// verification, observers, sampling interval, what-if scale, static homes,
+// the fault plan or grid, and fork. It refuses -faults beside -fault-grid
+// and -fork without a grid. The output files come from openSinks.
 func (c *cli) apply(o *sweep.Options) (err error) {
 	o.Size = apps.Small
 	if c.size == "paper" {
@@ -114,8 +110,8 @@ func (c *cli) apply(o *sweep.Options) (err error) {
 	o.Verify = c.verify
 	o.Histograms = c.latency
 	o.Fork = c.fork
-	o.Config.ShareProfile = c.prof || c.profCSV != ""
-	o.Config.CritPath = c.crit || c.critCSV != ""
+	o.Config.ShareProfile = c.prof
+	o.Config.CritPath = c.crit
 	o.Config.SampleEvery = sim.Time(c.sampleEvery)
 	o.Config.StaticHomes = c.staticHomes
 	if c.whatIf != "" {
@@ -136,9 +132,6 @@ func (c *cli) apply(o *sweep.Options) (err error) {
 	}
 	if c.fork && len(o.FaultGrid) == 0 {
 		return errors.New("-fork needs a -fault-grid to share warmup prefixes across")
-	}
-	if c.sampleCSV != "" && c.sampleEvery <= 0 {
-		return errors.New("-sample-csv needs -sample-every")
 	}
 	return nil
 }
@@ -165,23 +158,20 @@ func parseGrid(spec string) ([]sweep.FaultVariant, error) {
 	return grid, nil
 }
 
-// openSinks opens the -csv, -prof-csv, -crit-csv, -sample-csv and -record
-// files for appending as o's writers and the -trace and -trace-json files
-// afresh as its template's, and starts the -metrics-addr server as o's
-// registry, announcing its address on stderr. close releases them all.
+// openSinks opens the -record file for appending as o's record writer and
+// the -trace and -trace-json files afresh as its template's, and starts
+// the -metrics-addr server as o's registry, announcing its address on
+// stderr. close releases them all.
 func (c *cli) openSinks(o *sweep.Options) error {
 	for _, f := range []struct {
 		path string
 		w    *io.Writer
 		mode int
-	}{{c.csv, &o.CSV, os.O_APPEND}, {c.profCSV, &o.ProfCSV, os.O_APPEND}, {c.critCSV, &o.CritCSV, os.O_APPEND},
-		{c.sampleCSV, &o.SampleCSV, os.O_APPEND}, {c.record, &o.Record, os.O_APPEND},
+	}{{c.record, &o.Record, os.O_APPEND},
 		{c.trace, &o.Config.Trace, os.O_TRUNC}, {c.traceJSON, &o.Config.TraceJSON, os.O_TRUNC}} {
 		if f.path == "" {
 			continue
 		}
-		// Appended files accumulate records across invocations (the CSV sink
-		// writes its header only into an empty file); a trace starts afresh.
 		file, err := os.OpenFile(f.path, f.mode|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err

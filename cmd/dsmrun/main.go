@@ -26,6 +26,10 @@
 //	dsmrun -exp all -size paper -record runs.jsonl
 //	dsmrun -exp fig1 -fault-grid 's1:drop=0.02,seed=1,start=6;s2:drop=0.02,seed=2,start=6' -fork
 //
+// -project writes one CSV table of a -record file to stdout instead:
+//
+//	dsmrun -project crit runs.jsonl > crit.csv
+//
 // Ctrl-C cancels in-flight simulations between virtual-time steps.
 package main
 
@@ -69,6 +73,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func (c *cli) run() (err error) {
+	set, flags := map[string]bool{}, []string(nil)
+	c.fs.Visit(func(f *flag.Flag) { set[f.Name], flags = true, append(flags, "-"+f.Name) })
+	if set["project"] {
+		return c.runProject(flags)
+	}
 	defer profiling.Start(c.cpuProfile, c.memProfile)()
 	if c.list {
 		for _, e := range harness.Experiments() {
@@ -76,8 +85,6 @@ func (c *cli) run() (err error) {
 		}
 		return nil
 	}
-	set := map[string]bool{}
-	c.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	// named lists the flags among names given on the command line.
 	named := func(names ...string) string {
 		var given []string
@@ -174,6 +181,33 @@ func (c *cli) run() (err error) {
 		}
 	}
 	return err
+}
+
+// runProject writes the -project table of the record file given as the one
+// argument to stdout. It runs nothing, so it takes no other flag: flags
+// are the ones the command line set.
+func (c *cli) runProject(flags []string) error {
+	if len(flags) > 1 || c.fs.NArg() != 1 {
+		return fmt.Errorf("-project takes one record FILE and no other flag (flags: %s; files: %d)", strings.Join(flags, " "), c.fs.NArg())
+	}
+	path := c.fs.Arg(0)
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	recs, err := sweep.ReadRecords(f)
+	if err == nil {
+		err = sweep.Project(c.stdout, c.project, recs)
+	}
+	if err == nil {
+		return nil
+	}
+	rerun := map[string]string{"prof": "-prof", "crit": "-crit", "sample": "-sample-every"}[c.project]
+	if rerun != "" && errors.Is(err, sweep.ErrNoRows) {
+		err = fmt.Errorf("%w (re-run with %s)", err, rerun)
+	}
+	return fmt.Errorf("%s: %w", path, err)
 }
 
 // experiments resolves -exp: one experiment by name, or all of them in

@@ -22,12 +22,12 @@ import (
 // flag added, dropped, renamed or re-defaulted fails here first; the
 // README flag table is checked against the same FlagSet.
 var wantFlags = []string{
-	"app=lu", "block=4096", "cpuprofile=", "crit=false", "crit-csv=",
-	"crit-top=5", "csv=", "exp=", "fault-grid=", "faults=",
+	"app=lu", "block=4096", "cpuprofile=", "crit=false",
+	"crit-top=5", "exp=", "fault-grid=", "faults=",
 	"fork=false", "latency=false", "list=false", "memprofile=",
 	"metrics-addr=", "metrics-linger=0s", "nodes=16",
-	"notify=polling", "parallel=0", "prof=false", "prof-csv=", "prof-top=10",
-	"protocol=hlrc", "record=", "sample-csv=", "sample-every=0s",
+	"notify=polling", "parallel=0", "prof=false", "prof-top=10",
+	"project=", "protocol=hlrc", "record=", "sample-every=0s",
 	"size=small", "static-homes=false", "trace=", "trace-json=",
 	"verify=true", "whatif=",
 }
@@ -118,13 +118,24 @@ func dropForkLine(b []byte) []byte {
 
 const grid = "none;lossy:drop=0.03,seed=5,start=6;jittery:jitter=30us,dup=0.01,seed=11,start=6"
 
+// project returns dsmrun -project's table of the record file at path.
+func project(t *testing.T, table, path string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run([]string{"-project", table, path}, &out, io.Discard); err != nil {
+		t.Fatalf("-project %s: %v", table, err)
+	}
+	return out.Bytes()
+}
+
 // TestGolden pins what dsmrun writes — stdout, the progress stream and
-// every CSV file — to SHA-256 digests recorded at commit 8395aed: one
+// every CSV table of its record — to SHA-256 digests recorded at commit
+// 8395aed, when each table was a file of its own: one
 // single-configuration run under a fault plan with both profilers, one
-// forked fault-grid sweep and one profiled sweep, the sweeps at
-// -parallel 1 and 8. The single run's three observer files were
-// re-recorded when they moved onto the sweep's sink and gained its key
-// columns. An argument ending in ".csv" names an output file.
+// forked fault-grid sweep and one profiled sweep, the sweeps at -parallel
+// 1 and 8. The single run's three observer tables were re-recorded when
+// they moved onto the sweep's sink and gained its key columns. A want
+// other than stdout and stderr names a table of -project.
 func TestGolden(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -133,31 +144,24 @@ func TestGolden(t *testing.T) {
 		want     map[string]string
 	}{
 		{"single",
-			strings.Fields("-app lu -protocol hlrc -block 4096 -nodes 4 -faults drop=0.02,seed=3 -crit -prof " +
-				"-prof-csv prof.csv -crit-csv crit.csv -sample-every 200us -sample-csv sample.csv"),
+			strings.Fields("-app lu -protocol hlrc -block 4096 -nodes 4 -faults drop=0.02,seed=3 -crit -prof -sample-every 200us"),
 			[]int{0},
-			map[string]string{"stdout": "3e65c4b764424885", "stderr": "e3b0c44298fc1c14", "prof.csv": "56349065cde9e72a", "crit.csv": "d0e3b91e2b61593b", "sample.csv": "b7b0134d8072952d"}},
+			map[string]string{"stdout": "3e65c4b764424885", "stderr": "e3b0c44298fc1c14", "prof": "56349065cde9e72a", "crit": "d0e3b91e2b61593b", "sample": "b7b0134d8072952d"}},
 		{"forkgrid",
 			append(strings.Fields("-app ocean-rowwise,fft -protocol sc,hlrc -block 1024,4096 -nodes 4 -size small "+
-				"-fork -csv runs.csv -crit-csv crit.csv -sample-every 200us -sample-csv sample.csv"),
+				"-fork -crit -sample-every 200us"),
 				"-fault-grid", grid),
 			[]int{1, 8},
-			map[string]string{"stdout": "72f29a06d1900298", "stderr": "fbf06ae267370bd7", "runs.csv": "dcebc669e682b645", "crit.csv": "d77f55dcb8dedf45", "sample.csv": "6df11c2404dc67ff"}},
+			map[string]string{"stdout": "72f29a06d1900298", "stderr": "fbf06ae267370bd7", "run": "dcebc669e682b645", "crit": "d77f55dcb8dedf45", "sample": "6df11c2404dc67ff"}},
 		{"profsweep",
-			strings.Fields("-app lu -protocol sc,hlrc -block 1024 -nodes 4 -csv runs.csv -prof-csv prof.csv"),
+			strings.Fields("-app lu -protocol sc,hlrc -block 1024 -nodes 4 -prof"),
 			[]int{1, 8},
-			map[string]string{"stdout": "dbd892fae7ab7589", "stderr": "2ab5ff2875f2421e", "runs.csv": "485878935e5e2978", "prof.csv": "e8ea48702a3e5b40"}},
+			map[string]string{"stdout": "dbd892fae7ab7589", "stderr": "2ab5ff2875f2421e", "run": "485878935e5e2978", "prof": "e8ea48702a3e5b40"}},
 	}
 	for _, c := range cases {
 		for _, parallel := range c.parallel {
-			dir := t.TempDir()
-			args := []string{"-parallel", strconv.Itoa(parallel)}
-			for _, a := range c.args {
-				if strings.HasSuffix(a, ".csv") {
-					a = filepath.Join(dir, a)
-				}
-				args = append(args, a)
-			}
+			record := filepath.Join(t.TempDir(), "runs.jsonl")
+			args := append([]string{"-parallel", strconv.Itoa(parallel), "-record", record}, c.args...)
 			var stdout, stderr bytes.Buffer
 			if err := run(args, &stdout, &stderr); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
@@ -173,10 +177,7 @@ func TestGolden(t *testing.T) {
 				case "stderr":
 					data = stderr.Bytes()
 				default:
-					var err error
-					if data, err = os.ReadFile(filepath.Join(dir, name)); err != nil {
-						t.Fatalf("%s: %v", c.name, err)
-					}
+					data = project(t, name, record)
 				}
 				if got := digest(data); got != want {
 					t.Errorf("%s -parallel %d: %s digest %s, want %s", c.name, parallel, name, got, want)
@@ -187,51 +188,40 @@ func TestGolden(t *testing.T) {
 }
 
 // TestGoldenTable3 pins everything one small experiment writes — the
-// rendered table, the progress stream and all four CSV files — to SHA-256
-// digests recorded at commit 8395aed, at -parallel 1 and 8. Its run
-// record must be byte-identical at both settings and hold one line per
-// CSV row plus one per sequential baseline (table3 needs none).
+// rendered table, the progress stream and all four CSV tables of its
+// record — to SHA-256 digests recorded at commit 8395aed, at -parallel 1
+// and 8. Its run record must be byte-identical at both settings and hold
+// one line per run-table row plus one per sequential baseline (table3
+// needs none).
 func TestGoldenTable3(t *testing.T) {
 	want := map[string]string{
-		"stdout":     "880c03ec9aee238e",
-		"stderr":     "63a6e407b0d25c28",
-		"runs.csv":   "d4a67faf65b9e1a5",
-		"prof.csv":   "02000b2f4b67e264",
-		"crit.csv":   "dd9541d5e987f475",
-		"sample.csv": "eeae116b8634d1ae",
+		"stdout": "880c03ec9aee238e",
+		"stderr": "63a6e407b0d25c28",
+		"run":    "d4a67faf65b9e1a5",
+		"prof":   "02000b2f4b67e264",
+		"crit":   "dd9541d5e987f475",
+		"sample": "eeae116b8634d1ae",
 	}
 	var records [][]byte
 	for _, parallel := range []int{1, 8} {
-		dir := t.TempDir()
-		file := func(name string) string { return filepath.Join(dir, name) }
+		path := filepath.Join(t.TempDir(), "runs.jsonl")
 		var stdout, stderr bytes.Buffer
 		err := run([]string{"-exp", "table3", "-size", "small", "-nodes", "4",
-			"-parallel", strconv.Itoa(parallel),
-			"-csv", file("runs.csv"), "-prof-csv", file("prof.csv"), "-crit-csv", file("crit.csv"),
-			"-sample-every", "200us", "-sample-csv", file("sample.csv"), "-record", file("runs.jsonl")}, &stdout, &stderr)
+			"-parallel", strconv.Itoa(parallel), "-prof", "-crit", "-sample-every", "200us", "-record", path}, &stdout, &stderr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := map[string]string{"stdout": digest(stdout.Bytes()), "stderr": digest(stderr.Bytes())}
-		for name := range want {
-			if filepath.Ext(name) == ".csv" {
-				data, err := os.ReadFile(file(name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[name] = digest(data)
-			}
+		for _, table := range []string{"run", "prof", "crit", "sample"} {
+			got[table] = digest(project(t, table, path))
 		}
 		for name, w := range want {
 			if got[name] != w {
 				t.Errorf("-parallel %d: %s digest %s, want %s", parallel, name, got[name], w)
 			}
 		}
-		csv, err := os.ReadFile(file("runs.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		record, err := os.ReadFile(file("runs.jsonl"))
+		csv := project(t, "run", path)
+		record, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +240,7 @@ func TestGoldenTable3(t *testing.T) {
 		}
 		rows, seqs := strings.Count(string(csv), "\n")-1, strings.Count("\n"+stderr.String(), "\nseq ")
 		if runs != rows || baselines != seqs {
-			t.Errorf("-parallel %d: record holds %d runs and %d baselines, want %d (one per CSV row) and %d (one per seq progress line)",
+			t.Errorf("-parallel %d: record holds %d runs and %d baselines, want %d (one per run-table row) and %d (one per seq progress line)",
 				parallel, runs, baselines, rows, seqs)
 		}
 	}
@@ -279,55 +269,42 @@ func TestForkHealthyFirstGrid(t *testing.T) {
 	}
 }
 
-// TestSingleRunCSV: one selected configuration writes every file through
-// the sweep's sink — header plus its rows, no second header on a re-run,
-// and the same rows and record lines (its baseline's and its own) the
-// sweep writes for that configuration. (At 8395aed the single-run path
-// never saw -csv and wrote no file.)
+// TestSingleRunCSV: one selected configuration leaves the sweep's
+// record — its baseline's line and its own — and two runs appended into
+// one record file project with one header: every table holds the sweep's
+// header, then the sweep's rows for that configuration once per run. (At
+// 8395aed the single-run path never saw -csv and wrote no file.)
 func TestSingleRunCSV(t *testing.T) {
 	dir := t.TempDir()
+	record := func(name string) string { return filepath.Join(dir, name+".jsonl") }
 	args := func(name string, sel ...string) []string {
-		a := append([]string{"-app", "lu", "-nodes", "4", "-sample-every", "200us"}, sel...)
-		for _, f := range []string{"csv", "prof-csv", "crit-csv", "sample-csv", "record"} {
-			a = append(a, "-"+f, filepath.Join(dir, name+"."+f))
-		}
-		return a
+		return append([]string{"-app", "lu", "-nodes", "4", "-sample-every", "200us", "-prof", "-crit",
+			"-record", record(name)}, sel...)
 	}
-	lines := func(name, f string) []string {
-		data, err := os.ReadFile(filepath.Join(dir, name+"."+f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	}
-	for i := 1; i <= 2; i++ {
+	lines := func(data []byte) []string { return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") }
+	for i := 0; i < 2; i++ {
 		if err := run(args("one"), io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
-		}
-		got := lines("one", "csv")
-		if len(got) != 1+i || !strings.HasPrefix(got[0], "app,protocol,") || !strings.HasPrefix(got[i], "lu,hlrc,4096,polling,4,") {
-			t.Fatalf("after run %d: want header + %d record(s), got:\n%s", i, i, strings.Join(got, "\n"))
-		}
-		if i == 2 && got[1] != got[2] {
-			t.Fatalf("identical runs wrote different records:\n%s\n%s", got[1], got[2])
 		}
 	}
 	if err := run(args("sweep", "-protocol", "sc,hlrc"), io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if s, o := lines("sweep", "csv"), lines("one", "csv"); s[0] != o[0] || s[2] != o[1] {
-		t.Fatalf("single-run CSV differs from the sweep's:\n%s\n%s\nvs\n%s\n%s", o[0], o[1], s[0], s[2])
-	}
 	// The sweep's records are the baseline, sc, then hlrc; each single run's
 	// the baseline, then hlrc.
-	if s, o := lines("sweep", "record"), lines("one", "record"); len(s) != 3 || len(o) != 4 ||
+	read := func(name string) []string {
+		data, err := os.ReadFile(record(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lines(data)
+	}
+	if s, o := read("sweep"), read("one"); len(s) != 3 || len(o) != 4 ||
 		o[0] != o[2] || o[1] != o[3] || s[0] != o[0] || s[2] != o[1] {
 		t.Fatalf("single-run record differs from the sweep's (%d and %d lines)", len(o), len(s))
 	}
-	// Each observer file holds the sweep's header, then the sweep's hlrc
-	// rows once per run.
-	for _, f := range []string{"prof-csv", "crit-csv", "sample-csv"} {
-		swept := lines("sweep", f)
+	for _, table := range []string{"run", "prof", "crit", "sample"} {
+		swept := lines(project(t, table, record("sweep")))
 		var rows []string
 		for _, l := range swept[1:] {
 			if strings.HasPrefix(l, "lu,hlrc,4096,polling,4,") {
@@ -335,9 +312,27 @@ func TestSingleRunCSV(t *testing.T) {
 			}
 		}
 		want := append(append([]string{swept[0]}, rows...), rows...)
-		if got := lines("one", f); len(rows) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("-%s of two single runs:\n%s\nwant the sweep's header and hlrc rows twice:\n%s",
-				f, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		if got := lines(project(t, table, record("one"))); len(rows) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s table of two single runs:\n%s\nwant the sweep's header and hlrc rows twice:\n%s",
+				table, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// TestProjectNeedsItsObserver: an observer's table of a record whose runs
+// ran without that observer is an error naming the flag to re-run with,
+// not an empty table. At 8395aed a profile writer without its profiler
+// left an empty file behind a successful run.
+func TestProjectNeedsItsObserver(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := run(strings.Fields("-app lu -nodes 2 -record "+path), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for table, flag := range map[string]string{"prof": "-prof", "crit": "-crit", "sample": "-sample-every"} {
+		var stdout bytes.Buffer
+		err := run([]string{"-project", table, path}, &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "re-run with "+flag+")") || stdout.Len() != 0 {
+			t.Errorf("-project %s: err = %v with %d bytes written, want an error naming %s", table, err, stdout.Len(), flag)
 		}
 	}
 }
@@ -433,6 +428,9 @@ func TestRefusedSelections(t *testing.T) {
 		{"-metrics-linger 1s -protocol sc,hlrc -nodes 2", "-metrics-linger needs -metrics-addr"},
 		{"-latency -nodes 2", "only a sweep takes -latency"},
 		{"-exp table3 -protocol nope -nodes 2", "unknown protocol \"nope\""},
+		{"-project run -nodes 2 runs.jsonl", "no other flag (flags: -nodes -project; files: 1)"},
+		{"-project run", "-project takes one record FILE and no other flag (flags: -project; files: 0)"},
+		{"-project run a.jsonl b.jsonl", "(flags: -project; files: 2)"},
 	} {
 		var stdout bytes.Buffer
 		err := run(strings.Fields(c.args), &stdout, io.Discard)
@@ -449,18 +447,14 @@ func TestRefusedSelections(t *testing.T) {
 // -faults does — the variant whose node 0 computes 4x slower takes longer
 // than the same variant without it.
 func TestGridStraggler(t *testing.T) {
-	csv := filepath.Join(t.TempDir(), "runs.csv")
-	args := []string{"-app", "lu", "-protocol", "hlrc", "-nodes", "4", "-csv", csv,
+	record := filepath.Join(t.TempDir(), "runs.jsonl")
+	args := []string{"-app", "lu", "-protocol", "hlrc", "-nodes", "4", "-record", record,
 		"-fault-grid", "plain:drop=0.01,seed=1;slow:drop=0.01,seed=1,straggler=0x4"}
 	if err := run(args, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(csv)
-	if err != nil {
-		t.Fatal(err)
-	}
 	times := map[string]int64{}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+	for _, line := range strings.Split(strings.TrimSpace(string(project(t, "run", record))), "\n")[1:] {
 		cols := strings.Split(line, ",")
 		ns, err := strconv.ParseInt(cols[5], 10, 64)
 		if err != nil {

@@ -87,8 +87,8 @@ type (
 	Phase = metrics.Phase
 	// Sample is one interval of the virtual-time metrics sampler's series.
 	Sample = metrics.Sample
-	// Series is a run's sampler time-series (Result.Samples), exported as
-	// CSV (WithSampleCSV) and whole in the run record (WithRecord).
+	// Series is a run's sampler time-series (Result.Samples), written
+	// whole in the run record (WithRecord).
 	Series = metrics.Series
 	// Metrics is the live sweep registry: attach one with WithMetrics and
 	// serve it with Metrics.Serve, which exposes one endpoint, Prometheus
@@ -98,8 +98,7 @@ type (
 	// SharingReport is the sharing-pattern profiler's per-run report
 	// (Result.Sharing under WithShareProfile): per-region taxonomy
 	// classification and true/false-sharing fault attribution,
-	// renderable as text (WriteText); a sweep writes its CSV rows to
-	// WithProfCSV's writer.
+	// renderable as text (WriteText) and written in the run record.
 	SharingReport = shareprof.Report
 	// SharingRegion is one named heap region's row of a SharingReport.
 	SharingRegion = shareprof.RegionStats
@@ -110,7 +109,7 @@ type (
 	// (Result.CritPath under WithCritPath): the exact longest dependency
 	// chain's component composition, top nodes and top heap regions, and
 	// the what-if speedup predictor (Predict), renderable as text
-	// (WriteText); a sweep writes its CSV row to WithCritCSV's writer.
+	// (WriteText) and written in the run record.
 	CritReport = critpath.Report
 	// CritComponent labels one class of critical-path time (compute,
 	// msg-wire, lock-wait, …); CritReport.Components indexes by it.

@@ -157,9 +157,6 @@ func (c *Ctx) ReadF64(addr int) float64 { return view.F64s(c.access(addr, 8, fal
 // WriteF64 writes v at addr.
 func (c *Ctx) WriteF64(addr int, v float64) { view.F64s(c.access(addr, 8, true))[0] = v }
 
-// ReadI32 reads the int32 at addr.
-func (c *Ctx) ReadI32(addr int) int32 { return view.I32s(c.access(addr, 4, false))[0] }
-
 // WriteI32 writes v at addr.
 func (c *Ctx) WriteI32(addr int, v int32) { view.I32s(c.access(addr, 4, true))[0] = v }
 
@@ -172,20 +169,11 @@ func (c *Ctx) WriteI64(addr int, v int64) { view.I64s(c.access(addr, 8, true))[0
 // BytesR returns a read-only span of size bytes at addr.
 func (c *Ctx) BytesR(addr, size int) []byte { return c.access(addr, size, false) }
 
-// BytesW returns a writable span of size bytes at addr.
-func (c *Ctx) BytesW(addr, size int) []byte { return c.access(addr, size, true) }
-
 // F64sR returns a read-only span of count float64s starting at addr.
 func (c *Ctx) F64sR(addr, count int) []float64 { return view.F64s(c.access(addr, count*8, false)) }
 
 // F64sW returns a writable span of count float64s starting at addr.
 func (c *Ctx) F64sW(addr, count int) []float64 { return view.F64s(c.access(addr, count*8, true)) }
-
-// I32sR returns a read-only span of count int32s starting at addr.
-func (c *Ctx) I32sR(addr, count int) []int32 { return view.I32s(c.access(addr, count*4, false)) }
-
-// I32sW returns a writable span of count int32s starting at addr.
-func (c *Ctx) I32sW(addr, count int) []int32 { return view.I32s(c.access(addr, count*4, true)) }
 
 // I64sR returns a read-only span of count int64s starting at addr.
 func (c *Ctx) I64sR(addr, count int) []int64 { return view.I64s(c.access(addr, count*8, false)) }

@@ -61,9 +61,6 @@ func (h *Heap) Regions() []mem.Region { return h.alloc.Regions() }
 // AllocF64s reserves count float64s (8-byte aligned).
 func (h *Heap) AllocF64s(count int) int { return h.alloc.Alloc(count*8, 8) }
 
-// AllocI32s reserves count int32s (4-byte aligned).
-func (h *Heap) AllocI32s(count int) int { return h.alloc.Alloc(count*4, 4) }
-
 // AllocI64s reserves count int64s (8-byte aligned).
 func (h *Heap) AllocI64s(count int) int { return h.alloc.Alloc(count*8, 8) }
 

@@ -13,20 +13,20 @@ import (
 )
 
 // runCritSweep executes the fault-grid spec with the critical-path
-// profiler attached to every run and returns the main and crit CSVs.
+// profiler attached to every run and returns the main CSV and the crit
+// table projected from its record.
 func runCritSweep(t *testing.T, workers int, fork bool) (csv, crits string, eng *Engine) {
 	t.Helper()
-	var cb, xb bytes.Buffer
+	var cb, rb bytes.Buffer
 	grid := testGrid()
 	eng = mustNew(t, Options{
-		Size: apps.Small, Workers: workers, CSV: &cb,
-		Config: core.Config{CritPath: true}, CritCSV: &xb,
-		FaultGrid: grid, Fork: fork,
+		Size: apps.Small, Workers: workers, CSV: &cb, Record: &rb,
+		Config: core.Config{CritPath: true}, FaultGrid: grid, Fork: fork,
 	})
 	if _, err := eng.Run(context.Background(), gridSpec(grid).Points()); err != nil {
 		t.Fatal(err)
 	}
-	return cb.String(), xb.String(), eng
+	return cb.String(), project(t, "crit", &rb), eng
 }
 
 // TestCritCSVDeterministicAndForkable: the per-run critical-path CSV is

@@ -51,18 +51,17 @@ func gridSpec(grid []FaultVariant) Spec {
 // runGridSweep executes the grid spec and returns every output surface.
 func runGridSweep(t *testing.T, workers int, fork bool) (progress, csv, samples string, results []*core.Result, eng *Engine) {
 	t.Helper()
-	var pb, cb, sb bytes.Buffer
+	var pb, cb, rb bytes.Buffer
 	grid := testGrid()
 	eng = mustNew(t, Options{
-		Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb,
-		Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb,
-		FaultGrid: grid, Fork: fork,
+		Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb, Record: &rb,
+		Config: core.Config{SampleEvery: 200 * sim.Microsecond}, FaultGrid: grid, Fork: fork,
 	})
 	res, err := eng.Run(context.Background(), gridSpec(grid).Points())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pb.String(), cb.String(), sb.String(), res, eng
+	return pb.String(), cb.String(), project(t, "sample", &rb), res, eng
 }
 
 // TestForkedSweepByteIdenticalToFlat is the tentpole acceptance criterion:

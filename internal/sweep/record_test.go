@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dsmsim/internal/apps"
@@ -17,16 +19,30 @@ import (
 	"dsmsim/internal/sim"
 )
 
+// project returns table's projection of the records r holds.
+func project(t testing.TB, table string, r io.Reader) string {
+	t.Helper()
+	recs, err := ReadRecords(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := Project(&b, table, recs); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestRecordRoundTrip: every registered protocol with the sampler, both
 // profilers and a two-variant fault grid on, so every part of a Result is
 // populated somewhere. Each record line decodes to the point and to a
 // Result deeply equal to the one the sweep returned; a field encoding/json
 // cannot carry (unexported, a NaN, a type it cannot decode) fails here.
 func TestRecordRoundTrip(t *testing.T) {
-	var rb bytes.Buffer
+	var rb, cb bytes.Buffer
 	grid := []FaultVariant{{Name: "none"},
 		{Name: "lossy", Plan: faults.NewPlan(faults.Drop(0.02), faults.Duplicate(0.01), faults.Seed(3))}}
-	e := mustNew(t, Options{Size: apps.Small, Workers: 4, Record: &rb, FaultGrid: grid,
+	e := mustNew(t, Options{Size: apps.Small, Workers: 4, Record: &rb, CSV: &cb, FaultGrid: grid,
 		Config: core.Config{SampleEvery: 200 * sim.Microsecond, ShareProfile: true, CritPath: true}})
 	keys := Spec{Apps: []string{"lu"}, Protocols: proto.Names(), Granularities: []int{1024},
 		Notifies: []network.Notify{network.Polling}, Nodes: 4, Baselines: true,
@@ -34,6 +50,11 @@ func TestRecordRoundTrip(t *testing.T) {
 	results, err := e.Run(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The run table projected from the records is the one the sweep wrote,
+	// fault column included.
+	if got := project(t, "run", bytes.NewReader(rb.Bytes())); got != cb.String() {
+		t.Fatalf("projected run table differs from the sweep's CSV:\n%s\nvs\n%s", got, cb.String())
 	}
 	sc := bufio.NewScanner(&rb)
 	sc.Buffer(nil, 1<<24)
@@ -65,6 +86,92 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !retx {
 		t.Fatal("the lossy variant retransmitted nothing: the reliability fields went untested")
 	}
+}
+
+// recordLine is the record of one Small lu point on two nodes with every
+// observer on (the sampler at a coarse interval, to keep the line short):
+// a real line for the tests below to break.
+func recordLine(t testing.TB) []byte {
+	var rb bytes.Buffer
+	e := mustNew(t, Options{Size: apps.Small, Workers: 1, Record: &rb,
+		Config: core.Config{SampleEvery: 10 * sim.Millisecond, ShareProfile: true, CritPath: true}})
+	if _, err := e.Run(context.Background(), []Key{{App: "lu", Protocol: core.HLRC, Block: 1024, Nodes: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	return rb.Bytes()
+}
+
+// TestReadRecordsErrors: a line that does not decode, carries another
+// version or has no result fails the read, naming the line.
+func TestReadRecordsErrors(t *testing.T) {
+	line := recordLine(t)
+	for _, c := range []struct {
+		name, file, want string
+	}{
+		{"truncated", string(line) + string(line[:40]), "record line 2: unexpected end of JSON input"},
+		{"blank", string(line) + "\n" + string(line), "record line 2: unexpected end of JSON input"},
+		{"version", string(bytes.Replace(line, []byte(`{"v":1,`), []byte(`{"v":2,`), 1)), "record line 1: version 2, want 1"},
+		{"no result", `{"v":1,"point":{"App":"lu"},"result":null}`, "record line 1: no result"},
+	} {
+		recs, err := ReadRecords(strings.NewReader(c.file))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: %d records, err = %v, want %q", c.name, len(recs), err, c.want)
+		}
+	}
+	recs, err := ReadRecords(bytes.NewReader(append(line, line...)))
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("two appended lines: %d records, err = %v", len(recs), err)
+	}
+}
+
+// TestProjectHasRows: a table without a row is ErrNoRows, not an empty
+// file — an observer's table whose observer was off, or records of
+// baselines alone — and an unknown table is an error naming it.
+func TestProjectHasRows(t *testing.T) {
+	recs, err := ReadRecords(bytes.NewReader(recordLine(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{"run", "prof", "crit", "sample"} {
+		if err := Project(io.Discard, table, recs); err != nil {
+			t.Errorf("%s: %v", table, err)
+		}
+	}
+	off := recs[0]
+	res := *off.Result
+	res.Sharing, res.CritPath, res.Samples = nil, nil, nil
+	off.Result = &res
+	seq := Record{V: RecordVersion, Point: Seq("lu"), Result: recs[0].Result}
+	for _, c := range []struct {
+		table string
+		recs  []Record
+	}{{"prof", []Record{off}}, {"crit", []Record{off}}, {"sample", []Record{off}}, {"run", []Record{seq}}} {
+		var b bytes.Buffer
+		if err := Project(&b, c.table, c.recs); !errors.Is(err, ErrNoRows) || b.Len() != 0 {
+			t.Errorf("%s: err = %v with %d bytes written, want ErrNoRows and none", c.table, err, b.Len())
+		}
+	}
+	if err := Project(io.Discard, "csv", recs); err == nil || !strings.Contains(err.Error(), `"csv"`) {
+		t.Errorf("unknown table: err = %v", err)
+	}
+}
+
+// FuzzReadRecords: no input panics the reader or a projection of what it
+// accepts, and every input it refuses is refused naming a line.
+func FuzzReadRecords(f *testing.F) {
+	f.Add(recordLine(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadRecords(bytes.NewReader(data))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "record line ") {
+				t.Fatalf("error names no line: %v", err)
+			}
+			return
+		}
+		for _, table := range []string{"run", "prof", "crit", "sample"} {
+			Project(io.Discard, table, recs)
+		}
+	})
 }
 
 // failingWriter fails its nth write and every write after it.

@@ -1,10 +1,12 @@
 package sweep
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 	"sync"
 
 	"dsmsim/internal/core"
@@ -24,8 +26,8 @@ const RecordVersion = 1
 // profile, critical path and reliability counters included (the final
 // image is not). The sink writes it with encoding/json as one line per
 // emitted run, baselines included. Nothing in it depends on the host or the
-// build, so a record file is byte-identical at any parallelism, like the
-// CSVs — which, like every other sink output, are projections of it.
+// build, so a record file is byte-identical at any parallelism. Every other
+// sink output, and each CSV table Project writes, is a projection of it.
 type Record struct {
 	V      int          `json:"v"`
 	Point  Key          `json:"point"`
@@ -48,10 +50,8 @@ type Sink struct {
 // projection is one output of a sink: the bytes render draws from a
 // record, written to w; render returns nil when the record has none of
 // this output's data. A projection with a header is a CSV table: the
-// header goes before its first row unless w is a file that already holds
-// data (the CLIs open their files in append mode), and neither a
-// Sequential baseline nor a point with Settings, which are not part of the
-// paper's evaluation matrix, has rows in it.
+// header goes before its first row, and neither a Sequential baseline nor
+// a point with Settings (outside the paper's evaluation matrix) has rows.
 type projection struct {
 	w       io.Writer
 	header  string
@@ -59,35 +59,24 @@ type projection struct {
 	started bool
 }
 
-// NewSink is an engine's sink with the writers spelled positionally, as
-// the benchmark probes call it: a nil writer leaves its output out, and
+// NewSink is a sink with the writers spelled positionally, as the
+// benchmark probes call it: a nil writer leaves its output out, and
 // faultCol adds the fault column. The seventh argument is ignored
 // (it selected the enriched progress format, which is gone).
 func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.Writer, _, faultCol bool) *Sink {
-	return newSink(Options{Progress: progress, CSV: csv, Histograms: histograms,
-		SampleCSV: samples, ProfCSV: profs, CritCSV: crits}, faultCol)
+	s := &Sink{}
+	s.add(&projection{w: progress, render: progressLines(histograms)}, tables["run"](csv, faultCol),
+		tables["sample"](samples, faultCol), tables["prof"](profs, faultCol), tables["crit"](crits, faultCol))
+	return s
 }
 
-// newSink builds the sink of an engine running under o, with a fault
-// column in every CSV schema when fault is set.
-func newSink(o Options, fault bool) *Sink {
-	s := &Sink{}
-	for _, p := range []*projection{
-		{w: o.Progress, render: progressLines(o.Histograms)},
-		runTable(o.CSV, fault),
-		keyedTable(o.SampleCSV, fault, metrics.SeriesHeader,
-			func(r *core.Result) *metrics.Series { return r.Samples }, (*metrics.Series).AppendRows),
-		keyedTable(o.ProfCSV, fault, shareprof.CSVHeader,
-			func(r *core.Result) *shareprof.Report { return r.Sharing }, (*shareprof.Report).AppendRows),
-		keyedTable(o.CritCSV, fault, critpath.CSVHeader,
-			func(r *core.Result) *critpath.Report { return r.CritPath }, (*critpath.Report).AppendRow),
-		{w: o.Record, render: s.recordLine},
-	} {
+// add appends the projections that have a writer to s's outputs.
+func (s *Sink) add(ps ...*projection) {
+	for _, p := range ps {
 		if p.w != nil {
 			s.outputs = append(s.outputs, p)
 		}
 	}
-	return s
 }
 
 // Emit writes one completed run to every output, each rendering its part
@@ -108,7 +97,7 @@ func (s *Sink) Emit(k Key, res *core.Result) error {
 		}
 		if !p.started {
 			p.started = true
-			if p.header != "" && !hasExistingData(p.w) {
+			if p.header != "" {
 				s.write(p.w, []byte(p.header+"\n"))
 			}
 		}
@@ -127,6 +116,57 @@ func (s *Sink) write(w io.Writer, b []byte) {
 // Close does nothing (Emit has written everything when it returns); it
 // stays for callers that still close their sinks.
 func (s *Sink) Close() {}
+
+// ErrNoRows is Project's error for a table in which no matrix run has a
+// row: an observer's table with the observer off, or baselines alone.
+var ErrNoRows = errors.New("no matrix run in the records has a row in it")
+
+// Project writes the named CSV table of recs — run, prof, crit or sample —
+// to w through the projection a Sink writes it with: one header,
+// then every matrix run's rows in record order. Its fault column is there
+// iff some point names a fault-grid variant.
+func Project(w io.Writer, name string, recs []Record) error {
+	table, ok := tables[name]
+	if !ok {
+		return fmt.Errorf("no table %q (want run, prof, crit or sample)", name)
+	}
+	p := table(w, slices.ContainsFunc(recs, func(r Record) bool { return r.Point.Fault != "" }))
+	s := &Sink{outputs: []*projection{p}}
+	for _, r := range recs {
+		if err := s.Emit(r.Point, r.Result); err != nil {
+			return err
+		}
+	}
+	if !p.started {
+		return fmt.Errorf("%s table: %w", name, ErrNoRows)
+	}
+	return nil
+}
+
+// ReadRecords decodes a record file, one Record per line, however many
+// runs appended to it. A line that does not decode, that carries another
+// schema version or that has no result fails it, named by number.
+func ReadRecords(r io.Reader) ([]Record, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<30)
+	var recs []Record
+	for n := 1; sc.Scan(); n++ {
+		var rec Record
+		err := json.Unmarshal(sc.Bytes(), &rec)
+		switch {
+		case err != nil:
+		case rec.V != RecordVersion:
+			err = fmt.Errorf("version %d, want %d", rec.V, RecordVersion)
+		case rec.Result == nil:
+			err = errors.New("no result")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("record line %d: %w", n, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs, sc.Err()
+}
 
 // progressLines renders a run's progress line — a Sequential baseline's
 // time, or a point's coordinates and time, tagged with its fault variant
@@ -177,6 +217,18 @@ func faultHist(res *core.Result) stats.Histogram {
 	return h
 }
 
+// tables are a record's CSV projections by the names Project takes, each
+// building its table into a writer, with a fault column when asked.
+var tables = map[string]func(w io.Writer, fault bool) *projection{
+	"run": runTable,
+	"sample": keyedTable(metrics.SeriesHeader,
+		func(r *core.Result) *metrics.Series { return r.Samples }, (*metrics.Series).AppendRows),
+	"prof": keyedTable(shareprof.CSVHeader,
+		func(r *core.Result) *shareprof.Report { return r.Sharing }, (*shareprof.Report).AppendRows),
+	"crit": keyedTable(critpath.CSVHeader,
+		func(r *core.Result) *critpath.Report { return r.CritPath }, (*critpath.Report).AppendRow),
+}
+
 // csvHeader is the machine-readable schema, one row per run.
 const csvHeader = "app,protocol,block,notify,nodes,time_ns,read_faults,write_faults,invalidations,twins,diffs,write_notices,lock_acquires,barrier_entries,net_msgs,net_bytes,fault_p50_ns,fault_p90_ns,fault_p99_ns,msg_p50_ns,msg_p90_ns,msg_p99_ns,lock_p50_ns,lock_p90_ns,lock_p99_ns,retransmits,wire_drops,dup_frames,retx_p50_ns,retx_p99_ns"
 
@@ -207,38 +259,27 @@ func runTable(w io.Writer, fault bool) *projection {
 	}}
 }
 
-// keyedTable is the schema of an observer's output: the run-key columns
+// keyedTable builds the table of an observer's output: the run-key columns
 // (the fault column last among them on fault-grid sweeps), then header.
-// One run's rows are whatever rows renders from the part of the result get
-// selects, each prefixed with the run's key columns, and nothing when the
-// observer was off.
-func keyedTable[T any](w io.Writer, fault bool, header string,
-	get func(*core.Result) *T, rows func(*T, []byte, string) []byte) *projection {
-	key := "app,protocol,block,notify,nodes,"
-	if fault {
-		key += "fault,"
-	}
-	return &projection{w: w, header: key + header, render: func(r Record) []byte {
-		v, res := get(r.Result), r.Result
-		if v == nil {
-			return nil
-		}
-		prefix := fmt.Sprintf("%s,%s,%d,%s,%d,", res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
+// A run's rows are what rows renders from the part of its result get
+// selects, each prefixed with its key columns; none when the observer was off.
+func keyedTable[T any](header string, get func(*core.Result) *T,
+	rows func(*T, []byte, string) []byte) func(io.Writer, bool) *projection {
+	return func(w io.Writer, fault bool) *projection {
+		key := "app,protocol,block,notify,nodes,"
 		if fault {
-			prefix += r.Point.Fault + ","
+			key += "fault,"
 		}
-		return rows(v, nil, prefix)
-	}}
-}
-
-// hasExistingData reports whether w is a seekable file that already holds
-// bytes (the append-mode case where the header must be suppressed).
-func hasExistingData(w io.Writer) bool {
-	type statter interface{ Stat() (os.FileInfo, error) }
-	if s, ok := w.(statter); ok {
-		if fi, err := s.Stat(); err == nil && fi.Size() > 0 {
-			return true
-		}
+		return &projection{w: w, header: key + header, render: func(r Record) []byte {
+			v, res := get(r.Result), r.Result
+			if v == nil {
+				return nil
+			}
+			prefix := fmt.Sprintf("%s,%s,%d,%s,%d,", res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
+			if fault {
+				prefix += r.Point.Fault + ","
+			}
+			return rows(v, nil, prefix)
+		}}
 	}
-	return false
 }

@@ -197,25 +197,11 @@ type Options struct {
 	// Histograms adds a latency-distribution line after each run's
 	// progress line.
 	Histograms bool
-	// CSV, if non-nil, receives one machine-readable row per completed
-	// run. Like the four writers below it is fed in canonical sweep
-	// order — byte-identical at any parallelism — with the header written
-	// once and suppressed when the writer is an append-mode file with
-	// existing content.
+	// CSV, if non-nil, receives Project's run table, one row per run, in
+	// canonical sweep order — byte-identical at any parallelism.
 	CSV io.Writer
-	// SampleCSV, if non-nil, receives each run's sampler series as CSV
-	// rows prefixed with the run-key columns. Needs Config.SampleEvery.
-	SampleCSV io.Writer
-	// ProfCSV, if non-nil, receives each run's sharing profile (one row
-	// per region plus a total) prefixed with the run-key columns, and
-	// switches Config.ShareProfile on.
-	ProfCSV io.Writer
-	// CritCSV, if non-nil, receives each run's critical-path component
-	// row prefixed with the run-key columns, and switches Config.CritPath
-	// on.
-	CritCSV io.Writer
 	// Record, if non-nil, receives every emitted run's Record — baselines
-	// included — as one JSON line, in canonical sweep order like the CSVs.
+	// included — as one JSON line, in canonical sweep order like the CSV.
 	Record io.Writer
 	// Metrics, if non-nil, records every point once — its wall-clock
 	// runtime and result — for the /metrics exporter. Wall-clock data
@@ -223,8 +209,8 @@ type Options struct {
 	Metrics *Registry
 	// FaultGrid holds the named fault variants grid points select with
 	// Key.Fault. When a point carries a Fault name, its variant's plan
-	// replaces Config.Faults for that run. With a grid attached, the CSV,
-	// sample and profile sinks gain a fault column.
+	// replaces Config.Faults for that run. With a grid attached, the CSV
+	// gains a fault column.
 	FaultGrid []FaultVariant
 	// Fork shares warmup prefixes across fault-grid points: each group of
 	// points differing only in Fault runs its pre-fault prefix once (to a
@@ -250,22 +236,15 @@ type Engine struct {
 }
 
 // New builds an Engine from opts. It is the one place the rules between
-// settings live: a profile writer switches its profiler on, a sample
-// writer without a sampling interval is an error, and fault-grid variants
-// need distinct, non-empty names (points select them by name).
+// settings live: fault-grid variants need distinct, non-empty names
+// (points select them by name).
 func New(opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	opts.Verify = opts.Verify || opts.Size == apps.Small
-	cfg := &opts.Config
-	if cfg.Limit == 0 {
-		cfg.Limit = 100000 * sim.Second
-	}
-	cfg.ShareProfile = cfg.ShareProfile || opts.ProfCSV != nil
-	cfg.CritPath = cfg.CritPath || opts.CritCSV != nil
-	if opts.SampleCSV != nil && cfg.SampleEvery <= 0 {
-		return nil, errors.New("sweep: a sample CSV writer needs a sampling interval (SampleEvery)")
+	if opts.Config.Limit == 0 {
+		opts.Config.Limit = 100000 * sim.Second
 	}
 	seen := map[string]bool{}
 	for _, v := range opts.FaultGrid {
@@ -277,10 +256,10 @@ func New(opts Options) (*Engine, error) {
 		}
 		seen[v.Name] = true
 	}
-	return &Engine{
-		opts: opts,
-		sink: newSink(opts, len(opts.FaultGrid) > 0),
-	}, nil
+	// Progress lines, the run table (a fault column under a grid), records.
+	sink := NewSink(opts.Progress, opts.CSV, opts.Histograms, nil, nil, nil, false, len(opts.FaultGrid) > 0)
+	sink.add(&projection{w: opts.Record, render: sink.recordLine})
+	return &Engine{opts: opts, sink: sink}, nil
 }
 
 // Options returns the settings the engine runs under, defaults applied.

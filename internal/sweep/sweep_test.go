@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -113,19 +111,19 @@ func TestParallelByteIdenticalToSerial(t *testing.T) {
 
 // TestSamplerCSVParallelDeterminism extends the byte-identity guarantee to
 // the metrics surfaces: with sampling and a live registry attached, the
-// sampler CSV, the progress lines and the run records from an 8-worker
-// sweep are byte-identical to a 1-worker sweep, and /metrics agrees on the
-// counts.
+// progress lines, the run records and the sampler table projected from
+// them are byte-identical between an 8-worker and a 1-worker sweep, and
+// /metrics agrees on the counts.
 func TestSamplerCSVParallelDeterminism(t *testing.T) {
 	run := func(workers int) (progress, samples, records string, reg *Registry) {
-		var pb, sb, rb bytes.Buffer
+		var pb, rb bytes.Buffer
 		reg = NewRegistry()
 		e := mustNew(t, Options{Size: apps.Small, Workers: workers, Progress: &pb,
-			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb, Record: &rb, Metrics: reg})
+			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, Record: &rb, Metrics: reg})
 		if _, err := e.Run(context.Background(), testSpec().Points()); err != nil {
 			t.Fatal(err)
 		}
-		return pb.String(), sb.String(), rb.String(), reg
+		return pb.String(), project(t, "sample", bytes.NewReader(rb.Bytes())), rb.String(), reg
 	}
 	p1, s1, r1, _ := run(1)
 	p8, s8, r8, reg := run(8)
@@ -288,38 +286,6 @@ func TestCSVSinkHeaderOnceConcurrent(t *testing.T) {
 	}
 	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 17 {
 		t.Fatalf("lines = %d, want 17 (header + 16 records)", n)
-	}
-}
-
-func TestCSVSinkAppendAware(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.csv")
-	res := &core.Result{App: "lu", Protocol: "sc", BlockSize: 64, Nodes: 4}
-
-	// First invocation: fresh file gets the header.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	NewSink(nil, f, false, nil, nil, nil, false, false).Emit(Key{}, res)
-	f.Close()
-
-	// Second invocation, same append-mode pattern: no second header.
-	f, err = os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	NewSink(nil, f, false, nil, nil, nil, false, false).Emit(Key{}, res)
-	f.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(data, []byte("app,protocol")); n != 1 {
-		t.Fatalf("headers = %d, want 1 across two append invocations:\n%s", n, data)
-	}
-	if n := bytes.Count(data, []byte("\n")); n != 3 {
-		t.Fatalf("lines = %d, want 3 (header + 2 records)", n)
 	}
 }
 

@@ -30,15 +30,6 @@ func F64s(b []byte) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-// F32s views b as a []float32.
-func F32s(b []byte) []float32 {
-	check(b, 4, "float32")
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
 // I64s views b as a []int64.
 func I64s(b []byte) []int64 {
 	check(b, 8, "int64")

@@ -27,9 +27,6 @@ func TestI32sRoundTrip(t *testing.T) {
 	if len(I64s(b)) != 2 {
 		t.Fatal("I64s wrong length")
 	}
-	if len(F32s(b)) != 4 {
-		t.Fatal("F32s wrong length")
-	}
 }
 
 func TestEmptyViews(t *testing.T) {

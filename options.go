@@ -42,9 +42,9 @@ func WithFaults(p *FaultPlan) Option { return func(o *sweep.Options) { o.Config.
 // named fault variant (fault-sensitivity studies: the same configuration
 // under "none", "lossy", "jittery", ... plans). Variant names must be
 // unique and non-empty; a nil plan is the healthy-machine member. With a
-// grid attached, the CSV, sample and profile schemas gain a trailing
-// fault column, progress lines a f=<name> tag, and WithFaults is ignored
-// for grid points. Sweep only.
+// grid attached, the CSV schema gains a trailing fault column, progress
+// lines a f=<name> tag, and WithFaults is ignored for grid points. Sweep
+// only.
 func WithFaultGrid(variants ...FaultVariant) Option {
 	return func(o *sweep.Options) { o.FaultGrid = variants }
 }
@@ -85,12 +85,6 @@ func WithSampleEvery(every Time) Option {
 // every other Result field are byte-identical to an unprofiled run.
 func WithShareProfile() Option { return func(o *sweep.Options) { o.Config.ShareProfile = true } }
 
-// WithProfCSV streams every run's sharing profile to w as CSV rows (one
-// per region plus a total) prefixed with the run-key columns, in
-// canonical sweep order — byte-identical at any parallelism. Sweep only;
-// switches the sharing profiler on (WithShareProfile is implied).
-func WithProfCSV(w io.Writer) Option { return func(o *sweep.Options) { o.ProfCSV = w } }
-
 // WithCritPath attaches the critical-path profiler to the run (Start) or
 // to every non-sequential run of the sweep: the exact longest dependency
 // chain of the execution is recovered — its segments sum to the run's
@@ -101,12 +95,6 @@ func WithProfCSV(w io.Writer) Option { return func(o *sweep.Options) { o.ProfCSV
 // observational: virtual time and every other Result field are
 // byte-identical to an unprofiled run.
 func WithCritPath() Option { return func(o *sweep.Options) { o.Config.CritPath = true } }
-
-// WithCritCSV streams every run's critical-path component row to w,
-// prefixed with the run-key columns, in canonical sweep order —
-// byte-identical at any parallelism. Sweep only; switches the
-// critical-path profiler on (WithCritPath is implied).
-func WithCritCSV(w io.Writer) Option { return func(o *sweep.Options) { o.CritCSV = w } }
 
 // WithWhatIf rescales one cost class of the machine — compute, message
 // wire latency, message service occupancy, lock traffic, barrier traffic
@@ -140,9 +128,8 @@ func WithParallelism(n int) Option { return func(o *sweep.Options) { o.Workers =
 // sweep order regardless of completion order. Sweep only.
 func WithProgress(w io.Writer) Option { return func(o *sweep.Options) { o.Progress = w } }
 
-// WithCSV streams one machine-readable record per completed run to w. The
-// header is written exactly once, and suppressed automatically when w is
-// an append-mode file that already holds records. Sweep only.
+// WithCSV streams one header line, then one machine-readable row per
+// completed run, to w: the run table of the sweep's records. Sweep only.
 func WithCSV(w io.Writer) Option { return func(o *sweep.Options) { o.CSV = w } }
 
 // WithHistograms adds a latency-distribution summary line (fault service
@@ -150,19 +137,13 @@ func WithCSV(w io.Writer) Option { return func(o *sweep.Options) { o.CSV = w } }
 // only.
 func WithHistograms() Option { return func(o *sweep.Options) { o.Histograms = true } }
 
-// WithSampleCSV streams every run's sampler time-series to w as CSV rows
-// prefixed with the run-key columns, in canonical sweep order — like all
-// sweep output, byte-identical at any parallelism. Requires
-// WithSampleEvery: without an interval Sweep returns an error. Sweep only.
-func WithSampleCSV(w io.Writer) Option { return func(o *sweep.Options) { o.SampleCSV = w } }
-
 // WithRecord streams every run's record to w as one JSON line: the point
 // and its whole Result — per-node statistics, histograms, phases, samples,
 // sharing profile, critical path, reliability counters — with sequential
 // baselines included, in canonical sweep order and byte-identical at any
-// parallelism. Every CSV and progress line is a projection of it. The
-// line's "v" field is the schema version, bumped when a field changes
-// meaning. Sweep only.
+// parallelism. Every CSV and progress line is a projection of it (`dsmrun
+// -project`). The line's "v" field is the schema version, bumped when a
+// field changes meaning. Sweep only.
 func WithRecord(w io.Writer) Option { return func(o *sweep.Options) { o.Record = w } }
 
 // WithMetrics attaches a live metrics registry: the sweep records each

@@ -16,60 +16,6 @@ var oneRun = dsmsim.SweepSpec{
 	Nodes: 4, Size: dsmsim.Small, SkipBaselines: true,
 }
 
-// TestCSVWriterSwitchesObserverOn: a profile writer alone is enough — at
-// 8395aed WithProfCSV without WithShareProfile (and WithCritCSV without
-// WithCritPath) returned success and an empty file.
-func TestCSVWriterSwitchesObserverOn(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		writer func(*bytes.Buffer) dsmsim.Option
-		both   func(*bytes.Buffer) []dsmsim.Option
-		header string
-	}{
-		{"prof", func(b *bytes.Buffer) dsmsim.Option { return dsmsim.WithProfCSV(b) },
-			func(b *bytes.Buffer) []dsmsim.Option {
-				return []dsmsim.Option{dsmsim.WithShareProfile(), dsmsim.WithProfCSV(b)}
-			},
-			"app,protocol,block,notify,nodes,region,"},
-		{"crit", func(b *bytes.Buffer) dsmsim.Option { return dsmsim.WithCritCSV(b) },
-			func(b *bytes.Buffer) []dsmsim.Option {
-				return []dsmsim.Option{dsmsim.WithCritPath(), dsmsim.WithCritCSV(b)}
-			},
-			"app,protocol,block,notify,nodes,crit_total_ns,"},
-	} {
-		var alone, both bytes.Buffer
-		if _, err := dsmsim.Sweep(context.Background(), oneRun, c.writer(&alone)); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if _, err := dsmsim.Sweep(context.Background(), oneRun, c.both(&both)...); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !strings.HasPrefix(alone.String(), c.header) || strings.Count(alone.String(), "\n") < 2 {
-			t.Errorf("%s: writer alone produced no rows:\n%s", c.name, alone.String())
-		}
-		if alone.String() != both.String() {
-			t.Errorf("%s: writer alone differs from writer + observer:\n%s\nvs\n%s", c.name, alone.String(), both.String())
-		}
-	}
-}
-
-// TestSampleCSVNeedsInterval: a sample writer has no interval to imply, so
-// the sweep refuses to start rather than leave the file empty.
-func TestSampleCSVNeedsInterval(t *testing.T) {
-	var buf bytes.Buffer
-	_, err := dsmsim.Sweep(context.Background(), oneRun, dsmsim.WithSampleCSV(&buf))
-	if err == nil || !strings.Contains(err.Error(), "sampling interval") {
-		t.Fatalf("err = %v, want one naming the missing sampling interval", err)
-	}
-	if _, err := dsmsim.Sweep(context.Background(), oneRun,
-		dsmsim.WithSampleCSV(&buf), dsmsim.WithSampleEvery(200*dsmsim.Microsecond)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "app,protocol,block,notify,nodes,") {
-		t.Fatalf("no sample rows with an interval set:\n%s", buf.String())
-	}
-}
-
 // TestEveryOptionFieldHasAWith applies every public With* function to an
 // empty options struct and walks it by reflection: each exported field —
 // of sweep.Options and of the core.Config template inside it — must have
@@ -86,10 +32,10 @@ func TestEveryOptionFieldHasAWith(t *testing.T) {
 		dsmsim.WithVerify(), dsmsim.WithFaults(dsmsim.NewFaultPlan()),
 		dsmsim.WithFaultGrid(dsmsim.FaultVariant{Name: "x"}), dsmsim.WithFork(),
 		dsmsim.WithLimit(dsmsim.Second), dsmsim.WithSampleEvery(dsmsim.Millisecond),
-		dsmsim.WithShareProfile(), dsmsim.WithProfCSV(&w), dsmsim.WithCritPath(), dsmsim.WithCritCSV(&w),
+		dsmsim.WithShareProfile(), dsmsim.WithCritPath(),
 		dsmsim.WithWhatIf(scale), dsmsim.WithTrace(&w), dsmsim.WithTraceJSON(&w),
 		dsmsim.WithParallelism(3), dsmsim.WithProgress(&w), dsmsim.WithCSV(&w), dsmsim.WithHistograms(),
-		dsmsim.WithSampleCSV(&w), dsmsim.WithRecord(&w), dsmsim.WithMetrics(dsmsim.NewMetrics()),
+		dsmsim.WithRecord(&w), dsmsim.WithMetrics(dsmsim.NewMetrics()),
 	} {
 		opt(&o)
 	}
@@ -116,7 +62,7 @@ func TestEveryOptionFieldHasAWith(t *testing.T) {
 	walk(reflect.ValueOf(o), "")
 }
 
-// TestStartRefusesSweepOnlyOptions: each of the eleven options only a
+// TestStartRefusesSweepOnlyOptions: each of the eight options only a
 // sweep can use is an error from Start naming it, where Start used to run
 // without it.
 func TestStartRefusesSweepOnlyOptions(t *testing.T) {
@@ -127,8 +73,7 @@ func TestStartRefusesSweepOnlyOptions(t *testing.T) {
 	}{
 		{"WithParallelism", dsmsim.WithParallelism(2)}, {"WithProgress", dsmsim.WithProgress(&w)},
 		{"WithCSV", dsmsim.WithCSV(&w)}, {"WithHistograms", dsmsim.WithHistograms()},
-		{"WithSampleCSV", dsmsim.WithSampleCSV(&w)}, {"WithProfCSV", dsmsim.WithProfCSV(&w)},
-		{"WithCritCSV", dsmsim.WithCritCSV(&w)}, {"WithRecord", dsmsim.WithRecord(&w)},
+		{"WithRecord", dsmsim.WithRecord(&w)},
 		{"WithMetrics", dsmsim.WithMetrics(dsmsim.NewMetrics())},
 		{"WithFaultGrid", dsmsim.WithFaultGrid(dsmsim.FaultVariant{Name: "none"})}, {"WithFork", dsmsim.WithFork()},
 	} {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dsmsim"
+	"dsmsim/internal/sweep"
 )
 
 // TestShareProfileNoPerturbation is the pay-for-use contract: attaching
@@ -81,8 +82,8 @@ func TestFalseSharingMonotonic(t *testing.T) {
 }
 
 // TestProfCSVParallelDeterminism extends the sweep determinism guarantee
-// to the profiler sink: the -prof-csv stream is byte-identical at any
-// parallelism.
+// to the profiler's table: the prof table projected from the run records
+// is byte-identical at any parallelism.
 func TestProfCSVParallelDeterminism(t *testing.T) {
 	spec := dsmsim.SweepSpec{
 		Apps:          []string{"lu", "volrend-original"},
@@ -92,11 +93,19 @@ func TestProfCSVParallelDeterminism(t *testing.T) {
 		Size:          dsmsim.Small,
 	}
 	run := func(workers int) string {
-		var buf bytes.Buffer
+		var rb bytes.Buffer
 		_, err := dsmsim.Sweep(context.Background(), spec,
 			dsmsim.WithParallelism(workers),
-			dsmsim.WithShareProfile(), dsmsim.WithProfCSV(&buf))
+			dsmsim.WithShareProfile(), dsmsim.WithRecord(&rb))
 		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := sweep.ReadRecords(&rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sweep.Project(&buf, "prof", recs); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -33,8 +33,7 @@ func Start(ctx context.Context, cfg Config, app App, opts ...Option) (*Result, e
 		name string
 		set  bool
 	}{{"WithParallelism", o.Workers != 0}, {"WithProgress", o.Progress != nil}, {"WithCSV", o.CSV != nil},
-		{"WithHistograms", o.Histograms}, {"WithSampleCSV", o.SampleCSV != nil}, {"WithProfCSV", o.ProfCSV != nil},
-		{"WithCritCSV", o.CritCSV != nil}, {"WithRecord", o.Record != nil}, {"WithMetrics", o.Metrics != nil},
+		{"WithHistograms", o.Histograms}, {"WithRecord", o.Record != nil}, {"WithMetrics", o.Metrics != nil},
 		{"WithFaultGrid", o.FaultGrid != nil}, {"WithFork", o.Fork}} {
 		if f.set {
 			sweepOnly = append(sweepOnly, f.name)

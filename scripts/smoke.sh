@@ -18,22 +18,19 @@ dsmrun() { $GO run ./cmd/dsmrun "$@"; }
 unit() { [ -z "$tests" ] || $GO test "$@"; }
 ok() { echo "ok: $*"; }
 
-# pcmp FLAG... -- CMD...: run CMD at -parallel 1 and at -parallel 8 with each
-# FLAG (-csv, -prof-csv, ...) naming a fresh file, and require stdout and
-# every file to be byte-identical. The -parallel 1 files stay in $tmp as
-# p1FLAG for further checks.
+# pcmp CMD...: run CMD at -parallel 1 and at -parallel 8, each with a fresh
+# -record file, and require stdout and the record to be byte-identical.
+# The -parallel 1 stdout and record stay in $tmp as p1.out and p1.jsonl for
+# further checks.
 pcmp() {
-	local flags=() p f
-	while [ "$1" != -- ]; do flags+=("$1"); shift; done
-	shift
+	local p
 	for p in 1 8; do
-		local files=()
-		for f in "${flags[@]}"; do files+=("$f" "$tmp/p$p$f"); done
-		"$@" -parallel $p "${files[@]}" >"$tmp/p$p.out" 2>/dev/null
+		rm -f "$tmp/p$p.jsonl"
+		"$@" -parallel $p -record "$tmp/p$p.jsonl" >"$tmp/p$p.out" 2>/dev/null
 	done
 	cmp "$tmp/p1.out" "$tmp/p8.out"
-	for f in "${flags[@]}"; do cmp "$tmp/p1$f" "$tmp/p8$f"; done
-	ok "stdout and ${flags[*]} byte-identical at -parallel 1 and 8"
+	cmp "$tmp/p1.jsonl" "$tmp/p8.jsonl"
+	ok "stdout and -record byte-identical at -parallel 1 and 8"
 }
 
 table3=(-exp table3 -size small -nodes 4)
@@ -43,7 +40,7 @@ grid='none;lossy:drop=0.03,seed=5,start=6;jittery:jitter=30us,dup=0.01,seed=11,s
 # The parallel sweep engine, under the race detector.
 sweep() {
 	unit -race ./internal/sweep ./internal/harness .
-	pcmp -csv -record -- $GO run -race ./cmd/dsmrun "${table3[@]}"
+	pcmp $GO run -race ./cmd/dsmrun "${table3[@]}"
 }
 
 # A sample execution trace from the quickstart example, and the JSON trace
@@ -57,19 +54,20 @@ trace() {
 }
 
 # The virtual-time sampler on one Ocean-Rowwise run (phase breakdown on
-# stdout, series as CSV, the run record as one JSON line), the CSV and the
-# records of a sweep across parallelism, and the live Prometheus endpoint
-# of a finished sweep.
+# stdout, the run record as one JSON line, its series projected as CSV),
+# the records of a sweep across parallelism, and the live Prometheus
+# endpoint of a finished sweep.
 metrics() {
 	unit -race ./internal/sweep ./internal/metrics
 	local jsonl='import json,sys; [json.loads(l) for l in open(sys.argv[1])]'
 	rm -f metrics_demo.jsonl
 	dsmrun -app ocean-rowwise -protocol hlrc -block 4096 -nodes 4 -sample-every 100us \
-		-sample-csv metrics_demo.csv -record metrics_demo.jsonl
+		-record metrics_demo.jsonl
 	python3 -c "$jsonl" metrics_demo.jsonl
-	ok "wrote metrics_demo.csv and metrics_demo.jsonl (the run's full result as one JSON line)"
-	pcmp -sample-csv -record -- dsmrun -app lu,fft -protocol sc,hlrc -block 256,4096 -nodes 4 -sample-every 200us
-	python3 -c "$jsonl" "$tmp/p1-record"
+	dsmrun -project sample metrics_demo.jsonl >metrics_demo.csv
+	ok "wrote metrics_demo.jsonl (the run's full result as one JSON line) and metrics_demo.csv (its sample table)"
+	pcmp dsmrun -app lu,fft -protocol sc,hlrc -block 256,4096 -nodes 4 -sample-every 200us
+	python3 -c "$jsonl" "$tmp/p1.jsonl"
 	$GO build -o "$tmp/dsmrun" ./cmd/dsmrun # a binary of our own, so the kill below reaches it
 	# Scrape in the -metrics-linger window, once fig1's table is on stdout
 	# (water-spatial is its last row): by then every point has finished and
@@ -97,7 +95,7 @@ metrics() {
 faults() {
 	unit -race ./internal/faults ./internal/network ./internal/sweep .
 	dsmrun -app lu -protocol sc -block 4096 -nodes 4 -faults 'drop=0.01,seed=1'
-	pcmp -csv -record -- dsmrun -exp degradation -nodes 4 -size small
+	pcmp dsmrun -exp degradation -nodes 4 -size small
 	cat "$tmp/p1.out"
 	local a
 	for a in a b; do dsmrun "${lu_hlrc[@]}" -nodes 4 -faults 'drop=0.02,seed=3' >"$tmp/lossy_$a"; done
@@ -109,21 +107,22 @@ faults() {
 # The sharing-pattern profiler: Volrend-Original's per-region report (the
 # image plane shows the paper's false sharing), false sharing vs
 # granularity for both task shapes (its runs and records across
-# parallelism), and the profile CSV across parallelism.
+# parallelism), and the profile table of a record across parallelism.
 prof() {
 	unit -race ./internal/shareprof ./internal/sweep .
 	dsmrun -app volrend-original -protocol hlrc -block 4096 -nodes 16 -prof
-	pcmp -csv -record -- dsmrun -exp sharing -nodes 16 -size small
+	pcmp dsmrun -exp sharing -nodes 16 -size small
 	cat "$tmp/p1.out"
-	pcmp -prof-csv -- dsmrun -exp table9 -size small -nodes 4
-	head -1 "$tmp/p1-prof-csv" | grep -q '^app,protocol,block,notify,nodes,region,'
-	grep -q ',(total),' "$tmp/p1-prof-csv"
+	pcmp dsmrun -exp table9 -size small -nodes 4 -prof
+	dsmrun -project prof "$tmp/p1.jsonl" >"$tmp/prof.csv"
+	head -1 "$tmp/prof.csv" | grep -q '^app,protocol,block,notify,nodes,region,'
+	grep -q ',(total),' "$tmp/prof.csv"
 }
 
 # The critical-path profiler: the recovered path equals completion time, a
 # what-if prints the path's prediction next to the re-simulated truth and
-# records its three runs (baseline, point, twin), the crit CSV across
-# parallelism, and the path-composition table.
+# records its three runs (baseline, point, twin), the crit table of a
+# record across parallelism, and the path-composition table.
 crit() {
 	unit -race ./internal/critpath
 	unit -race -run 'Crit|WhatIf|ForkTrace' ./internal/core ./internal/sweep
@@ -136,8 +135,9 @@ crit() {
 	dsmrun "${lu_hlrc[@]}" -nodes 8 -whatif msg=0.5 -record "$tmp/whatif.jsonl" | tee "$tmp/whatif.txt"
 	grep -q path-predicted "$tmp/whatif.txt" && grep -q re-simulated "$tmp/whatif.txt"
 	python3 -c "import json,sys; assert len([json.loads(l) for l in open(sys.argv[1])]) == 3" "$tmp/whatif.jsonl"
-	pcmp -crit-csv -- dsmrun "${table3[@]}"
-	head -1 "$tmp/p1-crit-csv" | grep -q '^app,protocol,block,notify,nodes,crit_total_ns,'
+	pcmp dsmrun "${table3[@]}" -crit
+	dsmrun -project crit "$tmp/p1.jsonl" >"$tmp/crit.csv"
+	head -1 "$tmp/crit.csv" | grep -q '^app,protocol,block,notify,nodes,crit_total_ns,'
 	dsmrun -exp critpath -nodes 16 -size small 2>"$tmp/critpath.err"
 }
 
@@ -154,8 +154,8 @@ scale() {
 # Checkpoint/fork warmup sharing: one fault-grid sweep over every app (three
 # variants per configuration, plans gated on barrier 6) flat and forked —
 # the forked run prints its speedup summary, and no point may run flat —
-# with the printed table (all but the fork: line), CSV and sample CSV
-# byte-identical.
+# with the printed table (all but the fork: line) and the record
+# byte-identical, and the record's sample table carrying the fault column.
 fork() {
 	unit -race -run 'Fork|Checkpoint|Memo|Resume|Refused|Digest' ./internal/core ./internal/sweep .
 	unit -race ./internal/digest
@@ -165,15 +165,16 @@ fork() {
 		set -- $v
 		dsmrun -app all -protocol sc,hlrc -block 1024,4096 -nodes 4 -size small \
 			-fault-grid "$grid" -sample-every 200us "${@:2}" \
-			-csv "$tmp/$1.csv" -sample-csv "$tmp/$1.samples" >"$tmp/$1.out" 2>/dev/null
+			-record "$tmp/$1.jsonl" >"$tmp/$1.out" 2>/dev/null
 		grep -v '^fork:' "$tmp/$1.out" >"$tmp/$1.table" || true
 		cmp "$tmp/flat.table" "$tmp/$1.table"
-		cmp "$tmp/flat.csv" "$tmp/$1.csv"
-		cmp "$tmp/flat.samples" "$tmp/$1.samples"
+		cmp "$tmp/flat.jsonl" "$tmp/$1.jsonl"
 	done
 	tail -1 "$tmp/fork1.out"
 	grep -q ' 0 points ran flat' "$tmp/fork1.out" && grep -q ' 0 points ran flat' "$tmp/fork8.out"
-	ok "forked sweep over every app: no point ran flat; table, CSV + sample CSV byte-identical to flat at -parallel 1 and 8"
+	dsmrun -project sample "$tmp/flat.jsonl" >"$tmp/flat.samples"
+	head -1 "$tmp/flat.samples" | grep -q '^app,protocol,block,notify,nodes,fault,t_ns,'
+	ok "forked sweep over every app: no point ran flat; table and record byte-identical to flat at -parallel 1 and 8"
 }
 
 # The timestamp-lease protocol: a verified lock-heavy run under tlc, every
@@ -189,15 +190,17 @@ tlc() {
 	dsmrun -exp fourway -nodes 4 -size small 2>"$tmp/fourway.err"
 }
 
-# Ten seconds of fuzzing per parser of a flag string, and of the trace line
-# encoder against its fmt oracle.
+# Ten seconds of fuzzing per parser of a flag string, of the record file
+# reader, and of the trace line encoder against its fmt oracle. A new
+# input is minimized for at most a second, so a large seed (a record line
+# is kilobytes) spends the ten seconds fuzzing rather than minimizing.
 fuzz() {
 	local t
 	for t in "FuzzParse ./internal/faults" "FuzzParseStragglers ./internal/faults" \
 		"FuzzParseScale ./internal/critpath" "FuzzGrid ./cmd/dsmrun" \
-		"FuzzLineEncoder ./internal/trace"; do
+		"FuzzReadRecords ./internal/sweep" "FuzzLineEncoder ./internal/trace"; do
 		set -- $t
-		$GO test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
+		$GO test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 1s "$2"
 	done
 }
 
