@@ -36,6 +36,15 @@
 //
 // All timing is virtual and deterministic: identical configurations
 // produce bit-identical results.
+//
+// Run the simulator (Start, StartApp, Sweep, Machine.Run) on an ordinary
+// goroutine, never on one locked to its OS thread (runtime.LockOSThread, or
+// inside a cgo callback). Simulated processors run on coroutines shared by
+// every run in the process, and Go stops the whole process with a fatal
+// error — no error value, no recoverable panic — when a coroutine is
+// resumed under thread locks other than those it was made with. A
+// coroutine made under a lock stays shared, so a later run on an ordinary
+// goroutine can die the same way.
 package dsmsim
 
 import (

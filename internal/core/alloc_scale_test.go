@@ -3,6 +3,7 @@ package core_test
 import (
 	"io"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dsmsim/internal/apps"
@@ -14,15 +15,21 @@ import (
 
 // TestPerNodeAllocCeiling1024 pins the host objects one node costs: the
 // mallocs of a whole LU run at 1024 nodes under sc (machine build, 1024
-// coroutines, the run, teardown), divided by the node count. Measured 14.9
-// (17.9 while each run grew its own message and buffer free lists; 19.3
-// under -race): 12 for the proc's coroutine (iter.Pull's state and
-// closures, see sim.TestProcCreationAllocCeiling), 1 for its body, and the
-// rest split over the endpoint's queue and a fresh g. Everything else
-// per-node comes out of slabs the run before gave back — the spaces', the
-// endpoints', and the network's one link table, whose FIFO clamps are pages
-// cut from a few chunks, not an object per endpoint; a `&T{}` creeping back
-// into the node loop adds a whole object per node.
+// procs, the run, teardown), divided by the node count. Measured 1.3–1.5:
+// 1 for the proc's body closure, and the rest not per node at all — the
+// protocol's copyset pages and parked transactions, the pools' own
+// bookkeeping — spread over the nodes. It was 14.9 while every proc made its
+// own iter.Pull coroutine (12 objects, see sim.TestProcCreationAllocCeiling)
+// and every endpoint grew its own service queue, and 17.9 before that, while
+// each run grew its own message and buffer free lists. Everything else
+// per-node comes out of what the run before gave back — the procs' workers
+// off the sim's idle list, the spaces' slabs, the endpoints' slab and queue
+// arrays, and the network's one link table, whose FIFO clamps are pages cut
+// from a few chunks, not an object per endpoint; a `&T{}` creeping back into
+// the node loop adds a whole object per node. Under -race, sync.Pool drops
+// a quarter of its Puts at random, and a run that loses a pooled slab or the
+// free-list bundle rebuilds what it held, so the reading is held only to
+// raceCeiling.
 //
 // The guard lives here rather than beside the other allocation tests in
 // alloc_test.go (package core) because apps imports core.
@@ -30,7 +37,11 @@ func TestPerNodeAllocCeiling1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node run skipped in -short mode")
 	}
-	const nodes, ceiling = 1024, 20.5
+	const nodes, raceCeiling = 1024, 10.0
+	ceiling := 3.0
+	if raceBuild() {
+		ceiling = raceCeiling
+	}
 	entry, err := apps.Get("lu")
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +68,20 @@ func TestPerNodeAllocCeiling1024(t *testing.T) {
 	}
 }
 
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
 // TestObserverAllocCeiling pins two contracts on the observed benchmark
 // workload's applications at 16 nodes under hlrc with 256 B blocks. An
 // observer's per-event path allocates nothing: a whole run may cost at most
@@ -65,13 +90,16 @@ func TestPerNodeAllocCeiling1024(t *testing.T) {
 // observers on. And an observer gives back what it draws: once the pools are
 // warm, a run with the trace, the sharing profiler or the critical-path
 // profiler on may cost at most 1.10x the bytes. The sampler is exempt from
-// the bytes, because its series is output. Measured: at most 1.09x the
-// mallocs alone and 1.15x all on; 1.00–1.03x the bytes. One allocation per
-// traced event would be 13x the mallocs — lu's trace has 12,304 events, and
-// observers off it costs about 900 mallocs; painting the critical path with
-// an Arg slice per span read 1.55x in lu's all-observers row; and with their
-// tables and record chunks allocated afresh per run the profilers read
-// 1.35–2.10x the bytes.
+// the bytes, because its series is output. Measured: at most 1.06x the
+// mallocs alone and 1.14x all on, 1.21x in lu's row when the 1024-node test
+// ran first (1.23x at the commit before procs ran on recycled workers);
+// 1.00–1.03x the bytes. One allocation per
+// traced event would be 28x the mallocs — lu's trace has 12,304 events, and
+// observers off it costs about 460 mallocs; painting the critical path with
+// an Arg slice per span read 1.55x in lu's all-observers row, and the
+// critical-path report's map of one heap object per path block (63 in lu)
+// 1.32x; and with their tables and record chunks allocated afresh per run
+// the profilers read 1.35–2.10x the bytes.
 func TestObserverAllocCeiling(t *testing.T) {
 	defer mem.StackSlabs(nil)() // warm: each measured run draws what the run before it gave back
 	const mallocCeiling, byteCeiling = 1.25, 1.10

@@ -270,6 +270,14 @@ func TestRegionize(t *testing.T) {
 	if rep.Regions[0].Time != 25 || rep.Regions[0].Events != 2 {
 		t.Fatalf("vector attribution = %+v", rep.Regions[0])
 	}
+	// A block in the gap between two regions, and any block without a block
+	// size, is unlabeled.
+	gap := []mem.Region{{Name: "matrix", Start: 0, Size: 2048}, {Name: "vector", Start: 4096, Size: 4096}}
+	for _, rep := range []*Report{tr.Report(gap, 1024), tr.Report(regions, 0)} {
+		if len(rep.Regions) != 1 || rep.Regions[0] != (RegionTime{Name: "(unlabeled)", Time: 25, Events: 2}) {
+			t.Fatalf("regions = %+v, want the unlabeled remainder only", rep.Regions)
+		}
+	}
 }
 
 func TestArqRecordsEndAtFireTime(t *testing.T) {

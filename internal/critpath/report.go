@@ -59,7 +59,7 @@ func (t *Tracker) Report(regions []mem.Region, blockSize int) *Report {
 	for i := range rep.Nodes {
 		rep.Nodes[i].Node = i
 	}
-	blocks := make(map[int32]*RegionTime)
+	regionTimes := make([]RegionTime, len(regions)+1) // the regions', then the unlabeled remainder's
 	for id := t.final; id != 0; {
 		r := t.rec(id)
 		span := r.end - r.start
@@ -72,60 +72,44 @@ func (t *Tracker) Report(regions []mem.Region, blockSize int) *Report {
 			rep.Nodes[n].Events++
 		}
 		if r.block >= 0 {
-			bt := blocks[r.block]
-			if bt == nil {
-				bt = &RegionTime{}
-				blocks[r.block] = bt
-			}
-			bt.Time += span
-			bt.Events++
+			rt := &regionTimes[regionOf(regions, int(r.block), blockSize)]
+			rt.Time += span
+			rt.Events++
 		}
 		id = r.pred
 	}
-	rep.Regions = regionize(blocks, regions, blockSize)
+	// Keep, in place and in address order, the regions the path touched.
+	kept := 0
+	for i, rt := range regionTimes {
+		if rt.Events == 0 {
+			continue
+		}
+		rt.Name = "(unlabeled)"
+		if i < len(regions) {
+			rt.Name = regions[i].Name
+		}
+		regionTimes[kept] = rt
+		kept++
+	}
+	if kept > 0 {
+		rep.Regions = regionTimes[:kept]
+	}
 	return rep
 }
 
-// regionize folds per-block path time into named heap regions
-// (address-ordered, as mem.Allocator produces them).
-func regionize(blocks map[int32]*RegionTime, regions []mem.Region, blockSize int) []RegionTime {
-	if len(blocks) == 0 {
-		return nil
+// regionOf returns the index of the heap region holding block among
+// regions (address-ordered, as mem.Allocator produces them), or
+// len(regions) for a block in none of them.
+func regionOf(regions []mem.Region, block, blockSize int) int {
+	if blockSize <= 0 {
+		return len(regions)
 	}
-	ids := make([]int32, 0, len(blocks))
-	for b := range blocks {
-		ids = append(ids, b)
+	addr := block * blockSize
+	i := sort.Search(len(regions), func(i int) bool { return regions[i].Start+regions[i].Size > addr })
+	if i < len(regions) && regions[i].Start <= addr {
+		return i
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	stats := make([]RegionTime, len(regions))
-	for i, rg := range regions {
-		stats[i] = RegionTime{Name: rg.Name}
-	}
-	unlabeled := RegionTime{Name: "(unlabeled)"}
-	ri := 0
-	for _, b := range ids {
-		addr := int(b) * blockSize
-		for ri < len(regions) && regions[ri].Start+regions[ri].Size <= addr {
-			ri++
-		}
-		tgt := &unlabeled
-		if blockSize > 0 && ri < len(regions) && regions[ri].Start <= addr {
-			tgt = &stats[ri]
-		}
-		bt := blocks[b]
-		tgt.Time += bt.Time
-		tgt.Events += bt.Events
-	}
-	var out []RegionTime
-	for i := range stats {
-		if stats[i].Events > 0 {
-			out = append(out, stats[i])
-		}
-	}
-	if unlabeled.Events > 0 {
-		out = append(out, unlabeled)
-	}
-	return out
+	return len(regions)
 }
 
 // Span is one record of the recovered critical path. Block is -1 for

@@ -104,7 +104,8 @@ func (a *PhaseAccountant) Cut(node int, at sim.Time, n *stats.Node) {
 	}
 	ph := &a.phases[k]
 	cur := n.Snap()
-	cur.Sub(a.prev[node]).AddTo(&ph.Delta)
+	cur.AddTo(&ph.Delta)
+	ph.Delta.Sub(&a.prev[node])
 	ph.Span += at - a.prevAt[node]
 	if at > ph.End {
 		ph.End = at

@@ -113,9 +113,11 @@ func (s *Sampler) Finish(end sim.Time) {
 func (s *Sampler) cut(at sim.Time) {
 	var cur stats.Snapshot
 	for _, n := range s.nodes {
-		n.Snap().AddTo(&cur)
+		snap := n.Snap()
+		snap.AddTo(&cur)
 	}
-	sm := Sample{At: at, Delta: cur.Sub(s.prev)}
+	sm := Sample{At: at, Delta: cur}
+	sm.Delta.Sub(&s.prev)
 	if s.probes.Traffic != nil {
 		t, p := s.probes.Traffic(), &s.prevNet
 		sm.NetMsgs, sm.NetBytes = t.MsgsSent-p.MsgsSent, t.BytesSent-p.BytesSent

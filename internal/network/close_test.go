@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dsmsim/internal/digest"
@@ -41,9 +42,11 @@ func barrierTraffic(t *testing.T, ln *linkNet, n int) {
 // TestCloseHandsOnWhatItDrew: a network built after another of its size has
 // closed draws that one's endpoint slab, link directory and chunks and free
 // lists — every draw a hit — and finds them as a fresh network would: every
-// endpoint zero but for its id and network, no link page materialised, and
-// on the free lists exactly the messages, data buffers and ARQ frames the
-// first one recycled, each buffer as the close hook left it. A restore
+// endpoint zero but for its id and network and the service-queue array the
+// same endpoint of the first network had, empty with every slot nil, no
+// link page materialised,
+// and on the free lists exactly the messages, data buffers and ARQ frames
+// the first one recycled, each buffer as the close hook left it. A restore
 // draws its pages from the pools too; every buffer arriving at a pool is
 // all-zero; closing twice does nothing.
 func TestCloseHandsOnWhatItDrew(t *testing.T) {
@@ -79,6 +82,16 @@ func TestCloseHandsOnWhatItDrew(t *testing.T) {
 		t.Fatalf("the first network used %d link chunks and freed %d messages, %d buffers and %d frames; want every kind",
 			chunks, msgs, bufs, frames)
 	}
+	// A run stopped early leaves messages queued: Close must not hand them on.
+	first.nw.eps[n-1].queue = append(first.nw.eps[n-1].queue, &Msg{Src: 0, Dst: n - 1})
+	queues := make([][]*Msg, n) // each endpoint's queue array, whole
+	for i := range first.nw.eps {
+		q := first.nw.eps[i].queue
+		if cap(q) == 0 {
+			t.Fatalf("endpoint %d of the first network has no service-queue array", i)
+		}
+		queues[i] = q[:cap(q)]
+	}
 	first.nw.Close()
 	first.nw.Close()
 	if poisoned != bufs {
@@ -89,10 +102,17 @@ func TestCloseHandsOnWhatItDrew(t *testing.T) {
 	second := newLinkNet(n)
 	for i := range second.nw.eps {
 		ep := second.nw.eps[i]
-		ep.id, ep.net, ep.host, ep.cost, ep.handler = 0, nil, nil, nil, nil // what New and Bind set
+		if q, want := ep.queue, queues[i]; cap(q) != cap(want) || &q[:1][0] != &want[0] || len(q) != 0 ||
+			slices.ContainsFunc(want, func(m *Msg) bool { return m != nil }) {
+			t.Fatalf("endpoint %d of the second network starts with queue %v (cap %d), not the first network's endpoint %d's array, empty and all-nil", i, q, cap(q), i)
+		}
+		ep.id, ep.net, ep.host, ep.cost, ep.handler, ep.queue = 0, nil, nil, nil, nil, nil // what New and Bind set
 		if !reflect.ValueOf(ep).IsZero() {
 			t.Fatalf("endpoint %d of the second network carries state of the first: %+v", i, ep)
 		}
+	}
+	if len(second.nw.free.queues) != 0 {
+		t.Fatalf("%d queue arrays left on the second network's free list", len(second.nw.free.queues))
 	}
 	if second.nw.links.dir != nil {
 		t.Fatal("the second network starts with a link directory")

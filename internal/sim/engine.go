@@ -392,9 +392,11 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run processes events until the queue is empty and every Proc has finished.
 // It returns a *DeadlockError if the queue drains while procs are blocked,
 // or a *LimitError if SetLimit was exceeded. On return — by any path,
-// including a proc's panic — every Proc coroutine has exited and the
-// queue is empty: events a Stop, an error or a panic left undispatched
-// are dropped with the references they carry.
+// including a proc's panic — every Proc body has ended, its worker is back
+// on the idle list, and the queue is empty: events a Stop, an error or a
+// panic left undispatched are dropped with the references they carry.
+// Run must not be called from a goroutine locked to its OS thread: see Proc
+// for the fatal error that follows.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -497,12 +499,20 @@ func (e *Engine) blockedProcs() []BlockedProc {
 	return out
 }
 
-// killAll unwinds every proc still parked in a yield. Procs never resumed
-// hold no coroutine; they are only marked done.
+// killAll unwinds every proc still parked in a yield: marked killed and
+// resumed once, its body panics procKilled out of the yield, and its worker
+// goes back to the idle list. A done proc still holding a worker called
+// runtime.Goexit, which ended the worker too: it is dropped. Procs never
+// resumed hold no worker; they are only marked done.
 func (e *Engine) killAll() {
 	for _, p := range e.procs {
-		if p.stop != nil {
-			p.stop() // no-op once the body has returned
+		if w := p.w; w != nil {
+			p.w = nil
+			if !p.done {
+				p.killed = true
+				w.next()
+				releaseWorker(w)
+			}
 		}
 		p.done = true
 	}

@@ -6,9 +6,10 @@ import (
 	"runtime/debug"
 	"slices"
 	"strconv"
+	"sync"
 )
 
-// procKilled is the panic value used to unwind a Proc's coroutine when the
+// procKilled is the panic value used to unwind a Proc's body when the
 // engine shuts down before the proc finished.
 type procKilled struct{}
 
@@ -25,10 +26,20 @@ func (p *procPanic) String() string {
 }
 
 // Proc is a simulated thread of control (one per simulated processor).
-// Its body runs as a coroutine of the engine (iter.Pull): the engine's
-// resume event switches directly to it, and every Sleep or Block switches
-// directly back. No scheduler queue is involved in either direction, and
-// exactly one side runs at any moment — the execution baton.
+// Its body runs on a worker coroutine of the engine (iter.Pull, see worker):
+// the engine's resume event switches directly to it, and every Sleep or
+// Block switches directly back. No scheduler queue is involved in either
+// direction, and exactly one side runs at any moment — the execution baton.
+// The worker is drawn from a process-wide idle list at the proc's first
+// resume and goes back once the body has ended, so a warm run starts its
+// procs without creating a goroutine. Because a worker may have been made
+// on another goroutine, Run must not be called from a goroutine locked to
+// its OS thread (runtime.LockOSThread, or a cgo callback): the runtime's
+// coroutine switch requires the thread locks to match those at the
+// coroutine's creation, and when they differ it stops the process with a
+// fatal error — not an error, not a panic a recover could catch. A worker
+// made under a lock goes back to the idle list all the same, so a later,
+// unlocked Run that draws it dies the same way.
 //
 // All Proc methods except Unblock must be called from inside the proc's own
 // body. Unblock must be called from engine context (an event callback or
@@ -39,23 +50,87 @@ type Proc struct {
 	index int
 	body  func(*Proc)
 
-	// next switches to the coroutine until it yields or its body returns;
-	// stop makes a parked yield return false, which unwinds the body with
-	// procKilled. Both are nil until the first resume creates the
-	// coroutine, so a proc that never runs holds no goroutine. yield is the
-	// body's side of the switch.
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	// w is the worker running the body, from the first resume until the
+	// body ends; nil before, so a proc that never runs holds no goroutine.
+	w *worker
 
 	done    bool
 	blocked bool
+	// killed is set by killAll on a proc parked in a yield: resumed once
+	// more, the proc panics procKilled out of yieldToEngine to unwind.
+	killed bool
 
 	// reason (+ optional reasonID, -1 if unset) says why the proc is
 	// blocked. Kept unformatted: Reason() joins them only when a deadlock
 	// report actually reads the string.
 	reason   string
 	reasonID int
+}
+
+// worker is one iter.Pull coroutine that runs proc bodies one after
+// another: it runs proc's body, yields once the body has ended, and, resumed
+// with the next proc set, runs that one from the top. A worker whose body
+// called runtime.Goexit has ended with it and is never reused.
+type worker struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	proc  *Proc // whose body runs: set when drawn, nil while idle
+}
+
+// maxIdleWorkers bounds the idle list: one 1024-node run — the largest
+// machine a run builds — finds every worker it needs there, warm, when the
+// run before it ended. A worker given back to a full list is stopped, and
+// its goroutine ends.
+const maxIdleWorkers = 1024
+
+// workers is the idle list, shared by every engine of the process (a sweep
+// runs engines on several goroutines). Not a sync.Pool: the GC never
+// collects a parked goroutine, so a worker the pool dropped would leak its
+// goroutine; here a worker is either listed or stopped.
+var workers struct {
+	sync.Mutex
+	idle []*worker
+}
+
+// drawWorker takes an idle worker, or makes one.
+func drawWorker() *worker {
+	workers.Lock()
+	if n := len(workers.idle); n > 0 {
+		w := workers.idle[n-1]
+		workers.idle[n-1] = nil
+		workers.idle = workers.idle[:n-1]
+		workers.Unlock()
+		return w
+	}
+	workers.Unlock()
+	w := new(worker)
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// releaseWorker gives back a worker whose body has ended.
+func releaseWorker(w *worker) {
+	workers.Lock()
+	if len(workers.idle) < maxIdleWorkers {
+		workers.idle = append(workers.idle, w)
+		workers.Unlock()
+		return
+	}
+	workers.Unlock()
+	w.stop()
+}
+
+// loop is the worker's coroutine.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.proc.run()
+		w.proc = nil
+		if !yield(struct{}{}) {
+			return // stopped off a full idle list
+		}
+	}
 }
 
 // ReserveProcs sizes the engine for n more procs: the next n NewProc or
@@ -94,7 +169,7 @@ func (e *Engine) NewProc(name string, start Time, body func(*Proc)) *Proc {
 // NewProcBlocked registers a proc that is born parked in Block(reason) with
 // the given reason id (-1 for none), as if it had run up to that Block call
 // already. No start event is scheduled: the first Unblock-driven resume
-// creates the coroutine, at which point body runs from the top — the caller
+// draws the worker, at which point body runs from the top — the caller
 // arranges for body to be the continuation of the blocked call. Used to
 // restore proc state from a checkpoint, where the original stacks cannot be
 // captured.
@@ -107,24 +182,28 @@ func (e *Engine) NewProcBlocked(name, reason string, id int, body func(*Proc)) *
 }
 
 // resumeProc is the event callback behind every proc start, Sleep wake-up
-// and Unblock: it switches to the proc's coroutine, creating it on the
-// first resume, and returns when the proc next yields or its body ends. A
-// package-level function scheduled with the proc as argument, so waking a
-// proc never allocates.
+// and Unblock: it switches to the proc's worker, drawing one at the first
+// resume, and returns when the proc next yields or its body ends — then the
+// worker goes back to the idle list. A package-level function scheduled with
+// the proc as argument, so waking a proc never allocates.
 func resumeProc(arg any) {
 	p := arg.(*Proc)
-	if p.next == nil {
-		p.next, p.stop = iter.Pull(p.run)
+	w := p.w
+	if w == nil {
+		w = drawWorker()
+		w.proc, p.w = p, w
 	}
 	// A runtime.Goexit inside the body (t.FailNow) resurfaces here, on the
-	// goroutine that called Run.
-	p.next()
+	// goroutine that called Run, and the dead worker stays with the proc.
+	w.next()
+	if p.done {
+		p.w = nil
+		releaseWorker(w)
+	}
 }
 
-// run is the coroutine: the proc's body, holding the yield that hands the
-// baton back to the engine.
-func (p *Proc) run(yield func(struct{}) bool) {
-	p.yield = yield
+// run is the proc's body, as its worker runs it.
+func (p *Proc) run() {
 	defer func() {
 		p.done = true
 		if r := recover(); r != nil {
@@ -151,9 +230,14 @@ func (p *Proc) Now() Time { return p.e.now }
 // Engine returns the engine this proc runs on.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// yieldToEngine parks the proc until the engine resumes it.
+// yieldToEngine parks the proc until the engine resumes it. A killed proc
+// unwinds instead, here and at every later attempt to park (a deferred
+// Sleep or Block in the body).
 func (p *Proc) yieldToEngine() {
-	if !p.yield(struct{}{}) {
+	if !p.killed {
+		p.w.yield(struct{}{})
+	}
+	if p.killed {
 		panic(procKilled{})
 	}
 }

@@ -145,37 +145,35 @@ func (n *Node) Snap() Snapshot {
 	}
 }
 
-// Sub returns the field-wise difference s - prev (deltas over an interval).
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	return Snapshot{
-		ReadFaults:       s.ReadFaults - prev.ReadFaults,
-		WriteFaults:      s.WriteFaults - prev.WriteFaults,
-		Invalidations:    s.Invalidations - prev.Invalidations,
-		TwinsCreated:     s.TwinsCreated - prev.TwinsCreated,
-		DiffsCreated:     s.DiffsCreated - prev.DiffsCreated,
-		DiffsApplied:     s.DiffsApplied - prev.DiffsApplied,
-		DiffPayloadBytes: s.DiffPayloadBytes - prev.DiffPayloadBytes,
-		WriteNoticesSent: s.WriteNoticesSent - prev.WriteNoticesSent,
-		WriteNoticesRecv: s.WriteNoticesRecv - prev.WriteNoticesRecv,
-		HomeMigrations:   s.HomeMigrations - prev.HomeMigrations,
-		Forwards:         s.Forwards - prev.Forwards,
-		LeaseRenewals:    s.LeaseRenewals - prev.LeaseRenewals,
-		LeaseExpiries:    s.LeaseExpiries - prev.LeaseExpiries,
-		TimestampJumps:   s.TimestampJumps - prev.TimestampJumps,
-		LockAcquires:     s.LockAcquires - prev.LockAcquires,
-		BarrierEntries:   s.BarrierEntries - prev.BarrierEntries,
-		Compute:          s.Compute - prev.Compute,
-		ReadStall:        s.ReadStall - prev.ReadStall,
-		WriteStall:       s.WriteStall - prev.WriteStall,
-		LockStall:        s.LockStall - prev.LockStall,
-		BarrierStall:     s.BarrierStall - prev.BarrierStall,
-		FlushTime:        s.FlushTime - prev.FlushTime,
-		Stolen:           s.Stolen - prev.Stolen,
-	}
+// Sub subtracts prev from s field-wise, in place (deltas over an interval).
+func (s *Snapshot) Sub(prev *Snapshot) {
+	s.ReadFaults -= prev.ReadFaults
+	s.WriteFaults -= prev.WriteFaults
+	s.Invalidations -= prev.Invalidations
+	s.TwinsCreated -= prev.TwinsCreated
+	s.DiffsCreated -= prev.DiffsCreated
+	s.DiffsApplied -= prev.DiffsApplied
+	s.DiffPayloadBytes -= prev.DiffPayloadBytes
+	s.WriteNoticesSent -= prev.WriteNoticesSent
+	s.WriteNoticesRecv -= prev.WriteNoticesRecv
+	s.HomeMigrations -= prev.HomeMigrations
+	s.Forwards -= prev.Forwards
+	s.LeaseRenewals -= prev.LeaseRenewals
+	s.LeaseExpiries -= prev.LeaseExpiries
+	s.TimestampJumps -= prev.TimestampJumps
+	s.LockAcquires -= prev.LockAcquires
+	s.BarrierEntries -= prev.BarrierEntries
+	s.Compute -= prev.Compute
+	s.ReadStall -= prev.ReadStall
+	s.WriteStall -= prev.WriteStall
+	s.LockStall -= prev.LockStall
+	s.BarrierStall -= prev.BarrierStall
+	s.FlushTime -= prev.FlushTime
+	s.Stolen -= prev.Stolen
 }
 
 // AddTo accumulates s into dst field-wise.
-func (s Snapshot) AddTo(dst *Snapshot) {
+func (s *Snapshot) AddTo(dst *Snapshot) {
 	dst.ReadFaults += s.ReadFaults
 	dst.WriteFaults += s.WriteFaults
 	dst.Invalidations += s.Invalidations

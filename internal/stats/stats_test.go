@@ -75,3 +75,19 @@ func TestReset(t *testing.T) {
 		t.Fatalf("Reset left state: %+v", n)
 	}
 }
+
+// TestSubAndAddToCoverEveryField: Sub and AddTo must touch every Snapshot
+// field (a delta would silently drop a counter otherwise). With every leaf
+// of s at 1, of cur at 5 and of prev at 2, adding cur to s and subtracting
+// prev must leave 4 everywhere.
+func TestSubAndAddToCoverEveryField(t *testing.T) {
+	var s, cur, prev Snapshot
+	if n := setLeaves(t, reflect.ValueOf(&s).Elem(), 1); n == 0 {
+		t.Fatal("no int64 leaves found in stats.Snapshot")
+	}
+	setLeaves(t, reflect.ValueOf(&cur).Elem(), 5)
+	setLeaves(t, reflect.ValueOf(&prev).Elem(), 2)
+	cur.AddTo(&s)
+	s.Sub(&prev)
+	checkLeaves(t, reflect.ValueOf(&s).Elem(), 4, "Snapshot")
+}

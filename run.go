@@ -23,6 +23,8 @@ import (
 // WithTraceJSON, the profilers) and write into the same struct: they are
 // applied on top of cfg, in order, so an option overrides the Config
 // field it names. An option only a sweep can use is an error naming it.
+// Never call it on a goroutine locked to its OS thread: the process dies
+// with a fatal error (see the package doc).
 func Start(ctx context.Context, cfg Config, app App, opts ...Option) (*Result, error) {
 	o := sweep.Options{Config: cfg}
 	for _, opt := range opts {

@@ -111,7 +111,8 @@ func (r *SweepResult) GetFault(app, protocol string, block int, notify Notify, f
 // completion order: a parallel sweep is byte-identical to a serial one.
 //
 // ctx cancels the sweep between virtual-time steps of the in-flight runs;
-// Sweep then returns ctx.Err().
+// Sweep then returns ctx.Err(). Never call it on a goroutine locked to its
+// OS thread: the process dies with a fatal error (see the package doc).
 //
 //	res, err := dsmsim.Sweep(ctx, dsmsim.SweepSpec{
 //	    Apps:  []string{"lu", "raytrace"},
