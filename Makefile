@@ -58,4 +58,4 @@ demos:
 	@bash scripts/smoke.sh list
 
 clean:
-	rm -f results.csv results.jsonl trace.json metrics_demo.csv metrics_demo.jsonl
+	rm -f results.csv results.jsonl trace.txt trace.json metrics_demo.csv metrics_demo.jsonl

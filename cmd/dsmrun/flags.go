@@ -25,7 +25,8 @@ type cli struct {
 	fs *flag.FlagSet
 
 	// What runs: a selector cross product, the harness's experiments, or
-	// nothing (-project writes a table of a record file).
+	// nothing (-project writes a table of a record file, or the Chrome
+	// JSON of a trace file).
 	app, protocol, block, notify string
 	exp, project                 string
 	list                         bool
@@ -44,7 +45,7 @@ type cli struct {
 	staticHomes bool
 
 	// Single runs only.
-	trace, traceJSON string
+	trace            string
 	profTop, critTop int
 
 	// Sweeps only.
@@ -84,7 +85,6 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.BoolVar(&c.fork, "fork", false, "share warmup prefixes across the fault grid: simulate each group's pre-fault prefix once and fork it per variant (output stays byte-identical)")
 	fs.BoolVar(&c.staticHomes, "static-homes", false, "disable first-touch home migration on every run (ablation)")
 	fs.StringVar(&c.trace, "trace", "", "write the point's deterministic line-format event trace, not its baseline's or -whatif twin's (single runs only)")
-	fs.StringVar(&c.traceJSON, "trace-json", "", "write the point's Chrome trace-event JSON file, not its baseline's or -whatif twin's (single runs only)")
 	fs.IntVar(&c.profTop, "prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
 	fs.IntVar(&c.critTop, "crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
 	fs.BoolVar(&c.latency, "latency", false, "print a latency-distribution summary under each sweep progress line")
@@ -93,7 +93,7 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.StringVar(&c.record, "record", "", "append each run's JSON record (the point and its full result; a sweep's baselines too) to this file, one line per run")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
-	fs.StringVar(&c.project, "project", "", "write one CSV table (run, prof, crit or sample) of the -record file given as the one argument to stdout, instead of running")
+	fs.StringVar(&c.project, "project", "", "write one CSV table (run, prof, crit or sample) of the -record file given as the one argument to stdout, or with 'chrome' the Chrome trace-event JSON of a -trace file, instead of running")
 	return fs, c.run
 }
 
@@ -159,16 +159,15 @@ func parseGrid(spec string) ([]sweep.FaultVariant, error) {
 }
 
 // openSinks opens the -record file for appending as o's record writer and
-// the -trace and -trace-json files afresh as its template's, and starts
-// the -metrics-addr server as o's registry, announcing its address on
-// stderr. close releases them all.
+// the -trace file afresh as its template's, and starts the -metrics-addr
+// server as o's registry, announcing its address on stderr. close releases
+// them all.
 func (c *cli) openSinks(o *sweep.Options) error {
 	for _, f := range []struct {
 		path string
 		w    *io.Writer
 		mode int
-	}{{c.record, &o.Record, os.O_APPEND},
-		{c.trace, &o.Config.Trace, os.O_TRUNC}, {c.traceJSON, &o.Config.TraceJSON, os.O_TRUNC}} {
+	}{{c.record, &o.Record, os.O_APPEND}, {c.trace, &o.Config.Trace, os.O_TRUNC}} {
 		if f.path == "" {
 			continue
 		}

@@ -26,9 +26,11 @@
 //	dsmrun -exp all -size paper -record runs.jsonl
 //	dsmrun -exp fig1 -fault-grid 's1:drop=0.02,seed=1,start=6;s2:drop=0.02,seed=2,start=6' -fork
 //
-// -project writes one CSV table of a -record file to stdout instead:
+// -project writes one CSV table of a -record file, or the Chrome
+// trace-event JSON of a -trace file, to stdout instead:
 //
 //	dsmrun -project crit runs.jsonl > crit.csv
+//	dsmrun -project chrome trace.txt > trace.json
 //
 // Ctrl-C cancels in-flight simulations between virtual-time steps.
 package main
@@ -51,6 +53,7 @@ import (
 	"dsmsim/internal/profiling"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sweep"
+	"dsmsim/internal/trace"
 )
 
 func main() {
@@ -146,7 +149,7 @@ func (c *cli) run() (err error) {
 	if f := named("latency"); single && f != "" {
 		return fmt.Errorf("only a sweep takes %s (1 configuration selected)", f)
 	}
-	if f := named("trace", "trace-json", "prof-top", "crit-top"); !single && f != "" {
+	if f := named("trace", "prof-top", "crit-top"); !single && f != "" {
 		selected := fmt.Sprintf("%d configurations selected", points)
 		if c.exp != "" {
 			selected = "-exp " + c.exp + " selected"
@@ -184,8 +187,9 @@ func (c *cli) run() (err error) {
 }
 
 // runProject writes the -project table of the record file given as the one
-// argument to stdout. It runs nothing, so it takes no other flag: flags
-// are the ones the command line set.
+// argument to stdout, or under -project chrome the Chrome JSON of the trace
+// file. It runs nothing, so it takes no other flag: flags are the ones the
+// command line set.
 func (c *cli) runProject(flags []string) error {
 	if len(flags) > 1 || c.fs.NArg() != 1 {
 		return fmt.Errorf("-project takes one record FILE and no other flag (flags: %s; files: %d)", strings.Join(flags, " "), c.fs.NArg())
@@ -196,8 +200,10 @@ func (c *cli) runProject(flags []string) error {
 		return err
 	}
 	defer f.Close()
-	recs, err := sweep.ReadRecords(f)
-	if err == nil {
+	var recs []sweep.Record
+	if c.project == "chrome" {
+		err = trace.Chrome(c.stdout, f)
+	} else if recs, err = sweep.ReadRecords(f); err == nil {
 		err = sweep.Project(c.stdout, c.project, recs)
 	}
 	if err == nil {

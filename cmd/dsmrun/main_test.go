@@ -28,7 +28,7 @@ var wantFlags = []string{
 	"metrics-addr=", "metrics-linger=0s", "nodes=16",
 	"notify=polling", "parallel=0", "prof=false", "prof-top=10",
 	"project=", "protocol=hlrc", "record=", "sample-every=0s",
-	"size=small", "static-homes=false", "trace=", "trace-json=",
+	"size=small", "static-homes=false", "trace=",
 	"verify=true", "whatif=",
 }
 
@@ -337,6 +337,37 @@ func TestProjectNeedsItsObserver(t *testing.T) {
 	}
 }
 
+// TestProjectChromeNamesFileAndLine: -project chrome of a trace cut short
+// or corrupted is an error naming the file and the line.
+func TestProjectChromeNamesFileAndLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.txt")
+	if err := run(strings.Fields("-app lu -nodes 2 -trace "+path), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	third := len(lines[0]) + len(lines[1]) + len(lines[2])
+	for name, c := range map[string]struct {
+		data []byte
+		line int
+	}{
+		"truncated": {data[:len(data)-3], len(lines) - 1},
+		"corrupt":   {append(append(append([]byte(nil), data[:third]...), "      nonsense\n"...), data[third:]...), 4},
+	} {
+		bad := filepath.Join(t.TempDir(), name+".txt")
+		if err := os.WriteFile(bad, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-project", "chrome", bad}, io.Discard, io.Discard)
+		if want := fmt.Sprintf("%s: line %d: ", bad, c.line); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s trace: err = %v, want one starting %q", name, err, want)
+		}
+	}
+}
+
 // TestEveryExpRunLeavesARecord: under -exp all, every run and seq progress
 // line has its record line, in the same order and for the same point, and
 // the record file is byte-identical at -parallel 1 and 8.
@@ -546,10 +577,11 @@ func TestStaticHomesSweep(t *testing.T) {
 	}
 }
 
-// TestSingleRunTraceDigests pins the bytes of a single run's -trace and
-// -trace-json, alone and beside -whatif (whose baseline and twin are never
-// traced), to SHA-256 digests recorded at 9d29dfc, before single runs
-// went through the sweep engine.
+// TestSingleRunTraceDigests pins the bytes of a single run's -trace and of
+// its -project chrome JSON, alone and beside -whatif (whose baseline and
+// twin are never traced), to SHA-256 digests recorded at 9d29dfc, before
+// single runs went through the sweep engine (the JSON digests when a run
+// wrote the JSON itself).
 func TestSingleRunTraceDigests(t *testing.T) {
 	for _, c := range []struct {
 		extra      []string
@@ -558,19 +590,26 @@ func TestSingleRunTraceDigests(t *testing.T) {
 		{nil, "b189119705967935", "edf91e8c1d9dd416"},
 		{[]string{"-whatif", "msg=0.5"}, "a1b0ebfed47f5019", "1e7d94698bb1c804"},
 	} {
-		dir := t.TempDir()
-		line, js := filepath.Join(dir, "trace.txt"), filepath.Join(dir, "trace.json")
-		args := append(strings.Fields("-app lu -protocol hlrc -block 4096 -nodes 4 -trace "+line+" -trace-json "+js), c.extra...)
+		line := filepath.Join(t.TempDir(), "trace.txt")
+		args := append(strings.Fields("-app lu -protocol hlrc -block 4096 -nodes 4 -trace "+line), c.extra...)
 		if err := run(args, io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range []struct{ path, want string }{{line, c.line}, {js, c.json}} {
-			data, err := os.ReadFile(f.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := digest(data); got != f.want {
-				t.Errorf("%v: %s digest %s, want %s", c.extra, filepath.Base(f.path), got, f.want)
+		data, err := os.ReadFile(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var js bytes.Buffer
+		if err := run([]string{"-project", "chrome", line}, &js, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			name string
+			data []byte
+			want string
+		}{{"-trace", data, c.line}, {"-project chrome", js.Bytes(), c.json}} {
+			if got := digest(f.data); got != f.want {
+				t.Errorf("%v: %s digest %s, want %s", c.extra, f.name, got, f.want)
 			}
 		}
 	}

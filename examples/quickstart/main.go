@@ -7,7 +7,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -84,7 +83,7 @@ func (h *histogram) Verify(heap *dsmsim.Heap) error {
 }
 
 func main() {
-	traceJS := flag.String("trace-json", "", "write a Chrome trace-event JSON file (view in Perfetto)")
+	traceFile := flag.String("trace", "", "write the line trace to this file (dsmrun -project chrome turns it into Perfetto JSON)")
 	flag.Parse()
 
 	cfg := dsmsim.Config{
@@ -93,15 +92,13 @@ func main() {
 		Protocol:  dsmsim.HLRC,
 		Notify:    dsmsim.Polling,
 	}
-	if *traceJS != "" {
-		f, err := os.Create(*traceJS)
+	if *traceFile != "" {
+		f, err := os.Create(*traceFile)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		w := bufio.NewWriter(f)
-		defer w.Flush()
-		cfg.TraceJSON = w
+		cfg.Trace = f // the tracer buffers and flushes when the run ends
 	}
 	res, err := dsmsim.Start(context.Background(), cfg, &histogram{}, dsmsim.WithVerify())
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/synch"
+	linetrace "dsmsim/internal/trace"
 )
 
 // TestGoldenLUCounts freezes the exact, deterministic behaviour of a small
@@ -181,8 +182,8 @@ func goldenTraceCases(t *testing.T) []traceCase {
 	return cases
 }
 
-// check runs the row with every observer on and compares both traces with
-// the recorded digests.
+// check runs the row with every observer on and compares its line trace
+// and the trace's Chrome projection with the recorded digests.
 func (c traceCase) check(t *testing.T) {
 	var plan *faults.Plan
 	if c.plan != "" {
@@ -195,7 +196,7 @@ func (c traceCase) check(t *testing.T) {
 	var line, js bytes.Buffer
 	m, err := core.NewMachine(core.Config{
 		Nodes: 8, BlockSize: c.block, Protocol: c.proto, Limit: 2000 * sim.Second,
-		Trace: &line, TraceJSON: &js, ShareProfile: true, CritPath: true,
+		Trace: &line, ShareProfile: true, CritPath: true,
 		Faults: plan,
 	})
 	if err != nil {
@@ -211,6 +212,10 @@ func (c traceCase) check(t *testing.T) {
 	// constants, recorded on fresh allocations, also pin that a recycled
 	// image changes no byte of a trace.
 	core.ReleaseImage(res)
+	if err := linetrace.Chrome(&js, bytes.NewReader(line.Bytes())); err != nil {
+		t.Errorf("%s: %v", c.name, err)
+		return
+	}
 	for _, f := range []struct {
 		format string
 		golden map[string]string
@@ -226,7 +231,8 @@ func (c traceCase) check(t *testing.T) {
 }
 
 // goldenTraces and goldenJSONTraces are the recorded SHA-256 digests of the
-// line and JSON traces of TestGoldenTraceDigests' rows.
+// line traces of TestGoldenTraceDigests' rows and of their Chrome JSON
+// (recorded when a run wrote the JSON itself).
 var goldenTraces = map[string]string{
 	"water-nsquared/sc/64":      "4cfc8be1dc41171948831ce0d3c6895b7d5370771ea41fb1a4874ddf72db6a49",
 	"water-nsquared/sc/4096":    "8fb46643c2441307079b4a6dab0cb1eefb25f81125594bbb3a7a861c0ab5989d",

@@ -8,6 +8,7 @@ import (
 	"dsmsim/internal/network"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
+	"dsmsim/internal/trace"
 )
 
 // TestTimeBreakdownCoversRuntime: per node, the accounted components
@@ -309,7 +310,7 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestTracingDoesNotPerturbTiming: enabling both trace sinks must leave the
+// TestTracingDoesNotPerturbTiming: enabling the trace must leave the
 // simulated execution identical — same finish time, same fault counts.
 func TestTracingDoesNotPerturbTiming(t *testing.T) {
 	for _, p := range proto.PaperNames() {
@@ -317,10 +318,9 @@ func TestTracingDoesNotPerturbTiming(t *testing.T) {
 		t.Run(p, func(t *testing.T) {
 			run := func(traced bool) *Result {
 				cfg := Config{Nodes: 2, BlockSize: 256, Protocol: p, Limit: 10 * sim.Second}
-				var line, json strings.Builder
+				var line strings.Builder
 				if traced {
 					cfg.Trace = &line
-					cfg.TraceJSON = &json
 				}
 				m, err := NewMachine(cfg)
 				if err != nil {
@@ -347,16 +347,19 @@ func TestTracingDoesNotPerturbTiming(t *testing.T) {
 	}
 }
 
-// TestTraceJSONValid: the JSON sink produces a parseable Chrome trace-event
-// array with events from several categories.
+// TestTraceJSONValid: a run's trace projects to a parseable Chrome
+// trace-event array with events from every category.
 func TestTraceJSONValid(t *testing.T) {
-	var buf strings.Builder
+	var line, buf strings.Builder
 	m, err := NewMachine(Config{Nodes: 2, BlockSize: 256, Protocol: HLRC,
-		TraceJSON: &buf, Limit: 10 * sim.Second})
+		Trace: &line, Limit: 10 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.RunVerified(traceTestApp()); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Chrome(&buf, strings.NewReader(line.String())); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

@@ -123,7 +123,7 @@ func TestObserverAllocCeiling(t *testing.T) {
 		run() // warm the pools every run shares
 		return run()
 	}
-	all := core.Config{Trace: io.Discard, TraceJSON: io.Discard, ShareProfile: true, CritPath: true,
+	all := core.Config{Trace: io.Discard, ShareProfile: true, CritPath: true,
 		SampleEvery: 100 * sim.Microsecond}
 	for _, name := range []string{"lu", "ocean-rowwise", "volrend-original"} {
 		entry, err := apps.Get(name)
@@ -137,7 +137,6 @@ func TestObserverAllocCeiling(t *testing.T) {
 			bytes bool // held to the bytes ceiling
 		}{
 			{"Trace", core.Config{Trace: io.Discard}, true},
-			{"TraceJSON", core.Config{TraceJSON: io.Discard}, true},
 			{"ShareProfile", core.Config{ShareProfile: true}, true},
 			{"CritPath", core.Config{CritPath: true}, true},
 			{"all", all, false},

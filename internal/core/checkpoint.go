@@ -74,11 +74,11 @@ func (cp *Checkpoint) Now() sim.Time { return cp.now }
 
 // pinned is cfg as a checkpoint bakes it in: every field but those a fork
 // may change — the fault plan (which restore requires to be start-gated at
-// or after the cut), the virtual-time limit and the trace writers. The
+// or after the cut), the virtual-time limit and the trace writer. The
 // prefix flushes its trace at the cut and each fork writes its own suffix,
 // so prefix and suffix concatenated are the flat run's trace.
 func pinned(cfg Config) Config {
-	cfg.Faults, cfg.Limit, cfg.Trace, cfg.TraceJSON = nil, 0, nil, nil
+	cfg.Faults, cfg.Limit, cfg.Trace = nil, 0, nil
 	return cfg
 }
 

@@ -399,10 +399,9 @@ func TestForkPinsEveryConfigField(t *testing.T) {
 		compareResults(t, flat, forked)
 	}
 	variable := map[string]any{
-		"Faults":    faults.NewPlan(faults.Drop(0.02), faults.Seed(9), faults.StartAtBarrier(6)),
-		"Limit":     1000 * sim.Second,
-		"Trace":     io.Writer(io.Discard),
-		"TraceJSON": io.Writer(io.Discard),
+		"Faults": faults.NewPlan(faults.Drop(0.02), faults.Seed(9), faults.StartAtBarrier(6)),
+		"Limit":  1000 * sim.Second,
+		"Trace":  io.Writer(io.Discard),
 	}
 	typ := reflect.TypeOf(base)
 	for i := range typ.NumField() {

@@ -107,12 +107,9 @@ type Config struct {
 	Limit sim.Time
 	// Trace, when non-nil, receives a deterministic line-format event log:
 	// every fault, synchronization operation, message send and message
-	// service with virtual timestamps. Traces of identical runs diff empty.
+	// service with virtual timestamps. Traces of identical runs diff empty;
+	// trace.Chrome turns one into Chrome trace-event JSON.
 	Trace io.Writer
-	// TraceJSON, when non-nil, receives the same events as a Chrome
-	// trace-event JSON array (load in Perfetto or chrome://tracing; one
-	// process per node, one thread lane per event category).
-	TraceJSON io.Writer
 	// SampleEvery, when positive, attaches the virtual-time metrics
 	// sampler: every SampleEvery of virtual time the run snapshots all
 	// per-node stats deltas into Result.Samples. Strictly observational —
@@ -432,15 +429,9 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 			r.straggle = r.inj
 		}
 	}
-	if cfg.Trace != nil || cfg.TraceJSON != nil {
+	if cfg.Trace != nil {
 		// tr stays nil when tracing is off: every emit site costs one branch.
-		r.tr = trace.New(engine)
-		if cfg.Trace != nil {
-			r.tr.SetLine(cfg.Trace)
-		}
-		if cfg.TraceJSON != nil {
-			r.tr.SetJSON(cfg.TraceJSON)
-		}
+		r.tr = trace.New(engine, cfg.Trace)
 		net.SetTracer(r.tr)
 	}
 	tr := r.tr

@@ -139,7 +139,7 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 				for _, protocol := range proto.Names() {
 					run(t, core.Config{
 						Nodes: nodes, BlockSize: bs, Protocol: protocol, Faults: lossy,
-						Trace: io.Discard, TraceJSON: io.Discard, SampleEvery: sim.Millisecond,
+						Trace: io.Discard, SampleEvery: sim.Millisecond,
 						ShareProfile: true, CritPath: true,
 					}, entry.New(apps.Small))
 				}

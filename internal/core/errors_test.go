@@ -115,50 +115,40 @@ func TestTraceWriteErrorFailsRun(t *testing.T) {
 			verify: func(h *Heap) error { return nil },
 		}
 	}
-	for _, sink := range []struct {
-		name string
-		set  func(*Config, io.Writer)
-	}{
-		{"Trace", func(c *Config, w io.Writer) { c.Trace = w }},
-		{"TraceJSON", func(c *Config, w io.Writer) { c.TraceJSON = w }},
-	} {
-		machine := func(w io.Writer, limit sim.Time) *Machine {
-			cfg := Config{Nodes: 2, BlockSize: 256, Protocol: HLRC, Limit: limit}
-			sink.set(&cfg, w)
-			m, err := NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
+	machine := func(w io.Writer, limit sim.Time) *Machine {
+		m, err := NewMachine(Config{Nodes: 2, BlockSize: 256, Protocol: HLRC, Limit: limit, Trace: w})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var whole bytes.Buffer
-		if _, err := machine(&whole, 10*sim.Second).Run(app()); err != nil {
-			t.Fatalf("%s: healthy writer: %v", sink.name, err)
+		return m
+	}
+	var whole bytes.Buffer
+	if _, err := machine(&whole, 10*sim.Second).Run(app()); err != nil {
+		t.Fatalf("healthy writer: %v", err)
+	}
+	for _, room := range []int{0, 10000, whole.Len() - 1} {
+		disk := &fullDisk{room: room}
+		if res, err := machine(disk, 10*sim.Second).Run(app()); !errors.Is(err, errDiskFull) || res != nil {
+			t.Errorf("room for %d of %d bytes: Run returned (result %t, %v), want the writer's error alone", room, whole.Len(), res != nil, err)
 		}
-		for _, room := range []int{0, 10000, whole.Len() - 1} {
-			disk := &fullDisk{room: room}
-			if res, err := machine(disk, 10*sim.Second).Run(app()); !errors.Is(err, errDiskFull) || res != nil {
-				t.Errorf("%s, room for %d of %d bytes: Run returned (result %t, %v), want the writer's error alone", sink.name, room, whole.Len(), res != nil, err)
-			}
-			if !bytes.Equal(disk.got.Bytes(), whole.Bytes()[:room]) {
-				t.Errorf("%s, room for %d bytes: the bytes accepted are not a prefix of the whole trace", sink.name, room)
-			}
+		if !bytes.Equal(disk.got.Bytes(), whole.Bytes()[:room]) {
+			t.Errorf("room for %d bytes: the bytes accepted are not a prefix of the whole trace", room)
 		}
-		if cp, err := machine(&fullDisk{}, 10*sim.Second).RunToBarrier(context.Background(), app(), 3); !errors.Is(err, errDiskFull) || cp != nil {
-			t.Errorf("%s: RunToBarrier returned (checkpoint %t, %v), want the writer's error alone", sink.name, cp != nil, err)
-		}
+	}
+	if cp, err := machine(&fullDisk{}, 10*sim.Second).RunToBarrier(context.Background(), app(), 3); !errors.Is(err, errDiskFull) || cp != nil {
+		t.Errorf("RunToBarrier returned (checkpoint %t, %v), want the writer's error alone", cp != nil, err)
+	}
 
-		const short = 300 * sim.Microsecond // the run needs longer: it aborts
-		var partial bytes.Buffer
-		if _, err := machine(&partial, short).Run(app()); err == nil {
-			t.Fatalf("%s: run past its limit succeeded", sink.name)
-		}
-		if partial.Len() == 0 || partial.Len() >= whole.Len() {
-			t.Errorf("%s: aborted run flushed %d bytes of a %d-byte trace", sink.name, partial.Len(), whole.Len())
-		}
-		if _, err := machine(&fullDisk{}, short).Run(app()); err == nil || errors.Is(err, errDiskFull) {
-			t.Errorf("%s: aborted run with a failing trace writer returned %v, want the run's own error", sink.name, err)
-		}
+	const short = 300 * sim.Microsecond // the run needs longer: it aborts
+	var partial bytes.Buffer
+	if _, err := machine(&partial, short).Run(app()); err == nil {
+		t.Fatal("run past its limit succeeded")
+	}
+	if partial.Len() == 0 || partial.Len() >= whole.Len() {
+		t.Errorf("aborted run flushed %d bytes of a %d-byte trace", partial.Len(), whole.Len())
+	}
+	if _, err := machine(&fullDisk{}, short).Run(app()); err == nil || errors.Is(err, errDiskFull) {
+		t.Errorf("aborted run with a failing trace writer returned %v, want the run's own error", err)
 	}
 }
 

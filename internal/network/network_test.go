@@ -248,8 +248,7 @@ func TestTracerEventsAndLatency(t *testing.T) {
 	eng, nw, _, got := setup(t, Polling, 2)
 	model := timing.Default()
 	var sb strings.Builder
-	tr := trace.New(eng)
-	tr.SetLine(&sb)
+	tr := trace.New(eng, &sb)
 	nw.SetTracer(tr)
 	eng.Schedule(0, func() {
 		nw.Endpoint(0).Send(&Msg{Src: 0, Dst: 1, Kind: 7, Block: 3, Bytes: 16})

@@ -203,8 +203,7 @@ func TestRequestDoneRoundTrip(t *testing.T) {
 	var handle func(*network.Msg)
 	env := newTestEnv(2, &handle)
 	var line bytes.Buffer
-	env.Tracer = trace.New(env.Engine)
-	env.Tracer.SetLine(&line)
+	env.Tracer = trace.New(env.Engine, &line)
 	pend := NewPending(env, "target", "test read fetch block", "test write fetch block")
 	handle = func(m *network.Msg) {
 		if r := env.Procs[1].Reason(); r != "test write fetch block 6" {

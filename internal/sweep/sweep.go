@@ -182,8 +182,10 @@ type Options struct {
 	// non-sequential run of the sweep (Limit and SampleEvery to baselines
 	// too). The engine fills Nodes, BlockSize, Protocol, Notify and
 	// Sequential per Key. Each run compiles its own injector from the
-	// plan's seed, so runs stay independent. Trace and TraceJSON are
-	// per-run writers parallel runs would interleave on: New clears them.
+	// plan's seed, so runs stay independent. Trace is a per-run writer
+	// parallel runs would interleave on: config clears it for every key but
+	// the traced point (a non-sequential key with no Settings), and Run
+	// refuses a key set that would trace two distinct points.
 	Config core.Config
 	// Size selects the problem scale for every run.
 	Size apps.SizeClass
@@ -397,12 +399,12 @@ feed:
 func traced(k Key) bool { return !k.Sequential && k.Settings == Settings{} }
 
 // oneTraced refuses a Run that would trace two distinct runs into the
-// template's trace writers.
+// template's trace writer.
 func (e *Engine) oneTraced(keys []Key) error {
 	var first *Key
 	for i, k := range keys {
 		switch {
-		case e.opts.Config.Trace == nil && e.opts.Config.TraceJSON == nil, !traced(k):
+		case e.opts.Config.Trace == nil, !traced(k):
 		case first == nil:
 			first = &keys[i]
 		case *first != k:
@@ -415,7 +417,7 @@ func (e *Engine) oneTraced(keys []Key) error {
 // config fills the template with one point's coordinates, its fault plan
 // (planFor) and its settings. Sequential baselines (whose Key leaves the
 // coordinates zero) run at the page size; Validate clears the plan and the
-// observers they ignore. Only a traced point keeps the trace writers.
+// observers they ignore. Only a traced point keeps the trace writer.
 func (e *Engine) config(k Key) (cfg core.Config, err error) {
 	cfg = e.opts.Config
 	if cfg.Faults, err = e.planFor(k); err != nil {
@@ -431,7 +433,7 @@ func (e *Engine) config(k Key) (cfg core.Config, err error) {
 		}
 	}
 	if !traced(k) {
-		cfg.Trace, cfg.TraceJSON = nil, nil
+		cfg.Trace = nil
 	}
 	if k.Sequential {
 		cfg.BlockSize = 4096

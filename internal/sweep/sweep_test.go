@@ -415,8 +415,8 @@ func TestTraceOneRun(t *testing.T) {
 	plain := Key{App: "lu", Protocol: core.HLRC, Block: 4096, Nodes: 4}
 	crit := plain
 	crit.CritPath = true
-	var line, js bytes.Buffer
-	e := mustNew(t, Options{Size: apps.Small, Config: core.Config{Trace: &line, TraceJSON: &js}})
+	var line bytes.Buffer
+	e := mustNew(t, Options{Size: apps.Small, Config: core.Config{Trace: &line}})
 	if _, err := e.Run(ctx, []Key{Seq("lu"), plain, crit, plain}); err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +432,8 @@ func TestTraceOneRun(t *testing.T) {
 	if _, err := m.RunContext(ctx, entry.New(apps.Small)); err != nil {
 		t.Fatal(err)
 	}
-	if want.Len() == 0 || line.String() != want.String() || js.Len() == 0 {
-		t.Errorf("line trace of %d bytes, want the plain run's %d; JSON trace of %d bytes", line.Len(), want.Len(), js.Len())
+	if want.Len() == 0 || line.String() != want.String() {
+		t.Errorf("line trace of %d bytes, want the plain run's %d", line.Len(), want.Len())
 	}
 
 	other := plain
@@ -509,7 +509,7 @@ func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
 	}
 	seq := want.Config
 	seq.Nodes, seq.BlockSize, seq.Protocol, seq.Notify, seq.Sequential = 0, 4096, "", 0, true
-	seq.Trace, seq.TraceJSON = nil, nil // a baseline is never traced
+	seq.Trace = nil // a baseline is never traced
 	if got, err := e.config(Seq("lu")); err != nil || !reflect.DeepEqual(got, seq) {
 		t.Fatalf("config for the baseline (%v):\n got %+v\nwant %+v", err, got, seq)
 	}

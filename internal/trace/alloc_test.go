@@ -8,16 +8,14 @@ import (
 	"dsmsim/internal/trace"
 )
 
-// TestEmitZeroAlloc pins the on-cost contract: with both sinks attached, an
+// TestEmitZeroAlloc pins the on-cost contract: writing the line trace, an
 // event allocates nothing — not in the encoders, and not at the call site,
 // whose variadic []Arg stays on its stack as long as nothing reachable from
 // an Event outlives Emit. The calls are made from outside the package, as
 // the instrumentation sites make them, so the slice measured is a caller's.
 func TestEmitZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	tr := trace.New(eng)
-	tr.SetLine(io.Discard)
-	tr.SetJSON(io.Discard)
+	tr := trace.New(eng, io.Discard)
 	block, dst := int64(7), int64(3) // not constants: the args are built per call
 	for _, form := range []struct {
 		name string

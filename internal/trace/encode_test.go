@@ -1,11 +1,14 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dsmsim/internal/sim"
@@ -121,28 +124,33 @@ func randomCase(r *rand.Rand) encodeCase {
 }
 
 // TestLineEncoderMatchesFmt compares the append encoder with the fmt
-// oracle byte for byte, over the corner table and over randomised events.
+// oracle byte for byte, over the corner table and over randomised events,
+// and Chrome over each readable event's line with its direct rendering.
 func TestLineEncoderMatchesFmt(t *testing.T) {
 	for _, c := range encodeCases {
 		checkLine(t, c)
+		checkChrome(t, c)
 	}
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000 && !t.Failed(); i++ {
-		checkLine(t, randomCase(r))
+		c := randomCase(r)
+		checkLine(t, c)
+		checkChrome(t, c)
 	}
 }
 
-// TestInstantMsgIDJoinsReasonAndID: both sinks render (msg, id) as the
-// joined string InstantMsg would have been given, and a negative id as msg
-// alone.
+// TestInstantMsgIDJoinsReasonAndID: the line and its Chrome projection
+// render (msg, id) as the joined string InstantMsg would have been given,
+// and a negative id as msg alone.
 func TestInstantMsgIDJoinsReasonAndID(t *testing.T) {
 	render := func(emit func(*Tracer)) (line, json string) {
 		var lb, jb bytes.Buffer
-		tr := New(sim.NewEngine())
-		tr.SetLine(&lb)
-		tr.SetJSON(&jb)
+		tr := New(sim.NewEngine(), &lb)
 		emit(tr)
 		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := Chrome(&jb, bytes.NewReader(lb.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		return lb.String(), jb.String()
@@ -160,9 +168,50 @@ func TestInstantMsgIDJoinsReasonAndID(t *testing.T) {
 	}
 }
 
+// readable reports whether the line format keeps e's fields apart, as it
+// does for every event the simulator emits: a non-empty category and name
+// and argument keys, none with a space, '=' or newline, and no instant
+// whose first argument reads as a span's dur=.
+func readable(e Event) bool {
+	ok := func(s string) bool { return !strings.ContainsAny(s, " =\n") }
+	if e.Cat == "" || e.Name == "" || !ok(e.Cat) || !ok(e.Name) || !e.Span && len(e.Args) > 0 && e.Args[0].Key == "dur" {
+		return false
+	}
+	for _, a := range e.Args {
+		if !ok(a.Key) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkChrome: Chrome over a readable event's line is the event rendered
+// straight into JSON, the id joined to the detail as the line joins it.
+func checkChrome(t *testing.T, c encodeCase) {
+	t.Helper()
+	if !readable(c.e) {
+		return
+	}
+	e := c.e
+	if e.Str != "" && c.id >= 0 {
+		e.Str += " " + strconv.Itoa(c.id)
+	}
+	var direct, projected bytes.Buffer
+	w := chrome{w: bufio.NewWriter(&direct), named: make(map[int]uint16)}
+	w.event(&e)
+	w.close()
+	if err := Chrome(&projected, bytes.NewReader(appendLine(nil, &c.e, c.id))); err != nil || projected.String() != direct.String() {
+		t.Errorf("event %+v id %d: Chrome err %v\n got %s\nwant %s", c.e, c.id, err, projected.String(), direct.String())
+	}
+	if !json.Valid(direct.Bytes()) {
+		t.Errorf("event %+v: invalid JSON %s", c.e, direct.String())
+	}
+}
+
 // FuzzLineEncoder is TestLineEncoderMatchesFmt with the fuzzer choosing the
 // fields, seeded from the same corner table. It also checks the quoting
-// helper alone against strconv.Quote.
+// helper alone against strconv.Quote, and that Chrome reads a readable
+// event's line back.
 func FuzzLineEncoder(f *testing.F) {
 	for _, c := range encodeCases {
 		var key string
@@ -178,6 +227,7 @@ func FuzzLineEncoder(f *testing.F) {
 			e.Args = append(e.Args, Arg{Key: key, Val: val + int64(i)})
 		}
 		checkLine(t, encodeCase{e, id})
+		checkChrome(t, encodeCase{e, id})
 		if got, want := string(appendQuote(nil, str)), strconv.Quote(str); got != want {
 			t.Errorf("appendQuote(%q) = %s, want %s", str, got, want)
 		}

@@ -4,16 +4,13 @@
 // operations (fetches, diffs, write notices, forwarding) and
 // synchronization (lock and barrier waits).
 //
-// Events carry {time, node, category, name, args} and are exported in two
-// formats simultaneously:
-//
-//   - a deterministic line format (one event per line, fixed-width,
-//     integer nanosecond timestamps) built for golden-diff testing —
-//     identical runs produce byte-identical traces;
-//   - Chrome trace-event JSON, loadable in Perfetto
-//     (https://ui.perfetto.dev) or chrome://tracing, with one process per
-//     simulated node and one named track per category, and protocol
-//     operations rendered as duration spans.
+// Events carry {time, node, category, name, args}. A run writes them in
+// one format: a deterministic line format (one event per line, fixed-width,
+// integer nanosecond timestamps) built for golden-diff testing — identical
+// runs produce byte-identical traces. Chrome turns a line trace into Chrome
+// trace-event JSON, loadable in Perfetto (https://ui.perfetto.dev) or
+// chrome://tracing, with one process per simulated node and one named track
+// per category, and protocol operations rendered as duration spans.
 //
 // Tracing is strictly observational: the tracer never schedules events or
 // advances virtual time, so enabling it cannot perturb the timing model.
@@ -21,12 +18,12 @@
 // *Tracer that is nil when tracing is off and guards its emit (and the
 // construction of the event's arguments) behind a single nil check.
 //
-// Enabled, an event costs no allocation: each sink encodes it by appending
-// into one buffer the Tracer owns and hands that to its bufio.Writer in one
-// Write. That holds only while nothing reachable from an Event outlives
-// Emit — a single retained string (a map key, say) makes escape analysis
-// treat the whole Event as leaking, and every call site's variadic []Arg
-// moves from its stack to the heap.
+// Enabled, an event costs no allocation: the tracer encodes it by appending
+// into one buffer it owns and hands that to its bufio.Writer in one Write.
+// That holds only while nothing reachable from an Event outlives Emit — a
+// single retained string (a map key, say) makes escape analysis treat the
+// whole Event as leaking, and every call site's variadic []Arg moves from
+// its stack to the heap.
 package trace
 
 import (
@@ -80,40 +77,21 @@ type Event struct {
 	Args []Arg
 }
 
-// Tracer fans events out to the configured sinks. A nil *Tracer is the
-// disabled tracer: every method is a safe no-op, and instrumentation sites
-// additionally nil-check before building arguments so disabled tracing
-// costs one predictable branch.
+// Tracer writes events to its sink in the line format. A nil *Tracer is
+// the disabled tracer: every method is a safe no-op, and instrumentation
+// sites additionally nil-check before building arguments so disabled
+// tracing costs one predictable branch.
 type Tracer struct {
 	eng  *sim.Engine
 	line *bufio.Writer
-	json *bufio.Writer
-
-	// buf holds the one record being encoded; both sinks reuse it.
+	// buf holds the one line being encoded.
 	buf []byte
-
-	jsonRecords int
-	// named has, per node, one bit per category track (1<<catTID) whose
-	// metadata the JSON sink has written, and processNamed for the node's.
-	named map[int]uint16
 }
 
-const processNamed = 1 << 15
-
-// New creates a tracer reading virtual time from eng. Attach at least one
-// sink with SetLine or SetJSON, and call Flush when the run ends.
-func New(eng *sim.Engine) *Tracer {
-	return &Tracer{eng: eng}
-}
-
-// SetLine directs the deterministic line format to w.
-func (t *Tracer) SetLine(w io.Writer) { t.line = bufio.NewWriter(w) }
-
-// SetJSON directs Chrome trace-event JSON to w. The JSON array is
-// terminated by Flush.
-func (t *Tracer) SetJSON(w io.Writer) {
-	t.json = bufio.NewWriter(w)
-	t.named = make(map[int]uint16)
+// New creates a tracer reading virtual time from eng and writing the line
+// format to w. Call Flush when the run ends.
+func New(eng *sim.Engine, w io.Writer) *Tracer {
+	return &Tracer{eng: eng, line: bufio.NewWriter(w)}
 }
 
 // Instant emits a zero-duration event at the current virtual time.
@@ -133,7 +111,7 @@ func (t *Tracer) InstantMsg(node int, cat, name, msg string, args ...Arg) {
 }
 
 // InstantMsgID is InstantMsg for details of the form "msg N" (a blocking
-// reason and its block number or lock id): the encoders join the two, so
+// reason and its block number or lock id): the encoder joins the two, so
 // the caller never builds the string. A negative id renders msg alone.
 func (t *Tracer) InstantMsgID(node int, cat, name, msg string, id int) {
 	if t == nil {
@@ -153,7 +131,7 @@ func (t *Tracer) Span(node int, cat, name string, start sim.Time, args ...Arg) {
 	t.emit(&Event{Time: start, Dur: now - start, Node: node, Cat: cat, Name: name, Span: true, Args: args}, -1)
 }
 
-// Emit writes one event to every attached sink.
+// Emit writes one event.
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
@@ -161,40 +139,19 @@ func (t *Tracer) Emit(e Event) {
 	t.emit(&e, -1)
 }
 
-// emit encodes e for each sink; id >= 0 is joined to e.Str (InstantMsgID).
+// emit encodes e; id >= 0 is joined to e.Str (InstantMsgID).
 func (t *Tracer) emit(e *Event, id int) {
-	if t.line != nil {
-		t.buf = appendLine(t.buf[:0], e, id)
-		t.line.Write(t.buf)
-	}
-	if t.json != nil {
-		t.writeJSON(e, id)
-	}
+	t.buf = appendLine(t.buf[:0], e, id)
+	t.line.Write(t.buf)
 }
 
-// Flush terminates the JSON array and flushes both sinks. Call exactly
-// once, after the run; the tracer must not be used afterwards.
+// Flush flushes the sink. Call exactly once, after the run; the tracer
+// must not be used afterwards.
 func (t *Tracer) Flush() error {
 	if t == nil {
 		return nil
 	}
-	var firstErr error
-	if t.json != nil {
-		if t.jsonRecords == 0 {
-			t.json.WriteString("[]")
-		} else {
-			t.json.WriteString("\n]\n")
-		}
-		if err := t.json.Flush(); err != nil {
-			firstErr = err
-		}
-	}
-	if t.line != nil {
-		if err := t.line.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return t.line.Flush()
 }
 
 // appendNodeName renders a node id as "node<id>".
@@ -210,14 +167,22 @@ func appendPad(b []byte, n int) []byte {
 	return b
 }
 
-// appendQuote appends strconv.Quote(s). Printable ASCII without a quote
-// or a backslash — every string the simulator emits — quotes to itself and
-// skips strconv.
-func appendQuote(b []byte, s string) []byte {
+// plain reports whether s is printable ASCII without a quote or a
+// backslash — every string the simulator emits. Such a string quotes to
+// itself in Go and in JSON alike.
+func plain(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			return strconv.AppendQuote(b, s)
+			return false
 		}
+	}
+	return true
+}
+
+// appendQuote appends strconv.Quote(s), skipping strconv for a plain s.
+func appendQuote(b []byte, s string) []byte {
+	if !plain(s) {
+		return strconv.AppendQuote(b, s)
 	}
 	return append(append(append(b, '"'), s...), '"')
 }
@@ -260,121 +225,4 @@ func appendLine(b []byte, e *Event, id int) []byte {
 		b = appendMsg(append(b, " msg="...), e.Str, id)
 	}
 	return append(b, '\n')
-}
-
-// catTID maps a category to a stable thread id inside a node's process, so
-// each subsystem gets its own named track and spans from different
-// subsystems never nest incorrectly.
-func catTID(cat string) int {
-	switch cat {
-	case CatSim:
-		return 0
-	case CatMem:
-		return 1
-	case CatSynch:
-		return 2
-	case CatProto:
-		return 3
-	case CatNet:
-		return 4
-	case CatCrit:
-		return 5
-	default:
-		return 9
-	}
-}
-
-// record writes t.buf, one raw JSON object, into the top-level array.
-func (t *Tracer) record() {
-	if t.jsonRecords == 0 {
-		t.json.WriteString("[\n")
-	} else {
-		t.json.WriteString(",\n")
-	}
-	t.json.Write(t.buf)
-	t.jsonRecords++
-}
-
-// metadata starts a Chrome metadata record for pid in t.buf.
-func (t *Tracer) metadata(name string, pid int) []byte {
-	b := append(append(t.buf[:0], `{"ph":"M","name":"`...), name...)
-	return strconv.AppendInt(append(b, `","pid":`...), int64(pid), 10)
-}
-
-// ensureTrack emits process/thread metadata the first time a (node,
-// category) track appears, so Perfetto shows "node3" processes with
-// "proto", "net", ... tracks instead of bare numbers. Categories outside
-// the Cat* set share tid 9, named after the first of them a node emits.
-func (t *Tracer) ensureTrack(node int, cat string) {
-	seen, tid := t.named[node], catTID(cat)
-	if seen&(1<<tid) != 0 {
-		return
-	}
-	t.named[node] = seen | 1<<tid | processNamed
-	pid := node // one Chrome process per node
-	if seen&processNamed == 0 {
-		b := append(t.metadata("process_name", pid), `,"args":{"name":"`...)
-		t.buf = append(appendNodeName(b, node), `"}}`...)
-		t.record()
-		b = append(t.metadata("process_sort_index", pid), `,"args":{"sort_index":`...)
-		t.buf = append(strconv.AppendInt(b, int64(pid), 10), `}}`...)
-		t.record()
-	}
-	b := append(t.metadata("thread_name", pid), `,"tid":`...)
-	b = append(strconv.AppendInt(b, int64(tid), 10), `,"args":{"name":`...)
-	t.buf = append(appendQuote(b, cat), `}}`...)
-	t.record()
-}
-
-// writeJSON renders one event as a Chrome trace-event object. Timestamps
-// are microseconds (the format's unit); virtual nanoseconds keep three
-// decimal places so nothing is lost.
-func (t *Tracer) writeJSON(e *Event, id int) {
-	t.ensureTrack(e.Node, e.Cat)
-	b := append(t.buf[:0], `{"name":`...)
-	b = appendQuote(b, e.Name)
-	b = append(b, `,"cat":`...)
-	b = appendQuote(b, e.Cat)
-	if e.Span {
-		b = append(b, `,"ph":"X","dur":`...)
-		b = appendMicros(b, e.Dur)
-	} else {
-		b = append(b, `,"ph":"i","s":"t"`...)
-	}
-	b = append(b, `,"ts":`...)
-	b = appendMicros(b, e.Time)
-	b = append(b, `,"pid":`...)
-	b = strconv.AppendInt(b, int64(e.Node), 10)
-	b = append(b, `,"tid":`...)
-	b = strconv.AppendInt(b, int64(catTID(e.Cat)), 10)
-	if len(e.Args) > 0 || e.Str != "" {
-		b = append(b, `,"args":{`...)
-		for _, a := range e.Args {
-			b = append(appendQuote(b, a.Key), ':')
-			b = append(strconv.AppendInt(b, a.Val, 10), ',')
-		}
-		if e.Str != "" {
-			b = appendMsg(append(b, `"msg":`...), e.Str, id)
-		} else {
-			b = b[:len(b)-1] // the last arg's comma
-		}
-		b = append(b, '}')
-	}
-	t.buf = append(b, '}')
-	t.record()
-}
-
-// appendMicros renders a virtual-nanosecond time as decimal microseconds
-// with exactly three fractional digits (deterministic, no float rounding).
-func appendMicros(b []byte, d sim.Time) []byte {
-	n := int64(d)
-	if n < 0 {
-		b = append(b, '-')
-		n = -n
-	}
-	b = strconv.AppendInt(b, n/1000, 10)
-	frac := n % 1000
-	b = append(b, '.')
-	b = append(b, byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
-	return b
 }

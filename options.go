@@ -111,12 +111,10 @@ func WithWhatIf(s *CritScale) Option { return func(o *sweep.Options) { o.Config.
 // every fault, synchronization operation, message send/service — and,
 // under a fault plan, every wire drop, duplicate and retransmission —
 // with virtual timestamps. Traces the one run of Start, or the one point
-// of a Sweep; a Sweep of more than one point fails with it.
+// of a Sweep; a Sweep of more than one point fails with it. `dsmrun
+// -project chrome FILE` turns the log into Chrome trace-event JSON (load
+// in Perfetto or chrome://tracing).
 func WithTrace(w io.Writer) Option { return func(o *sweep.Options) { o.Config.Trace = w } }
-
-// WithTraceJSON streams the same events as a Chrome trace-event JSON
-// array (load in Perfetto or chrome://tracing). One run, as WithTrace.
-func WithTraceJSON(w io.Writer) Option { return func(o *sweep.Options) { o.Config.TraceJSON = w } }
 
 // WithParallelism bounds the sweep worker pool. n <= 0 (and the default)
 // means one worker per available CPU (GOMAXPROCS); 1 recovers fully

@@ -33,7 +33,7 @@ func TestEveryOptionFieldHasAWith(t *testing.T) {
 		dsmsim.WithFaultGrid(dsmsim.FaultVariant{Name: "x"}), dsmsim.WithFork(),
 		dsmsim.WithLimit(dsmsim.Second), dsmsim.WithSampleEvery(dsmsim.Millisecond),
 		dsmsim.WithShareProfile(), dsmsim.WithCritPath(),
-		dsmsim.WithWhatIf(scale), dsmsim.WithTrace(&w), dsmsim.WithTraceJSON(&w),
+		dsmsim.WithWhatIf(scale), dsmsim.WithTrace(&w),
 		dsmsim.WithParallelism(3), dsmsim.WithProgress(&w), dsmsim.WithCSV(&w), dsmsim.WithHistograms(),
 		dsmsim.WithRecord(&w), dsmsim.WithMetrics(dsmsim.NewMetrics()),
 	} {
@@ -107,7 +107,7 @@ func TestSweepTracesItsOnePoint(t *testing.T) {
 	}
 	spec.Protocols = []string{dsmsim.SC, dsmsim.HLRC}
 	swept.Reset()
-	_, err := dsmsim.Sweep(ctx, spec, dsmsim.WithTraceJSON(&swept))
+	_, err := dsmsim.Sweep(ctx, spec, dsmsim.WithTrace(&swept))
 	if err == nil || !strings.Contains(err.Error(), "lu/sc/1024/polling/4p and lu/hlrc/1024/polling/4p") || swept.Len() != 0 {
 		t.Errorf("two-point Sweep with a trace writer: err = %v, %d bytes traced", err, swept.Len())
 	}

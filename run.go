@@ -20,7 +20,7 @@ import (
 // By default the run is unverified; WithVerify() re-checks the final
 // shared image against the sequential reference. Options mirror Config
 // where they overlap (WithFaults, WithLimit, WithSampleEvery, WithTrace,
-// WithTraceJSON, the profilers) and write into the same struct: they are
+// the profilers) and write into the same struct: they are
 // applied on top of cfg, in order, so an option overrides the Config
 // field it names. An option only a sweep can use is an error naming it.
 // Never call it on a goroutine locked to its OS thread: the process dies

@@ -4,8 +4,8 @@
 # CI's matrix job runs `scripts/smoke.sh --tests NAME`, which also runs the
 # row's unit tests under the race detector; `scripts/smoke.sh list` names
 # the rows. Scratch output goes to a temporary directory; only the files a
-# demo tells the reader to open (trace.json, metrics_demo.*) land in the
-# working directory.
+# demo tells the reader to open (trace.txt, trace.json, metrics_demo.*)
+# land in the working directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
@@ -43,14 +43,17 @@ sweep() {
 	pcmp $GO run -race ./cmd/dsmrun "${table3[@]}"
 }
 
-# A sample execution trace from the quickstart example, and the JSON trace
-# of one dsmrun point (its baseline is never traced).
+# A sample execution trace from the quickstart example, and the trace of
+# one dsmrun point (its baseline is never traced), each projected to
+# Chrome JSON.
 trace() {
-	$GO run ./examples/quickstart -trace-json trace.json
+	$GO run ./examples/quickstart -trace trace.txt
+	dsmrun -project chrome trace.txt >trace.json
 	python3 -c "import json; json.load(open('trace.json'))"
-	dsmrun -app lu -nodes 4 -trace-json "$tmp/lu.json" >/dev/null
+	dsmrun -app lu -nodes 4 -trace "$tmp/lu.txt" >/dev/null
+	dsmrun -project chrome "$tmp/lu.txt" >"$tmp/lu.json"
 	python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$tmp/lu.json"
-	ok "wrote trace.json — open it at https://ui.perfetto.dev"
+	ok "wrote trace.txt and its projection trace.json — open that at https://ui.perfetto.dev"
 }
 
 # The virtual-time sampler on one Ocean-Rowwise run (phase breakdown on
@@ -191,14 +194,16 @@ tlc() {
 }
 
 # Ten seconds of fuzzing per parser of a flag string, of the record file
-# reader, and of the trace line encoder against its fmt oracle. A new
+# reader, of the trace line encoder against its fmt oracle, and of the
+# Chrome projection of a line trace. A new
 # input is minimized for at most a second, so a large seed (a record line
 # is kilobytes) spends the ten seconds fuzzing rather than minimizing.
 fuzz() {
 	local t
 	for t in "FuzzParse ./internal/faults" "FuzzParseStragglers ./internal/faults" \
 		"FuzzParseScale ./internal/critpath" "FuzzGrid ./cmd/dsmrun" \
-		"FuzzReadRecords ./internal/sweep" "FuzzLineEncoder ./internal/trace"; do
+		"FuzzReadRecords ./internal/sweep" "FuzzLineEncoder ./internal/trace" \
+		"FuzzChrome ./internal/trace"; do
 		set -- $t
 		$GO test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 1s "$2"
 	done
