@@ -12,6 +12,7 @@
 package dsmsim_test
 
 import (
+	"context"
 	"flag"
 	"io"
 	"os"
@@ -19,6 +20,7 @@ import (
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/harness"
+	"dsmsim/internal/sweep"
 )
 
 var (
@@ -27,30 +29,32 @@ var (
 	showTables = flag.Bool("dsm.show", false, "print the regenerated tables to stdout")
 )
 
-func benchOpts() harness.Options {
-	opts := harness.Options{Nodes: *benchNodes, Out: io.Discard}
-	opts.Size = apps.Small
-	if *paperSize {
-		opts.Size = apps.Paper
-	}
-	if *showTables {
-		opts.Out = os.Stdout
-	}
-	return opts
-}
-
 // BenchmarkExperiment regenerates every harness experiment, one
-// sub-benchmark per registry entry: a fresh runner and one render per
-// iteration.
+// sub-benchmark per registry entry, the way dsmrun -exp NAME -parallel 1
+// does: per iteration, a fresh engine runs the experiment's declared
+// points serially, then the table renders from the results.
 func BenchmarkExperiment(b *testing.B) {
+	size := apps.Small
+	if *paperSize {
+		size = apps.Paper
+	}
+	o := harness.Options{Nodes: *benchNodes, Size: size, Out: io.Discard}
+	if *showTables {
+		o.Out = os.Stdout
+	}
 	for _, e := range harness.Experiments() {
 		b.Run(e.Name, func(b *testing.B) {
+			keys := harness.PointsFor(o, []harness.Experiment{e})
 			for i := 0; i < b.N; i++ {
-				r, err := harness.New(benchOpts())
+				eng, err := sweep.New(sweep.Options{Size: size, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := e.Run(r); err != nil {
+				res, err := eng.Run(context.Background(), keys)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Run(harness.New(o, keys, res)); err != nil {
 					b.Fatal(err)
 				}
 			}

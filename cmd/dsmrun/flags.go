@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,6 +61,10 @@ type cli struct {
 	stdout, stderr io.Writer
 }
 
+// projections are the names -project takes: a record's CSV tables, then
+// the Chrome JSON of a trace.
+var projections = append(slices.Clone(sweep.Tables), "chrome")
+
 // newCommand registers the flags on a fresh FlagSet and returns it with
 // the command body to call after parsing.
 func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
@@ -93,7 +98,7 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.StringVar(&c.record, "record", "", "append each run's JSON record (the point and its full result; a sweep's baselines too) to this file, one line per run")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
-	fs.StringVar(&c.project, "project", "", "write one CSV table (run, prof, crit or sample) of the -record file given as the one argument to stdout, or with 'chrome' the Chrome trace-event JSON of a -trace file, instead of running")
+	fs.StringVar(&c.project, "project", "", "write one projection ("+strings.Join(projections, ", ")+") of the file given as the one argument to stdout instead of running: a CSV table of a -record file, or with 'chrome' the Chrome trace-event JSON of a -trace file")
 	return fs, c.run
 }
 

@@ -1,6 +1,7 @@
 // Command dsmrun executes (application, protocol, granularity,
-// notification) configurations through the public dsmsim API, and
-// regenerates the paper's tables and figures.
+// notification) configurations through the sweep engine, and regenerates
+// the paper's tables and figures. Every kind of run is one sweep of the
+// points it needs, then a render of the finished results.
 //
 // A single configuration runs as a one-point sweep — its sequential
 // baseline, the point and, under -whatif, the point's rescaled twin — and
@@ -15,10 +16,11 @@
 //	dsmrun -app lu,fft -protocol all -block 64,4096 -parallel 8
 //
 // -exp runs one of the harness's named experiments (or "all", in order)
-// instead of the cross product: its runs are prefetched over the same
-// worker pool and memoized, so "-exp all" reuses the Figure 1 sweep for the
-// fault tables and the Tables 16/17 statistics, and its tables render from
-// completed runs. -protocol, when given, overrides the paper's protocol set.
+// instead of the cross product: the points the experiments declare run as
+// one sweep, each once however many tables read it ("-exp all" runs the
+// Figure 1 points once for the fault tables and Tables 16/17 too), and the
+// tables render from the finished runs. -protocol, when given, overrides
+// the paper's protocol set.
 // Under -fault-grid every matrix point runs once per variant and the tables
 // render the first variant's runs:
 //
@@ -36,6 +38,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -43,6 +46,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -115,16 +119,15 @@ func (c *cli) run() (err error) {
 			return err
 		}
 	}
-	spec := dsmsim.SweepSpec{
+	spec := sweep.Spec{
 		Apps:      splitList(c.app, dsmsim.AppNames()),
 		Protocols: splitList(c.protocol, dsmsim.AllProtocols()),
 		Nodes:     c.nodes,
-		Size:      o.Size,
 	}
 	if spec.Granularities, err = intList(c.block, dsmsim.Granularities); err != nil {
 		return err
 	}
-	if spec.Notify, err = notifyList(c.notify); err != nil {
+	if spec.Notifies, err = notifyList(c.notify); err != nil {
 		return err
 	}
 	// An empty list would fall back to the sweep's default, so a selector
@@ -133,7 +136,7 @@ func (c *cli) run() (err error) {
 		flag, value string
 		n           int
 	}{{"app", c.app, len(spec.Apps)}, {"protocol", c.protocol, len(spec.Protocols)},
-		{"block", c.block, len(spec.Granularities)}, {"notify", c.notify, len(spec.Notify)}} {
+		{"block", c.block, len(spec.Granularities)}, {"notify", c.notify, len(spec.Notifies)}} {
 		if sel.n == 0 {
 			return fmt.Errorf("-%s %q selects nothing", sel.flag, sel.value)
 		}
@@ -144,7 +147,7 @@ func (c *cli) run() (err error) {
 		}
 	}
 
-	points := len(spec.Apps) * len(spec.Protocols) * len(spec.Granularities) * len(spec.Notify)
+	points := len(spec.Apps) * len(spec.Protocols) * len(spec.Granularities) * len(spec.Notifies)
 	single := c.exp == "" && points == 1 && len(o.FaultGrid) == 0
 	if f := named("latency"); single && f != "" {
 		return fmt.Errorf("only a sweep takes %s (1 configuration selected)", f)
@@ -163,36 +166,68 @@ func (c *cli) run() (err error) {
 	if err := c.openSinks(&o); err != nil {
 		return err
 	}
+	view := harness.Options{Nodes: c.nodes, Size: o.Size, WhatIf: o.Config.WhatIf, Out: c.stdout}
+	for _, v := range o.FaultGrid {
+		view.Faults = append(view.Faults, v.Name)
+	}
+	// Every kind of run is the points it runs and how it renders their
+	// results: one Engine.Run, then the render.
+	var keys []sweep.Key
+	var render func(*harness.Runner) error
 	switch {
 	case single:
-		err = c.runOne(ctx, spec, o)
+		keys, render = c.singleRun(spec, &o)
 	case c.exp != "":
-		protocols := spec.Protocols
-		if !set["protocol"] {
-			protocols = nil // the paper's set
+		if set["protocol"] {
+			view.Protocols = spec.Protocols // the paper's set otherwise
 		}
-		err = c.runExp(ctx, o, exps, protocols)
+		keys, render = expTables(view, exps)
 	default:
-		err = c.runSweep(ctx, spec, o)
+		spec.Nodes = cmp.Or(spec.Nodes, 16) // as dsmsim.Sweep and -exp read 0
+		spec.Baselines, spec.Faults = true, view.Faults
+		keys, render = c.crossProduct(spec)
+	}
+	eng, err := sweep.New(o)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	results, err := eng.Run(ctx, keys)
+	if err != nil {
+		return err
+	}
+	wall := time.Since(start)
+	if err := render(harness.New(view, keys, results)); err != nil {
+		return err
+	}
+	if o.Fork {
+		if c.exp != "" {
+			fmt.Fprintln(c.stdout) // set apart from the last table
+		}
+		printForkSummary(c.stdout, eng.ForkStats(), wall)
 	}
 	// Hold the metrics endpoint open for interval-based scrapers that would
 	// otherwise miss a short sweep entirely. Ctrl-C ends the linger early.
-	if err == nil && c.metricsLinger > 0 {
+	if c.metricsLinger > 0 {
 		select {
 		case <-time.After(c.metricsLinger):
 		case <-ctx.Done():
 		}
 	}
-	return err
+	return nil
 }
 
 // runProject writes the -project table of the record file given as the one
 // argument to stdout, or under -project chrome the Chrome JSON of the trace
 // file. It runs nothing, so it takes no other flag: flags are the ones the
-// command line set.
+// command line set. A name outside projections is refused before the file
+// is opened.
 func (c *cli) runProject(flags []string) error {
 	if len(flags) > 1 || c.fs.NArg() != 1 {
 		return fmt.Errorf("-project takes one record FILE and no other flag (flags: %s; files: %d)", strings.Join(flags, " "), c.fs.NArg())
+	}
+	if !slices.Contains(projections, c.project) {
+		return fmt.Errorf("-project %q: want one of %s", c.project, strings.Join(projections, ", "))
 	}
 	path := c.fs.Arg(0)
 	f, err := os.Open(path)
@@ -226,64 +261,51 @@ func experiments(name string) ([]harness.Experiment, error) {
 	return []harness.Experiment{e}, err
 }
 
-// runExp fans the experiments' runs out over the worker pool, then renders
-// each experiment's tables from the memoized runs, a blank line before
-// each.
-func (c *cli) runExp(ctx context.Context, o sweep.Options, exps []harness.Experiment, protocols []string) error {
-	opts := harness.Options{Options: o, Nodes: c.nodes, Out: c.stdout, Protocols: protocols}
-	r, err := harness.New(opts)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := r.Prefetch(ctx, harness.PointsFor(opts, exps)); err != nil {
-		return err
-	}
-	for _, e := range exps {
-		fmt.Fprintln(c.stdout)
-		if err := e.Run(r); err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
+// expTables runs every point the experiments declare, then renders each
+// experiment's tables, a blank line before each.
+func expTables(view harness.Options, exps []harness.Experiment) ([]sweep.Key, func(*harness.Runner) error) {
+	return harness.PointsFor(view, exps), func(r *harness.Runner) error {
+		for _, e := range exps {
+			fmt.Fprintln(view.Out)
+			if err := e.Run(r); err != nil {
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
 		}
+		return nil
 	}
-	if o.Fork {
-		fmt.Fprintln(c.stdout)
-		printForkSummary(c.stdout, r.ForkStats(), time.Since(start))
-	}
-	return nil
 }
 
-// runSweep fans the cross product out over the worker pool and prints one
-// speedup row per configuration.
-func (c *cli) runSweep(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options) error {
-	start := time.Now()
-	// One option carrying the whole struct: every setting is already in o.
-	res, err := dsmsim.Sweep(ctx, spec, func(so *sweep.Options) { *so = o })
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	// Fault-grid sweeps gain a fault column before the time.
-	out, fault := c.stdout, func(string) string { return "" }
-	if len(o.FaultGrid) > 0 {
-		fault = func(name string) string { return fmt.Sprintf("%-10s ", name) }
-	}
-	fmt.Fprintf(out, "%-18s %-6s %6s %-9s %s%14s %8s\n", "app", "proto", "block", "notify", fault("fault"), "time", "speedup")
-	for _, run := range res.Runs {
-		if p := run.Point; !p.Sequential {
+// crossProduct runs the cross product, each application's baseline first, and
+// prints one speedup row per configuration.
+func (c *cli) crossProduct(spec sweep.Spec) ([]sweep.Key, func(*harness.Runner) error) {
+	keys := sweep.Dedupe(spec.Points())
+	return keys, func(r *harness.Runner) error {
+		// Fault-grid sweeps gain a fault column before the time.
+		out, fault := c.stdout, func(string) string { return "" }
+		if len(spec.Faults) > 0 {
+			fault = func(name string) string { return fmt.Sprintf("%-10s ", name) }
+		}
+		fmt.Fprintf(out, "%-18s %-6s %6s %-9s %s%14s %8s\n", "app", "proto", "block", "notify", fault("fault"), "time", "speedup")
+		for _, k := range keys {
+			if k.Sequential {
+				continue
+			}
+			res, err1 := r.Result(k)
+			sp, err2 := r.Speedup(k)
+			if err := errors.Join(err1, err2); err != nil {
+				return err
+			}
 			fmt.Fprintf(out, "%-18s %-6s %5dB %-9s %s%14v %8.2f\n",
-				p.App, p.Protocol, p.Block, p.Notify, fault(p.Fault), run.Result.Time, res.Speedup(run))
+				k.App, k.Protocol, k.Block, k.Notify, fault(k.Fault), res.Time, sp)
 		}
+		return nil
 	}
-	if o.Fork {
-		printForkSummary(out, res.Fork, wall)
-	}
-	return nil
 }
 
-// runOne runs a single configuration as a one-point sweep — its sequential
+// singleRun runs one configuration as a one-point sweep — its sequential
 // baseline, the point and, under -whatif, the point's rescaled twin — and
 // prints the point's full statistics dump.
-func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options) error {
+func (c *cli) singleRun(spec sweep.Spec, o *sweep.Options) ([]sweep.Key, func(*harness.Runner) error) {
 	o.Progress = nil // the statistics below stand in for the progress line
 	// The what-if scale moves from the template onto the twin; the point
 	// keeps the critical-path profiler, whose report predicts the twin.
@@ -291,75 +313,77 @@ func (c *cli) runOne(ctx context.Context, spec dsmsim.SweepSpec, o sweep.Options
 	o.Config.WhatIf = nil
 	o.Config.CritPath = o.Config.CritPath || whatIf != nil
 	point := sweep.Key{App: spec.Apps[0], Protocol: spec.Protocols[0], Block: spec.Granularities[0],
-		Notify: spec.Notify[0], Nodes: spec.Nodes}
+		Notify: spec.Notifies[0], Nodes: spec.Nodes}
+	twin := point
 	keys := []sweep.Key{sweep.Seq(point.App), point}
 	if whatIf != nil {
-		twin := point
 		twin.WhatIf = whatIf.String()
 		keys = append(keys, twin)
 	}
-	e, err := sweep.New(o)
-	if err != nil {
-		return err
-	}
-	runs, err := e.Run(ctx, keys)
-	if err != nil {
-		return err
-	}
-	out, seq, res := c.stdout, runs[0], runs[1]
-
-	fmt.Fprintf(out, "%s  protocol=%s  block=%dB  notify=%s  nodes=%d\n",
-		res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
-	fmt.Fprintf(out, "  parallel time   %12v\n", res.Time)
-	fmt.Fprintf(out, "  sequential time %12v\n", seq.Time)
-	fmt.Fprintf(out, "  speedup         %12.2f\n", float64(seq.Time)/float64(res.Time))
-	fmt.Fprintf(out, "  read faults     %12d\n", res.Total.ReadFaults)
-	fmt.Fprintf(out, "  write faults    %12d\n", res.Total.WriteFaults)
-	fmt.Fprintf(out, "  invalidations   %12d\n", res.Total.Invalidations)
-	fmt.Fprintf(out, "  twins/diffs     %6d / %d applied %d\n", res.Total.TwinsCreated, res.Total.DiffsCreated, res.Total.DiffsApplied)
-	fmt.Fprintf(out, "  write notices   %12d\n", res.Total.WriteNoticesSent)
-	fmt.Fprintf(out, "  lock acquires   %12d\n", res.Total.LockAcquires)
-	fmt.Fprintf(out, "  barriers/node   %12d\n", res.Total.BarrierEntries/int64(res.Nodes))
-	fmt.Fprintf(out, "  messages        %12d  (%.2f MB)\n", res.NetMsgs, float64(res.NetBytes)/1e6)
-	if o.Config.Faults != nil {
-		fmt.Fprintf(out, "  reliability     retx=%d timeouts=%d wire-drops=%d dups=%d acks=%d\n",
-			res.Retransmits, res.Timeouts, res.WireDrops, res.Duplicates, res.AcksSent)
-		if res.RetransmitLatency.Count > 0 {
-			fmt.Fprintf(out, "    retransmit   %s\n", res.RetransmitLatency.Summary())
+	faulty := o.Config.Faults != nil
+	return keys, func(r *harness.Runner) error {
+		seq, err1 := r.Result(keys[0])
+		res, err2 := r.Result(point)
+		rescaled, err3 := r.Result(twin) // the point itself without -whatif
+		speedup, err4 := r.Speedup(point)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			return err
 		}
-	}
-	fmt.Fprintf(out, "  blocks written  %12d  (multi-writer: %d)\n", res.BlocksWritten, res.MultiWriterBlocks)
-	fmt.Fprintf(out, "  time breakdown (sums over %d nodes):\n", res.Nodes)
-	fmt.Fprintf(out, "    compute  %v  read-stall %v  write-stall %v\n",
-		res.Total.Compute, res.Total.ReadStall, res.Total.WriteStall)
-	fmt.Fprintf(out, "    lock     %v  barrier    %v  flush       %v  stolen %v\n",
-		res.Total.LockStall, res.Total.BarrierStall, res.Total.FlushTime, res.Total.Stolen)
-	fmt.Fprintf(out, "  latency distributions:\n")
-	fmt.Fprintf(out, "    read fault   %s\n", res.Total.ReadFaultTime.Summary())
-	fmt.Fprintf(out, "    write fault  %s\n", res.Total.WriteFaultTime.Summary())
-	fmt.Fprintf(out, "    message      %s\n", res.MsgLatency.Summary())
-	fmt.Fprintf(out, "    lock wait    %s\n", res.Total.LockWait.Summary())
-	fmt.Fprintf(out, "    barrier wait %s\n", res.Total.BarrierWait.Summary())
-	printPhases(out, res)
-	indent := func(write func(io.Writer, int) error, top int) {
-		var rep strings.Builder
-		write(&rep, top) // a Builder never fails a write
-		fmt.Fprint(out, "  "+strings.ReplaceAll(strings.TrimSuffix(rep.String(), "\n"), "\n", "\n  ")+"\n")
-	}
-	if res.Sharing != nil {
-		indent(res.Sharing.WriteText, c.profTop)
-	}
-	if res.CritPath != nil {
-		indent(res.CritPath.WriteText, c.critTop)
-	}
-	if whatIf != nil {
-		pred, twin := res.CritPath.Predict(whatIf), runs[2]
+		out := c.stdout
+		fmt.Fprintf(out, "%s  protocol=%s  block=%dB  notify=%s  nodes=%d\n",
+			res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
+		fmt.Fprintf(out, "  parallel time   %12v\n", res.Time)
+		fmt.Fprintf(out, "  sequential time %12v\n", seq.Time)
+		fmt.Fprintf(out, "  speedup         %12.2f\n", speedup)
+		fmt.Fprintf(out, "  read faults     %12d\n", res.Total.ReadFaults)
+		fmt.Fprintf(out, "  write faults    %12d\n", res.Total.WriteFaults)
+		fmt.Fprintf(out, "  invalidations   %12d\n", res.Total.Invalidations)
+		fmt.Fprintf(out, "  twins/diffs     %6d / %d applied %d\n", res.Total.TwinsCreated, res.Total.DiffsCreated, res.Total.DiffsApplied)
+		fmt.Fprintf(out, "  write notices   %12d\n", res.Total.WriteNoticesSent)
+		fmt.Fprintf(out, "  lock acquires   %12d\n", res.Total.LockAcquires)
+		fmt.Fprintf(out, "  barriers/node   %12d\n", res.Total.BarrierEntries/int64(res.Nodes))
+		fmt.Fprintf(out, "  messages        %12d  (%.2f MB)\n", res.NetMsgs, float64(res.NetBytes)/1e6)
+		if faulty {
+			fmt.Fprintf(out, "  reliability     retx=%d timeouts=%d wire-drops=%d dups=%d acks=%d\n",
+				res.Retransmits, res.Timeouts, res.WireDrops, res.Duplicates, res.AcksSent)
+			if res.RetransmitLatency.Count > 0 {
+				fmt.Fprintf(out, "    retransmit   %s\n", res.RetransmitLatency.Summary())
+			}
+		}
+		fmt.Fprintf(out, "  blocks written  %12d  (multi-writer: %d)\n", res.BlocksWritten, res.MultiWriterBlocks)
+		fmt.Fprintf(out, "  time breakdown (sums over %d nodes):\n", res.Nodes)
+		fmt.Fprintf(out, "    compute  %v  read-stall %v  write-stall %v\n",
+			res.Total.Compute, res.Total.ReadStall, res.Total.WriteStall)
+		fmt.Fprintf(out, "    lock     %v  barrier    %v  flush       %v  stolen %v\n",
+			res.Total.LockStall, res.Total.BarrierStall, res.Total.FlushTime, res.Total.Stolen)
+		fmt.Fprintf(out, "  latency distributions:\n")
+		fmt.Fprintf(out, "    read fault   %s\n", res.Total.ReadFaultTime.Summary())
+		fmt.Fprintf(out, "    write fault  %s\n", res.Total.WriteFaultTime.Summary())
+		fmt.Fprintf(out, "    message      %s\n", res.MsgLatency.Summary())
+		fmt.Fprintf(out, "    lock wait    %s\n", res.Total.LockWait.Summary())
+		fmt.Fprintf(out, "    barrier wait %s\n", res.Total.BarrierWait.Summary())
+		printPhases(out, res)
+		indent := func(write func(io.Writer, int) error, top int) {
+			var rep strings.Builder
+			write(&rep, top) // a Builder never fails a write
+			fmt.Fprint(out, "  "+strings.ReplaceAll(strings.TrimSuffix(rep.String(), "\n"), "\n", "\n  ")+"\n")
+		}
+		if res.Sharing != nil {
+			indent(res.Sharing.WriteText, c.profTop)
+		}
+		if res.CritPath != nil {
+			indent(res.CritPath.WriteText, c.critTop)
+		}
+		if whatIf == nil {
+			return nil
+		}
+		pred := res.CritPath.Predict(whatIf)
 		fmt.Fprintf(out, "  what-if %s:\n", whatIf)
 		fmt.Fprintf(out, "    baseline        %14v\n", res.Time)
 		fmt.Fprintf(out, "    path-predicted  %14v  (%.3fx speedup)\n", pred, ratio(res.Time, pred))
-		fmt.Fprintf(out, "    re-simulated    %14v  (%.3fx speedup)\n", twin.Time, ratio(res.Time, twin.Time))
+		fmt.Fprintf(out, "    re-simulated    %14v  (%.3fx speedup)\n", rescaled.Time, ratio(res.Time, rescaled.Time))
+		return nil
 	}
-	return nil
 }
 
 // ratio guards the x/y speedup display against a zero counterfactual.

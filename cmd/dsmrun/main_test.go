@@ -338,7 +338,8 @@ func TestProjectNeedsItsObserver(t *testing.T) {
 }
 
 // TestProjectChromeNamesFileAndLine: -project chrome of a trace cut short
-// or corrupted is an error naming the file and the line.
+// or corrupted is an error naming the file and the line, with nothing on
+// stdout.
 func TestProjectChromeNamesFileAndLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.txt")
 	if err := run(strings.Fields("-app lu -nodes 2 -trace "+path), io.Discard, io.Discard); err != nil {
@@ -361,9 +362,13 @@ func TestProjectChromeNamesFileAndLine(t *testing.T) {
 		if err := os.WriteFile(bad, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := run([]string{"-project", "chrome", bad}, io.Discard, io.Discard)
+		var stdout bytes.Buffer
+		err := run([]string{"-project", "chrome", bad}, &stdout, io.Discard)
 		if want := fmt.Sprintf("%s: line %d: ", bad, c.line); err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("%s trace: err = %v, want one starting %q", name, err, want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s trace: %d bytes on stdout", name, stdout.Len())
 		}
 	}
 }
@@ -462,6 +467,7 @@ func TestRefusedSelections(t *testing.T) {
 		{"-project run -nodes 2 runs.jsonl", "no other flag (flags: -nodes -project; files: 1)"},
 		{"-project run", "-project takes one record FILE and no other flag (flags: -project; files: 0)"},
 		{"-project run a.jsonl b.jsonl", "(flags: -project; files: 2)"},
+		{"-project chrom no-such-file.txt", `-project "chrom": want one of run, prof, crit, sample, chrome`},
 	} {
 		var stdout bytes.Buffer
 		err := run(strings.Fields(c.args), &stdout, io.Discard)

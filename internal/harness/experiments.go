@@ -19,7 +19,7 @@ import (
 // matrix is one cut of the evaluation cross product: every listed
 // application under every cluster size × protocol × block size, at one
 // notification mode and with one set of run settings. An experiment is
-// declared as the cuts it reads; its prefetch set and its renderer's loops
+// declared as the cuts it reads; its point set and its renderer's loops
 // both come from them (declare), so the two cannot disagree.
 type matrix struct {
 	apps []string
@@ -55,14 +55,14 @@ func (m matrix) protocols(o Options) []string {
 func (m matrix) key(o Options, app, p string, g int) sweep.Key {
 	k := sweep.Key{App: app, Protocol: p, Block: g, Notify: m.notify, Nodes: cmp.Or(o.Nodes, 16),
 		Settings: m.settings}
-	if len(o.FaultGrid) > 0 && m.settings.Faults == "" {
-		k.Fault = o.FaultGrid[0].Name
+	if len(o.Faults) > 0 && m.settings.Faults == "" {
+		k.Fault = o.Faults[0]
 	}
 	return k
 }
 
 // points expands the cut at o's scale in canonical sweep order, each
-// application's baseline first — the order prefetch emission follows.
+// application's baseline first — the order a sweep's output follows.
 func (m matrix) points(o Options) []sweep.Key {
 	nodes := m.nodes
 	if nodes == nil {
@@ -70,9 +70,7 @@ func (m matrix) points(o Options) []sweep.Key {
 	}
 	var variants []string // none for a cut with a plan of its own
 	if m.settings.Faults == "" {
-		for _, v := range o.FaultGrid {
-			variants = append(variants, v.Name)
-		}
+		variants = o.Faults
 	}
 	var pts []sweep.Key
 	for _, n := range nodes {
@@ -88,10 +86,15 @@ func (m matrix) points(o Options) []sweep.Key {
 	return pts
 }
 
-// declare builds one registry entry: cuts is both what Points prefetches
+// declare builds one registry entry: cuts is both what Points names
 // and all that run is given to iterate.
-func declare(name, desc string, run func(*Runner, []matrix) error, cuts ...matrix) Experiment {
-	return Experiment{Name: name, Desc: desc, Run: func(r *Runner) error { return run(r, cuts) },
+func declare(name, desc string, run func(*Runner, []matrix), cuts ...matrix) Experiment {
+	return Experiment{Name: name, Desc: desc,
+		Run: func(r *Runner) (err error) {
+			defer catch(&err)
+			run(r, cuts)
+			return nil
+		},
 		Points: func(o Options) []sweep.Key {
 			var pts []sweep.Key
 			for _, m := range cuts {
@@ -264,7 +267,7 @@ type speedups struct {
 	tail     func(*core.Result) string
 }
 
-func (s speedups) render(r *Runner, cuts []matrix) error {
+func (s speedups) render(r *Runner, cuts []matrix) {
 	m := cuts[0]
 	last := m.blocks[len(m.blocks)-1]
 	r.heading(s.title, m)
@@ -280,23 +283,16 @@ func (s speedups) render(r *Runner, cuts []matrix) error {
 		for _, p := range m.protocols(r.opts) {
 			r.printf("%-18s %-6s", app, p)
 			for _, g := range m.blocks {
-				sp, err := r.Speedup(m.key(r.opts, app, p, g))
-				if err != nil {
-					return err
-				}
+				sp := r.speedup(m.key(r.opts, app, p, g))
 				r.printf(" %8.2f", sp)
 			}
 			if s.tail != nil {
-				res, err := r.Result(m.key(r.opts, app, p, last))
-				if err != nil {
-					return err
-				}
+				res := r.result(m.key(r.opts, app, p, last))
 				r.printf("%s", s.tail(res))
 			}
 			r.printf("\n")
 		}
 	}
-	return nil
 }
 
 // leaseTraffic is fourway's trailing column: lease renewals, self-expiries
@@ -329,7 +325,7 @@ type counterKind struct {
 	cell func(*core.Result) string
 }
 
-func (c counters) render(r *Runner, cuts []matrix) error {
+func (c counters) render(r *Runner, cuts []matrix) {
 	m := cuts[0]
 	width := 6
 	for _, k := range c.kinds {
@@ -345,17 +341,13 @@ func (c counters) render(r *Runner, cuts []matrix) error {
 			r.printf("%-6s %-*s", proto, width, kind)
 		}
 	}
-	row := func(proto string, kind counterKind) error {
+	row := func(proto string, kind counterKind) {
 		label(proto, kind.name)
 		for _, g := range m.blocks {
-			res, err := r.Result(m.key(r.opts, m.apps[0], proto, g))
-			if err != nil {
-				return err
-			}
+			res := r.result(m.key(r.opts, m.apps[0], proto, g))
 			r.printf(" %10s", kind.cell(res))
 		}
 		r.printf("\n")
-		return nil
 	}
 	r.heading(c.title, m)
 	label("Proto", c.kindHead)
@@ -368,21 +360,16 @@ func (c counters) render(r *Runner, cuts []matrix) error {
 	if c.kindMajor {
 		for _, k := range c.kinds {
 			for _, p := range protos {
-				if err := row(p, k); err != nil {
-					return err
-				}
+				row(p, k)
 			}
 		}
-		return nil
+		return
 	}
 	for _, p := range protos {
 		for _, k := range c.kinds {
-			if err := row(p, k); err != nil {
-				return err
-			}
+			row(p, k)
 		}
 	}
-	return nil
 }
 
 // sizeLabel describes the problem size used (Table 1's sizes at Paper
@@ -415,31 +402,24 @@ func (r *Runner) label(app string) string {
 
 // table1 prints problem sizes and sequential execution times for the eight
 // base benchmarks.
-func (r *Runner) table1(cuts []matrix) error {
+func (r *Runner) table1(cuts []matrix) {
 	r.printf("Table 1: Benchmarks, problem sizes, and sequential execution times\n")
 	r.printf("%-18s %-32s %s\n", "Benchmark", "Problem Size", "Sequential Time")
 	for _, app := range cuts[0].apps {
-		seq, err := r.Result(sweep.Seq(app))
-		if err != nil {
-			return err
-		}
+		seq := r.result(sweep.Seq(app))
 		r.printf("%-18s %-32s %10.3fs\n", app, r.label(app), float64(seq.Time)/float64(sim.Second))
 	}
-	return nil
 }
 
 // table2 prints the sharing-pattern and synchronization classification,
 // read off the second cut's run, beside the best speedup in the first.
-func (r *Runner) table2(cuts []matrix) error {
+func (r *Runner) table2(cuts []matrix) {
 	m, class := cuts[0], cuts[1]
 	r.printf("Table 2: Classification of sharing patterns and synchronization granularity\n")
 	r.printf("%-18s %-8s %12s %10s %9s %10s %10s\n",
 		"Application", "Writers", "CompPerSync", "Barriers", "Locks", "BestSpeed", "Best@")
 	for _, app := range m.apps {
-		res, err := r.Result(class.key(r.opts, app, class.protos[0], class.blocks[0]))
-		if err != nil {
-			return err
-		}
+		res := r.result(class.key(r.opts, app, class.protos[0], class.blocks[0]))
 		writers := "single"
 		if res.MultiWriterBlocks > res.BlocksWritten/20 {
 			writers = "multiple"
@@ -453,10 +433,7 @@ func (r *Runner) table2(cuts []matrix) error {
 		best, bestAt := 0.0, ""
 		for _, p := range m.protocols(r.opts) {
 			for _, g := range m.blocks {
-				s, err := r.Speedup(m.key(r.opts, app, p, g))
-				if err != nil {
-					return err
-				}
+				s := r.speedup(m.key(r.opts, app, p, g))
 				if s > best {
 					best, bestAt = s, fmt.Sprintf("%s-%d", p, g)
 				}
@@ -467,7 +444,6 @@ func (r *Runner) table2(cuts []matrix) error {
 			res.Total.BarrierEntries/int64(r.opts.Nodes),
 			res.Total.LockAcquires, best, bestAt)
 	}
-	return nil
 }
 
 // efficiency renders the HM-of-relative-efficiency statistics of Tables 16
@@ -480,7 +456,7 @@ type efficiency struct {
 	versions bool
 }
 
-func (e efficiency) render(r *Runner, cuts []matrix) error {
+func (e efficiency) render(r *Runner, cuts []matrix) {
 	m := cuts[0]
 	protos := m.protocols(r.opts)
 	type point struct {
@@ -492,10 +468,9 @@ func (e efficiency) render(r *Runner, cuts []matrix) error {
 	for _, app := range m.apps {
 		row := app
 		if e.versions {
-			entry, err := apps.Get(app)
-			if err != nil {
-				return err
-			}
+			// An app Get does not know has no runs, so the lookups
+			// below name its first point.
+			entry, _ := apps.Get(app)
 			row = entry.BaseName
 		}
 		if _, seen := best[row]; !seen {
@@ -503,10 +478,7 @@ func (e efficiency) render(r *Runner, cuts []matrix) error {
 		}
 		for _, p := range protos {
 			for _, g := range m.blocks {
-				s, err := r.Speedup(m.key(r.opts, app, p, g))
-				if err != nil {
-					return err
-				}
+				s := r.speedup(m.key(r.opts, app, p, g))
 				sp[point{row, p, g}] = max(sp[point{row, p, g}], s)
 				best[row] = max(best[row], s)
 			}
@@ -548,27 +520,22 @@ func (e efficiency) render(r *Runner, cuts []matrix) error {
 		r.printf(" %8.3f", hm(protos, []int{g}))
 	}
 	r.printf(" %8.3f\n", 1.0)
-	return nil
 }
 
-// eachConfig calls fn with the memoized run of every application of the
+// eachConfig calls fn with the run of every application of the
 // cuts under each cut's protocols × block sizes, application-major, and the
 // configuration's "proto-block" label.
-func (r *Runner) eachConfig(cuts []matrix, fn func(app, config string, res *core.Result)) error {
+func (r *Runner) eachConfig(cuts []matrix, fn func(app, config string, res *core.Result)) {
 	for _, app := range cuts[0].apps {
 		for _, m := range cuts {
 			for _, p := range m.protocols(r.opts) {
 				for _, g := range m.blocks {
-					res, err := r.Result(m.key(r.opts, app, p, g))
-					if err != nil {
-						return err
-					}
+					res := r.result(m.key(r.opts, app, p, g))
 					fn(app, fmt.Sprintf("%s-%d", p, g), res)
 				}
 			}
 		}
 	}
-	return nil
 }
 
 // breakdown prints each application's execution-time components — the
@@ -576,10 +543,10 @@ func (r *Runner) eachConfig(cuts []matrix, fn func(app, config string, res *core
 // configurations, SC-64 and HLRC-4096. Percentages are of summed node
 // time; "proto" is read/write fault stall plus flush, "sync" is lock plus
 // barrier stall.
-func (r *Runner) breakdown(cuts []matrix) error {
+func (r *Runner) breakdown(cuts []matrix) {
 	r.printf("Execution-time breakdown (%% of summed node time)\n")
 	r.printf("%-18s %-10s %8s %8s %8s %8s\n", "Application", "Config", "compute", "proto", "sync", "stolen")
-	return r.eachConfig(cuts, func(app, config string, res *core.Result) {
+	r.eachConfig(cuts, func(app, config string, res *core.Result) {
 		tot := res.Total
 		sum := tot.Compute + tot.ReadStall + tot.WriteStall + tot.LockStall + tot.BarrierStall + tot.FlushTime
 		if sum == 0 {
@@ -598,12 +565,12 @@ func (r *Runner) breakdown(cuts []matrix) error {
 // overhead). Long runs are capped at a handful of leading phases with the
 // remainder aggregated, since barrier-per-iteration applications produce
 // hundreds of near-identical phases.
-func (r *Runner) phases(cuts []matrix) error {
+func (r *Runner) phases(cuts []matrix) {
 	const maxRows = 6
 	r.printf("Phase-resolved breakdown at barrier epochs (%% of phase node time)\n")
 	r.printf("%-18s %-10s %-8s %10s %8s %8s %8s %8s\n",
 		"Application", "Config", "Phase", "span", "compute", "data", "sync", "proto")
-	return r.eachConfig(cuts, func(app, config string, res *core.Result) {
+	r.eachConfig(cuts, func(app, config string, res *core.Result) {
 		for _, row := range metrics.FoldPhases(res.Phases, maxRows) {
 			if row.Span == 0 {
 				continue
@@ -618,7 +585,7 @@ func (r *Runner) phases(cuts []matrix) error {
 
 // scaling prints speedups at page granularity across cluster sizes for one
 // regular and one irregular application.
-func (r *Runner) scaling(cuts []matrix) error {
+func (r *Runner) scaling(cuts []matrix) {
 	m := cuts[0]
 	r.printf("Speedup vs cluster size (HLRC, 4096B)\n")
 	r.printf("%-18s", "Application")
@@ -631,20 +598,16 @@ func (r *Runner) scaling(cuts []matrix) error {
 		for _, n := range m.nodes {
 			k := m.key(r.opts, app, m.protos[0], m.blocks[0])
 			k.Nodes = n
-			s, err := r.Speedup(k)
-			if err != nil {
-				return err
-			}
+			s := r.speedup(k)
 			r.printf(" %7.2f", s)
 		}
 		r.printf("\n")
 	}
-	return nil
 }
 
 // software compares the hardware access-control baseline against
 // all-software instrumentation at each cut's per-check cost.
-func (r *Runner) software(cuts []matrix) error {
+func (r *Runner) software(cuts []matrix) {
 	r.heading("All-software access control, {app} under SC (speedup on {nodes} nodes)", cuts[0])
 	r.printf("%-22s %8s %8s\n", "Check cost", "64B", "4096B")
 	for _, m := range cuts {
@@ -654,15 +617,11 @@ func (r *Runner) software(cuts []matrix) error {
 		}
 		r.printf("%-22s", label)
 		for _, g := range m.blocks {
-			s, err := r.Speedup(m.key(r.opts, m.apps[0], m.protos[0], g))
-			if err != nil {
-				return err
-			}
+			s := r.speedup(m.key(r.opts, m.apps[0], m.protos[0], g))
 			r.printf(" %8.2f", s)
 		}
 		r.printf("\n")
 	}
-	return nil
 }
 
 // sharing runs the sharing-pattern profiler across the paper's four
@@ -673,7 +632,7 @@ func (r *Runner) software(cuts []matrix) error {
 // LU's dense blocked matrix stays true-sharing-dominated until blocks
 // outgrow its tiles. Profiling is observational, so every run's clock and
 // statistics match the unprofiled matrix runs bit for bit.
-func (r *Runner) sharing(cuts []matrix) error {
+func (r *Runner) sharing(cuts []matrix) {
 	m := cuts[0]
 	r.printf("False sharing vs coherence granularity (HLRC, %d nodes; %% of sharing misses)\n", r.opts.Nodes)
 	r.printf("%-18s %8s %8s %8s %8s   %s\n", "Application", "64B", "256B", "1KB", "4KB", "hottest region at 4KB")
@@ -681,10 +640,7 @@ func (r *Runner) sharing(cuts []matrix) error {
 		r.printf("%-18s", app)
 		var hot string
 		for _, g := range m.blocks {
-			res, err := r.Result(m.key(r.opts, app, m.protos[0], g))
-			if err != nil {
-				return err
-			}
+			res := r.result(m.key(r.opts, app, m.protos[0], g))
 			sh := res.Sharing
 			r.printf(" %7.1f%%", 100*sh.FalseSharingFraction())
 			if g == 4096 {
@@ -695,7 +651,6 @@ func (r *Runner) sharing(cuts []matrix) error {
 		}
 		r.printf("   %s\n", hot)
 	}
-	return nil
 }
 
 // critPath recovers the exact critical path of every protocol ×
@@ -706,20 +661,17 @@ func (r *Runner) sharing(cuts []matrix) error {
 // protocols shift the path toward barrier waiting and handler occupancy.
 // Profiling is observational, so every run's clock matches the
 // unprofiled matrix bit for bit.
-func (r *Runner) critPath(cuts []matrix) error {
+func (r *Runner) critPath(cuts []matrix) {
 	m := cuts[0]
 	r.printf("Critical-path composition, %s on %d nodes (%% of path length)\n", m.apps[0], r.opts.Nodes)
-	if s := r.opts.Config.WhatIf; s != nil {
+	if s := r.opts.WhatIf; s != nil {
 		r.printf("(what-if machine: %v)\n", s)
 	}
 	r.printf("%-6s %6s %14s %8s %8s %8s %8s %8s %8s\n",
 		"Proto", "Block", "path", "compute", "ovhd", "wire", "svc", "lock", "barrier")
 	for _, p := range m.protos {
 		for _, g := range m.blocks {
-			res, err := r.Result(m.key(r.opts, m.apps[0], p, g))
-			if err != nil {
-				return err
-			}
+			res := r.result(m.key(r.opts, m.apps[0], p, g))
 			cp := res.CritPath
 			pct := func(c critpath.Component) float64 { return 100 * cp.Frac(c) }
 			r.printf("%-6s %5dB %14v %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
@@ -731,17 +683,16 @@ func (r *Runner) critPath(cuts []matrix) error {
 				pct(critpath.LockWait), pct(critpath.BarrierWait))
 		}
 	}
-	return nil
 }
 
 // degradation sweeps link loss rate (one cut per lossRates entry) ×
 // protocol on one application and reports completion time, slowdown
 // relative to the lossless wire, and the reliability-layer work
 // (retransmissions, wire drops, acks) each protocol pays. Every faulty run
-// still verifies under the runner's verify policy — the ack/retransmission
+// still verifies under the sweep's verify policy — the ack/retransmission
 // layer hides the loss from the coherence protocols; only the clock shows
 // it. The plans are seeded, so the table is deterministic.
-func (r *Runner) degradation(cuts []matrix) error {
+func (r *Runner) degradation(cuts []matrix) {
 	m := cuts[0]
 	app, block := m.apps[0], m.blocks[0]
 	r.printf("Degradation under link loss: %s, %s, %dB blocks, %d nodes\n",
@@ -751,10 +702,7 @@ func (r *Runner) degradation(cuts []matrix) error {
 	for _, p := range m.protos {
 		var lossless sim.Time
 		for i, c := range cuts {
-			res, err := r.Result(c.key(r.opts, app, p, block))
-			if err != nil {
-				return err
-			}
+			res := r.result(c.key(r.opts, app, p, block))
 			if i == 0 {
 				lossless = res.Time
 			}
@@ -763,5 +711,4 @@ func (r *Runner) degradation(cuts []matrix) error {
 				res.Retransmits, res.WireDrops, res.AcksSent)
 		}
 	}
-	return nil
 }

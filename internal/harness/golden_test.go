@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"testing"
@@ -28,21 +27,20 @@ var goldenExperiments = map[string]string{
 	"degradation": "b3ee326ab72df085", "sharing": "d85f65b38fb0558e", "critpath": "abd123eaad8e1d44",
 }
 
-// TestGoldenExperiments renders every experiment the way dsmrun -exp does —
-// prefetch its declared points, then Run — on one runner per worker count,
-// and compares each table's bytes with the recorded digest.
+// TestGoldenExperiments renders every experiment the way dsmrun -exp all
+// does — one sweep of every declared point, then each table from its own
+// points' results — at each worker count, and compares each table's bytes
+// with the recorded digest.
 func TestGoldenExperiments(t *testing.T) {
-	if len(goldenExperiments) != len(Experiments()) {
-		t.Errorf("%d digests for %d experiments", len(goldenExperiments), len(Experiments()))
+	exps := Experiments()
+	if len(goldenExperiments) != len(exps) {
+		t.Errorf("%d digests for %d experiments", len(goldenExperiments), len(exps))
 	}
 	for _, workers := range []int{1, 4} {
 		var out bytes.Buffer
-		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Workers: workers}, Nodes: 4, Out: &out})
-		for _, e := range Experiments() {
+		for i, r := range sweepFor(t, sweep.Options{Size: apps.Small, Workers: workers}, Options{Nodes: 4, Out: &out}, exps...) {
+			e := exps[i]
 			out.Reset()
-			if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
-				t.Fatalf("%s: %v", e.Name, err)
-			}
 			if err := e.Run(r); err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}

@@ -4,95 +4,118 @@
 // Barnes data-traffic comparison, and the relative-efficiency harmonic
 // means of Tables 16 and 17 — and the extension tables beside them.
 //
-// All runs go through the sweep engine (internal/sweep): every experiment
-// declares the cuts of the evaluation cross product it reads, results are
-// memoized so experiments share them (the fault tables reuse Figure 1's
-// runs, for example), progress, CSV and record output is written under one
-// lock in canonical order, and Prefetch fans an experiment's whole point set
-// out over a worker pool before the table renders — with output identical,
-// byte for byte, to fully serial execution.
+// Every table is a pure function of the runs it reads. An experiment
+// declares the cuts of the evaluation cross product it reads (PointsFor
+// names their points); the caller runs those points once, through the
+// sweep engine (internal/sweep), and hands the finished results to New.
+// A render then only looks results up: it runs nothing, and a point its
+// declaration does not name is an error, not an extra run.
 package harness
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
 
+	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/sweep"
 )
 
-// Options configures a Runner: the sweep engine's settings — problem
-// size, verification, workers, the per-run core.Config template, the
-// progress, CSV and record writers, the fault grid — plus the three of its
-// own. The engine's settings apply to every experiment's runs, except a
-// setting a cut sets itself (sweep.Settings: a check cost, a profiler,
-// degradation's loss plans). Under a FaultGrid the tables render the FIRST
-// variant's runs while every variant reaches the progress and CSV streams;
+// Options is what the renderers read: the scale the declared points were
+// run at, the protocol set the matrix experiments sweep, the fault-grid
+// variants, the what-if scale the critpath table names, and where the
+// tables go. Under a fault grid the tables render the FIRST variant's runs;
 // a cut with its own fault plan has no variants.
 type Options struct {
-	sweep.Options
-	// Nodes is the cluster size (the paper uses 16).
+	// Nodes is the cluster size (the paper uses 16; 0 means 16).
 	Nodes int
-	// Out receives the rendered tables.
-	Out io.Writer
+	// Size is the problem scale (table1's problem-size labels).
+	Size apps.SizeClass
 	// Protocols overrides the protocol set the matrix experiments sweep
 	// and render. Nil keeps the paper's three-protocol reproduction
 	// matrix (proto.PaperNames); any registered name is accepted — see
 	// proto.Names for the registry's catalog.
 	Protocols []string
+	// Faults names the fault-grid variants (sweep.Options.FaultGrid) every
+	// matrix point without a plan of its own runs under.
+	Faults []string
+	// WhatIf is the cost-class rescaling every run's template carried, if
+	// any; the critpath table names it.
+	WhatIf *critpath.Scale
+	// Out receives the rendered tables.
+	Out io.Writer
 }
 
-// Runner executes and caches simulation runs via the sweep engine.
+// Runner is a read-only view of a finished set of runs, the one thing the
+// renderers read.
 type Runner struct {
-	opts Options
-	eng  *sweep.Engine
+	opts    Options
+	results map[sweep.Key]*core.Result
 }
 
-// New creates a Runner.
-func New(opts Options) (*Runner, error) {
-	if opts.Nodes == 0 {
-		opts.Nodes = 16
+// New views results, aligned with the keys they were run for (what
+// sweep.Engine.Run returns for keys), under opts.
+func New(opts Options, keys []sweep.Key, results []*core.Result) *Runner {
+	opts.Nodes = cmp.Or(opts.Nodes, 16)
+	r := &Runner{opts: opts, results: make(map[sweep.Key]*core.Result, len(keys))}
+	for i, k := range keys {
+		r.results[k] = results[i]
 	}
-	eng, err := sweep.New(opts.Options)
-	if err != nil {
-		return nil, err
-	}
-	opts.Options = eng.Options()
-	return &Runner{opts: opts, eng: eng}, nil
+	return r
 }
 
-// ForkStats reports the engine's prefix-sharing counters (zero unless
-// Options.Fork engaged).
-func (r *Runner) ForkStats() sweep.ForkStats { return r.eng.ForkStats() }
-
-// Result runs (or returns the memoized run of) one point: a matrix point
-// or an application's sequential baseline (sweep.Seq).
+// Result returns the run of one point: a matrix point or an application's
+// sequential baseline (sweep.Seq). A point the results do not hold is an
+// error naming it.
 func (r *Runner) Result(k sweep.Key) (*core.Result, error) {
-	return r.eng.RunOne(context.Background(), k)
-}
-
-// Prefetch computes every key over the runner's worker pool, filling the
-// memo so subsequent Result calls are cache hits. Progress and
-// CSV records are emitted in the order of keys regardless of completion
-// order, so a parallel prefetch is byte-identical to a serial one.
-func (r *Runner) Prefetch(ctx context.Context, keys []sweep.Key) error {
-	_, err := r.eng.Run(ctx, sweep.Dedupe(keys))
-	return err
+	if res, ok := r.results[k]; ok {
+		return res, nil
+	}
+	return nil, undeclared(k)
 }
 
 // Speedup returns T_seq / T_par for one point.
-func (r *Runner) Speedup(k sweep.Key) (float64, error) {
-	seq, err := r.Result(sweep.Seq(k.App))
-	if err != nil {
-		return 0, err
-	}
+func (r *Runner) Speedup(k sweep.Key) (s float64, err error) {
+	defer catch(&err)
+	return r.speedup(k), nil
+}
+
+// undeclared is the error of a lookup outside the results.
+type undeclared sweep.Key
+
+func (k undeclared) Error() string {
+	return fmt.Sprintf("harness: %s is not among the declared points", sweep.Key(k))
+}
+
+// result is Result for the renderers: a point the results do not hold
+// abandons the render, and the experiment's Run (declare) returns the error
+// naming it, so a render is straight-line formatting with no error paths.
+func (r *Runner) result(k sweep.Key) *core.Result {
 	res, err := r.Result(k)
 	if err != nil {
-		return 0, err
+		panic(err)
 	}
-	return float64(seq.Time) / float64(res.Time), nil
+	return res
+}
+
+// speedup is Speedup for the renderers, failing as result does.
+func (r *Runner) speedup(k sweep.Key) float64 {
+	return float64(r.result(sweep.Seq(k.App)).Time) / float64(r.result(k).Time)
+}
+
+// catch ends a render that looked up an undeclared point, deferred, setting
+// *err to that point's error; any other panic goes on.
+func catch(err *error) {
+	if p := recover(); p != nil {
+		k, ok := p.(undeclared)
+		if !ok {
+			panic(p)
+		}
+		*err = k
+	}
 }
 
 func (r *Runner) printf(format string, args ...any) {
@@ -112,11 +135,10 @@ func harmonicMean(xs []float64) float64 {
 type Experiment struct {
 	Name string
 	Desc string
-	// Points lists every run the experiment will consume, for parallel
-	// prefetch.
+	// Points lists every run the experiment reads.
 	Points func(o Options) []sweep.Key
-	// Run renders the experiment (drawing on prefetched runs when the
-	// caller prefetched; computing serially otherwise).
+	// Run renders the experiment from a Runner holding (at least) its
+	// Points' results.
 	Run func(r *Runner) error
 }
 
@@ -133,9 +155,9 @@ func Get(name string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", name, names)
 }
 
-// PointsFor unions (and dedupes) the prefetchable point sets of the given
-// experiments, preserving experiment order — the deterministic emission
-// order of a prefetch covering them.
+// PointsFor unions (and dedupes) the point sets of the given experiments,
+// preserving experiment order — the deterministic emission order of the
+// one sweep that runs them.
 func PointsFor(o Options, exps []Experiment) []sweep.Key {
 	var pts []sweep.Key
 	for _, e := range exps {

@@ -5,44 +5,75 @@ import (
 	"context"
 	"io"
 	"math"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"dsmsim/internal/apps"
+	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/sweep"
 )
 
-// mustNew builds a runner from options the test knows to be valid.
-func mustNew(t testing.TB, o Options) *Runner {
+// sweepFor runs every point exps declare in one sweep under so, the way
+// dsmrun -exp does, and returns per experiment a Runner over exactly that
+// experiment's declared points, rendering to o.Out. o takes its problem
+// size and fault variants from so.
+func sweepFor(t testing.TB, so sweep.Options, o Options, exps ...Experiment) []*Runner {
 	t.Helper()
-	r, err := New(o)
+	o.Size = so.Size
+	for _, v := range so.FaultGrid {
+		o.Faults = append(o.Faults, v.Name)
+	}
+	all := runPoints(t, so, o, PointsFor(o, exps)...)
+	var rs []*Runner
+	for _, e := range exps {
+		own := e.Points(o)
+		res := make([]*core.Result, len(own))
+		for i, k := range own {
+			res[i] = all.results[k]
+		}
+		rs = append(rs, New(o, own, res))
+	}
+	return rs
+}
+
+// runPoints runs keys in one sweep under so and views the results under o.
+func runPoints(t testing.TB, so sweep.Options, o Options, keys ...sweep.Key) *Runner {
+	t.Helper()
+	eng, err := sweep.New(so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	res, err := eng.Run(context.Background(), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(o, keys, res)
 }
 
-func testRunner(t *testing.T) (*Runner, *bytes.Buffer) {
-	t.Helper()
-	var out bytes.Buffer
-	return mustNew(t, Options{Options: sweep.Options{Size: apps.Small}, Nodes: 4, Out: &out}), &out
-}
+// small is the scale the tests render at.
+var small = sweep.Options{Size: apps.Small}
 
-// mustRender runs the named experiments on r, in order.
-func mustRender(t *testing.T, r *Runner, names ...string) {
+// mustRender renders the named experiments, in order, from one sweep of
+// their points at Small size on 4 nodes, and returns what they wrote.
+func mustRender(t *testing.T, names ...string) string {
 	t.Helper()
+	var exps []Experiment
 	for _, name := range names {
 		e, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(r); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		exps = append(exps, e)
+	}
+	var out bytes.Buffer
+	for i, r := range sweepFor(t, small, Options{Nodes: 4, Out: &out}, exps...) {
+		if err := exps[i].Run(r); err != nil {
+			t.Fatalf("%s: %v", exps[i].Name, err)
 		}
 	}
+	return out.String()
 }
 
 func TestHarmonicMean(t *testing.T) {
@@ -55,39 +86,35 @@ func TestHarmonicMean(t *testing.T) {
 	}
 }
 
-func TestSequentialCached(t *testing.T) {
-	r, _ := testRunner(t)
-	a, err := r.Result(sweep.Seq("lu"))
+// viewed checks that every lookup of k in a view of a sweep over it
+// returns the sweep's own result.
+func viewed(t *testing.T, k sweep.Key) {
+	t.Helper()
+	eng, err := sweep.New(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Result(sweep.Seq("lu"))
+	res, err := eng.Run(context.Background(), []sweep.Key{k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("sequential time not cached/deterministic")
+	r := New(Options{}, []sweep.Key{k}, res)
+	for i := 0; i < 2; i++ {
+		if got, err := r.Result(k); err != nil || got != res[0] {
+			t.Fatalf("lookup %d of %s: %p, %v; want the sweep's %p", i, k, got, err, res[0])
+		}
 	}
 }
 
+func TestSequentialCached(t *testing.T) { viewed(t, sweep.Seq("lu")) }
+
 func TestResultCached(t *testing.T) {
-	r, _ := testRunner(t)
-	a, err := r.Result(sweep.Key{App: "lu", Protocol: "sc", Block: 1024, Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Result(sweep.Key{App: "lu", Protocol: "sc", Block: 1024, Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("result not cached")
-	}
+	viewed(t, sweep.Key{App: "lu", Protocol: "sc", Block: 1024, Nodes: 4})
 }
 
 func TestSpeedupPositive(t *testing.T) {
-	r, _ := testRunner(t)
-	s, err := r.Speedup(sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4})
+	k := sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4}
+	s, err := runPoints(t, small, Options{}, sweep.Seq("lu"), k).Speedup(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +149,7 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestTable1Small(t *testing.T) {
-	r, out := testRunner(t)
-	mustRender(t, r, "table1")
-	s := out.String()
+	s := mustRender(t, "table1")
 	for _, app := range apps.Originals() {
 		if !strings.Contains(s, app) {
 			t.Fatalf("table 1 missing %s:\n%s", app, s)
@@ -133,18 +158,14 @@ func TestTable1Small(t *testing.T) {
 }
 
 func TestFaultTableSmall(t *testing.T) {
-	r, out := testRunner(t)
-	mustRender(t, r, "table3")
-	if !strings.Contains(out.String(), "read") || !strings.Contains(out.String(), "write") {
-		t.Fatalf("fault table malformed:\n%s", out.String())
+	if s := mustRender(t, "table3"); !strings.Contains(s, "read") || !strings.Contains(s, "write") {
+		t.Fatalf("fault table malformed:\n%s", s)
 	}
 }
 
 func TestFig2Small(t *testing.T) {
-	r, out := testRunner(t)
-	mustRender(t, r, "fig2")
-	if !strings.Contains(out.String(), "interrupt") {
-		t.Fatalf("fig2 malformed:\n%s", out.String())
+	if s := mustRender(t, "fig2"); !strings.Contains(s, "interrupt") {
+		t.Fatalf("fig2 malformed:\n%s", s)
 	}
 }
 
@@ -154,9 +175,7 @@ func TestTables16And17Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full cross product")
 	}
-	r, out := testRunner(t)
-	mustRender(t, r, "table16", "table17")
-	s := out.String()
+	s := mustRender(t, "table16", "table17")
 	if !strings.Contains(s, "Table 16") || !strings.Contains(s, "Table 17") || !strings.Contains(s, "p_best") {
 		t.Fatalf("tables malformed:\n%s", s)
 	}
@@ -172,9 +191,7 @@ func TestExtensionExperimentsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension sweep")
 	}
-	r, out := testRunner(t)
-	mustRender(t, r, "memory", "scaling", "software", "delayed", "fourway", "bigblocks", "breakdown")
-	s := out.String()
+	s := mustRender(t, "memory", "scaling", "software", "delayed", "fourway", "bigblocks", "breakdown")
 	for _, want := range []string{"memory utilization", "cluster size", "All-software", "Four protocol families", "tlc"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in:\n%s", want, s)
@@ -183,12 +200,7 @@ func TestExtensionExperimentsSmall(t *testing.T) {
 }
 
 func TestDegradationTableSmall(t *testing.T) {
-	table := func() string {
-		r, out := testRunner(t)
-		mustRender(t, r, "degradation")
-		return out.String()
-	}
-	s := table()
+	s := mustRender(t, "degradation")
 	for _, want := range []string{"Degradation under link loss", "sc", "swlrc", "hlrc", "0.050"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in:\n%s", want, s)
@@ -210,8 +222,8 @@ func TestDegradationTableSmall(t *testing.T) {
 	if !sawRetx {
 		t.Fatalf("no lossy row reports retransmissions:\n%s", s)
 	}
-	if again := table(); again != s {
-		t.Fatal("degradation table not deterministic across runners")
+	if again := mustRender(t, "degradation"); again != s {
+		t.Fatal("degradation table not deterministic across sweeps")
 	}
 }
 
@@ -221,19 +233,15 @@ func TestDegradationTableSmall(t *testing.T) {
 func TestOwnPlanTakesNoGridVariant(t *testing.T) {
 	render := func(grid []sweep.FaultVariant) (string, []sweep.Key) {
 		var out bytes.Buffer
-		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, FaultGrid: grid}, Nodes: 4, Out: &out})
 		e, err := Get("degradation")
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts := PointsFor(r.opts, []Experiment{e})
-		if err := r.Prefetch(context.Background(), pts); err != nil {
-			t.Fatal(err)
-		}
+		r := sweepFor(t, sweep.Options{Size: apps.Small, FaultGrid: grid}, Options{Nodes: 4, Out: &out}, e)[0]
 		if err := e.Run(r); err != nil {
 			t.Fatal(err)
 		}
-		return out.String(), pts
+		return out.String(), PointsFor(r.opts, []Experiment{e})
 	}
 	plain, _ := render(nil)
 	got, pts := render([]sweep.FaultVariant{{Name: "a", Plan: faults.NewPlan(faults.Drop(0.05), faults.Seed(2))}, {Name: "b"}})
@@ -254,9 +262,7 @@ func TestFig1Table2Table15Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full cross product")
 	}
-	r, out := testRunner(t)
-	mustRender(t, r, "fig1", "table2", "table15")
-	s := out.String()
+	s := mustRender(t, "fig1", "table2", "table15")
 	for _, want := range []string{"Figure 1", "Table 2", "Table 15", "barnes-original", "multiple"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in output", want)
@@ -269,20 +275,17 @@ func TestFig1Table2Table15Small(t *testing.T) {
 }
 
 // TestPrefetchParallelDeterminism checks the dsmrun -exp pipeline end to end:
-// prefetching an experiment's points at 8 workers and rendering must
-// produce byte-identical table, progress and CSV output to 1 worker.
+// sweeping an experiment's points at 8 workers and rendering must produce
+// byte-identical table, progress and CSV output to 1 worker.
 func TestPrefetchParallelDeterminism(t *testing.T) {
 	render := func(parallel int) (table, progress, csv string) {
 		var tb, pb, cb bytes.Buffer
-		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, CSV: &cb, Workers: parallel}, Nodes: 4, Out: &tb})
 		e, err := Get("table3") // lu fault table: 3 protocols × 4 granularities
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(r); err != nil {
+		so := sweep.Options{Size: apps.Small, Progress: &pb, CSV: &cb, Workers: parallel}
+		if err := e.Run(sweepFor(t, so, Options{Nodes: 4, Out: &tb}, e)[0]); err != nil {
 			t.Fatal(err)
 		}
 		return tb.String(), pb.String(), cb.String()
@@ -303,28 +306,24 @@ func TestPrefetchParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMemoHitIsNotANewPoint: rendering a prefetched table looks each of its
-// points up again, and every such lookup is served by the memo. /metrics
-// must still count each point once and list each series once (Prometheus
-// rejects a repeated sample), while the memo-hit counter counts the
-// lookups.
+// TestMemoHitIsNotANewPoint: a table rendered after the sweep of its
+// points reads the finished results, never the engine, so the memo serves
+// nothing. /metrics must count each point once and list each series once
+// (Prometheus rejects a repeated sample).
 func TestMemoHitIsNotANewPoint(t *testing.T) {
 	reg := sweep.NewRegistry()
-	r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Workers: 2, Metrics: reg}, Nodes: 4, Out: io.Discard})
 	e, err := Get("table3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(r); err != nil {
+	so := sweep.Options{Size: apps.Small, Workers: 2, Metrics: reg}
+	if err := e.Run(sweepFor(t, so, Options{Nodes: 4, Out: io.Discard}, e)[0]); err != nil {
 		t.Fatal(err)
 	}
 	var text strings.Builder
 	reg.WritePrometheus(&text)
 	for _, want := range []string{"dsmsim_sweep_points_total 12\n", "dsmsim_sweep_points_completed 12\n",
-		"dsmsim_sweep_memo_hits_total 24\n"} {
+		"dsmsim_sweep_memo_hits_total 0\n"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
@@ -343,33 +342,59 @@ func TestMemoHitIsNotANewPoint(t *testing.T) {
 	}
 }
 
-// TestPointsForCoversExperiments checks that every experiment's declared
-// point set satisfies its Run, under the paper's protocol set and under an
-// override: after the prefetch, rendering must compute no run, for every
-// run it computes writes a progress line.
+// TestPointsForCoversExperiments renders every experiment from exactly its
+// declared points' results, under the paper's protocol set and under an
+// override: a lookup outside them fails the render naming the point.
 func TestPointsForCoversExperiments(t *testing.T) {
+	exps := Experiments()
 	for _, protos := range [][]string{nil, {"sc"}} {
-		var pb bytes.Buffer
-		r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, Workers: 4},
-			Nodes: 4, Out: io.Discard, Protocols: protos})
-		for _, e := range Experiments() {
-			if err := r.Prefetch(context.Background(), PointsFor(r.opts, []Experiment{e})); err != nil {
-				t.Fatal(err)
-			}
-			progress := pb.Len()
-			if err := e.Run(r); err != nil {
-				t.Fatal(err)
-			}
-			if uncovered := pb.String()[progress:]; uncovered != "" {
-				t.Errorf("protocols %v: %s ran points its declaration does not name:\n%s", protos, e.Name, uncovered)
+		o := Options{Nodes: 4, Out: io.Discard, Protocols: protos}
+		for i, r := range sweepFor(t, sweep.Options{Size: apps.Small, Workers: 4}, o, exps...) {
+			if err := exps[i].Run(r); err != nil {
+				t.Errorf("protocols %v: %s: %v", protos, exps[i].Name, err)
 			}
 		}
 	}
 }
 
+// TestUndeclaredPointIsAnError: a view holds the points it was given and
+// nothing else — a lookup of another point, a speedup without its
+// baseline, and a render missing one of its declared points each fail
+// naming the point, and nothing runs it.
+func TestUndeclaredPointIsAnError(t *testing.T) {
+	e, err := Get("table3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Nodes: 4, Out: io.Discard}
+	keys := e.Points(o)
+	res := make([]*core.Result, len(keys))
+	for i := range res {
+		res[i] = &core.Result{Time: 1}
+	}
+	r := New(o, keys, res)
+	if err := e.Run(r); err != nil {
+		t.Fatalf("table3 from its declared points: %v", err)
+	}
+	missing := keys[len(keys)-1]
+	for _, c := range []struct {
+		name string
+		err  error
+		want sweep.Key
+	}{
+		{"lookup", func() error { _, err := r.Result(sweep.Seq("lu")); return err }(), sweep.Seq("lu")},
+		{"speedup", func() error { _, err := r.Speedup(keys[0]); return err }(), sweep.Seq("lu")},
+		{"render", e.Run(New(o, keys[:len(keys)-1], res)), missing},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want.String()+" is not among the declared points") {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, c.err, c.want)
+		}
+	}
+}
+
 func TestLabelPaperVsSmall(t *testing.T) {
-	small := mustNew(t, Options{Options: sweep.Options{Size: apps.Small}, Nodes: 4, Out: io.Discard})
-	paper := mustNew(t, Options{Options: sweep.Options{Size: apps.Paper}, Nodes: 4, Out: io.Discard})
+	small := New(Options{Size: apps.Small, Nodes: 4}, nil, nil)
+	paper := New(Options{Size: apps.Paper, Nodes: 4}, nil, nil)
 	if small.label("lu") == paper.label("lu") {
 		t.Fatal("labels must differ by size class")
 	}
@@ -378,15 +403,12 @@ func TestLabelPaperVsSmall(t *testing.T) {
 	}
 }
 
+// TestCSVOutput: the sweep a view is made from writes its run table, one
+// row per point in the order given.
 func TestCSVOutput(t *testing.T) {
 	var csv bytes.Buffer
-	r := mustNew(t, Options{Options: sweep.Options{Size: apps.Small, CSV: &csv}, Nodes: 4, Out: io.Discard})
-	if _, err := r.Result(sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Result(sweep.Key{App: "lu", Protocol: "sc", Block: 64, Nodes: 4}); err != nil {
-		t.Fatal(err)
-	}
+	runPoints(t, sweep.Options{Size: apps.Small, CSV: &csv}, Options{},
+		sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4}, sweep.Key{App: "lu", Protocol: "sc", Block: 64, Nodes: 4})
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("csv lines = %d, want header + 2 records:\n%s", len(lines), csv.String())
@@ -396,59 +418,5 @@ func TestCSVOutput(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "lu,hlrc,4096,polling,4,") {
 		t.Fatalf("bad record: %s", lines[1])
-	}
-}
-
-// fill sets every exported field under v to a non-zero value.
-func fill(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if v.Type().Field(i).IsExported() {
-				fill(v.Field(i))
-			}
-		}
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Int, reflect.Int64:
-		v.SetInt(7)
-	case reflect.String:
-		v.SetString("x")
-	case reflect.Pointer:
-		v.Set(reflect.New(v.Type().Elem()))
-	case reflect.Slice:
-		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
-		fill(v.Index(0))
-	case reflect.Interface: // every interface-typed setting is an io.Writer
-		v.Set(reflect.ValueOf(&bytes.Buffer{}))
-	default:
-		panic("fill: unhandled kind " + v.Kind().String())
-	}
-}
-
-// TestNoSettingDroppedOnTheWayDown sets every exported field of Options
-// and checks each arrives: the embedded engine settings in the options the
-// engine runs under, the runner's own three in the runner. Shadowing is
-// how an embedded setting would get lost — callers writing the outer field,
-// the engine reading the inner — so the closing loop refuses a field named
-// like one of sweep.Options'.
-func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
-	var o Options
-	fill(reflect.ValueOf(&o).Elem())
-	r := mustNew(t, o)
-	want := o
-	if got := r.eng.Options(); !reflect.DeepEqual(got, want.Options) {
-		t.Fatalf("engine options:\n got %+v\nwant %+v", got, want.Options)
-	}
-	if !reflect.DeepEqual(r.opts, want) {
-		t.Fatalf("runner options:\n got %+v\nwant %+v", r.opts, want)
-	}
-	typ := reflect.TypeOf(o)
-	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); !f.Anonymous {
-			if _, shadows := reflect.TypeOf(o.Options).FieldByName(f.Name); shadows {
-				t.Errorf("harness.Options.%s shadows sweep.Options.%s", f.Name, f.Name)
-			}
-		}
 	}
 }

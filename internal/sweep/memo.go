@@ -6,8 +6,8 @@ import (
 	"dsmsim/internal/core"
 )
 
-// Memo is a concurrency-safe, single-flight cache: when several workers (or
-// several experiments) want the same key at once, exactly one computes it
+// Memo is a concurrency-safe, single-flight cache: when several workers
+// want the same key at once, exactly one computes it
 // and the rest wait for that computation. An Engine keeps two for its
 // lifetime — run results keyed by Key, and shared warmup prefixes keyed by
 // (prefix point, cut epoch) — so a later sweep over the same points reuses

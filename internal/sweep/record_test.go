@@ -132,7 +132,10 @@ func TestProjectHasRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, table := range []string{"run", "prof", "crit", "sample"} {
+	if len(Tables) != len(tables) {
+		t.Errorf("Tables names %d of the %d tables", len(Tables), len(tables))
+	}
+	for _, table := range Tables {
 		if err := Project(io.Discard, table, recs); err != nil {
 			t.Errorf("%s: %v", table, err)
 		}

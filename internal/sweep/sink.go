@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 
 	"dsmsim/internal/core"
@@ -128,7 +129,7 @@ var ErrNoRows = errors.New("no matrix run in the records has a row in it")
 func Project(w io.Writer, name string, recs []Record) error {
 	table, ok := tables[name]
 	if !ok {
-		return fmt.Errorf("no table %q (want run, prof, crit or sample)", name)
+		return fmt.Errorf("no table %q (want one of %s)", name, strings.Join(Tables, ", "))
 	}
 	p := table(w, slices.ContainsFunc(recs, func(r Record) bool { return r.Point.Fault != "" }))
 	s := &Sink{outputs: []*projection{p}}
@@ -216,6 +217,9 @@ func faultHist(res *core.Result) stats.Histogram {
 	h.Merge(&res.Total.WriteFaultTime)
 	return h
 }
+
+// Tables names a record's CSV projections, the tables Project writes.
+var Tables = []string{"run", "prof", "crit", "sample"}
 
 // tables are a record's CSV projections by the names Project takes, each
 // building its table into a writer, with a fault column when asked.

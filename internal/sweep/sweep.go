@@ -8,7 +8,7 @@
 // adds on top is the bookkeeping that keeps it *observably* serial:
 //
 //   - a single-flight Memo so each configuration runs exactly once no
-//     matter how many experiments or workers want it;
+//     matter how many workers want it;
 //   - a Sink that writes progress lines, CSV tables and run records under
 //     one lock;
 //   - ordered release — completed runs are emitted in canonical sweep
@@ -159,7 +159,7 @@ func (s Spec) Points() []Key {
 }
 
 // Dedupe returns keys with duplicates removed, keeping first occurrences
-// (prefetch lists built from several experiments overlap heavily).
+// (point lists built from several experiments overlap heavily).
 func Dedupe(keys []Key) []Key {
 	seen := make(map[Key]bool, len(keys))
 	out := keys[:0:0]
@@ -173,8 +173,8 @@ func Dedupe(keys []Key) []Key {
 }
 
 // Options configures an Engine. It is the one struct every layer above
-// core spells run settings in: harness.Options embeds it and the public
-// dsmsim.Option functions write into it directly.
+// core spells run settings in: dsmrun fills it from its flags and the
+// public dsmsim.Option functions write into it directly.
 type Options struct {
 	// Config is the template every run's core.Config starts from: Limit
 	// (0 = a generous default), SampleEvery, ShareProfile, CritPath,
@@ -224,9 +224,10 @@ type Options struct {
 	Fork bool
 }
 
-// Engine runs sweeps. It owns the memo and the output sink, so one Engine
-// shared across many sweeps (the harness Runner holds one for all its
-// experiments) never repeats a run and never interleaves output.
+// Engine runs sweeps. It owns the memo and the output sink, so a point is
+// computed once however many times a sweep lists it (or later sweeps on
+// the same Engine do), and output never interleaves. The memo also holds
+// the warmup prefixes forked runs share.
 type Engine struct {
 	opts Options
 	memo Memo[Key, *core.Result]
@@ -288,13 +289,6 @@ func (e *Engine) runKey(ctx context.Context, k Key) (*core.Result, error, bool) 
 		}
 	}
 	return res, err, fresh
-}
-
-// RunOne is Run of one key: the (memoized) result, its progress line and
-// records emitted if this call computed it. A failed write fails it.
-func (e *Engine) RunOne(ctx context.Context, k Key) (*core.Result, error) {
-	res, err := e.Run(ctx, []Key{k})
-	return res[0], err
 }
 
 // Run executes every key over the worker pool and returns results aligned

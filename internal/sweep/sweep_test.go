@@ -161,20 +161,23 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunOneMemoized: a key listed twice in one Run, and again in a
+// second Run on the same engine, is computed once — every lookup returns
+// the one result, and only the computation writes a progress line.
 func TestRunOneMemoized(t *testing.T) {
 	var pb bytes.Buffer
 	e := mustNew(t, Options{Size: apps.Small, Workers: 2, Progress: &pb})
 	k := Key{App: "lu", Protocol: core.SC, Block: 1024, Notify: network.Polling, Nodes: 4}
-	a, err := e.RunOne(context.Background(), k)
+	a, err := e.Run(context.Background(), []Key{k, k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.RunOne(context.Background(), k)
+	b, err := e.Run(context.Background(), []Key{k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("second RunOne did not hit the memo")
+	if a[0] != a[1] || a[0] != b[0] {
+		t.Fatal("a repeated key did not hit the memo")
 	}
 	if n := bytes.Count(pb.Bytes(), []byte("run  ")); n != 1 {
 		t.Fatalf("progress lines = %d, want 1 (cache hits stay silent)", n)
@@ -391,17 +394,17 @@ func TestWhatIfSetting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	template, err := mustNew(t, Options{Size: apps.Small, Config: core.Config{WhatIf: scale}}).RunOne(ctx, plain)
+	template, err := mustNew(t, Options{Size: apps.Small, Config: core.Config{WhatIf: scale}}).Run(ctx, []Key{plain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[1].Time != template.Time || res[1].Time >= res[0].Time {
+	if res[1].Time != template[0].Time || res[1].Time >= res[0].Time {
 		t.Errorf("twin %v, template-scaled %v, plain %v: want the first two equal and below the third",
-			res[1].Time, template.Time, res[0].Time)
+			res[1].Time, template[0].Time, res[0].Time)
 	}
 	bad := plain
 	bad.WhatIf = "msg"
-	if _, err := mustNew(t, Options{Size: apps.Small}).RunOne(ctx, bad); err == nil || !strings.HasPrefix(err.Error(), bad.String()+": ") {
+	if _, err := mustNew(t, Options{Size: apps.Small}).Run(ctx, []Key{bad}); err == nil || !strings.HasPrefix(err.Error(), bad.String()+": ") {
 		t.Errorf("err = %v, want a bad what-if spec named %s", err, bad)
 	}
 }

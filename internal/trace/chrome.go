@@ -12,21 +12,41 @@ import (
 	"dsmsim/internal/sim"
 )
 
-// Chrome reads a line-format trace from r and writes it to w as a Chrome
-// trace-event JSON array. A line that is not one event — a line cut short,
-// a field that is not an integer where one belongs, more than 64 KiB — stops
-// the projection with an error naming its 1-based line number, the records
-// before it already written. The lines the simulator writes read back
-// exactly; a category, name or argument key that is
-// empty or holds a space or '=' cannot be told from its neighbours, and an
-// instant's first argument must not be keyed "dur".
-func Chrome(w io.Writer, r io.Reader) error {
+// Chrome reads a line-format trace from r, from where r stands, and writes
+// it to w as a Chrome trace-event JSON array. It reads r twice: first to
+// check that every line is one event, then to write them, so a line that
+// is not — a line cut short, a field that is not an integer where one
+// belongs, more than 64 KiB — fails the projection with an error naming
+// its 1-based line number before anything reaches w. The lines the
+// simulator writes read back exactly; a category, name or argument key
+// that is empty or holds a space or '=' cannot be told from its
+// neighbours, and an instant's first argument must not be keyed "dur".
+func Chrome(w io.Writer, r io.ReadSeeker) error {
+	start, err := r.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
+	if err := eachEvent(r, func(*Event) {}); err != nil {
+		return err
+	}
+	if _, err := r.Seek(start, io.SeekStart); err != nil {
+		return err
+	}
 	c := chrome{w: bufio.NewWriter(w), named: make(map[int]uint16)}
+	if err := eachEvent(r, c.event); err != nil {
+		return err
+	}
+	return c.close()
+}
+
+// eachEvent reads r one line at a time and hands fn each line's event. A
+// line that is not one event stops it with an error naming the line.
+func eachEvent(r io.Reader, fn func(*Event)) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	for n := 1; ; n++ {
 		line, err := br.ReadSlice('\n')
 		if err == io.EOF && len(line) == 0 {
-			break
+			return nil
 		}
 		var e Event
 		switch err {
@@ -38,9 +58,8 @@ func Chrome(w io.Writer, r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("line %d: %w", n, err)
 		}
-		c.event(&e)
+		fn(&e)
 	}
-	return c.close()
 }
 
 // parseLine reads one event back from its line-format encoding (appendLine

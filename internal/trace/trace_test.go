@@ -131,7 +131,8 @@ func TestJSONEmptyTrace(t *testing.T) {
 }
 
 // TestChromeRejectsMalformedLines: a line that is not one event fails the
-// projection with its 1-based number, whatever came before it.
+// projection with its 1-based number, whatever came before it, and nothing
+// is written.
 func TestChromeRejectsMalformedLines(t *testing.T) {
 	const good = "        1500 net   node2   send dst=1 bytes=64\n"
 	for _, tc := range []struct {
@@ -155,6 +156,9 @@ func TestChromeRejectsMalformedLines(t *testing.T) {
 		if want := fmt.Sprintf("line %d: ", tc.line); err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q naming %q", tc.name, err, want, tc.want)
 		}
+		if sb.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the error", tc.name, sb.Len())
+		}
 	}
 }
 
@@ -172,16 +176,20 @@ const traceExcerpt = `           0 crit  node0   overhead dur=5000
            0 synch node1   interval idx=1 notices=0
 `
 
-// FuzzChrome: whatever the bytes, the projection ends in an error or in
-// valid JSON, never in a panic.
+// FuzzChrome: whatever the bytes, the projection ends in an error with
+// nothing written or in valid JSON, never in a panic.
 func FuzzChrome(f *testing.F) {
 	f.Add([]byte(traceExcerpt))
 	f.Add([]byte(traceExcerpt[:100]))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sb strings.Builder
-		if err := Chrome(&sb, bytes.NewReader(data)); err == nil && !json.Valid([]byte(sb.String())) {
+		err := Chrome(&sb, bytes.NewReader(data))
+		if err == nil && !json.Valid([]byte(sb.String())) {
 			t.Fatalf("Chrome(%q) wrote invalid JSON:\n%s", data, sb.String())
+		}
+		if err != nil && sb.Len() != 0 {
+			t.Fatalf("Chrome(%q) failed (%v) after writing %d bytes", data, err, sb.Len())
 		}
 	})
 }

@@ -73,8 +73,8 @@ metrics() {
 	python3 -c "$jsonl" "$tmp/p1.jsonl"
 	$GO build -o "$tmp/dsmrun" ./cmd/dsmrun # a binary of our own, so the kill below reaches it
 	# Scrape in the -metrics-linger window, once fig1's table is on stdout
-	# (water-spatial is its last row): by then every point has finished and
-	# the render has looked each one up again through the memo.
+	# (water-spatial is its last row): the table renders from the finished
+	# sweep, so by then every point has completed.
 	"$tmp/dsmrun" -exp fig1 -size small -nodes 4 -metrics-addr 127.0.0.1:9101 -metrics-linger 60s >"$tmp/fig1.txt" 2>/dev/null &
 	local pid=$! i total
 	for i in $(seq 1 300); do
