@@ -31,8 +31,8 @@ var (
 
 // BenchmarkExperiment regenerates every harness experiment, one
 // sub-benchmark per registry entry, the way dsmrun -exp NAME -parallel 1
-// does: per iteration, a fresh engine runs the experiment's declared
-// points serially, then the table renders from the results.
+// does: per iteration, one sweep runs the experiment's declared points
+// serially, then the table renders from the results.
 func BenchmarkExperiment(b *testing.B) {
 	size := apps.Small
 	if *paperSize {
@@ -46,11 +46,7 @@ func BenchmarkExperiment(b *testing.B) {
 		b.Run(e.Name, func(b *testing.B) {
 			keys := harness.PointsFor(o, []harness.Experiment{e})
 			for i := 0; i < b.N; i++ {
-				eng, err := sweep.New(sweep.Options{Size: size, Workers: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := eng.Run(context.Background(), keys)
+				res, _, err := sweep.Run(context.Background(), sweep.Options{Size: size, Workers: 1}, keys)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -38,7 +38,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -52,6 +51,7 @@ import (
 	"time"
 
 	"dsmsim"
+	"dsmsim/internal/core"
 	"dsmsim/internal/harness"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/profiling"
@@ -109,6 +109,9 @@ func (c *cli) run() (err error) {
 	}
 	if set["metrics-linger"] && c.metricsAddr == "" {
 		return errors.New("-metrics-linger needs -metrics-addr")
+	}
+	if c.nodes < 1 || c.nodes > core.MaxNodes {
+		return fmt.Errorf("-nodes %d: want 1 to %d", c.nodes, core.MaxNodes)
 	}
 	var exps []harness.Experiment
 	if c.exp != "" {
@@ -171,7 +174,7 @@ func (c *cli) run() (err error) {
 		view.Faults = append(view.Faults, v.Name)
 	}
 	// Every kind of run is the points it runs and how it renders their
-	// results: one Engine.Run, then the render.
+	// results: one sweep.Run, then the render.
 	var keys []sweep.Key
 	var render func(*harness.Runner) error
 	switch {
@@ -183,16 +186,11 @@ func (c *cli) run() (err error) {
 		}
 		keys, render = expTables(view, exps)
 	default:
-		spec.Nodes = cmp.Or(spec.Nodes, 16) // as dsmsim.Sweep and -exp read 0
 		spec.Baselines, spec.Faults = true, view.Faults
 		keys, render = c.crossProduct(spec)
 	}
-	eng, err := sweep.New(o)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	results, err := eng.Run(ctx, keys)
+	results, fork, err := sweep.Run(ctx, o, keys)
 	if err != nil {
 		return err
 	}
@@ -204,7 +202,7 @@ func (c *cli) run() (err error) {
 		if c.exp != "" {
 			fmt.Fprintln(c.stdout) // set apart from the last table
 		}
-		printForkSummary(c.stdout, eng.ForkStats(), wall)
+		printForkSummary(c.stdout, fork, wall)
 	}
 	// Hold the metrics endpoint open for interval-based scrapers that would
 	// otherwise miss a short sweep entirely. Ctrl-C ends the linger early.

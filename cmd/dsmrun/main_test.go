@@ -445,9 +445,10 @@ func TestExpRunSettings(t *testing.T) {
 }
 
 // TestRefusedSelections: a selector that names nothing, a fault plan
-// given both as -faults and as -fault-grid, a selector beside -exp, or a
-// flag that the selected kind of run would ignore is an error naming the
-// flags involved — not a sweep over some default.
+// given both as -faults and as -fault-grid, a selector beside -exp, a
+// -nodes outside 1..1024 in any kind of run, or a flag that the selected
+// kind of run would ignore is an error naming the flags involved — not a
+// sweep over some default.
 func TestRefusedSelections(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-app= -protocol sc -block 4096 -nodes 2", "-app"},
@@ -464,6 +465,10 @@ func TestRefusedSelections(t *testing.T) {
 		{"-metrics-linger 1s -protocol sc,hlrc -nodes 2", "-metrics-linger needs -metrics-addr"},
 		{"-latency -nodes 2", "only a sweep takes -latency"},
 		{"-exp table3 -protocol nope -nodes 2", "unknown protocol \"nope\""},
+		{"-app lu -nodes 0", "-nodes 0: want 1 to 1024"},
+		{"-app lu -protocol sc,hlrc -nodes 0", "-nodes 0: want 1 to 1024"},
+		{"-exp table3 -nodes 0", "-nodes 0: want 1 to 1024"},
+		{"-nodes 1025", "-nodes 1025: want 1 to 1024"},
 		{"-project run -nodes 2 runs.jsonl", "no other flag (flags: -nodes -project; files: 1)"},
 		{"-project run", "-project takes one record FILE and no other flag (flags: -project; files: 0)"},
 		{"-project run a.jsonl b.jsonl", "(flags: -project; files: 2)"},
@@ -476,6 +481,23 @@ func TestRefusedSelections(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("dsmrun %s ran:\n%s", c.args, stdout.Bytes())
+		}
+	}
+}
+
+// TestBadPointRunsNothing: a point that cannot run — a block size that is
+// no power of two, an unknown app — fails the command before any other
+// point runs, its baseline included: no progress line, no statistics, and
+// an empty -record.
+func TestBadPointRunsNothing(t *testing.T) {
+	for _, args := range []string{"-app lu -block 100", "-app lu,nonesuch -protocol sc"} {
+		record := filepath.Join(t.TempDir(), "runs.jsonl")
+		var stdout, stderr bytes.Buffer
+		err := run(append(strings.Fields(args), "-nodes", "4", "-record", record), &stdout, &stderr)
+		data, rerr := os.ReadFile(record)
+		if err == nil || rerr != nil || len(data) != 0 || stdout.Len() != 0 || stderr.Len() != 0 {
+			t.Errorf("dsmrun %s: err %v; record %d bytes (%v), stdout %q, stderr %q; want an error and nothing written",
+				args, err, len(data), rerr, stdout.String(), stderr.String())
 		}
 	}
 }

@@ -101,8 +101,8 @@ type (
 	Series = metrics.Series
 	// Metrics is the live sweep registry: attach one with WithMetrics and
 	// serve it with Metrics.Serve, which exposes one endpoint, Prometheus
-	// text at /metrics. Each point is counted once, however many times a
-	// sweep looks it up; repeat lookups count as memo hits.
+	// text at /metrics. A sweep runs each point once, and the registry
+	// records it once.
 	Metrics = sweep.Registry
 	// SharingReport is the sharing-pattern profiler's per-run report
 	// (Result.Sharing under WithShareProfile): per-region taxonomy

@@ -31,19 +31,16 @@ func TestSharedModelNeverWritten(t *testing.T) {
 		{Name: "jittery", Plan: faults.NewPlan(faults.Drop(0.01), faults.Jitter(20*sim.Microsecond),
 			faults.Seed(3), faults.StartAtBarrier(2))},
 	}
-	eng, err := sweep.New(sweep.Options{
+	o := sweep.Options{
 		Size: apps.Small, Workers: 2, FaultGrid: grid, Fork: true,
 		Config: core.Config{WhatIf: scale},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	spec := sweep.Spec{
 		Apps: []string{"fft"}, Protocols: proto.Names(), Granularities: []int{1024},
 		Notifies: []network.Notify{network.Polling, network.Interrupt}, Nodes: 4,
 		Faults: []string{"none", "jittery"},
 	}
-	if _, err := eng.Run(context.Background(), spec.Points()); err != nil {
+	if _, _, err := sweep.Run(context.Background(), o, spec.Points()); err != nil {
 		t.Fatal(err)
 	}
 	if got := core.SharedModel(); !reflect.DeepEqual(got, timing.Default()) {

@@ -57,7 +57,7 @@ type Runner struct {
 }
 
 // New views results, aligned with the keys they were run for (what
-// sweep.Engine.Run returns for keys), under opts.
+// sweep.Run returns for keys), under opts.
 func New(opts Options, keys []sweep.Key, results []*core.Result) *Runner {
 	opts.Nodes = cmp.Or(opts.Nodes, 16)
 	r := &Runner{opts: opts, results: make(map[sweep.Key]*core.Result, len(keys))}

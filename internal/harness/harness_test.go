@@ -41,11 +41,7 @@ func sweepFor(t testing.TB, so sweep.Options, o Options, exps ...Experiment) []*
 // runPoints runs keys in one sweep under so and views the results under o.
 func runPoints(t testing.TB, so sweep.Options, o Options, keys ...sweep.Key) *Runner {
 	t.Helper()
-	eng, err := sweep.New(so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(context.Background(), keys)
+	res, _, err := sweep.Run(context.Background(), so, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +86,7 @@ func TestHarmonicMean(t *testing.T) {
 // returns the sweep's own result.
 func viewed(t *testing.T, k sweep.Key) {
 	t.Helper()
-	eng, err := sweep.New(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(context.Background(), []sweep.Key{k})
+	res, _, err := sweep.Run(context.Background(), small, []sweep.Key{k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +298,11 @@ func TestPrefetchParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMemoHitIsNotANewPoint: a table rendered after the sweep of its
-// points reads the finished results, never the engine, so the memo serves
-// nothing. /metrics must count each point once and list each series once
+// TestEveryPointOnceInMetrics: a table rendered after the sweep of its
+// points reads the finished results, and the sweep runs each point once.
+// /metrics must count each point once and list each series once
 // (Prometheus rejects a repeated sample).
-func TestMemoHitIsNotANewPoint(t *testing.T) {
+func TestEveryPointOnceInMetrics(t *testing.T) {
 	reg := sweep.NewRegistry()
 	e, err := Get("table3")
 	if err != nil {
@@ -322,8 +314,7 @@ func TestMemoHitIsNotANewPoint(t *testing.T) {
 	}
 	var text strings.Builder
 	reg.WritePrometheus(&text)
-	for _, want := range []string{"dsmsim_sweep_points_total 12\n", "dsmsim_sweep_points_completed 12\n",
-		"dsmsim_sweep_memo_hits_total 0\n"} {
+	for _, want := range []string{"dsmsim_sweep_points_total 12\n", "dsmsim_sweep_points_completed 12\n"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("/metrics lacks %q", want)
 		}

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,18 +14,15 @@ import (
 // runCritSweep executes the fault-grid spec with the critical-path
 // profiler attached to every run and returns the main CSV and the crit
 // table projected from its record.
-func runCritSweep(t *testing.T, workers int, fork bool) (csv, crits string, eng *Engine) {
+func runCritSweep(t *testing.T, workers int, fork bool) (csv, crits string, fs ForkStats) {
 	t.Helper()
 	var cb, rb bytes.Buffer
 	grid := testGrid()
-	eng = mustNew(t, Options{
+	_, fs = mustRun(t, Options{
 		Size: apps.Small, Workers: workers, CSV: &cb, Record: &rb,
 		Config: core.Config{CritPath: true}, FaultGrid: grid, Fork: fork,
-	})
-	if _, err := eng.Run(context.Background(), gridSpec(grid).Points()); err != nil {
-		t.Fatal(err)
-	}
-	return cb.String(), project(t, "crit", &rb), eng
+	}, gridSpec(grid).Points())
+	return cb.String(), project(t, "crit", &rb), fs
 }
 
 // TestCritCSVDeterministicAndForkable: the per-run critical-path CSV is
@@ -39,7 +35,7 @@ func TestCritCSVDeterministicAndForkable(t *testing.T) {
 		workers int
 		fork    bool
 	}{{8, false}, {1, true}, {8, true}} {
-		c, x, eng := runCritSweep(t, tc.workers, tc.fork)
+		c, x, fs := runCritSweep(t, tc.workers, tc.fork)
 		if c != cFlat {
 			t.Fatalf("workers=%d fork=%v: main CSV diverged", tc.workers, tc.fork)
 		}
@@ -47,7 +43,7 @@ func TestCritCSVDeterministicAndForkable(t *testing.T) {
 			t.Fatalf("workers=%d fork=%v: crit CSV diverged:\n-- flat --\n%s\n-- this --\n%s",
 				tc.workers, tc.fork, xFlat, x)
 		}
-		if tc.fork && len(eng.cps.m) == 0 {
+		if tc.fork && fs.Prefixes == 0 {
 			t.Fatalf("workers=%d: forked sweep computed no prefix checkpoints", tc.workers)
 		}
 	}

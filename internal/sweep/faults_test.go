@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -31,14 +30,10 @@ func faultSpec() Spec {
 func TestFaultSweepParallelDeterminism(t *testing.T) {
 	run := func(workers int) (string, string, []*core.Result) {
 		var pb, cb bytes.Buffer
-		e := mustNew(t, Options{
+		res, _ := mustRun(t, Options{
 			Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb,
 			Config: core.Config{Faults: faults.NewPlan(faults.Drop(0.01), faults.Seed(1))},
-		})
-		res, err := e.Run(context.Background(), faultSpec().Points())
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, faultSpec().Points())
 		return pb.String(), cb.String(), res
 	}
 	p1, c1, r1 := run(1)
@@ -70,12 +65,8 @@ func TestFaultSweepParallelDeterminism(t *testing.T) {
 // on the healthy machine, so speedup denominators stay comparable.
 func TestFaultSweepSkipsSequentialBaselines(t *testing.T) {
 	var pb bytes.Buffer
-	e := mustNew(t, Options{Size: apps.Small, Workers: 1, Progress: &pb,
-		Config: core.Config{Faults: faults.NewPlan(faults.Drop(0.3), faults.Seed(1))}})
-	res, err := e.Run(context.Background(), []Key{Seq("lu")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := mustRun(t, Options{Size: apps.Small, Workers: 1, Progress: &pb,
+		Config: core.Config{Faults: faults.NewPlan(faults.Drop(0.3), faults.Seed(1))}}, []Key{Seq("lu")})
 	if res[0].Retransmits != 0 || res[0].WireDrops != 0 {
 		t.Fatalf("sequential baseline saw faults: %+v", res[0].Retransmits)
 	}

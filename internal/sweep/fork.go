@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
 )
@@ -23,14 +22,14 @@ type FaultVariant struct {
 // planFor resolves the fault plan one point runs under: its own plan when
 // it carries one, its grid variant when it carries a Fault name, the
 // sweep-wide plan otherwise.
-func (e *Engine) planFor(k Key) (*faults.Plan, error) {
+func (s *sweeper) planFor(k Key) (*faults.Plan, error) {
 	switch {
 	case k.Sequential || k.Faults == "" && k.Fault == "":
-		return e.opts.Config.Faults, nil
+		return s.opts.Config.Faults, nil
 	case k.Faults != "":
 		return faults.Parse(k.Faults)
 	}
-	for _, v := range e.opts.FaultGrid {
+	for _, v := range s.opts.FaultGrid {
 		if v.Name == k.Fault {
 			return v.Plan, nil
 		}
@@ -43,14 +42,14 @@ func (e *Engine) planFor(k Key) (*faults.Plan, error) {
 // the grid's gated plans. Up to that epoch all variants of a prefix group
 // are byte-identical (plans are dormant until their start barrier), so one
 // fault-free prefix run stands in for all of them. Returns 0 when forking
-// is off or cannot help: fewer than two forkable variants, an engine-wide
+// is off or cannot help: fewer than two forkable variants, a sweep-wide
 // sharing profiler (checkpoints don't carry it), or no gated plan at all.
-func (e *Engine) forkEpoch() int {
-	if !e.opts.Fork || len(e.opts.FaultGrid) < 2 || e.opts.Config.ShareProfile {
+func (s *sweeper) forkEpoch() int {
+	if !s.opts.Fork || len(s.opts.FaultGrid) < 2 || s.opts.Config.ShareProfile {
 		return 0
 	}
 	epoch, forkable := 0, 0
-	for _, v := range e.opts.FaultGrid {
+	for _, v := range s.opts.FaultGrid {
 		if v.Plan == nil {
 			forkable++ // the healthy variant forks from any prefix
 			continue
@@ -88,7 +87,7 @@ type cpKey struct {
 	Epoch int
 }
 
-// warmup is one shared warmup prefix, as the engine's prefix memo holds it:
+// warmup is one shared warmup prefix, as the sweep's prefix memo holds it:
 // a checkpoint, or the refusal of its cut (core.ErrNotResumable), which is
 // retained so the group's other variants fall back to flat without
 // simulating the prefix again.
@@ -104,19 +103,16 @@ type warmup struct {
 // checkpoint, then fork it under the point's own fault plan. The result is
 // byte-identical to the flat run of the same configuration — that is the
 // checkpoint machinery's contract, enforced by the core equivalence tests
-// and the golden sweep tests.
-func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app core.App, epoch int) (*core.Result, error) {
-	prefix := k
+// and the golden sweep tests. A prefix that fails fails every point of its
+// group: the sweep has failed.
+func (s *sweeper) computeForked(ctx context.Context, i int, app core.App) (*core.Result, error) {
+	prefix := s.keys[i]
 	prefix.Fault = ""
-	w, err, _ := e.cps.Do(cpKey{Key: prefix, Epoch: epoch}, func() (*warmup, error) {
+	w, err, _ := s.cps.Do(cpKey{Key: prefix, Epoch: s.epoch}, func() (*warmup, error) {
 		start := time.Now()
-		pcfg := cfg
+		pcfg := s.cfgs[i]
 		pcfg.Faults = nil
 		m, err := core.NewMachine(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		entry, err := apps.Get(k.App)
 		if err != nil {
 			return nil, err
 		}
@@ -125,12 +121,12 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 		}
 		// A fresh app instance: Setup mutates the app, and the prefix can
 		// run concurrently with flat-path runs holding the caller's.
-		cp, err := m.RunToBarrier(ctx, entry.New(e.opts.Size), epoch)
+		cp, err := m.RunToBarrier(ctx, s.entries[i].New(s.opts.Size), s.epoch)
 		if errors.Is(err, core.ErrNotResumable) {
 			return &warmup{refusal: err}, nil
 		}
 		if err != nil {
-			return nil, err // forgotten: a cancelled prefix is retried
+			return nil, err
 		}
 		return &warmup{cp: cp, wall: time.Since(start)}, nil
 	})
@@ -140,7 +136,7 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 	if w.refusal != nil {
 		return nil, w.refusal
 	}
-	m, err := core.NewMachine(cfg)
+	m, err := core.NewMachine(s.cfgs[i])
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +148,7 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 	if forkedHook != nil {
 		forkedHook(res)
 	}
-	return e.checked(app, res)
+	return s.checked(app, res)
 }
 
 // forkedHook, when non-nil, sees every forked result before it is checked,
@@ -162,7 +158,7 @@ var (
 	prefixHook func()
 )
 
-// ForkStats summarizes what prefix sharing bought one engine: how many
+// ForkStats summarizes what prefix sharing bought one sweep: how many
 // distinct warmup prefixes were simulated, how many runs forked from them,
 // and an estimate of the warmup re-simulation wall time avoided (each run
 // beyond a prefix's first would have re-simulated that prefix flat). The
@@ -177,19 +173,19 @@ type ForkStats struct {
 	FailedForks int
 }
 
-// ForkStats reports the engine's prefix-sharing counters so far.
-func (e *Engine) ForkStats() ForkStats {
-	s := ForkStats{FlatRuns: int(e.flatRuns.Load()), FailedForks: int(e.failedForks.Load())}
-	e.cps.each(func(w *warmup) {
+// forkStats reports the sweep's prefix-sharing counters so far.
+func (s *sweeper) forkStats() ForkStats {
+	fs := ForkStats{FlatRuns: int(s.flatRuns.Load()), FailedForks: int(s.failedForks.Load())}
+	s.cps.each(func(w *warmup) {
 		if w.refusal != nil {
 			return
 		}
 		forks := int(w.forks.Load())
-		s.Prefixes++
-		s.ForkedRuns += forks
+		fs.Prefixes++
+		fs.ForkedRuns += forks
 		if forks > 1 {
-			s.SavedWall += w.wall * time.Duration(forks-1)
+			fs.SavedWall += w.wall * time.Duration(forks-1)
 		}
 	})
-	return s
+	return fs
 }

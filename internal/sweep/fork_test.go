@@ -3,13 +3,10 @@ package sweep
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
@@ -49,19 +46,15 @@ func gridSpec(grid []FaultVariant) Spec {
 }
 
 // runGridSweep executes the grid spec and returns every output surface.
-func runGridSweep(t *testing.T, workers int, fork bool) (progress, csv, samples string, results []*core.Result, eng *Engine) {
+func runGridSweep(t *testing.T, workers int, fork bool) (progress, csv, samples string, results []*core.Result, fs ForkStats) {
 	t.Helper()
 	var pb, cb, rb bytes.Buffer
 	grid := testGrid()
-	eng = mustNew(t, Options{
+	res, fs := mustRun(t, Options{
 		Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb, Record: &rb,
 		Config: core.Config{SampleEvery: 200 * sim.Microsecond}, FaultGrid: grid, Fork: fork,
-	})
-	res, err := eng.Run(context.Background(), gridSpec(grid).Points())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pb.String(), cb.String(), project(t, "sample", &rb), res, eng
+	}, gridSpec(grid).Points())
+	return pb.String(), cb.String(), project(t, "sample", &rb), res, fs
 }
 
 // TestForkedSweepByteIdenticalToFlat is the tentpole acceptance criterion:
@@ -71,7 +64,7 @@ func runGridSweep(t *testing.T, workers int, fork bool) (progress, csv, samples 
 func TestForkedSweepByteIdenticalToFlat(t *testing.T) {
 	pFlat, cFlat, sFlat, rFlat, _ := runGridSweep(t, 1, false)
 	for _, workers := range []int{1, 8} {
-		p, c, s, r, eng := runGridSweep(t, workers, true)
+		p, c, s, r, fs := runGridSweep(t, workers, true)
 		if p != pFlat {
 			t.Fatalf("workers=%d: forked progress diverged from flat:\n-- flat --\n%s\n-- forked --\n%s", workers, pFlat, p)
 		}
@@ -87,7 +80,7 @@ func TestForkedSweepByteIdenticalToFlat(t *testing.T) {
 				t.Fatalf("workers=%d: run %d stats diverged between flat and forked", workers, i)
 			}
 		}
-		if len(eng.cps.m) == 0 {
+		if fs.Prefixes == 0 {
 			t.Fatalf("workers=%d: forked sweep computed no prefix checkpoints — fork path never engaged", workers)
 		}
 	}
@@ -105,7 +98,7 @@ func TestForkedSweepByteIdenticalToFlat(t *testing.T) {
 // TestForkFallbackAppTooShort: when the grid's cut epoch lies beyond an
 // app's last barrier, that app's points must fall back to flat runs (and
 // stay byte-identical) while longer apps still fork, and ForkStats must
-// say so.
+// say so. Each app's prefix is simulated once, the refused one included.
 func TestForkFallbackAppTooShort(t *testing.T) {
 	grid := []FaultVariant{
 		{Name: "none"},
@@ -120,23 +113,22 @@ func TestForkFallbackAppTooShort(t *testing.T) {
 		Nodes:         4,
 		Faults:        []string{"none", "lossy"},
 	}
-	run := func(fork bool) (string, *Engine) {
+	var prefixes atomic.Int64
+	prefixHook = func() { prefixes.Add(1) }
+	defer func() { prefixHook = nil }()
+	run := func(fork bool) (string, ForkStats) {
 		var cb bytes.Buffer
-		e := mustNew(t, Options{Size: apps.Small, Workers: 4, CSV: &cb, FaultGrid: grid, Fork: fork})
-		if _, err := e.Run(context.Background(), spec.Points()); err != nil {
-			t.Fatal(err)
-		}
-		return cb.String(), e
+		_, fs := mustRun(t, Options{Size: apps.Small, Workers: 4, CSV: &cb, FaultGrid: grid, Fork: fork}, spec.Points())
+		return cb.String(), fs
 	}
 	flat, _ := run(false)
-	forked, eng := run(true)
+	forked, fs := run(true)
 	if flat != forked {
 		t.Fatalf("CSV diverged:\n-- flat --\n%s\n-- forked --\n%s", flat, forked)
 	}
-	if len(eng.cps.m) != 2 {
-		t.Fatalf("prefix entries = %d, want 2 (ocean's checkpoint, fft's retained refusal)", len(eng.cps.m))
+	if n := prefixes.Load(); n != 2 {
+		t.Fatalf("%d prefixes simulated, want 2 (ocean's checkpoint, fft's refused cut)", n)
 	}
-	fs := eng.ForkStats()
 	fs.SavedWall = 0
 	if want := (ForkStats{Prefixes: 1, ForkedRuns: 2, FailedForks: 2}); fs != want {
 		t.Fatalf("fork stats = %+v, want %+v (both fft points tried the cut and re-ran flat)", fs, want)
@@ -162,14 +154,10 @@ func TestRefusedPrefixSimulatedOnce(t *testing.T) {
 	defer func() { prefixHook = nil }()
 	for _, workers := range []int{1, 3} {
 		prefixes.Store(0)
-		e := mustNew(t, Options{Size: apps.Small, Workers: workers, FaultGrid: grid, Fork: true})
-		if _, err := e.Run(context.Background(), spec.Points()); err != nil {
-			t.Fatal(err)
-		}
+		_, fs := mustRun(t, Options{Size: apps.Small, Workers: workers, FaultGrid: grid, Fork: true}, spec.Points())
 		if n := prefixes.Load(); n != 1 {
 			t.Errorf("workers=%d: the refused prefix was simulated %d times, want once", workers, n)
 		}
-		fs := e.ForkStats()
 		fs.SavedWall = 0
 		if want := (ForkStats{FailedForks: 3}); fs != want {
 			t.Errorf("workers=%d: fork stats = %+v, want %+v", workers, fs, want)
@@ -185,17 +173,12 @@ func TestForkStatsCountFlatRuns(t *testing.T) {
 	spec.Apps = []string{"ocean-rowwise", "water-nsquared"}
 	spec.Protocols, spec.Granularities = []string{core.SC}, []int{4096}
 	stats := func(grid []FaultVariant, pts []Key) ForkStats {
-		e := mustNew(t, Options{Size: apps.Small, Workers: 4, FaultGrid: grid, Fork: true})
-		res, err := e.Run(context.Background(), pts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, fs := mustRun(t, Options{Size: apps.Small, Workers: 4, FaultGrid: grid, Fork: true}, pts)
 		for i, k := range pts {
 			if (res[i].Sharing != nil) != k.ShareProfile {
 				t.Errorf("%s: sharing profile %v", k, res[i].Sharing != nil)
 			}
 		}
-		fs := e.ForkStats()
 		fs.SavedWall = 0
 		return fs
 	}
@@ -224,23 +207,27 @@ func TestForkStatsCountFlatRuns(t *testing.T) {
 func TestForkEligibility(t *testing.T) {
 	gated := faults.NewPlan(faults.Drop(0.01), faults.StartAtBarrier(4))
 	ungated := faults.NewPlan(faults.Drop(0.01))
-	newEng := func(grid []FaultVariant, fork bool, prof bool) *Engine {
-		return mustNew(t, Options{Size: apps.Small, FaultGrid: grid, Fork: fork, Config: core.Config{ShareProfile: prof}})
+	epoch := func(grid []FaultVariant, fork bool, prof bool) int {
+		s, err := plan(Options{Size: apps.Small, FaultGrid: grid, Fork: fork, Config: core.Config{ShareProfile: prof}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.epoch
 	}
 
-	if e := newEng(testGrid(), true, false); e.forkEpoch() != 4 {
-		t.Fatalf("forkEpoch = %d, want 4 (earliest gated start)", e.forkEpoch())
+	if e := epoch(testGrid(), true, false); e != 4 {
+		t.Fatalf("forkEpoch = %d, want 4 (earliest gated start)", e)
 	}
-	if e := newEng(testGrid(), false, false); e.forkEpoch() != 0 {
+	if epoch(testGrid(), false, false) != 0 {
 		t.Fatal("fork off but forkEpoch > 0")
 	}
-	if e := newEng(testGrid(), true, true); e.forkEpoch() != 0 {
+	if epoch(testGrid(), true, true) != 0 {
 		t.Fatal("sharing profiler attached but forkEpoch > 0")
 	}
-	if e := newEng([]FaultVariant{{Name: "a", Plan: gated}}, true, false); e.forkEpoch() != 0 {
+	if epoch([]FaultVariant{{Name: "a", Plan: gated}}, true, false) != 0 {
 		t.Fatal("single-variant grid but forkEpoch > 0")
 	}
-	if e := newEng([]FaultVariant{{Name: "a", Plan: ungated}, {Name: "b", Plan: ungated}}, true, false); e.forkEpoch() != 0 {
+	if epoch([]FaultVariant{{Name: "a", Plan: ungated}, {Name: "b", Plan: ungated}}, true, false) != 0 {
 		t.Fatal("all-ungated grid but forkEpoch > 0")
 	}
 
@@ -270,12 +257,11 @@ func TestForkedVerifyFailureFailsSweep(t *testing.T) {
 	defer func() { forkedHook = nil }()
 	spec := gridSpec(testGrid())
 	spec.Apps, spec.Baselines = []string{"ocean-rowwise"}, false
-	e := mustNew(t, Options{Size: apps.Small, Workers: 1, FaultGrid: testGrid(), Fork: true})
-	_, err := e.Run(context.Background(), spec.Points())
+	_, fs, err := Run(context.Background(), Options{Size: apps.Small, Workers: 1, FaultGrid: testGrid(), Fork: true}, spec.Points())
 	if err == nil || !strings.Contains(err.Error(), "verify") {
 		t.Fatalf("sweep with a broken fork returned %v, want its verify error", err)
 	}
-	if fs := e.ForkStats(); fs.FailedForks != 0 {
+	if fs.FailedForks != 0 {
 		t.Fatalf("fork stats = %+v: the broken fork was counted as refused", fs)
 	}
 }
@@ -299,59 +285,5 @@ func TestSpecPointsFaultGridOrder(t *testing.T) {
 	}
 	if got := s.Points(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("points = %v\nwant %v", got, want)
-	}
-}
-
-// TestMemoCanceledLeaderDoesNotPoisonFollowers: a follower that joined an
-// in-flight computation whose leader fails (a cancelled sweep) must not
-// inherit the failure — it retries with its own compute function, and its
-// success is cached.
-func TestMemoCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
-	m := NewMemo()
-	k := Key{App: "x"}
-	leaderStarted := make(chan struct{})
-	release := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err, fresh := m.Do(k, func() (*core.Result, error) {
-			close(leaderStarted)
-			<-release
-			return nil, context.Canceled
-		})
-		if !fresh || !errors.Is(err, context.Canceled) {
-			t.Errorf("leader: err=%v fresh=%v, want canceled+fresh", err, fresh)
-		}
-	}()
-	<-leaderStarted
-
-	want := &core.Result{App: "x"}
-	followerDone := make(chan struct{})
-	go func() {
-		defer close(followerDone)
-		res, err, fresh := m.Do(k, func() (*core.Result, error) { return want, nil })
-		if err != nil || res != want || !fresh {
-			t.Errorf("follower: res=%v err=%v fresh=%v, want its own fresh success", res, err, fresh)
-		}
-	}()
-	// Give the follower time to join the leader's in-flight entry, then
-	// fail the leader. (If the follower loses the race and arrives after
-	// the failure, it computes fresh anyway — the assertion holds either
-	// way; the sleep just makes the interesting interleaving the usual
-	// one.)
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	<-followerDone
-	wg.Wait()
-
-	// The follower's successful retry must now be cached.
-	res, err, fresh := m.Do(k, func() (*core.Result, error) {
-		t.Error("cached success recomputed")
-		return nil, nil
-	})
-	if err != nil || res != want || fresh {
-		t.Fatalf("post-retry lookup: res=%v err=%v fresh=%v, want cached %v", res, err, fresh, want)
 	}
 }

@@ -42,15 +42,11 @@ func TestRecordRoundTrip(t *testing.T) {
 	var rb, cb bytes.Buffer
 	grid := []FaultVariant{{Name: "none"},
 		{Name: "lossy", Plan: faults.NewPlan(faults.Drop(0.02), faults.Duplicate(0.01), faults.Seed(3))}}
-	e := mustNew(t, Options{Size: apps.Small, Workers: 4, Record: &rb, CSV: &cb, FaultGrid: grid,
-		Config: core.Config{SampleEvery: 200 * sim.Microsecond, ShareProfile: true, CritPath: true}})
 	keys := Spec{Apps: []string{"lu"}, Protocols: proto.Names(), Granularities: []int{1024},
 		Notifies: []network.Notify{network.Polling}, Nodes: 4, Baselines: true,
 		Faults: []string{"none", "lossy"}}.Points()
-	results, err := e.Run(context.Background(), keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, _ := mustRun(t, Options{Size: apps.Small, Workers: 4, Record: &rb, CSV: &cb, FaultGrid: grid,
+		Config: core.Config{SampleEvery: 200 * sim.Microsecond, ShareProfile: true, CritPath: true}}, keys)
 	// The run table projected from the records is the one the sweep wrote,
 	// fault column included.
 	if got := project(t, "run", bytes.NewReader(rb.Bytes())); got != cb.String() {
@@ -93,11 +89,9 @@ func TestRecordRoundTrip(t *testing.T) {
 // a real line for the tests below to break.
 func recordLine(t testing.TB) []byte {
 	var rb bytes.Buffer
-	e := mustNew(t, Options{Size: apps.Small, Workers: 1, Record: &rb,
-		Config: core.Config{SampleEvery: 10 * sim.Millisecond, ShareProfile: true, CritPath: true}})
-	if _, err := e.Run(context.Background(), []Key{{App: "lu", Protocol: core.HLRC, Block: 1024, Nodes: 2}}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, Options{Size: apps.Small, Workers: 1, Record: &rb,
+		Config: core.Config{SampleEvery: 10 * sim.Millisecond, ShareProfile: true, CritPath: true}},
+		[]Key{{App: "lu", Protocol: core.HLRC, Block: 1024, Nodes: 2}})
 	return rb.Bytes()
 }
 
@@ -202,7 +196,7 @@ func TestSinkWriteErrorFailsSweep(t *testing.T) {
 			} else {
 				o.Record = w
 			}
-			_, err := mustNew(t, o).Run(context.Background(), testSpec().Points())
+			_, _, err := Run(context.Background(), o, testSpec().Points())
 			if !errors.Is(err, errFull) {
 				t.Errorf("%s at %d workers: sweep returned %v, want the writer's error", output, workers, err)
 			}

@@ -21,32 +21,29 @@ import (
 // tables, CSV files, or the progress lines on the terminal: those all stay
 // deterministic.
 //
-// Each point is recorded once, keyed by Key, with the wall time of the
-// lookup that first finished it and the heap-free Result the memo holds;
-// every later lookup of the point only counts as a memo hit. All methods
-// are safe for concurrent use.
+// Each point is recorded once, keyed by Key, with the wall time of its run
+// and the heap-free Result the sweep returns. All methods are safe for
+// concurrent use.
 type Registry struct {
-	mu       sync.Mutex
-	start    time.Time
-	points   map[Key]point // every point looked up or announced
-	running  int
-	memoHits int
-	fork     *ForkStats // set after each point of a sweep with Options.Fork
+	mu      sync.Mutex
+	start   time.Time
+	points  map[Key]point // every point run or announced
+	running int
+	fork    *ForkStats // set after each point of a sweep with Options.Fork
 }
 
 // point is one sweep point as the registry records it; res is nil until
-// a lookup of the point succeeded.
+// its run succeeded.
 type point struct {
-	res      *core.Result
-	wall     time.Duration
-	memoized bool // first finished by a memo hit, so wall is a wait, not a run
+	res  *core.Result
+	wall time.Duration
 }
 
 // NewRegistry creates a registry; the sweep's ETA clock starts now.
 func NewRegistry() *Registry { return &Registry{start: time.Now()} }
 
 // expect adds keys to the sweep's points. A key counts once however often
-// it is announced or looked up.
+// it is announced or run.
 func (r *Registry) expect(keys ...Key) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -60,7 +57,7 @@ func (r *Registry) expect(keys ...Key) {
 	}
 }
 
-// started records that a lookup of k began.
+// started records that a run of k began.
 func (r *Registry) started(k Key) {
 	r.expect(k)
 	r.mu.Lock()
@@ -68,18 +65,14 @@ func (r *Registry) started(k Key) {
 	r.mu.Unlock()
 }
 
-// finished records that a lookup of k ended after wall with res (nil when
-// it failed); fresh says whether the lookup computed the point rather than
-// being served by the memo.
-func (r *Registry) finished(k Key, wall time.Duration, res *core.Result, fresh bool) {
+// finished records that a run of k ended after wall with res (nil when it
+// failed).
+func (r *Registry) finished(k Key, wall time.Duration, res *core.Result) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.running--
-	if !fresh {
-		r.memoHits++
-	}
-	if res != nil && r.points[k].res == nil {
-		r.points[k] = point{res: res, wall: wall, memoized: !fresh}
+	if res != nil {
+		r.points[k] = point{res: res, wall: wall}
 	}
 }
 
@@ -100,24 +93,21 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	r.mu.Lock()
 	var done []named
-	computed, wall := 0, time.Duration(0)
+	var wall time.Duration
 	for k, p := range r.points {
 		if p.res == nil {
 			continue
 		}
 		done = append(done, named{k.String(), p})
-		if !p.memoized {
-			computed++
-			wall += p.wall
-		}
+		wall += p.wall
 	}
-	total, running, memoHits, fork := len(r.points), r.running, r.memoHits, r.fork
+	total, running, fork := len(r.points), r.running, r.fork
 	elapsed := time.Since(r.start)
 	r.mu.Unlock()
 	sort.Slice(done, func(i, j int) bool { return done[i].key < done[j].key })
 	eta := 0.0
-	if remaining := total - len(done); remaining > 0 && computed > 0 {
-		eta = wall.Seconds() / float64(computed) * float64(remaining)
+	if remaining := total - len(done); remaining > 0 && len(done) > 0 {
+		eta = wall.Seconds() / float64(len(done)) * float64(remaining)
 	}
 
 	gauge := func(metric, help, typ, val string) {
@@ -126,7 +116,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	gauge("dsmsim_sweep_points_total", "Points in the sweep.", "gauge", fmt.Sprint(total))
 	gauge("dsmsim_sweep_points_completed", "Points finished so far.", "gauge", fmt.Sprint(len(done)))
 	gauge("dsmsim_sweep_points_running", "Points being computed right now.", "gauge", fmt.Sprint(running))
-	gauge("dsmsim_sweep_memo_hits_total", "Points satisfied from the sweep memo.", "counter", fmt.Sprint(memoHits))
 	gauge("dsmsim_sweep_elapsed_seconds", "Wall time since the sweep began.", "gauge", fmt.Sprintf("%.3f", elapsed.Seconds()))
 	gauge("dsmsim_sweep_eta_seconds", "Estimated wall time to completion.", "gauge", fmt.Sprintf("%.3f", eta))
 	// Fork gauges appear only when the sweep reported prefix sharing,

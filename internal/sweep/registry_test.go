@@ -28,10 +28,10 @@ func runResult(t sim.Time, rf, wf, msgs, bytes int64) *core.Result {
 	return &core.Result{Time: t, Total: stats.Node{ReadFaults: rf, WriteFaults: wf}, NetMsgs: msgs, NetBytes: bytes}
 }
 
-// look feeds the registry one lookup of k, the way Engine.runKey does.
-func look(r *Registry, k Key, wall time.Duration, res *core.Result, fresh bool) {
+// look feeds the registry one run of k, the way a sweep's runKey does.
+func look(r *Registry, k Key, wall time.Duration, res *core.Result) {
 	r.started(k)
-	r.finished(k, wall, res, fresh)
+	r.finished(k, wall, res)
 }
 
 // elapsedLine matches the one wall-clock-dependent line of the exposition.
@@ -39,12 +39,11 @@ var elapsedLine = regexp.MustCompile(`(?m)^dsmsim_sweep_elapsed_seconds .*$`)
 
 // TestRegistryPrometheusDigest pins the /metrics body of a fixed set of
 // distinct points — fixed walls, a profiled point, one run with both
-// profilers, a point first seen through the memo, one lookup still running
-// and fork stats set — to the SHA-256 recorded when the registry still
-// kept its own copy of each point's statistics. The elapsed-time value is
-// masked; everything else, the ETA included, is a function of the inputs.
+// profilers, a baseline, one run still going and fork stats set — to a
+// SHA-256. The elapsed-time value is masked; everything else, the ETA
+// included, is a function of the inputs.
 func TestRegistryPrometheusDigest(t *testing.T) {
-	const want = "b0d4098678ebaef0a17250c73b48b109d6d00013741f5aab683ec5c130dfe822"
+	const want = "3d964a306e8cd0ee5127951fe2f2e8a9b14e2e7459f66a02753d6683ea94b7bc"
 	r := NewRegistry()
 	lossy := point4("water-nsquared", "hlrc", 1024)
 	lossy.Fault = "lossy"
@@ -61,11 +60,11 @@ func TestRegistryPrometheusDigest(t *testing.T) {
 	ocean.CritPath.Components[2] = 1500 * sim.Microsecond
 	ocean.CritPath.Components[critpath.NumComponents-1] = 250 * sim.Microsecond
 
-	look(r, point4("lu", "hlrc", 256), 120*time.Millisecond, runResult(2500*sim.Millisecond, 10, 5, 300, 1<<20), true)
-	look(r, point4("fft", "sc", 64), 75*time.Millisecond, fft, true)
-	look(r, point4("ocean-rowwise", "swlrc", 4096), 40*time.Millisecond, ocean, true)
-	look(r, Seq("lu"), time.Millisecond, &core.Result{Time: sim.Second}, false)
-	look(r, lossy, 2500*time.Millisecond, runResult(33*sim.Millisecond, 1234, 567, 8910, 123456), true)
+	look(r, point4("lu", "hlrc", 256), 120*time.Millisecond, runResult(2500*sim.Millisecond, 10, 5, 300, 1<<20))
+	look(r, point4("fft", "sc", 64), 75*time.Millisecond, fft)
+	look(r, point4("ocean-rowwise", "swlrc", 4096), 40*time.Millisecond, ocean)
+	look(r, Seq("lu"), time.Millisecond, &core.Result{Time: sim.Second})
+	look(r, lossy, 2500*time.Millisecond, runResult(33*sim.Millisecond, 1234, 567, 8910, 123456))
 	r.started(barnes)
 	r.setFork(ForkStats{Prefixes: 2, ForkedRuns: 7, SavedWall: 1500 * time.Millisecond})
 
@@ -83,12 +82,11 @@ func TestRegistryPrometheus(t *testing.T) {
 	r.expect(k, Seq("lu"), point4("lu", "sc", 256), point4("lu", "sc", 1024))
 	res := runResult(2*sim.Second, 10, 5, 0, 1<<20)
 	res.Sharing = &shareprof.Report{Total: shareprof.RegionStats{TrueFaults: 7, FalseFaults: 3}}
-	look(r, k, 50*time.Millisecond, res, true)
-	look(r, k, time.Second, res, false) // a memo hit: no second series, no new wall
+	look(r, k, 50*time.Millisecond, res)
 	crit := runResult(sim.Second, 0, 0, 0, 0)
 	crit.CritPath = &critpath.Report{}
 	crit.CritPath.Components[critpath.Compute] = sim.Second
-	look(r, Seq("lu"), time.Millisecond, crit, true)
+	look(r, Seq("lu"), time.Millisecond, crit)
 
 	var buf strings.Builder
 	r.WritePrometheus(&buf)
@@ -97,7 +95,6 @@ func TestRegistryPrometheus(t *testing.T) {
 		"dsmsim_sweep_points_total 4\n",
 		"dsmsim_sweep_points_completed 2\n",
 		"dsmsim_sweep_points_running 0\n",
-		"dsmsim_sweep_memo_hits_total 1\n",
 		"dsmsim_sweep_eta_seconds 0.051\n",
 		`dsmsim_point_wall_seconds{point="lu/sc/64/polling/4p"} 0.050` + "\n",
 		`dsmsim_point_read_faults{point="lu/sc/64/polling/4p"} 10` + "\n",
@@ -132,7 +129,7 @@ func TestRegistryPrometheus(t *testing.T) {
 
 func TestRegistryServe(t *testing.T) {
 	r := NewRegistry()
-	look(r, point4("fft", "hlrc", 1024), time.Millisecond, runResult(sim.Second, 0, 0, 0, 0), true)
+	look(r, point4("fft", "hlrc", 1024), time.Millisecond, runResult(sim.Second, 0, 0, 0, 0))
 	addr, stop, err := r.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +162,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				k := point4(fmt.Sprintf("app%d", w*8+i), "sc", 64)
 				r.expect(k)
-				look(r, k, time.Microsecond, runResult(1, 0, 0, 0, 0), true)
-				look(r, k, time.Microsecond, runResult(1, 0, 0, 0, 0), false)
+				look(r, k, time.Microsecond, runResult(1, 0, 0, 0, 0))
 			}
 			done <- struct{}{}
 		}()
@@ -177,7 +173,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	var buf strings.Builder
 	r.WritePrometheus(&buf)
 	for _, want := range []string{"dsmsim_sweep_points_total 64\n", "dsmsim_sweep_points_completed 64\n",
-		"dsmsim_sweep_points_running 0\n", "dsmsim_sweep_memo_hits_total 64\n"} {
+		"dsmsim_sweep_points_running 0\n"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("after 64 concurrent points, /metrics lacks %q", want)
 		}

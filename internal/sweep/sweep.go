@@ -2,18 +2,21 @@
 // simulation runs out over a host-level worker pool while keeping every
 // observable output deterministic.
 //
-// Each run is an independent virtual-time simulation (core.Machine holds no
-// per-run state and identical configurations produce bit-identical
-// results), so host parallelism is free correctness-wise. What the package
-// adds on top is the bookkeeping that keeps it *observably* serial:
+// A sweep is one call of Run. It plans every point before it runs any, so
+// a point that cannot run fails the sweep with nothing started and nothing
+// written, and then runs each point once. Each run is an independent
+// virtual-time simulation (core.Machine holds no per-run state and
+// identical configurations produce bit-identical results), so host
+// parallelism is free correctness-wise. What the package adds on top is
+// the bookkeeping that keeps it *observably* serial:
 //
-//   - a single-flight Memo so each configuration runs exactly once no
-//     matter how many workers want it;
 //   - a Sink that writes progress lines, CSV tables and run records under
 //     one lock;
 //   - ordered release — completed runs are emitted in canonical sweep
 //     order regardless of completion order, so the output of a parallel
 //     sweep is byte-identical to a serial one;
+//   - a single-flight Memo of warmup prefixes, so the fault-grid points
+//     that share one simulate it once however many workers want it;
 //   - a Registry, the live wall-clock view of a sweep served at /metrics.
 package sweep
 
@@ -36,8 +39,8 @@ import (
 )
 
 // Key identifies one run configuration: one point of the evaluation
-// cross-product with its Settings, or an app's sequential baseline. It is
-// the memoization key, so two Keys are the same run iff they are ==.
+// cross-product with its Settings, or an app's sequential baseline. Two
+// Keys are the same run iff they are ==, and a sweep lists each run once.
 type Key struct {
 	// App names a bundled application.
 	App string
@@ -50,7 +53,7 @@ type Key struct {
 	// Sequential marks the uninstrumented one-node baseline run used as
 	// the numerator of speedups.
 	Sequential bool
-	// Fault names the point's variant of the engine's fault grid
+	// Fault names the point's variant of the sweep's fault grid
 	// (Options.FaultGrid); empty outside grid sweeps. Points differing
 	// only in Fault share their entire pre-fault warmup, which is what the
 	// fork planner exploits.
@@ -59,7 +62,7 @@ type Key struct {
 }
 
 // Settings are the run settings a point may carry beyond its coordinates,
-// each overriding the engine's Config template for that point alone when
+// each overriding the sweep's Config template for that point alone when
 // set. Such a point is named by its String and progress line and recorded
 // but, like a sequential baseline, has no CSV row. A zero field is left
 // out of the record, so a matrix point's record line does not change.
@@ -172,7 +175,7 @@ func Dedupe(keys []Key) []Key {
 	return out
 }
 
-// Options configures an Engine. It is the one struct every layer above
+// Options configures a sweep. It is the one struct every layer above
 // core spells run settings in: dsmrun fills it from its flags and the
 // public dsmsim.Option functions write into it directly.
 type Options struct {
@@ -180,19 +183,19 @@ type Options struct {
 	// (0 = a generous default), SampleEvery, ShareProfile, CritPath,
 	// WhatIf and Faults mean here what they mean there and apply to every
 	// non-sequential run of the sweep (Limit and SampleEvery to baselines
-	// too). The engine fills Nodes, BlockSize, Protocol, Notify and
-	// Sequential per Key. Each run compiles its own injector from the
-	// plan's seed, so runs stay independent. Trace is a per-run writer
-	// parallel runs would interleave on: config clears it for every key but
-	// the traced point (a non-sequential key with no Settings), and Run
-	// refuses a key set that would trace two distinct points.
+	// too). Run fills Nodes, BlockSize, Protocol, Notify and Sequential
+	// per Key. Each run compiles its own injector from the plan's seed, so
+	// runs stay independent. Trace is a per-run writer parallel runs would
+	// interleave on: config clears it for every key but the traced point
+	// (a non-sequential key with no Settings), and Run refuses a key set
+	// with two traced points.
 	Config core.Config
 	// Size selects the problem scale for every run.
 	Size apps.SizeClass
 	// Workers bounds host parallelism; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Verify re-checks every run's numeric result against the sequential
-	// reference. Always on at Small size (New sets it).
+	// reference. Always on at Small size (Run sets it).
 	Verify bool
 	// Progress, if non-nil, receives one line per completed run.
 	Progress io.Writer
@@ -224,109 +227,64 @@ type Options struct {
 	Fork bool
 }
 
-// Engine runs sweeps. It owns the memo and the output sink, so a point is
-// computed once however many times a sweep lists it (or later sweeps on
-// the same Engine do), and output never interleaves. The memo also holds
-// the warmup prefixes forked runs share.
-type Engine struct {
-	opts Options
-	memo Memo[Key, *core.Result]
-	cps  Memo[cpKey, *warmup] // shared warmup prefixes
-	sink *Sink
-	// Grid points computed flat while Options.Fork was on: flatRuns were
+// sweeper is the state of one Run: the options with their defaults
+// applied, each key's planned run, the output sink, and the warmup
+// prefixes forked runs share with their counters.
+type sweeper struct {
+	opts    Options
+	keys    []Key
+	cfgs    []core.Config // each key's, validated
+	entries []apps.Entry  // each key's app
+	epoch   int           // the barrier every shared prefix is cut at; 0 = no forking
+	sink    *Sink
+	cps     Memo[cpKey, *warmup]
+	// Grid points run flat while Options.Fork was on: flatRuns were
 	// never eligible, failedForks had their cut refused first.
 	flatRuns, failedForks atomic.Int64
 }
 
-// New builds an Engine from opts. It is the one place the rules between
-// settings live: fault-grid variants need distinct, non-empty names
-// (points select them by name).
-func New(opts Options) (*Engine, error) {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	opts.Verify = opts.Verify || opts.Size == apps.Small
-	if opts.Config.Limit == 0 {
-		opts.Config.Limit = 100000 * sim.Second
-	}
-	seen := map[string]bool{}
-	for _, v := range opts.FaultGrid {
-		if v.Name == "" {
-			return nil, errors.New("sweep: fault-grid variant with empty name")
-		}
-		if seen[v.Name] {
-			return nil, fmt.Errorf("sweep: duplicate fault-grid variant %q", v.Name)
-		}
-		seen[v.Name] = true
-	}
-	// Progress lines, the run table (a fault column under a grid), records.
-	sink := NewSink(opts.Progress, opts.CSV, opts.Histograms, nil, nil, nil, false, len(opts.FaultGrid) > 0)
-	sink.add(&projection{w: opts.Record, render: sink.recordLine})
-	return &Engine{opts: opts, sink: sink}, nil
-}
-
-// Options returns the settings the engine runs under, defaults applied.
-func (e *Engine) Options() Options { return e.opts }
-
-// runKey is the memoized run step of Run's workers: it computes (or
-// waits for) the key's result, names the key in its error, and reports
-// the lookup to the live metrics registry when one is attached.
-func (e *Engine) runKey(ctx context.Context, k Key) (*core.Result, error, bool) {
-	reg := e.opts.Metrics
-	var began time.Time
-	if reg != nil {
-		reg.started(k)
-		began = time.Now()
-	}
-	res, err, fresh := e.memo.Do(k, func() (*core.Result, error) { return e.compute(ctx, k) })
+// Run runs every key once over the worker pool and returns the results,
+// aligned with keys, and what prefix sharing bought.
+//
+// It plans before it runs anything. A fault-grid variant with an empty or
+// repeated name fails the sweep, and so does the first key, in the order
+// of keys, that is listed twice, would be a second run for the template's
+// trace writer, names an unknown app or builds a core.Config that
+// Validate refuses: the error names that key, no run has started and
+// nothing is written.
+//
+// Progress, CSV and record lines are emitted in the order of keys
+// regardless of completion order. On error — a run's, or a write of its
+// output — the remaining runs are cancelled and the first error in
+// canonical order is returned, with the results finished before it.
+func Run(ctx context.Context, opts Options, keys []Key) ([]*core.Result, ForkStats, error) {
+	n := len(keys)
+	results := make([]*core.Result, n)
+	s, err := plan(opts, keys)
 	if err != nil {
-		err = fmt.Errorf("%s: %w", k, err)
-	}
-	if reg != nil {
-		reg.finished(k, time.Since(began), res, fresh)
-		if e.opts.Fork {
-			reg.setFork(e.ForkStats())
-		}
-	}
-	return res, err, fresh
-}
-
-// Run executes every key over the worker pool and returns results aligned
-// with keys. Progress/CSV emission happens in the order of keys regardless
-// of completion order, and only for keys whose computation this sweep
-// performed (cache hits stay silent, exactly like the serial path). On
-// error — a run's, or a write of its output — the remaining runs are
-// cancelled and the first error in canonical order is returned; results
-// computed before the failure are still returned and cached. A Run that
-// would trace two runs (traced) fails before it starts any.
-func (e *Engine) Run(ctx context.Context, keys []Key) ([]*core.Result, error) {
-	if err := e.oneTraced(keys); err != nil {
-		return make([]*core.Result, len(keys)), err
+		return results, ForkStats{}, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if reg := e.opts.Metrics; reg != nil {
+	if reg := s.opts.Metrics; reg != nil {
 		reg.expect(keys...)
 	}
-	n := len(keys)
-	results := make([]*core.Result, n)
 	errs := make([]error, n)
-	emitted := make([]bool, n) // fresh computations awaiting ordered emission
 
 	var (
 		mu   sync.Mutex
 		next int
 		done = make([]bool, n)
 	)
-	finish := func(i int, res *core.Result, err error, fresh bool) {
+	finish := func(i int, res *core.Result, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		results[i], errs[i], done[i], emitted[i] = res, err, true, fresh
+		results[i], errs[i], done[i] = res, err, true
 		for next < n && done[next] {
-			if errs[next] == nil && emitted[next] {
+			if errs[next] == nil {
 				// A lost write is the point's error: its output is incomplete.
-				if errs[next] = e.sink.Emit(keys[next], results[next]); errs[next] != nil {
+				if errs[next] = s.sink.Emit(keys[next], results[next]); errs[next] != nil {
 					cancel()
 				}
 			}
@@ -336,17 +294,17 @@ func (e *Engine) Run(ctx context.Context, keys []Key) ([]*core.Result, error) {
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	workers := min(e.opts.Workers, n)
+	workers := min(s.opts.Workers, n)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				res, err, fresh := e.runKey(ctx, keys[i])
+				res, err := s.runKey(ctx, i)
 				if err != nil {
 					cancel() // abort the rest of the sweep promptly
 				}
-				finish(i, res, err, fresh)
+				finish(i, res, err)
 			}
 		}()
 	}
@@ -372,7 +330,7 @@ feed:
 			firstErr = err
 		}
 		if !errors.Is(err, context.Canceled) {
-			return results, err
+			return results, s.forkStats(), err
 		}
 	}
 	if firstErr == nil {
@@ -385,36 +343,92 @@ feed:
 			}
 		}
 	}
-	return results, firstErr
+	return results, s.forkStats(), firstErr
+}
+
+// plan applies opts' defaults and plans every key of a sweep, in order.
+func plan(opts Options, keys []Key) (*sweeper, error) {
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	opts.Verify = opts.Verify || opts.Size == apps.Small
+	if opts.Config.Limit == 0 {
+		opts.Config.Limit = 100000 * sim.Second
+	}
+	seen := map[string]bool{}
+	for _, v := range opts.FaultGrid {
+		if v.Name == "" {
+			return nil, errors.New("sweep: fault-grid variant with empty name")
+		}
+		if seen[v.Name] {
+			return nil, fmt.Errorf("sweep: duplicate fault-grid variant %q", v.Name)
+		}
+		seen[v.Name] = true
+	}
+	s := &sweeper{opts: opts, keys: keys, cfgs: make([]core.Config, len(keys)), entries: make([]apps.Entry, len(keys))}
+	s.epoch = s.forkEpoch()
+	listed := make(map[Key]bool, len(keys))
+	var tracing *Key
+	for i, k := range keys {
+		if listed[k] {
+			return nil, fmt.Errorf("sweep: %s is listed twice, and a sweep runs each point once", k)
+		}
+		listed[k] = true
+		if opts.Config.Trace != nil && traced(k) {
+			if tracing != nil {
+				return nil, fmt.Errorf("sweep: a trace writer traces one run, and this sweep would trace %s and %s", tracing, k)
+			}
+			tracing = &keys[i]
+		}
+		var err error
+		if s.entries[i], err = apps.Get(k.App); err == nil {
+			s.cfgs[i], err = s.config(k)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", k, err)
+		}
+	}
+	// Progress lines, the run table (a fault column under a grid), records.
+	s.sink = NewSink(opts.Progress, opts.CSV, opts.Histograms, nil, nil, nil, false, len(opts.FaultGrid) > 0)
+	s.sink.add(&projection{w: opts.Record, render: s.sink.recordLine})
+	return s, nil
+}
+
+// runKey is the run step of Run's workers: it computes key i's result,
+// names the key in its error, and reports the run to the live metrics
+// registry when one is attached.
+func (s *sweeper) runKey(ctx context.Context, i int) (*core.Result, error) {
+	k, reg := s.keys[i], s.opts.Metrics
+	var began time.Time
+	if reg != nil {
+		reg.started(k)
+		began = time.Now()
+	}
+	res, err := s.compute(ctx, i)
+	if err != nil {
+		err = fmt.Errorf("%s: %w", k, err)
+	}
+	if reg != nil {
+		reg.finished(k, time.Since(began), res)
+		if s.opts.Fork {
+			reg.setFork(s.forkStats())
+		}
+	}
+	return res, err
 }
 
 // traced reports whether k's run writes the template's trace: neither a
 // baseline nor a point with settings of its own.
 func traced(k Key) bool { return !k.Sequential && k.Settings == Settings{} }
 
-// oneTraced refuses a Run that would trace two distinct runs into the
-// template's trace writer.
-func (e *Engine) oneTraced(keys []Key) error {
-	var first *Key
-	for i, k := range keys {
-		switch {
-		case e.opts.Config.Trace == nil, !traced(k):
-		case first == nil:
-			first = &keys[i]
-		case *first != k:
-			return fmt.Errorf("sweep: a trace writer traces one run, and this sweep would trace %s and %s", first, k)
-		}
-	}
-	return nil
-}
-
 // config fills the template with one point's coordinates, its fault plan
-// (planFor) and its settings. Sequential baselines (whose Key leaves the
-// coordinates zero) run at the page size; Validate clears the plan and the
-// observers they ignore. Only a traced point keeps the trace writer.
-func (e *Engine) config(k Key) (cfg core.Config, err error) {
-	cfg = e.opts.Config
-	if cfg.Faults, err = e.planFor(k); err != nil {
+// (planFor) and its settings, and validates it. Sequential baselines (whose
+// Key leaves the coordinates zero) run at the page size; Validate clears
+// the plan and the observers they ignore. Only a traced point keeps the
+// trace writer.
+func (s *sweeper) config(k Key) (cfg core.Config, err error) {
+	cfg = s.opts.Config
+	if cfg.Faults, err = s.planFor(k); err != nil {
 		return cfg, err
 	}
 	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential = k.Nodes, k.Block, k.Protocol, k.Notify, k.Sequential
@@ -432,33 +446,26 @@ func (e *Engine) config(k Key) (cfg core.Config, err error) {
 	if k.Sequential {
 		cfg.BlockSize = 4096
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
-// compute executes one run, through a shared-prefix fork when the point is
-// eligible and through the ordinary flat path otherwise.
-func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
-	entry, err := apps.Get(k.App)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := e.config(k)
-	if err != nil {
-		return nil, err
-	}
-	app := entry.New(e.opts.Size)
-	if epoch := e.forkEpoch(); epoch > 0 && forkable(k, cfg.Faults, epoch) {
-		res, err := e.computeForked(ctx, k, cfg, app, epoch)
+// compute executes key i's planned run, through a shared-prefix fork when
+// the point is eligible and through the ordinary flat path otherwise.
+func (s *sweeper) compute(ctx context.Context, i int) (*core.Result, error) {
+	k := s.keys[i]
+	app := s.entries[i].New(s.opts.Size)
+	if s.epoch > 0 && forkable(k, s.cfgs[i].Faults, s.epoch) {
+		res, err := s.computeForked(ctx, i, app)
 		if !errors.Is(err, core.ErrNotResumable) {
 			return res, err
 		}
 		// Only a refused cut reruns flat; any other error, a forked result
 		// that fails Verify among them, fails the sweep.
-		e.failedForks.Add(1)
-	} else if e.opts.Fork && k.Fault != "" && !k.Sequential {
-		e.flatRuns.Add(1)
+		s.failedForks.Add(1)
+	} else if s.opts.Fork && k.Fault != "" && !k.Sequential {
+		s.flatRuns.Add(1)
 	}
-	m, err := core.NewMachine(cfg)
+	m, err := core.NewMachine(s.cfgs[i])
 	if err != nil {
 		return nil, err
 	}
@@ -466,16 +473,16 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.checked(app, res)
+	return s.checked(app, res)
 }
 
 // checked is the tail of both compute paths: verify the final image when
 // the sweep verifies, then give the image back for the next run to draw.
-// What the memo retains and Run returns therefore carries no Heap — a
-// sweep's live heap does not grow by one image per finished run.
-func (e *Engine) checked(app core.App, res *core.Result) (*core.Result, error) {
+// What Run returns therefore carries no Heap — a sweep's live heap does
+// not grow by one image per finished run.
+func (s *sweeper) checked(app core.App, res *core.Result) (*core.Result, error) {
 	defer core.ReleaseImage(res)
-	if e.opts.Verify {
+	if s.opts.Verify {
 		if err := app.Verify(res.Heap); err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
 		}

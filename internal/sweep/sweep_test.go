@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,32 +60,28 @@ func TestDedupe(t *testing.T) {
 	}
 }
 
-// runSweep executes the test spec with the given worker count on a fresh
-// engine and returns the progress output, CSV output and results.
+// runSweep executes the test spec with the given worker count and returns
+// the progress output, CSV output and results.
 func runSweep(t *testing.T, workers int) (progress, csv string, results []*core.Result) {
 	t.Helper()
 	var pb, cb bytes.Buffer
-	e := mustNew(t, Options{Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb, Histograms: true})
-	res, err := e.Run(context.Background(), testSpec().Points())
+	res, _ := mustRun(t, Options{Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb, Histograms: true}, testSpec().Points())
+	return pb.String(), cb.String(), res
+}
+
+// mustRun runs a sweep the test knows to succeed.
+func mustRun(t testing.TB, o Options, keys []Key) ([]*core.Result, ForkStats) {
+	t.Helper()
+	res, fs, err := Run(context.Background(), o, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pb.String(), cb.String(), res
+	return res, fs
 }
 
 // TestParallelByteIdenticalToSerial is the core determinism guarantee: a
 // sweep at 8 workers produces byte-identical progress and CSV output, and
 // identical per-run statistics, to the same sweep at 1 worker.
-// mustNew builds an engine from options the test knows to be valid.
-func mustNew(t testing.TB, o Options) *Engine {
-	t.Helper()
-	e, err := New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 func TestParallelByteIdenticalToSerial(t *testing.T) {
 	p1, c1, r1 := runSweep(t, 1)
 	p8, c8, r8 := runSweep(t, 8)
@@ -118,11 +115,8 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 	run := func(workers int) (progress, samples, records string, reg *Registry) {
 		var pb, rb bytes.Buffer
 		reg = NewRegistry()
-		e := mustNew(t, Options{Size: apps.Small, Workers: workers, Progress: &pb,
-			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, Record: &rb, Metrics: reg})
-		if _, err := e.Run(context.Background(), testSpec().Points()); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, Options{Size: apps.Small, Workers: workers, Progress: &pb,
+			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, Record: &rb, Metrics: reg}, testSpec().Points())
 		return pb.String(), project(t, "sample", bytes.NewReader(rb.Bytes())), rb.String(), reg
 	}
 	p1, s1, r1, _ := run(1)
@@ -161,43 +155,46 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunOneMemoized: a key listed twice in one Run, and again in a
-// second Run on the same engine, is computed once — every lookup returns
-// the one result, and only the computation writes a progress line.
-func TestRunOneMemoized(t *testing.T) {
-	var pb bytes.Buffer
-	e := mustNew(t, Options{Size: apps.Small, Workers: 2, Progress: &pb})
+// TestRepeatedKeyRefused: a key listed twice in one Run fails the plan
+// naming it — a sweep runs each point once — before any key runs, the
+// baseline listed first included, or the registry hears of any.
+func TestRepeatedKeyRefused(t *testing.T) {
+	var pb, rb bytes.Buffer
+	reg := NewRegistry()
 	k := Key{App: "lu", Protocol: core.SC, Block: 1024, Notify: network.Polling, Nodes: 4}
-	a, err := e.Run(context.Background(), []Key{k, k})
-	if err != nil {
-		t.Fatal(err)
+	res, _, err := Run(context.Background(), Options{Size: apps.Small, Workers: 2, Progress: &pb, Record: &rb, Metrics: reg},
+		[]Key{Seq("lu"), k, k})
+	if err == nil || !strings.Contains(err.Error(), k.String()+" is listed twice") {
+		t.Fatalf("err = %v, want a refusal naming %s", err, k)
 	}
-	b, err := e.Run(context.Background(), []Key{k})
-	if err != nil {
-		t.Fatal(err)
+	if slices.ContainsFunc(res, func(r *core.Result) bool { return r != nil }) || pb.Len() != 0 || rb.Len() != 0 {
+		t.Fatalf("a refused sweep ran: results %v, progress %q, record %q", res, pb.String(), rb.String())
 	}
-	if a[0] != a[1] || a[0] != b[0] {
-		t.Fatal("a repeated key did not hit the memo")
-	}
-	if n := bytes.Count(pb.Bytes(), []byte("run  ")); n != 1 {
-		t.Fatalf("progress lines = %d, want 1 (cache hits stay silent)", n)
+	var text strings.Builder
+	reg.WritePrometheus(&text)
+	if !strings.Contains(text.String(), "dsmsim_sweep_points_total 0\n") {
+		t.Fatalf("/metrics of a refused sweep:\n%s", text.String())
 	}
 }
 
-func TestSweepThenCachedRunsStaySilent(t *testing.T) {
-	var pb bytes.Buffer
-	e := mustNew(t, Options{Size: apps.Small, Workers: 4, Progress: &pb})
-	pts := testSpec().Points()
-	if _, err := e.Run(context.Background(), pts); err != nil {
-		t.Fatal(err)
-	}
-	before := pb.String()
-	// A second sweep over the same points is all cache hits: no new output.
-	if _, err := e.Run(context.Background(), pts); err != nil {
-		t.Fatal(err)
-	}
-	if pb.String() != before {
-		t.Fatalf("cached sweep re-emitted output:\n%s", pb.String()[len(before):])
+// TestFailedPlanWritesNothing: a sweep with a point that cannot run — a
+// block size Validate refuses, an unknown app — fails naming that point
+// before it runs the baseline listed ahead of it, so however its workers
+// are scheduled it writes nothing and returns no result.
+func TestFailedPlanWritesNothing(t *testing.T) {
+	bad := Key{App: "lu", Protocol: core.HLRC, Block: 100, Notify: network.Polling, Nodes: 4}
+	for _, keys := range [][]Key{{Seq("lu"), bad}, {Seq("lu"), Seq("nonesuch")}} {
+		for rep := 0; rep < 20; rep++ {
+			var progress, record bytes.Buffer
+			res, _, err := Run(context.Background(), Options{Size: apps.Small, Workers: 4, Progress: &progress, Record: &record}, keys)
+			if err == nil || !strings.HasPrefix(err.Error(), keys[1].String()+": ") {
+				t.Fatalf("%v: err = %v, want one naming %s", keys, err, keys[1])
+			}
+			if len(res) != len(keys) || slices.ContainsFunc(res, func(r *core.Result) bool { return r != nil }) ||
+				progress.Len() != 0 || record.Len() != 0 {
+				t.Fatalf("%v, repetition %d: results %v, progress %q, record %q; want nothing", keys, rep, res, progress.String(), record.String())
+			}
+		}
 	}
 }
 
@@ -239,32 +236,42 @@ func TestMemoSingleFlight(t *testing.T) {
 	}
 }
 
-func TestMemoErrorNotCached(t *testing.T) {
+// TestMemoKeepsFailures: within one sweep a failed computation is its
+// outcome — a later caller takes the leader's error without computing
+// again — and each skips it.
+func TestMemoKeepsFailures(t *testing.T) {
 	m := NewMemo()
 	boom := errors.New("boom")
-	if _, err, _ := m.Do(Seq("x"), func() (*core.Result, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
+	if _, err, fresh := m.Do(Seq("x"), func() (*core.Result, error) { return nil, boom }); !errors.Is(err, boom) || !fresh {
+		t.Fatalf("leader: err = %v, fresh = %v", err, fresh)
 	}
-	res, err, fresh := m.Do(Seq("x"), func() (*core.Result, error) { return &core.Result{App: "x"}, nil })
-	if err != nil || res == nil || !fresh {
-		t.Fatalf("failed computation was cached: res=%v err=%v fresh=%v", res, err, fresh)
+	_, err, fresh := m.Do(Seq("x"), func() (*core.Result, error) {
+		t.Error("a failed computation ran again")
+		return &core.Result{}, nil
+	})
+	if !errors.Is(err, boom) || fresh {
+		t.Fatalf("waiter: err = %v, fresh = %v, want the leader's error", err, fresh)
+	}
+	m.Do(Seq("y"), func() (*core.Result, error) { return &core.Result{App: "y"}, nil })
+	var seen []string
+	m.each(func(r *core.Result) { seen = append(seen, r.App) })
+	if len(seen) != 1 || seen[0] != "y" || m.Len() != 2 {
+		t.Fatalf("each saw %v of %d entries, want only y of 2", seen, m.Len())
 	}
 }
 
 func TestSweepCancellation(t *testing.T) {
-	e := mustNew(t, Options{Size: apps.Small, Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.Run(ctx, testSpec().Points())
+	_, _, err := Run(ctx, Options{Size: apps.Small, Workers: 2}, testSpec().Points())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestSweepUnknownAppFailsFast(t *testing.T) {
-	e := mustNew(t, Options{Size: apps.Small, Workers: 4})
 	pts := []Key{Seq("nonesuch"), Seq("lu")}
-	if _, err := e.Run(context.Background(), pts); err == nil {
+	if _, _, err := Run(context.Background(), Options{Size: apps.Small, Workers: 4}, pts); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
@@ -353,14 +360,10 @@ func TestKeyString(t *testing.T) {
 // it out of the CSV table.
 func TestSettingsOverrideTemplate(t *testing.T) {
 	var progress, csv, record bytes.Buffer
-	e := mustNew(t, Options{Size: apps.Small, Progress: &progress, CSV: &csv, Record: &record})
 	plain := Key{App: "lu", Protocol: core.HLRC, Block: 4096, Nodes: 4}
 	k := plain
 	k.Settings = Settings{SoftwareAccessCheck: 100, ShareProfile: true, CritPath: true, Faults: "drop=0.01,seed=1"}
-	res, err := e.Run(context.Background(), []Key{plain, k})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := mustRun(t, Options{Size: apps.Small, Progress: &progress, CSV: &csv, Record: &record}, []Key{plain, k})
 	if got := res[1]; got.Sharing == nil || got.CritPath == nil || got.Retransmits == 0 || got.Time <= res[0].Time {
 		t.Errorf("settings did not reach the run: sharing %v, crit %v, retransmits %d, time %v vs %v",
 			got.Sharing != nil, got.CritPath != nil, got.Retransmits, got.Time, res[0].Time)
@@ -390,21 +393,15 @@ func TestWhatIfSetting(t *testing.T) {
 	plain := Key{App: "lu", Protocol: core.HLRC, Block: 4096, Nodes: 4}
 	twin := plain
 	twin.WhatIf = "msg=0.5"
-	res, err := mustNew(t, Options{Size: apps.Small}).Run(ctx, []Key{plain, twin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	template, err := mustNew(t, Options{Size: apps.Small, Config: core.Config{WhatIf: scale}}).Run(ctx, []Key{plain})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := mustRun(t, Options{Size: apps.Small}, []Key{plain, twin})
+	template, _ := mustRun(t, Options{Size: apps.Small, Config: core.Config{WhatIf: scale}}, []Key{plain})
 	if res[1].Time != template[0].Time || res[1].Time >= res[0].Time {
 		t.Errorf("twin %v, template-scaled %v, plain %v: want the first two equal and below the third",
 			res[1].Time, template[0].Time, res[0].Time)
 	}
 	bad := plain
 	bad.WhatIf = "msg"
-	if _, err := mustNew(t, Options{Size: apps.Small}).Run(ctx, []Key{bad}); err == nil || !strings.HasPrefix(err.Error(), bad.String()+": ") {
+	if _, _, err := Run(ctx, Options{Size: apps.Small}, []Key{bad}); err == nil || !strings.HasPrefix(err.Error(), bad.String()+": ") {
 		t.Errorf("err = %v, want a bad what-if spec named %s", err, bad)
 	}
 }
@@ -419,10 +416,7 @@ func TestTraceOneRun(t *testing.T) {
 	crit := plain
 	crit.CritPath = true
 	var line bytes.Buffer
-	e := mustNew(t, Options{Size: apps.Small, Config: core.Config{Trace: &line}})
-	if _, err := e.Run(ctx, []Key{Seq("lu"), plain, crit, plain}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, Options{Size: apps.Small, Config: core.Config{Trace: &line}}, []Key{Seq("lu"), plain, crit})
 	var want bytes.Buffer
 	m, err := core.NewMachine(core.Config{Nodes: 4, BlockSize: 4096, Protocol: core.HLRC, Trace: &want})
 	if err != nil {
@@ -442,7 +436,7 @@ func TestTraceOneRun(t *testing.T) {
 	other := plain
 	other.Protocol = core.SC
 	var buf bytes.Buffer
-	_, err = mustNew(t, Options{Size: apps.Small, Config: core.Config{Trace: &buf}}).Run(ctx, []Key{Seq("lu"), plain, other})
+	_, _, err = Run(ctx, Options{Size: apps.Small, Config: core.Config{Trace: &buf}}, []Key{Seq("lu"), plain, other})
 	if err == nil || !strings.Contains(err.Error(), plain.String()+" and "+other.String()) || buf.Len() != 0 {
 		t.Errorf("err = %v with %d bytes traced, want a refusal naming %s and %s", err, buf.Len(), plain, other)
 	}
@@ -455,9 +449,8 @@ func TestComputeErrorNamesPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := mustNew(t, Options{Size: apps.Small, Config: core.Config{Faults: plan}})
 	k := Key{App: "lu", Protocol: core.HLRC, Block: 4096, Nodes: 4}
-	_, err = e.Run(context.Background(), []Key{k})
+	_, _, err = Run(context.Background(), Options{Size: apps.Small, Config: core.Config{Faults: plan}}, []Key{k})
 	if !errors.Is(err, core.ErrBadFaultPlan) || !strings.HasPrefix(err.Error(), k.String()+": ") {
 		t.Fatalf("err = %v, want a bad fault plan named %s", err, k)
 	}
@@ -492,31 +485,32 @@ func fill(v reflect.Value) {
 
 // TestNoSettingDroppedOnTheWayDown sets every exported field of Options —
 // the core.Config template included — and checks each one arrives, first
-// in the options the engine runs under and then in the core.Config it
-// builds for a point. A field added to either struct is covered with no
+// in the options the sweep runs under and then in the core.Config it
+// plans for a point. A field added to either struct is covered with no
 // edit here; the only differences allowed are the ones listed.
 func TestNoSettingDroppedOnTheWayDown(t *testing.T) {
 	var o Options
 	fill(reflect.ValueOf(&o).Elem())
-	e := mustNew(t, o)
-	want := o
-	if got := e.Options(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("engine options:\n got %+v\nwant %+v", got, want)
+	k := Key{App: "lu", Protocol: core.HLRC, Block: 256, Notify: network.Interrupt, Nodes: 4}
+	s, err := plan(o, []Key{k, Seq("lu")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.opts, o) {
+		t.Fatalf("sweep options:\n got %+v\nwant %+v", s.opts, o)
 	}
 
-	k := Key{App: "lu", Protocol: core.HLRC, Block: 256, Notify: network.Interrupt, Nodes: 4}
-	cfg := want.Config
+	cfg := o.Config
 	cfg.Nodes, cfg.BlockSize, cfg.Protocol, cfg.Notify, cfg.Sequential = 4, 256, core.HLRC, network.Interrupt, false
-	if got, err := e.config(k); err != nil || !reflect.DeepEqual(got, cfg) {
-		t.Fatalf("config for %v (%v):\n got %+v\nwant %+v", k, err, got, cfg)
+	if got := s.cfgs[0]; !reflect.DeepEqual(got, cfg) {
+		t.Fatalf("config for %v:\n got %+v\nwant %+v", k, got, cfg)
 	}
-	seq := want.Config
-	seq.Nodes, seq.BlockSize, seq.Protocol, seq.Notify, seq.Sequential = 0, 4096, "", 0, true
+	seq := o.Config
+	seq.Nodes, seq.BlockSize, seq.Protocol, seq.Notify, seq.Sequential = 1, 4096, core.SC, 0, true
 	seq.Trace = nil // a baseline is never traced
-	if got, err := e.config(Seq("lu")); err != nil || !reflect.DeepEqual(got, seq) {
-		t.Fatalf("config for the baseline (%v):\n got %+v\nwant %+v", err, got, seq)
-	}
-	if _, err := core.NewMachine(seq); err != nil {
-		t.Fatalf("the baseline's config does not validate: %v", err)
+	// Validate clears what a baseline ignores.
+	seq.Faults, seq.ShareProfile, seq.CritPath, seq.WhatIf = nil, false, false, nil
+	if got := s.cfgs[1]; !reflect.DeepEqual(got, seq) {
+		t.Fatalf("config for the baseline:\n got %+v\nwant %+v", got, seq)
 	}
 }

@@ -145,8 +145,7 @@ func WithHistograms() Option { return func(o *sweep.Options) { o.Histograms = tr
 func WithRecord(w io.Writer) Option { return func(o *sweep.Options) { o.Record = w } }
 
 // WithMetrics attaches a live metrics registry: the sweep records each
-// point once in m — its wall-clock runtime and result — and counts repeat
-// lookups as memo hits (Prometheus text at /metrics, served with
-// Metrics.Serve). Wall-clock data stays on the live surface only;
-// deterministic outputs are unaffected. Sweep only.
+// point once in m, with its wall-clock runtime and result (Prometheus
+// text at /metrics, served with Metrics.Serve). Wall-clock data stays on
+// the live surface only; deterministic outputs are unaffected. Sweep only.
 func WithMetrics(m *Metrics) Option { return func(o *sweep.Options) { o.Metrics = m } }

@@ -142,10 +142,6 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 	for _, v := range o.FaultGrid {
 		faultNames = append(faultNames, v.Name)
 	}
-	eng, err := sweep.New(o)
-	if err != nil {
-		return nil, fmt.Errorf("dsmsim: %w", err)
-	}
 	points := sweep.Dedupe(sweep.Spec{
 		Apps:          spec.Apps,
 		Protocols:     spec.Protocols,
@@ -155,11 +151,11 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 		Baselines:     !spec.SkipBaselines,
 		Faults:        faultNames,
 	}.Points())
-	results, err := eng.Run(ctx, points)
+	results, fork, err := sweep.Run(ctx, o, points)
 	if err != nil {
-		return nil, fmt.Errorf("dsmsim: sweep: %w", err)
+		return nil, fmt.Errorf("dsmsim: %w", err)
 	}
-	out := &SweepResult{Fork: eng.ForkStats(), baselines: map[string]Time{}}
+	out := &SweepResult{Fork: fork, baselines: map[string]Time{}}
 	for i, p := range points {
 		out.Runs = append(out.Runs, SweepRun{Point: p, Result: results[i]})
 		if p.Sequential && results[i] != nil {
