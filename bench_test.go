@@ -38,19 +38,20 @@ func BenchmarkExperiment(b *testing.B) {
 	if *paperSize {
 		size = apps.Paper
 	}
-	o := harness.Options{Nodes: *benchNodes, Size: size, Out: io.Discard}
+	o := sweep.Options{Size: size, Workers: 1}
+	var out io.Writer = io.Discard
 	if *showTables {
-		o.Out = os.Stdout
+		out = os.Stdout
 	}
 	for _, e := range harness.Experiments() {
 		b.Run(e.Name, func(b *testing.B) {
-			keys := harness.PointsFor(o, []harness.Experiment{e})
+			keys := harness.PointsFor(o, *benchNodes, []harness.Experiment{e})
 			for i := 0; i < b.N; i++ {
-				res, _, err := sweep.Run(context.Background(), sweep.Options{Size: size, Workers: 1}, keys)
-				if err != nil {
-					b.Fatal(err)
+				recs, _, err := sweep.Run(context.Background(), o, keys)
+				if err == nil {
+					err = harness.Render(out, recs, []harness.Experiment{e})
 				}
-				if err := e.Run(harness.New(o, keys, res)); err != nil {
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,6 +14,7 @@ import (
 	"dsmsim/internal/apps"
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
+	"dsmsim/internal/harness"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/sweep"
@@ -61,9 +62,15 @@ type cli struct {
 	stdout, stderr io.Writer
 }
 
-// projections are the names -project takes: a record's CSV tables, then
-// the Chrome JSON of a trace.
-var projections = append(slices.Clone(sweep.Tables), "chrome")
+// projections are the names -project takes: a record's CSV tables, a
+// trace's Chrome JSON, then a record's experiments, one or all.
+func projections() []string {
+	names := append(slices.Clone(sweep.Tables), "chrome")
+	for _, e := range harness.Experiments() {
+		names = append(names, e.Name)
+	}
+	return append(names, "all")
+}
 
 // newCommand registers the flags on a fresh FlagSet and returns it with
 // the command body to call after parsing.
@@ -98,7 +105,7 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 	fs.StringVar(&c.record, "record", "", "append each run's JSON record (the point and its full result; a sweep's baselines too) to this file, one line per run")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
-	fs.StringVar(&c.project, "project", "", "write one projection ("+strings.Join(projections, ", ")+") of the file given as the one argument to stdout instead of running: a CSV table of a -record file, or with 'chrome' the Chrome trace-event JSON of a -trace file")
+	fs.StringVar(&c.project, "project", "", "write one projection of the file given as the one argument to stdout instead of running: a CSV table ("+strings.Join(sweep.Tables, ", ")+") or an experiment's tables (see -list, or 'all') of a -record file, or with 'chrome' the Chrome trace-event JSON of a -trace file")
 	return fs, c.run
 }
 

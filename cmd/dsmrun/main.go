@@ -28,10 +28,12 @@
 //	dsmrun -exp all -size paper -record runs.jsonl
 //	dsmrun -exp fig1 -fault-grid 's1:drop=0.02,seed=1,start=6;s2:drop=0.02,seed=2,start=6' -fork
 //
-// -project writes one CSV table of a -record file, or the Chrome
+// -project writes one CSV table of a -record file, or an experiment's
+// tables (or all) rendered from it as -exp printed them, or the Chrome
 // trace-event JSON of a -trace file, to stdout instead:
 //
 //	dsmrun -project crit runs.jsonl > crit.csv
+//	dsmrun -project all runs.jsonl > results.txt
 //	dsmrun -project chrome trace.txt > trace.json
 //
 // Ctrl-C cancels in-flight simulations between virtual-time steps.
@@ -118,7 +120,7 @@ func (c *cli) run() (err error) {
 		if f := named("app", "block", "notify"); f != "" {
 			return fmt.Errorf("-exp and %s exclude each other: an experiment selects its own configurations", f)
 		}
-		if exps, err = experiments(c.exp); err != nil {
+		if exps, err = harness.Select(c.exp); err != nil {
 			return err
 		}
 	}
@@ -169,33 +171,30 @@ func (c *cli) run() (err error) {
 	if err := c.openSinks(&o); err != nil {
 		return err
 	}
-	view := harness.Options{Nodes: c.nodes, Size: o.Size, WhatIf: o.Config.WhatIf, Out: c.stdout}
-	for _, v := range o.FaultGrid {
-		view.Faults = append(view.Faults, v.Name)
-	}
 	// Every kind of run is the points it runs and how it renders their
-	// results: one sweep.Run, then the render.
+	// records: one sweep.Run, then the render.
 	var keys []sweep.Key
-	var render func(*harness.Runner) error
+	var render func([]sweep.Record) error
 	switch {
 	case single:
 		keys, render = c.singleRun(spec, &o)
 	case c.exp != "":
 		if set["protocol"] {
-			view.Protocols = spec.Protocols // the paper's set otherwise
+			o.Protocols = spec.Protocols // the paper's set otherwise
 		}
-		keys, render = expTables(view, exps)
+		keys = harness.PointsFor(o, c.nodes, exps)
+		render = func(recs []sweep.Record) error { return harness.Render(c.stdout, recs, exps) }
 	default:
-		spec.Baselines, spec.Faults = true, view.Faults
+		spec.Baselines, spec.Faults = true, o.FaultNames()
 		keys, render = c.crossProduct(spec)
 	}
 	start := time.Now()
-	results, fork, err := sweep.Run(ctx, o, keys)
+	recs, fork, err := sweep.Run(ctx, o, keys)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
-	if err := render(harness.New(view, keys, results)); err != nil {
+	if err := render(recs); err != nil {
 		return err
 	}
 	if o.Fork {
@@ -215,17 +214,18 @@ func (c *cli) run() (err error) {
 	return nil
 }
 
-// runProject writes the -project table of the record file given as the one
-// argument to stdout, or under -project chrome the Chrome JSON of the trace
-// file. It runs nothing, so it takes no other flag: flags are the ones the
-// command line set. A name outside projections is refused before the file
-// is opened.
+// runProject writes the -project projection of the record file given as
+// the one argument to stdout — a CSV table, or an experiment's tables
+// through the render -exp uses — or under -project chrome the Chrome JSON
+// of the trace file. It runs nothing, so it takes no other flag: flags are
+// the ones the command line set. A name outside projections is refused
+// before the file is opened.
 func (c *cli) runProject(flags []string) error {
 	if len(flags) > 1 || c.fs.NArg() != 1 {
 		return fmt.Errorf("-project takes one record FILE and no other flag (flags: %s; files: %d)", strings.Join(flags, " "), c.fs.NArg())
 	}
-	if !slices.Contains(projections, c.project) {
-		return fmt.Errorf("-project %q: want one of %s", c.project, strings.Join(projections, ", "))
+	if names := projections(); !slices.Contains(names, c.project) {
+		return fmt.Errorf("-project %q: want one of %s", c.project, strings.Join(names, ", "))
 	}
 	path := c.fs.Arg(0)
 	f, err := os.Open(path)
@@ -236,8 +236,10 @@ func (c *cli) runProject(flags []string) error {
 	var recs []sweep.Record
 	if c.project == "chrome" {
 		err = trace.Chrome(c.stdout, f)
-	} else if recs, err = sweep.ReadRecords(f); err == nil {
+	} else if recs, err = sweep.ReadRecords(f); err == nil && slices.Contains(sweep.Tables, c.project) {
 		err = sweep.Project(c.stdout, c.project, recs)
+	} else if exps, _ := harness.Select(c.project); err == nil { // "all" or an experiment's name
+		err = harness.Render(c.stdout, recs, exps)
 	}
 	if err == nil {
 		return nil
@@ -249,52 +251,25 @@ func (c *cli) runProject(flags []string) error {
 	return fmt.Errorf("%s: %w", path, err)
 }
 
-// experiments resolves -exp: one experiment by name, or all of them in
-// order.
-func experiments(name string) ([]harness.Experiment, error) {
-	if name == "all" {
-		return harness.Experiments(), nil
-	}
-	e, err := harness.Get(name)
-	return []harness.Experiment{e}, err
-}
-
-// expTables runs every point the experiments declare, then renders each
-// experiment's tables, a blank line before each.
-func expTables(view harness.Options, exps []harness.Experiment) ([]sweep.Key, func(*harness.Runner) error) {
-	return harness.PointsFor(view, exps), func(r *harness.Runner) error {
-		for _, e := range exps {
-			fmt.Fprintln(view.Out)
-			if err := e.Run(r); err != nil {
-				return fmt.Errorf("%s: %w", e.Name, err)
-			}
-		}
-		return nil
-	}
-}
-
 // crossProduct runs the cross product, each application's baseline first, and
 // prints one speedup row per configuration.
-func (c *cli) crossProduct(spec sweep.Spec) ([]sweep.Key, func(*harness.Runner) error) {
-	keys := sweep.Dedupe(spec.Points())
-	return keys, func(r *harness.Runner) error {
+func (c *cli) crossProduct(spec sweep.Spec) ([]sweep.Key, func([]sweep.Record) error) {
+	return sweep.Dedupe(spec.Points()), func(recs []sweep.Record) error {
 		// Fault-grid sweeps gain a fault column before the time.
 		out, fault := c.stdout, func(string) string { return "" }
 		if len(spec.Faults) > 0 {
 			fault = func(name string) string { return fmt.Sprintf("%-10s ", name) }
 		}
 		fmt.Fprintf(out, "%-18s %-6s %6s %-9s %s%14s %8s\n", "app", "proto", "block", "notify", fault("fault"), "time", "speedup")
-		for _, k := range keys {
+		seq := map[string]dsmsim.Time{} // each app's baseline comes first
+		for _, r := range recs {
+			k, res := r.Point, r.Result
 			if k.Sequential {
+				seq[k.App] = res.Time
 				continue
 			}
-			res, err1 := r.Result(k)
-			sp, err2 := r.Speedup(k)
-			if err := errors.Join(err1, err2); err != nil {
-				return err
-			}
 			fmt.Fprintf(out, "%-18s %-6s %5dB %-9s %s%14v %8.2f\n",
-				k.App, k.Protocol, k.Block, k.Notify, fault(k.Fault), res.Time, sp)
+				k.App, k.Protocol, k.Block, k.Notify, fault(k.Fault), res.Time, ratio(seq[k.App], res.Time))
 		}
 		return nil
 	}
@@ -303,7 +278,7 @@ func (c *cli) crossProduct(spec sweep.Spec) ([]sweep.Key, func(*harness.Runner) 
 // singleRun runs one configuration as a one-point sweep — its sequential
 // baseline, the point and, under -whatif, the point's rescaled twin — and
 // prints the point's full statistics dump.
-func (c *cli) singleRun(spec sweep.Spec, o *sweep.Options) ([]sweep.Key, func(*harness.Runner) error) {
+func (c *cli) singleRun(spec sweep.Spec, o *sweep.Options) ([]sweep.Key, func([]sweep.Record) error) {
 	o.Progress = nil // the statistics below stand in for the progress line
 	// The what-if scale moves from the template onto the twin; the point
 	// keeps the critical-path profiler, whose report predicts the twin.
@@ -312,27 +287,22 @@ func (c *cli) singleRun(spec sweep.Spec, o *sweep.Options) ([]sweep.Key, func(*h
 	o.Config.CritPath = o.Config.CritPath || whatIf != nil
 	point := sweep.Key{App: spec.Apps[0], Protocol: spec.Protocols[0], Block: spec.Granularities[0],
 		Notify: spec.Notifies[0], Nodes: spec.Nodes}
-	twin := point
 	keys := []sweep.Key{sweep.Seq(point.App), point}
 	if whatIf != nil {
+		twin := point
 		twin.WhatIf = whatIf.String()
 		keys = append(keys, twin)
 	}
 	faulty := o.Config.Faults != nil
-	return keys, func(r *harness.Runner) error {
-		seq, err1 := r.Result(keys[0])
-		res, err2 := r.Result(point)
-		rescaled, err3 := r.Result(twin) // the point itself without -whatif
-		speedup, err4 := r.Speedup(point)
-		if err := errors.Join(err1, err2, err3, err4); err != nil {
-			return err
-		}
+	return keys, func(recs []sweep.Record) error {
+		// The records follow keys; without -whatif the point is its own twin.
+		seq, res, rescaled := recs[0].Result, recs[1].Result, recs[len(recs)-1].Result
 		out := c.stdout
 		fmt.Fprintf(out, "%s  protocol=%s  block=%dB  notify=%s  nodes=%d\n",
 			res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
 		fmt.Fprintf(out, "  parallel time   %12v\n", res.Time)
 		fmt.Fprintf(out, "  sequential time %12v\n", seq.Time)
-		fmt.Fprintf(out, "  speedup         %12.2f\n", speedup)
+		fmt.Fprintf(out, "  speedup         %12.2f\n", ratio(seq.Time, res.Time))
 		fmt.Fprintf(out, "  read faults     %12d\n", res.Total.ReadFaults)
 		fmt.Fprintf(out, "  write faults    %12d\n", res.Total.WriteFaults)
 		fmt.Fprintf(out, "  invalidations   %12d\n", res.Total.Invalidations)

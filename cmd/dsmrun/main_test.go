@@ -14,7 +14,10 @@ import (
 	"strings"
 	"testing"
 
+	"dsmsim/internal/apps"
+	"dsmsim/internal/core"
 	"dsmsim/internal/harness"
+	"dsmsim/internal/sim"
 	"dsmsim/internal/sweep"
 )
 
@@ -373,28 +376,42 @@ func TestProjectChromeNamesFileAndLine(t *testing.T) {
 	}
 }
 
+// expAll runs dsmrun -exp all at Small size on 4 nodes with args, recording
+// into a fresh file, and returns its stdout, its stderr and the file's path.
+func expAll(t *testing.T, args ...string) (stdout, stderr []byte, path string) {
+	t.Helper()
+	path = filepath.Join(t.TempDir(), "runs.jsonl")
+	var out, errs bytes.Buffer
+	args = append([]string{"-exp", "all", "-size", "small", "-nodes", "4", "-record", path}, args...)
+	if err := run(args, &out, &errs); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return out.Bytes(), errs.Bytes(), path
+}
+
 // TestEveryExpRunLeavesARecord: under -exp all, every run and seq progress
 // line has its record line, in the same order and for the same point, and
-// the record file is byte-identical at -parallel 1 and 8.
+// the record file is byte-identical at -parallel 1 and 8. The record is
+// all the tables need: -project all of it is the run's stdout — under a
+// protocol override, a forked fault grid and a what-if scale too — and
+// -project NAME is -exp NAME for every experiment. Projecting simulates
+// nothing: a result's time edited in the file moves its speedup cell.
 func TestEveryExpRunLeavesARecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every experiment, twice")
 	}
 	var records [][]byte
+	var stdout []byte
 	for _, parallel := range []string{"1", "8"} {
-		path := filepath.Join(t.TempDir(), "runs.jsonl")
-		var stderr bytes.Buffer
-		if err := run([]string{"-exp", "all", "-size", "small", "-nodes", "4", "-parallel", parallel, "-record", path},
-			io.Discard, &stderr); err != nil {
-			t.Fatal(err)
-		}
+		out, stderr, path := expAll(t, "-parallel", parallel)
+		stdout = out
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		records = append(records, data)
 		var progress []string
-		for _, line := range strings.Split(stderr.String(), "\n") {
+		for _, line := range strings.Split(string(stderr), "\n") {
 			if strings.HasPrefix(line, "run ") || strings.HasPrefix(line, "seq ") {
 				progress = append(progress, line)
 			}
@@ -420,6 +437,129 @@ func TestEveryExpRunLeavesARecord(t *testing.T) {
 	}
 	if !bytes.Equal(records[0], records[1]) {
 		t.Error("-record differs between -parallel 1 and 8")
+	}
+
+	path := filepath.Join(t.TempDir(), "all.jsonl")
+	if err := os.WriteFile(path, records[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := project(t, "all", path); !bytes.Equal(got, stdout) {
+		t.Errorf("-project all of the record:\n%s\nwant the run's stdout:\n%s", got, stdout)
+	}
+	for _, e := range harness.Experiments() {
+		var want bytes.Buffer
+		if err := run([]string{"-exp", e.Name, "-size", "small", "-nodes", "4"}, &want, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if got := project(t, e.Name, path); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("-project %s of the -exp all record:\n%s\nwant -exp %s:\n%s", e.Name, got, e.Name, want.Bytes())
+		}
+	}
+	for _, args := range [][]string{
+		{"-protocol", "sc,swlrc,hlrc,tlc"},
+		{"-fault-grid", grid, "-fork"},
+		{"-whatif", "lock=0.5"},
+	} {
+		out, _, rec := expAll(t, args...)
+		// The fork summary carries wall time and is no table: it goes, with
+		// the blank line that sets it apart.
+		if i := bytes.Index(out, []byte("\nfork: ")); i >= 0 {
+			out = out[:i]
+		}
+		if got := project(t, "all", rec); !bytes.Equal(got, out) {
+			t.Errorf("%v: -project all of the record:\n%s\nwant the run's stdout:\n%s", args, got, out)
+		}
+	}
+
+	// lu/sc/64 at twice its recorded time: Figure 1's lu sc row halves its
+	// 64B speedup, and nothing else moves.
+	lines := bytes.SplitAfter(records[0], []byte("\n"))
+	lu := sweep.Key{App: "lu", Protocol: "sc", Block: 64, Nodes: 4}
+	var seq, at sim.Time
+	for i, line := range lines {
+		var r sweep.Record
+		if json.Unmarshal(line, &r) != nil {
+			continue
+		}
+		switch r.Point {
+		case sweep.Seq("lu"):
+			seq = r.Result.Time
+		case lu:
+			at = r.Result.Time
+			r.Result.Time *= 2
+			edited, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines[i] = append(edited, '\n')
+		}
+	}
+	edited := filepath.Join(t.TempDir(), "edited.jsonl")
+	if err := os.WriteFile(edited, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	row := func(sp float64) string { return fmt.Sprintf("\n%-18s %-6s %8.2f ", "lu", "sc", sp) }
+	before, after := string(project(t, "fig1", path)), string(project(t, "fig1", edited))
+	sp := float64(seq) / float64(at)
+	if !strings.Contains(before, row(sp)) || !strings.Contains(after, row(sp/2)) ||
+		strings.Replace(before, row(sp), row(sp/2), 1) != after {
+		t.Errorf("Figure 1 with lu/sc/64 at twice its time:\n%s\nwant only the cell %.2f to become %.2f in:\n%s", after, sp, sp/2, before)
+	}
+}
+
+// TestProjectExpRefusals: -project renders a table only from records that
+// agree on how their sweep was declared and hold every point the table
+// reads; an unknown name is refused, listing every projection, before the
+// file is opened. A hand-made record says everything the table needs: the
+// paper-size labels of table1 come from its size alone.
+func TestProjectExpRefusals(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	table3 := func(args ...string) {
+		if err := run(append(strings.Fields("-exp table3 -size small -nodes 4 -record "+path), args...), io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	project := func(name, path string) (string, error) {
+		var out bytes.Buffer
+		err := run([]string{"-project", name, path}, &out, io.Discard)
+		return out.String(), err
+	}
+	table3()
+	if out, err := project("all", path); err == nil || out != "" || !strings.Contains(err.Error(),
+		"table1: harness: lu/seq is not among the declared points") {
+		t.Errorf("-project all of a table3 record wrote %q; err = %v, want nothing and the first missing point named", out, err)
+	}
+	table3("-whatif", "lock=0.5")
+	if _, err := project("table3", path); err == nil || !strings.Contains(err.Error(),
+		`record line 13 was declared sweep.Declaration{Size:0, WhatIf:"lock=0.5", Faults:"", Protocols:[]string(nil)}, line 1 sweep.Declaration{Size:0, WhatIf:"", Faults:"", Protocols:[]string(nil)}`) {
+		t.Errorf("-project table3 of records declared two ways: err = %v, want one naming line 13 and both what-if scales", err)
+	}
+	_, err := project("tablex", filepath.Join(t.TempDir(), "no-such-file.jsonl"))
+	for _, e := range harness.Experiments() {
+		if err == nil || !strings.Contains(err.Error(), ", "+e.Name+",") {
+			t.Errorf("-project tablex: err = %v, want one listing %s", err, e.Name)
+		}
+	}
+	if err == nil || !strings.HasSuffix(err.Error(), ", critpath, all") || strings.Contains(err.Error(), "no-such-file") {
+		t.Errorf("-project tablex: err = %v, want the list to end with all, and the file unopened", err)
+	}
+
+	var paper bytes.Buffer
+	for _, app := range apps.Originals() {
+		line, err := json.Marshal(sweep.Record{V: sweep.RecordVersion, Declaration: sweep.Declaration{Size: apps.Paper},
+			Point: sweep.Seq(app), Result: &core.Result{Time: 3 * sim.Second}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		paper.Write(append(line, '\n'))
+	}
+	path = filepath.Join(t.TempDir(), "paper.jsonl")
+	if err := os.WriteFile(path, paper.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := project("table1", path); err != nil || !strings.Contains(out, "ocean-original     514×514 grid") ||
+		!strings.Contains(out, "3.000s") {
+		t.Errorf("-project table1 of paper-size baselines (%v):\n%s\nwant the paper's problem sizes", err, out)
 	}
 }
 

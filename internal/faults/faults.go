@@ -537,6 +537,49 @@ func Parse(spec string) (*Plan, error) {
 	return p, p.Validate()
 }
 
+// String spells the plan in Parse's clause grammar, one clause per rule in
+// the order the rules were added, so Parse(p.String()) is p again. A nil or
+// empty plan is "".
+func (p *Plan) String() string {
+	if p == nil {
+		return ""
+	}
+	clauses := make([]string, len(p.rules))
+	for i, r := range p.rules {
+		prob, a, b := strconv.FormatFloat(r.p, 'g', -1, 64), strconv.Itoa(r.a), strconv.Itoa(r.b)
+		switch r.kind {
+		case kindDrop:
+			clauses[i] = "drop=" + prob
+		case kindDuplicate:
+			clauses[i] = "dup=" + prob
+		case kindDropLink:
+			clauses[i] = "linkdrop=" + a + "-" + b + ":" + prob
+		case kindJitter:
+			clauses[i] = "jitter=" + formatDur(r.d)
+		case kindRTO:
+			clauses[i] = "rto=" + formatDur(r.d)
+		case kindSeed:
+			clauses[i] = "seed=" + strconv.FormatUint(r.seed, 10)
+		case kindStart:
+			clauses[i] = "start=" + a
+		case kindPartition:
+			clauses[i] = "partition=" + a + "-" + b + "@" + formatDur(r.from) + ":" + formatDur(r.to)
+		case kindStraggler:
+			clauses[i] = "straggler=" + a + "x" + strconv.FormatFloat(r.factor, 'g', -1, 64)
+			if r.from != 0 || r.to != 0 {
+				clauses[i] += "@" + formatDur(r.from) + ":" + formatDur(r.to)
+			}
+		}
+	}
+	return strings.Join(clauses, ",")
+}
+
+// formatDur spells virtual time as parseDur reads it back: a Go duration,
+// microseconds as "us".
+func formatDur(d sim.Time) string {
+	return strings.Replace(time.Duration(d).String(), "µ", "u", 1)
+}
+
 func parsePair(s, sep string) (int, int, error) {
 	aS, bS, ok := strings.Cut(s, sep)
 	if !ok {

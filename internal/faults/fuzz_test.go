@@ -1,6 +1,9 @@
 package faults
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // checkCompiled exercises a validated plan the way a run does: compiling
 // and drawing never panics, jitter stays inside its bound and dilation is
@@ -27,7 +30,8 @@ func checkCompiled(t *testing.T, p *Plan) {
 }
 
 // checkParsed: spec either fails to parse or yields a plan that validates
-// again and runs.
+// again, runs, and round-trips through String: Parse reads String's
+// spelling back to an equal plan, which String spells the same way.
 func checkParsed(t *testing.T, spec string) {
 	p, err := Parse(spec)
 	if err != nil {
@@ -37,6 +41,14 @@ func checkParsed(t *testing.T, spec string) {
 		t.Fatalf("Parse(%q) returned a plan that does not re-validate: %v", spec, err)
 	}
 	checkCompiled(t, p)
+	s := p.String()
+	q, err := Parse(s)
+	if err != nil || !reflect.DeepEqual(p, q) {
+		t.Fatalf("Parse(%q).String() = %q, which parses to %+v (%v), want %+v", spec, s, q, err, p)
+	}
+	if again := q.String(); again != s {
+		t.Fatalf("Parse(%q).String() = %q, then %q", spec, s, again)
+	}
 }
 
 // FuzzParse: a -faults string either fails to parse or yields a plan that

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -23,8 +22,7 @@ import (
 // both come from them (declare), so the two cannot disagree.
 type matrix struct {
 	apps []string
-	// protos nil means the runner's set: Options.Protocols when given,
-	// the paper's three otherwise.
+	// protos nil means the runner's set: the paper's three unless overridden.
 	protos []string
 	// blocks empty leaves only the baselines.
 	blocks []int
@@ -38,43 +36,42 @@ type matrix struct {
 	settings sweep.Settings
 }
 
-// protocols resolves the cut's protocol set under o.
-func (m matrix) protocols(o Options) []string {
+// protocols resolves the cut's protocol set under r.
+func (m matrix) protocols(r *Runner) []string {
 	if m.protos != nil {
 		return m.protos
 	}
-	if len(o.Protocols) > 0 {
-		return o.Protocols
+	if len(r.protocols) > 0 {
+		return r.protocols
 	}
 	return proto.PaperNames()
 }
 
 // key is the point the cut holds for one application, protocol and block
-// size at the runner's cluster size: under a fault grid, the first
-// variant's (the one tables render) unless the cut has a plan of its own.
-func (m matrix) key(o Options, app, p string, g int) sweep.Key {
-	k := sweep.Key{App: app, Protocol: p, Block: g, Notify: m.notify, Nodes: cmp.Or(o.Nodes, 16),
-		Settings: m.settings}
-	if len(o.Faults) > 0 && m.settings.Faults == "" {
-		k.Fault = o.Faults[0]
+// size at r's cluster size: under a fault grid, the first variant's (the
+// one tables render) unless the cut has a plan of its own.
+func (m matrix) key(r *Runner, app, p string, g int) sweep.Key {
+	k := sweep.Key{App: app, Protocol: p, Block: g, Notify: m.notify, Nodes: r.nodes, Settings: m.settings}
+	if len(r.faults) > 0 && m.settings.Faults == "" {
+		k.Fault = r.faults[0]
 	}
 	return k
 }
 
-// points expands the cut at o's scale in canonical sweep order, each
+// points expands the cut at r's scale in canonical sweep order, each
 // application's baseline first — the order a sweep's output follows.
-func (m matrix) points(o Options) []sweep.Key {
+func (m matrix) points(r *Runner) []sweep.Key {
 	nodes := m.nodes
 	if nodes == nil {
-		nodes = []int{cmp.Or(o.Nodes, 16)}
+		nodes = []int{r.nodes}
 	}
 	var variants []string // none for a cut with a plan of its own
 	if m.settings.Faults == "" {
-		variants = o.Faults
+		variants = r.faults
 	}
 	var pts []sweep.Key
 	for _, n := range nodes {
-		s := sweep.Spec{Apps: m.apps, Protocols: m.protocols(o), Granularities: m.blocks,
+		s := sweep.Spec{Apps: m.apps, Protocols: m.protocols(r), Granularities: m.blocks,
 			Notifies: []network.Notify{m.notify}, Nodes: n, Baselines: m.baselines, Faults: variants}
 		for _, k := range s.Points() {
 			if !k.Sequential {
@@ -86,21 +83,14 @@ func (m matrix) points(o Options) []sweep.Key {
 	return pts
 }
 
-// declare builds one registry entry: cuts is both what Points names
+// declare builds one registry entry: cuts is both what its points are
 // and all that run is given to iterate.
 func declare(name, desc string, run func(*Runner, []matrix), cuts ...matrix) Experiment {
-	return Experiment{Name: name, Desc: desc,
+	return Experiment{Name: name, Desc: desc, cuts: cuts,
 		Run: func(r *Runner) (err error) {
 			defer catch(&err)
 			run(r, cuts)
 			return nil
-		},
-		Points: func(o Options) []sweep.Key {
-			var pts []sweep.Key
-			for _, m := range cuts {
-				pts = append(pts, m.points(o)...)
-			}
-			return pts
 		}}
 }
 
@@ -246,7 +236,7 @@ var lossRates = []float64{0, 0.001, 0.01, 0.05}
 // heading prints an experiment's title line; {app} is the cut's first
 // application, {nodes} the cluster size.
 func (r *Runner) heading(title string, m matrix) {
-	r.printf("%s\n", strings.NewReplacer("{app}", m.apps[0], "{nodes}", strconv.Itoa(r.opts.Nodes)).Replace(title))
+	r.printf("%s\n", strings.NewReplacer("{app}", m.apps[0], "{nodes}", strconv.Itoa(r.nodes)).Replace(title))
 }
 
 // blockLabel is a block size as the column headings spell it.
@@ -280,14 +270,14 @@ func (s speedups) render(r *Runner, cuts []matrix) {
 	}
 	r.printf("\n")
 	for _, app := range m.apps {
-		for _, p := range m.protocols(r.opts) {
+		for _, p := range m.protocols(r) {
 			r.printf("%-18s %-6s", app, p)
 			for _, g := range m.blocks {
-				sp := r.speedup(m.key(r.opts, app, p, g))
+				sp := r.speedup(m.key(r, app, p, g))
 				r.printf(" %8.2f", sp)
 			}
 			if s.tail != nil {
-				res := r.result(m.key(r.opts, app, p, last))
+				res := r.result(m.key(r, app, p, last))
 				r.printf("%s", s.tail(res))
 			}
 			r.printf("\n")
@@ -344,7 +334,7 @@ func (c counters) render(r *Runner, cuts []matrix) {
 	row := func(proto string, kind counterKind) {
 		label(proto, kind.name)
 		for _, g := range m.blocks {
-			res := r.result(m.key(r.opts, m.apps[0], proto, g))
+			res := r.result(m.key(r, m.apps[0], proto, g))
 			r.printf(" %10s", kind.cell(res))
 		}
 		r.printf("\n")
@@ -356,7 +346,7 @@ func (c counters) render(r *Runner, cuts []matrix) {
 	}
 	r.printf("\n")
 	// Rows nest the way their label columns read.
-	protos := m.protocols(r.opts)
+	protos := m.protocols(r)
 	if c.kindMajor {
 		for _, k := range c.kinds {
 			for _, p := range protos {
@@ -394,7 +384,7 @@ func (r *Runner) label(app string) string {
 	if !ok {
 		return "?"
 	}
-	if r.opts.Size == apps.Paper {
+	if r.size == apps.Paper {
 		return l[0]
 	}
 	return l[1]
@@ -419,7 +409,7 @@ func (r *Runner) table2(cuts []matrix) {
 	r.printf("%-18s %-8s %12s %10s %9s %10s %10s\n",
 		"Application", "Writers", "CompPerSync", "Barriers", "Locks", "BestSpeed", "Best@")
 	for _, app := range m.apps {
-		res := r.result(class.key(r.opts, app, class.protos[0], class.blocks[0]))
+		res := r.result(class.key(r, app, class.protos[0], class.blocks[0]))
 		writers := "single"
 		if res.MultiWriterBlocks > res.BlocksWritten/20 {
 			writers = "multiple"
@@ -431,9 +421,9 @@ func (r *Runner) table2(cuts []matrix) {
 			comp = per.String()
 		}
 		best, bestAt := 0.0, ""
-		for _, p := range m.protocols(r.opts) {
+		for _, p := range m.protocols(r) {
 			for _, g := range m.blocks {
-				s := r.speedup(m.key(r.opts, app, p, g))
+				s := r.speedup(m.key(r, app, p, g))
 				if s > best {
 					best, bestAt = s, fmt.Sprintf("%s-%d", p, g)
 				}
@@ -441,7 +431,7 @@ func (r *Runner) table2(cuts []matrix) {
 		}
 		r.printf("%-18s %-8s %12s %10d %9d %10.2f %10s\n",
 			app, writers, comp,
-			res.Total.BarrierEntries/int64(r.opts.Nodes),
+			res.Total.BarrierEntries/int64(r.nodes),
 			res.Total.LockAcquires, best, bestAt)
 	}
 }
@@ -458,7 +448,7 @@ type efficiency struct {
 
 func (e efficiency) render(r *Runner, cuts []matrix) {
 	m := cuts[0]
-	protos := m.protocols(r.opts)
+	protos := m.protocols(r)
 	type point struct {
 		row, proto string
 		block      int
@@ -478,7 +468,7 @@ func (e efficiency) render(r *Runner, cuts []matrix) {
 		}
 		for _, p := range protos {
 			for _, g := range m.blocks {
-				s := r.speedup(m.key(r.opts, app, p, g))
+				s := r.speedup(m.key(r, app, p, g))
 				sp[point{row, p, g}] = max(sp[point{row, p, g}], s)
 				best[row] = max(best[row], s)
 			}
@@ -528,9 +518,9 @@ func (e efficiency) render(r *Runner, cuts []matrix) {
 func (r *Runner) eachConfig(cuts []matrix, fn func(app, config string, res *core.Result)) {
 	for _, app := range cuts[0].apps {
 		for _, m := range cuts {
-			for _, p := range m.protocols(r.opts) {
+			for _, p := range m.protocols(r) {
 				for _, g := range m.blocks {
-					res := r.result(m.key(r.opts, app, p, g))
+					res := r.result(m.key(r, app, p, g))
 					fn(app, fmt.Sprintf("%s-%d", p, g), res)
 				}
 			}
@@ -596,7 +586,7 @@ func (r *Runner) scaling(cuts []matrix) {
 	for _, app := range m.apps {
 		r.printf("%-18s", app)
 		for _, n := range m.nodes {
-			k := m.key(r.opts, app, m.protos[0], m.blocks[0])
+			k := m.key(r, app, m.protos[0], m.blocks[0])
 			k.Nodes = n
 			s := r.speedup(k)
 			r.printf(" %7.2f", s)
@@ -617,7 +607,7 @@ func (r *Runner) software(cuts []matrix) {
 		}
 		r.printf("%-22s", label)
 		for _, g := range m.blocks {
-			s := r.speedup(m.key(r.opts, m.apps[0], m.protos[0], g))
+			s := r.speedup(m.key(r, m.apps[0], m.protos[0], g))
 			r.printf(" %8.2f", s)
 		}
 		r.printf("\n")
@@ -634,13 +624,13 @@ func (r *Runner) software(cuts []matrix) {
 // statistics match the unprofiled matrix runs bit for bit.
 func (r *Runner) sharing(cuts []matrix) {
 	m := cuts[0]
-	r.printf("False sharing vs coherence granularity (HLRC, %d nodes; %% of sharing misses)\n", r.opts.Nodes)
+	r.printf("False sharing vs coherence granularity (HLRC, %d nodes; %% of sharing misses)\n", r.nodes)
 	r.printf("%-18s %8s %8s %8s %8s   %s\n", "Application", "64B", "256B", "1KB", "4KB", "hottest region at 4KB")
 	for _, app := range m.apps {
 		r.printf("%-18s", app)
 		var hot string
 		for _, g := range m.blocks {
-			res := r.result(m.key(r.opts, app, m.protos[0], g))
+			res := r.result(m.key(r, app, m.protos[0], g))
 			sh := res.Sharing
 			r.printf(" %7.1f%%", 100*sh.FalseSharingFraction())
 			if g == 4096 {
@@ -663,15 +653,15 @@ func (r *Runner) sharing(cuts []matrix) {
 // unprofiled matrix bit for bit.
 func (r *Runner) critPath(cuts []matrix) {
 	m := cuts[0]
-	r.printf("Critical-path composition, %s on %d nodes (%% of path length)\n", m.apps[0], r.opts.Nodes)
-	if s := r.opts.WhatIf; s != nil {
-		r.printf("(what-if machine: %v)\n", s)
+	r.printf("Critical-path composition, %s on %d nodes (%% of path length)\n", m.apps[0], r.nodes)
+	if r.whatIf != "" {
+		r.printf("(what-if machine: %s)\n", r.whatIf)
 	}
 	r.printf("%-6s %6s %14s %8s %8s %8s %8s %8s %8s\n",
 		"Proto", "Block", "path", "compute", "ovhd", "wire", "svc", "lock", "barrier")
 	for _, p := range m.protos {
 		for _, g := range m.blocks {
-			res := r.result(m.key(r.opts, m.apps[0], p, g))
+			res := r.result(m.key(r, m.apps[0], p, g))
 			cp := res.CritPath
 			pct := func(c critpath.Component) float64 { return 100 * cp.Frac(c) }
 			r.printf("%-6s %5dB %14v %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
@@ -696,13 +686,13 @@ func (r *Runner) degradation(cuts []matrix) {
 	m := cuts[0]
 	app, block := m.apps[0], m.blocks[0]
 	r.printf("Degradation under link loss: %s, %s, %dB blocks, %d nodes\n",
-		app, "all protocols", block, r.opts.Nodes)
+		app, "all protocols", block, r.nodes)
 	r.printf("%-6s %7s %14s %9s %9s %9s %8s\n",
 		"Proto", "loss", "time", "slowdown", "retx", "drops", "acks")
 	for _, p := range m.protos {
 		var lossless sim.Time
 		for i, c := range cuts {
-			res := r.result(c.key(r.opts, app, p, block))
+			res := r.result(c.key(r, app, p, block))
 			if i == 0 {
 				lossless = res.Time
 			}

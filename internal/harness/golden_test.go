@@ -38,7 +38,7 @@ func TestGoldenExperiments(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		var out bytes.Buffer
-		for i, r := range sweepFor(t, sweep.Options{Size: apps.Small, Workers: workers}, Options{Nodes: 4, Out: &out}, exps...) {
+		for i, r := range sweepFor(t, sweep.Options{Size: apps.Small, Workers: workers}, &out, exps...) {
 			e := exps[i]
 			out.Reset()
 			if err := e.Run(r); err != nil {

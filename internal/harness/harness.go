@@ -4,83 +4,82 @@
 // Barnes data-traffic comparison, and the relative-efficiency harmonic
 // means of Tables 16 and 17 — and the extension tables beside them.
 //
-// Every table is a pure function of the runs it reads. An experiment
+// Every table is a pure function of the records it reads. An experiment
 // declares the cuts of the evaluation cross product it reads (PointsFor
 // names their points); the caller runs those points once, through the
-// sweep engine (internal/sweep), and hands the finished results to New.
-// A render then only looks results up: it runs nothing, and a point its
-// declaration does not name is an error, not an extra run.
+// sweep engine (internal/sweep), and hands the records sweep.Run returns,
+// or a record file's, to New. A render then only looks results up: it runs
+// nothing, and a point its declaration does not name is an error, not an
+// extra run.
 package harness
 
 import (
-	"cmp"
+	"bytes"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 	"sort"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
-	"dsmsim/internal/critpath"
 	"dsmsim/internal/sweep"
 )
 
-// Options is what the renderers read: the scale the declared points were
-// run at, the protocol set the matrix experiments sweep, the fault-grid
-// variants, the what-if scale the critpath table names, and where the
-// tables go. Under a fault grid the tables render the FIRST variant's runs;
-// a cut with its own fault plan has no variants.
-type Options struct {
-	// Nodes is the cluster size (the paper uses 16; 0 means 16).
-	Nodes int
-	// Size is the problem scale (table1's problem-size labels).
-	Size apps.SizeClass
-	// Protocols overrides the protocol set the matrix experiments sweep
-	// and render. Nil keeps the paper's three-protocol reproduction
-	// matrix (proto.PaperNames); any registered name is accepted — see
-	// proto.Names for the registry's catalog.
-	Protocols []string
-	// Faults names the fault-grid variants (sweep.Options.FaultGrid) every
-	// matrix point without a plan of its own runs under.
-	Faults []string
-	// WhatIf is the cost-class rescaling every run's template carried, if
-	// any; the critpath table names it.
-	WhatIf *critpath.Scale
-	// Out receives the rendered tables.
-	Out io.Writer
-}
-
 // Runner is a read-only view of a finished set of runs, the one thing the
-// renderers read.
+// renderers read: results by point, and the cluster size, matrix protocol
+// set (nil: proto.PaperNames), fault-grid variants (the tables render the
+// first's runs), problem size and what-if scale they were declared at.
+// New builds one over records; PointsFor expands cuts at one without.
 type Runner struct {
-	opts    Options
-	results map[sweep.Key]*core.Result
+	nodes             int
+	protocols, faults []string
+	size              apps.SizeClass
+	whatIf            string
+	out               io.Writer
+	results           map[sweep.Key]*core.Result
 }
 
-// New views results, aligned with the keys they were run for (what
-// sweep.Run returns for keys), under opts.
-func New(opts Options, keys []sweep.Key, results []*core.Result) *Runner {
-	opts.Nodes = cmp.Or(opts.Nodes, 16)
-	r := &Runner{opts: opts, results: make(map[sweep.Key]*core.Result, len(keys))}
-	for i, k := range keys {
-		r.results[k] = results[i]
+// New views recs — what sweep.Run returned, or a record file's — rendering
+// to out. The size, the what-if scale and the protocol set are the records'
+// Declaration, which a line that differs from the first fails New naming.
+// The cluster size is the first non-sequential point's, and the fault-grid
+// variants are the points' in order of first appearance.
+func New(out io.Writer, recs []sweep.Record) (*Runner, error) {
+	r := &Runner{out: out, results: make(map[sweep.Key]*core.Result, len(recs))}
+	for i, rec := range recs {
+		if d := recs[0].Declaration; !reflect.DeepEqual(rec.Declaration, d) {
+			return nil, fmt.Errorf("harness: record line %d was declared %#v, line 1 %#v", i+1, rec.Declaration, d)
+		}
+		r.size, r.whatIf, r.protocols = rec.Size, rec.WhatIf, rec.Protocols
+		k := rec.Point
+		if r.nodes == 0 && !k.Sequential {
+			r.nodes = k.Nodes
+		}
+		if k.Fault != "" && !slices.Contains(r.faults, k.Fault) {
+			r.faults = append(r.faults, k.Fault)
+		}
+		r.results[k] = rec.Result
 	}
-	return r
+	return r, nil
 }
 
-// Result returns the run of one point: a matrix point or an application's
-// sequential baseline (sweep.Seq). A point the results do not hold is an
-// error naming it.
-func (r *Runner) Result(k sweep.Key) (*core.Result, error) {
-	if res, ok := r.results[k]; ok {
-		return res, nil
+// Render writes each experiment's tables, a blank line before each, from
+// a view of recs (New) — what dsmrun -exp prints of the records it ran,
+// and dsmrun -project of a record file — or, on error, nothing.
+func Render(out io.Writer, recs []sweep.Record, exps []Experiment) error {
+	var b bytes.Buffer
+	r, err := New(&b, recs)
+	for i := 0; err == nil && i < len(exps); i++ {
+		b.WriteString("\n")
+		if err = exps[i].Run(r); err != nil {
+			err = fmt.Errorf("%s: %w", exps[i].Name, err)
+		}
 	}
-	return nil, undeclared(k)
-}
-
-// Speedup returns T_seq / T_par for one point.
-func (r *Runner) Speedup(k sweep.Key) (s float64, err error) {
-	defer catch(&err)
-	return r.speedup(k), nil
+	if err == nil {
+		_, err = out.Write(b.Bytes())
+	}
+	return err
 }
 
 // undeclared is the error of a lookup outside the results.
@@ -90,18 +89,19 @@ func (k undeclared) Error() string {
 	return fmt.Sprintf("harness: %s is not among the declared points", sweep.Key(k))
 }
 
-// result is Result for the renderers: a point the results do not hold
-// abandons the render, and the experiment's Run (declare) returns the error
-// naming it, so a render is straight-line formatting with no error paths.
+// result returns the run of one point: a matrix point or an application's
+// sequential baseline (sweep.Seq). A point the results do not hold abandons
+// the render, and the experiment's Run (declare) returns the error naming
+// it, so a render is straight-line formatting with no error paths.
 func (r *Runner) result(k sweep.Key) *core.Result {
-	res, err := r.Result(k)
-	if err != nil {
-		panic(err)
+	res, ok := r.results[k]
+	if !ok {
+		panic(undeclared(k))
 	}
 	return res
 }
 
-// speedup is Speedup for the renderers, failing as result does.
+// speedup returns T_seq / T_par for one point, failing as result does.
 func (r *Runner) speedup(k sweep.Key) float64 {
 	return float64(r.result(sweep.Seq(k.App)).Time) / float64(r.result(k).Time)
 }
@@ -119,7 +119,7 @@ func catch(err *error) {
 }
 
 func (r *Runner) printf(format string, args ...any) {
-	fmt.Fprintf(r.opts.Out, format, args...)
+	fmt.Fprintf(r.out, format, args...)
 }
 
 // harmonicMean returns the harmonic mean of xs.
@@ -135,33 +135,39 @@ func harmonicMean(xs []float64) float64 {
 type Experiment struct {
 	Name string
 	Desc string
-	// Points lists every run the experiment reads.
-	Points func(o Options) []sweep.Key
+	// cuts are the cuts of the cross product it reads (PointsFor).
+	cuts []matrix
 	// Run renders the experiment from a Runner holding (at least) its
-	// Points' results.
+	// points' results.
 	Run func(r *Runner) error
 }
 
-// Get returns the named experiment.
-func Get(name string) (Experiment, error) {
-	var names []string
-	for _, e := range Experiments() {
+// Select returns the named experiment, or under "all" every one in order.
+func Select(name string) ([]Experiment, error) {
+	exps, names := Experiments(), []string{"all"}
+	if name == "all" {
+		return exps, nil
+	}
+	for _, e := range exps {
 		if e.Name == name {
-			return e, nil
+			return []Experiment{e}, nil
 		}
 		names = append(names, e.Name)
 	}
 	sort.Strings(names)
-	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", name, names)
+	return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", name, names)
 }
 
-// PointsFor unions (and dedupes) the point sets of the given experiments,
-// preserving experiment order — the deterministic emission order of the
-// one sweep that runs them.
-func PointsFor(o Options, exps []Experiment) []sweep.Key {
+// PointsFor unions (and dedupes) the points of the experiments' cuts on a
+// cluster of nodes under o's protocol set and fault-grid variants, in
+// experiment order — the emission order of the one sweep that runs them.
+func PointsFor(o sweep.Options, nodes int, exps []Experiment) []sweep.Key {
+	r := &Runner{nodes: nodes, protocols: o.Protocols, faults: o.FaultNames()}
 	var pts []sweep.Key
 	for _, e := range exps {
-		pts = append(pts, e.Points(o)...)
+		for _, m := range e.cuts {
+			pts = append(pts, m.points(r)...)
+		}
 	}
 	return sweep.Dedupe(pts)
 }

@@ -15,37 +15,55 @@ import (
 	"dsmsim/internal/sweep"
 )
 
-// sweepFor runs every point exps declare in one sweep under so, the way
-// dsmrun -exp does, and returns per experiment a Runner over exactly that
-// experiment's declared points, rendering to o.Out. o takes its problem
-// size and fault variants from so.
-func sweepFor(t testing.TB, so sweep.Options, o Options, exps ...Experiment) []*Runner {
+// sweepFor runs every point exps declare on 4 nodes in one sweep under so,
+// the way dsmrun -exp does, and returns per experiment a Runner over
+// exactly the records of that experiment's declared points, rendering to
+// out.
+func sweepFor(t testing.TB, so sweep.Options, out io.Writer, exps ...Experiment) []*Runner {
 	t.Helper()
-	o.Size = so.Size
-	for _, v := range so.FaultGrid {
-		o.Faults = append(o.Faults, v.Name)
+	all := map[sweep.Key]sweep.Record{}
+	for _, r := range runRecords(t, so, PointsFor(so, 4, exps)...) {
+		all[r.Point] = r
 	}
-	all := runPoints(t, so, o, PointsFor(o, exps)...)
 	var rs []*Runner
 	for _, e := range exps {
-		own := e.Points(o)
-		res := make([]*core.Result, len(own))
-		for i, k := range own {
-			res[i] = all.results[k]
+		var own []sweep.Record
+		for _, k := range PointsFor(so, 4, []Experiment{e}) {
+			own = append(own, all[k])
 		}
-		rs = append(rs, New(o, own, res))
+		rs = append(rs, view(t, out, own))
 	}
 	return rs
 }
 
-// runPoints runs keys in one sweep under so and views the results under o.
-func runPoints(t testing.TB, so sweep.Options, o Options, keys ...sweep.Key) *Runner {
+// runRecords runs keys in one sweep under so and returns its records.
+func runRecords(t testing.TB, so sweep.Options, keys ...sweep.Key) []sweep.Record {
 	t.Helper()
-	res, _, err := sweep.Run(context.Background(), so, keys)
+	recs, _, err := sweep.Run(context.Background(), so, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(o, keys, res)
+	return recs
+}
+
+// view is New for records that agree on their declaration.
+func view(t testing.TB, out io.Writer, recs []sweep.Record) *Runner {
+	t.Helper()
+	r, err := New(out, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// get returns the named experiment.
+func get(t testing.TB, name string) Experiment {
+	t.Helper()
+	exps, err := Select(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exps[0]
 }
 
 // small is the scale the tests render at.
@@ -57,14 +75,10 @@ func mustRender(t *testing.T, names ...string) string {
 	t.Helper()
 	var exps []Experiment
 	for _, name := range names {
-		e, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exps = append(exps, e)
+		exps = append(exps, get(t, name))
 	}
 	var out bytes.Buffer
-	for i, r := range sweepFor(t, small, Options{Nodes: 4, Out: &out}, exps...) {
+	for i, r := range sweepFor(t, small, &out, exps...) {
 		if err := exps[i].Run(r); err != nil {
 			t.Fatalf("%s: %v", exps[i].Name, err)
 		}
@@ -82,18 +96,24 @@ func TestHarmonicMean(t *testing.T) {
 	}
 }
 
+// lookup runs a render step, returning the error of a lookup it made
+// outside the view.
+func lookup(step func()) (err error) {
+	defer catch(&err)
+	step()
+	return nil
+}
+
 // viewed checks that every lookup of k in a view of a sweep over it
 // returns the sweep's own result.
 func viewed(t *testing.T, k sweep.Key) {
 	t.Helper()
-	res, _, err := sweep.Run(context.Background(), small, []sweep.Key{k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(Options{}, []sweep.Key{k}, res)
+	recs := runRecords(t, small, k)
+	r := view(t, io.Discard, recs)
 	for i := 0; i < 2; i++ {
-		if got, err := r.Result(k); err != nil || got != res[0] {
-			t.Fatalf("lookup %d of %s: %p, %v; want the sweep's %p", i, k, got, err, res[0])
+		var got *core.Result
+		if err := lookup(func() { got = r.result(k) }); err != nil || got != recs[0].Result {
+			t.Fatalf("lookup %d of %s: %p, %v; want the sweep's %p", i, k, got, err, recs[0].Result)
 		}
 	}
 }
@@ -106,8 +126,9 @@ func TestResultCached(t *testing.T) {
 
 func TestSpeedupPositive(t *testing.T) {
 	k := sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4}
-	s, err := runPoints(t, small, Options{}, sweep.Seq("lu"), k).Speedup(k)
-	if err != nil {
+	var s float64
+	r := view(t, io.Discard, runRecords(t, small, sweep.Seq("lu"), k))
+	if err := lookup(func() { s = r.speedup(k) }); err != nil {
 		t.Fatal(err)
 	}
 	if s <= 0 {
@@ -120,23 +141,26 @@ func TestExperimentRegistry(t *testing.T) {
 	if len(exps) != 30 {
 		t.Fatalf("experiments = %d, want 30 (table1-17, fig1-2, 11 extensions)", len(exps))
 	}
-	if _, err := Get("fourway"); err != nil {
+	if _, err := Select("fourway"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Get("sharing"); err != nil {
+	if _, err := Select("sharing"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Get("critpath"); err != nil {
+	if _, err := Select("critpath"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Get("fig1"); err != nil {
+	if _, err := Select("fig1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Get("degradation"); err != nil {
+	if _, err := Select("degradation"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Get("nonesuch"); err == nil {
+	if _, err := Select("nonesuch"); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	if all, err := Select("all"); err != nil || len(all) != len(exps) || all[0].Name != "table1" {
+		t.Fatalf("all: %d experiments, err = %v; want every one in order", len(all), err)
 	}
 }
 
@@ -225,15 +249,12 @@ func TestDegradationTableSmall(t *testing.T) {
 func TestOwnPlanTakesNoGridVariant(t *testing.T) {
 	render := func(grid []sweep.FaultVariant) (string, []sweep.Key) {
 		var out bytes.Buffer
-		e, err := Get("degradation")
-		if err != nil {
+		e := get(t, "degradation")
+		so := sweep.Options{Size: apps.Small, FaultGrid: grid}
+		if err := e.Run(sweepFor(t, so, &out, e)[0]); err != nil {
 			t.Fatal(err)
 		}
-		r := sweepFor(t, sweep.Options{Size: apps.Small, FaultGrid: grid}, Options{Nodes: 4, Out: &out}, e)[0]
-		if err := e.Run(r); err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), PointsFor(r.opts, []Experiment{e})
+		return out.String(), PointsFor(so, 4, []Experiment{e})
 	}
 	plain, _ := render(nil)
 	got, pts := render([]sweep.FaultVariant{{Name: "a", Plan: faults.NewPlan(faults.Drop(0.05), faults.Seed(2))}, {Name: "b"}})
@@ -272,12 +293,9 @@ func TestFig1Table2Table15Small(t *testing.T) {
 func TestPrefetchParallelDeterminism(t *testing.T) {
 	render := func(parallel int) (table, progress, csv string) {
 		var tb, pb, cb bytes.Buffer
-		e, err := Get("table3") // lu fault table: 3 protocols × 4 granularities
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := get(t, "table3") // lu fault table: 3 protocols × 4 granularities
 		so := sweep.Options{Size: apps.Small, Progress: &pb, CSV: &cb, Workers: parallel}
-		if err := e.Run(sweepFor(t, so, Options{Nodes: 4, Out: &tb}, e)[0]); err != nil {
+		if err := e.Run(sweepFor(t, so, &tb, e)[0]); err != nil {
 			t.Fatal(err)
 		}
 		return tb.String(), pb.String(), cb.String()
@@ -304,12 +322,9 @@ func TestPrefetchParallelDeterminism(t *testing.T) {
 // (Prometheus rejects a repeated sample).
 func TestEveryPointOnceInMetrics(t *testing.T) {
 	reg := sweep.NewRegistry()
-	e, err := Get("table3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := get(t, "table3")
 	so := sweep.Options{Size: apps.Small, Workers: 2, Metrics: reg}
-	if err := e.Run(sweepFor(t, so, Options{Nodes: 4, Out: io.Discard}, e)[0]); err != nil {
+	if err := e.Run(sweepFor(t, so, io.Discard, e)[0]); err != nil {
 		t.Fatal(err)
 	}
 	var text strings.Builder
@@ -339,8 +354,7 @@ func TestEveryPointOnceInMetrics(t *testing.T) {
 func TestPointsForCoversExperiments(t *testing.T) {
 	exps := Experiments()
 	for _, protos := range [][]string{nil, {"sc"}} {
-		o := Options{Nodes: 4, Out: io.Discard, Protocols: protos}
-		for i, r := range sweepFor(t, sweep.Options{Size: apps.Small, Workers: 4}, o, exps...) {
+		for i, r := range sweepFor(t, sweep.Options{Size: apps.Small, Workers: 4, Protocols: protos}, io.Discard, exps...) {
 			if err := exps[i].Run(r); err != nil {
 				t.Errorf("protocols %v: %s: %v", protos, exps[i].Name, err)
 			}
@@ -353,17 +367,13 @@ func TestPointsForCoversExperiments(t *testing.T) {
 // baseline, and a render missing one of its declared points each fail
 // naming the point, and nothing runs it.
 func TestUndeclaredPointIsAnError(t *testing.T) {
-	e, err := Get("table3")
-	if err != nil {
-		t.Fatal(err)
+	e := get(t, "table3")
+	keys := PointsFor(small, 4, []Experiment{e})
+	recs := make([]sweep.Record, len(keys))
+	for i, k := range keys {
+		recs[i] = sweep.Record{V: sweep.RecordVersion, Point: k, Result: &core.Result{Time: 1}}
 	}
-	o := Options{Nodes: 4, Out: io.Discard}
-	keys := e.Points(o)
-	res := make([]*core.Result, len(keys))
-	for i := range res {
-		res[i] = &core.Result{Time: 1}
-	}
-	r := New(o, keys, res)
+	r := view(t, io.Discard, recs)
 	if err := e.Run(r); err != nil {
 		t.Fatalf("table3 from its declared points: %v", err)
 	}
@@ -373,9 +383,9 @@ func TestUndeclaredPointIsAnError(t *testing.T) {
 		err  error
 		want sweep.Key
 	}{
-		{"lookup", func() error { _, err := r.Result(sweep.Seq("lu")); return err }(), sweep.Seq("lu")},
-		{"speedup", func() error { _, err := r.Speedup(keys[0]); return err }(), sweep.Seq("lu")},
-		{"render", e.Run(New(o, keys[:len(keys)-1], res)), missing},
+		{"lookup", lookup(func() { r.result(sweep.Seq("lu")) }), sweep.Seq("lu")},
+		{"speedup", lookup(func() { r.speedup(keys[0]) }), sweep.Seq("lu")},
+		{"render", e.Run(view(t, io.Discard, recs[:len(recs)-1])), missing},
 	} {
 		if c.err == nil || !strings.Contains(c.err.Error(), c.want.String()+" is not among the declared points") {
 			t.Errorf("%s: err = %v, want one naming %s", c.name, c.err, c.want)
@@ -384,8 +394,8 @@ func TestUndeclaredPointIsAnError(t *testing.T) {
 }
 
 func TestLabelPaperVsSmall(t *testing.T) {
-	small := New(Options{Size: apps.Small, Nodes: 4}, nil, nil)
-	paper := New(Options{Size: apps.Paper, Nodes: 4}, nil, nil)
+	small := view(t, io.Discard, nil)
+	paper := view(t, io.Discard, []sweep.Record{{Declaration: sweep.Declaration{Size: apps.Paper}, Point: sweep.Seq("lu")}})
 	if small.label("lu") == paper.label("lu") {
 		t.Fatal("labels must differ by size class")
 	}
@@ -398,7 +408,7 @@ func TestLabelPaperVsSmall(t *testing.T) {
 // row per point in the order given.
 func TestCSVOutput(t *testing.T) {
 	var csv bytes.Buffer
-	runPoints(t, sweep.Options{Size: apps.Small, CSV: &csv}, Options{},
+	runRecords(t, sweep.Options{Size: apps.Small, CSV: &csv},
 		sweep.Key{App: "lu", Protocol: "hlrc", Block: 4096, Nodes: 4}, sweep.Key{App: "lu", Protocol: "sc", Block: 64, Nodes: 4})
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 3 {

@@ -13,6 +13,7 @@ import (
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
 	"dsmsim/internal/network"
 	"dsmsim/internal/proto"
@@ -115,6 +116,47 @@ func TestReadRecordsErrors(t *testing.T) {
 	recs, err := ReadRecords(bytes.NewReader(append(line, line...)))
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("two appended lines: %d records, err = %v", len(recs), err)
+	}
+}
+
+// TestRecordDeclaration: every record of a sweep — the baseline's too —
+// carries the sweep's size, what-if scale, fault plan and protocol set in
+// their own grammars, the lines decode to the records Run returned, and a
+// default Small sweep's lines carry none of them.
+func TestRecordDeclaration(t *testing.T) {
+	plan, err := faults.Parse("drop=0.01,jitter=5us,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale, err := critpath.ParseScale("msg=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []Key{Seq("lu"), {App: "lu", Protocol: core.SC, Block: 1024, Nodes: 2}}
+	want := Declaration{WhatIf: "msg=0.5", Faults: "drop=0.01,jitter=5us,seed=3", Protocols: []string{core.SC, core.TLC}}
+	for _, o := range []Options{
+		{Size: apps.Small, Protocols: []string{core.SC, core.TLC}, Config: core.Config{Faults: plan, WhatIf: scale}},
+		{Size: apps.Small},
+	} {
+		var rb bytes.Buffer
+		o.Record = &rb
+		recs, _, err := Run(context.Background(), o, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadRecords(bytes.NewReader(rb.Bytes()))
+		if err != nil || !reflect.DeepEqual(read, recs) {
+			t.Fatalf("the record lines (%v) are not the records Run returned", err)
+		}
+		for _, r := range recs {
+			if !reflect.DeepEqual(r.Declaration, want) {
+				t.Errorf("%s is declared %+v, want %+v", r.Point, r.Declaration, want)
+			}
+		}
+		if o.Protocols == nil && !bytes.HasPrefix(rb.Bytes(), []byte(`{"v":1,"point":`)) {
+			t.Errorf("a default sweep's record line starts %.40q", rb.Bytes())
+		}
+		want = Declaration{}
 	}
 }
 

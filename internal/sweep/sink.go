@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/critpath"
 	"dsmsim/internal/metrics"
@@ -22,17 +23,31 @@ import (
 // a field added or removed leaves it alone.
 const RecordVersion = 1
 
-// Record is the one serialization of a finished point: the point and its
-// whole result, per-node statistics, histograms, phases, samples, sharing
-// profile, critical path and reliability counters included (the final
-// image is not). The sink writes it with encoding/json as one line per
-// emitted run, baselines included. Nothing in it depends on the host or the
+// Record is the one serialization of a finished point: how its sweep was
+// declared, the point, and its whole result — per-node statistics,
+// histograms, phases, samples, sharing profile, critical path and
+// reliability counters included (the final image is not). The sink writes
+// it with encoding/json as one line per emitted run, baselines included;
+// Run returns what it wrote. Nothing in it depends on the host or the
 // build, so a record file is byte-identical at any parallelism. Every other
-// sink output, and each CSV table Project writes, is a projection of it.
+// output — sink, Project and harness tables — is a projection of records.
 type Record struct {
-	V      int          `json:"v"`
+	V int `json:"v"`
+	Declaration
 	Point  Key          `json:"point"`
 	Result *core.Result `json:"result"`
+}
+
+// Declaration is what a record names of its sweep that its point cannot,
+// the same for every record of a sweep: Options.Size (1 is Paper), the
+// template's WhatIf and Faults in their parsers' grammars, and
+// Options.Protocols. A zero field is left out of the line, so a default
+// Small record does not change.
+type Declaration struct {
+	Size      apps.SizeClass `json:"size,omitempty"`
+	WhatIf    string         `json:"whatif,omitempty"`
+	Faults    string         `json:"faults,omitempty"`
+	Protocols []string       `json:"protocols,omitempty"`
 }
 
 // Sink writes every per-run output — progress lines, CSV tables, record
@@ -85,7 +100,12 @@ func (s *Sink) add(ps ...*projection) {
 // this call's or an earlier one's: an output that lost a write is
 // incomplete, so the sweep writing it must fail.
 func (s *Sink) Emit(k Key, res *core.Result) error {
-	r := Record{V: RecordVersion, Point: k, Result: res}
+	return s.emit(Record{V: RecordVersion, Point: k, Result: res})
+}
+
+// emit is Emit of a whole record.
+func (s *Sink) emit(r Record) error {
+	k := r.Point
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range s.outputs {
@@ -134,7 +154,7 @@ func Project(w io.Writer, name string, recs []Record) error {
 	p := table(w, slices.ContainsFunc(recs, func(r Record) bool { return r.Point.Fault != "" }))
 	s := &Sink{outputs: []*projection{p}}
 	for _, r := range recs {
-		if err := s.Emit(r.Point, r.Result); err != nil {
+		if err := s.emit(r); err != nil {
 			return err
 		}
 	}

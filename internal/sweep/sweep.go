@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,6 +193,9 @@ type Options struct {
 	Config core.Config
 	// Size selects the problem scale for every run.
 	Size apps.SizeClass
+	// Protocols is the matrix protocol set harness.PointsFor declared the
+	// keys over (nil: the paper's); Run only records it.
+	Protocols []string
 	// Workers bounds host parallelism; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Verify re-checks every run's numeric result against the sequential
@@ -227,11 +231,20 @@ type Options struct {
 	Fork bool
 }
 
+// FaultNames lists the fault grid's variant names, in grid order.
+func (o Options) FaultNames() (names []string) {
+	for _, v := range o.FaultGrid {
+		names = append(names, v.Name)
+	}
+	return names
+}
+
 // sweeper is the state of one Run: the options with their defaults
-// applied, each key's planned run, the output sink, and the warmup
-// prefixes forked runs share with their counters.
+// applied and the declaration they make, each key's planned run, the
+// output sink, and the warmup prefixes forked runs share with counters.
 type sweeper struct {
 	opts    Options
+	decl    Declaration
 	keys    []Key
 	cfgs    []core.Config // each key's, validated
 	entries []apps.Entry  // each key's app
@@ -243,8 +256,9 @@ type sweeper struct {
 	flatRuns, failedForks atomic.Int64
 }
 
-// Run runs every key once over the worker pool and returns the results,
-// aligned with keys, and what prefix sharing bought.
+// Run runs every key once over the worker pool and returns the records
+// its sink wrote, one per key in the order of keys, and what prefix
+// sharing bought.
 //
 // It plans before it runs anything. A fault-grid variant with an empty or
 // repeated name fails the sweep, and so does the first key, in the order
@@ -256,13 +270,12 @@ type sweeper struct {
 // Progress, CSV and record lines are emitted in the order of keys
 // regardless of completion order. On error — a run's, or a write of its
 // output — the remaining runs are cancelled and the first error in
-// canonical order is returned, with the results finished before it.
-func Run(ctx context.Context, opts Options, keys []Key) ([]*core.Result, ForkStats, error) {
+// canonical order is returned, with no records.
+func Run(ctx context.Context, opts Options, keys []Key) ([]Record, ForkStats, error) {
 	n := len(keys)
-	results := make([]*core.Result, n)
 	s, err := plan(opts, keys)
 	if err != nil {
-		return results, ForkStats{}, err
+		return nil, ForkStats{}, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -276,15 +289,16 @@ func Run(ctx context.Context, opts Options, keys []Key) ([]*core.Result, ForkSta
 		mu   sync.Mutex
 		next int
 		done = make([]bool, n)
+		recs = make([]Record, n)
 	)
 	finish := func(i int, res *core.Result, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		results[i], errs[i], done[i] = res, err, true
+		recs[i], errs[i], done[i] = Record{V: RecordVersion, Declaration: s.decl, Point: keys[i], Result: res}, err, true
 		for next < n && done[next] {
 			if errs[next] == nil {
 				// A lost write is the point's error: its output is incomplete.
-				if errs[next] = s.sink.Emit(keys[next], results[next]); errs[next] != nil {
+				if errs[next] = s.sink.emit(recs[next]); errs[next] != nil {
 					cancel()
 				}
 			}
@@ -330,20 +344,18 @@ feed:
 			firstErr = err
 		}
 		if !errors.Is(err, context.Canceled) {
-			return results, s.forkStats(), err
+			return nil, s.forkStats(), err
 		}
 	}
-	if firstErr == nil {
+	if firstErr == nil && slices.Contains(done, false) {
 		// Cancellation can stop the feed before any run reports an error;
 		// an incomplete sweep must still fail.
-		for _, d := range done {
-			if !d {
-				firstErr = ctx.Err()
-				break
-			}
-		}
+		firstErr = ctx.Err()
 	}
-	return results, s.forkStats(), firstErr
+	if firstErr != nil {
+		return nil, s.forkStats(), firstErr
+	}
+	return recs, s.forkStats(), nil
 }
 
 // plan applies opts' defaults and plans every key of a sweep, in order.
@@ -365,7 +377,11 @@ func plan(opts Options, keys []Key) (*sweeper, error) {
 		}
 		seen[v.Name] = true
 	}
-	s := &sweeper{opts: opts, keys: keys, cfgs: make([]core.Config, len(keys)), entries: make([]apps.Entry, len(keys))}
+	s := &sweeper{opts: opts, keys: keys, cfgs: make([]core.Config, len(keys)), entries: make([]apps.Entry, len(keys)),
+		decl: Declaration{Size: opts.Size, Faults: opts.Config.Faults.String(), Protocols: opts.Protocols}}
+	if w := opts.Config.WhatIf; w != nil {
+		s.decl.WhatIf = w.String()
+	}
 	s.epoch = s.forkEpoch()
 	listed := make(map[Key]bool, len(keys))
 	var tracing *Key

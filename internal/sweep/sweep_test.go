@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,12 +68,23 @@ func runSweep(t *testing.T, workers int) (progress, csv string, results []*core.
 	return pb.String(), cb.String(), res
 }
 
-// mustRun runs a sweep the test knows to succeed.
+// mustRun runs a sweep the test knows to succeed and returns its results,
+// aligned with keys: its records hold one per key, in that order.
 func mustRun(t testing.TB, o Options, keys []Key) ([]*core.Result, ForkStats) {
 	t.Helper()
-	res, fs, err := Run(context.Background(), o, keys)
+	recs, fs, err := Run(context.Background(), o, keys)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(recs) != len(keys) {
+		t.Fatalf("%d records for %d keys", len(recs), len(keys))
+	}
+	res := make([]*core.Result, len(recs))
+	for i, r := range recs {
+		if r.Point != keys[i] {
+			t.Fatalf("record %d is %s, want %s", i, r.Point, keys[i])
+		}
+		res[i] = r.Result
 	}
 	return res, fs
 }
@@ -162,13 +172,13 @@ func TestRepeatedKeyRefused(t *testing.T) {
 	var pb, rb bytes.Buffer
 	reg := NewRegistry()
 	k := Key{App: "lu", Protocol: core.SC, Block: 1024, Notify: network.Polling, Nodes: 4}
-	res, _, err := Run(context.Background(), Options{Size: apps.Small, Workers: 2, Progress: &pb, Record: &rb, Metrics: reg},
+	recs, _, err := Run(context.Background(), Options{Size: apps.Small, Workers: 2, Progress: &pb, Record: &rb, Metrics: reg},
 		[]Key{Seq("lu"), k, k})
 	if err == nil || !strings.Contains(err.Error(), k.String()+" is listed twice") {
 		t.Fatalf("err = %v, want a refusal naming %s", err, k)
 	}
-	if slices.ContainsFunc(res, func(r *core.Result) bool { return r != nil }) || pb.Len() != 0 || rb.Len() != 0 {
-		t.Fatalf("a refused sweep ran: results %v, progress %q, record %q", res, pb.String(), rb.String())
+	if len(recs) != 0 || pb.Len() != 0 || rb.Len() != 0 {
+		t.Fatalf("a refused sweep ran: records %v, progress %q, record %q", recs, pb.String(), rb.String())
 	}
 	var text strings.Builder
 	reg.WritePrometheus(&text)
@@ -180,19 +190,18 @@ func TestRepeatedKeyRefused(t *testing.T) {
 // TestFailedPlanWritesNothing: a sweep with a point that cannot run — a
 // block size Validate refuses, an unknown app — fails naming that point
 // before it runs the baseline listed ahead of it, so however its workers
-// are scheduled it writes nothing and returns no result.
+// are scheduled it writes nothing and returns no record.
 func TestFailedPlanWritesNothing(t *testing.T) {
 	bad := Key{App: "lu", Protocol: core.HLRC, Block: 100, Notify: network.Polling, Nodes: 4}
 	for _, keys := range [][]Key{{Seq("lu"), bad}, {Seq("lu"), Seq("nonesuch")}} {
 		for rep := 0; rep < 20; rep++ {
 			var progress, record bytes.Buffer
-			res, _, err := Run(context.Background(), Options{Size: apps.Small, Workers: 4, Progress: &progress, Record: &record}, keys)
+			recs, _, err := Run(context.Background(), Options{Size: apps.Small, Workers: 4, Progress: &progress, Record: &record}, keys)
 			if err == nil || !strings.HasPrefix(err.Error(), keys[1].String()+": ") {
 				t.Fatalf("%v: err = %v, want one naming %s", keys, err, keys[1])
 			}
-			if len(res) != len(keys) || slices.ContainsFunc(res, func(r *core.Result) bool { return r != nil }) ||
-				progress.Len() != 0 || record.Len() != 0 {
-				t.Fatalf("%v, repetition %d: results %v, progress %q, record %q; want nothing", keys, rep, res, progress.String(), record.String())
+			if len(recs) != 0 || progress.Len() != 0 || record.Len() != 0 {
+				t.Fatalf("%v, repetition %d: records %v, progress %q, record %q; want nothing", keys, rep, recs, progress.String(), record.String())
 			}
 		}
 	}

@@ -41,6 +41,9 @@ func TestEveryOptionFieldHasAWith(t *testing.T) {
 	}
 	setElsewhere := map[string]bool{
 		"Size": true, // SweepSpec.Size
+		// The protocol set the harness's experiments are declared over;
+		// a Sweep's points take SweepSpec.Protocols.
+		"Protocols": true,
 		// The engine fills these per sweep.Key; Start takes them from cfg.
 		"Config.Nodes": true, "Config.BlockSize": true, "Config.Protocol": true,
 		"Config.Notify": true, "Config.Sequential": true,

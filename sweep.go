@@ -35,14 +35,10 @@ type SweepSpec struct {
 	SkipBaselines bool
 }
 
-// SweepRun pairs one point with its result. The result carries the run's
-// statistics and no Heap: a sweep verifies each run itself (WithVerify) and
-// recycles the run's master image, so holding a large sweep's results does
-// not hold its images.
-type SweepRun struct {
-	Point  SweepPoint
-	Result *Result
-}
+// SweepRun is one run's record: its point and its result, with no Heap —
+// a sweep verifies each run itself (WithVerify) and recycles its master
+// image, so holding a large sweep's results does not hold its images.
+type SweepRun = sweep.Record
 
 // ForkStats summarizes what WithFork bought a sweep: distinct warmup
 // prefixes simulated, runs forked from them, an estimate of the warmup
@@ -138,10 +134,6 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 	if spec.Nodes == 0 {
 		spec.Nodes = 16
 	}
-	var faultNames []string
-	for _, v := range o.FaultGrid {
-		faultNames = append(faultNames, v.Name)
-	}
 	points := sweep.Dedupe(sweep.Spec{
 		Apps:          spec.Apps,
 		Protocols:     spec.Protocols,
@@ -149,17 +141,16 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 		Notifies:      spec.Notify,
 		Nodes:         spec.Nodes,
 		Baselines:     !spec.SkipBaselines,
-		Faults:        faultNames,
+		Faults:        o.FaultNames(),
 	}.Points())
-	results, fork, err := sweep.Run(ctx, o, points)
+	recs, fork, err := sweep.Run(ctx, o, points)
 	if err != nil {
 		return nil, fmt.Errorf("dsmsim: %w", err)
 	}
-	out := &SweepResult{Fork: fork, baselines: map[string]Time{}}
-	for i, p := range points {
-		out.Runs = append(out.Runs, SweepRun{Point: p, Result: results[i]})
-		if p.Sequential && results[i] != nil {
-			out.baselines[p.App] = results[i].Time
+	out := &SweepResult{Runs: recs, Fork: fork, baselines: map[string]Time{}}
+	for _, r := range recs {
+		if r.Point.Sequential {
+			out.baselines[r.Point.App] = r.Result.Time
 		}
 	}
 	return out, nil
