@@ -37,15 +37,17 @@ examples:
 	$(GO) run ./examples/stencil
 	$(GO) run ./examples/protocols lu
 
-# Regenerate every paper table and figure at the paper's problem sizes,
-# verifying every run's numeric result (tens of minutes): one run writes
-# the run record results.jsonl, and the tables (results_paper.txt) and the
-# run table (results.csv) are projections of it, which simulate nothing.
+# Record the paper matrix: every experiment at the paper's problem sizes on
+# 16 nodes, verifying every run's numeric result, into results.jsonl (about
+# 2 minutes wall and 4 CPU-minutes on 2 CPUs), then write its run table to
+# internal/harness/testdata/paper16.csv, the checked-in file TestPaperMatrix
+# checks the code, EXPERIMENTS.md and the paper's claims against. Every
+# table of the record is `dsmrun -project all results.jsonl`, which
+# simulates nothing.
 verify-paper:
 	rm -f results.jsonl
 	$(GO) run ./cmd/dsmrun -exp all -size paper -nodes 16 -record results.jsonl > /dev/null
-	$(GO) run ./cmd/dsmrun -project all results.jsonl > results_paper.txt
-	$(GO) run ./cmd/dsmrun -project run results.jsonl > results.csv
+	$(GO) run ./cmd/dsmrun -project run results.jsonl > internal/harness/testdata/paper16.csv
 
 # Demos and end-to-end smoke checks: `make sweep-demo`, `trace-demo`,
 # `metrics-demo`, `faults-demo`, `prof-demo`, `crit-demo`, `scale-demo`,
@@ -59,4 +61,4 @@ demos:
 	@bash scripts/smoke.sh list
 
 clean:
-	rm -f results.csv results.jsonl trace.txt trace.json metrics_demo.csv metrics_demo.jsonl
+	rm -f results.jsonl trace.txt trace.json metrics_demo.csv metrics_demo.jsonl

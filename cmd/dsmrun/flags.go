@@ -112,11 +112,16 @@ func newCommand(stdout, stderr io.Writer) (*flag.FlagSet, func() error) {
 // apply writes the settings that describe a run into o: size, workers,
 // verification, observers, sampling interval, what-if scale, static homes,
 // the fault plan or grid, and fork. It refuses -faults beside -fault-grid
-// and -fork without a grid. The output files come from openSinks.
+// and -fork without a grid, and any -size but small or paper. The output
+// files come from openSinks.
 func (c *cli) apply(o *sweep.Options) (err error) {
-	o.Size = apps.Small
-	if c.size == "paper" {
+	switch c.size {
+	case "small":
+		o.Size = apps.Small
+	case "paper":
 		o.Size = apps.Paper
+	default:
+		return fmt.Errorf("-size %q: want small or paper", c.size)
 	}
 	o.Workers = c.parallel
 	o.Verify = c.verify

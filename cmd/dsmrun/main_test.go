@@ -508,10 +508,11 @@ func TestEveryExpRunLeavesARecord(t *testing.T) {
 }
 
 // TestProjectExpRefusals: -project renders a table only from records that
-// agree on how their sweep was declared and hold every point the table
-// reads; an unknown name is refused, listing every projection, before the
-// file is opened. A hand-made record says everything the table needs: the
-// paper-size labels of table1 come from its size alone.
+// agree on how their sweep was declared, hold every point the table reads
+// and record no point twice with different results; an unknown name is
+// refused, listing every projection, before the file is opened. A
+// hand-made record says everything the table needs: the paper-size labels
+// of table1 come from its size alone.
 func TestProjectExpRefusals(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	table3 := func(args ...string) {
@@ -542,6 +543,30 @@ func TestProjectExpRefusals(t *testing.T) {
 	}
 	if err == nil || !strings.HasSuffix(err.Error(), ", critpath, all") || strings.Contains(err.Error(), "no-such-file") {
 		t.Errorf("-project tablex: err = %v, want the list to end with all, and the file unopened", err)
+	}
+
+	// A point recorded twice renders only if both lines hold one result:
+	// -static-homes is no declared setting, so only the results tell the
+	// two table4 runs apart.
+	table4 := func(path string, args ...string) string {
+		var out bytes.Buffer
+		if err := run(append(strings.Fields("-exp table4 -size small -nodes 4 -record "+path), args...), &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	twice := filepath.Join(t.TempDir(), "twice.jsonl")
+	want := table4(twice)
+	table4(twice)
+	if out, err := project("table4", twice); err != nil || out != want {
+		t.Errorf("-project table4 of one command appended twice (%v):\n%s\nwant what -exp printed:\n%s", err, out, want)
+	}
+	mixed := filepath.Join(t.TempDir(), "mixed.jsonl")
+	table4(mixed)
+	table4(mixed, "-static-homes")
+	if out, err := project("table4", mixed); err == nil || out != "" || !strings.Contains(err.Error(),
+		"record lines 1 and 13 hold different results for ocean-rowwise/sc/64/polling/4p") {
+		t.Errorf("-project table4 of runs with and without -static-homes wrote %q; err = %v, want nothing and both lines named", out, err)
 	}
 
 	var paper bytes.Buffer
@@ -586,9 +611,9 @@ func TestExpRunSettings(t *testing.T) {
 
 // TestRefusedSelections: a selector that names nothing, a fault plan
 // given both as -faults and as -fault-grid, a selector beside -exp, a
-// -nodes outside 1..1024 in any kind of run, or a flag that the selected
-// kind of run would ignore is an error naming the flags involved — not a
-// sweep over some default.
+// -nodes outside 1..1024 in any kind of run, a -size other than small or
+// paper, or a flag that the selected kind of run would ignore is an error
+// naming the flags involved — not a sweep over some default.
 func TestRefusedSelections(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-app= -protocol sc -block 4096 -nodes 2", "-app"},
@@ -609,6 +634,7 @@ func TestRefusedSelections(t *testing.T) {
 		{"-app lu -protocol sc,hlrc -nodes 0", "-nodes 0: want 1 to 1024"},
 		{"-exp table3 -nodes 0", "-nodes 0: want 1 to 1024"},
 		{"-nodes 1025", "-nodes 1025: want 1 to 1024"},
+		{"-size bogus -app lu -nodes 2", `-size "bogus": want small or paper`},
 		{"-project run -nodes 2 runs.jsonl", "no other flag (flags: -nodes -project; files: 1)"},
 		{"-project run", "-project takes one record FILE and no other flag (flags: -project; files: 0)"},
 		{"-project run a.jsonl b.jsonl", "(flags: -project; files: 2)"},

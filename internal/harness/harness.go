@@ -43,16 +43,24 @@ type Runner struct {
 // New views recs — what sweep.Run returned, or a record file's — rendering
 // to out. The size, the what-if scale and the protocol set are the records'
 // Declaration, which a line that differs from the first fails New naming.
-// The cluster size is the first non-sequential point's, and the fault-grid
-// variants are the points' in order of first appearance.
+// A point may be recorded more than once (a record file appended by two
+// commands that share points) only with equal results; New fails naming
+// both lines otherwise. The cluster size is the first non-sequential
+// point's, and the fault-grid variants are the points' in order of first
+// appearance.
 func New(out io.Writer, recs []sweep.Record) (*Runner, error) {
 	r := &Runner{out: out, results: make(map[sweep.Key]*core.Result, len(recs))}
+	line := make(map[sweep.Key]int, len(recs))
 	for i, rec := range recs {
 		if d := recs[0].Declaration; !reflect.DeepEqual(rec.Declaration, d) {
 			return nil, fmt.Errorf("harness: record line %d was declared %#v, line 1 %#v", i+1, rec.Declaration, d)
 		}
 		r.size, r.whatIf, r.protocols = rec.Size, rec.WhatIf, rec.Protocols
 		k := rec.Point
+		if j, seen := line[k]; seen && !reflect.DeepEqual(rec.Result, r.results[k]) {
+			return nil, fmt.Errorf("harness: record lines %d and %d hold different results for %s", j, i+1, k)
+		}
+		line[k] = i + 1
 		if r.nodes == 0 && !k.Sequential {
 			r.nodes = k.Nodes
 		}
