@@ -140,7 +140,7 @@ func (m *Machine) RunFromCheckpoint(ctx context.Context, cp *Checkpoint, app App
 		return nil, err
 	}
 	r.releaseFromCut()
-	return r.finish(r.engine.Run())
+	return r.finish(r.runEngine())
 }
 
 // RunToBarrierFrom resumes from cp and cuts again at the later barrier
@@ -174,11 +174,28 @@ func (r *run) releaseFromCut() {
 	}
 }
 
+// runEngine runs the engine loop. A proc's panic unwinds out of Engine.Run
+// past finish and release; the tracer is ended on its way, so no encoder
+// outlives the run.
+func (r *run) runEngine() error {
+	returned := false
+	defer func() {
+		if !returned {
+			r.tr.Close()
+		}
+	}()
+	err := r.engine.Run()
+	returned = true
+	return err
+}
+
 // runToCapture drives the engine until the capture hook cuts the run. The
 // checkpoint deep-copies the spaces and nobody ever sees a prefix run's
-// master image, so both go back to their pools however the run ends.
+// master image, so both go back to their pools however the run ends; and
+// release ends the tracer, so a refused capture's trace is written out to
+// where its run stopped.
 func (r *run) runToCapture(k int) (*Checkpoint, error) {
-	runErr := r.engine.Run()
+	runErr := r.runEngine()
 	defer r.release(false)
 	if r.err != nil {
 		return nil, r.err

@@ -108,7 +108,9 @@ type Config struct {
 	// Trace, when non-nil, receives a deterministic line-format event log:
 	// every fault, synchronization operation, message send and message
 	// service with virtual timestamps. Traces of identical runs diff empty;
-	// trace.Chrome turns one into Chrome trace-event JSON.
+	// trace.Chrome turns one into Chrome trace-event JSON. Trace is written
+	// from the tracer's own goroutine, not the caller's; every write has
+	// happened by the time the run returns, however it ends.
 	Trace io.Writer
 	// SampleEvery, when positive, attaches the virtual-time metrics
 	// sampler: every SampleEvery of virtual time the run snapshots all
@@ -326,7 +328,7 @@ func (m *Machine) RunContext(ctx context.Context, app App) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.finish(r.engine.Run())
+	return r.finish(r.runEngine())
 }
 
 // run is one in-flight simulation: everything RunContext wires up before
@@ -768,8 +770,10 @@ var writerSets = mem.NewPool[proto.Copyset]()
 // the writer sets, the network, the profilers' tables and record chunks
 // and, unless it leaves with the Result, the master image. Every exit of a
 // run comes through here once, after the engine has stopped and any reports
-// are made — finish, runToCapture, and a buildRun that fails halfway.
+// are made — finish, runToCapture, and a buildRun that fails halfway. The
+// tracer ends first, writing out what it still holds.
 func (r *run) release(imageLeaves bool) {
+	r.tr.Close() // nil-safe; its error, if the run wanted it, came from a Flush
 	if r.env != nil {
 		for _, sp := range r.env.Spaces {
 			if releaseHook != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -95,11 +96,24 @@ func (w *fullDisk) Write(p []byte) (int, error) {
 	return n, nil
 }
 
+// failingWriter fails its nth Write and every Write after it.
+type failingWriter struct{ n, writes int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes >= w.n {
+		return 0, errWriteFailed
+	}
+	return len(p), nil
+}
+
 // TestTraceWriteErrorFailsRun: a trace sink that stops accepting bytes —
 // at once, or after the tracer's buffer has already been written through a
-// few times — fails the run and the checkpoint cut with the writer's error
-// instead of returning a Result beside a truncated file. A run that
-// aborted reports its own error and still flushes what it traced.
+// few times, or at any one of the Writes a healthy run makes — fails the
+// run and the checkpoint cut with the writer's error instead of returning
+// a Result beside a truncated file. A run that aborted reports its own
+// error and still flushes what it traced.
 func TestTraceWriteErrorFailsRun(t *testing.T) {
 	app := func() App {
 		var base int
@@ -133,6 +147,17 @@ func TestTraceWriteErrorFailsRun(t *testing.T) {
 		}
 		if !bytes.Equal(disk.got.Bytes(), whole.Bytes()[:room]) {
 			t.Errorf("room for %d bytes: the bytes accepted are not a prefix of the whole trace", room)
+		}
+	}
+	healthy := &failingWriter{n: math.MaxInt}
+	if _, err := machine(healthy, 10*sim.Second).Run(app()); err != nil {
+		t.Fatalf("healthy writer: %v", err)
+	}
+	for n := 1; n <= healthy.writes; n++ {
+		res, err := machine(&failingWriter{n: n}, 10*sim.Second).Run(app())
+		if !errors.Is(err, errWriteFailed) || !strings.HasPrefix(err.Error(), "core: trace: ") || res != nil {
+			t.Errorf("write %d of %d fails: Run returned (result %t, %v), want the writer's error under \"core: trace: \" alone",
+				n, healthy.writes, res != nil, err)
 		}
 	}
 	if cp, err := machine(&fullDisk{}, 10*sim.Second).RunToBarrier(context.Background(), app(), 3); !errors.Is(err, errDiskFull) || cp != nil {

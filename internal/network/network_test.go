@@ -256,7 +256,7 @@ func TestTracerEventsAndLatency(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Flush(); err != nil {
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if len(*got) != 1 {

@@ -226,7 +226,7 @@ func TestRequestDoneRoundTrip(t *testing.T) {
 	if want := (Fault{Block: 6, Write: true, BecameHome: true}); got != want {
 		t.Errorf("after Request the fault record is %+v, want %+v", got, want)
 	}
-	if err := env.Tracer.Flush(); err != nil {
+	if err := env.Tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(line.String(), "fetch block=6 write=1 target=0") {

@@ -147,7 +147,7 @@ func TestInstantMsgIDJoinsReasonAndID(t *testing.T) {
 		var lb, jb bytes.Buffer
 		tr := New(sim.NewEngine(), &lb)
 		emit(tr)
-		if err := tr.Flush(); err != nil {
+		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if err := Chrome(&jb, bytes.NewReader(lb.Bytes())); err != nil {

@@ -18,18 +18,28 @@
 // *Tracer that is nil when tracing is off and guards its emit (and the
 // construction of the event's arguments) behind a single nil check.
 //
-// Enabled, an event costs no allocation: the tracer encodes it by appending
-// into one buffer it owns and hands that to its bufio.Writer in one Write.
-// That holds only while nothing reachable from an Event outlives Emit — a
-// single retained string (a map key, say) makes escape analysis treat the
-// whole Event as leaking, and every call site's variadic []Arg moves from
-// its stack to the heap.
+// Enabled, an event costs no allocation and no formatting where it is
+// emitted: the emitting method copies it into a record of the tracer's
+// current batch and its args onto the batch's arena. A full batch goes to
+// the tracer's own encoder goroutine, which formats the lines and writes
+// them through a bufio.Writer, so the simulation and the encoding run side
+// by side. The emitter waits only when every batch of the tracer's ring is
+// still waiting to be encoded: a slow sink slows the run instead of
+// growing the trace in memory. Rings are recycled through a process-wide
+// idle list. The call sites' variadic []Arg stay on their stacks only
+// while the tracer keeps no string of an Event as the caller passed it —
+// escape analysis does not tell an Event's fields apart, so one retained
+// e.Cat would move every caller's Args to the heap. The emitting methods
+// therefore hand the strings and the args to the record separately, and
+// Emit keeps its own copies of an Event's strings.
 package trace
 
 import (
 	"bufio"
 	"io"
 	"strconv"
+	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"dsmsim/internal/sim"
@@ -81,17 +91,111 @@ type Event struct {
 // the disabled tracer: every method is a safe no-op, and instrumentation
 // sites additionally nil-check before building arguments so disabled
 // tracing costs one predictable branch.
+//
+// The emitting side — every method but Flush and Close — is the run's
+// simulation; the encoding side is the tracer's own goroutine, the only one
+// that touches line.
 type Tracer struct {
 	eng  *sim.Engine
+	ring *ring
+	cur  *batch // the batch the emitting methods fill
 	line *bufio.Writer
-	// buf holds the one line being encoded.
-	buf []byte
+}
+
+// record is one event as the emitting side copies it: everything
+// appendLine reads, its args the next nargs of the batch's arena.
+type record struct {
+	time, dur      sim.Time
+	node, id       int
+	cat, name, str string
+	nargs          int32
+	span           bool
+}
+
+// batch is a run of records in emit order, with their args laid end to end.
+type batch struct {
+	recs []record
+	args []Arg
+}
+
+// A ring's batches hold batchRecords records and four args a record
+// between them; a full batch goes to the encoder whole.
+const (
+	ringBatches  = 4
+	batchRecords = 512
+	batchArgs    = 4 * batchRecords
+)
+
+// ring is what passes between one tracer's two sides: empty batches come
+// back on free, filled ones go out on full, in emit order, and nil on full
+// asks the encoder to flush, answered on done. The emitter holds one batch
+// and blocks only when the others all wait on full — that is the
+// backpressure, and all the memory a tracer holds.
+type ring struct {
+	free, full chan *batch
+	done       chan error
+	line       []byte // the line the encoder is writing
+	// owned holds Emit's strings, copied at first sight (see own).
+	owned []string
+}
+
+// maxOwned bounds a ring's copies of Emit's strings. The critical-path
+// lanes name about ten.
+const maxOwned = 64
+
+// stop on full ends the encoder, which answers on done once it has.
+var stop = new(batch)
+
+// maxIdleRings bounds the idle list: traced runs in flight at once each
+// hold a ring, and one run at a time is the common case.
+const maxIdleRings = 8
+
+// rings is the idle list of rings, shared by every tracer of the process,
+// so a traced run after the first allocates none. Not a sync.Pool: the GC
+// empties one, and the next run would build its ring afresh.
+var rings struct {
+	sync.Mutex
+	idle []*ring
+}
+
+// drawRing takes an idle ring, or makes one with every batch on free.
+func drawRing() *ring {
+	rings.Lock()
+	if n := len(rings.idle); n > 0 {
+		r := rings.idle[n-1]
+		rings.idle[n-1] = nil
+		rings.idle = rings.idle[:n-1]
+		rings.Unlock()
+		return r
+	}
+	rings.Unlock()
+	r := &ring{free: make(chan *batch, ringBatches), full: make(chan *batch, ringBatches), done: make(chan error)}
+	for range ringBatches {
+		r.free <- &batch{recs: make([]record, 0, batchRecords), args: make([]Arg, 0, batchArgs)}
+	}
+	return r
+}
+
+// releaseRing gives back a ring whose encoder has ended, every batch on
+// free and empty.
+func releaseRing(r *ring) {
+	rings.Lock()
+	if len(rings.idle) < maxIdleRings {
+		rings.idle = append(rings.idle, r)
+	}
+	rings.Unlock()
 }
 
 // New creates a tracer reading virtual time from eng and writing the line
-// format to w. Call Flush when the run ends.
+// format to w, and starts its encoder: every Write to w is made from the
+// encoder's goroutine. Flush writes out what was emitted so far; Close
+// does too, and ends the encoder — call it once the run is over, however
+// it ended.
 func New(eng *sim.Engine, w io.Writer) *Tracer {
-	return &Tracer{eng: eng, line: bufio.NewWriter(w)}
+	t := &Tracer{eng: eng, ring: drawRing(), line: bufio.NewWriter(w)}
+	t.cur = <-t.ring.free
+	go t.encode()
+	return t
 }
 
 // Instant emits a zero-duration event at the current virtual time.
@@ -99,7 +203,7 @@ func (t *Tracer) Instant(node int, cat, name string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.emit(&Event{Time: t.eng.Now(), Node: node, Cat: cat, Name: name, Args: args}, -1)
+	t.slot(args).set(t.eng.Now(), 0, node, -1, cat, name, "", false)
 }
 
 // InstantMsg is Instant with a free-form string detail.
@@ -107,7 +211,7 @@ func (t *Tracer) InstantMsg(node int, cat, name, msg string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.emit(&Event{Time: t.eng.Now(), Node: node, Cat: cat, Name: name, Str: msg, Args: args}, -1)
+	t.slot(args).set(t.eng.Now(), 0, node, -1, cat, name, msg, false)
 }
 
 // InstantMsgID is InstantMsg for details of the form "msg N" (a blocking
@@ -117,7 +221,7 @@ func (t *Tracer) InstantMsgID(node int, cat, name, msg string, id int) {
 	if t == nil {
 		return
 	}
-	t.emit(&Event{Time: t.eng.Now(), Node: node, Cat: cat, Name: name, Str: msg}, id)
+	t.slot(nil).set(t.eng.Now(), 0, node, id, cat, name, msg, false)
 }
 
 // Span emits a duration event covering [start, now]. Call it when the
@@ -127,31 +231,121 @@ func (t *Tracer) Span(node int, cat, name string, start sim.Time, args ...Arg) {
 	if t == nil {
 		return
 	}
-	now := t.eng.Now()
-	t.emit(&Event{Time: start, Dur: now - start, Node: node, Cat: cat, Name: name, Span: true, Args: args}, -1)
+	t.slot(args).set(start, t.eng.Now()-start, node, -1, cat, name, "", true)
 }
 
-// Emit writes one event.
+// Emit writes one event. Its strings are the tracer's own copies (own):
+// the record keeps no string of e, so e.Args stays where the caller made it.
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
 	}
-	t.emit(&e, -1)
+	t.slot(e.Args).set(e.Time, e.Dur, e.Node, -1, t.own(e.Cat), t.own(e.Name), t.own(e.Str), e.Span)
 }
 
-// emit encodes e; id >= 0 is joined to e.Str (InstantMsgID).
-func (t *Tracer) emit(e *Event, id int) {
-	t.buf = appendLine(t.buf[:0], e, id)
-	t.line.Write(t.buf)
+// own returns the ring's copy of s, made the first time s is seen (the
+// first maxOwned strings are kept; later ones are copied each time). Escape
+// analysis does not tell an Event's fields apart: keeping e.Cat itself
+// would move every caller's Args to the heap.
+func (t *Tracer) own(s string) string {
+	for _, o := range t.ring.owned {
+		if o == s {
+			return o
+		}
+	}
+	o := strings.Clone(s)
+	if len(t.ring.owned) < maxOwned {
+		t.ring.owned = append(t.ring.owned, o)
+	}
+	return o
 }
 
-// Flush flushes the sink. Call exactly once, after the run; the tracer
-// must not be used afterwards.
+// slot copies args onto the current batch's arena and returns the record
+// they belong to, for the caller to fill in place — handing the batch to
+// the encoder first when the two do not fit.
+func (t *Tracer) slot(args []Arg) *record {
+	b := t.cur
+	if len(b.recs) == cap(b.recs) || len(b.args)+len(args) > cap(b.args) {
+		b = t.handOver()
+	}
+	b.args = append(b.args, args...)
+	b.recs = b.recs[:len(b.recs)+1]
+	r := &b.recs[len(b.recs)-1]
+	r.nargs = int32(len(args))
+	return r
+}
+
+// set fills every field of r but nargs: a slot is a reused record.
+func (r *record) set(time, dur sim.Time, node, id int, cat, name, str string, span bool) {
+	r.time, r.dur, r.node, r.id = time, dur, node, id
+	r.cat, r.name, r.str, r.span = cat, name, str, span
+}
+
+// handOver sends the current batch to the encoder, if it holds anything,
+// and takes an empty one — waiting for it while every batch is full.
+func (t *Tracer) handOver() *batch {
+	if len(t.cur.recs) > 0 {
+		t.ring.full <- t.cur
+		t.cur = <-t.ring.free
+	}
+	return t.cur
+}
+
+// encode is the encoder's goroutine: it writes each batch's lines in
+// order and gives the batch back, and flushes the sink when asked. A
+// failed Write stays with the bufio.Writer, which returns it from every
+// later Write and from Flush.
+func (t *Tracer) encode() {
+	r := t.ring
+	for {
+		b := <-r.full
+		switch b {
+		case nil:
+			r.done <- t.line.Flush()
+			continue
+		case stop:
+			r.done <- nil
+			return
+		}
+		args := b.args
+		for i := range b.recs {
+			rec := &b.recs[i]
+			e := Event{Time: rec.time, Dur: rec.dur, Node: rec.node, Cat: rec.cat, Name: rec.name,
+				Str: rec.str, Span: rec.span, Args: args[:rec.nargs]}
+			args = args[rec.nargs:]
+			r.line = appendLine(r.line[:0], &e, rec.id)
+			t.line.Write(r.line)
+		}
+		b.recs, b.args = b.recs[:0], b.args[:0]
+		r.free <- b
+	}
+}
+
+// Flush hands the encoder what was emitted so far, waits until it is
+// written to the sink, and returns the first error writing it.
 func (t *Tracer) Flush() error {
-	if t == nil {
+	if t == nil || t.ring == nil {
 		return nil
 	}
-	return t.line.Flush()
+	t.handOver()
+	t.ring.full <- nil
+	return <-t.ring.done
+}
+
+// Close flushes, ends the encoder and gives its ring back; the tracer must
+// not be used afterwards, and a second Close is a no-op.
+func (t *Tracer) Close() error {
+	if t == nil || t.ring == nil {
+		return nil
+	}
+	err := t.Flush()
+	r := t.ring
+	r.full <- stop
+	<-r.done
+	r.free <- t.cur
+	t.ring, t.cur = nil, nil
+	releaseRing(r)
+	return err
 }
 
 // appendNodeName renders a node id as "node<id>".

@@ -20,6 +20,9 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLineFormatDeterministic(t *testing.T) {
@@ -37,7 +40,7 @@ func TestLineFormatDeterministic(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Flush(); err != nil {
+		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()
@@ -78,7 +81,7 @@ func TestJSONIsValidChromeTrace(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Flush(); err != nil {
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 	js := chromeOf(t, line.String())

@@ -113,7 +113,9 @@ func WithWhatIf(s *CritScale) Option { return func(o *sweep.Options) { o.Config.
 // with virtual timestamps. Traces the one run of Start, or the one point
 // of a Sweep; a Sweep of more than one point fails with it. `dsmrun
 // -project chrome FILE` turns the log into Chrome trace-event JSON (load
-// in Perfetto or chrome://tracing).
+// in Perfetto or chrome://tracing). w is written from the tracer's own
+// goroutine, not the caller's; every write has happened by the time Start
+// or Sweep returns.
 func WithTrace(w io.Writer) Option { return func(o *sweep.Options) { o.Config.Trace = w } }
 
 // WithParallelism bounds the sweep worker pool. n <= 0 (and the default)
