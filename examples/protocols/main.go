@@ -1,6 +1,6 @@
 // Protocols: run one of the paper's bundled applications across the full
 // protocol × granularity matrix and print a miniature Figure 1 — speedups
-// over the uninstrumented sequential baseline.
+// over the one-node sequential baseline.
 //
 // The matrix runs through dsmsim.Sweep, which fans the independent
 // simulations out over every CPU; because each run is a deterministic

@@ -84,14 +84,17 @@ type Config struct {
 	Nodes int
 	// BlockSize is the coherence granularity in bytes (power of two).
 	BlockSize int
-	// Protocol is one of SC, SWLRC, HLRC.
+	// Protocol names a registered protocol (proto.Names): SC, DC, SWLRC,
+	// HLRC or TLC.
 	Protocol string
 	// Notify selects polling or interrupts (§5.4).
 	Notify network.Notify
-	// Sequential runs the uninstrumented one-node baseline used as the
-	// numerator of speedups: all blocks pre-claimed by node 0, no polling
-	// dilation, no faults. Validate clears the settings a baseline ignores
-	// (Faults, ShareProfile, CritPath, WhatIf).
+	// Sequential runs the one-node baseline used as the numerator of
+	// speedups: all blocks pre-claimed by node 0, no polling dilation, no
+	// access faults. It still sends itself every lock and barrier message
+	// and pays their send and handler costs (DESIGN §5½). Validate runs it
+	// at the page size unless BlockSize is set, and clears the settings a
+	// baseline ignores (Faults, ShareProfile, CritPath, WhatIf).
 	Sequential bool
 	// StaticHomes disables first-touch home migration (§2): blocks stay
 	// at their round-robin static homes. An ablation knob for the
@@ -168,11 +171,11 @@ var (
 )
 
 // Validate checks the configuration and normalizes a Sequential baseline:
-// one node and the SC protocol unless set, and neither a fault plan, the
-// profilers nor a what-if scaling, which it ignores.
+// one node, 4096 B blocks and the SC protocol unless set, and neither a
+// fault plan, the profilers nor a what-if scaling, which it ignores.
 func (c *Config) Validate() error {
 	if c.Sequential {
-		c.Nodes = cmp.Or(c.Nodes, 1)
+		c.Nodes, c.BlockSize = cmp.Or(c.Nodes, 1), cmp.Or(c.BlockSize, 4096)
 		c.Faults, c.ShareProfile, c.CritPath, c.WhatIf = nil, false, false, nil
 	}
 	if c.Nodes <= 0 || c.Nodes > MaxNodes {
@@ -264,9 +267,10 @@ type Result struct {
 	BlocksWritten     int
 	MultiWriterBlocks int
 
-	// ProtoStaticBytes is the protocol's fixed metadata footprint and
-	// ProtoPeakBytes its peak dynamic allocation (HLRC twins) — the
-	// memory-utilization dimension §7 leaves unexamined.
+	// ProtoStaticBytes is the protocol's fixed metadata footprint, the
+	// home map included, and ProtoPeakBytes its peak dynamic allocation
+	// (HLRC twins) — the memory-utilization dimension §7 leaves
+	// unexamined.
 	ProtoStaticBytes int64
 	ProtoPeakBytes   int64
 
@@ -544,13 +548,14 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		r.dilation = r.info.PollDilation
 	}
 	// Every endpoint dispatches service by kind class: synchronization
-	// below proto.ProtoKindBase, the coherence protocol above.
-	sy, p := r.sy, r.p
+	// below proto.ProtoKindBase, the coherence protocol above, whose
+	// shipped block (Data) is charged its install copy here.
+	sy, p, model := r.sy, r.p, env.Model
 	cost := func(msg *network.Msg) sim.Time {
 		if msg.Kind < proto.ProtoKindBase {
 			return sy.ServiceCost(msg)
 		}
-		return p.ServiceCost(msg)
+		return model.MemCopy(len(msg.Data)) + p.ServiceCost(msg)
 	}
 	handler := func(msg *network.Msg) {
 		if msg.Kind < proto.ProtoKindBase {
@@ -679,8 +684,7 @@ func (r *run) finish(runErr error) (res *Result, err error) {
 				arg[0] = trace.A("block", int64(s.Block))
 				args = arg[:]
 			}
-			r.tr.Emit(trace.Event{Time: s.Start, Dur: s.End - s.Start, Node: s.Node,
-				Cat: trace.CatCrit, Name: s.Comp.String(), Span: true, Args: args})
+			r.tr.SpanAt(s.Node, trace.CatCrit, s.Comp.String(), s.Start, s.End, args...)
 		}
 	}
 	traceErr := r.tr.Flush() // nil-safe; flush even when the run aborted so the partial trace is inspectable
@@ -756,6 +760,7 @@ func (r *run) finish(runErr error) (res *Result, err error) {
 		}
 	}
 	res.ProtoStaticBytes, res.ProtoPeakBytes = r.p.MemFootprint()
+	res.ProtoStaticBytes += r.env.Homes.MemBytes()
 	return res, nil
 }
 

@@ -70,6 +70,7 @@ func TestValidConfigsStillAccepted(t *testing.T) {
 		{Nodes: 65, BlockSize: 4096, Protocol: SC}, // first count past the old bitmask ceiling
 		{Nodes: MaxNodes, BlockSize: 4096, Protocol: HLRC},
 		{Sequential: true, BlockSize: 64}, // nodes and protocol defaulted
+		{Sequential: true},                // and the page size too
 		{Nodes: 4, BlockSize: 64, Protocol: SWLRC,
 			Faults: faults.NewPlan(faults.Drop(0.01), faults.Seed(7))},
 	} {

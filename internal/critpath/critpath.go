@@ -81,20 +81,21 @@ func (c Component) String() string {
 	return "unknown"
 }
 
-// syncKinds below this bound are synchronization traffic (see
-// proto.ProtoKindBase); within it, kinds 0..3 are lock messages and 4..5
-// barrier messages (see internal/synch).
+// The message-kind layout, declared here because this is the lowest layer
+// that reads it: the synchronization layer (internal/synch) numbers its
+// lock messages 0..LockKinds-1 and its barrier messages from LockKinds, and
+// every protocol numbers its own from ProtoKindBase up (proto.ProtoKindBase).
 const (
-	protoKindBase = 100
-	lockKindMax   = 3
+	LockKinds     = 4
+	ProtoKindBase = 100
 )
 
 // wireComp classifies a message's wire transit by its kind.
 func wireComp(kind int) Component {
 	switch {
-	case kind >= protoKindBase:
+	case kind >= ProtoKindBase:
 		return MsgWire
-	case kind <= lockKindMax:
+	case kind < LockKinds:
 		return LockWait
 	default:
 		return BarrierWait
@@ -103,7 +104,7 @@ func wireComp(kind int) Component {
 
 // svcComp classifies a message's service occupancy by its kind.
 func svcComp(kind int) Component {
-	if kind >= protoKindBase {
+	if kind >= ProtoKindBase {
 		return MsgService
 	}
 	return wireComp(kind)

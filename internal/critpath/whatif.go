@@ -111,13 +111,13 @@ func (s *Scale) scale(d sim.Time) sim.Time {
 	return sim.Time(int64(d) * s.PPM / 1e6)
 }
 
-// syncScaled reports whether a synchronization kind falls in the class.
+// kindIn reports whether a synchronization kind falls in the class.
 func (s *Scale) kindIn(kind int) bool {
 	switch s.Class {
 	case ClassLock:
-		return kind <= lockKindMax
+		return kind < LockKinds
 	case ClassBarrier:
-		return kind > lockKindMax && kind < protoKindBase
+		return kind >= LockKinds && kind < ProtoKindBase
 	}
 	return false
 }
@@ -128,7 +128,7 @@ func (s *Scale) Wire(kind int, d sim.Time) sim.Time {
 	if s == nil {
 		return d
 	}
-	if (s.Class == ClassMsg && kind >= protoKindBase) || s.kindIn(kind) {
+	if (s.Class == ClassMsg && kind >= ProtoKindBase) || s.kindIn(kind) {
 		return s.scale(d)
 	}
 	return d
@@ -139,7 +139,7 @@ func (s *Scale) SvcCost(kind int, d sim.Time) sim.Time {
 	if s == nil {
 		return d
 	}
-	if (s.Class == ClassSvc && kind >= protoKindBase) || s.kindIn(kind) {
+	if (s.Class == ClassSvc && kind >= ProtoKindBase) || s.kindIn(kind) {
 		return s.scale(d)
 	}
 	return d

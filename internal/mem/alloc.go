@@ -81,6 +81,3 @@ func (a *Allocator) Regions() []Region {
 
 // Used returns the number of bytes allocated so far (including padding).
 func (a *Allocator) Used() int { return a.next }
-
-// Remaining returns the bytes left in the heap.
-func (a *Allocator) Remaining() int { return a.size - a.next }

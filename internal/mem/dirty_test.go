@@ -190,7 +190,7 @@ func mutate(rng *rand.Rand, s *Space, n int) {
 		case 1:
 			if s.Tag(b).Allows(true) {
 				off := rng.Intn(s.blockSize)
-				rng.Read(s.Bytes(s.BlockStart(b)+off, rng.Intn(s.blockSize-off)+1))
+				rng.Read(s.Bytes(b<<s.blockShift+off, rng.Intn(s.blockSize-off)+1))
 			}
 		case 2:
 			rng.Read(s.BlockData(b)[:1+rng.Intn(s.blockSize)])
@@ -242,7 +242,7 @@ func TestDigestIgnoresDirtyZeroPages(t *testing.T) {
 		a, b := NewSpace(16*8192, bs), NewSpace(16*8192, bs)
 		for _, s := range []*Space{a, b} {
 			s.SetTag(1, ReadWrite)
-			s.Bytes(s.BlockStart(1), 1)[0] = 7
+			s.Bytes(1<<s.blockShift, 1)[0] = 7
 		}
 		b.BlockData(b.NumBlocks() - 1)
 		b.BlockData(b.NumBlocks() / 2)

@@ -155,12 +155,6 @@ func (s *Space) BlockSize() int { return s.blockSize }
 // NumBlocks returns the number of coherence blocks.
 func (s *Space) NumBlocks() int { return len(s.tags) }
 
-// BlockOf returns the block index containing byte address addr.
-func (s *Space) BlockOf(addr int) int { return addr >> s.blockShift }
-
-// BlockStart returns the byte address where block b begins.
-func (s *Space) BlockStart(b int) int { return b << s.blockShift }
-
 // BlocksIn returns the inclusive block range [first, last] covering the byte
 // range [addr, addr+n). n must be positive.
 func (s *Space) BlocksIn(addr, n int) (first, last int) {

@@ -183,9 +183,6 @@ func TestHomesOverlay(t *testing.T) {
 	if h.Home(5) != 1 {
 		t.Fatal("self-claimed home wrong")
 	}
-	if h.ClaimToStatic(9) != 1 || h.Home(9) != 1 {
-		t.Fatal("ClaimToStatic wrong")
-	}
 	// Node 0 has not learned block 6's migrated home: it still believes
 	// the static home and its request would be forwarded.
 	if h.CachedHome(0, 6) != 2 {

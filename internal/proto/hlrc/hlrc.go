@@ -130,9 +130,6 @@ func New(env *proto.Env) *Protocol {
 	return p
 }
 
-// Name implements proto.Protocol.
-func (p *Protocol) Name() string { return "hlrc" }
-
 // OnAcquireComplete implements proto.Protocol: all acquire-time work
 // happens through the write-notice mechanism (ApplyNotices).
 func (p *Protocol) OnAcquireComplete(node int) {}
@@ -373,17 +370,12 @@ func (p *Protocol) earlyFlush(node, b int, twin []byte) {
 	})
 }
 
-// ServiceCost implements proto.Protocol.
+// ServiceCost implements proto.Protocol: a home applies a diff.
 func (p *Protocol) ServiceCost(m *network.Msg) sim.Time {
-	model := p.env.Model
-	switch m.Kind {
-	case kFetchData:
-		return model.MemCopy(len(m.Data))
-	case kDiff:
-		return model.DiffApply(m.Payload.(*diffMsg).diff.PayloadBytes())
-	default:
-		return 0
+	if m.Kind == kDiff {
+		return p.env.Model.DiffApply(m.Payload.(*diffMsg).diff.PayloadBytes())
 	}
+	return 0
 }
 
 // Handle implements proto.Protocol.
@@ -508,9 +500,6 @@ func (p *Protocol) Finalize() {
 // Collect implements proto.Protocol.
 func (p *Protocol) Collect(b int) []byte { return p.env.HomeImage(b) }
 
-// MemFootprint implements proto.MemReporter: fixed metadata (the sparse
-// home map — claim bitmap plus migrated-block overlay) and the peak twin
-// storage.
-func (p *Protocol) MemFootprint() (int64, int64) {
-	return p.env.Homes.MemBytes(), p.twinBytesPeak
-}
+// MemFootprint implements proto.MemReporter: no fixed metadata beyond the
+// home map, and the peak twin storage.
+func (p *Protocol) MemFootprint() (int64, int64) { return 0, p.twinBytesPeak }

@@ -3,7 +3,6 @@ package hlrc
 import (
 	"fmt"
 
-	"dsmsim/internal/digest"
 	"dsmsim/internal/proto"
 )
 
@@ -31,23 +30,13 @@ type state struct {
 
 // CaptureState implements proto.Checkpointer.
 func (p *Protocol) CaptureState() (any, error) {
-	if n := p.installs.Len(); n != 0 {
-		return nil, fmt.Errorf("hlrc: %d installs in flight", n)
-	}
 	for node, n := range p.flushAcks {
 		if n != 0 || p.flushWaiting[node] {
 			return nil, fmt.Errorf("hlrc: node %d mid-flush (%d acks outstanding)", node, n)
 		}
 	}
-	return digest.Clone(&p.state), nil
+	return proto.Capture(&p.state, p.installs.Len())
 }
 
 // RestoreState implements proto.Checkpointer.
-func (p *Protocol) RestoreState(s any) error {
-	st, ok := s.(*state)
-	if !ok || len(st.twins) != len(p.twins) {
-		return fmt.Errorf("hlrc: RestoreState of %T onto %d nodes", s, len(p.twins))
-	}
-	digest.Copy(&p.state, st)
-	return nil
-}
+func (p *Protocol) RestoreState(s any) error { return proto.Restore(&p.state, s) }

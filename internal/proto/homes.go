@@ -85,17 +85,6 @@ func (h *Homes) Claim(b, node int) (home int, migrated bool) {
 	return h.Home(b), false
 }
 
-// ClaimToStatic assigns the static home to any still-unclaimed block
-// (used when a block must have a home but the toucher does not qualify,
-// e.g. an HLRC load before any store).
-func (h *Homes) ClaimToStatic(b int) int {
-	if h.firstTouch && !h.claimed.Contains(b) {
-		h.claimed.Add(b)
-		return h.Static(b)
-	}
-	return h.Home(b)
-}
-
 // CachedHome returns the home that node currently believes block b has:
 // the true home once the node has learned it from a data grant, the
 // static home (the directory, which forwards) until then. This is the

@@ -10,13 +10,10 @@ import (
 	"dsmsim/internal/trace"
 )
 
-// Message kinds below SyncKindBase belong to the synchronization layer
-// (internal/synch); protocol implementations number their kinds from
-// ProtoKindBase up. The core dispatches on this split.
-const (
-	SyncKindBase  = 0
-	ProtoKindBase = 100
-)
+// ProtoKindBase is where protocol implementations number their message
+// kinds from; every kind below it belongs to the synchronization layer
+// (internal/synch). The core dispatches on this split.
+const ProtoKindBase = critpath.ProtoKindBase
 
 // Env is the shared environment a protocol operates in. The core runtime
 // constructs it and fills every field before the first fault.
@@ -103,18 +100,18 @@ func (e *Env) SeedHomes() {
 
 // Protocol is a coherence protocol. Fault and the synchronization hooks run
 // in the faulting node's proc context and may block; ServiceCost and Handle
-// run in engine context when a message is serviced.
+// run in engine context when a message is serviced. The registry names it.
+// The synchronization hooks stay on the interface even where a protocol's
+// are no-ops, so a wrapper that embeds a Protocol sees every one of them.
 type Protocol interface {
-	// Name returns the protocol's short name ("sc", "swlrc", "hlrc").
-	Name() string
-
 	// Fault resolves an access violation by node on block. It runs in the
 	// node's proc context after fault-delivery cost has been charged, and
 	// returns only when the access is permitted by the local tag.
 	Fault(node, block int, write bool)
 
 	// ServiceCost returns the processor occupancy of servicing m, charged
-	// before Handle runs.
+	// before Handle runs, beyond the install copy of the block m ships in
+	// Data, which the core charges for every protocol.
 	ServiceCost(m *network.Msg) sim.Time
 
 	// Handle services a protocol message.
@@ -185,16 +182,19 @@ type TimestampCarrier interface {
 //
 // The returned snapshot is opaque to callers, deep (no mutable aliasing
 // with the live protocol) and reusable: RestoreState may be applied to
-// any number of forks.
+// any number of forks. A protocol keeps its state in one struct, and
+// Capture and Restore (skeleton.go) implement the two methods over it.
 type Checkpointer interface {
 	CaptureState() (any, error)
 	RestoreState(state any) error
 }
 
 // MemReporter is the part of Protocol that reports the protocol's memory
-// footprint: the fixed per-block/per-node metadata and the peak dynamic
-// allocation (twins under HLRC). The paper's §7 lists memory utilization
-// as unexamined future work; the harness's "memory" experiment covers it.
+// footprint: the fixed per-block/per-node metadata of its own tables and
+// the peak dynamic allocation (twins under HLRC). The home map is the
+// Env's, and the core adds it once. The paper's §7 lists memory
+// utilization as unexamined future work; the harness's "memory"
+// experiment covers it.
 type MemReporter interface {
 	// MemFootprint returns (staticBytes, peakDynamicBytes).
 	MemFootprint() (int64, int64)

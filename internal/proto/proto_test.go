@@ -186,10 +186,4 @@ func TestHomesFirstTouch(t *testing.T) {
 	if home != 2 || migrated {
 		t.Fatalf("second Claim = %d,%v, want existing home", home, migrated)
 	}
-	if h.ClaimToStatic(5) != 5%4 {
-		t.Fatal("ClaimToStatic wrong")
-	}
-	if h.ClaimToStatic(3) != 2 {
-		t.Fatal("ClaimToStatic must not steal a claimed block")
-	}
 }

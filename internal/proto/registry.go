@@ -17,9 +17,9 @@ type Meta struct {
 	Name string
 	// Title is a one-line description used in CLI help and listings.
 	Title string
-	// Order fixes the deterministic iteration order of Registered and
-	// Names: ascending Order, ties broken by Name. The paper's protocols
-	// come first, in the paper's order.
+	// Order fixes the deterministic iteration order of Names and
+	// PaperNames: ascending Order, ties broken by Name. The paper's
+	// protocols come first, in the paper's order.
 	Order int
 	// Paper marks the protocols of the paper's evaluation matrix
 	// (SC, SW-LRC, HLRC); PaperNames and dsmsim.Protocols list exactly
@@ -76,12 +76,6 @@ func Register(name string, meta Meta, factory func(*Env) Protocol) {
 func Lookup(name string) (*Registration, bool) {
 	reg, ok := registry[name]
 	return reg, ok
-}
-
-// Registered returns every registration in deterministic order
-// (ascending Meta.Order, then Name). The returned slice is a copy.
-func Registered() []*Registration {
-	return append([]*Registration(nil), ordered...)
 }
 
 // Names returns every registered protocol name in deterministic order.

@@ -36,11 +36,13 @@ func TestRegisteredOrder(t *testing.T) {
 	if got := knownNames(proto.Names()); !slices.Equal(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	regs := proto.Registered()
-	for i := 1; i < len(regs); i++ {
-		a, b := regs[i-1].Meta, regs[i].Meta
+	names := proto.Names()
+	for i := 1; i < len(names); i++ {
+		ra, _ := proto.Lookup(names[i-1])
+		rb, _ := proto.Lookup(names[i])
+		a, b := ra.Meta, rb.Meta
 		if a.Order > b.Order || (a.Order == b.Order && a.Name > b.Name) {
-			t.Fatalf("Registered() out of order at %d: %q (%d) before %q (%d)",
+			t.Fatalf("Names() out of order at %d: %q (%d) before %q (%d)",
 				i, a.Name, a.Order, b.Name, b.Order)
 		}
 	}

@@ -86,14 +86,6 @@ func New(env *proto.Env) *Protocol {
 	return p
 }
 
-// Name implements proto.Protocol.
-func (p *Protocol) Name() string {
-	if p.delayed {
-		return "dc"
-	}
-	return "sc"
-}
-
 // PreRelease implements proto.Protocol: nothing to flush under SC.
 func (p *Protocol) PreRelease(node int) []proto.WriteNotice { return nil }
 
@@ -112,16 +104,13 @@ func (p *Protocol) Fault(node, block int, write bool) {
 	})
 }
 
-// ServiceCost implements proto.Protocol.
+// ServiceCost implements proto.Protocol: a write-back request copies the
+// owner's block out.
 func (p *Protocol) ServiceCost(m *network.Msg) sim.Time {
-	switch m.Kind {
-	case kData, kDataEx, kWBData:
-		return p.env.Model.MemCopy(len(m.Data))
-	case kWBReq:
+	if m.Kind == kWBReq {
 		return p.env.Model.MemCopy(p.env.Spaces[0].BlockSize())
-	default:
-		return 0
 	}
+	return 0
 }
 
 // Handle implements proto.Protocol.
@@ -392,15 +381,13 @@ func (p *Protocol) Collect(b int) []byte { return p.env.HomeImage(b) }
 // MemFootprint implements proto.MemReporter: the sharded directory
 // (owner + sharer copyset per touched block — shards materialise on
 // first touch, so untouched heap costs nothing), any sharer-set spill
-// pages, the sparse home map with its migrated-block overlay, and the
-// delayed-consistency buffers when enabled. SC allocates nothing
-// per-release.
+// pages and the delayed-consistency buffers when enabled. SC allocates
+// nothing per-release.
 func (p *Protocol) MemFootprint() (int64, int64) {
 	static := p.dir.MemBytes(int64(unsafe.Sizeof(dirEntry{})))
 	for _, e := range p.dir.All() {
 		static += e.sharers.MemBytes()
 	}
-	static += p.env.Homes.MemBytes()
 	for i := range p.pendingInval {
 		static += 8 + p.pendingInval[i].MemBytes()
 	}

@@ -1,11 +1,6 @@
 package sc
 
-import (
-	"fmt"
-
-	"dsmsim/internal/digest"
-	"dsmsim/internal/proto"
-)
+import "dsmsim/internal/proto"
 
 // state is the checkpointable state of the SC (or DC) protocol: the
 // sharded directory with its sharer copysets, and the
@@ -26,19 +21,7 @@ type state struct {
 }
 
 // CaptureState implements proto.Checkpointer.
-func (p *Protocol) CaptureState() (any, error) {
-	if n := p.txns.Len(); n != 0 {
-		return nil, fmt.Errorf("sc: %d directory transactions in flight", n)
-	}
-	return digest.Clone(&p.state), nil
-}
+func (p *Protocol) CaptureState() (any, error) { return proto.Capture(&p.state, p.txns.Len()) }
 
 // RestoreState implements proto.Checkpointer.
-func (p *Protocol) RestoreState(s any) error {
-	st, ok := s.(*state)
-	if !ok || p.delayed != (st.pendingInval != nil) {
-		return fmt.Errorf("sc: RestoreState of %T onto %s", s, p.Name())
-	}
-	digest.Copy(&p.state, st)
-	return nil
-}
+func (p *Protocol) RestoreState(s any) error { return proto.Restore(&p.state, s) }

@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 
+	"dsmsim/internal/digest"
 	"dsmsim/internal/network"
 	"dsmsim/internal/trace"
 )
@@ -245,4 +246,26 @@ func (t *Txns[T]) End(b int) {
 	}
 	x.waitq = x.waitq[:0]
 	t.free = append(t.free, x)
+}
+
+// Capture is a protocol's CaptureState: a deep copy of its state *s,
+// refused while open — the protocol's count of transactions in flight — is
+// not zero, since those hold retained messages no fork could share.
+func Capture[S any](s *S, open int) (any, error) {
+	if open != 0 {
+		return nil, fmt.Errorf("proto: %d transactions in flight", open)
+	}
+	return digest.Clone(s), nil
+}
+
+// Restore is a protocol's RestoreState: it copies snapshot, a *S that
+// Capture returned, into *s. The checkpoint has already pinned the
+// protocol and the node count, so the type is all there is to check.
+func Restore[S any](s *S, snapshot any) error {
+	st, ok := snapshot.(*S)
+	if !ok {
+		return fmt.Errorf("proto: RestoreState of %T onto %T", snapshot, s)
+	}
+	digest.Copy(s, st)
+	return nil
 }

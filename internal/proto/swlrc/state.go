@@ -1,11 +1,6 @@
 package swlrc
 
-import (
-	"fmt"
-
-	"dsmsim/internal/digest"
-	"dsmsim/internal/proto"
-)
+import "dsmsim/internal/proto"
 
 // state is the protocol's checkpointable state: the global owner/version
 // directory, every node's causality table (local version, owner hint,
@@ -19,19 +14,7 @@ type state struct {
 }
 
 // CaptureState implements proto.Checkpointer.
-func (p *Protocol) CaptureState() (any, error) {
-	if n := p.installs.Len(); n != 0 {
-		return nil, fmt.Errorf("swlrc: %d installs in flight", n)
-	}
-	return digest.Clone(&p.state), nil
-}
+func (p *Protocol) CaptureState() (any, error) { return proto.Capture(&p.state, p.installs.Len()) }
 
 // RestoreState implements proto.Checkpointer.
-func (p *Protocol) RestoreState(s any) error {
-	st, ok := s.(*state)
-	if !ok || len(st.nodes) != len(p.nodes) {
-		return fmt.Errorf("swlrc: RestoreState of %T onto %d nodes", s, len(p.nodes))
-	}
-	digest.Copy(&p.state, st)
-	return nil
-}
+func (p *Protocol) RestoreState(s any) error { return proto.Restore(&p.state, s) }

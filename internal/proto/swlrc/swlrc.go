@@ -94,9 +94,6 @@ func New(env *proto.Env) *Protocol {
 // touch.
 func (p *Protocol) at(node, b int) *swNode { return p.nodes[node].At(b) }
 
-// Name implements proto.Protocol.
-func (p *Protocol) Name() string { return "swlrc" }
-
 // OnAcquireComplete implements proto.Protocol: all acquire-time work
 // happens through the write-notice mechanism (ApplyNotices).
 func (p *Protocol) OnAcquireComplete(node int) {}
@@ -204,15 +201,9 @@ func (p *Protocol) ApplyNotices(node int, ivs []proto.Interval) {
 	}
 }
 
-// ServiceCost implements proto.Protocol.
-func (p *Protocol) ServiceCost(m *network.Msg) sim.Time {
-	switch m.Kind {
-	case kReadData, kOwnData:
-		return p.env.Model.MemCopy(len(m.Data))
-	default:
-		return 0
-	}
-}
+// ServiceCost implements proto.Protocol: swlrc's messages cost nothing
+// beyond the install of the block they ship.
+func (p *Protocol) ServiceCost(m *network.Msg) sim.Time { return 0 }
 
 // Handle implements proto.Protocol.
 func (p *Protocol) Handle(m *network.Msg) {
@@ -376,14 +367,13 @@ func (p *Protocol) Collect(b int) []byte {
 
 // MemFootprint implements proto.MemReporter: the sharded owner/version
 // directory plus each node's sharded version / owner-hint / causal-floor
-// table — all materialised per touched 256-block shard — and the sparse
-// home map; nothing is allocated dynamically per release.
+// table — all materialised per touched 256-block shard — and the
+// per-interval write sets; nothing is allocated dynamically per release.
 func (p *Protocol) MemFootprint() (int64, int64) {
 	static := p.dir.MemBytes(int64(unsafe.Sizeof(swDir{})))
 	for i := range p.nodes {
 		static += p.nodes[i].MemBytes(int64(unsafe.Sizeof(swNode{})))
 		static += 8 + p.written[i].MemBytes()
 	}
-	static += p.env.Homes.MemBytes()
 	return static, 0
 }

@@ -1,11 +1,6 @@
 package tlc
 
-import (
-	"fmt"
-
-	"dsmsim/internal/digest"
-	"dsmsim/internal/proto"
-)
+import "dsmsim/internal/proto"
 
 // state is the protocol's checkpointable state: the global
 // owner/timestamp directory, every node's lease table and leased set, and
@@ -20,19 +15,7 @@ type state struct {
 }
 
 // CaptureState implements proto.Checkpointer.
-func (p *Protocol) CaptureState() (any, error) {
-	if n := p.txns.Len(); n != 0 {
-		return nil, fmt.Errorf("tlc: %d transactions in flight", n)
-	}
-	return digest.Clone(&p.state), nil
-}
+func (p *Protocol) CaptureState() (any, error) { return proto.Capture(&p.state, p.txns.Len()) }
 
 // RestoreState implements proto.Checkpointer.
-func (p *Protocol) RestoreState(s any) error {
-	st, ok := s.(*state)
-	if !ok || len(st.nodes) != len(p.nodes) {
-		return fmt.Errorf("tlc: RestoreState of %T onto %d nodes", s, len(p.nodes))
-	}
-	digest.Copy(&p.state, st)
-	return nil
-}
+func (p *Protocol) RestoreState(s any) error { return proto.Restore(&p.state, s) }

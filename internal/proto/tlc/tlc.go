@@ -142,9 +142,6 @@ func New(env *proto.Env) *Protocol {
 // touch.
 func (p *Protocol) view(node, b int) *tlcView { return p.nodes[node].At(b) }
 
-// Name implements proto.Protocol.
-func (p *Protocol) Name() string { return "tlc" }
-
 // PreRelease implements proto.Protocol: nothing to flush — the single
 // writable copy is authoritative and the release only publishes a clock.
 func (p *Protocol) PreRelease(node int) []proto.WriteNotice { return nil }
@@ -215,16 +212,13 @@ func (p *Protocol) Fault(node, block int, write bool) {
 	})
 }
 
-// ServiceCost implements proto.Protocol.
+// ServiceCost implements proto.Protocol: a write-back request copies the
+// owner's block out.
 func (p *Protocol) ServiceCost(m *network.Msg) sim.Time {
-	switch m.Kind {
-	case kGrantS, kGrantX, kWBData:
-		return p.env.Model.MemCopy(len(m.Data))
-	case kWBReq:
+	if m.Kind == kWBReq {
 		return p.env.Model.MemCopy(p.env.Spaces[0].BlockSize())
-	default:
-		return 0
 	}
+	return 0
 }
 
 // Handle implements proto.Protocol.
@@ -491,8 +485,8 @@ func (p *Protocol) Collect(b int) []byte { return p.env.HomeImage(b) }
 
 // MemFootprint implements proto.MemReporter: the sharded timestamp
 // directory (fixed-size per block — no sharer copysets to spill), each
-// node's sharded lease table and leased-block set, the per-node clocks,
-// and the sparse home map. Nothing is allocated dynamically per release.
+// node's sharded lease table and leased-block set, and the per-node clocks.
+// Nothing is allocated dynamically per release.
 func (p *Protocol) MemFootprint() (int64, int64) {
 	static := p.dir.MemBytes(int64(unsafe.Sizeof(tlcDir{})))
 	for i := range p.nodes {
@@ -500,6 +494,5 @@ func (p *Protocol) MemFootprint() (int64, int64) {
 		static += 8 + p.leased[i].MemBytes()
 	}
 	static += 8 * int64(len(p.pts))
-	static += p.env.Homes.MemBytes()
 	return static, 0
 }

@@ -70,14 +70,6 @@ func bucketBounds(i int) (lo, hi int64) {
 	return lo, int64(1)<<uint(i) - 1
 }
 
-// Mean returns the average of all positive samples (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Quantile returns the approximate q-quantile (q in [0, 1]): the bucket
 // holding the q·Count-th sample, linearly interpolated between its bounds.
 // An empty histogram reports 0.

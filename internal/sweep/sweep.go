@@ -45,14 +45,16 @@ import (
 type Key struct {
 	// App names a bundled application.
 	App string
-	// Protocol, Block, Notify, Nodes select the configuration. All are
-	// ignored (and should be zero) when Sequential is set.
+	// Protocol, Block, Notify, Nodes select the configuration. A
+	// Sequential key leaves them zero: core.Config.Validate runs it on one
+	// node under SC at the page size.
 	Protocol string
 	Block    int
 	Notify   network.Notify
 	Nodes    int
-	// Sequential marks the uninstrumented one-node baseline run used as
-	// the numerator of speedups.
+	// Sequential marks the one-node baseline run used as the numerator of
+	// speedups (core.Config.Sequential: it still pays for its own lock and
+	// barrier messages).
 	Sequential bool
 	// Fault names the point's variant of the sweep's fault grid
 	// (Options.FaultGrid); empty outside grid sweeps. Points differing
@@ -438,10 +440,10 @@ func (s *sweeper) runKey(ctx context.Context, i int) (*core.Result, error) {
 func traced(k Key) bool { return !k.Sequential && k.Settings == Settings{} }
 
 // config fills the template with one point's coordinates, its fault plan
-// (planFor) and its settings, and validates it. Sequential baselines (whose
-// Key leaves the coordinates zero) run at the page size; Validate clears
-// the plan and the observers they ignore. Only a traced point keeps the
-// trace writer.
+// (planFor) and its settings, and validates it. Validate runs a Sequential
+// baseline (whose Key leaves the coordinates zero) at the page size and
+// clears the plan and the observers it ignores. Only a traced point keeps
+// the trace writer.
 func (s *sweeper) config(k Key) (cfg core.Config, err error) {
 	cfg = s.opts.Config
 	if cfg.Faults, err = s.planFor(k); err != nil {
@@ -458,9 +460,6 @@ func (s *sweeper) config(k Key) (cfg core.Config, err error) {
 	}
 	if !traced(k) {
 		cfg.Trace = nil
-	}
-	if k.Sequential {
-		cfg.BlockSize = 4096
 	}
 	return cfg, cfg.Validate()
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/digest"
 	"dsmsim/internal/network"
 	"dsmsim/internal/proto"
@@ -21,13 +22,20 @@ import (
 	"dsmsim/internal/trace"
 )
 
-// Message kinds (all below proto.ProtoKindBase).
+// Message kinds, laid out as critpath declares (all below
+// proto.ProtoKindBase): the lock kinds, then the barrier kinds from
+// critpath.LockKinds, so a lock kind added without raising the count
+// repeats kBarArrive, and Handle's switch, which serves every kind, no
+// longer compiles.
 const (
 	kLockAcquire = iota
 	kLockGrantReq
 	kLockGrant
 	kLockRelease
-	kBarArrive
+)
+
+const (
+	kBarArrive = critpath.LockKinds + iota
 	kBarRelease
 )
 

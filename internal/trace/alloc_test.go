@@ -13,7 +13,7 @@ import (
 // goroutine, and not at the call site, whose []Arg stays on its stack as
 // long as the tracer keeps no string of an Event as the caller passed it.
 // The calls are made from outside the package, as the instrumentation
-// sites make them, so the slice measured is a caller's; Emit's is the
+// sites make them, so the slice measured is a caller's; SpanAt's is the
 // stack array core paints the critical path with.
 func TestEmitZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
@@ -35,14 +35,14 @@ func TestEmitZeroAlloc(t *testing.T) {
 			tr.Span(2, trace.CatNet, "serve", 0, trace.A("src", dst), trace.A("kind", 101),
 				trace.A("block", block), trace.A("wait", 12))
 		}},
-		{"Emit", func() { // as core paints a critical-path lane
+		{"SpanAt", func() { // as core paints a critical-path lane
 			var arg [1]trace.Arg
 			args := arg[:0]
 			if block >= 0 {
 				arg[0] = trace.A("block", block)
 				args = arg[:]
 			}
-			tr.Emit(trace.Event{Time: 100, Dur: 50, Node: 2, Cat: trace.CatCrit, Name: "compute", Span: true, Args: args})
+			tr.SpanAt(2, trace.CatCrit, "compute", 100, 150, args...)
 		}},
 	} {
 		if allocs := testing.AllocsPerRun(1000, form.emit); allocs != 0 {

@@ -26,19 +26,13 @@
 // by side. The emitter waits only when every batch of the tracer's ring is
 // still waiting to be encoded: a slow sink slows the run instead of
 // growing the trace in memory. Rings are recycled through a process-wide
-// idle list. The call sites' variadic []Arg stay on their stacks only
-// while the tracer keeps no string of an Event as the caller passed it —
-// escape analysis does not tell an Event's fields apart, so one retained
-// e.Cat would move every caller's Args to the heap. The emitting methods
-// therefore hand the strings and the args to the record separately, and
-// Emit keeps its own copies of an Event's strings.
+// idle list.
 package trace
 
 import (
 	"bufio"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -135,13 +129,7 @@ type ring struct {
 	free, full chan *batch
 	done       chan error
 	line       []byte // the line the encoder is writing
-	// owned holds Emit's strings, copied at first sight (see own).
-	owned []string
 }
-
-// maxOwned bounds a ring's copies of Emit's strings. The critical-path
-// lanes name about ten.
-const maxOwned = 64
 
 // stop on full ends the encoder, which answers on done once it has.
 var stop = new(batch)
@@ -234,30 +222,13 @@ func (t *Tracer) Span(node int, cat, name string, start sim.Time, args ...Arg) {
 	t.slot(args).set(start, t.eng.Now()-start, node, -1, cat, name, "", true)
 }
 
-// Emit writes one event. Its strings are the tracer's own copies (own):
-// the record keeps no string of e, so e.Args stays where the caller made it.
-func (t *Tracer) Emit(e Event) {
+// SpanAt emits a duration event covering [start, end], for a span that
+// is recorded after the fact (the critical path, painted at run end).
+func (t *Tracer) SpanAt(node int, cat, name string, start, end sim.Time, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.slot(e.Args).set(e.Time, e.Dur, e.Node, -1, t.own(e.Cat), t.own(e.Name), t.own(e.Str), e.Span)
-}
-
-// own returns the ring's copy of s, made the first time s is seen (the
-// first maxOwned strings are kept; later ones are copied each time). Escape
-// analysis does not tell an Event's fields apart: keeping e.Cat itself
-// would move every caller's Args to the heap.
-func (t *Tracer) own(s string) string {
-	for _, o := range t.ring.owned {
-		if o == s {
-			return o
-		}
-	}
-	o := strings.Clone(s)
-	if len(t.ring.owned) < maxOwned {
-		t.ring.owned = append(t.ring.owned, o)
-	}
-	return o
+	t.slot(args).set(start, end-start, node, -1, cat, name, "", true)
 }
 
 // slot copies args onto the current batch's arena and returns the record

@@ -16,7 +16,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Instant(0, CatNet, "send", A("x", 1))
 	tr.Span(0, CatMem, "fault", 0)
 	tr.InstantMsg(0, CatSim, "block", "why")
-	tr.Emit(Event{})
+	tr.SpanAt(0, CatCrit, "compute", 0, 1)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
