@@ -25,12 +25,17 @@ func ExampleStartApp() {
 
 // ExampleStart runs a custom workload: every node increments a shared
 // counter under a lock; the run is deterministic, so the output is exact.
+// A verified Start gives the final image back to the pool, so a caller who
+// reads the image runs unverified, verifies it and then inspects it.
 func ExampleStart() {
 	app := &counterApp{}
 	res, err := dsmsim.Start(context.Background(), dsmsim.Config{
 		Nodes: 8, BlockSize: 256, Protocol: dsmsim.SC,
-	}, app, dsmsim.WithVerify())
+	}, app)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := app.Verify(res.Heap); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("final counter = %d after %d lock acquisitions\n",

@@ -203,15 +203,13 @@ func (c traceCase) check(t *testing.T) {
 		t.Error(err)
 		return
 	}
-	res, err := m.RunVerified(c.entry.New(Small))
-	if err != nil {
+	// A verified run gives its image back, so the next run of this app
+	// draws the image this one dirtied: the constants, recorded on fresh
+	// allocations, also pin that a recycled image changes no byte of a trace.
+	if _, err := m.RunVerified(c.entry.New(Small)); err != nil {
 		t.Errorf("%s: %v", c.name, err)
 		return
 	}
-	// The next run of this app draws the image this one dirtied: the
-	// constants, recorded on fresh allocations, also pin that a recycled
-	// image changes no byte of a trace.
-	core.ReleaseImage(res)
 	if err := linetrace.Chrome(&js, bytes.NewReader(line.Bytes())); err != nil {
 		t.Errorf("%s: %v", c.name, err)
 		return

@@ -108,11 +108,9 @@ func TestSharedReferences(t *testing.T) {
 						t.Fatal(err)
 					}
 					app := c.mk()
-					res, err := m.RunVerified(app)
-					if err != nil {
+					if _, err := m.RunVerified(app); err != nil {
 						t.Fatal(err)
 					}
-					core.ReleaseImage(res)
 					if c2, s2 := RefStats(); c2 != computed || s2 != shared+1 {
 						t.Errorf("instance %d: its Setup computed %d references and shared %d; want 0 and 1", i+2, c2-computed, s2-shared)
 					}

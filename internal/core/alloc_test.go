@@ -181,18 +181,21 @@ func TestRunBytesLinearInNodes(t *testing.T) {
 
 // TestFailedRunsReturnTheirSlabs pins that every exit of a run gives back
 // what it drew from the pools, not only the one that produces a Result: a
-// run that hits the virtual-time limit, one cancelled from the host, and a
-// prefix run that ends before its cut each leave four 4 MB spaces and a 4 MB
-// master image behind — and, with the profilers on, the sharing profiler's
-// tables and the critical-path record chunks — and the next run must find
-// them in the pools, with the network's endpoints, link pages and free lists
-// and the writer sets. Each kind runs with observers off and again with the
-// profilers on: both for the limit and the cancel, the critical path alone
-// for the prefix run, because a sharing profile cannot be checkpointed. Once
+// run that hits the virtual-time limit, one cancelled from the host, a
+// prefix run that ends before its cut, and a verified run whose Verify
+// fails each leave four 4 MB spaces and a 4 MB master image behind — and,
+// with the profilers on, the sharing profiler's tables and the
+// critical-path record chunks — and the next run must find them in the
+// pools, with the network's endpoints, link pages and free lists and the
+// writer sets. Each kind runs with observers off and again with the
+// profilers on: both for the limit, the cancel and the failed Verify, the
+// critical path alone for the prefix run, because a sharing profile cannot
+// be checkpointed. Once
 // warm, eight failures of each kind may draw nothing that is not pooled, and
 // allocate less than one slab per failure (measured 22–29 KB: engine, procs,
 // stats; ≈ 80 KB while each run built its network); dropping the slabs to
-// the GC instead read 19.8 MB per failure.
+// the GC instead read 19.8 MB per failure. Each failure's master image must
+// be the one the failure before it gave back.
 func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 	defer mem.StackSlabs(nil)()
 	const heap, nodes, failures = 4 << 20, 4, 8
@@ -252,6 +255,14 @@ func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 				t.Fatalf("err = %v, want the run to finish before its cut", err)
 			}
 		}},
+		{"verify fails", true, func(cfg Config) {
+			app := newApp(2, -1)
+			app.verify = func(*Heap) error { return errors.New("wrong image") }
+			_, err := machine(cfg).RunVerified(app)
+			if err == nil || !strings.Contains(err.Error(), "wrong image") {
+				t.Fatalf("err = %v, want Verify's error", err)
+			}
+		}},
 	}
 	slab := float64(heap + heap/4096)
 	for _, k := range kinds {
@@ -264,6 +275,7 @@ func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 			}
 			k.fail(cfg) // fill the pools the measured failures draw from
 			drawn0 := mem.PoolTotals()
+			_, images0 := mem.SlabStats()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < failures; i++ {
@@ -271,11 +283,15 @@ func TestFailedRunsReturnTheirSlabs(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			drawn := mem.PoolTotals()
+			_, images := mem.SlabStats()
 			per := float64(after.TotalAlloc-before.TotalAlloc) / failures
 			t.Logf("%s: %.0f bytes per failed run (one slab is %.0f), %d draws from the pools",
 				name, per, slab, drawn.Hits-drawn0.Hits)
 			if misses := drawn.Misses - drawn0.Misses; misses != 0 {
 				t.Errorf("%s: %d draws from the pools allocated: an earlier failure did not give back what it drew", name, misses)
+			}
+			if got := (mem.PoolCounts{Hits: images.Hits - images0.Hits, Misses: images.Misses - images0.Misses}); got != (mem.PoolCounts{Hits: failures}) {
+				t.Errorf("%s: the master images (hits, misses) %v over %d failures; want each drawn from the pool", name, got, failures)
 			}
 			if per >= slab {
 				t.Errorf("%s: a failed run allocates %.0f bytes, %.1f slabs of %.0f: its spaces or its image did not go back to their pools",

@@ -292,10 +292,10 @@ type Result struct {
 	// Config.CritPath was set.
 	CritPath *critpath.Report
 
-	// Heap exposes the final shared image (gathered from the
-	// authoritative copies) for verification and inspection. Nil in the
-	// results of a sweep, which verifies each run itself and recycles the
-	// image (see ReleaseImage). It is no part of the run's JSON record.
+	// Heap exposes the final shared image (gathered from the authoritative
+	// copies) for verification and inspection. Nil in a sweep's results and
+	// a verified run's (RunVerified, a verified dsmsim.Start): those recycle
+	// the image (VerifyAndRelease). It is no part of the run's JSON record.
 	Heap *Heap `json:"-"`
 }
 
@@ -772,11 +772,12 @@ var releaseHook func(*mem.Space)
 var writerSets = mem.NewPool[proto.Copyset]()
 
 // release gives back what the run drew from the pools: the spaces' slabs,
-// the writer sets, the network, the profilers' tables and record chunks
-// and, unless it leaves with the Result, the master image. Every exit of a
-// run comes through here once, after the engine has stopped and any reports
-// are made — finish, runToCapture, and a buildRun that fails halfway. The
-// tracer ends first, writing out what it still holds.
+// the protocol's and the home map's directory shards, the writer sets, the
+// network, the profilers' tables and record chunks and, unless it leaves
+// with the Result, the master image. Every exit of a run comes through here
+// once, after the engine has stopped and any reports are made — finish,
+// runToCapture, and a buildRun that fails halfway. The tracer ends first,
+// writing out what it still holds.
 func (r *run) release(imageLeaves bool) {
 	r.tr.Close() // nil-safe; its error, if the run wanted it, came from a Flush
 	if r.env != nil {
@@ -786,6 +787,7 @@ func (r *run) release(imageLeaves bool) {
 			}
 			sp.Release()
 		}
+		r.env.ReleaseTables()
 	}
 	clear(r.writers)
 	writerSets.Put(r.writers)
@@ -801,7 +803,7 @@ func (r *run) release(imageLeaves bool) {
 	}
 }
 
-// RunVerified runs the app and then checks its result.
+// RunVerified runs the app and checks its image: see VerifyAndRelease.
 func (m *Machine) RunVerified(app App) (*Result, error) {
 	return m.RunVerifiedContext(context.Background(), app)
 }
@@ -813,7 +815,7 @@ func (m *Machine) RunVerifiedContext(ctx context.Context, app App) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	if err := app.Verify(res.Heap); err != nil {
+	if err := VerifyAndRelease(app, res); err != nil {
 		return nil, fmt.Errorf("core: %s verify: %w", app.Info().Name, err)
 	}
 	return res, nil

@@ -127,11 +127,9 @@ func TestCleanPagesZeroAtRelease(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(app)
-		if err != nil {
+		if _, err := m.RunVerified(app); err != nil {
 			t.Fatal(err)
 		}
-		core.ReleaseImage(res)
 	}
 	for _, entry := range apps.All() {
 		for _, bs := range blocks {
@@ -293,8 +291,11 @@ func TestRecycledImageRunsLikeFresh(t *testing.T) {
 		}
 		spaces0, master0 := mem.SlabStats()
 		app := entry.New(apps.Small)
-		res, err := m.RunVerified(app)
+		res, err := m.Run(app) // unverified: a verified run hands back no image to hash
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Verify(res.Heap); err != nil {
 			t.Fatal(err)
 		}
 		spaces, master := mem.SlabStats()
@@ -374,7 +375,6 @@ func TestRecycledObserverStateRunsLikeFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		drawn := minus(observers(), drawn0)
-		core.ReleaseImage(res)
 		return outcome{res.Sharing, res.CritPath, sha256.Sum256(line.Bytes()), drawn}
 	}
 	fresh := run("lu")
@@ -396,5 +396,90 @@ func TestRecycledObserverStateRunsLikeFresh(t *testing.T) {
 	}
 	for _, d := range dirty[:min(len(dirty), 5)] {
 		t.Error(d)
+	}
+}
+
+// TestRecycledShardsRunLikeFresh is TestRecycledImageRunsLikeFresh for the
+// directory shards, under every registered protocol: lu runs at 8 nodes and
+// 256 B from cold shard pools, barnes-original (a heap 16x larger, so more
+// shards of every entry type) gives back what it drew, then lu runs again
+// and must draw every shard it uses from the pools. Each lu is cut at
+// barrier 2, whose checkpoint digest folds every directory, home-map and
+// per-node table, and run whole with a line trace: the recycled lu's
+// digest, trace, final image, Result and footprint must be the fresh one's.
+// Every buffer that arrives at a pool, shards among them, must be all-zero.
+func TestRecycledShardsRunLikeFresh(t *testing.T) {
+	type outcome struct {
+		cut          uint64
+		image, trace [sha256.Size]byte
+		res          *core.Result
+		shards       mem.PoolCounts
+	}
+	for _, protocol := range proto.Names() {
+		t.Run(protocol, func(t *testing.T) {
+			var dirty []string
+			defer mem.StackSlabs(func(whole []byte) {
+				if i := firstNonZero(whole); i >= 0 {
+					dirty = append(dirty, fmt.Sprintf("a pooled buffer of %d bytes holds %#x at byte %d", len(whole), whole[i], i))
+				}
+			})() // starts empty: the first run must allocate
+			machine := func(cfg core.Config) *core.Machine {
+				m, err := core.NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			run := func(name string) outcome {
+				entry, err := apps.Get(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var line bytes.Buffer
+				cfg := core.Config{Nodes: 8, BlockSize: 256, Protocol: protocol, Limit: 2000 * sim.Second}
+				shards0 := proto.ShardStats()
+				cut, err := machine(cfg).RunToBarrier(context.Background(), entry.New(apps.Small), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Trace = &line
+				app := entry.New(apps.Small)
+				res, err := machine(cfg).Run(app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := app.Verify(res.Heap); err != nil {
+					t.Fatal(err)
+				}
+				image := sha256.Sum256(res.Heap.Bytes(0, res.Heap.Used()))
+				core.ReleaseImage(res)
+				shards := proto.ShardStats()
+				return outcome{cut.Digest(), image, sha256.Sum256(line.Bytes()), res,
+					mem.PoolCounts{Hits: shards.Hits - shards0.Hits, Misses: shards.Misses - shards0.Misses}}
+			}
+			fresh := run("lu")
+			run("barnes-original")
+			recycled := run("lu")
+			// The whole run draws what the cut gave back, so the first lu
+			// allocates once and draws each shard a second time.
+			drawn := fresh.shards.Hits + fresh.shards.Misses
+			t.Logf("lu drew %d shards, %d of them allocated", drawn, fresh.shards.Misses)
+			if fresh.shards.Misses == 0 || recycled.shards != (mem.PoolCounts{Hits: drawn}) {
+				t.Fatalf("the first lu's shard draws (hits, misses): %v, the second's %v; want shards allocated, then every one recycled",
+					fresh.shards, recycled.shards)
+			}
+			if recycled.cut != fresh.cut {
+				t.Errorf("lu's checkpoint at barrier 2 on recycled shards has digest %#x, fresh %#x", recycled.cut, fresh.cut)
+			}
+			if recycled.image != fresh.image || recycled.trace != fresh.trace {
+				t.Errorf("lu on recycled shards left a different image or trace")
+			}
+			if !reflect.DeepEqual(recycled.res, fresh.res) {
+				t.Errorf("lu's Result on recycled shards differs:\nfresh    %+v\nrecycled %+v", fresh.res, recycled.res)
+			}
+			for _, d := range dirty[:min(len(dirty), 5)] {
+				t.Error(d)
+			}
+		})
 	}
 }

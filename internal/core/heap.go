@@ -45,6 +45,16 @@ func ReleaseImage(res *Result) {
 	}
 }
 
+// VerifyAndRelease checks res's final image with app.Verify and then gives
+// the image back (ReleaseImage), on a pass and on a fail alike: a verified
+// result keeps nothing it drew from a pool. It is the tail of every
+// verified run — RunVerified, and through it a verified dsmsim.Start, and
+// each run of a verifying sweep.
+func VerifyAndRelease(app App, res *Result) error {
+	defer ReleaseImage(res)
+	return app.Verify(res.Heap)
+}
+
 // Alloc reserves n bytes aligned to align (power of two) and returns the
 // shared address.
 func (h *Heap) Alloc(n, align int) int { return h.alloc.Alloc(n, align) }

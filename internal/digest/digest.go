@@ -81,8 +81,16 @@ func (d *Digest) Sum() uint64 { return d.h }
 // Folder is implemented by the few types whose representation differs from
 // the value they stand for — a sparse table, a packed snapshot — and which
 // therefore fold themselves. Of calls Fold instead of descending into their
-// fields; Copy copies them like any other struct.
+// fields; Copy copies them like any other struct, unless they are Copiers.
 type Folder interface{ Fold(d *Digest) }
+
+// Copier is implemented by the few types that copy themselves — a sparse
+// table whose storage comes from a pool. Copy calls CopyFrom on the
+// destination, with a pointer to the source of the same type, instead of
+// descending into their fields. CopyFrom keeps Copy's contract: afterwards
+// the two share nothing a write through either could reach, and they digest
+// alike.
+type Copier interface{ CopyFrom(src any) }
 
 // Of returns the digest of everything reachable from *p. It folds
 // integers, bools and strings; slices and arrays element by element, byte
@@ -108,8 +116,9 @@ func Of[T any](p *T) uint64 {
 // what a freshly built value holds. Funcs are copied as they are, and so is
 // a field tagged `digest:"shared"` (folded, but copied by reference: only
 // for data immutable once published); `digest:"-"` fields are copied like
-// any other. A chan panics with its path, as in Of. *dst must share no
-// memory with *src or within itself, as a zero or freshly built value does.
+// any other. A Copier copies itself. A chan panics with its path, as in Of.
+// *dst must share no memory with *src or within itself, as a zero or
+// freshly built value does.
 func Copy[T any](dst, src *T) {
 	defer rethrow(reflect.TypeFor[T]())
 	planOf(reflect.TypeFor[T]()).copy(unsafe.Pointer(dst), unsafe.Pointer(src))
@@ -143,6 +152,7 @@ type plan struct {
 	size    uintptr
 	flat    bool  // holds no pointer: copied as its bytes
 	folder  bool  // a struct whose pointer is a Folder
+	copier  bool  // a struct whose pointer is a Copier
 	risky   bool  // Copy may panic below it, so a struct names its fields on the way up
 	elem    *plan // of an array, slice or map; a pointer's target
 	key     *plan // of a map
@@ -199,6 +209,7 @@ func compile(t reflect.Type, seen map[reflect.Type]*plan) *plan {
 		}
 	case reflect.Struct:
 		p.folder = reflect.PointerTo(t).Implements(reflect.TypeFor[Folder]())
+		p.copier = reflect.PointerTo(t).Implements(reflect.TypeFor[Copier]())
 		p.flat, p.risky = true, false
 		for i := range t.NumField() {
 			sf := t.Field(i)
@@ -346,6 +357,10 @@ func (p *plan) copy(dst, src unsafe.Pointer) {
 		}
 		reflect.NewAt(p.t, dst).Elem().Set(v)
 	case reflect.Struct:
+		if p.copier {
+			reflect.NewAt(p.t, dst).Interface().(Copier).CopyFrom(reflect.NewAt(p.t, src).Interface())
+			return
+		}
 		var path string
 		if p.risky {
 			defer annotate(&path)

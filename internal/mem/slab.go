@@ -19,11 +19,11 @@ type Slab struct {
 
 // Pool recycles buffers of E across machine runs: a parameter sweep allocates
 // each node's multi-megabyte heap copy, each run's master image, each
-// observer's tables and each network's endpoints and link pages once instead
-// of once per run. A pooled buffer is
-// indistinguishable from a fresh one — all-zero over its whole length,
-// whatever length it is next cut to — and whoever gives one back keeps that
-// at the cost of what it wrote, not of what it drew.
+// protocol table's directory shards, each observer's tables and each
+// network's endpoints and link pages once instead of once per run. A pooled
+// buffer is indistinguishable from a fresh one — all-zero over its whole
+// length, whatever length it is next cut to — and whoever gives one back
+// keeps that at the cost of what it wrote, not of what it drew.
 //
 // One pool for every length, and a buffer too short for the request is
 // dropped: the buffers in circulation converge on the largest request among
@@ -170,14 +170,16 @@ func PoolTotals() (c PoolCounts) {
 }
 
 // Two slab pools, because their slabs do not come back alike. A space's
-// always does, when its run ends. A master image leaves with the Result of
-// every single run and comes back only from a caller that says it is done
-// with it (core.ReleaseImage): drawn from the spaces' pool, every image that
-// left would take a slab out of circulation, the largest there as often as
-// not, and the next run would allocate its replacement. Measured with one
-// pool for both, ten alternating pairs against the parent commit: the
-// benchmark's single-run workloads allocate more per iteration than with two
-// — observed 21.9 → 23.5 MB (two pools: 21.6), lossy 12.1 → 11.4 (10.7).
+// always does, when its run ends, and so does the image of a verified run
+// (core.VerifyAndRelease) and of every sweep run. The image of an unverified
+// single run leaves with its Result and comes back only from a caller that
+// says it is done with it (core.ReleaseImage): drawn from the spaces' pool,
+// every image that left would take a slab out of circulation, the largest
+// there as often as not, and the next run would allocate its replacement.
+// Measured with one pool for both while every single run's image left, ten
+// alternating pairs against the parent commit: the benchmark's single-run
+// workloads allocated more per iteration than with two — observed 21.9 →
+// 23.5 MB (two pools: 21.6), lossy 12.1 → 11.4 (10.7).
 var spaceSlabs, imageSlabs = NewPool[byte](), NewPool[byte]()
 
 // NewImage returns a slab of size all-zero bytes with nothing marked, for a

@@ -2,7 +2,11 @@ package proto
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"dsmsim/internal/digest"
+	"dsmsim/internal/mem"
 )
 
 // TestCopysetBasics drives Add/Remove/Contains/Count against a map
@@ -130,6 +134,8 @@ func TestCopysetMemBytes(t *testing.T) {
 	}
 }
 
+var _ = PoolShards[int16]()
+
 // TestTableSparsity: entries materialise per shard with the init default
 // applied, Peek never allocates, and Allocated tracks touched shards.
 func TestTableSparsity(t *testing.T) {
@@ -155,6 +161,60 @@ func TestTableSparsity(t *testing.T) {
 	}
 	if got := tb.MemBytes(2); got != int64(10*8)+int64(shardSize)*2 {
 		t.Fatalf("MemBytes = %d", got)
+	}
+}
+
+// TestTableShardsComeBack: a digest.Copy of a table fills the copy's shards
+// from the pool and shares no entry with the original, spill pages
+// included; release gives every shard back zeroed and leaves the table
+// empty; a copy into a fresh table then draws exactly those shards, and a
+// shard drawn by At starts from the table's default again.
+func TestTableShardsComeBack(t *testing.T) {
+	dirty := 0
+	defer mem.StackSlabs(func(whole []byte) {
+		if slices.ContainsFunc(whole, func(b byte) bool { return b != 0 }) {
+			dirty++
+		}
+	})()
+	drawn := func(since mem.PoolCounts) mem.PoolCounts {
+		c := ShardStats()
+		return mem.PoolCounts{Hits: c.Hits - since.Hits, Misses: c.Misses - since.Misses}
+	}
+	init := func(m *movedHome) { m.home = -1 }
+	tb := NewTable(4*shardSize, init)
+	tb.At(3).home = 2
+	tb.At(3).known.Add(100) // a spill page
+	tb.At(2*shardSize + 1).home = 1
+	var cp Table[movedHome]
+	c0 := ShardStats()
+	digest.Copy(&cp, &tb)
+	if got := drawn(c0); got != (mem.PoolCounts{Misses: 2}) {
+		t.Fatalf("the copy drew (hits, misses) %v from an empty pool; want its two shards", got)
+	}
+	if digest.Of(&cp) != digest.Of(&tb) {
+		t.Fatal("the copy digests unlike the original")
+	}
+	cp.At(3).known.Add(200)
+	if tb.At(3).known.Contains(200) {
+		t.Fatal("the copy shares a spill page with the original")
+	}
+	want := digest.Of(&cp)
+	cp.release()
+	if cp.Allocated() != 0 || dirty != 0 {
+		t.Fatalf("after release: %d shards left, %d pooled buffers not zero", cp.Allocated(), dirty)
+	}
+	fresh := NewTable(4*shardSize, init)
+	c1 := ShardStats()
+	tb.At(3).known.Add(200)
+	digest.Copy(&fresh, &tb)
+	if got := drawn(c1); got != (mem.PoolCounts{Hits: 2}) {
+		t.Fatalf("a copy into a fresh table drew (hits, misses) %v; want the two shards released", got)
+	}
+	if digest.Of(&fresh) != want {
+		t.Fatal("a copy onto recycled shards digests unlike the same table copied onto fresh ones")
+	}
+	if e := fresh.At(shardSize); e.home != -1 || e.known.Count() != 0 {
+		t.Fatalf("a shard drawn by At holds %+v; want the default", *e)
 	}
 }
 

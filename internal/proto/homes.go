@@ -32,6 +32,8 @@ type movedHome struct {
 	known Copyset
 }
 
+var _ = PoolShards[movedHome]()
+
 // NewHomes returns the static assignment for the given block count.
 func NewHomes(nodes, numBlocks int) *Homes {
 	return &Homes{

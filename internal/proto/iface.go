@@ -57,6 +57,9 @@ type Env struct {
 	// re-forwarded by a stale home or non-owner — is marked by Forward,
 	// immediately before the forwarding Send.
 	Crit *critpath.Tracker
+
+	// tables is every protocol Table handed to Recycle, for ReleaseTables.
+	tables []recycler
 }
 
 // SharingObserver is implemented by the sharing-pattern profiler

@@ -75,6 +75,8 @@ type dirEntry struct {
 	sharers proto.Copyset
 }
 
+var _ = proto.PoolShards[dirEntry]()
+
 // New creates the SC protocol over env.
 func New(env *proto.Env) *Protocol {
 	p := &Protocol{
@@ -82,6 +84,7 @@ func New(env *proto.Env) *Protocol {
 		state:   state{dir: proto.NewTable(env.Homes.NumBlocks(), func(e *dirEntry) { e.owner = -1 })},
 		pending: proto.NewPending(env, "home", "sc read fault block", "sc write fault block"),
 	}
+	env.Recycle(&p.dir)
 	p.txns = proto.NewTxns[txn](env, p.Handle)
 	return p
 }

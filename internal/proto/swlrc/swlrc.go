@@ -70,6 +70,8 @@ type swNode struct {
 	required  int32 // minimum version causality demands
 }
 
+var _, _ = proto.PoolShards[swDir](), proto.PoolShards[swNode]()
+
 // New creates the SW-LRC protocol over env.
 func New(env *proto.Env) *Protocol {
 	nb := env.Homes.NumBlocks()
@@ -83,8 +85,10 @@ func New(env *proto.Env) *Protocol {
 		},
 		pending: proto.NewPending(env, "target", "swlrc read fault block", "swlrc write fault block"),
 	}
+	env.Recycle(&p.dir)
 	for i := 0; i < n; i++ {
 		p.nodes[i] = proto.NewTable(nb, func(e *swNode) { e.lastKnown = -1 })
+		env.Recycle(&p.nodes[i])
 	}
 	p.installs = proto.NewTxns[struct{}](env, p.Handle)
 	return p

@@ -117,6 +117,8 @@ type tlcView struct {
 	rts int64
 }
 
+var _, _ = proto.PoolShards[tlcDir](), proto.PoolShards[tlcView]()
+
 // New creates the TLC protocol over env.
 func New(env *proto.Env) *Protocol {
 	nb := env.Homes.NumBlocks()
@@ -131,8 +133,10 @@ func New(env *proto.Env) *Protocol {
 		},
 		pending: proto.NewPending(env, "home", "tlc read fault block", "tlc write fault block"),
 	}
+	env.Recycle(&p.dir)
 	for i := 0; i < n; i++ {
 		p.nodes[i] = proto.NewTable[tlcView](nb, nil)
+		env.Recycle(&p.nodes[i])
 	}
 	p.txns = proto.NewTxns[txn](env, p.Handle)
 	return p

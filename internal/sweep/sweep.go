@@ -496,11 +496,10 @@ func (s *sweeper) compute(ctx context.Context, i int) (*core.Result, error) {
 // What Run returns therefore carries no Heap — a sweep's live heap does
 // not grow by one image per finished run.
 func (s *sweeper) checked(app core.App, res *core.Result) (*core.Result, error) {
-	defer core.ReleaseImage(res)
-	if s.opts.Verify {
-		if err := app.Verify(res.Heap); err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
-		}
+	if !s.opts.Verify {
+		core.ReleaseImage(res)
+	} else if err := core.VerifyAndRelease(app, res); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
 	}
 	return res, nil
 }

@@ -24,6 +24,8 @@ type Option func(*sweep.Options)
 // reference. WithVerify() (no argument) turns verification on;
 // WithVerify(false) spells out the default: Start runs unverified and
 // Sweep verifies at Small size only (verification is slow at Paper size).
+// A verified run gives its master image back to the pool once checked, so
+// a verified Start's Result has a nil Heap, like every sweep result's.
 func WithVerify(v ...bool) Option {
 	on := len(v) == 0 || v[0]
 	return func(o *sweep.Options) { o.Verify = on }

@@ -17,12 +17,16 @@ import (
 //	    dsmsim.WithFaults(plan),
 //	    dsmsim.WithTrace(os.Stderr))
 //
-// By default the run is unverified; WithVerify() re-checks the final
-// shared image against the sequential reference. Options mirror Config
-// where they overlap (WithFaults, WithLimit, WithSampleEvery, WithTrace,
-// the profilers) and write into the same struct: they are
-// applied on top of cfg, in order, so an option overrides the Config
-// field it names. An option only a sweep can use is an error naming it.
+// By default the run is unverified and Result.Heap holds the final shared
+// image for inspection; WithVerify() re-checks the image against the
+// sequential reference and then gives it back to the pool, on a pass and
+// on a fail, so a verified Result's Heap is nil. To inspect the image of a
+// checked run, run unverified and call app.Verify(res.Heap) yourself.
+// Options mirror Config where they overlap (WithFaults, WithLimit,
+// WithSampleEvery, WithTrace, the profilers) and write into the same
+// struct: they are applied on top of cfg, in order, so an option overrides
+// the Config field it names. An option only a sweep can use is an error
+// naming it.
 // Never call it on a goroutine locked to its OS thread: the process dies
 // with a fatal error (see the package doc).
 func Start(ctx context.Context, cfg Config, app App, opts ...Option) (*Result, error) {

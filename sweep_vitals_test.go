@@ -35,15 +35,6 @@ func TestSweepHoldsNoImages(t *testing.T) {
 		}
 		return res
 	}
-	// Two collections: the first only moves the slab pool to its victim
-	// cache.
-	live := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	sweep([]int{4096}) // the shared reference and every lazily built table exist
 	small := sweep([]int{4096})
 	before := live()
@@ -65,6 +56,66 @@ func TestSweepHoldsNoImages(t *testing.T) {
 	}
 	runtime.KeepAlive(small)
 	runtime.KeepAlive(large)
+}
+
+// live returns the bytes the heap holds after two collections: the first
+// only moves a sync.Pool to its victim cache.
+func live() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestStartHoldsNoImages is TestSweepHoldsNoImages for single runs. A
+// verified Start checks the final image and gives it back to the pool, so
+// its Result's Heap is nil, the next verified Start draws that image
+// again, and holding eight verified results costs their statistics, not
+// their 2.6 MB images (ceiling: a tenth of an image each). An unverified
+// Start keeps its Heap for the caller to inspect. The slabs wait on stacks,
+// so the image count is the pools' policy, not a sync.Pool's retention.
+func TestStartHoldsNoImages(t *testing.T) {
+	defer mem.StackSlabs(nil)()
+	const app, held = "barnes-original", 8
+	start := func(opts ...dsmsim.Option) *dsmsim.Result {
+		res, err := dsmsim.StartApp(context.Background(),
+			dsmsim.Config{Nodes: 4, BlockSize: 4096, Protocol: dsmsim.HLRC}, app, dsmsim.Small, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := start(); res.Heap == nil || res.Heap.Used() == 0 {
+		t.Fatal("an unverified Start returned no image to inspect")
+	}
+	start(dsmsim.WithVerify()) // the shared reference exists and the pools hold an image
+	_, images0 := mem.SlabStats()
+	res := start(dsmsim.WithVerify())
+	_, images := mem.SlabStats()
+	if res.Heap != nil {
+		t.Fatal("a verified Start's result carries its master image")
+	}
+	if got := (mem.PoolCounts{Hits: images.Hits - images0.Hits, Misses: images.Misses - images0.Misses}); got != (mem.PoolCounts{Hits: 1}) {
+		t.Errorf("the second warm verified Start drew its image (hits, misses) %v; want the one the first gave back", got)
+	}
+	before := live()
+	results := make([]*dsmsim.Result, held)
+	for i := range results {
+		results[i] = start(dsmsim.WithVerify())
+	}
+	after := live()
+	a, err := dsmsim.NewApp(app, dsmsim.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := a.Info().HeapBytes
+	perRun := (int64(after) - int64(before)) / held
+	t.Logf("holding %d verified results costs %d bytes each; one image is %d", held, perRun, image)
+	if perRun > int64(image)/10 {
+		t.Errorf("each held result retains %d bytes, more than a tenth of its %d-byte master image", perRun, image)
+	}
+	runtime.KeepAlive(results)
 }
 
 // TestSweepgridPoolAndMemoVitals runs the plan of the benchmark's sweepgrid
