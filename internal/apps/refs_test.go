@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"dsmsim/internal/core"
+	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
 )
 
@@ -228,15 +229,18 @@ func TestReferenceMemoFootprintAtPaperSize(t *testing.T) {
 	}
 	live := func() uint64 {
 		runtime.GC()
-		runtime.GC() // the first only moves the image pool to its victim cache
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
 	before := live()
+	// The largest space and image the setups give back would wait in the
+	// pools for the next run: dropped at restore, they are not counted.
+	restore := mem.IsolatePools(nil)
 	for _, e := range All() {
 		setUp(t, e.New(Paper))
 	}
+	restore()
 	retained := float64(int64(live())-int64(before)) / 1e6
 	t.Logf("%.1f MB retained by the Paper-size references", retained)
 	if retained > 40 {

@@ -395,7 +395,7 @@ func TestRecordStoreSpansChunks(t *testing.T) {
 // holds at each step, and allocates 2.5-3x what it ends up holding.
 func TestRecordStoreGrowthNeverCopies(t *testing.T) {
 	// longChain releases nothing, so every chunk is allocated, not drawn.
-	defer mem.StackSlabs(nil)()
+	defer mem.IsolatePools(nil)()
 	bytes := func(n int) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -48,7 +48,6 @@ func scribble(s *Space) {
 // one a map indexed by the current geometry would get wrong: the big
 // space's last page lies beyond everything the small one can see.
 func TestPoolRoundTripAcrossGeometries(t *testing.T) {
-	defer StackSlabs(nil)() // every NewSpace after the first draws the slab just released
 	const big, small = 40 * 8192, 3 * 8192
 	for _, bs := range blockSizes {
 		for _, other := range blockSizes {

@@ -10,7 +10,6 @@ package mem
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"dsmsim/internal/digest"
 )
@@ -94,7 +93,7 @@ func NewSpace(size, blockSize int) *Space {
 		panic(fmt.Sprintf("mem: size %d is not a positive multiple of block size %d", size, blockSize))
 	}
 	nblocks := size / blockSize
-	s, _ := spacePool.Get().(*Space)
+	s := spacePool.Get()
 	if s == nil {
 		s = new(Space)
 	}
@@ -118,7 +117,7 @@ func NewSpace(size, blockSize int) *Space {
 // from a fresh one — its tags are all-zero over their whole capacity,
 // whatever size and block size it is next handed out at — and Release keeps
 // that at the cost of the pages the run dirtied, not of the heap it reserved.
-var spacePool sync.Pool
+var spacePool = NewKept[*Space]()
 
 // Release zeroes the space and returns its slab and itself to their pools
 // for the next run. The caller must not touch the space afterwards.

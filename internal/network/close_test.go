@@ -51,7 +51,7 @@ func barrierTraffic(t *testing.T, ln *linkNet, n int) {
 // all-zero; closing twice does nothing.
 func TestCloseHandsOnWhatItDrew(t *testing.T) {
 	var dirty []string
-	defer mem.StackSlabs(func(whole []byte) {
+	defer mem.IsolatePools(func(whole []byte) {
 		for i, b := range whole {
 			if b != 0 {
 				dirty = append(dirty, fmt.Sprintf("a pooled buffer of %d bytes holds %#x at byte %d", len(whole), b, i))
@@ -144,7 +144,6 @@ func TestCloseHandsOnWhatItDrew(t *testing.T) {
 // draws nothing from the pools, and closing the network leaves the snapshot
 // whole.
 func TestSnapshotLinksAllocate(t *testing.T) {
-	defer mem.StackSlabs(nil)()
 	const n = 70
 	ln := newLinkNet(n)
 	barrierTraffic(t, ln, n)

@@ -171,7 +171,7 @@ func TestTableSparsity(t *testing.T) {
 // shard drawn by At starts from the table's default again.
 func TestTableShardsComeBack(t *testing.T) {
 	dirty := 0
-	defer mem.StackSlabs(func(whole []byte) {
+	defer mem.IsolatePools(func(whole []byte) {
 		if slices.ContainsFunc(whole, func(b byte) bool { return b != 0 }) {
 			dirty++
 		}

@@ -168,8 +168,8 @@ var shardPools = map[reflect.Type]interface{ Counts() mem.PoolCounts }{}
 
 // PoolShards makes the pool the shards of every Table[T] are drawn from and
 // given back to. Call it once per entry type, from a package-level variable
-// declaration: mem.StackSlabs reaches only the pools package initialization
-// made.
+// declaration: mem.IsolatePools reaches only the pools package
+// initialization made.
 func PoolShards[T any]() *mem.Pool[T] {
 	p := mem.NewPool[T]()
 	shardPools[reflect.TypeFor[T]()] = p

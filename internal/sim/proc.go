@@ -6,7 +6,8 @@ import (
 	"runtime/debug"
 	"slices"
 	"strconv"
-	"sync"
+
+	"dsmsim/internal/mem"
 )
 
 // procKilled is the panic value used to unwind a Proc's body when the
@@ -80,45 +81,30 @@ type worker struct {
 
 // maxIdleWorkers bounds the idle list: one 1024-node run — the largest
 // machine a run builds — finds every worker it needs there, warm, when the
-// run before it ended. A worker given back to a full list is stopped, and
-// its goroutine ends.
+// run before it ended. It is the one bounded list (mem.List): a worker is a
+// parked goroutine, which no collection ends, so a worker given back to a
+// full list is stopped instead.
 const maxIdleWorkers = 1024
 
 // workers is the idle list, shared by every engine of the process (a sweep
-// runs engines on several goroutines). Not a sync.Pool: the GC never
-// collects a parked goroutine, so a worker the pool dropped would leak its
-// goroutine; here a worker is either listed or stopped.
-var workers struct {
-	sync.Mutex
-	idle []*worker
-}
+// runs engines on several goroutines).
+var workers = mem.List[*worker]{Bound: maxIdleWorkers}
 
 // drawWorker takes an idle worker, or makes one.
 func drawWorker() *worker {
-	workers.Lock()
-	if n := len(workers.idle); n > 0 {
-		w := workers.idle[n-1]
-		workers.idle[n-1] = nil
-		workers.idle = workers.idle[:n-1]
-		workers.Unlock()
+	if w, ok := workers.Get(); ok {
 		return w
 	}
-	workers.Unlock()
 	w := new(worker)
 	w.next, w.stop = iter.Pull(w.loop)
 	return w
 }
 
-// releaseWorker gives back a worker whose body has ended.
+// releaseWorker gives back a worker whose body has ended, or stops it.
 func releaseWorker(w *worker) {
-	workers.Lock()
-	if len(workers.idle) < maxIdleWorkers {
-		workers.idle = append(workers.idle, w)
-		workers.Unlock()
-		return
+	if !workers.Put(w) {
+		w.stop()
 	}
-	workers.Unlock()
-	w.stop()
 }
 
 // loop is the worker's coroutine.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dsmsim/internal/core"
-	"dsmsim/internal/mem"
 	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
@@ -396,7 +395,6 @@ func TestForkAfterLockTrafficAppliesSameNotices(t *testing.T) {
 // differ by what the extra acquires cost; machine build and warm-up
 // cancel.
 func TestLockHandoffAllocSlope(t *testing.T) {
-	defer mem.StackSlabs(nil)()
 	const nodes = 4
 	pingPong := func(p string, rounds int) uint64 {
 		app := &scriptApp{script: func(c *core.Ctx) {

@@ -26,16 +26,16 @@
 // by side. The emitter waits only when every batch of the tracer's ring is
 // still waiting to be encoded: a slow sink slows the run instead of
 // growing the trace in memory. Rings are recycled through a process-wide
-// idle list.
+// mem.List.
 package trace
 
 import (
 	"bufio"
 	"io"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 
+	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
 )
 
@@ -134,44 +134,20 @@ type ring struct {
 // stop on full ends the encoder, which answers on done once it has.
 var stop = new(batch)
 
-// maxIdleRings bounds the idle list: traced runs in flight at once each
-// hold a ring, and one run at a time is the common case.
-const maxIdleRings = 8
-
 // rings is the idle list of rings, shared by every tracer of the process,
-// so a traced run after the first allocates none. Not a sync.Pool: the GC
-// empties one, and the next run would build its ring afresh.
-var rings struct {
-	sync.Mutex
-	idle []*ring
-}
+// so a traced run after the first allocates none.
+var rings mem.List[*ring]
 
 // drawRing takes an idle ring, or makes one with every batch on free.
 func drawRing() *ring {
-	rings.Lock()
-	if n := len(rings.idle); n > 0 {
-		r := rings.idle[n-1]
-		rings.idle[n-1] = nil
-		rings.idle = rings.idle[:n-1]
-		rings.Unlock()
+	if r, ok := rings.Get(); ok {
 		return r
 	}
-	rings.Unlock()
 	r := &ring{free: make(chan *batch, ringBatches), full: make(chan *batch, ringBatches), done: make(chan error)}
 	for range ringBatches {
 		r.free <- &batch{recs: make([]record, 0, batchRecords), args: make([]Arg, 0, batchArgs)}
 	}
 	return r
-}
-
-// releaseRing gives back a ring whose encoder has ended, every batch on
-// free and empty.
-func releaseRing(r *ring) {
-	rings.Lock()
-	if len(rings.idle) < maxIdleRings {
-		rings.idle = append(rings.idle, r)
-	}
-	rings.Unlock()
 }
 
 // New creates a tracer reading virtual time from eng and writing the line
@@ -315,7 +291,7 @@ func (t *Tracer) Close() error {
 	<-r.done
 	r.free <- t.cur
 	t.ring, t.cur = nil, nil
-	releaseRing(r)
+	rings.Put(r) // every batch on free and empty
 	return err
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"dsmsim"
-	"dsmsim/internal/mem"
 	"dsmsim/internal/network"
 )
 
@@ -177,7 +176,6 @@ func TestScaleFootprint1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node footprint check skipped in -short mode")
 	}
-	defer mem.StackSlabs(nil)() // pools the GC cannot empty between runs
 	const extraCeiling = 9 << 20
 	allocated := func(proto string) uint64 {
 		cfg := dsmsim.Config{Nodes: 1024, BlockSize: 4096, Protocol: proto}
