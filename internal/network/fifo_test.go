@@ -3,6 +3,7 @@ package network
 import (
 	"testing"
 
+	"dsmsim/internal/mem"
 	"dsmsim/internal/sim"
 	"dsmsim/internal/timing"
 )
@@ -51,5 +52,36 @@ func TestNoFIFOAcrossPairs(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != 2 {
 		t.Fatalf("delivery order = %v, want small message from other source first", order)
+	}
+}
+
+// TestLongAllocFindsBuriedBuffer: AllocData, like mem.Pool.Get, drops every
+// buffer too short for it on its way down to one that fits, so the free list
+// holds no more long buffers than were drawn at once however the lengths
+// mix. Here a hundred short draws take the one long buffer along and give it
+// back first, burying it; the long draw after them must find it, not drop
+// one short buffer and allocate a second long one.
+func TestLongAllocFindsBuriedBuffer(t *testing.T) {
+	defer mem.IsolatePools(nil)()
+	nw := New(sim.NewEngine(), timing.Default(), Polling, 2)
+	defer nw.Close()
+	held := make([][]byte, 100)
+	var long *byte
+	for round := range 5 {
+		for i := range held {
+			held[i] = nw.AllocData(8)
+		}
+		for _, d := range held {
+			nw.Recycle(&Msg{Data: d, DataPooled: true})
+		}
+		d := nw.AllocData(1024)
+		if round > 0 && &d[0] != long {
+			t.Fatalf("round %d: the long draw allocated with a long buffer on the free list", round)
+		}
+		long = &d[0]
+		nw.Recycle(&Msg{Data: d, DataPooled: true})
+		if n := len(nw.free.bufs); n > len(held) {
+			t.Fatalf("round %d: %d buffers wait, more than the %d ever drawn at once", round, n, len(held))
+		}
 	}
 }

@@ -350,16 +350,16 @@ func (n *Network) Traffic() Traffic {
 	return t
 }
 
-// AllocData returns a size-byte buffer from the network's free list. Its
-// contents are undefined: whatever an earlier message of this run or of an
-// earlier run (Close hands the free lists on) left there. Every caller
-// therefore overwrites all size bytes before anything reads them — today
-// proto.Env.SendBlock, sendReliable and wireCopy, each with one copy of the
-// whole length. Attach the buffer to an outgoing message's Data with
-// DataPooled set and it returns to the free list when the message is
-// recycled.
+// AllocData returns a size-byte buffer from the network's free list, which,
+// like mem.Pool.Get, drops every buffer too short on its way to one that
+// fits. Its contents are undefined: whatever an earlier message of this run
+// or of an earlier run (Close hands the free lists on) left there. Every
+// caller therefore overwrites all size bytes before anything reads them —
+// today proto.Env.SendBlock, sendReliable and wireCopy, each with one copy
+// of the whole length. Attach the buffer to an outgoing message's Data with
+// DataPooled set and it returns to the free list when it is recycled.
 func (n *Network) AllocData(size int) []byte {
-	if k := len(n.free.bufs); k > 0 {
+	for k := len(n.free.bufs); k > 0; k-- {
 		d := n.free.bufs[k-1]
 		n.free.bufs = n.free.bufs[:k-1]
 		if cap(d) >= size {
