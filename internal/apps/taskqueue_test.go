@@ -115,12 +115,13 @@ func (a *testApp) Verify(h *core.Heap) error { return a.verify(h) }
 func TestNeighborCellsShape(t *testing.T) {
 	a := NewWaterSpatial(64, 1)
 	s := a.side
-	corner := a.neighborCells(0)
+	var cornerBuf, centerBuf [27]int
+	corner := a.neighborCells(0, &cornerBuf)
 	if len(corner) != 8 {
 		t.Errorf("corner neighbourhood = %d cells, want 8", len(corner))
 	}
 	centerCell := ((s/2)*s+(s/2))*s + s/2
-	center := a.neighborCells(centerCell)
+	center := a.neighborCells(centerCell, &centerBuf)
 	if len(center) != 27 {
 		t.Errorf("interior neighbourhood = %d cells, want 27", len(center))
 	}

@@ -154,11 +154,11 @@ func (a *WaterSpatial) myCells(p, me int) []int {
 	return out
 }
 
-// neighborCells returns cell c and its neighbours (≤27 cells).
-func (a *WaterSpatial) neighborCells(c int) []int {
+// neighborCells returns cell c and its neighbours (≤27 cells), cut from buf.
+func (a *WaterSpatial) neighborCells(c int, buf *[27]int) []int {
 	s := a.side
 	cx, cy, cz := c/(s*s), (c/s)%s, c%s
-	var out []int
+	out := buf[:0]
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dz := -1; dz <= 1; dz++ {
@@ -192,9 +192,12 @@ func (a *WaterSpatial) Run(c *core.Ctx) {
 	cells := a.myCells(p, me)
 	const lockBase = 1000
 
-	// listOf reads cell cl's molecule list.
-	listOf := func(cl int) []int64 {
-		var out []int64
+	// listOf reads cell cl's molecule list into buf: own holds the list of
+	// the cell being worked on, nb that of the neighbour being read.
+	var own, nb []int64
+	var neighBuf [27]int
+	listOf := func(buf []int64, cl int) []int64 {
+		out := buf[:0]
 		cur := c.ReadI64(a.heads + cl*8)
 		for cur >= 0 {
 			out = append(out, cur)
@@ -211,7 +214,8 @@ func (a *WaterSpatial) Run(c *core.Ctx) {
 			// Predict positions of molecules in my cells; zero forces.
 			nmine := 0
 			for _, cl := range cells {
-				for _, i := range listOf(cl) {
+				own = listOf(own, cl)
+				for _, i := range own {
 					m := c.F64sW(a.mols+int(i)*molF64s*8, molF64s)
 					m[0] += a.dt * m[3]
 					m[1] += a.dt * m[4]
@@ -226,13 +230,15 @@ func (a *WaterSpatial) Run(c *core.Ctx) {
 			// neighbouring cells (remote at partition faces).
 			pairs := 0
 			for _, cl := range cells {
-				neigh := a.neighborCells(cl)
-				for _, i := range listOf(cl) {
+				neigh := a.neighborCells(cl, &neighBuf)
+				own = listOf(own, cl)
+				for _, i := range own {
 					mi := c.F64sR(a.mols+int(i)*molF64s*8, 3)
 					xi, yi, zi := mi[0], mi[1], mi[2]
 					var fx, fy, fz float64
 					for _, ncl := range neigh {
-						for _, j := range listOf(ncl) {
+						nb = listOf(nb, ncl)
+						for _, j := range nb {
 							if j == i {
 								continue
 							}
@@ -261,7 +267,8 @@ func (a *WaterSpatial) Run(c *core.Ctx) {
 			var moves []move
 			nmine := 0
 			for _, cl := range cells {
-				for _, i := range listOf(cl) {
+				own = listOf(own, cl)
+				for _, i := range own {
 					ii := int(i)
 					m := c.F64sW(a.mols+ii*molF64s*8, molF64s)
 					m[3] += a.dt * m[6]
@@ -351,6 +358,7 @@ func (a *WaterSpatial) sequential(m0 []float64, nx0 []int64, hd0 []int64) []floa
 		}
 		return out
 	}
+	var neighBuf [27]int
 	for step := 0; step < a.steps; step++ {
 		for cl := 0; cl < nc; cl++ {
 			for _, i := range listOf(cl) {
@@ -361,7 +369,7 @@ func (a *WaterSpatial) sequential(m0 []float64, nx0 []int64, hd0 []int64) []floa
 			}
 		}
 		for cl := 0; cl < nc; cl++ {
-			neigh := a.neighborCells(cl)
+			neigh := a.neighborCells(cl, &neighBuf)
 			for _, i := range listOf(cl) {
 				xi, yi, zi := m[i*molF64s], m[i*molF64s+1], m[i*molF64s+2]
 				var fx, fy, fz float64

@@ -8,55 +8,65 @@ import (
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
+	"dsmsim/internal/proto"
 	"dsmsim/internal/sim"
 )
 
 // TestPerNodeAllocCeiling1024 pins the host objects one node costs: the
-// mallocs of a whole LU run at 1024 nodes under sc (machine build, 1024
-// procs, the run, teardown), divided by the node count. Measured 1.3–1.5:
-// 1 for the proc's body closure, and the rest not per node at all — the
-// protocol's copyset pages and parked transactions, the pools' own
-// bookkeeping — spread over the nodes. It was 14.9 while every proc made its
-// own iter.Pull coroutine (12 objects, see sim.TestProcCreationAllocCeiling)
-// and every endpoint grew its own service queue, and 17.9 before that, while
-// each run grew its own message and buffer free lists. Everything else
+// mallocs of a whole warm run at 1024 nodes (machine build, 1024 procs, the
+// run, teardown), divided by the node count, for lu and fft under every
+// registered protocol. Measured 0.28–0.89 for lu and at most 1.00 for fft:
+// nothing is made per node any more — the copysets' pages, the parked
+// transactions, the pools' own bookkeeping are spread over the nodes. A
+// warm lu run read sc 1.31, dc 1.30, swlrc 8.28, hlrc 10.79 and tlc 2.29
+// while every proc had its own body closure, every node's interval array
+// grew afresh in each LRC run, hlrc made three maps per node and swlrc and
+// tlc a shard index per node; 14.9 under sc while every proc made its own
+// iter.Pull coroutine (12 objects, see sim.TestProcCreationAllocCeiling)
+// and every endpoint grew its own service queue, and 17.9 before that,
+// while each run grew its own message and buffer free lists. Everything
 // per-node comes out of what the run before gave back — the procs' workers
 // off the sim's idle list, the spaces' slabs, the endpoints' slab and queue
-// arrays, and the network's one link table, whose FIFO clamps are pages cut
-// from a few chunks, not an object per endpoint; a `&T{}` creeping back into
-// the node loop adds a whole object per node. The pools keep what comes back
-// to them under -race as without, so the reading there is the same.
+// arrays, the interval log, and the network's one link table, whose FIFO
+// clamps are pages cut from a few chunks, not an object per endpoint — or
+// out of one array cut per run; a `&T{}` creeping back into the node loop
+// adds a whole object per node. The pools keep what comes back to them
+// under -race as without, so the reading there is the same.
 //
 // The guard lives here rather than beside the other allocation tests in
 // alloc_test.go (package core) because apps imports core.
 func TestPerNodeAllocCeiling1024(t *testing.T) {
 	if testing.Short() {
-		t.Skip("1024-node run skipped in -short mode")
+		t.Skip("1024-node runs skipped in -short mode")
 	}
-	const nodes, ceiling = 1024, 3.0
-	entry, err := apps.Get("lu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.NewMachine(core.Config{Nodes: nodes, BlockSize: 4096, Protocol: core.SC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mallocs := func() uint64 {
-		app := entry.New(apps.Small)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := m.Run(app); err != nil {
-			t.Fatal(err)
+	const nodes, ceiling = 1024, 1.5
+	for _, protocol := range proto.Names() {
+		for _, name := range []string{"lu", "fft"} {
+			entry, err := apps.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := core.NewMachine(core.Config{Nodes: nodes, BlockSize: 4096, Protocol: protocol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mallocs := func() uint64 {
+				app := entry.New(apps.Small)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := m.Run(app); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs
+			}
+			mallocs() // warm the pools every run shares
+			perNode := float64(mallocs()) / nodes
+			t.Logf("%s under %s: %.2f mallocs per node", name, protocol, perNode)
+			if perNode > ceiling {
+				t.Errorf("one %s run at %d nodes under %s cost %.2f mallocs per node, ceiling %.1f", name, nodes, protocol, perNode, ceiling)
+			}
 		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
-	mallocs() // warm the space pool every run shares
-	perNode := float64(mallocs()) / nodes
-	t.Logf("%.1f mallocs per node", perNode)
-	if perNode > ceiling {
-		t.Errorf("one LU run at %d nodes under sc cost %.1f mallocs per node, ceiling %.1f", nodes, perNode, ceiling)
 	}
 }
 

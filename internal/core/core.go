@@ -508,7 +508,6 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		// seeding and baseline preclaim above do not spam the trace (or
 		// the profiler's invalidation ledger).
 		for i, sp := range env.Spaces {
-			i := i
 			sp.OnTag = func(b int, old, new mem.Access) {
 				if tr != nil {
 					tr.InstantMsg(i, trace.CatMem, "tag", tagArrows[old][new],
@@ -564,6 +563,29 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		}
 		p.Handle(msg)
 	}
+	// One body for every node: the engine's only procs are the nodes',
+	// created below in node order, so a proc's index is its node id.
+	body := func(pr *sim.Proc) {
+		n := &r.nodes[pr.Index()]
+		if n.resuming { // reborn inside the barrier the cut suppressed
+			n.inRuntime = false
+			n.barrierResumed()
+		}
+		app.Run(&n.ctx)
+		if n.resuming {
+			n.refuse("returned")
+		}
+		n.finishAt = engine.Now()
+		if ct := r.crit; ct != nil {
+			ct.Finish(n.id, n.finishAt)
+		}
+		// Service time stolen from computation extends the *next*
+		// Compute call; what was charged after the last one never
+		// lengthened anything, so give it back — the breakdown
+		// components must describe time that actually passed.
+		n.stats.Stolen -= n.stolen
+		n.stolen = 0
+	}
 	r.nodes = make([]Node, cfg.Nodes)
 	engine.ReserveProcs(cfg.Nodes)
 	env.Procs = make([]*sim.Proc, cfg.Nodes)
@@ -571,26 +593,6 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		n := &r.nodes[i]
 		*n = Node{id: i, ctx: Ctx{n: n}, run: r, space: env.Spaces[i], stats: env.Stats[i], ep: net.Endpoint(i)}
 		n.ep.Bind(n, cost, handler)
-		body := func(*sim.Proc) {
-			if n.resuming { // reborn inside the barrier the cut suppressed
-				n.inRuntime = false
-				n.barrierResumed()
-			}
-			app.Run(&n.ctx)
-			if n.resuming {
-				n.refuse("returned")
-			}
-			n.finishAt = engine.Now()
-			if ct := r.crit; ct != nil {
-				ct.Finish(n.id, n.finishAt)
-			}
-			// Service time stolen from computation extends the *next*
-			// Compute call; what was charged after the last one never
-			// lengthened anything, so give it back — the breakdown
-			// components must describe time that actually passed.
-			n.stats.Stolen -= n.stolen
-			n.stolen = 0
-		}
 		if cp == nil {
 			n.proc = engine.NewProc(nodeNames[i], 0, body)
 		} else {
@@ -608,8 +610,6 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (_ *run
 		ct.Runtime = func(i int) bool { return r.nodes[i].inRuntime }
 	}
 	if ct := r.crit; tr != nil || ct != nil {
-		// The engine's only procs are the nodes', created above in node
-		// order: a proc's index is its node id.
 		engine.SetHooks(sim.Hooks{
 			ProcBlock: func(pr *sim.Proc, reason string, id int) {
 				if tr != nil {

@@ -483,3 +483,82 @@ func TestRecycledShardsRunLikeFresh(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycledLogRunsLikeFresh is TestRecycledImageRunsLikeFresh for the
+// interval log, under the two protocols that publish write notices. From a
+// cold pool, lu is cut at barrier 2 and run whole at 16 nodes; lu then runs
+// at 1024 nodes and gives back a log whose first 16 interval arrays are
+// longer than the 16-node run's; lu runs at 16 nodes again, must draw that
+// log, and must produce the first run's Result. A second cut, drawn the same
+// way, must have the first one's digest, which folds every interval of the
+// log. Then water-nsquared and the 1024-node lu publish into the log the
+// cut gave back, and the fork restored from the cut must produce the flat
+// run's Result.
+func TestRecycledLogRunsLikeFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-node runs skipped in -short mode")
+	}
+	ctx := context.Background()
+	for _, protocol := range []string{core.HLRC, core.SWLRC} {
+		t.Run(protocol, func(t *testing.T) {
+			defer mem.IsolatePools(nil)() // starts empty: the first run must allocate
+			machine := func(nodes int) *core.Machine {
+				m, err := core.NewMachine(core.Config{Nodes: nodes, BlockSize: 1024, Protocol: protocol})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			entry, err := apps.Get("lu")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lu := func() core.App { return entry.New(apps.Small) }
+			run := func(nodes int, app core.App) *core.Result {
+				res, err := machine(nodes).RunVerifiedContext(ctx, app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			cut := func() *core.Checkpoint {
+				cp, err := machine(16).RunToBarrier(ctx, lu(), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cp
+			}
+			freshCut := cut()
+			fresh := run(16, lu())
+			run(1024, lu())
+			logs0 := proto.LogStats()
+			recycled := run(16, lu())
+			if logs := proto.LogStats(); logs.Hits-logs0.Hits != 1 || logs.Misses != logs0.Misses {
+				t.Fatalf("the second 16-node lu drew %d logs from the pool and allocated %d; want the 1024-node run's log",
+					logs.Hits-logs0.Hits, logs.Misses-logs0.Misses)
+			}
+			compareResults(t, fresh, recycled)
+
+			run(1024, lu())
+			cp := cut()
+			if cp.Digest() != freshCut.Digest() {
+				t.Errorf("lu's cut at barrier 2 on a recycled log has digest %#x, on a fresh one %#x", cp.Digest(), freshCut.Digest())
+			}
+			water, err := apps.Get("water-nsquared")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(16, water.New(apps.Small))
+			run(1024, lu())
+			app := lu()
+			forked, err := machine(16).RunFromCheckpoint(ctx, cp, app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.Verify(forked.Heap); err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, fresh, forked)
+		})
+	}
+}

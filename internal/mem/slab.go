@@ -228,7 +228,8 @@ func (p *Kept[T]) Put(v T) { p.put(v) }
 type PoolCounts struct{ Hits, Misses, Idle, IdleBytes int64 }
 
 // PoolTotals sums the counts of every pool: the slabs', the spaces', the
-// observers' tables, and the networks' endpoints, link pages and free lists.
+// observers' tables, the networks' endpoints, link pages and free lists, and
+// the notice logs.
 func PoolTotals() (c PoolCounts) {
 	for _, p := range pools {
 		d := p.Counts()

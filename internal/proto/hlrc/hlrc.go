@@ -119,12 +119,12 @@ func New(env *proto.Env) *Protocol {
 		flushWaiting:  make([]bool, n),
 		outScratch:    make([][]*diffMsg, n),
 		noticeScratch: make([][]proto.WriteNotice, n),
-		state:         state{earlyNotices: make([][]proto.WriteNotice, n)},
-	}
-	for i := 0; i < n; i++ {
-		p.twins = append(p.twins, make(map[int][]byte))
-		p.written = append(p.written, make(map[int]int32))
-		p.seq = append(p.seq, make(map[int]int32))
+		state: state{
+			twins:        make([]map[int][]byte, n),
+			written:      make([]map[int]int32, n),
+			seq:          make([]map[int]int32, n),
+			earlyNotices: make([][]proto.WriteNotice, n),
+		},
 	}
 	p.installs = proto.NewTxns[struct{}](env, p.Handle)
 	return p
@@ -188,9 +188,20 @@ func (p *Protocol) Fault(node, block int, write bool) {
 func (p *Protocol) markHomeWrite(node, block int) {
 	p.env.Spaces[node].SetTag(block, mem.ReadWrite)
 	if _, ok := p.written[node][block]; !ok {
-		p.seq[node][block]++
-		p.written[node][block] = p.seq[node][block]
+		if p.written[node] == nil {
+			p.written[node] = make(map[int]int32)
+		}
+		p.written[node][block] = p.nextSeq(node, block)
 	}
+}
+
+// nextSeq advances node's diff sequence counter for block and returns it.
+func (p *Protocol) nextSeq(node, block int) int32 {
+	if p.seq[node] == nil {
+		p.seq[node] = make(map[int]int32)
+	}
+	p.seq[node][block]++
+	return p.seq[node][block]
 }
 
 // makeTwin creates the clean copy enabling multiple concurrent writers.
@@ -200,6 +211,9 @@ func (p *Protocol) makeTwin(node, block int) {
 	cur := sp.BlockData(block)
 	twin := p.getTwin(len(cur))
 	copy(twin, cur)
+	if p.twins[node] == nil {
+		p.twins[node] = make(map[int][]byte)
+	}
 	p.twins[node][block] = twin
 	sp.SetTag(block, mem.ReadWrite)
 	p.env.Stats[node].TwinsCreated++
@@ -259,8 +273,7 @@ func (p *Protocol) PreRelease(node int) []proto.WriteNotice {
 		// Streaming: refresh the twin, keep the block writable.
 		copy(twin, sp.BlockData(b))
 		diffCost += model.TwinCreate(sp.BlockSize())
-		p.seq[node][b]++
-		notices = append(notices, proto.WriteNotice{Block: int32(b), Seq: p.seq[node][b]})
+		notices = append(notices, proto.WriteNotice{Block: int32(b), Seq: p.nextSeq(node, b)})
 		dm.node = node
 		dm.block = b
 		dm.needAck = true
@@ -352,9 +365,8 @@ func (p *Protocol) earlyFlush(node, b int, twin []byte) {
 		return
 	}
 	// The flushed writes still need a notice at our next release.
-	p.seq[node][b]++
 	p.earlyNotices[node] = append(p.earlyNotices[node],
-		proto.WriteNotice{Block: int32(b), Seq: p.seq[node][b]})
+		proto.WriteNotice{Block: int32(b), Seq: p.nextSeq(node, b)})
 	p.env.Stats[node].DiffPayloadBytes += int64(dm.diff.PayloadBytes())
 	if tr := p.env.Tracer; tr != nil {
 		tr.Instant(node, trace.CatProto, "diff-early",

@@ -14,7 +14,8 @@ import (
 // captured; at a barrier cut neither exists. The pooled free lists are
 // deliberately not captured: a fork starts with empty pools, which is
 // invisible — twins are fully overwritten on creation and DiffInto output
-// is content-deterministic regardless of buffer reuse.
+// is content-deterministic regardless of buffer reuse. A node's maps are
+// made on its first write to them: a node that never writes costs none.
 type state struct {
 	twins        []map[int][]byte      // per node: block → twin (persists while streaming)
 	written      []map[int]int32       // per node: home blocks written this interval → seq

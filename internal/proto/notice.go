@@ -1,5 +1,7 @@
 package proto
 
+import "dsmsim/internal/mem"
+
 // WriteNotice records that a block was modified during a writer's interval.
 // SW-LRC additionally uses Version (the block's single-writer version
 // counter) to find the up-to-date copy in one hop; HLRC uses Seq (the
@@ -41,8 +43,38 @@ type Log struct {
 // starts a chunk of its own.
 const noticeChunk = 256
 
-// NewLog returns an empty log for n nodes.
-func NewLog(n int) *Log { return &Log{byNode: make([][]Interval, n)} }
+// logs is where a run's log waits for the next run, its interval arrays
+// empty but kept: an LRC run at 1024 nodes would otherwise grow every node's
+// array again, 1, 2, 4, 8 … intervals.
+var logs = mem.NewKept[*Log]()
+
+// NewLog returns an empty log for n nodes, drawn from the logs the runs
+// before gave back (Env.ReleaseTables).
+func NewLog(n int) *Log {
+	l := logs.Get()
+	if l == nil {
+		l = new(Log)
+	}
+	if cap(l.byNode) < n {
+		l.byNode = make([][]Interval, n)
+	}
+	l.byNode = l.byNode[:n]
+	return l
+}
+
+// LogStats reports the counts of the pool NewLog draws from.
+func LogStats() mem.PoolCounts { return logs.Counts() }
+
+// release empties every interval array, keeping its capacity, and pools the
+// log. The notice chunks are not kept: a checkpoint's clone shares them.
+func (l *Log) release() {
+	for i, ivs := range l.byNode {
+		clear(ivs)
+		l.byNode[i] = ivs[:0]
+	}
+	l.free = nil
+	logs.Put(l)
+}
 
 // Publish appends node's next interval containing a copy of the given
 // notices and returns its index; the caller may reuse notices afterwards.
@@ -68,7 +100,9 @@ func (l *Log) Publish(node int, notices []WriteNotice) int32 {
 func (l *Log) Latest(node int) int32 { return int32(len(l.byNode[node])) }
 
 // Between returns node's intervals with index in (after, upTo], i.e. the
-// notices a node whose clock shows `after` needs to reach `upTo`.
+// notices a node whose clock shows `after` needs to reach `upTo`. The slice,
+// like Each's, is the log's own array: it goes back to the pool with the log
+// when the run ends, so no caller keeps it past the run.
 func (l *Log) Between(node int, after, upTo int32) []Interval {
 	if upTo > l.Latest(node) {
 		upTo = l.Latest(node)

@@ -37,6 +37,18 @@ func NewTable[T any](nblocks int, init func(*T)) Table[T] {
 	return Table[T]{shards: make([][]T, n), init: init}
 }
 
+// NewTables returns count tables like NewTable's, their shard indexes cut
+// from one array: a per-node table costs a run one allocation, not one per
+// node.
+func NewTables[T any](count, nblocks int, init func(*T)) []Table[T] {
+	n := (nblocks + shardSize - 1) / shardSize
+	index, ts := make([][]T, count*n), make([]Table[T], count)
+	for i := range ts {
+		ts[i] = Table[T]{shards: index[i*n : (i+1)*n : (i+1)*n], init: init}
+	}
+	return ts
+}
+
 // At returns the entry for block b, materialising its shard on first
 // touch.
 func (t *Table[T]) At(b int) *T {
@@ -152,13 +164,18 @@ type recycler interface{ release() }
 func (e *Env) Recycle(t recycler) { e.tables = append(e.tables, t) }
 
 // ReleaseTables gives back the shards of the home map and of every table
-// handed to Recycle. The run is over: nothing reads the tables again.
+// handed to Recycle, and the interval log. The run is over: nothing reads
+// the tables or the log again.
 func (e *Env) ReleaseTables() {
 	e.Homes.moved.release()
 	for _, t := range e.tables {
 		t.release()
 	}
 	e.tables = nil
+	if e.Log != nil {
+		e.Log.release()
+		e.Log = nil
+	}
 }
 
 // shardPools holds the pool of each entry type, keyed by the type.

@@ -80,14 +80,13 @@ func New(env *proto.Env) *Protocol {
 		env: env,
 		state: state{
 			dir:     proto.NewTable(nb, func(e *swDir) { e.owner = -1 }),
-			nodes:   make([]proto.Table[swNode], n),
+			nodes:   proto.NewTables(n, nb, func(e *swNode) { e.lastKnown = -1 }),
 			written: make([]proto.Copyset, n),
 		},
 		pending: proto.NewPending(env, "target", "swlrc read fault block", "swlrc write fault block"),
 	}
 	env.Recycle(&p.dir)
-	for i := 0; i < n; i++ {
-		p.nodes[i] = proto.NewTable(nb, func(e *swNode) { e.lastKnown = -1 })
+	for i := range p.nodes {
 		env.Recycle(&p.nodes[i])
 	}
 	p.installs = proto.NewTxns[struct{}](env, p.Handle)

@@ -127,15 +127,14 @@ func New(env *proto.Env) *Protocol {
 		env: env,
 		state: state{
 			dir:    proto.NewTable(nb, func(e *tlcDir) { e.owner = -1 }),
-			nodes:  make([]proto.Table[tlcView], n),
+			nodes:  proto.NewTables[tlcView](n, nb, nil),
 			pts:    make([]int64, n),
 			leased: make([]proto.Copyset, n),
 		},
 		pending: proto.NewPending(env, "home", "tlc read fault block", "tlc write fault block"),
 	}
 	env.Recycle(&p.dir)
-	for i := 0; i < n; i++ {
-		p.nodes[i] = proto.NewTable[tlcView](nb, nil)
+	for i := range p.nodes {
 		env.Recycle(&p.nodes[i])
 	}
 	p.txns = proto.NewTxns[txn](env, p.Handle)
